@@ -40,6 +40,15 @@ pub enum SubmitError {
     /// transfers) overflows the amount type. Unchecked, the fee arithmetic
     /// would wrap and under-charge — rejected typed instead.
     FeeOverflow,
+    /// The gas limit alone exceeds the block gas ceiling: no block could
+    /// ever include the transaction, so it would pend forever, block its
+    /// sender's nonce chain and defeat the idle fast-forward.
+    ExceedsBlockGas {
+        /// The transaction's gas limit.
+        gas_limit: u64,
+        /// The chain's per-block ceiling.
+        max_block_gas: u64,
+    },
     /// The mempool is at capacity.
     MempoolFull,
     /// A transaction with the same sender and nonce is already pending.
@@ -55,6 +64,13 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::CannotPayGas => f.write_str("cannot pay gas"),
             SubmitError::FeeOverflow => f.write_str("maximum fee overflows the amount type"),
+            SubmitError::ExceedsBlockGas {
+                gas_limit,
+                max_block_gas,
+            } => write!(
+                f,
+                "gas limit {gas_limit} exceeds the block gas ceiling {max_block_gas}"
+            ),
             SubmitError::MempoolFull => f.write_str("mempool full"),
             SubmitError::DuplicateNonce => f.write_str("duplicate (sender, nonce) pending"),
         }
@@ -417,6 +433,12 @@ impl Blockchain {
         if self.state.balance(&tx.tx.from) < max_fee {
             return Err(SubmitError::CannotPayGas);
         }
+        if tx.tx.gas_limit > self.max_block_gas {
+            return Err(SubmitError::ExceedsBlockGas {
+                gas_limit: tx.tx.gas_limit,
+                max_block_gas: self.max_block_gas,
+            });
+        }
         if self.mempool.len() >= self.mempool_capacity {
             return Err(SubmitError::MempoolFull);
         }
@@ -482,9 +504,10 @@ impl Blockchain {
 
     fn produce_block(&mut self, timestamp: SimTime, proposer_idx: usize) {
         let height = self.blocks.height() + 1;
+        let proposer = Address::from_public_key(&self.validators[proposer_idx].public());
         let included = match self.exec_mode {
-            ExecMode::Serial => self.fill_block_serial(height, timestamp, proposer_idx),
-            ExecMode::Parallel => self.fill_block_parallel(height, timestamp, proposer_idx),
+            ExecMode::Serial => self.fill_block_serial(height, timestamp, proposer),
+            ExecMode::Parallel => self.fill_block_parallel(height, timestamp, proposer),
         };
         self.evict_superseded(height);
         let parent = self
@@ -504,15 +527,17 @@ impl Blockchain {
         self.maybe_checkpoint(height);
     }
 
-    /// The serial block body: executable transactions in canonical
-    /// (sorted mempool key) order, respecting per-account nonce sequencing
-    /// and the block gas ceiling. This is the reference semantics the
-    /// parallel executor must reproduce byte-for-byte.
+    /// The serial scheduler: executable transactions in canonical (sorted
+    /// mempool key) order, respecting per-account nonce sequencing and the
+    /// block gas ceiling, each one executed, committed and emitted before
+    /// the next is selected. Selection depends on execution here — a fee
+    /// failure leaves the sender's nonce unbumped, which changes which
+    /// later transactions are ready and fit under the ceiling.
     fn fill_block_serial(
         &mut self,
         height: u64,
         timestamp: SimTime,
-        proposer_idx: usize,
+        proposer: Address,
     ) -> Vec<SignedTransaction> {
         let mut included = Vec::new();
         let mut block_gas: u64 = 0;
@@ -537,31 +562,34 @@ impl Blockchain {
             // The ceiling reserves each transaction's full gas limit, as
             // real block builders must (gas_used is unknown pre-execution).
             block_gas += gas_limit;
-            let receipt = self.execute(&tx, height, timestamp, proposer_idx);
-            for ev in &receipt.events {
-                // One Rc per event, shared between the receipt and the
-                // event log: every downstream consumer (push-out fan-out,
-                // pull-in polls, sharded merge) clones the pointer, not the
-                // payload.
-                self.event_log.push((height, Rc::clone(ev)));
-            }
-            self.receipts.insert(receipt.tx_id, receipt);
+            let outcome = run_tx_pure(
+                &self.state,
+                &self.contracts,
+                &self.gas_schedule,
+                self.gas_price,
+                &tx,
+                height,
+                timestamp,
+            );
+            let done = self.commit_outcome(&tx, outcome, proposer);
+            self.emit(&tx, done, height);
             included.push(tx);
         }
         included
     }
 
-    /// The parallel block body: plans the same transaction set the serial
-    /// executor would pick, partitions it into conflict-free levels on the
-    /// derived access sets, executes each level purely (no state writes) on
-    /// the work-stealing pool, then commits and emits in canonical order —
-    /// receipts, events, gas records and replay fingerprints are
-    /// byte-identical to [`Blockchain::fill_block_serial`].
+    /// The parallel scheduler: plans the transaction set the serial
+    /// scheduler would pick, partitions it into conflict-free levels on the
+    /// derived access sets, runs each level's pure executions on the
+    /// work-stealing pool, commits every level in plan order, then emits in
+    /// canonical order — so blocks, receipts, events, gas records and
+    /// replay fingerprints are byte-identical to
+    /// [`Blockchain::fill_block_serial`].
     fn fill_block_parallel(
         &mut self,
         height: u64,
         timestamp: SimTime,
-        proposer_idx: usize,
+        proposer: Address,
     ) -> Vec<SignedTransaction> {
         // ---- plan: replicate serial selection with projected nonces (the
         // serial loop observes each executed tx's nonce bump before
@@ -589,7 +617,7 @@ impl Blockchain {
             plan_keys.push(*key);
         }
         if ceiling_hit || plan_keys.len() < 2 {
-            return self.fill_block_serial(height, timestamp, proposer_idx);
+            return self.fill_block_serial(height, timestamp, proposer);
         }
 
         let plan: Vec<SignedTransaction> = plan_keys
@@ -639,22 +667,15 @@ impl Blockchain {
 
         // ---- execute level by level, committing state in canonical order
         let mut committed: Vec<Option<CommittedTx>> = (0..plan.len()).map(|_| None).collect();
-        let mut deferred = vec![false; plan.len()];
         for level in 0..=max_level {
-            let mut runnable: Vec<usize> = Vec::new();
-            for i in 0..plan.len() {
-                if levels[i] != level {
-                    continue;
-                }
-                // A fee-failed predecessor left the sender's nonce
-                // unbumped: this tx can no longer execute in this block
-                // (serial would never have selected it).
-                if self.state.nonce(&plan[i].tx.from) != plan[i].tx.nonce {
-                    deferred[i] = true;
-                } else {
-                    runnable.push(i);
-                }
-            }
+            // A tx whose fee-failed predecessor left the sender's nonce
+            // unbumped can no longer execute in this block (serial would
+            // never have selected it): it stays uncommitted.
+            let runnable: Vec<usize> = (0..plan.len())
+                .filter(|&i| {
+                    levels[i] == level && self.state.nonce(&plan[i].tx.from) == plan[i].tx.nonce
+                })
+                .collect();
             if runnable.is_empty() {
                 continue;
             }
@@ -673,70 +694,39 @@ impl Blockchain {
                     )
                 })
             };
-            let proposer_addr = Address::from_public_key(&self.validators[proposer_idx].public());
             for (&i, outcome) in runnable.iter().zip(outcomes) {
-                committed[i] = Some(self.commit_outcome(&plan[i], outcome, proposer_addr));
+                committed[i] = Some(self.commit_outcome(&plan[i], outcome, proposer));
             }
         }
 
-        // ---- emit in canonical order: intern labels, push gas records,
-        // events and receipts exactly as the serial loop would have.
+        // ---- emit in canonical order
         let mut included = Vec::with_capacity(plan.len());
-        for (i, tx) in plan.into_iter().enumerate() {
-            if deferred[i] {
+        for (tx, done) in plan.into_iter().zip(committed) {
+            match done {
+                Some(done) => {
+                    self.emit(&tx, done, height);
+                    included.push(tx);
+                }
                 // Never executed; back to the mempool without a receipt.
                 // Its sender's nonce did not advance, so eviction leaves
                 // it pending — exactly the serial outcome.
-                self.mempool.insert((tx.tx.from, tx.tx.nonce), tx);
-                continue;
+                None => {
+                    self.mempool.insert((tx.tx.from, tx.tx.nonce), tx);
+                }
             }
-            let done = committed[i].take().expect("scheduled tx executed");
-            if let Some(label) = done.label {
-                let (contract_label, method_label) = match &label {
-                    ExecLabel::Intrinsic => (None, self.labels.intern("intrinsic")),
-                    ExecLabel::Transfer => (None, self.labels.intern("transfer")),
-                    ExecLabel::Call { contract, method } => {
-                        // Same interning order as serial: method first.
-                        let m = self.labels.intern(method);
-                        let c = self.labels.intern(contract.as_str());
-                        (Some(c), m)
-                    }
-                };
-                self.gas_ledger.push(GasRecord {
-                    contract: contract_label,
-                    method: method_label,
-                    gas_used: done.gas_used,
-                    ok: done.status.is_ok(),
-                    height,
-                });
-            }
-            let events: Vec<Rc<Event>> = done.events.into_iter().map(Rc::new).collect();
-            for ev in &events {
-                self.event_log.push((height, Rc::clone(ev)));
-            }
-            let receipt = Receipt {
-                tx_id: tx.id(),
-                block_height: height,
-                status: done.status,
-                gas_used: done.gas_used,
-                events,
-                return_data: done.return_data,
-            };
-            self.receipts.insert(receipt.tx_id, receipt);
-            included.push(tx);
         }
         included
     }
 
     /// Applies one pure execution outcome to the canonical state — fee
-    /// debit, nonce bump, buffered effects, refund, proposer credit, the
-    /// exact mutation sequence of [`Blockchain::execute`] — and returns
-    /// what the emission pass needs.
+    /// debit, nonce bump, buffered effects, transfer, refund, proposer
+    /// credit — and returns what [`Blockchain::emit`] needs. The only place
+    /// a transaction mutates [`WorldState`].
     fn commit_outcome(
         &mut self,
         signed: &SignedTransaction,
         outcome: PureExec,
-        proposer_addr: Address,
+        proposer: Address,
     ) -> CommittedTx {
         let PureExec::Ran {
             status,
@@ -747,8 +737,7 @@ impl Blockchain {
             label,
         } = outcome
         else {
-            // Fee failure: serial returns early without touching state or
-            // the gas ledger.
+            // Fee failure: no state change, no nonce bump, no gas record.
             return CommittedTx {
                 status: TxStatus::Reverted("cannot pay gas".into()),
                 gas_used: 0,
@@ -759,6 +748,7 @@ impl Blockchain {
         };
         let from = signed.tx.from;
         let gas_limit = signed.tx.gas_limit;
+        // Reserve the maximum fee upfront; the unused part is refunded below.
         let max_fee = (gas_limit as Amount)
             .checked_mul(self.gas_price)
             .expect("an overflowing fee is a fee failure");
@@ -779,7 +769,7 @@ impl Blockchain {
         let refund = (gas_limit - gas_used) as Amount * self.gas_price;
         self.state.credit(from, refund);
         self.state
-            .credit(proposer_addr, gas_used as Amount * self.gas_price);
+            .credit(proposer, gas_used as Amount * self.gas_price);
         CommittedTx {
             status,
             gas_used,
@@ -787,6 +777,55 @@ impl Blockchain {
             events,
             return_data,
         }
+    }
+
+    /// Records one committed transaction in the chain's logs: interns its
+    /// gas-ledger labels (method before contract — the label table's
+    /// insertion order is observable through [`Sym`] values), pushes the
+    /// [`GasRecord`], appends its events to the event log and stores the
+    /// [`Receipt`]. Callers invoke it in canonical block order.
+    fn emit(&mut self, tx: &SignedTransaction, done: CommittedTx, height: u64) {
+        if let Some(label) = done.label {
+            let (contract, method) = match (label, &tx.tx.kind) {
+                (ExecLabel::Intrinsic, _) => (None, self.labels.intern("intrinsic")),
+                (ExecLabel::Dispatched, TxKind::Transfer { .. }) => {
+                    (None, self.labels.intern("transfer"))
+                }
+                (
+                    ExecLabel::Dispatched,
+                    TxKind::Call {
+                        contract, method, ..
+                    },
+                ) => {
+                    let m = self.labels.intern(method);
+                    let c = self.labels.intern(contract.as_str());
+                    (Some(c), m)
+                }
+            };
+            self.gas_ledger.push(GasRecord {
+                contract,
+                method,
+                gas_used: done.gas_used,
+                ok: done.status.is_ok(),
+                height,
+            });
+        }
+        // One Rc per event, shared between the receipt and the event log:
+        // every downstream consumer (push-out fan-out, pull-in polls,
+        // sharded merge) clones the pointer, not the payload.
+        let events: Vec<Rc<Event>> = done.events.into_iter().map(Rc::new).collect();
+        for ev in &events {
+            self.event_log.push((height, Rc::clone(ev)));
+        }
+        let receipt = Receipt {
+            tx_id: tx.id(),
+            block_height: height,
+            status: done.status,
+            gas_used: done.gas_used,
+            events,
+            return_data: done.return_data,
+        };
+        self.receipts.insert(receipt.tx_id, receipt);
     }
 
     /// Evicts mempool transactions whose nonce a sealed block made stale,
@@ -866,146 +905,6 @@ impl Blockchain {
         let cut = self.event_log.partition_point(|(h, _)| *h <= horizon);
         self.event_log.drain(..cut);
         self.receipts.retain(|_, r| r.block_height > horizon);
-    }
-
-    fn execute(
-        &mut self,
-        signed: &SignedTransaction,
-        height: u64,
-        timestamp: SimTime,
-        proposer_idx: usize,
-    ) -> Receipt {
-        let tx_id = signed.id();
-        let from = signed.tx.from;
-        let gas_limit = signed.tx.gas_limit;
-        // An overflowing max fee is unpayable by definition; checked so a
-        // wrap cannot under-charge (submission rejects these, but the
-        // execution layer must not trust the mempool).
-        let Some(max_fee) = (gas_limit as Amount).checked_mul(self.gas_price) else {
-            return fee_failure_receipt(tx_id, height);
-        };
-        // Reserve the maximum fee upfront (refund the unused part later).
-        if self.state.debit(&from, max_fee).is_err() {
-            return fee_failure_receipt(tx_id, height);
-        }
-        self.state.bump_nonce(&from);
-
-        let mut meter = GasMeter::new(gas_limit, self.gas_schedule.clone());
-        let intrinsic = self.gas_schedule.tx_base.saturating_add(
-            self.gas_schedule
-                .payload_byte
-                .saturating_mul(signed.encoded_size() as u64),
-        );
-        let intrinsic_result = meter.charge(intrinsic);
-
-        let (status, events, return_data, method_label, contract_label) =
-            if intrinsic_result.is_err() {
-                (
-                    TxStatus::OutOfGas,
-                    Vec::new(),
-                    Vec::new(),
-                    self.labels.intern("intrinsic"),
-                    None,
-                )
-            } else {
-                match &signed.tx.kind {
-                    TxKind::Transfer { to, amount } => {
-                        let status = match self.state.debit(&from, *amount) {
-                            Ok(()) => {
-                                self.state.credit(*to, *amount);
-                                TxStatus::Ok
-                            }
-                            Err(e) => TxStatus::Reverted(e.to_string()),
-                        };
-                        (
-                            status,
-                            Vec::new(),
-                            Vec::new(),
-                            self.labels.intern("transfer"),
-                            None,
-                        )
-                    }
-                    TxKind::Call {
-                        contract,
-                        method,
-                        args,
-                    } => {
-                        let method_sym = self.labels.intern(method);
-                        let contract_sym = self.labels.intern(contract.as_str());
-                        match self.contracts.get(contract) {
-                            None => (
-                                TxStatus::Reverted(format!("no contract {contract}")),
-                                Vec::new(),
-                                Vec::new(),
-                                method_sym,
-                                Some(contract_sym),
-                            ),
-                            Some(code) => {
-                                // Execute against the canonical state through
-                                // a write overlay; apply the buffered effects
-                                // only on success. A revert drops them — no
-                                // full-state scratch copy per call.
-                                let mut ctx = CallCtx::new(
-                                    from,
-                                    height,
-                                    timestamp,
-                                    contract.clone(),
-                                    &self.state,
-                                    &mut meter,
-                                );
-                                match code.call(&mut ctx, method, args) {
-                                    Ok(ret) => {
-                                        let events = ctx.into_effects().apply(&mut self.state);
-                                        (TxStatus::Ok, events, ret, method_sym, Some(contract_sym))
-                                    }
-                                    Err(ContractError::OutOfGas) => (
-                                        TxStatus::OutOfGas,
-                                        Vec::new(),
-                                        Vec::new(),
-                                        method_sym,
-                                        Some(contract_sym),
-                                    ),
-                                    Err(e) => (
-                                        TxStatus::Reverted(e.to_string()),
-                                        Vec::new(),
-                                        Vec::new(),
-                                        method_sym,
-                                        Some(contract_sym),
-                                    ),
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-
-        // Clamped to the limit: a gas_limit below tx_base would otherwise
-        // underflow the refund below (the meter never exceeds its limit,
-        // but the tx_base floor can).
-        let gas_used = meter.used().max(self.gas_schedule.tx_base).min(gas_limit);
-        // Refund unused fee; pay the consumed fee to the proposer.
-        let refund = (gas_limit - gas_used) as Amount * self.gas_price;
-        self.state.credit(from, refund);
-        let proposer_addr = Address::from_public_key(&self.validators[proposer_idx].public());
-        self.state
-            .credit(proposer_addr, gas_used as Amount * self.gas_price);
-
-        self.gas_ledger.push(GasRecord {
-            contract: contract_label,
-            method: method_label,
-            gas_used,
-            ok: status.is_ok(),
-            height,
-        });
-
-        Receipt {
-            tx_id,
-            block_height: height,
-            status,
-            gas_used,
-            events: events.into_iter().map(Rc::new).collect(),
-            return_data,
-        }
     }
 
     // -------------------------------------------------------------- reads
@@ -1305,42 +1204,22 @@ impl Blockchain {
     }
 }
 
-/// The serial executor's early-return receipt for a sender that cannot
-/// cover the maximum fee (also the overflow case: an overflowing fee is
-/// unpayable by definition).
-fn fee_failure_receipt(tx_id: TxId, height: u64) -> Receipt {
-    Receipt {
-        tx_id,
-        block_height: height,
-        status: TxStatus::Reverted("cannot pay gas".into()),
-        gas_used: 0,
-        events: Vec::new(),
-        return_data: Vec::new(),
-    }
-}
-
-/// What one transaction's gas-ledger row is labelled with. Labels are
-/// interned during the canonical emission pass, preserving serial's
-/// interner insertion order.
+/// What one transaction's gas-ledger row is labelled with. The strings
+/// themselves are interned by [`Blockchain::emit`] from the transaction,
+/// in canonical order.
 enum ExecLabel {
     /// Intrinsic gas exhausted before dispatch.
     Intrinsic,
-    /// A native transfer.
-    Transfer,
-    /// A contract call (including "no such contract").
-    Call {
-        /// Target contract.
-        contract: ContractId,
-        /// Method name.
-        method: String,
-    },
+    /// Dispatched: `"transfer"`, or the called method and contract
+    /// (including "no such contract").
+    Dispatched,
 }
 
-/// One transaction's pure execution outcome: everything
-/// [`Blockchain::execute`] decides, with the state mutations still
-/// buffered. One short-lived value per executed transaction, consumed
-/// immediately by the commit pass — boxing the `Ran` payload would add
-/// an allocation per transaction for no retained-memory win.
+/// One transaction's pure execution outcome: every decision about it,
+/// with the state mutations still buffered. One short-lived value per
+/// executed transaction, consumed immediately by the commit pass — boxing
+/// the `Ran` payload would add an allocation per transaction for no
+/// retained-memory win.
 #[allow(clippy::large_enum_variant)]
 enum PureExec {
     /// The sender cannot cover the maximum fee (or it overflows): no nonce
@@ -1357,11 +1236,11 @@ enum PureExec {
     },
 }
 
-/// A committed transaction, ready for the canonical emission pass.
+/// A committed transaction, ready for [`Blockchain::emit`].
 struct CommittedTx {
     status: TxStatus,
     gas_used: u64,
-    /// `None` for fee failures: serial pushes no gas record for them.
+    /// `None` for fee failures: they leave no gas record.
     label: Option<ExecLabel>,
     events: Vec<Event>,
     return_data: Vec<u8>,
@@ -1375,10 +1254,10 @@ fn clamped_gas(meter: &GasMeter, schedule: &GasSchedule, gas_limit: u64) -> u64 
 }
 
 /// Executes one transaction against an immutable state snapshot, buffering
-/// every would-be mutation. Mirrors [`Blockchain::execute`]
-/// decision-for-decision; safe to run concurrently for transactions whose
-/// access sets do not conflict, because nothing such a transaction could
-/// observe is mutated before its level commits.
+/// every would-be mutation for [`Blockchain::commit_outcome`]. Safe to run
+/// concurrently for transactions whose access sets do not conflict,
+/// because nothing such a transaction could observe is mutated before its
+/// level commits.
 fn run_tx_pure(
     state: &WorldState,
     contracts: &HashMap<ContractId, Box<dyn Contract>>,
@@ -1390,6 +1269,9 @@ fn run_tx_pure(
 ) -> PureExec {
     let from = signed.tx.from;
     let gas_limit = signed.tx.gas_limit;
+    // An overflowing max fee is unpayable by definition; checked so a wrap
+    // cannot under-charge (submission rejects these, but the execution
+    // layer must not trust the mempool).
     let Some(max_fee) = (gas_limit as Amount).checked_mul(gas_price) else {
         return PureExec::FeeFail;
     };
@@ -1412,9 +1294,9 @@ fn run_tx_pure(
             label: ExecLabel::Intrinsic,
         };
     }
-    let (status, effects, transfer, return_data, label) = match &signed.tx.kind {
+    let (status, effects, transfer, return_data) = match &signed.tx.kind {
         TxKind::Transfer { to, amount } => {
-            // Serial debits the fee reservation before the transfer; the
+            // Commit debits the fee reservation before the transfer; the
             // available balance (and the revert message) reflect it.
             let available = state.balance(&from) - max_fee;
             if available < *amount {
@@ -1422,62 +1304,38 @@ fn run_tx_pure(
                     needed: *amount,
                     available,
                 };
-                (
-                    TxStatus::Reverted(err.to_string()),
-                    None,
-                    None,
-                    Vec::new(),
-                    ExecLabel::Transfer,
-                )
+                (TxStatus::Reverted(err.to_string()), None, None, Vec::new())
             } else {
-                (
-                    TxStatus::Ok,
-                    None,
-                    Some((*to, *amount)),
-                    Vec::new(),
-                    ExecLabel::Transfer,
-                )
+                (TxStatus::Ok, None, Some((*to, *amount)), Vec::new())
             }
         }
         TxKind::Call {
             contract,
             method,
             args,
-        } => {
-            let label = ExecLabel::Call {
-                contract: contract.clone(),
-                method: method.clone(),
-            };
-            match contracts.get(contract) {
-                None => (
-                    TxStatus::Reverted(format!("no contract {contract}")),
-                    None,
-                    None,
-                    Vec::new(),
-                    label,
-                ),
-                Some(code) => {
-                    // The shadow debit makes the caller's effective balance
-                    // reflect the fee reservation serial already applied.
-                    let mut ctx =
-                        CallCtx::new(from, height, timestamp, contract.clone(), state, &mut meter)
-                            .with_shadow_debit(max_fee);
-                    match code.call(&mut ctx, method, args) {
-                        Ok(ret) => (TxStatus::Ok, Some(ctx.into_effects()), None, ret, label),
-                        Err(ContractError::OutOfGas) => {
-                            (TxStatus::OutOfGas, None, None, Vec::new(), label)
-                        }
-                        Err(e) => (
-                            TxStatus::Reverted(e.to_string()),
-                            None,
-                            None,
-                            Vec::new(),
-                            label,
-                        ),
-                    }
+        } => match contracts.get(contract) {
+            None => (
+                TxStatus::Reverted(format!("no contract {contract}")),
+                None,
+                None,
+                Vec::new(),
+            ),
+            Some(code) => {
+                // Run through a write overlay; the buffered effects are
+                // applied only on success, a revert drops them — no
+                // full-state scratch copy per call. The shadow debit makes
+                // the caller's visible balance reflect the fee reservation
+                // commit applies first.
+                let mut ctx =
+                    CallCtx::new(from, height, timestamp, contract.clone(), state, &mut meter)
+                        .with_shadow_debit(max_fee);
+                match code.call(&mut ctx, method, args) {
+                    Ok(ret) => (TxStatus::Ok, Some(ctx.into_effects()), None, ret),
+                    Err(ContractError::OutOfGas) => (TxStatus::OutOfGas, None, None, Vec::new()),
+                    Err(e) => (TxStatus::Reverted(e.to_string()), None, None, Vec::new()),
                 }
             }
-        }
+        },
     };
     PureExec::Ran {
         status,
@@ -1485,7 +1343,7 @@ fn run_tx_pure(
         transfer,
         return_data,
         gas_used: clamped_gas(&meter, schedule, gas_limit),
-        label,
+        label: ExecLabel::Dispatched,
     }
 }
 
@@ -1841,6 +1699,35 @@ mod tests {
         assert_eq!(chain.pending_count(), 0, "drained over later blocks");
     }
 
+    #[test]
+    fn gas_limit_above_the_block_ceiling_is_rejected_at_submit() {
+        // Admitted, such a transaction could never be selected: it would
+        // pend forever without a receipt, block its sender's nonce chain
+        // and keep the mempool non-empty, sealing an empty block per slot.
+        let mut chain = Blockchain::builder()
+            .validators(1)
+            .max_block_gas(150_000)
+            .build();
+        chain.deploy(ContractId::new("counter"), Box::new(Counter));
+        let alice = chain.create_funded_account(b"alice", 100_000_000);
+        let tx = chain.build_call(&alice, ContractId::new("counter"), "get", vec![], 200_000);
+        assert_eq!(
+            chain.submit(tx),
+            Err(SubmitError::ExceedsBlockGas {
+                gas_limit: 200_000,
+                max_block_gas: 150_000
+            })
+        );
+        assert_eq!(chain.advance_to(SimTime::from_secs(2000)), 0);
+        assert_eq!((chain.pending_count(), chain.height()), (0, 0));
+        // The idle fast-forward still applies: work arriving now is
+        // included at the very next slot, not after a 1000-slot backlog.
+        let tx = chain.build_call(&alice, ContractId::new("counter"), "get", vec![], 150_000);
+        let id = chain.submit(tx).unwrap();
+        assert_eq!(chain.advance_to(SimTime::from_secs(2002)), 1);
+        assert!(chain.receipt(&id).unwrap().status.is_ok());
+    }
+
     /// Produces `n` one-tx blocks at 2 s cadence on a chain with the given
     /// storage config, returning the chain.
     fn chain_with_blocks(storage: StorageConfig, n: u64) -> Blockchain {
@@ -2178,6 +2065,53 @@ mod tests {
         );
         assert_eq!(a.gas_by_method(), b.gas_by_method());
         assert_eq!(a.pending_count(), b.pending_count());
+    }
+
+    /// Both schedulers share one executor, so serial == parallel no longer
+    /// proves that either equals the hand-written serial executor that was
+    /// deleted. These literals were recorded from it (commit db3a33b) on a
+    /// workload with Ok, Reverted, OutOfGas and "cannot pay gas" receipts.
+    #[test]
+    fn parity_workload_matches_the_deleted_serial_reference() {
+        for (mode, with_access) in [
+            (ExecMode::Serial, true),
+            (ExecMode::Parallel, true),
+            (ExecMode::Parallel, false),
+        ] {
+            let chain = parity_workload(mode, with_access);
+            assert_eq!(chain.height(), 3);
+            assert_eq!(
+                chain.block(3).unwrap().hash().to_string(),
+                "3ce88398c01d61cf0edf71e740a2cf2d81ea946857e894f743f08fe147533a48"
+            );
+            let expected_gas = [
+                ("ctr-0", "incr", 9, 285_289, 31_698),
+                ("ctr-1", "boom", 3, 67_512, 22_504),
+                ("ctr-1", "incr", 6, 190_126, 31_687),
+                ("ctr-2", "incr", 3, 94_963, 31_654),
+                ("ctr-3", "incr", 3, 94_963, 31_654),
+                ("native", "intrinsic", 3, 66_000, 22_000),
+                ("native", "transfer", 4, 91_744, 22_936),
+            ]
+            .map(|(c, m, calls, total, mean)| ((c.into(), m.into()), (calls, total, mean)));
+            assert_eq!(chain.gas_by_method(), BTreeMap::from(expected_gas));
+            let mut statuses: BTreeMap<String, usize> = BTreeMap::new();
+            for h in 1..=chain.height() {
+                for tx in &chain.block(h).unwrap().transactions {
+                    let status = &chain.receipt(&tx.id()).expect("included").status;
+                    *statuses.entry(format!("{status:?}")).or_default() += 1;
+                }
+            }
+            let expected_statuses = [
+                ("Ok", 25),
+                ("OutOfGas", 3),
+                ("Reverted(\"cannot pay gas\")", 1),
+                ("Reverted(\"reverted: boom\")", 3),
+            ]
+            .map(|(s, n)| (s.to_string(), n));
+            assert_eq!(statuses, BTreeMap::from(expected_statuses));
+            assert_eq!(chain.events_since(0).count(), 21);
+        }
     }
 
     #[test]

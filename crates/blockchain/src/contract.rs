@@ -90,10 +90,9 @@ pub struct CallCtx<'a> {
     /// Buffered native-token movements from [`CallCtx::transfer_from_caller`].
     balance_deltas: BTreeMap<Address, i128>,
     /// A fee reservation already charged against the caller but not yet
-    /// reflected in `base`. The serial executor debits the max fee from the
-    /// canonical state before calling; the parallel executor runs against
-    /// an undebited snapshot and sets this instead, so the caller-visible
-    /// balance is identical in both modes.
+    /// reflected in `base`. The chain executes against an undebited
+    /// snapshot and debits the max fee only when it commits the outcome;
+    /// this keeps the caller-visible balance net of that reservation.
     shadow_debit: Amount,
     meter: &'a mut GasMeter,
     events: Vec<Event>,

@@ -1,17 +1,30 @@
-//! Deterministic parallel block execution (ROADMAP item 2).
+//! Scheduling support for block execution: one transaction pipeline, two
+//! schedulers (ROADMAP item 2).
 //!
-//! A block's ready transactions are partitioned on *access sets* — the
-//! state keys each call may read or write, derived from the decoded ABI
-//! before execution (see `duc_contracts::access` for the DE App's
-//! derivation). Transactions whose sets do not conflict run concurrently
-//! on a work-stealing pool of scoped threads; their buffered
-//! [`crate::contract::CallEffects`] are then committed in canonical
-//! (sorted mempool key) order, so receipts, the event log, nonce bumps,
-//! per-method gas and replay fingerprints stay byte-identical to serial
-//! execution. Anything that cannot declare its footprint — raw transfers,
-//! unknown methods, undecodable arguments — falls back to
-//! [`AccessSet::Exclusive`], which conflicts with everything and therefore
-//! serializes exactly where the serial executor would.
+//! Every transaction reaches state through the same three steps in
+//! `chain.rs` — pure execution against a state snapshot (writes buffer in
+//! [`crate::contract::CallEffects`]), commit of the buffered outcome, and
+//! emission of the gas record, events and receipt. [`ExecMode`] only picks
+//! the scheduler that drives them:
+//!
+//! * **serial** runs the three steps back-to-back per transaction, in
+//!   canonical (sorted mempool key) order;
+//! * **parallel** partitions a block's ready transactions on *access
+//!   sets* — the state keys each call may read or write, derived from the
+//!   decoded ABI before execution (see `duc_contracts::access` for the
+//!   DE App's derivation). Transactions whose sets do not conflict execute
+//!   concurrently on a work-stealing pool of scoped threads; commit and
+//!   emission then run in canonical order, so receipts, the event log,
+//!   nonce bumps, per-method gas and replay fingerprints are the serial
+//!   scheduler's, byte for byte.
+//!
+//! Anything that cannot declare its footprint — raw transfers, unknown
+//! methods, undecodable arguments — falls back to [`AccessSet::Exclusive`],
+//! which conflicts with everything and therefore runs alone at its serial
+//! position.
+//!
+//! This module holds what only the parallel scheduler needs: access sets,
+//! conflict-graph levelling and the pool.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -21,11 +34,10 @@ use duc_sim::SimTime;
 use crate::state::WorldState;
 use crate::types::{Address, ContractId};
 
-/// How a chain applies the transactions inside one block.
+/// How a chain schedules the transactions inside one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One at a time, in canonical mempool order (the historical
-    /// behaviour; the default).
+    /// One at a time, in canonical mempool order (the default).
     #[default]
     Serial,
     /// Conflict-scheduled batches on a thread pool, committed in
@@ -322,15 +334,15 @@ where
                 scope.spawn(move || {
                     let mut done: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let task = queues[w]
-                            .lock()
-                            .expect("queue poisoned")
-                            .pop_front()
-                            .or_else(|| {
-                                order.iter().find_map(|&v| {
-                                    queues[v].lock().expect("queue poisoned").pop_back()
-                                })
-                            });
+                        // Own-queue guard dropped before stealing: holding
+                        // it across a victim's lock deadlocks two workers
+                        // that run dry at once and steal from each other.
+                        let own = queues[w].lock().expect("queue poisoned").pop_front();
+                        let task = own.or_else(|| {
+                            order
+                                .iter()
+                                .find_map(|&v| queues[v].lock().expect("queue poisoned").pop_back())
+                        });
                         match task {
                             Some(i) => done.push((i, f(i))),
                             None => break,
@@ -449,6 +461,29 @@ mod tests {
     fn run_batch_handles_empty_and_singleton() {
         assert_eq!(run_batch(4, 0, 0, |i| i), Vec::<usize>::new());
         assert_eq!(run_batch(4, 0, 1, |i| i + 1), vec![1]);
+    }
+
+    #[test]
+    fn workers_running_dry_together_do_not_deadlock() {
+        // Two workers, one task each, released together by a barrier: both
+        // queues empty at the same instant and each worker goes stealing
+        // from the other. Holding the own-queue lock across the steal
+        // deadlocked here (seen as a ~5 % hang of the parallel chaos suite).
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for round in 0..2_000u64 {
+                let barrier = std::sync::Barrier::new(2);
+                let out = run_batch(2, round, 2, |i| {
+                    barrier.wait();
+                    i
+                });
+                assert_eq!(out, vec![0, 1]);
+            }
+            done_tx.send(()).expect("watchdog alive");
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_batch deadlocked");
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   dispatched by method name over [`duc_codec`]-encoded arguments, with a
 //!   [`contract::CallCtx`] exposing storage, events, caller identity and
 //!   block metadata.
-//! * [`exec`] — the deterministic parallel executor: access-set conflict
-//!   scheduling plus a seeded work-stealing pool (byte-identical outputs
-//!   to serial execution).
+//! * [`exec`] — the parallel block scheduler: access-set conflict
+//!   levelling plus a seeded work-stealing pool, driving the same
+//!   execute → commit → emit pipeline as the serial scheduler
+//!   (byte-identical outputs).
 //! * [`block`] — Merkle-committed blocks signed by their proposer.
 //! * [`chain`] — a proof-of-authority chain: round-robin validator
 //!   committee, mempool, block production clocked by the simulation,

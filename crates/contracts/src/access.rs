@@ -32,7 +32,7 @@
 //! under-approximate. Anything undeclarable (unknown method, undecodable
 //! arguments, an uninitialized market) is [`AccessSet::Exclusive`], which
 //! conflicts with everything and therefore executes exactly where the
-//! serial executor would have run it.
+//! serial scheduler would have run it.
 
 use duc_blockchain::exec::{fnv1a, fnv1a_parts};
 use duc_blockchain::{AccessFn, AccessKey, AccessParams, AccessSet, Address, ContractId};

@@ -32,7 +32,7 @@ use std::rc::Rc;
 use duc_blockchain::{Event, Ledger, Receipt};
 use duc_crypto::Digest;
 use duc_intern::Sym;
-use duc_oracle::{OracleError, OutboundDelivery};
+use duc_oracle::OutboundDelivery;
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EventId, SimDuration, SimTime};
 use duc_solid::Body;
@@ -488,24 +488,12 @@ impl<L: Ledger> World<L> {
         &mut self,
         mut pred: impl FnMut(&OutboundDelivery) -> bool,
     ) -> Vec<OutboundDelivery> {
-        let fresh =
-            match self
-                .push_out
-                .try_drain(&self.chain, &mut self.net, &self.clock, &mut self.rng)
-            {
-                Ok(fresh) => fresh,
-                Err(OracleError::Pruned(e)) => {
-                    // The relay's cursor fell below the prune horizon (it was
-                    // idle across a finalized checkpoint). Resync to the
-                    // checkpoint's event-cursor floor and re-poll: everything
-                    // at or above the horizon is still resident.
-                    self.push_out.resync(e.horizon);
-                    self.push_out
-                        .try_drain(&self.chain, &mut self.net, &self.clock, &mut self.rng)
-                        .expect("cursor at horizon is always valid")
-                }
-                Err(e) => unreachable!("try_drain only reports pruned ranges: {e}"),
-            };
+        // `drain` resyncs a relay cursor that fell below the prune horizon
+        // (idle across a finalized checkpoint) and re-polls: everything at
+        // or above the horizon is still resident.
+        let fresh = self
+            .push_out
+            .drain(&self.chain, &mut self.net, &self.clock, &mut self.rng);
         self.driver.inbox.extend(fresh);
         let mut claimed = Vec::new();
         let mut rest = Vec::new();

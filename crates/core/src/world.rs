@@ -7,7 +7,7 @@ use duc_contracts::{topics, DistExchange, DistExchangeClient, PolicyEnvelope, DE
 use duc_crypto::KeyPair;
 use duc_intern::{Registry, SharedInterner};
 use duc_oracle::{PullInOracle, PullOutOracle, PushInOracle, PushOutOracle};
-use duc_policy::{PolicyEngine, UsagePolicy};
+use duc_policy::UsagePolicy;
 use duc_sim::{
     Clock, EndpointId, FaultPlan, LinkConfig, MetricsRegistry, NetworkModel, Rng, Scheduler,
     SimDuration, TraceRecorder,
@@ -200,7 +200,6 @@ pub struct World<L = Blockchain> {
     /// deployment this would come from a key-distribution service; the
     /// simulation provisions it to owners and TEEs out of band.
     pub policy_key: ([u8; 32], [u8; 12]),
-    engine: PolicyEngine,
 }
 
 impl World {
@@ -295,18 +294,12 @@ impl<L: Ledger> World<L> {
             rogue_hosts: std::collections::HashSet::new(),
             tee_faulted: std::collections::HashSet::new(),
             policy_key: ([0x42; 32], [0x17; 12]),
-            engine: PolicyEngine::default(),
             config,
             clock,
             net,
             chain,
             dex,
         }
-    }
-
-    /// The policy engine (standard purpose taxonomy).
-    pub fn engine(&self) -> &PolicyEngine {
-        &self.engine
     }
 
     /// Registers a data owner with a pod rooted at `pod_root`.

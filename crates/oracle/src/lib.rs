@@ -12,6 +12,22 @@
 //! Every hop is priced by the [`duc_sim::NetworkModel`], so oracle traffic
 //! shows up in the latency experiments; submission retries and delivery
 //! drops feed the robustness experiment (E8).
+//!
+//! The oracles are non-blocking: they hold what is per-pattern — relay
+//! endpoint, event cursor, subscriptions, wire sizes, counters — and the
+//! caller (the `duc-core` driver) owns the timeline and the retry policy.
+//!
+//! * push-in: [`PushInOracle::attempt`] is one uplink try,
+//!   [`poll_inclusion`] one confirmation check ([`await_inclusion`] loops
+//!   it on a clock).
+//! * push-out: [`PushOutOracle::try_drain`] computes the deliveries of the
+//!   events past the cursor; [`PushOutOracle::drain`] also resyncs a
+//!   cursor that fell below the prune horizon.
+//! * pull-out: [`PullOutOracle::request_size`] /
+//!   [`PullOutOracle::response_size`] size the two hops around a view call.
+//! * pull-in: [`PullInOracle::try_collect_requests`] serves a poll,
+//!   [`PullInOracle::commit_cursor`] acknowledges it once the response hop
+//!   arrived.
 
 pub mod patterns;
 

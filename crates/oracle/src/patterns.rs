@@ -2,9 +2,7 @@
 
 use std::rc::Rc;
 
-use duc_blockchain::{
-    ContractError, Event, Ledger, PrunedRange, Receipt, SignedTransaction, SubmitError, TxId,
-};
+use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, Receipt, SubmitError, TxId};
 use duc_codec::encode_to_vec;
 use duc_sim::{Clock, EndpointId, NetworkModel, Rng, SimDuration, SimTime};
 
@@ -143,10 +141,10 @@ pub enum InclusionStatus {
 /// receipt, and — when the transaction is still pending — reports when the
 /// caller should poll again instead of spinning the shared clock forward.
 ///
-/// This is the continuation-friendly half of [`await_inclusion`]: a driver
-/// schedules a wake-up at `retry_at` and re-polls, so hundreds of in-flight
-/// processes can wait for inclusion concurrently without serializing on the
-/// clock.
+/// A driver schedules a wake-up at `retry_at` and re-polls, so hundreds of
+/// in-flight processes can wait for inclusion concurrently without
+/// serializing on the clock; [`await_inclusion`] is the blocking loop over
+/// it.
 pub fn poll_inclusion<L: Ledger>(
     chain: &mut L,
     now: SimTime,
@@ -239,57 +237,6 @@ impl PushInOracle {
     /// retry).
     pub fn backoff(attempt: u32) -> SimDuration {
         SimDuration::from_millis(100 * attempt as u64)
-    }
-
-    /// Submits `tx` from `from` through the relay; the clock advances by
-    /// the network hops (and retry backoff on loss).
-    ///
-    /// # Errors
-    /// [`OracleError::NetworkDropped`] after all attempts fail,
-    /// [`OracleError::Rejected`] when the chain refuses the transaction.
-    pub fn submit<L: Ledger>(
-        &mut self,
-        chain: &mut L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        from: EndpointId,
-        tx: SignedTransaction,
-    ) -> Result<TxId, OracleError> {
-        let size = tx.encoded_size() as u64;
-        for attempt in 0..self.max_attempts {
-            if attempt > 0 {
-                // Linear backoff before a retry.
-                clock.advance(Self::backoff(attempt));
-            }
-            match self.attempt(net, rng, from, size, attempt) {
-                None => continue,
-                Some(hop) => {
-                    clock.advance(hop);
-                    return chain.submit(tx).map_err(OracleError::Rejected);
-                }
-            }
-        }
-        Err(OracleError::NetworkDropped)
-    }
-
-    /// Submits and waits for inclusion in one step.
-    ///
-    /// # Errors
-    /// Any error of [`PushInOracle::submit`] or [`await_inclusion`].
-    #[allow(clippy::too_many_arguments)] // the full blocking conveniences
-    pub fn submit_and_confirm<L: Ledger>(
-        &mut self,
-        chain: &mut L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        from: EndpointId,
-        tx: SignedTransaction,
-        timeout: SimDuration,
-    ) -> Result<Receipt, OracleError> {
-        let id = self.submit(chain, net, clock, rng, from, tx)?;
-        await_inclusion(chain, clock, &id, timeout)
     }
 
     /// `(submissions, retries)` counters.
@@ -462,83 +409,23 @@ impl PullOutOracle {
         PullOutOracle { relay, reads: 0 }
     }
 
-    /// The wire size of a read request for `method`/`args` (what
-    /// [`PullOutOracle::begin_read`] transmits).
+    /// The wire size of a read request for `method`/`args` (the
+    /// component → relay hop).
     pub fn request_size(method: &str, args: &[u8]) -> u64 {
         (args.len() + method.len() + 64) as u64
     }
 
-    /// The wire size of a read response carrying `payload_len` bytes (what
-    /// [`PullOutOracle::finish_read`] transmits).
+    /// The wire size of a read response carrying `payload_len` bytes (the
+    /// relay → component hop).
     pub fn response_size(payload_len: usize) -> u64 {
         payload_len as u64 + 32
     }
 
-    /// Accounts one logical read without transmitting. Drivers that manage
-    /// their own per-hop retries count the read once up front, then retry
-    /// the raw hops without inflating the counter.
+    /// Accounts one logical read. The driver transmits the two hops itself
+    /// under its own per-hop retry policy: it counts the read once up
+    /// front, then retries raw hops without inflating the counter.
     pub fn count_read(&mut self) {
         self.reads += 1;
-    }
-
-    /// Non-blocking first half of a read: counts the read and returns the
-    /// request-hop delay (`from` → relay), or `None` when the hop is lost.
-    pub fn begin_read(
-        &mut self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        from: EndpointId,
-        method: &str,
-        args: &[u8],
-    ) -> Option<SimDuration> {
-        self.reads += 1;
-        net.transmit(from, self.relay, Self::request_size(method, args), rng)
-            .delay()
-    }
-
-    /// Non-blocking second half of a read: the response-hop delay (relay →
-    /// `to`) for a `payload_len`-byte result, or `None` when lost.
-    pub fn finish_read(
-        &self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        to: EndpointId,
-        payload_len: usize,
-    ) -> Option<SimDuration> {
-        net.transmit(self.relay, to, Self::response_size(payload_len), rng)
-            .delay()
-    }
-
-    /// Executes a view call from `from`, charging a request and a response
-    /// network hop.
-    ///
-    /// # Errors
-    /// [`OracleError::NetworkDropped`] on either hop,
-    /// [`OracleError::View`] when the contract rejects the call.
-    #[allow(clippy::too_many_arguments)] // the full blocking convenience
-    pub fn read<L: Ledger>(
-        &mut self,
-        chain: &L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        from: EndpointId,
-        contract: &duc_blockchain::ContractId,
-        method: &str,
-        args: &[u8],
-    ) -> Result<Vec<u8>, OracleError> {
-        let hop = self
-            .begin_read(net, rng, from, method, args)
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop);
-        let out = chain
-            .call_view(contract, method, args)
-            .map_err(OracleError::View)?;
-        let hop_back = self
-            .finish_read(net, rng, from, out.len())
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop_back);
-        Ok(out)
     }
 
     /// Number of reads served.
@@ -576,43 +463,22 @@ impl PullInOracle {
         }
     }
 
-    /// Non-blocking first half of a poll: the request-hop delay (relay →
-    /// gateway), or `None` when lost.
-    pub fn begin_poll(
-        &self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        gateway_ep: EndpointId,
-    ) -> Option<SimDuration> {
-        net.transmit(self.relay, gateway_ep, 64, rng).delay()
-    }
-
-    /// Collects the topic-matching request events since the last poll;
-    /// returns the events, the response payload size a gateway would ship
-    /// back, and the cursor position this poll covers. The cursor is *not*
-    /// advanced here — the caller commits it with
+    /// Collects the topic-matching request events since the last
+    /// acknowledged poll; returns the events, the response payload size a
+    /// gateway would ship back, and the cursor position this poll covers.
+    /// The cursor is *not* advanced here — the caller commits it with
     /// [`PullInOracle::commit_cursor`] once the response hop actually
     /// arrives, so a lost response never strands events behind the cursor.
-    pub fn collect_requests<L: Ledger>(&self, chain: &L) -> PullInPoll {
-        self.collect_from(chain.events_since(self.cursor))
-    }
-
-    /// Like [`PullInOracle::collect_requests`], but a cursor below the
-    /// chain's prune horizon is a typed [`OracleError::Pruned`] error —
-    /// request events in `(cursor, horizon]` were evicted before this poll
-    /// saw them, so the caller must checkpoint-resync
-    /// ([`PullInOracle::resync`]) instead of treating the poll as empty.
     ///
     /// # Errors
-    /// [`OracleError::Pruned`] when the cursor is below the horizon.
+    /// [`OracleError::Pruned`] when the cursor is below the chain's prune
+    /// horizon: request events in `(cursor, horizon]` were evicted before
+    /// this poll saw them, so the caller must checkpoint-resync
+    /// ([`PullInOracle::resync`]) instead of treating the poll as empty.
     pub fn try_collect_requests<L: Ledger>(&self, chain: &L) -> Result<PullInPoll, OracleError> {
         let fresh = chain
             .try_events_since(self.cursor)
             .map_err(OracleError::Pruned)?;
-        Ok(self.collect_from(fresh))
-    }
-
-    fn collect_from(&self, fresh: &[(u64, Rc<Event>)]) -> PullInPoll {
         let cursor_to = fresh.iter().map(|(h, _)| *h).max().unwrap_or(self.cursor);
         let events: Vec<(u64, Rc<Event>)> = fresh
             .iter()
@@ -624,7 +490,7 @@ impl PullInOracle {
             .map(|(_, e)| e.data.len() as u64 + 64)
             .sum::<u64>()
             .max(32);
-        (events, response_size, cursor_to)
+        Ok((events, response_size, cursor_to))
     }
 
     /// Advances the cursor to `height` (monotonic) after a poll's response
@@ -650,46 +516,6 @@ impl PullInOracle {
         self.resyncs
     }
 
-    /// Non-blocking second half of a poll: the response-hop delay (gateway
-    /// → relay), or `None` when lost.
-    pub fn finish_poll(
-        &self,
-        net: &mut NetworkModel,
-        rng: &mut Rng,
-        gateway_ep: EndpointId,
-        response_size: u64,
-    ) -> Option<SimDuration> {
-        net.transmit(gateway_ep, self.relay, response_size, rng)
-            .delay()
-    }
-
-    /// New request events since the last poll (the off-chain half's work
-    /// queue). The poll itself costs one request/response pair against the
-    /// chain gateway, modelled on `gateway_ep`.
-    ///
-    /// # Errors
-    /// [`OracleError::NetworkDropped`] when the poll round-trip is lost.
-    pub fn poll_requests<L: Ledger>(
-        &mut self,
-        chain: &L,
-        net: &mut NetworkModel,
-        clock: &Clock,
-        rng: &mut Rng,
-        gateway_ep: EndpointId,
-    ) -> Result<Vec<(u64, Rc<Event>)>, OracleError> {
-        let hop = self
-            .begin_poll(net, rng, gateway_ep)
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop);
-        let (events, response_size, cursor_to) = self.collect_requests(chain);
-        let hop_back = self
-            .finish_poll(net, rng, gateway_ep, response_size)
-            .ok_or(OracleError::NetworkDropped)?;
-        clock.advance(hop_back);
-        self.commit_cursor(cursor_to);
-        Ok(events)
-    }
-
     /// The watched topic.
     pub fn topic(&self) -> &str {
         &self.topic
@@ -709,7 +535,9 @@ pub fn encode_args<T: duc_codec::Encode>(args: &T) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duc_blockchain::{Blockchain, CallCtx, Contract, ContractError, ContractId};
+    use duc_blockchain::{
+        Blockchain, CallCtx, Contract, ContractError, ContractId, SignedTransaction,
+    };
     use duc_codec::decode_from_slice;
     use duc_sim::{LatencyModel, LinkConfig};
 
@@ -745,7 +573,6 @@ mod tests {
         rng: Rng,
         device: EndpointId,
         relay: EndpointId,
-        gateway: EndpointId,
         key: duc_crypto::KeyPair,
     }
 
@@ -759,7 +586,6 @@ mod tests {
         let mut net = NetworkModel::new(link);
         let device = net.add_endpoint("device");
         let relay = net.add_endpoint("oracle-relay");
-        let gateway = net.add_endpoint("chain-gateway");
         Setup {
             chain,
             net,
@@ -767,7 +593,6 @@ mod tests {
             rng: Rng::seed_from_u64(7),
             device,
             relay,
-            gateway,
             key,
         }
     }
@@ -780,31 +605,62 @@ mod tests {
         }
     }
 
+    fn store_tx(s: &Setup, v: u64) -> SignedTransaction {
+        s.chain.build_call(
+            &s.key,
+            ContractId::new("echo"),
+            "store",
+            encode_to_vec(&(v,)),
+            1_000_000,
+        )
+    }
+
+    /// One logical push-in uplink the way the driver runs it: up to
+    /// `max_attempts` tries with linear backoff; the hop delay of the try
+    /// that got through, `None` when every one was lost.
+    fn uplink(s: &mut Setup, oracle: &mut PushInOracle, size: u64) -> Option<SimDuration> {
+        (0..oracle.max_attempts).find_map(|attempt| {
+            s.clock.advance(PushInOracle::backoff(attempt));
+            oracle.attempt(&mut s.net, &mut s.rng, s.device, size, attempt)
+        })
+    }
+
+    /// Submits a `store(v)` directly and seals it at the next slot.
+    fn store_and_seal(s: &mut Setup, v: u64) {
+        let tx = store_tx(s, v);
+        let id = s.chain.submit(tx).unwrap();
+        await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
+    }
+
     #[test]
     fn push_in_submits_and_confirms() {
         let mut s = setup(fixed_link(10));
         let mut oracle = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(42u64,)),
-            1_000_000,
-        );
-        let receipt = oracle
-            .submit_and_confirm(
-                &mut s.chain,
+        let tx = store_tx(&s, 42);
+        let hop = oracle
+            .attempt(
                 &mut s.net,
-                &s.clock,
                 &mut s.rng,
                 s.device,
-                tx,
-                SimDuration::from_secs(30),
+                tx.encoded_size() as u64,
+                0,
             )
-            .expect("included");
-        assert!(receipt.status.is_ok());
-        // Network hop (10 ms) then inclusion at the 2 s slot boundary.
-        assert_eq!(s.clock.now(), SimTime::from_secs(2));
+            .expect("lossless link");
+        assert_eq!(hop, SimDuration::from_millis(10));
+        s.clock.advance(hop);
+        let id = s.chain.submit(tx).unwrap();
+        // Not included yet: re-poll at the 2 s slot boundary.
+        let deadline = s.clock.now() + SimDuration::from_secs(30);
+        assert_eq!(
+            poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline),
+            InclusionStatus::Pending {
+                retry_at: SimTime::from_secs(2)
+            }
+        );
+        match poll_inclusion(&mut s.chain, SimTime::from_secs(2), &id, deadline) {
+            InclusionStatus::Included(receipt) => assert!(receipt.status.is_ok()),
+            other => panic!("expected inclusion, got {other:?}"),
+        }
         assert_eq!(oracle.stats(), (1, 0));
     }
 
@@ -817,24 +673,14 @@ mod tests {
         });
         let mut oracle = PushInOracle::new(s.relay);
         oracle.max_attempts = 20;
-        let mut successes = 0;
-        for i in 0..10u64 {
-            let tx = s.chain.build_call(
-                &s.key,
-                ContractId::new("echo"),
-                "store",
-                encode_to_vec(&(i,)),
-                1_000_000,
+        for _ in 0..10 {
+            assert!(
+                uplink(&mut s, &mut oracle, 200).is_some(),
+                "20 attempts beat 60% loss"
             );
-            if oracle
-                .submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx)
-                .is_ok()
-            {
-                successes += 1;
-            }
         }
-        assert_eq!(successes, 10, "20 attempts beat 60% loss");
-        let (_, retries) = oracle.stats();
+        let (submissions, retries) = oracle.stats();
+        assert_eq!(submissions, 10, "one per logical submission");
         assert!(retries > 0, "retries occurred");
     }
 
@@ -843,17 +689,10 @@ mod tests {
         let mut s = setup(fixed_link(5));
         s.net.partition(s.device, s.relay);
         let mut oracle = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(1u64,)),
-            1_000_000,
-        );
-        assert_eq!(
-            oracle.submit(&mut s.chain, &mut s.net, &s.clock, &mut s.rng, s.device, tx),
-            Err(OracleError::NetworkDropped)
-        );
+        assert_eq!(uplink(&mut s, &mut oracle, 200), None);
+        assert_eq!(oracle.stats(), (1, 2), "first try plus two retries");
+        // Linear backoff before retries 1 and 2.
+        assert_eq!(s.clock.now(), SimTime::ZERO + SimDuration::from_millis(300));
     }
 
     #[test]
@@ -861,26 +700,24 @@ mod tests {
         let mut s = setup(fixed_link(5));
         s.chain.set_validator_down(0, true);
         s.chain.set_validator_down(1, true);
-        let mut oracle = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(1u64,)),
-            1_000_000,
+        let tx = store_tx(&s, 1);
+        let id = s.chain.submit(tx).unwrap();
+        let deadline = SimTime::from_secs(10);
+        // Every slot is missed: a poll asks for the next boundary, and the
+        // blocking loop over it runs the clock to the deadline.
+        assert_eq!(
+            poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline),
+            InclusionStatus::Pending {
+                retry_at: SimTime::from_secs(2)
+            }
         );
-        let err = oracle
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(10),
-            )
-            .unwrap_err();
-        assert!(matches!(err, OracleError::InclusionTimeout { .. }));
+        let err = await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10));
+        assert_eq!(err, Err(OracleError::InclusionTimeout { deadline }));
+        assert_eq!(s.clock.now(), deadline);
+        assert_eq!(
+            poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline),
+            InclusionStatus::TimedOut { deadline }
+        );
     }
 
     #[test]
@@ -891,26 +728,7 @@ mod tests {
         push_out.subscribe("Stored", s.device);
         push_out.subscribe("Stored", d2);
         push_out.subscribe("OtherTopic", s.device);
-
-        let mut push_in = PushInOracle::new(s.relay);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(9u64,)),
-            1_000_000,
-        );
-        push_in
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(10),
-            )
-            .unwrap();
+        store_and_seal(&mut s, 9);
 
         let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
         assert_eq!(deliveries.len(), 2, "one per matching subscriber");
@@ -925,24 +743,7 @@ mod tests {
         assert_eq!(push_out.stats(), (2, 0));
         // Unsubscribe stops delivery.
         push_out.unsubscribe("Stored", d2);
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(10u64,)),
-            1_000_000,
-        );
-        push_in
-            .submit_and_confirm(
-                &mut s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                tx,
-                SimDuration::from_secs(10),
-            )
-            .unwrap();
+        store_and_seal(&mut s, 10);
         let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].recipient, s.device);
@@ -951,123 +752,69 @@ mod tests {
     #[test]
     fn pull_out_reads_state_with_latency() {
         let mut s = setup(fixed_link(25));
-        // Store something first (directly, no oracle needed for setup).
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(7u64,)),
-            1_000_000,
-        );
-        s.chain.submit(tx).unwrap();
-        s.clock.advance_to(SimTime::from_secs(2));
-        s.chain.advance_to(s.clock.now());
-
-        let before = s.clock.now();
+        store_and_seal(&mut s, 7);
+        // A read is one counted request hop, the view call at the relay,
+        // and one response hop sized by the result.
         let mut pull_out = PullOutOracle::new(s.relay);
-        let out = pull_out
-            .read(
-                &s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                &ContractId::new("echo"),
-                "load",
-                &[],
-            )
+        pull_out.count_read();
+        let request = PullOutOracle::request_size("load", &[]);
+        let there = s.net.transmit(s.device, s.relay, request, &mut s.rng);
+        let out = s
+            .chain
+            .call_view(&ContractId::new("echo"), "load", &[])
             .expect("view ok");
         let (v,): (u64,) = decode_from_slice(&out).unwrap();
         assert_eq!(v, 7);
+        let response = PullOutOracle::response_size(out.len());
+        let back = s.net.transmit(s.relay, s.device, response, &mut s.rng);
         assert_eq!(
-            s.clock.now() - before,
+            there.delay().unwrap() + back.delay().unwrap(),
             SimDuration::from_millis(50),
             "two 25 ms hops"
         );
+        assert!(request > 64 && response > out.len() as u64);
         assert_eq!(pull_out.reads(), 1);
-        // Bad method surfaces as a view error.
-        assert!(matches!(
-            pull_out.read(
-                &s.chain,
-                &mut s.net,
-                &s.clock,
-                &mut s.rng,
-                s.device,
-                &ContractId::new("echo"),
-                "nope",
-                &[],
-            ),
-            Err(OracleError::View(_))
-        ));
     }
 
     #[test]
     fn pull_in_lost_response_does_not_strand_events() {
         let mut s = setup(fixed_link(5));
         let mut pull_in = PullInOracle::new(s.relay, "Stored");
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(11u64,)),
-            1_000_000,
-        );
-        s.chain.submit(tx).unwrap();
-        s.clock.advance_to(SimTime::from_secs(2));
-        s.chain.advance_to(s.clock.now());
-        // The gateway → relay return hop is down: the poll fails, but the
-        // cursor must not advance past the unserved events.
-        s.net.set_link(
-            s.gateway,
-            s.relay,
-            LinkConfig {
-                latency: LatencyModel::Constant(SimDuration::from_millis(5)),
-                drop_probability: 1.0,
-                bandwidth_bps: None,
-            },
-        );
-        let err = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap_err();
-        assert_eq!(err, OracleError::NetworkDropped);
-        // Healed: the same events are served by the retry.
-        s.net.set_link(s.gateway, s.relay, fixed_link(5));
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        store_and_seal(&mut s, 11);
+        // The gateway collected the events, but its response hop was lost:
+        // nothing was committed, so the retry serves the same events.
+        let (events, _, _) = pull_in.try_collect_requests(&s.chain).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(pull_in.cursor(), 0);
+        let (events, _, cursor_to) = pull_in.try_collect_requests(&s.chain).unwrap();
         assert_eq!(events.len(), 1, "events survive a lost response hop");
+        // The response arrived: acknowledge.
+        pull_in.commit_cursor(cursor_to);
+        assert_eq!(pull_in.cursor(), s.chain.height());
     }
 
     #[test]
     fn pull_in_polls_request_events() {
         let mut s = setup(fixed_link(5));
         let mut pull_in = PullInOracle::new(s.relay, "Stored");
-        // Nothing yet.
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        // Nothing yet: an empty poll still ships a minimal response.
+        let (events, response_size, cursor_to) = pull_in.try_collect_requests(&s.chain).unwrap();
         assert!(events.is_empty());
-        // Produce an event.
-        let tx = s.chain.build_call(
-            &s.key,
-            ContractId::new("echo"),
-            "store",
-            encode_to_vec(&(3u64,)),
-            1_000_000,
-        );
-        s.chain.submit(tx).unwrap();
-        s.clock.advance_to(SimTime::from_secs(2));
-        s.chain.advance_to(s.clock.now());
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        assert_eq!((response_size, cursor_to), (32, 0));
+        store_and_seal(&mut s, 3);
+        let (events, response_size, cursor_to) = pull_in.try_collect_requests(&s.chain).unwrap();
         assert_eq!(events.len(), 1);
+        assert_eq!(response_size, events[0].1.data.len() as u64 + 64);
         assert_eq!(pull_in.topic(), "Stored");
-        // Cursor advanced: re-poll is empty.
-        let events = pull_in
-            .poll_requests(&s.chain, &mut s.net, &s.clock, &mut s.rng, s.gateway)
-            .unwrap();
+        // Cursor committed: re-poll is empty.
+        pull_in.commit_cursor(cursor_to);
+        let (events, _, _) = pull_in.try_collect_requests(&s.chain).unwrap();
         assert!(events.is_empty());
+        // Events on other topics advance the cursor without being served.
+        let other = PullInOracle::new(s.relay, "OtherTopic");
+        let (events, _, cursor_to) = other.try_collect_requests(&s.chain).unwrap();
+        assert!(events.is_empty());
+        assert_eq!(cursor_to, s.chain.height());
     }
 
     /// A chain aggressively pruning behind per-block checkpoints, with
@@ -1124,7 +871,7 @@ mod tests {
             .expect("cursor at horizon");
         assert!(!deliveries.is_empty());
         assert!(deliveries.iter().all(|d| d.height > horizon));
-        // The blocking wrapper recovers on its own (auto-resync).
+        // `drain` recovers on its own (auto-resync).
         let mut auto = PushOutOracle::new(s.relay);
         auto.subscribe("Stored", s.device);
         let deliveries = auto.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);

@@ -1,16 +1,14 @@
-//! Retrospective compliance auditing.
+//! The auditable state of a resource copy.
 //!
 //! The DE App's monitoring process (paper process 6) collects usage evidence
-//! from every device holding a copy; this module is the auditor that turns a
-//! copy's state + usage log into a [`ComplianceReport`] of [`Violation`]s.
-//! It is deliberately separate from the online [`crate::engine`]: the engine
-//! answers "may this happen now?", the auditor answers "did anything happen
-//! that should not have?".
+//! from every device holding a copy. A [`CopyState`] with its log of
+//! [`AccessRecord`]s is what a device keeps per copy; the trusted
+//! application (`duc-tee`) replays it against the policy versions in force
+//! to produce each round's self-audit.
 
 use duc_sim::SimTime;
 
-use crate::engine::{PolicyEngine, UsageContext};
-use crate::model::{Action, Duty, Purpose, UsagePolicy};
+use crate::model::{Action, Purpose};
 
 /// One recorded access in a copy's usage log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,310 +60,9 @@ impl CopyState {
     }
 }
 
-/// A kind of detected violation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ViolationKind {
-    /// The copy outlived its retention bound.
-    RetentionViolated {
-        /// When deletion was due.
-        due_at: SimTime,
-    },
-    /// An access was performed that the policy denies.
-    UnauthorizedAccess {
-        /// The offending action.
-        action: Action,
-        /// The declared purpose.
-        purpose: Purpose,
-    },
-    /// The copy was used after the absolute expiry.
-    UsedAfterExpiry,
-    /// The policy requires access logging but the log is missing entries
-    /// (detected when the holder reports more accesses than it logged).
-    IncompleteLog,
-}
-
-/// One violation with its evidence instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Classification.
-    pub kind: ViolationKind,
-    /// The instant the violation occurred (or was first detectable).
-    pub at: SimTime,
-}
-
-/// The outcome of auditing one copy against one policy.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ComplianceReport {
-    /// Detected violations, in chronological order.
-    pub violations: Vec<Violation>,
-}
-
-impl ComplianceReport {
-    /// Whether no violations were found.
-    pub fn is_compliant(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Audits a copy's full history against `policy`, as of `now`.
-///
-/// The audit checks:
-/// * every logged access replayed through the [`PolicyEngine`];
-/// * the retention bound ([`UsagePolicy::retention_bound`]) against the
-///   deletion timestamp;
-/// * the absolute expiry against the last access.
-pub fn audit(
-    policy: &UsagePolicy,
-    copy: &CopyState,
-    now: SimTime,
-    engine: &PolicyEngine,
-) -> ComplianceReport {
-    audit_with_due(policy, copy, now, engine, None)
-}
-
-/// Like [`audit`], but with an explicit retention deadline override.
-///
-/// When a policy is *tightened after acquisition* (paper process 5), the
-/// copy cannot be expected to have been deleted before the holder learned
-/// of the change: the effective deadline is
-/// `max(acquired_at + bound, policy_received_at)`. The trusted application
-/// passes that effective deadline here.
-pub fn audit_with_due(
-    policy: &UsagePolicy,
-    copy: &CopyState,
-    now: SimTime,
-    engine: &PolicyEngine,
-    retention_due_override: Option<SimTime>,
-) -> ComplianceReport {
-    let mut violations = Vec::new();
-
-    // Replay each access through the decision engine.
-    for (i, record) in copy.log.iter().enumerate() {
-        let ctx = UsageContext {
-            consumer: record.agent.clone(),
-            action: record.action,
-            purpose: record.purpose.clone(),
-            now: record.at,
-            acquired_at: copy.acquired_at,
-            access_count: (i + 1) as u64,
-        };
-        let decision = engine.evaluate(policy, &ctx);
-        if !decision.is_permit() {
-            violations.push(Violation {
-                kind: ViolationKind::UnauthorizedAccess {
-                    action: record.action,
-                    purpose: record.purpose.clone(),
-                },
-                at: record.at,
-            });
-        }
-    }
-
-    // Retention: the copy must be gone by acquired_at + bound (or the
-    // caller-supplied effective deadline, whichever is later).
-    if let Some(bound) = policy.retention_bound() {
-        let mut due_at = copy.acquired_at + bound;
-        if let Some(override_due) = retention_due_override {
-            due_at = due_at.max(override_due);
-        }
-        let violated = match copy.deleted_at {
-            Some(deleted) => deleted > due_at,
-            None => now > due_at,
-        };
-        if violated {
-            violations.push(Violation {
-                kind: ViolationKind::RetentionViolated { due_at },
-                at: due_at,
-            });
-        }
-    }
-
-    // Absolute expiry: no access at/after the expiry instant.
-    if let Some(expiry) = policy.expiry_bound() {
-        if let Some(record) = copy.log.iter().find(|r| r.at >= expiry) {
-            violations.push(Violation {
-                kind: ViolationKind::UsedAfterExpiry,
-                at: record.at,
-            });
-        }
-    }
-
-    violations.sort_by_key(|v| v.at);
-    ComplianceReport { violations }
-}
-
-/// Checks a claimed access count against the log when the policy demands
-/// logging ([`Duty::LogAccesses`]); returns an [`ViolationKind::IncompleteLog`]
-/// violation when entries are missing.
-pub fn audit_log_completeness(
-    policy: &UsagePolicy,
-    copy: &CopyState,
-    claimed_accesses: u64,
-    now: SimTime,
-) -> Option<Violation> {
-    let must_log = policy.duties.iter().any(|d| matches!(d, Duty::LogAccesses));
-    if must_log && (copy.log.len() as u64) < claimed_accesses {
-        Some(Violation {
-            kind: ViolationKind::IncompleteLog,
-            at: now,
-        })
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Constraint, Rule};
-    use duc_sim::SimDuration;
-
-    fn engine() -> PolicyEngine {
-        PolicyEngine::default()
-    }
-
-    fn research_policy() -> UsagePolicy {
-        UsagePolicy::builder("p", "urn:res", "urn:owner")
-            .permit(
-                Rule::permit([Action::Use])
-                    .with_constraint(Constraint::Purpose(vec![Purpose::new("research")]))
-                    .with_constraint(Constraint::MaxRetention(SimDuration::from_days(7))),
-            )
-            .duty(Duty::DeleteWithin(SimDuration::from_days(7)))
-            .duty(Duty::LogAccesses)
-            .build()
-    }
-
-    fn access(at_secs: u64, purpose: &str) -> AccessRecord {
-        AccessRecord {
-            at: SimTime::from_secs(at_secs),
-            action: Action::Read,
-            purpose: Purpose::new(purpose),
-            agent: "urn:alice".into(),
-        }
-    }
-
-    #[test]
-    fn clean_copy_is_compliant() {
-        let policy = research_policy();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.log.push(access(100, "medical-research"));
-        copy.deleted_at = Some(SimTime::from_secs(3600));
-        let report = audit(&policy, &copy, SimTime::from_secs(10_000), &engine());
-        assert!(report.is_compliant(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn wrong_purpose_access_is_flagged() {
-        let policy = research_policy();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.log.push(access(100, "marketing"));
-        let report = audit(&policy, &copy, SimTime::from_secs(200), &engine());
-        assert_eq!(report.violations.len(), 1);
-        assert!(matches!(
-            report.violations[0].kind,
-            ViolationKind::UnauthorizedAccess {
-                action: Action::Read,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn overdue_undeleted_copy_is_flagged() {
-        let policy = research_policy();
-        let copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        let eight_days = SimTime::ZERO + SimDuration::from_days(8);
-        let report = audit(&policy, &copy, eight_days, &engine());
-        assert_eq!(report.violations.len(), 1);
-        match &report.violations[0].kind {
-            ViolationKind::RetentionViolated { due_at } => {
-                assert_eq!(*due_at, SimTime::ZERO + SimDuration::from_days(7));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn late_deletion_is_flagged_even_after_the_fact() {
-        let policy = research_policy();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.deleted_at = Some(SimTime::ZERO + SimDuration::from_days(9));
-        let report = audit(
-            &policy,
-            &copy,
-            SimTime::ZERO + SimDuration::from_days(30),
-            &engine(),
-        );
-        assert!(!report.is_compliant());
-    }
-
-    #[test]
-    fn timely_deletion_is_compliant() {
-        let policy = research_policy();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.deleted_at = Some(SimTime::ZERO + SimDuration::from_days(6));
-        let report = audit(
-            &policy,
-            &copy,
-            SimTime::ZERO + SimDuration::from_days(30),
-            &engine(),
-        );
-        assert!(report.is_compliant());
-    }
-
-    #[test]
-    fn use_after_expiry_is_flagged() {
-        let policy = UsagePolicy::builder("p", "urn:res", "urn:owner")
-            .permit(
-                Rule::permit([Action::Use])
-                    .with_constraint(Constraint::ExpiresAt(SimTime::from_secs(100))),
-            )
-            .build();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.log.push(access(150, "any"));
-        let report = audit(&policy, &copy, SimTime::from_secs(200), &engine());
-        // Both the replay (denied access) and the expiry check fire.
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::UsedAfterExpiry));
-        assert!(!report.is_compliant());
-    }
-
-    #[test]
-    fn violations_sorted_chronologically() {
-        let policy = research_policy();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.log.push(access(9 * 86_400, "medical-research")); // after retention
-        copy.log.push(access(50, "marketing")); // bad purpose, earlier
-        let report = audit(
-            &policy,
-            &copy,
-            SimTime::ZERO + SimDuration::from_days(10),
-            &engine(),
-        );
-        assert!(report.violations.len() >= 2);
-        for pair in report.violations.windows(2) {
-            assert!(pair[0].at <= pair[1].at);
-        }
-    }
-
-    #[test]
-    fn log_completeness_check() {
-        let policy = research_policy();
-        let mut copy = CopyState::new("urn:res", "urn:alice", SimTime::from_secs(0));
-        copy.log.push(access(10, "medical-research"));
-        let now = SimTime::from_secs(100);
-        assert!(audit_log_completeness(&policy, &copy, 1, now).is_none());
-        let v = audit_log_completeness(&policy, &copy, 3, now).expect("missing entries");
-        assert_eq!(v.kind, ViolationKind::IncompleteLog);
-        // A policy without the logging duty does not care.
-        let lax = UsagePolicy::builder("p", "urn:res", "urn:o")
-            .permit(Rule::permit([Action::Use]))
-            .build();
-        assert!(audit_log_completeness(&lax, &copy, 3, now).is_none());
-    }
 
     #[test]
     fn copy_alive_at() {

@@ -10,13 +10,17 @@
 //!   paper cites (Park & Sandhu).
 //! * [`taxonomy`] — a purpose hierarchy, so a policy allowing `research`
 //!   admits a request for `medical-research`.
-//! * [`engine`] — decision procedure: pre-authorization and *ongoing*
-//!   re-evaluation of a usage context against a policy.
+//! * [`engine`] — the interpreting decision procedure: pre-authorization
+//!   and *ongoing* re-evaluation of a usage context against a policy. It
+//!   is the reference [`PolicyProgram::decide`] is proptest-checked
+//!   against, and what a monitoring self-audit replays historic policy
+//!   versions through.
 //! * [`compile`] — lowers a policy into a [`PolicyProgram`]: pre-resolved
 //!   decision tables plus `next_transition`, the instant the decision can
 //!   next change (what deadline-driven enforcement schedules on).
-//! * [`compliance`] — retrospective auditing of a copy's usage log against a
-//!   policy (what the DE App's monitoring process consumes).
+//! * [`compliance`] — the auditable state of one resource copy: its
+//!   lifetime and usage log (what the trusted application self-audits for
+//!   the DE App's monitoring process).
 //! * [`dsl`] — a human-readable text syntax for policies.
 //! * [`rdf_binding`] — policies as RDF graphs (ODRL + project vocabulary).
 //! * [`acl`] — W3C Web Access Control lists, the Solid-native *access*
@@ -58,7 +62,7 @@ pub mod taxonomy;
 
 pub use acl::{AclDocument, AclMode, AgentSpec, Authorization};
 pub use compile::{compile, PolicyProgram};
-pub use compliance::{AccessRecord, ComplianceReport, CopyState, Violation, ViolationKind};
+pub use compliance::{AccessRecord, CopyState};
 pub use engine::{Decision, DenyReason, PolicyEngine};
 pub use model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
 pub use taxonomy::PurposeTaxonomy;
@@ -67,9 +71,7 @@ pub use taxonomy::PurposeTaxonomy;
 pub mod prelude {
     pub use crate::acl::{AclDocument, AclMode, AgentSpec, Authorization};
     pub use crate::compile::{compile, PolicyProgram};
-    pub use crate::compliance::{
-        AccessRecord, ComplianceReport, CopyState, Violation, ViolationKind,
-    };
+    pub use crate::compliance::{AccessRecord, CopyState};
     pub use crate::engine::{Decision, DenyReason, PolicyEngine, UsageContext};
     pub use crate::model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
     pub use crate::taxonomy::PurposeTaxonomy;

@@ -218,17 +218,6 @@ impl TrustedApplication {
         }
     }
 
-    /// Replaces the policy engine (custom purpose taxonomies). Compiled
-    /// programs of existing copies are rebuilt against the new taxonomy.
-    pub fn with_engine(mut self, engine: PolicyEngine) -> TrustedApplication {
-        self.engine = engine;
-        for entry in self.copies.values_mut() {
-            entry.program = compile(&entry.policy, self.engine.taxonomy());
-            entry.cached = None;
-        }
-        self
-    }
-
     /// Decisions served from the per-copy cache vs re-evaluated
     /// (observability for the deadline-enforcement experiments).
     pub fn decision_cache_stats(&self) -> (u64, u64) {
