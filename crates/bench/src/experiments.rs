@@ -515,21 +515,20 @@ pub fn e8_robustness() -> Vec<Table> {
             requests,
             "every ticket resolves under {label:?}"
         );
-        // Surface the network counters through the metrics registry; the
-        // row is read back from the registry and cross-checked against the
-        // model's own counters.
-        world.net.publish_metrics(&mut world.metrics);
+        // The row's network column is read from the metrics snapshot and
+        // cross-checked against the model's own counters.
+        let snapshot = world.metrics_snapshot();
         let (_, dropped, _) = world.net.stats();
         assert_eq!(
-            world.metrics.counter("net.messages_dropped"),
+            snapshot.counter("net.messages_dropped"),
             dropped,
             "metrics mirror the network model under {label:?}"
         );
         let (part, down, loss_drops) = world.net.drop_breakdown();
         assert_eq!(
-            world.metrics.counter("net.dropped.partition")
-                + world.metrics.counter("net.dropped.down")
-                + world.metrics.counter("net.dropped.loss"),
+            snapshot.counter("net.dropped.partition")
+                + snapshot.counter("net.dropped.down")
+                + snapshot.counter("net.dropped.loss"),
             part + down + loss_drops,
             "drop breakdown sums under {label:?}"
         );
@@ -541,7 +540,7 @@ pub fn e8_robustness() -> Vec<Table> {
             run.failed.to_string(),
             world.metrics.counter("driver.hop.drops").to_string(),
             world.metrics.counter("driver.hop.suspended").to_string(),
-            world.metrics.counter("net.messages_dropped").to_string(),
+            snapshot.counter("net.messages_dropped").to_string(),
             ms(p95),
             ms(p99),
         ]);
@@ -566,7 +565,6 @@ pub fn e8_robustness() -> Vec<Table> {
         let batch = duc_core::chaos::mixed_batch(OWNER, "data/set.bin", &resource, 6);
         let run = duc_core::chaos::run_chaos(&mut world, batch, plan)
             .unwrap_or_else(|e| panic!("E8b seed {chaos_seed}: {e}"));
-        world.net.publish_metrics(&mut world.metrics);
         sweep.row(vec![
             chaos_seed.to_string(),
             run.ok.to_string(),
@@ -1810,21 +1808,21 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> String {
 /// - the two modes produce identical outcome *sets* (timing-free keys via
 ///   [`duc_core::runtime::outcome_key`]) — wall-clock jitter may move
 ///   *when* a process runs, never *what* it decides;
-/// - the `/metrics` endpoint serves a valid Prometheus exposition
-///   containing the migrated network, gas, TEE-cache, enforcement and
-///   process-latency families.
+/// - the `/metrics` endpoint, serving the wall run's own page, holds a
+///   valid Prometheus exposition containing the network, gas, TEE-cache,
+///   enforcement and process-latency families, and its
+///   `duc_net_messages_sent_total` equals the wall world's network model.
 ///
 /// The wall run replays ~185 logical seconds at 200× compression, so its
 /// req/s is pacing-dominated (the point: same machines, real time); the
 /// sim run's req/s is pure compute.
 pub fn e18_runtime() -> Vec<Table> {
     use duc_core::runtime::{market_world, outcome_set, run_scripted, RuntimeMode};
-    use duc_runtime::{DriveConfig, MetricsHub, MetricsServer, ShutdownSignal};
+    use duc_runtime::{DriveConfig, MetricsPage, MetricsServer, ShutdownSignal};
 
     let devices = 8;
     let seed = 23;
     let scale = 200;
-    let hub = MetricsHub::new();
     let shutdown = ShutdownSignal::new();
     let config = DriveConfig::default();
 
@@ -1834,19 +1832,20 @@ pub fn e18_runtime() -> Vec<Table> {
         &mut sim_world,
         script,
         RuntimeMode::Sim,
-        Some(hub.clone()),
+        None,
         &shutdown,
         &config,
     );
     let sim_real = sim_start.elapsed();
 
     let (mut wall_world, script) = market_world(devices, seed);
+    let page = MetricsPage::new();
     let wall_start = std::time::Instant::now();
     let wall_run = run_scripted(
         &mut wall_world,
         script,
         RuntimeMode::Wall { scale },
-        Some(hub.clone()),
+        Some(page.clone()),
         &shutdown,
         &config,
     );
@@ -1863,7 +1862,7 @@ pub fn e18_runtime() -> Vec<Table> {
         "E18 gate: sim and wall modes must produce the same outcome set"
     );
 
-    let server = MetricsServer::serve(hub.clone(), "127.0.0.1:0").expect("bind metrics endpoint");
+    let server = MetricsServer::serve(page, "127.0.0.1:0").expect("bind metrics endpoint");
     let exposition = scrape_metrics(server.addr());
     for family in [
         "# TYPE duc_net_messages_sent_total counter",
@@ -1878,6 +1877,13 @@ pub fn e18_runtime() -> Vec<Table> {
             "E18 gate: /metrics scrape is missing {family:?}"
         );
     }
+    assert_eq!(
+        exposition
+            .lines()
+            .find_map(|line| line.strip_prefix("duc_net_messages_sent_total ")),
+        Some(wall_world.net.stats().0.to_string().as_str()),
+        "E18 gate: the scraped page is the wall run's own"
+    );
     drop(server);
 
     let mut table = Table::new(

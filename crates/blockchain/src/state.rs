@@ -41,7 +41,7 @@ const INLINE_KEY_CAP: usize = 55;
 /// `InlineKey` map can be probed with a bare `&[u8]` through [`Borrow`].
 #[derive(Clone)]
 pub enum InlineKey {
-    /// Keys up to [`INLINE_KEY_CAP`] bytes, stored in place.
+    /// Keys up to `INLINE_KEY_CAP` (55) bytes, stored in place.
     Inline {
         /// Number of meaningful bytes in `buf`.
         len: u8,

@@ -20,10 +20,10 @@
 //!
 //! ## Layout
 //!
-//! One file per process machine ([`pod_init`], [`res_init`], [`indexing`],
-//! [`subscribe`], [`access`], [`policy_mod`], [`monitoring`]) plus the
-//! shared machinery: the fault-aware [`hop::Hop`], the transaction
-//! sub-machine [`flow::TxFlow`], and this module's dispatch/state.
+//! One file per process machine (`pod_init`, `res_init`, `indexing`,
+//! `subscribe`, `access`, `policy_mod`, `monitoring`) plus the
+//! shared machinery: the fault-aware `hop::Hop`, the transaction
+//! sub-machine `flow::TxFlow`, and this module's dispatch/state.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};

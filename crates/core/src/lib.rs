@@ -66,6 +66,6 @@ pub mod prelude {
     pub use crate::scenario;
     pub use crate::world::{EnforcementMode, World, WorldConfig};
     pub use duc_policy::prelude::*;
-    pub use duc_runtime::{DriveConfig, MetricsHub, MetricsServer, ShutdownSignal};
+    pub use duc_runtime::{DriveConfig, MetricsPage, MetricsServer, ShutdownSignal};
     pub use duc_sim::{SimDuration, SimTime};
 }

@@ -6,8 +6,7 @@
 //! ([`RuntimeMode::Sim`]) or on real time ([`RuntimeMode::Wall`], with
 //! optional time compression). A scripted run admits [`Request`]s at
 //! absolute logical instants; wall mode additionally accepts live
-//! injection from producer threads through a
-//! [`WallHandle`](duc_runtime::WallHandle).
+//! injection from producer threads through a [`WallHandle`].
 //!
 //! Outcomes are compared across modes with [`outcome_key`], which
 //! deliberately ignores every timing-derived field: wall-clock jitter
@@ -15,7 +14,7 @@
 
 use duc_blockchain::Ledger;
 use duc_runtime::{
-    drive, DriveConfig, DriveReport, MetricsHub, ShutdownSignal, SimClock, Tick, WallClock,
+    drive, DriveConfig, DriveReport, MetricsPage, ShutdownSignal, SimClock, Tick, WallClock,
     WallHandle, Workload,
 };
 use duc_sim::SimTime;
@@ -56,16 +55,17 @@ pub struct RuntimeRun {
 /// internal event queue into a single re-armable timer.
 pub struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
     world: &'w mut World<L>,
-    hub: Option<MetricsHub>,
+    page: Option<MetricsPage>,
     outcomes: Vec<(Ticket, Result<Outcome, ProcessError>)>,
 }
 
 impl<'w, L: Ledger> PacedWorld<'w, L> {
-    /// Wraps a world; `hub` receives metric exports when given.
-    pub fn new(world: &'w mut World<L>, hub: Option<MetricsHub>) -> Self {
+    /// Wraps a world; every export overwrites `page`, when given, with
+    /// the rendered [`World::metrics_snapshot`].
+    pub fn new(world: &'w mut World<L>, page: Option<MetricsPage>) -> Self {
         PacedWorld {
             world,
-            hub,
+            page,
             outcomes: Vec::new(),
         }
     }
@@ -98,9 +98,8 @@ impl<L: Ledger> Workload for PacedWorld<'_, L> {
     }
 
     fn export(&mut self) {
-        if let Some(hub) = &self.hub {
-            let hub = hub.clone();
-            self.world.export_metrics(&hub);
+        if let Some(page) = &self.page {
+            page.publish(&self.world.metrics_snapshot());
         }
     }
 }
@@ -116,14 +115,14 @@ pub fn run_scripted<L: Ledger>(
     world: &mut World<L>,
     script: Vec<(SimTime, Request)>,
     mode: RuntimeMode,
-    hub: Option<MetricsHub>,
+    page: Option<MetricsPage>,
     shutdown: &ShutdownSignal,
     config: &DriveConfig,
 ) -> RuntimeRun {
     match mode {
         RuntimeMode::Sim => {
             let mut clock: SimClock<Tick<Request>> = SimClock::new(world.clock.clone());
-            let mut paced = PacedWorld::new(world, hub);
+            let mut paced = PacedWorld::new(world, page);
             let report = drive(&mut clock, &mut paced, script, shutdown, config);
             RuntimeRun {
                 report,
@@ -131,7 +130,7 @@ pub fn run_scripted<L: Ledger>(
             }
         }
         RuntimeMode::Wall { scale } => {
-            run_wall(world, script, scale, hub, shutdown, config, |_handle| {
+            run_wall(world, script, scale, page, shutdown, config, |_handle| {
                 Vec::new()
             })
         }
@@ -139,16 +138,16 @@ pub fn run_scripted<L: Ledger>(
 }
 
 /// Wall-clock run with live producers: `spawn_producers` receives a
-/// [`WallHandle`](duc_runtime::WallHandle) for injecting requests from
-/// other threads and returns their join handles, which are joined after
-/// the drive loop exits. The loop keeps waiting while any producer still
-/// holds a handle clone, so late injections are never lost — they are
-/// admitted (or, after a shutdown request, counted as rejected).
+/// [`WallHandle`] for injecting requests from other threads and returns
+/// their join handles, which are joined after the drive loop exits. The
+/// loop keeps waiting while any producer still holds a handle clone, so
+/// late injections are never lost — they are admitted (or, after a
+/// shutdown request, counted as rejected).
 pub fn run_wall<L, F>(
     world: &mut World<L>,
     script: Vec<(SimTime, Request)>,
     scale: u64,
-    hub: Option<MetricsHub>,
+    page: Option<MetricsPage>,
     shutdown: &ShutdownSignal,
     config: &DriveConfig,
     spawn_producers: F,
@@ -159,7 +158,7 @@ where
 {
     let mut clock: WallClock<Tick<Request>> = WallClock::with_scale(world.clock.now(), scale);
     let producers = spawn_producers(clock.handle());
-    let mut paced = PacedWorld::new(world, hub);
+    let mut paced = PacedWorld::new(world, page);
     let report = drive(&mut clock, &mut paced, script, shutdown, config);
     for producer in producers {
         let _ = producer.join();

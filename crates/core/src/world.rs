@@ -569,38 +569,22 @@ impl<L: Ledger> World<L> {
         }
     }
 
-    /// Mirrors every metric this world keeps — the sim registry's counters
-    /// and histograms, per-method gas from the ledger, the TEE decision
-    /// caches — into a shared [`duc_runtime::MetricsHub`], where the
-    /// Prometheus endpoint and the bench report read them.
+    /// Everything this world can report, as one registry: a copy of
+    /// [`World::metrics`] plus the totals owned by other components — the
+    /// network model's `net.*` counters, per-contract/method gas from the
+    /// ledger, the TEE decision caches and world-state paging.
     ///
-    /// Counter families keep their dotted registry names, normalised
-    /// (`net.messages_sent` → `duc_net_messages_sent_total`); histograms
-    /// gain a `_seconds` suffix and are re-bucketed from raw nanosecond
-    /// samples. The mirror is idempotent: totals only ever rise
-    /// (`counter_raise_to`) and histogram cells are replaced, so periodic
-    /// exports and the final flush agree.
-    pub fn export_metrics(&mut self, hub: &duc_runtime::MetricsHub) {
-        // Network counters are delta-published into the registry on
-        // demand; flush them first so the mirror below sees them.
-        self.net.publish_metrics(&mut self.metrics);
-        for (name, value) in self.metrics.counters() {
-            hub.counter_raise_to(&duc_runtime::prom_name(name, "_total"), &[], value);
-        }
-        let names: Vec<String> = self.metrics.histogram_names().map(str::to_string).collect();
-        for name in &names {
-            if let Some(h) = self.metrics.histogram(name) {
-                hub.mirror_histogram_nanos(
-                    &duc_runtime::prom_name(name, "_seconds"),
-                    &[],
-                    h.samples(),
-                );
-            }
-        }
+    /// Those are written into the copy, never into `self.metrics`: the
+    /// replay fingerprint walks `self.metrics`, and eviction order under
+    /// the parallel executor is nondeterministic, so the paging numbers
+    /// must stay out of replay state.
+    pub fn metrics_snapshot(&self) -> MetricsRegistry {
+        let mut snapshot = self.metrics.clone();
+        self.net.publish_metrics(&mut snapshot);
         for ((contract, method), (calls, total, _max)) in self.chain.gas_by_method() {
             let labels = [("contract", contract.as_str()), ("method", method.as_str())];
-            hub.counter_raise_to("duc_gas_calls_total", &labels, calls);
-            hub.counter_raise_to("duc_gas_used_total", &labels, total);
+            snapshot.set("gas.calls", &labels, calls);
+            snapshot.set("gas.used", &labels, total);
         }
         let (mut hits, mut misses) = (0u64, 0u64);
         for (_, device) in self.devices.iter() {
@@ -608,62 +592,18 @@ impl<L: Ledger> World<L> {
             hits += h;
             misses += m;
         }
-        // World-state paging residency: gauges for what is resident *now*,
-        // monotone counters for eviction/fault-in/compaction traffic. Read
-        // from `Ledger::paging_stats()` and only ever surfaced here —
-        // eviction order under the parallel executor is nondeterministic,
-        // so these numbers must never enter the sim registry (and hence
-        // the replay fingerprint).
+        snapshot.set("tee.decision_cache", &[("result", "hit")], hits);
+        snapshot.set("tee.decision_cache", &[("result", "miss")], misses);
+        // Gauges for what is resident *now*, counters for the traffic.
         let paging = self.chain.paging_stats();
-        hub.gauge_set(
-            "duc_state_resident_pages",
-            &[],
-            paging.resident_pages as f64,
-        );
-        hub.gauge_set("duc_state_total_pages", &[], paging.total_pages as f64);
-        hub.gauge_set(
-            "duc_state_resident_bytes",
-            &[],
-            paging.resident_bytes as f64,
-        );
-        hub.gauge_set(
-            "duc_state_spilled_live_bytes",
-            &[],
-            paging.spilled_live_bytes as f64,
-        );
-        hub.counter_raise_to("duc_state_evictions_total", &[], paging.evictions);
-        hub.counter_raise_to("duc_state_fault_ins_total", &[], paging.fault_ins);
-        hub.counter_raise_to("duc_state_page_compactions_total", &[], paging.compactions);
-        hub.set_help(
-            "duc_state_resident_pages",
-            "World-state pages currently resident in memory.",
-        );
-        hub.set_help(
-            "duc_state_resident_bytes",
-            "Bytes of world-state slot data held by resident pages.",
-        );
-        hub.set_help(
-            "duc_state_evictions_total",
-            "World-state pages evicted to the spill store.",
-        );
-        hub.set_help(
-            "duc_state_fault_ins_total",
-            "World-state pages faulted back in from the spill store.",
-        );
-        hub.counter_raise_to("duc_tee_decision_cache_total", &[("result", "hit")], hits);
-        hub.counter_raise_to(
-            "duc_tee_decision_cache_total",
-            &[("result", "miss")],
-            misses,
-        );
-        hub.set_help(
-            "duc_tee_decision_cache_total",
-            "TEE usage-decision cache lookups by result.",
-        );
-        hub.set_help(
-            "duc_gas_used_total",
-            "Gas consumed by confirmed contract calls, by contract and method.",
-        );
+        snapshot.set_gauge("state.resident_pages", paging.resident_pages as f64);
+        snapshot.set_gauge("state.total_pages", paging.total_pages as f64);
+        snapshot.set_gauge("state.resident_bytes", paging.resident_bytes as f64);
+        snapshot.set_gauge("state.spilled_live_bytes", paging.spilled_live_bytes as f64);
+        snapshot.set("state.evictions", &[], paging.evictions);
+        snapshot.set("state.fault_ins", &[], paging.fault_ins);
+        snapshot.set("state.page_compactions", &[], paging.compactions);
+        snapshot
     }
 
     /// Runs every device's obligation sweep at the current instant (the

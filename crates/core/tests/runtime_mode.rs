@@ -4,14 +4,16 @@
 //!   (timing-free keys) in sim and wall-clock mode.
 //! - A wall-mode run drains gracefully on shutdown: late injections are
 //!   rejected, in-flight work completes, nothing is left dangling.
-//! - `World::export_metrics` feeds the shared hub and the `/metrics`
-//!   endpoint serves every migrated family (checked in-process, no curl).
+//! - The drive loop publishes `World::metrics_snapshot` as the `/metrics`
+//!   page and the endpoint serves every family (checked in-process, no
+//!   curl); the page is a pure, replay-stable render that leaves the
+//!   world's own registry — and so its fingerprint — untouched.
 
 use std::io::{Read as _, Write as _};
 
 use duc_core::runtime::{market_world, outcome_set, run_wall, RuntimeMode};
-use duc_core::{run_scripted, Request};
-use duc_runtime::{DriveConfig, MetricsHub, MetricsServer, ShutdownSignal, Tick};
+use duc_core::{chaos, run_scripted, Request};
+use duc_runtime::{DriveConfig, MetricsPage, MetricsServer, ShutdownSignal, Tick};
 use duc_sim::SimDuration;
 
 /// Logical seconds per real second in the wall-mode tests: the ~185 s
@@ -129,6 +131,16 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
     body.to_string()
 }
 
+/// The value of the sample line `series` (family name plus label set,
+/// exactly as rendered) on a scraped page.
+fn sample(body: &str, series: &str) -> f64 {
+    body.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no sample {series:?} in scrape:\n{body}"))
+        .parse()
+        .expect("numeric sample")
+}
+
 #[test]
 fn metrics_endpoint_serves_migrated_families() {
     // A short sim-mode market run populates every migrated surface:
@@ -136,23 +148,24 @@ fn metrics_endpoint_serves_migrated_families() {
     // latency histograms and — thanks to the 90 s survey retention —
     // the enforcement counters and lag histogram.
     let (mut world, script) = market_world(4, 13);
-    let hub = MetricsHub::new();
+    let page = MetricsPage::new();
     let shutdown = ShutdownSignal::new();
     let run = run_scripted(
         &mut world,
         script,
         RuntimeMode::Sim,
-        Some(hub.clone()),
+        Some(page.clone()),
         &shutdown,
         &DriveConfig::default(),
     );
     assert!(run.report.exports >= 1, "final export always flushes");
 
-    let server = MetricsServer::serve(hub.clone(), "127.0.0.1:0").expect("bind");
+    let server = MetricsServer::serve(page, "127.0.0.1:0").expect("bind");
     let body = scrape(server.addr(), "/metrics");
     for family in [
         "# TYPE duc_net_messages_sent_total counter",
         "# TYPE duc_net_bytes_sent_total counter",
+        "# HELP duc_gas_used_total Gas consumed",
         "# TYPE duc_gas_used_total counter",
         "# TYPE duc_gas_calls_total counter",
         "# TYPE duc_tee_decision_cache_total counter",
@@ -179,23 +192,79 @@ fn metrics_endpoint_serves_migrated_families() {
     // The state-residency gauges carry live values: a populated market
     // holds at least one resident page (the default paging config is
     // unbounded, so nothing has been evicted).
-    let resident_pages: f64 = body
-        .lines()
-        .find(|l| l.starts_with("duc_state_resident_pages "))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .expect("resident-pages sample")
-        .parse()
-        .expect("numeric gauge");
-    assert!(resident_pages >= 1.0, "{body}");
-    assert_eq!(hub.counter("duc_state_evictions_total", &[]), 0);
-    // Mirrored totals agree with the sim registry they came from.
+    assert!(sample(&body, "duc_state_resident_pages") >= 1.0, "{body}");
+    assert_eq!(sample(&body, "duc_state_evictions_total"), 0.0);
+    // Served totals agree with the components that own them.
     assert_eq!(
-        hub.counter("duc_net_messages_sent_total", &[]),
-        world.metrics.counter("net.messages_sent"),
+        sample(&body, "duc_net_messages_sent_total"),
+        world.net.stats().0 as f64,
     );
     assert_eq!(
-        hub.counter("duc_enforcement_deletions_total", &[]),
-        world.metrics.counter("enforcement.deletions"),
+        sample(&body, "duc_enforcement_deletions_total"),
+        world.metrics.counter("enforcement.deletions") as f64,
     );
     drop(server);
+}
+
+#[test]
+fn snapshot_leaves_the_replay_fingerprint_untouched() {
+    let (mut world, script) = market_world(3, 17);
+    let shutdown = ShutdownSignal::new();
+    run_scripted(
+        &mut world,
+        script,
+        RuntimeMode::Sim,
+        None,
+        &shutdown,
+        &DriveConfig::default(),
+    );
+    let before = chaos::fingerprint(&mut world);
+    let snapshot = world.metrics_snapshot();
+    assert!(snapshot.counter("net.messages_sent") > 0);
+    assert_eq!(world.metrics.counter("net.messages_sent"), 0);
+    assert_eq!(chaos::fingerprint(&mut world), before);
+}
+
+#[test]
+fn same_seed_sim_runs_render_identical_pages() {
+    let page_of = |seed| {
+        let (mut world, script) = market_world(3, seed);
+        let page = MetricsPage::new();
+        run_scripted(
+            &mut world,
+            script,
+            RuntimeMode::Sim,
+            Some(page.clone()),
+            &ShutdownSignal::new(),
+            &DriveConfig::default(),
+        );
+        page.text()
+    };
+    let first = page_of(19);
+    assert!(first.contains("# TYPE duc_process_access_e2e_seconds histogram"));
+    assert_eq!(first, page_of(19));
+}
+
+#[test]
+fn wall_run_with_an_export_period_publishes_mid_run() {
+    let (mut world, script) = market_world(3, 29);
+    let page = MetricsPage::new();
+    let run = run_scripted(
+        &mut world,
+        script,
+        RuntimeMode::Wall { scale: SCALE },
+        Some(page.clone()),
+        &ShutdownSignal::new(),
+        &DriveConfig {
+            export_every: Some(SimDuration::from_secs(30)),
+            ..DriveConfig::default()
+        },
+    );
+    assert!(run.report.drained);
+    assert!(
+        run.report.exports > 1,
+        "periodic exports beside the final flush: {}",
+        run.report.exports
+    );
+    assert!(sample(&page.text(), "duc_net_messages_sent_total") > 0.0);
 }

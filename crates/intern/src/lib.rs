@@ -305,59 +305,6 @@ impl SharedInterner {
     }
 }
 
-/// A thread-safe clonable interner handle: the [`SharedInterner`] shape
-/// behind an `Arc<Mutex<_>>` instead of `Rc<RefCell<_>>`, for `Send`
-/// contexts — the wall-clock runtime's metrics registry interns metric and
-/// label names from worker threads and the scrape thread concurrently.
-/// Symbol assignment stays first-insertion-order deterministic per handle
-/// lineage; the lock is uncontended on hot paths because callers cache
-/// the returned [`Sym`]s.
-#[derive(Debug, Clone, Default)]
-pub struct SyncInterner(std::sync::Arc<std::sync::Mutex<Interner>>);
-
-impl SyncInterner {
-    /// A fresh, empty thread-safe interner.
-    pub fn new() -> SyncInterner {
-        SyncInterner::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Interner> {
-        // A panic while holding this lock leaves only a string table
-        // behind; the table is always structurally valid.
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Interns `s` (see [`Interner::intern`]).
-    pub fn intern(&self, s: &str) -> Sym {
-        self.lock().intern(s)
-    }
-
-    /// The symbol of `s`, if interned. Never allocates.
-    pub fn get(&self, s: &str) -> Option<Sym> {
-        self.lock().get(s)
-    }
-
-    /// A cheap owned handle to the string behind `sym`.
-    ///
-    /// # Panics
-    /// Panics if `sym` did not come from this interner.
-    pub fn resolve(&self, sym: Sym) -> Arc<str> {
-        self.lock().resolve_arc(sym)
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-}
-
 /// A string-façaded registry over a [`SharedInterner`]: behaves like a
 /// `HashMap<String, V>` at the call site (`&str` keys in, `&str` keys
 /// out), but stores values in a flat [`SymMap`] and each key string
@@ -572,18 +519,5 @@ mod tests {
         // The symbol survives removal; re-insertion reuses it.
         assert_eq!(owners.insert("alice", 9), None);
         assert_eq!(owners.sym("alice"), Some(alice));
-    }
-
-    #[test]
-    fn sync_interner_is_shared_across_threads() {
-        let ids = SyncInterner::new();
-        let a = ids.intern("duc_requests_total");
-        let handle = {
-            let ids = ids.clone();
-            std::thread::spawn(move || ids.intern("duc_requests_total"))
-        };
-        assert_eq!(handle.join().expect("interning thread"), a);
-        assert_eq!(ids.resolve(a).as_ref(), "duc_requests_total");
-        assert_eq!(ids.len(), 1);
     }
 }

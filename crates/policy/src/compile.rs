@@ -27,6 +27,8 @@
 //!   The deadline-driven enforcement pipeline (`duc_tee` decision cache,
 //!   `duc_core` obligation scheduler) schedules wakeups at exactly these
 //!   instants instead of polling.
+//!
+//! [`PolicyEngine::evaluate`]: crate::PolicyEngine::evaluate
 
 use std::collections::BTreeSet;
 

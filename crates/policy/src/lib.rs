@@ -15,7 +15,7 @@
 //!   is the reference [`PolicyProgram::decide`] is proptest-checked
 //!   against, and what a monitoring self-audit replays historic policy
 //!   versions through.
-//! * [`compile`] — lowers a policy into a [`PolicyProgram`]: pre-resolved
+//! * [`compile()`] — lowers a policy into a [`PolicyProgram`]: pre-resolved
 //!   decision tables plus `next_transition`, the instant the decision can
 //!   next change (what deadline-driven enforcement schedules on).
 //! * [`compliance`] — the auditable state of one resource copy: its

@@ -1,22 +1,47 @@
 //! Minimal `/metrics` HTTP responder over `std::net::TcpListener`.
 //!
 //! Deliberately tiny: enough of HTTP/1.1 to satisfy a Prometheus scraper
-//! or `curl` — parse the request line, answer `GET /metrics` with the text
-//! exposition, everything else with 404. One accept thread handles
-//! connections serially (scrapes are rare and renders are cheap);
-//! [`MetricsServer::stop`] (also called on drop) closes the loop and joins
-//! the thread.
+//! or `curl` — parse the request line, answer `GET /metrics` with the
+//! latest published [`MetricsPage`], everything else with 404. One accept
+//! thread handles connections serially (scrapes are rare and a page is
+//! finished text); [`MetricsServer::stop`] (also called on drop) closes the
+//! loop and joins the thread.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use crate::metrics::MetricsHub;
+use duc_sim::MetricsRegistry;
 
-/// Background HTTP endpoint serving `GET /metrics` from a [`MetricsHub`].
+/// The latest rendered `/metrics` page, shared between the thread that
+/// owns the metrics (it publishes) and the [`MetricsServer`] (it serves).
+/// Only finished text crosses threads; the registry itself never does.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsPage(Arc<Mutex<String>>);
+
+impl MetricsPage {
+    /// Creates an empty page.
+    pub fn new() -> Self {
+        MetricsPage::default()
+    }
+
+    /// Renders `registry` and replaces the page with the result.
+    pub fn publish(&self, registry: &MetricsRegistry) {
+        let text = crate::metrics::render(registry);
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = text;
+    }
+
+    /// The page as last published (empty before the first publish).
+    pub fn text(&self) -> String {
+        let page = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        page.clone()
+    }
+}
+
+/// Background HTTP endpoint serving `GET /metrics` from a [`MetricsPage`].
 pub struct MetricsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -27,7 +52,7 @@ impl MetricsServer {
     /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving. The bound address is available via
     /// [`MetricsServer::addr`].
-    pub fn serve(hub: MetricsHub, bind: &str) -> io::Result<MetricsServer> {
+    pub fn serve(page: MetricsPage, bind: &str) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -41,7 +66,7 @@ impl MetricsServer {
                             if thread_stop.load(Ordering::SeqCst) {
                                 return;
                             }
-                            let _ = handle_connection(stream, &hub);
+                            let _ = handle_connection(stream, &page);
                         }
                         Err(_) => return,
                     }
@@ -81,7 +106,7 @@ impl Drop for MetricsServer {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, hub: &MetricsHub) -> io::Result<()> {
+fn handle_connection(mut stream: TcpStream, page: &MetricsPage) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
     // Read until the end of the request head (or a small cap — request
@@ -104,7 +129,7 @@ fn handle_connection(mut stream: TcpStream, hub: &MetricsHub) -> io::Result<()> 
         ("GET", "/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            hub.render(),
+            page.text(),
         ),
         ("GET", "/") => (
             "200 OK",
@@ -134,6 +159,14 @@ fn handle_connection(mut stream: TcpStream, hub: &MetricsHub) -> io::Result<()> 
 mod tests {
     use super::*;
 
+    fn page_with(counter: &str, value: u64) -> MetricsPage {
+        let mut registry = MetricsRegistry::new();
+        registry.add(counter, value);
+        let page = MetricsPage::new();
+        page.publish(&registry);
+        page
+    }
+
     fn scrape(addr: SocketAddr, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(request.as_bytes()).unwrap();
@@ -144,9 +177,8 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_404s_everything_else() {
-        let hub = MetricsHub::new();
-        hub.counter_add("duc_up_total", &[], 1);
-        let server = MetricsServer::serve(hub, "127.0.0.1:0").unwrap();
+        let page = page_with("up", 1);
+        let server = MetricsServer::serve(page, "127.0.0.1:0").unwrap();
         let ok = scrape(server.addr(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
         assert!(ok.contains("text/plain; version=0.0.4"));
@@ -159,7 +191,7 @@ mod tests {
 
     #[test]
     fn stop_joins_accept_thread() {
-        let mut server = MetricsServer::serve(MetricsHub::new(), "127.0.0.1:0").unwrap();
+        let mut server = MetricsServer::serve(MetricsPage::new(), "127.0.0.1:0").unwrap();
         let addr = server.addr();
         server.stop();
         server.stop(); // idempotent
@@ -168,10 +200,11 @@ mod tests {
 
     #[test]
     fn scrape_reflects_live_updates() {
-        let hub = MetricsHub::new();
-        let server = MetricsServer::serve(hub.clone(), "127.0.0.1:0").unwrap();
-        hub.counter_add("duc_live_total", &[], 41);
-        hub.counter_add("duc_live_total", &[], 1);
+        let page = page_with("live", 41);
+        let server = MetricsServer::serve(page.clone(), "127.0.0.1:0").unwrap();
+        let mut registry = MetricsRegistry::new();
+        registry.add("live", 42);
+        page.publish(&registry);
         let text = scrape(server.addr(), "GET /metrics HTTP/1.1\r\n\r\n");
         assert!(text.contains("duc_live_total 42"), "{text}");
     }

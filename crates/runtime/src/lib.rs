@@ -14,12 +14,13 @@
 //!   thread over a `BinaryHeap` + `Condvar::wait_timeout`, skip-missed
 //!   periodic ticks, optional time compression, [`WallHandle`] injection
 //!   from producer threads, and a drop that joins the thread.
-//! - [`drive`] — the clock-generic pacing loop with graceful-shutdown
+//! - [`drive()`] — the clock-generic pacing loop with graceful-shutdown
 //!   draining ([`ShutdownSignal`], bounded drain deadline).
-//! - [`MetricsHub`] — labelled counters/gauges/histograms shared by both
-//!   modes, rendered in Prometheus text format by [`MetricsServer`]
-//!   (`GET /metrics` over `std::net::TcpListener`) and snapshotted for
-//!   the bench report.
+//! - [`render`] — Prometheus text exposition of a
+//!   [`duc_sim::MetricsRegistry`], the one metric store of both modes;
+//!   the drive loop's exports overwrite a [`MetricsPage`] with it and
+//!   [`MetricsServer`] serves that page (`GET /metrics` over
+//!   `std::net::TcpListener`). This crate keeps no metric values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +33,6 @@ pub mod wall;
 
 pub use clock::{Clock, SimClock, TimerId, Wakeup};
 pub use drive::{drive, DriveConfig, DriveReport, ShutdownSignal, Tick, Workload};
-pub use http::MetricsServer;
-pub use metrics::{prom_name, MetricsHub, MetricsSnapshot, BUCKET_BOUNDS_SECONDS};
+pub use http::{MetricsPage, MetricsServer};
+pub use metrics::{prom_name, render, BUCKET_BOUNDS_SECONDS};
 pub use wall::{WallClock, WallHandle};

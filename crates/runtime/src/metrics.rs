@@ -1,19 +1,16 @@
-//! Shared metrics hub: counters, gauges and histograms with label support,
-//! rendered in Prometheus text exposition format (0.0.4).
+//! Prometheus text exposition (format 0.0.4) of a
+//! [`duc_sim::MetricsRegistry`].
 //!
-//! Both execution modes feed one [`MetricsHub`]: sim-mode experiments
-//! mirror their [`duc_sim::MetricsRegistry`] numbers in, wall-mode runs
-//! update it live from the drive loop, and the `/metrics` HTTP responder
-//! ([`crate::MetricsServer`]) renders whatever is current. Metric and
-//! label names are interned through `duc-intern`'s [`SyncInterner`] so
-//! hot-path updates hash two `u32` Syms instead of strings.
+//! This module holds no metric state: [`render`] is a pure function of the
+//! registry it is given. Dotted registry names become family names through
+//! [`prom_name`] (counters gain `_total`, histograms `_seconds`, gauges
+//! nothing), and the registry's exact-sample histograms are bucketed over
+//! [`BUCKET_BOUNDS_SECONDS`] at render time.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard};
 
-use duc_intern::{Sym, SyncInterner};
+use duc_sim::{Family, Histogram, Labels, MetricsRegistry};
 
 /// Histogram bucket upper bounds, in seconds. Chosen for enforcement-lag
 /// style latencies: sub-millisecond through minutes.
@@ -21,355 +18,133 @@ pub const BUCKET_BOUNDS_SECONDS: [f64; 11] = [
     0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0,
 ];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FamilyKind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl FamilyKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            FamilyKind::Counter => "counter",
-            FamilyKind::Gauge => "gauge",
-            FamilyKind::Histogram => "histogram",
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Instrument {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(HistogramCells),
-}
-
-#[derive(Debug, Clone, Default)]
-struct HistogramCells {
-    /// Cumulative-style storage is rebuilt at render time; cells here are
-    /// per-bucket (non-cumulative) observation counts.
-    buckets: [u64; BUCKET_BOUNDS_SECONDS.len()],
-    overflow: u64,
-    sum_seconds: f64,
-    count: u64,
-}
-
-impl HistogramCells {
-    fn observe(&mut self, seconds: f64) {
-        match BUCKET_BOUNDS_SECONDS.iter().position(|&b| seconds <= b) {
-            Some(i) => self.buckets[i] += 1,
-            None => self.overflow += 1,
-        }
-        self.sum_seconds += seconds;
-        self.count += 1;
-    }
-}
-
-/// A label set, interned and sorted by key for a canonical identity.
-type LabelKey = Vec<(Sym, Sym)>;
-
-#[derive(Debug)]
-struct Family {
-    kind: FamilyKind,
-    help: String,
-    series: BTreeMap<LabelKey, Instrument>,
-}
-
-#[derive(Default)]
-struct HubState {
-    families: HashMap<Sym, Family>,
-}
-
-/// Point-in-time view of the hub, used by the bench report and tests.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter series by `name{k="v",...}` key.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge series by rendered key.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histogram series by rendered key: (observation count, sum seconds).
-    pub histograms: BTreeMap<String, (u64, f64)>,
-}
-
-/// Thread-safe, cheaply clonable registry of labelled metric families.
-#[derive(Clone, Default)]
-pub struct MetricsHub {
-    names: SyncInterner,
-    state: Arc<Mutex<HubState>>,
-}
-
-impl std::fmt::Debug for MetricsHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsHub")
-            .field("families", &self.lock().families.len())
-            .finish()
-    }
-}
+/// HELP text by family name.
+const HELP: &[(&str, &str)] = &[
+    (
+        "duc_gas_used_total",
+        "Gas consumed by confirmed contract calls, by contract and method.",
+    ),
+    (
+        "duc_state_evictions_total",
+        "World-state pages evicted to the spill store.",
+    ),
+    (
+        "duc_state_fault_ins_total",
+        "World-state pages faulted back in from the spill store.",
+    ),
+    (
+        "duc_state_resident_bytes",
+        "Bytes of world-state slot data held by resident pages.",
+    ),
+    (
+        "duc_state_resident_pages",
+        "World-state pages currently resident in memory.",
+    ),
+    (
+        "duc_tee_decision_cache_total",
+        "TEE usage-decision cache lookups by result.",
+    ),
+];
 
 /// Normalises an internal dotted metric name (`net.dropped.partition`)
 /// into a Prometheus family name (`duc_net_dropped_partition`), appending
 /// `suffix` (e.g. `"_total"`) when given.
 pub fn prom_name(raw: &str, suffix: &str) -> String {
-    let mut out = String::with_capacity(4 + raw.len() + suffix.len());
-    out.push_str("duc_");
-    let mut last_us = false;
-    for ch in raw.chars() {
-        let mapped = if ch.is_ascii_alphanumeric() {
-            last_us = false;
-            ch.to_ascii_lowercase()
-        } else if last_us {
-            continue;
-        } else {
-            last_us = true;
-            '_'
-        };
-        out.push(mapped);
+    let mut out = String::from("duc");
+    let words = raw.split(|c: char| !c.is_ascii_alphanumeric());
+    for word in words.filter(|word| !word.is_empty()) {
+        out.push('_');
+        out.push_str(&word.to_ascii_lowercase());
     }
-    while out.ends_with('_') {
-        out.pop();
-    }
-    out.push_str(suffix);
-    out
+    out + suffix
 }
 
-impl MetricsHub {
-    /// Creates an empty hub.
-    pub fn new() -> Self {
-        MetricsHub::default()
-    }
+/// Renders `registry` in Prometheus text format 0.0.4: families sorted by
+/// name, series by canonical label set, histogram buckets cumulative.
+pub fn render(registry: &MetricsRegistry) -> String {
+    render_with_help(registry, HELP)
+}
 
-    fn lock(&self) -> MutexGuard<'_, HubState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn label_key(&self, labels: &[(&str, &str)]) -> LabelKey {
-        let mut key: LabelKey = labels
-            .iter()
-            .map(|&(k, v)| (self.names.intern(k), self.names.intern(v)))
-            .collect();
-        key.sort_unstable_by_key(|&(k, _)| self.names.resolve(k));
-        key
-    }
-
-    fn with_series<R>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        kind: FamilyKind,
-        f: impl FnOnce(&mut Instrument) -> R,
-    ) -> R {
-        debug_assert!(
-            name.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "invalid Prometheus metric name {name:?}"
+fn render_with_help(registry: &MetricsRegistry, help: &[(&str, &str)]) -> String {
+    // One block of text per family, sorted by family name at the end: the
+    // registry orders by dotted name within each kind, not by exposition
+    // name.
+    let mut blocks = Vec::new();
+    let counters = (registry.counter_families(), "counter", "_total");
+    push_families(&mut blocks, counters, help, |out, name, labels, counter| {
+        let _ = writeln!(
+            out,
+            "{name}{} {}",
+            render_labels(labels, None),
+            counter.value()
         );
-        let sym = self.names.intern(name);
-        let key = self.label_key(labels);
-        let mut state = self.lock();
-        let family = state.families.entry(sym).or_insert_with(|| Family {
-            kind,
-            help: String::new(),
-            series: BTreeMap::new(),
-        });
-        debug_assert_eq!(family.kind, kind, "metric {name} re-registered as {kind:?}");
-        let instrument = family.series.entry(key).or_insert_with(|| match kind {
-            FamilyKind::Counter => Instrument::Counter(0),
-            FamilyKind::Gauge => Instrument::Gauge(0.0),
-            FamilyKind::Histogram => Instrument::Histogram(HistogramCells::default()),
-        });
-        f(instrument)
-    }
+    });
+    let gauges = (registry.gauge_families(), "gauge", "");
+    push_families(&mut blocks, gauges, help, |out, name, labels, value| {
+        let _ = writeln!(out, "{name}{} {value}", render_labels(labels, None));
+    });
+    let histograms = (registry.histogram_families(), "histogram", "_seconds");
+    push_families(&mut blocks, histograms, help, render_histogram);
+    blocks.sort();
+    blocks.into_iter().map(|(_, text)| text).collect()
+}
 
-    /// Sets the HELP line of a family (idempotent; first non-empty wins).
-    pub fn set_help(&self, name: &str, help: &str) {
-        let sym = self.names.intern(name);
-        if let Some(family) = self.lock().families.get_mut(&sym) {
-            if family.help.is_empty() {
-                family.help = help.to_string();
-            }
-        }
-    }
-
-    /// Adds `delta` to a counter series, creating it at zero on first use.
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        self.with_series(name, labels, FamilyKind::Counter, |i| {
-            if let Instrument::Counter(v) = i {
-                *v += delta;
-            }
-        });
-    }
-
-    /// Raises a counter series to `value` if it is below it — the mirror
-    /// operation for migrating cumulative totals kept elsewhere (e.g. the
-    /// sim registry) without double counting. Never decreases.
-    pub fn counter_raise_to(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.with_series(name, labels, FamilyKind::Counter, |i| {
-            if let Instrument::Counter(v) = i {
-                *v = (*v).max(value);
-            }
-        });
-    }
-
-    /// Reads a counter series (zero if absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let sym = self.names.intern(name);
-        let key = self.label_key(labels);
-        match self
-            .lock()
-            .families
-            .get(&sym)
-            .and_then(|f| f.series.get(&key))
-        {
-            Some(Instrument::Counter(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// Sets a gauge series.
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.with_series(name, labels, FamilyKind::Gauge, |i| {
-            if let Instrument::Gauge(v) = i {
-                *v = value;
-            }
-        });
-    }
-
-    /// Records one observation, in seconds, into a histogram series.
-    pub fn observe_seconds(&self, name: &str, labels: &[(&str, &str)], seconds: f64) {
-        self.with_series(name, labels, FamilyKind::Histogram, |i| {
-            if let Instrument::Histogram(h) = i {
-                h.observe(seconds);
-            }
-        });
-    }
-
-    /// Mirrors a raw nanosecond sample set (e.g. from
-    /// [`duc_sim::Histogram::samples`]) into a histogram series, replacing
-    /// its cells. Used when exporting a finished sim run.
-    pub fn mirror_histogram_nanos(&self, name: &str, labels: &[(&str, &str)], samples: &[u64]) {
-        self.with_series(name, labels, FamilyKind::Histogram, |i| {
-            if let Instrument::Histogram(h) = i {
-                *h = HistogramCells::default();
-                for &nanos in samples {
-                    h.observe(nanos as f64 / 1e9);
-                }
-            }
-        });
-    }
-
-    fn render_labels(&self, key: &LabelKey, extra: Option<(&str, &str)>) -> String {
-        if key.is_empty() && extra.is_none() {
-            return String::new();
-        }
-        let mut out = String::from("{");
-        let mut first = true;
-        for &(k, v) in key {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{}=\"{}\"",
-                self.names.resolve(k),
-                escape_label_value(&self.names.resolve(v))
-            );
-        }
-        if let Some((k, v)) = extra {
-            if !first {
-                out.push(',');
-            }
-            let _ = write!(out, "{k}=\"{v}\"");
-        }
-        out.push('}');
-        out
-    }
-
-    /// Renders the full exposition in Prometheus text format 0.0.4,
-    /// families sorted by name, series by label key.
-    pub fn render(&self) -> String {
-        let state = self.lock();
-        let mut families: Vec<(Arc<str>, &Family)> = state
-            .families
-            .iter()
-            .map(|(&sym, fam)| (self.names.resolve(sym), fam))
-            .collect();
-        families.sort_by(|a, b| a.0.cmp(&b.0));
+/// Appends one `(exposition name, text)` block per family: the `# HELP` and
+/// `# TYPE` lines, then whatever `series` writes for each of its series.
+fn push_families<T>(
+    blocks: &mut Vec<(String, String)>,
+    (families, kind, suffix): (&BTreeMap<String, Family<T>>, &str, &str),
+    help: &[(&str, &str)],
+    series: impl Fn(&mut String, &str, &Labels, &T),
+) {
+    for (raw, family) in families {
+        let name = prom_name(raw, suffix);
         let mut out = String::new();
-        for (name, family) in families {
-            if !family.help.is_empty() {
-                let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
-            }
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());
-            for (key, instrument) in &family.series {
-                match instrument {
-                    Instrument::Counter(v) => {
-                        let _ = writeln!(out, "{name}{} {v}", self.render_labels(key, None));
-                    }
-                    Instrument::Gauge(v) => {
-                        let _ = writeln!(out, "{name}{} {v}", self.render_labels(key, None));
-                    }
-                    Instrument::Histogram(h) => {
-                        let mut cumulative = 0u64;
-                        for (i, &bound) in BUCKET_BOUNDS_SECONDS.iter().enumerate() {
-                            cumulative += h.buckets[i];
-                            let le = format_bound(bound);
-                            let _ = writeln!(
-                                out,
-                                "{name}_bucket{} {cumulative}",
-                                self.render_labels(key, Some(("le", &le)))
-                            );
-                        }
-                        cumulative += h.overflow;
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {cumulative}",
-                            self.render_labels(key, Some(("le", "+Inf")))
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{name}_sum{} {}",
-                            self.render_labels(key, None),
-                            h.sum_seconds
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{name}_count{} {}",
-                            self.render_labels(key, None),
-                            h.count
-                        );
-                    }
-                }
-            }
+        if let Some((_, text)) = help.iter().find(|(family, _)| *family == name) {
+            let _ = writeln!(out, "# HELP {name} {}", escape_help(text));
         }
-        out
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for (labels, value) in family {
+            series(&mut out, &name, labels, value);
+        }
+        blocks.push((name, out));
     }
+}
 
-    /// Captures a point-in-time snapshot for the bench report.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let state = self.lock();
-        let mut snap = MetricsSnapshot::default();
-        for (&sym, family) in &state.families {
-            let name = self.names.resolve(sym);
-            for (key, instrument) in &family.series {
-                let series = format!("{name}{}", self.render_labels(key, None));
-                match instrument {
-                    Instrument::Counter(v) => {
-                        snap.counters.insert(series, *v);
-                    }
-                    Instrument::Gauge(v) => {
-                        snap.gauges.insert(series, *v);
-                    }
-                    Instrument::Histogram(h) => {
-                        snap.histograms.insert(series, (h.count, h.sum_seconds));
-                    }
-                }
-            }
-        }
-        snap
+fn render_histogram(out: &mut String, name: &str, labels: &Labels, histogram: &Histogram) {
+    let samples = histogram.samples();
+    for bound in BUCKET_BOUNDS_SECONDS {
+        let within = |&&nanos: &&u64| nanos as f64 / 1e9 <= bound;
+        let cumulative = samples.iter().filter(within).count();
+        // `Display` for f64 trims trailing zeros (1.0 → "1").
+        let le = render_labels(labels, Some(&bound.to_string()));
+        let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
+    }
+    let count = samples.len();
+    let inf = render_labels(labels, Some("+Inf"));
+    let _ = writeln!(out, "{name}_bucket{inf} {count}");
+    // Summed as integers so the page does not depend on sample order (the
+    // registry sorts in place on quantile queries).
+    let sum: u128 = samples.iter().map(|&nanos| nanos as u128).sum();
+    let plain = render_labels(labels, None);
+    let _ = writeln!(out, "{name}_sum{plain} {}", sum as f64 / 1e9);
+    let _ = writeln!(out, "{name}_count{plain} {count}");
+}
+
+/// `{k="v",...}` for a series, with the histogram `le` label last when
+/// given; empty when there is nothing to print.
+fn render_labels(labels: &Labels, le: Option<&str>) -> String {
+    let mut pairs: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+        .collect();
+    if let Some(le) = le {
+        pairs.push(format!("le=\"{le}\""));
+    }
+    if pairs.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs.join(","))
     }
 }
 
@@ -383,14 +158,10 @@ fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-fn format_bound(bound: f64) -> String {
-    // `Display` for f64 already trims trailing zeros (0.5 → "0.5", 1.0 → "1").
-    format!("{bound}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duc_sim::SimDuration;
 
     #[test]
     fn prom_name_normalises() {
@@ -403,79 +174,56 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_mirror_monotonically() {
-        let hub = MetricsHub::new();
-        hub.counter_add("duc_requests_total", &[("mode", "sim")], 2);
-        hub.counter_add("duc_requests_total", &[("mode", "sim")], 3);
-        assert_eq!(hub.counter("duc_requests_total", &[("mode", "sim")]), 5);
-        hub.counter_raise_to("duc_requests_total", &[("mode", "sim")], 4);
-        assert_eq!(hub.counter("duc_requests_total", &[("mode", "sim")]), 5);
-        hub.counter_raise_to("duc_requests_total", &[("mode", "sim")], 9);
-        assert_eq!(hub.counter("duc_requests_total", &[("mode", "sim")]), 9);
-        assert_eq!(hub.counter("duc_requests_total", &[("mode", "wall")]), 0);
-    }
-
-    #[test]
     fn label_order_is_canonical() {
-        let hub = MetricsHub::new();
-        hub.counter_add("duc_x_total", &[("b", "2"), ("a", "1")], 1);
-        hub.counter_add("duc_x_total", &[("a", "1"), ("b", "2")], 1);
-        assert_eq!(hub.counter("duc_x_total", &[("b", "2"), ("a", "1")]), 2);
-        let text = hub.render();
-        assert!(text.contains("duc_x_total{a=\"1\",b=\"2\"} 2"), "{text}");
+        let mut m = MetricsRegistry::new();
+        m.set("x", &[("b", "2"), ("a", "1")], 1);
+        m.set("x", &[("a", "1"), ("b", "2")], 2);
+        assert_eq!(
+            render(&m),
+            "# TYPE duc_x_total counter\nduc_x_total{a=\"1\",b=\"2\"} 2\n"
+        );
     }
 
     #[test]
     fn render_is_valid_exposition() {
-        let hub = MetricsHub::new();
-        hub.counter_add("duc_messages_total", &[], 7);
-        hub.set_help("duc_messages_total", "Messages sent.");
-        hub.gauge_set("duc_inflight", &[], 3.0);
-        hub.observe_seconds("duc_lag_seconds", &[], 0.002);
-        hub.observe_seconds("duc_lag_seconds", &[], 250.0);
-        let text = hub.render();
-        assert!(text.contains("# HELP duc_messages_total Messages sent."));
-        assert!(text.contains("# TYPE duc_messages_total counter"));
-        assert!(text.contains("duc_messages_total 7"));
-        assert!(text.contains("# TYPE duc_inflight gauge"));
-        assert!(text.contains("duc_inflight 3"));
-        assert!(text.contains("# TYPE duc_lag_seconds histogram"));
-        assert!(text.contains("duc_lag_seconds_bucket{le=\"0.005\"} 1"));
-        assert!(text.contains("duc_lag_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("duc_lag_seconds_count 2"));
-        // Families render sorted by name.
-        let inflight = text.find("duc_inflight").unwrap();
-        let lag = text.find("duc_lag_seconds").unwrap();
-        let messages = text.find("duc_messages_total").unwrap();
-        assert!(inflight < lag && lag < messages);
-    }
-
-    #[test]
-    fn histogram_mirror_replaces_cells() {
-        let hub = MetricsHub::new();
-        hub.mirror_histogram_nanos("duc_lat_seconds", &[], &[1_000_000, 2_000_000]);
-        hub.mirror_histogram_nanos("duc_lat_seconds", &[], &[1_000_000, 2_000_000, 3_000_000]);
-        let snap = hub.snapshot();
-        let (count, sum) = snap.histograms["duc_lat_seconds"];
-        assert_eq!(count, 3);
-        assert!((sum - 0.006).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshot_keys_match_render() {
-        let hub = MetricsHub::new();
-        hub.counter_add("duc_y_total", &[("kind", "read")], 4);
-        let snap = hub.snapshot();
-        assert_eq!(snap.counters["duc_y_total{kind=\"read\"}"], 4);
-    }
-
-    #[test]
-    fn hub_is_shareable_across_threads() {
-        let hub = MetricsHub::new();
-        let h2 = hub.clone();
-        std::thread::spawn(move || h2.counter_add("duc_t_total", &[], 1))
-            .join()
-            .unwrap();
-        assert_eq!(hub.counter("duc_t_total", &[]), 1);
+        let mut m = MetricsRegistry::new();
+        // Inserted out of exposition order on purpose.
+        m.record("process.lag", SimDuration::from_secs(250));
+        m.record("process.lag", SimDuration::from_millis(2));
+        m.record("process.lag", SimDuration::from_millis(5));
+        m.set_gauge("state.inflight", 3.0);
+        m.set("net.messages", &[], 7);
+        m.set(
+            "gas.used",
+            &[("method", "say \"hi\"\n"), ("contract", "a\\b")],
+            41,
+        );
+        m.set("gas.used", &[("contract", "a"), ("method", "m")], 1);
+        let help = [("duc_net_messages_total", "Messages\nsent \\ offered.")];
+        let expected = r#"# TYPE duc_gas_used_total counter
+duc_gas_used_total{contract="a",method="m"} 1
+duc_gas_used_total{contract="a\\b",method="say \"hi\"\n"} 41
+# HELP duc_net_messages_total Messages\nsent \\ offered.
+# TYPE duc_net_messages_total counter
+duc_net_messages_total 7
+# TYPE duc_process_lag_seconds histogram
+duc_process_lag_seconds_bucket{le="0.0005"} 0
+duc_process_lag_seconds_bucket{le="0.001"} 0
+duc_process_lag_seconds_bucket{le="0.005"} 2
+duc_process_lag_seconds_bucket{le="0.01"} 2
+duc_process_lag_seconds_bucket{le="0.05"} 2
+duc_process_lag_seconds_bucket{le="0.1"} 2
+duc_process_lag_seconds_bucket{le="0.5"} 2
+duc_process_lag_seconds_bucket{le="1"} 2
+duc_process_lag_seconds_bucket{le="5"} 2
+duc_process_lag_seconds_bucket{le="30"} 2
+duc_process_lag_seconds_bucket{le="120"} 2
+duc_process_lag_seconds_bucket{le="+Inf"} 3
+duc_process_lag_seconds_sum 250.007
+duc_process_lag_seconds_count 3
+# TYPE duc_state_inflight gauge
+duc_state_inflight 3
+"#;
+        assert_eq!(render_with_help(&m, &help), expected);
     }
 }

@@ -6,7 +6,7 @@
 //! anchored at a genesis `Instant`, optionally compressed by an integer
 //! `scale` so experiments replay long simulated schedules in a short real
 //! run (logical elapsed = real elapsed × scale). Periodic timers follow
-//! the same genesis-anchored grid as [`SimClock`], with skip-missed-tick
+//! the same genesis-anchored grid as [`crate::SimClock`], with skip-missed-tick
 //! semantics when firings fall behind.
 //!
 //! [`WallHandle`]s let producer threads inject wakeups from outside the

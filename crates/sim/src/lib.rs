@@ -2,9 +2,11 @@
 //!
 //! Every experiment in this workspace runs on a *deterministic* substrate:
 //! a logical clock, a seeded pseudo-random number generator, a discrete-event
-//! scheduler, a configurable network latency/fault model and a metrics
-//! registry. Nothing in the simulation reads wall-clock time or OS entropy,
-//! so a run is a pure function of its seed and parameters.
+//! scheduler, a configurable network latency/fault model and the
+//! workspace's one metrics registry ([`MetricsRegistry`]: counters, gauges
+//! and exact-sample histograms, optionally labelled, iterated in
+//! deterministic order). Nothing in the simulation reads wall-clock time or
+//! OS entropy, so a run is a pure function of its seed and parameters.
 //!
 //! The paper (Basile et al., ICDCS 2023) defers performance, scalability and
 //! robustness evaluation to future work; this crate is the measurement bed on
@@ -33,7 +35,7 @@ pub mod sched;
 
 pub use clock::{Clock, SimDuration, SimTime};
 pub use fault::{FaultPlan, FaultSpec};
-pub use metrics::{Counter, Histogram, MetricsRegistry, TraceEvent, TraceRecorder};
+pub use metrics::{Counter, Family, Histogram, Labels, MetricsRegistry, TraceEvent, TraceRecorder};
 pub use net::{EndpointId, LatencyModel, LinkConfig, NetworkModel};
 pub use rng::Rng;
 pub use sched::{EventId, Scheduler};

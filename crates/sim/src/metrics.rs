@@ -1,8 +1,10 @@
-//! Measurement primitives: counters, latency histograms and an event trace.
+//! Measurement primitives: counters, gauges, latency histograms and an
+//! event trace.
 //!
-//! Every experiment harness collects its numbers through a
-//! [`MetricsRegistry`]; the bench `report` binary turns registries into the
-//! tables of EXPERIMENTS.md.
+//! [`MetricsRegistry`] is the workspace's only metric store. Every
+//! experiment harness collects its numbers through one; the bench `report`
+//! binary turns registries into the tables of EXPERIMENTS.md, and
+//! `duc-runtime` renders one as the Prometheus `/metrics` page.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,20 +61,14 @@ impl Histogram {
         self.sorted = false;
     }
 
-    /// Records a raw nanosecond value.
-    pub fn record_nanos(&mut self, nanos: u64) {
-        self.samples.push(nanos);
-        self.sorted = false;
-    }
-
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
         self.samples.len()
     }
 
     /// The raw recorded samples in nanoseconds, in insertion order until
-    /// the first quantile query (which sorts in place). Exporters (the
-    /// runtime metrics hub) mirror these into bucketed histograms.
+    /// the first quantile query (which sorts in place). The Prometheus
+    /// renderer buckets these at render time.
     pub fn samples(&self) -> &[u64] {
         &self.samples
     }
@@ -150,11 +146,41 @@ impl Histogram {
     }
 }
 
-/// A named bundle of counters and histograms.
+/// A canonical label set: `(key, value)` pairs sorted by key.
+pub type Labels = Vec<(String, String)>;
+
+/// The series of one family (one metric name): label set → value. The
+/// unlabelled series sits under the empty label set.
+pub type Family<T> = BTreeMap<Labels, T>;
+
+/// Applies `apply` to the series `name{labels}` of `families`, created on
+/// first use. Looks the family up by `&str` first: the name is only copied
+/// when the family is new, and an empty label set never allocates.
+fn update<T: Default>(
+    families: &mut BTreeMap<String, Family<T>>,
+    name: &str,
+    labels: &[(&str, &str)],
+    apply: impl FnOnce(&mut T),
+) {
+    let mut key: Labels = labels.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+    key.sort_unstable();
+    let family = match families.get_mut(name) {
+        Some(family) => family,
+        None => families.entry(name.to_string()).or_default(),
+    };
+    apply(family.entry(key).or_default());
+}
+
+/// A named bundle of counters, gauges and histograms — every family and
+/// every series in `BTreeMap` order, so iteration is deterministic.
+///
+/// A series is a name plus an optional label set. The name-only methods
+/// address the unlabelled series of that name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<String, Family<Counter>>,
+    gauges: BTreeMap<String, Family<f64>>,
+    histograms: BTreeMap<String, Family<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -165,59 +191,74 @@ impl MetricsRegistry {
 
     /// Increments the named counter, creating it on first use.
     pub fn incr(&mut self, name: &str) {
-        self.counters.entry(name.to_string()).or_default().incr();
+        update(&mut self.counters, name, &[], Counter::incr);
     }
 
     /// Adds `n` to the named counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        self.counters.entry(name.to_string()).or_default().add(n);
+        update(&mut self.counters, name, &[], |c| c.add(n));
+    }
+
+    /// Sets the counter series `name{labels}` to a running total kept
+    /// elsewhere (network model, gas ledger, TEE caches).
+    pub fn set(&mut self, name: &str, labels: &[(&str, &str)], total: u64) {
+        update(&mut self.counters, name, labels, |c| c.value = total);
+    }
+
+    /// Sets the named gauge.
+    pub fn set_gauge(&mut self, name: &str, value: f64) {
+        update(&mut self.gauges, name, &[], |g| *g = value);
     }
 
     /// Reads a counter (zero if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).map(Counter::value).unwrap_or(0)
+        let series = self.counters.get(name).and_then(|f| f.get(&[][..]));
+        series.map_or(0, Counter::value)
     }
 
     /// Records a duration sample under `name`.
     pub fn record(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
+        update(&mut self.histograms, name, &[], |h| h.record(d));
     }
 
     /// Mutable access to a histogram (created on first use).
     pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        update(&mut self.histograms, name, &[], |_| {});
+        let series = self
+            .histograms
+            .get_mut(name)
+            .and_then(|f| f.get_mut(&[][..]));
+        series.expect("series just ensured")
     }
 
-    /// Immutable access to a histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates counters in name order.
+    /// Iterates the unlabelled counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.value()))
+        self.counters
+            .iter()
+            .filter_map(|(name, family)| Some((name.as_str(), family.get(&[][..])?.value())))
     }
 
-    /// Iterates histogram names in order.
+    /// Iterates the unlabelled histograms' names in order.
     pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
+        self.histograms
+            .iter()
+            .filter(|(_, family)| family.contains_key(&[][..]))
+            .map(|(name, _)| name.as_str())
     }
 
-    /// Merges another registry into this one (summing counters, appending
-    /// samples).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.counters.entry(k.clone()).or_default().add(v.value());
-        }
-        for (k, h) in &other.histograms {
-            let dst = self.histograms.entry(k.clone()).or_default();
-            for &s in &h.samples {
-                dst.record_nanos(s);
-            }
-        }
+    /// The counter families in name order.
+    pub fn counter_families(&self) -> &BTreeMap<String, Family<Counter>> {
+        &self.counters
+    }
+
+    /// The gauge families in name order.
+    pub fn gauge_families(&self) -> &BTreeMap<String, Family<f64>> {
+        &self.gauges
+    }
+
+    /// The histogram families in name order.
+    pub fn histogram_families(&self) -> &BTreeMap<String, Family<Histogram>> {
+        &self.histograms
     }
 }
 
@@ -360,16 +401,34 @@ mod tests {
     }
 
     #[test]
-    fn registry_merge_sums_and_appends() {
-        let mut a = MetricsRegistry::new();
-        a.add("n", 1);
-        a.record("lat", SimDuration::from_millis(5));
-        let mut b = MetricsRegistry::new();
-        b.add("n", 2);
-        b.record("lat", SimDuration::from_millis(15));
-        a.merge(&b);
-        assert_eq!(a.counter("n"), 3);
-        assert_eq!(a.histogram_mut("lat").len(), 2);
+    fn labelled_series_are_canonical_and_apart_from_the_unlabelled_one() {
+        let mut m = MetricsRegistry::new();
+        m.add("gas.used", 1);
+        m.set("gas.used", &[("method", "m"), ("contract", "c")], 7);
+        m.set("gas.used", &[("contract", "c"), ("method", "m")], 9);
+        m.set_gauge("state.resident_pages", 3.0);
+        m.record("e2e", SimDuration::from_millis(10));
+        // Name-only reads see the unlabelled series alone.
+        assert_eq!(m.counter("gas.used"), 1);
+        assert_eq!(m.counters().collect::<Vec<_>>(), [("gas.used", 1)]);
+        let rows: Vec<String> = m
+            .counter_families()
+            .iter()
+            .flat_map(|(name, family)| {
+                family
+                    .iter()
+                    .map(move |(labels, c)| format!("{name}{labels:?} = {}", c.value()))
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "gas.used[] = 1",
+                r#"gas.used[("contract", "c"), ("method", "m")] = 9"#,
+            ]
+        );
+        assert_eq!(m.gauge_families()["state.resident_pages"][&[][..]], 3.0);
+        assert_eq!(m.histogram_names().collect::<Vec<_>>(), ["e2e"]);
     }
 
     #[test]

@@ -168,8 +168,6 @@ pub struct NetworkModel {
     dropped_loss: u64,
     /// Total payload bytes offered.
     bytes_sent: u64,
-    /// Counter values at the last [`NetworkModel::publish_metrics`] call.
-    published: [u64; 6],
 }
 
 impl NetworkModel {
@@ -189,7 +187,6 @@ impl NetworkModel {
             dropped_down: 0,
             dropped_loss: 0,
             bytes_sent: 0,
-            published: [0; 6],
         }
     }
 
@@ -319,30 +316,15 @@ impl NetworkModel {
         (self.dropped_partition, self.dropped_down, self.dropped_loss)
     }
 
-    /// Publishes the network counters into a [`MetricsRegistry`] under the
-    /// `net.*` names, adding only the delta since the previous publish so
-    /// repeated calls never double-count.
-    pub fn publish_metrics(&mut self, metrics: &mut MetricsRegistry) {
-        let current = [
-            self.messages_sent,
-            self.messages_dropped,
-            self.dropped_partition,
-            self.dropped_down,
-            self.dropped_loss,
-            self.bytes_sent,
-        ];
-        let names = [
-            "net.messages_sent",
-            "net.messages_dropped",
-            "net.dropped.partition",
-            "net.dropped.down",
-            "net.dropped.loss",
-            "net.bytes_sent",
-        ];
-        for ((name, now), before) in names.iter().zip(current).zip(self.published) {
-            metrics.add(name, now - before);
-        }
-        self.published = current;
+    /// Sets the `net.*` counters of `metrics` to this model's running
+    /// totals.
+    pub fn publish_metrics(&self, metrics: &mut MetricsRegistry) {
+        metrics.set("net.messages_sent", &[], self.messages_sent);
+        metrics.set("net.messages_dropped", &[], self.messages_dropped);
+        metrics.set("net.dropped.partition", &[], self.dropped_partition);
+        metrics.set("net.dropped.down", &[], self.dropped_down);
+        metrics.set("net.dropped.loss", &[], self.dropped_loss);
+        metrics.set("net.bytes_sent", &[], self.bytes_sent);
     }
 }
 
@@ -492,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_metrics_adds_only_deltas() {
+    fn publish_metrics_sets_running_totals() {
         let mut net = NetworkModel::new(LinkConfig::local());
         let a = net.add_endpoint("a");
         let b = net.add_endpoint("b");
@@ -502,7 +484,7 @@ mod tests {
         net.publish_metrics(&mut m);
         assert_eq!(m.counter("net.messages_sent"), 1);
         assert_eq!(m.counter("net.bytes_sent"), 10);
-        // Publishing again without traffic adds nothing.
+        // Publishing again without traffic changes nothing.
         net.publish_metrics(&mut m);
         assert_eq!(m.counter("net.messages_sent"), 1);
         net.partition(a, b);

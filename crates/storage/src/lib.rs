@@ -2,7 +2,7 @@
 //!
 //! Every chain in the stack historically kept every block and every event
 //! forever, so memory grew linearly in request count. This crate supplies
-//! the storage primitives behind which [`duc_blockchain`]'s `Blockchain`
+//! the storage primitives behind which `duc_blockchain`'s `Blockchain`
 //! keeps only a bounded in-memory *window* of recent blocks:
 //!
 //! * [`StorageConfig`] — the retention knobs (checkpoint interval, window

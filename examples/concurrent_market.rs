@@ -29,9 +29,9 @@ const DEVICES: usize = 24;
 fn wall_clock_market() -> Result<(), ProcessError> {
     const SCALE: u64 = 200; // 200 logical seconds ≈ 1 real second
     let (mut world, script) = solid_usage_control::core::market_world(8, 42);
-    let hub = MetricsHub::new();
+    let page = MetricsPage::new();
     let server =
-        MetricsServer::serve(hub.clone(), "127.0.0.1:0").expect("bind loopback metrics socket");
+        MetricsServer::serve(page.clone(), "127.0.0.1:0").expect("bind loopback metrics socket");
     println!(
         "wall-clock mode ({SCALE}× compression); scrape {} while it runs",
         server.url()
@@ -43,9 +43,14 @@ fn wall_clock_market() -> Result<(), ProcessError> {
         &mut world,
         script,
         RuntimeMode::Wall { scale: SCALE },
-        Some(hub.clone()),
+        Some(page.clone()),
         &ShutdownSignal::new(),
-        &DriveConfig::default(),
+        // Refresh the served page every 10 logical seconds (50 real ms),
+        // so a scrape during the run sees it progress.
+        &DriveConfig {
+            export_every: Some(SimDuration::from_secs(10)),
+            ..DriveConfig::default()
+        },
     );
     let elapsed = started.elapsed();
     for (_, outcome) in &run.outcomes {
@@ -58,7 +63,7 @@ fn wall_clock_market() -> Result<(), ProcessError> {
         run.report.admitted as f64 / elapsed.as_secs_f64(),
         run.report.drained,
     );
-    let scrape = hub.render();
+    let scrape = page.text();
     let families = scrape.lines().filter(|l| l.starts_with("# TYPE ")).count();
     println!(
         "final scrape: {families} metric families, {} bytes",
