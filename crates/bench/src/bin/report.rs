@@ -6,56 +6,71 @@
 //! cargo run -p duc-bench --bin report --release -- --json all
 //! ```
 //!
-//! With `--json`, additionally writes `BENCH_seed.json`: one record per
-//! experiment (always all of them, independent of the table selection)
-//! with the median latency (first `ms` column) and median gas (first
-//! `gas` column) of each table — the seed of the repository's
-//! performance trajectory. Each experiment runs at most once per
-//! invocation; table output and JSON share the results.
+//! `--max-owners N` caps the population sweeps of E15/E16/E19 (default
+//! 10 000). With `--json`, additionally writes `BENCH_seed.json`: one
+//! record per experiment (always all of them, independent of the table
+//! selection) with the median latency (first `ms` column), the median gas
+//! (first `gas` column) and every row of each table — the seed of the
+//! repository's performance trajectory. Each experiment runs at most once
+//! per invocation; table output and JSON share the results.
 
 use duc_bench::experiments;
 use duc_bench::Table;
 
 const JSON_PATH: &str = "BENCH_seed.json";
 
-/// One registry entry: experiment name plus its runner.
-type Experiment = (&'static str, fn() -> Vec<Table>);
+/// The default owner cap of the population sweeps (E15/E16/E19): the
+/// 10⁴ acceptance point.
+const DEFAULT_MAX_OWNERS: usize = 10_000;
+
+/// One registry entry: experiment name plus its runner, which takes the
+/// `--max-owners` cap (only the population experiments read it).
+type Experiment = (&'static str, fn(usize) -> Vec<Table>);
 
 /// The single registry every consumer (table output, JSON, the usage
 /// message) derives from.
 const EXPERIMENTS: &[Experiment] = &[
-    ("e1", experiments::e1_pod_initiation),
-    ("e2", experiments::e2_resource_initiation),
-    ("e3", experiments::e3_indexing),
-    ("e4", experiments::e4_access),
-    ("e5", experiments::e5_propagation),
-    ("e6", experiments::e6_monitoring),
-    ("e7", experiments::e7_gas_table),
-    ("e8", experiments::e8_robustness),
-    ("e9", experiments::e9_privacy),
-    ("e10", experiments::e10_baseline),
-    ("e11", experiments::e11_enforcement),
-    ("e12", experiments::e12_chain_scale),
-    ("e13", experiments::e13_backends),
-    ("e14", experiments::e14_deadline_enforcement),
+    ("e1", |_| experiments::e1_pod_initiation()),
+    ("e2", |_| experiments::e2_resource_initiation()),
+    ("e3", |_| experiments::e3_indexing()),
+    ("e4", |_| experiments::e4_access()),
+    ("e5", |_| experiments::e5_propagation()),
+    ("e6", |_| experiments::e6_monitoring()),
+    ("e7", |_| experiments::e7_gas_table()),
+    ("e8", |_| experiments::e8_robustness()),
+    ("e9", |_| experiments::e9_privacy()),
+    ("e10", |_| experiments::e10_baseline()),
+    ("e11", |_| experiments::e11_enforcement()),
+    ("e12", |_| experiments::e12_chain_scale()),
+    ("e13", |_| experiments::e13_backends()),
+    ("e14", |_| experiments::e14_deadline_enforcement()),
     ("e15", experiments::e15_population),
     ("e16", experiments::e16_storage),
-    ("e17", experiments::e17_parallel_exec),
-    ("e18", experiments::e18_runtime),
+    ("e17", |_| experiments::e17_parallel_exec()),
+    ("e18", |_| experiments::e18_runtime()),
     ("e19", experiments::e19_paged_state),
 ];
 
 /// Runs experiment `index` on first use, then serves the cached tables.
-fn tables(cache: &mut [Option<Vec<Table>>], index: usize) -> &[Table] {
-    cache[index].get_or_insert_with(EXPERIMENTS[index].1)
+fn tables(cache: &mut [Option<Vec<Table>>], index: usize, max_owners: usize) -> &[Table] {
+    cache[index].get_or_insert_with(|| EXPERIMENTS[index].1(max_owners))
 }
 
 fn main() {
     let mut json = false;
+    let mut max_owners = DEFAULT_MAX_OWNERS;
     let mut selected: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
+            "--max-owners" => {
+                let value = args.next().unwrap_or_default();
+                max_owners = value.parse().unwrap_or_else(|_| {
+                    eprintln!("--max-owners needs an owner count, got {value:?}");
+                    std::process::exit(2);
+                });
+            }
             other => selected.push(other.to_string()),
         }
     }
@@ -86,21 +101,21 @@ fn main() {
     println!("# solid-usage-control experiment report");
     println!("(deterministic simulation; see EXPERIMENTS.md for interpretation)");
     for index in indices {
-        for table in tables(&mut cache, index) {
+        for table in tables(&mut cache, index, max_owners) {
             print!("{table}");
         }
     }
     if json {
-        let document = json_document(&mut cache);
+        let document = json_document(&mut cache, max_owners);
         std::fs::write(JSON_PATH, document).unwrap_or_else(|e| panic!("writing {JSON_PATH}: {e}"));
         eprintln!("wrote {JSON_PATH}");
     }
 }
 
-fn json_document(cache: &mut [Option<Vec<Table>>]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"duc-bench-v1\",\n  \"experiments\": {\n");
+fn json_document(cache: &mut [Option<Vec<Table>>], max_owners: usize) -> String {
+    let mut out = String::from("{\n  \"schema\": \"duc-bench-v2\",\n  \"experiments\": {\n");
     for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
-        let tables = tables(cache, i);
+        let tables = tables(cache, i, max_owners);
         out.push_str(&format!("    {}: [\n", json_string(name)));
         for (j, table) in tables.iter().enumerate() {
             out.push_str("      {\n");
@@ -108,45 +123,15 @@ fn json_document(cache: &mut [Option<Vec<Table>>]) -> String {
                 "        \"table\": {},\n",
                 json_string(table.title())
             ));
-            // Backend-comparison (and enforcement-mode) tables report
-            // per-row records instead of medians: a median over mixed
-            // rows would track the row selection, not performance.
-            let mut rows = backend_rows(table);
-            if rows.is_empty() {
-                rows = mode_rows(table);
-            }
-            if rows.is_empty() {
-                rows = population_rows(table);
-            }
-            if rows.is_empty() {
-                rows = storage_rows(table);
-            }
-            if rows.is_empty() {
-                rows = exec_rows(table);
-            }
-            if rows.is_empty() {
-                rows = runtime_rows(table);
-            }
-            if rows.is_empty() {
-                rows = paging_rows(table);
-            }
-            if rows.is_empty() {
-                rows = residency_rows(table);
-            }
-            let median = |needle| {
-                if rows.is_empty() {
-                    json_number(median_of_column(table, needle))
-                } else {
-                    "null".to_string()
-                }
-            };
             out.push_str(&format!(
                 "        \"median_latency_ms\": {},\n",
-                median("ms")
+                json_number(median_of_column(table, "ms"))
             ));
-            out.push_str(&format!("        \"median_gas\": {}", median("gas")));
-            out.push_str(&rows);
-            out.push('\n');
+            out.push_str(&format!(
+                "        \"median_gas\": {},\n",
+                json_number(median_of_column(table, "gas"))
+            ));
+            out.push_str(&json_rows(table));
             out.push_str(if j + 1 < tables.len() {
                 "      },\n"
             } else {
@@ -163,309 +148,32 @@ fn json_document(cache: &mut [Option<Vec<Table>>]) -> String {
     out
 }
 
-/// For tables comparing ledger backends (a `backend` plus a `shards`
-/// column, e.g. E13): one JSON record per row, so BENCH_*.json tracks
-/// single-vs-sharded throughput across PRs. Empty for every other table.
-fn backend_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
+/// Every row of `table` as one JSON object keyed by column header, cells
+/// that read as numbers emitted as numbers — so BENCH_*.json tracks each
+/// experiment's per-row records across PRs without knowing any table's
+/// layout.
+fn json_rows(table: &Table) -> String {
+    let mut out = String::from("        \"rows\": [\n");
+    for (i, row) in table.rows().iter().enumerate() {
+        let cells: Vec<String> = table
             .columns()
             .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(backend), Some(shards)) = (col("backend"), col("shards")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"backends\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
+            .zip(row)
+            .map(|(column, cell)| {
+                let value = match cell.trim().parse::<f64>() {
+                    Ok(number) if number.is_finite() => json_number(Some(number)),
+                    _ => json_string(cell),
+                };
+                format!("{}: {value}", json_string(column))
+            })
+            .collect();
         out.push_str(&format!(
-            "          {{\"backend\": {}, \"shards\": {}, \"makespan_ms\": {}, \"req_per_s\": {}, \"speedup\": {}}}{}\n",
-            json_string(row.get(backend).map_or("", String::as_str)),
-            numeric(row, Some(shards)),
-            numeric(row, col("makespan")),
-            numeric(row, col("req/s")),
-            numeric(row, col("speedup")),
+            "          {{{}}}{}\n",
+            cells.join(", "),
             if i + 1 < table.rows().len() { "," } else { "" },
         ));
     }
-    out.push_str("        ]");
-    out
-}
-
-/// For tables comparing enforcement modes (a `mode` plus a `mean lag`
-/// column, e.g. E14a): one JSON record per row, so BENCH_*.json tracks
-/// round-based vs deadline-driven enforcement latency across PRs. Empty
-/// for every other table.
-fn mode_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(mode), Some(mean)) = (col("mode"), col("mean lag")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"modes\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"mode\": {}, \"mean_lag_ms\": {}, \"max_lag_ms\": {}, \"deletions\": {}}}{}\n",
-            json_string(row.get(mode).map_or("", String::as_str)),
-            numeric(row, Some(mean)),
-            numeric(row, col("max lag")),
-            numeric(row, col("deletions")),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the population-scale table (an `owners` plus a `req/s` column,
-/// e.g. E15): one JSON record per row, so BENCH_*.json tracks throughput,
-/// tail latency and peak memory across population sizes and PRs. Empty
-/// for every other table. Wall-clock req/s is host-dependent; the JSON
-/// records it for trend context, while the in-run superlinearity gate is
-/// what CI enforces.
-fn population_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(owners), Some(req_s)) = (col("owners"), col("req/s")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"population\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"owners\": {}, \"requests\": {}, \"req_per_s\": {}, \"p99_ms\": {}, \"peak_rss_mib\": {}}}{}\n",
-            numeric(row, Some(owners)),
-            numeric(row, col("requests")),
-            numeric(row, Some(req_s)),
-            numeric(row, col("p99")),
-            numeric(row, col("rss")),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the storage sweep (a `waves` plus a `retained (prune)` column,
-/// e.g. E16): two JSON records per table row — one per storage
-/// configuration — so BENCH_*.json tracks retained blocks and peak memory
-/// for the pruned and the full run separately across PRs. Empty for every
-/// other table.
-fn storage_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(waves), Some(_)) = (col("waves"), col("retained (prune)")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> Option<f64> {
-        idx.and_then(|i| row.get(i))
-            .and_then(|c| c.trim().parse().ok())
-    };
-    let rss_bytes = |row: &[String], idx: Option<usize>| -> String {
-        json_number(numeric(row, idx).map(|mib| mib * 1024.0 * 1024.0))
-    };
-    let mut out = String::from(",\n        \"storage\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        for (j, config) in ["pruned", "full"].iter().enumerate() {
-            let needle = if *config == "pruned" {
-                "(prune)"
-            } else {
-                "(full)"
-            };
-            out.push_str(&format!(
-                "          {{\"config\": {}, \"owners\": {}, \"waves\": {}, \"requests\": {}, \"blocks\": {}, \"retained_blocks\": {}, \"peak_rss_bytes\": {}}}{}\n",
-                json_string(config),
-                json_number(numeric(row, col("owners"))),
-                json_number(numeric(row, Some(waves))),
-                json_number(numeric(row, col("requests"))),
-                json_number(numeric(row, col("blocks"))),
-                json_number(numeric(row, col(&format!("retained {needle}")))),
-                rss_bytes(row, col(&format!("peak rss mib {needle}"))),
-                if i + 1 < table.rows().len() || j == 0 { "," } else { "" },
-            ));
-        }
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the execution-mode comparison (an `exec mode` plus a `speedup`
-/// column, e.g. E17): one JSON record per row, so BENCH_*.json tracks
-/// serial vs parallel block-seal time across PRs. Empty for every other
-/// table.
-fn exec_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(mode), Some(_)) = (col("exec mode"), col("speedup")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"exec_modes\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"exec_mode\": {}, \"threads\": {}, \"block_ms\": {}, \"txs_per_s\": {}, \"speedup\": {}}}{}\n",
-            json_string(row.get(mode).map_or("", String::as_str)),
-            numeric(row, col("threads")),
-            numeric(row, col("block ms")),
-            numeric(row, col("txs/s")),
-            numeric(row, col("speedup")),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the execution-runtime comparison (a `runtime mode` plus a `req/s`
-/// column, e.g. E18): one JSON record per row, so BENCH_*.json tracks
-/// sim-mode compute throughput and wall-mode paced throughput across PRs.
-/// Wall req/s is host- and compression-dependent; the JSON records it for
-/// trend context, while the outcome-set identity and scrape gates inside
-/// the experiment are what CI enforces. Empty for every other table.
-fn runtime_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(mode), Some(req_s)) = (col("runtime mode"), col("req/s")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"runtime_modes\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"mode\": {}, \"requests\": {}, \"real_ms\": {}, \"req_per_s\": {}}}{}\n",
-            json_string(row.get(mode).map_or("", String::as_str)),
-            numeric(row, col("requests")),
-            numeric(row, col("real ms")),
-            numeric(row, Some(req_s)),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the paging identity sweep (a `cache` plus a `fault-ins` column,
-/// e.g. E19a): one JSON record per cache size, so BENCH_*.json tracks
-/// eviction/fault-in pressure and resident footprint per cache
-/// configuration across PRs. The fingerprint-identity gates run inside
-/// the experiment; the JSON records the cost of each cache size. Empty
-/// for every other table.
-fn paging_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(cache), Some(fault_ins)) = (col("cache"), col("fault-ins")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> String {
-        json_number(
-            idx.and_then(|i| row.get(i))
-                .and_then(|c| c.trim().parse().ok()),
-        )
-    };
-    let mut out = String::from(",\n        \"caches\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"cache\": {}, \"requests\": {}, \"evictions\": {}, \"fault_ins\": {}, \"resident_pages\": {}, \"resident_kib\": {}, \"wall_ms\": {}}}{}\n",
-            json_string(row.get(cache).map_or("", String::as_str)),
-            numeric(row, col("requests")),
-            numeric(row, col("evictions")),
-            numeric(row, Some(fault_ins)),
-            numeric(row, col("resident pages")),
-            numeric(row, col("resident kib")),
-            numeric(row, col("wall ms")),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
-    }
-    out.push_str("        ]");
-    out
-}
-
-/// For the state-residency comparison (a `config` plus a `bytes/owner`
-/// column, e.g. E19b): one JSON record per row, so BENCH_*.json tracks
-/// the per-owner resident footprint of the paged and unpaged stores
-/// across PRs. Empty for every other table.
-fn residency_rows(table: &Table) -> String {
-    let col = |needle: &str| {
-        table
-            .columns()
-            .iter()
-            .position(|c| c.to_lowercase().contains(needle))
-    };
-    let (Some(config), Some(per_owner)) = (col("config"), col("bytes/owner")) else {
-        return String::new();
-    };
-    let numeric = |row: &[String], idx: Option<usize>| -> Option<f64> {
-        idx.and_then(|i| row.get(i))
-            .and_then(|c| c.trim().parse().ok())
-    };
-    let kib_bytes = |row: &[String], idx: Option<usize>| -> String {
-        json_number(numeric(row, idx).map(|kib| kib * 1024.0))
-    };
-    let mut out = String::from(",\n        \"residency\": [\n");
-    for (i, row) in table.rows().iter().enumerate() {
-        out.push_str(&format!(
-            "          {{\"config\": {}, \"owners\": {}, \"resident_bytes\": {}, \"bytes_per_owner\": {}, \"evictions\": {}, \"peak_rss_mib\": {}}}{}\n",
-            json_string(row.get(config).map_or("", String::as_str)),
-            json_number(numeric(row, col("owners"))),
-            kib_bytes(row, col("resident kib")),
-            json_number(numeric(row, Some(per_owner))),
-            json_number(numeric(row, col("evictions"))),
-            json_number(numeric(row, col("rss"))),
-            if i + 1 < table.rows().len() { "," } else { "" },
-        ));
-    }
-    out.push_str("        ]");
+    out.push_str("        ]\n");
     out
 }
 

@@ -1425,17 +1425,21 @@ pub fn e14_deadline_enforcement() -> Vec<Table> {
 
 // --------------------------------------------------------------------- E15
 
-/// The E15 population sweep, capped by `DUC_E15_MAX_OWNERS` (default
-/// 10 000 — the acceptance point; CI runs the 1 000-owner point).
-fn e15_points() -> Vec<usize> {
-    let cap = std::env::var("DUC_E15_MAX_OWNERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000usize);
+/// The E15 population sweep up to `max_owners` (`report --max-owners`;
+/// the 100-owner point always runs).
+fn e15_points(max_owners: usize) -> Vec<usize> {
     [100usize, 1_000, 10_000, 100_000]
         .into_iter()
-        .filter(|n| *n <= cap.max(100))
+        .filter(|n| *n <= max_owners.max(100))
         .collect()
+}
+
+/// The largest E15 point within `max_owners` — the population E16 and
+/// E19 run at.
+fn largest_e15_point(max_owners: usize) -> usize {
+    *e15_points(max_owners)
+        .last()
+        .expect("at least one E15 point")
 }
 
 /// E15 — population scale: synthetic market populations from 10² to 10⁵
@@ -1444,7 +1448,7 @@ fn e15_points() -> Vec<usize> {
 /// rows, so req/s isolates how the *population size* taxes the
 /// architecture; the run asserts wall-clock throughput does not degrade
 /// superlinearly in the population.
-pub fn e15_population() -> Vec<Table> {
+pub fn e15_population(max_owners: usize) -> Vec<Table> {
     let mut table = Table::new(
         "E15 · population scale — Zipf market, bursty waves, device churn (3 × 128-access waves)",
         &[
@@ -1466,7 +1470,7 @@ pub fn e15_population() -> Vec<Table> {
     // row reports the peak *so far*.
     crate::rss::reset_peak();
     let mut baseline: Option<(usize, f64)> = None;
-    for owners in e15_points() {
+    for owners in e15_points(max_owners) {
         let spec = scenario::PopulationSpec {
             owners,
             ..scenario::PopulationSpec::default()
@@ -1528,8 +1532,8 @@ pub fn e15_population() -> Vec<Table> {
 /// pruned run's resident block window stays bounded while the chain
 /// grows, and (where the kernel's high-water-mark reset is available)
 /// pruned peak RSS grows sublinearly in the request count.
-pub fn e16_storage() -> Vec<Table> {
-    let owners = *e15_points().last().expect("at least one E15 point");
+pub fn e16_storage(max_owners: usize) -> Vec<Table> {
+    let owners = largest_e15_point(max_owners);
     e16_storage_at(owners, &[2, 4, 8], 8, 16)
 }
 
@@ -1963,8 +1967,8 @@ fn e19_run(spec: &scenario::PopulationSpec, storage: StorageConfig) -> E19Run {
 /// included), per-method gas and outcomes. Paging must be invisible to
 /// everything but memory.
 ///
-/// (b) Residency run at the `DUC_E15_MAX_OWNERS` cap (the E19 CI step
-/// raises it to 10⁵; set it to 10⁶ locally for the headline row): with a
+/// (b) Residency run at the largest E15 point within `max_owners` (the
+/// E19 CI step passes 10⁵; 10⁶ is the local headline row): with a
 /// population-scaled page cache the accounted resident state bytes must
 /// come in at ≤ 0.4× the unpaged run's. The paged run goes first so each
 /// configuration's peak-RSS column starts from its own high-water mark.
@@ -1972,8 +1976,8 @@ fn e19_run(spec: &scenario::PopulationSpec, storage: StorageConfig) -> E19Run {
 /// scale the process high-water mark is dominated by the device fleet
 /// and the sealed blocks (E16's pruning bounds the latter), which paging
 /// cannot and should not touch.
-pub fn e19_paged_state() -> Vec<Table> {
-    let cap = *e15_points().last().expect("at least one E15 point");
+pub fn e19_paged_state(max_owners: usize) -> Vec<Table> {
+    let cap = largest_e15_point(max_owners);
     // The residency cache scales with the population (1 page per 64
     // owners, within [2, 64]) so the 0.4× gate stays meaningful at the
     // small caps CI uses for the all-experiments run as well as at the
@@ -2135,31 +2139,6 @@ fn e19_paged_state_at(
         stats_f.resident_bytes
     );
     vec![identity, residency]
-}
-
-/// Runs every experiment in order.
-pub fn all() -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.extend(e1_pod_initiation());
-    tables.extend(e2_resource_initiation());
-    tables.extend(e3_indexing());
-    tables.extend(e4_access());
-    tables.extend(e5_propagation());
-    tables.extend(e6_monitoring());
-    tables.extend(e7_gas_table());
-    tables.extend(e8_robustness());
-    tables.extend(e9_privacy());
-    tables.extend(e10_baseline());
-    tables.extend(e11_enforcement());
-    tables.extend(e12_chain_scale());
-    tables.extend(e13_backends());
-    tables.extend(e14_deadline_enforcement());
-    tables.extend(e15_population());
-    tables.extend(e16_storage());
-    tables.extend(e17_parallel_exec());
-    tables.extend(e18_runtime());
-    tables.extend(e19_paged_state());
-    tables
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! # duc-bench — the experiment harness
 //!
-//! One function per experiment of EXPERIMENTS.md (E1–E18). Each builds a
+//! One function per experiment of EXPERIMENTS.md (E1–E19). Each builds a
 //! fresh deterministic [`duc_core::World`], drives a workload, and returns
 //! printable rows; the `report` binary renders them as the tables in
 //! EXPERIMENTS.md:
@@ -10,8 +10,8 @@
 //! cargo run -p duc-bench --bin report --release -- e5 e6
 //! ```
 //!
-//! Criterion micro-benchmarks for the substrates (hashing, signatures,
-//! codec, policy engine, Turtle, chain throughput) live under `benches/`.
+//! Timed micro-benchmarks and the end-to-end workloads are the standalone
+//! `benchmark/` package (`benchmark/run.sh`), not this crate.
 
 pub mod experiments;
 pub mod rss;

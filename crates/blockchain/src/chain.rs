@@ -123,11 +123,13 @@ impl Default for BlockchainBuilder {
             gas_price: 1,
             mempool_capacity: 10_000,
             storage: StorageConfig::disabled(),
-            // Every construction path inherits `DUC_EXEC_MODE` /
-            // `DUC_EXEC_THREADS` unless explicitly overridden, which is how
-            // the CI matrix flips the whole stack between executors.
-            exec_mode: ExecMode::from_env(),
-            exec_threads: exec::threads_from_env(),
+            exec_mode: ExecMode::Serial,
+            // Block batches are small; more than 8 workers only add
+            // scheduling overhead.
+            exec_threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(8),
         }
     }
 }
@@ -177,15 +179,14 @@ impl BlockchainBuilder {
         self
     }
 
-    /// Intra-block execution mode (defaults to `DUC_EXEC_MODE`, serial
-    /// when unset).
+    /// Intra-block execution mode (defaults to [`ExecMode::Serial`]).
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
         self
     }
 
-    /// Worker-thread count for [`ExecMode::Parallel`] (defaults to
-    /// `DUC_EXEC_THREADS` / available parallelism).
+    /// Worker-thread count for [`ExecMode::Parallel`] (defaults to the
+    /// host's available parallelism, capped at 8).
     pub fn exec_threads(mut self, threads: usize) -> Self {
         self.exec_threads = threads.max(1);
         self
@@ -337,11 +338,6 @@ impl Blockchain {
     /// The intra-block execution mode in force.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// Sets the parallel executor's worker-thread count.
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
     }
 
     /// The parallel executor's worker-thread count.

@@ -45,47 +45,6 @@ pub enum ExecMode {
     Parallel,
 }
 
-impl ExecMode {
-    /// Parses a mode name (`serial` / `parallel`, case-insensitive).
-    pub fn parse(value: &str) -> Option<ExecMode> {
-        if value.eq_ignore_ascii_case("serial") {
-            Some(ExecMode::Serial)
-        } else if value.eq_ignore_ascii_case("parallel") {
-            Some(ExecMode::Parallel)
-        } else {
-            None
-        }
-    }
-
-    /// The mode selected by `DUC_EXEC_MODE` (unset → [`ExecMode::Serial`]).
-    /// Any other value panics so a typo cannot silently bench the wrong
-    /// executor.
-    pub fn from_env() -> ExecMode {
-        match std::env::var("DUC_EXEC_MODE") {
-            Err(_) => ExecMode::Serial,
-            Ok(v) => ExecMode::parse(&v).unwrap_or_else(|| {
-                panic!("DUC_EXEC_MODE must be \"serial\" or \"parallel\", got {v:?}")
-            }),
-        }
-    }
-}
-
-/// Worker-thread count for the parallel executor: `DUC_EXEC_THREADS` when
-/// set (min 1), else the host's available parallelism capped at 8 (block
-/// batches are small; more threads only add scheduling overhead).
-pub fn threads_from_env() -> usize {
-    if let Ok(v) = std::env::var("DUC_EXEC_THREADS") {
-        return v
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("DUC_EXEC_THREADS must be a positive integer, got {v:?}"))
-            .max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 /// One state key a transaction may touch. Key material is FNV-hashed into
 /// `u64` *spaces* (a table prefix, e.g. `copy/{resource}\0`) and *slots*
 /// within a space: a hash collision can only merge two distinct keys into
@@ -369,13 +328,6 @@ mod tests {
 
     fn slot(space: u64, key: u64) -> AccessKey {
         AccessKey::Slot { space, key }
-    }
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(ExecMode::parse("serial"), Some(ExecMode::Serial));
-        assert_eq!(ExecMode::parse("PARALLEL"), Some(ExecMode::Parallel));
-        assert_eq!(ExecMode::parse("both"), None);
     }
 
     #[test]

@@ -98,10 +98,6 @@ pub trait Ledger {
     /// [`ExecMode::Parallel`] still runs but every call serializes.
     fn install_access_fn(&mut self, _factory: &dyn Fn() -> AccessFn) {}
 
-    /// Switches every shard's intra-block execution mode. Default: no-op
-    /// for backends without an executor choice.
-    fn set_exec_mode(&mut self, _mode: ExecMode) {}
-
     // -------------------------------------------------------- transactions
 
     /// Builds a signed contract call against the routed shard's current
@@ -335,10 +331,6 @@ impl Ledger for Blockchain {
 
     fn install_access_fn(&mut self, factory: &dyn Fn() -> AccessFn) {
         self.set_access_fn(factory());
-    }
-
-    fn set_exec_mode(&mut self, mode: ExecMode) {
-        Blockchain::set_exec_mode(self, mode);
     }
 
     fn build_call(
@@ -735,12 +727,6 @@ impl Ledger for ShardedLedger {
     fn install_access_fn(&mut self, factory: &dyn Fn() -> AccessFn) {
         for shard in &mut self.shards {
             shard.set_access_fn(factory());
-        }
-    }
-
-    fn set_exec_mode(&mut self, mode: ExecMode) {
-        for shard in &mut self.shards {
-            shard.set_exec_mode(mode);
         }
     }
 

@@ -61,8 +61,7 @@ pub struct WorldConfig {
     /// block stays resident, the pre-storage behaviour).
     pub storage: StorageConfig,
     /// Block-execution mode: serial (the default) or the deterministic
-    /// parallel executor. Defaults from `DUC_EXEC_MODE`; both produce
-    /// byte-identical chains.
+    /// parallel executor; both produce byte-identical chains.
     pub exec_mode: ExecMode,
 }
 
@@ -81,7 +80,7 @@ impl Default for WorldConfig {
             shards: 1,
             enforcement: EnforcementMode::Deadline,
             storage: StorageConfig::disabled(),
-            exec_mode: ExecMode::from_env(),
+            exec_mode: ExecMode::Serial,
         }
     }
 }

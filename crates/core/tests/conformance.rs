@@ -6,7 +6,9 @@
 //!
 //! Timing differs across backends (that is the point of sharding), so the
 //! suite compares *outcomes* — what happened — not fingerprints, which are
-//! only required to replay byte-identically within one backend.
+//! only required to replay byte-identically within one backend. Within a
+//! backend the serial and parallel block executors *are* compared by
+//! fingerprint, and the pins and chaos plans run under both.
 
 use duc_blockchain::{Checkpoint, ExecMode, Ledger, PagingConfig, StorageConfig};
 use duc_codec::Encode;
@@ -18,13 +20,19 @@ use proptest::prelude::*;
 
 const OWNER: &str = "https://owner.id/me";
 const PATH: &str = "data/set.bin";
+const MODES: [ExecMode; 2] = [ExecMode::Serial, ExecMode::Parallel];
 
 fn config(seed: u64, shards: usize) -> WorldConfig {
+    config_in(ExecMode::Serial, seed, shards)
+}
+
+fn config_in(exec_mode: ExecMode, seed: u64, shards: usize) -> WorldConfig {
     WorldConfig {
         seed,
         link: fixed_link(10),
         trace: true,
         shards,
+        exec_mode,
         ..WorldConfig::default()
     }
 }
@@ -78,10 +86,12 @@ fn scenario_matrix_is_backend_agnostic() {
 }
 
 /// Absolute golden pin for the §II scenario: exact process outcomes and
-/// exact per-method gas on both backends. The relative matrix above proves
-/// the backends agree with *each other*; this test proves they agree with
-/// *history* — any refactor that drifts a single gas unit or flips one
-/// outcome fails here, even if it drifts both backends identically.
+/// exact per-method gas on both backends under both execution modes (the
+/// parallel intra-shard executor must be invisible). The relative matrix
+/// above proves the backends agree with *each other*; this test proves
+/// they agree with *history* — any refactor that drifts a single gas unit
+/// or flips one outcome fails here, even if it drifts both backends
+/// identically.
 #[test]
 fn golden_scenario_outcomes_and_gas_are_pinned() {
     // (method, calls, total gas, mean gas) on the single-chain backend.
@@ -132,14 +142,6 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
         }
     }
 
-    let (single, single_world) = scenario_on(World::new(config(7, 1)));
-    outcomes("single", &single);
-    assert_eq!(single.total_gas, TOTAL_GAS_SINGLE, "single total gas");
-    gas_pinned("single", &single_world.chain.gas_by_method(), GOLD);
-
-    let (sharded, sharded_world) = scenario_on(World::new_sharded(config(7, 4)));
-    outcomes("sharded", &sharded);
-    assert_eq!(sharded.total_gas, TOTAL_GAS_SHARDED, "sharded total gas");
     let gold_sharded: Vec<(&str, u64, u64, u64)> = GOLD
         .iter()
         .map(|&(m, calls, total, mean)| {
@@ -150,48 +152,61 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
             }
         })
         .collect();
-    gas_pinned(
-        "sharded",
-        &sharded_world.chain.gas_by_method(),
-        &gold_sharded,
-    );
 
-    // The same scenario with pruning enabled (checkpoint every 4 blocks,
-    // 8-block resident window) must reproduce the pins to the gas unit:
-    // pruning may only change what stays resident, never what happened.
-    let pruned_single = WorldConfig {
-        storage: StorageConfig::enabled(4, 8),
-        ..config(7, 1)
-    };
-    let (pruned, pruned_world) = scenario_on(World::new(pruned_single));
-    outcomes("single+prune", &pruned);
-    assert_eq!(pruned.total_gas, TOTAL_GAS_SINGLE, "pruned total gas");
-    gas_pinned("single+prune", &pruned_world.chain.gas_by_method(), GOLD);
-    assert!(
-        pruned_world.chain.prune_horizon() > 0,
-        "the golden scenario is long enough to prune"
-    );
-    pruned_world
-        .chain
-        .verify_checkpoints()
-        .expect("pruned golden checkpoints");
+    for mode in MODES {
+        let config = |shards| config_in(mode, 7, shards);
 
-    let pruned_sharded = WorldConfig {
-        storage: StorageConfig::enabled(4, 8),
-        ..config(7, 4)
-    };
-    let (pruned, pruned_world) = scenario_on(World::new_sharded(pruned_sharded));
-    outcomes("sharded+prune", &pruned);
-    assert_eq!(pruned.total_gas, TOTAL_GAS_SHARDED, "pruned sharded gas");
-    gas_pinned(
-        "sharded+prune",
-        &pruned_world.chain.gas_by_method(),
-        &gold_sharded,
-    );
-    pruned_world
-        .chain
-        .verify_checkpoints()
-        .expect("pruned sharded golden checkpoints");
+        let label = format!("single/{mode:?}");
+        let (single, single_world) = scenario_on(World::new(config(1)));
+        outcomes(&label, &single);
+        assert_eq!(single.total_gas, TOTAL_GAS_SINGLE, "{label}: total gas");
+        gas_pinned(&label, &single_world.chain.gas_by_method(), GOLD);
+        chaos::check_invariants(&single_world).unwrap_or_else(|e| panic!("{label}: {e}"));
+
+        let label = format!("sharded/{mode:?}");
+        let (sharded, sharded_world) = scenario_on(World::new_sharded(config(4)));
+        outcomes(&label, &sharded);
+        assert_eq!(sharded.total_gas, TOTAL_GAS_SHARDED, "{label}: total gas");
+        gas_pinned(&label, &sharded_world.chain.gas_by_method(), &gold_sharded);
+        chaos::check_invariants(&sharded_world).unwrap_or_else(|e| panic!("{label}: {e}"));
+        sharded_world
+            .chain
+            .validate_chains()
+            .unwrap_or_else(|e| panic!("{label}: every shard validates: {e:?}"));
+
+        // The same scenario with pruning enabled (checkpoint every 4
+        // blocks, 8-block resident window) must reproduce the pins to the
+        // gas unit: pruning may only change what stays resident, never
+        // what happened.
+        let pruned = |shards| WorldConfig {
+            storage: StorageConfig::enabled(4, 8),
+            ..config(shards)
+        };
+
+        let label = format!("single+prune/{mode:?}");
+        let (report, world) = scenario_on(World::new(pruned(1)));
+        outcomes(&label, &report);
+        assert_eq!(report.total_gas, TOTAL_GAS_SINGLE, "{label}: total gas");
+        gas_pinned(&label, &world.chain.gas_by_method(), GOLD);
+        assert!(
+            world.chain.prune_horizon() > 0,
+            "{label}: the golden scenario is long enough to prune"
+        );
+        world
+            .chain
+            .verify_checkpoints()
+            .unwrap_or_else(|e| panic!("{label}: golden checkpoints: {e:?}"));
+
+        let label = format!("sharded+prune/{mode:?}");
+        let (report, world) = scenario_on(World::new_sharded(pruned(4)));
+        outcomes(&label, &report);
+        assert_eq!(report.total_gas, TOTAL_GAS_SHARDED, "{label}: total gas");
+        gas_pinned(&label, &world.chain.gas_by_method(), &gold_sharded);
+        world
+            .chain
+            .verify_checkpoints()
+            .unwrap_or_else(|e| panic!("{label}: golden checkpoints: {e:?}"));
+    }
 }
 
 #[test]
@@ -258,16 +273,19 @@ fn chaos_against<L: Ledger>(world: World<L>, chaos_seed: u64) -> (usize, usize, 
 
 #[test]
 fn chaos_plans_hold_invariants_on_both_backends() {
-    let (ok_single, failed_single, _) = chaos_against(World::new(config(21, 1)), 99);
-    let (ok_sharded, failed_sharded, world) = chaos_against(World::new_sharded(config(21, 4)), 99);
-    // Both backends resolve every ticket (12 = 2 × (4 accesses + 2
-    // rounds)); the split may differ because timing differs.
-    assert_eq!(ok_single + failed_single, 12);
-    assert_eq!(ok_sharded + failed_sharded, 12);
-    world
-        .chain
-        .validate_chains()
-        .expect("shards validate after chaos");
+    for mode in MODES {
+        let (ok_single, failed_single, _) = chaos_against(World::new(config_in(mode, 21, 1)), 99);
+        let (ok_sharded, failed_sharded, world) =
+            chaos_against(World::new_sharded(config_in(mode, 21, 4)), 99);
+        // Both backends resolve every ticket (12 = 2 × (4 accesses + 2
+        // rounds)); the split may differ because timing differs.
+        assert_eq!(ok_single + failed_single, 12, "{mode:?}");
+        assert_eq!(ok_sharded + failed_sharded, 12, "{mode:?}");
+        world
+            .chain
+            .validate_chains()
+            .expect("shards validate after chaos");
+    }
 }
 
 /// The policy-churn scenario class (mid-flight modification racing
@@ -294,10 +312,12 @@ fn policy_churn_holds_invariants_on_both_backends() {
             .policy_version;
         (run.ok, run.failed, version)
     }
-    let (_, _, v_single) = churn(World::new(config(33, 1)));
-    let (_, _, v_sharded) = churn(World::new_sharded(config(33, 4)));
-    assert_eq!(v_single, 2);
-    assert_eq!(v_sharded, 2);
+    for mode in MODES {
+        let (_, _, v_single) = churn(World::new(config_in(mode, 33, 1)));
+        let (_, _, v_sharded) = churn(World::new_sharded(config_in(mode, 33, 4)));
+        assert_eq!(v_single, 2, "{mode:?}");
+        assert_eq!(v_sharded, 2, "{mode:?}");
+    }
 }
 
 /// One fault-free launch-pad + mixed-batch run, returning the fingerprint.
@@ -380,33 +400,6 @@ proptest! {
     }
 }
 
-/// The parallel intra-shard executor must be invisible: the golden
-/// scenario reproduces its exact outcome and gas pins under
-/// [`ExecMode::Parallel`], whatever `DUC_EXEC_MODE` says. (The absolute
-/// pin test above already covers whichever mode the environment selects;
-/// this one forces the parallel executor explicitly.)
-#[test]
-fn parallel_execution_reproduces_the_golden_scenario() {
-    let parallel = |shards| WorldConfig {
-        exec_mode: ExecMode::Parallel,
-        ..config(7, shards)
-    };
-
-    let (report, world) = scenario_on(World::new(parallel(1)));
-    assert_eq!(report.alice_got_bytes, 152, "parallel: alice bytes");
-    assert_eq!(report.bob_got_bytes, 480, "parallel: bob bytes");
-    assert_eq!(report.total_gas, 2_500_408, "parallel single-chain gas pin");
-    chaos::check_invariants(&world).expect("invariants under parallel execution");
-
-    let (report, world) = scenario_on(World::new_sharded(parallel(4)));
-    assert_eq!(report.total_gas, 2_735_842, "parallel sharded gas pin");
-    chaos::check_invariants(&world).expect("invariants under sharded parallel execution");
-    world
-        .chain
-        .validate_chains()
-        .expect("every shard validates under parallel execution");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
@@ -415,14 +408,8 @@ proptest! {
     /// blocks, same receipts, same event stream, same balances.
     #[test]
     fn parallel_runs_fingerprint_identically_to_serial(seed in 0u64..200) {
-        let serial = |shards| WorldConfig {
-            exec_mode: ExecMode::Serial,
-            ..config(seed, shards)
-        };
-        let parallel = |shards| WorldConfig {
-            exec_mode: ExecMode::Parallel,
-            ..config(seed, shards)
-        };
+        let serial = |shards| config_in(ExecMode::Serial, seed, shards);
+        let parallel = |shards| config_in(ExecMode::Parallel, seed, shards);
         let s = fault_free_fingerprint(World::new(serial(1)), seed);
         let p = fault_free_fingerprint(World::new(parallel(1)), seed);
         prop_assert_eq!(&s, &p, "single-chain serial/parallel diverged");

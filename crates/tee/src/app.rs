@@ -4,7 +4,7 @@ use duc_crypto::{hash_parts, Digest};
 use duc_intern::{Interner, Sym, SymMap};
 use duc_policy::compliance::{AccessRecord, CopyState};
 use duc_policy::{
-    compile, Action, Decision, DenyReason, Duty, PolicyEngine, PolicyProgram, Purpose,
+    compile, Action, Decision, DenyReason, Duty, PolicyProgram, Purpose, PurposeTaxonomy,
     UsageContext, UsagePolicy,
 };
 use duc_sim::SimTime;
@@ -153,9 +153,6 @@ pub struct ReportedEvidence {
 #[derive(Debug, Clone)]
 struct CopyEntry {
     policy: UsagePolicy,
-    /// The policy compiled against the engine's taxonomy — recompiled on
-    /// every policy update, serving the access hot path.
-    program: PolicyProgram,
     /// The decision served to repeated identical requests until the
     /// program's next transition (or an access-count change when the
     /// program is count-sensitive).
@@ -164,24 +161,30 @@ struct CopyEntry {
     /// When the currently-enforced policy version was applied locally
     /// (the retention deadline can never precede this instant).
     policy_applied_at: SimTime,
-    /// Every policy version ever enforced, with its local application
-    /// time — the audit replays each access against the version in force
-    /// *at access time* (a policy narrowed later does not retroactively
-    /// incriminate past, then-legal uses).
-    history: Vec<(SimTime, UsagePolicy)>,
+    /// Every policy version ever enforced, compiled against the taxonomy,
+    /// with its local application time. Never empty: the last program is
+    /// the one in force and serves the access hot path; the audit replays
+    /// each access against the version in force *at access time* (a policy
+    /// narrowed later does not retroactively incriminate past, then-legal
+    /// uses).
+    history: Vec<(SimTime, PolicyProgram)>,
     access_count: u64,
     /// The evidence last recorded on-chain for this copy, if any.
     last_reported: Option<ReportedEvidence>,
 }
 
 impl CopyEntry {
-    fn policy_in_force_at(&self, at: SimTime) -> &UsagePolicy {
+    /// The compiled form of the current policy.
+    fn program(&self) -> &PolicyProgram {
+        &self.history.last().expect("a copy has a policy").1
+    }
+
+    fn program_in_force_at(&self, at: SimTime) -> &PolicyProgram {
         self.history
             .iter()
             .rev()
             .find(|(applied, _)| *applied <= at)
-            .map(|(_, p)| p)
-            .unwrap_or(&self.policy)
+            .map_or(self.program(), |(_, p)| p)
     }
 }
 
@@ -190,7 +193,8 @@ impl CopyEntry {
 pub struct TrustedApplication {
     enclave: Enclave,
     storage: TrustedDataStorage,
-    engine: PolicyEngine,
+    /// The purpose hierarchy policies are compiled against.
+    taxonomy: PurposeTaxonomy,
     holder_webid: String,
     /// Resource-name table: each copy id is interned once; every lookup
     /// after that compares a `u32` symbol instead of re-hashing an IRI.
@@ -209,7 +213,7 @@ impl TrustedApplication {
         TrustedApplication {
             enclave,
             storage: TrustedDataStorage::new(),
-            engine: PolicyEngine::default(),
+            taxonomy: PurposeTaxonomy::standard(),
             holder_webid: holder_webid.into(),
             names: Interner::new(),
             copies: SymMap::new(),
@@ -250,15 +254,14 @@ impl TrustedApplication {
     ) {
         let resource = resource.into();
         self.storage.seal(&self.enclave, &resource, bytes);
-        let program = compile(&policy, self.engine.taxonomy());
+        let program = compile(&policy, &self.taxonomy);
         let sym = self.names.intern(&resource);
         self.copies.insert(
             sym,
             CopyEntry {
                 state: CopyState::new(resource.clone(), self.holder_webid.clone(), now),
-                history: vec![(now, policy.clone())],
+                history: vec![(now, program)],
                 policy,
-                program,
                 cached: None,
                 policy_applied_at: now,
                 access_count: 0,
@@ -292,7 +295,7 @@ impl TrustedApplication {
 
     fn effective_due(entry: &CopyEntry) -> Option<SimTime> {
         entry
-            .program
+            .program()
             .retention_bound()
             .map(|b| (entry.state.acquired_at + b).max(entry.policy_applied_at))
     }
@@ -368,7 +371,7 @@ impl TrustedApplication {
         let cached = entry.cached.as_ref().filter(|c| {
             c.action == ctx.action
                 && c.purpose == ctx.purpose
-                && (!entry.program.count_sensitive() || c.access_count == ctx.access_count)
+                && (!entry.program().count_sensitive() || c.access_count == ctx.access_count)
                 && c.valid_until.is_none_or(|until| now < until)
         });
         let decision = match cached {
@@ -378,13 +381,13 @@ impl TrustedApplication {
             }
             None => {
                 self.cache_misses += 1;
-                let decision = entry.program.decide(&ctx);
+                let decision = entry.program().decide(&ctx);
                 entry.cached = Some(CachedDecision {
                     action: ctx.action,
                     purpose: ctx.purpose.clone(),
                     access_count: ctx.access_count,
                     decision: decision.clone(),
-                    valid_until: entry.program.next_transition(&ctx),
+                    valid_until: entry.program().next_transition(&ctx),
                 });
                 decision
             }
@@ -434,8 +437,9 @@ impl TrustedApplication {
         {
             return actions;
         }
-        entry.history.push((now, new_policy.clone()));
-        entry.program = compile(&new_policy, self.engine.taxonomy());
+        entry
+            .history
+            .push((now, compile(&new_policy, &self.taxonomy)));
         entry.cached = None;
         entry.policy = new_policy;
         entry.policy_applied_at = now;
@@ -511,7 +515,7 @@ impl TrustedApplication {
             return None;
         }
         entry
-            .program
+            .program()
             .next_deadline(entry.state.acquired_at, entry.policy_applied_at)
     }
 
@@ -556,7 +560,7 @@ impl TrustedApplication {
             .values()
             .filter(|e| e.state.deleted_at.is_none())
             .filter_map(|e| {
-                e.program
+                e.program()
                     .next_deadline(e.state.acquired_at, e.policy_applied_at)
             })
             .min()
@@ -573,7 +577,7 @@ impl TrustedApplication {
         let entry = self.entry(resource)?;
         let mut violations: Vec<String> = Vec::new();
         for (i, record) in entry.state.log.iter().enumerate() {
-            let policy = entry.policy_in_force_at(record.at);
+            let program = entry.program_in_force_at(record.at);
             let ctx = UsageContext {
                 consumer: record.agent.clone(),
                 action: record.action,
@@ -582,7 +586,7 @@ impl TrustedApplication {
                 acquired_at: entry.state.acquired_at,
                 access_count: (i + 1) as u64,
             };
-            if !self.engine.evaluate(policy, &ctx).is_permit() {
+            if !program.decide(&ctx).is_permit() {
                 violations.push(format!(
                     "unauthorized access at {} ({} for {})",
                     record.at, record.action, record.purpose

@@ -1,18 +1,17 @@
-//! # duc-testkit — in-repo proptest/criterion-compatible harness
+//! # duc-testkit — in-repo proptest-compatible harness
 //!
 //! The build environment is fully offline, so the workspace cannot fetch
-//! `proptest` or `criterion` from crates.io. This crate implements the
-//! API subset the repository's property-test suites and benches actually
-//! use, in the seed's own hand-rolled style (everything is seeded through
-//! `duc_sim`'s xoshiro256++ RNG and therefore bit-for-bit reproducible).
+//! `proptest` from crates.io. This crate implements the API subset the
+//! repository's property-test suites actually use, in the seed's own
+//! hand-rolled style (everything is seeded through `duc_sim`'s
+//! xoshiro256++ RNG and therefore bit-for-bit reproducible).
 //!
-//! Manifests alias it under the upstream names, so suites keep their
+//! Manifests alias it under the upstream name, so suites keep their
 //! stock imports:
 //!
 //! ```toml
 //! [dev-dependencies]
-//! proptest  = { path = "../testkit", package = "duc-testkit" }
-//! criterion = { path = "../testkit", package = "duc-testkit" }
+//! proptest = { path = "../testkit", package = "duc-testkit" }
 //! ```
 //!
 //! Property testing: [`proptest!`], [`prop_oneof!`], the `prop_assert*`
@@ -22,20 +21,12 @@
 //! [`test_runner::ProptestConfig`]. Shrinking is seed-based and
 //! deterministic: the same seed always reports the same minimal failing
 //! case.
-//!
-//! Benchmarks: [`Criterion`], [`BenchmarkGroup`], [`Bencher`] with
-//! `iter`/`iter_batched`, [`BatchSize`], [`Throughput`], [`black_box`]
-//! and the [`criterion_group!`]/[`criterion_main!`] macros, for
-//! `harness = false` bench targets.
 
-pub mod bench;
 pub mod collection;
 pub mod option;
 mod pattern;
 pub mod strategy;
 pub mod test_runner;
-
-pub use bench::{black_box, BatchSize, Bencher, BenchmarkGroup, Criterion, Throughput};
 
 /// Everything a property-test suite needs in scope.
 pub mod prelude {
@@ -146,26 +137,4 @@ macro_rules! prop_assert_ne {
             left
         );
     }};
-}
-
-/// Bundles benchmark functions into a runnable group, mirroring
-/// criterion's macro of the same name.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut criterion = $crate::Criterion::default().configure_from_args();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Generates `main` for a `harness = false` bench target.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
