@@ -330,7 +330,78 @@ pub fn e5_propagation() -> Vec<Table> {
             deletions.to_string(),
         ]);
     }
-    vec![table]
+    vec![table, e5b_access_history()]
+}
+
+/// E5b — the same fan-out when every device has accessed `prior` resources
+/// of the owner before one of them changes policy. E5 gives each device
+/// one access, so it cannot show a cost that grows with access history;
+/// this table gates that there is none: who is notified and what the relay
+/// transmits depend on the holders and subscribers of the moment only.
+fn e5b_access_history() -> Table {
+    const DEVICES: usize = 16;
+    let mut table = Table::new(
+        "E5b · fan-out vs access history — 16 devices, one policy change",
+        &[
+            "prior accesses/device",
+            "notified",
+            "relay messages/update",
+            "mean prop ms",
+            "host µs/req (wall)",
+        ],
+    );
+    let mut first: Option<(usize, u64)> = None;
+    for prior in [1usize, 8, 32] {
+        // One shared resource held by every device, as in E5, plus
+        // `prior - 1` more of the same owner that every device accessed.
+        let (mut world, _resource) = world_with_copies(DEVICES, 1 << 10, 5);
+        for j in 1..prior {
+            let path = format!("data/extra-{j}.bin");
+            let iri = world.owner(OWNER).pod_manager.pod().iri_of(&path);
+            let body = Body::Binary(vec![0xA5; 1 << 10]);
+            let resource = world
+                .resource_initiation(OWNER, &path, body, retention_policy(&iri, 7), vec![])
+                .expect("resource init");
+            for i in 0..DEVICES {
+                let d = format!("device-{i}");
+                world.resource_indexing(&d, &resource).expect("index");
+                world.resource_access(&d, &resource).expect("access");
+            }
+        }
+
+        let host = std::time::Instant::now();
+        let outcome = world
+            .policy_modification(
+                OWNER,
+                "data/set.bin",
+                vec![Rule::permit([Action::Use])
+                    .with_constraint(Constraint::MaxRetention(SimDuration::from_days(3)))],
+                vec![Duty::DeleteWithin(SimDuration::from_days(3))],
+            )
+            .expect("modification");
+        let host = host.elapsed();
+        // The relay drains for the first time here: this update's event is
+        // all it has ever transmitted.
+        let (delivered, dropped) = world.push_out.stats();
+        let messages = delivered + dropped;
+        let seen = (outcome.devices_notified, messages);
+        assert_eq!(
+            *first.get_or_insert(seen),
+            seen,
+            "E5b gate: (notified, relay messages) moved with {prior} prior accesses per device"
+        );
+        let h = world
+            .metrics
+            .histogram_mut("process.policy_mod.propagation");
+        table.row(vec![
+            prior.to_string(),
+            outcome.devices_notified.to_string(),
+            messages.to_string(),
+            ms(h.mean()),
+            format!("{:.0}", host.as_secs_f64() * 1e6),
+        ]);
+    }
+    table
 }
 
 // ---------------------------------------------------------------------- E6

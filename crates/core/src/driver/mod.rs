@@ -30,11 +30,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, Receipt};
+use duc_contracts::{topics, PolicyEnvelope};
 use duc_crypto::Digest;
 use duc_intern::Sym;
-use duc_oracle::OutboundDelivery;
 use duc_policy::{Duty, Rule, UsagePolicy};
-use duc_sim::{EventId, SimDuration, SimTime};
+use duc_sim::{EndpointId, EventId, SimDuration, SimTime};
 use duc_solid::Body;
 
 use crate::process::{AccessOutcome, MonitoringOutcome, ProcessError, PropagationOutcome};
@@ -247,6 +247,55 @@ impl<L: Ledger> Machine<L> {
     }
 }
 
+// ------------------------------------------------------------------ inbox
+
+/// What a pushed-out event is about, decoded once when it enters the
+/// shared inbox: the key an in-flight process claims it by, plus the
+/// payload that process needs.
+pub(crate) enum Routed {
+    /// `PolicyUpdated`: the hash travelling inside the event is dropped —
+    /// process 5 checks the envelope against the on-chain anchor instead.
+    PolicyUpdated {
+        resource: String,
+        version: u64,
+        envelope: PolicyEnvelope,
+    },
+    /// `RoundClosed`.
+    RoundClosed { resource: String, round: u64 },
+}
+
+impl Routed {
+    /// `None` for a topic no process claims or a payload that does not
+    /// decode: no key could ever match such an event.
+    fn decode(event: &Event) -> Option<Routed> {
+        match event.topic.as_str() {
+            topics::POLICY_UPDATED => {
+                let (resource, version, envelope, _) =
+                    duc_codec::decode_from_slice::<(_, _, _, Digest)>(&event.data).ok()?;
+                Some(Routed::PolicyUpdated {
+                    resource,
+                    version,
+                    envelope,
+                })
+            }
+            topics::ROUND_CLOSED => {
+                let (resource, round, _, _) =
+                    duc_codec::decode_from_slice::<(_, _, u64, Vec<String>)>(&event.data).ok()?;
+                Some(Routed::RoundClosed { resource, round })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// One drained chain event in the shared inbox, with every delivery the
+/// push-out oracle computed for it.
+pub(crate) struct InboxEvent {
+    pub(crate) routed: Routed,
+    /// `(recipient, arrives_at)` in the oracle's fan-out order.
+    pub(crate) deliveries: Vec<(EndpointId, SimTime)>,
+}
+
 // ------------------------------------------------------------ driver state
 
 /// Per-world driver bookkeeping: in-flight machines, wake queue, completed
@@ -257,7 +306,7 @@ pub(crate) struct DriverState<L> {
     inflight: HashMap<u64, Machine<L>>,
     woken: Rc<RefCell<VecDeque<u64>>>,
     completed: VecDeque<(Ticket, Result<Outcome, ProcessError>)>,
-    pub(crate) inbox: Vec<OutboundDelivery>,
+    pub(crate) inbox: Vec<InboxEvent>,
     pub(crate) monitoring_inbox: Vec<(u64, Rc<Event>)>,
     /// Machine ids spawned by the obligation scheduler: their outcomes are
     /// dropped on completion instead of surfacing through tickets.
@@ -481,29 +530,32 @@ impl<L: Ledger> World<L> {
         steps
     }
 
-    /// Drains fresh push-out deliveries into the shared inbox, then removes
-    /// and returns those matching `pred`. Non-matching deliveries stay for
-    /// other in-flight processes.
-    pub(crate) fn claim_deliveries(
+    /// Drains fresh push-out deliveries into the shared inbox — one entry
+    /// per event — then removes and returns the events whose key matches
+    /// `pred`. Non-matching events stay for other in-flight processes.
+    pub(crate) fn claim_events(
         &mut self,
-        mut pred: impl FnMut(&OutboundDelivery) -> bool,
-    ) -> Vec<OutboundDelivery> {
+        mut pred: impl FnMut(&Routed) -> bool,
+    ) -> Vec<InboxEvent> {
         // `drain` resyncs a relay cursor that fell below the prune horizon
         // (idle across a finalized checkpoint) and re-polls: everything at
         // or above the horizon is still resident.
         let fresh = self
             .push_out
             .drain(&self.chain, &mut self.net, &self.clock, &mut self.rng);
-        self.driver.inbox.extend(fresh);
-        let mut claimed = Vec::new();
-        let mut rest = Vec::new();
-        for d in self.driver.inbox.drain(..) {
-            if pred(&d) {
-                claimed.push(d);
-            } else {
-                rest.push(d);
+        // The oracle emits an event's deliveries back to back.
+        for group in fresh.chunk_by(|a, b| Rc::ptr_eq(&a.event, &b.event)) {
+            if let Some(routed) = Routed::decode(&group[0].event) {
+                let deliveries = group.iter().map(|d| (d.recipient, d.arrives_at));
+                self.driver.inbox.push(InboxEvent {
+                    routed,
+                    deliveries: deliveries.collect(),
+                });
             }
         }
+        let (claimed, rest) = std::mem::take(&mut self.driver.inbox)
+            .into_iter()
+            .partition(|e| pred(&e.routed));
         self.driver.inbox = rest;
         claimed
     }

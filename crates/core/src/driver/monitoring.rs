@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, Receipt};
-use duc_contracts::{topics, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
+use duc_contracts::{DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
 
@@ -14,7 +14,7 @@ use duc_tee::ReportedEvidence;
 
 use super::flow::{FlowPoll, TxFlow};
 use super::hop::{Hop, HopPoll};
-use super::{receipt_ok, Machine, Outcome, Step};
+use super::{receipt_ok, Machine, Outcome, Routed, Step};
 
 /// Process 6 — policy monitoring round.
 pub(crate) struct Monitoring<L> {
@@ -579,15 +579,12 @@ impl<L: Ledger> Monitoring<L> {
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
         };
         let endpoint = ctx.endpoint;
-        let resource = ctx.resource_iri.clone();
-        let round = ctx.round;
-        let deliveries = world.claim_deliveries(|d| {
-            d.event.topic == topics::ROUND_CLOSED
-                && d.recipient == endpoint
-                && decode_round_closed(&d.event.data)
-                    .is_some_and(|(res, r)| res == resource && r == round)
+        let closed = world.claim_events(|routed| {
+            matches!(routed, Routed::RoundClosed { resource, round }
+                if *resource == ctx.resource_iri && *round == ctx.round)
         });
-        if !deliveries.is_empty() {
+        let mut verdicts = closed.iter().flat_map(|e| &e.deliveries);
+        if verdicts.any(|(to, _)| *to == endpoint) {
             world.metrics.incr("process.monitoring.verdicts_delivered");
         }
 
@@ -627,11 +624,4 @@ impl<L: Ledger> Monitoring<L> {
 /// Decodes a `MonitoringRequested` event payload.
 fn decode_monitoring_request(data: &[u8]) -> Option<(String, u64, Vec<String>)> {
     duc_codec::decode_from_slice(data).ok()
-}
-
-/// Decodes the `(resource, round)` prefix of a `RoundClosed` event payload.
-fn decode_round_closed(data: &[u8]) -> Option<(String, u64)> {
-    duc_codec::decode_from_slice::<(String, u64, u64, Vec<String>)>(data)
-        .ok()
-        .map(|(res, round, _, _)| (res, round))
 }

@@ -1,10 +1,10 @@
 //! Process 5 — policy modification and push-out fan-out.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
-use duc_contracts::topics;
-use duc_oracle::{InclusionStatus, OracleError, OutboundDelivery};
+use duc_oracle::{InclusionStatus, OracleError};
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::EnforcementAction;
@@ -13,7 +13,7 @@ use crate::process::{ProcessError, PropagationOutcome};
 use crate::world::World;
 
 use super::flow::{drive_flow, FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Step, CONFIRM_TIMEOUT};
+use super::{receipt_ok, Machine, Outcome, Routed, Step, CONFIRM_TIMEOUT};
 
 /// Process 5 — policy modification and push-out fan-out.
 pub(crate) struct PolicyMod<L> {
@@ -41,8 +41,9 @@ enum PolicyModPhase<L> {
 struct FanoutState {
     resource_iri: String,
     version: u64,
-    deliveries: VecDeque<(OutboundDelivery, UsagePolicy)>,
-    by_endpoint: HashMap<EndpointId, String>,
+    /// `(recipient, arrives_at, policy)` by arrival; one opened policy per
+    /// event, shared by its deliveries.
+    deliveries: VecDeque<(EndpointId, SimTime, Rc<UsagePolicy>)>,
     notified: usize,
     enforcement: Vec<(String, EnforcementAction)>,
     pending: VecDeque<TxId>,
@@ -160,34 +161,33 @@ impl<L: Ledger> PolicyMod<L> {
                 while state
                     .deliveries
                     .front()
-                    .is_some_and(|(d, _)| d.arrives_at <= now)
+                    .is_some_and(|(_, arrives_at, _)| *arrives_at <= now)
                 {
-                    let (delivery, policy) = state.deliveries.pop_front().expect("peeked");
-                    let Some(device_name) = state.by_endpoint.get(&delivery.recipient).cloned()
-                    else {
+                    let (recipient, arrives_at, policy) =
+                        state.deliveries.pop_front().expect("peeked");
+                    let Some(&sym) = world.device_endpoints.get(&recipient) else {
                         continue;
                     };
-                    let device = world
-                        .devices
-                        .get_mut(&device_name)
-                        .expect("endpoint map is fresh");
+                    let Some(device) = world.devices.get_sym_mut(sym) else {
+                        continue;
+                    };
                     if !device.tee.has_copy(&state.resource_iri) {
                         continue;
                     }
                     let actions = device.tee.apply_policy_update(
                         &state.resource_iri,
-                        policy,
-                        delivery.arrives_at,
+                        Rc::unwrap_or_clone(policy),
+                        arrives_at,
                     );
+                    let device_name = world.ids.resolve(sym);
                     let device_key = device.key;
                     // The device recompiled its program against the new
                     // version: re-arm its obligation wakeup mid-flight
                     // (ongoing authorization on policy change).
                     world.schedule_obligation(&device_name, &state.resource_iri);
-                    world.metrics.record(
-                        "process.policy_mod.propagation",
-                        delivery.arrives_at - started,
-                    );
+                    world
+                        .metrics
+                        .record("process.policy_mod.propagation", arrives_at - started);
                     state.notified += 1;
                     for action in actions {
                         if let EnforcementAction::Deleted { .. } = &action {
@@ -199,28 +199,25 @@ impl<L: Ledger> PolicyMod<L> {
                                 &device_key,
                                 &state.resource_iri,
                                 &device_name,
-                                delivery.arrives_at,
+                                arrives_at,
                             );
                             if let Ok(id) = world.chain.submit(tx) {
                                 state.pending.push_back(id);
                             }
                         }
-                        state.enforcement.push((device_name.clone(), action));
+                        state.enforcement.push((device_name.to_string(), action));
                     }
                 }
                 match state.deliveries.front() {
-                    Some((d, _)) => {
-                        let at = d.arrives_at;
-                        Step::Sleep(
-                            Machine::PolicyMod(Box::new(PolicyMod {
-                                webid,
-                                path,
-                                started,
-                                phase: PolicyModPhase::Fanout(state),
-                            })),
-                            at,
-                        )
-                    }
+                    Some(&(_, at, _)) => Step::Sleep(
+                        Machine::PolicyMod(Box::new(PolicyMod {
+                            webid,
+                            path,
+                            started,
+                            phase: PolicyModPhase::Fanout(state),
+                        })),
+                        at,
+                    ),
                     None => PolicyMod {
                         webid,
                         path,
@@ -295,14 +292,12 @@ impl<L: Ledger> PolicyMod<L> {
             .metrics
             .add("process.policy_mod.gas", receipt.gas_used);
 
-        // Push-out fan-out to subscribed devices: claim the deliveries that
-        // belong to *this* resource; others stay in the shared inbox for
+        // Push-out fan-out to subscribed devices: claim the events that
+        // belong to *this* update; others stay in the shared inbox for
         // their own in-flight processes.
-        let iri = resource_iri.clone();
-        let claimed = world.claim_deliveries(|d| {
-            d.event.topic == topics::POLICY_UPDATED
-                && decode_policy_update(&d.event.data)
-                    .is_some_and(|(res, v, _, _)| res == iri && v == version)
+        let claimed = world.claim_events(|routed| {
+            matches!(routed, Routed::PolicyUpdated { resource, version: v, .. }
+                if *resource == resource_iri && *v == version)
         });
         // Integrity gate: read the policy hash the contract anchored in
         // the *on-chain record* (not the hash travelling inside the pushed
@@ -316,28 +311,29 @@ impl<L: Ledger> PolicyMod<L> {
             Ok(None) => return Step::Done(Err(ProcessError::UnknownResource(resource_iri))),
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
         };
-        let mut deliveries: Vec<(OutboundDelivery, UsagePolicy)> = Vec::new();
-        for delivery in claimed {
-            let Some((_, _, policy_env, _)) = decode_policy_update(&delivery.event.data) else {
+        let mut deliveries = Vec::new();
+        for event in claimed {
+            let Routed::PolicyUpdated { envelope, .. } = event.routed else {
                 continue;
             };
-            if policy_env.digest() != anchored_hash {
-                world.metrics.incr("driver.policy_update.hash_mismatch");
+            if envelope.digest() != anchored_hash {
+                // Counted per rejected delivery, not per event.
+                let rejected = event.deliveries.len() as u64;
+                world
+                    .metrics
+                    .add("driver.policy_update.hash_mismatch", rejected);
                 continue;
             }
-            let policy = match world.open_envelope(&policy_env) {
-                Ok(policy) => policy,
+            let policy = match world.open_envelope(&envelope) {
+                Ok(policy) => Rc::new(policy),
                 Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
             };
-            deliveries.push((delivery, policy));
+            deliveries.extend(
+                (event.deliveries.into_iter()).map(|(to, at)| (to, at, Rc::clone(&policy))),
+            );
         }
-        deliveries.sort_by_key(|(d, _)| d.arrives_at);
+        deliveries.sort_by_key(|&(_, arrives_at, _)| arrives_at);
 
-        let by_endpoint: HashMap<EndpointId, String> = world
-            .devices
-            .iter()
-            .map(|(name, d)| (d.endpoint, name.to_string()))
-            .collect();
         PolicyMod {
             webid,
             path,
@@ -346,7 +342,6 @@ impl<L: Ledger> PolicyMod<L> {
                 resource_iri,
                 version,
                 deliveries: deliveries.into(),
-                by_endpoint,
                 notified: 0,
                 enforcement: Vec::new(),
                 pending: VecDeque::new(),
@@ -357,17 +352,82 @@ impl<L: Ledger> PolicyMod<L> {
     }
 }
 
-/// Decodes a `PolicyUpdated` event payload: `(resource, version,
-/// envelope, policy_hash)` — the hash anchors the exact policy bytes
-/// on-chain, and devices verify the pushed envelope against it before
-/// recompiling their local program.
-fn decode_policy_update(
-    data: &[u8],
-) -> Option<(
-    String,
-    u64,
-    duc_contracts::PolicyEnvelope,
-    duc_crypto::Digest,
-)> {
-    duc_codec::decode_from_slice(data).ok()
+#[cfg(test)]
+mod tests {
+    use duc_blockchain::{ContractId, Event};
+    use duc_contracts::{topics, DEX_CONTRACT_ID};
+    use duc_policy::UsagePolicy;
+    use duc_sim::SimDuration;
+
+    use crate::chaos::launch_pad;
+    use crate::driver::{InboxEvent, Outcome, Request, Routed};
+    use crate::scenario::population_policy;
+    use crate::world::WorldConfig;
+
+    const OWNER: &str = "https://owner.id/me";
+    const PATH: &str = "data/set.bin";
+
+    /// A relay that rewrites the envelope (and the hash travelling beside
+    /// it) cannot make a device recompile: the forged event carries the
+    /// right resource and version, so process 5 claims it, and the on-chain
+    /// anchor rejects every one of its deliveries.
+    #[test]
+    fn forged_policy_update_is_rejected_per_delivery() {
+        // Three devices hold a copy under a seven-day retention policy.
+        let holders = ["device-0", "device-1", "device-2"];
+        let (mut world, iri) = launch_pad(OWNER, PATH, holders.len(), WorldConfig::default());
+        let acquired = world.clock.now();
+
+        // The owner tightens retention to three days (version 2); the
+        // forged event claims one day under the same version and reaches
+        // every holder before the genuine one can.
+        let genuine = population_policy(&iri, OWNER, 3);
+        let ticket = world.submit(Request::PolicyModification {
+            webid: OWNER.into(),
+            path: PATH.into(),
+            rules: genuine.rules,
+            duties: genuine.duties,
+        });
+        let forged = world.envelope(&UsagePolicy {
+            version: 2,
+            ..population_policy(&iri, OWNER, 1)
+        });
+        let planted = Event {
+            contract: ContractId::new(DEX_CONTRACT_ID),
+            topic: topics::POLICY_UPDATED.into(),
+            data: duc_codec::encode_to_vec(&(iri.clone(), 2u64, forged.clone(), forged.digest())),
+        };
+        let now = world.clock.now();
+        let planted = InboxEvent {
+            routed: Routed::decode(&planted).expect("well-formed"),
+            deliveries: (holders.iter())
+                .map(|device| (world.device(device).endpoint, now))
+                .collect(),
+        };
+        world.driver.inbox.push(planted);
+        world.run_until_idle();
+
+        match ticket.poll(&mut world).expect("completed") {
+            Ok(Outcome::PolicyPropagated(outcome)) => {
+                assert_eq!(outcome.version, 2);
+                assert_eq!(outcome.devices_notified, holders.len());
+            }
+            other => panic!("expected propagation, got {other:?}"),
+        }
+        assert_eq!(
+            world.metrics.counter("driver.policy_update.hash_mismatch"),
+            holders.len() as u64,
+            "one per rejected delivery"
+        );
+        for device in holders {
+            let tee = &world.device(device).tee;
+            assert_eq!(tee.policy_version(&iri), Some(2));
+            let deadline = tee.next_deadline_for(&iri).expect("retention duty");
+            assert!(
+                deadline > acquired + SimDuration::from_days(2),
+                "{device} runs the genuine three-day policy, not the forged one-day one"
+            );
+        }
+        assert!(world.driver.inbox.is_empty());
+    }
 }

@@ -171,6 +171,9 @@ pub struct World<L = Blockchain> {
     pub owners: Registry<Owner>,
     /// Consumer devices by device name (flat, interned).
     pub devices: Registry<Device>,
+    /// Which device sits behind a network endpoint, maintained by
+    /// [`World::add_device`]: push-out deliveries address endpoints.
+    pub(crate) device_endpoints: std::collections::HashMap<EndpointId, duc_intern::Sym>,
     /// Collected measurements.
     pub metrics: MetricsRegistry,
     /// Structured event trace (enabled by [`WorldConfig::trace`]).
@@ -286,6 +289,7 @@ impl<L: Ledger> World<L> {
             attestation: AttestationAuthority::new(b"duc/attestation-root"),
             owners: Registry::new(ids.clone()),
             devices: Registry::new(ids.clone()),
+            device_endpoints: std::collections::HashMap::new(),
             ids,
             metrics: MetricsRegistry::new(),
             trace,
@@ -334,6 +338,8 @@ impl<L: Ledger> World<L> {
             .chain
             .create_funded_account(device.as_bytes(), self.config.initial_balance);
         let endpoint = self.net.add_endpoint(format!("device:{device}"));
+        self.device_endpoints
+            .insert(endpoint, self.ids.intern(&device));
         self.devices.insert(
             &device,
             Device {
@@ -593,12 +599,21 @@ impl<L: Ledger> World<L> {
         }
         snapshot.set("tee.decision_cache", &[("result", "hit")], hits);
         snapshot.set("tee.decision_cache", &[("result", "miss")], misses);
+        let (delivered, dropped) = self.push_out.stats();
+        snapshot.set("oracle.push_out", &[("result", "delivered")], delivered);
+        snapshot.set("oracle.push_out", &[("result", "dropped")], dropped);
+        snapshot.set("oracle.push_out.resyncs", &[], self.push_out.resyncs());
         // Gauges for what is resident *now*, counters for the traffic.
         let paging = self.chain.paging_stats();
         snapshot.set_gauge("state.resident_pages", paging.resident_pages as f64);
         snapshot.set_gauge("state.total_pages", paging.total_pages as f64);
         snapshot.set_gauge("state.resident_bytes", paging.resident_bytes as f64);
         snapshot.set_gauge("state.spilled_live_bytes", paging.spilled_live_bytes as f64);
+        snapshot.set_gauge(
+            "oracle.push_out.subscriptions",
+            self.push_out.subscriptions() as f64,
+        );
+        snapshot.set_gauge("driver.inbox.events", self.driver.inbox.len() as f64);
         snapshot.set("state.evictions", &[], paging.evictions);
         snapshot.set("state.fault_ins", &[], paging.fault_ins);
         snapshot.set("state.page_compactions", &[], paging.compactions);

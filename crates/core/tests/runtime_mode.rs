@@ -176,6 +176,10 @@ fn metrics_endpoint_serves_migrated_families() {
         "# TYPE duc_state_resident_bytes gauge",
         "# TYPE duc_state_evictions_total counter",
         "# TYPE duc_state_fault_ins_total counter",
+        "# TYPE duc_oracle_push_out_total counter",
+        "# TYPE duc_oracle_push_out_resyncs_total counter",
+        "# TYPE duc_oracle_push_out_subscriptions gauge",
+        "# TYPE duc_driver_inbox_events gauge",
     ] {
         assert!(
             body.contains(family),
@@ -203,6 +207,17 @@ fn metrics_endpoint_serves_migrated_families() {
         sample(&body, "duc_enforcement_deletions_total"),
         world.metrics.counter("enforcement.deletions") as f64,
     );
+    // The push-out relay: what it transmitted by result, to how many
+    // distinct subscribers — each device once however many resources it
+    // accessed, plus the owner's pod manager — with nothing left unclaimed.
+    let (delivered, dropped) = world.push_out.stats();
+    assert!(delivered > 0, "the monitoring verdicts were pushed out");
+    for (result, total) in [("delivered", delivered), ("dropped", dropped)] {
+        let series = format!("duc_oracle_push_out_total{{result=\"{result}\"}}");
+        assert_eq!(sample(&body, &series), total as f64);
+    }
+    assert_eq!(sample(&body, "duc_oracle_push_out_subscriptions"), 5.0);
+    assert_eq!(sample(&body, "duc_driver_inbox_events"), 0.0);
     drop(server);
 }
 

@@ -22,7 +22,10 @@
 //!   it on a clock).
 //! * push-out: [`PushOutOracle::try_drain`] computes the deliveries of the
 //!   events past the cursor; [`PushOutOracle::drain`] also resyncs a
-//!   cursor that fell below the prune horizon.
+//!   cursor that fell below the prune horizon. A subscription is a set
+//!   member, not a multiset entry: [`PushOutOracle::subscribe`] is
+//!   idempotent, and each event goes once to each distinct subscriber of
+//!   its topic, in first-subscribed order.
 //! * pull-out: [`PullOutOracle::request_size`] /
 //!   [`PullOutOracle::response_size`] size the two hops around a view call.
 //! * pull-in: [`PullInOracle::try_collect_requests`] serves a poll,

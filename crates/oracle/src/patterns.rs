@@ -1,5 +1,6 @@
 //! The four oracle patterns.
 
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, Receipt, SubmitError, TxId};
@@ -259,14 +260,27 @@ pub struct OutboundDelivery {
     pub arrives_at: SimTime,
 }
 
+/// The endpoints subscribed to one topic: a set, kept in first-seen order
+/// so fan-out order (and with it the network model's RNG draw sequence) is
+/// a function of who subscribed when, never of how often.
+#[derive(Debug, Clone, Default)]
+struct Subscribers {
+    order: Vec<EndpointId>,
+    members: HashSet<EndpointId>,
+}
+
 /// **Push-out**: the chain pushes contract events to subscribed off-chain
 /// components (policy updates fanning out to every device holding a copy).
+///
+/// A subscription is a *set member*, not a multiset entry: subscribing an
+/// endpoint that already listens to the topic changes nothing, and every
+/// event is transmitted once per distinct subscriber.
 #[derive(Debug, Clone)]
 pub struct PushOutOracle {
     /// The relay's network endpoint.
     pub relay: EndpointId,
     cursor: u64,
-    subscriptions: Vec<(String, EndpointId)>,
+    subscriptions: HashMap<String, Subscribers>,
     delivered: u64,
     dropped: u64,
     resyncs: u64,
@@ -278,22 +292,39 @@ impl PushOutOracle {
         PushOutOracle {
             relay,
             cursor: 0,
-            subscriptions: Vec::new(),
+            subscriptions: HashMap::new(),
             delivered: 0,
             dropped: 0,
             resyncs: 0,
         }
     }
 
-    /// Subscribes `recipient` to events with `topic`.
-    pub fn subscribe(&mut self, topic: impl Into<String>, recipient: EndpointId) {
-        self.subscriptions.push((topic.into(), recipient));
+    /// Subscribes `recipient` to events with `topic`. Idempotent: a pair
+    /// that is already present is a hash probe and nothing else.
+    pub fn subscribe(&mut self, topic: impl AsRef<str>, recipient: EndpointId) {
+        let topic = topic.as_ref();
+        let subs = match self.subscriptions.get_mut(topic) {
+            Some(subs) => subs,
+            None => self.subscriptions.entry(topic.to_owned()).or_default(),
+        };
+        if subs.members.insert(recipient) {
+            subs.order.push(recipient);
+        }
     }
 
-    /// Removes all subscriptions of `recipient` to `topic`.
+    /// Removes `recipient`'s subscription to `topic`. A later
+    /// [`PushOutOracle::subscribe`] re-enters it at the back of the order.
     pub fn unsubscribe(&mut self, topic: &str, recipient: EndpointId) {
-        self.subscriptions
-            .retain(|(t, r)| !(t == topic && *r == recipient));
+        if let Some(subs) = self.subscriptions.get_mut(topic) {
+            if subs.members.remove(&recipient) {
+                subs.order.retain(|r| *r != recipient);
+            }
+        }
+    }
+
+    /// Number of `(topic, recipient)` subscriptions currently held.
+    pub fn subscriptions(&self) -> usize {
+        self.subscriptions.values().map(|s| s.order.len()).sum()
     }
 
     /// Drains new chain events and computes their deliveries. Lost
@@ -343,11 +374,11 @@ impl PushOutOracle {
         let mut max_height = self.cursor;
         for (height, event) in fresh {
             max_height = max_height.max(*height);
-            for (topic, recipient) in &self.subscriptions {
-                if topic != &event.topic {
-                    continue;
-                }
-                let size = event.data.len() as u64 + 64;
+            let Some(subs) = self.subscriptions.get(&event.topic) else {
+                continue;
+            };
+            let size = event.data.len() as u64 + 64;
+            for recipient in &subs.order {
                 match net.transmit(self.relay, *recipient, size, rng).delay() {
                     None => self.dropped += 1,
                     Some(hop) => {
@@ -557,6 +588,10 @@ mod tests {
                     ctx.emit("Stored", encode_to_vec(&(v,)))?;
                     Ok(Vec::new())
                 }
+                "note" => {
+                    ctx.emit("Noted", args.to_vec())?;
+                    Ok(Vec::new())
+                }
                 "load" => {
                     let v: u64 = ctx.get(b"v")?.unwrap_or(0);
                     Ok(encode_to_vec(&(v,)))
@@ -605,14 +640,18 @@ mod tests {
         }
     }
 
-    fn store_tx(s: &Setup, v: u64) -> SignedTransaction {
+    fn echo_tx(s: &Setup, method: &str, v: u64) -> SignedTransaction {
         s.chain.build_call(
             &s.key,
             ContractId::new("echo"),
-            "store",
+            method,
             encode_to_vec(&(v,)),
             1_000_000,
         )
+    }
+
+    fn store_tx(s: &Setup, v: u64) -> SignedTransaction {
+        echo_tx(s, "store", v)
     }
 
     /// One logical push-in uplink the way the driver runs it: up to
@@ -625,11 +664,16 @@ mod tests {
         })
     }
 
-    /// Submits a `store(v)` directly and seals it at the next slot.
-    fn store_and_seal(s: &mut Setup, v: u64) {
-        let tx = store_tx(s, v);
+    /// Submits a `method(v)` call directly and seals it at the next slot:
+    /// `store` emits a `Stored` event, `note` a `Noted` one.
+    fn call_and_seal(s: &mut Setup, method: &str, v: u64) {
+        let tx = echo_tx(s, method, v);
         let id = s.chain.submit(tx).unwrap();
         await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
+    }
+
+    fn store_and_seal(s: &mut Setup, v: u64) {
+        call_and_seal(s, "store", v);
     }
 
     #[test]
@@ -747,6 +791,189 @@ mod tests {
         let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].recipient, s.device);
+    }
+
+    /// Reference model of the subscription table: the flat row list the
+    /// oracle used to keep — global insertion order, scanned and
+    /// string-compared per event — with first-occurrence dedupe.
+    #[derive(Default)]
+    struct Rows(Vec<(String, EndpointId)>);
+
+    impl Rows {
+        fn subscribe(&mut self, topic: &str, to: EndpointId) {
+            if !self.0.iter().any(|(t, r)| t == topic && *r == to) {
+                self.0.push((topic.to_string(), to));
+            }
+        }
+
+        fn unsubscribe(&mut self, topic: &str, to: EndpointId) {
+            self.0.retain(|(t, r)| !(t == topic && *r == to));
+        }
+
+        /// The row scan over the events past `cursor`: the deliveries and
+        /// how many transmissions the network dropped.
+        fn drain(
+            &self,
+            s: &Setup,
+            cursor: u64,
+            net: &mut NetworkModel,
+            rng: &mut Rng,
+        ) -> (Vec<OutboundDelivery>, u64) {
+            let (mut deliveries, mut dropped) = (Vec::new(), 0);
+            for (height, event) in s.chain.try_events_since(cursor).unwrap() {
+                for (_, to) in self.0.iter().filter(|(t, _)| *t == event.topic) {
+                    let size = event.data.len() as u64 + 64;
+                    match net.transmit(s.relay, *to, size, rng).delay() {
+                        None => dropped += 1,
+                        Some(hop) => deliveries.push(OutboundDelivery {
+                            event: Rc::clone(event),
+                            height: *height,
+                            recipient: *to,
+                            arrives_at: s.clock.now() + hop,
+                        }),
+                    }
+                }
+            }
+            (deliveries, dropped)
+        }
+    }
+
+    /// A lossy link with jitter: every transmission draws from the RNG, so
+    /// one transmission more or less shows in everything after it.
+    fn jittery_link() -> LinkConfig {
+        LinkConfig {
+            latency: LatencyModel::Uniform(
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(50),
+            ),
+            drop_probability: 0.2,
+            bandwidth_bps: None,
+        }
+    }
+
+    #[test]
+    fn subscribe_is_idempotent_and_keeps_first_seen_order() {
+        let mut s = setup(fixed_link(10));
+        let endpoints: Vec<EndpointId> = (0..4)
+            .map(|i| s.net.add_endpoint(format!("device-{i}")))
+            .collect();
+        let mut push_out = PushOutOracle::new(s.relay);
+        for round in 0..50 {
+            // Later rounds repeat the pairs in another order.
+            for i in 0..4 {
+                push_out.subscribe("Stored", endpoints[(i + round) % 4]);
+            }
+        }
+        assert_eq!(push_out.subscriptions(), 4);
+        store_and_seal(&mut s, 1);
+        let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
+        let recipients: Vec<EndpointId> = deliveries.iter().map(|d| d.recipient).collect();
+        assert_eq!(recipients, endpoints, "once each, in first-seen order");
+        assert_eq!(push_out.stats(), (4, 0));
+    }
+
+    #[test]
+    fn unsubscribe_then_resubscribe_delivers_once() {
+        let mut s = setup(fixed_link(10));
+        let d2 = s.net.add_endpoint("device-2");
+        let mut push_out = PushOutOracle::new(s.relay);
+        push_out.subscribe("Stored", s.device);
+        push_out.subscribe("Stored", s.device);
+        push_out.subscribe("Stored", d2);
+        // One unsubscribe undoes any number of subscribes.
+        push_out.unsubscribe("Stored", s.device);
+        assert_eq!(push_out.subscriptions(), 1);
+        push_out.unsubscribe("Stored", s.device);
+        push_out.unsubscribe("Noted", d2);
+        assert_eq!(push_out.subscriptions(), 1);
+        push_out.subscribe("Stored", s.device);
+        store_and_seal(&mut s, 1);
+        let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
+        let recipients: Vec<EndpointId> = deliveries.iter().map(|d| d.recipient).collect();
+        assert_eq!(recipients, [d2, s.device], "re-entered at the back");
+    }
+
+    /// With no pair subscribed twice the topic index is the old row scan
+    /// exactly: same deliveries in the same order with the same arrival
+    /// times, and the same number of draws taken from the RNG.
+    #[test]
+    fn fan_out_without_duplicates_matches_the_row_scan() {
+        let mut s = setup(jittery_link());
+        let endpoints: Vec<EndpointId> = (0..12)
+            .map(|i| s.net.add_endpoint(format!("device-{i}")))
+            .collect();
+        let mut push_out = PushOutOracle::new(s.relay);
+        let mut rows = Rows::default();
+        // Topics interleave in the global order; some endpoints take both.
+        for (i, ep) in endpoints.iter().enumerate() {
+            let topics: &[&str] = match i % 3 {
+                0 => &["Stored"],
+                1 => &["Noted"],
+                _ => &["Noted", "Stored"],
+            };
+            for topic in topics {
+                push_out.subscribe(*topic, *ep);
+                rows.0.push((topic.to_string(), *ep));
+            }
+        }
+        assert_eq!(push_out.subscriptions(), rows.0.len());
+        for v in 0..6 {
+            call_and_seal(&mut s, ["store", "note"][v as usize % 2], v);
+        }
+        let (mut net, mut rng) = (s.net.clone(), s.rng.clone());
+        let (expected, dropped) = rows.drain(&s, 0, &mut net, &mut rng);
+        let deliveries = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
+        assert!(dropped > 0 && expected.len() > 20, "the link is exercised");
+        assert_eq!(deliveries, expected);
+        assert_eq!(push_out.stats(), (expected.len() as u64, dropped));
+        assert_eq!(s.rng, rng, "same RNG consumption");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random subscribe / unsubscribe / emit / drain sequences against
+        /// the reference rows: same recipients, same order, same counters.
+        #[test]
+        fn push_out_matches_the_ordered_set_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..2, 0usize..5), 1..48),
+        ) {
+            use proptest::prelude::*;
+            let mut s = setup(jittery_link());
+            let endpoints: Vec<EndpointId> = (0..5)
+                .map(|i| s.net.add_endpoint(format!("device-{i}")))
+                .collect();
+            let mut push_out = PushOutOracle::new(s.relay);
+            let mut rows = Rows::default();
+            let (mut delivered, mut dropped) = (0u64, 0u64);
+            for (step, (op, topic, ep)) in ops.into_iter().enumerate() {
+                let (method, name) = [("store", "Stored"), ("note", "Noted")][topic];
+                let ep = endpoints[ep];
+                match op {
+                    0..=3 => {
+                        push_out.subscribe(name, ep);
+                        rows.subscribe(name, ep);
+                    }
+                    4 => {
+                        push_out.unsubscribe(name, ep);
+                        rows.unsubscribe(name, ep);
+                    }
+                    5 | 6 => call_and_seal(&mut s, method, step as u64),
+                    _ => {
+                        let (mut net, mut rng) = (s.net.clone(), s.rng.clone());
+                        let (expected, lost) =
+                            rows.drain(&s, push_out.cursor(), &mut net, &mut rng);
+                        let got = push_out.drain(&s.chain, &mut s.net, &s.clock, &mut s.rng);
+                        prop_assert_eq!(&got, &expected);
+                        prop_assert_eq!(&s.rng, &rng);
+                        delivered += expected.len() as u64;
+                        dropped += lost;
+                    }
+                }
+                prop_assert_eq!(push_out.subscriptions(), rows.0.len());
+            }
+            prop_assert_eq!(push_out.stats(), (delivered, dropped));
+        }
     }
 
     #[test]
