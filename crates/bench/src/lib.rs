@@ -13,6 +13,8 @@
 //! Timed micro-benchmarks and the end-to-end workloads are the standalone
 //! `benchmark/` package (`benchmark/run.sh`), not this crate.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod rss;
 pub mod table;

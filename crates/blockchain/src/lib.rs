@@ -54,6 +54,8 @@
 //! assert_eq!(chain.balance(&Address::from_seed(b"bob")), 500);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod chain;
 pub mod contract;

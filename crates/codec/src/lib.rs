@@ -24,6 +24,8 @@
 //! # Ok::<(), duc_codec::DecodeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use duc_crypto::{Digest, PublicKey, Signature};

@@ -21,6 +21,8 @@
 //! raw bytes. [`access`] declares the state footprint of each call so the
 //! parallel block executor can schedule non-conflicting calls concurrently.
 
+#![forbid(unsafe_code)]
+
 pub mod abi;
 pub mod access;
 pub mod client;

@@ -40,6 +40,8 @@
 //! # Ok::<(), duc_core::ProcessError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod chaos;
 pub mod driver;

@@ -8,6 +8,11 @@
 //! primary specifications:
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 (validated against NIST vectors).
+//!   Two compression kernels behind the one [`Sha256`]: the word-by-word
+//!   scalar one, which is normative, and on x86-64 CPUs that have the SHA
+//!   extensions the same round function on `std::arch` intrinsics, chosen
+//!   by CPU detection once per process ([`sha256::backend`] names it) and
+//!   tested equal to the scalar one. Digests never depend on the choice.
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 (validated against RFC 4231 vectors).
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
 //! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group.
@@ -21,6 +26,15 @@
 //! architecture's behaviour depends on the *API contract* of signatures
 //! (unforgeability within the simulation, key identity, tamper evidence),
 //! not on production-grade key sizes.
+//!
+//! ## `unsafe`
+//!
+//! Denied crate-wide and allowed in exactly one private module, the SHA-NI
+//! kernel inside [`mod@sha256`]; every other crate of the workspace forbids
+//! it.
+
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod chacha20;
 pub mod hex;

@@ -22,6 +22,8 @@
 //! and event payloads stay exactly as before. Interning only replaces the
 //! *off-chain* bookkeeping around them.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;

@@ -32,6 +32,8 @@
 //!   [`PullInOracle::commit_cursor`] acknowledges it once the response hop
 //!   arrived.
 
+#![forbid(unsafe_code)]
+
 pub mod patterns;
 
 pub use patterns::{

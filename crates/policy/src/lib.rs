@@ -51,6 +51,8 @@
 //! assert!(PolicyEngine::default().evaluate(&policy, &ctx).is_permit());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod acl;
 pub mod compile;
 pub mod compliance;

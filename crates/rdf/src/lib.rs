@@ -30,6 +30,8 @@
 //! # Ok::<(), duc_rdf::RdfError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod term;
 pub mod turtle;

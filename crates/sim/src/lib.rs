@@ -26,6 +26,8 @@
 //! assert_eq!(Rng::seed_from_u64(42).next_u64(), sample);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod fault;
 pub mod metrics;

@@ -22,6 +22,8 @@
 //! assert_eq!(got.status, Status::Ok);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod pod;
 pub mod pod_manager;
 pub mod protocol;

@@ -35,6 +35,8 @@
 //! The crate deliberately depends only on `duc-crypto` and `duc-codec`;
 //! `duc-blockchain` implements [`ArchiveItem`] for its `Block` type.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -507,6 +509,12 @@ impl PageStore {
     /// # Errors
     /// Propagates file write failures.
     pub fn append(&mut self, bytes: &[u8]) -> io::Result<PageRef> {
+        self.append_hashed(bytes, page_digest(bytes))
+    }
+
+    /// [`PageStore::append`] for bytes whose `digest` the caller has
+    /// already computed or verified.
+    fn append_hashed(&mut self, bytes: &[u8], digest: Digest) -> io::Result<PageRef> {
         let len = u32::try_from(bytes.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "page exceeds u32 length"))?;
         let offset = self.tail;
@@ -526,7 +534,7 @@ impl PageStore {
         Ok(PageRef {
             offset,
             len,
-            digest: page_digest(bytes),
+            digest,
         })
     }
 
@@ -603,8 +611,9 @@ impl PageStore {
         self.dead_bytes = 0;
         self.compactions += 1;
         let mut refs = Vec::with_capacity(blobs.len());
-        for blob in &blobs {
-            refs.push(self.append(blob)?);
+        // `read` has just checked each blob against its handle's digest.
+        for (blob, page) in blobs.iter().zip(live) {
+            refs.push(self.append_hashed(blob, page.digest)?);
         }
         self.appended -= blobs.len() as u64; // rewrites are not fresh spills
         Ok(refs)

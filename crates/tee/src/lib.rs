@@ -20,6 +20,8 @@
 //!   bytes without a policy evaluation; this is the invariant the paper's
 //!   architecture assumes of TEEs.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod attestation;
 pub mod enclave;

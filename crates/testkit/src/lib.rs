@@ -22,6 +22,8 @@
 //! deterministic: the same seed always reports the same minimal failing
 //! case.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod option;
 mod pattern;

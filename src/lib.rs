@@ -3,6 +3,8 @@
 //! Re-exports every workspace crate under one namespace so that examples
 //! and integration tests can `use solid_usage_control::prelude::*`.
 
+#![forbid(unsafe_code)]
+
 pub use duc_blockchain as blockchain;
 pub use duc_codec as codec;
 pub use duc_contracts as contracts;
