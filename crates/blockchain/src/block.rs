@@ -102,7 +102,33 @@ impl Block {
         transactions: Vec<SignedTransaction>,
         proposer: &KeyPair,
     ) -> Block {
-        let tx_root = Block::compute_tx_root(&transactions);
+        let leaves: Vec<Vec<u8>> = transactions.iter().map(encode_to_vec).collect();
+        Block::seal_encoded(
+            height,
+            parent,
+            state_root,
+            timestamp,
+            transactions,
+            &leaves,
+            proposer,
+        )
+    }
+
+    /// [`Block::seal`] for a caller that already holds each transaction's
+    /// canonical encoding: `leaves[i]` must be `encode_to_vec` of
+    /// `transactions[i]`. [`Block::validate`] never trusts that — it
+    /// recomputes the leaves from the transactions' fields.
+    pub(crate) fn seal_encoded(
+        height: u64,
+        parent: Digest,
+        state_root: Digest,
+        timestamp: SimTime,
+        transactions: Vec<SignedTransaction>,
+        leaves: &[Vec<u8>],
+        proposer: &KeyPair,
+    ) -> Block {
+        debug_assert_eq!(transactions.len(), leaves.len());
+        let tx_root = MerkleTree::from_leaves(leaves).root();
         let mut header = BlockHeader {
             height,
             parent,

@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use duc_crypto::{Digest, KeyPair};
 use duc_intern::{Interner, Sym};
@@ -18,6 +19,7 @@ use crate::block::{Block, BlockValidationError};
 use crate::contract::{CallCtx, CallEffects, Contract, ContractError, Event};
 use crate::exec::{self, AccessFn, AccessParams, AccessSet, ExecMode};
 use crate::gas::{GasMeter, GasSchedule};
+use crate::mempool::{Mempool, PoolEntry};
 use crate::state::{InsufficientFunds, PagingStats, WorldState};
 use crate::tx::{Receipt, SignedTransaction, Transaction, TxKind, TxStatus};
 use crate::types::{Address, Amount, ContractId, TxId};
@@ -217,7 +219,7 @@ impl BlockchainBuilder {
             blocks: BlockStore::new(archive),
             storage: self.storage,
             checkpoints: StateStore::new(),
-            mempool: BTreeMap::new(),
+            mempool: Mempool::default(),
             receipts: HashMap::new(),
             event_log: Vec::new(),
             contracts: HashMap::new(),
@@ -252,7 +254,7 @@ pub struct Blockchain {
     blocks: BlockStore<Block>,
     storage: StorageConfig,
     checkpoints: StateStore,
-    mempool: BTreeMap<(Address, u64), SignedTransaction>,
+    mempool: Mempool,
     receipts: HashMap<TxId, Receipt>,
     event_log: Vec<(u64, Rc<Event>)>,
     contracts: HashMap<ContractId, Box<dyn Contract>>,
@@ -309,12 +311,8 @@ impl Blockchain {
 
     /// The next nonce `addr` should use (accounts for pending txs).
     pub fn next_nonce(&self, addr: &Address) -> u64 {
-        let pending_max = self
-            .mempool
-            .range((*addr, 0)..=(*addr, u64::MAX))
-            .map(|((_, n), _)| *n + 1)
-            .max();
-        pending_max.unwrap_or(0).max(self.state.nonce(addr))
+        let pending_next = self.mempool.last_nonce_of(addr).map_or(0, |n| n + 1);
+        pending_next.max(self.state.nonce(addr))
     }
 
     // ----------------------------------------------------------- contracts
@@ -410,12 +408,19 @@ impl Blockchain {
 
     /// Submits a signed transaction to the mempool.
     ///
+    /// The transaction is encoded once here: the signature is verified over
+    /// that encoding's prefix, and the pool entry keeps the encoding, the id
+    /// hashed from it and (as its length) the size intrinsic gas is charged
+    /// on, so block production never re-encodes a pending transaction.
+    ///
     /// # Errors
     /// See [`SubmitError`] for the rejection conditions.
     pub fn submit(&mut self, tx: SignedTransaction) -> Result<TxId, SubmitError> {
-        if !tx.verify() {
+        let entry = PoolEntry::new(tx);
+        if !entry.verify() {
             return Err(SubmitError::InvalidSignature);
         }
+        let tx = &entry.tx;
         let expected = self.state.nonce(&tx.tx.from);
         if tx.tx.nonce < expected {
             return Err(SubmitError::NonceTooLow {
@@ -438,12 +443,11 @@ impl Blockchain {
         if self.mempool.len() >= self.mempool_capacity {
             return Err(SubmitError::MempoolFull);
         }
-        let keypair_key = (tx.tx.from, tx.tx.nonce);
-        if self.mempool.contains_key(&keypair_key) {
+        if self.mempool.contains_key(&(tx.tx.from, tx.tx.nonce)) {
             return Err(SubmitError::DuplicateNonce);
         }
-        let id = tx.id();
-        self.mempool.insert(keypair_key, tx);
+        let id = entry.id;
+        self.mempool.insert(entry);
         Ok(id)
     }
 
@@ -505,18 +509,33 @@ impl Blockchain {
             ExecMode::Serial => self.fill_block_serial(height, timestamp, proposer),
             ExecMode::Parallel => self.fill_block_parallel(height, timestamp, proposer),
         };
-        self.evict_superseded(height);
+        self.evict_superseded(height, &included);
+        self.seal_block(height, timestamp, proposer_idx, included);
+    }
+
+    /// Seals `included` — already executed, in block order — as block
+    /// `height`, with the pool's encodings as the Merkle leaves.
+    fn seal_block(
+        &mut self,
+        height: u64,
+        timestamp: SimTime,
+        proposer_idx: usize,
+        included: Vec<PoolEntry>,
+    ) {
         let parent = self
             .blocks
             .last()
             .map(|b| b.hash())
             .unwrap_or_else(|| self.blocks.base_parent());
-        let block = Block::seal(
+        let (transactions, leaves): (Vec<_>, Vec<_>) =
+            included.into_iter().map(|e| (e.tx, e.encoded)).unzip();
+        let block = Block::seal_encoded(
             height,
             parent,
             self.state.commitment(),
             timestamp,
-            included,
+            transactions,
+            &leaves,
             &self.validators[proposer_idx],
         );
         self.blocks.push(block);
@@ -529,49 +548,62 @@ impl Blockchain {
     /// the next is selected. Selection depends on execution here — a fee
     /// failure leaves the sender's nonce unbumped, which changes which
     /// later transactions are ready and fit under the ceiling.
+    ///
+    /// The pool is walked lazily from a cursor. The walk only ever removes
+    /// the entry under the cursor, so it visits exactly the keys a snapshot
+    /// taken at entry would hold, in the same order; and it stops once the
+    /// gas left in the block is below the smallest pending gas limit,
+    /// because the block's reserved gas only grows and no entry, visited or
+    /// not, could be selected from then on.
     fn fill_block_serial(
         &mut self,
         height: u64,
         timestamp: SimTime,
         proposer: Address,
-    ) -> Vec<SignedTransaction> {
+    ) -> Vec<PoolEntry> {
         let mut included = Vec::new();
         let mut block_gas: u64 = 0;
-        // `BTreeMap` keys already iterate in canonical sorted order.
-        let ready: Vec<(Address, u64)> = self.mempool.keys().cloned().collect();
-        for key in ready {
-            let expected = self.state.nonce(&key.0);
-            if key.1 != expected {
+        let mut cursor = None;
+        while self
+            .mempool
+            .min_gas_limit()
+            .is_some_and(|min| block_gas.saturating_add(min) <= self.max_block_gas)
+        {
+            let Some((key, gas_limit)) = self.mempool.next_after(cursor) else {
+                break;
+            };
+            cursor = Some(key);
+            if key.1 != self.state.nonce(&key.0) {
                 continue; // future nonce stays pending; stale handled later
             }
-            let gas_limit = self
-                .mempool
-                .get(&key)
-                .expect("key from mempool")
-                .tx
-                .gas_limit;
             if block_gas.saturating_add(gas_limit) > self.max_block_gas {
                 continue;
             }
             // Execution consumes the mempool entry — no working clone.
-            let tx = self.mempool.remove(&key).expect("key from mempool");
+            let entry = self.mempool.remove(&key).expect("key from mempool");
             // The ceiling reserves each transaction's full gas limit, as
             // real block builders must (gas_used is unknown pre-execution).
             block_gas += gas_limit;
-            let outcome = run_tx_pure(
-                &self.state,
-                &self.contracts,
-                &self.gas_schedule,
-                self.gas_price,
-                &tx,
-                height,
-                timestamp,
-            );
-            let done = self.commit_outcome(&tx, outcome, proposer);
-            self.emit(&tx, done, height);
-            included.push(tx);
+            self.apply(&entry, height, timestamp, proposer);
+            included.push(entry);
         }
         included
+    }
+
+    /// Executes one selected entry against the current state, commits the
+    /// outcome and emits its receipt, events and gas record.
+    fn apply(&mut self, entry: &PoolEntry, height: u64, timestamp: SimTime, proposer: Address) {
+        let outcome = run_tx_pure(
+            &self.state,
+            &self.contracts,
+            &self.gas_schedule,
+            self.gas_price,
+            entry,
+            height,
+            timestamp,
+        );
+        let done = self.commit_outcome(&entry.tx, outcome, proposer);
+        self.emit(entry, done, height);
     }
 
     /// The parallel scheduler: plans the transaction set the serial
@@ -586,7 +618,7 @@ impl Blockchain {
         height: u64,
         timestamp: SimTime,
         proposer: Address,
-    ) -> Vec<SignedTransaction> {
+    ) -> Vec<PoolEntry> {
         // ---- plan: replicate serial selection with projected nonces (the
         // serial loop observes each executed tx's nonce bump before
         // selecting the next; project those bumps without executing).
@@ -594,21 +626,23 @@ impl Blockchain {
         let mut plan_keys: Vec<(Address, u64)> = Vec::new();
         let mut block_gas: u64 = 0;
         let mut ceiling_hit = false;
-        for (key, tx) in &self.mempool {
+        for (key, entry) in self.mempool.iter() {
             let expected = *projected
                 .entry(key.0)
                 .or_insert_with(|| self.state.nonce(&key.0));
             if key.1 != expected {
                 continue;
             }
-            if block_gas.saturating_add(tx.tx.gas_limit) > self.max_block_gas {
+            let gas_limit = entry.tx.tx.gas_limit;
+            if block_gas.saturating_add(gas_limit) > self.max_block_gas {
                 // Serial reserves ceiling gas only for transactions it
                 // actually executes; a fee failure upstream could shift
-                // which ones fit. Rare and cheap: fall back to serial.
+                // which ones fit. Rare and cheap: fall back to serial, so
+                // the rest of the pool need not be planned.
                 ceiling_hit = true;
-                continue;
+                break;
             }
-            block_gas += tx.tx.gas_limit;
+            block_gas += gas_limit;
             projected.insert(key.0, key.1 + 1);
             plan_keys.push(*key);
         }
@@ -616,7 +650,7 @@ impl Blockchain {
             return self.fill_block_serial(height, timestamp, proposer);
         }
 
-        let plan: Vec<SignedTransaction> = plan_keys
+        let plan: Vec<PoolEntry> = plan_keys
             .iter()
             .map(|key| self.mempool.remove(key).expect("planned key from mempool"))
             .collect();
@@ -629,7 +663,8 @@ impl Blockchain {
             .collect();
         let sets: Vec<AccessSet> = plan
             .iter()
-            .map(|tx| {
+            .map(|entry| {
+                let tx = &entry.tx;
                 // A validator-sender could observe its own mid-block
                 // proposer fee credits through its balance; serialize it.
                 let base = if validator_addrs.contains(&tx.tx.from) {
@@ -669,7 +704,8 @@ impl Blockchain {
             // never have selected it): it stays uncommitted.
             let runnable: Vec<usize> = (0..plan.len())
                 .filter(|&i| {
-                    levels[i] == level && self.state.nonce(&plan[i].tx.from) == plan[i].tx.nonce
+                    let tx = &plan[i].tx.tx;
+                    levels[i] == level && self.state.nonce(&tx.from) == tx.nonce
                 })
                 .collect();
             if runnable.is_empty() {
@@ -683,7 +719,7 @@ impl Blockchain {
                 let contracts = &self.contracts;
                 let schedule = &self.gas_schedule;
                 let gas_price = self.gas_price;
-                let txs: Vec<&SignedTransaction> = runnable.iter().map(|&i| &plan[i]).collect();
+                let txs: Vec<&PoolEntry> = runnable.iter().map(|&i| &plan[i]).collect();
                 exec::run_batch(self.exec_threads, seed, txs.len(), |j| {
                     run_tx_pure(
                         state, contracts, schedule, gas_price, txs[j], height, timestamp,
@@ -691,24 +727,22 @@ impl Blockchain {
                 })
             };
             for (&i, outcome) in runnable.iter().zip(outcomes) {
-                committed[i] = Some(self.commit_outcome(&plan[i], outcome, proposer));
+                committed[i] = Some(self.commit_outcome(&plan[i].tx, outcome, proposer));
             }
         }
 
         // ---- emit in canonical order
         let mut included = Vec::with_capacity(plan.len());
-        for (tx, done) in plan.into_iter().zip(committed) {
+        for (entry, done) in plan.into_iter().zip(committed) {
             match done {
                 Some(done) => {
-                    self.emit(&tx, done, height);
-                    included.push(tx);
+                    self.emit(&entry, done, height);
+                    included.push(entry);
                 }
                 // Never executed; back to the mempool without a receipt.
                 // Its sender's nonce did not advance, so eviction leaves
                 // it pending — exactly the serial outcome.
-                None => {
-                    self.mempool.insert((tx.tx.from, tx.tx.nonce), tx);
-                }
+                None => self.mempool.insert(entry),
             }
         }
         included
@@ -780,9 +814,9 @@ impl Blockchain {
     /// insertion order is observable through [`Sym`] values), pushes the
     /// [`GasRecord`], appends its events to the event log and stores the
     /// [`Receipt`]. Callers invoke it in canonical block order.
-    fn emit(&mut self, tx: &SignedTransaction, done: CommittedTx, height: u64) {
+    fn emit(&mut self, entry: &PoolEntry, done: CommittedTx, height: u64) {
         if let Some(label) = done.label {
-            let (contract, method) = match (label, &tx.tx.kind) {
+            let (contract, method) = match (label, &entry.tx.tx.kind) {
                 (ExecLabel::Intrinsic, _) => (None, self.labels.intern("intrinsic")),
                 (ExecLabel::Dispatched, TxKind::Transfer { .. }) => {
                     (None, self.labels.intern("transfer"))
@@ -814,7 +848,7 @@ impl Blockchain {
             self.event_log.push((height, Rc::clone(ev)));
         }
         let receipt = Receipt {
-            tx_id: tx.id(),
+            tx_id: entry.id,
             block_height: height,
             status: done.status,
             gas_used: done.gas_used,
@@ -824,29 +858,42 @@ impl Blockchain {
         self.receipts.insert(receipt.tx_id, receipt);
     }
 
-    /// Evicts mempool transactions whose nonce a sealed block made stale,
-    /// recording a [`TxStatus::Superseded`] receipt for each so inclusion
-    /// polls resolve immediately instead of exhausting their retry budget
-    /// on a transaction that can never execute.
-    fn evict_superseded(&mut self, height: u64) {
-        let stale: Vec<(Address, u64)> = self
-            .mempool
-            .keys()
-            .filter(|(addr, nonce)| *nonce < self.state.nonce(addr))
-            .cloned()
-            .collect();
-        for key in stale {
-            let tx = self.mempool.remove(&key).expect("stale key from mempool");
-            let receipt = Receipt {
-                tx_id: tx.id(),
-                block_height: height,
-                status: TxStatus::Superseded,
-                gas_used: 0,
-                events: Vec::new(),
-                return_data: Vec::new(),
-            };
-            self.receipts.insert(receipt.tx_id, receipt);
+    /// Evicts mempool transactions whose nonce the block being sealed made
+    /// stale, recording a [`TxStatus::Superseded`] receipt for each so
+    /// inclusion waits resolve immediately instead of running into their
+    /// timeout on a transaction that can never execute.
+    ///
+    /// Only the senders of `included` are looked at: `submit` refuses a
+    /// nonce below the state's, so a pending entry can only have gone stale
+    /// by this block bumping its sender's nonce.
+    fn evict_superseded(&mut self, height: u64, included: &[PoolEntry]) {
+        if self.mempool.is_empty() {
+            return;
         }
+        for sender in included.iter().map(|entry| entry.tx.tx.from) {
+            let floor = self.state.nonce(&sender);
+            while let Some(stale) = self.mempool.pop_below(&sender, floor) {
+                self.record_superseded(stale.id, height);
+            }
+        }
+        debug_assert!(
+            self.mempool
+                .iter()
+                .all(|((sender, nonce), _)| *nonce >= self.state.nonce(sender)),
+            "a stale entry of a sender outside this block survived eviction"
+        );
+    }
+
+    fn record_superseded(&mut self, tx_id: TxId, height: u64) {
+        let receipt = Receipt {
+            tx_id,
+            block_height: height,
+            status: TxStatus::Superseded,
+            gas_used: 0,
+            events: Vec::new(),
+            return_data: Vec::new(),
+        };
+        self.receipts.insert(tx_id, receipt);
     }
 
     /// Seals a checkpoint when the configured interval has elapsed since
@@ -1058,7 +1105,7 @@ impl Blockchain {
         // Read-only: the context's write overlay is simply dropped, so the
         // canonical state is never copied or touched.
         let mut ctx = CallCtx::new(
-            Address::from_seed(b"duc/view"),
+            view_caller(),
             self.height(),
             now,
             contract.clone(),
@@ -1200,6 +1247,13 @@ impl Blockchain {
     }
 }
 
+/// The caller address view calls execute as. A constant: deriving it costs
+/// a key-pair generation, so it is computed once per process.
+fn view_caller() -> Address {
+    static VIEW_CALLER: OnceLock<Address> = OnceLock::new();
+    *VIEW_CALLER.get_or_init(|| Address::from_seed(b"duc/view"))
+}
+
 /// What one transaction's gas-ledger row is labelled with. The strings
 /// themselves are interned by [`Blockchain::emit`] from the transaction,
 /// in canonical order.
@@ -1259,10 +1313,11 @@ fn run_tx_pure(
     contracts: &HashMap<ContractId, Box<dyn Contract>>,
     schedule: &GasSchedule,
     gas_price: Amount,
-    signed: &SignedTransaction,
+    entry: &PoolEntry,
     height: u64,
     timestamp: SimTime,
 ) -> PureExec {
+    let signed = &entry.tx;
     let from = signed.tx.from;
     let gas_limit = signed.tx.gas_limit;
     // An overflowing max fee is unpayable by definition; checked so a wrap
@@ -1278,7 +1333,7 @@ fn run_tx_pure(
     let intrinsic = schedule.tx_base.saturating_add(
         schedule
             .payload_byte
-            .saturating_mul(signed.encoded_size() as u64),
+            .saturating_mul(entry.encoded.len() as u64),
     );
     if meter.charge(intrinsic).is_err() {
         return PureExec::Ran {
@@ -1344,12 +1399,15 @@ fn run_tx_pure(
 }
 
 #[cfg(test)]
+mod scan_reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::AccessKey;
     use duc_codec::{decode_from_slice, encode_to_vec};
 
-    struct Counter;
+    pub(super) struct Counter;
 
     impl Contract for Counter {
         fn call(
@@ -1927,7 +1985,7 @@ mod tests {
         }
         .sign(&alice);
         let stale_id = stale.id();
-        chain.mempool.insert((addr, 0), stale);
+        chain.mempool.insert(PoolEntry::new(stale));
         let live = chain.build_call(
             &alice,
             ContractId::new("counter"),
@@ -1936,12 +1994,20 @@ mod tests {
             200_000,
         );
         let live_id = chain.submit(live).unwrap();
+        assert!(!crate::Ledger::has_receipt(&chain, &stale_id));
         chain.advance_to(SimTime::from_secs(4));
         // The stale entry is evicted with a typed receipt instead of
-        // lingering (and starving pollers) forever.
+        // lingering (and starving pollers) forever — by the very block
+        // that consumed its nonce, so an inclusion wait probing for a
+        // receipt of any status ends at that block's instant.
+        assert!(crate::Ledger::has_receipt(&chain, &stale_id));
         let receipt = chain.receipt(&stale_id).expect("eviction left a receipt");
         assert_eq!(receipt.status, TxStatus::Superseded);
         assert_eq!(receipt.block_height, 2);
+        assert_eq!(
+            chain.block(2).unwrap().header.timestamp,
+            SimTime::from_secs(4)
+        );
         assert_eq!(receipt.gas_used, 0);
         assert!(chain.receipt(&live_id).unwrap().status.is_ok());
         assert_eq!(chain.pending_count(), 0);
@@ -1951,7 +2017,7 @@ mod tests {
 
     /// Access derivation for the [`Counter`] test contract: one slot per
     /// deployed instance, so calls against different instances commute.
-    fn counter_access_fn() -> AccessFn {
+    pub(super) fn counter_access_fn() -> AccessFn {
         Box::new(|p: &AccessParams<'_>| {
             let slot = || AccessKey::Slot {
                 space: exec::fnv1a(b"ctr"),

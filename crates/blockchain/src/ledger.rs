@@ -134,9 +134,21 @@ pub trait Ledger {
     /// See [`SubmitError`].
     fn submit_on(&mut self, shard: usize, tx: SignedTransaction) -> Result<TxId, SubmitError>;
 
+    /// The next nonce the chain `tx` routes to expects from `tx`'s sender
+    /// (pending transactions accounted for) — what a
+    /// [`Ledger::build_call`] of the same call would sign with now. A
+    /// caller holding a transaction built earlier compares it with the
+    /// transaction's own nonce to learn whether the signature is still
+    /// submittable as is.
+    fn routed_next_nonce(&self, tx: &SignedTransaction) -> u64;
+
     /// The receipt for a transaction, once included (searched across
     /// shards).
     fn receipt(&self, id: &TxId) -> Option<Receipt>;
+
+    /// Whether [`Ledger::receipt`] would return one — the probe an
+    /// inclusion wait makes per sealed slot, without cloning the receipt.
+    fn has_receipt(&self, id: &TxId) -> bool;
 
     /// Pending transactions across every mempool.
     fn pending_count(&self) -> usize;
@@ -366,8 +378,16 @@ impl Ledger for Blockchain {
         Blockchain::submit(self, tx)
     }
 
+    fn routed_next_nonce(&self, tx: &SignedTransaction) -> u64 {
+        self.next_nonce(&tx.tx.from)
+    }
+
     fn receipt(&self, id: &TxId) -> Option<Receipt> {
         Blockchain::receipt(self, id).cloned()
+    }
+
+    fn has_receipt(&self, id: &TxId) -> bool {
+        Blockchain::receipt(self, id).is_some()
     }
 
     fn pending_count(&self) -> usize {
@@ -763,8 +783,16 @@ impl Ledger for ShardedLedger {
         self.shards[shard].submit(tx)
     }
 
+    fn routed_next_nonce(&self, tx: &SignedTransaction) -> u64 {
+        self.shards[self.shard_of_tx(tx)].next_nonce(&tx.tx.from)
+    }
+
     fn receipt(&self, id: &TxId) -> Option<Receipt> {
         self.shards.iter().find_map(|s| s.receipt(id).cloned())
+    }
+
+    fn has_receipt(&self, id: &TxId) -> bool {
+        self.shards.iter().any(|s| s.receipt(id).is_some())
     }
 
     fn pending_count(&self) -> usize {

@@ -62,6 +62,7 @@ pub mod contract;
 pub mod exec;
 pub mod gas;
 pub mod ledger;
+mod mempool;
 pub mod state;
 pub mod tx;
 pub mod types;

@@ -159,18 +159,34 @@ impl Decode for SignedTransaction {
     }
 }
 
+/// Width of the `public_key` + `signature` suffix of a signed encoding
+/// (three fixed-width `u64`s): the encoding less this suffix is exactly
+/// [`Transaction::signing_bytes`].
+pub(crate) const SIGNATURE_SUFFIX_LEN: usize = 24;
+
+/// The id of the transaction whose full signed encoding is `encoded`.
+pub(crate) fn id_of_encoding(encoded: &[u8]) -> TxId {
+    TxId(hash_parts(&[b"duc/tx", encoded]))
+}
+
 impl SignedTransaction {
     /// The transaction id (hash of the full signed encoding).
     pub fn id(&self) -> TxId {
-        TxId(hash_parts(&[b"duc/tx", &encode_to_vec(self)]))
+        id_of_encoding(&encode_to_vec(self))
     }
 
     /// Verifies signature and sender-address consistency.
     pub fn verify(&self) -> bool {
+        self.verify_over(&self.tx.signing_bytes())
+    }
+
+    /// [`SignedTransaction::verify`] for a caller that already holds the
+    /// body's [`Transaction::signing_bytes`].
+    pub(crate) fn verify_over(&self, signing_bytes: &[u8]) -> bool {
         Address::from_public_key(&self.public_key) == self.tx.from
             && self
                 .public_key
-                .verify(&self.tx.signing_bytes(), &self.signature)
+                .verify(signing_bytes, &self.signature)
                 .is_ok()
     }
 
@@ -293,6 +309,26 @@ mod tests {
         assert_eq!(back, signed);
         assert!(back.verify());
         assert_eq!(back.encoded_size(), bytes.len());
+    }
+
+    #[test]
+    fn signed_encoding_is_the_signing_bytes_plus_a_fixed_suffix() {
+        let key = KeyPair::from_seed(b"alice");
+        let transfer = Transaction {
+            kind: TxKind::Transfer {
+                to: Address::from_seed(b"bob"),
+                amount: 1,
+            },
+            ..call_tx(9)
+        };
+        for tx in [call_tx(0), transfer] {
+            let signed = tx.sign(&key);
+            let bytes = encode_to_vec(&signed);
+            let (body, _) = bytes.split_at(bytes.len() - SIGNATURE_SUFFIX_LEN);
+            assert_eq!(body, signed.tx.signing_bytes());
+            assert!(signed.verify_over(body));
+            assert_eq!(id_of_encoding(&bytes), signed.id());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::world::{IndexEntry, World};
 
 use super::flow::{drive_flow, FlowPoll, TxFlow};
 use super::hop::{Hop, HopPoll};
-use super::{receipt_ok, Machine, Outcome, Step};
+use super::{receipt_ok, Machine, Outcome, Step, Wake};
 
 /// Process 4 — resource access into the TEE.
 pub(crate) struct Access<L> {
@@ -160,7 +160,7 @@ impl<L: Ledger> Access<L> {
                             enclave_key: quote.enclave_key,
                         },
                     })),
-                    now,
+                    Wake::At(now),
                 )
             }
             AccessPhase::ToPod {
@@ -190,7 +190,7 @@ impl<L: Ledger> Access<L> {
                             enclave_key,
                         },
                     })),
-                    arrives,
+                    Wake::At(arrives),
                 ),
                 HopPoll::Retry { at } => Step::Sleep(
                     Machine::Access(Box::new(Access {
@@ -209,7 +209,7 @@ impl<L: Ledger> Access<L> {
                             enclave_key,
                         },
                     })),
-                    at,
+                    Wake::At(at),
                 ),
                 HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
             },
@@ -263,7 +263,7 @@ impl<L: Ledger> Access<L> {
                             enclave_key,
                         },
                     })),
-                    now,
+                    Wake::At(now),
                 )
             }
             AccessPhase::FromPod {
@@ -287,7 +287,7 @@ impl<L: Ledger> Access<L> {
                             enclave_key,
                         },
                     })),
-                    arrives,
+                    Wake::At(arrives),
                 ),
                 HopPoll::Retry { at } => Step::Sleep(
                     Machine::Access(Box::new(Access {
@@ -303,7 +303,7 @@ impl<L: Ledger> Access<L> {
                             enclave_key,
                         },
                     })),
-                    at,
+                    Wake::At(at),
                 ),
                 HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
             },

@@ -2,25 +2,35 @@
 //! retries followed by a non-blocking inclusion wait.
 
 use duc_blockchain::{Ledger, Receipt, SignedTransaction, TxId};
-use duc_oracle::{HopKind, InclusionStatus, OracleError, PushInOracle};
+use duc_oracle::{HopKind, OracleError, PushInOracle};
 use duc_sim::{EndpointId, SimTime};
 
 use crate::world::World;
 
-use super::{CONFIRM_TIMEOUT, HOP_TIMEOUT};
+use super::{Wake, CONFIRM_TIMEOUT, HOP_TIMEOUT};
 
-/// Builds a signed transaction against the chain's *current* state. The
-/// flow signs at delivery time, so the nonce reflects every transaction
-/// that entered the mempool while this one was on the wire — concurrent
-/// flows from one sender serialize cleanly instead of colliding.
+/// Builds a signed transaction against the chain's *current* state: the
+/// nonce comes from the routed chain's `next_nonce`, which counts every
+/// transaction already in the mempool, so concurrent flows from one sender
+/// serialize cleanly instead of colliding.
+///
+/// **Purity contract.** Apart from that nonce, the result must depend only
+/// on values the closure captured: no clock, RNG, metrics or other world
+/// state. Signing is deterministic, so two calls that see the same nonce
+/// return byte-identical transactions — which is what lets a flow sign
+/// once, when it prices the wire size, and deliver that very transaction
+/// whenever the sender's nonce has not moved in between.
 pub(crate) type TxBuild<L> = Box<dyn Fn(&World<L>) -> SignedTransaction>;
 
 /// Sub-machine: push-in submission (with retries) followed by a
 /// non-blocking inclusion wait. Reused by every process that sends a
 /// transaction.
 pub(crate) enum TxFlow<L> {
-    /// Attempting the uplink hop to the relay.
+    /// Attempting the uplink hop to the relay. `tx` was signed when the
+    /// flow started; `build` is kept for the case that the sender's nonce
+    /// moves before delivery.
     Send {
+        tx: Box<SignedTransaction>,
         build: TxBuild<L>,
         size: u64,
         from: EndpointId,
@@ -28,8 +38,12 @@ pub(crate) enum TxFlow<L> {
         deadline: SimTime,
     },
     /// The transaction is on the wire; it reaches the chain at the wake.
-    Deliver { build: TxBuild<L> },
-    /// In the mempool; polling for inclusion at slot boundaries.
+    Deliver {
+        tx: Box<SignedTransaction>,
+        build: TxBuild<L>,
+    },
+    /// In the mempool; parked on the driver's inclusion wait-set until the
+    /// receipt exists or the deadline passes.
     Await { id: TxId, deadline: SimTime },
     /// Transient placeholder while stepping.
     Spent,
@@ -37,23 +51,25 @@ pub(crate) enum TxFlow<L> {
 
 /// One advance of a [`TxFlow`].
 pub(crate) enum FlowPoll {
-    /// Re-step the flow at the given instant.
-    Sleep(SimTime),
+    /// Re-step the flow at the given wake.
+    Sleep(Wake),
     /// The flow finished.
     Done(Result<Receipt, OracleError>),
 }
 
 impl<L: Ledger> TxFlow<L> {
     /// Starts a flow: performs the first uplink attempt at the current
-    /// instant. The builder runs once now (to price the wire size) and once
-    /// more at delivery (to sign with a fresh nonce).
+    /// instant. The builder runs — and signs — once, now: the wire size is
+    /// priced on the transaction that will be delivered.
     pub(crate) fn start(
         world: &mut World<L>,
         from: EndpointId,
         build: impl Fn(&World<L>) -> SignedTransaction + 'static,
     ) -> (TxFlow<L>, FlowPoll) {
-        let size = build(world).encoded_size() as u64;
+        let tx = Box::new(build(world));
+        let size = tx.encoded_size() as u64;
         let mut flow = TxFlow::Send {
+            tx,
             build: Box::new(build),
             size,
             from,
@@ -69,6 +85,7 @@ impl<L: Ledger> TxFlow<L> {
         let now = world.clock.now();
         match std::mem::replace(self, TxFlow::Spent) {
             TxFlow::Send {
+                tx,
                 build,
                 size,
                 from,
@@ -91,13 +108,14 @@ impl<L: Ledger> TxFlow<L> {
                     return match world.fault_plan().next_clear(from, relay, now) {
                         Some(at) if at <= deadline => {
                             *self = TxFlow::Send {
+                                tx,
                                 build,
                                 size,
                                 from,
                                 attempt,
                                 deadline,
                             };
-                            FlowPoll::Sleep(at)
+                            FlowPoll::Sleep(Wake::At(at))
                         }
                         _ => {
                             world.metrics.incr("driver.hop.gave_up");
@@ -114,8 +132,8 @@ impl<L: Ledger> TxFlow<L> {
                     .attempt(&mut world.net, &mut world.rng, from, size, attempt)
                 {
                     Some(hop) => {
-                        *self = TxFlow::Deliver { build };
-                        FlowPoll::Sleep(now + hop)
+                        *self = TxFlow::Deliver { tx, build };
+                        FlowPoll::Sleep(Wake::At(now + hop))
                     }
                     None => {
                         world.metrics.incr("driver.hop.drops");
@@ -133,21 +151,30 @@ impl<L: Ledger> TxFlow<L> {
                                 }))
                             } else {
                                 *self = TxFlow::Send {
+                                    tx,
                                     build,
                                     size,
                                     from,
                                     attempt: next,
                                     deadline,
                                 };
-                                FlowPoll::Sleep(at)
+                                FlowPoll::Sleep(Wake::At(at))
                             }
                         }
                     }
                 }
             }
-            TxFlow::Deliver { build } => {
-                let tx = build(world);
-                match world.chain.submit(tx) {
+            TxFlow::Deliver { mut tx, build } => {
+                // Sign once: the priced transaction is delivered as is
+                // unless the sender's nonce moved while it was on the wire
+                // (another flow of the same sender got there first) —
+                // under the purity contract a rebuild at an unchanged
+                // nonce would be byte-identical anyway.
+                if world.chain.routed_next_nonce(&tx) != tx.tx.nonce {
+                    world.metrics.incr("driver.tx.resigned");
+                    *tx = build(world);
+                }
+                match world.chain.submit(*tx) {
                     Err(e) => FlowPoll::Done(Err(OracleError::Rejected(e))),
                     Ok(id) => {
                         *self = TxFlow::Await {
@@ -159,15 +186,16 @@ impl<L: Ledger> TxFlow<L> {
                 }
             }
             TxFlow::Await { id, deadline } => {
-                match duc_oracle::poll_inclusion(&mut world.chain, now, &id, deadline) {
-                    InclusionStatus::Included(receipt) => FlowPoll::Done(Ok(receipt)),
-                    InclusionStatus::TimedOut { deadline } => {
-                        FlowPoll::Done(Err(OracleError::InclusionTimeout { deadline }))
-                    }
-                    InclusionStatus::Pending { retry_at } => {
-                        *self = TxFlow::Await { id, deadline };
-                        FlowPoll::Sleep(retry_at)
-                    }
+                // Stepped on entry, then only once the wait-set saw the
+                // receipt or the deadline: never re-polled per slot.
+                world.chain.advance_to(now);
+                if let Some(receipt) = world.chain.receipt(&id) {
+                    FlowPoll::Done(Ok(receipt))
+                } else if now >= deadline {
+                    FlowPoll::Done(Err(OracleError::InclusionTimeout { deadline }))
+                } else {
+                    *self = TxFlow::Await { id, deadline };
+                    FlowPoll::Sleep(Wake::Receipt { id, deadline })
                 }
             }
             TxFlow::Spent => unreachable!("TxFlow stepped while spent"),

@@ -8,7 +8,7 @@ use crate::process::ProcessError;
 use crate::world::{IndexEntry, World};
 
 use super::hop::{Hop, HopPoll};
-use super::{Machine, Outcome, Step};
+use super::{Machine, Outcome, Step, Wake};
 
 /// Process 3 — resource indexing through the pull-out oracle.
 pub(crate) struct Indexing {
@@ -87,7 +87,7 @@ impl Indexing {
                         args,
                         dev_endpoint,
                     }),
-                    now,
+                    Wake::At(now),
                 )
             }
             IndexingPhase::Request {
@@ -95,16 +95,17 @@ impl Indexing {
                 args,
                 dev_endpoint,
             } => match hop.step(world) {
-                HopPoll::Sent { arrives } => {
-                    Step::Sleep(wrap(IndexingPhase::AtRelay { args, dev_endpoint }), arrives)
-                }
+                HopPoll::Sent { arrives } => Step::Sleep(
+                    wrap(IndexingPhase::AtRelay { args, dev_endpoint }),
+                    Wake::At(arrives),
+                ),
                 HopPoll::Retry { at } => Step::Sleep(
                     wrap(IndexingPhase::Request {
                         hop,
                         args,
                         dev_endpoint,
                     }),
-                    at,
+                    Wake::At(at),
                 ),
                 HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
             },
@@ -126,13 +127,15 @@ impl Indexing {
                     PullOutOracle::response_size(out.len()),
                     HopKind::PullOutResponse,
                 );
-                Step::Sleep(wrap(IndexingPhase::Respond { hop, out }), now)
+                Step::Sleep(wrap(IndexingPhase::Respond { hop, out }), Wake::At(now))
             }
             IndexingPhase::Respond { mut hop, out } => match hop.step(world) {
                 HopPoll::Sent { arrives } => {
-                    Step::Sleep(wrap(IndexingPhase::Arrived { out }), arrives)
+                    Step::Sleep(wrap(IndexingPhase::Arrived { out }), Wake::At(arrives))
                 }
-                HopPoll::Retry { at } => Step::Sleep(wrap(IndexingPhase::Respond { hop, out }), at),
+                HopPoll::Retry { at } => {
+                    Step::Sleep(wrap(IndexingPhase::Respond { hop, out }), Wake::At(at))
+                }
                 HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
             },
             IndexingPhase::Arrived { out } => {

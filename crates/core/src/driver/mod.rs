@@ -2,10 +2,14 @@
 //!
 //! The six paper processes (plus the market-subscription prerequisite) are
 //! expressed as per-process state machines that advance hop-by-hop on the
-//! [`duc_sim::Scheduler`]: every network hop and every block-inclusion wait
-//! is a scheduled continuation instead of an inline loop, so hundreds of
-//! requests from many owners and devices interleave deterministically
-//! across block boundaries.
+//! [`duc_sim::Scheduler`]: every network hop is a scheduled continuation
+//! instead of an inline loop, so hundreds of requests from many owners and
+//! devices interleave deterministically across block boundaries. A machine
+//! waiting for a block parks on the *inclusion wait-set*: one slot tick per
+//! block interval probes the chain for the parked transactions' receipts
+//! and steps, in the order waiting began, only the machines whose receipt
+//! exists (or whose timeout is due) — confirmation costs a machine step
+//! per included transaction, not one per pending transaction per slot.
 //!
 //! - [`World::submit`] enqueues a [`Request`] and returns a [`Ticket`]
 //!   immediately (unknown participants fail fast with a typed
@@ -29,7 +33,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use duc_blockchain::{Event, Ledger, Receipt};
+use duc_blockchain::{Event, Ledger, Receipt, TxId};
 use duc_contracts::{topics, PolicyEnvelope};
 use duc_crypto::Digest;
 use duc_intern::Sym;
@@ -213,11 +217,21 @@ pub(crate) fn receipt_ok(receipt: Receipt) -> Result<Receipt, ProcessError> {
 
 /// One advance of a process machine.
 pub(crate) enum Step<L> {
-    /// Store the machine back and wake it at the given instant (an instant
-    /// not in the future means "re-step in this scheduling round").
-    Sleep(Machine<L>, SimTime),
+    /// Store the machine back and step it again at the given wake.
+    Sleep(Machine<L>, Wake),
     /// The request completed.
     Done(Result<Outcome, ProcessError>),
+}
+
+/// What a sleeping machine waits for.
+pub(crate) enum Wake {
+    /// An instant (one not in the future means "re-step in this scheduling
+    /// round").
+    At(SimTime),
+    /// The chain holding a receipt for `id` — included or superseded — or
+    /// `deadline`, whichever comes first. The machine parks on the
+    /// driver's inclusion wait-set and is not stepped in between.
+    Receipt { id: TxId, deadline: SimTime },
 }
 
 /// The per-process state machines.
@@ -296,6 +310,24 @@ pub(crate) struct InboxEvent {
     pub(crate) deliveries: Vec<(EndpointId, SimTime)>,
 }
 
+// -------------------------------------------------------------- wake queue
+
+/// An entry of the driver's wake queue.
+enum Wakeup {
+    /// Step this machine.
+    Process(u64),
+    /// Look through the inclusion wait-set (a slot tick or a waiter's
+    /// deadline fired) and step the machines whose wait is over.
+    Receipts,
+}
+
+/// A machine parked until its transaction has a receipt.
+struct Waiter {
+    pid: u64,
+    id: TxId,
+    deadline: SimTime,
+}
+
 // ------------------------------------------------------------ driver state
 
 /// Per-world driver bookkeeping: in-flight machines, wake queue, completed
@@ -304,7 +336,12 @@ pub(crate) struct InboxEvent {
 pub(crate) struct DriverState<L> {
     next_ticket: u64,
     inflight: HashMap<u64, Machine<L>>,
-    woken: Rc<RefCell<VecDeque<u64>>>,
+    woken: Rc<RefCell<VecDeque<Wakeup>>>,
+    /// The inclusion wait-set, in the order waiting began.
+    waiting: Vec<Waiter>,
+    /// The queued slot tick — one scheduler event at the next slot
+    /// boundary, kept armed exactly while `waiting` is non-empty.
+    slot_tick: Option<(SimTime, EventId)>,
     completed: VecDeque<(Ticket, Result<Outcome, ProcessError>)>,
     pub(crate) inbox: Vec<InboxEvent>,
     pub(crate) monitoring_inbox: Vec<(u64, Rc<Event>)>,
@@ -328,6 +365,8 @@ impl<L> DriverState<L> {
             next_ticket: 0,
             inflight: HashMap::new(),
             woken: Rc::new(RefCell::new(VecDeque::new())),
+            waiting: Vec::new(),
+            slot_tick: None,
             completed: VecDeque::new(),
             inbox: Vec::new(),
             monitoring_inbox: Vec::new(),
@@ -399,13 +438,19 @@ impl<L: Ledger> World<L> {
             }
         };
         self.driver.inflight.insert(ticket.0, machine);
-        self.driver.woken.borrow_mut().push_back(ticket.0);
+        self.wake_now(ticket.0);
         ticket
     }
 
     /// Number of requests currently in flight.
     pub fn in_flight(&self) -> usize {
         self.driver.inflight.len()
+    }
+
+    /// Number of in-flight requests parked until a transaction of theirs
+    /// has a receipt.
+    pub(crate) fn awaiting_inclusion(&self) -> usize {
+        self.driver.waiting.len()
     }
 
     /// Takes the completed outcome for `ticket`, if the request finished.
@@ -430,13 +475,101 @@ impl<L: Ledger> World<L> {
         let mut steps = 0;
         loop {
             self.spawn_due_obligations();
-            let Some(pid) = self.driver.woken.borrow_mut().pop_front() else {
+            let Some(wakeup) = self.driver.woken.borrow_mut().pop_front() else {
                 break;
             };
-            self.step_process(pid);
-            steps += 1;
+            steps += match wakeup {
+                Wakeup::Process(pid) => {
+                    self.step_process(pid);
+                    1
+                }
+                Wakeup::Receipts => self.step_confirmed(),
+            };
         }
         steps
+    }
+
+    fn wake_now(&mut self, pid: u64) {
+        let wakeup = Wakeup::Process(pid);
+        self.driver.woken.borrow_mut().push_back(wakeup);
+    }
+
+    /// Queues `wakeup` for the instant `at` (in the future).
+    fn wake_at(&mut self, at: SimTime, wakeup: Wakeup) -> EventId {
+        let woken = self.driver.woken.clone();
+        self.sched
+            .schedule_at(at, move |_| woken.borrow_mut().push_back(wakeup))
+    }
+
+    /// Steps, in waiting order, exactly the parked machines whose wait is
+    /// over — the chain holds their receipt, or their deadline is here —
+    /// and re-arms the slot tick for the rest. A waiter that stays costs
+    /// one receipt probe, not a machine step. Returns the steps executed.
+    ///
+    /// Runs when a [`Wakeup::Receipts`] entry is reached, i.e. after the
+    /// event loop brought the chain to this instant: a block sealed at
+    /// this slot has already recorded its receipts (and those of the
+    /// entries it superseded).
+    fn step_confirmed(&mut self) -> u64 {
+        let now = self.clock.now();
+        // Whether the slot tick, rather than one waiter's deadline, is due.
+        let ticked = self.driver.slot_tick.is_some_and(|(at, _)| at <= now);
+        if ticked {
+            self.driver.slot_tick = None;
+        }
+        let mut steps = 0;
+        // A machine stepped here may park again: that lands in the (now
+        // empty) set in the driver and is appended below, which keeps the
+        // order in which waiting began.
+        let waiting = std::mem::take(&mut self.driver.waiting);
+        let mut still_waiting = Vec::with_capacity(waiting.len());
+        for waiter in waiting {
+            if waiter.deadline <= now || self.chain.has_receipt(&waiter.id) {
+                self.step_process(waiter.pid);
+                steps += 1;
+            } else {
+                still_waiting.push(waiter);
+            }
+        }
+        if ticked && !still_waiting.is_empty() {
+            // No poll sits between two ticks any more, so a deadline that
+            // precedes the next tick gets a wake of its own: the timeout
+            // still fires at its exact instant.
+            let next_tick = self.next_slot_tick();
+            for waiter in &still_waiting {
+                if waiter.deadline < next_tick {
+                    self.wake_at(waiter.deadline, Wakeup::Receipts);
+                }
+            }
+        }
+        still_waiting.append(&mut self.driver.waiting);
+        self.driver.waiting = still_waiting;
+        if self.driver.waiting.is_empty() {
+            if let Some((_, tick)) = self.driver.slot_tick.take() {
+                self.sched.cancel(tick);
+            }
+        }
+        steps
+    }
+
+    /// The instant of the armed slot tick; arms one at the next slot
+    /// boundary if none is.
+    fn next_slot_tick(&mut self) -> SimTime {
+        if let Some((at, _)) = self.driver.slot_tick {
+            return at;
+        }
+        let at = self.chain.next_slot_at(self.clock.now());
+        let tick = self.wake_at(at, Wakeup::Receipts);
+        self.driver.slot_tick = Some((at, tick));
+        at
+    }
+
+    /// Parks machine `pid` on the inclusion wait-set.
+    fn park(&mut self, pid: u64, id: TxId, deadline: SimTime) {
+        self.driver.waiting.push(Waiter { pid, id, deadline });
+        if deadline < self.next_slot_tick() {
+            self.wake_at(deadline, Wakeup::Receipts);
+        }
     }
 
     /// Turns fired obligation wakeups into in-flight [`ObligationRun`]
@@ -456,7 +589,7 @@ impl<L: Ledger> World<L> {
                 pid,
                 Machine::Obligation(Box::new(ObligationRun::new(device, resource))),
             );
-            self.driver.woken.borrow_mut().push_back(pid);
+            self.wake_now(pid);
         }
     }
 
@@ -465,14 +598,14 @@ impl<L: Ledger> World<L> {
             return;
         };
         match machine.step(self) {
-            Step::Sleep(machine, at) => {
+            Step::Sleep(machine, wake) => {
                 self.driver.inflight.insert(pid, machine);
-                if at <= self.clock.now() {
-                    self.driver.woken.borrow_mut().push_back(pid);
-                } else {
-                    let woken = self.driver.woken.clone();
-                    self.sched
-                        .schedule_at(at, move |_| woken.borrow_mut().push_back(pid));
+                match wake {
+                    Wake::At(at) if at <= self.clock.now() => self.wake_now(pid),
+                    Wake::At(at) => {
+                        self.wake_at(at, Wakeup::Process(pid));
+                    }
+                    Wake::Receipt { id, deadline } => self.park(pid, id, deadline),
                 }
             }
             Step::Done(result) => {

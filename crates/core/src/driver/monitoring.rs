@@ -14,7 +14,7 @@ use duc_tee::ReportedEvidence;
 
 use super::flow::{FlowPoll, TxFlow};
 use super::hop::{Hop, HopPoll};
-use super::{receipt_ok, Machine, Outcome, Routed, Step};
+use super::{receipt_ok, Machine, Outcome, Routed, Step, Wake};
 
 /// Process 6 — policy monitoring round.
 pub(crate) struct Monitoring<L> {
@@ -182,8 +182,12 @@ impl<L: Ledger> Monitoring<L> {
                 }
             }
             MonPhase::PollOut { ctx, mut hop } => match hop.step(world) {
-                HopPoll::Sent { arrives } => Step::Sleep(wrap(MonPhase::PollGateway(ctx)), arrives),
-                HopPoll::Retry { at } => Step::Sleep(wrap(MonPhase::PollOut { ctx, hop }), at),
+                HopPoll::Sent { arrives } => {
+                    Step::Sleep(wrap(MonPhase::PollGateway(ctx)), Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => {
+                    Step::Sleep(wrap(MonPhase::PollOut { ctx, hop }), Wake::At(at))
+                }
                 HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
             },
             MonPhase::PollGateway(ctx) => {
@@ -223,7 +227,7 @@ impl<L: Ledger> Monitoring<L> {
                         cursor_to,
                         hop,
                     }),
-                    now,
+                    Wake::At(now),
                 )
             }
             MonPhase::PollReturn {
@@ -238,7 +242,7 @@ impl<L: Ledger> Monitoring<L> {
                         events,
                         cursor_to,
                     }),
-                    arrives,
+                    Wake::At(arrives),
                 ),
                 HopPoll::Retry { at } => Step::Sleep(
                     wrap(MonPhase::PollReturn {
@@ -247,7 +251,7 @@ impl<L: Ledger> Monitoring<L> {
                         cursor_to,
                         hop,
                     }),
-                    at,
+                    Wake::At(at),
                 ),
                 HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
             },
@@ -313,7 +317,7 @@ impl<L: Ledger> Monitoring<L> {
                             device: device_name,
                             hop,
                         }),
-                        now,
+                        Wake::At(now),
                     );
                 }
             }
@@ -322,12 +326,14 @@ impl<L: Ledger> Monitoring<L> {
                 device,
                 mut hop,
             } => match hop.step(world) {
-                HopPoll::Sent { arrives } => {
-                    Step::Sleep(wrap(MonPhase::DeviceReport { ctx, device }), arrives)
-                }
-                HopPoll::Retry { at } => {
-                    Step::Sleep(wrap(MonPhase::DeviceProbe { ctx, device, hop }), at)
-                }
+                HopPoll::Sent { arrives } => Step::Sleep(
+                    wrap(MonPhase::DeviceReport { ctx, device }),
+                    Wake::At(arrives),
+                ),
+                HopPoll::Retry { at } => Step::Sleep(
+                    wrap(MonPhase::DeviceProbe { ctx, device, hop }),
+                    Wake::At(at),
+                ),
                 HopPoll::Failed(_) => {
                     // The device could not be reached within the probe
                     // budget: record it and move on — absent evidence is
@@ -515,7 +521,7 @@ impl<L: Ledger> Monitoring<L> {
                     hop,
                 },
             })),
-            now,
+            Wake::At(now),
         )
     }
 

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
-use duc_oracle::{InclusionStatus, OracleError};
+use duc_oracle::OracleError;
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::EnforcementAction;
@@ -13,7 +13,7 @@ use crate::process::{ProcessError, PropagationOutcome};
 use crate::world::World;
 
 use super::flow::{drive_flow, FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Routed, Step, CONFIRM_TIMEOUT};
+use super::{receipt_ok, Machine, Outcome, Routed, Step, Wake, CONFIRM_TIMEOUT};
 
 /// Process 5 — policy modification and push-out fan-out.
 pub(crate) struct PolicyMod<L> {
@@ -216,7 +216,7 @@ impl<L: Ledger> PolicyMod<L> {
                             started,
                             phase: PolicyModPhase::Fanout(state),
                         })),
-                        at,
+                        Wake::At(at),
                     ),
                     None => PolicyMod {
                         webid,
@@ -229,23 +229,23 @@ impl<L: Ledger> PolicyMod<L> {
             }
             PolicyModPhase::ConfirmUnregisters(mut state) => {
                 // Await inclusion of *every* pending unregistration so an
-                // earlier deletion cannot race a later monitoring round.
+                // earlier deletion cannot race a later monitoring round:
+                // park on each in turn until it has a receipt (whatever
+                // its status) or times out.
                 loop {
                     if let Some((id, deadline)) = state.current.take() {
-                        match duc_oracle::poll_inclusion(&mut world.chain, now, &id, deadline) {
-                            InclusionStatus::Included(_) | InclusionStatus::TimedOut { .. } => {}
-                            InclusionStatus::Pending { retry_at } => {
-                                state.current = Some((id, deadline));
-                                return Step::Sleep(
-                                    Machine::PolicyMod(Box::new(PolicyMod {
-                                        webid,
-                                        path,
-                                        started,
-                                        phase: PolicyModPhase::ConfirmUnregisters(state),
-                                    })),
-                                    retry_at,
-                                );
-                            }
+                        world.chain.advance_to(now);
+                        if now < deadline && !world.chain.has_receipt(&id) {
+                            state.current = Some((id, deadline));
+                            return Step::Sleep(
+                                Machine::PolicyMod(Box::new(PolicyMod {
+                                    webid,
+                                    path,
+                                    started,
+                                    phase: PolicyModPhase::ConfirmUnregisters(state),
+                                })),
+                                Wake::Receipt { id, deadline },
+                            );
                         }
                     } else if let Some(id) = state.pending.pop_front() {
                         state.current = Some((id, now + CONFIRM_TIMEOUT));

@@ -614,6 +614,8 @@ impl<L: Ledger> World<L> {
             self.push_out.subscriptions() as f64,
         );
         snapshot.set_gauge("driver.inbox.events", self.driver.inbox.len() as f64);
+        snapshot.set_gauge("driver.inclusion.waiting", self.awaiting_inclusion() as f64);
+        snapshot.set_gauge("chain.mempool.depth", self.chain.pending_count() as f64);
         snapshot.set("state.evictions", &[], paging.evictions);
         snapshot.set("state.fault_ins", &[], paging.fault_ins);
         snapshot.set("state.page_compactions", &[], paging.compactions);

@@ -85,6 +85,41 @@ fn scenario_matrix_is_backend_agnostic() {
         .expect("every shard validates");
 }
 
+/// The two probes the driver's confirmation path relies on agree, on every
+/// backend, with the full forms they abbreviate: `routed_next_nonce` with
+/// the nonce a `build_call` of the same call signs (pending transactions
+/// on the routed shard included), `has_receipt` with `receipt`.
+fn nonce_and_receipt_probes_on<L: Ledger>(mut world: World<L>) {
+    scenario::populate(&mut world);
+    // One key subscribes under two WebIDs: a sharded backend routes by
+    // WebID, and every chain keeps its own nonce sequence for the key.
+    let device = world.device(scenario::ALICE_DEVICE).key;
+    for (round, webid) in [scenario::ALICE, scenario::BOB, scenario::ALICE]
+        .into_iter()
+        .enumerate()
+    {
+        let tx = world.dex.subscribe_tx(&world.chain, &device, webid);
+        assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce, "{round}");
+        let id = world.chain.submit(tx.clone()).expect("valid");
+        assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce + 1);
+        let next = world.dex.subscribe_tx(&world.chain, &device, webid);
+        assert_eq!(next.tx.nonce, tx.tx.nonce + 1);
+        assert!(!world.chain.has_receipt(&id));
+        assert!(world.chain.receipt(&id).is_none());
+        world.advance(world.config.block_interval);
+        assert!(world.chain.has_receipt(&id));
+        assert!(world.chain.receipt(&id).is_some());
+        // Included: the state nonce moved on, the pool no longer counts.
+        assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce + 1);
+    }
+}
+
+#[test]
+fn nonce_and_receipt_probes_agree_on_both_backends() {
+    nonce_and_receipt_probes_on(World::new(config(3, 1)));
+    nonce_and_receipt_probes_on(World::new_sharded(config(3, 4)));
+}
+
 /// Absolute golden pin for the §II scenario: exact process outcomes and
 /// exact per-method gas on both backends under both execution modes (the
 /// parallel intra-shard executor must be invisible). The relative matrix

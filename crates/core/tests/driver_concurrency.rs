@@ -276,3 +276,129 @@ proptest! {
         prop_assert_eq!(world.chain.balance(&treasury), n as u128 * world.config.market_fee);
     }
 }
+
+/// Drives `accesses` concurrent process-4 requests on a 128-device market
+/// and returns `run_until_idle`'s machine steps.
+fn steps_for_concurrent_accesses(accesses: usize) -> u64 {
+    let (mut world, resource) = market_world(128, 5, false);
+    let tickets: Vec<Ticket> = (0..accesses)
+        .map(|i| {
+            world.submit(Request::ResourceAccess {
+                device: format!("device-{i}"),
+                resource: resource.clone(),
+            })
+        })
+        .collect();
+    let steps = world.run_until_idle();
+    for t in tickets {
+        let outcome = t.poll(&mut world).expect("completed");
+        assert!(outcome.is_ok(), "access failed: {outcome:?}");
+    }
+    assert_eq!(
+        world.metrics.counter("driver.tx.resigned"),
+        0,
+        "distinct senders: every priced transaction is the one delivered"
+    );
+    steps
+}
+
+/// A machine waiting for its block is not stepped while it waits, so the
+/// steps a request takes do not depend on how many others are pending —
+/// with ≈ 6 copy registrations per block, 128 accesses wait ≈ 11 slots on
+/// average, and a per-slot re-poll would multiply that into the count.
+#[test]
+fn driver_steps_are_linear_in_the_backlog() {
+    let few = steps_for_concurrent_accesses(16);
+    let many = steps_for_concurrent_accesses(128);
+    // Start, pod request, pod, pod response, store + uplink, delivery,
+    // confirmation.
+    assert_eq!(few, 16 * 7);
+    assert_eq!(many, 128 * 7);
+}
+
+/// Two flows of one sender price their transactions at the same nonce; the
+/// one delivered second finds the nonce taken and is signed again.
+#[test]
+fn one_sender_racing_itself_takes_consecutive_nonces() {
+    let (mut world, resource) = market_world(1, 11, false);
+    let other_iri = world
+        .owner(OWNER)
+        .pod_manager
+        .pod()
+        .iri_of("data/other.bin");
+    let other = world
+        .resource_initiation(
+            OWNER,
+            "data/other.bin",
+            Body::Binary(vec![0x5A; 4 << 10]),
+            retention_policy(&other_iri, 7),
+            vec![],
+        )
+        .expect("second resource");
+    world
+        .resource_indexing("device-0", &other)
+        .expect("indexing");
+    assert_eq!(world.metrics.counter("driver.tx.resigned"), 0);
+
+    let device = duc_blockchain::Address::from_public_key(&world.device("device-0").key.public());
+    let height = world.chain.height();
+    let next = world.chain.next_nonce(&device);
+    let tickets = [&resource, &other].map(|resource| {
+        world.submit(Request::ResourceAccess {
+            device: "device-0".into(),
+            resource: resource.clone(),
+        })
+    });
+    world.run_until_idle();
+    for t in tickets {
+        let outcome = t.poll(&mut world).expect("completed");
+        assert!(outcome.is_ok(), "access failed: {outcome:?}");
+    }
+    assert_eq!(world.metrics.counter("driver.tx.resigned"), 1);
+    let nonces: Vec<u64> = (height + 1..=world.chain.height())
+        .flat_map(|h| &world.chain.block(h).expect("resident").transactions)
+        .filter(|tx| tx.tx.from == device)
+        .map(|tx| tx.tx.nonce)
+        .collect();
+    assert_eq!(nonces, [next, next + 1]);
+    for resource in [&resource, &other] {
+        let copies = world.dex.list_copies(&world.chain, resource).expect("view");
+        assert_eq!(copies.len(), 1);
+    }
+}
+
+/// With the chain dead, several parked machines share one slot tick — and
+/// each still times out at its own deadline, not at the tick after it.
+#[test]
+fn stalled_waiters_each_time_out_at_their_own_deadline() {
+    use duc_oracle::OracleError;
+
+    // WAN latencies: the six deliveries, hence deadlines, are distinct.
+    let (mut world, resource) = market_world_on(6, 21, false, LinkConfig::wan());
+    for idx in 0..world.chain.validator_count() {
+        world.chain.set_validator_down(idx, true);
+    }
+    for i in 0..6 {
+        world.submit(Request::ResourceAccess {
+            device: format!("device-{i}"),
+            resource: resource.clone(),
+        });
+    }
+    let mut deadlines = Vec::new();
+    world.advance(SimDuration::ZERO); // first steps: every request is on the wire
+    while world.in_flight() > 0 {
+        let at = world.next_wakeup_at().expect("waiters keep a wake armed");
+        world.advance(at.saturating_since(world.clock.now()));
+        for (_, outcome) in world.drain_events() {
+            let Err(ProcessError::Oracle(OracleError::InclusionTimeout { deadline })) = outcome
+            else {
+                panic!("expected an inclusion timeout, got {outcome:?}");
+            };
+            assert_eq!(world.clock.now(), deadline, "timed out late");
+            deadlines.push(deadline);
+        }
+    }
+    deadlines.dedup();
+    assert_eq!(deadlines.len(), 6, "six distinct deadlines, in order");
+    assert!(deadlines.is_sorted());
+}

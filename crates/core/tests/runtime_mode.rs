@@ -180,6 +180,8 @@ fn metrics_endpoint_serves_migrated_families() {
         "# TYPE duc_oracle_push_out_resyncs_total counter",
         "# TYPE duc_oracle_push_out_subscriptions gauge",
         "# TYPE duc_driver_inbox_events gauge",
+        "# TYPE duc_driver_inclusion_waiting gauge",
+        "# TYPE duc_chain_mempool_depth gauge",
     ] {
         assert!(
             body.contains(family),

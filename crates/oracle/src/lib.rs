@@ -19,7 +19,8 @@
 //!
 //! * push-in: [`PushInOracle::attempt`] is one uplink try,
 //!   [`poll_inclusion`] one confirmation check ([`await_inclusion`] loops
-//!   it on a clock).
+//!   it on a clock; the driver waits on the ledger's receipt probe
+//!   instead of polling).
 //! * push-out: [`PushOutOracle::try_drain`] computes the deliveries of the
 //!   events past the cursor; [`PushOutOracle::drain`] also resyncs a
 //!   cursor that fell below the prune horizon. A subscription is a set

@@ -142,10 +142,13 @@ pub enum InclusionStatus {
 /// receipt, and — when the transaction is still pending — reports when the
 /// caller should poll again instead of spinning the shared clock forward.
 ///
-/// A driver schedules a wake-up at `retry_at` and re-polls, so hundreds of
-/// in-flight processes can wait for inclusion concurrently without
-/// serializing on the clock; [`await_inclusion`] is the blocking loop over
-/// it.
+/// This is the public primitive for a caller that owns its own timeline,
+/// and what [`await_inclusion`] — the blocking loop, used by the
+/// obligation sweep — iterates. The `duc-core` driver does not poll: a
+/// machine waiting for inclusion parks on the driver's wait-set, which
+/// probes [`Ledger::has_receipt`] once per slot and steps the machine only
+/// when its receipt exists or its deadline has come, so a pending
+/// transaction costs a hash probe per slot rather than a poll.
 pub fn poll_inclusion<L: Ledger>(
     chain: &mut L,
     now: SimTime,

@@ -6,13 +6,29 @@
 //! insertion order so runs are fully deterministic.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::clock::{Clock, SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled.
+///
+/// A slot in the scheduler's table of queued events plus the slot's
+/// generation at scheduling time: the slot is recycled once the event
+/// fires or its cancelled entry is discarded, so a stale id — fired,
+/// cancelled-and-discarded — no longer matches and cancelling it does
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: u32,
+    generation: u32,
+}
+
+/// The cancellation state of one queued event.
+#[derive(Default)]
+struct Slot {
+    generation: u32,
+    cancelled: bool,
+}
 
 /// A queued follow-up event: fire time plus callback.
 type QueuedEvent = (SimTime, Box<dyn FnOnce(&mut SchedulerCtx<'_>)>);
@@ -87,7 +103,12 @@ impl Ord for Entry {
 pub struct Scheduler {
     clock: Clock,
     heap: BinaryHeap<Reverse<Entry>>,
-    cancelled: HashSet<EventId>,
+    /// One slot per queued entry (live or cancelled), recycled through
+    /// `free_slots`: the table is bounded by the peak queue length.
+    slots: Vec<Slot>,
+    free_slots: Vec<u32>,
+    /// Queued entries marked cancelled and not yet discarded.
+    cancelled: usize,
     next_seq: u64,
     executed: u64,
 }
@@ -108,7 +129,9 @@ impl Scheduler {
         Scheduler {
             clock,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            cancelled: 0,
             next_seq: 0,
             executed: 0,
         }
@@ -126,7 +149,20 @@ impl Scheduler {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len().min(self.heap.len())
+        self.heap.len() - self.cancelled
+    }
+
+    /// Recycles the slot of an entry that just left the queue; returns
+    /// whether the entry had been cancelled.
+    fn release(&mut self, id: EventId) -> bool {
+        let slot = &mut self.slots[id.slot as usize];
+        let cancelled = std::mem::take(&mut slot.cancelled);
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free_slots.push(id.slot);
+        if cancelled {
+            self.cancelled -= 1;
+        }
+        cancelled
     }
 
     /// The timestamp of the next live (non-cancelled) event, if any.
@@ -137,13 +173,12 @@ impl Scheduler {
     /// without guessing a horizon.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
         loop {
-            let head = self.heap.peek()?;
-            let Reverse(entry) = head;
-            if self.cancelled.remove(&entry.id) {
-                self.heap.pop();
-                continue;
+            let Reverse(entry) = self.heap.peek()?;
+            if !self.slots[entry.id.slot as usize].cancelled {
+                return Some(entry.at);
             }
-            return Some(entry.at);
+            let Reverse(entry) = self.heap.pop().expect("peeked entry exists");
+            self.release(entry.id);
         }
     }
 
@@ -156,7 +191,14 @@ impl Scheduler {
         at: SimTime,
         f: impl FnOnce(&mut SchedulerCtx<'_>) + 'static,
     ) -> EventId {
-        let id = EventId(self.next_seq);
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
+        });
+        let id = EventId {
+            slot,
+            generation: self.slots[slot as usize].generation,
+        };
         self.heap.push(Reverse(Entry {
             at,
             seq: self.next_seq,
@@ -176,10 +218,17 @@ impl Scheduler {
         self.schedule_at(self.clock.now() + delay, f)
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or unknown event
-    /// is a no-op.
+    /// Cancels a pending event. Cancelling an already-fired, already
+    /// cancelled or unknown event is a no-op: nothing is recorded for it.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
+        let Some(slot) = self.slots.get_mut(id.slot as usize) else {
+            return;
+        };
+        // A free slot's generation is already past every id it issued.
+        if slot.generation == id.generation && !slot.cancelled {
+            slot.cancelled = true;
+            self.cancelled += 1;
+        }
     }
 
     /// Runs all events with timestamps `<= horizon`, advancing the clock to
@@ -193,7 +242,7 @@ impl Scheduler {
                 break;
             }
             let Reverse(entry) = self.heap.pop().expect("peeked entry exists");
-            if self.cancelled.remove(&entry.id) {
+            if self.release(entry.id) {
                 continue;
             }
             self.clock.advance_to(entry.at);
@@ -309,6 +358,52 @@ mod tests {
         s.run_until(SimTime::from_millis(20));
         assert!(handle.borrow().is_empty());
         assert_eq!(s.executed(), 0);
+    }
+
+    #[test]
+    fn cancel_after_fire_is_a_noop() {
+        let mut s = Scheduler::new(Clock::new());
+        let fired = s.schedule_at(SimTime::from_millis(5), |_| {});
+        s.schedule_at(SimTime::from_millis(50), |_| {});
+        s.run_until(SimTime::from_millis(10));
+        assert_eq!(s.pending(), 1);
+        // Fired, then cancelled (twice): the live event is still counted
+        // and still fires, and nothing is kept for the stale id.
+        s.cancel(fired);
+        s.cancel(fired);
+        assert_eq!(s.pending(), 1, "a stale cancel must not undercount");
+        assert_eq!(s.cancelled, 0);
+        // The recycled slot's next tenant is not cancellable through it.
+        let tenant = s.schedule_at(SimTime::from_millis(20), |_| {});
+        assert_eq!(tenant.slot, fired.slot);
+        s.cancel(fired);
+        assert_eq!(s.pending(), 2);
+        assert_eq!(s.run_until(SimTime::from_millis(100)), 2);
+        assert_eq!((s.pending(), s.cancelled), (0, 0));
+    }
+
+    #[test]
+    fn cancelled_events_leave_nothing_behind_once_time_passes_them() {
+        let mut s = Scheduler::new(Clock::new());
+        for i in 0..10_000u64 {
+            let id = s.schedule_at(SimTime::from_millis(1 + i % 97), |_| {
+                panic!("a cancelled event fired")
+            });
+            s.cancel(id);
+            s.cancel(id);
+            assert_eq!(s.pending(), 0);
+        }
+        assert_eq!(s.next_event_at(), None);
+        assert_eq!(s.run_until(SimTime::from_millis(100)), 0);
+        assert_eq!((s.pending(), s.cancelled, s.heap.len()), (0, 0, 0));
+        // Every slot is back on the free list; live scheduling reuses them.
+        assert_eq!(s.free_slots.len(), s.slots.len());
+        let slots = s.slots.len();
+        for _ in 0..100 {
+            s.schedule_in(SimDuration::from_millis(1), |_| {});
+            s.run_until(s.clock().now() + SimDuration::from_millis(1));
+        }
+        assert_eq!(s.slots.len(), slots);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! rogue hosts.
 
 use solid_usage_control::core::chaos;
+use solid_usage_control::core::driver::CONFIRM_TIMEOUT;
 use solid_usage_control::core::scenario::{self, BOB, MEDICAL_PATH};
 use solid_usage_control::oracle::{HopKind, OracleError};
 use solid_usage_control::prelude::*;
@@ -111,14 +112,18 @@ fn all_validators_stalled_means_typed_timeout_not_hang() {
     let Some(Err(err)) = ticket.poll(&mut world) else {
         panic!("the ticket must resolve with an error");
     };
-    assert!(
-        matches!(
-            err,
-            ProcessError::Oracle(OracleError::InclusionTimeout { .. })
-        ),
-        "{err}"
-    );
+    let ProcessError::Oracle(OracleError::InclusionTimeout { deadline }) = err else {
+        panic!("{err}");
+    };
     assert!(err.is_transient(), "liveness failures are retry-worthy");
+    // The wait is notified, not polled per slot, and still ends at the
+    // exact instant: the transaction was delivered one 10 ms uplink hop
+    // after submission, and the timeout fires `CONFIRM_TIMEOUT` after
+    // that — between two slot boundaries, not at the next one.
+    let delivered = now + SimDuration::from_millis(10);
+    assert_eq!(deadline, delivered + CONFIRM_TIMEOUT);
+    assert_eq!(world.clock.now(), deadline);
+    assert_eq!(inclusion_waiters(&world), 0.0);
     // Liveness returns when the stall plan is lifted.
     world.set_fault_plan(FaultPlan::none());
     let ticket = world.submit(monitoring_request());
@@ -128,6 +133,105 @@ fn all_validators_stalled_means_typed_timeout_not_hang() {
     };
     assert!(outcome.round >= 1);
     let _ = iri;
+}
+
+/// The `driver.inclusion.waiting` gauge: machines parked on a receipt.
+fn inclusion_waiters(world: &World) -> f64 {
+    let snapshot = world.metrics_snapshot();
+    snapshot.gauge_families()["driver.inclusion.waiting"][&[][..]]
+}
+
+#[test]
+fn stalled_access_times_out_at_its_own_deadline_and_leaves_no_tick() {
+    let (mut world, iri) = market_world(7);
+    let submitted = world.clock.now();
+    let mut plan = FaultPlan::none();
+    for i in 0..5 {
+        plan = plan.validator_stall(i, submitted, SimTime::MAX);
+    }
+    world.set_fault_plan(plan);
+    let ticket = world.submit(Request::ResourceAccess {
+        device: "dev-0".into(),
+        resource: iri,
+    });
+    // Half a minute in, the copy registration sits in the mempool and the
+    // machine is parked on its receipt.
+    world.advance(SimDuration::from_secs(30));
+    assert_eq!(world.in_flight(), 1);
+    assert_eq!(inclusion_waiters(&world), 1.0);
+    assert_eq!(world.chain.pending_count(), 1);
+
+    world.run_until_idle();
+    let Some(Err(ProcessError::Oracle(OracleError::InclusionTimeout { deadline }))) =
+        ticket.poll(&mut world)
+    else {
+        panic!("the access must resolve with an inclusion timeout");
+    };
+    // Delivery came three 10 ms hops after submission (to the pod, back,
+    // uplink); the timeout fires exactly `CONFIRM_TIMEOUT` later.
+    let delivered = submitted + SimDuration::from_millis(30);
+    assert_eq!(deadline, delivered + CONFIRM_TIMEOUT);
+    assert_eq!(world.clock.now(), deadline);
+
+    // Nothing waits any more, and the slot tick went with the last
+    // waiter: five more slots pass without a single scheduler event.
+    assert_eq!(inclusion_waiters(&world), 0.0);
+    let executed = world.sched.executed();
+    world.advance(SimDuration::from_secs(10));
+    assert_eq!(
+        world.sched.executed(),
+        executed,
+        "a slot tick re-armed itself"
+    );
+}
+
+#[test]
+fn deadline_before_the_first_slot_boundary_still_fires_on_time() {
+    // Blocks slower than the confirmation timeout: the waiter's deadline
+    // precedes the very first slot tick it could be notified by.
+    let mut world = World::new(WorldConfig {
+        link: steady_link(),
+        block_interval: CONFIRM_TIMEOUT + SimDuration::from_secs(30),
+        ..WorldConfig::default()
+    });
+    world.add_owner(BOB, "https://bob.pod/");
+    let submitted = world.clock.now();
+    let ticket = world.submit(Request::PodInitiation { webid: BOB.into() });
+    world.run_until_idle();
+    let Some(Err(ProcessError::Oracle(OracleError::InclusionTimeout { deadline }))) =
+        ticket.poll(&mut world)
+    else {
+        panic!("the registration cannot confirm in time");
+    };
+    assert_eq!(
+        deadline,
+        submitted + SimDuration::from_millis(10) + CONFIRM_TIMEOUT
+    );
+    assert_eq!(world.clock.now(), deadline);
+    assert_eq!(inclusion_waiters(&world), 0.0);
+}
+
+#[test]
+fn confirmed_waiters_leave_the_wait_set_empty_and_the_tick_disarmed() {
+    let (mut world, iri) = market_world(8);
+    let ticket = world.submit(Request::ResourceAccess {
+        device: "dev-0".into(),
+        resource: iri,
+    });
+    world.run_until_idle();
+    assert!(matches!(
+        ticket.poll(&mut world),
+        Some(Ok(Outcome::Accessed(_)))
+    ));
+    assert_eq!(inclusion_waiters(&world), 0.0);
+    // The copy's retention deadline is days away; nothing may fire before.
+    let executed = world.sched.executed();
+    world.advance(SimDuration::from_secs(10));
+    assert_eq!(
+        world.sched.executed(),
+        executed,
+        "a slot tick re-armed itself"
+    );
 }
 
 #[test]
