@@ -1517,8 +1517,8 @@ fn largest_e15_point(max_owners: usize) -> usize {
 /// owners (one resource each, Zipf-skewed popularity, bursty access
 /// waves, device churn between waves). The wave workload is fixed across
 /// rows, so req/s isolates how the *population size* taxes the
-/// architecture; the run asserts wall-clock throughput does not degrade
-/// superlinearly in the population.
+/// architecture; the run asserts that a k× population costs at most √k× of
+/// the 10²-owner row's wall-clock throughput.
 pub fn e15_population(max_owners: usize) -> Vec<Table> {
     let mut table = Table::new(
         "E15 · population scale — Zipf market, bursty waves, device churn (3 × 128-access waves)",
@@ -1572,17 +1572,20 @@ pub fn e15_population(max_owners: usize) -> Vec<Table> {
             format!("{req_s:.0}"),
             rss,
         ]);
-        // The superlinearity gate: growing the population k× may cost at
-        // most k× of the fixed workload's wall-clock throughput.
+        // The population gate: growing the population k× may cost at most
+        // √k× of the fixed workload's wall-clock throughput (10× at 10⁴
+        // owners, 31.6× at 10⁵). A per-actor cost that grows with the
+        // population breaks it; an allowance of k× would not notice one.
         match baseline {
             None => baseline = Some((owners, req_s)),
             Some((first_owners, first_req_s)) => {
                 let scale = owners as f64 / first_owners as f64;
+                let limit = scale.sqrt();
                 let slowdown = first_req_s / req_s.max(1e-9);
                 assert!(
-                    slowdown <= scale,
+                    slowdown <= limit,
                     "E15 gate: {first_owners}→{owners} owners is a {scale:.0}× population, \
-                     but wall-clock req/s degraded {slowdown:.1}× (superlinear)"
+                     which may cost {limit:.1}× of wall-clock req/s, but it degraded {slowdown:.1}×"
                 );
             }
         }
@@ -2352,7 +2355,7 @@ mod tests {
     #[test]
     fn e15_population_smoke_run_completes() {
         // Small-n replica of the E15 harness (the full sweep and its
-        // superlinearity gate run through the report binary): a tiny
+        // population gate run through the report binary): a tiny
         // population builds, every wave access succeeds, and churn keeps
         // the fleet size constant.
         let spec = scenario::PopulationSpec {

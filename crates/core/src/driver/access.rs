@@ -95,7 +95,8 @@ impl<L: Ledger> Access<L> {
                 let Some(dev) = world.try_device(&device) else {
                     return Step::Done(Err(ProcessError::UnknownDevice(device)));
                 };
-                let Some(entry) = dev.indexed.get(&resource).cloned() else {
+                let sym = world.ids.get(&resource);
+                let Some(entry) = sym.and_then(|sym| dev.indexed.get(&sym)).cloned() else {
                     return Step::Done(Err(ProcessError::NotIndexed { device, resource }));
                 };
                 let Some(certificate) = dev.certificate else {

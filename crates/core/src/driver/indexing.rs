@@ -156,8 +156,9 @@ impl Indexing {
                     owner_webid: record.owner_webid.clone(),
                     policy,
                 };
+                let sym = world.ids.intern(&resource);
                 let dev = world.devices.get_mut(&device).expect("validated at submit");
-                dev.indexed.insert(&resource, entry.clone());
+                dev.indexed.insert(sym, entry.clone());
 
                 world.metrics.record("process.indexing.e2e", now - started);
                 world

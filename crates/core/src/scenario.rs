@@ -14,7 +14,7 @@ use duc_contracts::{topics, DistExchangeClient};
 use duc_policy::{
     AclMode, Action, AgentSpec, Authorization, Constraint, Duty, Purpose, Rule, UsagePolicy,
 };
-use duc_sim::SimDuration;
+use duc_sim::{zipf_weights, SimDuration};
 use duc_solid::{Body, SolidRequest};
 use duc_tee::EnforcementAction;
 
@@ -521,7 +521,8 @@ fn certify_enrolled<L: Ledger>(
 /// a wave can start from a cold index without serializing 10⁴ lookups.
 fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str, rank: usize) {
     let iri = &pop.resources[rank];
-    if world.device(device).indexed.contains_key(iri) {
+    let sym = world.ids.intern(iri);
+    if world.device(device).indexed.contains_key(&sym) {
         return;
     }
     let webid = &pop.owners[rank];
@@ -541,7 +542,7 @@ fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str,
         .get_mut(device)
         .expect("live device")
         .indexed
-        .insert(iri, entry);
+        .insert(sym, entry);
 }
 
 /// Drives the wave-based population workload: per wave, a burst of
@@ -556,6 +557,8 @@ pub fn run_population<L: Ledger>(
 ) -> PopulationRunReport {
     let t0 = world.clock.now();
     let (mut requests, mut ok, mut churned) = (0usize, 0usize, 0usize);
+    // Built once per run: `gen_zipf` per draw would redo `owners` `powf`s.
+    let popularity = zipf_weights(pop.resources.len(), spec.zipf_s);
     for wave in 0..spec.waves {
         if wave > 0 {
             // Bursty arrivals: exponentially distributed inter-wave gap.
@@ -577,7 +580,7 @@ pub fn run_population<L: Ledger>(
         let mut attempts = 0;
         while picks.len() < spec.accesses_per_wave && attempts < spec.accesses_per_wave * 8 {
             attempts += 1;
-            let rank = world.rng.gen_zipf(pop.resources.len(), spec.zipf_s);
+            let rank = world.rng.choose_weighted(&popularity);
             let dev = world.rng.gen_range(pop.devices.len() as u64) as usize;
             picks.insert((dev, rank));
         }

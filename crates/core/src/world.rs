@@ -5,7 +5,7 @@ use duc_blockchain::{
 };
 use duc_contracts::{topics, DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::KeyPair;
-use duc_intern::{Registry, SharedInterner};
+use duc_intern::{Registry, SharedInterner, Sym};
 use duc_oracle::{PullInOracle, PullOutOracle, PushInOracle, PushOutOracle};
 use duc_policy::UsagePolicy;
 use duc_sim::{
@@ -132,8 +132,11 @@ pub struct Device {
     pub endpoint: EndpointId,
     /// Market certificate, once subscribed.
     pub certificate: Option<duc_crypto::Digest>,
-    /// Indexed resources by IRI (interned in the world's symbol space).
-    pub indexed: Registry<IndexEntry>,
+    /// Indexed resources, keyed by the IRI's symbol in [`World::ids`]. A
+    /// tree, not a `Registry`: resource IRIs sit high in the world's symbol
+    /// space, and a device's index must cost what the device holds, not four
+    /// bytes per symbol in the world. Only ever probed, never iterated.
+    pub indexed: std::collections::BTreeMap<Sym, IndexEntry>,
 }
 
 /// One simulated deployment of the whole architecture, generic over the
@@ -173,7 +176,7 @@ pub struct World<L = Blockchain> {
     pub devices: Registry<Device>,
     /// Which device sits behind a network endpoint, maintained by
     /// [`World::add_device`]: push-out deliveries address endpoints.
-    pub(crate) device_endpoints: std::collections::HashMap<EndpointId, duc_intern::Sym>,
+    pub(crate) device_endpoints: std::collections::HashMap<EndpointId, Sym>,
     /// Collected measurements.
     pub metrics: MetricsRegistry,
     /// Structured event trace (enabled by [`WorldConfig::trace`]).
@@ -348,7 +351,7 @@ impl<L: Ledger> World<L> {
                 key,
                 endpoint,
                 certificate: None,
-                indexed: Registry::new(self.ids.clone()),
+                indexed: std::collections::BTreeMap::new(),
             },
         );
     }

@@ -21,6 +21,22 @@
 //! Interned symbols never cross the wire: contract ABI bytes, storage keys
 //! and event payloads stay exactly as before. Interning only replaces the
 //! *off-chain* bookkeeping around them.
+//!
+//! ## When `SymMap` is the wrong map
+//!
+//! A [`SymMap`] (and so a [`Registry`]) pays four bytes for every symbol id
+//! up to the largest key it has been given, whether or not the ids below it
+//! are present. Use it where the keys are *dense in their interner*: one map
+//! per world or per contract, over an interner that holds little besides
+//! that map's keys (the world's owner and device registries, the DE App's
+//! state tables, a TEE's copies over the TEE's own interner). Never keep one
+//! map *per actor* over a *shared* interner: each device's resource index
+//! was once a `Registry` over the world's symbol space, where resource IRIs
+//! are interned after every owner and device name, so a device that indexed
+//! a single resource allocated and filled 80–120 KB at 10⁴ owners (ten times
+//! that at 10⁵) — over 800 MiB of a 10⁴-owner benchmark run's peak RSS. A
+//! sparse per-actor map keyed by the shared [`Sym`] is a `BTreeMap<Sym, V>`:
+//! [`Sym`] is `Ord`, and such a map costs what it holds.
 
 #![forbid(unsafe_code)]
 
@@ -126,12 +142,18 @@ impl Interner {
 
 /// A flat, dense map keyed by [`Sym`].
 ///
-/// Two-level layout: a `u32` index vector (one slot per symbol the map has
-/// ever been probed with — 4 bytes each) pointing into a packed entry
-/// array. Lookup is two array probes with no hashing; iteration walks the
-/// packed entries, so it is cache-friendly and deterministic (insertion
-/// order until a removal, arbitrary-but-deterministic after — removals
-/// backfill with the last entry).
+/// Two-level layout: a `u32` index vector (one slot per symbol *id* up to
+/// the largest key ever inserted — 4 bytes each, present or not; probes
+/// never grow it) pointing into a packed entry array. Lookup is two array
+/// probes with no hashing; iteration walks the packed entries, so it is
+/// cache-friendly and deterministic (insertion order until a removal,
+/// arbitrary-but-deterministic after — removals backfill with the last
+/// entry).
+///
+/// The index vector makes the map's size a function of the *interner's*
+/// population, not of its own: right where the keys are dense in their
+/// interner, wrong for one map per actor over a shared interner (see the
+/// crate docs, "When `SymMap` is the wrong map").
 pub struct SymMap<V> {
     index: Vec<u32>,
     entries: Vec<(Sym, V)>,
@@ -315,6 +337,11 @@ impl SharedInterner {
 /// Iteration order is packed-entry order: insertion order until a removal,
 /// deterministic always — unlike `HashMap`, two identical runs iterate
 /// identically.
+///
+/// It inherits [`SymMap`]'s contract: one registry per world over the
+/// shared interner (owners, devices), never one per actor — a registry
+/// holding a single late-interned key still carries four bytes for every
+/// symbol interned before it.
 #[derive(Debug, Clone)]
 pub struct Registry<V> {
     ids: SharedInterner,

@@ -8,6 +8,7 @@
 //! with a `satisfies` relation (reachability).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::OnceLock;
 
 use crate::model::Purpose;
 
@@ -49,6 +50,15 @@ impl PurposeTaxonomy {
             &["medical-research", "academic-research"],
         );
         t
+    }
+
+    /// The process's one [`PurposeTaxonomy::standard`] hierarchy, built on
+    /// first use. The hierarchy is immutable and only ever read (policy
+    /// compilation closes over it), so every trusted application compiles
+    /// against this instance rather than a copy of its own.
+    pub fn shared_standard() -> &'static PurposeTaxonomy {
+        static STANDARD: OnceLock<PurposeTaxonomy> = OnceLock::new();
+        STANDARD.get_or_init(PurposeTaxonomy::standard)
     }
 
     /// Declares `child` to be a kind of each parent.

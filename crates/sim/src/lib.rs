@@ -39,5 +39,5 @@ pub use clock::{Clock, SimDuration, SimTime};
 pub use fault::{FaultPlan, FaultSpec};
 pub use metrics::{Counter, Family, Histogram, Labels, MetricsRegistry, TraceEvent, TraceRecorder};
 pub use net::{EndpointId, LatencyModel, LinkConfig, NetworkModel};
-pub use rng::Rng;
+pub use rng::{zipf_weights, Rng};
 pub use sched::{EventId, Scheduler};

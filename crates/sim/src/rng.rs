@@ -174,14 +174,24 @@ impl Rng {
         weights.len() - 1
     }
 
-    /// Zipf-distributed rank in `[0, n)` with exponent `s` via weight table.
-    ///
-    /// Used to model skewed resource popularity in the data-market workloads.
+    /// Zipf-distributed rank in `[0, n)` with exponent `s`: the one-shot
+    /// form, by definition [`Rng::choose_weighted`] over [`zipf_weights`].
+    /// It pays `n` `powf`s per draw; a loop builds the table once and draws
+    /// from it — the ranks are the same.
     pub fn gen_zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf requires n > 0");
-        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-        self.choose_weighted(&weights)
+        self.choose_weighted(&zipf_weights(n, s))
     }
+}
+
+/// The Zipf weight table over ranks `[0, n)` with exponent `s` (rank 0 is
+/// the hottest): `1 / (rank + 1)^s`. Models skewed resource popularity in
+/// the data-market workloads; draw from it with [`Rng::choose_weighted`].
+///
+/// # Panics
+/// Panics if `n` is zero.
+pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
+    assert!(n > 0, "zipf requires n > 0");
+    (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect()
 }
 
 #[cfg(test)]
@@ -300,6 +310,25 @@ mod tests {
             counts[rng.gen_zipf(20, 1.0)] += 1;
         }
         assert!(counts[0] > counts[10] * 3, "rank 0 dominates rank 10");
+    }
+
+    #[test]
+    fn hoisted_zipf_table_draws_what_gen_zipf_draws() {
+        for n in [1usize, 7, 1_000] {
+            for s in [0.0, 1.1] {
+                let mut one_shot = Rng::seed_from_u64(n as u64 ^ 0x21bf);
+                let mut hoisted = one_shot.clone();
+                let table = zipf_weights(n, s);
+                for draw in 0..1_000 {
+                    assert_eq!(
+                        one_shot.gen_zipf(n, s),
+                        hoisted.choose_weighted(&table),
+                        "n={n} s={s} draw {draw}"
+                    );
+                }
+                assert_eq!(one_shot, hoisted, "both consumed the same stream");
+            }
+        }
     }
 
     #[test]

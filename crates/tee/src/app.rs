@@ -161,8 +161,9 @@ struct CopyEntry {
     /// When the currently-enforced policy version was applied locally
     /// (the retention deadline can never precede this instant).
     policy_applied_at: SimTime,
-    /// Every policy version ever enforced, compiled against the taxonomy,
-    /// with its local application time. Never empty: the last program is
+    /// Every policy version ever enforced, compiled against
+    /// [`PurposeTaxonomy::shared_standard`], with its local application
+    /// time. Never empty: the last program is
     /// the one in force and serves the access hot path; the audit replays
     /// each access against the version in force *at access time* (a policy
     /// narrowed later does not retroactively incriminate past, then-legal
@@ -193,8 +194,6 @@ impl CopyEntry {
 pub struct TrustedApplication {
     enclave: Enclave,
     storage: TrustedDataStorage,
-    /// The purpose hierarchy policies are compiled against.
-    taxonomy: PurposeTaxonomy,
     holder_webid: String,
     /// Resource-name table: each copy id is interned once; every lookup
     /// after that compares a `u32` symbol instead of re-hashing an IRI.
@@ -213,7 +212,6 @@ impl TrustedApplication {
         TrustedApplication {
             enclave,
             storage: TrustedDataStorage::new(),
-            taxonomy: PurposeTaxonomy::standard(),
             holder_webid: holder_webid.into(),
             names: Interner::new(),
             copies: SymMap::new(),
@@ -254,7 +252,7 @@ impl TrustedApplication {
     ) {
         let resource = resource.into();
         self.storage.seal(&self.enclave, &resource, bytes);
-        let program = compile(&policy, &self.taxonomy);
+        let program = compile(&policy, PurposeTaxonomy::shared_standard());
         let sym = self.names.intern(&resource);
         self.copies.insert(
             sym,
@@ -437,9 +435,10 @@ impl TrustedApplication {
         {
             return actions;
         }
-        entry
-            .history
-            .push((now, compile(&new_policy, &self.taxonomy)));
+        entry.history.push((
+            now,
+            compile(&new_policy, PurposeTaxonomy::shared_standard()),
+        ));
         entry.cached = None;
         entry.policy = new_policy;
         entry.policy_applied_at = now;

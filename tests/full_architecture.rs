@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the whole architecture, end to end.
 
-use solid_usage_control::core::scenario::{self, ALICE, ALICE_DEVICE, BOB, MEDICAL_PATH};
+use solid_usage_control::core::scenario::{
+    self, ALICE, ALICE_DEVICE, BOB, BOB_DEVICE, MEDICAL_PATH,
+};
 use solid_usage_control::prelude::*;
 use solid_usage_control::sim::LinkConfig;
 use solid_usage_control::solid::Body;
@@ -85,6 +87,34 @@ fn unindexed_access_fails_cleanly() {
         .resource_indexing(ALICE_DEVICE, "https://bob.pod/ghost")
         .unwrap_err();
     assert!(matches!(err, ProcessError::UnknownResource(_)));
+}
+
+#[test]
+fn indexes_are_per_device_in_a_shared_symbol_space() {
+    let mut world = scenario::build_world(WorldConfig::default());
+    world.pod_initiation(BOB).unwrap();
+    let iri = world.owner(BOB).pod_manager.pod().iri_of(MEDICAL_PATH);
+    world
+        .resource_initiation(
+            BOB,
+            MEDICAL_PATH,
+            Body::Text("data".into()),
+            scenario::medical_policy(&iri),
+            vec![],
+        )
+        .unwrap();
+    world.market_subscribe(ALICE_DEVICE).unwrap();
+    world.market_subscribe(BOB_DEVICE).unwrap();
+    // Alice's indexing interns the IRI in the world's one symbol space...
+    world.resource_indexing(ALICE_DEVICE, &iri).unwrap();
+    assert!(world.ids.get(&iri).is_some());
+    // ...which gives no other device an index entry for it.
+    let err = world.resource_access(BOB_DEVICE, &iri).unwrap_err();
+    assert!(
+        matches!(&err, ProcessError::NotIndexed { device, .. } if device == BOB_DEVICE),
+        "{err}"
+    );
+    assert!(world.resource_access(ALICE_DEVICE, &iri).unwrap().bytes > 0);
 }
 
 #[test]
