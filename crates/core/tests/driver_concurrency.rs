@@ -2,6 +2,7 @@
 //! the scheduler, typed submission errors, determinism, and a property test
 //! racing devices over one resource.
 
+use duc_blockchain::Ledger;
 use duc_core::prelude::*;
 use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
 use duc_sim::{LatencyModel, LinkConfig, SimDuration};
@@ -401,4 +402,134 @@ fn stalled_waiters_each_time_out_at_their_own_deadline() {
     deadlines.dedup();
     assert_eq!(deadlines.len(), 6, "six distinct deadlines, in order");
     assert!(deadlines.is_sorted());
+}
+
+/// `run_until_idle`'s machine steps for one request of every kind, each
+/// driven alone on a loss-free fixed link: `[pod initiation, resource
+/// initiation, subscription, indexing, access, policy modification,
+/// monitoring, revocation]`, the last three over `holders` copy holders
+/// (the revocation is a policy modification to zero retention: every
+/// holder deletes and the machine awaits each unregistration).
+fn steps_per_request_kind<L: Ledger>(mut world: World<L>, holders: usize) -> [u64; 8] {
+    fn drive<L: Ledger>(world: &mut World<L>, request: Request) -> u64 {
+        let ticket = world.submit(request);
+        let steps = world.run_until_idle();
+        let outcome = ticket.poll(world).expect("completed");
+        assert!(outcome.is_ok(), "request failed: {outcome:?}");
+        steps
+    }
+
+    world.add_owner(OWNER, "https://owner.pod/");
+    for i in 0..holders {
+        world.add_device(format!("device-{i}"), format!("https://c{i}.id/me"));
+    }
+    let pod_init = drive(
+        &mut world,
+        Request::PodInitiation {
+            webid: OWNER.into(),
+        },
+    );
+    let resource = world.owner(OWNER).pod_manager.pod().iri_of("data/set.bin");
+    let policy = retention_policy(&resource, 7);
+    let res_init = drive(
+        &mut world,
+        Request::ResourceInitiation {
+            webid: OWNER.into(),
+            path: "data/set.bin".into(),
+            body: Body::Binary(vec![0xA5; 4 << 10]),
+            policy,
+            metadata: vec![],
+        },
+    );
+    // Every holder takes the same steps; the first one's are reported.
+    let mut per_device = Vec::new();
+    for i in 0..holders {
+        let device = format!("device-{i}");
+        per_device.push([
+            drive(
+                &mut world,
+                Request::MarketSubscribe {
+                    device: device.clone(),
+                },
+            ),
+            drive(
+                &mut world,
+                Request::ResourceIndexing {
+                    device: device.clone(),
+                    resource: resource.clone(),
+                },
+            ),
+            drive(
+                &mut world,
+                Request::ResourceAccess {
+                    device,
+                    resource: resource.clone(),
+                },
+            ),
+        ]);
+    }
+    let [subscribe, indexing, access] = per_device[0];
+    assert!(per_device.iter().all(|steps| *steps == per_device[0]));
+    let tightened = retention_policy(&resource, 3);
+    let policy_mod = drive(
+        &mut world,
+        Request::PolicyModification {
+            webid: OWNER.into(),
+            path: "data/set.bin".into(),
+            rules: tightened.rules,
+            duties: tightened.duties,
+        },
+    );
+    let monitoring = drive(
+        &mut world,
+        Request::PolicyMonitoring {
+            webid: OWNER.into(),
+            path: "data/set.bin".into(),
+        },
+    );
+    let revocation = drive(
+        &mut world,
+        Request::PolicyModification {
+            webid: OWNER.into(),
+            path: "data/set.bin".into(),
+            rules: vec![Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxRetention(SimDuration::ZERO))],
+            duties: vec![Duty::DeleteWithin(SimDuration::ZERO), Duty::LogAccesses],
+        },
+    );
+    for i in 0..holders {
+        let device = world.device(&format!("device-{i}"));
+        assert!(!device.tee.has_copy(&resource), "revoked copy survived");
+    }
+    [
+        pod_init, res_init, subscribe, indexing, access, policy_mod, monitoring, revocation,
+    ]
+}
+
+/// The driver's schedule, pinned per request kind and the same on both
+/// backends: every hop arrival, every zero-delay re-step and every
+/// confirmation is exactly one step.
+#[test]
+fn every_request_kind_takes_its_pinned_steps() {
+    let config = |shards| WorldConfig {
+        seed: 5,
+        link: fixed_link(10),
+        shards,
+        ..WorldConfig::default()
+    };
+    // Start + uplink, delivery, confirmation for the three one-transaction
+    // kinds; indexing is two hops and access two hops plus a transaction;
+    // a fan-out whose deliveries share one arrival is one more step, a
+    // revocation parks once more on the unregistrations' block; a round is
+    // seven steps plus four per holder (probe, report + uplink, delivery,
+    // confirmation).
+    for (holders, pinned) in [
+        (1, [3, 3, 3, 5, 7, 4, 11, 5]),
+        (4, [3, 3, 3, 5, 7, 4, 23, 5]),
+    ] {
+        let single = steps_per_request_kind(World::new(config(1)), holders);
+        assert_eq!(single, pinned, "single chain, {holders} holders");
+        let sharded = steps_per_request_kind(World::new_sharded(config(4)), holders);
+        assert_eq!(sharded, pinned, "four shards, {holders} holders");
+    }
 }

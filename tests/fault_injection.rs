@@ -4,12 +4,12 @@
 //! validators, network partitions, lossy windows, crashed endpoints and
 //! rogue hosts.
 
-use solid_usage_control::core::chaos;
 use solid_usage_control::core::driver::CONFIRM_TIMEOUT;
 use solid_usage_control::core::scenario::{self, BOB, MEDICAL_PATH};
+use solid_usage_control::core::{chaos, outcome_key};
 use solid_usage_control::oracle::{HopKind, OracleError};
 use solid_usage_control::prelude::*;
-use solid_usage_control::sim::{FaultPlan, LatencyModel, LinkConfig};
+use solid_usage_control::sim::{EndpointId, FaultPlan, LatencyModel, LinkConfig};
 use solid_usage_control::solid::Body;
 
 fn steady_link() -> LinkConfig {
@@ -450,4 +450,99 @@ fn crashed_device_endpoint_blocks_only_that_device() {
     };
     assert_eq!(outcome.expected, 2);
     assert_eq!(outcome.evidence, 1, "dev-b still answers");
+}
+
+/// Which link a lossy window goes on.
+type Link = fn(&World) -> (EndpointId, EndpointId);
+
+/// The retry arm of every hop kind a request crosses keeps the machine's
+/// state: a 40 %-lossy window on the hop's link forces drops on exactly
+/// that kind of hop, and the request still resolves to what the clean run
+/// resolves to.
+#[test]
+fn every_hop_kind_rides_out_a_lossy_window_with_its_state_intact() {
+    let device_pod: Link = |w| (w.device("dev-0").endpoint, w.owner(BOB).endpoint);
+    let device_relay: Link = |w| (w.device("dev-0").endpoint, w.push_in.relay);
+    let relay_gateway: Link = |w| (w.pull_in.relay, w.gateway);
+    let access = |iri: &str| Request::ResourceAccess {
+        device: "dev-0".into(),
+        resource: iri.into(),
+    };
+    let indexing = |iri: &str| Request::ResourceIndexing {
+        device: "dev-0".into(),
+        resource: iri.into(),
+    };
+    let monitoring = |_: &str| monitoring_request();
+    // (hops on the link, world before the request, link, request, whether
+    // the drops to look for are the push-in uplink's)
+    let rows: [(
+        &str,
+        fn(u64) -> (World, String),
+        Link,
+        fn(&str) -> Request,
+        bool,
+    ); 5] = [
+        (
+            "PodRequest/PodResponse",
+            market_world,
+            device_pod,
+            access,
+            false,
+        ),
+        (
+            "PullOutRequest/PullOutResponse",
+            market_world,
+            device_relay,
+            indexing,
+            false,
+        ),
+        (
+            "PullInPoll/PullInReturn",
+            one_copy_world,
+            relay_gateway,
+            monitoring,
+            false,
+        ),
+        (
+            "DeviceProbe",
+            one_copy_world,
+            device_relay,
+            monitoring,
+            false,
+        ),
+        ("PushInUplink", market_world, device_relay, access, true),
+    ];
+    for (hops, world_at, link, request, uplink) in rows {
+        // Seeds whose first draws lose several messages in a row.
+        for seed in [0, 30, 39] {
+            let run = |lossy: bool| {
+                let (mut world, iri) = world_at(seed);
+                if lossy {
+                    // The device's uplink shares the device↔relay pair with
+                    // the raw hops: give it the attempts a 40 % loss needs.
+                    world.push_in.max_attempts = 12;
+                    let (a, b) = link(&world);
+                    let now = world.clock.now();
+                    let until = now + SimDuration::from_secs(3600);
+                    world.set_fault_plan(FaultPlan::none().drop_window(a, b, now, until, 400));
+                }
+                let ticket = world.submit(request(&iri));
+                world.run_until_idle();
+                let outcome = ticket.poll(&mut world).expect("completed");
+                let drops = world.metrics.counter("driver.hop.drops");
+                let (_, uplink_retries) = world.push_in.stats();
+                (outcome_key(&outcome), drops, uplink_retries)
+            };
+            let (clean, drops, _) = run(false);
+            assert_eq!(drops, 0, "{hops}, seed {seed}: the clean run drops nothing");
+            let (lossy, drops, uplink_retries) = run(true);
+            let on_kind = if uplink {
+                uplink_retries
+            } else {
+                drops - uplink_retries
+            };
+            assert!(on_kind > 0, "{hops}, seed {seed}: nothing was dropped");
+            assert_eq!(lossy, clean, "{hops}, seed {seed}");
+        }
+    }
 }
