@@ -17,7 +17,7 @@ use duc_oracle::OracleError;
 use duc_sim::SimDuration;
 use duc_solid::{SolidRequest, Status};
 
-use crate::process::ProcessError;
+use crate::driver::ProcessError;
 use crate::world::World;
 
 /// Access-control-only Solid (no usage control).

@@ -28,8 +28,7 @@
 use duc_blockchain::Ledger;
 use duc_sim::{EndpointId, FaultPlan, LatencyModel, LinkConfig, Rng, SimDuration, SimTime};
 
-use crate::driver::{Outcome, Request, Ticket};
-use crate::process::ProcessError;
+use crate::driver::{Outcome, ProcessError, Request, Ticket};
 use crate::world::World;
 
 /// The result of one chaos run: per-ticket outcomes plus aggregates.

@@ -3,16 +3,16 @@
 use duc_blockchain::{Ledger, Receipt};
 use duc_contracts::topics;
 use duc_crypto::{Digest, PublicKey};
-use duc_oracle::{HopKind, OracleError};
+use duc_oracle::HopKind;
+use duc_policy::UsagePolicy;
 use duc_sim::{EndpointId, SimDuration, SimTime};
 use duc_solid::{Body, SolidRequest, Status};
 
-use crate::process::{AccessOutcome, ProcessError};
-use crate::world::{IndexEntry, World};
+use crate::world::World;
 
-use super::flow::{drive_flow, FlowPoll, TxFlow};
+use super::flow::{FlowPoll, TxFlow};
 use super::hop::{Hop, HopPoll};
-use super::{receipt_ok, Machine, Outcome, Step, Wake};
+use super::{AccessOutcome, Outcome, ProcessError, Step, Wake};
 
 /// Process 4 — resource access into the TEE.
 pub(crate) struct Access<L> {
@@ -20,84 +20,72 @@ pub(crate) struct Access<L> {
     resource: String,
     started: SimTime,
     phase: AccessPhase<L>,
+    /// Set by `Start`, read by the phases after it.
+    fetch: Option<Fetch>,
+    /// The policy in the device's index entry when the access started;
+    /// `Arrived` moves it into the TEE.
+    policy: Option<UsagePolicy>,
+    /// Size of the resource and latency of the pod fetch alone, known once
+    /// the response arrived.
+    bytes: usize,
+    fetched: SimDuration,
+}
+
+/// What `Start` resolved about the fetch.
+struct Fetch {
+    dev_endpoint: EndpointId,
+    owner_endpoint: EndpointId,
+    owner_webid: String,
+    request: SolidRequest,
+    cert_ok: bool,
+    enclave_key: PublicKey,
+    sent_at: SimTime,
 }
 
 enum AccessPhase<L> {
     Start,
     /// Request hop (device → pod manager), fault-aware.
-    ToPod {
-        hop: Hop,
-        fetch_start: SimTime,
-        request: SolidRequest,
-        owner_webid: String,
-        owner_endpoint: EndpointId,
-        dev_endpoint: EndpointId,
-        cert_ok: bool,
-        entry: IndexEntry,
-        enclave_key: PublicKey,
-    },
-    AtPod {
-        fetch_start: SimTime,
-        request: SolidRequest,
-        owner_webid: String,
-        owner_endpoint: EndpointId,
-        dev_endpoint: EndpointId,
-        cert_ok: bool,
-        entry: IndexEntry,
-        enclave_key: PublicKey,
-    },
+    ToPod(Hop),
+    AtPod,
     /// Response hop (pod manager → device), fault-aware. The pod manager
     /// served the request exactly once; retries only re-send the bytes.
     FromPod {
         hop: Hop,
-        fetch_start: SimTime,
         bytes: Vec<u8>,
-        dev_endpoint: EndpointId,
-        entry: IndexEntry,
-        enclave_key: PublicKey,
     },
     Arrived {
-        fetch_start: SimTime,
         bytes: Vec<u8>,
-        dev_endpoint: EndpointId,
-        entry: IndexEntry,
-        enclave_key: PublicKey,
     },
-    Confirm {
-        flow: TxFlow<L>,
-        fetch: SimDuration,
-        bytes_len: usize,
-        dev_endpoint: EndpointId,
-    },
+    Confirm(TxFlow<L>),
 }
 
 impl<L: Ledger> Access<L> {
-    #[allow(clippy::too_many_lines)]
     pub(super) fn new(device: String, resource: String, started: SimTime) -> Self {
         Access {
             device,
             resource,
             started,
             phase: AccessPhase::Start,
+            fetch: None,
+            policy: None,
+            bytes: 0,
+            fetched: SimDuration::ZERO,
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let Access {
-            device,
-            resource,
-            started,
-            phase,
-        } = self;
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
-        match phase {
+        match &mut self.phase {
             AccessPhase::Start => {
-                let Some(dev) = world.try_device(&device) else {
-                    return Step::Done(Err(ProcessError::UnknownDevice(device)));
+                let Some(dev) = world.try_device(&self.device) else {
+                    return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
-                let sym = world.ids.get(&resource);
-                let Some(entry) = sym.and_then(|sym| dev.indexed.get(&sym)).cloned() else {
-                    return Step::Done(Err(ProcessError::NotIndexed { device, resource }));
+                let sym = world.ids.get(&self.resource);
+                let Some(entry) = sym.and_then(|sym| dev.indexed.get(&sym)) else {
+                    return Step::Done(Err(ProcessError::NotIndexed {
+                        device: self.device.clone(),
+                        resource: self.resource.clone(),
+                    }));
                 };
                 let Some(certificate) = dev.certificate else {
                     return Step::Done(Err(ProcessError::NoCertificate(dev.webid.clone())));
@@ -109,18 +97,18 @@ impl<L: Ledger> Access<L> {
                 // may hold governed copies (the market's terms, §II).
                 let Some(quote) = world.attestation.issue_quote(dev.tee.enclave()) else {
                     return Step::Done(Err(ProcessError::Attestation(format!(
-                        "measurement not trusted for {device}"
+                        "measurement not trusted for {}",
+                        self.device
                     ))));
                 };
 
                 let Some(owner) = world.try_owner(&entry.owner_webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(entry.owner_webid)));
+                    return Step::Done(Err(ProcessError::UnknownOwner(entry.owner_webid.clone())));
                 };
                 let owner_endpoint = owner.endpoint;
-                let root = owner.pod_manager.pod().root().to_string();
                 let path = entry
                     .location
-                    .strip_prefix(&root)
+                    .strip_prefix(owner.pod_manager.pod().root())
                     .unwrap_or(entry.location.as_str())
                     .to_string();
 
@@ -144,92 +132,38 @@ impl<L: Ledger> Access<L> {
                     request.size() as u64,
                     HopKind::PodRequest,
                 );
-                Step::Sleep(
-                    Machine::Access(Box::new(Access {
-                        device,
-                        resource,
-                        started,
-                        phase: AccessPhase::ToPod {
-                            hop,
-                            fetch_start: now,
-                            request,
-                            owner_webid: entry.owner_webid.clone(),
-                            owner_endpoint,
-                            dev_endpoint,
-                            cert_ok,
-                            entry,
-                            enclave_key: quote.enclave_key,
-                        },
-                    })),
-                    Wake::At(now),
-                )
+                self.fetch = Some(Fetch {
+                    dev_endpoint,
+                    owner_endpoint,
+                    owner_webid: entry.owner_webid.clone(),
+                    request,
+                    cert_ok,
+                    enclave_key: quote.enclave_key,
+                    sent_at: now,
+                });
+                self.policy = Some(entry.policy.clone());
+                self.phase = AccessPhase::ToPod(hop);
+                Step::Sleep(Wake::At(now))
             }
-            AccessPhase::ToPod {
-                mut hop,
-                fetch_start,
-                request,
-                owner_webid,
-                owner_endpoint,
-                dev_endpoint,
-                cert_ok,
-                entry,
-                enclave_key,
-            } => match hop.step(world) {
-                HopPoll::Sent { arrives } => Step::Sleep(
-                    Machine::Access(Box::new(Access {
-                        device,
-                        resource,
-                        started,
-                        phase: AccessPhase::AtPod {
-                            fetch_start,
-                            request,
-                            owner_webid,
-                            owner_endpoint,
-                            dev_endpoint,
-                            cert_ok,
-                            entry,
-                            enclave_key,
-                        },
-                    })),
-                    Wake::At(arrives),
-                ),
-                HopPoll::Retry { at } => Step::Sleep(
-                    Machine::Access(Box::new(Access {
-                        device,
-                        resource,
-                        started,
-                        phase: AccessPhase::ToPod {
-                            hop,
-                            fetch_start,
-                            request,
-                            owner_webid,
-                            owner_endpoint,
-                            dev_endpoint,
-                            cert_ok,
-                            entry,
-                            enclave_key,
-                        },
-                    })),
-                    Wake::At(at),
-                ),
-                HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
+            AccessPhase::ToPod(hop) => match hop.step(world) {
+                HopPoll::Sent { arrives } => {
+                    self.phase = AccessPhase::AtPod;
+                    Step::Sleep(Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
+                HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
-            AccessPhase::AtPod {
-                fetch_start,
-                request,
-                owner_webid,
-                owner_endpoint,
-                dev_endpoint,
-                cert_ok,
-                entry,
-                enclave_key,
-            } => {
+            AccessPhase::AtPod => {
+                let fetch = self.fetch.as_ref().expect("set by Start");
                 let owner = world
                     .owners
-                    .get_mut(&owner_webid)
+                    .get_mut(&fetch.owner_webid)
                     .expect("checked at start");
+                let cert_ok = fetch.cert_ok;
                 let verifier = move |_: &Digest, _: &str| cert_ok;
-                let resp = owner.pod_manager.handle_with_verifier(&request, &verifier);
+                let resp = owner
+                    .pod_manager
+                    .handle_with_verifier(&fetch.request, &verifier);
                 if resp.status != Status::Ok {
                     return Step::Done(Err(ProcessError::Solid {
                         status: resp.status,
@@ -240,8 +174,8 @@ impl<L: Ledger> Access<L> {
                 // fault-aware).
                 let hop = Hop::new(
                     world,
-                    owner_endpoint,
-                    dev_endpoint,
+                    fetch.owner_endpoint,
+                    fetch.dev_endpoint,
                     resp.size() as u64,
                     HopKind::PodResponse,
                 );
@@ -250,183 +184,56 @@ impl<L: Ledger> Access<L> {
                     Body::Binary(b) => b,
                     Body::Empty => Vec::new(),
                 };
-                Step::Sleep(
-                    Machine::Access(Box::new(Access {
-                        device,
-                        resource,
-                        started,
-                        phase: AccessPhase::FromPod {
-                            hop,
-                            fetch_start,
-                            bytes,
-                            dev_endpoint,
-                            entry,
-                            enclave_key,
-                        },
-                    })),
-                    Wake::At(now),
-                )
+                self.phase = AccessPhase::FromPod { hop, bytes };
+                Step::Sleep(Wake::At(now))
             }
-            AccessPhase::FromPod {
-                mut hop,
-                fetch_start,
-                bytes,
-                dev_endpoint,
-                entry,
-                enclave_key,
-            } => match hop.step(world) {
-                HopPoll::Sent { arrives } => Step::Sleep(
-                    Machine::Access(Box::new(Access {
-                        device,
-                        resource,
-                        started,
-                        phase: AccessPhase::Arrived {
-                            fetch_start,
-                            bytes,
-                            dev_endpoint,
-                            entry,
-                            enclave_key,
-                        },
-                    })),
-                    Wake::At(arrives),
-                ),
-                HopPoll::Retry { at } => Step::Sleep(
-                    Machine::Access(Box::new(Access {
-                        device,
-                        resource,
-                        started,
-                        phase: AccessPhase::FromPod {
-                            hop,
-                            fetch_start,
-                            bytes,
-                            dev_endpoint,
-                            entry,
-                            enclave_key,
-                        },
-                    })),
-                    Wake::At(at),
-                ),
-                HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
+            AccessPhase::FromPod { hop, bytes } => match hop.step(world) {
+                HopPoll::Sent { arrives } => {
+                    self.phase = AccessPhase::Arrived {
+                        bytes: std::mem::take(bytes),
+                    };
+                    Step::Sleep(Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
+                HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
-            AccessPhase::Arrived {
-                fetch_start,
-                bytes,
-                dev_endpoint,
-                entry,
-                enclave_key,
-            } => {
-                let fetch = now - fetch_start;
-                let bytes_len = bytes.len();
-                let dev = world.devices.get_mut(&device).expect("checked at start");
-                let webid = dev.webid.clone();
-                dev.tee
-                    .store_resource(&resource, &bytes, entry.policy.clone(), now);
+            AccessPhase::Arrived { bytes } => {
+                let fetch = self.fetch.as_ref().expect("set by Start");
+                self.fetched = now - fetch.sent_at;
+                self.bytes = bytes.len();
+                let policy = self.policy.take().expect("set by Start");
+                let dev = world
+                    .devices
+                    .get_mut(&self.device)
+                    .expect("checked at start");
+                dev.tee.store_resource(&self.resource, bytes, policy, now);
 
                 // Register the copy on-chain and subscribe to policy
                 // updates.
-                let build = {
-                    let key = dev.key;
-                    let resource = resource.clone();
-                    let device = device.clone();
-                    move |w: &World<L>| {
-                        w.dex.register_copy_tx(
-                            &w.chain,
-                            &key,
-                            &resource,
-                            &device,
-                            &webid,
-                            enclave_key,
-                        )
-                    }
+                let key = dev.key;
+                let webid = dev.webid.clone();
+                let resource = self.resource.clone();
+                let device = self.device.clone();
+                let enclave_key = fetch.enclave_key;
+                let build = move |w: &World<L>| {
+                    w.dex
+                        .register_copy_tx(&w.chain, &key, &resource, &device, &webid, enclave_key)
                 };
-                let (flow, poll) = TxFlow::start(world, dev_endpoint, build);
-                let next = Access {
-                    device,
-                    resource,
-                    started,
-                    phase: AccessPhase::Confirm {
-                        flow,
-                        fetch,
-                        bytes_len,
-                        dev_endpoint,
-                    },
-                };
-                match poll {
-                    FlowPoll::Sleep(at) => Step::Sleep(Machine::Access(Box::new(next)), at),
-                    FlowPoll::Done(res) => {
-                        let Access {
-                            device,
-                            resource,
-                            started,
-                            phase,
-                        } = next;
-                        let AccessPhase::Confirm {
-                            fetch,
-                            bytes_len,
-                            dev_endpoint,
-                            ..
-                        } = phase
-                        else {
-                            unreachable!()
-                        };
-                        Self::finish(
-                            world,
-                            device,
-                            resource,
-                            started,
-                            fetch,
-                            bytes_len,
-                            dev_endpoint,
-                            res,
-                        )
-                    }
-                }
+                self.phase = AccessPhase::Confirm(TxFlow::new(world, fetch.dev_endpoint, build));
+                self.step(world)
             }
-            AccessPhase::Confirm {
-                flow,
-                fetch,
-                bytes_len,
-                dev_endpoint,
-            } => drive_flow!(
-                world,
-                flow,
-                |flow| Machine::Access(Box::new(Access {
-                    device: device.clone(),
-                    resource: resource.clone(),
-                    started,
-                    phase: AccessPhase::Confirm {
-                        flow,
-                        fetch,
-                        bytes_len,
-                        dev_endpoint
-                    },
-                })),
-                |world: &mut World<L>, res| Self::finish(
-                    world,
-                    device.clone(),
-                    resource.clone(),
-                    started,
-                    fetch,
-                    bytes_len,
-                    dev_endpoint,
-                    res
-                )
-            ),
+            AccessPhase::Confirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(res) => self.finish(world, res),
+            },
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        world: &mut World<L>,
-        device: String,
-        resource: String,
-        started: SimTime,
-        fetch: SimDuration,
-        bytes_len: usize,
-        dev_endpoint: EndpointId,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
+    /// The copy registration resolved: arm the copy's obligations, or roll
+    /// the copy back.
+    fn finish(&mut self, world: &mut World<L>, res: Result<Receipt, ProcessError>) -> Step {
+        let now = world.clock.now();
+        let receipt = match res {
             Ok(receipt) => receipt,
             Err(e) => {
                 // The governed copy was sealed into the TEE before the
@@ -440,14 +247,13 @@ impl<L: Ledger> Access<L> {
                 // rollback leaves a stale registry record pointing at a
                 // deleted copy; monitoring surfaces exactly that (the
                 // device reports nothing for it).
-                let now = world.clock.now();
                 let registered = world
                     .dex
-                    .list_copies(&world.chain, &resource)
-                    .is_ok_and(|copies| copies.iter().any(|c| c.device == device));
+                    .list_copies(&world.chain, &self.resource)
+                    .is_ok_and(|copies| copies.iter().any(|c| c.device == self.device));
                 if !registered {
-                    if let Some(dev) = world.devices.get_mut(&device) {
-                        if dev.tee.delete(&resource, now) {
+                    if let Some(dev) = world.devices.get_mut(&self.device) {
+                        if dev.tee.delete(&self.resource, now) {
                             world.metrics.incr("driver.access.rolled_back");
                         }
                     }
@@ -455,26 +261,29 @@ impl<L: Ledger> Access<L> {
                 return Step::Done(Err(e));
             }
         };
+        let fetch = self.fetch.as_ref().expect("set by Start");
         world
             .push_out
-            .subscribe(topics::POLICY_UPDATED, dev_endpoint);
+            .subscribe(topics::POLICY_UPDATED, fetch.dev_endpoint);
         // The copy is sealed and registered: arm its obligation wakeup so
         // retention/expiry duties fire at their declared instant.
-        world.schedule_obligation(&device, &resource);
+        world.schedule_obligation(&self.device, &self.resource, None);
 
-        let now = world.clock.now();
-        let e2e = now - started;
+        let e2e = now - self.started;
         world.metrics.record("process.access.e2e", e2e);
-        world.metrics.record("process.access.fetch", fetch);
+        world.metrics.record("process.access.fetch", self.fetched);
         world.metrics.add("process.access.gas", receipt.gas_used);
-        world.metrics.add("process.access.bytes", bytes_len as u64);
-        world
-            .trace
-            .record(now, format!("tee:{device}"), "resource.stored", resource);
+        world.metrics.add("process.access.bytes", self.bytes as u64);
+        world.trace.record(
+            now,
+            format_args!("tee:{}", self.device),
+            "resource.stored",
+            &self.resource,
+        );
         Step::Done(Ok(Outcome::Accessed(AccessOutcome {
-            bytes: bytes_len,
+            bytes: self.bytes,
             e2e,
-            fetch,
+            fetch: self.fetched,
         })))
     }
 }

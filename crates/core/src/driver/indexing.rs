@@ -4,11 +4,10 @@ use duc_blockchain::Ledger;
 use duc_oracle::{HopKind, OracleError, PullOutOracle};
 use duc_sim::{EndpointId, SimTime};
 
-use crate::process::ProcessError;
 use crate::world::{IndexEntry, World};
 
 use super::hop::{Hop, HopPoll};
-use super::{Machine, Outcome, Step, Wake};
+use super::{Outcome, ProcessError, Step, Wake};
 
 /// Process 3 — resource indexing through the pull-out oracle.
 pub(crate) struct Indexing {
@@ -50,29 +49,15 @@ impl Indexing {
         }
     }
 
-    pub(super) fn step<L: Ledger>(self, world: &mut World<L>) -> Step<L> {
-        let Indexing {
-            device,
-            resource,
-            started,
-            phase,
-        } = self;
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
-        let wrap = |phase| {
-            Machine::Indexing(Indexing {
-                device: device.clone(),
-                resource: resource.clone(),
-                started,
-                phase,
-            })
-        };
-        match phase {
+        match &mut self.phase {
             IndexingPhase::Start => {
-                let Some(dev) = world.try_device(&device) else {
-                    return Step::Done(Err(ProcessError::UnknownDevice(device)));
+                let Some(dev) = world.try_device(&self.device) else {
+                    return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
                 let dev_endpoint = dev.endpoint;
-                let args = duc_codec::encode_to_vec(&(resource.clone(),));
+                let args = duc_codec::encode_to_vec(&(self.resource.clone(),));
                 world.pull_out.count_read();
                 let hop = Hop::new(
                     world,
@@ -81,89 +66,91 @@ impl Indexing {
                     PullOutOracle::request_size("lookup_resource", &args),
                     HopKind::PullOutRequest,
                 );
-                Step::Sleep(
-                    wrap(IndexingPhase::Request {
-                        hop,
-                        args,
-                        dev_endpoint,
-                    }),
-                    Wake::At(now),
-                )
+                self.phase = IndexingPhase::Request {
+                    hop,
+                    args,
+                    dev_endpoint,
+                };
+                Step::Sleep(Wake::At(now))
             }
             IndexingPhase::Request {
-                mut hop,
+                hop,
                 args,
                 dev_endpoint,
             } => match hop.step(world) {
-                HopPoll::Sent { arrives } => Step::Sleep(
-                    wrap(IndexingPhase::AtRelay { args, dev_endpoint }),
-                    Wake::At(arrives),
-                ),
-                HopPoll::Retry { at } => Step::Sleep(
-                    wrap(IndexingPhase::Request {
-                        hop,
-                        args,
-                        dev_endpoint,
-                    }),
-                    Wake::At(at),
-                ),
-                HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
+                HopPoll::Sent { arrives } => {
+                    self.phase = IndexingPhase::AtRelay {
+                        args: std::mem::take(args),
+                        dev_endpoint: *dev_endpoint,
+                    };
+                    Step::Sleep(Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
+                HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
             IndexingPhase::AtRelay { args, dev_endpoint } => {
                 let out =
                     match world
                         .chain
-                        .call_view(world.dex.contract_id(), "lookup_resource", &args)
+                        .call_view(world.dex.contract_id(), "lookup_resource", args)
                     {
                         Ok(out) => out,
-                        Err(e) => {
-                            return Step::Done(Err(ProcessError::Oracle(OracleError::View(e))))
-                        }
+                        Err(e) => return Step::Done(Err(OracleError::View(e).into())),
                     };
                 let hop = Hop::new(
                     world,
                     world.pull_out.relay,
-                    dev_endpoint,
+                    *dev_endpoint,
                     PullOutOracle::response_size(out.len()),
                     HopKind::PullOutResponse,
                 );
-                Step::Sleep(wrap(IndexingPhase::Respond { hop, out }), Wake::At(now))
+                self.phase = IndexingPhase::Respond { hop, out };
+                Step::Sleep(Wake::At(now))
             }
-            IndexingPhase::Respond { mut hop, out } => match hop.step(world) {
+            IndexingPhase::Respond { hop, out } => match hop.step(world) {
                 HopPoll::Sent { arrives } => {
-                    Step::Sleep(wrap(IndexingPhase::Arrived { out }), Wake::At(arrives))
+                    self.phase = IndexingPhase::Arrived {
+                        out: std::mem::take(out),
+                    };
+                    Step::Sleep(Wake::At(arrives))
                 }
-                HopPoll::Retry { at } => {
-                    Step::Sleep(wrap(IndexingPhase::Respond { hop, out }), Wake::At(at))
-                }
-                HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
+                HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
             IndexingPhase::Arrived { out } => {
                 let record: Option<duc_contracts::ResourceRecord> =
-                    match duc_codec::decode_from_slice(&out) {
+                    match duc_codec::decode_from_slice(out) {
                         Ok(record) => record,
                         Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
                     };
                 let Some(record) = record else {
-                    return Step::Done(Err(ProcessError::UnknownResource(resource)));
+                    return Step::Done(Err(ProcessError::UnknownResource(self.resource.clone())));
                 };
                 let policy = match world.open_envelope(&record.policy) {
                     Ok(policy) => policy,
                     Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
                 };
                 let entry = IndexEntry {
-                    location: record.location.clone(),
-                    owner_webid: record.owner_webid.clone(),
+                    location: record.location,
+                    owner_webid: record.owner_webid,
                     policy,
                 };
-                let sym = world.ids.intern(&resource);
-                let dev = world.devices.get_mut(&device).expect("validated at submit");
+                let sym = world.ids.intern(&self.resource);
+                let dev = world
+                    .devices
+                    .get_mut(&self.device)
+                    .expect("validated at submit");
                 dev.indexed.insert(sym, entry.clone());
 
-                world.metrics.record("process.indexing.e2e", now - started);
                 world
-                    .trace
-                    .record(now, format!("tee:{device}"), "resource.indexed", resource);
+                    .metrics
+                    .record("process.indexing.e2e", now - self.started);
+                world.trace.record(
+                    now,
+                    format_args!("tee:{}", self.device),
+                    "resource.indexed",
+                    &self.resource,
+                );
                 Step::Done(Ok(Outcome::Indexed { entry }))
             }
         }

@@ -25,15 +25,33 @@
 //! ## Layout
 //!
 //! One file per process machine (`pod_init`, `res_init`, `indexing`,
-//! `subscribe`, `access`, `policy_mod`, `monitoring`) plus the
-//! shared machinery: the fault-aware `hop::Hop`, the transaction
-//! sub-machine `flow::TxFlow`, and this module's dispatch/state.
+//! `subscribe`, `access`, `policy_mod`, `monitoring`, and the internal
+//! `obligation` wakeup) plus the shared machinery: the fault-aware
+//! `hop::Hop`, the transaction sub-machine `flow::TxFlow`, the result
+//! types in `result`, and this module's dispatch/state.
+//!
+//! ## Writing a machine
+//!
+//! A machine is a struct holding everything its request knows, a `phase`
+//! enum, and `fn step(&mut self, &mut World) -> Step`: the driver keeps
+//! the one value it boxed at submission and steps it where it is stored.
+//! A phase transition is an assignment to `self.phase`. What one phase
+//! hands the next moves with `std::mem::take`; what several phases read
+//! is a field, set once by the phase that resolves it. A hop's retry and a
+//! flow's wait change nothing — the arm returns `Step::Sleep` and the same
+//! phase runs again. `Step::Sleep(Wake::At(now))` is not a shortcut for
+//! "continue": it is a round trip through the wake queue, which lets every
+//! other machine woken at this instant step in between, and so fixes the
+//! order of RNG draws and nonces and the count
+//! [`World::run_until_idle`] returns — it is part of the replay contract.
+//! A phase that falls through to the next within one step assigns the
+//! phase and calls `self.step(world)` directly.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use duc_blockchain::{Event, Ledger, Receipt, TxId};
+use duc_blockchain::{Event, Ledger, TxId};
 use duc_contracts::{topics, PolicyEnvelope};
 use duc_crypto::Digest;
 use duc_intern::Sym;
@@ -41,7 +59,6 @@ use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EndpointId, EventId, SimDuration, SimTime};
 use duc_solid::Body;
 
-use crate::process::{AccessOutcome, MonitoringOutcome, ProcessError, PropagationOutcome};
 use crate::world::{IndexEntry, World};
 
 mod access;
@@ -53,6 +70,7 @@ mod obligation;
 mod pod_init;
 mod policy_mod;
 mod res_init;
+mod result;
 mod subscribe;
 
 use access::Access;
@@ -63,6 +81,8 @@ use pod_init::PodInit;
 use policy_mod::PolicyMod;
 use res_init::ResInit;
 use subscribe::Subscribe;
+
+pub use result::{AccessOutcome, MonitoringOutcome, ProcessError, PropagationOutcome};
 
 /// Confirmation timeout for on-chain operations.
 pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_secs(120);
@@ -201,24 +221,12 @@ impl Ticket {
     }
 }
 
-/// Checks a receipt for contract-level success.
-pub(crate) fn receipt_ok(receipt: Receipt) -> Result<Receipt, ProcessError> {
-    match &receipt.status {
-        duc_blockchain::TxStatus::Ok => Ok(receipt),
-        duc_blockchain::TxStatus::Reverted(msg) => Err(ProcessError::Reverted(msg.clone())),
-        duc_blockchain::TxStatus::OutOfGas => Err(ProcessError::Reverted("out of gas".into())),
-        duc_blockchain::TxStatus::Superseded => Err(ProcessError::Reverted(
-            "transaction superseded by a later nonce".into(),
-        )),
-    }
-}
-
 // ---------------------------------------------------------------- machines
 
 /// One advance of a process machine.
-pub(crate) enum Step<L> {
-    /// Store the machine back and step it again at the given wake.
-    Sleep(Machine<L>, Wake),
+pub(crate) enum Step {
+    /// Step the machine again at the given wake.
+    Sleep(Wake),
     /// The request completed.
     Done(Result<Outcome, ProcessError>),
 }
@@ -247,7 +255,7 @@ pub(crate) enum Machine<L> {
 }
 
 impl<L: Ledger> Machine<L> {
-    pub(crate) fn step(self, world: &mut World<L>) -> Step<L> {
+    pub(crate) fn step(&mut self, world: &mut World<L>) -> Step {
         match self {
             Machine::PodInit(m) => m.step(world),
             Machine::ResInit(m) => m.step(world),
@@ -594,11 +602,13 @@ impl<L: Ledger> World<L> {
     }
 
     fn step_process(&mut self, pid: u64) {
-        let Some(machine) = self.driver.inflight.remove(&pid) else {
+        // Out of the map while it runs — it steps against the whole world —
+        // and the same value back in if it sleeps.
+        let Some(mut machine) = self.driver.inflight.remove(&pid) else {
             return;
         };
         match machine.step(self) {
-            Step::Sleep(machine, wake) => {
+            Step::Sleep(wake) => {
                 self.driver.inflight.insert(pid, machine);
                 match wake {
                     Wake::At(at) if at <= self.clock.now() => self.wake_now(pid),

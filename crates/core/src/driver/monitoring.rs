@@ -7,14 +7,13 @@ use duc_blockchain::{Event, Ledger, Receipt};
 use duc_contracts::{DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
-
-use crate::process::{MonitoringOutcome, ProcessError};
-use crate::world::World;
 use duc_tee::ReportedEvidence;
+
+use crate::world::World;
 
 use super::flow::{FlowPoll, TxFlow};
 use super::hop::{Hop, HopPoll};
-use super::{receipt_ok, Machine, Outcome, Routed, Step, Wake};
+use super::{MonitoringOutcome, Outcome, ProcessError, Routed, Step, Wake};
 
 /// Process 6 — policy monitoring round.
 pub(crate) struct Monitoring<L> {
@@ -22,19 +21,16 @@ pub(crate) struct Monitoring<L> {
     path: String,
     started: SimTime,
     phase: MonPhase<L>,
-}
-
-/// Context accumulated while a monitoring round runs.
-struct MonCtx {
+    /// Set by `Open`: the resource and the pod manager's endpoint.
     resource_iri: String,
-    endpoint: EndpointId,
+    endpoint: Option<EndpointId>,
+    /// Set when the round-opening transaction confirmed.
     round: u64,
+    /// Devices still to visit, and how many the round expected in all.
     expected: VecDeque<String>,
     expected_total: usize,
     evidence_bytes: usize,
     submissions: usize,
-    /// Reaffirmations recorded this round (incremental monitoring).
-    reaffirmed: usize,
     /// Encoded size of the submission currently awaiting confirmation
     /// (accounted into `evidence_bytes` only once it lands on-chain).
     pending_bytes: usize,
@@ -47,150 +43,86 @@ struct MonCtx {
 
 enum MonPhase<L> {
     Open,
-    OpenConfirm {
-        flow: TxFlow<L>,
-        resource_iri: String,
-        endpoint: EndpointId,
-    },
+    OpenConfirm(TxFlow<L>),
     /// Poll hop (relay → gateway), fault-aware.
-    PollOut {
-        ctx: MonCtx,
-        hop: Hop,
-    },
-    PollGateway(MonCtx),
+    PollOut(Hop),
+    PollGateway,
     /// Return hop (gateway → relay), fault-aware; the cursor commits only
     /// when the response actually arrives.
     PollReturn {
-        ctx: MonCtx,
         events: Vec<(u64, Rc<Event>)>,
         cursor_to: u64,
         hop: Hop,
     },
     PollArrived {
-        ctx: MonCtx,
         events: Vec<(u64, Rc<Event>)>,
         cursor_to: u64,
     },
-    DeviceRequest(MonCtx),
+    DeviceRequest,
     /// Evidence probe hop (relay → device), fault-aware: a device that
     /// stays unreachable past the hop budget is skipped, not fatal.
     DeviceProbe {
-        ctx: MonCtx,
         device: String,
         hop: Hop,
     },
     DeviceReport {
-        ctx: MonCtx,
         device: String,
     },
-    EvidenceConfirm {
-        ctx: MonCtx,
-        flow: TxFlow<L>,
-    },
+    EvidenceConfirm(TxFlow<L>),
 }
 
 impl<L: Ledger> Monitoring<L> {
-    #[allow(clippy::too_many_lines)]
     pub(super) fn new(webid: String, path: String, started: SimTime) -> Self {
         Monitoring {
             webid,
             path,
             started,
             phase: MonPhase::Open,
+            resource_iri: String::new(),
+            endpoint: None,
+            round: 0,
+            expected: VecDeque::new(),
+            expected_total: 0,
+            evidence_bytes: 0,
+            submissions: 0,
+            pending_bytes: 0,
+            pending_note: None,
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let Monitoring {
-            webid,
-            path,
-            started,
-            phase,
-        } = self;
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
-        let wrap = |phase| {
-            Machine::Monitoring(Box::new(Monitoring {
-                webid: webid.clone(),
-                path: path.clone(),
-                started,
-                phase,
-            }))
-        };
-        match phase {
+        match &mut self.phase {
             MonPhase::Open => {
-                let Some(owner) = world.try_owner(&webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(webid)));
+                let Some(owner) = world.try_owner(&self.webid) else {
+                    return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
                 };
                 let endpoint = owner.endpoint;
-                let resource_iri = owner.pod_manager.pod().iri_of(&path);
+                self.endpoint = Some(endpoint);
+                self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
                 let owner_key = owner.key;
 
                 // Open the round.
-                let build = {
-                    let iri = resource_iri.clone();
-                    move |w: &World<L>| w.dex.start_monitoring_tx(&w.chain, &owner_key, &iri)
-                };
-                let (flow, poll) = TxFlow::start(world, endpoint, build);
-                match poll {
-                    FlowPoll::Sleep(at) => Step::Sleep(
-                        wrap(MonPhase::OpenConfirm {
-                            flow,
-                            resource_iri,
-                            endpoint,
-                        }),
-                        at,
-                    ),
-                    FlowPoll::Done(res) => Monitoring {
-                        webid,
-                        path,
-                        started,
-                        phase: MonPhase::OpenConfirm {
-                            flow: TxFlow::Spent,
-                            resource_iri,
-                            endpoint,
-                        },
-                    }
-                    .open_confirmed(world, res),
-                }
+                let iri = self.resource_iri.clone();
+                let build =
+                    move |w: &World<L>| w.dex.start_monitoring_tx(&w.chain, &owner_key, &iri);
+                self.phase = MonPhase::OpenConfirm(TxFlow::new(world, endpoint, build));
+                self.step(world)
             }
-            MonPhase::OpenConfirm {
-                flow,
-                resource_iri,
-                endpoint,
-            } => {
-                let mut flow = flow;
-                match flow.step(world) {
-                    FlowPoll::Sleep(at) => Step::Sleep(
-                        wrap(MonPhase::OpenConfirm {
-                            flow,
-                            resource_iri,
-                            endpoint,
-                        }),
-                        at,
-                    ),
-                    FlowPoll::Done(res) => Monitoring {
-                        webid,
-                        path,
-                        started,
-                        phase: MonPhase::OpenConfirm {
-                            flow: TxFlow::Spent,
-                            resource_iri,
-                            endpoint,
-                        },
-                    }
-                    .open_confirmed(world, res),
-                }
-            }
-            MonPhase::PollOut { ctx, mut hop } => match hop.step(world) {
-                HopPoll::Sent { arrives } => {
-                    Step::Sleep(wrap(MonPhase::PollGateway(ctx)), Wake::At(arrives))
-                }
-                HopPoll::Retry { at } => {
-                    Step::Sleep(wrap(MonPhase::PollOut { ctx, hop }), Wake::At(at))
-                }
-                HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
+            MonPhase::OpenConfirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(Ok(receipt)) => self.open_confirmed(world, &receipt),
+                FlowPoll::Done(Err(e)) => Step::Done(Err(e)),
             },
-            MonPhase::PollGateway(ctx) => {
+            MonPhase::PollOut(hop) => match hop.step(world) {
+                HopPoll::Sent { arrives } => {
+                    self.phase = MonPhase::PollGateway;
+                    Step::Sleep(Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
+                HopPoll::Failed(e) => Step::Done(Err(e.into())),
+            },
+            MonPhase::PollGateway => {
                 // At the gateway: collect the request events and ship them
                 // back to the relay. The cursor commits only when the
                 // response arrives, so a lost hop never strands events.
@@ -220,47 +152,30 @@ impl<L: Ledger> Monitoring<L> {
                     response_size,
                     HopKind::PullInReturn,
                 );
-                Step::Sleep(
-                    wrap(MonPhase::PollReturn {
-                        ctx,
-                        events,
-                        cursor_to,
-                        hop,
-                    }),
-                    Wake::At(now),
-                )
+                self.phase = MonPhase::PollReturn {
+                    events,
+                    cursor_to,
+                    hop,
+                };
+                Step::Sleep(Wake::At(now))
             }
             MonPhase::PollReturn {
-                ctx,
                 events,
                 cursor_to,
-                mut hop,
+                hop,
             } => match hop.step(world) {
-                HopPoll::Sent { arrives } => Step::Sleep(
-                    wrap(MonPhase::PollArrived {
-                        ctx,
-                        events,
-                        cursor_to,
-                    }),
-                    Wake::At(arrives),
-                ),
-                HopPoll::Retry { at } => Step::Sleep(
-                    wrap(MonPhase::PollReturn {
-                        ctx,
-                        events,
-                        cursor_to,
-                        hop,
-                    }),
-                    Wake::At(at),
-                ),
-                HopPoll::Failed(e) => Step::Done(Err(ProcessError::Oracle(e))),
+                HopPoll::Sent { arrives } => {
+                    self.phase = MonPhase::PollArrived {
+                        events: std::mem::take(events),
+                        cursor_to: *cursor_to,
+                    };
+                    Step::Sleep(Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
+                HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
-            MonPhase::PollArrived {
-                mut ctx,
-                events,
-                cursor_to,
-            } => {
-                world.pull_in.commit_cursor(cursor_to);
+            MonPhase::PollArrived { events, cursor_to } => {
+                world.pull_in.commit_cursor(*cursor_to);
                 // Find our round's request among the fresh events and any
                 // stashed by sibling rounds; stash the rest for them. Both
                 // sources share one decode policy: an undecodable payload
@@ -268,10 +183,10 @@ impl<L: Ledger> Monitoring<L> {
                 // rather than failing this round or circulating forever.
                 let mut matched: Option<Vec<String>> = None;
                 let stashed = std::mem::take(&mut world.driver.monitoring_inbox);
-                for (height, event) in stashed.into_iter().chain(events) {
+                for (height, event) in stashed.into_iter().chain(std::mem::take(events)) {
                     match decode_monitoring_request(&event.data) {
                         Some((res, r, devices))
-                            if matched.is_none() && res == ctx.resource_iri && r == ctx.round =>
+                            if matched.is_none() && res == self.resource_iri && r == self.round =>
                         {
                             matched = Some(devices);
                         }
@@ -280,209 +195,123 @@ impl<L: Ledger> Monitoring<L> {
                     }
                 }
                 if let Some(devices) = matched {
-                    ctx.expected_total = devices.len();
-                    ctx.expected = devices.into();
+                    self.expected_total = devices.len();
+                    self.expected = devices.into();
                 }
-                Monitoring {
-                    webid,
-                    path,
-                    started,
-                    phase: MonPhase::DeviceRequest(ctx),
-                }
-                .step(world)
+                self.next_device(world)
             }
-            MonPhase::DeviceRequest(mut ctx) => {
+            MonPhase::DeviceRequest => {
                 // Collect signed evidence from each expected device, in
                 // order; devices that stay unreachable past the probe
                 // budget are skipped without stalling the round.
                 loop {
-                    let Some(device_name) = ctx.expected.pop_front() else {
-                        return Self::finish(world, webid, started, ctx);
+                    let Some(device) = self.expected.pop_front() else {
+                        return self.finish(world);
                     };
-                    let Some(device) = world.try_device(&device_name) else {
+                    let Some(dev) = world.try_device(&device) else {
                         continue;
                     };
-                    let dev_endpoint = device.endpoint;
                     // Request hop: oracle → device (fault-aware).
                     let hop = Hop::new(
                         world,
                         world.pull_in.relay,
-                        dev_endpoint,
+                        dev.endpoint,
                         128,
                         HopKind::DeviceProbe,
                     );
-                    return Step::Sleep(
-                        wrap(MonPhase::DeviceProbe {
-                            ctx,
-                            device: device_name,
-                            hop,
-                        }),
-                        Wake::At(now),
-                    );
+                    self.phase = MonPhase::DeviceProbe { device, hop };
+                    return Step::Sleep(Wake::At(now));
                 }
             }
-            MonPhase::DeviceProbe {
-                ctx,
-                device,
-                mut hop,
-            } => match hop.step(world) {
-                HopPoll::Sent { arrives } => Step::Sleep(
-                    wrap(MonPhase::DeviceReport { ctx, device }),
-                    Wake::At(arrives),
-                ),
-                HopPoll::Retry { at } => Step::Sleep(
-                    wrap(MonPhase::DeviceProbe { ctx, device, hop }),
-                    Wake::At(at),
-                ),
+            MonPhase::DeviceProbe { device, hop } => match hop.step(world) {
+                HopPoll::Sent { arrives } => {
+                    self.phase = MonPhase::DeviceReport {
+                        device: std::mem::take(device),
+                    };
+                    Step::Sleep(Wake::At(arrives))
+                }
+                HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
                 HopPoll::Failed(_) => {
                     // The device could not be reached within the probe
                     // budget: record it and move on — absent evidence is
                     // itself visible in the on-chain round.
                     world.metrics.incr("process.monitoring.unreachable");
-                    Monitoring {
-                        webid: webid.clone(),
-                        path: path.clone(),
-                        started,
-                        phase: MonPhase::DeviceRequest(ctx),
-                    }
-                    .step(world)
+                    self.next_device(world)
                 }
             },
-            MonPhase::DeviceReport { mut ctx, device } => {
+            MonPhase::DeviceReport { device } => {
+                let device = std::mem::take(device);
                 let Some(dev) = world.try_device(&device) else {
-                    return Monitoring {
-                        webid,
-                        path,
-                        started,
-                        phase: MonPhase::DeviceRequest(ctx),
-                    }
-                    .step(world);
+                    return self.next_device(world);
                 };
-                let Some(report) = dev.tee.report(&ctx.resource_iri, now) else {
-                    return Monitoring {
-                        webid,
-                        path,
-                        started,
-                        phase: MonPhase::DeviceRequest(ctx),
-                    }
-                    .step(world);
+                let Some(report) = dev.tee.report(&self.resource_iri, now) else {
+                    return self.next_device(world);
                 };
                 // Incremental monitoring: when the usage log is unchanged
                 // since the device's last *compliant* full submission, the
                 // enclave signs a compact reaffirmation instead of
                 // re-shipping (and the contract re-storing) the full
                 // evidence.
-                let reaffirmable = report.compliant
-                    && report.violations.is_empty()
-                    && dev
-                        .tee
-                        .last_reported(&ctx.resource_iri)
-                        .is_some_and(|prev| prev.compliant && prev.digest == report.log_digest);
+                let reaffirmable = report.compliant && report.violations.is_empty();
+                let reaffirmed = dev.tee.last_reported(&self.resource_iri).filter(|prev| {
+                    reaffirmable && prev.compliant && prev.digest == report.log_digest
+                });
                 let dev_endpoint = dev.endpoint;
                 let key = dev.key;
-                let (flow, poll) = if reaffirmable {
-                    let prev_round = dev
-                        .tee
-                        .last_reported(&ctx.resource_iri)
-                        .expect("checked above")
-                        .round;
+                let flow = if let Some(prev) = reaffirmed {
                     let mut reaff = EvidenceReaffirmation {
-                        resource: ctx.resource_iri.clone(),
-                        round: ctx.round,
-                        device: device.clone(),
-                        prev_round,
+                        resource: self.resource_iri.clone(),
+                        round: self.round,
+                        device,
+                        prev_round: prev.round,
                         evidence_digest: report.log_digest,
                         signature: duc_crypto::Signature { e: 0, s: 0 },
                     };
                     reaff.signature = dev.tee.enclave().sign(&reaff.signing_bytes());
-                    ctx.pending_bytes = duc_codec::encode_to_vec(&reaff).len();
-                    ctx.pending_note = None;
+                    self.pending_bytes = duc_codec::encode_to_vec(&reaff).len();
+                    self.pending_note = None;
                     let build =
                         move |w: &World<L>| w.dex.reaffirm_evidence_tx(&w.chain, &key, &reaff);
-                    TxFlow::start(world, dev_endpoint, build)
+                    TxFlow::new(world, dev_endpoint, build)
                 } else {
                     let mut submission = EvidenceSubmission {
-                        resource: ctx.resource_iri.clone(),
-                        round: ctx.round,
+                        resource: self.resource_iri.clone(),
+                        round: self.round,
                         device: device.clone(),
                         compliant: report.compliant,
-                        violations: report.violations.clone(),
+                        violations: report.violations,
                         evidence_digest: report.log_digest,
                         signature: duc_crypto::Signature { e: 0, s: 0 },
                     };
                     submission.signature = dev.tee.enclave().sign(&submission.signing_bytes());
-                    ctx.pending_bytes = duc_codec::encode_to_vec(&submission).len();
-                    ctx.pending_note = Some((
-                        device.clone(),
+                    self.pending_bytes = duc_codec::encode_to_vec(&submission).len();
+                    self.pending_note = Some((
+                        device,
                         ReportedEvidence {
-                            round: ctx.round,
+                            round: self.round,
                             digest: report.log_digest,
                             compliant: report.compliant,
                         },
                     ));
                     let build =
                         move |w: &World<L>| w.dex.record_evidence_tx(&w.chain, &key, &submission);
-                    TxFlow::start(world, dev_endpoint, build)
+                    TxFlow::new(world, dev_endpoint, build)
                 };
-                match poll {
-                    FlowPoll::Sleep(at) => {
-                        Step::Sleep(wrap(MonPhase::EvidenceConfirm { ctx, flow }), at)
-                    }
-                    FlowPoll::Done(res) => Monitoring {
-                        webid,
-                        path,
-                        started,
-                        phase: MonPhase::EvidenceConfirm {
-                            ctx,
-                            flow: TxFlow::Spent,
-                        },
-                    }
-                    .evidence_confirmed(world, res),
-                }
+                self.phase = MonPhase::EvidenceConfirm(flow);
+                self.step(world)
             }
-            MonPhase::EvidenceConfirm { ctx, flow } => {
-                let mut flow = flow;
-                match flow.step(world) {
-                    FlowPoll::Sleep(at) => {
-                        Step::Sleep(wrap(MonPhase::EvidenceConfirm { ctx, flow }), at)
-                    }
-                    FlowPoll::Done(res) => Monitoring {
-                        webid,
-                        path,
-                        started,
-                        phase: MonPhase::EvidenceConfirm {
-                            ctx,
-                            flow: TxFlow::Spent,
-                        },
-                    }
-                    .evidence_confirmed(world, res),
-                }
-            }
+            MonPhase::EvidenceConfirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(Ok(receipt)) => self.evidence_confirmed(world, &receipt),
+                FlowPoll::Done(Err(e)) => Step::Done(Err(e)),
+            },
         }
     }
 
     /// The round-opening transaction confirmed: decode the round number and
     /// start the pull-in poll.
-    fn open_confirmed(self, world: &mut World<L>, res: Result<Receipt, OracleError>) -> Step<L> {
-        let Monitoring {
-            webid,
-            path,
-            started,
-            phase,
-        } = self;
-        let MonPhase::OpenConfirm {
-            resource_iri,
-            endpoint,
-            ..
-        } = phase
-        else {
-            unreachable!("open_confirmed called outside OpenConfirm")
-        };
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => receipt,
-            Err(e) => return Step::Done(Err(e)),
-        };
-        let round = match DistExchangeClient::decode_round_number(&receipt.return_data) {
+    fn open_confirmed(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+        self.round = match DistExchangeClient::decode_round_number(&receipt.return_data) {
             Ok(round) => round,
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
         };
@@ -492,7 +321,6 @@ impl<L: Ledger> Monitoring<L> {
 
         // Pull-in oracle: poll the gateway for the request event
         // (fault-aware hop).
-        let now = world.clock.now();
         let hop = Hop::new(
             world,
             world.pull_in.relay,
@@ -500,128 +328,83 @@ impl<L: Ledger> Monitoring<L> {
             64,
             HopKind::PullInPoll,
         );
-        Step::Sleep(
-            Machine::Monitoring(Box::new(Monitoring {
-                webid,
-                path,
-                started,
-                phase: MonPhase::PollOut {
-                    ctx: MonCtx {
-                        resource_iri,
-                        endpoint,
-                        round,
-                        expected: VecDeque::new(),
-                        expected_total: 0,
-                        evidence_bytes: 0,
-                        submissions: 0,
-                        reaffirmed: 0,
-                        pending_bytes: 0,
-                        pending_note: None,
-                    },
-                    hop,
-                },
-            })),
-            Wake::At(now),
-        )
+        self.phase = MonPhase::PollOut(hop);
+        Step::Sleep(Wake::At(world.clock.now()))
+    }
+
+    /// Visits the next expected device, or closes the round after the last.
+    fn next_device(&mut self, world: &mut World<L>) -> Step {
+        self.phase = MonPhase::DeviceRequest;
+        self.step(world)
     }
 
     /// One device's evidence transaction confirmed: account for it and move
     /// on to the next device.
-    fn evidence_confirmed(
-        self,
-        world: &mut World<L>,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        let Monitoring {
-            webid,
-            path,
-            started,
-            phase,
-        } = self;
-        let MonPhase::EvidenceConfirm { mut ctx, .. } = phase else {
-            unreachable!("evidence_confirmed called outside EvidenceConfirm")
-        };
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => receipt,
-            Err(e) => return Step::Done(Err(e)),
-        };
+    fn evidence_confirmed(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
         world
             .metrics
             .add("process.monitoring.gas", receipt.gas_used);
-        ctx.submissions += 1;
-        ctx.evidence_bytes += std::mem::take(&mut ctx.pending_bytes);
+        self.submissions += 1;
+        self.evidence_bytes += std::mem::take(&mut self.pending_bytes);
         // Only a *confirmed* submission counts: full evidence is noted
         // device-side so the next unchanged round can reaffirm against
-        // this round; a confirmed reaffirmation bumps the counters.
-        match ctx.pending_note.take() {
+        // this round; a confirmed reaffirmation bumps the counter.
+        match self.pending_note.take() {
             Some((device, reported)) => {
                 if let Some(dev) = world.devices.get_mut(&device) {
-                    dev.tee.note_reported(&ctx.resource_iri, reported);
+                    dev.tee.note_reported(&self.resource_iri, reported);
                 }
             }
-            None => {
-                ctx.reaffirmed += 1;
-                world.metrics.incr("process.monitoring.reaffirmed");
-            }
+            None => world.metrics.incr("process.monitoring.reaffirmed"),
         }
-        Monitoring {
-            webid,
-            path,
-            started,
-            phase: MonPhase::DeviceRequest(ctx),
-        }
-        .step(world)
+        self.next_device(world)
     }
 
     /// Every expected device was visited: read the verdict, deliver it to
     /// the pod manager (push-out) and complete.
-    fn finish(world: &mut World<L>, webid: String, started: SimTime, ctx: MonCtx) -> Step<L> {
+    fn finish(&mut self, world: &mut World<L>) -> Step {
         let record = match world
             .dex
-            .get_round(&world.chain, &ctx.resource_iri, ctx.round)
+            .get_round(&world.chain, &self.resource_iri, self.round)
         {
             Ok(Some(record)) => record,
             Ok(None) => return Step::Done(Err(ProcessError::Policy("round vanished".into()))),
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
         };
-        let endpoint = ctx.endpoint;
         let closed = world.claim_events(|routed| {
             matches!(routed, Routed::RoundClosed { resource, round }
-                if *resource == ctx.resource_iri && *round == ctx.round)
+                if *resource == self.resource_iri && *round == self.round)
         });
         let mut verdicts = closed.iter().flat_map(|e| &e.deliveries);
-        if verdicts.any(|(to, _)| *to == endpoint) {
+        if verdicts.any(|(to, _)| Some(*to) == self.endpoint) {
             world.metrics.incr("process.monitoring.verdicts_delivered");
         }
 
         let now = world.clock.now();
-        let duration = now - started;
+        let duration = now - self.started;
         world.metrics.record("process.monitoring.e2e", duration);
         world.metrics.add(
             "process.monitoring.evidence_bytes",
-            ctx.evidence_bytes as u64,
+            self.evidence_bytes as u64,
         );
+        let violators = record.violators();
         world.trace.record(
             now,
-            format!("pm:{webid}"),
+            format_args!("pm:{}", self.webid),
             "monitoring.round",
-            format!(
+            format_args!(
                 "{} round {}: {} violators",
-                ctx.resource_iri,
-                ctx.round,
-                record.violators().len()
+                self.resource_iri,
+                self.round,
+                violators.len()
             ),
         );
         Step::Done(Ok(Outcome::Monitored(MonitoringOutcome {
-            round: ctx.round,
-            expected: ctx.expected_total,
-            evidence: ctx.submissions,
-            violators: record
-                .violators()
-                .iter()
-                .map(|e| e.device.clone())
-                .collect(),
-            evidence_bytes: ctx.evidence_bytes,
+            round: self.round,
+            expected: self.expected_total,
+            evidence: self.submissions,
+            violators: violators.iter().map(|e| e.device.clone()).collect(),
+            evidence_bytes: self.evidence_bytes,
             duration,
         })))
     }

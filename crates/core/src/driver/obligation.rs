@@ -16,16 +16,14 @@
 //! Under [`EnforcementMode::Periodic`] the wakeups land on a fixed grid
 //! instead — the round-based baseline E14 compares against.
 
-use duc_blockchain::{Ledger, Receipt};
-use duc_oracle::OracleError;
+use duc_blockchain::Ledger;
 use duc_sim::{SimDuration, SimTime};
 use duc_tee::EnforcementAction;
 
-use crate::process::ProcessError;
 use crate::world::{EnforcementMode, World};
 
 use super::flow::{FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Step};
+use super::{Outcome, ProcessError, Step};
 
 /// Internal machine executing one (device, resource) obligation wakeup.
 pub(crate) struct ObligationRun<L> {
@@ -49,14 +47,9 @@ impl<L: Ledger> ObligationRun<L> {
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let ObligationRun {
-            device,
-            resource,
-            phase,
-        } = self;
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
-        match phase {
+        match &mut self.phase {
             ObligationPhase::Start => {
                 // Rogue hosts suppress their enclave timers: the wakeup
                 // fires into the void (monitoring will surface the
@@ -64,155 +57,111 @@ impl<L: Ledger> ObligationRun<L> {
                 // next grid sweep must still probe — a host healed later
                 // is then enforced; under Deadline mode the advance()
                 // deadline fallback self-heals.
-                if world.is_rogue_host(&device) {
+                if world.is_rogue_host(&self.device) {
                     if matches!(world.config.enforcement, EnforcementMode::Periodic(_)) {
-                        world.schedule_obligation_after(&device, &resource, now);
+                        world.schedule_obligation(&self.device, &self.resource, Some(now));
                     }
-                    return Step::Done(Ok(Outcome::ObligationsEnforced {
-                        device,
-                        resource,
-                        deleted: false,
-                    }));
+                    return self.enforced(false);
                 }
-                let Some(dev) = world.devices.get_mut(&device) else {
-                    return Step::Done(Err(ProcessError::UnknownDevice(device)));
+                let Some(dev) = world.devices.get_mut(&self.device) else {
+                    return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
-                let due = dev.tee.next_deadline_for(&resource);
-                match due {
+                let due = match dev.tee.next_deadline_for(&self.resource) {
                     // The copy is gone or unconstrained: nothing to do.
-                    None => Step::Done(Ok(Outcome::ObligationsEnforced {
-                        device,
-                        resource,
-                        deleted: false,
-                    })),
+                    None => return self.enforced(false),
                     // A stale wakeup (the policy was relaxed since it was
                     // registered): re-arm at the fresh deadline.
                     Some(due) if due > now => {
-                        world.schedule_obligation(&device, &resource);
-                        Step::Done(Ok(Outcome::ObligationsEnforced {
-                            device,
-                            resource,
-                            deleted: false,
-                        }))
+                        world.schedule_obligation(&self.device, &self.resource, None);
+                        return self.enforced(false);
                     }
-                    Some(due) => {
-                        let key = dev.key;
-                        let endpoint = dev.endpoint;
-                        let actions = match dev.tee.enforce_due(&resource, now) {
-                            Ok(actions) => actions,
-                            Err(e) => return Step::Done(Err(ProcessError::Tee(e))),
-                        };
-                        let lag = now - due;
-                        world.metrics.record("enforcement.lag", lag);
-                        let mut deleted = false;
-                        for action in &actions {
-                            match action {
-                                EnforcementAction::Deleted { reason, .. } => {
-                                    deleted = true;
-                                    world.metrics.incr("enforcement.deletions");
-                                    world.trace.record(
-                                        now,
-                                        format!("tee:{device}"),
-                                        "obligation.deleted",
-                                        format!("{resource}: {reason}"),
-                                    );
-                                }
-                                EnforcementAction::NotifyOwner { by, .. } => {
-                                    world.metrics.incr("enforcement.notifications");
-                                    world.trace.record(
-                                        now,
-                                        format!("tee:{device}"),
-                                        "obligation.notify",
-                                        format!("{resource} by {by}"),
-                                    );
-                                }
-                            }
+                    Some(due) => due,
+                };
+                let key = dev.key;
+                let endpoint = dev.endpoint;
+                let actions = match dev.tee.enforce_due(&self.resource, now) {
+                    Ok(actions) => actions,
+                    Err(e) => return Step::Done(Err(ProcessError::Tee(e))),
+                };
+                world.metrics.record("enforcement.lag", now - due);
+                let mut deleted = false;
+                for action in &actions {
+                    match action {
+                        EnforcementAction::Deleted { reason, .. } => {
+                            deleted = true;
+                            world.metrics.incr("enforcement.deletions");
+                            world.trace.record(
+                                now,
+                                format_args!("tee:{}", self.device),
+                                "obligation.deleted",
+                                format_args!("{}: {reason}", self.resource),
+                            );
                         }
-                        if !deleted {
-                            return Step::Done(Ok(Outcome::ObligationsEnforced {
-                                device,
-                                resource,
-                                deleted,
-                            }));
-                        }
-                        // Anchor the enforcement on-chain: the copy
-                        // registry drops the entry and the `CopyRemoved`
-                        // event is the duty's evidence trail.
-                        let build = {
-                            let resource = resource.clone();
-                            let device = device.clone();
-                            // `now` is the deletion instant: the contract
-                            // keeps any registration made at/after it, so
-                            // a re-access racing this flow is never
-                            // clobbered.
-                            move |w: &World<L>| {
-                                w.dex
-                                    .unregister_copy_tx(&w.chain, &key, &resource, &device, now)
-                            }
-                        };
-                        let (flow, poll) = TxFlow::start(world, endpoint, build);
-                        match poll {
-                            FlowPoll::Sleep(at) => Step::Sleep(
-                                Machine::Obligation(Box::new(ObligationRun {
-                                    device,
-                                    resource,
-                                    phase: ObligationPhase::Confirm(flow),
-                                })),
-                                at,
-                            ),
-                            FlowPoll::Done(res) => Self::finish(world, device, resource, res),
+                        EnforcementAction::NotifyOwner { by, .. } => {
+                            world.metrics.incr("enforcement.notifications");
+                            world.trace.record(
+                                now,
+                                format_args!("tee:{}", self.device),
+                                "obligation.notify",
+                                format_args!("{} by {by}", self.resource),
+                            );
                         }
                     }
                 }
+                if !deleted {
+                    return self.enforced(false);
+                }
+                // Anchor the enforcement on-chain: the copy registry drops
+                // the entry and the `CopyRemoved` event is the duty's
+                // evidence trail.
+                let resource = self.resource.clone();
+                let device = self.device.clone();
+                // `now` is the deletion instant: the contract keeps any
+                // registration made at/after it, so a re-access racing
+                // this flow is never clobbered.
+                let build = move |w: &World<L>| {
+                    w.dex
+                        .unregister_copy_tx(&w.chain, &key, &resource, &device, now)
+                };
+                self.phase = ObligationPhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.step(world)
             }
-            ObligationPhase::Confirm(mut flow) => match flow.step(world) {
-                FlowPoll::Sleep(at) => Step::Sleep(
-                    Machine::Obligation(Box::new(ObligationRun {
-                        device,
-                        resource,
-                        phase: ObligationPhase::Confirm(flow),
-                    })),
-                    at,
-                ),
-                FlowPoll::Done(res) => Self::finish(world, device, resource, res),
+            ObligationPhase::Confirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(Ok(receipt)) => {
+                    // The contract's freshness guard returns `(false,)`
+                    // when a racing re-access re-registered the copy: the
+                    // local deletion of the *old* copy stands, but no
+                    // registry change was anchored.
+                    let removed = duc_codec::decode_from_slice::<(bool,)>(&receipt.return_data)
+                        .map(|(r,)| r)
+                        .unwrap_or(false);
+                    if removed {
+                        world.metrics.incr("enforcement.evidence_anchored");
+                    } else {
+                        world.metrics.incr("enforcement.anchor_superseded");
+                    }
+                    self.enforced(removed)
+                }
+                FlowPoll::Done(Err(e)) => {
+                    // The local deletion stands (fail-safe); only the
+                    // on-chain anchor is missing. Monitoring surfaces the
+                    // stale registry entry, exactly as for a crashed
+                    // device.
+                    world.metrics.incr("enforcement.anchor_failed");
+                    Step::Done(Err(e))
+                }
             },
         }
     }
 
-    fn finish(
-        world: &mut World<L>,
-        device: String,
-        resource: String,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => {
-                // The contract's freshness guard returns `(false,)` when a
-                // racing re-access re-registered the copy: the local
-                // deletion of the *old* copy stands, but no registry
-                // change was anchored.
-                let removed = duc_codec::decode_from_slice::<(bool,)>(&receipt.return_data)
-                    .map(|(r,)| r)
-                    .unwrap_or(false);
-                if removed {
-                    world.metrics.incr("enforcement.evidence_anchored");
-                } else {
-                    world.metrics.incr("enforcement.anchor_superseded");
-                }
-                Step::Done(Ok(Outcome::ObligationsEnforced {
-                    device,
-                    resource,
-                    deleted: removed,
-                }))
-            }
-            Err(e) => {
-                // The local deletion stands (fail-safe); only the on-chain
-                // anchor is missing. Monitoring surfaces the stale
-                // registry entry, exactly as for a crashed device.
-                world.metrics.incr("enforcement.anchor_failed");
-                Step::Done(Err(e))
-            }
-        }
+    /// The wakeup ran to its end.
+    fn enforced(&self, deleted: bool) -> Step {
+        Step::Done(Ok(Outcome::ObligationsEnforced {
+            device: self.device.clone(),
+            resource: self.resource.clone(),
+            deleted,
+        }))
     }
 }
 
@@ -222,45 +171,30 @@ impl<L: Ledger> World<L> {
     /// mapped through the world's [`EnforcementMode`]. A no-op when the
     /// copy has no deadline; an existing wakeup at a different instant is
     /// cancelled first.
-    pub fn schedule_obligation(&mut self, device: &str, resource: &str) {
-        let Some(dev) = self.devices.get(device) else {
-            return;
-        };
-        let Some(due) = dev.tee.next_deadline_for(resource) else {
-            return;
-        };
-        let at = match self.config.enforcement {
-            EnforcementMode::Deadline => due,
-            EnforcementMode::Periodic(period) => grid_instant(due, period),
-        };
-        self.arm_obligation(device, resource, at);
-    }
-
-    /// Like [`World::schedule_obligation`], but never earlier than the
-    /// first instant strictly after `floor` — used to re-arm an
-    /// already-overdue wakeup (e.g. a rogue host under the periodic
-    /// baseline) without refiring at the same instant.
-    pub(crate) fn schedule_obligation_after(
+    ///
+    /// With a `floor`, the wakeup is never earlier than the first instant
+    /// strictly after it — used to re-arm an already-overdue wakeup (e.g.
+    /// a rogue host under the periodic baseline) without refiring at the
+    /// same instant.
+    pub(crate) fn schedule_obligation(
         &mut self,
         device: &str,
         resource: &str,
-        floor: SimTime,
+        floor: Option<SimTime>,
     ) {
         let Some(dev) = self.devices.get(device) else {
             return;
         };
-        let Some(due) = dev.tee.next_deadline_for(resource) else {
+        let Some(mut due) = dev.tee.next_deadline_for(resource) else {
             return;
         };
-        let next = SimTime::from_nanos(floor.as_nanos().saturating_add(1));
+        if let Some(floor) = floor {
+            due = due.max(SimTime::from_nanos(floor.as_nanos().saturating_add(1)));
+        }
         let at = match self.config.enforcement {
-            EnforcementMode::Deadline => due.max(next),
-            EnforcementMode::Periodic(period) => grid_instant(due.max(next), period),
+            EnforcementMode::Deadline => due,
+            EnforcementMode::Periodic(period) => grid_instant(due, period),
         };
-        self.arm_obligation(device, resource, at);
-    }
-
-    fn arm_obligation(&mut self, device: &str, resource: &str, at: SimTime) {
         // Interned key: re-arming on every policy change costs two u32
         // hashes, not two String allocations.
         let key = (self.ids.intern(device), self.ids.intern(resource));

@@ -2,15 +2,13 @@
 
 use duc_blockchain::{Ledger, Receipt};
 use duc_contracts::topics;
-use duc_oracle::OracleError;
 use duc_policy::UsagePolicy;
 use duc_sim::SimTime;
 
-use crate::process::ProcessError;
 use crate::world::World;
 
-use super::flow::{drive_flow, FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Step};
+use super::flow::{FlowPoll, TxFlow};
+use super::{Outcome, ProcessError, Step};
 
 /// Process 1 — pod initiation.
 pub(crate) struct PodInit<L> {
@@ -33,89 +31,69 @@ impl<L: Ledger> PodInit<L> {
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let PodInit {
-            webid,
-            started,
-            phase,
-        } = self;
-        match phase {
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+        match &mut self.phase {
             PodInitPhase::Start => {
-                let Some(owner) = world.owners.get_mut(&webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(webid)));
+                let Some(owner) = world.owners.get_mut(&self.webid) else {
+                    return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
                 };
                 let root = owner.pod_manager.pod().root().to_string();
                 let endpoint = owner.endpoint;
                 let owner_key = owner.key;
 
                 // Local setup: default policy attached at the pod root.
-                let default_policy = UsagePolicy::default_for(root.clone(), &webid);
+                let default_policy = UsagePolicy::default_for(root.clone(), &self.webid);
                 owner.pod_manager.set_policy("", default_policy.clone());
                 let now = world.clock.now();
                 world
                     .trace
-                    .record(now, format!("pm:{webid}"), "pod.create", root.clone());
+                    .record(now, format_args!("pm:{}", self.webid), "pod.create", &root);
 
                 // Push-in oracle: register the pod on-chain.
                 let envelope = world.envelope(&default_policy);
-                let build = {
-                    let webid = webid.clone();
-                    let root = root.clone();
-                    move |w: &World<L>| {
-                        w.dex
-                            .register_pod_tx(&w.chain, &owner_key, &webid, &root, envelope.clone())
-                    }
+                let webid = self.webid.clone();
+                let build = move |w: &World<L>| {
+                    w.dex
+                        .register_pod_tx(&w.chain, &owner_key, &webid, &root, envelope.clone())
                 };
-                let (flow, poll) = TxFlow::start(world, endpoint, build);
-                match poll {
-                    FlowPoll::Sleep(at) => Step::Sleep(
-                        Machine::PodInit(PodInit {
-                            webid,
-                            started,
-                            phase: PodInitPhase::Confirm(flow),
-                        }),
-                        at,
-                    ),
-                    FlowPoll::Done(res) => Self::finish(world, webid, started, res),
-                }
+                self.phase = PodInitPhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.step(world)
             }
-            PodInitPhase::Confirm(flow) => drive_flow!(
-                world,
-                flow,
-                |flow| Machine::PodInit(PodInit {
-                    webid: webid.clone(),
-                    started,
-                    phase: PodInitPhase::Confirm(flow),
-                }),
-                |world: &mut World<L>, res| Self::finish(world, webid.clone(), started, res)
-            ),
+            PodInitPhase::Confirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(res) => {
+                    Step::Done(res.map(|receipt| self.registered(world, receipt)))
+                }
+            },
         }
     }
 
-    fn finish(
-        world: &mut World<L>,
-        webid: String,
-        started: SimTime,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => receipt,
-            Err(e) => return Step::Done(Err(e)),
-        };
-        let owner = world.owners.get_mut(&webid).expect("validated at submit");
+    /// The registration executed: the pod manager starts listening.
+    fn registered(&self, world: &mut World<L>, receipt: Receipt) -> Outcome {
+        let owner = world
+            .owners
+            .get_mut(&self.webid)
+            .expect("validated at submit");
         owner.pod_registered = true;
-        let endpoint = owner.endpoint;
-        let root = owner.pod_manager.pod().root().to_string();
 
         // The pod manager listens for monitoring verdicts from now on.
-        world.push_out.subscribe(topics::ROUND_CLOSED, endpoint);
+        world
+            .push_out
+            .subscribe(topics::ROUND_CLOSED, owner.endpoint);
 
         let now = world.clock.now();
-        world.metrics.record("process.pod_init.e2e", now - started);
-        world.metrics.add("process.pod_init.gas", receipt.gas_used);
         world
-            .trace
-            .record(now, format!("pm:{webid}"), "pod.registered", root);
-        Step::Done(Ok(Outcome::PodInitiated { webid }))
+            .metrics
+            .record("process.pod_init.e2e", now - self.started);
+        world.metrics.add("process.pod_init.gas", receipt.gas_used);
+        world.trace.record(
+            now,
+            format_args!("pm:{}", self.webid),
+            "pod.registered",
+            owner.pod_manager.pod().root(),
+        );
+        Outcome::PodInitiated {
+            webid: self.webid.clone(),
+        }
     }
 }

@@ -4,16 +4,14 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
-use duc_oracle::OracleError;
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::EnforcementAction;
 
-use crate::process::{ProcessError, PropagationOutcome};
 use crate::world::World;
 
-use super::flow::{drive_flow, FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Routed, Step, Wake, CONFIRM_TIMEOUT};
+use super::flow::{FlowPoll, TxFlow};
+use super::{Outcome, ProcessError, PropagationOutcome, Routed, Step, Wake, CONFIRM_TIMEOUT};
 
 /// Process 5 — policy modification and push-out fan-out.
 pub(crate) struct PolicyMod<L> {
@@ -21,33 +19,24 @@ pub(crate) struct PolicyMod<L> {
     path: String,
     started: SimTime,
     phase: PolicyModPhase<L>,
-}
-
-enum PolicyModPhase<L> {
-    Start {
-        rules: Vec<Rule>,
-        duties: Vec<Duty>,
-    },
-    Confirm {
-        flow: TxFlow<L>,
-        resource_iri: String,
-        version: u64,
-    },
-    Fanout(FanoutState),
-    ConfirmUnregisters(FanoutState),
-}
-
-/// Accumulated fan-out state shared by the last two phases of process 5.
-struct FanoutState {
+    /// Set by `Start`: the resource and the version the amendment takes.
     resource_iri: String,
     version: u64,
-    /// `(recipient, arrives_at, policy)` by arrival; one opened policy per
-    /// event, shared by its deliveries.
+    /// `(recipient, arrives_at, policy)` by arrival, set when the update
+    /// confirmed; one opened policy per event, shared by its deliveries.
     deliveries: VecDeque<(EndpointId, SimTime, Rc<UsagePolicy>)>,
     notified: usize,
     enforcement: Vec<(String, EnforcementAction)>,
+    /// Unregistrations of copies the update deleted, awaiting inclusion.
     pending: VecDeque<TxId>,
     current: Option<(TxId, SimTime)>,
+}
+
+enum PolicyModPhase<L> {
+    Start { rules: Vec<Rule>, duties: Vec<Duty> },
+    Confirm(TxFlow<L>),
+    Fanout,
+    ConfirmUnregisters,
 }
 
 impl<L: Ledger> PolicyMod<L> {
@@ -63,28 +52,31 @@ impl<L: Ledger> PolicyMod<L> {
             path,
             started,
             phase: PolicyModPhase::Start { rules, duties },
+            resource_iri: String::new(),
+            version: 0,
+            deliveries: VecDeque::new(),
+            notified: 0,
+            enforcement: Vec::new(),
+            pending: VecDeque::new(),
+            current: None,
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let PolicyMod {
-            webid,
-            path,
-            started,
-            phase,
-        } = self;
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
-        match phase {
+        match &mut self.phase {
             PolicyModPhase::Start { rules, duties } => {
-                let Some(owner) = world.owners.get_mut(&webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(webid)));
+                let Some(owner) = world.owners.get_mut(&self.webid) else {
+                    return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
                 };
                 let endpoint = owner.endpoint;
                 let owner_key = owner.key;
-                let amended = match owner
-                    .pod_manager
-                    .modify_policy(&webid, &path, rules, duties)
-                {
+                let amended = match owner.pod_manager.modify_policy(
+                    &self.webid,
+                    &self.path,
+                    std::mem::take(rules),
+                    std::mem::take(duties),
+                ) {
                     Ok(amended) => amended,
                     Err(status) => {
                         return Step::Done(Err(ProcessError::Solid {
@@ -93,89 +85,44 @@ impl<L: Ledger> PolicyMod<L> {
                         }))
                     }
                 };
-                let resource_iri = owner.pod_manager.pod().iri_of(&path);
+                self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
+                self.version = amended.version;
 
                 let envelope = world.envelope(&amended);
-                let version = amended.version;
-                let build = {
-                    let iri = resource_iri.clone();
-                    move |w: &World<L>| {
-                        w.dex.update_policy_tx(
-                            &w.chain,
-                            &owner_key,
-                            &iri,
-                            envelope.clone(),
-                            version,
-                        )
-                    }
+                let iri = self.resource_iri.clone();
+                let version = self.version;
+                let build = move |w: &World<L>| {
+                    w.dex
+                        .update_policy_tx(&w.chain, &owner_key, &iri, envelope.clone(), version)
                 };
-                let (flow, poll) = TxFlow::start(world, endpoint, build);
-                match poll {
-                    FlowPoll::Sleep(at) => Step::Sleep(
-                        Machine::PolicyMod(Box::new(PolicyMod {
-                            webid,
-                            path,
-                            started,
-                            phase: PolicyModPhase::Confirm {
-                                flow,
-                                resource_iri,
-                                version,
-                            },
-                        })),
-                        at,
-                    ),
-                    FlowPoll::Done(res) => {
-                        Self::after_confirm(world, webid, path, started, resource_iri, version, res)
-                    }
-                }
+                self.phase = PolicyModPhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.step(world)
             }
-            PolicyModPhase::Confirm {
-                flow,
-                resource_iri,
-                version,
-            } => drive_flow!(
-                world,
-                flow,
-                |flow| Machine::PolicyMod(Box::new(PolicyMod {
-                    webid: webid.clone(),
-                    path: path.clone(),
-                    started,
-                    phase: PolicyModPhase::Confirm {
-                        flow,
-                        resource_iri: resource_iri.clone(),
-                        version,
-                    },
-                })),
-                |world: &mut World<L>, res| Self::after_confirm(
-                    world,
-                    webid.clone(),
-                    path.clone(),
-                    started,
-                    resource_iri.clone(),
-                    version,
-                    res
-                )
-            ),
-            PolicyModPhase::Fanout(mut state) => {
+            PolicyModPhase::Confirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(Ok(receipt)) => self.after_confirm(world, &receipt),
+                FlowPoll::Done(Err(e)) => Step::Done(Err(e)),
+            },
+            PolicyModPhase::Fanout => {
                 // Apply every delivery that has arrived by now.
-                while state
+                while self
                     .deliveries
                     .front()
                     .is_some_and(|(_, arrives_at, _)| *arrives_at <= now)
                 {
                     let (recipient, arrives_at, policy) =
-                        state.deliveries.pop_front().expect("peeked");
+                        self.deliveries.pop_front().expect("peeked");
                     let Some(&sym) = world.device_endpoints.get(&recipient) else {
                         continue;
                     };
                     let Some(device) = world.devices.get_sym_mut(sym) else {
                         continue;
                     };
-                    if !device.tee.has_copy(&state.resource_iri) {
+                    if !device.tee.has_copy(&self.resource_iri) {
                         continue;
                     }
                     let actions = device.tee.apply_policy_update(
-                        &state.resource_iri,
+                        &self.resource_iri,
                         Rc::unwrap_or_clone(policy),
                         arrives_at,
                     );
@@ -184,11 +131,11 @@ impl<L: Ledger> PolicyMod<L> {
                     // The device recompiled its program against the new
                     // version: re-arm its obligation wakeup mid-flight
                     // (ongoing authorization on policy change).
-                    world.schedule_obligation(&device_name, &state.resource_iri);
+                    world.schedule_obligation(&device_name, &self.resource_iri, None);
                     world
                         .metrics
-                        .record("process.policy_mod.propagation", arrives_at - started);
-                    state.notified += 1;
+                        .record("process.policy_mod.propagation", arrives_at - self.started);
+                    self.notified += 1;
                     for action in actions {
                         if let EnforcementAction::Deleted { .. } = &action {
                             world.metrics.incr("enforcement.deletions");
@@ -197,76 +144,57 @@ impl<L: Ledger> PolicyMod<L> {
                             let tx = world.dex.unregister_copy_tx(
                                 &world.chain,
                                 &device_key,
-                                &state.resource_iri,
+                                &self.resource_iri,
                                 &device_name,
                                 arrives_at,
                             );
                             if let Ok(id) = world.chain.submit(tx) {
-                                state.pending.push_back(id);
+                                self.pending.push_back(id);
                             }
                         }
-                        state.enforcement.push((device_name.to_string(), action));
+                        self.enforcement.push((device_name.to_string(), action));
                     }
                 }
-                match state.deliveries.front() {
-                    Some(&(_, at, _)) => Step::Sleep(
-                        Machine::PolicyMod(Box::new(PolicyMod {
-                            webid,
-                            path,
-                            started,
-                            phase: PolicyModPhase::Fanout(state),
-                        })),
-                        Wake::At(at),
-                    ),
-                    None => PolicyMod {
-                        webid,
-                        path,
-                        started,
-                        phase: PolicyModPhase::ConfirmUnregisters(state),
+                match self.deliveries.front() {
+                    Some(&(_, at, _)) => Step::Sleep(Wake::At(at)),
+                    None => {
+                        self.phase = PolicyModPhase::ConfirmUnregisters;
+                        self.step(world)
                     }
-                    .step(world),
                 }
             }
-            PolicyModPhase::ConfirmUnregisters(mut state) => {
+            PolicyModPhase::ConfirmUnregisters => {
                 // Await inclusion of *every* pending unregistration so an
                 // earlier deletion cannot race a later monitoring round:
                 // park on each in turn until it has a receipt (whatever
                 // its status) or times out.
                 loop {
-                    if let Some((id, deadline)) = state.current.take() {
+                    if let Some((id, deadline)) = self.current {
                         world.chain.advance_to(now);
                         if now < deadline && !world.chain.has_receipt(&id) {
-                            state.current = Some((id, deadline));
-                            return Step::Sleep(
-                                Machine::PolicyMod(Box::new(PolicyMod {
-                                    webid,
-                                    path,
-                                    started,
-                                    phase: PolicyModPhase::ConfirmUnregisters(state),
-                                })),
-                                Wake::Receipt { id, deadline },
-                            );
+                            return Step::Sleep(Wake::Receipt { id, deadline });
                         }
-                    } else if let Some(id) = state.pending.pop_front() {
-                        state.current = Some((id, now + CONFIRM_TIMEOUT));
+                        self.current = None;
+                    } else if let Some(id) = self.pending.pop_front() {
+                        self.current = Some((id, now + CONFIRM_TIMEOUT));
                     } else {
                         break;
                     }
                 }
                 world.sync_chain();
 
-                let e2e = now - started;
+                let e2e = now - self.started;
                 world.metrics.record("process.policy_mod.e2e", e2e);
                 world.trace.record(
                     now,
-                    format!("pm:{webid}"),
+                    format_args!("pm:{}", self.webid),
                     "policy.updated",
-                    format!("{} v{}", state.resource_iri, state.version),
+                    format_args!("{} v{}", self.resource_iri, self.version),
                 );
                 Step::Done(Ok(Outcome::PolicyPropagated(PropagationOutcome {
-                    version: state.version,
-                    devices_notified: state.notified,
-                    enforcement: state.enforcement,
+                    version: self.version,
+                    devices_notified: self.notified,
+                    enforcement: std::mem::take(&mut self.enforcement),
                     e2e,
                 })))
             }
@@ -275,19 +203,7 @@ impl<L: Ledger> PolicyMod<L> {
 
     /// Transition out of the confirm phase: record gas, claim this
     /// resource's push-out deliveries and start the fan-out.
-    fn after_confirm(
-        world: &mut World<L>,
-        webid: String,
-        path: String,
-        started: SimTime,
-        resource_iri: String,
-        version: u64,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => receipt,
-            Err(e) => return Step::Done(Err(e)),
-        };
+    fn after_confirm(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
         world
             .metrics
             .add("process.policy_mod.gas", receipt.gas_used);
@@ -296,8 +212,8 @@ impl<L: Ledger> PolicyMod<L> {
         // belong to *this* update; others stay in the shared inbox for
         // their own in-flight processes.
         let claimed = world.claim_events(|routed| {
-            matches!(routed, Routed::PolicyUpdated { resource, version: v, .. }
-                if *resource == resource_iri && *v == version)
+            matches!(routed, Routed::PolicyUpdated { resource, version, .. }
+                if *resource == self.resource_iri && *version == self.version)
         });
         // Integrity gate: read the policy hash the contract anchored in
         // the *on-chain record* (not the hash travelling inside the pushed
@@ -306,9 +222,13 @@ impl<L: Ledger> PolicyMod<L> {
         // chain-side anchor; superseded envelopes (an even newer update
         // already landed) are dropped the same way — their own fan-out
         // delivers the newer policy.
-        let anchored_hash = match world.dex.lookup_resource(&world.chain, &resource_iri) {
+        let anchored_hash = match world.dex.lookup_resource(&world.chain, &self.resource_iri) {
             Ok(Some(record)) => record.policy_hash,
-            Ok(None) => return Step::Done(Err(ProcessError::UnknownResource(resource_iri))),
+            Ok(None) => {
+                return Step::Done(Err(ProcessError::UnknownResource(
+                    self.resource_iri.clone(),
+                )))
+            }
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
         };
         let mut deliveries = Vec::new();
@@ -333,22 +253,9 @@ impl<L: Ledger> PolicyMod<L> {
             );
         }
         deliveries.sort_by_key(|&(_, arrives_at, _)| arrives_at);
-
-        PolicyMod {
-            webid,
-            path,
-            started,
-            phase: PolicyModPhase::Fanout(FanoutState {
-                resource_iri,
-                version,
-                deliveries: deliveries.into(),
-                notified: 0,
-                enforcement: Vec::new(),
-                pending: VecDeque::new(),
-                current: None,
-            }),
-        }
-        .step(world)
+        self.deliveries = deliveries.into();
+        self.phase = PolicyModPhase::Fanout;
+        self.step(world)
     }
 }
 

@@ -1,24 +1,24 @@
 //! Process 2 — resource initiation.
 
 use duc_blockchain::{Ledger, Receipt};
-use duc_oracle::OracleError;
 use duc_policy::{AclMode, AgentSpec, Authorization, UsagePolicy};
 use duc_sim::SimTime;
 use duc_solid::{Body, SolidRequest};
 
-use crate::process::ProcessError;
 use crate::world::World;
 
-use super::flow::{drive_flow, FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Step};
+use super::flow::{FlowPoll, TxFlow};
+use super::{Outcome, ProcessError, Step};
 
 /// Process 2 — resource initiation.
 pub(crate) struct ResInit<L> {
     webid: String,
     path: String,
+    /// What to publish; `Start` takes all three.
     body: Option<Body>,
     policy: Option<UsagePolicy>,
     metadata: Vec<(String, String)>,
+    /// Set by `Start`.
     resource_iri: String,
     started: SimTime,
     phase: ResInitPhase<L>,
@@ -50,33 +50,24 @@ impl<L: Ledger> ResInit<L> {
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let ResInit {
-            webid,
-            path,
-            body,
-            policy,
-            metadata,
-            resource_iri,
-            started,
-            phase,
-        } = self;
-        match phase {
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+        match &mut self.phase {
             ResInitPhase::Start => {
-                let Some(owner) = world.owners.get_mut(&webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(webid)));
+                let Some(owner) = world.owners.get_mut(&self.webid) else {
+                    return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
                 };
                 if !owner.pod_registered {
-                    return Step::Done(Err(ProcessError::PodNotRegistered(webid)));
+                    return Step::Done(Err(ProcessError::PodNotRegistered(self.webid.clone())));
                 }
                 let endpoint = owner.endpoint;
                 let owner_key = owner.key;
-                let body = body.expect("body present in Start phase");
-                let policy = policy.expect("policy present in Start phase");
+                let body = self.body.take().expect("body present in Start phase");
+                let policy = self.policy.take().expect("policy present in Start phase");
+                let metadata = std::mem::take(&mut self.metadata);
 
                 // Upload via the Solid protocol (the pod manager checks the
                 // ACL).
-                let put = SolidRequest::put(webid.clone(), path.clone()).with_body(body);
+                let put = SolidRequest::put(self.webid.clone(), self.path.clone()).with_body(body);
                 let resp = owner.pod_manager.handle(&put);
                 if !resp.status.is_success() {
                     return Step::Done(Err(ProcessError::Solid {
@@ -84,15 +75,15 @@ impl<L: Ledger> ResInit<L> {
                         detail: resp.detail,
                     }));
                 }
-                owner.pod_manager.set_policy(&path, policy.clone());
+                owner.pod_manager.set_policy(&self.path, policy.clone());
                 // Market terms: authenticated subscribers may read this
                 // resource (certificate-gated), cf. §II "only subscribed
                 // users have access".
-                let resource_iri = owner.pod_manager.pod().iri_of(&path);
+                self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
                 let mut acl = owner.pod_manager.acl().clone();
                 acl.push(Authorization::for_resource(
-                    format!("market-readers-{path}"),
-                    resource_iri.clone(),
+                    format!("market-readers-{}", self.path),
+                    self.resource_iri.clone(),
                     vec![AgentSpec::AuthenticatedAgent],
                     vec![AclMode::Read],
                 ));
@@ -101,89 +92,48 @@ impl<L: Ledger> ResInit<L> {
 
                 // Push-in oracle: index the resource + publish the policy.
                 let envelope = world.envelope(&policy);
-                let build = {
-                    let iri = resource_iri.clone();
-                    let webid = webid.clone();
-                    move |w: &World<L>| {
-                        w.dex.register_resource_tx(
-                            &w.chain,
-                            &owner_key,
-                            &iri,
-                            &iri,
-                            &webid,
-                            metadata.clone(),
-                            envelope.clone(),
-                        )
-                    }
+                let iri = self.resource_iri.clone();
+                let webid = self.webid.clone();
+                let build = move |w: &World<L>| {
+                    w.dex.register_resource_tx(
+                        &w.chain,
+                        &owner_key,
+                        &iri,
+                        &iri,
+                        &webid,
+                        metadata.clone(),
+                        envelope.clone(),
+                    )
                 };
-                let (flow, poll) = TxFlow::start(world, endpoint, build);
-                let next = ResInit {
-                    webid,
-                    path,
-                    body: None,
-                    policy: None,
-                    metadata: Vec::new(),
-                    resource_iri,
-                    started,
-                    phase: ResInitPhase::Confirm(flow),
-                };
-                match poll {
-                    FlowPoll::Sleep(at) => Step::Sleep(Machine::ResInit(Box::new(next)), at),
-                    FlowPoll::Done(res) => {
-                        Self::finish(world, next.webid, next.resource_iri, started, res)
-                    }
-                }
+                self.phase = ResInitPhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.step(world)
             }
-            ResInitPhase::Confirm(flow) => drive_flow!(
-                world,
-                flow,
-                |flow| Machine::ResInit(Box::new(ResInit {
-                    webid: webid.clone(),
-                    path: path.clone(),
-                    body: None,
-                    policy: None,
-                    metadata: Vec::new(),
-                    resource_iri: resource_iri.clone(),
-                    started,
-                    phase: ResInitPhase::Confirm(flow),
-                })),
-                |world: &mut World<L>, res| Self::finish(
-                    world,
-                    webid.clone(),
-                    resource_iri.clone(),
-                    started,
-                    res
-                )
-            ),
+            ResInitPhase::Confirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(res) => {
+                    Step::Done(res.map(|receipt| self.registered(world, &receipt)))
+                }
+            },
         }
     }
 
-    fn finish(
-        world: &mut World<L>,
-        webid: String,
-        resource_iri: String,
-        started: SimTime,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => receipt,
-            Err(e) => return Step::Done(Err(e)),
-        };
+    /// The registration executed: the resource is in the DE App index.
+    fn registered(&self, world: &mut World<L>, receipt: &Receipt) -> Outcome {
         let now = world.clock.now();
         world
             .metrics
-            .record("process.resource_init.e2e", now - started);
+            .record("process.resource_init.e2e", now - self.started);
         world
             .metrics
             .add("process.resource_init.gas", receipt.gas_used);
         world.trace.record(
             now,
-            format!("pm:{webid}"),
+            format_args!("pm:{}", self.webid),
             "resource.registered",
-            resource_iri.clone(),
+            &self.resource_iri,
         );
-        Step::Done(Ok(Outcome::ResourceInitiated {
-            resource: resource_iri,
-        }))
+        Outcome::ResourceInitiated {
+            resource: self.resource_iri.clone(),
+        }
     }
 }

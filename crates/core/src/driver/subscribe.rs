@@ -2,14 +2,12 @@
 
 use duc_blockchain::{Ledger, Receipt};
 use duc_contracts::DistExchangeClient;
-use duc_oracle::OracleError;
 use duc_sim::SimTime;
 
-use crate::process::ProcessError;
 use crate::world::World;
 
-use super::flow::{drive_flow, FlowPoll, TxFlow};
-use super::{receipt_ok, Machine, Outcome, Step};
+use super::flow::{FlowPoll, TxFlow};
+use super::{Outcome, ProcessError, Step};
 
 /// Market subscription (prerequisite of process 4, cf. §II).
 pub(crate) struct Subscribe<L> {
@@ -32,69 +30,42 @@ impl<L: Ledger> Subscribe<L> {
         }
     }
 
-    pub(super) fn step(self, world: &mut World<L>) -> Step<L> {
-        let Subscribe {
-            device,
-            started,
-            phase,
-        } = self;
-        match phase {
+    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+        match &mut self.phase {
             SubscribePhase::Start => {
-                let Some(dev) = world.try_device(&device) else {
-                    return Step::Done(Err(ProcessError::UnknownDevice(device)));
+                let Some(dev) = world.try_device(&self.device) else {
+                    return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
                 let endpoint = dev.endpoint;
                 let key = dev.key;
                 let webid = dev.webid.clone();
                 let build = move |w: &World<L>| w.dex.subscribe_tx(&w.chain, &key, &webid);
-                let (flow, poll) = TxFlow::start(world, endpoint, build);
-                match poll {
-                    FlowPoll::Sleep(at) => Step::Sleep(
-                        Machine::Subscribe(Subscribe {
-                            device,
-                            started,
-                            phase: SubscribePhase::Confirm(flow),
-                        }),
-                        at,
-                    ),
-                    FlowPoll::Done(res) => Self::finish(world, device, started, res),
-                }
+                self.phase = SubscribePhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.step(world)
             }
-            SubscribePhase::Confirm(flow) => drive_flow!(
-                world,
-                flow,
-                |flow| Machine::Subscribe(Subscribe {
-                    device: device.clone(),
-                    started,
-                    phase: SubscribePhase::Confirm(flow),
-                }),
-                |world: &mut World<L>, res| Self::finish(world, device.clone(), started, res)
-            ),
+            SubscribePhase::Confirm(flow) => match flow.step(world) {
+                FlowPoll::Sleep(wake) => Step::Sleep(wake),
+                FlowPoll::Done(res) => {
+                    Step::Done(res.and_then(|receipt| self.certified(world, receipt)))
+                }
+            },
         }
     }
 
-    fn finish(
-        world: &mut World<L>,
-        device: String,
-        started: SimTime,
-        res: Result<Receipt, OracleError>,
-    ) -> Step<L> {
-        let receipt = match res.map_err(ProcessError::from).and_then(receipt_ok) {
-            Ok(receipt) => receipt,
-            Err(e) => return Step::Done(Err(e)),
-        };
-        let cert = match DistExchangeClient::decode_certificate(&receipt.return_data) {
-            Ok(cert) => cert,
-            Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
-        };
+    /// The purchase executed: the device stores its certificate.
+    fn certified(&self, world: &mut World<L>, receipt: Receipt) -> Result<Outcome, ProcessError> {
+        let certificate = DistExchangeClient::decode_certificate(&receipt.return_data)
+            .map_err(|e| ProcessError::Policy(e.to_string()))?;
         world
             .devices
-            .get_mut(&device)
+            .get_mut(&self.device)
             .expect("validated at submit")
-            .certificate = Some(cert);
+            .certificate = Some(certificate);
         let now = world.clock.now();
-        world.metrics.record("process.subscribe.e2e", now - started);
+        world
+            .metrics
+            .record("process.subscribe.e2e", now - self.started);
         world.metrics.add("process.subscribe.gas", receipt.gas_used);
-        Step::Done(Ok(Outcome::Subscribed { certificate: cert }))
+        Ok(Outcome::Subscribed { certificate })
     }
 }

@@ -28,7 +28,12 @@
 //! API** ([`driver`]): [`World::submit`] enqueues a typed [`Request`] and
 //! returns a [`Ticket`]; [`World::run_until_idle`] interleaves every
 //! in-flight process hop-by-hop on the simulation scheduler; outcomes
-//! surface via [`Ticket::poll`] / [`World::drain_events`].
+//! surface via [`Ticket::poll`] / [`World::drain_events`]. Each process is
+//! one state machine stepped in place (`fn step(&mut self, &mut World)`,
+//! one stored value per request); [`driver`]'s module docs say how to
+//! write one, and own the result types ([`ProcessError`],
+//! [`AccessOutcome`], [`PropagationOutcome`], [`MonitoringOutcome`])
+//! re-exported here.
 //!
 //! ## Example
 //! ```
@@ -50,8 +55,9 @@ pub mod runtime;
 pub mod scenario;
 pub mod world;
 
-pub use driver::{Outcome, Request, Ticket};
-pub use process::{AccessOutcome, MonitoringOutcome, ProcessError, PropagationOutcome};
+pub use driver::{
+    AccessOutcome, MonitoringOutcome, Outcome, ProcessError, PropagationOutcome, Request, Ticket,
+};
 pub use runtime::{
     market_world, outcome_key, outcome_set, run_scripted, run_wall, PacedWorld, RuntimeMode,
     RuntimeRun,
@@ -62,8 +68,10 @@ pub use world::{EnforcementMode, World, WorldConfig};
 pub mod prelude {
     pub use crate::baseline::{self, CentralizedAuditBaseline, PlainSolidBaseline};
     pub use crate::chaos;
-    pub use crate::driver::{Outcome, Request, Ticket};
-    pub use crate::process::{AccessOutcome, MonitoringOutcome, ProcessError, PropagationOutcome};
+    pub use crate::driver::{
+        AccessOutcome, MonitoringOutcome, Outcome, ProcessError, PropagationOutcome, Request,
+        Ticket,
+    };
     pub use crate::runtime::{outcome_set, run_scripted, RuntimeMode, RuntimeRun};
     pub use crate::scenario;
     pub use crate::world::{EnforcementMode, World, WorldConfig};

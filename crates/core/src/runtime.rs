@@ -19,8 +19,7 @@ use duc_runtime::{
 };
 use duc_sim::SimTime;
 
-use crate::driver::{Outcome, Request, Ticket};
-use crate::process::ProcessError;
+use crate::driver::{Outcome, ProcessError, Request, Ticket};
 use crate::world::World;
 
 /// Which clock drives the world.

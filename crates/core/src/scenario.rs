@@ -18,8 +18,7 @@ use duc_sim::{zipf_weights, SimDuration};
 use duc_solid::{Body, SolidRequest};
 use duc_tee::EnforcementAction;
 
-use crate::driver::Request;
-use crate::process::{MonitoringOutcome, ProcessError};
+use crate::driver::{MonitoringOutcome, ProcessError, Request};
 use crate::world::{IndexEntry, World, WorldConfig};
 
 /// Alice's WebID.

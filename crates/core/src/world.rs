@@ -659,7 +659,7 @@ impl<L: Ledger> World<L> {
                     self.metrics.incr("enforcement.tee_faults");
                     self.tee_faulted.insert(name.clone());
                     self.trace
-                        .record(now, format!("tee:{name}"), "tee.fault", e.to_string());
+                        .record(now, format_args!("tee:{name}"), "tee.fault", &e);
                     continue;
                 }
             };

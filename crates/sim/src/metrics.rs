@@ -311,20 +311,21 @@ impl TraceRecorder {
         }
     }
 
-    /// Appends an event if enabled.
+    /// Appends an event if enabled. A disabled recorder formats nothing:
+    /// pass `format_args!` rather than a built `String`.
     pub fn record(
         &mut self,
         at: SimTime,
-        actor: impl Into<String>,
-        kind: impl Into<String>,
-        detail: impl Into<String>,
+        actor: impl fmt::Display,
+        kind: impl fmt::Display,
+        detail: impl fmt::Display,
     ) {
         if self.enabled {
             self.events.push(TraceEvent {
                 at,
-                actor: actor.into(),
-                kind: kind.into(),
-                detail: detail.into(),
+                actor: actor.to_string(),
+                kind: kind.to_string(),
+                detail: detail.to_string(),
             });
         }
     }
@@ -455,5 +456,44 @@ mod tests {
         let mut t = TraceRecorder::disabled();
         t.record(SimTime::ZERO, "x", "y", "z");
         assert!(t.events().is_empty());
+    }
+
+    #[test]
+    fn record_formats_its_arguments_only_when_enabled() {
+        /// Counts how often it is formatted.
+        struct Counted<'a>(&'a std::cell::Cell<u32>, &'a str);
+        impl fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str(self.1)
+            }
+        }
+        let formatted = std::cell::Cell::new(0);
+        let record = |t: &mut TraceRecorder| {
+            t.record(
+                SimTime::from_millis(3),
+                format_args!("tee:{}", Counted(&formatted, "dev-0")),
+                Counted(&formatted, "resource.stored"),
+                Counted(&formatted, "https://pod/r"),
+            );
+        };
+
+        let mut off = TraceRecorder::disabled();
+        record(&mut off);
+        assert_eq!(formatted.get(), 0, "a disabled recorder formatted");
+        assert!(off.events().is_empty());
+
+        let mut on = TraceRecorder::new();
+        record(&mut on);
+        assert_eq!(formatted.get(), 3);
+        assert_eq!(
+            on.events(),
+            [TraceEvent {
+                at: SimTime::from_millis(3),
+                actor: "tee:dev-0".into(),
+                kind: "resource.stored".into(),
+                detail: "https://pod/r".into(),
+            }]
+        );
     }
 }

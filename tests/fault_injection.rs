@@ -454,6 +454,10 @@ fn crashed_device_endpoint_blocks_only_that_device() {
 
 /// Which link a lossy window goes on.
 type Link = fn(&World) -> (EndpointId, EndpointId);
+/// The world (and its resource) a request is submitted to, by seed.
+type WorldAt = fn(u64) -> (World, String);
+/// The request under test, over the world's resource.
+type RequestFor = fn(&str) -> Request;
 
 /// The retry arm of every hop kind a request crosses keeps the machine's
 /// state: a 40 %-lossy window on the hop's link forces drops on exactly
@@ -475,13 +479,7 @@ fn every_hop_kind_rides_out_a_lossy_window_with_its_state_intact() {
     let monitoring = |_: &str| monitoring_request();
     // (hops on the link, world before the request, link, request, whether
     // the drops to look for are the push-in uplink's)
-    let rows: [(
-        &str,
-        fn(u64) -> (World, String),
-        Link,
-        fn(&str) -> Request,
-        bool,
-    ); 5] = [
+    let rows: [(&str, WorldAt, Link, RequestFor, bool); 5] = [
         (
             "PodRequest/PodResponse",
             market_world,
