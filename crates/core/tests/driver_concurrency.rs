@@ -533,3 +533,60 @@ fn every_request_kind_takes_its_pinned_steps() {
         assert_eq!(sharded, pinned, "four shards, {holders} holders");
     }
 }
+
+/// A policy-churn batch over the chaos launch pad (six copy holders, WAN
+/// latencies, trace on), driven to completion by `drive`: the drained
+/// `(ticket, outcome)` list and the fingerprint without its `clock` and
+/// `height` lines — where a run stops is the one thing the two loops'
+/// stop conditions may differ in.
+fn churn_run<L: Ledger>(world: World<L>, drive: fn(&mut World<L>)) -> [Vec<String>; 2] {
+    use duc_core::chaos;
+
+    let (mut world, resource) = chaos::launch_pad_in(world, OWNER, "data/set.bin", 6);
+    for request in chaos::policy_churn_batch(OWNER, "data/set.bin", &resource, 6) {
+        world.submit(request);
+    }
+    drive(&mut world);
+    assert_eq!(world.in_flight(), 0);
+    let outcomes = world
+        .drain_events()
+        .iter()
+        .map(|(ticket, outcome)| format!("{} {outcome:?}", ticket.id()))
+        .collect();
+    let fingerprint = fingerprint(&mut world)
+        .lines()
+        .filter(|line| !line.starts_with("clock ") && !line.starts_with("height "))
+        .map(String::from)
+        .collect();
+    [outcomes, fingerprint]
+}
+
+/// `advance` in fixed strides and `run_until_idle` are one event loop with
+/// two stop conditions: the same batch takes the same trajectory under
+/// either, on both backends.
+#[test]
+fn advance_and_run_until_idle_drive_the_same_schedule() {
+    fn to_idle<L: Ledger>(world: &mut World<L>) {
+        world.run_until_idle();
+    }
+    fn in_strides<L: Ledger>(world: &mut World<L>) {
+        while world.in_flight() > 0 {
+            world.advance(SimDuration::from_millis(700));
+        }
+    }
+    let config = |shards| WorldConfig {
+        seed: 1234,
+        link: LinkConfig::wan(),
+        trace: true,
+        shards,
+        ..WorldConfig::default()
+    };
+    let single = churn_run(World::new(config(1)), to_idle);
+    assert_eq!(single[0].len(), 9, "six accesses, two rounds, one change");
+    assert_eq!(churn_run(World::new(config(1)), in_strides), single);
+    let sharded = churn_run(World::new_sharded(config(4)), to_idle);
+    assert_eq!(
+        churn_run(World::new_sharded(config(4)), in_strides),
+        sharded
+    );
+}

@@ -346,3 +346,29 @@ fn healed_rogue_host_is_enforced_on_the_next_periodic_sweep() {
         "the healed host was enforced on the next grid sweep"
     );
 }
+
+#[test]
+fn healed_rogue_host_is_enforced_at_heal_in_deadline_mode() {
+    // Deadline mode has no grid to fall back on: the wakeup that fired
+    // into the rogue host is spent, so healing is what brings the overdue
+    // copy back to enforcement.
+    let (mut world, resource) = world_with_copies(1, 1, config(EnforcementMode::Deadline));
+    world.set_rogue_host("device-0", true);
+    world.advance(SimDuration::from_days(2));
+    assert!(
+        world.device("device-0").tee.has_copy(&resource),
+        "suppressed timer left the overdue copy"
+    );
+    world.set_rogue_host("device-0", false);
+    world.advance(SimDuration::from_mins(1));
+    assert!(
+        !world.device("device-0").tee.has_copy(&resource),
+        "the healed host was enforced"
+    );
+    assert_eq!(world.metrics.counter("enforcement.deletions"), 1);
+    assert!(world
+        .dex
+        .list_copies(&world.chain, &resource)
+        .expect("view")
+        .is_empty());
+}
