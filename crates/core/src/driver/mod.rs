@@ -14,13 +14,24 @@
 //! - [`World::submit`] enqueues a [`Request`] and returns a [`Ticket`]
 //!   immediately (unknown participants fail fast with a typed
 //!   [`ProcessError`] instead of panicking).
-//! - [`World::run_until_idle`] drives the event loop until no request is
-//!   in flight.
+//! - [`World::run_until_idle`] and [`World::advance`] drive the event
+//!   loop: until no request is in flight, or for a span of simulated time.
 //! - Completed work surfaces as [`Outcome`] events via [`Ticket::poll`] /
 //!   [`World::drain_events`].
 //!
-//! The legacy one-shot methods on [`World`] (see [`crate::process`]) are
-//! thin wrappers: submit, run to idle, unwrap the single outcome.
+//! The one-shot methods on [`World`] (see [`crate::process`]) are thin
+//! wrappers: submit, run to idle, unwrap the single outcome.
+//!
+//! ## One loop
+//!
+//! Time moves in one place. `run_until_idle` and `advance` are two stop
+//! conditions over the same loop body — step every woken machine, hop the
+//! scheduler to its next event, let the chain catch up to that instant,
+//! flip the fault-plan transitions due there — so a batch takes the same
+//! trajectory under either. Nothing in [`World`] blocks on the chain:
+//! every wait for a receipt is a park on the inclusion wait-set. And a due
+//! obligation is enforced by exactly one mechanism, the `obligation`
+//! scheduler's wakeups, which are ordinary events of this loop.
 //!
 //! ## Layout
 //!
@@ -390,7 +401,7 @@ impl<L: Ledger> World<L> {
     ///
     /// Unknown owners/devices complete at once with a typed error (no
     /// panic); everything else starts advancing when the event loop runs
-    /// ([`World::run_until_idle`], or [`World::advance`] up to a horizon).
+    /// ([`World::run_until_idle`] or [`World::advance`]).
     pub fn submit(&mut self, request: Request) -> Ticket {
         let ticket = Ticket(self.driver.next_ticket);
         self.driver.next_ticket += 1;
@@ -479,7 +490,7 @@ impl<L: Ledger> World<L> {
     /// Steps every process woken at the current instant, materializing
     /// fired obligation wakeups into internal machines first. Returns the
     /// number of process steps executed.
-    pub(crate) fn step_woken(&mut self) -> u64 {
+    fn step_woken(&mut self) -> u64 {
         let mut steps = 0;
         loop {
             self.spawn_due_obligations();
@@ -632,37 +643,46 @@ impl<L: Ledger> World<L> {
         }
     }
 
-    /// Drives the event loop until no request is in flight: steps every
-    /// woken process, then hops the scheduler to the next wake, repeating.
-    /// Returns the number of process steps executed.
-    pub fn run_until_idle(&mut self) -> u64 {
+    /// The event loop, up to one of its two stop conditions: `Some(horizon)`
+    /// runs everything due by that instant, `None` runs until no request
+    /// is in flight. Each turn steps what is woken, hops the scheduler to
+    /// its next event, lets the chain catch up and flips the fault-plan
+    /// transitions due there. Returns the number of process steps executed.
+    fn run_events(&mut self, horizon: Option<SimTime>) -> u64 {
         let mut steps = 0;
         self.apply_faults();
         loop {
             steps += self.step_woken();
-            // Idle means no request in flight; remaining scheduler entries
-            // can only be fault-plan boundary markers or *future*
-            // obligation wakeups, which must not drag the clock forward on
-            // their own. Wakeups already due at this instant (e.g. a
-            // zero-retention copy registered this round) still fire first.
-            if self.driver.inflight.is_empty() {
-                match self.sched.next_event_at() {
-                    Some(at) if at <= self.clock.now() => {
-                        self.sched.run_until(at);
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
             let Some(at) = self.sched.next_event_at() else {
                 break;
             };
+            let stop = match horizon {
+                Some(horizon) => at > horizon,
+                // What is queued past an idle driver can only be fault-plan
+                // boundary markers or *future* obligation wakeups, which
+                // must not drag the clock forward on their own. A wakeup
+                // already due (e.g. a zero-retention copy registered this
+                // round) still fires first.
+                None => self.driver.inflight.is_empty() && at > self.clock.now(),
+            };
+            if stop {
+                break;
+            }
             self.sched.run_until(at);
             // The chain catches up under the pre-boundary fault state;
             // plan transitions due at this instant flip afterwards.
             self.chain.advance_to(self.clock.now());
             self.apply_faults();
         }
+        steps
+    }
+
+    /// Drives the event loop until no request is in flight. Obligation
+    /// wakeups that fall due on the way fire; future ones stay queued and
+    /// the clock stops where the last request finished. Returns the number
+    /// of process steps executed.
+    pub fn run_until_idle(&mut self) -> u64 {
+        let steps = self.run_events(None);
         if self.driver.inflight.is_empty() {
             // Nothing left to claim them: drop unclaimed deliveries, like
             // the one-shot processes did.
@@ -670,6 +690,22 @@ impl<L: Ledger> World<L> {
             self.driver.monitoring_inbox.clear();
         }
         self.sync_chain();
+        steps
+    }
+
+    /// Drives the same event loop for `d` of simulated time, whether or
+    /// not requests are in flight, and leaves clock and chain at exactly
+    /// `now + d`. Obligation wakeups fire at their instants along the way
+    /// (paper §III-C: "the TEE automatically deletes the resource ...
+    /// after one week has passed, as per the policy") and in-flight
+    /// requests progress through their scheduled continuations. Returns
+    /// the number of process steps executed.
+    pub fn advance(&mut self, d: SimDuration) -> u64 {
+        let target = self.clock.now() + d;
+        let steps = self.run_events(Some(target));
+        self.clock.advance_to(target);
+        self.chain.advance_to(target);
+        self.apply_faults();
         steps
     }
 

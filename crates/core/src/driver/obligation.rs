@@ -14,7 +14,16 @@
 //! latency experiment E14 reports.
 //!
 //! Under [`EnforcementMode::Periodic`] the wakeups land on a fixed grid
-//! instead — the round-based baseline E14 compares against.
+//! instead — the round-based baseline E14 compares against. The mode is
+//! mapped in [`World::schedule_obligation`] and nowhere else.
+//!
+//! These wakeups are the only enforcement path: nothing scans devices for
+//! overdue copies. A wakeup that fires into a rogue host (suppressed
+//! enclave timers) is spent; healing the host re-arms every live copy it
+//! holds ([`World::set_rogue_host`]), so an overdue one is enforced at the
+//! next instant — or grid point — with its lag and evidence recorded. A
+//! damaged enclave surfaces as [`ProcessError::Tee`] and the
+//! `driver.obligation.failed` counter; it does not re-arm.
 
 use duc_blockchain::Ledger;
 use duc_sim::{SimDuration, SimTime};
@@ -52,15 +61,10 @@ impl<L: Ledger> ObligationRun<L> {
         match &mut self.phase {
             ObligationPhase::Start => {
                 // Rogue hosts suppress their enclave timers: the wakeup
-                // fires into the void (monitoring will surface the
-                // violation instead). Under the periodic baseline the
-                // next grid sweep must still probe — a host healed later
-                // is then enforced; under Deadline mode the advance()
-                // deadline fallback self-heals.
+                // fires into the void and is spent. Monitoring surfaces
+                // the violation; healing the host re-arms the copy
+                // (`World::set_rogue_host`).
                 if world.is_rogue_host(&self.device) {
-                    if matches!(world.config.enforcement, EnforcementMode::Periodic(_)) {
-                        world.schedule_obligation(&self.device, &self.resource, Some(now));
-                    }
                     return self.enforced(false);
                 }
                 let Some(dev) = world.devices.get_mut(&self.device) else {
@@ -173,9 +177,8 @@ impl<L: Ledger> World<L> {
     /// cancelled first.
     ///
     /// With a `floor`, the wakeup is never earlier than the first instant
-    /// strictly after it — used to re-arm an already-overdue wakeup (e.g.
-    /// a rogue host under the periodic baseline) without refiring at the
-    /// same instant.
+    /// strictly after it — used to re-arm the copies of a healed rogue
+    /// host, whose deadlines may already be behind the clock.
     pub(crate) fn schedule_obligation(
         &mut self,
         device: &str,

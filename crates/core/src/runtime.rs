@@ -49,9 +49,10 @@ pub struct RuntimeRun {
 ///
 /// `pace(now)` advances the world by the logical delta since its own
 /// clock (zero in sim mode, where the [`SimClock`] shares the world's
-/// time cell) and collects completions; `next_due` exposes
-/// [`World::next_wakeup_at`] so the drive loop mirrors the world's
-/// internal event queue into a single re-armable timer.
+/// time cell) and collects completions; `next_due` is the world
+/// scheduler's next event — every wake the world has, obligation wakeups
+/// included — so the drive loop mirrors the world's internal event queue
+/// into a single re-armable timer.
 pub struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
     world: &'w mut World<L>,
     page: Option<MetricsPage>,
@@ -89,7 +90,7 @@ impl<L: Ledger> Workload for PacedWorld<'_, L> {
     }
 
     fn next_due(&mut self) -> Option<SimTime> {
-        self.world.next_wakeup_at()
+        self.world.sched.next_event_at()
     }
 
     fn in_flight(&self) -> usize {

@@ -16,7 +16,6 @@ use duc_policy::{
 };
 use duc_sim::{zipf_weights, SimDuration};
 use duc_solid::{Body, SolidRequest};
-use duc_tee::EnforcementAction;
 
 use crate::driver::{MonitoringOutcome, ProcessError, Request};
 use crate::world::{IndexEntry, World, WorldConfig};
@@ -206,14 +205,7 @@ pub fn run<L: Ledger>(world: &mut World<L>) -> Result<ScenarioReport, ProcessErr
     // --- Six more days: Bob's copy (now 8 days old) crosses the one-week
     // --- retention bound; his TEE timer erases it.
     world.advance(SimDuration::from_days(6));
-    let actions = world.sweep_devices();
-    let bob_copy_deleted = actions.iter().any(|(device, action)| {
-        device == BOB_DEVICE
-            && matches!(
-                action,
-                EnforcementAction::Deleted { resource, .. } if resource == &browsing_iri
-            )
-    }) || !world.device(BOB_DEVICE).tee.has_copy(&browsing_iri);
+    let bob_copy_deleted = !world.device(BOB_DEVICE).tee.has_copy(&browsing_iri);
 
     // --- Monitoring (process 6) on both resources.
     let browsing_monitoring = world.policy_monitoring(ALICE, BROWSING_PATH)?;

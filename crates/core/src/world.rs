@@ -9,8 +9,8 @@ use duc_intern::{Registry, SharedInterner, Sym};
 use duc_oracle::{PullInOracle, PullOutOracle, PushInOracle, PushOutOracle};
 use duc_policy::UsagePolicy;
 use duc_sim::{
-    Clock, EndpointId, FaultPlan, LinkConfig, MetricsRegistry, NetworkModel, Rng, Scheduler,
-    SimDuration, TraceRecorder,
+    Clock, EndpointId, EventId, FaultPlan, LinkConfig, MetricsRegistry, NetworkModel, Rng,
+    Scheduler, SimDuration, TraceRecorder,
 };
 use duc_solid::PodManager;
 use duc_tee::{AttestationAuthority, Enclave, TrustedApplication};
@@ -191,16 +191,14 @@ pub struct World<L = Blockchain> {
     /// The declarative fault plan driving chaos runs (see
     /// [`World::set_fault_plan`]).
     fault_plan: FaultPlan,
+    /// The no-op scheduler events marking the installed plan's boundaries;
+    /// cancelled when the plan is replaced.
+    fault_markers: Vec<EventId>,
     /// Fault-plan state currently applied to the components, so boundary
     /// transitions toggle exactly what the plan controls and nothing else.
     applied_faults: AppliedFaults,
     /// Devices whose hosts suppress enclave timers (fault injection).
     rogue_hosts: std::collections::HashSet<String>,
-    /// Devices whose trusted application reported a damaged state
-    /// ([`duc_tee::TeeError`]): excluded from the deadline poll so a
-    /// permanently faulted enclave cannot pin [`World::advance`] to the
-    /// same overdue instant forever.
-    tee_faulted: std::collections::HashSet<String>,
     /// Key material for encrypted policy envelopes (E9). In a production
     /// deployment this would come from a key-distribution service; the
     /// simulation provisions it to owners and TEEs out of band.
@@ -284,6 +282,7 @@ impl<L: Ledger> World<L> {
             sched: Scheduler::new(clock.clone()),
             driver: crate::driver::DriverState::new(),
             fault_plan: FaultPlan::none(),
+            fault_markers: Vec::new(),
             applied_faults: AppliedFaults::default(),
             push_in: PushInOracle::new(relay),
             push_out: PushOutOracle::new(relay),
@@ -298,7 +297,6 @@ impl<L: Ledger> World<L> {
             trace,
             gateway,
             rogue_hosts: std::collections::HashSet::new(),
-            tee_faulted: std::collections::HashSet::new(),
             policy_key: ([0x42; 32], [0x17; 12]),
             config,
             clock,
@@ -409,12 +407,18 @@ impl<L: Ledger> World<L> {
     /// declared crash/partition window and resume at recovery (see
     /// [`crate::driver`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        // The replaced plan's markers go with it: left queued they would
+        // be wake instants of a plan that no longer exists.
+        for marker in self.fault_markers.drain(..) {
+            self.sched.cancel(marker);
+        }
         let now = self.clock.now();
         for boundary in plan.boundaries() {
             if boundary > now {
                 // A no-op event: it makes the event loop pause at the
                 // boundary, where `apply_faults` flips component state.
-                self.sched.schedule_at(boundary, |_| {});
+                let marker = self.sched.schedule_at(boundary, |_| {});
+                self.fault_markers.push(marker);
             }
         }
         self.fault_plan = plan;
@@ -488,93 +492,33 @@ impl<L: Ledger> World<L> {
     }
 
     /// Marks a device's host as rogue: its enclave timer interrupts are
-    /// suppressed, so obligation sweeps never fire autonomously (the
+    /// suppressed, so its obligation wakeups fire into the void (the
     /// monitoring experiments use this to create detectable violators; the
     /// enclave still cannot *forge* evidence).
+    ///
+    /// Healing (`rogue: false`) re-arms the wakeup of every live copy the
+    /// device holds: one that fell due while the host was rogue is
+    /// enforced at the next instant ([`EnforcementMode::Deadline`]) or the
+    /// next grid point ([`EnforcementMode::Periodic`]), with its lag and
+    /// on-chain evidence recorded like any other enforcement.
     pub fn set_rogue_host(&mut self, device: impl Into<String>, rogue: bool) {
         let device = device.into();
         if rogue {
             self.rogue_hosts.insert(device);
-        } else {
-            self.rogue_hosts.remove(&device);
+        } else if self.rogue_hosts.remove(&device) {
+            let now = self.clock.now();
+            let held: Vec<String> = self.try_device(&device).map_or(Vec::new(), |dev| {
+                dev.tee.resources().map(str::to_string).collect()
+            });
+            for resource in held {
+                self.schedule_obligation(&device, &resource, Some(now));
+            }
         }
     }
 
     /// Whether a device's host currently suppresses its enclave timers.
     pub fn is_rogue_host(&self, device: &str) -> bool {
         self.rogue_hosts.contains(device)
-    }
-
-    /// Advances simulated time. TEE obligation timers fire at their exact
-    /// deadlines along the way (paper §III-C: "the TEE automatically
-    /// deletes the resource ... after one week has passed, as per the
-    /// policy"), in-flight driver requests progress through their scheduled
-    /// continuations, and the chain catches up to the final instant.
-    ///
-    /// Copies that entered through the driver (process 4) are enforced by
-    /// the obligation scheduler's own wakeup events; the deadline poll
-    /// below is a fallback for copies stored directly into a TEE by test
-    /// or bench harnesses, and is disabled under
-    /// [`EnforcementMode::Periodic`] (where the grid wakeups are the whole
-    /// point).
-    pub fn advance(&mut self, d: SimDuration) {
-        let target = self.clock.now() + d;
-        loop {
-            // Driver work due at the current instant runs first.
-            self.step_woken();
-            let next_deadline = self.next_obligation_deadline().filter(|at| *at <= target);
-            let next_event = self.sched.next_event_at().filter(|at| *at <= target);
-            match (next_event, next_deadline) {
-                (Some(event_at), deadline) if deadline.is_none_or(|dl| event_at <= dl) => {
-                    self.sched.run_until(event_at);
-                    // The chain catches up under the pre-boundary fault
-                    // state; plan transitions due at this instant flip
-                    // afterwards.
-                    self.chain.advance_to(self.clock.now());
-                    self.apply_faults();
-                }
-                (_, Some(deadline)) => {
-                    self.clock.advance_to(deadline);
-                    self.apply_faults();
-                    self.sweep_devices();
-                }
-                _ => break,
-            }
-        }
-        self.step_woken();
-        self.clock.advance_to(target);
-        self.chain.advance_to(self.clock.now());
-        self.apply_faults();
-    }
-
-    /// The earliest pending TEE obligation deadline across healthy
-    /// devices — the fallback poll [`World::advance`] honours. `None`
-    /// under [`EnforcementMode::Periodic`], where the grid wakeups are the
-    /// whole point.
-    pub fn next_obligation_deadline(&self) -> Option<duc_sim::SimTime> {
-        match self.config.enforcement {
-            EnforcementMode::Periodic(_) => None,
-            EnforcementMode::Deadline => self
-                .devices
-                .iter()
-                .filter(|(name, _)| {
-                    !self.rogue_hosts.contains(*name) && !self.tee_faulted.contains(*name)
-                })
-                .filter_map(|(_, dev)| dev.tee.next_obligation_deadline())
-                .min(),
-        }
-    }
-
-    /// The next logical instant at which this world has internal work: the
-    /// scheduler's next event or the next obligation deadline, whichever
-    /// comes first. The wall-clock pacing loop mirrors this instant into a
-    /// real timer (`duc-runtime`'s drive loop); sim-mode callers can keep
-    /// using [`World::advance`] / [`World::run_until_idle`] directly.
-    pub fn next_wakeup_at(&mut self) -> Option<duc_sim::SimTime> {
-        match (self.sched.next_event_at(), self.next_obligation_deadline()) {
-            (Some(event), Some(deadline)) => Some(event.min(deadline)),
-            (event, deadline) => event.or(deadline),
-        }
     }
 
     /// Everything this world can report, as one registry: a copy of
@@ -623,73 +567,6 @@ impl<L: Ledger> World<L> {
         snapshot.set("state.fault_ins", &[], paging.fault_ins);
         snapshot.set("state.page_compactions", &[], paging.compactions);
         snapshot
-    }
-
-    /// Runs every device's obligation sweep at the current instant (the
-    /// TEEs' periodic timers; cf. ablation E11) and returns executed
-    /// actions. Deletions also unregister the on-chain copy.
-    ///
-    /// The unregister confirmation is a *blocking* wait: it advances the
-    /// shared clock up to one block. Drive in-flight driver requests to
-    /// idle before sweeping (the wrappers and [`World::advance`] do) or
-    /// their scheduled wakes fire late by the sweep's confirmation time.
-    pub fn sweep_devices(&mut self) -> Vec<(String, duc_tee::EnforcementAction)> {
-        let now = self.clock.now();
-        let mut all = Vec::new();
-        let mut pending = Vec::new();
-        let mut names: Vec<String> = self
-            .devices
-            .keys()
-            .filter(|n| !self.rogue_hosts.contains(*n) && !self.tee_faulted.contains(*n))
-            .map(str::to_string)
-            .collect();
-        // Sorted: HashMap iteration order is per-process random, and the
-        // unregister transactions below must land in the same order on
-        // every identically-seeded run (byte-identical determinism).
-        names.sort_unstable();
-        for name in names {
-            let device = self.devices.get_mut(&name).expect("key exists");
-            let actions = match device.tee.sweep(now) {
-                Ok(actions) => actions,
-                Err(e) => {
-                    // A damaged enclave state is permanent: record it and
-                    // quarantine the device from the deadline poll, so the
-                    // fault surfaces in metrics/trace instead of pinning
-                    // the advance loop to the same overdue instant.
-                    self.metrics.incr("enforcement.tee_faults");
-                    self.tee_faulted.insert(name.clone());
-                    self.trace
-                        .record(now, format_args!("tee:{name}"), "tee.fault", &e);
-                    continue;
-                }
-            };
-            for action in actions {
-                if let duc_tee::EnforcementAction::Deleted { resource, .. } = &action {
-                    self.metrics.incr("enforcement.deletions");
-                    let tx =
-                        self.dex
-                            .unregister_copy_tx(&self.chain, &device.key, resource, &name, now);
-                    if let Ok(id) = self.chain.submit(tx) {
-                        pending.push(id);
-                    }
-                }
-                all.push((name.clone(), action));
-            }
-        }
-        // Confirm *every* unregistration before anything else (e.g. a
-        // monitoring round) can race it within one block: awaiting only the
-        // last id would let an earlier unregister tx that missed the block
-        // slip past the barrier.
-        for id in &pending {
-            let _ = duc_oracle::await_inclusion(
-                &mut self.chain,
-                &self.clock,
-                id,
-                SimDuration::from_secs(120),
-            );
-        }
-        self.sync_chain();
-        all
     }
 
     /// Immutable owner lookup; `None` when the WebID is unknown. Internal
@@ -775,6 +652,22 @@ mod tests {
                 .unwrap(),
             policy
         );
+    }
+
+    #[test]
+    fn replacing_a_fault_plan_cancels_its_boundary_markers() {
+        let mut world = World::new(WorldConfig::default());
+        let before = world.sched.pending();
+        let now = world.clock.now();
+        let (from, until) = (
+            now + SimDuration::from_secs(5),
+            now + SimDuration::from_secs(9),
+        );
+        world.set_fault_plan(FaultPlan::none().crash(world.gateway, from, until));
+        assert_eq!(world.sched.pending(), before + 2, "one marker per boundary");
+        world.set_fault_plan(FaultPlan::none());
+        assert_eq!(world.sched.pending(), before);
+        assert_eq!(world.sched.next_event_at(), None);
     }
 
     #[test]

@@ -388,7 +388,10 @@ fn stalled_waiters_each_time_out_at_their_own_deadline() {
     let mut deadlines = Vec::new();
     world.advance(SimDuration::ZERO); // first steps: every request is on the wire
     while world.in_flight() > 0 {
-        let at = world.next_wakeup_at().expect("waiters keep a wake armed");
+        let at = world
+            .sched
+            .next_event_at()
+            .expect("waiters keep a wake armed");
         world.advance(at.saturating_since(world.clock.now()));
         for (_, outcome) in world.drain_events() {
             let Err(ProcessError::Oracle(OracleError::InclusionTimeout { deadline })) = outcome

@@ -330,7 +330,7 @@ fn stale_unregister_cannot_clobber_a_newer_registration() {
 fn healed_rogue_host_is_enforced_on_the_next_periodic_sweep() {
     // A rogue host suppresses its timer across the deadline; when the
     // host heals, the periodic baseline's next grid sweep still enforces
-    // (the fired wakeup re-arms instead of going silent).
+    // (healing re-arms the spent wakeup).
     let period = SimDuration::from_mins(37);
     let (mut world, resource) = world_with_copies(1, 1, config(EnforcementMode::Periodic(period)));
     world.set_rogue_host("device-0", true);
@@ -371,4 +371,9 @@ fn healed_rogue_host_is_enforced_at_heal_in_deadline_mode() {
         .list_copies(&world.chain, &resource)
         .expect("view")
         .is_empty());
+    // The late enforcement is measured and anchored like a timely one.
+    let lag = world.metrics.histogram_mut("enforcement.lag");
+    assert_eq!(lag.len(), 1);
+    assert!(lag.max() >= SimDuration::from_days(1), "lag {}", lag.max());
+    assert_eq!(world.metrics.counter("enforcement.evidence_anchored"), 1);
 }

@@ -17,10 +17,10 @@
 //! endpoint, event cursor, subscriptions, wire sizes, counters — and the
 //! caller (the `duc-core` driver) owns the timeline and the retry policy.
 //!
-//! * push-in: [`PushInOracle::attempt`] is one uplink try,
-//!   [`poll_inclusion`] one confirmation check ([`await_inclusion`] loops
-//!   it on a clock; the driver waits on the ledger's receipt probe
-//!   instead of polling).
+//! * push-in: [`PushInOracle::attempt`] is one uplink try; confirmation
+//!   is the caller's wait on the ledger's receipt probe
+//!   (`Ledger::has_receipt`), bounded by
+//!   [`OracleError::InclusionTimeout`].
 //! * push-out: [`PushOutOracle::try_drain`] computes the deliveries of the
 //!   events past the cursor; [`PushOutOracle::drain`] also resyncs a
 //!   cursor that fell below the prune horizon. A subscription is a set
@@ -38,6 +38,6 @@
 pub mod patterns;
 
 pub use patterns::{
-    await_inclusion, poll_inclusion, HopKind, InclusionStatus, OracleError, OutboundDelivery,
-    PullInOracle, PullOutOracle, PushInOracle, PushOutOracle,
+    HopKind, OracleError, OutboundDelivery, PullInOracle, PullOutOracle, PushInOracle,
+    PushOutOracle,
 };

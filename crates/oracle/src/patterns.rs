@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, Receipt, SubmitError, TxId};
+use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, SubmitError};
 use duc_codec::encode_to_vec;
 use duc_sim::{Clock, EndpointId, NetworkModel, Rng, SimDuration, SimTime};
 
@@ -118,78 +118,6 @@ impl std::fmt::Display for OracleError {
 }
 
 impl std::error::Error for OracleError {}
-
-/// One observation of a transaction's inclusion state, as seen by a
-/// non-blocking caller (see [`poll_inclusion`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InclusionStatus {
-    /// The transaction is included; here is its receipt.
-    Included(Receipt),
-    /// Not included yet; check again at `retry_at` (the next slot boundary,
-    /// capped at the deadline).
-    Pending {
-        /// When the next poll is due.
-        retry_at: SimTime,
-    },
-    /// The deadline passed without inclusion.
-    TimedOut {
-        /// The deadline that passed.
-        deadline: SimTime,
-    },
-}
-
-/// Non-blocking inclusion check: advances the chain to `now`, looks for a
-/// receipt, and — when the transaction is still pending — reports when the
-/// caller should poll again instead of spinning the shared clock forward.
-///
-/// This is the public primitive for a caller that owns its own timeline,
-/// and what [`await_inclusion`] — the blocking loop, used by the
-/// obligation sweep — iterates. The `duc-core` driver does not poll: a
-/// machine waiting for inclusion parks on the driver's wait-set, which
-/// probes [`Ledger::has_receipt`] once per slot and steps the machine only
-/// when its receipt exists or its deadline has come, so a pending
-/// transaction costs a hash probe per slot rather than a poll.
-pub fn poll_inclusion<L: Ledger>(
-    chain: &mut L,
-    now: SimTime,
-    id: &TxId,
-    deadline: SimTime,
-) -> InclusionStatus {
-    chain.advance_to(now);
-    if let Some(receipt) = chain.receipt(id) {
-        return InclusionStatus::Included(receipt);
-    }
-    if now >= deadline {
-        return InclusionStatus::TimedOut { deadline };
-    }
-    InclusionStatus::Pending {
-        retry_at: chain.next_slot_at(now).min(deadline),
-    }
-}
-
-/// Advances the clock slot-by-slot until `id` has a receipt (inclusion) or
-/// the timeout elapses. Models "waiting for confirmation".
-///
-/// # Errors
-/// [`OracleError::InclusionTimeout`] when the deadline passes — e.g. when
-/// crashed proposers stall the chain (robustness experiment E8).
-pub fn await_inclusion<L: Ledger>(
-    chain: &mut L,
-    clock: &Clock,
-    id: &TxId,
-    timeout: SimDuration,
-) -> Result<Receipt, OracleError> {
-    let deadline = clock.now() + timeout;
-    loop {
-        match poll_inclusion(chain, clock.now(), id, deadline) {
-            InclusionStatus::Included(receipt) => return Ok(receipt),
-            InclusionStatus::TimedOut { deadline } => {
-                return Err(OracleError::InclusionTimeout { deadline })
-            }
-            InclusionStatus::Pending { retry_at } => clock.advance_to(retry_at),
-        }
-    }
-}
 
 /// **Push-in**: an off-chain component (pod manager, device) pushes a
 /// state-changing transaction to the chain through an oracle relay node.
@@ -672,7 +600,10 @@ mod tests {
     fn call_and_seal(s: &mut Setup, method: &str, v: u64) {
         let tx = echo_tx(s, method, v);
         let id = s.chain.submit(tx).unwrap();
-        await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10)).unwrap();
+        let slot = s.chain.next_slot_at(s.clock.now());
+        s.clock.advance_to(slot);
+        s.chain.advance_to(slot);
+        assert!(s.chain.receipt(&id).is_some(), "sealed at the next slot");
     }
 
     fn store_and_seal(s: &mut Setup, v: u64) {
@@ -696,18 +627,13 @@ mod tests {
         assert_eq!(hop, SimDuration::from_millis(10));
         s.clock.advance(hop);
         let id = s.chain.submit(tx).unwrap();
-        // Not included yet: re-poll at the 2 s slot boundary.
-        let deadline = s.clock.now() + SimDuration::from_secs(30);
-        assert_eq!(
-            poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline),
-            InclusionStatus::Pending {
-                retry_at: SimTime::from_secs(2)
-            }
-        );
-        match poll_inclusion(&mut s.chain, SimTime::from_secs(2), &id, deadline) {
-            InclusionStatus::Included(receipt) => assert!(receipt.status.is_ok()),
-            other => panic!("expected inclusion, got {other:?}"),
-        }
+        // Not included before the 2 s slot boundary, included at it.
+        s.chain.advance_to(s.clock.now());
+        assert!(s.chain.receipt(&id).is_none());
+        assert_eq!(s.chain.next_slot_at(s.clock.now()), SimTime::from_secs(2));
+        s.chain.advance_to(SimTime::from_secs(2));
+        let receipt = s.chain.receipt(&id).expect("included");
+        assert!(receipt.status.is_ok());
         assert_eq!(oracle.stats(), (1, 0));
     }
 
@@ -740,31 +666,6 @@ mod tests {
         assert_eq!(oracle.stats(), (1, 2), "first try plus two retries");
         // Linear backoff before retries 1 and 2.
         assert_eq!(s.clock.now(), SimTime::ZERO + SimDuration::from_millis(300));
-    }
-
-    #[test]
-    fn inclusion_times_out_when_all_validators_down() {
-        let mut s = setup(fixed_link(5));
-        s.chain.set_validator_down(0, true);
-        s.chain.set_validator_down(1, true);
-        let tx = store_tx(&s, 1);
-        let id = s.chain.submit(tx).unwrap();
-        let deadline = SimTime::from_secs(10);
-        // Every slot is missed: a poll asks for the next boundary, and the
-        // blocking loop over it runs the clock to the deadline.
-        assert_eq!(
-            poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline),
-            InclusionStatus::Pending {
-                retry_at: SimTime::from_secs(2)
-            }
-        );
-        let err = await_inclusion(&mut s.chain, &s.clock, &id, SimDuration::from_secs(10));
-        assert_eq!(err, Err(OracleError::InclusionTimeout { deadline }));
-        assert_eq!(s.clock.now(), deadline);
-        assert_eq!(
-            poll_inclusion(&mut s.chain, s.clock.now(), &id, deadline),
-            InclusionStatus::TimedOut { deadline }
-        );
     }
 
     #[test]

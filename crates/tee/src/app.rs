@@ -1,7 +1,7 @@
 //! The trusted application: policy-mediated access to sealed copies.
 
 use duc_crypto::{hash_parts, Digest};
-use duc_intern::{Interner, Sym, SymMap};
+use duc_intern::{Interner, SymMap};
 use duc_policy::compliance::{AccessRecord, CopyState};
 use duc_policy::{
     compile, Action, Decision, DenyReason, Duty, PolicyProgram, Purpose, PurposeTaxonomy,
@@ -455,36 +455,8 @@ impl TrustedApplication {
         actions
     }
 
-    /// Sweeps every copy's obligations (the TEE's periodic timer; also what
-    /// a polling-based enforcement baseline calls — ablation E11).
-    ///
-    /// # Errors
-    /// [`TeeError::CopyStateMissing`] when the copy table is damaged (an
-    /// entry listed by key lookup has vanished on re-read) — a permanent
-    /// fault the driver classifies as non-transient.
-    pub fn sweep(&mut self, now: SimTime) -> Result<Vec<EnforcementAction>, TeeError> {
-        let mut actions = Vec::new();
-        // Enforce in resource-name order: the downstream unregister_copy
-        // transactions must stay in the exact order the pre-interning
-        // (BTreeMap-keyed) registry produced.
-        let mut order: Vec<Sym> = self.copies.keys().collect();
-        order.sort_by(|a, b| self.names.resolve(*a).cmp(self.names.resolve(*b)));
-        for sym in order {
-            let resource = self.names.resolve_arc(sym);
-            let entry = self
-                .copies
-                .get_mut(sym)
-                .ok_or_else(|| TeeError::CopyStateMissing {
-                    resource: resource.to_string(),
-                })?;
-            Self::enforce_entry(&resource, entry, &mut self.storage, now, &mut actions);
-        }
-        Ok(actions)
-    }
-
-    /// Enforces the obligations of a *single* copy at `now` — what the
-    /// driver's obligation scheduler calls at each registered deadline,
-    /// instead of sweeping every copy.
+    /// Enforces the obligations of a single copy at `now` — what the
+    /// driver's obligation scheduler calls at each registered deadline.
     ///
     /// # Errors
     /// [`TeeError::CopyStateMissing`] for an unknown resource.
@@ -550,19 +522,6 @@ impl TrustedApplication {
             }
             _ => false,
         }
-    }
-
-    /// The earliest instant at which some live copy's obligation (retention
-    /// or expiry) falls due — the TEE's internal deletion timer.
-    pub fn next_obligation_deadline(&self) -> Option<SimTime> {
-        self.copies
-            .values()
-            .filter(|e| e.state.deleted_at.is_none())
-            .filter_map(|e| {
-                e.program()
-                    .next_deadline(e.state.acquired_at, e.policy_applied_at)
-            })
-            .min()
     }
 
     /// Produces the self-audit for a monitoring round (paper process 6).
@@ -733,12 +692,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_enforces_all_overdue_copies() {
+    fn enforce_due_deletes_only_the_overdue_copy() {
         let mut app = app();
         app.store_resource(RES, b"a", retention_policy(7), t(0));
         app.store_resource("urn:other", b"b", retention_policy(30), t(0));
-        let actions = app.sweep(t(10)).expect("sweep");
-        assert_eq!(actions.len(), 1, "only the 7-day copy is overdue");
+        let kept = app.enforce_due("urn:other", t(10)).expect("held");
+        assert!(kept.is_empty(), "the 30-day copy is not overdue");
+        let actions = app.enforce_due(RES, t(10)).expect("held");
+        assert_eq!(actions.len(), 1, "the 7-day copy is overdue");
         match &actions[0] {
             EnforcementAction::Deleted {
                 resource,
@@ -848,7 +809,7 @@ mod tests {
         let mut app = app();
         app.store_resource(RES, b"x", policy, t(0));
         assert!(app.access(RES, Action::Read, Purpose::any(), t(4)).is_ok());
-        let actions = app.sweep(t(5)).expect("sweep");
+        let actions = app.enforce_due(RES, t(5)).expect("held");
         assert!(matches!(
             &actions[0],
             EnforcementAction::Deleted { reason, .. } if reason.contains("expiry")
