@@ -8,6 +8,13 @@
 //! transparently on read; the XOR-multiset commitment accumulator makes
 //! this safe, because eviction never touches the commitment and every
 //! fault-in re-verifies the page digest.
+//!
+//! A resident page is a [`duc_storage::SlottedPage`]: the page's spill
+//! encoding itself plus an index of slot offsets, probed by binary search
+//! and mutated in place. There is no decoded form, so a fault-in is one
+//! digest-verified read and one validating pass over the bytes, evicting a
+//! clean page drops it, and evicting a dirty one appends the bytes it
+//! already holds.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -15,7 +22,7 @@ use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::sync::Mutex;
 
 use duc_crypto::{hash_parts, Digest};
-use duc_storage::{decode_page, encode_page, PageRef, PageStore, PagingConfig};
+use duc_storage::{PageRef, PageStore, PagingConfig, SlottedPage};
 
 use crate::types::{Address, Amount, ContractId};
 
@@ -130,7 +137,7 @@ impl std::fmt::Debug for InlineKey {
 /// while the state content — and therefore the commitment — does not.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagingStats {
-    /// Pages currently decoded in memory.
+    /// Pages currently held in memory.
     pub resident_pages: usize,
     /// Pages in existence (resident + evicted).
     pub total_pages: usize,
@@ -138,7 +145,7 @@ pub struct PagingStats {
     pub resident_bytes: usize,
     /// Pages pushed out of the cache since genesis.
     pub evictions: u64,
-    /// Pages decoded back in since genesis.
+    /// Pages read back in since genesis.
     pub fault_ins: u64,
     /// Pages spilled to the store (net of compaction rewrites).
     pub spilled_pages: u64,
@@ -171,8 +178,8 @@ type PageId = u64;
 
 #[derive(Debug)]
 enum PageData {
-    /// Decoded slots, ordered by key.
-    Resident(BTreeMap<InlineKey, Vec<u8>>),
+    /// The page's slots, in the exact bytes a spill would write.
+    Resident(SlottedPage),
     /// Dropped from memory; `Page::spill` holds the verified handle.
     Evicted,
 }
@@ -185,11 +192,13 @@ struct Page {
     first: InlineKey,
     data: PageData,
     /// LRU timestamp; `(last_used, id)` is the page's entry in the LRU
-    /// index while resident.
+    /// index while resident under a residency limit.
     last_used: u64,
     /// A spill-log copy of the page, valid only while the resident data is
     /// clean. Dirtying a page retires the handle immediately, so
-    /// `spill.is_some()` ⟺ the log holds the page's current content.
+    /// `spill.is_some()` ⟺ the log holds the resident page's bytes
+    /// verbatim; a page is *dirty* when its bytes have changed since they
+    /// were last appended (or never were), and evicting it appends them.
     spill: Option<PageRef>,
 }
 
@@ -201,6 +210,8 @@ struct PagedSlots {
     dir: BTreeMap<ContractId, BTreeMap<InlineKey, PageId>>,
     pages: HashMap<PageId, Page>,
     /// Resident pages ordered by last use — O(log n) victim selection.
+    /// Exact LRU under a `limit`; left empty without one, where no victim
+    /// is ever chosen and a per-read remove + insert would buy nothing.
     lru: BTreeSet<(u64, PageId)>,
     next_page: PageId,
     tick: u64,
@@ -254,7 +265,11 @@ impl PagedSlots {
             .map(|(_, &id)| id)
     }
 
+    /// Makes a resident page the most recently used one.
     fn lru_touch(&mut self, id: PageId) {
+        if self.limit.is_none() {
+            return;
+        }
         let page = self.pages.get_mut(&id).expect("page exists");
         if matches!(page.data, PageData::Evicted) {
             return;
@@ -265,7 +280,30 @@ impl PagedSlots {
         self.lru.insert((self.tick, id));
     }
 
-    /// Decodes an evicted page back into memory, verifying its digest.
+    /// Adds a page nothing else refers to yet, resident and most recently
+    /// used.
+    fn add_resident(
+        &mut self,
+        id: PageId,
+        contract: ContractId,
+        first: InlineKey,
+        slots: SlottedPage,
+    ) {
+        self.pages.insert(
+            id,
+            Page {
+                contract,
+                first,
+                data: PageData::Resident(slots),
+                last_used: 0,
+                spill: None,
+            },
+        );
+        self.resident += 1;
+        self.lru_touch(id);
+    }
+
+    /// Reads an evicted page back into memory, verifying its digest.
     ///
     /// # Panics
     /// A failed read is a state-integrity violation (corrupt page bytes or
@@ -281,13 +319,9 @@ impl PagedSlots {
             .store
             .read(&spill)
             .unwrap_or_else(|e| panic!("paged world state fault-in failed: {e}"));
-        let slots = decode_page(&bytes).expect("spilled page decodes");
-        let map: BTreeMap<InlineKey, Vec<u8>> = slots
-            .into_iter()
-            .map(|(k, v)| (InlineKey::from_slice(&k), v))
-            .collect();
+        let slots = SlottedPage::from_bytes(bytes).expect("spilled page decodes");
         let page = self.pages.get_mut(&id).expect("page exists");
-        page.data = PageData::Resident(map);
+        page.data = PageData::Resident(slots);
         self.resident += 1;
         self.fault_ins += 1;
         self.lru_touch(id);
@@ -302,22 +336,22 @@ impl PagedSlots {
         }
     }
 
-    /// Spills (if needed) and drops one resident page.
+    /// Drops one resident page, first appending its bytes to the spill log
+    /// if the log does not already hold them.
     fn evict(&mut self, id: PageId) {
-        let needs_spill = match self.pages.get(&id) {
-            Some(page) if matches!(page.data, PageData::Resident(_)) => page.spill.is_none(),
-            _ => return,
+        let Some(page) = self.pages.get_mut(&id) else {
+            return;
         };
-        if needs_spill {
-            let page = self.pages.get(&id).expect("page exists");
-            let PageData::Resident(slots) = &page.data else {
-                unreachable!("checked resident above")
-            };
-            let bytes = encode_page(slots.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
-            let spill = self.store.append(&bytes).expect("page spill append");
-            self.pages.get_mut(&id).expect("page exists").spill = Some(spill);
+        let PageData::Resident(slots) = &page.data else {
+            return;
+        };
+        if page.spill.is_none() {
+            let spill = self
+                .store
+                .append(slots.as_bytes())
+                .expect("page spill append");
+            page.spill = Some(spill);
         }
-        let page = self.pages.get_mut(&id).expect("page exists");
         page.data = PageData::Evicted;
         let last_used = page.last_used;
         self.lru.remove(&(last_used, id));
@@ -361,19 +395,7 @@ impl PagedSlots {
     fn alloc_page(&mut self, contract: ContractId, first: InlineKey) -> PageId {
         let id = self.next_page;
         self.next_page += 1;
-        self.tick += 1;
-        self.pages.insert(
-            id,
-            Page {
-                contract: contract.clone(),
-                first: first.clone(),
-                data: PageData::Resident(BTreeMap::new()),
-                last_used: self.tick,
-                spill: None,
-            },
-        );
-        self.lru.insert((self.tick, id));
-        self.resident += 1;
+        self.add_resident(id, contract.clone(), first.clone(), SlottedPage::new());
         self.dir.entry(contract).or_default().insert(first, id);
         id
     }
@@ -411,50 +433,34 @@ impl PagedSlots {
             if slots.len() <= self.capacity {
                 return;
             }
-            let mid = slots
-                .keys()
-                .nth(slots.len() / 2)
-                .cloned()
-                .expect("over-capacity page is nonempty");
-            let upper = slots.split_off(&mid);
+            let upper = slots.split_off_upper();
+            let mid =
+                InlineKey::from_slice(upper.first_key().expect("over-capacity page is nonempty"));
             (page.contract.clone(), mid, upper)
         };
         let nid = self.next_page;
         self.next_page += 1;
-        self.tick += 1;
-        self.pages.insert(
-            nid,
-            Page {
-                contract: contract.clone(),
-                first: mid.clone(),
-                data: PageData::Resident(upper),
-                last_used: self.tick,
-                spill: None,
-            },
-        );
-        self.lru.insert((self.tick, nid));
-        self.resident += 1;
+        self.add_resident(nid, contract.clone(), mid.clone(), upper);
         self.dir
             .get_mut(&contract)
             .expect("contract dir exists")
             .insert(mid, nid);
     }
 
-    fn insert(&mut self, contract: &ContractId, key: &[u8], value: Vec<u8>) -> Option<Vec<u8>> {
+    fn insert(&mut self, contract: &ContractId, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
         let id = self.page_for_insert(contract, key);
         self.fault_in(id);
         self.dirty(id);
-        let value_len = value.len();
         let page = self.pages.get_mut(&id).expect("page exists");
         let PageData::Resident(slots) = &mut page.data else {
             unreachable!("faulted in above")
         };
-        let prev = slots.insert(InlineKey::from_slice(key), value);
+        let prev = slots.insert(key, value);
         match &prev {
-            Some(old) => self.byte_size = self.byte_size - old.len() + value_len,
+            Some(old) => self.byte_size = self.byte_size - old.len() + value.len(),
             None => {
                 self.slot_count += 1;
-                self.byte_size += value_len;
+                self.byte_size += value.len();
             }
         }
         self.lru_touch(id);
@@ -470,38 +476,32 @@ impl PagedSlots {
         let PageData::Resident(slots) = &mut page.data else {
             unreachable!("faulted in above")
         };
-        if !slots.contains_key(key) {
-            self.lru_touch(id);
-            return None;
+        let prev = slots.remove(key);
+        let emptied = prev.is_some() && slots.is_empty();
+        if let Some(prev) = &prev {
+            self.dirty(id);
+            self.slot_count -= 1;
+            self.byte_size -= prev.len();
         }
-        self.dirty(id);
-        let page = self.pages.get_mut(&id).expect("page exists");
-        let PageData::Resident(slots) = &mut page.data else {
-            unreachable!("faulted in above")
-        };
-        let prev = slots.remove(key).expect("checked present");
-        self.slot_count -= 1;
-        self.byte_size -= prev.len();
-        if slots.is_empty() {
-            let first = page.first.clone();
-            let contract = page.contract.clone();
-            let last_used = page.last_used;
-            if let Some(spill) = page.spill.take() {
-                self.store.retire(&spill);
-            }
-            self.pages.remove(&id);
-            self.lru.remove(&(last_used, id));
+        if emptied {
+            let page = self.pages.remove(&id).expect("page exists");
+            self.lru.remove(&(page.last_used, id));
             self.resident -= 1;
-            let dir = self.dir.get_mut(&contract).expect("contract dir exists");
-            dir.remove(&first);
+            let dir = self
+                .dir
+                .get_mut(&page.contract)
+                .expect("contract dir exists");
+            dir.remove(&page.first);
             if dir.is_empty() {
-                self.dir.remove(&contract);
+                self.dir.remove(&page.contract);
             }
         } else {
             self.lru_touch(id);
         }
-        self.maybe_compact();
-        Some(prev)
+        // One exit for hit, miss and emptied page alike: the fault-in above
+        // may have brought in one page too many whichever it was.
+        self.enforce_limit();
+        prev
     }
 
     fn get(&mut self, contract: &ContractId, key: &[u8]) -> Option<Vec<u8>> {
@@ -511,7 +511,7 @@ impl PagedSlots {
         let PageData::Resident(slots) = &page.data else {
             unreachable!("faulted in above")
         };
-        let value = slots.get(key).cloned();
+        let value = slots.get(key).map(<[u8]>::to_vec);
         self.lru_touch(id);
         self.enforce_limit();
         value
@@ -565,11 +565,11 @@ impl PagedSlots {
             let PageData::Resident(slots) = &page.data else {
                 unreachable!("faulted in above")
             };
-            for (k, v) in slots.range::<[u8], _>((Included(prefix), Unbounded)) {
-                if !k.as_slice().starts_with(prefix) {
+            for (k, v) in slots.iter_from(prefix) {
+                if !k.starts_with(prefix) {
                     break;
                 }
-                f(k.as_slice(), v.as_slice());
+                f(k, v);
             }
             self.lru_touch(id);
             self.enforce_limit();
@@ -581,12 +581,7 @@ impl PagedSlots {
             .pages
             .values()
             .filter_map(|p| match &p.data {
-                PageData::Resident(slots) => Some(
-                    slots
-                        .iter()
-                        .map(|(k, v)| k.as_slice().len() + v.len())
-                        .sum::<usize>(),
-                ),
+                PageData::Resident(slots) => Some(slots.payload_bytes()),
                 PageData::Evicted => None,
             })
             .sum();
@@ -631,12 +626,9 @@ impl PagedSlots {
                 if page.first != *first {
                     return Err(format!("page {id} first-key desynced from directory"));
                 }
-                let decoded;
-                let slots: Vec<(&[u8], &[u8])> = match &page.data {
-                    PageData::Resident(slots) => slots
-                        .iter()
-                        .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                        .collect(),
+                let reread;
+                let slots = match &page.data {
+                    PageData::Resident(slots) => slots,
                     PageData::Evicted => {
                         let spill = page
                             .spill
@@ -644,13 +636,13 @@ impl PagedSlots {
                         let bytes = store
                             .read(&spill)
                             .map_err(|e| format!("page {id} unreadable: {e}"))?;
-                        decoded = decode_page(&bytes)
+                        reread = SlottedPage::from_bytes(bytes)
                             .map_err(|e| format!("page {id} undecodable: {e}"))?;
-                        decoded.iter().map(|(k, v)| (&k[..], &v[..])).collect()
+                        &reread
                     }
                 };
-                if let Some((lowest, _)) = slots.first() {
-                    if *lowest < first.as_slice() {
+                if let Some(lowest) = slots.first_key() {
+                    if lowest < first.as_slice() {
                         return Err(format!("page {id} holds a key below its first key"));
                     }
                     if let Some(prev) = &prev_last {
@@ -659,12 +651,14 @@ impl PagedSlots {
                         }
                     }
                 }
-                for (k, v) in &slots {
+                let mut last = None;
+                for (k, v) in slots.iter() {
                     xor_row(&mut recomputed, &storage_row(contract, k, v));
                     slot_count += 1;
                     byte_size += v.len();
+                    last = Some(k);
                 }
-                if let Some((last, _)) = slots.last() {
+                if let Some(last) = last {
                     prev_last = Some(InlineKey::from_slice(last));
                 }
             }
@@ -688,7 +682,7 @@ impl PagedSlots {
     }
 
     /// A fully-resident deep copy with its own fresh spill log. Evicted
-    /// pages are decoded read-through (the source's residency is
+    /// pages are read through, digest-verified (the source's residency is
     /// untouched); the copy then enforces its own limit.
     fn clone_materialized(&mut self) -> PagedSlots {
         let store = self
@@ -697,6 +691,8 @@ impl PagedSlots {
             .unwrap_or_else(|_| PageStore::in_memory());
         let mut out = PagedSlots::new(self.capacity, self.limit, store);
         out.next_page = self.next_page;
+        out.slot_count = self.slot_count;
+        out.byte_size = self.byte_size;
         let PagedSlots {
             dir, pages, store, ..
         } = self;
@@ -704,35 +700,17 @@ impl PagedSlots {
             let mut out_dir = BTreeMap::new();
             for (first, id) in cdir.iter() {
                 let page = pages.get(id).expect("directory references live pages");
-                let slots: BTreeMap<InlineKey, Vec<u8>> = match &page.data {
+                let slots = match &page.data {
                     PageData::Resident(slots) => slots.clone(),
                     PageData::Evicted => {
                         let spill = page.spill.expect("evicted page keeps a spill handle");
                         let bytes = store
                             .read(&spill)
                             .unwrap_or_else(|e| panic!("paged state clone failed: {e}"));
-                        decode_page(&bytes)
-                            .expect("spilled page decodes")
-                            .into_iter()
-                            .map(|(k, v)| (InlineKey::from_slice(&k), v))
-                            .collect()
+                        SlottedPage::from_bytes(bytes).expect("spilled page decodes")
                     }
                 };
-                out.tick += 1;
-                out.byte_size += slots.values().map(Vec::len).sum::<usize>();
-                out.slot_count += slots.len();
-                out.pages.insert(
-                    *id,
-                    Page {
-                        contract: contract.clone(),
-                        first: first.clone(),
-                        data: PageData::Resident(slots),
-                        last_used: out.tick,
-                        spill: None,
-                    },
-                );
-                out.lru.insert((out.tick, *id));
-                out.resident += 1;
+                out.add_resident(*id, contract.clone(), first.clone(), slots);
                 out_dir.insert(first.clone(), *id);
             }
             out.dir.insert(contract.clone(), out_dir);
@@ -884,7 +862,7 @@ impl WorldState {
     /// Writes a contract storage slot.
     pub fn storage_set(&mut self, contract: &ContractId, key: Vec<u8>, value: Vec<u8>) {
         let new = storage_row(contract, &key, &value);
-        let prev = self.slots_mut().insert(contract, &key, value);
+        let prev = self.slots_mut().insert(contract, &key, &value);
         if let Some(prev) = prev {
             let old = storage_row(contract, &key, &prev);
             xor_row(&mut self.acc, &old);
@@ -1237,6 +1215,59 @@ mod tests {
         assert_eq!(stats.evictions, 0, "unbounded cache never evicts");
         assert_eq!(stats.resident_pages, stats.total_pages);
         baseline.verify_pages().expect("page integrity");
+    }
+
+    /// The residency limit and page integrity hold after *every* operation
+    /// of a seeded random mix — removals (hit, miss, page-emptying)
+    /// included — not just at the end of a run that finished on a write.
+    #[test]
+    fn residency_limit_holds_after_every_operation() {
+        use duc_sim::Rng;
+        let other = ContractId::new("other");
+        let key_of = |n: u64| format!("pod/https://p{:02}.id/me", n).into_bytes();
+        for limit in [0usize, 1, 2, 7] {
+            let cfg = PagingConfig::in_memory(Some(limit)).with_page_capacity(4);
+            let mut s = WorldState::with_paging(&cfg);
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            let mut rng = Rng::seed_from_u64(0xD0C5 + limit as u64);
+            for step in 0..600u32 {
+                let key = key_of(rng.gen_range(48));
+                match rng.gen_range(8) {
+                    0..=2 => {
+                        let value = vec![step as u8; rng.gen_range(24) as usize];
+                        s.storage_set(&cid(), key.clone(), value.clone());
+                        model.insert(key, value);
+                    }
+                    3 => assert_eq!(s.storage_get(&cid(), &key), model.get(&key).cloned()),
+                    4 => assert_eq!(s.storage_contains(&cid(), &key), model.contains_key(&key)),
+                    5 | 6 => {
+                        assert_eq!(s.storage_remove(&cid(), &key), model.remove(&key).is_some())
+                    }
+                    _ => {
+                        let prefix = &key[..key.len() - rng.gen_range(5) as usize];
+                        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                            .iter()
+                            .filter(|(k, _)| k.starts_with(prefix))
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect();
+                        assert_eq!(collect_prefix(&s, &cid(), prefix), expected);
+                    }
+                }
+                if step % 50 == 0 {
+                    // A second contract's pages compete for the same cache.
+                    s.storage_set(&other, vec![step as u8], vec![1; 9]);
+                }
+                let stats = s.paging_stats();
+                assert!(
+                    stats.resident_pages <= limit,
+                    "limit {limit}, step {step}: {} resident",
+                    stats.resident_pages
+                );
+                s.verify_pages()
+                    .unwrap_or_else(|e| panic!("limit {limit}, step {step}: {e}"));
+            }
+            assert_eq!(s.storage_slot_count(), model.len() + 12);
+        }
     }
 
     #[test]

@@ -30,7 +30,12 @@
 //!   verified on every read, amortized compaction over a logical offset
 //!   space, and a [`PageCompacted`] typed error for reads below the
 //!   compaction horizon (the [`PrunedRange`] pattern, applied to pages).
-//! * [`encode_page`]/[`decode_page`] — the canonical slot-page codec.
+//! * [`SlottedPage`] — a slot page held *in* its spill encoding
+//!   ([`encode_page`]'s bytes plus an index of slot offsets): what a
+//!   [`PageStore::read`] returns becomes a usable page after one validating
+//!   pass, and a page is spilled by appending the bytes it already holds.
+//!   The constructor is the only decoder of the page format and treats its
+//!   input as untrusted.
 //!
 //! The crate deliberately depends only on `duc-crypto` and `duc-codec`;
 //! `duc-blockchain` implements [`ArchiveItem`] for its `Block` type.
@@ -44,7 +49,11 @@ use std::io::{self, BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use duc_codec::impl_codec_struct;
-use duc_crypto::{hash_parts, Digest};
+use duc_crypto::Digest;
+
+mod page;
+
+pub use page::{encode_page, page_digest, SlottedPage};
 
 // ------------------------------------------------------------------ config
 
@@ -310,70 +319,6 @@ impl From<io::Error> for PageStoreError {
     }
 }
 
-/// Encodes one slot page: `u32` slot count, then per slot a `u32`
-/// length-prefixed key and a `u32` length-prefixed value.
-#[must_use]
-pub fn encode_page<'a>(slots: impl ExactSizeIterator<Item = (&'a [u8], &'a [u8])>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + slots.len() * 16);
-    out.extend_from_slice(
-        &u32::try_from(slots.len())
-            .expect("page slot count fits u32")
-            .to_le_bytes(),
-    );
-    for (k, v) in slots {
-        out.extend_from_slice(&u32::try_from(k.len()).expect("key fits u32").to_le_bytes());
-        out.extend_from_slice(k);
-        out.extend_from_slice(
-            &u32::try_from(v.len())
-                .expect("value fits u32")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(v);
-    }
-    out
-}
-
-/// Decodes a page produced by [`encode_page`].
-///
-/// # Errors
-/// `InvalidData` on truncated or trailing bytes.
-pub fn decode_page(bytes: &[u8]) -> io::Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    fn take<'a>(bytes: &'a [u8], at: &mut usize, len: usize) -> io::Result<&'a [u8]> {
-        let slice = bytes
-            .get(*at..*at + len)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated page"))?;
-        *at += len;
-        Ok(slice)
-    }
-    fn take_u32(bytes: &[u8], at: &mut usize) -> io::Result<usize> {
-        let raw = take(bytes, at, 4)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4-byte slice")) as usize)
-    }
-    let mut at = 0usize;
-    let count = take_u32(bytes, &mut at)?;
-    let mut slots = Vec::with_capacity(count);
-    for _ in 0..count {
-        let klen = take_u32(bytes, &mut at)?;
-        let key = take(bytes, &mut at, klen)?.to_vec();
-        let vlen = take_u32(bytes, &mut at)?;
-        let value = take(bytes, &mut at, vlen)?.to_vec();
-        slots.push((key, value));
-    }
-    if at != bytes.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trailing page bytes",
-        ));
-    }
-    Ok(slots)
-}
-
-/// Digest of an encoded page (domain-separated).
-#[must_use]
-pub fn page_digest(bytes: &[u8]) -> Digest {
-    hash_parts(&[b"duc/page", bytes])
-}
-
 /// Where a [`PageStore`] keeps its spilled bytes.
 enum PageBackend {
     Mem(Vec<u8>),
@@ -406,7 +351,10 @@ impl PageBackend {
 /// rewrites the live pages into a fresh physical region and advances a
 /// `base` horizon below which stale handles fail with [`PageCompacted`].
 /// Every read re-verifies the page digest, so a fault-in can never observe
-/// bytes that differ from what was spilled.
+/// bytes that differ from what was spilled. The log stores pages in the
+/// [`encode_page`] format and nothing else: what [`PageStore::read`] returns
+/// is handed to [`SlottedPage::from_bytes`] as is, and what a
+/// [`SlottedPage`] holds ([`SlottedPage::as_bytes`]) is appended as is.
 pub struct PageStore {
     backend: PageBackend,
     /// Compaction horizon: lowest logical offset still readable.
@@ -1143,23 +1091,48 @@ mod tests {
 
     #[test]
     fn page_codec_round_trips_and_rejects_garbage() {
-        let page = sample_page(1);
-        let slots = decode_page(&page).expect("decode");
+        let bytes = sample_page(1);
+        let page = SlottedPage::from_bytes(bytes.clone()).expect("decode");
+        assert_eq!(page.as_bytes(), bytes);
         assert_eq!(
-            slots,
+            page.iter().collect::<Vec<_>>(),
             vec![
-                (vec![b'k', 1], vec![1u8; 7]),
-                (vec![b'k', 1, b'2'], vec![0xFE; 3]),
+                (&[b'k', 1][..], &[1u8; 7][..]),
+                (&[b'k', 1, b'2'][..], &[0xFE; 3][..]),
             ]
         );
-        assert_eq!(
-            decode_page(&encode_page(std::iter::empty())).expect("empty"),
-            vec![]
-        );
-        assert!(decode_page(&page[..page.len() - 1]).is_err(), "truncated");
-        let mut trailing = page.clone();
+        let empty = SlottedPage::from_bytes(encode_page(std::iter::empty())).expect("empty");
+        assert_eq!(empty, SlottedPage::new());
+        assert!(empty.is_empty());
+        for cut in 0..bytes.len() {
+            assert!(
+                SlottedPage::from_bytes(bytes[..cut].to_vec()).is_err(),
+                "truncated at {cut}"
+            );
+        }
+        let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(decode_page(&trailing).is_err(), "trailing bytes");
+        assert!(SlottedPage::from_bytes(trailing).is_err(), "trailing bytes");
+    }
+
+    /// A slot count the bytes cannot hold is refused before anything is
+    /// allocated for it, and a page whose keys are not strictly increasing
+    /// is refused because lookups binary-search them.
+    #[test]
+    fn page_constructor_bounds_the_count_and_checks_key_order() {
+        let hostile = SlottedPage::from_bytes(vec![0xFF; 4]).expect_err("2^32 - 1 slots");
+        assert_eq!(hostile.kind(), io::ErrorKind::InvalidData);
+        let mut padded = vec![0xFF; 4];
+        padded.extend_from_slice(&[0; 64]);
+        assert!(SlottedPage::from_bytes(padded).is_err());
+
+        let a = (&b"a"[..], &b"1"[..]);
+        let b = (&b"b"[..], &b"2"[..]);
+        assert!(SlottedPage::from_bytes(encode_page([a, b].into_iter())).is_ok());
+        for (what, slots) in [("swapped", [b, a]), ("duplicate", [a, a])] {
+            let err = SlottedPage::from_bytes(encode_page(slots.into_iter())).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
     }
 
     fn exercise_page_store(mut store: PageStore) {
