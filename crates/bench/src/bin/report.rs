@@ -100,8 +100,9 @@ fn main() {
     let mut cache: Vec<Option<Vec<Table>>> = (0..EXPERIMENTS.len()).map(|_| None).collect();
     println!("# solid-usage-control experiment report");
     println!("(deterministic simulation; see EXPERIMENTS.md for interpretation)");
-    // Which kernel produced the wall-clock columns; no other column can tell.
+    // Which kernels produced the wall-clock columns; no other column can tell.
     println!("sha256 backend: {}", duc_crypto::sha256::backend());
+    println!("chacha20 backend: {}", duc_crypto::chacha20::backend());
     for index in indices {
         for table in tables(&mut cache, index, max_owners) {
             print!("{table}");

@@ -14,7 +14,12 @@
 //!   by CPU detection once per process ([`sha256::backend`] names it) and
 //!   tested equal to the scalar one. Digests never depend on the choice.
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256 (validated against RFC 4231 vectors).
-//! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher.
+//! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher (validated against the
+//!   RFC's vectors). Two keystream kernels behind the one [`ChaCha20`], on
+//!   the same terms: the block-at-a-time scalar one is normative; on x86-64
+//!   CPUs that have AVX2 an eight-block one on `std::arch` intrinsics
+//!   serves every remainder of more than two blocks ([`chacha20::backend`]
+//!   names it). Ciphertext never depends on the choice.
 //! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group.
 //! * [`merkle`] — binary Merkle trees with inclusion proofs.
 //!
@@ -29,9 +34,9 @@
 //!
 //! ## `unsafe`
 //!
-//! Denied crate-wide and allowed in exactly one private module, the SHA-NI
-//! kernel inside [`mod@sha256`]; every other crate of the workspace forbids
-//! it.
+//! Denied crate-wide and allowed in exactly two private modules, the SHA-NI
+//! kernel inside [`mod@sha256`] and the AVX2 kernel inside [`chacha20`];
+//! every other crate of the workspace forbids it.
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

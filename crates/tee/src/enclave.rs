@@ -1,5 +1,7 @@
 //! The enclave: measured identity and key material.
 
+use std::fmt;
+
 use duc_crypto::hmac::derive_key;
 use duc_crypto::{hash_parts, Digest, KeyPair, PublicKey, Signature};
 
@@ -9,12 +11,24 @@ use duc_crypto::{hash_parts, Digest, KeyPair, PublicKey, Signature};
 /// code measurement, mirroring real TEEs where sealing keys are bound to
 /// the measured code identity: a *different* trusted application on the
 /// same device cannot unseal this application's data.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Enclave {
     device: String,
     measurement: Digest,
     attestation_keys: KeyPair,
     sealing_key: [u8; 32],
+}
+
+impl fmt::Debug for Enclave {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print the sealing key (`KeyPair` redacts its own secret).
+        f.debug_struct("Enclave")
+            .field("device", &self.device)
+            .field("measurement", &self.measurement)
+            .field("attestation_keys", &self.attestation_keys)
+            .field("sealing_key", &"<redacted>")
+            .finish()
+    }
 }
 
 impl Enclave {
@@ -87,6 +101,20 @@ mod tests {
             v2.sealing_key(),
             "sealing bound to code identity"
         );
+    }
+
+    #[test]
+    fn debug_does_not_print_the_sealing_key() {
+        let e = Enclave::new("alice-laptop", b"trusted-app-v1");
+        let shown = format!("{e:?}");
+        assert!(shown.contains("<redacted>"), "{shown}");
+        assert!(
+            !shown.contains(&duc_crypto::hex::encode(&e.sealing_key())),
+            "{shown}"
+        );
+        // Nor as the byte list a derived `Debug` prints.
+        let [a, b, ..] = e.sealing_key();
+        assert!(!shown.contains(&format!("{a}, {b}, ")), "{shown}");
     }
 
     #[test]

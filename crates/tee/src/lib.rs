@@ -11,7 +11,10 @@
 //!
 //! * **Isolation** — the host can only observe ciphertext
 //!   ([`TrustedDataStorage::host_view`]); plaintext exists only inside
-//!   enclave method calls.
+//!   enclave method calls. The host also sees every version of an entry it
+//!   cares to keep, so each seal draws a nonce of its own (entry name and
+//!   the storage's seal count, kept beside the ciphertext): two bodies
+//!   sealed under one name never share a keystream.
 //! * **Attested identity** — an [`AttestationAuthority`] (the simulated
 //!   hardware vendor) signs a [`Quote`] binding the enclave's measurement to
 //!   its attestation public key; remote parties (the DE App) accept

@@ -8,17 +8,22 @@ use crate::enclave::Enclave;
 
 /// Sealed storage bound to one enclave's sealing key.
 ///
-/// Each entry is encrypted under ChaCha20 with a per-key nonce derived from
-/// the entry name, so the host (or a different enclave) sees only
-/// ciphertext.
+/// Each entry is encrypted under ChaCha20 with a nonce of its own, derived
+/// from the entry name and the number of seals this storage has done, so
+/// the host (or a different enclave) sees only ciphertext and sealing a
+/// name again never reuses the keystream of what it held before. The nonce
+/// is public and kept beside the ciphertext.
 #[derive(Debug, Clone, Default)]
 pub struct TrustedDataStorage {
-    sealed: BTreeMap<String, Vec<u8>>,
+    sealed: BTreeMap<String, SealedEntry>,
+    /// Seals done so far; never decreases, erasures included.
+    seals: u64,
 }
 
-fn nonce_for(name: &str) -> [u8; 12] {
-    let d = hash_parts(&[b"duc/seal-nonce", name.as_bytes()]);
-    d.as_bytes()[..12].try_into().expect("12 bytes")
+#[derive(Debug, Clone)]
+struct SealedEntry {
+    nonce: [u8; 12],
+    ciphertext: Vec<u8>,
 }
 
 impl TrustedDataStorage {
@@ -27,18 +32,24 @@ impl TrustedDataStorage {
         TrustedDataStorage::default()
     }
 
-    /// Seals `plaintext` under `name`.
+    /// Seals `plaintext` under `name`, replacing what the name held.
     pub fn seal(&mut self, enclave: &Enclave, name: &str, plaintext: &[u8]) {
-        let cipher = ChaCha20::new(enclave.sealing_key(), nonce_for(name));
+        let d = hash_parts(&[
+            b"duc/seal-nonce",
+            name.as_bytes(),
+            &self.seals.to_le_bytes(),
+        ]);
+        self.seals += 1;
+        let nonce: [u8; 12] = d.as_bytes()[..12].try_into().expect("12 bytes");
+        let ciphertext = ChaCha20::new(enclave.sealing_key(), nonce).encrypt(plaintext);
         self.sealed
-            .insert(name.to_string(), cipher.encrypt(plaintext));
+            .insert(name.to_string(), SealedEntry { nonce, ciphertext });
     }
 
     /// Unseals the entry under `name`.
     pub fn unseal(&self, enclave: &Enclave, name: &str) -> Option<Vec<u8>> {
-        let ciphertext = self.sealed.get(name)?;
-        let cipher = ChaCha20::new(enclave.sealing_key(), nonce_for(name));
-        Some(cipher.decrypt(ciphertext))
+        let entry = self.sealed.get(name)?;
+        Some(ChaCha20::new(enclave.sealing_key(), entry.nonce).decrypt(&entry.ciphertext))
     }
 
     /// Securely deletes an entry; returns whether it existed.
@@ -63,12 +74,12 @@ impl TrustedDataStorage {
 
     /// What the *host* operating system can observe: raw ciphertext.
     pub fn host_view(&self, name: &str) -> Option<&[u8]> {
-        self.sealed.get(name).map(Vec::as_slice)
+        self.sealed.get(name).map(|e| e.ciphertext.as_slice())
     }
 
-    /// Total sealed bytes.
+    /// Total sealed bytes (ciphertext; nonces are not counted).
     pub fn total_bytes(&self) -> usize {
-        self.sealed.values().map(Vec::len).sum()
+        self.sealed.values().map(|e| e.ciphertext.len()).sum()
     }
 }
 
@@ -90,18 +101,60 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
+    /// A body the size `lifecycle_mix` publishes plus a ragged tail: whole
+    /// eight-block batches, a partial one and a partial block.
+    #[test]
+    fn seal_unseal_roundtrip_across_cipher_batches() {
+        let e = enclave();
+        let mut s = TrustedDataStorage::new();
+        let body: Vec<u8> = (0..4096 + 37).map(|i| (i * 31 + 5) as u8).collect();
+        s.seal(&e, "res/large", &body);
+        assert_eq!(s.unseal(&e, "res/large").unwrap(), body);
+        assert_eq!(s.total_bytes(), body.len());
+    }
+
     #[test]
     fn host_sees_only_ciphertext() {
         let e = enclave();
         let mut s = TrustedDataStorage::new();
-        let secret = b"very sensitive payload with structure";
-        s.seal(&e, "res/x", secret);
-        let visible = s.host_view("res/x").expect("entry exists");
-        assert_ne!(visible, secret);
-        // No plaintext substring survives in the ciphertext.
-        assert!(!visible
-            .windows(b"sensitive".len())
-            .any(|w| w == b"sensitive"));
+        // Short enough for one cipher block, and long enough for the
+        // cipher's eight-block batches.
+        let short = b"very sensitive payload with structure".to_vec();
+        let long = short.repeat(40);
+        for secret in [short, long] {
+            s.seal(&e, "res/x", &secret);
+            let visible = s.host_view("res/x").expect("entry exists");
+            assert_eq!(visible.len(), secret.len());
+            assert_ne!(visible, secret);
+            // No plaintext substring survives in the ciphertext.
+            assert!(!visible
+                .windows(b"sensitive".len())
+                .any(|w| w == b"sensitive"));
+        }
+    }
+
+    /// The host keeps what it saw: two plaintexts sealed under one name
+    /// must not share a keystream, or `c1 ^ c2 = p1 ^ p2`.
+    #[test]
+    fn resealing_a_name_does_not_reuse_the_keystream() {
+        let e = enclave();
+        let mut s = TrustedDataStorage::new();
+        let first = b"version one of the resource body";
+        let second = b"VERSION TWO, after a re-publish!";
+        s.seal(&e, "res/x", first);
+        let c1 = s.host_view("res/x").unwrap().to_vec();
+        s.seal(&e, "res/x", second);
+        let c2 = s.host_view("res/x").unwrap().to_vec();
+        let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(x, y)| x ^ y).collect() };
+        assert_ne!(xor(&c1, &c2), xor(first, second));
+        assert_eq!(s.unseal(&e, "res/x").unwrap(), second);
+        // Sealing the same bytes again, or after an erase, moves on too.
+        s.seal(&e, "res/x", second);
+        assert_ne!(s.host_view("res/x").unwrap(), c2);
+        assert!(s.erase("res/x"));
+        s.seal(&e, "res/x", second);
+        assert_ne!(s.host_view("res/x").unwrap(), c2);
+        assert_eq!(s.unseal(&e, "res/x").unwrap(), second);
     }
 
     #[test]
