@@ -81,26 +81,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One row of the gas ledger (who spent what on which method) — the raw
-/// data behind the affordability table (E7).
-///
-/// Labels are interned [`Sym`]s into the chain's label table (resolve via
-/// [`Blockchain::gas_label`]); a record is three words instead of two
-/// heap-owned strings, and aggregation compares `u32`s instead of URLs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GasRecord {
-    /// The called contract (`None` for plain transfers).
-    pub contract: Option<Sym>,
-    /// The method label (`"transfer"` for transfers).
-    pub method: Sym,
-    /// Gas consumed.
-    pub gas_used: u64,
-    /// Whether execution succeeded.
-    pub ok: bool,
-    /// Block height.
-    pub height: u64,
-}
-
 /// Configures and creates a [`Blockchain`].
 #[derive(Debug)]
 pub struct BlockchainBuilder {
@@ -227,7 +207,7 @@ impl BlockchainBuilder {
             gas_price: self.gas_price,
             max_block_gas: self.max_block_gas,
             mempool_capacity: self.mempool_capacity,
-            gas_ledger: Vec::new(),
+            gas_totals: HashMap::new(),
             labels: Interner::new(),
             slots_missed: 0,
             exec_mode: self.exec_mode,
@@ -262,9 +242,12 @@ pub struct Blockchain {
     gas_price: Amount,
     max_block_gas: u64,
     mempool_capacity: usize,
-    gas_ledger: Vec<GasRecord>,
-    /// Gas-ledger label table: contract ids and method names interned once
-    /// per distinct label instead of cloned per record.
+    /// `(calls, gas)` so far per `(contract, method)` label pair — who
+    /// spent what on which method, the data behind the affordability table
+    /// (E7). `None` is a plain transfer or an intrinsic-only charge.
+    gas_totals: HashMap<(Option<Sym>, Sym), (u64, u64)>,
+    /// Label table of `gas_totals`: contract ids and method names,
+    /// interned once per distinct label.
     labels: Interner,
     slots_missed: u64,
     /// How blocks apply their transactions (serial or conflict-scheduled
@@ -809,11 +792,10 @@ impl Blockchain {
         }
     }
 
-    /// Records one committed transaction in the chain's logs: interns its
-    /// gas-ledger labels (method before contract — the label table's
-    /// insertion order is observable through [`Sym`] values), pushes the
-    /// [`GasRecord`], appends its events to the event log and stores the
-    /// [`Receipt`]. Callers invoke it in canonical block order.
+    /// Records one committed transaction in the chain's logs: adds its gas
+    /// to the running total of its `(contract, method)` label pair, appends
+    /// its events to the event log and stores the [`Receipt`]. Callers
+    /// invoke it in canonical block order.
     fn emit(&mut self, entry: &PoolEntry, done: CommittedTx, height: u64) {
         if let Some(label) = done.label {
             let (contract, method) = match (label, &entry.tx.tx.kind) {
@@ -832,13 +814,9 @@ impl Blockchain {
                     (Some(c), m)
                 }
             };
-            self.gas_ledger.push(GasRecord {
-                contract,
-                method,
-                gas_used: done.gas_used,
-                ok: done.status.is_ok(),
-                height,
-            });
+            let total = self.gas_totals.entry((contract, method)).or_insert((0, 0));
+            total.0 += 1;
+            total.1 += done.gas_used;
         }
         // One Rc per event, shared between the receipt and the event log:
         // every downstream consumer (push-out fan-out, pull-in polls,
@@ -1167,38 +1145,20 @@ impl Blockchain {
 
     // ----------------------------------------------------------- metrics
 
-    /// The gas ledger (per-call records) for the affordability reports.
-    pub fn gas_ledger(&self) -> &[GasRecord] {
-        &self.gas_ledger
+    /// Gas consumed by every transaction so far.
+    pub fn gas_used_total(&self) -> u64 {
+        self.gas_totals.values().map(|&(_, gas)| gas).sum()
     }
 
-    /// Resolves a gas-ledger label symbol back to its string.
-    ///
-    /// # Panics
-    /// Panics if `sym` did not come from this chain's gas ledger.
-    pub fn gas_label(&self, sym: Sym) -> &str {
-        self.labels.resolve(sym)
-    }
-
-    /// Aggregates the gas ledger by `(contract, method)`:
-    /// `(calls, total gas, mean gas)`.
-    ///
-    /// Aggregation runs entirely on interned label ids (`u32` compares, no
-    /// allocation per record); strings materialize once per distinct label
-    /// at the report boundary.
+    /// Gas so far by `(contract, method)`: `(calls, total gas, mean gas)`.
+    /// Costs one entry per distinct label pair, however long the chain ran.
     pub fn gas_by_method(&self) -> BTreeMap<(String, String), (u64, u64, u64)> {
-        let mut agg: HashMap<(Option<Sym>, Sym), (u64, u64)> = HashMap::new();
-        for rec in &self.gas_ledger {
-            let entry = agg.entry((rec.contract, rec.method)).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += rec.gas_used;
-        }
-        agg.into_iter()
-            .map(|((contract, method), (calls, total))| {
+        self.gas_totals
+            .iter()
+            .map(|(&(contract, method), &(calls, total))| {
+                let contract = contract.map_or("native", |c| self.labels.resolve(c));
                 let key = (
-                    contract
-                        .map(|c| self.labels.resolve(c).to_string())
-                        .unwrap_or_else(|| "native".to_string()),
+                    contract.to_string(),
                     self.labels.resolve(method).to_string(),
                 );
                 (key, (calls, total, total.checked_div(calls).unwrap_or(0)))
@@ -1725,6 +1685,8 @@ mod tests {
         let (calls, total, mean) = agg[&("counter".to_string(), "incr".to_string())];
         assert_eq!(calls, 4);
         assert!(total > 0 && mean > 0 && mean <= total);
+        let by_method: u64 = agg.values().map(|&(_, total, _)| total).sum();
+        assert_eq!(chain.gas_used_total(), by_method);
     }
 
     #[test]

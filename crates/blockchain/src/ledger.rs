@@ -475,7 +475,7 @@ impl Ledger for Blockchain {
     }
 
     fn gas_used_total(&self) -> u64 {
-        self.gas_ledger().iter().map(|r| r.gas_used).sum()
+        Blockchain::gas_used_total(self)
     }
 
     fn gas_by_method(&self) -> BTreeMap<(String, String), (u64, u64, u64)> {
@@ -934,11 +934,7 @@ impl Ledger for ShardedLedger {
     }
 
     fn gas_used_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| s.gas_ledger().iter())
-            .map(|r| r.gas_used)
-            .sum()
+        self.shards.iter().map(Blockchain::gas_used_total).sum()
     }
 
     fn gas_by_method(&self) -> BTreeMap<(String, String), (u64, u64, u64)> {

@@ -10,16 +10,16 @@ use duc_solid::{Body, SolidRequest, Status};
 
 use crate::world::World;
 
-use super::flow::{FlowPoll, TxFlow};
+use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::hop::{Hop, HopPoll};
 use super::{AccessOutcome, Outcome, ProcessError, Step, Wake};
 
 /// Process 4 — resource access into the TEE.
-pub(crate) struct Access<L> {
+pub(crate) struct Access {
     device: String,
     resource: String,
     started: SimTime,
-    phase: AccessPhase<L>,
+    phase: AccessPhase,
     /// Set by `Start`, read by the phases after it.
     fetch: Option<Fetch>,
     /// The policy in the device's index entry when the access started;
@@ -42,7 +42,7 @@ struct Fetch {
     sent_at: SimTime,
 }
 
-enum AccessPhase<L> {
+enum AccessPhase {
     Start,
     /// Request hop (device → pod manager), fault-aware.
     ToPod(Hop),
@@ -56,10 +56,10 @@ enum AccessPhase<L> {
     Arrived {
         bytes: Vec<u8>,
     },
-    Confirm(TxFlow<L>),
+    Confirm(TxFlow),
 }
 
-impl<L: Ledger> Access<L> {
+impl Access {
     pub(super) fn new(device: String, resource: String, started: SimTime) -> Self {
         Access {
             device,
@@ -73,7 +73,7 @@ impl<L: Ledger> Access<L> {
         }
     }
 
-    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             AccessPhase::Start => {
@@ -211,15 +211,17 @@ impl<L: Ledger> Access<L> {
                 // Register the copy on-chain and subscribe to policy
                 // updates.
                 let key = dev.key;
-                let webid = dev.webid.clone();
-                let resource = self.resource.clone();
-                let device = self.device.clone();
-                let enclave_key = fetch.enclave_key;
-                let build = move |w: &World<L>| {
-                    w.dex
-                        .register_copy_tx(&w.chain, &key, &resource, &device, &webid, enclave_key)
-                };
-                self.phase = AccessPhase::Confirm(TxFlow::new(world, fetch.dev_endpoint, build));
+                let tx = world.dex.register_copy_tx(
+                    &world.chain,
+                    &key,
+                    &self.resource,
+                    &self.device,
+                    &dev.webid,
+                    fetch.enclave_key,
+                );
+                let from = fetch.dev_endpoint;
+                self.phase =
+                    AccessPhase::Confirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)
             }
             AccessPhase::Confirm(flow) => match flow.step(world) {
@@ -231,7 +233,11 @@ impl<L: Ledger> Access<L> {
 
     /// The copy registration resolved: arm the copy's obligations, or roll
     /// the copy back.
-    fn finish(&mut self, world: &mut World<L>, res: Result<Receipt, ProcessError>) -> Step {
+    fn finish<L: Ledger>(
+        &mut self,
+        world: &mut World<L>,
+        res: Result<Receipt, ProcessError>,
+    ) -> Step {
         let now = world.clock.now();
         let receipt = match res {
             Ok(receipt) => receipt,

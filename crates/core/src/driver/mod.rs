@@ -44,8 +44,10 @@
 //! ## Writing a machine
 //!
 //! A machine is a struct holding everything its request knows, a `phase`
-//! enum, and `fn step(&mut self, &mut World) -> Step`: the driver keeps
-//! the one value it boxed at submission and steps it where it is stored.
+//! enum, and `fn step<L: Ledger>(&mut self, &mut World<L>) -> Step`: the
+//! driver keeps the one value it boxed at submission and steps it where it
+//! is stored. Machines are plain data — none has a type parameter; only
+//! `step` names the ledger backend it runs against.
 //! A phase transition is an assignment to `self.phase`. What one phase
 //! hands the next moves with `std::mem::take`; what several phases read
 //! is a field, set once by the phase that resolves it. A hop's retry and a
@@ -57,6 +59,17 @@
 //! [`World::run_until_idle`] returns — it is part of the replay contract.
 //! A phase that falls through to the next within one step assigns the
 //! phase and calls `self.step(world)` directly.
+//!
+//! Every state-changing process is a local step at the pod manager or the
+//! TEE, then one transaction. The machine signs that transaction where the
+//! local step ends and hands it, with the sender's endpoint and key, to a
+//! `flow::TxFlow`; what comes back is the receipt of a call that executed,
+//! or why there is none. Processes 1, 2 and the subscription keep that
+//! local step (`prepare`) and what follows confirmation (`registered`,
+//! `certified`) as functions of their file, because
+//! [`crate::scenario::populate_population`] enrols a whole market through
+//! the same two halves and only sends differently. Metrics and trace
+//! records belong to the machine, not to those functions.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -78,11 +91,11 @@ mod hop;
 mod indexing;
 mod monitoring;
 mod obligation;
-mod pod_init;
+pub(crate) mod pod_init;
 mod policy_mod;
-mod res_init;
+pub(crate) mod res_init;
 mod result;
-mod subscribe;
+pub(crate) mod subscribe;
 
 use access::Access;
 use indexing::Indexing;
@@ -254,19 +267,19 @@ pub(crate) enum Wake {
 }
 
 /// The per-process state machines.
-pub(crate) enum Machine<L> {
-    PodInit(PodInit<L>),
-    ResInit(Box<ResInit<L>>),
+pub(crate) enum Machine {
+    PodInit(PodInit),
+    ResInit(Box<ResInit>),
     Indexing(Indexing),
-    Subscribe(Subscribe<L>),
-    Access(Box<Access<L>>),
-    PolicyMod(Box<PolicyMod<L>>),
-    Monitoring(Box<Monitoring<L>>),
-    Obligation(Box<ObligationRun<L>>),
+    Subscribe(Subscribe),
+    Access(Box<Access>),
+    PolicyMod(Box<PolicyMod>),
+    Monitoring(Box<Monitoring>),
+    Obligation(Box<ObligationRun>),
 }
 
-impl<L: Ledger> Machine<L> {
-    pub(crate) fn step(&mut self, world: &mut World<L>) -> Step {
+impl Machine {
+    pub(crate) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         match self {
             Machine::PodInit(m) => m.step(world),
             Machine::ResInit(m) => m.step(world),
@@ -352,9 +365,9 @@ struct Waiter {
 /// Per-world driver bookkeeping: in-flight machines, wake queue, completed
 /// outcomes, and the shared push-out/pull-in inboxes that keep concurrent
 /// processes from stealing each other's events.
-pub(crate) struct DriverState<L> {
+pub(crate) struct DriverState {
     next_ticket: u64,
-    inflight: HashMap<u64, Machine<L>>,
+    inflight: HashMap<u64, Machine>,
     woken: Rc<RefCell<VecDeque<Wakeup>>>,
     /// The inclusion wait-set, in the order waiting began.
     waiting: Vec<Waiter>,
@@ -378,8 +391,8 @@ pub(crate) struct DriverState<L> {
     pub(crate) scheduled_obligations: HashMap<(Sym, Sym), (SimTime, EventId)>,
 }
 
-impl<L> DriverState<L> {
-    pub(crate) fn new() -> DriverState<L> {
+impl DriverState {
+    pub(crate) fn new() -> DriverState {
         DriverState {
             next_ticket: 0,
             inflight: HashMap::new(),

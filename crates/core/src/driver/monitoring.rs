@@ -11,16 +11,16 @@ use duc_tee::ReportedEvidence;
 
 use crate::world::World;
 
-use super::flow::{FlowPoll, TxFlow};
+use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::hop::{Hop, HopPoll};
 use super::{MonitoringOutcome, Outcome, ProcessError, Routed, Step, Wake};
 
 /// Process 6 — policy monitoring round.
-pub(crate) struct Monitoring<L> {
+pub(crate) struct Monitoring {
     webid: String,
     path: String,
     started: SimTime,
-    phase: MonPhase<L>,
+    phase: MonPhase,
     /// Set by `Open`: the resource and the pod manager's endpoint.
     resource_iri: String,
     endpoint: Option<EndpointId>,
@@ -41,9 +41,9 @@ pub(crate) struct Monitoring<L> {
     pending_note: Option<(String, ReportedEvidence)>,
 }
 
-enum MonPhase<L> {
+enum MonPhase {
     Open,
-    OpenConfirm(TxFlow<L>),
+    OpenConfirm(TxFlow),
     /// Poll hop (relay → gateway), fault-aware.
     PollOut(Hop),
     PollGateway,
@@ -68,10 +68,10 @@ enum MonPhase<L> {
     DeviceReport {
         device: String,
     },
-    EvidenceConfirm(TxFlow<L>),
+    EvidenceConfirm(TxFlow),
 }
 
-impl<L: Ledger> Monitoring<L> {
+impl Monitoring {
     pub(super) fn new(webid: String, path: String, started: SimTime) -> Self {
         Monitoring {
             webid,
@@ -90,23 +90,23 @@ impl<L: Ledger> Monitoring<L> {
         }
     }
 
-    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             MonPhase::Open => {
                 let Some(owner) = world.try_owner(&self.webid) else {
                     return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
                 };
-                let endpoint = owner.endpoint;
-                self.endpoint = Some(endpoint);
+                let (from, key) = (owner.endpoint, owner.key);
+                self.endpoint = Some(from);
                 self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
-                let owner_key = owner.key;
 
                 // Open the round.
-                let iri = self.resource_iri.clone();
-                let build =
-                    move |w: &World<L>| w.dex.start_monitoring_tx(&w.chain, &owner_key, &iri);
-                self.phase = MonPhase::OpenConfirm(TxFlow::new(world, endpoint, build));
+                let tx = world
+                    .dex
+                    .start_monitoring_tx(&world.chain, &key, &self.resource_iri);
+                self.phase =
+                    MonPhase::OpenConfirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)
             }
             MonPhase::OpenConfirm(flow) => match flow.step(world) {
@@ -256,9 +256,8 @@ impl<L: Ledger> Monitoring<L> {
                 let reaffirmed = dev.tee.last_reported(&self.resource_iri).filter(|prev| {
                     reaffirmable && prev.compliant && prev.digest == report.log_digest
                 });
-                let dev_endpoint = dev.endpoint;
-                let key = dev.key;
-                let flow = if let Some(prev) = reaffirmed {
+                let (from, key) = (dev.endpoint, dev.key);
+                let tx = if let Some(prev) = reaffirmed {
                     let mut reaff = EvidenceReaffirmation {
                         resource: self.resource_iri.clone(),
                         round: self.round,
@@ -270,9 +269,7 @@ impl<L: Ledger> Monitoring<L> {
                     reaff.signature = dev.tee.enclave().sign(&reaff.signing_bytes());
                     self.pending_bytes = duc_codec::encode_to_vec(&reaff).len();
                     self.pending_note = None;
-                    let build =
-                        move |w: &World<L>| w.dex.reaffirm_evidence_tx(&w.chain, &key, &reaff);
-                    TxFlow::new(world, dev_endpoint, build)
+                    world.dex.reaffirm_evidence_tx(&world.chain, &key, &reaff)
                 } else {
                     let mut submission = EvidenceSubmission {
                         resource: self.resource_iri.clone(),
@@ -293,11 +290,12 @@ impl<L: Ledger> Monitoring<L> {
                             compliant: report.compliant,
                         },
                     ));
-                    let build =
-                        move |w: &World<L>| w.dex.record_evidence_tx(&w.chain, &key, &submission);
-                    TxFlow::new(world, dev_endpoint, build)
+                    world
+                        .dex
+                        .record_evidence_tx(&world.chain, &key, &submission)
                 };
-                self.phase = MonPhase::EvidenceConfirm(flow);
+                self.phase =
+                    MonPhase::EvidenceConfirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)
             }
             MonPhase::EvidenceConfirm(flow) => match flow.step(world) {
@@ -310,7 +308,7 @@ impl<L: Ledger> Monitoring<L> {
 
     /// The round-opening transaction confirmed: decode the round number and
     /// start the pull-in poll.
-    fn open_confirmed(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+    fn open_confirmed<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
         self.round = match DistExchangeClient::decode_round_number(&receipt.return_data) {
             Ok(round) => round,
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
@@ -333,14 +331,14 @@ impl<L: Ledger> Monitoring<L> {
     }
 
     /// Visits the next expected device, or closes the round after the last.
-    fn next_device(&mut self, world: &mut World<L>) -> Step {
+    fn next_device<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         self.phase = MonPhase::DeviceRequest;
         self.step(world)
     }
 
     /// One device's evidence transaction confirmed: account for it and move
     /// on to the next device.
-    fn evidence_confirmed(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+    fn evidence_confirmed<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
         world
             .metrics
             .add("process.monitoring.gas", receipt.gas_used);
@@ -362,7 +360,7 @@ impl<L: Ledger> Monitoring<L> {
 
     /// Every expected device was visited: read the verdict, deliver it to
     /// the pod manager (push-out) and complete.
-    fn finish(&mut self, world: &mut World<L>) -> Step {
+    fn finish<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         let record = match world
             .dex
             .get_round(&world.chain, &self.resource_iri, self.round)

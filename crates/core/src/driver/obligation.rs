@@ -31,23 +31,23 @@ use duc_tee::EnforcementAction;
 
 use crate::world::{EnforcementMode, World};
 
-use super::flow::{FlowPoll, TxFlow};
+use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::{Outcome, ProcessError, Step};
 
 /// Internal machine executing one (device, resource) obligation wakeup.
-pub(crate) struct ObligationRun<L> {
+pub(crate) struct ObligationRun {
     device: String,
     resource: String,
-    phase: ObligationPhase<L>,
+    phase: ObligationPhase,
 }
 
-enum ObligationPhase<L> {
+enum ObligationPhase {
     Start,
     /// Awaiting inclusion of the `unregister_copy` evidence.
-    Confirm(TxFlow<L>),
+    Confirm(TxFlow),
 }
 
-impl<L: Ledger> ObligationRun<L> {
+impl ObligationRun {
     pub(crate) fn new(device: String, resource: String) -> Self {
         ObligationRun {
             device,
@@ -56,7 +56,7 @@ impl<L: Ledger> ObligationRun<L> {
         }
     }
 
-    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             ObligationPhase::Start => {
@@ -81,8 +81,7 @@ impl<L: Ledger> ObligationRun<L> {
                     }
                     Some(due) => due,
                 };
-                let key = dev.key;
-                let endpoint = dev.endpoint;
+                let (from, key) = (dev.endpoint, dev.key);
                 let actions = match dev.tee.enforce_due(&self.resource, now) {
                     Ok(actions) => actions,
                     Err(e) => return Step::Done(Err(ProcessError::Tee(e))),
@@ -118,16 +117,18 @@ impl<L: Ledger> ObligationRun<L> {
                 // Anchor the enforcement on-chain: the copy registry drops
                 // the entry and the `CopyRemoved` event is the duty's
                 // evidence trail.
-                let resource = self.resource.clone();
-                let device = self.device.clone();
                 // `now` is the deletion instant: the contract keeps any
                 // registration made at/after it, so a re-access racing
                 // this flow is never clobbered.
-                let build = move |w: &World<L>| {
-                    w.dex
-                        .unregister_copy_tx(&w.chain, &key, &resource, &device, now)
-                };
-                self.phase = ObligationPhase::Confirm(TxFlow::new(world, endpoint, build));
+                let tx = world.dex.unregister_copy_tx(
+                    &world.chain,
+                    &key,
+                    &self.resource,
+                    &self.device,
+                    now,
+                );
+                self.phase =
+                    ObligationPhase::Confirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)
             }
             ObligationPhase::Confirm(flow) => match flow.step(world) {

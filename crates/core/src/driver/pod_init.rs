@@ -1,28 +1,58 @@
 //! Process 1 — pod initiation.
 
-use duc_blockchain::{Ledger, Receipt};
+use duc_blockchain::Ledger;
 use duc_contracts::topics;
 use duc_policy::UsagePolicy;
 use duc_sim::SimTime;
 
 use crate::world::World;
 
-use super::flow::{FlowPoll, TxFlow};
+use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::{Outcome, ProcessError, Step};
 
 /// Process 1 — pod initiation.
-pub(crate) struct PodInit<L> {
+pub(crate) struct PodInit {
     webid: String,
     started: SimTime,
-    phase: PodInitPhase<L>,
+    phase: PodInitPhase,
 }
 
-enum PodInitPhase<L> {
+enum PodInitPhase {
     Start,
-    Confirm(TxFlow<L>),
+    Confirm(TxFlow),
 }
 
-impl<L: Ledger> PodInit<L> {
+/// The off-chain half: the pod manager attaches the default policy at the
+/// pod root and signs the pod's registration.
+pub(crate) fn prepare<L: Ledger>(
+    world: &mut World<L>,
+    webid: &str,
+) -> Result<PreparedCall, ProcessError> {
+    let Some(owner) = world.owners.get_mut(webid) else {
+        return Err(ProcessError::UnknownOwner(webid.to_string()));
+    };
+    let root = owner.pod_manager.pod().root().to_string();
+    let (from, key) = (owner.endpoint, owner.key);
+    let default_policy = UsagePolicy::default_for(root.clone(), webid);
+    owner.pod_manager.set_policy("", default_policy.clone());
+    let envelope = world.envelope(&default_policy);
+    let tx = world
+        .dex
+        .register_pod_tx(&world.chain, &key, webid, &root, envelope);
+    Ok(PreparedCall { from, key, tx })
+}
+
+/// The confirmed tail: the pod counts as registered and its manager
+/// listens for monitoring verdicts from now on.
+pub(crate) fn registered<L: Ledger>(world: &mut World<L>, webid: &str) {
+    let owner = world.owners.get_mut(webid).expect("prepared above");
+    owner.pod_registered = true;
+    world
+        .push_out
+        .subscribe(topics::ROUND_CLOSED, owner.endpoint);
+}
+
+impl PodInit {
     pub(super) fn new(webid: String, started: SimTime) -> Self {
         PodInit {
             webid,
@@ -31,69 +61,42 @@ impl<L: Ledger> PodInit<L> {
         }
     }
 
-    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         match &mut self.phase {
             PodInitPhase::Start => {
-                let Some(owner) = world.owners.get_mut(&self.webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
+                let call = match prepare(world, &self.webid) {
+                    Ok(call) => call,
+                    Err(e) => return Step::Done(Err(e)),
                 };
-                let root = owner.pod_manager.pod().root().to_string();
-                let endpoint = owner.endpoint;
-                let owner_key = owner.key;
-
-                // Local setup: default policy attached at the pod root.
-                let default_policy = UsagePolicy::default_for(root.clone(), &self.webid);
-                owner.pod_manager.set_policy("", default_policy.clone());
-                let now = world.clock.now();
-                world
-                    .trace
-                    .record(now, format_args!("pm:{}", self.webid), "pod.create", &root);
-
-                // Push-in oracle: register the pod on-chain.
-                let envelope = world.envelope(&default_policy);
-                let webid = self.webid.clone();
-                let build = move |w: &World<L>| {
-                    w.dex
-                        .register_pod_tx(&w.chain, &owner_key, &webid, &root, envelope.clone())
-                };
-                self.phase = PodInitPhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.trace(world, "pod.create");
+                self.phase = PodInitPhase::Confirm(TxFlow::new(world, call));
                 self.step(world)
             }
             PodInitPhase::Confirm(flow) => match flow.step(world) {
                 FlowPoll::Sleep(wake) => Step::Sleep(wake),
-                FlowPoll::Done(res) => {
-                    Step::Done(res.map(|receipt| self.registered(world, receipt)))
+                FlowPoll::Done(Err(e)) => Step::Done(Err(e)),
+                FlowPoll::Done(Ok(receipt)) => {
+                    registered(world, &self.webid);
+                    let e2e = world.clock.now() - self.started;
+                    world.metrics.record("process.pod_init.e2e", e2e);
+                    world.metrics.add("process.pod_init.gas", receipt.gas_used);
+                    self.trace(world, "pod.registered");
+                    Step::Done(Ok(Outcome::PodInitiated {
+                        webid: self.webid.clone(),
+                    }))
                 }
             },
         }
     }
 
-    /// The registration executed: the pod manager starts listening.
-    fn registered(&self, world: &mut World<L>, receipt: Receipt) -> Outcome {
-        let owner = world
-            .owners
-            .get_mut(&self.webid)
-            .expect("validated at submit");
-        owner.pod_registered = true;
-
-        // The pod manager listens for monitoring verdicts from now on.
-        world
-            .push_out
-            .subscribe(topics::ROUND_CLOSED, owner.endpoint);
-
-        let now = world.clock.now();
-        world
-            .metrics
-            .record("process.pod_init.e2e", now - self.started);
-        world.metrics.add("process.pod_init.gas", receipt.gas_used);
+    /// Records `kind` against the pod's root, as the pod manager.
+    fn trace<L: Ledger>(&self, world: &mut World<L>, kind: &str) {
+        let owner = world.owners.get(&self.webid).expect("prepared above");
         world.trace.record(
-            now,
+            world.clock.now(),
             format_args!("pm:{}", self.webid),
-            "pod.registered",
+            kind,
             owner.pod_manager.pod().root(),
         );
-        Outcome::PodInitiated {
-            webid: self.webid.clone(),
-        }
     }
 }

@@ -10,15 +10,15 @@ use duc_tee::EnforcementAction;
 
 use crate::world::World;
 
-use super::flow::{FlowPoll, TxFlow};
+use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::{Outcome, ProcessError, PropagationOutcome, Routed, Step, Wake, CONFIRM_TIMEOUT};
 
 /// Process 5 — policy modification and push-out fan-out.
-pub(crate) struct PolicyMod<L> {
+pub(crate) struct PolicyMod {
     webid: String,
     path: String,
     started: SimTime,
-    phase: PolicyModPhase<L>,
+    phase: PolicyModPhase,
     /// Set by `Start`: the resource and the version the amendment takes.
     resource_iri: String,
     version: u64,
@@ -32,14 +32,14 @@ pub(crate) struct PolicyMod<L> {
     current: Option<(TxId, SimTime)>,
 }
 
-enum PolicyModPhase<L> {
+enum PolicyModPhase {
     Start { rules: Vec<Rule>, duties: Vec<Duty> },
-    Confirm(TxFlow<L>),
+    Confirm(TxFlow),
     Fanout,
     ConfirmUnregisters,
 }
 
-impl<L: Ledger> PolicyMod<L> {
+impl PolicyMod {
     pub(super) fn new(
         webid: String,
         path: String,
@@ -62,15 +62,14 @@ impl<L: Ledger> PolicyMod<L> {
         }
     }
 
-    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             PolicyModPhase::Start { rules, duties } => {
                 let Some(owner) = world.owners.get_mut(&self.webid) else {
                     return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
                 };
-                let endpoint = owner.endpoint;
-                let owner_key = owner.key;
+                let (from, key) = (owner.endpoint, owner.key);
                 let amended = match owner.pod_manager.modify_policy(
                     &self.webid,
                     &self.path,
@@ -88,14 +87,15 @@ impl<L: Ledger> PolicyMod<L> {
                 self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
                 self.version = amended.version;
 
-                let envelope = world.envelope(&amended);
-                let iri = self.resource_iri.clone();
-                let version = self.version;
-                let build = move |w: &World<L>| {
-                    w.dex
-                        .update_policy_tx(&w.chain, &owner_key, &iri, envelope.clone(), version)
-                };
-                self.phase = PolicyModPhase::Confirm(TxFlow::new(world, endpoint, build));
+                let tx = world.dex.update_policy_tx(
+                    &world.chain,
+                    &key,
+                    &self.resource_iri,
+                    world.envelope(&amended),
+                    self.version,
+                );
+                self.phase =
+                    PolicyModPhase::Confirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)
             }
             PolicyModPhase::Confirm(flow) => match flow.step(world) {
@@ -203,7 +203,7 @@ impl<L: Ledger> PolicyMod<L> {
 
     /// Transition out of the confirm phase: record gas, claim this
     /// resource's push-out deliveries and start the fan-out.
-    fn after_confirm(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+    fn after_confirm<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
         world
             .metrics
             .add("process.policy_mod.gas", receipt.gas_used);

@@ -7,11 +7,11 @@ use duc_solid::{Body, SolidRequest};
 
 use crate::world::World;
 
-use super::flow::{FlowPoll, TxFlow};
+use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::{Outcome, ProcessError, Step};
 
 /// Process 2 — resource initiation.
-pub(crate) struct ResInit<L> {
+pub(crate) struct ResInit {
     webid: String,
     path: String,
     /// What to publish; `Start` takes all three.
@@ -21,15 +21,66 @@ pub(crate) struct ResInit<L> {
     /// Set by `Start`.
     resource_iri: String,
     started: SimTime,
-    phase: ResInitPhase<L>,
+    phase: ResInitPhase,
 }
 
-enum ResInitPhase<L> {
+enum ResInitPhase {
     Start,
-    Confirm(TxFlow<L>),
+    Confirm(TxFlow),
 }
 
-impl<L: Ledger> ResInit<L> {
+/// The off-chain half: the owner uploads `body` over the Solid protocol
+/// (the pod manager checks the ACL), the pod manager attaches `policy`,
+/// opens the resource to the market's subscribers and signs its
+/// registration. Returns the resource's IRI with the call.
+pub(crate) fn prepare<L: Ledger>(
+    world: &mut World<L>,
+    webid: &str,
+    path: &str,
+    body: Body,
+    policy: UsagePolicy,
+    metadata: Vec<(String, String)>,
+) -> Result<(String, PreparedCall), ProcessError> {
+    let Some(owner) = world.owners.get_mut(webid) else {
+        return Err(ProcessError::UnknownOwner(webid.to_string()));
+    };
+    if !owner.pod_registered {
+        return Err(ProcessError::PodNotRegistered(webid.to_string()));
+    }
+    let (from, key) = (owner.endpoint, owner.key);
+    let resp = owner
+        .pod_manager
+        .handle(&SolidRequest::put(webid, path).with_body(body));
+    if !resp.status.is_success() {
+        return Err(ProcessError::Solid {
+            status: resp.status,
+            detail: resp.detail,
+        });
+    }
+    owner.pod_manager.set_policy(path, policy.clone());
+    // Market terms: authenticated subscribers may read this resource
+    // (certificate-gated), cf. §II "only subscribed users have access".
+    let iri = owner.pod_manager.pod().iri_of(path);
+    let mut acl = owner.pod_manager.acl().clone();
+    acl.push(Authorization::for_resource(
+        format!("market-readers-{path}"),
+        iri.clone(),
+        vec![AgentSpec::AuthenticatedAgent],
+        vec![AclMode::Read],
+    ));
+    owner.pod_manager.set_acl(acl);
+    owner.pod_manager.set_require_certificate(true);
+
+    // Push-in oracle: index the resource + publish the policy.
+    let envelope = world.envelope(&policy);
+    let tx =
+        world
+            .dex
+            .register_resource_tx(&world.chain, &key, &iri, &iri, webid, metadata, envelope);
+    Ok((iri, PreparedCall { from, key, tx }))
+}
+
+impl ResInit {
     pub(super) fn new(
         webid: String,
         path: String,
@@ -50,62 +101,20 @@ impl<L: Ledger> ResInit<L> {
         }
     }
 
-    pub(super) fn step(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
         match &mut self.phase {
             ResInitPhase::Start => {
-                let Some(owner) = world.owners.get_mut(&self.webid) else {
-                    return Step::Done(Err(ProcessError::UnknownOwner(self.webid.clone())));
-                };
-                if !owner.pod_registered {
-                    return Step::Done(Err(ProcessError::PodNotRegistered(self.webid.clone())));
-                }
-                let endpoint = owner.endpoint;
-                let owner_key = owner.key;
                 let body = self.body.take().expect("body present in Start phase");
                 let policy = self.policy.take().expect("policy present in Start phase");
                 let metadata = std::mem::take(&mut self.metadata);
-
-                // Upload via the Solid protocol (the pod manager checks the
-                // ACL).
-                let put = SolidRequest::put(self.webid.clone(), self.path.clone()).with_body(body);
-                let resp = owner.pod_manager.handle(&put);
-                if !resp.status.is_success() {
-                    return Step::Done(Err(ProcessError::Solid {
-                        status: resp.status,
-                        detail: resp.detail,
-                    }));
-                }
-                owner.pod_manager.set_policy(&self.path, policy.clone());
-                // Market terms: authenticated subscribers may read this
-                // resource (certificate-gated), cf. §II "only subscribed
-                // users have access".
-                self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
-                let mut acl = owner.pod_manager.acl().clone();
-                acl.push(Authorization::for_resource(
-                    format!("market-readers-{}", self.path),
-                    self.resource_iri.clone(),
-                    vec![AgentSpec::AuthenticatedAgent],
-                    vec![AclMode::Read],
-                ));
-                owner.pod_manager.set_acl(acl);
-                owner.pod_manager.set_require_certificate(true);
-
-                // Push-in oracle: index the resource + publish the policy.
-                let envelope = world.envelope(&policy);
-                let iri = self.resource_iri.clone();
-                let webid = self.webid.clone();
-                let build = move |w: &World<L>| {
-                    w.dex.register_resource_tx(
-                        &w.chain,
-                        &owner_key,
-                        &iri,
-                        &iri,
-                        &webid,
-                        metadata.clone(),
-                        envelope.clone(),
-                    )
+                let call = match prepare(world, &self.webid, &self.path, body, policy, metadata) {
+                    Ok((iri, call)) => {
+                        self.resource_iri = iri;
+                        call
+                    }
+                    Err(e) => return Step::Done(Err(e)),
                 };
-                self.phase = ResInitPhase::Confirm(TxFlow::new(world, endpoint, build));
+                self.phase = ResInitPhase::Confirm(TxFlow::new(world, call));
                 self.step(world)
             }
             ResInitPhase::Confirm(flow) => match flow.step(world) {
@@ -118,7 +127,7 @@ impl<L: Ledger> ResInit<L> {
     }
 
     /// The registration executed: the resource is in the DE App index.
-    fn registered(&self, world: &mut World<L>, receipt: &Receipt) -> Outcome {
+    fn registered<L: Ledger>(&self, world: &mut World<L>, receipt: &Receipt) -> Outcome {
         let now = world.clock.now();
         world
             .metrics

@@ -10,7 +10,7 @@
 
 use duc_blockchain::Ledger;
 use duc_crypto::Digest;
-use duc_policy::{AclMode, AgentSpec, Authorization, Duty, Rule, UsagePolicy};
+use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_solid::Body;
 
 use crate::driver::{
@@ -41,30 +41,6 @@ impl<L: Ledger> World<L> {
             Outcome::PodInitiated { .. } => Ok(()),
             other => unreachable!("pod initiation yielded {other:?}"),
         }
-    }
-
-    /// Grants `modes` on a pod path to `agents` (ACL administration;
-    /// implicit in the paper's market terms).
-    ///
-    /// # Errors
-    /// Fails on unknown owners.
-    pub fn grant_access(
-        &mut self,
-        webid: &str,
-        path: &str,
-        agents: Vec<AgentSpec>,
-        modes: Vec<AclMode>,
-    ) -> Result<(), ProcessError> {
-        let owner = self
-            .owners
-            .get_mut(webid)
-            .ok_or_else(|| ProcessError::UnknownOwner(webid.to_string()))?;
-        let resource_iri = owner.pod_manager.pod().iri_of(path);
-        let mut acl = owner.pod_manager.acl().clone();
-        let id = format!("grant-{}", acl.authorizations.len());
-        acl.push(Authorization::for_resource(id, resource_iri, agents, modes));
-        owner.pod_manager.set_acl(acl);
-        Ok(())
     }
 
     /// **Process 2 — resource initiation.** The owner uploads a resource to

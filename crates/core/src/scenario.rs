@@ -10,14 +10,11 @@
 use std::collections::BTreeSet;
 
 use duc_blockchain::{Ledger, TxId};
-use duc_contracts::{topics, DistExchangeClient};
-use duc_policy::{
-    AclMode, Action, AgentSpec, Authorization, Constraint, Duty, Purpose, Rule, UsagePolicy,
-};
+use duc_policy::{Action, Constraint, Duty, Purpose, Rule, UsagePolicy};
 use duc_sim::{zipf_weights, SimDuration};
-use duc_solid::{Body, SolidRequest};
+use duc_solid::Body;
 
-use crate::driver::{MonitoringOutcome, ProcessError, Request};
+use crate::driver::{pod_init, res_init, subscribe, MonitoringOutcome, ProcessError, Request};
 use crate::world::{IndexEntry, World, WorldConfig};
 
 /// Alice's WebID.
@@ -326,90 +323,53 @@ fn drain_mempool<L: Ledger>(world: &mut World<L>) {
     }
 }
 
-/// Builds a population at market scale. Pods, resources and subscriptions
-/// are registered through *direct* transactions (the driver's processes 1,
-/// 2 and the subscription, minus their per-party network round-trips),
-/// chunk-flushed under the mempool bound — the measured workload is
-/// [`run_population`], not the bulk enrolment.
+/// Builds a population at market scale: processes 1 and 2 for every owner
+/// and the market subscription for every device, without their per-party
+/// network round-trips — the measured workload is [`run_population`], not
+/// the bulk enrolment.
+///
+/// What each party does off-chain, the transaction it signs and what it
+/// does once that executed are the driver's own (`driver::pod_init`,
+/// `res_init`, `subscribe`: the functions their machines call). Only the
+/// sending is bulk: transactions go straight into the mempool,
+/// chunk-flushed under its bound, and receipts are harvested per block.
 pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpec) -> Population {
     assert!(spec.owners > 0, "population needs at least one owner");
-    let owner_webid = |o: usize| format!("https://p{o}.id/me");
-    for o in 0..spec.owners {
-        world.add_owner(owner_webid(o), format!("https://p{o}.pod/"));
+    let owners: Vec<String> = (0..spec.owners)
+        .map(|o| format!("https://p{o}.id/me"))
+        .collect();
+    for (o, webid) in owners.iter().enumerate() {
+        world.add_owner(webid.clone(), format!("https://p{o}.pod/"));
     }
 
-    // Pass 1 — register every pod (process 1, direct).
-    for o in 0..spec.owners {
-        let webid = owner_webid(o);
-        let (root, key, endpoint) = {
-            let owner = world.owners.get(&webid).expect("just added");
-            (
-                owner.pod_manager.pod().root().to_string(),
-                owner.key,
-                owner.endpoint,
-            )
-        };
-        let default_policy = UsagePolicy::default_for(root.clone(), &webid);
+    // Pass 1 — register every pod (process 1).
+    for (o, webid) in owners.iter().enumerate() {
+        let call = pod_init::prepare(world, webid).expect("just added");
         world
-            .owners
-            .get_mut(&webid)
-            .expect("just added")
-            .pod_manager
-            .set_policy("", default_policy.clone());
-        let env = world.envelope(&default_policy);
-        let tx = world
-            .dex
-            .register_pod_tx(&world.chain, &key, &webid, &root, env);
-        world.chain.submit(tx).expect("pod tx fits the mempool");
-        world.push_out.subscribe(topics::ROUND_CLOSED, endpoint);
+            .chain
+            .submit(call.tx)
+            .expect("pod tx fits the mempool");
         if (o + 1) % FLUSH_CHUNK == 0 {
             drain_mempool(world);
         }
     }
     drain_mempool(world);
-    for o in 0..spec.owners {
-        world
-            .owners
-            .get_mut(&owner_webid(o))
-            .expect("added")
-            .pod_registered = true;
+    for webid in &owners {
+        pod_init::registered(world, webid);
     }
 
     // Pass 2 — upload every body, attach its policy, open the market ACL
-    // and register the resource (process 2, direct).
+    // and register the resource (process 2).
     let mut resources = Vec::with_capacity(spec.owners);
-    for o in 0..spec.owners {
-        let webid = owner_webid(o);
-        let (iri, policy, key) = {
-            let owner = world.owners.get_mut(&webid).expect("added");
-            let put = SolidRequest::put(webid.clone(), POPULATION_PATH)
-                .with_body(Body::Binary(vec![0xA5; spec.body_bytes]));
-            let resp = owner.pod_manager.handle(&put);
-            assert!(resp.status.is_success(), "population PUT succeeds");
-            let iri = owner.pod_manager.pod().iri_of(POPULATION_PATH);
-            let policy = population_policy(&iri, &webid, spec.retention_days);
-            owner
-                .pod_manager
-                .set_policy(POPULATION_PATH, policy.clone());
-            let mut acl = owner.pod_manager.acl().clone();
-            acl.push(Authorization::for_resource(
-                format!("market-readers-{POPULATION_PATH}"),
-                iri.clone(),
-                vec![AgentSpec::AuthenticatedAgent],
-                vec![AclMode::Read],
-            ));
-            owner.pod_manager.set_acl(acl);
-            owner.pod_manager.set_require_certificate(true);
-            (iri, policy, owner.key)
-        };
-        let env = world.envelope(&policy);
-        let tx =
-            world
-                .dex
-                .register_resource_tx(&world.chain, &key, &iri, &iri, &webid, vec![], env);
+    for (o, webid) in owners.iter().enumerate() {
+        let iri = world.owner(webid).pod_manager.pod().iri_of(POPULATION_PATH);
+        let policy = population_policy(&iri, webid, spec.retention_days);
+        let body = Body::Binary(vec![0xA5; spec.body_bytes]);
+        let (iri, call) = res_init::prepare(world, webid, POPULATION_PATH, body, policy, vec![])
+            .expect("population upload succeeds");
         world
             .chain
-            .submit(tx)
+            .submit(call.tx)
             .expect("resource tx fits the mempool");
         resources.push(iri);
         if (o + 1) % FLUSH_CHUNK == 0 {
@@ -419,7 +379,7 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
     drain_mempool(world);
 
     let mut pop = Population {
-        owners: (0..spec.owners).map(owner_webid).collect(),
+        owners,
         resources,
         devices: Vec::with_capacity(spec.owners * spec.devices_per_owner),
         spawned: 0,
@@ -437,9 +397,9 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
     pop
 }
 
-/// Enrolls `count` fresh consumer devices: funded account, direct
-/// subscription transaction, market certificate installed from the
-/// receipt. Used by the initial build-out and by inter-wave churn.
+/// Enrolls `count` fresh consumer devices: funded account, subscription
+/// transaction straight into the mempool, market certificate installed
+/// from the receipt. Used by the initial build-out and by inter-wave churn.
 fn enroll_devices<L: Ledger>(world: &mut World<L>, pop: &mut Population, count: usize) {
     let mut pending: Vec<(String, TxId)> = Vec::with_capacity(count.min(FLUSH_CHUNK));
     for _ in 0..count {
@@ -447,14 +407,10 @@ fn enroll_devices<L: Ledger>(world: &mut World<L>, pop: &mut Population, count: 
         pop.spawned += 1;
         let name = format!("pop-dev-{n}");
         world.add_device(name.clone(), format!("https://pd{n}.id/me"));
-        let (key, webid) = {
-            let dev = world.device(&name);
-            (dev.key, dev.webid.clone())
-        };
-        let tx = world.dex.subscribe_tx(&world.chain, &key, &webid);
+        let call = subscribe::prepare(world, &name).expect("just added");
         let id = world
             .chain
-            .submit(tx)
+            .submit(call.tx)
             .expect("subscribe tx fits the mempool");
         pending.push((name, id));
         if pending.len() == FLUSH_CHUNK {
@@ -496,13 +452,7 @@ fn certify_enrolled<L: Ledger>(
     }
     for (name, id) in pending.drain(..) {
         let receipt = harvested.get(&id).expect("subscription included");
-        let cert = DistExchangeClient::decode_certificate(&receipt.return_data)
-            .expect("subscription certificate");
-        world
-            .devices
-            .get_mut(&name)
-            .expect("just added")
-            .certificate = Some(cert);
+        subscribe::certified(world, &name, receipt).expect("subscription certificate");
         pop.devices.push(name);
     }
 }
@@ -700,6 +650,97 @@ mod tests {
             (report, world.chain.gas_used_total(), world.clock.now())
         };
         assert_eq!(run_once(), run_once(), "same seed, same trajectory");
+    }
+
+    /// The bulk enrolment and the driver's processes 1, 2 and subscription
+    /// leave the same market behind: same on-chain records (registration
+    /// instants aside), same pod-manager state, every device certified.
+    #[test]
+    fn bulk_enrolment_registers_what_the_driver_registers() {
+        use duc_solid::{SolidRequest, Status};
+
+        let spec = PopulationSpec {
+            owners: 3,
+            devices_per_owner: 2,
+            ..PopulationSpec::default()
+        };
+        let config = WorldConfig {
+            seed: 17,
+            ..WorldConfig::default()
+        };
+        let mut bulk = World::new(config.clone());
+        let pop = populate_population(&mut bulk, &spec);
+
+        let mut driven = World::new(config);
+        for (o, webid) in pop.owners.iter().enumerate() {
+            driven.add_owner(webid.clone(), format!("https://p{o}.pod/"));
+        }
+        let mut tickets: Vec<_> = (pop.owners.iter())
+            .map(|webid| {
+                driven.submit(Request::PodInitiation {
+                    webid: webid.clone(),
+                })
+            })
+            .collect();
+        driven.run_until_idle();
+        for (webid, iri) in pop.owners.iter().zip(&pop.resources) {
+            tickets.push(driven.submit(Request::ResourceInitiation {
+                webid: webid.clone(),
+                path: POPULATION_PATH.into(),
+                body: Body::Binary(vec![0xA5; spec.body_bytes]),
+                policy: population_policy(iri, webid, spec.retention_days),
+                metadata: vec![],
+            }));
+        }
+        for (n, device) in pop.devices.iter().enumerate() {
+            driven.add_device(device.clone(), format!("https://pd{n}.id/me"));
+            tickets.push(driven.submit(Request::MarketSubscribe {
+                device: device.clone(),
+            }));
+        }
+        driven.run_until_idle();
+        for ticket in tickets {
+            ticket.poll(&mut driven).expect("completed").expect("ok");
+        }
+
+        fn market<L: Ledger>(world: &mut World<L>, pop: &Population) -> Vec<String> {
+            let mut seen = Vec::new();
+            for (webid, iri) in pop.owners.iter().zip(&pop.resources) {
+                let mut pod = world.dex.get_pod(&world.chain, webid).unwrap().unwrap();
+                let mut resource = (world.dex)
+                    .lookup_resource(&world.chain, iri)
+                    .unwrap()
+                    .unwrap();
+                pod.registered_at = duc_sim::SimTime::ZERO;
+                resource.registered_at = duc_sim::SimTime::ZERO;
+                seen.push(format!("{pod:?} {resource:?}"));
+
+                let owner = world.owners.get_mut(webid).expect("owner");
+                assert!(owner.pod_registered);
+                let manager = &mut owner.pod_manager;
+                seen.push(format!(
+                    "{:?} {:?} {:?}",
+                    manager.policy_for(""),
+                    manager.policy_for(POPULATION_PATH),
+                    manager.acl()
+                ));
+                // The certificate gate: the ACL lets a stranger in, the
+                // missing market certificate keeps them out.
+                let stranger = SolidRequest::get("https://stranger.id/me", POPULATION_PATH);
+                assert_eq!(manager.handle(&stranger).status, Status::PaymentRequired);
+            }
+            for name in &pop.devices {
+                let device = world.device(name);
+                let certificate = device.certificate.expect("certified");
+                let accepted = (world.dex)
+                    .verify_certificate(&world.chain, &certificate, &device.webid)
+                    .expect("view");
+                assert!(accepted, "{name}'s certificate verifies on-chain");
+            }
+            seen.push(format!("{} subscriptions", world.push_out.subscriptions()));
+            seen
+        }
+        assert_eq!(market(&mut bulk, &pop), market(&mut driven, &pop));
     }
 
     #[test]

@@ -187,7 +187,7 @@ pub struct World<L = Blockchain> {
     /// (shares this world's clock).
     pub sched: Scheduler,
     /// Non-blocking request driver bookkeeping (see [`crate::driver`]).
-    pub(crate) driver: crate::driver::DriverState<L>,
+    pub(crate) driver: crate::driver::DriverState,
     /// The declarative fault plan driving chaos runs (see
     /// [`World::set_fault_plan`]).
     fault_plan: FaultPlan,

@@ -265,7 +265,7 @@ proptest! {
         }
         // Gas conservation: every unit of consumed gas was paid to a
         // proposer, and the treasury holds exactly n subscription fees.
-        let ledger_total: u64 = world.chain.gas_ledger().iter().map(|r| r.gas_used).sum();
+        let ledger_total: u64 = world.chain.gas_used_total();
         let validator_income: u128 = world
             .chain
             .validator_addresses()

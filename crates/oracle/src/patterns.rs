@@ -4,7 +4,6 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, SubmitError};
-use duc_codec::encode_to_vec;
 use duc_sim::{Clock, EndpointId, NetworkModel, Rng, SimDuration, SimTime};
 
 /// Which network hop of an oracle interaction failed. Typed so a driver can
@@ -489,18 +488,13 @@ impl PullInOracle {
     }
 }
 
-/// Encodes typed view-call arguments (convenience re-export for callers).
-pub fn encode_args<T: duc_codec::Encode>(args: &T) -> Vec<u8> {
-    encode_to_vec(args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use duc_blockchain::{
         Blockchain, CallCtx, Contract, ContractError, ContractId, SignedTransaction,
     };
-    use duc_codec::decode_from_slice;
+    use duc_codec::{decode_from_slice, encode_to_vec};
     use duc_sim::{LatencyModel, LinkConfig};
 
     struct Echo;

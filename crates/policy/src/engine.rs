@@ -110,11 +110,6 @@ impl Default for PolicyEngine {
 }
 
 impl PolicyEngine {
-    /// An engine with a custom taxonomy.
-    pub fn with_taxonomy(taxonomy: PurposeTaxonomy) -> Self {
-        PolicyEngine { taxonomy }
-    }
-
     /// The taxonomy in use.
     pub fn taxonomy(&self) -> &PurposeTaxonomy {
         &self.taxonomy

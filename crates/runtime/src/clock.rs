@@ -168,11 +168,6 @@ impl<T> SimClock<T> {
         }
     }
 
-    /// The shared simulation clock handle.
-    pub fn sim_clock(&self) -> &duc_sim::Clock {
-        self.sched.clock()
-    }
-
     fn schedule(&mut self, id: u64, at: SimTime) -> EventId {
         let fired = Rc::clone(&self.fired);
         self.sched

@@ -62,11 +62,6 @@ impl Rng {
         result
     }
 
-    /// The next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform integer in `[0, bound)` using Lemire's unbiased method.
     ///
     /// # Panics

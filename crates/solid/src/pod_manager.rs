@@ -92,11 +92,6 @@ impl PodManager {
         &self.pod
     }
 
-    /// Mutable pod access (owner-side provisioning outside the protocol).
-    pub fn pod_mut(&mut self) -> &mut Pod {
-        &mut self.pod
-    }
-
     /// The ACL document.
     pub fn acl(&self) -> &AclDocument {
         &self.acl

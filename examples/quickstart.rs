@@ -107,14 +107,6 @@ fn main() -> Result<(), ProcessError> {
         monitoring.duration
     );
 
-    println!(
-        "\ntotal gas spent: {}",
-        world
-            .chain
-            .gas_ledger()
-            .iter()
-            .map(|r| r.gas_used)
-            .sum::<u64>()
-    );
+    println!("\ntotal gas spent: {}", world.chain.gas_used_total());
     Ok(())
 }

@@ -224,7 +224,7 @@ fn gas_accounting_is_conserved() {
     // and the market fee lands at the treasury.
     let mut world = scenario::build_world(WorldConfig::default());
     let _ = scenario::run(&mut world).expect("scenario");
-    let ledger_total: u64 = world.chain.gas_ledger().iter().map(|r| r.gas_used).sum();
+    let ledger_total: u64 = world.chain.gas_used_total();
     let validator_income: u128 = (0..world.chain.validator_count())
         .map(|i| {
             let key = solid_usage_control::crypto::KeyPair::from_seed(
