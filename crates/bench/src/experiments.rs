@@ -1745,7 +1745,7 @@ fn e17_chain(
         .build();
     chain.deploy(
         ContractId::new(duc_contracts::DEX_CONTRACT_ID),
-        Box::new(duc_contracts::DistExchange::default()),
+        Box::new(duc_contracts::DistExchange),
     );
     chain.set_access_fn(duc_contracts::dex_access_fn());
     let dex = duc_contracts::DistExchangeClient::new();

@@ -223,11 +223,6 @@ impl<'a> CallCtx<'a> {
         Ok(self.meter.charge_compute(units)?)
     }
 
-    /// The caller's native-token balance.
-    pub fn caller_balance(&self) -> Amount {
-        self.effective_balance(&self.caller)
-    }
-
     /// An account balance as seen through the overlay.
     fn effective_balance(&self, addr: &Address) -> Amount {
         let mut base = self.base.balance(addr);
@@ -456,7 +451,6 @@ mod tests {
         let mut meter = GasMeter::new(1_000_000, GasSchedule::default());
         let mut ctx = ctx_on(&state, &mut meter);
         ctx.transfer_from_caller(payee, 60).unwrap();
-        assert_eq!(ctx.caller_balance(), 40);
         // A second transfer sees the buffered debit, not the base balance.
         let err = ctx.transfer_from_caller(payee, 50).unwrap_err();
         assert!(matches!(err, ContractError::Reverted(ref why)

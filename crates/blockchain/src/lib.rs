@@ -73,7 +73,7 @@ pub use contract::{CallCtx, Contract, ContractError, Event};
 pub use exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
 pub use gas::{GasMeter, GasSchedule, OutOfGas};
 pub use ledger::{Ledger, RouteKey, RouterFn, ShardedLedger, SingleChain};
-pub use state::{AccountState, InlineKey, PagingStats, WorldState};
+pub use state::{AccountState, PagingStats, WorldState};
 pub use tx::{Receipt, SignedTransaction, Transaction, TxStatus};
 pub use types::{Address, Amount, ContractId, TxId};
 

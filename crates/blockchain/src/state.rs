@@ -16,7 +16,6 @@
 //! clean page drops it, and evicting a dirty one appends the bytes it
 //! already holds.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::sync::Mutex;
@@ -33,98 +32,6 @@ pub struct AccountState {
     pub balance: Amount,
     /// Next expected transaction nonce.
     pub nonce: u64,
-}
-
-// --------------------------------------------------------------- inline key
-
-/// Longest key stored without a heap allocation. DE App hot keys
-/// (`pod/{webid}`, `sub/{webid}`, `cert/{digest}`) fit comfortably;
-/// composite round/copy keys spill to a boxed slice.
-const INLINE_KEY_CAP: usize = 55;
-
-/// A storage key that keeps short keys inline (no per-key heap box).
-///
-/// Ordering, equality and hashing all delegate to the byte slice, so an
-/// `InlineKey` map can be probed with a bare `&[u8]` through [`Borrow`].
-#[derive(Clone)]
-pub enum InlineKey {
-    /// Keys up to `INLINE_KEY_CAP` (55) bytes, stored in place.
-    Inline {
-        /// Number of meaningful bytes in `buf`.
-        len: u8,
-        /// The key bytes (tail is zero padding).
-        buf: [u8; INLINE_KEY_CAP],
-    },
-    /// Longer keys, boxed.
-    Heap(Box<[u8]>),
-}
-
-impl InlineKey {
-    /// Builds a key from a byte slice.
-    #[must_use]
-    pub fn from_slice(key: &[u8]) -> InlineKey {
-        if key.len() <= INLINE_KEY_CAP {
-            let mut buf = [0u8; INLINE_KEY_CAP];
-            buf[..key.len()].copy_from_slice(key);
-            InlineKey::Inline {
-                len: key.len() as u8,
-                buf,
-            }
-        } else {
-            InlineKey::Heap(key.into())
-        }
-    }
-
-    /// The key bytes.
-    #[must_use]
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            InlineKey::Inline { len, buf } => &buf[..*len as usize],
-            InlineKey::Heap(b) => b,
-        }
-    }
-}
-
-impl Borrow<[u8]> for InlineKey {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for InlineKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for InlineKey {}
-
-impl PartialOrd for InlineKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for InlineKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl std::hash::Hash for InlineKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
-
-impl std::fmt::Debug for InlineKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "InlineKey({:?})",
-            String::from_utf8_lossy(self.as_slice())
-        )
-    }
 }
 
 // ------------------------------------------------------------ paging stats
@@ -189,7 +96,7 @@ struct Page {
     contract: ContractId,
     /// Lowest key this page covers (its directory key). The page owns
     /// `[first, next page's first)` within its contract.
-    first: InlineKey,
+    first: Vec<u8>,
     data: PageData,
     /// LRU timestamp; `(last_used, id)` is the page's entry in the LRU
     /// index while resident under a residency limit.
@@ -207,7 +114,7 @@ struct Page {
 #[derive(Debug)]
 struct PagedSlots {
     /// Per-contract page directory: first key → page id.
-    dir: BTreeMap<ContractId, BTreeMap<InlineKey, PageId>>,
+    dir: BTreeMap<ContractId, BTreeMap<Vec<u8>, PageId>>,
     pages: HashMap<PageId, Page>,
     /// Resident pages ordered by last use — O(log n) victim selection.
     /// Exact LRU under a `limit`; left empty without one, where no victim
@@ -286,7 +193,7 @@ impl PagedSlots {
         &mut self,
         id: PageId,
         contract: ContractId,
-        first: InlineKey,
+        first: Vec<u8>,
         slots: SlottedPage,
     ) {
         self.pages.insert(
@@ -392,7 +299,7 @@ impl PagedSlots {
         }
     }
 
-    fn alloc_page(&mut self, contract: ContractId, first: InlineKey) -> PageId {
+    fn alloc_page(&mut self, contract: ContractId, first: Vec<u8>) -> PageId {
         let id = self.next_page;
         self.next_page += 1;
         self.add_resident(id, contract.clone(), first.clone(), SlottedPage::new());
@@ -414,12 +321,12 @@ impl PagedSlots {
             Some((old_first, id)) => {
                 let dir = self.dir.get_mut(contract).expect("contract dir exists");
                 dir.remove(&old_first);
-                let new_first = InlineKey::from_slice(key);
+                let new_first = key.to_vec();
                 dir.insert(new_first.clone(), id);
                 self.pages.get_mut(&id).expect("page exists").first = new_first;
                 id
             }
-            None => self.alloc_page(contract.clone(), InlineKey::from_slice(key)),
+            None => self.alloc_page(contract.clone(), key.to_vec()),
         }
     }
 
@@ -434,8 +341,10 @@ impl PagedSlots {
                 return;
             }
             let upper = slots.split_off_upper();
-            let mid =
-                InlineKey::from_slice(upper.first_key().expect("over-capacity page is nonempty"));
+            let mid = upper
+                .first_key()
+                .expect("over-capacity page is nonempty")
+                .to_vec();
             (page.contract.clone(), mid, upper)
         };
         let nid = self.next_page;
@@ -554,7 +463,7 @@ impl PagedSlots {
             // A page starting past the prefix range cannot hold matching
             // keys (they would sort below its first key) — stop without
             // faulting it in.
-            if !first.as_slice().starts_with(prefix) {
+            if !first.starts_with(prefix) {
                 break;
             }
             ids.push(id);
@@ -618,7 +527,7 @@ impl PagedSlots {
             dir, pages, store, ..
         } = self;
         for (contract, cdir) in dir.iter() {
-            let mut prev_last: Option<InlineKey> = None;
+            let mut prev_last: Option<Vec<u8>> = None;
             for (first, id) in cdir.iter() {
                 let page = pages
                     .get(id)
@@ -646,7 +555,7 @@ impl PagedSlots {
                         return Err(format!("page {id} holds a key below its first key"));
                     }
                     if let Some(prev) = &prev_last {
-                        if prev.as_slice() >= first.as_slice() {
+                        if prev >= first {
                             return Err(format!("page {id} range overlaps its predecessor"));
                         }
                     }
@@ -659,7 +568,7 @@ impl PagedSlots {
                     last = Some(k);
                 }
                 if let Some(last) = last {
-                    prev_last = Some(InlineKey::from_slice(last));
+                    prev_last = Some(last.to_vec());
                 }
             }
         }
@@ -896,14 +805,6 @@ impl WorldState {
             .for_each_prefix(contract, prefix, &mut f);
     }
 
-    /// Collects keys under a prefix (convenience over
-    /// [`WorldState::storage_for_each_prefix`]).
-    pub fn storage_keys_with_prefix(&self, contract: &ContractId, prefix: &[u8]) -> Vec<Vec<u8>> {
-        let mut keys = Vec::new();
-        self.storage_for_each_prefix(contract, prefix, |k, _| keys.push(k.to_vec()));
-        keys
-    }
-
     /// Number of storage slots across all contracts (state-growth metric,
     /// experiment E12). Maintained incrementally — O(1).
     pub fn storage_slot_count(&self) -> usize {
@@ -1088,10 +989,6 @@ mod tests {
                 (b"res/c".to_vec(), b"3".to_vec()),
             ]
         );
-        assert_eq!(
-            s.storage_keys_with_prefix(&cid(), b"res/"),
-            vec![b"res/a".to_vec(), b"res/b".to_vec(), b"res/c".to_vec()]
-        );
     }
 
     #[test]
@@ -1155,33 +1052,26 @@ mod tests {
         assert_ne!(u.commitment(), s.commitment());
     }
 
-    #[test]
-    fn inline_key_keeps_short_keys_inline_and_delegates_ordering() {
-        let short = InlineKey::from_slice(b"pod/https://p1.id/me");
-        assert!(matches!(short, InlineKey::Inline { .. }));
-        let long = InlineKey::from_slice(&[b'x'; 80]);
-        assert!(matches!(long, InlineKey::Heap(_)));
-        assert_eq!(short.as_slice(), b"pod/https://p1.id/me");
-        assert_eq!(long.as_slice(), &[b'x'; 80][..]);
-        let a = InlineKey::from_slice(b"a");
-        let b = InlineKey::from_slice(&[b'b'; 70]);
-        assert!(a < b, "ordering crosses the inline/heap boundary");
-        assert_eq!(a, InlineKey::from_slice(b"a"));
-    }
-
     /// Interleaved writes/overwrites/removes/scans on paged states at
     /// several cache sizes (including 0) must match the unbounded store
     /// slot-for-slot and commitment-for-commitment.
     #[test]
     fn paged_state_is_byte_identical_across_cache_sizes() {
         let tiny = PagingConfig::in_memory(None).with_page_capacity(4);
+        // A quarter of the keys each at their natural length and at 55, 56
+        // and 80 bytes, so pages split on (and the directory holds) long
+        // first-keys as well as short ones.
+        let key_of = |n: u32| {
+            let mut key = format!("pod/https://p{n}.id/me").into_bytes();
+            let len = [key.len(), 55, 56, 80][n as usize % 4];
+            key.resize(len, b'x');
+            key
+        };
         let apply = |s: &mut WorldState| {
             for i in 0..200u32 {
-                let key = format!("pod/https://p{}.id/me", i % 60).into_bytes();
-                s.storage_set(&cid(), key, i.to_le_bytes().to_vec());
+                s.storage_set(&cid(), key_of(i % 60), i.to_le_bytes().to_vec());
                 if i % 3 == 0 {
-                    let gone = format!("pod/https://p{}.id/me", (i / 3) % 60).into_bytes();
-                    s.storage_remove(&cid(), &gone);
+                    s.storage_remove(&cid(), &key_of((i / 3) % 60));
                 }
                 if i % 7 == 0 {
                     s.storage_set(&ContractId::new("other"), vec![i as u8], vec![i as u8; 9]);
@@ -1215,6 +1105,12 @@ mod tests {
         assert_eq!(stats.evictions, 0, "unbounded cache never evicts");
         assert_eq!(stats.resident_pages, stats.total_pages);
         baseline.verify_pages().expect("page integrity");
+        let slots = baseline.slots.lock().expect("world-state lock poisoned");
+        let first_key_lens: BTreeSet<usize> = slots.dir[&cid()].keys().map(Vec::len).collect();
+        assert!(
+            [55, 56, 80].iter().all(|l| first_key_lens.contains(l)),
+            "some page starts at each long key length: {first_key_lens:?}"
+        );
     }
 
     /// The residency limit and page integrity hold after *every* operation

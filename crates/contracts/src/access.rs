@@ -3,19 +3,10 @@
 //! The parallel executor (`duc_blockchain::exec`) partitions a block's
 //! transactions on the state keys each call may touch. This module is the
 //! DE App's side of that contract: it maps a decoded call to the storage
-//! slots of the layout documented in [`crate::dist_exchange`] —
-//!
-//! ```text
-//! pod/{owner_webid}           one slot per owner
-//! res/{resource}              one slot per resource
-//! pol/{digest}                one slot per policy envelope (content-addressed)
-//! copy/{resource}\0{device}   one space per resource, one slot per device
-//! roundctr/{resource}         one slot per resource
-//! round/{resource}\0{round}   one space per resource, one slot per round
-//! sub/{webid}                 one slot per consumer
-//! cert/{digest}               one slot per certificate
-//! cfg/*                       market configuration
-//! ```
+//! slots of the layout documented in `layout.rs` (the crate-private
+//! `layout` module) — one slot per key in the flat tables, and one
+//! *space* per resource for the composite `copy/` and `round/` tables,
+//! with one slot per device or round in it.
 //!
 //! `pol/` rows are content-addressed (key = digest of the value), so the
 //! registration paths declare them as *deltas*: two writers of the same
@@ -25,8 +16,8 @@
 //! row that names it, so they claim the whole `pol/` table as a read,
 //! which serializes them against same-block policy registrations only.
 //!
-//! — so calls anchored to different owners, resources, devices or
-//! consumers run concurrently, while calls that could collide serialize.
+//! Calls anchored to different owners, resources, devices or consumers
+//! therefore run concurrently, while calls that could collide serialize.
 //! Every set must *cover* the method's touched keys (reads included — a
 //! revert path still observed them); it may over-approximate, never
 //! under-approximate. Anything undeclarable (unknown method, undecodable
@@ -41,6 +32,7 @@ use duc_crypto::{hash_parts, Digest};
 
 use crate::abi::{EvidenceReaffirmation, EvidenceSubmission, PolicyEnvelope};
 use crate::dist_exchange::DEX_CONTRACT_ID;
+use crate::layout;
 
 /// Decodes a prefix of `args` (derivation only needs the leading fields;
 /// the contract itself decodes — and rejects — the full tuple).
@@ -59,7 +51,7 @@ fn slot(prefix: &[u8], identity: &str) -> AccessKey {
 
 /// The per-resource copy space (`copy/{resource}\0…`).
 fn copy_space(resource: &str) -> u64 {
-    fnv1a_parts(&[b"copy/", resource.as_bytes()])
+    fnv1a_parts(&[layout::COPY, resource.as_bytes()])
 }
 
 fn copy_slot(resource: &str, device: &str) -> AccessKey {
@@ -71,7 +63,7 @@ fn copy_slot(resource: &str, device: &str) -> AccessKey {
 
 /// The per-resource monitoring-round space (`round/{resource}\0…`).
 fn round_space(resource: &str) -> u64 {
-    fnv1a_parts(&[b"round/", resource.as_bytes()])
+    fnv1a_parts(&[layout::ROUND, resource.as_bytes()])
 }
 
 fn round_slot(resource: &str, round: u64) -> AccessKey {
@@ -83,7 +75,7 @@ fn round_slot(resource: &str, round: u64) -> AccessKey {
 
 fn cert_slot(certificate: &Digest) -> AccessKey {
     AccessKey::Slot {
-        space: fnv1a(b"cert/"),
+        space: fnv1a(layout::CERT),
         key: fnv1a(certificate.as_bytes()),
     }
 }
@@ -91,7 +83,7 @@ fn cert_slot(certificate: &Digest) -> AccessKey {
 /// One content-addressed policy slot (`pol/{digest}`).
 fn pol_slot(digest: &Digest) -> AccessKey {
     AccessKey::Slot {
-        space: fnv1a(b"pol/"),
+        space: fnv1a(layout::POL),
         key: fnv1a(digest.as_bytes()),
     }
 }
@@ -99,11 +91,11 @@ fn pol_slot(digest: &Digest) -> AccessKey {
 /// The whole policy table — view methods resolve a digest they only learn
 /// mid-call.
 fn pol_table() -> AccessKey {
-    AccessKey::Table(fnv1a(b"pol/"))
+    AccessKey::Table(fnv1a(layout::POL))
 }
 
 fn cfg_slot(name: &str) -> AccessKey {
-    slot(b"cfg/", name)
+    slot(layout::CFG, name)
 }
 
 /// Derives the access set of one DistExchange call. Covers the storage
@@ -116,14 +108,14 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
         "init" => AccessSet::Exclusive,
         "register_pod" => match decode_prefix::<(String, String, PolicyEnvelope)>(p.args) {
             Some((owner, _, policy)) => AccessSet::declared()
-                .read(slot(b"pod/", &owner))
-                .write(slot(b"pod/", &owner))
+                .read(slot(layout::POD, &owner))
+                .write(slot(layout::POD, &owner))
                 .delta(pol_slot(&policy.digest())),
             None => AccessSet::Exclusive,
         },
         "get_pod" => match decode_prefix::<String>(p.args) {
             Some(owner) => AccessSet::declared()
-                .read(slot(b"pod/", &owner))
+                .read(slot(layout::POD, &owner))
                 .read(pol_table()),
             None => AccessSet::Exclusive,
         },
@@ -137,30 +129,30 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
             );
             match decode_prefix::<Args>(p.args) {
                 Some((resource, _, owner, _, policy)) => AccessSet::declared()
-                    .read(slot(b"pod/", &owner))
-                    .read(slot(b"res/", &resource))
-                    .write(slot(b"res/", &resource))
+                    .read(slot(layout::POD, &owner))
+                    .read(slot(layout::RES, &resource))
+                    .write(slot(layout::RES, &resource))
                     .delta(pol_slot(&policy.digest())),
                 None => AccessSet::Exclusive,
             }
         }
         "lookup_resource" => match decode_prefix::<String>(p.args) {
             Some(resource) => AccessSet::declared()
-                .read(slot(b"res/", &resource))
+                .read(slot(layout::RES, &resource))
                 .read(pol_table()),
             None => AccessSet::Exclusive,
         },
-        "list_resources" => AccessSet::declared().read(AccessKey::Table(fnv1a(b"res/"))),
+        "list_resources" => AccessSet::declared().read(AccessKey::Table(fnv1a(layout::RES))),
         "update_policy" => match decode_prefix::<(String, PolicyEnvelope)>(p.args) {
             Some((resource, policy)) => AccessSet::declared()
-                .read(slot(b"res/", &resource))
-                .write(slot(b"res/", &resource))
+                .read(slot(layout::RES, &resource))
+                .write(slot(layout::RES, &resource))
                 .delta(pol_slot(&policy.digest())),
             None => AccessSet::Exclusive,
         },
         "register_copy" => match decode_prefix::<(String, String)>(p.args) {
             Some((resource, device)) => AccessSet::declared()
-                .read(slot(b"res/", &resource))
+                .read(slot(layout::RES, &resource))
                 .write(copy_slot(&resource, &device)),
             None => AccessSet::Exclusive,
         },
@@ -179,9 +171,9 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
             // earlier same-block round could bump: claim the whole round
             // space rather than read the counter at derivation time.
             Some(resource) => AccessSet::declared()
-                .read(slot(b"res/", &resource))
-                .read(slot(b"roundctr/", &resource))
-                .write(slot(b"roundctr/", &resource))
+                .read(slot(layout::RES, &resource))
+                .read(slot(layout::ROUND_COUNTER, &resource))
+                .write(slot(layout::ROUND_COUNTER, &resource))
                 .read(AccessKey::Table(copy_space(&resource)))
                 .write(AccessKey::Table(round_space(&resource))),
             None => AccessSet::Exclusive,
@@ -214,7 +206,7 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
                 // will revert "market not initialized"; serialize it.
                 let treasury: Option<Address> = p
                     .state
-                    .storage_get(p.contract, b"cfg/treasury")
+                    .storage_get(p.contract, &layout::cfg("treasury"))
                     .and_then(|bytes| decode_from_slice(&bytes).ok());
                 let Some(treasury) = treasury else {
                     return AccessSet::Exclusive;
@@ -232,7 +224,7 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
                     .read(cfg_slot("validity"))
                     .read(cfg_slot("treasury"))
                     .delta(AccessKey::Account(treasury))
-                    .write(slot(b"sub/", &webid))
+                    .write(slot(layout::SUB, &webid))
                     .write(cert_slot(&certificate))
             }
             None => AccessSet::Exclusive,
@@ -240,11 +232,11 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
         "verify_certificate" => match decode_prefix::<(Digest, String)>(p.args) {
             Some((certificate, webid)) => AccessSet::declared()
                 .read(cert_slot(&certificate))
-                .read(slot(b"sub/", &webid)),
+                .read(slot(layout::SUB, &webid)),
             None => AccessSet::Exclusive,
         },
         "get_subscription" => match decode_prefix::<String>(p.args) {
-            Some(webid) => AccessSet::declared().read(slot(b"sub/", &webid)),
+            Some(webid) => AccessSet::declared().read(slot(layout::SUB, &webid)),
             None => AccessSet::Exclusive,
         },
         _ => AccessSet::Exclusive,
@@ -388,7 +380,7 @@ mod tests {
         // commute: the shared fee sink is a delta, not a write.
         let mut state = WorldState::new();
         let treasury = Address::from_seed(b"treasury");
-        state.storage_set(&dex, b"cfg/treasury".to_vec(), encode_to_vec(&treasury));
+        state.storage_set(&dex, layout::cfg("treasury"), encode_to_vec(&treasury));
         let a = encode_to_vec(&("https://a.id/me".to_string(),));
         let b = encode_to_vec(&("https://b.id/me".to_string(),));
         let sa = dex_access(&params(&dex, "subscribe", &a, &state));

@@ -1,20 +1,8 @@
 //! The DistExchange contract implementation.
 //!
-//! Storage layout (all keys ASCII-prefixed, `\0`-separated composites;
-//! rows are the compact encodings of [`crate::rows`] — identity strings
-//! live in the key, policies in the content-addressed `pol/` table):
-//!
-//! ```text
-//! cfg/*                      market configuration (set once by `init`)
-//! pol/{digest}               → PolicyEnvelope (content-addressed, shared)
-//! pod/{owner_webid}          → PodRow
-//! res/{resource}             → ResourceRow
-//! copy/{resource}\0{device}  → CopyRow
-//! roundctr/{resource}        → u64
-//! round/{resource}\0{round}  → MonitoringRound
-//! sub/{webid}                → SubRow
-//! cert/{digest}              → () existence marker
-//! ```
+//! Storage keys are built by `layout.rs` (the crate-private `layout`
+//! module), which documents the layout table; rows are the compact
+//! encodings of [`crate::rows`].
 //!
 //! View methods (`get_pod`, `lookup_resource`, `get_subscription`,
 //! `list_copies`) reconstruct the full ABI records of [`crate::abi`] from
@@ -23,119 +11,29 @@
 //! `start_monitoring`, `register_copy`) never materialize a policy
 //! envelope from storage.
 
-use std::sync::Mutex;
-
 use duc_blockchain::{Address, CallCtx, Contract, ContractError};
 use duc_codec::{decode_from_slice, encode_to_vec};
 use duc_crypto::{hash_parts, Digest};
-use duc_intern::{Interner, SymMap};
 use duc_sim::SimDuration;
 
 use crate::abi::{
     CopyRecord, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound, PodRecord,
     PolicyEnvelope, ResourceRecord, Subscription,
 };
-use crate::rows::{pol_key, CopyRow, PodRow, ResourceRow, SubRow};
+use crate::layout;
+use crate::rows::{CopyRow, PodRow, ResourceRow, SubRow};
 use crate::topics;
 
 /// The conventional deployment id of the DE App.
 pub const DEX_CONTRACT_ID: &str = "dist-exchange";
 
-/// The DistExchange application contract.
-///
-/// The contract logic itself is stateless; `keys` is a purely off-chain
-/// memo of composed storage keys (interned identity → formatted key
-/// bytes), so repeat calls for the same pod/resource/webid skip the
-/// `format!` machinery. The wire format — storage keys, events, gas — is
-/// byte-identical with or without the cache. A `Mutex` (not `RefCell`)
-/// because the parallel executor dispatches calls from a thread pool.
+/// The DistExchange application contract: code over ledger storage and
+/// nothing else — every validator runs it against the same slots, so it
+/// holds no state of its own.
 #[derive(Debug, Default)]
-pub struct DistExchange {
-    keys: Mutex<KeyCache>,
-}
+pub struct DistExchange;
 
-/// Composed-storage-key memo: one symbol per identity string, one cached
-/// key byte-vector per `(table, identity)` pair.
-#[derive(Debug, Default)]
-struct KeyCache {
-    ids: Interner,
-    pod: SymMap<Vec<u8>>,
-    res: SymMap<Vec<u8>>,
-    sub: SymMap<Vec<u8>>,
-    round_counter: SymMap<Vec<u8>>,
-    copy_prefix: SymMap<Vec<u8>>,
-    round_prefix: SymMap<Vec<u8>>,
-}
-
-macro_rules! cached_key {
-    ($self:ident, $table:ident, $name:expr, $build:expr) => {{
-        let sym = $self.ids.intern($name);
-        if $self.$table.get(sym).is_none() {
-            $self.$table.insert(sym, $build);
-        }
-        $self.$table.get(sym).expect("just inserted").as_slice()
-    }};
-}
-
-impl KeyCache {
-    fn pod(&mut self, owner_webid: &str) -> &[u8] {
-        cached_key!(
-            self,
-            pod,
-            owner_webid,
-            format!("pod/{owner_webid}").into_bytes()
-        )
-    }
-
-    fn res(&mut self, resource: &str) -> &[u8] {
-        cached_key!(self, res, resource, format!("res/{resource}").into_bytes())
-    }
-
-    fn sub(&mut self, webid: &str) -> &[u8] {
-        cached_key!(self, sub, webid, format!("sub/{webid}").into_bytes())
-    }
-
-    fn round_counter(&mut self, resource: &str) -> &[u8] {
-        cached_key!(
-            self,
-            round_counter,
-            resource,
-            format!("roundctr/{resource}").into_bytes()
-        )
-    }
-
-    /// `copy/{resource}\0` — the per-resource scan prefix.
-    fn copy_prefix(&mut self, resource: &str) -> &[u8] {
-        cached_key!(self, copy_prefix, resource, {
-            let mut k = format!("copy/{resource}").into_bytes();
-            k.push(0);
-            k
-        })
-    }
-
-    fn copy(&mut self, resource: &str, device: &str) -> Vec<u8> {
-        let mut k = self.copy_prefix(resource).to_vec();
-        k.extend_from_slice(device.as_bytes());
-        k
-    }
-
-    fn round(&mut self, resource: &str, round: u64) -> Vec<u8> {
-        let prefix = cached_key!(self, round_prefix, resource, {
-            let mut k = format!("round/{resource}").into_bytes();
-            k.push(0);
-            k
-        });
-        let mut k = prefix.to_vec();
-        k.extend_from_slice(format!("{round:020}").as_bytes());
-        k
-    }
-}
-
-fn cert_key(cert: &Digest) -> Vec<u8> {
-    let mut k = b"cert/".to_vec();
-    k.extend_from_slice(cert.as_bytes());
-    k
-}
+const _: () = assert!(std::mem::size_of::<DistExchange>() == 0);
 
 fn revert(msg: impl Into<String>) -> ContractError {
     ContractError::Reverted(msg.into())
@@ -149,37 +47,32 @@ fn revert(msg: impl Into<String>) -> ContractError {
 /// serial or parallel.
 fn put_policy(ctx: &mut CallCtx<'_>, policy: &PolicyEnvelope) -> Result<Digest, ContractError> {
     let digest = policy.digest();
-    ctx.set(pol_key(&digest), policy)?;
+    ctx.set(layout::pol(&digest), policy)?;
     Ok(digest)
 }
 
 /// Fetches an envelope from the pol table (view-method reconstruction).
 fn get_policy(ctx: &mut CallCtx<'_>, digest: &Digest) -> Result<PolicyEnvelope, ContractError> {
-    ctx.get(&pol_key(digest))?
+    ctx.get(&layout::pol(digest))?
         .ok_or_else(|| revert("missing policy envelope"))
 }
 
 impl DistExchange {
     fn init(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (fee, validity_nanos, treasury): (u128, u64, Address) = decode_from_slice(args)?;
-        if ctx.get_raw(b"cfg/fee")?.is_some() {
+        if ctx.get_raw(&layout::cfg("fee"))?.is_some() {
             return Err(revert("already initialized"));
         }
-        ctx.set(b"cfg/fee".to_vec(), &fee)?;
-        ctx.set(b"cfg/validity".to_vec(), &validity_nanos)?;
-        ctx.set(b"cfg/treasury".to_vec(), &treasury)?;
+        ctx.set(layout::cfg("fee"), &fee)?;
+        ctx.set(layout::cfg("validity"), &validity_nanos)?;
+        ctx.set(layout::cfg("treasury"), &treasury)?;
         Ok(Vec::new())
     }
 
     fn register_pod(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (owner_webid, web_ref, default_policy): (String, String, PolicyEnvelope) =
             decode_from_slice(args)?;
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .pod(&owner_webid)
-            .to_vec();
+        let key = layout::pod(&owner_webid);
         if ctx.get_raw(&key)?.is_some() {
             return Err(revert(format!("pod already registered for {owner_webid}")));
         }
@@ -197,12 +90,7 @@ impl DistExchange {
 
     fn get_pod(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (owner_webid,): (String,) = decode_from_slice(args)?;
-        let row: Option<PodRow> = ctx.get(
-            self.keys
-                .lock()
-                .expect("key cache poisoned")
-                .pod(&owner_webid),
-        )?;
+        let row: Option<PodRow> = ctx.get(&layout::pod(&owner_webid))?;
         let record: Option<PodRecord> = match row {
             None => None,
             Some(row) => {
@@ -225,23 +113,14 @@ impl DistExchange {
             Vec<(String, String)>,
             PolicyEnvelope,
         ) = decode_from_slice(args)?;
+        layout::reject_separator("resource IRI", &resource)?;
         let pod: PodRow = ctx
-            .get(
-                self.keys
-                    .lock()
-                    .expect("key cache poisoned")
-                    .pod(&owner_webid),
-            )?
+            .get(&layout::pod(&owner_webid))?
             .ok_or_else(|| revert(format!("no pod registered for {owner_webid}")))?;
         if pod.owner_addr != ctx.caller {
             return Err(revert("caller does not own the pod"));
         }
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .res(&resource)
-            .to_vec();
+        let key = layout::res(&resource);
         if ctx.get_raw(&key)?.is_some() {
             return Err(revert(format!("resource already registered: {resource}")));
         }
@@ -266,8 +145,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let (resource,): (String,) = decode_from_slice(args)?;
-        let row: Option<ResourceRow> =
-            ctx.get(self.keys.lock().expect("key cache poisoned").res(&resource))?;
+        let row: Option<ResourceRow> = ctx.get(&layout::res(&resource))?;
         let record: Option<ResourceRecord> = match row {
             None => None,
             Some(row) => {
@@ -279,10 +157,10 @@ impl DistExchange {
     }
 
     fn list_resources(&self, ctx: &mut CallCtx<'_>) -> Result<Vec<u8>, ContractError> {
-        let keys = ctx.keys_with_prefix(b"res/")?;
+        let keys = ctx.keys_with_prefix(layout::RES)?;
         let names: Vec<String> = keys
             .into_iter()
-            .filter_map(|k| String::from_utf8(k[4..].to_vec()).ok())
+            .filter_map(|k| String::from_utf8(k[layout::RES.len()..].to_vec()).ok())
             .collect();
         Ok(encode_to_vec(&names))
     }
@@ -290,12 +168,7 @@ impl DistExchange {
     fn update_policy(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (resource, policy, new_version): (String, PolicyEnvelope, u64) =
             decode_from_slice(args)?;
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .res(&resource)
-            .to_vec();
+        let key = layout::res(&resource);
         // The hot path: only the compact row round-trips storage — the
         // superseded envelope is never read, the new one only written.
         let mut row: ResourceRow = ctx
@@ -331,17 +204,11 @@ impl DistExchange {
             String,
             duc_crypto::PublicKey,
         ) = decode_from_slice(args)?;
-        if ctx
-            .get_raw(self.keys.lock().expect("key cache poisoned").res(&resource))?
-            .is_none()
-        {
+        layout::reject_separator("device name", &device)?;
+        if ctx.get_raw(&layout::res(&resource))?.is_none() {
             return Err(revert(format!("unknown resource {resource}")));
         }
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy(&resource, &device);
+        let key = layout::copy(&resource, &device);
         let row = CopyRow {
             holder_webid,
             attestation_key,
@@ -362,11 +229,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let (resource, device, as_of_nanos): (String, String, u64) = decode_from_slice(args)?;
-        let key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy(&resource, &device);
+        let key = layout::copy(&resource, &device);
         let Some(row) = ctx.get::<CopyRow>(&key)? else {
             return Err(revert("no such copy"));
         };
@@ -389,12 +252,7 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         resource: &str,
     ) -> Result<Vec<CopyRecord>, ContractError> {
-        let prefix = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy_prefix(resource)
-            .to_vec();
+        let prefix = layout::copy_prefix(resource);
         let keys = ctx.keys_with_prefix(&prefix)?;
         let mut copies = Vec::with_capacity(keys.len());
         for k in keys {
@@ -415,12 +273,7 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         resource: &str,
     ) -> Result<Vec<String>, ContractError> {
-        let prefix = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .copy_prefix(resource)
-            .to_vec();
+        let prefix = layout::copy_prefix(resource);
         let keys = ctx.keys_with_prefix(&prefix)?;
         keys.into_iter()
             .map(|k| {
@@ -437,17 +290,12 @@ impl DistExchange {
     ) -> Result<Vec<u8>, ContractError> {
         let (resource,): (String,) = decode_from_slice(args)?;
         let row: ResourceRow = ctx
-            .get(self.keys.lock().expect("key cache poisoned").res(&resource))?
+            .get(&layout::res(&resource))?
             .ok_or_else(|| revert(format!("unknown resource {resource}")))?;
         if row.owner_addr != ctx.caller {
             return Err(revert("only the owner may start monitoring"));
         }
-        let counter_key = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .round_counter(&resource)
-            .to_vec();
+        let counter_key = layout::round_counter(&resource);
         let round: u64 = ctx.get(&counter_key)?.unwrap_or(0) + 1;
         ctx.set(counter_key, &round)?;
         let expected = self.copy_devices(ctx, &resource)?;
@@ -461,13 +309,7 @@ impl DistExchange {
             reaffirmed: Vec::new(),
             closed: expected.is_empty(),
         };
-        ctx.set(
-            self.keys
-                .lock()
-                .expect("key cache poisoned")
-                .round(&resource, round),
-            &round_record,
-        )?;
+        ctx.set(layout::round(&resource, round), &round_record)?;
         ctx.emit(
             topics::MONITORING_REQUESTED,
             encode_to_vec(&(resource.clone(), round, expected)),
@@ -512,11 +354,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let submission: EvidenceSubmission = decode_from_slice(args)?;
-        let rkey = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .round(&submission.resource, submission.round);
+        let rkey = layout::round(&submission.resource, submission.round);
         let mut round: MonitoringRound = ctx
             .get(&rkey)?
             .ok_or_else(|| revert("unknown monitoring round"))?;
@@ -540,13 +378,7 @@ impl DistExchange {
         // Verify the enclave signature against the registered attestation
         // key: forged evidence cannot enter the ledger.
         let copy: CopyRow = ctx
-            .get(
-                &self
-                    .keys
-                    .lock()
-                    .expect("key cache poisoned")
-                    .copy(&submission.resource, &submission.device),
-            )?
+            .get(&layout::copy(&submission.resource, &submission.device))?
             .ok_or_else(|| revert("copy no longer registered"))?;
         if copy
             .attestation_key
@@ -580,11 +412,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let reaff: EvidenceReaffirmation = decode_from_slice(args)?;
-        let rkey = self
-            .keys
-            .lock()
-            .expect("key cache poisoned")
-            .round(&reaff.resource, reaff.round);
+        let rkey = layout::round(&reaff.resource, reaff.round);
         let mut round: MonitoringRound = ctx
             .get(&rkey)?
             .ok_or_else(|| revert("unknown monitoring round"))?;
@@ -603,13 +431,7 @@ impl DistExchange {
             return Err(revert("duplicate evidence for device"));
         }
         let copy: CopyRow = ctx
-            .get(
-                &self
-                    .keys
-                    .lock()
-                    .expect("key cache poisoned")
-                    .copy(&reaff.resource, &reaff.device),
-            )?
+            .get(&layout::copy(&reaff.resource, &reaff.device))?
             .ok_or_else(|| revert("copy no longer registered"))?;
         if copy
             .attestation_key
@@ -621,13 +443,7 @@ impl DistExchange {
         // The prior evidence must exist, be compliant, and carry the very
         // same digest — anything else requires a full resubmission.
         let prev: MonitoringRound = ctx
-            .get(
-                &self
-                    .keys
-                    .lock()
-                    .expect("key cache poisoned")
-                    .round(&reaff.resource, reaff.prev_round),
-            )?
+            .get(&layout::round(&reaff.resource, reaff.prev_round))?
             .ok_or_else(|| revert("unknown prior round"))?;
         // `prev_round` must hold *full* evidence (devices always point
         // their reaffirmations at the round of their last full
@@ -655,24 +471,18 @@ impl DistExchange {
 
     fn get_round(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (resource, round): (String, u64) = decode_from_slice(args)?;
-        let record: Option<MonitoringRound> = ctx.get(
-            &self
-                .keys
-                .lock()
-                .expect("key cache poisoned")
-                .round(&resource, round),
-        )?;
+        let record: Option<MonitoringRound> = ctx.get(&layout::round(&resource, round))?;
         Ok(encode_to_vec(&record))
     }
 
     fn subscribe(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (webid,): (String,) = decode_from_slice(args)?;
         let fee: u128 = ctx
-            .get(b"cfg/fee")?
+            .get(&layout::cfg("fee"))?
             .ok_or_else(|| revert("market not initialized"))?;
-        let validity: u64 = ctx.get(b"cfg/validity")?.unwrap_or(0);
+        let validity: u64 = ctx.get(&layout::cfg("validity"))?.unwrap_or(0);
         let treasury: Address = ctx
-            .get(b"cfg/treasury")?
+            .get(&layout::cfg("treasury"))?
             .ok_or_else(|| revert("market not initialized"))?;
         ctx.transfer_from_caller(treasury, fee)?;
         let certificate = hash_parts(&[
@@ -687,20 +497,13 @@ impl DistExchange {
             paid_at: ctx.block_time,
             valid_until: ctx.block_time + SimDuration::from_nanos(validity),
         };
-        ctx.set(
-            self.keys
-                .lock()
-                .expect("key cache poisoned")
-                .sub(&webid)
-                .to_vec(),
-            &sub,
-        )?;
+        ctx.set(layout::sub(&webid), &sub)?;
         // Existence marker only: ownership of the certificate is implied —
         // the sole writer of cert/{c} is the subscribe that minted c, and
         // c commits to the subscriber's WebID (hash preimage above), so
         // sub/{webid}.certificate == c already proves c was issued to
         // webid. Storing the WebID again would duplicate the key material.
-        ctx.set_raw(cert_key(&certificate), Vec::new())?;
+        ctx.set_raw(layout::cert(&certificate), Vec::new())?;
         ctx.emit(
             topics::CERTIFICATE_ISSUED,
             encode_to_vec(&(webid, certificate)),
@@ -714,9 +517,8 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let (certificate, webid): (Digest, String) = decode_from_slice(args)?;
-        let valid = if ctx.get_raw(&cert_key(&certificate))?.is_some() {
-            let sub: Option<SubRow> =
-                ctx.get(self.keys.lock().expect("key cache poisoned").sub(&webid))?;
+        let valid = if ctx.get_raw(&layout::cert(&certificate))?.is_some() {
+            let sub: Option<SubRow> = ctx.get(&layout::sub(&webid))?;
             sub.map(|s| s.certificate == certificate && s.valid_at(ctx.block_time))
                 .unwrap_or(false)
         } else {
@@ -732,7 +534,7 @@ impl DistExchange {
     ) -> Result<Vec<u8>, ContractError> {
         let (webid,): (String,) = decode_from_slice(args)?;
         let sub: Option<Subscription> = ctx
-            .get::<SubRow>(self.keys.lock().expect("key cache poisoned").sub(&webid))?
+            .get::<SubRow>(&layout::sub(&webid))?
             .map(|row| row.into_record(webid));
         Ok(encode_to_vec(&sub))
     }

@@ -27,6 +27,7 @@ pub mod abi;
 pub mod access;
 pub mod client;
 pub mod dist_exchange;
+mod layout;
 pub mod routing;
 pub mod rows;
 
@@ -37,7 +38,7 @@ pub use abi::{
 pub use access::{dex_access, dex_access_fn};
 pub use client::DistExchangeClient;
 pub use dist_exchange::{DistExchange, DEX_CONTRACT_ID};
-pub use rows::{pol_key, CopyRow, PodRow, ResourceRow, SubRow};
+pub use rows::{CopyRow, PodRow, ResourceRow, SubRow};
 
 /// Event topics emitted by the DE App (oracle subscriptions filter on
 /// these).

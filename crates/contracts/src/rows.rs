@@ -28,13 +28,6 @@ use duc_sim::SimTime;
 
 use crate::abi::{CopyRecord, PodRecord, PolicyEnvelope, ResourceRecord, Subscription};
 
-/// The content-addressed policy-table key: `pol/` + raw digest bytes.
-pub fn pol_key(digest: &Digest) -> Vec<u8> {
-    let mut k = b"pol/".to_vec();
-    k.extend_from_slice(digest.as_bytes());
-    k
-}
-
 /// A registered pod as stored: the owner WebID lives in the key
 /// (`pod/{owner_webid}`), the default policy in the pol table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,13 +322,5 @@ mod tests {
             "pod row ({row_len}B) should undercut the ABI record ({rec_len}B) \
              even counting the 32-byte digest twice"
         );
-    }
-
-    #[test]
-    fn pol_key_is_prefix_plus_digest() {
-        let d = envelope().digest();
-        let k = pol_key(&d);
-        assert!(k.starts_with(b"pol/"));
-        assert_eq!(&k[4..], d.as_bytes());
     }
 }

@@ -27,10 +27,7 @@ impl World {
             .validators(4)
             .block_interval(SimDuration::from_secs(2))
             .build();
-        chain.deploy(
-            ContractId::new(DEX_CONTRACT_ID),
-            Box::new(DistExchange::default()),
-        );
+        chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
         let admin = chain.create_funded_account(b"admin", 1_000_000_000);
         let alice = chain.create_funded_account(b"alice", 1_000_000_000);
         let bob = chain.create_funded_account(b"bob", 1_000_000_000);
@@ -266,6 +263,68 @@ fn copy_tracking() {
     let copies = w.dex.list_copies(&w.chain, MEDICAL).unwrap();
     assert_eq!(copies.len(), 1);
     assert_eq!(copies[0].device, "alice-laptop");
+}
+
+/// Composite keys are `copy/{resource}\0{device}`: a resource IRI that
+/// carries the separator would file its copies under another resource's
+/// scan prefix, planting a holder that can never report into the victim's
+/// monitoring rounds.
+#[test]
+fn separator_in_an_identity_cannot_plant_a_phantom_copy() {
+    let mut w = World::new();
+    w.register_bob_pod_and_resource();
+    let pod_tx = w.dex.register_pod_tx(
+        &w.chain,
+        &w.alice,
+        ALICE_WEBID,
+        "https://alice.pod/",
+        PolicyEnvelope::plain(&UsagePolicy::default_for("https://alice.pod/", ALICE_WEBID)),
+    );
+    w.chain.submit(pod_tx).unwrap();
+    w.step();
+    let shadow = format!("{MEDICAL}\0x");
+    let res_tx = w.dex.register_resource_tx(
+        &w.chain,
+        &w.alice,
+        &shadow,
+        "https://alice.pod/shadow",
+        ALICE_WEBID,
+        vec![],
+        PolicyEnvelope::plain(&UsagePolicy::default_for(&shadow, ALICE_WEBID)),
+    );
+    let res_id = w.chain.submit(res_tx).unwrap();
+    w.step();
+    match &w.chain.receipt(&res_id).unwrap().status {
+        TxStatus::Reverted(msg) => assert!(msg.contains("NUL"), "{msg}"),
+        other => panic!("expected revert, got {other:?}"),
+    }
+    let enclave = KeyPair::from_seed(b"d");
+    for (resource, device) in [(shadow.as_str(), "d"), (MEDICAL, "x\0d")] {
+        let tx = w.dex.register_copy_tx(
+            &w.chain,
+            &w.alice,
+            resource,
+            device,
+            ALICE_WEBID,
+            enclave.public(),
+        );
+        let id = w.chain.submit(tx).unwrap();
+        w.step();
+        assert!(matches!(
+            w.chain.receipt(&id).unwrap().status,
+            TxStatus::Reverted(_)
+        ));
+    }
+
+    assert!(w.dex.list_copies(&w.chain, MEDICAL).unwrap().is_empty());
+    let tx = w.dex.start_monitoring_tx(&w.chain, &w.bob, MEDICAL);
+    let id = w.chain.submit(tx).unwrap();
+    w.step();
+    let round = DistExchangeClient::decode_round_number(&w.chain.receipt(&id).unwrap().return_data)
+        .unwrap();
+    let record = w.dex.get_round(&w.chain, MEDICAL, round).unwrap().unwrap();
+    assert!(record.expected_devices.is_empty(), "{record:?}");
+    assert!(record.closed);
 }
 
 #[test]

@@ -243,9 +243,7 @@ impl<L: Ledger> World<L> {
     /// and wires the oracles. For the single-chain backend this is
     /// step-for-step the pre-trait constructor (byte-identical runs).
     pub fn with_ledger(config: WorldConfig, mut chain: L) -> World<L> {
-        chain.deploy_with(ContractId::new(DEX_CONTRACT_ID), &|| {
-            Box::new(DistExchange::default())
-        });
+        chain.deploy_with(ContractId::new(DEX_CONTRACT_ID), &|| Box::new(DistExchange));
         chain.install_access_fn(&duc_contracts::dex_access_fn);
         let dex = DistExchangeClient::new();
 

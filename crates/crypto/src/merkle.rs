@@ -112,11 +112,6 @@ impl MerkleTree {
         self.levels.last().expect("non-empty")[0]
     }
 
-    /// Number of leaves committed (1 for the empty tree's sentinel leaf).
-    pub fn leaf_count(&self) -> usize {
-        self.levels[0].len()
-    }
-
     /// Produces an inclusion proof for leaf `index`, or `None` if out of
     /// range.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
@@ -155,7 +150,6 @@ mod tests {
     fn single_leaf_root_is_leaf_hash() {
         let tree = MerkleTree::from_leaves(&leaves(1));
         assert_eq!(tree.root(), hash_leaf(b"leaf-0"));
-        assert_eq!(tree.leaf_count(), 1);
         let proof = tree.prove(0).unwrap();
         assert!(proof.steps().is_empty());
         assert!(proof.verify(b"leaf-0", &tree.root()));

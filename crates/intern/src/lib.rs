@@ -387,11 +387,6 @@ impl<V> Registry<V> {
         self.map.get_mut(sym).map(|(_, v)| v)
     }
 
-    /// The value under symbol `sym`, if present.
-    pub fn get_sym(&self, sym: Sym) -> Option<&V> {
-        self.map.get(sym).map(|(_, v)| v)
-    }
-
     /// Mutable access to the value under symbol `sym`, if present.
     pub fn get_sym_mut(&mut self, sym: Sym) -> Option<&mut V> {
         self.map.get_mut(sym).map(|(_, v)| v)
@@ -535,7 +530,6 @@ mod tests {
         // One shared symbol space across both registries.
         assert_eq!(ids.len(), 3);
         let alice = owners.sym("alice").unwrap();
-        assert_eq!(owners.get_sym(alice), Some(&1));
         assert_eq!(
             owners
                 .iter()

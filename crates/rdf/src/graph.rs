@@ -78,34 +78,6 @@ impl Graph {
             .map(|(_, t)| t)
     }
 
-    /// Triples with the given subject.
-    pub fn triples_for_subject<'a>(
-        &'a self,
-        subject: &'a Term,
-    ) -> impl Iterator<Item = &'a Triple> {
-        self.by_subject
-            .get(subject)
-            .into_iter()
-            .flatten()
-            .filter(move |&&i| !self.tombstones.contains(&i))
-            .map(move |&i| &self.triples[i])
-            .filter(move |t| self.present.contains(*t))
-    }
-
-    /// Triples with the given predicate.
-    pub fn triples_for_predicate<'a>(
-        &'a self,
-        predicate: &'a Iri,
-    ) -> impl Iterator<Item = &'a Triple> {
-        self.by_predicate
-            .get(predicate)
-            .into_iter()
-            .flatten()
-            .filter(move |&&i| !self.tombstones.contains(&i))
-            .map(move |&i| &self.triples[i])
-            .filter(move |t| self.present.contains(*t))
-    }
-
     /// Pattern match with optional components (`None` = wildcard).
     pub fn matching<'a>(
         &'a self,
@@ -255,10 +227,9 @@ mod tests {
         g.insert(t("urn:a", "urn:p1", Term::literal_int(1)));
         g.insert(t("urn:a", "urn:p2", Term::literal_int(2)));
         g.insert(t("urn:b", "urn:p1", Term::literal_int(3)));
-        let a = Term::iri("urn:a");
-        assert_eq!(g.triples_for_subject(&a).count(), 2);
         let p1 = iri("urn:p1");
-        assert_eq!(g.triples_for_predicate(&p1).count(), 2);
+        assert_eq!(g.objects(&iri("urn:a"), &p1).count(), 1);
+        assert_eq!(g.subjects(&p1, &Term::literal_int(3)).count(), 1);
     }
 
     #[test]

@@ -335,11 +335,6 @@ impl TraceRecorder {
         &self.events
     }
 
-    /// Events of the given kind, in order.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Whether an event of `kind` was recorded.
     pub fn contains_kind(&self, kind: &str) -> bool {
         self.events.iter().any(|e| e.kind == kind)
@@ -444,7 +439,6 @@ mod tests {
         );
         assert_eq!(t.events().len(), 2);
         assert!(t.contains_kind("oracle.push_in"));
-        assert_eq!(t.of_kind("pod.create").count(), 1);
         let line = format!("{}", t.events()[0]);
         assert!(line.contains("pm:alice") && line.contains("pod.create"));
         t.clear();

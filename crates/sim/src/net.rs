@@ -133,7 +133,7 @@ impl Delivery {
     }
 }
 
-/// A network of endpoints with per-pair link overrides, loss and partitions.
+/// A network of endpoints with one link model, loss and partitions.
 ///
 /// # Example
 /// ```
@@ -149,7 +149,6 @@ impl Delivery {
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     default_link: LinkConfig,
-    overrides: HashMap<(EndpointId, EndpointId), LinkConfig>,
     partitions: HashSet<(EndpointId, EndpointId)>,
     down: HashSet<EndpointId>,
     /// Additional drop probability per directed pair (fault-plan drop
@@ -176,7 +175,6 @@ impl NetworkModel {
     pub fn new(default_link: LinkConfig) -> Self {
         NetworkModel {
             default_link,
-            overrides: HashMap::new(),
             partitions: HashSet::new(),
             down: HashSet::new(),
             extra_drop: HashMap::new(),
@@ -210,11 +208,6 @@ impl NetworkModel {
         self.names.len()
     }
 
-    /// Overrides the link configuration for the *directed* pair `from → to`.
-    pub fn set_link(&mut self, from: EndpointId, to: EndpointId, cfg: LinkConfig) {
-        self.overrides.insert((from, to), cfg);
-    }
-
     /// Severs connectivity in *both* directions between `a` and `b`.
     pub fn partition(&mut self, a: EndpointId, b: EndpointId) {
         self.partitions.insert((a, b));
@@ -234,11 +227,6 @@ impl NetworkModel {
         } else {
             self.down.remove(&ep);
         }
-    }
-
-    /// Whether `ep` is currently marked down.
-    pub fn is_down(&self, ep: EndpointId) -> bool {
-        self.down.contains(&ep)
     }
 
     /// Layers an additional drop probability over the pair `a`↔`b` (both
@@ -277,10 +265,7 @@ impl NetworkModel {
             self.dropped_down += 1;
             return Delivery::Dropped;
         }
-        let cfg = self
-            .overrides
-            .get(&(from, to))
-            .unwrap_or(&self.default_link);
+        let cfg = &self.default_link;
         // Combine link loss with any fault-window loss into one draw so a
         // fault-free run consumes the RNG — and decides each delivery —
         // exactly as before (the combine formula is skipped entirely when
@@ -396,7 +381,6 @@ mod tests {
         let a = net.add_endpoint("a");
         let b = net.add_endpoint("b");
         net.set_down(b, true);
-        assert!(net.is_down(b));
         assert_eq!(net.transmit(a, b, 1, &mut rng()), Delivery::Dropped);
         net.set_down(b, false);
         assert!(net.transmit(a, b, 1, &mut rng()).delay().is_some());
@@ -419,32 +403,6 @@ mod tests {
         let (sent, drop_count, _) = net.stats();
         assert_eq!(sent, 5000);
         assert_eq!(drop_count as usize, dropped);
-    }
-
-    #[test]
-    fn per_link_override_takes_precedence() {
-        let mut net = NetworkModel::new(LinkConfig::local());
-        let a = net.add_endpoint("a");
-        let b = net.add_endpoint("b");
-        net.set_link(
-            a,
-            b,
-            LinkConfig {
-                latency: LatencyModel::Constant(SimDuration::from_millis(99)),
-                drop_probability: 0.0,
-                bandwidth_bps: None,
-            },
-        );
-        let mut r = rng();
-        assert_eq!(
-            net.transmit(a, b, 1, &mut r).delay().unwrap(),
-            SimDuration::from_millis(99)
-        );
-        // Reverse direction still uses the default.
-        assert_eq!(
-            net.transmit(b, a, 1, &mut r).delay().unwrap(),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

@@ -126,14 +126,6 @@ impl Rng {
         mean + std_dev * mag * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Fills `buf` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -333,13 +325,5 @@ mod tests {
         let mut c2 = parent.fork(2);
         let equal = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert_eq!(equal, 0);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = Rng::seed_from_u64(14);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -263,20 +263,6 @@ impl Scheduler {
         self.clock.advance_to(horizon);
         count
     }
-
-    /// Runs until no events remain (or `max_events` fired, as a livelock
-    /// guard). Returns the number of events executed.
-    pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
-        let mut count = 0;
-        while count < max_events {
-            let at = match self.heap.peek() {
-                Some(Reverse(e)) => e.at,
-                None => break,
-            };
-            count += self.run_until(at);
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -404,17 +390,6 @@ mod tests {
             s.run_until(s.clock().now() + SimDuration::from_millis(1));
         }
         assert_eq!(s.slots.len(), slots);
-    }
-
-    #[test]
-    fn run_to_completion_bounds_livelock() {
-        let mut s = Scheduler::new(Clock::new());
-        fn forever(ctx: &mut SchedulerCtx<'_>) {
-            ctx.schedule_in(SimDuration::from_millis(1), forever);
-        }
-        s.schedule_at(SimTime::from_millis(1), forever);
-        let ran = s.run_to_completion(100);
-        assert!(ran <= 101, "guard bounds runaway self-scheduling: {ran}");
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Pod {
     pub fn is_empty(&self) -> bool {
         self.resources.is_empty()
     }
-
-    /// Total stored bytes.
-    pub fn total_size(&self) -> usize {
-        self.resources.values().map(Resource::size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -142,6 +137,5 @@ mod tests {
         pod.put("a", ResourceKind::Binary(vec![0; 10]));
         pod.put("b", ResourceKind::Text("xyz".into()));
         assert_eq!(pod.len(), 2);
-        assert_eq!(pod.total_size(), 13);
     }
 }
