@@ -382,6 +382,34 @@ mod tests {
         );
     }
 
+    /// Known answers recorded before the arithmetic was rewritten: keys and
+    /// signatures are consensus bytes (addresses, tx ids, block hashes), so
+    /// any change of kernel must reproduce them exactly.
+    #[test]
+    fn known_answers() {
+        for (seed, public) in [
+            (&b"alice"[..], 0x0588_c9cf_e772_c7d1),
+            (b"bob", 0x3b38_c328_caf5_0872),
+            (b"validator-0", 0x2213_981e_0bdb_86c0),
+        ] {
+            assert_eq!(KeyPair::from_seed(seed).public(), PublicKey(public));
+        }
+        let alice = KeyPair::from_seed(b"alice");
+        let long: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for (msg, e, s) in [
+            (&b""[..], 0x152d_6a45_06ef_2893, 0x1cf0_7b47_639f_5df3),
+            (b"m", 0x01fd_67f4_5373_a309, 0x1b8c_9085_13ef_780a),
+            (&long, 0x1492_107c_235d_41e3, 0x0b26_45bd_b55b_0058),
+        ] {
+            let sig = alice.sign(msg);
+            assert_eq!(sig, Signature { e, s }, "message of {} bytes", msg.len());
+            alice
+                .public()
+                .verify(msg, &sig)
+                .expect("known answer verifies");
+        }
+    }
+
     #[test]
     fn public_key_display_is_stable() {
         let kp = KeyPair::from_seed(b"grace");
