@@ -1,5 +1,7 @@
 //! Blocks: Merkle-committed transaction batches signed by their proposer.
 
+use std::collections::HashSet;
+
 use duc_codec::{encode_to_vec, Decode, DecodeError, Encode, Reader};
 use duc_crypto::{hash_parts, Digest, KeyPair, MerkleTree, PublicKey, Signature};
 use duc_sim::SimTime;
@@ -145,7 +147,13 @@ impl Block {
         }
     }
 
-    /// Structural validity: signature, tx root, and every tx signature.
+    /// Structural validity: signature, tx root, every tx signature, and no
+    /// `(sender, nonce)` twice.
+    ///
+    /// The last check is not redundant with the root: [`MerkleTree`]
+    /// promotes an odd node by pairing it with itself, so `[a, b, c]` and
+    /// `[a, b, c, c]` share a `tx_root`, and the duplicate would otherwise
+    /// pass under the unchanged signed header.
     pub fn validate(&self) -> Result<(), BlockValidationError> {
         if !self.header.verify_signature() {
             return Err(BlockValidationError::BadProposerSignature);
@@ -153,9 +161,13 @@ impl Block {
         if Block::compute_tx_root(&self.transactions) != self.header.tx_root {
             return Err(BlockValidationError::TxRootMismatch);
         }
+        let mut seen = HashSet::with_capacity(self.transactions.len());
         for (i, tx) in self.transactions.iter().enumerate() {
             if !tx.verify() {
                 return Err(BlockValidationError::BadTransaction(i));
+            }
+            if !seen.insert((tx.tx.from, tx.tx.nonce)) {
+                return Err(BlockValidationError::DuplicateTransaction(i));
             }
         }
         Ok(())
@@ -188,6 +200,8 @@ pub enum BlockValidationError {
     TxRootMismatch,
     /// Transaction at the index fails verification.
     BadTransaction(usize),
+    /// Transaction at the index repeats an earlier one's `(sender, nonce)`.
+    DuplicateTransaction(usize),
     /// Parent hash does not match the predecessor.
     BrokenParentLink(u64),
 }
@@ -199,6 +213,9 @@ impl std::fmt::Display for BlockValidationError {
             BlockValidationError::TxRootMismatch => f.write_str("tx merkle root mismatch"),
             BlockValidationError::BadTransaction(i) => {
                 write!(f, "invalid transaction at index {i}")
+            }
+            BlockValidationError::DuplicateTransaction(i) => {
+                write!(f, "transaction at index {i} repeats a (sender, nonce)")
             }
             BlockValidationError::BrokenParentLink(h) => {
                 write!(f, "broken parent link at height {h}")
@@ -284,6 +301,29 @@ mod tests {
         let proposer = KeyPair::from_seed(b"validator-0");
         b.header.signature = proposer.sign(&b.header.signing_bytes());
         assert_eq!(b.validate(), Err(BlockValidationError::BadTransaction(0)));
+    }
+
+    /// A repeated last transaction leaves the Merkle root unchanged (odd
+    /// nodes pair with themselves), so the signed header still matches:
+    /// only the `(sender, nonce)` check catches it.
+    #[test]
+    fn duplicated_last_transaction_is_rejected() {
+        let proposer = KeyPair::from_seed(b"validator-0");
+        let mut b = Block::seal(
+            1,
+            Digest::ZERO,
+            duc_crypto::sha256(b"state"),
+            SimTime::from_secs(2),
+            vec![sample_tx(0), sample_tx(1), sample_tx(2)],
+            &proposer,
+        );
+        assert_eq!(b.validate(), Ok(()));
+        b.transactions.push(sample_tx(2));
+        assert_eq!(Block::compute_tx_root(&b.transactions), b.header.tx_root);
+        assert_eq!(
+            b.validate(),
+            Err(BlockValidationError::DuplicateTransaction(3))
+        );
     }
 
     #[test]

@@ -183,11 +183,16 @@ impl BlockchainBuilder {
         let validators: Vec<KeyPair> = (0..self.validator_count)
             .map(|i| KeyPair::from_seed(format!("duc/validator-{i}").as_bytes()))
             .collect();
+        let validator_addresses = validators
+            .iter()
+            .map(|k| Address::from_public_key(&k.public()))
+            .collect();
         let archive = self.storage.archive_path.as_ref().map(|path| {
             FileArchive::open(path).unwrap_or_else(|e| panic!("open archive {path:?}: {e}"))
         });
         Blockchain {
             validators,
+            validator_addresses,
             down_validators: HashSet::new(),
             block_interval: self.block_interval,
             next_slot: 1,
@@ -221,6 +226,8 @@ impl BlockchainBuilder {
 /// network — consensus among honest replicas is deterministic replay).
 pub struct Blockchain {
     validators: Vec<KeyPair>,
+    /// `validators[i]`'s fee-collection address, derived once at build.
+    validator_addresses: Vec<Address>,
     down_validators: HashSet<usize>,
     block_interval: SimDuration,
     /// The next production slot (slot k opens at genesis + k × interval).
@@ -487,7 +494,7 @@ impl Blockchain {
 
     fn produce_block(&mut self, timestamp: SimTime, proposer_idx: usize) {
         let height = self.blocks.height() + 1;
-        let proposer = Address::from_public_key(&self.validators[proposer_idx].public());
+        let proposer = self.validator_addresses[proposer_idx];
         let included = match self.exec_mode {
             ExecMode::Serial => self.fill_block_serial(height, timestamp, proposer),
             ExecMode::Parallel => self.fill_block_parallel(height, timestamp, proposer),
@@ -512,6 +519,8 @@ impl Blockchain {
             .unwrap_or_else(|| self.blocks.base_parent());
         let (transactions, leaves): (Vec<_>, Vec<_>) =
             included.into_iter().map(|e| (e.tx, e.encoded)).unzip();
+        // Hash the block's account rows once each, not once per touch.
+        self.state.settle();
         let block = Block::seal_encoded(
             height,
             parent,
@@ -639,18 +648,13 @@ impl Blockchain {
             .collect();
 
         // ---- derive access sets and level the conflict graph
-        let validator_addrs: HashSet<Address> = self
-            .validators
-            .iter()
-            .map(|k| Address::from_public_key(&k.public()))
-            .collect();
         let sets: Vec<AccessSet> = plan
             .iter()
             .map(|entry| {
                 let tx = &entry.tx;
                 // A validator-sender could observe its own mid-block
                 // proposer fee credits through its balance; serialize it.
-                let base = if validator_addrs.contains(&tx.tx.from) {
+                let base = if self.validator_addresses.contains(&tx.tx.from) {
                     AccessSet::Exclusive
                 } else {
                     match (&tx.tx.kind, &self.access_fn) {
@@ -1131,11 +1135,8 @@ impl Blockchain {
     /// The fee-collection addresses of every validator, in index order —
     /// the single source of truth for gas-conservation audits (gas paid
     /// out always lands on one of these).
-    pub fn validator_addresses(&self) -> Vec<Address> {
-        self.validators
-            .iter()
-            .map(|k| Address::from_public_key(&k.public()))
-            .collect()
+    pub fn validator_addresses(&self) -> &[Address] {
+        &self.validator_addresses
     }
 
     /// Slots skipped because their proposer was down.

@@ -268,7 +268,7 @@ pub trait Ledger {
     /// Fee-collection addresses of every validator (identical across
     /// shards; balances sum across shards, so gas-conservation audits hold
     /// shard-count-independently).
-    fn validator_addresses(&self) -> Vec<Address>;
+    fn validator_addresses(&self) -> &[Address];
 
     /// Slots missed because their proposer was down, across every shard.
     fn slots_missed(&self) -> u64;
@@ -458,7 +458,7 @@ impl Ledger for Blockchain {
         Blockchain::validator_count(self)
     }
 
-    fn validator_addresses(&self) -> Vec<Address> {
+    fn validator_addresses(&self) -> &[Address] {
         Blockchain::validator_addresses(self)
     }
 
@@ -917,7 +917,7 @@ impl Ledger for ShardedLedger {
         self.shards[0].validator_count()
     }
 
-    fn validator_addresses(&self) -> Vec<Address> {
+    fn validator_addresses(&self) -> &[Address] {
         self.shards[0].validator_addresses()
     }
 

@@ -15,7 +15,16 @@
 //! digest-verified read and one validating pass over the bytes, evicting a
 //! clean page drops it, and evicting a dirty one appends the bytes it
 //! already holds.
+//!
+//! Account rows are folded into the accumulator once per block, not once
+//! per touch: a transaction's fee debit, nonce bump, refund and proposer
+//! credit hit the same few accounts, so the first touch of an account takes
+//! its old row out and later touches only mutate it. The chain settles the
+//! touched rows back in before it seals. Reads of the commitment fold any
+//! unsettled rows in on the fly, so they are exact at every instant and no
+//! caller has to remember to settle first.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::sync::Mutex;
@@ -32,6 +41,15 @@ pub struct AccountState {
     pub balance: Amount,
     /// Next expected transaction nonce.
     pub nonce: u64,
+}
+
+/// An account as the state holds it: its entry, and whether the
+/// accumulator holds the entry's row (`false` between the first touch in a
+/// block and [`WorldState::settle`]).
+#[derive(Debug, Clone, Copy)]
+struct Account {
+    state: AccountState,
+    folded: bool,
 }
 
 // ------------------------------------------------------------ paging stats
@@ -514,12 +532,12 @@ impl PagedSlots {
     /// accumulator exactly.
     fn verify(
         &mut self,
-        accounts: &BTreeMap<Address, AccountState>,
+        accounts: &BTreeMap<Address, Account>,
         acc: &[u8; 32],
     ) -> Result<(), String> {
         let mut recomputed = [0u8; 32];
         for (addr, account) in accounts {
-            xor_row(&mut recomputed, &account_row(addr, account));
+            xor_row(&mut recomputed, &account_row(addr, &account.state));
         }
         let mut slot_count = 0usize;
         let mut byte_size = 0usize;
@@ -636,22 +654,28 @@ impl PagedSlots {
 ///
 /// Ordered pages keep iteration deterministic, and every mutator keeps the
 /// commitment accumulator in sync so [`WorldState::commitment`] — which
-/// block state roots depend on — stays O(1) in the state size. Reads go
-/// through a `Mutex` because a read may *fault in* an evicted page (and
-/// evict another); the lock keeps `WorldState: Sync` for the parallel
-/// executor, which probes shared state from scoped threads.
+/// block state roots depend on — costs O(accounts touched since the last
+/// seal), not O(state size). Slot rows are folded as they change; account
+/// rows once per block (see the module docs), and every read of the
+/// commitment is exact at any instant. Reads go through a `Mutex` because
+/// a read may *fault in* an evicted page (and evict another); the lock
+/// keeps `WorldState: Sync` for the parallel executor, which probes shared
+/// state from scoped threads.
 #[derive(Debug)]
 pub struct WorldState {
-    accounts: BTreeMap<Address, AccountState>,
+    accounts: BTreeMap<Address, Account>,
+    /// The accounts whose `folded` flag is down, in first-touch order.
+    unfolded: Vec<Address>,
     slots: Mutex<PagedSlots>,
     /// XOR multiset of per-row digests (one row per account, one per
-    /// storage slot). XOR is commutative and self-inverse, so replacing a
-    /// row is "XOR out the old, XOR in the new" and the accumulator always
-    /// equals the XOR over the *current* rows, independent of history —
-    /// which is exactly what a state commitment must hash. Maintaining it
-    /// incrementally keeps block sealing from walking the full state, and
-    /// makes paging invisible to commitments: eviction moves bytes, not
-    /// rows.
+    /// storage slot), less the rows of `unfolded` accounts. XOR is
+    /// commutative and self-inverse, so replacing a row is "XOR out the
+    /// old, XOR in the new" and the accumulator with those rows folded in
+    /// always equals the XOR over the *current* rows, independent of
+    /// history — which is exactly what a state commitment must hash.
+    /// Maintaining it incrementally keeps block sealing from walking the
+    /// full state, and makes paging invisible to commitments: eviction
+    /// moves bytes, not rows.
     acc: [u8; 32],
 }
 
@@ -689,6 +713,7 @@ impl WorldState {
     pub fn with_paging(cfg: &PagingConfig) -> WorldState {
         WorldState {
             accounts: BTreeMap::new(),
+            unfolded: Vec::new(),
             slots: Mutex::new(PagedSlots::from_config(cfg)),
             acc: [0u8; 32],
         }
@@ -704,7 +729,7 @@ impl WorldState {
 
     /// The account entry (default zero for unknown addresses).
     pub fn account(&self, addr: &Address) -> AccountState {
-        self.accounts.get(addr).copied().unwrap_or_default()
+        self.accounts.get(addr).map(|a| a.state).unwrap_or_default()
     }
 
     /// Current balance.
@@ -717,17 +742,43 @@ impl WorldState {
         self.account(addr).nonce
     }
 
-    /// Applies `mutate` to `addr`'s account entry (created on first touch),
-    /// keeping the commitment accumulator in sync.
+    /// Applies `mutate` to `addr`'s account entry (created on first touch).
+    /// The first touch since the last [`WorldState::settle`] takes the
+    /// account's row out of the accumulator; later ones hash nothing.
     fn with_account(&mut self, addr: &Address, mutate: impl FnOnce(&mut AccountState)) {
-        if let Some(prev) = self.accounts.get(addr) {
-            let old = account_row(addr, prev);
-            xor_row(&mut self.acc, &old);
+        let account = match self.accounts.entry(*addr) {
+            Entry::Occupied(entry) => {
+                let account = entry.into_mut();
+                if account.folded {
+                    xor_row(&mut self.acc, &account_row(addr, &account.state));
+                    account.folded = false;
+                    self.unfolded.push(*addr);
+                }
+                account
+            }
+            Entry::Vacant(entry) => {
+                self.unfolded.push(*addr);
+                entry.insert(Account {
+                    state: AccountState::default(),
+                    folded: false,
+                })
+            }
+        };
+        mutate(&mut account.state);
+    }
+
+    /// Folds the row of every account touched since the last call into the
+    /// accumulator. Commitments read the same before and after; the chain
+    /// calls it once per sealed block so the rows are hashed once per block.
+    pub(crate) fn settle(&mut self) {
+        for addr in self.unfolded.drain(..) {
+            let account = self
+                .accounts
+                .get_mut(&addr)
+                .expect("unfolded account exists");
+            xor_row(&mut self.acc, &account_row(&addr, &account.state));
+            account.folded = true;
         }
-        let entry = self.accounts.entry(*addr).or_default();
-        mutate(entry);
-        let new = account_row(addr, entry);
-        xor_row(&mut self.acc, &new);
     }
 
     /// Credits an account (used by genesis funding and fee redistribution).
@@ -825,38 +876,51 @@ impl WorldState {
 
     /// Verifies page-store integrity: every evicted page reads back under
     /// its digest-verified handle, page ranges partition the key space,
-    /// and the decoded whole reproduces the commitment accumulator. Does
-    /// not change residency.
+    /// and the decoded whole reproduces the commitment accumulator (with
+    /// unsettled account rows folded in). Does not change residency.
     ///
     /// # Errors
     /// A human-readable description of the first violation found.
     pub fn verify_pages(&self) -> Result<(), String> {
-        let accounts = &self.accounts;
-        let acc = self.acc;
-        self.slots_shared().verify(accounts, &acc)
+        let flagged = self.accounts.values().filter(|a| !a.folded).count();
+        let listed = self.unfolded.iter().all(|addr| !self.accounts[addr].folded);
+        if flagged != self.unfolded.len() || !listed {
+            return Err(format!(
+                "unfolded account rows desynced: {flagged} flagged, {} listed",
+                self.unfolded.len()
+            ));
+        }
+        let acc = self.accumulator();
+        self.slots_shared().verify(&self.accounts, &acc)
     }
 
     /// A digest committing to the entire state (accounts + storage).
     ///
-    /// Reads the incrementally-maintained accumulator, so sealing a block
-    /// costs O(1) regardless of how many accounts and slots exist. The
-    /// entry counts are folded in so states whose accumulators collide by
-    /// row-set size manipulation still separate on cardinality.
+    /// Reads the incrementally-maintained accumulator, so it costs
+    /// O(accounts touched since the last block) regardless of how many
+    /// accounts and slots exist. The entry counts are folded in so states
+    /// whose accumulators collide by row-set size manipulation still
+    /// separate on cardinality.
     pub fn commitment(&self) -> Digest {
         hash_parts(&[
             b"duc/state",
-            &self.acc,
+            &self.accumulator(),
             &(self.accounts.len() as u64).to_le_bytes(),
             &(self.storage_slot_count() as u64).to_le_bytes(),
         ])
     }
 
-    /// The raw XOR-multiset accumulator behind [`WorldState::commitment`].
+    /// The raw XOR-multiset accumulator behind [`WorldState::commitment`],
+    /// unsettled account rows included.
     ///
     /// Checkpoints persist this so a restored store can resume incremental
     /// maintenance without replaying history.
     pub fn accumulator(&self) -> [u8; 32] {
-        self.acc
+        let mut acc = self.acc;
+        for addr in &self.unfolded {
+            xor_row(&mut acc, &account_row(addr, &self.accounts[addr].state));
+        }
+        acc
     }
 }
 
@@ -873,6 +937,7 @@ impl Clone for WorldState {
     fn clone(&self) -> Self {
         WorldState {
             accounts: self.accounts.clone(),
+            unfolded: self.unfolded.clone(),
             slots: Mutex::new(self.slots_shared().clone_materialized()),
             acc: self.acc,
         }
@@ -1164,6 +1229,106 @@ mod tests {
             }
             assert_eq!(s.storage_slot_count(), model.len() + 12);
         }
+    }
+
+    /// The accumulator a state with `accounts` and `slots` must read,
+    /// folded eagerly from content.
+    fn eager_accumulator(
+        accounts: &BTreeMap<Address, AccountState>,
+        slots: &BTreeMap<(ContractId, Vec<u8>), Vec<u8>>,
+    ) -> [u8; 32] {
+        let mut acc = [0u8; 32];
+        for (addr, account) in accounts {
+            xor_row(&mut acc, &account_row(addr, account));
+        }
+        for ((contract, key), value) in slots {
+            xor_row(&mut acc, &storage_row(contract, key, value));
+        }
+        acc
+    }
+
+    /// Account rows fold once per block, but commitment reads are exact at
+    /// every instant: after each step of a seeded mix of account and slot
+    /// mutations and settles, `accumulator()` and `commitment()` equal an
+    /// eagerly folded reference, `verify_pages()` passes, and a clone taken
+    /// mid-block, fed the same steps and settled on its own schedule, agrees.
+    #[test]
+    fn account_rows_fold_once_per_block_and_read_exact() {
+        use duc_sim::Rng;
+        let contracts = [cid(), ContractId::new("other")];
+        let addrs: Vec<Address> = (0..6u8).map(|i| Address::from_seed(&[i])).collect();
+        let cfg = PagingConfig::in_memory(Some(2)).with_page_capacity(4);
+        let mut s = WorldState::with_paging(&cfg);
+        let mut twin: Option<WorldState> = None;
+        let mut accounts: BTreeMap<Address, AccountState> = BTreeMap::new();
+        let mut slots: BTreeMap<(ContractId, Vec<u8>), Vec<u8>> = BTreeMap::new();
+        let mut rng = Rng::seed_from_u64(0xF01D);
+        let mut settles = 0;
+        for step in 0..2_000u32 {
+            let addr = addrs[rng.gen_range(addrs.len() as u64) as usize];
+            let contract = &contracts[rng.gen_range(2) as usize];
+            let key = vec![b'k', rng.gen_range(16) as u8];
+            let amount = Amount::from(rng.gen_range(50));
+            let op = rng.gen_range(8);
+            for state in std::iter::once(&mut s).chain(twin.as_mut()) {
+                match op {
+                    0 | 1 => state.credit(addr, amount),
+                    2 => {
+                        let _ = state.debit(&addr, amount);
+                    }
+                    3 => state.bump_nonce(&addr),
+                    4 => state.storage_set(contract, key.clone(), step.to_le_bytes().to_vec()),
+                    5 => {
+                        state.storage_remove(contract, &key);
+                    }
+                    _ => {}
+                }
+            }
+            match op {
+                0 | 1 => accounts.entry(addr).or_default().balance += amount,
+                2 => {
+                    if accounts.get(&addr).map_or(0, |a| a.balance) >= amount {
+                        accounts.entry(addr).or_default().balance -= amount;
+                    }
+                }
+                3 => accounts.entry(addr).or_default().nonce += 1,
+                4 => {
+                    slots.insert((contract.clone(), key), step.to_le_bytes().to_vec());
+                }
+                5 => {
+                    slots.remove(&(contract.clone(), key));
+                }
+                6 => {
+                    s.settle();
+                    settles += 1;
+                }
+                _ => {
+                    if let Some(twin) = twin.as_mut() {
+                        twin.settle();
+                    }
+                }
+            }
+            if step % 97 == 0 {
+                twin = Some(s.clone());
+            }
+            let expected = eager_accumulator(&accounts, &slots);
+            let commitment = hash_parts(&[
+                b"duc/state",
+                &expected,
+                &(accounts.len() as u64).to_le_bytes(),
+                &(slots.len() as u64).to_le_bytes(),
+            ]);
+            assert_eq!(s.accumulator(), expected, "step {step}");
+            assert_eq!(s.commitment(), commitment, "step {step}");
+            s.verify_pages()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            let twin = twin.as_ref().expect("cloned at step 0");
+            assert_eq!(twin.accumulator(), expected, "twin, step {step}");
+            assert_eq!(twin.commitment(), commitment, "twin, step {step}");
+            twin.verify_pages()
+                .unwrap_or_else(|e| panic!("twin, step {step}: {e}"));
+        }
+        assert!(settles > 100, "the mix settles often: {settles}");
     }
 
     #[test]

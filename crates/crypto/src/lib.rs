@@ -20,7 +20,14 @@
 //!   CPUs that have AVX2 an eight-block one on `std::arch` intrinsics
 //!   serves every remainder of more than two blocks ([`chacha20::backend`]
 //!   names it). Ciphertext never depends on the choice.
-//! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group.
+//! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group. The
+//!   group is a constant ([`schnorr::GROUP`]; the Miller–Rabin search that
+//!   derives it runs only in tests), products mod `p` are Montgomery
+//!   multiplications, and every power of the generator is 15 products from
+//!   a const-evaluated fixed-base table; a key pair keeps its nonce HMAC
+//!   key with the pads already compressed. Keys and signatures are those of
+//!   the plain square-and-multiply this replaced, pinned by known answers;
+//!   the kernels are plain safe Rust on every CPU.
 //! * [`merkle`] — binary Merkle trees with inclusion proofs.
 //!
 //! ## Security model
@@ -36,7 +43,8 @@
 //!
 //! Denied crate-wide and allowed in exactly two private modules, the SHA-NI
 //! kernel inside [`mod@sha256`] and the AVX2 kernel inside [`chacha20`];
-//! every other crate of the workspace forbids it.
+//! every other crate of the workspace forbids it. The Schnorr arithmetic
+//! needs none.
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

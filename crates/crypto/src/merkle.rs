@@ -83,6 +83,12 @@ impl MerkleTree {
     ///
     /// An empty leaf set yields the conventional "empty root"
     /// (`H(0x00)`-leaf of the empty string), so every tree has a root.
+    ///
+    /// An odd node at the end of a level is promoted by pairing it with
+    /// itself. So a root commits to its leaf list only up to repeating the
+    /// last leaf at an odd level: `[a, b, c]` and `[a, b, c, c]` have the
+    /// same root. A caller that needs the exact list must reject repeated
+    /// leaves itself, as `Block::validate` does by `(sender, nonce)`.
     pub fn from_leaves(leaves: &[Vec<u8>]) -> MerkleTree {
         let leaf_digests: Vec<Digest> = if leaves.is_empty() {
             vec![hash_leaf(b"")]

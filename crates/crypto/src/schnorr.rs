@@ -1,11 +1,24 @@
 //! Schnorr signatures over a safe-prime group (simulation-scale).
 //!
 //! The group is the order-`q` subgroup of quadratic residues of `Z_p^*`,
-//! where `p = 2q + 1` is a safe prime found deterministically at first use
-//! and verified with deterministic Miller–Rabin (exact for 64-bit inputs).
+//! where `p = 2q + 1 = 2⁶² + 6595` is the first safe prime with
+//! `q ≥ 2⁶¹ + 1` and `g = 4`. [`GROUP`] is a constant; the deterministic
+//! Miller–Rabin search that found it lives in this module's tests, which
+//! check it still derives exactly these values.
 //! Nonces are derived deterministically (RFC 6979 in spirit) via
-//! HMAC-SHA-256, so signing needs no RNG and never reuses a nonce across
-//! distinct messages.
+//! HMAC-SHA-256 keyed by the secret scalar, so signing needs no RNG and
+//! never reuses a nonce across distinct messages; the key pair compresses
+//! that HMAC key's two pad blocks once, when it is made.
+//!
+//! Arithmetic mod `p` is in Montgomery form (`R = 2⁶⁴`, one REDC in `u128`
+//! per product; `p < 2⁶³` keeps every intermediate below `2¹²⁸`). Every
+//! power of `g` — keygen's `gˣ`, signing's `gᵏ`, verification's `gˢ` — is
+//! 15 products of entries of a const-evaluated table of `g^(j·16ⁱ)`; the
+//! one power of a variable base, verification's `P^(q−e)`, is
+//! square-and-multiply. Keys and signatures are bit-for-bit those of the
+//! plain `u128 %` square-and-multiply this replaced (pinned by known-answer
+//! tests, and every kernel is property-tested against that reference). It
+//! is safe Rust with no runtime dispatch.
 //!
 //! This is the documented substitution for secp256k1/EdDSA (DESIGN.md §2):
 //! the 63-bit modulus is *not* production-grade, but sign/verify semantics,
@@ -13,9 +26,8 @@
 //! exercises — are faithfully provided.
 
 use std::fmt;
-use std::sync::OnceLock;
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 use crate::sha256::Digest;
 use crate::{hash_parts, hex};
 
@@ -31,86 +43,112 @@ pub struct GroupParams {
     pub g: u64,
 }
 
-fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
+/// The signature group.
+pub const GROUP: GroupParams = GroupParams {
+    p: 4_611_686_018_427_394_499,
+    q: 2_305_843_009_213_697_249,
+    g: 4,
+};
+
+const P: u64 = GROUP.p;
+const Q: u64 = GROUP.q;
+const _: () = assert!(P < 1 << 63, "REDC's no-overflow bound");
+
+/// `−p⁻¹ mod 2⁶⁴`. Newton's iteration doubles the correct low bits of an
+/// inverse each step, from the 3 that any odd `p` is of itself.
+const P_NEG_INV: u64 = {
+    let mut inv = P;
+    let mut i = 0;
+    while i < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(P.wrapping_mul(inv)));
+        i += 1;
+    }
+    inv.wrapping_neg()
+};
+
+/// `R mod p`: one, in Montgomery form.
+const ONE: u64 = ((1u128 << 64) % P as u128) as u64;
+
+/// `R² mod p`: multiplying by it takes a residue into Montgomery form.
+const R2: u64 = ((ONE as u128 * ONE as u128) % P as u128) as u64;
+
+/// Montgomery reduction: `t·R⁻¹ mod p` for `t < p·R`. `t + m·p` stays
+/// below `p·R + R·p < 2¹²⁸` because `p < 2⁶³`.
+const fn redc(t: u128) -> u64 {
+    let m = (t as u64).wrapping_mul(P_NEG_INV);
+    let r = ((t + m as u128 * P as u128) >> 64) as u64;
+    if r >= P {
+        r - P
+    } else {
+        r
+    }
 }
 
-fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    let mut acc: u64 = 1;
-    base %= m;
+/// The product of two Montgomery-form residues, in Montgomery form.
+const fn mont_mul(a: u64, b: u64) -> u64 {
+    redc(a as u128 * b as u128)
+}
+
+/// `x` (any `u64`) into Montgomery form, reduced mod `p`.
+const fn to_mont(x: u64) -> u64 {
+    mont_mul(x, R2)
+}
+
+/// A Montgomery-form residue back to its plain value.
+const fn from_mont(x: u64) -> u64 {
+    redc(x as u128)
+}
+
+/// `G_TABLE[i][j] = g^(j·16ⁱ)` in Montgomery form: one row per hex digit
+/// of a 64-bit exponent.
+static G_TABLE: [[u64; 16]; 16] = {
+    let mut table = [[0u64; 16]; 16];
+    let mut base = to_mont(GROUP.g);
+    let mut i = 0;
+    while i < 16 {
+        let mut acc = ONE;
+        let mut j = 0;
+        while j < 16 {
+            table[i][j] = acc;
+            acc = mont_mul(acc, base);
+            j += 1;
+        }
+        // acc = base¹⁶ = g^(16ⁱ⁺¹)
+        base = acc;
+        i += 1;
+    }
+    table
+};
+
+/// `gᵏ` in Montgomery form, for any `k`: one table entry per hex digit.
+fn g_pow(k: u64) -> u64 {
+    let mut acc = G_TABLE[0][(k & 15) as usize];
+    for (i, row) in G_TABLE.iter().enumerate().skip(1) {
+        acc = mont_mul(acc, row[((k >> (4 * i)) & 15) as usize]);
+    }
+    acc
+}
+
+/// `baseᵉˣᵖ` by square-and-multiply, base and result in Montgomery form.
+fn pow_mont(mut base: u64, mut exp: u64) -> u64 {
+    let mut acc = ONE;
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mul_mod(acc, base, m);
+            acc = mont_mul(acc, base);
         }
-        base = mul_mod(base, base, m);
+        base = mont_mul(base, base);
         exp >>= 1;
     }
     acc
 }
 
-/// Deterministic Miller–Rabin, exact for all `n < 2^64`
-/// (witness set due to Sinclair).
-pub fn is_prime_u64(n: u64) -> bool {
-    if n < 2 {
-        return false;
-    }
-    for &p in &[2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        if n == p {
-            return true;
-        }
-        if n.is_multiple_of(p) {
-            return false;
-        }
-    }
-    let mut d = n - 1;
-    let mut r = 0u32;
-    while d.is_multiple_of(2) {
-        d /= 2;
-        r += 1;
-    }
-    'witness: for &a in &[2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = pow_mod(a, d, n);
-        if x == 1 || x == n - 1 {
-            continue;
-        }
-        for _ in 0..r - 1 {
-            x = mul_mod(x, x, n);
-            if x == n - 1 {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-fn find_group() -> GroupParams {
-    // Deterministic search: first safe prime p = 2q+1 with q >= 2^61 + 1.
-    let mut q: u64 = (1u64 << 61) + 1;
-    loop {
-        if is_prime_u64(q) {
-            let p = 2 * q + 1;
-            if is_prime_u64(p) {
-                // g = 4 = 2^2 is a quadratic residue, hence has order q
-                // (it cannot be 1 for p > 5).
-                let g = 4u64;
-                debug_assert_eq!(pow_mod(g, q, p), 1, "g generates the order-q subgroup");
-                return GroupParams { p, q, g };
-            }
-        }
-        q += 2;
-    }
-}
-
-/// The process-wide group parameters (computed once, deterministic).
-pub fn group() -> &'static GroupParams {
-    static GROUP: OnceLock<GroupParams> = OnceLock::new();
-    GROUP.get_or_init(find_group)
-}
-
-/// A secret scalar.
+/// A secret scalar, with the HMAC key its signing nonces are derived under
+/// (the scalar's bytes, pads compressed once at key generation).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(u64);
+pub struct SecretKey {
+    scalar: u64,
+    nonce_key: HmacKey,
+}
 
 impl fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -194,10 +232,8 @@ pub struct KeyPair {
     public: PublicKey,
 }
 
-fn scalar_from_digest(d: &Digest, q: u64) -> u64 {
-    let mut v = u64::from_be_bytes(d.as_bytes()[..8].try_into().expect("8 bytes"));
-    v %= q;
-    v
+fn scalar_from_digest(d: &Digest) -> u64 {
+    u64::from_be_bytes(d.as_bytes()[..8].try_into().expect("8 bytes")) % Q
 }
 
 impl KeyPair {
@@ -206,16 +242,13 @@ impl KeyPair {
     /// Identical seeds yield identical keys — convenient for reproducible
     /// simulations where "Alice's key" must be stable across runs.
     pub fn from_seed(seed: &[u8]) -> KeyPair {
-        let grp = group();
-        let d = hmac_sha256(b"duc/keygen", seed);
-        let mut x = scalar_from_digest(&d, grp.q);
-        if x == 0 {
-            x = 1;
-        }
-        let public = PublicKey(pow_mod(grp.g, x, grp.p));
+        let x = scalar_from_digest(&hmac_sha256(b"duc/keygen", seed)).max(1);
         KeyPair {
-            secret: SecretKey(x),
-            public,
+            secret: SecretKey {
+                scalar: x,
+                nonce_key: HmacKey::new(&x.to_be_bytes()),
+            },
+            public: PublicKey(from_mont(g_pow(x))),
         }
     }
 
@@ -226,47 +259,42 @@ impl KeyPair {
 
     /// Signs `message` with a deterministic HMAC-derived nonce.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let grp = group();
-        let x_bytes = self.secret.0.to_be_bytes();
-        let mut k = scalar_from_digest(&hmac_sha256(&x_bytes, message), grp.q);
-        if k == 0 {
-            k = 1;
-        }
-        let r = pow_mod(grp.g, k, grp.p);
-        let e = challenge(r, self.public, message, grp.q);
-        let s = (k as u128 + mul_mod(e, self.secret.0, grp.q) as u128) % grp.q as u128;
+        let x = self.secret.scalar;
+        let k = scalar_from_digest(&self.secret.nonce_key.mac(message)).max(1);
+        let r = from_mont(g_pow(k));
+        let e = challenge(r, self.public, message);
+        let s = (k as u128 + e as u128 * x as u128) % Q as u128;
         Signature { e, s: s as u64 }
     }
 }
 
-fn challenge(r: u64, public: PublicKey, message: &[u8], q: u64) -> u64 {
+fn challenge(r: u64, public: PublicKey, message: &[u8]) -> u64 {
     let d = hash_parts(&[
         b"duc/schnorr",
         &r.to_be_bytes(),
         &public.to_bytes(),
         message,
     ]);
-    scalar_from_digest(&d, q)
+    scalar_from_digest(&d)
 }
 
 impl PublicKey {
     /// Verifies `sig` over `message`.
     ///
+    /// The identity `1` and `p − 1` (order 2) are rejected as keys: under
+    /// them `P^(q−e)` is `±1` whatever `e` is, so anyone could pick `s`,
+    /// set `R = gˢ` and sign. No key derived as `gˣ` is either.
+    ///
     /// # Errors
     /// Returns [`SignatureError`] if the signature does not verify.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> Result<(), SignatureError> {
-        let grp = group();
-        if sig.e >= grp.q || sig.s >= grp.q || self.0 == 0 || self.0 >= grp.p {
+        if sig.e >= Q || sig.s >= Q || self.0 <= 1 || self.0 >= P - 1 {
             return Err(SignatureError);
         }
         // R' = g^s * P^(-e)  =  g^s * P^(q - e)   (P has order q)
-        let neg_e = (grp.q - sig.e) % grp.q;
-        let r_prime = mul_mod(
-            pow_mod(grp.g, sig.s, grp.p),
-            pow_mod(self.0, neg_e, grp.p),
-            grp.p,
-        );
-        if challenge(r_prime, *self, message, grp.q) == sig.e {
+        let neg_e = (Q - sig.e) % Q;
+        let r_prime = from_mont(mont_mul(g_pow(sig.s), pow_mont(to_mont(self.0), neg_e)));
+        if challenge(r_prime, *self, message) == sig.e {
             Ok(())
         } else {
             Err(SignatureError)
@@ -277,15 +305,106 @@ impl PublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The plain kernel the Montgomery ones replaced, kept as their
+    /// reference.
+    fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+        ((a as u128 * b as u128) % m as u128) as u64
+    }
+
+    fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+        let mut acc: u64 = 1;
+        base %= m;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = mul_mod(acc, base, m);
+            }
+            base = mul_mod(base, base, m);
+            exp >>= 1;
+        }
+        acc
+    }
+
+    /// Deterministic Miller–Rabin, exact for all `n < 2^64`
+    /// (witness set due to Sinclair).
+    fn is_prime_u64(n: u64) -> bool {
+        if n < 2 {
+            return false;
+        }
+        for &p in &[2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+            if n == p {
+                return true;
+            }
+            if n.is_multiple_of(p) {
+                return false;
+            }
+        }
+        let mut d = n - 1;
+        let mut r = 0u32;
+        while d.is_multiple_of(2) {
+            d /= 2;
+            r += 1;
+        }
+        'witness: for &a in &[2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+            let mut x = pow_mod(a, d, n);
+            if x == 1 || x == n - 1 {
+                continue;
+            }
+            for _ in 0..r - 1 {
+                x = mul_mod(x, x, n);
+                if x == n - 1 {
+                    continue 'witness;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    /// The search [`GROUP`] was taken from: the first safe prime
+    /// `p = 2q + 1` with `q ≥ 2⁶¹ + 1`, and `g = 4 = 2²`, a quadratic
+    /// residue and so of order `q` (it cannot be 1 for `p > 5`).
+    fn find_group() -> GroupParams {
+        let mut q: u64 = (1u64 << 61) + 1;
+        loop {
+            if is_prime_u64(q) && is_prime_u64(2 * q + 1) {
+                return GroupParams {
+                    p: 2 * q + 1,
+                    q,
+                    g: 4,
+                };
+            }
+            q += 2;
+        }
+    }
 
     #[test]
     fn group_params_are_a_safe_prime_group() {
-        let grp = group();
-        assert!(is_prime_u64(grp.p));
-        assert!(is_prime_u64(grp.q));
-        assert_eq!(grp.p, 2 * grp.q + 1);
-        assert_eq!(pow_mod(grp.g, grp.q, grp.p), 1, "g has order dividing q");
-        assert_ne!(grp.g, 1);
+        assert_eq!(
+            find_group(),
+            GROUP,
+            "the constant is what the search derives"
+        );
+        assert!(is_prime_u64(P));
+        assert!(is_prime_u64(Q));
+        assert_eq!(P, 2 * Q + 1);
+        assert_eq!(pow_mod(GROUP.g, Q, P), 1, "g has order dividing q");
+        assert_ne!(GROUP.g, 1);
+    }
+
+    #[test]
+    fn montgomery_constants() {
+        assert_eq!(P.wrapping_mul(P_NEG_INV), u64::MAX, "p·(−p⁻¹) ≡ −1");
+        assert_eq!(ONE as u128, (1u128 << 64) % P as u128);
+        assert_eq!(from_mont(ONE), 1);
+        assert_eq!(from_mont(to_mont(GROUP.g)), GROUP.g);
+        for (i, row) in G_TABLE.iter().enumerate() {
+            for (j, &entry) in row.iter().enumerate() {
+                let exp = (j as u64) << (4 * i);
+                assert_eq!(from_mont(entry), pow_mod(GROUP.g, exp, P), "g^({j}·16^{i})");
+            }
+        }
     }
 
     #[test]
@@ -299,6 +418,84 @@ mod tests {
         // Strong pseudoprime to several bases; MR with full witness set
         // must still reject it.
         assert!(!is_prime_u64(3_215_031_751));
+    }
+
+    fn bases() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(1u64), Just(GROUP.g), Just(P - 1), 0..P]
+    }
+
+    fn exponents() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(1), Just(Q - 1), Just(Q), any::<u64>()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn montgomery_kernels_equal_the_reference(
+            a in bases(),
+            b in bases(),
+            exp in exponents(),
+        ) {
+            prop_assert_eq!(from_mont(mont_mul(to_mont(a), to_mont(b))), mul_mod(a, b, P));
+            prop_assert_eq!(from_mont(g_pow(exp)), pow_mod(GROUP.g, exp, P), "g^{}", exp);
+            prop_assert_eq!(
+                from_mont(pow_mont(to_mont(a), exp)),
+                pow_mod(a, exp, P),
+                "{}^{}",
+                a,
+                exp
+            );
+        }
+    }
+
+    /// Known answers recorded before the arithmetic was rewritten: keys and
+    /// signatures are consensus bytes (addresses, tx ids, block hashes), so
+    /// any change of kernel must reproduce them exactly.
+    #[test]
+    fn known_answers() {
+        for (seed, public) in [
+            (&b"alice"[..], 0x0588_c9cf_e772_c7d1),
+            (b"bob", 0x3b38_c328_caf5_0872),
+            (b"validator-0", 0x2213_981e_0bdb_86c0),
+        ] {
+            assert_eq!(KeyPair::from_seed(seed).public(), PublicKey(public));
+        }
+        let alice = KeyPair::from_seed(b"alice");
+        let long: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for (msg, e, s) in [
+            (&b""[..], 0x152d_6a45_06ef_2893, 0x1cf0_7b47_639f_5df3),
+            (b"m", 0x01fd_67f4_5373_a309, 0x1b8c_9085_13ef_780a),
+            (&long, 0x1492_107c_235d_41e3, 0x0b26_45bd_b55b_0058),
+        ] {
+            let sig = alice.sign(msg);
+            assert_eq!(sig, Signature { e, s }, "message of {} bytes", msg.len());
+            alice
+                .public()
+                .verify(msg, &sig)
+                .expect("known answer verifies");
+        }
+    }
+
+    /// Under `P = 1` or `P = p − 1`, `P^(q−e)` is `±1`, so `(e, s)` with
+    /// `R = gˢ` and `e = H(R, P, m)` satisfies the verification equation
+    /// without any secret. The forgery is real — the equation is checked
+    /// with the reference kernel — and `verify` must refuse the key.
+    #[test]
+    fn degenerate_public_keys_cannot_be_forged() {
+        for key in [PublicKey(1), PublicKey(P - 1)] {
+            let mut forged = None;
+            for s in 1..64u64 {
+                let r = pow_mod(GROUP.g, s, P);
+                let e = challenge(r, key, b"forged");
+                let r_prime = mul_mod(pow_mod(GROUP.g, s, P), pow_mod(key.0, (Q - e) % Q, P), P);
+                if challenge(r_prime, key, b"forged") == e {
+                    forged = Some(Signature { e, s });
+                    break;
+                }
+            }
+            let sig = forged.expect("a forgery under a degenerate key takes a few tries");
+            assert_eq!(key.verify(b"forged", &sig), Err(SignatureError), "{key}");
+        }
     }
 
     #[test]
@@ -344,8 +541,7 @@ mod tests {
     #[test]
     fn out_of_range_signature_rejected() {
         let kp = KeyPair::from_seed(b"dave");
-        let grp = group();
-        let sig = Signature { e: grp.q, s: 0 };
+        let sig = Signature { e: Q, s: 0 };
         assert!(kp.public().verify(b"x", &sig).is_err());
     }
 
@@ -377,37 +573,9 @@ mod tests {
         let shown = format!("{kp:?}");
         assert!(shown.contains("redacted"), "{shown}");
         assert!(
-            !shown.contains(&kp.secret.0.to_string()),
+            !shown.contains(&kp.secret.scalar.to_string()),
             "scalar leaked: {shown}"
         );
-    }
-
-    /// Known answers recorded before the arithmetic was rewritten: keys and
-    /// signatures are consensus bytes (addresses, tx ids, block hashes), so
-    /// any change of kernel must reproduce them exactly.
-    #[test]
-    fn known_answers() {
-        for (seed, public) in [
-            (&b"alice"[..], 0x0588_c9cf_e772_c7d1),
-            (b"bob", 0x3b38_c328_caf5_0872),
-            (b"validator-0", 0x2213_981e_0bdb_86c0),
-        ] {
-            assert_eq!(KeyPair::from_seed(seed).public(), PublicKey(public));
-        }
-        let alice = KeyPair::from_seed(b"alice");
-        let long: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
-        for (msg, e, s) in [
-            (&b""[..], 0x152d_6a45_06ef_2893, 0x1cf0_7b47_639f_5df3),
-            (b"m", 0x01fd_67f4_5373_a309, 0x1b8c_9085_13ef_780a),
-            (&long, 0x1492_107c_235d_41e3, 0x0b26_45bd_b55b_0058),
-        ] {
-            let sig = alice.sign(msg);
-            assert_eq!(sig, Signature { e, s }, "message of {} bytes", msg.len());
-            alice
-                .public()
-                .verify(msg, &sig)
-                .expect("known answer verifies");
-        }
     }
 
     #[test]

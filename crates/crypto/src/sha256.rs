@@ -124,6 +124,24 @@ impl Sha256 {
         }
     }
 
+    /// The state after absorbing the one block `block` from scratch.
+    pub(crate) fn state_after(block: &[u8; 64]) -> [u32; 8] {
+        let mut state = H0;
+        compress(&mut state, block);
+        state
+    }
+
+    /// A hasher that has absorbed one block, resumed from the state
+    /// [`Sha256::state_after`] returned for it.
+    pub(crate) fn resume(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 64,
+        }
+    }
+
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.update_with(data, compress);
