@@ -207,9 +207,16 @@ impl<'a> CallCtx<'a> {
         Ok(keys)
     }
 
-    /// Emits an event (gas-metered).
-    pub fn emit(&mut self, topic: impl Into<String>, data: Vec<u8>) -> Result<(), ContractError> {
+    /// Emits an event (gas-metered). The event log keeps `data` for the life
+    /// of the chain, so it is held at its length, not at the capacity its
+    /// encoder grew it to.
+    pub fn emit(
+        &mut self,
+        topic: impl Into<String>,
+        mut data: Vec<u8>,
+    ) -> Result<(), ContractError> {
         self.meter.charge_event(data.len())?;
+        data.shrink_to_fit();
         self.events.push(Event {
             contract: self.contract.clone(),
             topic: topic.into(),

@@ -9,9 +9,9 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use duc_codec::encode_to_vec;
+use duc_codec::Encode;
 
-use crate::tx::{id_of_encoding, SignedTransaction, SIGNATURE_SUFFIX_LEN};
+use crate::tx::{id_of_encoding, SignedTransaction, TxKind, SIGNATURE_SUFFIX_LEN};
 use crate::types::{Address, TxId};
 
 /// A mempool key: `(sender, nonce)`.
@@ -33,8 +33,16 @@ pub(crate) struct PoolEntry {
 
 impl PoolEntry {
     /// Encodes `tx` once and derives its id. Does not verify.
-    pub(crate) fn new(tx: SignedTransaction) -> PoolEntry {
-        let encoded = encode_to_vec(&tx);
+    ///
+    /// The pool and then its block keep `tx` for the life of the chain, so
+    /// a call's arguments are held at their length, not at the capacity
+    /// their encoder grew them to.
+    pub(crate) fn new(mut tx: SignedTransaction) -> PoolEntry {
+        if let TxKind::Call { args, .. } = &mut tx.tx.kind {
+            args.shrink_to_fit();
+        }
+        let mut encoded = Vec::with_capacity(tx.encoded_size());
+        tx.encode(&mut encoded);
         PoolEntry {
             id: id_of_encoding(&encoded),
             tx,

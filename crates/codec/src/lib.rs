@@ -57,6 +57,18 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
 pub trait Encode {
     /// Appends the canonical encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Appends the encodings of `elems`, one after another: the body of a
+    /// sequence after its length prefix. `u8` writes the run in one copy.
+    #[doc(hidden)]
+    fn encode_elems(elems: &[Self], buf: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in elems {
+            item.encode(buf);
+        }
+    }
 }
 
 /// A value decodable from its canonical binary encoding.
@@ -66,6 +78,21 @@ pub trait Decode: Sized {
     /// # Errors
     /// Implementations return a [`DecodeError`] on malformed input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// Reads `len` values, one after another: the body of a sequence whose
+    /// length prefix was already checked against the remaining input. `u8`
+    /// reads the run in one copy.
+    ///
+    /// # Errors
+    /// The first element's error.
+    #[doc(hidden)]
+    fn decode_elems(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut out = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Decoding failure.
@@ -200,7 +227,27 @@ macro_rules! impl_codec_int {
     };
 }
 
-impl_codec_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+impl_codec_int!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
+
+impl Encode for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+
+    fn encode_elems(elems: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(elems);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.read_u8()
+    }
+
+    fn decode_elems(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, DecodeError> {
+        Ok(r.read_bytes(len)?.to_vec())
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -245,19 +292,14 @@ impl Decode for String {
 
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        self.as_slice().encode(buf);
     }
 }
 
 impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_elems(self, buf);
     }
 }
 
@@ -272,11 +314,7 @@ impl<T: Decode> Decode for Vec<T> {
                 available: r.remaining(),
             });
         }
-        let mut out = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_elems(r, len)
     }
 }
 

@@ -22,11 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn vec_u8_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..512)) {
-        prop_assert_eq!(decode_from_slice::<Vec<u8>>(&encode_to_vec(&v)).unwrap(), v);
-    }
-
-    #[test]
     fn nested_roundtrip(
         a in any::<u32>(),
         b in proptest::collection::vec(".*", 0..8),
