@@ -1842,6 +1842,46 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The bytes a pruned block is archived as, pinned: the frame count and
+    /// the SHA-256 of each archived payload of a fixed 10-block chain.
+    /// Recorded before the archive and the page spill log shared one frame
+    /// format; only the framing around a payload may change, never these.
+    #[test]
+    fn archived_payloads_match_their_known_answers() {
+        let path = std::env::temp_dir().join(format!(
+            "duc-chain-archive-pins-{}-{:p}.bin",
+            std::process::id(),
+            &SEAL_MARKER
+        ));
+        std::fs::remove_file(&path).ok();
+        let chain = chain_with_blocks(StorageConfig::enabled(4, 2).with_archive(&path), 10);
+        let frames = duc_storage::FileArchive::read_frames(&path).expect("read archive");
+        std::fs::remove_file(&path).ok();
+        let digests: Vec<String> = frames
+            .iter()
+            .map(|f| {
+                duc_crypto::sha256(f)
+                    .0
+                    .iter()
+                    .map(|b| format!("{b:02x}"))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(chain.archived_blocks(), 7);
+        assert_eq!(
+            digests,
+            [
+                "17075c166f256db48841606a693fb358359ac22f639cbf109e50e2f539bb8b6c",
+                "10b5adb21657a138e5cebf7bab56f0c4fadf058dad28812e6a91811493c3b9e6",
+                "dcff3b2e9c668f77dfa41c3a1ae2ae7da7baff3565cb37a14acaa36e53722c9a",
+                "f96dc6cbe11cc17fcaee1a5a97e91e1c31b98048e807a1b06a0d2a582fc98b89",
+                "2e9a8d33a26050dc3211b75ddb7ca5f9ac666a45ca1aff60b5e85942cf403982",
+                "36407d11ceefb77c91483ecfba94518f342549b7edf4dc3d00d3a32cbcd3c95d",
+                "b25719737df2361f6dc9b508bb777451aa38290aecfc0533517ee836c41ffbbe",
+            ]
+        );
+    }
+
     /// Address anchor for unique temp paths (one per test binary load).
     static SEAL_MARKER: u8 = 0;
 

@@ -1331,6 +1331,40 @@ mod tests {
         assert!(settles > 100, "the mix settles often: {settles}");
     }
 
+    /// The spill log's counters on a tiny cache, pinned exactly: a seeded
+    /// mix of 512-byte writes and reads over 2-page residency and 4-slot
+    /// pages, enough dead weight for several compactions. Recorded before
+    /// the page spill log took the shared frame format: framing may change
+    /// what a page occupies in the log, never a counter here.
+    #[test]
+    fn tiny_cache_paging_counters_are_pinned() {
+        use duc_sim::Rng;
+        let cfg = PagingConfig::in_memory(Some(2)).with_page_capacity(4);
+        let mut s = WorldState::with_paging(&cfg);
+        let mut rng = Rng::seed_from_u64(0x5B11);
+        for step in 0..3_000u32 {
+            let key = format!("res/{:03}", rng.gen_range(200)).into_bytes();
+            if rng.gen_range(3) == 0 {
+                s.storage_get(&cid(), &key);
+            } else {
+                s.storage_set(&cid(), key, vec![step as u8; 512]);
+            }
+        }
+        s.verify_pages().expect("page integrity");
+        let stats = s.paging_stats();
+        assert_eq!(
+            (
+                stats.evictions,
+                stats.fault_ins,
+                stats.spilled_pages,
+                stats.spilled_live_bytes,
+                stats.spilled_dead_bytes,
+                stats.compactions
+            ),
+            (2_917, 2_850, 2_014, 101_979, 103_013, 3)
+        );
+    }
+
     #[test]
     fn file_backed_paging_round_trips_and_cleans_up() {
         let dir = std::env::temp_dir().join(format!("duc-paged-state-{}", std::process::id()));
