@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use duc_codec::{encode_to_vec, Decode, DecodeError, Encode, Reader};
+use duc_codec::{encode_to_vec, impl_codec_struct, Decode, DecodeError, Encode, Reader};
 use duc_crypto::{hash_parts, Digest, KeyPair, MerkleTree, PublicKey, Signature};
 use duc_sim::SimTime;
 
@@ -179,17 +179,13 @@ impl Block {
     }
 }
 
-impl duc_storage::ArchiveItem for Block {
-    /// The archived frame is the canonical header encoding followed by the
-    /// length-prefixed transaction list — the same bytes signatures and
-    /// Merkle roots commit to, so an archived block stays verifiable.
-    fn encode_frame(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.header.encode(&mut buf);
-        self.transactions[..].encode(&mut buf);
-        buf
-    }
-}
+// The header's encoding, then the length-prefixed transaction list: the
+// bytes signatures and Merkle roots commit to, and what the archive keeps
+// of a pruned block, so an archived block decodes and re-validates.
+impl_codec_struct!(Block {
+    header,
+    transactions
+});
 
 /// Why a block failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use duc_crypto::{Digest, KeyPair};
 use duc_intern::{Interner, Sym};
 use duc_sim::{SimDuration, SimTime};
-use duc_storage::{BlockStore, Checkpoint, FileArchive, PrunedRange, StateStore, StorageConfig};
+use duc_storage::{BlockStore, Checkpoint, FramedLog, PrunedRange, StateStore, StorageConfig};
 
 use crate::block::{Block, BlockValidationError};
 use crate::contract::{CallCtx, CallEffects, Contract, ContractError, Event};
@@ -178,7 +178,7 @@ impl BlockchainBuilder {
     ///
     /// # Panics
     /// If an archive path is configured and the archive file cannot be
-    /// opened for appending.
+    /// opened for appending, or holds a frame that fails its digest.
     pub fn build(self) -> Blockchain {
         let validators: Vec<KeyPair> = (0..self.validator_count)
             .map(|i| KeyPair::from_seed(format!("duc/validator-{i}").as_bytes()))
@@ -188,7 +188,7 @@ impl BlockchainBuilder {
             .map(|k| Address::from_public_key(&k.public()))
             .collect();
         let archive = self.storage.archive_path.as_ref().map(|path| {
-            FileArchive::open(path).unwrap_or_else(|e| panic!("open archive {path:?}: {e}"))
+            FramedLog::open(path).unwrap_or_else(|e| panic!("open archive {path:?}: {e}"))
         });
         Blockchain {
             validators,
@@ -1830,16 +1830,21 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let chain = chain_with_blocks(StorageConfig::enabled(4, 2).with_archive(&path), 10);
         assert_eq!(chain.archived_blocks(), 7);
-        let frames = duc_storage::FileArchive::read_frames(&path).expect("read archive");
-        assert_eq!(frames.len(), 7);
-        // Frames decode back to the sealed headers, in height order.
-        use duc_codec::Decode as _;
-        for (i, frame) in frames.iter().enumerate() {
-            let mut r = duc_codec::Reader::new(frame);
-            let header = crate::block::BlockHeader::decode(&mut r).expect("header");
-            assert_eq!(header.height, i as u64 + 1);
-        }
+        let frames = duc_storage::FramedLog::read_all(&path).expect("read archive");
         std::fs::remove_file(&path).ok();
+        assert_eq!(frames.len(), 7);
+        // Every frame decodes to the block that was pruned, validates, and
+        // links to its predecessor; the last links to the oldest resident.
+        let unpruned = chain_with_blocks(StorageConfig::disabled(), 10);
+        let mut parent = Digest::ZERO;
+        for (i, frame) in frames.iter().enumerate() {
+            let block: Block = decode_from_slice(frame).expect("archived block decodes");
+            assert_eq!(Some(&block), unpruned.block(i as u64 + 1));
+            assert_eq!(block.validate(), Ok(()));
+            assert_eq!(block.header.parent, parent, "height {}", i + 1);
+            parent = block.hash();
+        }
+        assert_eq!(chain.block(8).expect("resident").header.parent, parent);
     }
 
     /// The bytes a pruned block is archived as, pinned: the frame count and
@@ -1855,7 +1860,7 @@ mod tests {
         ));
         std::fs::remove_file(&path).ok();
         let chain = chain_with_blocks(StorageConfig::enabled(4, 2).with_archive(&path), 10);
-        let frames = duc_storage::FileArchive::read_frames(&path).expect("read archive");
+        let frames = duc_storage::FramedLog::read_all(&path).expect("read archive");
         std::fs::remove_file(&path).ok();
         let digests: Vec<String> = frames
             .iter()

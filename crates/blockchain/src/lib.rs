@@ -79,7 +79,7 @@ pub use types::{Address, Amount, ContractId, TxId};
 
 // Storage-layer types the chain API surfaces (checkpointing, pruning and
 // world-state paging).
-pub use duc_storage::{Checkpoint, PageCompacted, PagingConfig, PrunedRange, StorageConfig};
+pub use duc_storage::{Checkpoint, PagingConfig, PrunedRange, StorageConfig};
 
 /// Common imports.
 pub mod prelude {

@@ -10,8 +10,6 @@
 
 use std::io;
 
-use duc_crypto::{hash_parts, Digest};
-
 /// Bytes of the slot-count header.
 const HEADER: usize = 4;
 /// Bytes of one length prefix.
@@ -40,12 +38,6 @@ pub fn encode_page<'a>(slots: impl ExactSizeIterator<Item = (&'a [u8], &'a [u8])
     out
 }
 
-/// Digest of an encoded page (domain-separated).
-#[must_use]
-pub fn page_digest(bytes: &[u8]) -> Digest {
-    hash_parts(&[b"duc/page", bytes])
-}
-
 fn invalid(reason: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason)
 }
@@ -70,8 +62,7 @@ fn field_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
 /// slots, at every moment: lookups binary-search it through `offsets`,
 /// writes splice it in place, a split cuts it at the median slot. Nothing
 /// is decoded into per-slot allocations and nothing has to be re-encoded
-/// before the page is appended to a [`PageStore`](crate::PageStore) or
-/// hashed with [`page_digest`].
+/// before the page is appended to a [`PageStore`](crate::PageStore).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
     /// The page in [`encode_page`] form.
