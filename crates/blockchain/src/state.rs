@@ -1231,6 +1231,102 @@ mod tests {
         }
     }
 
+    /// Keys at the edges of fixed-width key heads: keys that differ only by
+    /// trailing `0x00` (`k`, `k\0`, `k\0\0`), the empty key, keys of 7, 8,
+    /// 9, 15, 16, 17 and 24 bytes that share all but their last byte (which
+    /// is `0x00`, `0x01`, `x`, `0xff` or the stem's own next byte, so the
+    /// stems are prefixes of one another too), strict prefixes of those
+    /// keys' common prefix, and keys below and above all of them.
+    fn adversarial_keys() -> Vec<Vec<u8>> {
+        const STEM: &[u8] = b"pod/https://p1.id/me#abcdef";
+        let mut keys: Vec<Vec<u8>> = [
+            &b""[..],
+            b"\0",
+            b"k",
+            b"k\0",
+            b"k\0\0",
+            b"p",
+            b"pod/",
+            b"pod/h",
+            b"\xff\xff\xff",
+        ]
+        .iter()
+        .map(|k| k.to_vec())
+        .collect();
+        for len in [7, 8, 9, 15, 16, 17, 24] {
+            for last in [0x00, 0x01, b'x', 0xff, STEM[len - 1]] {
+                let mut k = STEM[..len - 1].to_vec();
+                k.push(last);
+                keys.push(k);
+            }
+        }
+        keys
+    }
+
+    /// `get`, `contains`, `set`, `remove` and prefix scans over
+    /// [`adversarial_keys`] agree with a `BTreeMap` after every operation, at
+    /// page capacities 1, 4 and 64 under unbounded residency and under limits
+    /// of 0 and 2 pages; every configuration ends on the same commitment.
+    #[test]
+    fn adversarial_keys_match_the_model_at_every_capacity_and_residency() {
+        use duc_sim::Rng;
+        let keys = adversarial_keys();
+        let mut commitments = Vec::new();
+        for capacity in [1usize, 4, 64] {
+            for limit in [None, Some(0), Some(2)] {
+                let cfg = PagingConfig::in_memory(limit).with_page_capacity(capacity);
+                let mut s = WorldState::with_paging(&cfg);
+                let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                let mut rng = Rng::seed_from_u64(0xED6E);
+                for step in 0..700u32 {
+                    let at = format!("capacity {capacity}, limit {limit:?}, step {step}");
+                    let key = &keys[rng.gen_range(keys.len() as u64) as usize];
+                    match rng.gen_range(8) {
+                        0..=2 => {
+                            let value = vec![step as u8; rng.gen_range(12) as usize];
+                            s.storage_set(&cid(), key.clone(), value.clone());
+                            model.insert(key.clone(), value);
+                        }
+                        3 => {
+                            assert_eq!(s.storage_get(&cid(), key), model.get(key).cloned(), "{at}")
+                        }
+                        4 => assert_eq!(s.storage_contains(&cid(), key), model.contains_key(key)),
+                        5 | 6 => {
+                            assert_eq!(s.storage_remove(&cid(), key), model.remove(key).is_some())
+                        }
+                        _ => {
+                            let cut = rng.gen_range(key.len().min(3) as u64 + 1) as usize;
+                            let prefix = &key[..key.len() - cut];
+                            let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                                .iter()
+                                .filter(|(k, _)| k.starts_with(prefix))
+                                .map(|(k, v)| (k.clone(), v.clone()))
+                                .collect();
+                            assert_eq!(collect_prefix(&s, &cid(), prefix), expected, "{at}");
+                        }
+                    }
+                    for k in &keys {
+                        assert_eq!(s.storage_get(&cid(), k), model.get(k).cloned(), "{at}");
+                        assert_eq!(s.storage_contains(&cid(), k), model.contains_key(k), "{at}");
+                    }
+                    if step % 50 == 0 {
+                        s.verify_pages().unwrap_or_else(|e| panic!("{at}: {e}"));
+                    }
+                }
+                assert_eq!(
+                    collect_prefix(&s, &cid(), b""),
+                    model.into_iter().collect::<Vec<_>>()
+                );
+                s.verify_pages().expect("page integrity");
+                commitments.push(s.commitment());
+            }
+        }
+        assert!(
+            commitments.windows(2).all(|w| w[0] == w[1]),
+            "{commitments:?}"
+        );
+    }
+
     /// The accumulator a state with `accounts` and `slots` must read,
     /// folded eagerly from content.
     fn eager_accumulator(

@@ -33,10 +33,45 @@ enum Op {
     Scan(Vec<u8>),
 }
 
+/// Keys at the edges of fixed-width key heads: keys that differ only by
+/// trailing `0x00` (`k`, `k\0`, `k\0\0`), the empty key, keys of 7, 8, 9,
+/// 15, 16, 17 and 24 bytes that share all but their last byte (which is
+/// `0x00`, `0x01`, `x`, `0xff` or the stem's own next byte, so the stems
+/// are prefixes of one another too), strict prefixes of those keys' common
+/// prefix, and keys below and above all of them.
+fn adversarial_keys() -> Vec<Vec<u8>> {
+    const STEM: &[u8] = b"pod/https://p1.id/me#abcdef";
+    let mut keys: Vec<Vec<u8>> = [
+        &b""[..],
+        b"\0",
+        b"k",
+        b"k\0",
+        b"k\0\0",
+        b"p",
+        b"pod/",
+        b"pod/h",
+        b"\xff\xff\xff",
+    ]
+    .iter()
+    .map(|k| k.to_vec())
+    .collect();
+    for len in [7, 8, 9, 15, 16, 17, 24] {
+        for last in [0x00, 0x01, b'x', 0xff, STEM[len - 1]] {
+            let mut k = STEM[..len - 1].to_vec();
+            k.push(last);
+            keys.push(k);
+        }
+    }
+    keys
+}
+
 /// A small pool, so sequences revisit keys: the empty key, short keys, keys
 /// of 54..=57 bytes (both sides of the state store's 55-byte inline cap), a
-/// key that is a strict prefix of its neighbour, and a few arbitrary ones.
+/// key that is a strict prefix of its neighbour, the head-edge keys of
+/// [`adversarial_keys`], and a few arbitrary ones.
 fn key() -> impl Strategy<Value = Vec<u8>> {
+    let edges = adversarial_keys();
+    let edge_count = edges.len();
     prop_oneof![
         1 => Just(Vec::new()),
         4 => (0u8..12).prop_map(|i| vec![b'k', i]),
@@ -50,6 +85,7 @@ fn key() -> impl Strategy<Value = Vec<u8>> {
             Just(b"pod/a/b".to_vec()),
             Just(b"pod/a\0".to_vec()),
         ],
+        4 => (0..edge_count).prop_map(move |i| edges[i].clone()),
         2 => proptest::collection::vec(any::<u8>(), 0..6),
     ]
 }
@@ -98,6 +134,17 @@ fn check(page: &SlottedPage, model: &Model) -> Result<(), TestCaseError> {
     for (k, v) in model {
         prop_assert_eq!(page.get(k), Some(v.as_slice()));
         prop_assert!(page.contains_key(k));
+    }
+    // An absent key misses, and a scan from it starts where it would be
+    // inserted: as many slots lie at or past it as in the model.
+    for k in adversarial_keys() {
+        prop_assert_eq!(page.get(&k), model.get(&k).map(Vec::as_slice));
+        prop_assert_eq!(page.contains_key(&k), model.contains_key(&k));
+        prop_assert_eq!(
+            page.iter_from(&k).next().map(|(k, _)| k),
+            model.range(k.clone()..).next().map(|(k, _)| k.as_slice())
+        );
+        prop_assert_eq!(page.iter_from(&k).count(), model.range(k..).count());
     }
     // The slot index is a function of the bytes alone.
     let reread = SlottedPage::from_bytes(page.as_bytes().to_vec());
