@@ -136,18 +136,31 @@ impl<'a> CallCtx<'a> {
         &self.contract
     }
 
+    /// Charges a storage read of `key` — its value's length plus the key's
+    /// — then hands the value, borrowed from the overlay or from the state
+    /// page that holds it, to `read`.
+    fn read_slot<R>(
+        &mut self,
+        key: &[u8],
+        read: impl FnOnce(Option<&[u8]>) -> Result<R, ContractError>,
+    ) -> Result<R, ContractError> {
+        let meter = &mut *self.meter;
+        let charged = |value: Option<&[u8]>| {
+            meter.charge_storage_read(value.map_or(0, <[u8]>::len) + key.len())?;
+            read(value)
+        };
+        match self.writes.get(key) {
+            Some(slot) => charged(slot.as_deref()),
+            None => self.base.storage_with(&self.contract, key, charged),
+        }
+    }
+
     /// Reads a raw storage slot (gas-metered).
     ///
     /// # Errors
     /// [`ContractError::OutOfGas`] when the read exhausts the budget.
     pub fn get_raw(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ContractError> {
-        let value = match self.writes.get(key) {
-            Some(slot) => slot.clone(),
-            None => self.base.storage_get(&self.contract, key),
-        };
-        self.meter
-            .charge_storage_read(value.as_ref().map(Vec::len).unwrap_or(0) + key.len())?;
-        Ok(value)
+        self.read_slot(key, |value| Ok(value.map(<[u8]>::to_vec)))
     }
 
     /// Writes a raw storage slot (gas-metered).
@@ -167,14 +180,18 @@ impl<'a> CallCtx<'a> {
         Ok(existed)
     }
 
-    /// Reads and decodes a typed value.
+    /// Reads and decodes a typed value (gas-metered like
+    /// [`CallCtx::get_raw`]), straight from the bytes where the slot lives.
     pub fn get<T: Decode>(&mut self, key: &[u8]) -> Result<Option<T>, ContractError> {
-        match self.get_raw(key)? {
-            None => Ok(None),
-            Some(bytes) => Ok(Some(decode_from_slice(&bytes).map_err(|e| {
-                ContractError::Reverted(format!("corrupt storage at {key:?}: {e}"))
-            })?)),
-        }
+        self.read_slot(key, |value| {
+            value
+                .map(|bytes| {
+                    decode_from_slice(bytes).map_err(|e| {
+                        ContractError::Reverted(format!("corrupt storage at {key:?}: {e}"))
+                    })
+                })
+                .transpose()
+        })
     }
 
     /// Encodes and writes a typed value.

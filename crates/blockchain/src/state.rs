@@ -10,11 +10,21 @@
 //! fault-in re-verifies the page digest.
 //!
 //! A resident page is a [`duc_storage::SlottedPage`]: the page's spill
-//! encoding itself plus an index of slot offsets, probed by binary search
-//! and mutated in place. There is no decoded form, so a fault-in is one
-//! digest-verified read and one validating pass over the bytes, evicting a
-//! clean page drops it, and evicting a dirty one appends the bytes it
-//! already holds.
+//! encoding itself plus an index of slot offsets and 8-byte key heads,
+//! probed by binary search and mutated in place. There is no decoded form,
+//! so a fault-in is one digest-verified read and one validating pass over
+//! the bytes, evicting a clean page drops it, and evicting a dirty one
+//! appends the bytes it already holds.
+//!
+//! A lookup finds its page in a per-contract directory keyed by the first
+//! 16 bytes of each page's first key as one `u128`, so it compares those
+//! heads inline and full first keys only where two pages share a head. The
+//! page table is a `Vec` indexed by page id. A read borrows the value from
+//! the page ([`WorldState::storage_with`]), so a contract decodes a row
+//! straight out of the state's bytes. Directory heads and page heads are
+//! derived from first keys and page bytes; nothing spilled, hashed or
+//! committed holds them, and [`WorldState::verify_pages`] rebuilds and
+//! compares them.
 //!
 //! Account rows are folded into the accumulator once per block, not once
 //! per touch: a transaction's fee debit, nonce bump, refund and proposer
@@ -25,8 +35,7 @@
 //! caller has to remember to settle first.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use duc_crypto::{hash_parts, Digest};
@@ -99,7 +108,28 @@ impl PagingStats {
 
 // ------------------------------------------------------------- paged slots
 
-type PageId = u64;
+/// A page's index in the page table. Ids are handed out in sequence and
+/// never reused, so the table is a dense `Vec` with a hole per dropped page.
+type PageId = usize;
+
+/// The first 16 bytes of `key`, big-endian and zero-padded. Heads order
+/// like the keys they start, except that equal heads (`k` and `k\0` have
+/// one) leave the order to the full keys.
+fn dir_head(key: &[u8]) -> u128 {
+    match key.first_chunk::<16>() {
+        Some(head) => u128::from_be_bytes(*head),
+        None => key
+            .iter()
+            .zip((0..16).rev())
+            .fold(0, |head, (&b, byte)| head | u128::from(b) << (8 * byte)),
+    }
+}
+
+/// One contract's page directory: under each [`dir_head`], the pages whose
+/// first keys have that head, as `(first key, id)` in first-key order. A
+/// lookup compares heads inline and full first keys only within one head,
+/// which rarely holds more than one page.
+type Directory = BTreeMap<u128, Vec<(Vec<u8>, PageId)>>;
 
 #[derive(Debug)]
 enum PageData {
@@ -131,14 +161,14 @@ struct Page {
 /// [`WorldState`], which keeps the commitment accumulator in sync.
 #[derive(Debug)]
 struct PagedSlots {
-    /// Per-contract page directory: first key → page id.
-    dir: BTreeMap<ContractId, BTreeMap<Vec<u8>, PageId>>,
-    pages: HashMap<PageId, Page>,
+    /// Per-contract page directory.
+    dir: BTreeMap<ContractId, Directory>,
+    /// The page table, indexed by [`PageId`]; `None` for a dropped page.
+    pages: Vec<Option<Page>>,
     /// Resident pages ordered by last use — O(log n) victim selection.
     /// Exact LRU under a `limit`; left empty without one, where no victim
     /// is ever chosen and a per-read remove + insert would buy nothing.
     lru: BTreeSet<(u64, PageId)>,
-    next_page: PageId,
     tick: u64,
     /// Maximum slots per page before a median split.
     capacity: usize,
@@ -158,9 +188,8 @@ impl PagedSlots {
     fn new(capacity: usize, limit: Option<usize>, store: PageStore) -> PagedSlots {
         PagedSlots {
             dir: BTreeMap::new(),
-            pages: HashMap::new(),
+            pages: Vec::new(),
             lru: BTreeSet::new(),
-            next_page: 0,
             tick: 0,
             capacity: capacity.max(1),
             limit,
@@ -181,13 +210,66 @@ impl PagedSlots {
         PagedSlots::new(cfg.page_capacity, cfg.resident_limit, store)
     }
 
+    fn page(&self, id: PageId) -> &Page {
+        self.pages[id].as_ref().expect("page exists")
+    }
+
+    fn page_mut(&mut self, id: PageId) -> &mut Page {
+        self.pages[id].as_mut().expect("page exists")
+    }
+
+    /// The slots of a page the caller has just faulted in.
+    fn resident(&self, id: PageId) -> &SlottedPage {
+        match &self.page(id).data {
+            PageData::Resident(slots) => slots,
+            PageData::Evicted => unreachable!("faulted in above"),
+        }
+    }
+
+    fn resident_mut(&mut self, id: PageId) -> &mut SlottedPage {
+        match &mut self.page_mut(id).data {
+            PageData::Resident(slots) => slots,
+            PageData::Evicted => unreachable!("faulted in above"),
+        }
+    }
+
     /// The page whose range covers `key`, if any page's range starts at or
-    /// below it.
+    /// below it: the last page of the highest head at or below `key`'s,
+    /// unless that head is `key`'s own, where full first keys decide.
     fn owner_of(&self, contract: &ContractId, key: &[u8]) -> Option<PageId> {
-        let dir = self.dir.get(contract)?;
-        dir.range::<[u8], _>((Unbounded, Included(key)))
-            .next_back()
-            .map(|(_, &id)| id)
+        let head = dir_head(key);
+        let mut below = self.dir.get(contract)?.range(..=head).rev();
+        let (&at, tied) = below.next()?;
+        let covering = if at == head {
+            tied.partition_point(|(first, _)| first.as_slice() <= key)
+        } else {
+            tied.len()
+        };
+        match covering {
+            0 => below.next().and_then(|(_, tied)| tied.last()),
+            n => tied.get(n - 1),
+        }
+        .map(|&(_, id)| id)
+    }
+
+    fn dir_insert(&mut self, contract: &ContractId, first: Vec<u8>, id: PageId) {
+        let dir = self.dir.entry(contract.clone()).or_default();
+        let tied = dir.entry(dir_head(&first)).or_default();
+        let at = tied.partition_point(|(f, _)| *f < first);
+        tied.insert(at, (first, id));
+    }
+
+    fn dir_remove(&mut self, contract: &ContractId, first: &[u8]) {
+        let dir = self.dir.get_mut(contract).expect("contract dir exists");
+        let head = dir_head(first);
+        let tied = dir.get_mut(&head).expect("directory holds the page's head");
+        tied.retain(|(f, _)| f != first);
+        if tied.is_empty() {
+            dir.remove(&head);
+            if dir.is_empty() {
+                self.dir.remove(contract);
+            }
+        }
     }
 
     /// Makes a resident page the most recently used one.
@@ -195,7 +277,7 @@ impl PagedSlots {
         if self.limit.is_none() {
             return;
         }
-        let page = self.pages.get_mut(&id).expect("page exists");
+        let page = self.pages[id].as_mut().expect("page exists");
         if matches!(page.data, PageData::Evicted) {
             return;
         }
@@ -205,8 +287,8 @@ impl PagedSlots {
         self.lru.insert((self.tick, id));
     }
 
-    /// Adds a page nothing else refers to yet, resident and most recently
-    /// used.
+    /// Adds a page nothing else refers to yet under `id`, resident and most
+    /// recently used.
     fn add_resident(
         &mut self,
         id: PageId,
@@ -214,16 +296,16 @@ impl PagedSlots {
         first: Vec<u8>,
         slots: SlottedPage,
     ) {
-        self.pages.insert(
-            id,
-            Page {
-                contract,
-                first,
-                data: PageData::Resident(slots),
-                last_used: 0,
-                spill: None,
-            },
-        );
+        if id >= self.pages.len() {
+            self.pages.resize_with(id + 1, || None);
+        }
+        self.pages[id] = Some(Page {
+            contract,
+            first,
+            data: PageData::Resident(slots),
+            last_used: 0,
+            spill: None,
+        });
         self.resident += 1;
         self.lru_touch(id);
     }
@@ -235,7 +317,7 @@ impl PagedSlots {
     /// a stale handle below the compaction horizon) and deliberately fatal:
     /// silently continuing would fork the replicated state machine.
     fn fault_in(&mut self, id: PageId) {
-        let page = self.pages.get_mut(&id).expect("page exists");
+        let page = self.page(id);
         if matches!(page.data, PageData::Resident(_)) {
             return;
         }
@@ -245,8 +327,7 @@ impl PagedSlots {
             .read(&spill)
             .unwrap_or_else(|e| panic!("paged world state fault-in failed: {e}"));
         let slots = SlottedPage::from_bytes(bytes).expect("spilled page decodes");
-        let page = self.pages.get_mut(&id).expect("page exists");
-        page.data = PageData::Resident(slots);
+        self.page_mut(id).data = PageData::Resident(slots);
         self.resident += 1;
         self.fault_ins += 1;
         self.lru_touch(id);
@@ -255,8 +336,7 @@ impl PagedSlots {
     /// Marks a resident page as mutated: its spill-log copy (if any) no
     /// longer matches and is retired on the spot.
     fn dirty(&mut self, id: PageId) {
-        let page = self.pages.get_mut(&id).expect("page exists");
-        if let Some(spill) = page.spill.take() {
+        if let Some(spill) = self.page_mut(id).spill.take() {
             self.store.retire(&spill);
         }
     }
@@ -264,9 +344,7 @@ impl PagedSlots {
     /// Drops one resident page, first appending its bytes to the spill log
     /// if the log does not already hold them.
     fn evict(&mut self, id: PageId) {
-        let Some(page) = self.pages.get_mut(&id) else {
-            return;
-        };
+        let page = self.pages[id].as_mut().expect("page exists");
         let PageData::Resident(slots) = &page.data else {
             return;
         };
@@ -278,8 +356,7 @@ impl PagedSlots {
             page.spill = Some(spill);
         }
         page.data = PageData::Evicted;
-        let last_used = page.last_used;
-        self.lru.remove(&(last_used, id));
+        self.lru.remove(&(page.last_used, id));
         self.resident -= 1;
         self.evictions += 1;
     }
@@ -294,6 +371,13 @@ impl PagedSlots {
         self.maybe_compact();
     }
 
+    /// Every page id in directory order: by contract, then by first key.
+    fn ids_in_order(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.dir
+            .values()
+            .flat_map(|dir| dir.values().flatten().map(|&(_, id)| id))
+    }
+
     /// Rewrites the spill log once dead weight dominates, refreshing every
     /// live handle. Deterministic directory order keeps file layout
     /// reproducible (not that anything hashes it).
@@ -301,27 +385,20 @@ impl PagedSlots {
         if !self.store.should_compact() {
             return;
         }
-        let mut ids = Vec::new();
-        let mut refs = Vec::new();
-        for dir in self.dir.values() {
-            for &id in dir.values() {
-                if let Some(spill) = self.pages.get(&id).and_then(|p| p.spill) {
-                    ids.push(id);
-                    refs.push(spill);
-                }
-            }
-        }
+        let (ids, refs): (Vec<PageId>, Vec<PageRef>) = self
+            .ids_in_order()
+            .filter_map(|id| Some((id, self.page(id).spill?)))
+            .unzip();
         let fresh = self.store.compact(&refs).expect("page log compaction");
         for (id, spill) in ids.into_iter().zip(fresh) {
-            self.pages.get_mut(&id).expect("page exists").spill = Some(spill);
+            self.page_mut(id).spill = Some(spill);
         }
     }
 
-    fn alloc_page(&mut self, contract: ContractId, first: Vec<u8>) -> PageId {
-        let id = self.next_page;
-        self.next_page += 1;
+    fn alloc_page(&mut self, contract: &ContractId, first: Vec<u8>) -> PageId {
+        let id = self.pages.len();
         self.add_resident(id, contract.clone(), first.clone(), SlottedPage::new());
-        self.dir.entry(contract).or_default().insert(first, id);
+        self.dir_insert(contract, first, id);
         id
     }
 
@@ -331,58 +408,48 @@ impl PagedSlots {
         if let Some(id) = self.owner_of(contract, key) {
             return id;
         }
-        let first_entry = self
+        let lowest = self
             .dir
             .get(contract)
-            .and_then(|d| d.iter().next().map(|(k, &id)| (k.clone(), id)));
-        match first_entry {
+            .and_then(|dir| dir.values().next())
+            .map(|tied| tied[0].clone());
+        match lowest {
             Some((old_first, id)) => {
-                let dir = self.dir.get_mut(contract).expect("contract dir exists");
-                dir.remove(&old_first);
-                let new_first = key.to_vec();
-                dir.insert(new_first.clone(), id);
-                self.pages.get_mut(&id).expect("page exists").first = new_first;
+                self.dir_remove(contract, &old_first);
+                self.dir_insert(contract, key.to_vec(), id);
+                self.page_mut(id).first = key.to_vec();
                 id
             }
-            None => self.alloc_page(contract.clone(), key.to_vec()),
+            None => self.alloc_page(contract, key.to_vec()),
         }
     }
 
     /// Splits a page at its median key once it exceeds capacity.
     fn split_if_over(&mut self, id: PageId) {
-        let (contract, mid, upper) = {
-            let page = self.pages.get_mut(&id).expect("page exists");
-            let PageData::Resident(slots) = &mut page.data else {
-                return;
-            };
-            if slots.len() <= self.capacity {
-                return;
-            }
-            let upper = slots.split_off_upper();
-            let mid = upper
-                .first_key()
-                .expect("over-capacity page is nonempty")
-                .to_vec();
-            (page.contract.clone(), mid, upper)
+        let capacity = self.capacity;
+        let page = self.page_mut(id);
+        let PageData::Resident(slots) = &mut page.data else {
+            return;
         };
-        let nid = self.next_page;
-        self.next_page += 1;
+        if slots.len() <= capacity {
+            return;
+        }
+        let upper = slots.split_off_upper();
+        let mid = upper
+            .first_key()
+            .expect("over-capacity page is nonempty")
+            .to_vec();
+        let contract = page.contract.clone();
+        let nid = self.pages.len();
         self.add_resident(nid, contract.clone(), mid.clone(), upper);
-        self.dir
-            .get_mut(&contract)
-            .expect("contract dir exists")
-            .insert(mid, nid);
+        self.dir_insert(&contract, mid, nid);
     }
 
     fn insert(&mut self, contract: &ContractId, key: &[u8], value: &[u8]) -> Option<Vec<u8>> {
         let id = self.page_for_insert(contract, key);
         self.fault_in(id);
         self.dirty(id);
-        let page = self.pages.get_mut(&id).expect("page exists");
-        let PageData::Resident(slots) = &mut page.data else {
-            unreachable!("faulted in above")
-        };
-        let prev = slots.insert(key, value);
+        let prev = self.resident_mut(id).insert(key, value);
         match &prev {
             Some(old) => self.byte_size = self.byte_size - old.len() + value.len(),
             None => {
@@ -399,10 +466,7 @@ impl PagedSlots {
     fn remove(&mut self, contract: &ContractId, key: &[u8]) -> Option<Vec<u8>> {
         let id = self.owner_of(contract, key)?;
         self.fault_in(id);
-        let page = self.pages.get_mut(&id).expect("page exists");
-        let PageData::Resident(slots) = &mut page.data else {
-            unreachable!("faulted in above")
-        };
+        let slots = self.resident_mut(id);
         let prev = slots.remove(key);
         let emptied = prev.is_some() && slots.is_empty();
         if let Some(prev) = &prev {
@@ -411,17 +475,10 @@ impl PagedSlots {
             self.byte_size -= prev.len();
         }
         if emptied {
-            let page = self.pages.remove(&id).expect("page exists");
+            let page = self.pages[id].take().expect("page exists");
             self.lru.remove(&(page.last_used, id));
             self.resident -= 1;
-            let dir = self
-                .dir
-                .get_mut(&page.contract)
-                .expect("contract dir exists");
-            dir.remove(&page.first);
-            if dir.is_empty() {
-                self.dir.remove(&page.contract);
-            }
+            self.dir_remove(&page.contract, &page.first);
         } else {
             self.lru_touch(id);
         }
@@ -431,32 +488,22 @@ impl PagedSlots {
         prev
     }
 
-    fn get(&mut self, contract: &ContractId, key: &[u8]) -> Option<Vec<u8>> {
-        let id = self.owner_of(contract, key)?;
-        self.fault_in(id);
-        let page = self.pages.get(&id).expect("page exists");
-        let PageData::Resident(slots) = &page.data else {
-            unreachable!("faulted in above")
-        };
-        let value = slots.get(key).map(<[u8]>::to_vec);
-        self.lru_touch(id);
-        self.enforce_limit();
-        value
-    }
-
-    fn contains(&mut self, contract: &ContractId, key: &[u8]) -> bool {
+    /// Hands the value under `key` (`None` when absent) to `read`, borrowed
+    /// from its resident page, before residency is enforced again.
+    fn with<R>(
+        &mut self,
+        contract: &ContractId,
+        key: &[u8],
+        read: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> R {
         let Some(id) = self.owner_of(contract, key) else {
-            return false;
+            return read(None);
         };
         self.fault_in(id);
-        let page = self.pages.get(&id).expect("page exists");
-        let PageData::Resident(slots) = &page.data else {
-            unreachable!("faulted in above")
-        };
-        let hit = slots.contains_key(key);
+        let out = read(self.resident(id).get(key));
         self.lru_touch(id);
         self.enforce_limit();
-        hit
+        out
     }
 
     /// Visits `contract`'s slots whose keys start with `prefix`, in key
@@ -470,29 +517,20 @@ impl PagedSlots {
         let Some(dir) = self.dir.get(contract) else {
             return;
         };
-        let mut ids: Vec<PageId> = Vec::new();
-        if let Some((_, &id)) = dir
-            .range::<[u8], _>((Unbounded, Included(prefix)))
-            .next_back()
-        {
-            ids.push(id);
-        }
-        for (first, &id) in dir.range::<[u8], _>((Excluded(prefix), Unbounded)) {
-            // A page starting past the prefix range cannot hold matching
-            // keys (they would sort below its first key) — stop without
-            // faulting it in.
-            if !first.starts_with(prefix) {
-                break;
-            }
-            ids.push(id);
-        }
+        let mut ids: Vec<PageId> = self.owner_of(contract, prefix).into_iter().collect();
+        // A page starting past the prefix range cannot hold matching keys
+        // (they would sort below its first key) — stop without faulting it
+        // in.
+        ids.extend(
+            dir.range(dir_head(prefix)..)
+                .flat_map(|(_, tied)| tied)
+                .skip_while(|(first, _)| first.as_slice() <= prefix)
+                .take_while(|(first, _)| first.starts_with(prefix))
+                .map(|&(_, id)| id),
+        );
         for id in ids {
             self.fault_in(id);
-            let page = self.pages.get(&id).expect("page exists");
-            let PageData::Resident(slots) = &page.data else {
-                unreachable!("faulted in above")
-            };
-            for (k, v) in slots.iter_from(prefix) {
+            for (k, v) in self.resident(id).iter_from(prefix) {
                 if !k.starts_with(prefix) {
                     break;
                 }
@@ -504,9 +542,8 @@ impl PagedSlots {
     }
 
     fn stats(&self) -> PagingStats {
-        let resident_bytes = self
-            .pages
-            .values()
+        let pages = || self.pages.iter().flatten();
+        let resident_bytes = pages()
             .filter_map(|p| match &p.data {
                 PageData::Resident(slots) => Some(slots.payload_bytes()),
                 PageData::Evicted => None,
@@ -514,7 +551,7 @@ impl PagedSlots {
             .sum();
         PagingStats {
             resident_pages: self.resident,
-            total_pages: self.pages.len(),
+            total_pages: pages().count(),
             resident_bytes,
             evictions: self.evictions,
             fault_ins: self.fault_ins,
@@ -527,9 +564,11 @@ impl PagedSlots {
 
     /// Full integrity sweep: every evicted page must read back under its
     /// verified handle (no stale or compacted-away page is reachable), the
-    /// directory must partition each contract's key space, and the decoded
-    /// whole must reproduce the maintained counters and the caller's
-    /// accumulator exactly.
+    /// directory's heads must be its first keys' and its pages exactly the
+    /// page table's, the pages must partition each contract's key space,
+    /// every resident page's slot index and key heads must be what its
+    /// bytes rebuild, and the decoded whole must reproduce the maintained
+    /// counters and the caller's accumulator exactly.
     fn verify(
         &mut self,
         accounts: &BTreeMap<Address, Account>,
@@ -541,54 +580,86 @@ impl PagedSlots {
         }
         let mut slot_count = 0usize;
         let mut byte_size = 0usize;
-        let PagedSlots {
-            dir, pages, store, ..
-        } = self;
-        for (contract, cdir) in dir.iter() {
+        let mut listed = 0usize;
+        for (contract, cdir) in &self.dir {
+            let mut prev_first: Option<&[u8]> = None;
             let mut prev_last: Option<Vec<u8>> = None;
-            for (first, id) in cdir.iter() {
-                let page = pages
-                    .get(id)
-                    .ok_or_else(|| format!("directory references missing page {id}"))?;
-                if page.first != *first {
-                    return Err(format!("page {id} first-key desynced from directory"));
+            for (&head, tied) in cdir {
+                if tied.is_empty() {
+                    return Err(format!("directory head {head:032x} lists no page"));
                 }
-                let reread;
-                let slots = match &page.data {
-                    PageData::Resident(slots) => slots,
-                    PageData::Evicted => {
-                        let spill = page
-                            .spill
-                            .ok_or_else(|| format!("evicted page {id} lost its spill handle"))?;
-                        let bytes = store
-                            .read(&spill)
-                            .map_err(|e| format!("page {id} unreadable: {e}"))?;
-                        reread = SlottedPage::from_bytes(bytes)
-                            .map_err(|e| format!("page {id} undecodable: {e}"))?;
-                        &reread
+                for (first, id) in tied {
+                    listed += 1;
+                    let page = self
+                        .pages
+                        .get(*id)
+                        .and_then(Option::as_ref)
+                        .ok_or_else(|| format!("directory references missing page {id}"))?;
+                    if page.first != *first || page.contract != *contract {
+                        return Err(format!("page {id} first-key desynced from directory"));
                     }
-                };
-                if let Some(lowest) = slots.first_key() {
-                    if lowest < first.as_slice() {
-                        return Err(format!("page {id} holds a key below its first key"));
+                    if dir_head(first) != head {
+                        return Err(format!("page {id} filed under a stale directory head"));
                     }
-                    if let Some(prev) = &prev_last {
-                        if prev >= first {
-                            return Err(format!("page {id} range overlaps its predecessor"));
+                    if prev_first.is_some_and(|prev| prev >= first.as_slice()) {
+                        return Err(format!("page {id} out of directory order"));
+                    }
+                    prev_first = Some(first);
+                    let reread;
+                    let slots = match &page.data {
+                        PageData::Resident(slots) => {
+                            if SlottedPage::from_bytes(slots.as_bytes().to_vec())
+                                .as_ref()
+                                .ok()
+                                != Some(slots)
+                            {
+                                return Err(format!(
+                                    "page {id} slot index or key heads differ from its bytes"
+                                ));
+                            }
+                            slots
+                        }
+                        PageData::Evicted => {
+                            let spill = page.spill.ok_or_else(|| {
+                                format!("evicted page {id} lost its spill handle")
+                            })?;
+                            let bytes = self
+                                .store
+                                .read(&spill)
+                                .map_err(|e| format!("page {id} unreadable: {e}"))?;
+                            reread = SlottedPage::from_bytes(bytes)
+                                .map_err(|e| format!("page {id} undecodable: {e}"))?;
+                            &reread
+                        }
+                    };
+                    if let Some(lowest) = slots.first_key() {
+                        if lowest < first.as_slice() {
+                            return Err(format!("page {id} holds a key below its first key"));
+                        }
+                        if let Some(prev) = &prev_last {
+                            if prev.as_slice() >= first.as_slice() {
+                                return Err(format!("page {id} range overlaps its predecessor"));
+                            }
                         }
                     }
-                }
-                let mut last = None;
-                for (k, v) in slots.iter() {
-                    xor_row(&mut recomputed, &storage_row(contract, k, v));
-                    slot_count += 1;
-                    byte_size += v.len();
-                    last = Some(k);
-                }
-                if let Some(last) = last {
-                    prev_last = Some(last.to_vec());
+                    let mut last = None;
+                    for (k, v) in slots.iter() {
+                        xor_row(&mut recomputed, &storage_row(contract, k, v));
+                        slot_count += 1;
+                        byte_size += v.len();
+                        last = Some(k);
+                    }
+                    if let Some(last) = last {
+                        prev_last = Some(last.to_vec());
+                    }
                 }
             }
+        }
+        let tabled = self.pages.iter().flatten().count();
+        if listed != tabled {
+            return Err(format!(
+                "page table holds {tabled} pages, the directory lists {listed}"
+            ));
         }
         if slot_count != self.slot_count {
             return Err(format!(
@@ -617,30 +688,25 @@ impl PagedSlots {
             .fresh_like()
             .unwrap_or_else(|_| PageStore::in_memory());
         let mut out = PagedSlots::new(self.capacity, self.limit, store);
-        out.next_page = self.next_page;
         out.slot_count = self.slot_count;
         out.byte_size = self.byte_size;
-        let PagedSlots {
-            dir, pages, store, ..
-        } = self;
-        for (contract, cdir) in dir.iter() {
-            let mut out_dir = BTreeMap::new();
-            for (first, id) in cdir.iter() {
-                let page = pages.get(id).expect("directory references live pages");
-                let slots = match &page.data {
-                    PageData::Resident(slots) => slots.clone(),
-                    PageData::Evicted => {
-                        let spill = page.spill.expect("evicted page keeps a spill handle");
-                        let bytes = store
-                            .read(&spill)
-                            .unwrap_or_else(|e| panic!("paged state clone failed: {e}"));
-                        SlottedPage::from_bytes(bytes).expect("spilled page decodes")
-                    }
-                };
-                out.add_resident(*id, contract.clone(), first.clone(), slots);
-                out_dir.insert(first.clone(), *id);
-            }
-            out.dir.insert(contract.clone(), out_dir);
+        out.dir = self.dir.clone();
+        out.pages.resize_with(self.pages.len(), || None);
+        let ids: Vec<PageId> = self.ids_in_order().collect();
+        for id in ids {
+            let page = self.pages[id].as_ref().expect("page exists");
+            let slots = match &page.data {
+                PageData::Resident(slots) => slots.clone(),
+                PageData::Evicted => {
+                    let spill = page.spill.expect("evicted page keeps a spill handle");
+                    let bytes = self
+                        .store
+                        .read(&spill)
+                        .unwrap_or_else(|e| panic!("paged state clone failed: {e}"));
+                    SlottedPage::from_bytes(bytes).expect("spilled page decodes")
+                }
+            };
+            out.add_resident(id, page.contract.clone(), page.first.clone(), slots);
         }
         out.enforce_limit();
         out
@@ -807,16 +873,33 @@ impl WorldState {
         self.with_account(addr, |a| a.nonce += 1);
     }
 
-    /// Reads a contract storage slot. Owned because the slot may live on
-    /// an evicted page that is decoded (and possibly re-evicted) on the
-    /// way — there is no stable buffer to borrow from.
+    /// Hands a contract storage slot's value (`None` when absent) to
+    /// `read`, borrowed from the page that holds it, and returns what
+    /// `read` returns — a typed read decodes straight out of the page.
+    ///
+    /// The slot may live on an evicted page: it is faulted in first, and
+    /// residency is enforced again only once `read` has returned, so the
+    /// borrow is always of a resident page. `read` runs under the state's
+    /// lock and must not call back into this `WorldState`; the lock is not
+    /// re-entrant, so such a call deadlocks or panics.
+    pub fn storage_with<R>(
+        &self,
+        contract: &ContractId,
+        key: &[u8],
+        read: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> R {
+        self.slots_shared().with(contract, key, read)
+    }
+
+    /// Reads a contract storage slot into a buffer of its own
+    /// ([`WorldState::storage_with`] without the copy reads it in place).
     pub fn storage_get(&self, contract: &ContractId, key: &[u8]) -> Option<Vec<u8>> {
-        self.slots_shared().get(contract, key)
+        self.storage_with(contract, key, |value| value.map(<[u8]>::to_vec))
     }
 
     /// Whether a contract storage slot exists (no value clone).
     pub fn storage_contains(&self, contract: &ContractId, key: &[u8]) -> bool {
-        self.slots_shared().contains(contract, key)
+        self.storage_with(contract, key, |value| value.is_some())
     }
 
     /// Writes a contract storage slot.
@@ -1171,7 +1254,11 @@ mod tests {
         assert_eq!(stats.resident_pages, stats.total_pages);
         baseline.verify_pages().expect("page integrity");
         let slots = baseline.slots.lock().expect("world-state lock poisoned");
-        let first_key_lens: BTreeSet<usize> = slots.dir[&cid()].keys().map(Vec::len).collect();
+        let first_key_lens: BTreeSet<usize> = slots.dir[&cid()]
+            .values()
+            .flatten()
+            .map(|(first, _)| first.len())
+            .collect();
         assert!(
             [55, 56, 80].iter().all(|l| first_key_lens.contains(l)),
             "some page starts at each long key length: {first_key_lens:?}"
@@ -1325,6 +1412,45 @@ mod tests {
             commitments.windows(2).all(|w| w[0] == w[1]),
             "{commitments:?}"
         );
+    }
+
+    /// `verify_pages` checks the derived indexes: one directory entry filed
+    /// under a stale head fails it, naming the page, and so does a page
+    /// table that holds a page the directory does not list.
+    #[test]
+    fn verify_pages_names_a_page_with_a_stale_head() {
+        let cfg = PagingConfig::in_memory(None).with_page_capacity(2);
+        let mut s = WorldState::with_paging(&cfg);
+        for key in adversarial_keys() {
+            s.storage_set(&cid(), key, b"v".to_vec());
+        }
+        s.verify_pages().expect("fresh indexes verify");
+        let stale = {
+            let mut slots = s.slots.lock().expect("world-state lock poisoned");
+            let dir = slots.dir.get_mut(&cid()).expect("contract dir");
+            let (head, tied) = dir.pop_last().expect("pages");
+            let id = tied[0].1;
+            dir.insert(head ^ 1, tied);
+            id
+        };
+        let err = s.verify_pages().expect_err("stale head");
+        assert!(err.contains(&format!("page {stale} ")), "{err}");
+
+        let mut s = WorldState::with_paging(&cfg);
+        s.storage_set(&cid(), b"k".to_vec(), b"v".to_vec());
+        s.slots_mut().pages.push(None);
+        s.verify_pages()
+            .expect("a dropped page's hole is not a page");
+        let orphan = s.slots_mut().pages[0].as_ref().map(|p| Page {
+            contract: p.contract.clone(),
+            first: p.first.clone(),
+            data: PageData::Resident(SlottedPage::new()),
+            last_used: 0,
+            spill: None,
+        });
+        s.slots_mut().pages.push(orphan);
+        let err = s.verify_pages().expect_err("unlisted page");
+        assert!(err.contains("page table holds 2 pages"), "{err}");
     }
 
     /// The accumulator a state with `accounts` and `slots` must read,

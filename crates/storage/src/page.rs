@@ -7,7 +7,15 @@
 //! plus an index of where each slot starts — so a page read back from a
 //! [`PageStore`](crate::PageStore) is usable after one validating pass and
 //! a page about to be spilled is already encoded.
+//!
+//! Beside the offsets a page keeps *key heads*: the length of the prefix
+//! every key on the page shares, and per slot the next 8 key bytes as one
+//! big-endian `u64`. A lookup binary-searches that dense array and compares
+//! full keys only among slots whose heads tie, so a hit reads a few cache
+//! lines instead of one key per probe. Heads are derived from the bytes and
+//! rebuilt with them; they are never spilled or hashed.
 
+use std::cmp::Ordering;
 use std::io;
 
 /// Bytes of the slot-count header.
@@ -56,19 +64,46 @@ fn field_at(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
     Some((bytes.get(start..end)?, end))
 }
 
+/// The 8 bytes of `key` after its first `skip`, big-endian and zero-padded,
+/// so heads order like the keys they start (ties aside).
+fn head_after(key: &[u8], skip: usize) -> u64 {
+    let rest = key.get(skip..).unwrap_or_default();
+    match rest.first_chunk::<8>() {
+        Some(head) => u64::from_be_bytes(*head),
+        None => rest
+            .iter()
+            .zip((0..8).rev())
+            .fold(0, |head, (&b, byte)| head | u64::from(b) << (8 * byte)),
+    }
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
 /// One slot page held in its spill encoding.
 ///
 /// `bytes` is exactly what [`encode_page`] would produce for the page's
-/// slots, at every moment: lookups binary-search it through `offsets`,
+/// slots, at every moment: lookups search it through `offsets` and `heads`,
 /// writes splice it in place, a split cuts it at the median slot. Nothing
 /// is decoded into per-slot allocations and nothing has to be re-encoded
 /// before the page is appended to a [`PageStore`](crate::PageStore).
+///
+/// Equality compares the derived index too, so a page equals
+/// `SlottedPage::from_bytes(page.as_bytes())` exactly when its offsets and
+/// key heads are what its bytes say they are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
     /// The page in [`encode_page`] form.
     bytes: Vec<u8>,
     /// Offset in `bytes` of each slot's key-length prefix, in key order.
     offsets: Vec<u32>,
+    /// Length of the common prefix of the lowest and highest key, which
+    /// every key between them shares (0 on an empty page).
+    shared: usize,
+    /// Per slot, [`head_after`] its key and `shared`: non-decreasing.
+    heads: Vec<u64>,
 }
 
 impl Default for SlottedPage {
@@ -84,6 +119,8 @@ impl SlottedPage {
         SlottedPage {
             bytes: vec![0; HEADER],
             offsets: Vec::new(),
+            shared: 0,
+            heads: Vec::new(),
         }
     }
 
@@ -123,7 +160,14 @@ impl SlottedPage {
         if at != bytes.len() {
             return Err(invalid("trailing page bytes"));
         }
-        Ok(SlottedPage { bytes, offsets })
+        let mut page = SlottedPage {
+            bytes,
+            offsets,
+            shared: 0,
+            heads: Vec::new(),
+        };
+        page.reindex_heads();
+        Ok(page)
     }
 
     /// The page in [`encode_page`] form — what is spilled and hashed.
@@ -173,10 +217,80 @@ impl SlottedPage {
         (key, value)
     }
 
+    /// The common prefix length of the lowest and highest key as they
+    /// stand.
+    fn ends_prefix(&self) -> usize {
+        match (self.offsets.first(), self.offsets.last()) {
+            (Some(&lo), Some(&hi)) => {
+                common_prefix(self.key_from(lo as usize), self.key_from(hi as usize))
+            }
+            _ => 0,
+        }
+    }
+
+    /// Recomputes `shared` and every head from the bytes.
+    fn reindex_heads(&mut self) {
+        self.shared = self.ends_prefix();
+        let mut heads = std::mem::take(&mut self.heads);
+        heads.clear();
+        heads.extend(
+            self.offsets
+                .iter()
+                .map(|&at| head_after(self.key_from(at as usize), self.shared)),
+        );
+        self.heads = heads;
+    }
+
+    /// Indexes `key`, just inserted as slot `i`. A new lowest or highest
+    /// key may shorten the shared prefix, which moves every head.
+    fn index_inserted(&mut self, i: usize, key: &[u8]) {
+        let at_end = i == 0 || i + 1 == self.len();
+        if at_end && self.ends_prefix() != self.shared {
+            self.reindex_heads();
+        } else {
+            self.heads.insert(i, head_after(key, self.shared));
+        }
+    }
+
+    /// Drops slot `i`'s head, the slot already gone. Losing the lowest or
+    /// highest key may lengthen the shared prefix, which moves every head.
+    fn index_removed(&mut self, i: usize) {
+        let at_end = i == 0 || i == self.len();
+        if at_end && self.ends_prefix() != self.shared {
+            self.reindex_heads();
+        } else {
+            self.heads.remove(i);
+        }
+    }
+
     /// `Ok(i)` when slot `i` holds `key`, `Err(i)` when it would go there.
+    ///
+    /// A key that leaves the shared prefix sorts below or above the whole
+    /// page; otherwise its head picks the run of slots it ties with, and
+    /// only that run compares full keys. The heads are searched before the
+    /// prefix is read, so the two reads do not wait on each other.
     fn search(&self, key: &[u8]) -> Result<usize, usize> {
-        self.offsets
+        if self.is_empty() {
+            return Err(0);
+        }
+        let head = head_after(key, self.shared);
+        // Both searches probe the same few lines of `heads` until the tie.
+        let lo = self.heads.partition_point(|&h| h < head);
+        let hi = self.heads.partition_point(|&h| h <= head);
+        // The lowest slot starts right after the count.
+        let shared = &self.key_from(HEADER)[..self.shared];
+        let n = key.len().min(shared.len());
+        match key[..n].cmp(&shared[..n]) {
+            Ordering::Less => return Err(0),
+            Ordering::Greater => return Err(self.len()),
+            // A strict prefix of the shared prefix sorts below every key.
+            Ordering::Equal if n < shared.len() => return Err(0),
+            Ordering::Equal => {}
+        }
+        self.offsets[lo..hi]
             .binary_search_by(|&at| self.key_from(at as usize).cmp(key))
+            .map(|i| lo + i)
+            .map_err(|i| lo + i)
     }
 
     /// The value stored under `key`.
@@ -215,6 +329,9 @@ impl SlottedPage {
     /// # Panics
     /// If the page would outgrow the `u32` offsets of its own format.
     fn resize_gap(&mut self, at: usize, old_len: usize, new_len: usize, from: usize) {
+        if old_len == new_len {
+            return;
+        }
         let old_total = self.bytes.len();
         let total = (old_total - old_len)
             .checked_add(new_len)
@@ -275,6 +392,7 @@ impl SlottedPage {
                 let value_at = self.write_field(at, key);
                 self.write_field(value_at, value);
                 self.write_count();
+                self.index_inserted(i, key);
                 None
             }
         }
@@ -289,6 +407,7 @@ impl SlottedPage {
         self.resize_gap(at, slot_len, 0, i + 1);
         self.offsets.remove(i);
         self.write_count();
+        self.index_removed(i);
         Some(prev)
     }
 
@@ -305,11 +424,38 @@ impl SlottedPage {
         let mut upper = SlottedPage {
             bytes,
             offsets: self.offsets[mid..].iter().map(|o| o - shift).collect(),
+            shared: 0,
+            heads: Vec::new(),
         };
         upper.write_count();
+        upper.reindex_heads();
         self.bytes.truncate(cut);
         self.offsets.truncate(mid);
         self.write_count();
+        self.reindex_heads();
         upper
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Equality with a rebuild from the bytes is what tells a stale key
+    /// head apart: one head off by one is a different page, and a search
+    /// through it misses a key the bytes hold.
+    #[test]
+    fn a_stale_head_differs_from_the_rebuild() {
+        let mut page = SlottedPage::new();
+        for key in [&b"pod/a"[..], b"pod/b", b"pod/c"] {
+            page.insert(key, b"v");
+        }
+        let rebuilt =
+            |p: &SlottedPage| SlottedPage::from_bytes(p.as_bytes().to_vec()).expect("valid");
+        assert_eq!(rebuilt(&page), page);
+        assert_eq!((page.shared, page.heads.len()), (4, 3));
+        page.heads[1] += 1;
+        assert_ne!(rebuilt(&page), page);
+        assert_eq!(page.get(b"pod/b"), None, "the stale head hides its slot");
     }
 }
