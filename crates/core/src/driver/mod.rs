@@ -68,8 +68,13 @@
 //! local step (`prepare`) and what follows confirmation (`registered`,
 //! `certified`) as functions of their file, because
 //! [`crate::scenario::populate_population`] enrols a whole market through
-//! the same two halves and only sends differently. Metrics and trace
-//! records belong to the machine, not to those functions.
+//! the same two halves and only sends differently: straight into the
+//! mempool, in chunks. It confirms as this driver does, per sealed slot,
+//! from what that slot included — the events naming each pod, resource
+//! and subscriber, and then one receipt per included subscription — so
+//! its work is per included transaction, not per pending one per slot.
+//! Metrics and trace records belong to the machine, not to those
+//! functions.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};

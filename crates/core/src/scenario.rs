@@ -7,9 +7,11 @@
 //! university hospital — retains access to Bob's data when he narrows its
 //! purpose to academic pursuits.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use duc_blockchain::{Ledger, TxId};
+use duc_blockchain::{Ledger, Receipt, TxId};
+use duc_codec::{Decode, Reader};
+use duc_contracts::topics;
 use duc_policy::{Action, Constraint, Duty, Purpose, Rule, UsagePolicy};
 use duc_sim::{zipf_weights, SimDuration};
 use duc_solid::Body;
@@ -316,11 +318,76 @@ pub fn population_policy(resource_iri: &str, owner: &str, retention_days: u64) -
         .build()
 }
 
-/// Seals every block needed to drain the mempool.
-fn drain_mempool<L: Ledger>(world: &mut World<L>) {
-    while world.chain.pending_count() > 0 {
+/// Confirms one chunk of a bulk-enrolment pass: party `names[i]` sent
+/// transaction `ids[i]` straight into the mempool, and its call emits a
+/// `topic` event whose first field is that name — `PodRegistered(webid)`,
+/// `ResourceRegistered(iri)`, `CertificateIssued(webid, _)`.
+///
+/// Seals slots until the mempool is empty and confirms parties the way the
+/// driver's inclusion wait-set confirms requests: by what each sealed slot
+/// included. After every slot it reads that slot's events from the
+/// ledger's merged, prune-aware log ([`Ledger::try_events_since`]), so the
+/// work is per included transaction, not a receipt probe per pending one
+/// per slot. `on_included(world, i)` runs in the slot that included party
+/// `i`; a pruning chain evicts at the start of the next slot, so that
+/// slot's receipts are still resident however many slots the chunk spans.
+///
+/// # Panics
+/// If a party is still unconfirmed once the pool drains, naming each such
+/// party with its receipt's status: a reverted call emits no event, so its
+/// receipt is the one place the reason is.
+fn confirm_chunk<L: Ledger>(
+    world: &mut World<L>,
+    topic: &str,
+    what: &str,
+    names: &[String],
+    ids: &[TxId],
+    mut on_included: impl FnMut(&World<L>, usize),
+) {
+    let mut parties: HashMap<&str, usize> = HashMap::with_capacity(names.len());
+    for (i, name) in names.iter().enumerate() {
+        let earlier = parties.insert(name, i);
+        assert!(
+            earlier.is_none(),
+            "{what} {name} enrolled twice in one chunk"
+        );
+    }
+    let mut included = vec![false; names.len()];
+    let mut cursor = world.chain.height();
+    loop {
+        let sealed = (world.chain)
+            .try_events_since(cursor)
+            .expect("a slot is read before the chain prunes it");
+        for (_, event) in sealed.iter().filter(|(_, e)| e.topic == topic) {
+            let Ok(name) = String::decode(&mut Reader::new(&event.data)) else {
+                continue;
+            };
+            if let Some(&i) = parties.get(name.as_str()) {
+                if !std::mem::replace(&mut included[i], true) {
+                    on_included(world, i);
+                }
+            }
+        }
+        cursor = world.chain.height();
+        if world.chain.pending_count() == 0 {
+            break;
+        }
         world.advance(SimDuration::from_secs(2));
     }
+    let missing: Vec<String> = (0..names.len())
+        .filter(|&i| !included[i])
+        .map(|i| match world.chain.receipt(&ids[i]) {
+            Some(receipt) => format!("{what} {}: {:?}", names[i], receipt.status),
+            None => format!("{what} {}: no receipt retained", names[i]),
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{} of {} bulk {what} transactions not confirmed:\n{}",
+        missing.len(),
+        names.len(),
+        missing.join("\n")
+    );
 }
 
 /// Builds a population at market scale: processes 1 and 2 for every owner
@@ -331,8 +398,14 @@ fn drain_mempool<L: Ledger>(world: &mut World<L>) {
 /// What each party does off-chain, the transaction it signs and what it
 /// does once that executed are the driver's own (`driver::pod_init`,
 /// `res_init`, `subscribe`: the functions their machines call). Only the
-/// sending is bulk: transactions go straight into the mempool,
-/// chunk-flushed under its bound, and receipts are harvested per block.
+/// sending is bulk: transactions go straight into the mempool in chunks
+/// under its bound, and each chunk is confirmed from what every sealed
+/// slot included (`confirm_chunk`).
+///
+/// # Panics
+/// If a party's transaction does not execute — its pod or resource is
+/// already registered, say. The message names each such party with the
+/// status its receipt recorded.
 pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpec) -> Population {
     assert!(spec.owners > 0, "population needs at least one owner");
     let owners: Vec<String> = (0..spec.owners)
@@ -343,40 +416,44 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
     }
 
     // Pass 1 — register every pod (process 1).
-    for (o, webid) in owners.iter().enumerate() {
-        let call = pod_init::prepare(world, webid).expect("just added");
-        world
-            .chain
-            .submit(call.tx)
-            .expect("pod tx fits the mempool");
-        if (o + 1) % FLUSH_CHUNK == 0 {
-            drain_mempool(world);
-        }
+    for chunk in owners.chunks(FLUSH_CHUNK) {
+        let ids: Vec<TxId> = (chunk.iter())
+            .map(|webid| {
+                let call = pod_init::prepare(world, webid).expect("just added");
+                world
+                    .chain
+                    .submit(call.tx)
+                    .expect("pod tx fits the mempool")
+            })
+            .collect();
+        confirm_chunk(world, topics::POD_REGISTERED, "pod", chunk, &ids, |_, _| {});
     }
-    drain_mempool(world);
     for webid in &owners {
         pod_init::registered(world, webid);
     }
 
     // Pass 2 — upload every body, attach its policy, open the market ACL
     // and register the resource (process 2).
-    let mut resources = Vec::with_capacity(spec.owners);
-    for (o, webid) in owners.iter().enumerate() {
-        let iri = world.owner(webid).pod_manager.pod().iri_of(POPULATION_PATH);
-        let policy = population_policy(&iri, webid, spec.retention_days);
-        let body = Body::Binary(vec![0xA5; spec.body_bytes]);
-        let (iri, call) = res_init::prepare(world, webid, POPULATION_PATH, body, policy, vec![])
-            .expect("population upload succeeds");
-        world
-            .chain
-            .submit(call.tx)
-            .expect("resource tx fits the mempool");
-        resources.push(iri);
-        if (o + 1) % FLUSH_CHUNK == 0 {
-            drain_mempool(world);
-        }
+    let resources: Vec<String> = (owners.iter())
+        .map(|webid| world.owner(webid).pod_manager.pod().iri_of(POPULATION_PATH))
+        .collect();
+    for (chunk, iris) in owners
+        .chunks(FLUSH_CHUNK)
+        .zip(resources.chunks(FLUSH_CHUNK))
+    {
+        let ids: Vec<TxId> = (chunk.iter().zip(iris))
+            .map(|(webid, iri)| {
+                let policy = population_policy(iri, webid, spec.retention_days);
+                let body = Body::Binary(vec![0xA5; spec.body_bytes]);
+                let (_, call) =
+                    res_init::prepare(world, webid, POPULATION_PATH, body, policy, vec![])
+                        .expect("population upload succeeds");
+                (world.chain.submit(call.tx)).expect("resource tx fits the mempool")
+            })
+            .collect();
+        let topic = topics::RESOURCE_REGISTERED;
+        confirm_chunk(world, topic, "resource", iris, &ids, |_, _| {});
     }
-    drain_mempool(world);
 
     let mut pop = Population {
         owners,
@@ -385,15 +462,6 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
         spawned: 0,
     };
     enroll_devices(world, &mut pop, spec.owners * spec.devices_per_owner);
-
-    debug_assert!(
-        world
-            .dex
-            .get_pod(&world.chain, pop.owners.last().expect("nonempty"))
-            .expect("view")
-            .is_some(),
-        "last pod registered on-chain"
-    );
     pop
 }
 
@@ -401,58 +469,56 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
 /// transaction straight into the mempool, market certificate installed
 /// from the receipt. Used by the initial build-out and by inter-wave churn.
 fn enroll_devices<L: Ledger>(world: &mut World<L>, pop: &mut Population, count: usize) {
-    let mut pending: Vec<(String, TxId)> = Vec::with_capacity(count.min(FLUSH_CHUNK));
-    for _ in 0..count {
+    let mut left = count;
+    loop {
+        let chunk = left.min(FLUSH_CHUNK);
+        left -= chunk;
+        certify_enrolled(world, pop, chunk);
+        if chunk < FLUSH_CHUNK {
+            break;
+        }
+    }
+}
+
+/// Enrolls one chunk of `size` devices, drains the mempool and installs
+/// each device's market certificate, moving the devices into the live
+/// fleet.
+///
+/// A subscription's receipt is fetched in the slot that included it — one
+/// lookup per `CertificateIssued` event — since a pruning chain
+/// ([`crate::world::WorldConfig::storage`]) evicts receipts with their
+/// blocks and a chunk can span far more slots than the resident window.
+/// The certificates are then installed in submission order, so the fleet
+/// order, and everything drawn from it, does not depend on how the chunk
+/// was packed into blocks.
+fn certify_enrolled<L: Ledger>(world: &mut World<L>, pop: &mut Population, size: usize) {
+    let mut devices = Vec::with_capacity(size);
+    let mut ids = Vec::with_capacity(size);
+    for _ in 0..size {
         let n = pop.spawned;
         pop.spawned += 1;
         let name = format!("pop-dev-{n}");
         world.add_device(name.clone(), format!("https://pd{n}.id/me"));
         let call = subscribe::prepare(world, &name).expect("just added");
-        let id = world
-            .chain
-            .submit(call.tx)
-            .expect("subscribe tx fits the mempool");
-        pending.push((name, id));
-        if pending.len() == FLUSH_CHUNK {
-            certify_enrolled(world, pop, &mut pending);
-        }
+        ids.push(
+            world
+                .chain
+                .submit(call.tx)
+                .expect("subscribe tx fits the mempool"),
+        );
+        devices.push(name);
     }
-    certify_enrolled(world, pop, &mut pending);
-}
-
-/// Drains the mempool and installs the market certificate of every pending
-/// subscription, moving the devices into the live fleet.
-///
-/// Receipts are harvested *while* the chunk drains, not after: a pruning
-/// chain ([`crate::world::WorldConfig::storage`]) evicts receipts together
-/// with their blocks, and a chunk can span far more blocks than the
-/// resident window. Harvesting per block reads every receipt within one
-/// block interval of sealing; the certificates are then installed in the
-/// original submission order, so the fleet order — and everything drawn
-/// from it — is byte-identical to the drain-then-read path.
-fn certify_enrolled<L: Ledger>(
-    world: &mut World<L>,
-    pop: &mut Population,
-    pending: &mut Vec<(String, TxId)>,
-) {
-    let mut harvested: std::collections::HashMap<TxId, duc_blockchain::Receipt> =
-        std::collections::HashMap::with_capacity(pending.len());
-    loop {
-        for (_, id) in pending.iter() {
-            if !harvested.contains_key(id) {
-                if let Some(receipt) = world.chain.receipt(id) {
-                    harvested.insert(*id, receipt.clone());
-                }
-            }
-        }
-        if world.chain.pending_count() == 0 {
-            break;
-        }
-        world.advance(SimDuration::from_secs(2));
-    }
-    for (name, id) in pending.drain(..) {
-        let receipt = harvested.get(&id).expect("subscription included");
-        subscribe::certified(world, &name, receipt).expect("subscription certificate");
+    let webids: Vec<String> = (devices.iter())
+        .map(|name| world.device(name).webid.clone())
+        .collect();
+    let mut receipts: Vec<Option<Receipt>> = vec![None; size];
+    let topic = topics::CERTIFICATE_ISSUED;
+    confirm_chunk(world, topic, "subscription", &webids, &ids, |world, i| {
+        receipts[i] = world.chain.receipt(&ids[i]);
+    });
+    for (name, receipt) in devices.into_iter().zip(receipts) {
+        let receipt = receipt.expect("included in a resident slot");
+        subscribe::certified(world, &name, &receipt).expect("subscription certificate");
         pop.devices.push(name);
     }
 }
@@ -741,6 +807,24 @@ mod tests {
             seen
         }
         assert_eq!(market(&mut bulk, &pop), market(&mut driven, &pop));
+    }
+
+    /// A bulk registration that reverts is not taken for a registered
+    /// party: p0's pod is registered through the driver first, so pass 1's
+    /// own `register_pod` for p0 reverts, and the panic names p0 with the
+    /// revert its receipt recorded.
+    #[test]
+    #[should_panic(expected = "pod https://p0.id/me: Reverted(\"reverted: pod already registered")]
+    fn a_reverted_bulk_registration_panics_with_its_receipt_status() {
+        let mut world = World::new(WorldConfig {
+            seed: 18,
+            ..WorldConfig::default()
+        });
+        world.add_owner("https://p0.id/me", "https://p0.pod/");
+        world
+            .pod_initiation("https://p0.id/me")
+            .expect("driver registers p0");
+        populate_population(&mut world, &small_spec());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! ```
 //!
 //! Durations accept `ms`, `s`, `m`, `h`, `d` suffixes. Instants (for
-//! `expires-at` / `window`) are seconds since the simulation epoch.
+//! `expires-at` / `window`) are seconds since the simulation epoch. A
+//! literal longer than a `SimDuration` holds (about 584 years) is a syntax
+//! error.
 
 use duc_sim::{SimDuration, SimTime};
 
@@ -21,6 +23,15 @@ use crate::model::{Action, Constraint, Duty, Purpose, Rule, UsagePolicy};
 use crate::PolicyError;
 
 // -------------------------------------------------------------- tokenizer
+
+/// Duration suffixes and their length in nanoseconds, largest first.
+const UNITS: [(&str, u64); 5] = [
+    ("d", 86_400_000_000_000),
+    ("h", 3_600_000_000_000),
+    ("m", 60_000_000_000),
+    ("s", 1_000_000_000),
+    ("ms", 1_000_000),
+];
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
@@ -135,19 +146,21 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, PolicyError> {
                         break;
                     }
                 }
-                match unit.as_str() {
-                    "" => toks.push(Tok::Number(value)),
-                    "ms" => toks.push(Tok::Duration(SimDuration::from_millis(value))),
-                    "s" => toks.push(Tok::Duration(SimDuration::from_secs(value))),
-                    "m" => toks.push(Tok::Duration(SimDuration::from_mins(value))),
-                    "h" => toks.push(Tok::Duration(SimDuration::from_hours(value))),
-                    "d" => toks.push(Tok::Duration(SimDuration::from_days(value))),
-                    other => {
-                        return Err(PolicyError::Syntax {
-                            message: format!("unknown duration unit {other:?}"),
-                        })
-                    }
+                if unit.is_empty() {
+                    toks.push(Tok::Number(value));
+                    continue;
                 }
+                let Some(&(_, nanos)) = UNITS.iter().find(|(suffix, _)| *suffix == unit) else {
+                    return Err(PolicyError::Syntax {
+                        message: format!("unknown duration unit {unit:?}"),
+                    });
+                };
+                let nanos = value
+                    .checked_mul(nanos)
+                    .ok_or_else(|| PolicyError::Syntax {
+                        message: format!("duration {num}{unit} overflows"),
+                    })?;
+                toks.push(Tok::Duration(SimDuration::from_nanos(nanos)));
             }
             c if c.is_ascii_alphabetic() => {
                 let mut ident = String::new();
@@ -391,24 +404,29 @@ pub fn parse(input: &str) -> Result<UsagePolicy, PolicyError> {
 
 // -------------------------------------------------------------- serializer
 
+/// In the largest unit that divides it. The lexer reads nothing finer than
+/// a millisecond, so a parsed duration always serializes exactly.
 fn duration_to_dsl(d: SimDuration) -> String {
     let nanos = d.as_nanos();
-    const DAY: u64 = 86_400_000_000_000;
-    const HOUR: u64 = 3_600_000_000_000;
-    const MIN: u64 = 60_000_000_000;
-    const SEC: u64 = 1_000_000_000;
-    const MS: u64 = 1_000_000;
-    if nanos.is_multiple_of(DAY) {
-        format!("{}d", nanos / DAY)
-    } else if nanos.is_multiple_of(HOUR) {
-        format!("{}h", nanos / HOUR)
-    } else if nanos.is_multiple_of(MIN) {
-        format!("{}m", nanos / MIN)
-    } else if nanos.is_multiple_of(SEC) {
-        format!("{}s", nanos / SEC)
-    } else {
-        format!("{}ms", nanos / MS)
+    let (suffix, unit) = UNITS
+        .iter()
+        .find(|(_, unit)| nanos.is_multiple_of(*unit))
+        .unwrap_or(&UNITS[UNITS.len() - 1]);
+    format!("{}{suffix}", nanos / unit)
+}
+
+/// A DSL string literal: `"` and `\` escaped, as the lexer reads them.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        if c == '"' || c == '\\' {
+            out.push('\\');
+        }
+        out.push(c);
     }
+    out.push('"');
+    out
 }
 
 fn constraint_to_dsl(c: &Constraint) -> String {
@@ -427,7 +445,7 @@ fn constraint_to_dsl(c: &Constraint) -> String {
             "recipients [{}]",
             agents
                 .iter()
-                .map(|a| format!("\"{a}\""))
+                .map(|a| quoted(a))
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
@@ -445,8 +463,11 @@ fn constraint_to_dsl(c: &Constraint) -> String {
 /// Serializes a policy to the DSL (re-parses to an equal policy).
 pub fn serialize(policy: &UsagePolicy) -> String {
     let mut out = format!(
-        "policy \"{}\" for \"{}\" owner \"{}\" version {} {{\n",
-        policy.id, policy.resource, policy.owner, policy.version
+        "policy {} for {} owner {} version {} {{\n",
+        quoted(&policy.id),
+        quoted(&policy.resource),
+        quoted(&policy.owner),
+        policy.version
     );
     for rule in &policy.rules {
         let kw = match rule.effect {
