@@ -1,5 +1,7 @@
 //! Process 4 — resource access into the TEE.
 
+use std::rc::Rc;
+
 use duc_blockchain::{Ledger, Receipt};
 use duc_contracts::topics;
 use duc_crypto::{Digest, PublicKey};
@@ -23,8 +25,8 @@ pub(crate) struct Access {
     /// Set by `Start`, read by the phases after it.
     fetch: Option<Fetch>,
     /// The policy in the device's index entry when the access started;
-    /// `Arrived` moves it into the TEE.
-    policy: Option<UsagePolicy>,
+    /// `Arrived` hands it to the TEE, which then shares it with the entry.
+    policy: Option<Rc<UsagePolicy>>,
     /// Size of the resource and latency of the pod fetch alone, known once
     /// the response arrived.
     bytes: usize,
@@ -81,7 +83,7 @@ impl Access {
                     return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
                 let sym = world.ids.get(&self.resource);
-                let Some(entry) = sym.and_then(|sym| dev.indexed.get(&sym)) else {
+                let Some(entry) = sym.and_then(|sym| dev.index_entry(sym)) else {
                     return Step::Done(Err(ProcessError::NotIndexed {
                         device: self.device.clone(),
                         resource: self.resource.clone(),
@@ -141,7 +143,7 @@ impl Access {
                     enclave_key: quote.enclave_key,
                     sent_at: now,
                 });
-                self.policy = Some(entry.policy.clone());
+                self.policy = Some(Rc::clone(&entry.policy));
                 self.phase = AccessPhase::ToPod(hop);
                 Step::Sleep(Wake::At(now))
             }

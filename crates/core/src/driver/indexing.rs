@@ -1,5 +1,7 @@
 //! Process 3 — resource indexing through the pull-out oracle.
 
+use std::rc::Rc;
+
 use duc_blockchain::Ledger;
 use duc_oracle::{HopKind, OracleError, PullOutOracle};
 use duc_sim::{EndpointId, SimTime};
@@ -133,14 +135,14 @@ impl Indexing {
                 let entry = IndexEntry {
                     location: record.location,
                     owner_webid: record.owner_webid,
-                    policy,
+                    policy: Rc::new(policy),
                 };
                 let sym = world.ids.intern(&self.resource);
                 let dev = world
                     .devices
                     .get_mut(&self.device)
                     .expect("validated at submit");
-                dev.indexed.insert(sym, entry.clone());
+                dev.index(sym, entry.clone());
 
                 world
                     .metrics

@@ -8,6 +8,7 @@
 //! purpose to academic pursuits.
 
 use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
 use duc_codec::{Decode, Reader};
@@ -529,7 +530,7 @@ fn certify_enrolled<L: Ledger>(world: &mut World<L>, pop: &mut Population, size:
 fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str, rank: usize) {
     let iri = &pop.resources[rank];
     let sym = world.ids.intern(iri);
-    if world.device(device).indexed.contains_key(&sym) {
+    if world.device(device).index_entry(sym).is_some() {
         return;
     }
     let webid = &pop.owners[rank];
@@ -542,14 +543,11 @@ fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str,
     let entry = IndexEntry {
         location: iri.clone(),
         owner_webid: webid.clone(),
-        policy,
+        policy: Rc::new(policy),
     };
-    world
-        .devices
-        .get_mut(device)
+    (world.devices.get_mut(device))
         .expect("live device")
-        .indexed
-        .insert(sym, entry);
+        .index(sym, entry);
 }
 
 /// Drives the wave-based population workload: per wave, a burst of

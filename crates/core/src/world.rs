@@ -1,5 +1,7 @@
 //! The simulated deployment: all components of Fig. 1, wired together.
 
+use std::rc::Rc;
+
 use duc_blockchain::{
     Address, Blockchain, ContractId, ExecMode, Ledger, ShardedLedger, StorageConfig,
 };
@@ -116,8 +118,11 @@ pub struct IndexEntry {
     pub location: String,
     /// WebID of the data owner.
     pub owner_webid: String,
-    /// The usage policy at indexing time.
-    pub policy: UsagePolicy,
+    /// The usage policy at indexing time, as the pull-out view decoded it.
+    /// Shared, not copied: process 4 hands this same `Rc` to the TEE, so a
+    /// device holds one decoded policy per resource however many places
+    /// read it, and cloning an entry clones no policy.
+    pub policy: Rc<UsagePolicy>,
 }
 
 /// A consumer device: a chain identity plus a TEE.
@@ -132,11 +137,30 @@ pub struct Device {
     pub endpoint: EndpointId,
     /// Market certificate, once subscribed.
     pub certificate: Option<duc_crypto::Digest>,
-    /// Indexed resources, keyed by the IRI's symbol in [`World::ids`]. A
-    /// tree, not a `Registry`: resource IRIs sit high in the world's symbol
-    /// space, and a device's index must cost what the device holds, not four
-    /// bytes per symbol in the world. Only ever probed, never iterated.
-    pub indexed: std::collections::BTreeMap<Sym, IndexEntry>,
+    /// Indexed resources, keyed by the IRI's symbol in [`World::ids`] and
+    /// sorted by it; read through [`Device::index_entry`], written through
+    /// [`Device::index`]. Not a `Registry`: resource IRIs sit high in the
+    /// world's symbol space, and a device's index must cost what the device
+    /// holds, not four bytes per symbol in the world. Not a tree either: a
+    /// device indexes a handful of resources, and a tree's first node has
+    /// room for eleven. Only ever probed, never iterated.
+    indexed: Vec<(Sym, IndexEntry)>,
+}
+
+impl Device {
+    /// The index entry for the resource whose IRI interned as `resource`.
+    pub fn index_entry(&self, resource: Sym) -> Option<&IndexEntry> {
+        let i = self.indexed.binary_search_by_key(&resource, |(s, _)| *s);
+        i.ok().map(|i| &self.indexed[i].1)
+    }
+
+    /// Stores (or replaces) the index entry for `resource`.
+    pub fn index(&mut self, resource: Sym, entry: IndexEntry) {
+        match self.indexed.binary_search_by_key(&resource, |(s, _)| *s) {
+            Ok(i) => self.indexed[i].1 = entry,
+            Err(i) => self.indexed.insert(i, (resource, entry)),
+        }
+    }
 }
 
 /// One simulated deployment of the whole architecture, generic over the
@@ -347,7 +371,7 @@ impl<L: Ledger> World<L> {
                 key,
                 endpoint,
                 certificate: None,
-                indexed: std::collections::BTreeMap::new(),
+                indexed: Vec::new(),
             },
         );
     }

@@ -1,5 +1,7 @@
-//! A device's host footprint is a function of what the device holds, not of
-//! how many owners and devices share its world.
+//! An actor's host footprint — a device, its index entries and governed
+//! copies, an owner with its pod — is a function of what the actor holds,
+//! not of how many owners and devices share its world, and stays under a
+//! recorded ceiling.
 //!
 //! One `#[test]` in its own binary with its own live-bytes global allocator:
 //! a second test running on a parallel thread would move the counter.
@@ -9,6 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use duc_core::prelude::*;
 use duc_core::scenario::PopulationSpec;
+use duc_solid::Body;
 
 /// Bytes currently allocated and not yet freed.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -71,9 +74,30 @@ fn median_live_added(mut per_device: impl FnMut(usize)) -> f64 {
     added[FRESH / 2] as f64
 }
 
-/// Live bytes per fresh device of (a) `add_device`, (b) its first
-/// `ResourceIndexing` of a late-registered resource, (c) its second.
-fn footprint(owners: usize) -> [f64; 3] {
+/// What one more actor leaves allocated, each a median over [`FRESH`]
+/// fresh actors: `add_device`, a device's first and second
+/// `ResourceIndexing`, its first governed copy (one `ResourceAccess`), and
+/// an owner (`add_owner` plus processes 1 and 2 with one 256-byte resource).
+const WHAT: [&str; 5] = [
+    "add_device",
+    "first indexing",
+    "second indexing",
+    "first copy",
+    "owner",
+];
+
+/// Runs one request to completion and checks its outcome.
+fn run(world: &mut World, request: Request, ok: impl Fn(&Outcome) -> bool) {
+    let ticket = world.submit(request);
+    world.run_until_idle();
+    match ticket.poll(world).expect("idle means completed") {
+        Ok(outcome) if ok(&outcome) => {}
+        other => panic!("{other:?}"),
+    }
+}
+
+/// [`WHAT`], per fresh actor, in a world of `owners` bulk-enrolled owners.
+fn footprint(owners: usize) -> [f64; 5] {
     let mut world = World::new(WorldConfig::default());
     let spec = PopulationSpec {
         owners,
@@ -88,38 +112,82 @@ fn footprint(owners: usize) -> [f64; 3] {
     let added = median_live_added(|n| world.add_device(name(n), format!("https://fd{n}.id/me")));
     let mut index = |resource: &str| {
         median_live_added(|n| {
-            let ticket = world.submit(Request::ResourceIndexing {
+            let request = Request::ResourceIndexing {
                 device: name(n),
                 resource: resource.to_string(),
+            };
+            run(&mut world, request, |o| {
+                matches!(o, Outcome::Indexed { .. })
             });
-            world.run_until_idle();
-            let outcome = ticket.poll(&mut world).expect("idle means completed");
-            assert!(
-                matches!(outcome, Ok(Outcome::Indexed { .. })),
-                "{outcome:?}"
-            );
         })
     };
-    [added, index(first), index(second)]
+    let (first_entry, second_entry) = (index(first), index(second));
+    for n in 0..FRESH {
+        let request = Request::MarketSubscribe { device: name(n) };
+        run(&mut world, request, |o| {
+            matches!(o, Outcome::Subscribed { .. })
+        });
+    }
+    let copy = median_live_added(|n| {
+        let request = Request::ResourceAccess {
+            device: name(n),
+            resource: first.clone(),
+        };
+        run(&mut world, request, |o| matches!(o, Outcome::Accessed(_)));
+    });
+    let owner = median_live_added(|n| {
+        let webid = format!("https://fo{n}.id/me");
+        world.add_owner(webid.clone(), format!("https://fo{n}.pod/"));
+        let request = Request::PodInitiation {
+            webid: webid.clone(),
+        };
+        run(&mut world, request, |o| {
+            matches!(o, Outcome::PodInitiated { .. })
+        });
+        let iri = format!("https://fo{n}.pod/{}", scenario::POPULATION_PATH);
+        let request = Request::ResourceInitiation {
+            policy: scenario::population_policy(&iri, &webid, spec.retention_days),
+            webid,
+            path: scenario::POPULATION_PATH.into(),
+            body: Body::Binary(vec![0xA5; spec.body_bytes]),
+            metadata: vec![],
+        };
+        run(&mut world, request, |o| {
+            matches!(o, Outcome::ResourceInitiated { .. })
+        });
+    });
+    [added, first_entry, second_entry, copy, owner]
 }
+
+/// Live bytes per actor, each ceiling [`WHAT`]'s value at 2 000 owners plus
+/// about 10 %: 122, 656, 400, 3 470 and 4 866 B. Before index entries, TEE
+/// copies and pods were sorted vectors and the policy was shared, these read
+/// 122, 2 248, 256, 4 621 and 7 366 B: a device's first index entry, its
+/// first sealed copy and a pod's first resource each allocated an
+/// eleven-slot B-tree leaf. The second index entry rose from 256 to 400 B
+/// because the shared policy is an allocation of its own (an `Rc`) rather
+/// than part of a tree slot already paid for; the first copy shares that
+/// same policy instead of cloning it.
+const CEILING: [f64; 5] = [136.0, 1024.0, 440.0, 3_820.0, 5_360.0];
 
 #[test]
 fn footprint_does_not_depend_on_the_population() {
     let small = footprint(200);
     let large = footprint(2_000);
-    println!("live bytes per device at  200 owners: {small:.0?}");
-    println!("live bytes per device at 2000 owners: {large:.0?}");
-    let what = ["add_device", "first indexing", "second indexing"];
-    for ((what, small), large) in what.into_iter().zip(small).zip(large) {
+    println!("live bytes per actor  {WHAT:?}");
+    println!("   at  200 owners:    {small:.0?}");
+    println!("   at 2000 owners:    {large:.0?}");
+    for (i, what) in WHAT.into_iter().enumerate() {
+        let (small, large) = (small[i], large[i]);
         let ratio = large.max(small) / large.min(small).max(1.0);
         assert!(
             ratio <= 1.5,
-            "{what}: {small:.0} B per device at 200 owners, {large:.0} B at 2 000 ({ratio:.2}×)"
+            "{what}: {small:.0} B per actor at 200 owners, {large:.0} B at 2 000 ({ratio:.2}×)"
+        );
+        assert!(
+            large.max(small) <= CEILING[i],
+            "{what}: {small:.0} B per actor at 200 owners, {large:.0} B at 2 000; ceiling {:.0} B",
+            CEILING[i]
         );
     }
-    assert!(
-        large[1] < 8.0 * 1024.0,
-        "a first index entry costs {:.0} B; it must not carry a slot per world symbol",
-        large[1]
-    );
 }

@@ -1,7 +1,5 @@
 //! The pod: a path-addressed resource tree.
 
-use std::collections::BTreeMap;
-
 use crate::resource::{Resource, ResourceKind};
 
 /// A Solid personal online datastore.
@@ -9,10 +7,16 @@ use crate::resource::{Resource, ResourceKind};
 /// Paths are slash-separated and relative to the pod root; a "container" is
 /// simply a path prefix ending in `/` (LDP-style containment without the
 /// ceremony).
+///
+/// The resources sit in one `Vec` sorted by path and searched by binary
+/// search: each resource already carries its path, so a map would hold a
+/// second copy of every path, and a pod of one resource would pay for a
+/// tree node of eleven.
 #[derive(Debug, Clone, Default)]
 pub struct Pod {
     root: String,
-    resources: BTreeMap<String, Resource>,
+    /// Sorted by `path`, no two alike.
+    resources: Vec<Resource>,
 }
 
 impl Pod {
@@ -20,7 +24,7 @@ impl Pod {
     pub fn new(root: impl Into<String>) -> Pod {
         Pod {
             root: root.into(),
-            resources: BTreeMap::new(),
+            resources: Vec::new(),
         }
     }
 
@@ -34,43 +38,53 @@ impl Pod {
         format!("{}{}", self.root, path)
     }
 
+    /// Where `path` is, or would be inserted.
+    fn find(&self, path: &str) -> Result<usize, usize> {
+        self.resources
+            .binary_search_by(|r| r.path.as_str().cmp(path))
+    }
+
     /// Stores a resource (insert or replace); bumps the version on replace.
     pub fn put(&mut self, path: impl Into<String>, kind: ResourceKind) -> &Resource {
         let path = path.into();
-        match self.resources.get_mut(&path) {
-            Some(existing) => {
+        match self.find(&path) {
+            Ok(i) => {
+                let existing = &mut self.resources[i];
                 existing.kind = kind;
                 existing.version += 1;
+                existing
             }
-            None => {
-                self.resources
-                    .insert(path.clone(), Resource::new(path.clone(), kind));
+            Err(i) => {
+                self.resources.insert(i, Resource::new(path, kind));
+                &self.resources[i]
             }
         }
-        self.resources.get(&path).expect("just inserted")
     }
 
     /// Reads a resource.
     pub fn get(&self, path: &str) -> Option<&Resource> {
-        self.resources.get(path)
+        self.find(path).ok().map(|i| &self.resources[i])
     }
 
     /// Whether a resource exists.
     pub fn contains(&self, path: &str) -> bool {
-        self.resources.contains_key(path)
+        self.find(path).is_ok()
     }
 
     /// Deletes a resource; returns it if it existed.
     pub fn delete(&mut self, path: &str) -> Option<Resource> {
-        self.resources.remove(path)
+        self.find(path).ok().map(|i| self.resources.remove(i))
     }
 
     /// Lists resource paths under a container prefix, in order.
     pub fn list(&self, container: &str) -> Vec<&str> {
-        self.resources
-            .range(container.to_string()..)
-            .take_while(|(path, _)| path.starts_with(container))
-            .map(|(path, _)| path.as_str())
+        let from = self
+            .resources
+            .partition_point(|r| r.path.as_str() < container);
+        self.resources[from..]
+            .iter()
+            .take_while(|r| r.path.starts_with(container))
+            .map(|r| r.path.as_str())
             .collect()
     }
 

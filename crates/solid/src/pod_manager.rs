@@ -53,6 +53,9 @@ pub struct PodManager {
     policies: HashMap<String, UsagePolicy>,
     require_certificate_for_reads: bool,
     accesses_served: u64,
+    /// Container members minted by POST so far. Member names count up from
+    /// it and never reuse a number, whatever was deleted since.
+    members_minted: u64,
 }
 
 impl std::fmt::Debug for PodManager {
@@ -79,6 +82,7 @@ impl PodManager {
             policies: HashMap::new(),
             require_certificate_for_reads: false,
             accesses_served: 0,
+            members_minted: 0,
         }
     }
 
@@ -230,7 +234,15 @@ impl PodManager {
                     Ok(kind) => kind,
                     Err(e) => return SolidResponse::error(Status::BadRequest, e),
                 };
-                let member = format!("{}member-{}", req.path, self.pod.len());
+                // A name no resource holds: past every member minted, and
+                // past any a PUT created under the same pattern.
+                let member = loop {
+                    self.members_minted += 1;
+                    let name = format!("{}member-{}", req.path, self.members_minted);
+                    if !self.pod.contains(&name) {
+                        break name;
+                    }
+                };
                 self.pod.put(member.clone(), kind);
                 SolidResponse {
                     status: Status::Created,
@@ -403,6 +415,51 @@ mod tests {
             Body::Text(member) => assert!(member.starts_with("inbox/member-")),
             other => panic!("expected member path, got {other:?}"),
         }
+    }
+
+    fn post(pm: &mut PodManager, container: &str, text: &str) -> SolidResponse {
+        pm.handle(&SolidRequest {
+            agent: Some(OWNER.into()),
+            method: Method::Post,
+            path: container.into(),
+            body: Body::Text(text.into()),
+            certificate: None,
+        })
+    }
+
+    /// A member name is never handed out twice: deleting any resource
+    /// shrinks the pod, and a name derived from its size would land on a
+    /// live member and overwrite it.
+    #[test]
+    fn post_after_a_delete_never_overwrites_a_member() {
+        let mut pm = pm();
+        let member = |resp: SolidResponse| match resp.body {
+            Body::Text(member) => member,
+            other => panic!("expected member path, got {other:?}"),
+        };
+        let first = member(post(&mut pm, "c/", "first"));
+        let second = member(post(&mut pm, "c/", "second"));
+        assert_eq!(
+            (first.as_str(), second.as_str()),
+            ("c/member-1", "c/member-2")
+        );
+        assert_eq!(
+            pm.handle(&SolidRequest::delete(OWNER, "data/notes.txt"))
+                .status,
+            Status::NoContent
+        );
+        let third = post(&mut pm, "c/", "third");
+        assert_eq!(third.status, Status::Created);
+        assert_eq!(member(third), "c/member-3");
+        let kept = pm.pod().get("c/member-2").expect("still there");
+        assert_eq!(
+            (&kept.kind, kept.version),
+            (&ResourceKind::Text("second".into()), 1)
+        );
+        // A PUT may take the next name in the pattern; POST steps past it.
+        pm.handle(&SolidRequest::put(OWNER, "c/member-4").with_body(Body::Text("put".into())));
+        assert_eq!(member(post(&mut pm, "c/", "fifth")), "c/member-5");
+        assert_eq!(pm.pod().list("c/").len(), 5);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Body {
         match self {
             Body::Empty => Ok(ResourceKind::Binary(Vec::new())),
             Body::Turtle(text) => duc_rdf::turtle::parse(&text)
-                .map(ResourceKind::Rdf)
+                .map(|graph| ResourceKind::Rdf(Box::new(graph)))
                 .map_err(|e| e.to_string()),
             Body::Binary(bytes) => Ok(ResourceKind::Binary(bytes)),
             Body::Text(text) => Ok(ResourceKind::Text(text)),

@@ -6,7 +6,9 @@ use duc_rdf::{turtle, Graph};
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResourceKind {
     /// An RDF document (held as a graph; serialized as Turtle on the wire).
-    Rdf(Graph),
+    /// Boxed, so a pod's binary and text resources do not pay for a graph's
+    /// inline size: a `Resource` is 64 bytes, not 224.
+    Rdf(Box<Graph>),
     /// Opaque bytes (datasets, media).
     Binary(Vec<u8>),
     /// Plain text.
@@ -36,7 +38,7 @@ impl Resource {
 
     /// An RDF resource from a graph.
     pub fn rdf(path: impl Into<String>, graph: Graph) -> Resource {
-        Resource::new(path, ResourceKind::Rdf(graph))
+        Resource::new(path, ResourceKind::Rdf(Box::new(graph)))
     }
 
     /// A binary resource.

@@ -1,5 +1,7 @@
 //! The trusted application: policy-mediated access to sealed copies.
 
+use std::rc::Rc;
+
 use duc_crypto::{hash_parts, Digest};
 use duc_intern::{Interner, SymMap};
 use duc_policy::compliance::{AccessRecord, CopyState};
@@ -152,7 +154,9 @@ pub struct ReportedEvidence {
 
 #[derive(Debug, Clone)]
 struct CopyEntry {
-    policy: UsagePolicy,
+    /// The policy in force; shared with the device's index entry while
+    /// the copy enforces the version the entry was indexed at.
+    policy: Rc<UsagePolicy>,
     /// The decision served to repeated identical requests until the
     /// program's next transition (or an access-count change when the
     /// program is count-sensitive).
@@ -243,14 +247,20 @@ impl TrustedApplication {
 
     /// Stores a freshly retrieved resource copy under its policy
     /// (the tail of paper process 4).
+    ///
+    /// The policy is an owned [`UsagePolicy`] or an `Rc` of one: a device
+    /// passes the `Rc` its index entry holds (process 3 stores the entry
+    /// "in the TEE"), so the copy and the entry share one decoded policy
+    /// rather than each holding a deep clone.
     pub fn store_resource(
         &mut self,
         resource: impl Into<String>,
         bytes: &[u8],
-        policy: UsagePolicy,
+        policy: impl Into<Rc<UsagePolicy>>,
         now: SimTime,
     ) {
         let resource = resource.into();
+        let policy = policy.into();
         self.storage.seal(&self.enclave, &resource, bytes);
         let program = compile(&policy, PurposeTaxonomy::shared_standard());
         let sym = self.names.intern(&resource);
@@ -440,7 +450,7 @@ impl TrustedApplication {
             compile(&new_policy, PurposeTaxonomy::shared_standard()),
         ));
         entry.cached = None;
-        entry.policy = new_policy;
+        entry.policy = Rc::new(new_policy);
         entry.policy_applied_at = now;
         Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
         // Notification duties surface to the oracle layer.

@@ -1,7 +1,5 @@
 //! Trusted data storage: sealed (encrypted-at-rest) blobs.
 
-use std::collections::BTreeMap;
-
 use duc_crypto::{hash_parts, ChaCha20};
 
 use crate::enclave::Enclave;
@@ -13,15 +11,21 @@ use crate::enclave::Enclave;
 /// the host (or a different enclave) sees only ciphertext and sealing a
 /// name again never reuses the keystream of what it held before. The nonce
 /// is public and kept beside the ciphertext.
+///
+/// A device holds one to a few copies, so the entries sit in one `Vec`
+/// sorted by name and searched by binary search, not in a tree whose first
+/// node has room for eleven.
 #[derive(Debug, Clone, Default)]
 pub struct TrustedDataStorage {
-    sealed: BTreeMap<String, SealedEntry>,
+    /// Sorted by `name`, no two alike.
+    sealed: Vec<SealedEntry>,
     /// Seals done so far; never decreases, erasures included.
     seals: u64,
 }
 
 #[derive(Debug, Clone)]
 struct SealedEntry {
+    name: String,
     nonce: [u8; 12],
     ciphertext: Vec<u8>,
 }
@@ -30,6 +34,15 @@ impl TrustedDataStorage {
     /// Creates empty storage.
     pub fn new() -> TrustedDataStorage {
         TrustedDataStorage::default()
+    }
+
+    /// Where `name` is, or would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.sealed.binary_search_by(|e| e.name.as_str().cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&SealedEntry> {
+        self.find(name).ok().map(|i| &self.sealed[i])
     }
 
     /// Seals `plaintext` under `name`, replacing what the name held.
@@ -42,24 +55,37 @@ impl TrustedDataStorage {
         self.seals += 1;
         let nonce: [u8; 12] = d.as_bytes()[..12].try_into().expect("12 bytes");
         let ciphertext = ChaCha20::new(enclave.sealing_key(), nonce).encrypt(plaintext);
-        self.sealed
-            .insert(name.to_string(), SealedEntry { nonce, ciphertext });
+        match self.find(name) {
+            Ok(i) => {
+                let entry = &mut self.sealed[i];
+                entry.nonce = nonce;
+                entry.ciphertext = ciphertext;
+            }
+            Err(i) => self.sealed.insert(
+                i,
+                SealedEntry {
+                    name: name.to_string(),
+                    nonce,
+                    ciphertext,
+                },
+            ),
+        }
     }
 
     /// Unseals the entry under `name`.
     pub fn unseal(&self, enclave: &Enclave, name: &str) -> Option<Vec<u8>> {
-        let entry = self.sealed.get(name)?;
+        let entry = self.get(name)?;
         Some(ChaCha20::new(enclave.sealing_key(), entry.nonce).decrypt(&entry.ciphertext))
     }
 
     /// Securely deletes an entry; returns whether it existed.
     pub fn erase(&mut self, name: &str) -> bool {
-        self.sealed.remove(name).is_some()
+        self.find(name).map(|i| self.sealed.remove(i)).is_ok()
     }
 
     /// Whether an entry exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.sealed.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Number of sealed entries.
@@ -74,12 +100,12 @@ impl TrustedDataStorage {
 
     /// What the *host* operating system can observe: raw ciphertext.
     pub fn host_view(&self, name: &str) -> Option<&[u8]> {
-        self.sealed.get(name).map(|e| e.ciphertext.as_slice())
+        self.get(name).map(|e| e.ciphertext.as_slice())
     }
 
     /// Total sealed bytes (ciphertext; nonces are not counted).
     pub fn total_bytes(&self) -> usize {
-        self.sealed.values().map(|e| e.ciphertext.len()).sum()
+        self.sealed.iter().map(|e| e.ciphertext.len()).sum()
     }
 }
 
