@@ -262,6 +262,74 @@ fn same_seed_sim_runs_render_identical_pages() {
     assert_eq!(first, page_of(19));
 }
 
+/// The plain world loop a scripted run must equal: admit each request at
+/// its instant (stable by instant, so ties keep script order), then run
+/// to idle.
+fn submit_advance_loop(
+    world: &mut duc_core::World,
+    mut script: Vec<(duc_sim::SimTime, Request)>,
+) -> Vec<(
+    duc_core::Ticket,
+    Result<duc_core::Outcome, duc_core::ProcessError>,
+)> {
+    script.sort_by_key(|&(at, _)| at);
+    for (at, req) in script {
+        let behind = at.saturating_since(world.clock.now());
+        world.advance(behind);
+        world.submit(req);
+    }
+    world.run_until_idle();
+    world.drain_events()
+}
+
+/// A scripted sim run is the world's own event loop: the same outcomes in
+/// the same completion order (full `Debug`, ticket ids included), the same
+/// final clock, the same rendered `/metrics` page and the same replay
+/// fingerprint as the plain submit/advance loop. One pair is also pinned
+/// to a SHA-256 of fingerprint ‖ page, recorded before the scripted sim
+/// run became that loop.
+#[test]
+fn scripted_sim_run_is_the_world_loop() {
+    const PINNED: (usize, u64) = (8, 23);
+    const PINNED_SHA256: &str = "1ec76aeef7cb38c47b11fe225dea015123a7e6cb28507bedb508fca87cbd9703";
+    for (devices, seed) in [(3, 17), (3, 19), (4, 13), (5, 1), (6, 7), (7, 99), PINNED] {
+        let (mut scripted, script) = market_world(devices, seed);
+        let page = MetricsPage::new();
+        let run = run_scripted(
+            &mut scripted,
+            script,
+            RuntimeMode::Sim,
+            Some(page.clone()),
+            &ShutdownSignal::new(),
+            &DriveConfig::default(),
+        );
+        let scripted_page = page.text();
+
+        let (mut plain, script) = market_world(devices, seed);
+        let outcomes = submit_advance_loop(&mut plain, script);
+        let plain_page = duc_runtime::render(&plain.metrics_snapshot());
+
+        let pair = format!("(devices {devices}, seed {seed})");
+        assert_eq!(
+            format!("{:?}", run.outcomes),
+            format!("{outcomes:?}"),
+            "outcomes {pair}"
+        );
+        assert_eq!(scripted.clock.now(), plain.clock.now(), "clock {pair}");
+        assert_eq!(scripted_page, plain_page, "page {pair}");
+        let fingerprint = chaos::fingerprint(&mut scripted);
+        assert_eq!(
+            fingerprint,
+            chaos::fingerprint(&mut plain),
+            "fingerprint {pair}"
+        );
+        if (devices, seed) == PINNED {
+            let digest = duc_crypto::sha256(format!("{fingerprint}{scripted_page}").as_bytes());
+            assert_eq!(digest.to_hex(), PINNED_SHA256, "known answer {pair}");
+        }
+    }
+}
+
 #[test]
 fn wall_run_with_an_export_period_publishes_mid_run() {
     let (mut world, script) = market_world(3, 29);

@@ -1,12 +1,13 @@
-//! SimClock ↔ WallClock equivalence.
+//! SimClock ↔ WallClock equivalence, and both against a reference model.
 //!
 //! The two [`Clock`] implementations must fire the same logical timer
 //! sequence for the same schedule: identical `(due, payload)` pairs in
 //! identical order, with only the observation instants (`at`) differing.
 //! The suite replays fixed and randomised schedules — arms, periodic
 //! grids, cancellations, re-arms — through both clocks and compares the
-//! delivered sequences, plus a property test that cancellation/re-arm
-//! races against a reference model never lose or duplicate a wakeup.
+//! delivered sequences with each other and with [`expected`], a model of
+//! what a clock must fire, plus a property test that cancellation/re-arm
+//! sequences never lose or duplicate a wakeup.
 
 use duc_runtime::{Clock, SimClock, TimerId, WallClock};
 use duc_sim::{SimDuration, SimTime};
@@ -32,6 +33,78 @@ enum Op {
         target: usize,
         at_ms: u64,
     },
+}
+
+/// What a clock must fire for `ops` applied at logical zero, drained to at
+/// most `limit` wakeups: the reference both clocks are held to.
+///
+/// Live timers fire in (due, arm sequence) order. Cancel removes a timer.
+/// Rearm moves it to `at` under a fresh sequence number, which re-anchors
+/// a periodic timer's grid there. A periodic firing re-arms at the next
+/// grid point — `tick_after` of its on-grid due, i.e. one period later —
+/// under a fresh sequence number.
+fn expected(ops: &[Op], limit: usize) -> Vec<(SimTime, u32)> {
+    struct Timer {
+        due_ms: u64,
+        seq: u64,
+        tag: u32,
+        period_ms: Option<u64>,
+    }
+    let mut timers: Vec<Option<Timer>> = Vec::new();
+    let mut next_seq = 0..;
+    for op in ops {
+        match *op {
+            Op::ArmOnce { at_ms, tag } => timers.push(Some(Timer {
+                due_ms: at_ms,
+                seq: next_seq.next().unwrap(),
+                tag,
+                period_ms: None,
+            })),
+            Op::ArmPeriodic {
+                anchor_ms,
+                period_ms,
+                tag,
+            } => timers.push(Some(Timer {
+                due_ms: anchor_ms,
+                seq: next_seq.next().unwrap(),
+                tag,
+                period_ms: Some(period_ms.max(1)),
+            })),
+            Op::Cancel { target } => {
+                if !timers.is_empty() {
+                    let n = timers.len();
+                    timers[target % n] = None;
+                }
+            }
+            Op::Rearm { target, at_ms } => {
+                let n = timers.len();
+                if let Some(timer) = timers.get_mut(target % n.max(1)).and_then(Option::as_mut) {
+                    timer.due_ms = at_ms;
+                    timer.seq = next_seq.next().unwrap();
+                }
+            }
+        }
+    }
+    let mut fired = Vec::new();
+    while fired.len() < limit {
+        let Some(slot) = timers
+            .iter_mut()
+            .filter(|t| t.is_some())
+            .min_by_key(|t| t.as_ref().map(|t| (t.due_ms, t.seq)))
+        else {
+            break;
+        };
+        let timer = slot.as_mut().expect("filtered to live timers");
+        fired.push((SimTime::from_millis(timer.due_ms), timer.tag));
+        match timer.period_ms {
+            Some(period_ms) => {
+                timer.due_ms += period_ms;
+                timer.seq = next_seq.next().unwrap();
+            }
+            None => *slot = None,
+        }
+    }
+    fired
 }
 
 /// Applies every op up front, then drains at most `limit` wakeups,
@@ -97,6 +170,11 @@ fn assert_equivalent(ops: &[Op], limit: usize) {
     let sim_fired = run_schedule(&mut sim, ops, limit);
     let mut wall: WallClock<u32> = WallClock::with_scale(SimTime::ZERO, 100);
     let wall_fired = run_schedule(&mut wall, ops, limit);
+    assert_eq!(
+        sim_fired,
+        expected(ops, limit),
+        "sim clock departs from the model for {ops:?}"
+    );
     assert_eq!(
         sim_fired, wall_fired,
         "clocks fired different logical sequences for {ops:?}"
@@ -236,50 +314,38 @@ proptest! {
         let sim_fired = run_schedule(&mut sim, &ops, 24);
         let mut wall: WallClock<u32> = WallClock::with_scale(SimTime::ZERO, 100);
         let wall_fired = run_schedule(&mut wall, &ops, 24);
+        prop_assert_eq!(&sim_fired, &expected(&ops, 24));
         prop_assert_eq!(sim_fired, wall_fired);
     }
 
-    /// Cancellation / re-arm sequences against a reference model: every
+    /// Cancellation / re-arm sequences against the reference model: every
     /// armed one-shot timer fires exactly once unless cancelled, no
     /// matter how it was re-armed in between — nothing lost, nothing
-    /// duplicated. Run on the deterministic clock where delivery order is
-    /// exact; the wall-clock race variant lives in
-    /// `wall_cancel_race_never_duplicates`.
+    /// duplicated. Delivery counts per timer are compared, so the check
+    /// holds however close together the instants are; the wall-clock race
+    /// variants live in `wall_cancel_race_never_duplicates` and
+    /// `wall_rearm_race_fires_exactly_once`.
     #[test]
     fn cancel_rearm_never_loses_or_duplicates(raw in proptest::collection::vec(any::<u32>(), 1..40)) {
-        let mut clock: SimClock<u32> = SimClock::new(duc_sim::Clock::new());
-        let mut ids: Vec<(TimerId, u32)> = Vec::new();
-        // Model: tag -> expected firing count (0 after cancel, 1 while armed).
-        let mut expected: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        for (i, &r) in raw.iter().enumerate() {
-            let tag = i as u32;
-            match r % 3 {
-                0 => {
-                    let at = SimTime::from_millis(1 + u64::from(r % 50));
-                    ids.push((clock.arm(at, tag), tag));
-                    expected.insert(tag, 1);
-                }
-                1 => {
-                    if let Some(&(id, t)) = ids.get((r / 8) as usize % ids.len().max(1)) {
-                        if clock.cancel(id) {
-                            expected.insert(t, 0);
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(&(id, _)) = ids.get((r / 8) as usize % ids.len().max(1)) {
-                        // Moving a timer must neither lose nor duplicate it.
-                        clock.rearm(id, SimTime::from_millis(1 + u64::from(r % 90)));
-                    }
-                }
+        let ops: Vec<Op> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| match r % 3 {
+                0 => Op::ArmOnce { at_ms: 1 + u64::from(r % 50), tag: i as u32 },
+                1 => Op::Cancel { target: (r / 8) as usize },
+                _ => Op::Rearm { target: (r / 8) as usize, at_ms: 1 + u64::from(r % 90) },
+            })
+            .collect();
+        let counts = |fired: Vec<(SimTime, u32)>| {
+            let mut counts = std::collections::BTreeMap::<u32, u64>::new();
+            for (_, tag) in fired {
+                *counts.entry(tag).or_insert(0) += 1;
             }
-        }
-        let mut observed: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        while let Some(w) = clock.wait() {
-            *observed.entry(w.payload).or_insert(0) += 1;
-        }
-        expected.retain(|_, &mut n| n > 0);
-        prop_assert_eq!(observed, expected);
+            counts
+        };
+        let mut clock: SimClock<u32> = SimClock::new(duc_sim::Clock::new());
+        let observed = counts(run_schedule(&mut clock, &ops, usize::MAX));
+        prop_assert_eq!(observed, counts(expected(&ops, usize::MAX)));
     }
 }
 
