@@ -1879,8 +1879,8 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> String {
     body.to_string()
 }
 
-/// E18 — runtime modes: the same concurrent-market script on the
-/// deterministic clock and on a compressed wall clock.
+/// E18 — runtime modes: the same concurrent-market script on the world's
+/// own deterministic loop and on a compressed wall clock.
 ///
 /// Gates (asserted, not just tabulated):
 /// - the two modes produce identical outcome *sets* (timing-free keys via
@@ -1895,44 +1895,37 @@ fn scrape_metrics(addr: std::net::SocketAddr) -> String {
 /// req/s is pacing-dominated (the point: same machines, real time); the
 /// sim run's req/s is pure compute.
 pub fn e18_runtime() -> Vec<Table> {
-    use duc_core::runtime::{market_world, outcome_set, run_scripted, RuntimeMode};
+    use duc_core::runtime::{market_world, outcome_set, run_scripted, run_wall};
     use duc_runtime::{DriveConfig, MetricsPage, MetricsServer, ShutdownSignal};
 
     let devices = 8;
     let seed = 23;
     let scale = 200;
-    let shutdown = ShutdownSignal::new();
-    let config = DriveConfig::default();
 
     let (mut sim_world, script) = market_world(devices, seed);
+    let requests = script.len();
     let sim_start = std::time::Instant::now();
-    let sim_run = run_scripted(
-        &mut sim_world,
-        script,
-        RuntimeMode::Sim,
-        None,
-        &shutdown,
-        &config,
-    );
+    let sim_outcomes = run_scripted(&mut sim_world, script);
     let sim_real = sim_start.elapsed();
 
     let (mut wall_world, script) = market_world(devices, seed);
     let page = MetricsPage::new();
     let wall_start = std::time::Instant::now();
-    let wall_run = run_scripted(
+    let wall_run = run_wall(
         &mut wall_world,
         script,
-        RuntimeMode::Wall { scale },
+        scale,
         Some(page.clone()),
-        &shutdown,
-        &config,
+        &ShutdownSignal::new(),
+        &DriveConfig::default(),
+        |_| Vec::new(),
     );
     let wall_real = wall_start.elapsed();
 
-    let sim_keys = outcome_set(&sim_run.outcomes);
+    let sim_keys = outcome_set(&sim_outcomes);
     let wall_keys = outcome_set(&wall_run.outcomes);
     assert!(
-        !sim_keys.is_empty() && sim_run.report.drained && wall_run.report.drained,
+        !sim_keys.is_empty() && sim_world.in_flight() == 0 && wall_run.report.drained,
         "E18: both runs must drain clean"
     );
     assert_eq!(
@@ -1978,21 +1971,31 @@ pub fn e18_runtime() -> Vec<Table> {
             "req/s",
         ],
     );
-    let row = |mode: &str, run: &duc_core::RuntimeRun, world: &World, real: std::time::Duration| {
-        vec![
-            mode.into(),
-            run.report.admitted.to_string(),
-            run.outcomes.len().to_string(),
-            format!("{:.1}", world.clock.now().as_secs_f64()),
-            format!("{:.1}", real.as_secs_f64() * 1e3),
-            format!(
-                "{:.1}",
-                run.report.admitted as f64 / real.as_secs_f64().max(1e-9)
-            ),
-        ]
-    };
-    table.row(row("sim", &sim_run, &sim_world, sim_real));
-    table.row(row("wall", &wall_run, &wall_world, wall_real));
+    let row =
+        |mode: &str, admitted: u64, outcomes: usize, world: &World, real: std::time::Duration| {
+            vec![
+                mode.into(),
+                admitted.to_string(),
+                outcomes.to_string(),
+                format!("{:.1}", world.clock.now().as_secs_f64()),
+                format!("{:.1}", real.as_secs_f64() * 1e3),
+                format!("{:.1}", admitted as f64 / real.as_secs_f64().max(1e-9)),
+            ]
+        };
+    table.row(row(
+        "sim",
+        requests as u64,
+        sim_outcomes.len(),
+        &sim_world,
+        sim_real,
+    ));
+    table.row(row(
+        "wall",
+        wall_run.report.admitted,
+        wall_run.outcomes.len(),
+        &wall_world,
+        wall_real,
+    ));
     vec![table]
 }
 

@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use duc_crypto::{Digest, KeyPair};
 use duc_intern::{Interner, Sym};
 use duc_sim::{SimDuration, SimTime};
-use duc_storage::{BlockStore, Checkpoint, FramedLog, PrunedRange, StateStore, StorageConfig};
+use duc_storage::{BlockStore, Checkpoint, FramedLog, StateStore, StorageConfig};
 
 use crate::block::{Block, BlockValidationError};
 use crate::contract::{CallCtx, CallEffects, Contract, ContractError, Event};
@@ -1042,26 +1042,6 @@ impl Blockchain {
         &self.event_log[start..]
     }
 
-    /// Like [`Blockchain::events_slice_since`], but a cursor below the
-    /// prune horizon is a typed [`PrunedRange`] error instead of a
-    /// silently-incomplete slice: events in `(height, horizon]` are gone,
-    /// so the caller must resync from the last checkpoint's
-    /// `event_cursor_floor` rather than miss them. A cursor exactly at the
-    /// horizon is fine — everything it has yet to read is still resident.
-    ///
-    /// # Errors
-    /// [`PrunedRange`] when `height < prune_horizon`.
-    pub fn try_events_slice_since(&self, height: u64) -> Result<&[(u64, Rc<Event>)], PrunedRange> {
-        let horizon = self.blocks.prune_horizon();
-        if height < horizon {
-            return Err(PrunedRange {
-                requested: height,
-                horizon,
-            });
-        }
-        Ok(self.events_slice_since(height))
-    }
-
     /// Executes a read-only contract call against current state
     /// (free, not part of consensus).
     ///
@@ -1793,15 +1773,15 @@ mod tests {
         assert!(chain
             .events_since(chain.prune_horizon())
             .all(|(h, _)| *h > 7));
-        let err = chain.try_events_slice_since(3).unwrap_err();
+        let err = crate::Ledger::try_events_since(&chain, 3).unwrap_err();
         assert_eq!(
             err,
-            PrunedRange {
+            duc_storage::PrunedRange {
                 requested: 3,
                 horizon: 7
             }
         );
-        assert!(chain.try_events_slice_since(7).is_ok());
+        assert!(crate::Ledger::try_events_since(&chain, 7).is_ok());
         // Receipts for resident blocks survive pruning.
         assert!(chain
             .block(8)

@@ -59,8 +59,7 @@ pub use driver::{
     AccessOutcome, MonitoringOutcome, Outcome, ProcessError, PropagationOutcome, Request, Ticket,
 };
 pub use runtime::{
-    market_world, outcome_key, outcome_set, run_scripted, run_wall, PacedWorld, RuntimeMode,
-    RuntimeRun,
+    market_world, outcome_key, outcome_set, run_scripted, run_wall, PacedWorld, RuntimeRun,
 };
 pub use world::{EnforcementMode, World, WorldConfig};
 
@@ -72,7 +71,7 @@ pub mod prelude {
         AccessOutcome, MonitoringOutcome, Outcome, ProcessError, PropagationOutcome, Request,
         Ticket,
     };
-    pub use crate::runtime::{outcome_set, run_scripted, RuntimeMode, RuntimeRun};
+    pub use crate::runtime::{outcome_set, run_scripted, run_wall, RuntimeRun};
     pub use crate::scenario;
     pub use crate::world::{EnforcementMode, World, WorldConfig};
     pub use duc_policy::prelude::*;

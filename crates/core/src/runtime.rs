@@ -1,12 +1,12 @@
-//! Execution modes: one [`World`], two clocks.
+//! Execution modes: one [`World`], two loops.
 //!
-//! The driver's state machines only ever observe logical [`SimTime`];
-//! this module adapts a [`World`] to `duc-runtime`'s clock-generic drive
-//! loop so the *same* machines run either deterministically
-//! ([`RuntimeMode::Sim`]) or on real time ([`RuntimeMode::Wall`], with
-//! optional time compression). A scripted run admits [`Request`]s at
-//! absolute logical instants; wall mode additionally accepts live
-//! injection from producer threads through a [`WallHandle`].
+//! The driver's state machines only ever observe logical [`SimTime`]. A
+//! scripted deterministic run is the world's own event loop
+//! ([`run_scripted`]: admit each [`Request`] at its instant, then run to
+//! idle). [`run_wall`] runs the same script on real time instead, through
+//! `duc-runtime`'s [`drive()`] loop on a [`WallClock`] (with optional time
+//! compression), and also accepts live injection from producer threads
+//! through a [`WallHandle`].
 //!
 //! Outcomes are compared across modes with [`outcome_key`], which
 //! deliberately ignores every timing-derived field: wall-clock jitter
@@ -14,29 +14,15 @@
 
 use duc_blockchain::Ledger;
 use duc_runtime::{
-    drive, DriveConfig, DriveReport, MetricsPage, ShutdownSignal, SimClock, Tick, WallClock,
-    WallHandle, Workload,
+    drive, DriveConfig, DriveReport, MetricsPage, ShutdownSignal, Tick, WallClock, WallHandle,
+    Workload,
 };
 use duc_sim::SimTime;
 
 use crate::driver::{Outcome, ProcessError, Request, Ticket};
 use crate::world::World;
 
-/// Which clock drives the world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Deterministic discrete-event execution (the default everywhere
-    /// else in this repository); logical time hops instantly.
-    Sim,
-    /// Real-time execution on a [`WallClock`]: one logical second takes
-    /// `1/scale` real seconds. `scale: 1` is true wall-clock pace.
-    Wall {
-        /// Time-compression factor (logical seconds per real second).
-        scale: u64,
-    },
-}
-
-/// What a scripted runtime-mode run produced.
+/// What a wall-clock run produced.
 #[derive(Debug)]
 pub struct RuntimeRun {
     /// The drive loop's accounting (admissions, wakeups, drain status).
@@ -45,14 +31,13 @@ pub struct RuntimeRun {
     pub outcomes: Vec<(Ticket, Result<Outcome, ProcessError>)>,
 }
 
-/// [`Workload`] adapter pacing a [`World`] on any [`Clock`](duc_runtime::Clock).
+/// [`Workload`] adapter pacing a [`World`] on a [`WallClock`].
 ///
 /// `pace(now)` advances the world by the logical delta since its own
-/// clock (zero in sim mode, where the [`SimClock`] shares the world's
-/// time cell) and collects completions; `next_due` is the world
-/// scheduler's next event — every wake the world has, obligation wakeups
-/// included — so the drive loop mirrors the world's internal event queue
-/// into a single re-armable timer.
+/// clock and collects completions; `next_due` is the world scheduler's
+/// next event — every wake the world has, obligation wakeups included —
+/// so the drive loop mirrors the world's internal event queue into a
+/// single re-armable timer.
 pub struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
     world: &'w mut World<L>,
     page: Option<MetricsPage>,
@@ -104,45 +89,31 @@ impl<L: Ledger> Workload for PacedWorld<'_, L> {
     }
 }
 
-/// Runs a scripted workload — [`Request`]s admitted at absolute logical
-/// instants — to completion under `mode`, collecting every outcome.
-///
-/// In sim mode the [`SimClock`] shares the world's time cell, so this is
-/// exactly the classic submit/advance loop; in wall mode the same script
-/// replays against real time (compressed by `scale`) on the calling
-/// thread, with the world's internal events paced by a timer thread.
+/// Runs a scripted workload — [`Request`]s submitted at absolute logical
+/// instants — on the world's own event loop, then to idle, returning
+/// every outcome in completion order. Requests due at the same instant
+/// are submitted in script order; one due in the past is submitted now.
 pub fn run_scripted<L: Ledger>(
     world: &mut World<L>,
-    script: Vec<(SimTime, Request)>,
-    mode: RuntimeMode,
-    page: Option<MetricsPage>,
-    shutdown: &ShutdownSignal,
-    config: &DriveConfig,
-) -> RuntimeRun {
-    match mode {
-        RuntimeMode::Sim => {
-            let mut clock: SimClock<Tick<Request>> = SimClock::new(world.clock.clone());
-            let mut paced = PacedWorld::new(world, page);
-            let report = drive(&mut clock, &mut paced, script, shutdown, config);
-            RuntimeRun {
-                report,
-                outcomes: paced.into_outcomes(),
-            }
-        }
-        RuntimeMode::Wall { scale } => {
-            run_wall(world, script, scale, page, shutdown, config, |_handle| {
-                Vec::new()
-            })
-        }
+    mut script: Vec<(SimTime, Request)>,
+) -> Vec<(Ticket, Result<Outcome, ProcessError>)> {
+    script.sort_by_key(|&(at, _)| at);
+    for (at, request) in script {
+        world.advance(at.saturating_since(world.clock.now()));
+        world.submit(request);
     }
+    world.run_until_idle();
+    world.drain_events()
 }
 
-/// Wall-clock run with live producers: `spawn_producers` receives a
-/// [`WallHandle`] for injecting requests from other threads and returns
-/// their join handles, which are joined after the drive loop exits. The
-/// loop keeps waiting while any producer still holds a handle clone, so
-/// late injections are never lost — they are admitted (or, after a
-/// shutdown request, counted as rejected).
+/// Wall-clock run of `script`, compressed by `scale` (logical seconds per
+/// real second; 1 is true pace), with live producers:
+/// `spawn_producers` receives a [`WallHandle`] for injecting requests
+/// from other threads and returns their join handles, which are joined
+/// after the drive loop exits (`|_| Vec::new()` for none). The loop keeps
+/// waiting while any producer still holds a handle clone, so late
+/// injections are never lost — they are admitted (or, after a shutdown
+/// request, counted as rejected).
 pub fn run_wall<L, F>(
     world: &mut World<L>,
     script: Vec<(SimTime, Request)>,

@@ -32,6 +32,12 @@ pub enum EnforcementMode {
     Periodic(SimDuration),
 }
 
+/// Market subscription fee (native tokens) every world's DE App charges.
+pub const MARKET_FEE: u128 = 10_000;
+
+/// Genesis balance of every owner and device account.
+pub const INITIAL_BALANCE: u128 = 10_000_000_000;
+
 /// Configuration for one simulated deployment.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -43,16 +49,12 @@ pub struct WorldConfig {
     pub block_interval: SimDuration,
     /// Default network link profile.
     pub link: LinkConfig,
-    /// Market subscription fee (native tokens).
-    pub market_fee: u128,
     /// Certificate validity window.
     pub cert_validity: SimDuration,
     /// Store usage policies on-chain encrypted (privacy experiment E9).
     pub encrypt_policies: bool,
     /// Record a structured trace of every process hop.
     pub trace: bool,
-    /// Genesis balance for every participant.
-    pub initial_balance: u128,
     /// Shard count for multi-chain backends ([`World::new_sharded`]);
     /// single-chain worlds ignore it.
     pub shards: usize,
@@ -74,11 +76,9 @@ impl Default for WorldConfig {
             validators: 4,
             block_interval: SimDuration::from_secs(2),
             link: LinkConfig::default(),
-            market_fee: 10_000,
             cert_validity: SimDuration::from_days(30),
             encrypt_policies: false,
             trace: false,
-            initial_balance: 10_000_000_000,
             shards: 1,
             enforcement: EnforcementMode::Deadline,
             storage: StorageConfig::disabled(),
@@ -279,7 +279,7 @@ impl<L: Ledger> World<L> {
                 &chain,
                 shard,
                 &admin,
-                config.market_fee,
+                MARKET_FEE,
                 config.cert_validity.as_nanos(),
                 treasury,
             );
@@ -335,7 +335,7 @@ impl<L: Ledger> World<L> {
         let pod_root = pod_root.into();
         let key = self
             .chain
-            .create_funded_account(webid.as_bytes(), self.config.initial_balance);
+            .create_funded_account(webid.as_bytes(), INITIAL_BALANCE);
         // Sharded backends co-locate everything the owner anchors: resource
         // IRIs under the pod root route to the owner's shard.
         self.chain.register_route_alias(&pod_root, &webid);
@@ -359,7 +359,7 @@ impl<L: Ledger> World<L> {
         self.attestation.trust_measurement(enclave.measurement());
         let key = self
             .chain
-            .create_funded_account(device.as_bytes(), self.config.initial_balance);
+            .create_funded_account(device.as_bytes(), INITIAL_BALANCE);
         let endpoint = self.net.add_endpoint(format!("device:{device}"));
         self.device_endpoints
             .insert(endpoint, self.ids.intern(&device));

@@ -4,6 +4,7 @@
 
 use duc_blockchain::Ledger;
 use duc_core::prelude::*;
+use duc_core::world::MARKET_FEE;
 use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
 use duc_sim::{LatencyModel, LinkConfig, SimDuration};
 use duc_solid::Body;
@@ -274,7 +275,7 @@ proptest! {
             .sum();
         prop_assert_eq!(validator_income, ledger_total as u128 * world.chain.gas_price());
         let treasury = duc_blockchain::Address::from_seed(b"duc/market-treasury");
-        prop_assert_eq!(world.chain.balance(&treasury), n as u128 * world.config.market_fee);
+        prop_assert_eq!(world.chain.balance(&treasury), n as u128 * MARKET_FEE);
     }
 }
 

@@ -1,20 +1,23 @@
-//! Runtime modes: the same world, scripted on both clocks.
+//! Runtime modes: the same world, scripted on its own loop and on a wall
+//! clock.
 //!
+//! - A scripted sim run is the world's own submit/advance loop, pinned to
+//!   a known answer.
 //! - The concurrent-market script produces the same outcome *set*
 //!   (timing-free keys) in sim and wall-clock mode.
 //! - A wall-mode run drains gracefully on shutdown: late injections are
 //!   rejected, in-flight work completes, nothing is left dangling.
-//! - The drive loop publishes `World::metrics_snapshot` as the `/metrics`
-//!   page and the endpoint serves every family (checked in-process, no
+//! - A rendered `World::metrics_snapshot` is the `/metrics` page and the
+//!   endpoint serves every family (checked in-process, no
 //!   curl); the page is a pure, replay-stable render that leaves the
 //!   world's own registry — and so its fingerprint — untouched.
 
 use std::io::{Read as _, Write as _};
 
-use duc_core::runtime::{market_world, outcome_set, run_wall, RuntimeMode};
-use duc_core::{chaos, run_scripted, Request};
-use duc_runtime::{DriveConfig, MetricsPage, MetricsServer, ShutdownSignal, Tick};
-use duc_sim::SimDuration;
+use duc_core::runtime::{market_world, outcome_set, run_wall};
+use duc_core::{chaos, run_scripted, Outcome, ProcessError, Request, Ticket, World};
+use duc_runtime::{render, DriveConfig, MetricsPage, MetricsServer, ShutdownSignal, Tick};
+use duc_sim::{SimDuration, SimTime};
 
 /// Logical seconds per real second in the wall-mode tests: the ~185 s
 /// market script replays in under two real seconds, while jitter would
@@ -26,31 +29,24 @@ const SCALE: u64 = 100;
 fn market_outcomes_match_across_modes() {
     let devices = 6;
     let (mut sim_world, sim_script) = market_world(devices, 7);
-    let shutdown = ShutdownSignal::new();
-    let sim_run = run_scripted(
-        &mut sim_world,
-        sim_script,
-        RuntimeMode::Sim,
-        None,
-        &shutdown,
-        &DriveConfig::default(),
-    );
+    let sim_outcomes = run_scripted(&mut sim_world, sim_script);
 
     let (mut wall_world, wall_script) = market_world(devices, 7);
-    let wall_run = run_scripted(
+    let wall_run = run_wall(
         &mut wall_world,
         wall_script,
-        RuntimeMode::Wall { scale: SCALE },
+        SCALE,
         None,
-        &shutdown,
+        &ShutdownSignal::new(),
         &DriveConfig::default(),
+        |_| Vec::new(),
     );
 
     let expected = devices * (1 + 2 + 2) + 2; // subscribe + 2 index + 2 access, 2 rounds
-    assert_eq!(sim_run.outcomes.len(), expected);
-    assert!(sim_run.report.drained && wall_run.report.drained);
+    assert_eq!(sim_outcomes.len(), expected);
+    assert!(sim_world.in_flight() == 0 && wall_run.report.drained);
     assert_eq!(
-        outcome_set(&sim_run.outcomes),
+        outcome_set(&sim_outcomes),
         outcome_set(&wall_run.outcomes),
         "sim and wall modes must decide identically (timing ignored)"
     );
@@ -148,17 +144,9 @@ fn metrics_endpoint_serves_migrated_families() {
     // latency histograms and — thanks to the 90 s survey retention —
     // the enforcement counters and lag histogram.
     let (mut world, script) = market_world(4, 13);
+    run_scripted(&mut world, script);
     let page = MetricsPage::new();
-    let shutdown = ShutdownSignal::new();
-    let run = run_scripted(
-        &mut world,
-        script,
-        RuntimeMode::Sim,
-        Some(page.clone()),
-        &shutdown,
-        &DriveConfig::default(),
-    );
-    assert!(run.report.exports >= 1, "final export always flushes");
+    page.publish(&world.metrics_snapshot());
 
     let server = MetricsServer::serve(page, "127.0.0.1:0").expect("bind");
     let body = scrape(server.addr(), "/metrics");
@@ -226,15 +214,7 @@ fn metrics_endpoint_serves_migrated_families() {
 #[test]
 fn snapshot_leaves_the_replay_fingerprint_untouched() {
     let (mut world, script) = market_world(3, 17);
-    let shutdown = ShutdownSignal::new();
-    run_scripted(
-        &mut world,
-        script,
-        RuntimeMode::Sim,
-        None,
-        &shutdown,
-        &DriveConfig::default(),
-    );
+    run_scripted(&mut world, script);
     let before = chaos::fingerprint(&mut world);
     let snapshot = world.metrics_snapshot();
     assert!(snapshot.counter("net.messages_sent") > 0);
@@ -246,16 +226,8 @@ fn snapshot_leaves_the_replay_fingerprint_untouched() {
 fn same_seed_sim_runs_render_identical_pages() {
     let page_of = |seed| {
         let (mut world, script) = market_world(3, seed);
-        let page = MetricsPage::new();
-        run_scripted(
-            &mut world,
-            script,
-            RuntimeMode::Sim,
-            Some(page.clone()),
-            &ShutdownSignal::new(),
-            &DriveConfig::default(),
-        );
-        page.text()
+        run_scripted(&mut world, script);
+        render(&world.metrics_snapshot())
     };
     let first = page_of(19);
     assert!(first.contains("# TYPE duc_process_access_e2e_seconds histogram"));
@@ -266,12 +238,9 @@ fn same_seed_sim_runs_render_identical_pages() {
 /// its instant (stable by instant, so ties keep script order), then run
 /// to idle.
 fn submit_advance_loop(
-    world: &mut duc_core::World,
-    mut script: Vec<(duc_sim::SimTime, Request)>,
-) -> Vec<(
-    duc_core::Ticket,
-    Result<duc_core::Outcome, duc_core::ProcessError>,
-)> {
+    world: &mut World,
+    mut script: Vec<(SimTime, Request)>,
+) -> Vec<(Ticket, Result<Outcome, ProcessError>)> {
     script.sort_by_key(|&(at, _)| at);
     for (at, req) in script {
         let behind = at.saturating_since(world.clock.now());
@@ -286,32 +255,24 @@ fn submit_advance_loop(
 /// the same completion order (full `Debug`, ticket ids included), the same
 /// final clock, the same rendered `/metrics` page and the same replay
 /// fingerprint as the plain submit/advance loop. One pair is also pinned
-/// to a SHA-256 of fingerprint ‖ page, recorded before the scripted sim
-/// run became that loop.
+/// to a SHA-256 of fingerprint ‖ page, recorded while a scripted sim run
+/// still went through the drive loop on a scheduler-backed clock.
 #[test]
 fn scripted_sim_run_is_the_world_loop() {
     const PINNED: (usize, u64) = (8, 23);
     const PINNED_SHA256: &str = "1ec76aeef7cb38c47b11fe225dea015123a7e6cb28507bedb508fca87cbd9703";
     for (devices, seed) in [(3, 17), (3, 19), (4, 13), (5, 1), (6, 7), (7, 99), PINNED] {
         let (mut scripted, script) = market_world(devices, seed);
-        let page = MetricsPage::new();
-        let run = run_scripted(
-            &mut scripted,
-            script,
-            RuntimeMode::Sim,
-            Some(page.clone()),
-            &ShutdownSignal::new(),
-            &DriveConfig::default(),
-        );
-        let scripted_page = page.text();
+        let scripted_outcomes = run_scripted(&mut scripted, script);
+        let scripted_page = render(&scripted.metrics_snapshot());
 
         let (mut plain, script) = market_world(devices, seed);
         let outcomes = submit_advance_loop(&mut plain, script);
-        let plain_page = duc_runtime::render(&plain.metrics_snapshot());
+        let plain_page = render(&plain.metrics_snapshot());
 
         let pair = format!("(devices {devices}, seed {seed})");
         assert_eq!(
-            format!("{:?}", run.outcomes),
+            format!("{scripted_outcomes:?}"),
             format!("{outcomes:?}"),
             "outcomes {pair}"
         );
@@ -330,20 +291,34 @@ fn scripted_sim_run_is_the_world_loop() {
     }
 }
 
+/// `run_scripted` submits in instant order, whatever order the script
+/// lists its requests in (the market script's instants are distinct).
+#[test]
+fn run_scripted_submits_in_instant_order() {
+    let (mut in_order, script) = market_world(4, 5);
+    let expected = run_scripted(&mut in_order, script);
+    let (mut reversed, mut script) = market_world(4, 5);
+    script.reverse();
+    let outcomes = run_scripted(&mut reversed, script);
+    assert_eq!(format!("{outcomes:?}"), format!("{expected:?}"));
+    assert_eq!(reversed.clock.now(), in_order.clock.now());
+}
+
 #[test]
 fn wall_run_with_an_export_period_publishes_mid_run() {
     let (mut world, script) = market_world(3, 29);
     let page = MetricsPage::new();
-    let run = run_scripted(
+    let run = run_wall(
         &mut world,
         script,
-        RuntimeMode::Wall { scale: SCALE },
+        SCALE,
         Some(page.clone()),
         &ShutdownSignal::new(),
         &DriveConfig {
             export_every: Some(SimDuration::from_secs(30)),
             ..DriveConfig::default()
         },
+        |_| Vec::new(),
     );
     assert!(run.report.drained);
     assert!(

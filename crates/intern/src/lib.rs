@@ -60,13 +60,6 @@ impl Sym {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Reconstructs a symbol from a raw index previously obtained via
-    /// [`Sym::index`].
-    #[inline]
-    pub const fn from_index(index: usize) -> Sym {
-        Sym(index as u32)
-    }
 }
 
 impl fmt::Debug for Sym {

@@ -10,14 +10,15 @@
 //!   paper cites (Park & Sandhu).
 //! * [`taxonomy`] — a purpose hierarchy, so a policy allowing `research`
 //!   admits a request for `medical-research`.
-//! * [`engine`] — the interpreting decision procedure: pre-authorization
-//!   and *ongoing* re-evaluation of a usage context against a policy. It
-//!   is the reference [`PolicyProgram::decide`] is proptest-checked
-//!   against, and what a monitoring self-audit replays historic policy
-//!   versions through.
-//! * [`compile()`] — lowers a policy into a [`PolicyProgram`]: pre-resolved
-//!   decision tables plus `next_transition`, the instant the decision can
-//!   next change (what deadline-driven enforcement schedules on).
+//! * [`compile()`] — lowers a policy into a [`PolicyProgram`], the decision
+//!   procedure: pre-authorization and *ongoing* re-evaluation of a usage
+//!   context ([`PolicyProgram::decide`]) from pre-resolved decision tables,
+//!   plus `next_transition`, the instant the decision can next change
+//!   (what deadline-driven enforcement schedules on).
+//! * [`engine`] — the usage context and decision types, and
+//!   [`PolicyEngine`], a rule-walking interpreter kept as the reference
+//!   [`PolicyProgram::decide`] is proptest-checked against (not in the
+//!   prelude).
 //! * [`compliance`] — the auditable state of one resource copy: its
 //!   lifetime and usage log (what the trusted application self-audits for
 //!   the DE App's monitoring process).
@@ -48,7 +49,8 @@
 //!     acquired_at: SimTime::from_secs(50),
 //!     access_count: 1,
 //! };
-//! assert!(PolicyEngine::default().evaluate(&policy, &ctx).is_permit());
+//! let program = compile(&policy, &PurposeTaxonomy::standard());
+//! assert!(program.decide(&ctx).is_permit());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,7 +76,7 @@ pub mod prelude {
     pub use crate::acl::{AclDocument, AclMode, AgentSpec, Authorization};
     pub use crate::compile::{compile, PolicyProgram};
     pub use crate::compliance::{AccessRecord, CopyState};
-    pub use crate::engine::{Decision, DenyReason, PolicyEngine, UsageContext};
+    pub use crate::engine::{Decision, DenyReason, UsageContext};
     pub use crate::model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
     pub use crate::taxonomy::PurposeTaxonomy;
 }

@@ -4,6 +4,7 @@
 //! must agree with each other.
 
 use duc_policy::prelude::*;
+use duc_policy::PolicyEngine;
 use duc_policy::{dsl, rdf_binding};
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;

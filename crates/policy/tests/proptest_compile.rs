@@ -9,6 +9,7 @@
 //!    means the decision never changes again.
 
 use duc_policy::prelude::*;
+use duc_policy::PolicyEngine;
 use duc_policy::{compile, PolicyProgram};
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;

@@ -11,6 +11,7 @@
 //! a syntax error.
 
 use duc_policy::prelude::*;
+use duc_policy::PolicyEngine;
 use duc_policy::{dsl, PolicyError};
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;

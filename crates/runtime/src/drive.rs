@@ -1,26 +1,26 @@
-//! The clock-generic drive loop.
+//! The wall-clock drive loop.
 //!
 //! A [`Workload`] is a state machine with its own internal event queue
-//! (the sim world's scheduler + obligation deadlines): it exposes the next
+//! (the world's scheduler + obligation deadlines): it exposes the next
 //! instant it needs to run (`next_due`), accepts admitted commands, and is
-//! paced forward to the current instant. [`drive`] runs a workload on any
-//! [`Clock`] by mirroring `next_due` into a re-armable pace timer — in sim
-//! mode this reproduces the classic `next_event_at` hop loop exactly; in
-//! wall mode the same code blocks a real thread until each instant
-//! arrives, with producer threads injecting admissions through
+//! paced forward to the current instant. [`drive`] runs a workload on a
+//! [`WallClock`] by mirroring `next_due` into a re-armable pace timer: the
+//! calling thread blocks until each instant arrives, with scripted
+//! admissions armed as timers and producer threads injecting more through
 //! [`crate::WallHandle`]s.
 //!
 //! Graceful shutdown: a [`ShutdownSignal`] flips the loop into draining
-//! mode — new admissions are rejected, in-flight work is paced to
-//! completion under a bounded deadline, and the loop reports whether the
-//! drain finished clean.
+//! mode — scripted admissions not yet delivered are withdrawn and new ones
+//! rejected (both counted in [`DriveReport::rejected`]), in-flight work is
+//! paced to completion under a bounded deadline, and the loop reports
+//! whether the drain finished clean.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use duc_sim::{SimDuration, SimTime};
 
-use crate::clock::{Clock, TimerId, Wakeup};
+use crate::wall::{TimerId, Wakeup, WallClock};
 
 /// Timer payload used by [`drive`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +99,9 @@ impl Default for DriveConfig {
 pub struct DriveReport {
     /// Commands admitted into the workload.
     pub admitted: u64,
-    /// Commands rejected because the loop was draining.
+    /// Commands rejected because the loop was draining: scripted
+    /// admissions withdrawn when the drain began, plus every admission
+    /// delivered after it.
     pub rejected: u64,
     /// Total wakeups delivered.
     pub wakeups: u64,
@@ -114,9 +116,10 @@ pub struct DriveReport {
 /// Runs `workload` on `clock` until idle (or until a requested shutdown
 /// finishes draining). `script` is a set of pre-planned admissions at
 /// absolute logical instants; further commands may arrive through
-/// wall-mode injection.
-pub fn drive<W, C>(
-    clock: &mut C,
+/// [`crate::WallHandle`] injection. Every scripted admission ends up
+/// admitted or rejected.
+pub fn drive<W>(
+    clock: &mut WallClock<Tick<W::Cmd>>,
     workload: &mut W,
     script: Vec<(SimTime, W::Cmd)>,
     shutdown: &ShutdownSignal,
@@ -124,14 +127,14 @@ pub fn drive<W, C>(
 ) -> DriveReport
 where
     W: Workload,
-    C: Clock<Tick<W::Cmd>>,
-    W::Cmd: Clone,
+    W::Cmd: Clone + Send + 'static,
 {
     let mut report = DriveReport::default();
     let mut admissions_pending = script.len();
-    for (at, cmd) in script {
-        clock.arm(at, Tick::Admit(cmd));
-    }
+    let mut scripted: Vec<TimerId> = script
+        .into_iter()
+        .map(|(at, cmd)| clock.arm(at, Tick::Admit(cmd)))
+        .collect();
     let export_timer = config
         .export_every
         .map(|period| clock.arm_periodic(clock.now(), period, Tick::Export));
@@ -143,8 +146,14 @@ where
     loop {
         if shutdown.is_requested() && !draining {
             draining = true;
-            // Pre-planned admissions are withdrawn; anything already
-            // injected still sits in the queue and is rejected on arrival.
+            // Scripted admissions not yet delivered are withdrawn and
+            // rejected; anything already injected still sits in the queue
+            // and is rejected on arrival.
+            for id in scripted.drain(..) {
+                if clock.cancel(id) {
+                    report.rejected += 1;
+                }
+            }
             let deadline = clock.now() + config.drain_grace;
             drain_deadline = Some((clock.arm(deadline, Tick::Pace), deadline));
         }
@@ -255,14 +264,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
-    use crate::wall::WallClock;
+
+    /// High-compression clock: 1 real µs = 1 logical ms.
+    fn fast_clock() -> WallClock<Tick<u32>> {
+        WallClock::with_scale(SimTime::ZERO, 1000)
+    }
 
     /// Toy workload: each admitted job completes a fixed latency later.
     struct Jobs {
         latency: SimDuration,
         done: Vec<u32>,
         pending: Vec<(SimTime, u32)>,
+        /// Requests this shutdown when admitting the given command.
+        shutdown_on: Option<(u32, ShutdownSignal)>,
     }
 
     impl Jobs {
@@ -271,6 +285,7 @@ mod tests {
                 latency: SimDuration::from_millis(latency_ms),
                 done: Vec::new(),
                 pending: Vec::new(),
+                shutdown_on: None,
             }
         }
     }
@@ -279,6 +294,11 @@ mod tests {
         type Cmd = u32;
 
         fn admit(&mut self, cmd: u32) {
+            if let Some((at, shutdown)) = &self.shutdown_on {
+                if cmd == *at {
+                    shutdown.request();
+                }
+            }
             // Completion is latency after admission; the admission instant
             // is stamped by the pace call that follows every admit.
             self.pending.push((SimTime::MAX, cmd));
@@ -311,9 +331,11 @@ mod tests {
             .collect()
     }
 
+    /// The outcomes and end instant the schedule implies: five jobs
+    /// admitted at 10–50 ms, done 5 ms later, every helper timer gone.
     #[test]
-    fn sim_drive_completes_all_jobs() {
-        let mut clock: SimClock<Tick<u32>> = SimClock::new(duc_sim::Clock::new());
+    fn wall_drive_matches_sim_outcomes() {
+        let mut clock = fast_clock();
         let mut jobs = Jobs::new(5);
         let shutdown = ShutdownSignal::new();
         let report = drive(
@@ -326,15 +348,19 @@ mod tests {
         assert_eq!(report.admitted, 5);
         assert_eq!(jobs.done, vec![0, 1, 2, 3, 4]);
         assert!(report.drained);
-        assert_eq!(report.finished_at, SimTime::from_millis(55));
+        assert!(report.finished_at >= SimTime::from_millis(55));
         assert_eq!(clock.armed(), 0, "all helper timers cleaned up");
     }
 
+    /// A shutdown requested mid-script withdraws the scripted admissions
+    /// not yet delivered: each is counted as rejected, and none is left
+    /// armed on the clock.
     #[test]
-    fn wall_drive_matches_sim_outcomes() {
-        let mut clock: WallClock<Tick<u32>> = WallClock::with_scale(SimTime::ZERO, 1000);
+    fn shutdown_rejects_withdrawn_scripted_admissions() {
+        let mut clock: WallClock<Tick<u32>> = WallClock::with_scale(SimTime::ZERO, 10);
         let mut jobs = Jobs::new(5);
         let shutdown = ShutdownSignal::new();
+        jobs.shutdown_on = Some((1, shutdown.clone()));
         let report = drive(
             &mut clock,
             &mut jobs,
@@ -342,15 +368,15 @@ mod tests {
             &shutdown,
             &DriveConfig::default(),
         );
-        assert_eq!(report.admitted, 5);
-        assert_eq!(jobs.done, vec![0, 1, 2, 3, 4]);
+        assert_eq!((report.admitted, report.rejected), (2, 3));
+        assert_eq!(jobs.done, vec![0, 1]);
         assert!(report.drained);
-        assert_eq!(clock.armed(), 0);
+        assert_eq!(clock.armed(), 0, "withdrawn admissions left armed");
     }
 
     #[test]
     fn pre_requested_shutdown_rejects_all_admissions() {
-        let mut clock: SimClock<Tick<u32>> = SimClock::new(duc_sim::Clock::new());
+        let mut clock = fast_clock();
         let mut jobs = Jobs::new(5);
         let shutdown = ShutdownSignal::new();
         shutdown.request();
@@ -361,14 +387,14 @@ mod tests {
             &shutdown,
             &DriveConfig::default(),
         );
-        assert_eq!(report.admitted, 0);
+        assert_eq!((report.admitted, report.rejected), (0, 5));
         assert!(jobs.done.is_empty());
         assert!(report.drained, "nothing in flight: clean drain");
     }
 
     #[test]
     fn export_timer_flushes_periodically_and_on_exit() {
-        let mut clock: SimClock<Tick<u32>> = SimClock::new(duc_sim::Clock::new());
+        let mut clock = fast_clock();
         let mut jobs = Jobs::new(5);
         let shutdown = ShutdownSignal::new();
         let config = DriveConfig {

@@ -1,13 +1,18 @@
-//! Wall-clock implementation of the [`Clock`] trait.
+//! The wall clock: timers on real time, delivered to one consumer thread.
+//!
+//! A [`WallClock`] owns a set of armed timers — one-shot and
+//! genesis-anchored periodic — and delivers them as [`Wakeup`]s from
+//! [`WallClock::wait`]. Timers carry an owned payload rather than a
+//! callback so they can cross to the timer thread.
 //!
 //! Std-only (the build is offline, so no tokio): a dedicated timer thread
 //! sleeps on a `BinaryHeap` of due instants via `Condvar::wait_timeout`,
 //! fires due timers into a queue, and wakes the consumer. Logical time is
 //! anchored at a genesis `Instant`, optionally compressed by an integer
 //! `scale` so experiments replay long simulated schedules in a short real
-//! run (logical elapsed = real elapsed × scale). Periodic timers follow
-//! the same genesis-anchored grid as [`crate::SimClock`], with skip-missed-tick
-//! semantics when firings fall behind.
+//! run (logical elapsed = real elapsed × scale). Periodic timers fire on
+//! the grid `anchor + k·period`, with skip-missed-tick semantics when
+//! firings fall behind.
 //!
 //! [`WallHandle`]s let producer threads inject wakeups from outside the
 //! armed set — this is how worker threads feed requests into the single
@@ -24,10 +29,64 @@ use std::time::{Duration, Instant};
 
 use duc_sim::{SimDuration, SimTime};
 
-use crate::clock::{tick_after, tick_at_or_after, Arming, Clock, TimerId, Wakeup};
+/// Identifies an armed timer so it can be cancelled or re-armed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TimerId(u64);
+
+/// A delivered timer firing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Wakeup<T> {
+    /// The timer that fired.
+    pub id: TimerId,
+    /// The logical instant the timer was due — a function of the schedule
+    /// alone, so tests compare on this (an injected wakeup's is the
+    /// instant of injection).
+    pub due: SimTime,
+    /// The logical instant at which the firing was observed; it may lag
+    /// behind `due`, never precede it.
+    pub at: SimTime,
+    /// The payload supplied when the timer was armed.
+    pub payload: T,
+}
+
+/// How a timer re-arms after firing.
+#[derive(Debug, Clone)]
+enum Arming<T> {
+    Once(T),
+    Periodic {
+        anchor: SimTime,
+        period: SimDuration,
+        payload: T,
+    },
+}
+
+/// The smallest tick `anchor + k·period` with `tick >= not_before`.
+fn tick_at_or_after(anchor: SimTime, period: SimDuration, not_before: SimTime) -> SimTime {
+    if not_before <= anchor {
+        return anchor;
+    }
+    let elapsed = not_before.saturating_since(anchor).as_nanos();
+    let p = period.as_nanos().max(1);
+    let k = elapsed / p + u64::from(!elapsed.is_multiple_of(p));
+    anchor + period.saturating_mul(k)
+}
+
+/// The smallest tick `anchor + k·period` strictly after `after`.
+///
+/// This is the skip-missed-tick rule: when firings fall behind (a wall
+/// clock under load), the next firing is the first grid point still in the
+/// future — intermediate ticks are dropped, never replayed in a burst.
+fn tick_after(anchor: SimTime, period: SimDuration, after: SimTime) -> SimTime {
+    if after < anchor {
+        return anchor;
+    }
+    let elapsed = after.saturating_since(anchor).as_nanos();
+    let p = period.as_nanos().max(1);
+    anchor + period.saturating_mul(elapsed / p + 1)
+}
 
 /// Heap entry: `(due nanos, insertion seq, timer id, generation)`.
-/// Ordered by `(due, seq)` so ties fire in arming order, matching the sim
+/// Ordered by `(due, seq)` so ties fire in arming order, like the world's
 /// scheduler. The generation stamps entries so a re-arm invalidates any
 /// stale entry still sitting in the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -119,8 +178,8 @@ fn timer_loop<T: Clone + Send>(shared: &Shared<T>) {
             match &timer.arming {
                 Arming::Once(payload) => {
                     // The timer stays in the armed map until the consumer
-                    // takes delivery — matching SimClock, so a cancel or
-                    // re-arm racing this firing still wins.
+                    // takes delivery, so a cancel or re-arm racing this
+                    // firing still wins.
                     let payload = payload.clone();
                     let due = timer.due;
                     state.fired.push_back(Wakeup {
@@ -229,7 +288,19 @@ impl<T> Drop for WallHandle<T> {
     }
 }
 
-/// Real-time [`Clock`] backed by a dedicated timer thread.
+/// Real-time timers backed by a dedicated timer thread.
+///
+/// What it guarantees (`tests/equivalence.rs` holds it to a reference
+/// model of these rules):
+///
+/// - timers never fire logically early: `wakeup.at >= wakeup.due`;
+/// - one-shot timers fire exactly once unless cancelled first;
+/// - [`WallClock::cancel`] suppresses any not-yet-delivered firing, even
+///   one already past its due instant;
+/// - [`WallClock::rearm`] moves a timer without losing or duplicating it;
+/// - ties fire in arming order (a re-arm counts as a fresh arming);
+/// - periodic timers fire on the genesis-anchored grid
+///   `anchor + k·period`, skipping missed grid points.
 pub struct WallClock<T: Clone + Send + 'static> {
     shared: Arc<Shared<T>>,
     timer_thread: Option<thread::JoinHandle<()>>,
@@ -285,42 +356,21 @@ impl<T: Clone + Send + 'static> WallClock<T> {
         }
     }
 
-    fn arm_at(&self, due: SimTime, arming: Arming<T>) -> TimerId {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.shared.lock();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.heap.push(Reverse(HeapEntry {
-            due: due.as_nanos(),
-            seq,
-            id,
-            generation: 0,
-        }));
-        state.timers.insert(
-            id,
-            WallTimer {
-                due,
-                generation: 0,
-                arming,
-            },
-        );
-        drop(state);
-        self.shared.wake.notify_all();
-        TimerId(id)
-    }
-}
-
-impl<T: Clone + Send + 'static> Clock<T> for WallClock<T> {
-    fn now(&self) -> SimTime {
+    /// The current logical instant.
+    pub fn now(&self) -> SimTime {
         self.shared.now_logical()
     }
 
-    fn arm(&mut self, at: SimTime, payload: T) -> TimerId {
+    /// Arms a one-shot timer at absolute logical time `at` (clamped to
+    /// `now()`; timers never fire in the past).
+    pub fn arm(&mut self, at: SimTime, payload: T) -> TimerId {
         let at = at.max(self.shared.now_logical());
         self.arm_at(at, Arming::Once(payload))
     }
 
-    fn arm_periodic(&mut self, anchor: SimTime, period: SimDuration, payload: T) -> TimerId {
+    /// Arms a periodic timer on the grid `anchor + k·period`, first firing
+    /// at the earliest grid point `>= max(anchor, now())`.
+    pub fn arm_periodic(&mut self, anchor: SimTime, period: SimDuration, payload: T) -> TimerId {
         let due = tick_at_or_after(anchor, period, self.shared.now_logical());
         self.arm_at(
             due,
@@ -332,7 +382,10 @@ impl<T: Clone + Send + 'static> Clock<T> for WallClock<T> {
         )
     }
 
-    fn cancel(&mut self, id: TimerId) -> bool {
+    /// Cancels a timer. Returns `true` if an armed timer (or an undelivered
+    /// firing) was suppressed; cancelling an unknown or already-delivered
+    /// one-shot timer returns `false`.
+    pub fn cancel(&mut self, id: TimerId) -> bool {
         let mut state = self.shared.lock();
         let was_armed = state.timers.remove(&id.0).is_some();
         let fired_before = state.fired.len();
@@ -345,7 +398,11 @@ impl<T: Clone + Send + 'static> Clock<T> for WallClock<T> {
         suppressed
     }
 
-    fn rearm(&mut self, id: TimerId, at: SimTime) -> bool {
+    /// Moves an armed timer to fire at `at` instead (clamped to `now()`,
+    /// re-anchoring a periodic timer's grid there), keeping its id and
+    /// payload. Any undelivered firing of the old schedule is suppressed.
+    /// Returns `false` if the timer is no longer armed.
+    pub fn rearm(&mut self, id: TimerId, at: SimTime) -> bool {
         let at = at.max(self.shared.now_logical());
         let mut state = self.shared.lock();
         let Some(timer) = state.timers.get_mut(&id.0) else {
@@ -371,15 +428,22 @@ impl<T: Clone + Send + 'static> Clock<T> for WallClock<T> {
         true
     }
 
-    fn armed(&self) -> usize {
+    /// Number of currently armed timers.
+    pub fn armed(&self) -> usize {
         self.shared.lock().timers.len()
     }
 
-    fn has_external(&self) -> bool {
+    /// Whether wakeups may still arrive from outside the armed set: a
+    /// [`WallHandle`] is alive. Drive loops keep waiting while this holds
+    /// even with no armed timers.
+    pub fn has_external(&self) -> bool {
         self.shared.injectors.load(Ordering::SeqCst) > 0
     }
 
-    fn wait(&mut self) -> Option<Wakeup<T>> {
+    /// Delivers the next wakeup, blocking the calling thread until one is
+    /// due. Returns `None` when no timer is armed, nothing is queued, and no
+    /// [`WallHandle`] remains.
+    pub fn wait(&mut self) -> Option<Wakeup<T>> {
         let mut state = self.shared.lock();
         loop {
             if let Some(w) = pop_delivered(&mut state) {
@@ -401,8 +465,36 @@ impl<T: Clone + Send + 'static> Clock<T> for WallClock<T> {
         }
     }
 
-    fn try_wait(&mut self) -> Option<Wakeup<T>> {
+    /// Delivers a wakeup that has already fired, without blocking — `None`
+    /// when nothing is queued, even if timers are still armed. Drive loops
+    /// drain this on exit so queued work is accounted (rejected) rather
+    /// than silently dropped.
+    pub fn try_wait(&mut self) -> Option<Wakeup<T>> {
         pop_delivered(&mut self.shared.lock())
+    }
+
+    fn arm_at(&self, due: SimTime, arming: Arming<T>) -> TimerId {
+        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.shared.lock();
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.heap.push(Reverse(HeapEntry {
+            due: due.as_nanos(),
+            seq,
+            id,
+            generation: 0,
+        }));
+        state.timers.insert(
+            id,
+            WallTimer {
+                due,
+                generation: 0,
+                arming,
+            },
+        );
+        drop(state);
+        self.shared.wake.notify_all();
+        TimerId(id)
     }
 }
 
@@ -427,6 +519,56 @@ mod tests {
     /// High-compression clock: 1 real µs = 1 logical ms.
     fn fast_clock<T: Clone + Send + 'static>() -> WallClock<T> {
         WallClock::with_scale(SimTime::ZERO, 1000)
+    }
+
+    #[test]
+    fn tick_grid_math() {
+        let p = SimDuration::from_millis(10);
+        assert_eq!(tick_at_or_after(ms(100), p, ms(50)), ms(100));
+        assert_eq!(tick_at_or_after(ms(100), p, ms(100)), ms(100));
+        assert_eq!(tick_at_or_after(ms(100), p, ms(101)), ms(110));
+        assert_eq!(tick_at_or_after(ms(100), p, ms(110)), ms(110));
+        assert_eq!(tick_after(ms(100), p, ms(50)), ms(100));
+        assert_eq!(tick_after(ms(100), p, ms(100)), ms(110));
+        assert_eq!(tick_after(ms(100), p, ms(119)), ms(120));
+        assert_eq!(tick_after(ms(100), p, ms(120)), ms(130));
+    }
+
+    #[test]
+    fn rearm_moves_one_shot_without_duplicate() {
+        let mut c: WallClock<&str> = fast_clock();
+        let id = c.arm(ms(5_000), "x");
+        assert!(c.rearm(id, ms(9_000)));
+        let w = c.wait().unwrap();
+        assert_eq!((w.id, w.due), (id, ms(9_000)));
+        assert!(c.wait().is_none());
+    }
+
+    #[test]
+    fn periodic_fires_on_grid_and_rearm_reanchors() {
+        // 50 logical s = 50 real ms between ticks: the margin a stalled
+        // consumer would need to lose before a tick is skipped.
+        let mut c: WallClock<&str> = fast_clock();
+        let id = c.arm_periodic(ms(50_000), SimDuration::from_secs(50), "tick");
+        let dues: Vec<u64> = (0..3).map(|_| c.wait().unwrap().due.as_millis()).collect();
+        assert_eq!(dues, vec![50_000, 100_000, 150_000]);
+        assert!(c.rearm(id, ms(225_000)));
+        let dues: Vec<u64> = (0..2).map(|_| c.wait().unwrap().due.as_millis()).collect();
+        assert_eq!(dues, vec![225_000, 275_000]);
+        assert!(c.cancel(id));
+        assert!(c.wait().is_none());
+    }
+
+    #[test]
+    fn past_arm_clamps_to_now() {
+        let mut c: WallClock<&str> = fast_clock();
+        c.arm(ms(10_000), "first");
+        let first = c.wait().unwrap();
+        let id = c.arm(ms(2_000), "late");
+        let w = c.wait().unwrap();
+        assert_eq!(w.id, id);
+        assert!(w.due >= first.at, "armed in the past: due {:?}", w.due);
+        assert!(w.at >= w.due);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use duc_runtime::{Clock, TimerId, WallClock, WallHandle};
+use duc_runtime::{TimerId, WallClock, WallHandle};
 use duc_sim::{Rng, SimDuration, SimTime};
 
 const PRODUCERS: usize = 8;

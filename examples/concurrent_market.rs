@@ -39,10 +39,10 @@ fn wall_clock_market() -> Result<(), ProcessError> {
 
     let requests = script.len();
     let started = std::time::Instant::now();
-    let run = run_scripted(
+    let run = run_wall(
         &mut world,
         script,
-        RuntimeMode::Wall { scale: SCALE },
+        SCALE,
         Some(page.clone()),
         &ShutdownSignal::new(),
         // Refresh the served page every 10 logical seconds (50 real ms),
@@ -51,6 +51,7 @@ fn wall_clock_market() -> Result<(), ProcessError> {
             export_every: Some(SimDuration::from_secs(10)),
             ..DriveConfig::default()
         },
+        |_| Vec::new(),
     );
     let elapsed = started.elapsed();
     for (_, outcome) in &run.outcomes {

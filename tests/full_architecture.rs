@@ -3,6 +3,7 @@
 use solid_usage_control::core::scenario::{
     self, ALICE, ALICE_DEVICE, BOB, BOB_DEVICE, MEDICAL_PATH,
 };
+use solid_usage_control::core::world::MARKET_FEE;
 use solid_usage_control::prelude::*;
 use solid_usage_control::sim::LinkConfig;
 use solid_usage_control::solid::Body;
@@ -245,7 +246,7 @@ fn gas_accounting_is_conserved() {
     let treasury = solid_usage_control::blockchain::Address::from_seed(b"duc/market-treasury");
     assert_eq!(
         world.chain.balance(&treasury),
-        2 * world.config.market_fee,
+        2 * MARKET_FEE,
         "two subscriptions were sold"
     );
 }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use solid_usage_control::policy::dsl;
 use solid_usage_control::policy::prelude::*;
+use solid_usage_control::policy::PolicyEngine;
 use solid_usage_control::sim::{SimDuration, SimTime};
 
 fn arb_action() -> impl Strategy<Value = Action> {
