@@ -14,6 +14,7 @@
 //! `benchmark/` package (`benchmark/run.sh`), not this crate.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod experiments;
 pub mod rss;

@@ -46,7 +46,7 @@ impl BlockHeader {
     }
 
     /// Verifies the proposer's signature.
-    pub fn verify_signature(&self) -> bool {
+    pub(crate) fn verify_signature(&self) -> bool {
         self.proposer
             .verify(&self.signing_bytes(), &self.signature)
             .is_ok()
@@ -90,7 +90,7 @@ pub struct Block {
 
 impl Block {
     /// Computes the Merkle root over encoded transactions.
-    pub fn compute_tx_root(transactions: &[SignedTransaction]) -> Digest {
+    pub(crate) fn compute_tx_root(transactions: &[SignedTransaction]) -> Digest {
         let leaves: Vec<Vec<u8>> = transactions.iter().map(encode_to_vec).collect();
         MerkleTree::from_leaves(&leaves).root()
     }

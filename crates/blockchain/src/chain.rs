@@ -24,6 +24,10 @@ use crate::state::{InsufficientFunds, PagingStats, WorldState};
 use crate::tx::{Receipt, SignedTransaction, Transaction, TxKind, TxStatus};
 use crate::types::{Address, Amount, ContractId, TxId};
 
+/// Pending transactions a chain holds before it rejects more as
+/// [`SubmitError::MempoolFull`].
+const MEMPOOL_CAPACITY: usize = 10_000;
+
 /// Why a transaction was rejected at submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
@@ -86,10 +90,8 @@ impl std::error::Error for SubmitError {}
 pub struct BlockchainBuilder {
     validator_count: usize,
     block_interval: SimDuration,
-    gas_schedule: GasSchedule,
     max_block_gas: u64,
     gas_price: Amount,
-    mempool_capacity: usize,
     storage: StorageConfig,
     exec_mode: ExecMode,
     exec_threads: usize,
@@ -100,10 +102,8 @@ impl Default for BlockchainBuilder {
         BlockchainBuilder {
             validator_count: 4,
             block_interval: SimDuration::from_secs(2),
-            gas_schedule: GasSchedule::default(),
             max_block_gas: 30_000_000,
             gas_price: 1,
-            mempool_capacity: 10_000,
             storage: StorageConfig::disabled(),
             exec_mode: ExecMode::Serial,
             // Block batches are small; more than 8 workers only add
@@ -130,12 +130,6 @@ impl BlockchainBuilder {
         self
     }
 
-    /// Gas price list.
-    pub fn gas_schedule(mut self, schedule: GasSchedule) -> Self {
-        self.gas_schedule = schedule;
-        self
-    }
-
     /// Per-block gas ceiling.
     pub fn max_block_gas(mut self, gas: u64) -> Self {
         self.max_block_gas = gas;
@@ -145,12 +139,6 @@ impl BlockchainBuilder {
     /// Native-token price per unit of gas.
     pub fn gas_price(mut self, price: Amount) -> Self {
         self.gas_price = price;
-        self
-    }
-
-    /// Mempool capacity.
-    pub fn mempool_capacity(mut self, cap: usize) -> Self {
-        self.mempool_capacity = cap;
         self
     }
 
@@ -208,10 +196,9 @@ impl BlockchainBuilder {
             receipts: HashMap::new(),
             event_log: Vec::new(),
             contracts: HashMap::new(),
-            gas_schedule: self.gas_schedule,
+            gas_schedule: GasSchedule::default(),
             gas_price: self.gas_price,
             max_block_gas: self.max_block_gas,
-            mempool_capacity: self.mempool_capacity,
             gas_totals: HashMap::new(),
             labels: Interner::new(),
             slots_missed: 0,
@@ -248,7 +235,6 @@ pub struct Blockchain {
     gas_schedule: GasSchedule,
     gas_price: Amount,
     max_block_gas: u64,
-    mempool_capacity: usize,
     /// `(calls, gas)` so far per `(contract, method)` label pair — who
     /// spent what on which method, the data behind the affordability table
     /// (E7). `None` is a plain transfer or an intrinsic-only charge.
@@ -319,7 +305,7 @@ impl Blockchain {
     }
 
     /// Switches the intra-block execution mode.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
+    pub(crate) fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
 
@@ -339,37 +325,6 @@ impl Blockchain {
     }
 
     // -------------------------------------------------------- tx building
-
-    /// Builds a signed transfer using the account's next nonce.
-    ///
-    /// # Errors
-    /// Returns [`SubmitError::CannotPayGas`] when the balance cannot cover
-    /// amount + maximum fee.
-    pub fn build_transfer(
-        &self,
-        key: &KeyPair,
-        to: Address,
-        amount: Amount,
-    ) -> Result<SignedTransaction, SubmitError> {
-        let from = Address::from_public_key(&key.public());
-        // Intrinsic cost covers the base fee plus per-byte payload charges
-        // (a signed transfer encodes to ~120 bytes).
-        let gas_limit = self.gas_schedule.tx_base + 8_000;
-        let needed = (gas_limit as Amount)
-            .checked_mul(self.gas_price)
-            .and_then(|fee| amount.checked_add(fee))
-            .ok_or(SubmitError::FeeOverflow)?;
-        if self.state.balance(&from) < needed {
-            return Err(SubmitError::CannotPayGas);
-        }
-        Ok(Transaction {
-            from,
-            nonce: self.next_nonce(&from),
-            kind: TxKind::Transfer { to, amount },
-            gas_limit,
-        }
-        .sign(key))
-    }
 
     /// Builds a signed contract call using the account's next nonce.
     pub fn build_call(
@@ -430,7 +385,7 @@ impl Blockchain {
                 max_block_gas: self.max_block_gas,
             });
         }
-        if self.mempool.len() >= self.mempool_capacity {
+        if self.mempool.len() >= MEMPOOL_CAPACITY {
             return Err(SubmitError::MempoolFull);
         }
         if self.mempool.contains_key(&(tx.tx.from, tx.tx.nonce)) {
@@ -959,7 +914,7 @@ impl Blockchain {
     }
 
     /// Blocks streamed to the archive so far.
-    pub fn archived_blocks(&self) -> u64 {
+    pub(crate) fn archived_blocks(&self) -> u64 {
         self.blocks.archived()
     }
 
@@ -1037,7 +992,7 @@ impl Blockchain {
     /// (the zero-copy form behind [`Blockchain::events_since`] and the
     /// `Ledger` impl). Events are `Rc`-shared: consumers that keep one
     /// clone the pointer, not the payload.
-    pub fn events_slice_since(&self, height: u64) -> &[(u64, Rc<Event>)] {
+    pub(crate) fn events_slice_since(&self, height: u64) -> &[(u64, Rc<Event>)] {
         let start = self.event_log.partition_point(|(h, _)| *h <= height);
         &self.event_log[start..]
     }
@@ -1347,6 +1302,39 @@ mod tests {
     use super::*;
     use crate::exec::AccessKey;
     use duc_codec::{decode_from_slice, encode_to_vec};
+
+    impl Blockchain {
+        /// Builds a signed transfer using the account's next nonce.
+        ///
+        /// # Errors
+        /// Returns [`SubmitError::CannotPayGas`] when the balance cannot cover
+        /// amount + maximum fee.
+        fn build_transfer(
+            &self,
+            key: &KeyPair,
+            to: Address,
+            amount: Amount,
+        ) -> Result<SignedTransaction, SubmitError> {
+            let from = Address::from_public_key(&key.public());
+            // Intrinsic cost covers the base fee plus per-byte payload charges
+            // (a signed transfer encodes to ~120 bytes).
+            let gas_limit = self.gas_schedule.tx_base + 8_000;
+            let needed = (gas_limit as Amount)
+                .checked_mul(self.gas_price)
+                .and_then(|fee| amount.checked_add(fee))
+                .ok_or(SubmitError::FeeOverflow)?;
+            if self.state.balance(&from) < needed {
+                return Err(SubmitError::CannotPayGas);
+            }
+            Ok(Transaction {
+                from,
+                nonce: self.next_nonce(&from),
+                kind: TxKind::Transfer { to, amount },
+                gas_limit,
+            }
+            .sign(key))
+        }
+    }
 
     pub(super) struct Counter;
 

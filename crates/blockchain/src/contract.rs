@@ -126,7 +126,7 @@ impl<'a> CallCtx<'a> {
     /// gas fee) when executing against a snapshot that has not been
     /// debited yet. See the `shadow_debit` field.
     #[must_use]
-    pub fn with_shadow_debit(mut self, amount: Amount) -> Self {
+    pub(crate) fn with_shadow_debit(mut self, amount: Amount) -> Self {
         self.shadow_debit = amount;
         self
     }
@@ -240,11 +240,6 @@ impl<'a> CallCtx<'a> {
             data,
         });
         Ok(())
-    }
-
-    /// Charges abstract compute units (contracts call this in loops).
-    pub fn charge_compute(&mut self, units: u64) -> Result<(), ContractError> {
-        Ok(self.meter.charge_compute(units)?)
     }
 
     /// An account balance as seen through the overlay.

@@ -143,7 +143,7 @@ impl AccessSet {
     /// refund, nonce bump). Ensures same-sender nonce chains land in
     /// strictly increasing levels.
     #[must_use]
-    pub fn with_sender(mut self, sender: Address) -> AccessSet {
+    pub(crate) fn with_sender(mut self, sender: Address) -> AccessSet {
         if let AccessSet::Declared(s) = &mut self {
             s.reads.push(AccessKey::Account(sender));
             s.writes.push(AccessKey::Account(sender));
@@ -234,7 +234,7 @@ pub fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
 /// execute concurrently; levels commit in order, and within a level the
 /// commit order is canonical (input) order. O(n²) pairwise checks — block
 /// batches are small and the sets are a handful of keys each.
-pub fn schedule_levels(sets: &[AccessSet]) -> Vec<u32> {
+pub(crate) fn schedule_levels(sets: &[AccessSet]) -> Vec<u32> {
     let mut levels: Vec<u32> = Vec::with_capacity(sets.len());
     for (i, set) in sets.iter().enumerate() {
         let mut level = 0u32;
@@ -254,7 +254,7 @@ pub fn schedule_levels(sets: &[AccessSet]) -> Vec<u32> {
 /// in an order drawn from a seeded [`duc_sim::Rng`], so the *schedule* is
 /// load-adaptive while the *output* is a pure function of the inputs.
 /// Falls back to an inline loop for tiny batches or a single thread.
-pub fn run_batch<T, F>(threads: usize, seed: u64, n: usize, f: F) -> Vec<T>
+pub(crate) fn run_batch<T, F>(threads: usize, seed: u64, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -101,7 +101,7 @@ impl GasMeter {
     /// # Errors
     /// Returns [`OutOfGas`] when the limit would be exceeded; the meter is
     /// then pinned at the limit (all gas consumed, like EVM semantics).
-    pub fn charge(&mut self, gas: u64) -> Result<(), OutOfGas> {
+    pub(crate) fn charge(&mut self, gas: u64) -> Result<(), OutOfGas> {
         let new_used = self.used.saturating_add(gas);
         if new_used > self.limit {
             self.used = self.limit;
@@ -112,12 +112,12 @@ impl GasMeter {
     }
 
     /// Charges for `n` abstract compute units.
-    pub fn charge_compute(&mut self, n: u64) -> Result<(), OutOfGas> {
+    pub(crate) fn charge_compute(&mut self, n: u64) -> Result<(), OutOfGas> {
         self.charge(self.schedule.compute_unit.saturating_mul(n))
     }
 
     /// Charges for reading `bytes` from storage.
-    pub fn charge_storage_read(&mut self, bytes: usize) -> Result<(), OutOfGas> {
+    pub(crate) fn charge_storage_read(&mut self, bytes: usize) -> Result<(), OutOfGas> {
         self.charge(
             self.schedule
                 .storage_access
@@ -126,7 +126,7 @@ impl GasMeter {
     }
 
     /// Charges for writing `bytes` to storage.
-    pub fn charge_storage_write(&mut self, bytes: usize) -> Result<(), OutOfGas> {
+    pub(crate) fn charge_storage_write(&mut self, bytes: usize) -> Result<(), OutOfGas> {
         self.charge(
             self.schedule.storage_access.saturating_add(
                 self.schedule
@@ -137,7 +137,7 @@ impl GasMeter {
     }
 
     /// Charges for emitting an event with `bytes` of data.
-    pub fn charge_event(&mut self, bytes: usize) -> Result<(), OutOfGas> {
+    pub(crate) fn charge_event(&mut self, bytes: usize) -> Result<(), OutOfGas> {
         self.charge(
             self.schedule
                 .event_base

@@ -635,7 +635,7 @@ impl ShardedLedger {
     /// (resource IRI → owner WebID), then FNV-1a over the resolved key.
     /// Placements are memoized per distinct key (interned), so repeat
     /// submissions skip the alias scan and the hash.
-    pub fn shard_of_key(&self, key: &str) -> usize {
+    pub(crate) fn shard_of_key(&self, key: &str) -> usize {
         let mut cache = self.route_cache.borrow_mut();
         let (ids, memo) = &mut *cache;
         let sym = ids.intern(key);
@@ -653,7 +653,7 @@ impl ShardedLedger {
     }
 
     /// The shard a contract call routes to.
-    pub fn shard_of_call(&self, contract: &ContractId, method: &str, args: &[u8]) -> usize {
+    pub(crate) fn shard_of_call(&self, contract: &ContractId, method: &str, args: &[u8]) -> usize {
         match (self.router)(contract, method, args) {
             RouteKey::Key(key) => self.shard_of_key(&key),
             RouteKey::Shard(s) => s % self.shards.len(),

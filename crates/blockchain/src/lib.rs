@@ -47,7 +47,16 @@
 //!     .block_interval(duc_sim::SimDuration::from_secs(2))
 //!     .build();
 //! let alice = chain.create_funded_account(b"alice", 1_000_000);
-//! let tx = chain.build_transfer(&alice, Address::from_seed(b"bob"), 500).expect("funds");
+//! let tx = Transaction {
+//!     from: Address::from_public_key(&alice.public()),
+//!     nonce: 0,
+//!     kind: duc_blockchain::tx::TxKind::Transfer {
+//!         to: Address::from_seed(b"bob"),
+//!         amount: 500,
+//!     },
+//!     gas_limit: 30_000,
+//! }
+//! .sign(&alice);
 //! chain.submit(tx).expect("valid tx");
 //! chain.advance_to(SimTime::from_secs(2));
 //! assert_eq!(chain.height(), 1);
@@ -55,6 +64,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod block;
 pub mod chain;
@@ -73,7 +83,7 @@ pub use contract::{CallCtx, Contract, ContractError, Event};
 pub use exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
 pub use gas::{GasMeter, GasSchedule, OutOfGas};
 pub use ledger::{Ledger, RouteKey, RouterFn, ShardedLedger, SingleChain};
-pub use state::{AccountState, PagingStats, WorldState};
+pub use state::{PagingStats, WorldState};
 pub use tx::{Receipt, SignedTransaction, Transaction, TxStatus};
 pub use types::{Address, Amount, ContractId, TxId};
 

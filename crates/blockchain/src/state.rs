@@ -20,7 +20,7 @@
 //! 16 bytes of each page's first key as one `u128`, so it compares those
 //! heads inline and full first keys only where two pages share a head. The
 //! page table is a `Vec` indexed by page id. A read borrows the value from
-//! the page ([`WorldState::storage_with`]), so a contract decodes a row
+//! the page (`WorldState::storage_with`), so a contract decodes a row
 //! straight out of the state's bytes. Directory heads and page heads are
 //! derived from first keys and page bytes; nothing spilled, hashed or
 //! committed holds them, and [`WorldState::verify_pages`] rebuilds and
@@ -45,7 +45,7 @@ use crate::types::{Address, Amount, ContractId};
 
 /// One account's ledger entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccountState {
+pub(crate) struct AccountState {
     /// Spendable balance.
     pub balance: Amount,
     /// Next expected transaction nonce.
@@ -794,7 +794,7 @@ impl WorldState {
     }
 
     /// The account entry (default zero for unknown addresses).
-    pub fn account(&self, addr: &Address) -> AccountState {
+    fn account(&self, addr: &Address) -> AccountState {
         self.accounts.get(addr).map(|a| a.state).unwrap_or_default()
     }
 
@@ -856,7 +856,11 @@ impl WorldState {
     ///
     /// # Errors
     /// Returns `Err(())` without mutating on insufficient balance.
-    pub fn debit(&mut self, addr: &Address, amount: Amount) -> Result<(), InsufficientFunds> {
+    pub(crate) fn debit(
+        &mut self,
+        addr: &Address,
+        amount: Amount,
+    ) -> Result<(), InsufficientFunds> {
         let available = self.balance(addr);
         if available < amount {
             return Err(InsufficientFunds {
@@ -869,7 +873,7 @@ impl WorldState {
     }
 
     /// Increments an account's nonce.
-    pub fn bump_nonce(&mut self, addr: &Address) {
+    pub(crate) fn bump_nonce(&mut self, addr: &Address) {
         self.with_account(addr, |a| a.nonce += 1);
     }
 
@@ -882,7 +886,7 @@ impl WorldState {
     /// borrow is always of a resident page. `read` runs under the state's
     /// lock and must not call back into this `WorldState`; the lock is not
     /// re-entrant, so such a call deadlocks or panics.
-    pub fn storage_with<R>(
+    pub(crate) fn storage_with<R>(
         &self,
         contract: &ContractId,
         key: &[u8],
@@ -892,13 +896,13 @@ impl WorldState {
     }
 
     /// Reads a contract storage slot into a buffer of its own
-    /// ([`WorldState::storage_with`] without the copy reads it in place).
+    /// (`storage_with`, crate-internal, reads it in place without the copy).
     pub fn storage_get(&self, contract: &ContractId, key: &[u8]) -> Option<Vec<u8>> {
         self.storage_with(contract, key, |value| value.map(<[u8]>::to_vec))
     }
 
     /// Whether a contract storage slot exists (no value clone).
-    pub fn storage_contains(&self, contract: &ContractId, key: &[u8]) -> bool {
+    pub(crate) fn storage_contains(&self, contract: &ContractId, key: &[u8]) -> bool {
         self.storage_with(contract, key, |value| value.is_some())
     }
 
@@ -914,7 +918,7 @@ impl WorldState {
     }
 
     /// Deletes a contract storage slot; returns whether it existed.
-    pub fn storage_remove(&mut self, contract: &ContractId, key: &[u8]) -> bool {
+    pub(crate) fn storage_remove(&mut self, contract: &ContractId, key: &[u8]) -> bool {
         match self.slots_mut().remove(contract, key) {
             Some(prev) => {
                 let old = storage_row(contract, key, &prev);
@@ -929,7 +933,7 @@ impl WorldState {
     /// order (contracts build indexes on ordered key prefixes). Callback
     /// style because pages may fault in and out during the walk; only
     /// pages whose range can intersect the prefix are touched.
-    pub fn storage_for_each_prefix(
+    pub(crate) fn storage_for_each_prefix(
         &self,
         contract: &ContractId,
         prefix: &[u8],
@@ -941,13 +945,13 @@ impl WorldState {
 
     /// Number of storage slots across all contracts (state-growth metric,
     /// experiment E12). Maintained incrementally — O(1).
-    pub fn storage_slot_count(&self) -> usize {
+    pub(crate) fn storage_slot_count(&self) -> usize {
         self.slots_shared().slot_count
     }
 
     /// Total bytes held in storage values (state-growth metric). Maintained
     /// incrementally — O(1).
-    pub fn storage_byte_size(&self) -> usize {
+    pub(crate) fn storage_byte_size(&self) -> usize {
         self.slots_shared().byte_size
     }
 
@@ -1029,7 +1033,7 @@ impl Clone for WorldState {
 
 /// Debit failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InsufficientFunds {
+pub(crate) struct InsufficientFunds {
     /// Amount requested.
     pub needed: Amount,
     /// Amount available.

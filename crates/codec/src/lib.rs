@@ -25,6 +25,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::fmt;
 
@@ -179,7 +180,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     /// [`DecodeError::UnexpectedEof`] if fewer than `n` bytes remain.
-    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEof {
                 needed: n - self.remaining(),
@@ -196,7 +197,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `u32` length prefix, validating it against remaining input.
-    pub fn read_len(&mut self) -> Result<usize, DecodeError> {
+    pub(crate) fn read_len(&mut self) -> Result<usize, DecodeError> {
         let len = u32::decode(self)? as usize;
         if len > self.remaining() {
             return Err(DecodeError::LengthOverflow {

@@ -54,7 +54,11 @@ impl PolicyEnvelope {
     /// # Errors
     /// Fails when the envelope is plaintext-marked or decryption yields
     /// garbage (wrong key).
-    pub fn open_sealed(&self, key: [u8; 32], nonce: [u8; 12]) -> Result<UsagePolicy, DecodeError> {
+    pub(crate) fn open_sealed(
+        &self,
+        key: [u8; 32],
+        nonce: [u8; 12],
+    ) -> Result<UsagePolicy, DecodeError> {
         if !self.encrypted {
             return Err(DecodeError::Invalid("envelope is not encrypted"));
         }
@@ -395,7 +399,7 @@ impl MonitoringRound {
 
     /// Devices that answered compliant, whether by full evidence or by
     /// reaffirmation.
-    pub fn compliant_count(&self) -> u64 {
+    pub(crate) fn compliant_count(&self) -> u64 {
         self.evidence.iter().filter(|e| e.compliant).count() as u64 + self.reaffirmed.len() as u64
     }
 

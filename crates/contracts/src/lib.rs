@@ -22,6 +22,7 @@
 //! parallel block executor can schedule non-conflicting calls concurrently.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod abi;
 pub mod access;
@@ -50,13 +51,13 @@ pub mod topics {
     /// A usage policy was replaced (push-out oracles fan this out).
     pub const POLICY_UPDATED: &str = "PolicyUpdated";
     /// A device registered a copy of a resource.
-    pub const COPY_REGISTERED: &str = "CopyRegistered";
+    pub(crate) const COPY_REGISTERED: &str = "CopyRegistered";
     /// A device dropped its copy.
-    pub const COPY_REMOVED: &str = "CopyRemoved";
+    pub(crate) const COPY_REMOVED: &str = "CopyRemoved";
     /// A monitoring round was opened (pull-in oracles react).
     pub const MONITORING_REQUESTED: &str = "MonitoringRequested";
     /// A device's evidence was recorded.
-    pub const EVIDENCE_RECORDED: &str = "EvidenceRecorded";
+    pub(crate) const EVIDENCE_RECORDED: &str = "EvidenceRecorded";
     /// A monitoring round closed with its verdict.
     pub const ROUND_CLOSED: &str = "RoundClosed";
     /// A market subscription certificate was issued.

@@ -37,7 +37,7 @@ fn decode_prefix<T: Decode>(args: &[u8]) -> Option<T> {
 /// Extracts the [`RouteKey`] of one DE App call. Unknown methods and
 /// undecodable arguments pin to shard 0 (the chain itself will produce the
 /// authoritative error).
-pub fn dex_route(method: &str, args: &[u8]) -> RouteKey {
+pub(crate) fn dex_route(method: &str, args: &[u8]) -> RouteKey {
     match method {
         "register_pod" | "get_pod" | "lookup_resource" | "update_policy" | "register_copy"
         | "unregister_copy" | "list_copies" | "start_monitoring" | "get_round" | "subscribe"

@@ -44,7 +44,11 @@ pub struct PodRow {
 
 impl PodRow {
     /// Reconstructs the ABI record from key identity + pol-table envelope.
-    pub fn into_record(self, owner_webid: String, default_policy: PolicyEnvelope) -> PodRecord {
+    pub(crate) fn into_record(
+        self,
+        owner_webid: String,
+        default_policy: PolicyEnvelope,
+    ) -> PodRecord {
         PodRecord {
             owner_webid,
             owner_addr: self.owner_addr,
@@ -100,7 +104,7 @@ pub struct ResourceRow {
 
 impl ResourceRow {
     /// Collapses `location` against the resource IRI.
-    pub fn encode_location(resource: &str, location: String) -> Option<String> {
+    pub(crate) fn encode_location(resource: &str, location: String) -> Option<String> {
         if location == resource {
             None
         } else {
@@ -109,7 +113,7 @@ impl ResourceRow {
     }
 
     /// Reconstructs the ABI record from key identity + pol-table envelope.
-    pub fn into_record(self, resource: String, policy: PolicyEnvelope) -> ResourceRecord {
+    pub(crate) fn into_record(self, resource: String, policy: PolicyEnvelope) -> ResourceRecord {
         ResourceRecord {
             location: self.location.unwrap_or_else(|| resource.clone()),
             resource,
@@ -164,7 +168,7 @@ pub struct CopyRow {
 
 impl CopyRow {
     /// Reconstructs the ABI record from the key's device suffix.
-    pub fn into_record(self, device: String) -> CopyRecord {
+    pub(crate) fn into_record(self, device: String) -> CopyRecord {
         CopyRecord {
             device,
             holder_webid: self.holder_webid,
@@ -210,7 +214,7 @@ pub struct SubRow {
 
 impl SubRow {
     /// Reconstructs the ABI record from the key's WebID.
-    pub fn into_record(self, webid: String) -> Subscription {
+    pub(crate) fn into_record(self, webid: String) -> Subscription {
         Subscription {
             webid,
             addr: self.addr,

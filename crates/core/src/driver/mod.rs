@@ -119,14 +119,14 @@ pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_secs(120);
 /// Retry budget window for a single network hop: a hop that cannot be
 /// delivered by then resolves with a typed
 /// [`duc_oracle::OracleError::GaveUp`] instead of waiting longer.
-pub const HOP_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+pub(crate) const HOP_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
 /// Maximum delivery attempts per hop against transient loss.
-pub const MAX_HOP_ATTEMPTS: u32 = 8;
+pub(crate) const MAX_HOP_ATTEMPTS: u32 = 8;
 
 /// Deterministic exponential backoff before retry number `attempt`
 /// (1-based): 50 ms, 100 ms, 200 ms, … capped at 12.8 s.
-pub fn hop_backoff(attempt: u32) -> SimDuration {
+pub(crate) fn hop_backoff(attempt: u32) -> SimDuration {
     SimDuration::from_millis(50u64 << attempt.saturating_sub(1).min(8))
 }
 
@@ -244,7 +244,7 @@ impl Ticket {
     }
 
     /// Takes the completed outcome for this ticket, if the request has
-    /// finished. Equivalent to [`World::poll_ticket`].
+    /// finished.
     pub fn poll<L: Ledger>(self, world: &mut World<L>) -> Option<Result<Outcome, ProcessError>> {
         world.poll_ticket(self)
     }
@@ -491,7 +491,7 @@ impl<L: Ledger> World<L> {
     }
 
     /// Takes the completed outcome for `ticket`, if the request finished.
-    pub fn poll_ticket(&mut self, ticket: Ticket) -> Option<Result<Outcome, ProcessError>> {
+    pub(crate) fn poll_ticket(&mut self, ticket: Ticket) -> Option<Result<Outcome, ProcessError>> {
         let pos = self
             .driver
             .completed

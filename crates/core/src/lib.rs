@@ -46,6 +46,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod baseline;
 pub mod chaos;
@@ -58,9 +59,7 @@ pub mod world;
 pub use driver::{
     AccessOutcome, MonitoringOutcome, Outcome, ProcessError, PropagationOutcome, Request, Ticket,
 };
-pub use runtime::{
-    market_world, outcome_key, outcome_set, run_scripted, run_wall, PacedWorld, RuntimeRun,
-};
+pub use runtime::{market_world, outcome_key, outcome_set, run_scripted, run_wall, RuntimeRun};
 pub use world::{EnforcementMode, World, WorldConfig};
 
 /// Common imports.

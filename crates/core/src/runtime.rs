@@ -38,7 +38,7 @@ pub struct RuntimeRun {
 /// next event — every wake the world has, obligation wakeups included —
 /// so the drive loop mirrors the world's internal event queue into a
 /// single re-armable timer.
-pub struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
+pub(crate) struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
     world: &'w mut World<L>,
     page: Option<MetricsPage>,
     outcomes: Vec<(Ticket, Result<Outcome, ProcessError>)>,
@@ -47,7 +47,7 @@ pub struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
 impl<'w, L: Ledger> PacedWorld<'w, L> {
     /// Wraps a world; every export overwrites `page`, when given, with
     /// the rendered [`World::metrics_snapshot`].
-    pub fn new(world: &'w mut World<L>, page: Option<MetricsPage>) -> Self {
+    pub(crate) fn new(world: &'w mut World<L>, page: Option<MetricsPage>) -> Self {
         PacedWorld {
             world,
             page,
@@ -56,7 +56,7 @@ impl<'w, L: Ledger> PacedWorld<'w, L> {
     }
 
     /// Consumes the adapter, returning the collected outcomes.
-    pub fn into_outcomes(self) -> Vec<(Ticket, Result<Outcome, ProcessError>)> {
+    pub(crate) fn into_outcomes(self) -> Vec<(Ticket, Result<Outcome, ProcessError>)> {
         self.outcomes
     }
 }

@@ -36,7 +36,7 @@ pub enum EnforcementMode {
 pub const MARKET_FEE: u128 = 10_000;
 
 /// Genesis balance of every owner and device account.
-pub const INITIAL_BALANCE: u128 = 10_000_000_000;
+pub(crate) const INITIAL_BALANCE: u128 = 10_000_000_000;
 
 /// Configuration for one simulated deployment.
 #[derive(Debug, Clone)]
@@ -149,7 +149,7 @@ pub struct Device {
 
 impl Device {
     /// The index entry for the resource whose IRI interned as `resource`.
-    pub fn index_entry(&self, resource: Sym) -> Option<&IndexEntry> {
+    pub(crate) fn index_entry(&self, resource: Sym) -> Option<&IndexEntry> {
         let i = self.indexed.binary_search_by_key(&resource, |(s, _)| *s);
         i.ok().map(|i| &self.indexed[i].1)
     }
@@ -266,7 +266,7 @@ impl<L: Ledger> World<L> {
     /// the DE App on every shard, runs the per-shard market initialization,
     /// and wires the oracles. For the single-chain backend this is
     /// step-for-step the pre-trait constructor (byte-identical runs).
-    pub fn with_ledger(config: WorldConfig, mut chain: L) -> World<L> {
+    pub(crate) fn with_ledger(config: WorldConfig, mut chain: L) -> World<L> {
         chain.deploy_with(ContractId::new(DEX_CONTRACT_ID), &|| Box::new(DistExchange));
         chain.install_access_fn(&duc_contracts::dex_access_fn);
         let dex = DistExchangeClient::new();
@@ -448,7 +448,7 @@ impl<L: Ledger> World<L> {
     }
 
     /// The installed fault plan (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
+    pub(crate) fn fault_plan(&self) -> &FaultPlan {
         &self.fault_plan
     }
 
@@ -539,7 +539,7 @@ impl<L: Ledger> World<L> {
     }
 
     /// Whether a device's host currently suppresses its enclave timers.
-    pub fn is_rogue_host(&self, device: &str) -> bool {
+    pub(crate) fn is_rogue_host(&self, device: &str) -> bool {
         self.rogue_hosts.contains(device)
     }
 
@@ -594,12 +594,12 @@ impl<L: Ledger> World<L> {
     /// Immutable owner lookup; `None` when the WebID is unknown. Internal
     /// callers that can legitimately see unknown ids (the driver validates
     /// requests against arbitrary input) use this instead of panicking.
-    pub fn try_owner(&self, webid: &str) -> Option<&Owner> {
+    pub(crate) fn try_owner(&self, webid: &str) -> Option<&Owner> {
         self.owners.get(webid)
     }
 
     /// Immutable device lookup; `None` when the device name is unknown.
-    pub fn try_device(&self, device: &str) -> Option<&Device> {
+    pub(crate) fn try_device(&self, device: &str) -> Option<&Device> {
         self.devices.get(device)
     }
 
@@ -607,8 +607,7 @@ impl<L: Ledger> World<L> {
     ///
     /// # Panics
     /// Panics when the owner is unknown — worlds are built by the test or
-    /// bench harness, so a missing participant is a harness bug. Use
-    /// [`World::try_owner`] for ids that may legitimately be unknown.
+    /// bench harness, so a missing participant is a harness bug.
     pub fn owner(&self, webid: &str) -> &Owner {
         self.try_owner(webid).expect("unknown owner webid")
     }
@@ -616,8 +615,7 @@ impl<L: Ledger> World<L> {
     /// Immutable device lookup.
     ///
     /// # Panics
-    /// Panics when the device is unknown (harness bug). Use
-    /// [`World::try_device`] for ids that may legitimately be unknown.
+    /// Panics when the device is unknown (harness bug).
     pub fn device(&self, device: &str) -> &Device {
         self.try_device(device).expect("unknown device")
     }

@@ -141,26 +141,6 @@ impl ChaCha20 {
         }
     }
 
-    /// XORs the keystream (starting at block `initial_counter`) into `data`
-    /// in place. Applying the same operation twice restores the plaintext.
-    pub fn apply_keystream(&self, initial_counter: u32, data: &mut [u8]) {
-        self.apply_keystream_with(wide_kernel(), initial_counter, data);
-    }
-
-    /// [`ChaCha20::apply_keystream`] over a given wide kernel, or none.
-    fn apply_keystream_with(
-        &self,
-        wide: Option<impl Fn(&[u32; 16], &mut [u8; WIDE_BYTES])>,
-        initial_counter: u32,
-        data: &mut [u8],
-    ) {
-        self.keystream(initial_counter, data.len(), wide, |at, ks| {
-            for (byte, k) in data[at..at + ks.len()].iter_mut().zip(ks) {
-                *byte ^= k;
-            }
-        });
-    }
-
     /// Convenience: encrypts `plaintext` with counter 1 (RFC 8439 convention
     /// reserves counter 0 for the Poly1305 key, which we do not use). One
     /// pass: each output byte is written once, as input XOR keystream.
@@ -392,6 +372,21 @@ mod tests {
         out
     }
 
+    /// XORs the keystream from block `initial_counter` on, over `wide`,
+    /// into `data` in place.
+    fn xor_keystream(
+        wide: Option<impl Fn(&[u32; 16], &mut [u8; WIDE_BYTES])>,
+        cipher: &ChaCha20,
+        initial_counter: u32,
+        data: &mut [u8],
+    ) {
+        cipher.keystream(initial_counter, data.len(), wide, |at, ks| {
+            for (byte, k) in data[at..at + ks.len()].iter_mut().zip(ks) {
+                *byte ^= k;
+            }
+        });
+    }
+
     /// `data` under the keystream from `initial_counter` on, over `wide`.
     fn apply_with(
         wide: Option<impl Fn(&[u32; 16], &mut [u8; WIDE_BYTES])>,
@@ -400,7 +395,7 @@ mod tests {
         data: &[u8],
     ) -> Vec<u8> {
         let mut out = data.to_vec();
-        cipher.apply_keystream_with(wide, initial_counter, &mut out);
+        xor_keystream(wide, cipher, initial_counter, &mut out);
         out
     }
 
@@ -472,11 +467,10 @@ only one tip for the future, sunscreen would be it.";
                     expected,
                     "{len} bytes from block {counter}, scalar kernel"
                 );
-                let mut public = message.to_vec();
-                cipher.apply_keystream(counter, &mut public);
                 assert_eq!(
-                    public, expected,
-                    "{len} bytes from block {counter}, public path"
+                    apply_with(wide_kernel(), &cipher, counter, message),
+                    expected,
+                    "{len} bytes from block {counter}, detected kernel"
                 );
                 if let Some(kernel) = accelerated() {
                     assert_eq!(
@@ -502,14 +496,18 @@ only one tip for the future, sunscreen would be it.";
         let data = pattern(1100);
         for skip in [1usize, 3] {
             let expected = reference(&cipher, 7, &data[skip..]);
-            let mut public = data.clone();
-            cipher.apply_keystream(7, &mut public[skip..]);
-            assert_eq!(&public[..skip], &data[..skip], "bytes before the slice");
-            assert_eq!(&public[skip..], expected, "public path, offset {skip}");
+            let mut detected = data.clone();
+            xor_keystream(wide_kernel(), &cipher, 7, &mut detected[skip..]);
+            assert_eq!(&detected[..skip], &data[..skip], "bytes before the slice");
+            assert_eq!(
+                &detected[skip..],
+                expected,
+                "detected kernel, offset {skip}"
+            );
             assert_eq!(cipher.encrypt(&data[skip..]).len(), expected.len());
             if let Some(kernel) = accelerated() {
                 let mut wide = data.clone();
-                cipher.apply_keystream_with(Some(kernel), 7, &mut wide[skip..]);
+                xor_keystream(Some(kernel), &cipher, 7, &mut wide[skip..]);
                 assert_eq!(&wide[skip..], expected, "wide kernel, offset {skip}");
             }
         }
@@ -581,13 +579,13 @@ only one tip for the future, sunscreen would be it.";
     fn keystream_continuation_matches_one_shot() {
         let cipher = ChaCha20::new([3u8; 32], [4u8; 12]);
         let mut whole = vec![0u8; 130];
-        cipher.apply_keystream(1, &mut whole);
+        xor_keystream(wide_kernel(), &cipher, 1, &mut whole);
         // Same keystream applied to an all-zero buffer in two chunks at the
         // correct block offsets.
         let mut part1 = vec![0u8; 64];
         let mut part2 = vec![0u8; 66];
-        cipher.apply_keystream(1, &mut part1);
-        cipher.apply_keystream(2, &mut part2);
+        xor_keystream(wide_kernel(), &cipher, 1, &mut part1);
+        xor_keystream(wide_kernel(), &cipher, 2, &mut part2);
         assert_eq!(&whole[..64], &part1[..]);
         assert_eq!(&whole[64..], &part2[..]);
     }

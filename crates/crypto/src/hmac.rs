@@ -6,7 +6,7 @@ use crate::sha256::{sha256, Digest, Sha256};
 ///
 /// Used for deterministic Schnorr nonces, TEE sealing-key derivation and
 /// attestation MACs.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     HmacKey::new(key).mac(message)
 }
 

@@ -21,7 +21,7 @@
 //!   serves every remainder of more than two blocks ([`chacha20::backend`]
 //!   names it). Ciphertext never depends on the choice.
 //! * [`schnorr`] — Schnorr signatures over a 63-bit safe-prime group. The
-//!   group is a constant ([`schnorr::GROUP`]; the Miller–Rabin search that
+//!   group is a constant (`schnorr::GROUP`; the Miller–Rabin search that
 //!   derives it runs only in tests), products mod `p` are Montgomery
 //!   multiplications, and every power of the generator is 15 products from
 //!   a const-evaluated fixed-base table; a key pair keeps its nonce HMAC
@@ -48,6 +48,7 @@
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![warn(unreachable_pub)]
 
 pub mod chacha20;
 pub mod hex;
@@ -57,9 +58,8 @@ pub mod schnorr;
 pub mod sha256;
 
 pub use chacha20::ChaCha20;
-pub use hmac::hmac_sha256;
 pub use merkle::{MerkleProof, MerkleTree};
-pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature, SignatureError};
+pub use schnorr::{KeyPair, PublicKey, Signature, SignatureError};
 pub use sha256::{sha256, Digest, Sha256};
 
 /// Hashes the concatenation of parts, domain-separating each part by its

@@ -25,7 +25,7 @@ fn hash_node(left: &Digest, right: &Digest) -> Digest {
 
 /// A step in an inclusion proof: the sibling digest and its side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProofStep {
+pub(crate) enum ProofStep {
     /// Sibling is on the left: parent = H(sibling ‖ current).
     Left(Digest),
     /// Sibling is on the right: parent = H(current ‖ sibling).
@@ -39,13 +39,8 @@ pub struct MerkleProof {
 }
 
 impl MerkleProof {
-    /// The proof path from leaf to root.
-    pub fn steps(&self) -> &[ProofStep] {
-        &self.steps
-    }
-
     /// Recomputes the root implied by `leaf_data` under this proof.
-    pub fn compute_root(&self, leaf_data: &[u8]) -> Digest {
+    fn compute_root(&self, leaf_data: &[u8]) -> Digest {
         let mut acc = hash_leaf(leaf_data);
         for step in &self.steps {
             acc = match step {
@@ -157,7 +152,7 @@ mod tests {
         let tree = MerkleTree::from_leaves(&leaves(1));
         assert_eq!(tree.root(), hash_leaf(b"leaf-0"));
         let proof = tree.prove(0).unwrap();
-        assert!(proof.steps().is_empty());
+        assert!(proof.steps.is_empty());
         assert!(proof.verify(b"leaf-0", &tree.root()));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The group is the order-`q` subgroup of quadratic residues of `Z_p^*`,
 //! where `p = 2q + 1 = 2⁶² + 6595` is the first safe prime with
-//! `q ≥ 2⁶¹ + 1` and `g = 4`. [`GROUP`] is a constant; the deterministic
+//! `q ≥ 2⁶¹ + 1` and `g = 4`. `GROUP` is a constant; the deterministic
 //! Miller–Rabin search that found it lives in this module's tests, which
 //! check it still derives exactly these values.
 //! Nonces are derived deterministically (RFC 6979 in spirit) via
@@ -34,7 +34,7 @@ use crate::{hash_parts, hex};
 /// Group parameters: safe prime `p = 2q + 1`, subgroup order `q`,
 /// generator `g` of the order-`q` subgroup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupParams {
+pub(crate) struct GroupParams {
     /// The field prime.
     pub p: u64,
     /// The subgroup order, `(p - 1) / 2`.
@@ -44,7 +44,7 @@ pub struct GroupParams {
 }
 
 /// The signature group.
-pub const GROUP: GroupParams = GroupParams {
+pub(crate) const GROUP: GroupParams = GroupParams {
     p: 4_611_686_018_427_394_499,
     q: 2_305_843_009_213_697_249,
     g: 4,
@@ -145,7 +145,7 @@ fn pow_mont(mut base: u64, mut exp: u64) -> u64 {
 /// A secret scalar, with the HMAC key its signing nonces are derived under
 /// (the scalar's bytes, pads compressed once at key generation).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey {
+pub(crate) struct SecretKey {
     scalar: u64,
     nonce_key: HmacKey,
 }

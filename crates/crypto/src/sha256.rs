@@ -23,16 +23,6 @@ impl Digest {
         hex::encode(&self.0)
     }
 
-    /// Parses a 64-character hex string.
-    ///
-    /// # Errors
-    /// Returns `None` when the input is not exactly 64 hex characters.
-    pub fn from_hex(s: &str) -> Option<Digest> {
-        let bytes = hex::decode(s)?;
-        let arr: [u8; 32] = bytes.try_into().ok()?;
-        Some(Digest(arr))
-    }
-
     /// A short 8-hex-character prefix for logs.
     pub fn short(&self) -> String {
         hex::encode(&self.0[..4])
@@ -552,15 +542,6 @@ mod tests {
         let d64 = sha256(&[0u8; 64]);
         assert_ne!(d55, d56);
         assert_ne!(d56, d64);
-    }
-
-    #[test]
-    fn digest_hex_roundtrip() {
-        let d = sha256(b"roundtrip");
-        let parsed = Digest::from_hex(&d.to_hex()).expect("valid hex");
-        assert_eq!(parsed, d);
-        assert!(Digest::from_hex("xyz").is_none());
-        assert!(Digest::from_hex("aa").is_none(), "too short");
     }
 
     #[test]

@@ -28,17 +28,18 @@
 //! up to the largest key it has been given, whether or not the ids below it
 //! are present. Use it where the keys are *dense in their interner*: one map
 //! per world or per contract, over an interner that holds little besides
-//! that map's keys (the world's owner and device registries, the DE App's
-//! state tables, a TEE's copies over the TEE's own interner). Never keep one
+//! that map's keys (the world's owner and device registries). Never keep one
 //! map *per actor* over a *shared* interner: each device's resource index
 //! was once a `Registry` over the world's symbol space, where resource IRIs
 //! are interned after every owner and device name, so a device that indexed
 //! a single resource allocated and filled 80–120 KB at 10⁴ owners (ten times
 //! that at 10⁵) — over 800 MiB of a 10⁴-owner benchmark run's peak RSS. A
-//! sparse per-actor map keyed by the shared [`Sym`] is a `BTreeMap<Sym, V>`:
-//! [`Sym`] is `Ord`, and such a map costs what it holds.
+//! table an actor holds one to a few entries of — a pod's resources, a
+//! device's index, a TEE's copies and sealed entries — is a sorted `Vec`
+//! searched by binary search, which costs what it holds.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::cell::RefCell;
 use std::collections::HashMap;

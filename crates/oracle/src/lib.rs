@@ -34,6 +34,7 @@
 //!   arrived.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod patterns;
 

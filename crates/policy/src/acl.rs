@@ -147,7 +147,7 @@ impl Authorization {
     }
 
     /// An inheritable authorization for everything under `container`.
-    pub fn default_for_container(
+    pub(crate) fn default_for_container(
         id: impl Into<String>,
         container: impl Into<String>,
         agents: Vec<AgentSpec>,

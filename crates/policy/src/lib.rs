@@ -19,9 +19,6 @@
 //!   [`PolicyEngine`], a rule-walking interpreter kept as the reference
 //!   [`PolicyProgram::decide`] is proptest-checked against (not in the
 //!   prelude).
-//! * [`compliance`] — the auditable state of one resource copy: its
-//!   lifetime and usage log (what the trusted application self-audits for
-//!   the DE App's monitoring process).
 //! * [`dsl`] — a human-readable text syntax for policies.
 //! * [`rdf_binding`] — policies as RDF graphs (ODRL + project vocabulary).
 //! * [`acl`] — W3C Web Access Control lists, the Solid-native *access*
@@ -54,10 +51,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod acl;
 pub mod compile;
-pub mod compliance;
 pub mod dsl;
 pub mod engine;
 pub mod model;
@@ -66,7 +63,6 @@ pub mod taxonomy;
 
 pub use acl::{AclDocument, AclMode, AgentSpec, Authorization};
 pub use compile::{compile, PolicyProgram};
-pub use compliance::{AccessRecord, CopyState};
 pub use engine::{Decision, DenyReason, PolicyEngine};
 pub use model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
 pub use taxonomy::PurposeTaxonomy;
@@ -75,7 +71,6 @@ pub use taxonomy::PurposeTaxonomy;
 pub mod prelude {
     pub use crate::acl::{AclDocument, AclMode, AgentSpec, Authorization};
     pub use crate::compile::{compile, PolicyProgram};
-    pub use crate::compliance::{AccessRecord, CopyState};
     pub use crate::engine::{Decision, DenyReason, UsageContext};
     pub use crate::model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
     pub use crate::taxonomy::PurposeTaxonomy;

@@ -38,7 +38,7 @@ impl Action {
 
     /// Whether `self` subsumes `other` (`Use` covers everything except
     /// `Distribute`, which must always be granted explicitly).
-    pub fn subsumes(self, other: Action) -> bool {
+    pub(crate) fn subsumes(self, other: Action) -> bool {
         self == other || (self == Action::Use && other != Action::Distribute)
     }
 
@@ -76,7 +76,7 @@ impl Action {
     }
 
     /// Parses a DSL keyword.
-    pub fn from_keyword(kw: &str) -> Option<Action> {
+    pub(crate) fn from_keyword(kw: &str) -> Option<Action> {
         Some(match kw {
             "use" => Action::Use,
             "read" => Action::Read,

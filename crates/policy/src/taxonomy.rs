@@ -97,7 +97,7 @@ impl PurposeTaxonomy {
     }
 
     /// Whether `declared` satisfies *any* of the allowed purposes.
-    pub fn satisfies_any(&self, declared: &Purpose, allowed: &[Purpose]) -> bool {
+    pub(crate) fn satisfies_any(&self, declared: &Purpose, allowed: &[Purpose]) -> bool {
         allowed.iter().any(|a| self.satisfies(declared, a))
     }
 
@@ -111,23 +111,6 @@ impl PurposeTaxonomy {
             all.extend(parents.iter().cloned());
         }
         all
-    }
-
-    /// All ancestors of a purpose (not including itself).
-    pub fn ancestors(&self, purpose: &Purpose) -> HashSet<Purpose> {
-        let mut out = HashSet::new();
-        let mut queue: VecDeque<Purpose> = VecDeque::new();
-        queue.push_back(purpose.clone());
-        while let Some(current) = queue.pop_front() {
-            if let Some(parents) = self.parents.get(&current) {
-                for parent in parents {
-                    if out.insert(parent.clone()) {
-                        queue.push_back(parent.clone());
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -198,8 +181,8 @@ mod tests {
     #[test]
     fn ancestors_are_transitive() {
         let t = PurposeTaxonomy::standard();
-        let a = t.ancestors(&p("university-hospital-research"));
-        for expected in [
+        let child = p("university-hospital-research");
+        for ancestor in [
             "medical-research",
             "academic-research",
             "medical",
@@ -207,12 +190,17 @@ mod tests {
             "research",
             "any",
         ] {
-            assert!(a.contains(&p(expected)), "missing ancestor {expected}");
+            assert!(
+                t.satisfies(&child, &p(ancestor)),
+                "missing ancestor {ancestor}"
+            );
         }
-        assert!(
-            !a.contains(&p("university-hospital-research")),
-            "not its own ancestor"
-        );
+        for unrelated in ["commercial", "marketing", "personal", "web-analytics"] {
+            assert!(
+                !t.satisfies(&child, &p(unrelated)),
+                "{unrelated} is not an ancestor"
+            );
+        }
     }
 
     #[test]

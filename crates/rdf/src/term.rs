@@ -116,15 +116,6 @@ impl Literal {
     pub fn as_integer(&self) -> Option<i64> {
         self.lexical.parse().ok()
     }
-
-    /// Parses the lexical form as a boolean.
-    pub fn as_boolean(&self) -> Option<bool> {
-        match self.lexical.as_str() {
-            "true" => Some(true),
-            "false" => Some(false),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Literal {
@@ -290,8 +281,7 @@ mod tests {
     #[test]
     fn literal_constructors_and_accessors() {
         assert_eq!(Literal::integer(42).as_integer(), Some(42));
-        assert_eq!(Literal::boolean(true).as_boolean(), Some(true));
-        assert_eq!(Literal::string("x").as_boolean(), None);
+        assert_eq!(Literal::boolean(true).lexical, "true");
         let lang = Literal::lang_string("hello", "en");
         assert_eq!(lang.language.as_deref(), Some("en"));
     }

@@ -395,7 +395,7 @@ pub fn parse(input: &str) -> Result<Graph, RdfError> {
 // --------------------------------------------------------------- serializer
 
 /// The prefix table used by [`serialize`].
-pub fn default_prefixes() -> Vec<(&'static str, &'static str)> {
+pub(crate) fn default_prefixes() -> Vec<(&'static str, &'static str)> {
     vec![
         ("rdf", vocab::rdf::NS),
         ("xsd", vocab::xsd::NS),
@@ -441,14 +441,14 @@ fn term_to_turtle(term: &Term, prefixes: &[(&str, &str)]) -> String {
     }
 }
 
-/// Serializes a graph to Turtle with the [`default_prefixes`].
+/// Serializes a graph to Turtle with the default prefixes (`rdf`, `xsd`, `odrl`, …).
 pub fn serialize(graph: &Graph) -> String {
     serialize_with_prefixes(graph, &default_prefixes())
 }
 
 /// Serializes a graph to Turtle, compacting IRIs against `prefixes` and
 /// grouping statements by subject.
-pub fn serialize_with_prefixes(graph: &Graph, prefixes: &[(&str, &str)]) -> String {
+pub(crate) fn serialize_with_prefixes(graph: &Graph, prefixes: &[(&str, &str)]) -> String {
     let mut out = String::new();
     // Emit only prefixes that are actually used.
     let mut used = vec![false; prefixes.len()];
@@ -570,7 +570,10 @@ mod tests {
         let num = g.object(&s, &Iri::new("urn:num").unwrap()).unwrap();
         assert_eq!(num.as_literal().unwrap().as_integer(), Some(42));
         let flag = g.object(&s, &Iri::new("urn:flag").unwrap()).unwrap();
-        assert_eq!(flag.as_literal().unwrap().as_boolean(), Some(true));
+        assert_eq!(
+            flag.as_literal().unwrap(),
+            &crate::term::Literal::boolean(true)
+        );
         let lang = g.object(&s, &Iri::new("urn:lang").unwrap()).unwrap();
         assert_eq!(lang.as_literal().unwrap().language.as_deref(), Some("fr"));
     }

@@ -13,7 +13,7 @@ macro_rules! vocab {
             use super::Iri;
 
             /// The namespace IRI prefix.
-            pub const NS: &str = $ns;
+            pub(crate) const NS: &str = $ns;
 
             /// The namespace as an [`Iri`].
             pub fn ns() -> Iri {

@@ -50,7 +50,7 @@ impl ShutdownSignal {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_requested(&self) -> bool {
+    pub(crate) fn is_requested(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
 }

@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod drive;
 pub mod http;
@@ -31,5 +32,5 @@ pub mod wall;
 
 pub use drive::{drive, DriveConfig, DriveReport, ShutdownSignal, Tick, Workload};
 pub use http::{MetricsPage, MetricsServer};
-pub use metrics::{prom_name, render, BUCKET_BOUNDS_SECONDS};
+pub use metrics::render;
 pub use wall::{TimerId, Wakeup, WallClock, WallHandle};

@@ -3,9 +3,9 @@
 //!
 //! This module holds no metric state: [`render`] is a pure function of the
 //! registry it is given. Dotted registry names become family names through
-//! [`prom_name`] (counters gain `_total`, histograms `_seconds`, gauges
+//! `prom_name` (counters gain `_total`, histograms `_seconds`, gauges
 //! nothing), and the registry's exact-sample histograms are bucketed over
-//! [`BUCKET_BOUNDS_SECONDS`] at render time.
+//! `BUCKET_BOUNDS_SECONDS` at render time.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,7 +14,7 @@ use duc_sim::{Family, Histogram, Labels, MetricsRegistry};
 
 /// Histogram bucket upper bounds, in seconds. Chosen for enforcement-lag
 /// style latencies: sub-millisecond through minutes.
-pub const BUCKET_BOUNDS_SECONDS: [f64; 11] = [
+pub(crate) const BUCKET_BOUNDS_SECONDS: [f64; 11] = [
     0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0,
 ];
 
@@ -49,7 +49,7 @@ const HELP: &[(&str, &str)] = &[
 /// Normalises an internal dotted metric name (`net.dropped.partition`)
 /// into a Prometheus family name (`duc_net_dropped_partition`), appending
 /// `suffix` (e.g. `"_total"`) when given.
-pub fn prom_name(raw: &str, suffix: &str) -> String {
+pub(crate) fn prom_name(raw: &str, suffix: &str) -> String {
     let mut out = String::from("duc");
     let words = raw.split(|c: char| !c.is_ascii_alphanumeric());
     for word in words.filter(|word| !word.is_empty()) {

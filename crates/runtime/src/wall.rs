@@ -436,7 +436,7 @@ impl<T: Clone + Send + 'static> WallClock<T> {
     /// Whether wakeups may still arrive from outside the armed set: a
     /// [`WallHandle`] is alive. Drive loops keep waiting while this holds
     /// even with no armed timers.
-    pub fn has_external(&self) -> bool {
+    pub(crate) fn has_external(&self) -> bool {
         self.shared.injectors.load(Ordering::SeqCst) > 0
     }
 
@@ -469,7 +469,7 @@ impl<T: Clone + Send + 'static> WallClock<T> {
     /// when nothing is queued, even if timers are still armed. Drive loops
     /// drain this on exit so queued work is accounted (rejected) rather
     /// than silently dropped.
-    pub fn try_wait(&mut self) -> Option<Wakeup<T>> {
+    pub(crate) fn try_wait(&mut self) -> Option<Wakeup<T>> {
         pop_delivered(&mut self.shared.lock())
     }
 

@@ -47,19 +47,9 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since the epoch (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds since the epoch (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
-    }
-
-    /// Whole seconds since the epoch (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
     }
 
     /// Seconds since the epoch as a float, for reporting.
@@ -125,19 +115,9 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
-    }
-
-    /// Whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
     }
 
     /// Seconds as a float, for reporting.
@@ -218,7 +198,7 @@ impl fmt::Display for SimDuration {
         } else if self.0 >= 1_000_000 {
             write!(f, "{:.3}ms", self.as_millis_f64())
         } else {
-            write!(f, "{}us", self.as_micros())
+            write!(f, "{}us", self.0 / 1_000)
         }
     }
 }
@@ -264,16 +244,16 @@ mod tests {
 
     #[test]
     fn conversions_roundtrip() {
-        assert_eq!(SimTime::from_millis(1500).as_secs(), 1);
+        assert_eq!(SimTime::from_millis(1500).as_nanos(), 1_500_000_000);
         assert_eq!(SimTime::from_secs(2).as_millis(), 2000);
-        assert_eq!(SimDuration::from_days(1).as_secs(), 86_400);
+        assert_eq!(SimDuration::from_days(1).as_millis(), 86_400_000);
         assert_eq!(SimDuration::from_hours(2).as_mins_test(), 120);
         assert_eq!(SimDuration::from_micros(1500).as_nanos(), 1_500_000);
     }
 
     impl SimDuration {
         fn as_mins_test(self) -> u64 {
-            self.as_secs() / 60
+            self.as_millis() / 60_000
         }
     }
 

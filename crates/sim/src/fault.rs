@@ -79,7 +79,7 @@ pub enum FaultSpec {
 
 impl FaultSpec {
     /// Whether this fault is active at instant `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    pub(crate) fn active_at(&self, t: SimTime) -> bool {
         let (from, until) = self.window();
         t >= from && t < until
     }
@@ -187,7 +187,7 @@ impl FaultPlan {
     }
 
     /// Whether `endpoint` is crashed at `t`.
-    pub fn is_crashed(&self, endpoint: EndpointId, t: SimTime) -> bool {
+    pub(crate) fn is_crashed(&self, endpoint: EndpointId, t: SimTime) -> bool {
         self.faults.iter().any(|f| match f {
             FaultSpec::Crash { endpoint: e, .. } => *e == endpoint && f.active_at(t),
             _ => false,
@@ -195,19 +195,11 @@ impl FaultPlan {
     }
 
     /// Whether the pair `(a, b)` is partitioned at `t` (order-insensitive).
-    pub fn is_partitioned(&self, a: EndpointId, b: EndpointId, t: SimTime) -> bool {
+    pub(crate) fn is_partitioned(&self, a: EndpointId, b: EndpointId, t: SimTime) -> bool {
         self.faults.iter().any(|f| match f {
             FaultSpec::Partition { a: x, b: y, .. } => {
                 ((*x == a && *y == b) || (*x == b && *y == a)) && f.active_at(t)
             }
-            _ => false,
-        })
-    }
-
-    /// Whether validator `idx` is stalled at `t`.
-    pub fn is_validator_stalled(&self, idx: usize, t: SimTime) -> bool {
-        self.faults.iter().any(|f| match f {
-            FaultSpec::ValidatorStall { validator, .. } => *validator == idx && f.active_at(t),
             _ => false,
         })
     }
@@ -492,9 +484,7 @@ mod tests {
             Some(&500),
             "max over overlapping windows"
         );
-        assert!(plan.is_validator_stalled(2, t));
-        assert!(!plan.is_validator_stalled(0, t));
-        assert_eq!(plan.stalled_at(t).len(), 1);
+        assert_eq!(plan.stalled_at(t), BTreeSet::from([2]));
         // Drop windows never *block* the link.
         assert!(plan.allows(A, B, t));
         assert_eq!(plan.next_clear(A, B, t), Some(t));

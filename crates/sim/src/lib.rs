@@ -27,6 +27,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod clock;
 pub mod fault;

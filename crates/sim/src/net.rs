@@ -144,7 +144,7 @@ impl Delivery {
 /// let b = net.add_endpoint("bob-pod");
 /// let mut rng = Rng::seed_from_u64(1);
 /// let d = net.transmit(a, b, 1024, &mut rng).delay().expect("lossless default");
-/// assert!(d.as_micros() > 0);
+/// assert!(d > duc_sim::SimDuration::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct NetworkModel {

@@ -96,12 +96,12 @@ impl Rng {
     }
 
     /// A uniform float in `[0, 1)` with 53 bits of precision.
-    pub fn gen_f64(&mut self) -> f64 {
+    pub(crate) fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
+    pub(crate) fn gen_bool(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
         } else if p >= 1.0 {
@@ -119,7 +119,7 @@ impl Rng {
     }
 
     /// A normally distributed sample (Box–Muller transform).
-    pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         let u1 = (1.0 - self.gen_f64()).max(f64::MIN_POSITIVE);
         let u2 = self.gen_f64();
         let mag = (-2.0 * u1.ln()).sqrt();

@@ -1,14 +1,14 @@
 //! Discrete-event scheduler.
 //!
-//! Periodic activities in the architecture — block production, oracle relay
-//! polling, monitoring rounds, obligation sweeps — are expressed as events
-//! on a [`Scheduler`]. Events fire in timestamp order; ties break by
-//! insertion order so runs are fully deterministic.
+//! The world's timed wakeups — a machine waiting out a hop's latency or
+//! backoff, an obligation's deadline, a fault window's edge — are events on
+//! a [`Scheduler`]. Events fire in timestamp order; ties break by insertion
+//! order so runs are fully deterministic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::clock::{Clock, SimDuration, SimTime};
+use crate::clock::{Clock, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled.
 ///
@@ -30,39 +30,12 @@ struct Slot {
     cancelled: bool,
 }
 
-/// A queued follow-up event: fire time plus callback.
-type QueuedEvent = (SimTime, Box<dyn FnOnce(&mut SchedulerCtx<'_>)>);
-
-/// Context handed to every event callback.
-///
-/// Callbacks may schedule follow-up events (that is how periodic tasks are
-/// built) and observe the current instant.
-pub struct SchedulerCtx<'a> {
-    queue: &'a mut Vec<QueuedEvent>,
-    now: SimTime,
-}
-
-impl<'a> SchedulerCtx<'a> {
-    /// The instant at which the current event fires.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules a follow-up event `delay` after the current instant.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut SchedulerCtx<'_>) + 'static,
-    ) {
-        self.queue.push((self.now + delay, Box::new(f)));
-    }
-}
-
 struct Entry {
     at: SimTime,
     seq: u64,
     id: EventId,
-    callback: Box<dyn FnOnce(&mut SchedulerCtx<'_>)>,
+    /// Called with the instant it fires at.
+    callback: Box<dyn FnOnce(SimTime)>,
 }
 
 impl PartialEq for Entry {
@@ -182,15 +155,12 @@ impl Scheduler {
         }
     }
 
-    /// Schedules `f` to fire at absolute time `at`.
+    /// Schedules `f` to fire at absolute time `at`; it is called with the
+    /// instant it fires at.
     ///
     /// Events scheduled in the past fire at the current instant (the clock
     /// never moves backwards).
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut SchedulerCtx<'_>) + 'static,
-    ) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(SimTime) + 'static) -> EventId {
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.slots.push(Slot::default());
             u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued events")
@@ -207,15 +177,6 @@ impl Scheduler {
         }));
         self.next_seq += 1;
         id
-    }
-
-    /// Schedules `f` to fire `delay` after the current instant.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut SchedulerCtx<'_>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.clock.now() + delay, f)
     }
 
     /// Cancels a pending event. Cancelling an already-fired, already
@@ -246,17 +207,7 @@ impl Scheduler {
                 continue;
             }
             self.clock.advance_to(entry.at);
-            let mut spawned = Vec::new();
-            {
-                let mut ctx = SchedulerCtx {
-                    queue: &mut spawned,
-                    now: entry.at.max(self.clock.now()),
-                };
-                (entry.callback)(&mut ctx);
-            }
-            for (at, cb) in spawned {
-                self.schedule_at(at, move |ctx| cb(ctx));
-            }
+            (entry.callback)(self.clock.now());
             self.executed += 1;
             count += 1;
         }
@@ -268,6 +219,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -285,8 +237,8 @@ mod tests {
         let (log, handle) = recorder();
         for &ms in &[30u64, 10, 20] {
             let log = log.clone();
-            s.schedule_at(SimTime::from_millis(ms), move |ctx| {
-                log.borrow_mut().push(ctx.now().as_millis());
+            s.schedule_at(SimTime::from_millis(ms), move |now| {
+                log.borrow_mut().push(now.as_millis());
             });
         }
         s.run_until(SimTime::from_millis(100));
@@ -317,21 +269,6 @@ mod tests {
         assert_eq!(ran, 1);
         assert_eq!(*handle.borrow(), vec![1]);
         assert_eq!(s.pending(), 1);
-    }
-
-    #[test]
-    fn periodic_events_reschedule_themselves() {
-        let mut s = Scheduler::new(Clock::new());
-        let (log, handle) = recorder();
-        fn tick(log: Rc<RefCell<Vec<u64>>>, ctx: &mut SchedulerCtx<'_>) {
-            log.borrow_mut().push(ctx.now().as_millis());
-            let next = log.clone();
-            ctx.schedule_in(SimDuration::from_millis(10), move |ctx| tick(next, ctx));
-        }
-        let l = log.clone();
-        s.schedule_at(SimTime::from_millis(10), move |ctx| tick(l, ctx));
-        s.run_until(SimTime::from_millis(45));
-        assert_eq!(*handle.borrow(), vec![10, 20, 30, 40]);
     }
 
     #[test]
@@ -386,8 +323,9 @@ mod tests {
         assert_eq!(s.free_slots.len(), s.slots.len());
         let slots = s.slots.len();
         for _ in 0..100 {
-            s.schedule_in(SimDuration::from_millis(1), |_| {});
-            s.run_until(s.clock().now() + SimDuration::from_millis(1));
+            let at = s.clock().now() + SimDuration::from_millis(1);
+            s.schedule_at(at, |_| {});
+            s.run_until(at);
         }
         assert_eq!(s.slots.len(), slots);
     }
@@ -409,6 +347,6 @@ mod tests {
         let clock = Clock::new();
         let mut s = Scheduler::new(clock.clone());
         s.run_until(SimTime::from_secs(3));
-        assert_eq!(clock.now().as_secs(), 3);
+        assert_eq!(clock.now(), SimTime::from_secs(3));
     }
 }

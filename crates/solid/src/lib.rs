@@ -23,6 +23,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod pod;
 pub mod pod_manager;
@@ -30,14 +31,14 @@ pub mod protocol;
 pub mod resource;
 
 pub use pod::Pod;
-pub use pod_manager::{CertificateVerifier, NoCertificates, PodManager};
+pub use pod_manager::{CertificateVerifier, PodManager};
 pub use protocol::{Body, Method, SolidRequest, SolidResponse, Status};
 pub use resource::{Resource, ResourceKind};
 
 /// Common imports.
 pub mod prelude {
     pub use crate::pod::Pod;
-    pub use crate::pod_manager::{CertificateVerifier, NoCertificates, PodManager};
+    pub use crate::pod_manager::{CertificateVerifier, PodManager};
     pub use crate::protocol::{Body, Method, SolidRequest, SolidResponse, Status};
     pub use crate::resource::{Resource, ResourceKind};
 }

@@ -28,7 +28,7 @@ pub trait CertificateVerifier {
 
 /// A verifier for pods that do not require payment (default).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoCertificates;
+pub(crate) struct NoCertificates;
 
 impl CertificateVerifier for NoCertificates {
     fn verify(&self, _certificate: &Digest, _webid: &str) -> bool {
@@ -52,7 +52,6 @@ pub struct PodManager {
     acl: AclDocument,
     policies: HashMap<String, UsagePolicy>,
     require_certificate_for_reads: bool,
-    accesses_served: u64,
     /// Container members minted by POST so far. Member names count up from
     /// it and never reuse a number, whatever was deleted since.
     members_minted: u64,
@@ -81,7 +80,6 @@ impl PodManager {
             owner,
             policies: HashMap::new(),
             require_certificate_for_reads: false,
-            accesses_served: 0,
             members_minted: 0,
         }
     }
@@ -111,11 +109,6 @@ impl PodManager {
     /// Demands market payment certificates for non-owner reads.
     pub fn set_require_certificate(&mut self, required: bool) {
         self.require_certificate_for_reads = required;
-    }
-
-    /// Number of successful GETs served (metrics).
-    pub fn accesses_served(&self) -> u64 {
-        self.accesses_served
     }
 
     // ----------------------------------------------------------- policies
@@ -211,10 +204,7 @@ impl PodManager {
         match req.method {
             Method::Get => match self.pod.get(&req.path) {
                 None => SolidResponse::status(Status::NotFound),
-                Some(resource) => {
-                    self.accesses_served += 1;
-                    SolidResponse::ok(resource_body(resource))
-                }
+                Some(resource) => SolidResponse::ok(resource_body(resource)),
             },
             Method::Put => {
                 let kind = match req.body.clone().into_resource_kind() {
@@ -347,7 +337,6 @@ mod tests {
                 .status,
             Status::Forbidden
         );
-        assert_eq!(pm.accesses_served(), 1);
     }
 
     #[test]

@@ -105,17 +105,6 @@ impl SolidRequest {
         }
     }
 
-    /// An anonymous GET.
-    pub fn get_anonymous(path: impl Into<String>) -> SolidRequest {
-        SolidRequest {
-            agent: None,
-            method: Method::Get,
-            path: path.into(),
-            body: Body::Empty,
-            certificate: None,
-        }
-    }
-
     /// Attaches a body.
     pub fn with_body(mut self, body: Body) -> SolidRequest {
         self.body = body;
@@ -210,6 +199,19 @@ impl SolidResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SolidRequest {
+        /// An anonymous GET.
+        pub(crate) fn get_anonymous(path: impl Into<String>) -> SolidRequest {
+            SolidRequest {
+                agent: None,
+                method: Method::Get,
+                path: path.into(),
+                body: Body::Empty,
+                certificate: None,
+            }
+        }
+    }
 
     #[test]
     fn builders_fill_fields() {

@@ -45,6 +45,7 @@
 //! The crate deliberately depends only on `duc-crypto` and `duc-codec`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod blocks;
 mod checkpoint;

@@ -3,8 +3,6 @@
 use std::rc::Rc;
 
 use duc_crypto::{hash_parts, Digest};
-use duc_intern::{Interner, SymMap};
-use duc_policy::compliance::{AccessRecord, CopyState};
 use duc_policy::{
     compile, Action, Decision, DenyReason, Duty, PolicyProgram, Purpose, PurposeTaxonomy,
     UsageContext, UsagePolicy,
@@ -152,8 +150,22 @@ pub struct ReportedEvidence {
     pub compliant: bool,
 }
 
+/// One permitted access in a copy's usage log. The acting agent is
+/// always the holder, so it is not stored per access.
+#[derive(Debug, Clone)]
+struct AccessRecord {
+    at: SimTime,
+    action: Action,
+    purpose: Purpose,
+}
+
+/// Everything the trusted application keeps about one copy: the auditable
+/// state the monitoring process (paper process 6) replays, and the policy
+/// versions it is replayed against.
 #[derive(Debug, Clone)]
 struct CopyEntry {
+    /// The copy's resource IRI; the table is sorted by it.
+    resource: String,
     /// The policy in force; shared with the device's index entry while
     /// the copy enforces the version the entry was indexed at.
     policy: Rc<UsagePolicy>,
@@ -161,10 +173,13 @@ struct CopyEntry {
     /// program's next transition (or an access-count change when the
     /// program is count-sensitive).
     cached: Option<CachedDecision>,
-    state: CopyState,
-    /// When the currently-enforced policy version was applied locally
-    /// (the retention deadline can never precede this instant).
-    policy_applied_at: SimTime,
+    /// When the copy was stored.
+    acquired_at: SimTime,
+    /// When it was deleted, if it was.
+    deleted_at: Option<SimTime>,
+    /// Every access performed through the trusted application; its length
+    /// is the access count.
+    log: Vec<AccessRecord>,
     /// Every policy version ever enforced, compiled against
     /// [`PurposeTaxonomy::shared_standard`], with its local application
     /// time. Never empty: the last program is
@@ -173,7 +188,6 @@ struct CopyEntry {
     /// narrowed later does not retroactively incriminate past, then-legal
     /// uses).
     history: Vec<(SimTime, PolicyProgram)>,
-    access_count: u64,
     /// The evidence last recorded on-chain for this copy, if any.
     last_reported: Option<ReportedEvidence>,
 }
@@ -182,6 +196,12 @@ impl CopyEntry {
     /// The compiled form of the current policy.
     fn program(&self) -> &PolicyProgram {
         &self.history.last().expect("a copy has a policy").1
+    }
+
+    /// When the currently-enforced policy version was applied locally
+    /// (the retention deadline can never precede this instant).
+    fn policy_applied_at(&self) -> SimTime {
+        self.history.last().expect("a copy has a policy").0
     }
 
     fn program_in_force_at(&self, at: SimTime) -> &PolicyProgram {
@@ -199,11 +219,9 @@ pub struct TrustedApplication {
     enclave: Enclave,
     storage: TrustedDataStorage,
     holder_webid: String,
-    /// Resource-name table: each copy id is interned once; every lookup
-    /// after that compares a `u32` symbol instead of re-hashing an IRI.
-    names: Interner,
-    /// The flat copy registry, keyed by interned resource symbols.
-    copies: SymMap<CopyEntry>,
+    /// One row per copy, live or audited-deleted, sorted by resource and
+    /// searched by binary search: a device holds one to a few copies.
+    copies: Vec<CopyEntry>,
     /// Accesses served from the per-copy decision cache.
     cache_hits: u64,
     /// Accesses that recompiled or re-evaluated the decision.
@@ -217,8 +235,7 @@ impl TrustedApplication {
             enclave,
             storage: TrustedDataStorage::new(),
             holder_webid: holder_webid.into(),
-            names: Interner::new(),
-            copies: SymMap::new(),
+            copies: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -263,31 +280,36 @@ impl TrustedApplication {
         let policy = policy.into();
         self.storage.seal(&self.enclave, &resource, bytes);
         let program = compile(&policy, PurposeTaxonomy::shared_standard());
-        let sym = self.names.intern(&resource);
-        self.copies.insert(
-            sym,
-            CopyEntry {
-                state: CopyState::new(resource.clone(), self.holder_webid.clone(), now),
-                history: vec![(now, program)],
-                policy,
-                cached: None,
-                policy_applied_at: now,
-                access_count: 0,
-                last_reported: None,
-            },
-        );
+        let slot = self.find(&resource);
+        let entry = CopyEntry {
+            resource,
+            policy,
+            cached: None,
+            acquired_at: now,
+            deleted_at: None,
+            log: Vec::new(),
+            history: vec![(now, program)],
+            last_reported: None,
+        };
+        match slot {
+            Ok(i) => self.copies[i] = entry,
+            Err(i) => self.copies.insert(i, entry),
+        }
     }
 
-    /// Looks up the entry for an already-interned resource, if any.
+    /// Where `resource`'s row is, or would be inserted.
+    fn find(&self, resource: &str) -> Result<usize, usize> {
+        self.copies
+            .binary_search_by(|e| e.resource.as_str().cmp(resource))
+    }
+
     fn entry(&self, resource: &str) -> Option<&CopyEntry> {
-        self.copies.get(self.names.get(resource)?)
+        self.find(resource).ok().map(|i| &self.copies[i])
     }
 
     /// Whether a live copy of `resource` is held.
     pub fn has_copy(&self, resource: &str) -> bool {
-        self.entry(resource)
-            .map(|e| e.state.deleted_at.is_none())
-            .unwrap_or(false)
+        self.entry(resource).is_some_and(|e| e.deleted_at.is_none())
     }
 
     /// The locally enforced policy version for `resource`.
@@ -295,17 +317,17 @@ impl TrustedApplication {
         self.entry(resource).map(|e| e.policy.version)
     }
 
-    /// The resources with copies (live or audited-deleted), in the order
-    /// they were first stored.
+    /// The resources with copies (live or audited-deleted), in name
+    /// order.
     pub fn resources(&self) -> impl Iterator<Item = &str> {
-        self.copies.keys().map(|sym| self.names.resolve(sym))
+        self.copies.iter().map(|e| e.resource.as_str())
     }
 
     fn effective_due(entry: &CopyEntry) -> Option<SimTime> {
         entry
             .program()
             .retention_bound()
-            .map(|b| (entry.state.acquired_at + b).max(entry.policy_applied_at))
+            .map(|b| (entry.acquired_at + b).max(entry.policy_applied_at()))
     }
 
     fn enforce_entry(
@@ -315,7 +337,7 @@ impl TrustedApplication {
         now: SimTime,
         actions: &mut Vec<EnforcementAction>,
     ) {
-        if entry.state.deleted_at.is_some() {
+        if entry.deleted_at.is_some() {
             return;
         }
         let retention_due = Self::effective_due(entry);
@@ -324,7 +346,7 @@ impl TrustedApplication {
         let expired = expiry_due.map(|d| now >= d).unwrap_or(false);
         if overdue || expired {
             storage.erase(resource);
-            entry.state.deleted_at = Some(now);
+            entry.deleted_at = Some(now);
             actions.push(EnforcementAction::Deleted {
                 resource: resource.to_string(),
                 at: now,
@@ -356,12 +378,10 @@ impl TrustedApplication {
     ) -> Result<Vec<u8>, AccessError> {
         // Lazy obligation sweep on the touched entry first.
         let mut actions = Vec::new();
-        let sym = self.names.get(resource).ok_or(AccessError::NoCopy)?;
-        if let Some(entry) = self.copies.get_mut(sym) {
-            Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
-        }
-        let entry = self.copies.get_mut(sym).ok_or(AccessError::NoCopy)?;
-        if entry.state.deleted_at.is_some() {
+        let i = self.find(resource).map_err(|_| AccessError::NoCopy)?;
+        let entry = &mut self.copies[i];
+        Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
+        if entry.deleted_at.is_some() {
             return Err(AccessError::NoCopy);
         }
         let ctx = UsageContext {
@@ -369,8 +389,8 @@ impl TrustedApplication {
             action,
             purpose: purpose.clone(),
             now,
-            acquired_at: entry.state.acquired_at,
-            access_count: entry.access_count + 1,
+            acquired_at: entry.acquired_at,
+            access_count: entry.log.len() as u64 + 1,
         };
         // Serve the request off the cached decision when the request shape
         // matches and no transition instant has passed; otherwise evaluate
@@ -402,12 +422,10 @@ impl TrustedApplication {
         };
         match decision {
             Decision::Permit => {
-                entry.access_count += 1;
-                entry.state.log.push(AccessRecord {
+                entry.log.push(AccessRecord {
                     at: now,
                     action,
                     purpose,
-                    agent: self.holder_webid.clone(),
                 });
                 let bytes = self
                     .storage
@@ -433,13 +451,10 @@ impl TrustedApplication {
         now: SimTime,
     ) -> Vec<EnforcementAction> {
         let mut actions = Vec::new();
-        let Some(entry) = self
-            .names
-            .get(resource)
-            .and_then(|s| self.copies.get_mut(s))
-        else {
+        let Ok(i) = self.find(resource) else {
             return actions;
         };
+        let entry = &mut self.copies[i];
         if new_policy.resource != entry.policy.resource
             || new_policy.version <= entry.policy.version
         {
@@ -451,7 +466,6 @@ impl TrustedApplication {
         ));
         entry.cached = None;
         entry.policy = Rc::new(new_policy);
-        entry.policy_applied_at = now;
         Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
         // Notification duties surface to the oracle layer.
         for duty in &entry.policy.duties {
@@ -475,13 +489,12 @@ impl TrustedApplication {
         resource: &str,
         now: SimTime,
     ) -> Result<Vec<EnforcementAction>, TeeError> {
-        let entry = self
-            .names
-            .get(resource)
-            .and_then(|s| self.copies.get_mut(s))
-            .ok_or_else(|| TeeError::CopyStateMissing {
+        let i = self
+            .find(resource)
+            .map_err(|_| TeeError::CopyStateMissing {
                 resource: resource.to_string(),
             })?;
+        let entry = &mut self.copies[i];
         let mut actions = Vec::new();
         Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
         Ok(actions)
@@ -492,12 +505,12 @@ impl TrustedApplication {
     /// registers wakeups at.
     pub fn next_deadline_for(&self, resource: &str) -> Option<SimTime> {
         let entry = self.entry(resource)?;
-        if entry.state.deleted_at.is_some() {
+        if entry.deleted_at.is_some() {
             return None;
         }
         entry
             .program()
-            .next_deadline(entry.state.acquired_at, entry.policy_applied_at)
+            .next_deadline(entry.acquired_at, entry.policy_applied_at())
     }
 
     /// The evidence this device last recorded on-chain for `resource`.
@@ -509,25 +522,17 @@ impl TrustedApplication {
     /// later round with an unchanged usage log can reaffirm it instead of
     /// resubmitting.
     pub fn note_reported(&mut self, resource: &str, reported: ReportedEvidence) {
-        if let Some(entry) = self
-            .names
-            .get(resource)
-            .and_then(|s| self.copies.get_mut(s))
-        {
-            entry.last_reported = Some(reported);
+        if let Ok(i) = self.find(resource) {
+            self.copies[i].last_reported = Some(reported);
         }
     }
 
     /// Deletes a copy voluntarily.
     pub fn delete(&mut self, resource: &str, now: SimTime) -> bool {
-        match self
-            .names
-            .get(resource)
-            .and_then(|s| self.copies.get_mut(s))
-        {
-            Some(entry) if entry.state.deleted_at.is_none() => {
+        match self.find(resource) {
+            Ok(i) if self.copies[i].deleted_at.is_none() => {
                 self.storage.erase(resource);
-                entry.state.deleted_at = Some(now);
+                self.copies[i].deleted_at = Some(now);
                 true
             }
             _ => false,
@@ -544,14 +549,14 @@ impl TrustedApplication {
     pub fn report(&self, resource: &str, now: SimTime) -> Option<UsageReport> {
         let entry = self.entry(resource)?;
         let mut violations: Vec<String> = Vec::new();
-        for (i, record) in entry.state.log.iter().enumerate() {
+        for (i, record) in entry.log.iter().enumerate() {
             let program = entry.program_in_force_at(record.at);
             let ctx = UsageContext {
-                consumer: record.agent.clone(),
+                consumer: self.holder_webid.clone(),
                 action: record.action,
                 purpose: record.purpose.clone(),
                 now: record.at,
-                acquired_at: entry.state.acquired_at,
+                acquired_at: entry.acquired_at,
                 access_count: (i + 1) as u64,
             };
             if !program.decide(&ctx).is_permit() {
@@ -562,7 +567,7 @@ impl TrustedApplication {
             }
         }
         if let Some(due) = Self::effective_due(entry) {
-            let violated = match entry.state.deleted_at {
+            let violated = match entry.deleted_at {
                 Some(deleted) => deleted > due,
                 None => now > due,
             };
@@ -573,8 +578,8 @@ impl TrustedApplication {
             }
         }
         if let Some(expiry) = entry.policy.expiry_bound() {
-            let effective = expiry.max(entry.policy_applied_at);
-            let violated = match entry.state.deleted_at {
+            let effective = expiry.max(entry.policy_applied_at());
+            let violated = match entry.deleted_at {
                 Some(deleted) => deleted > effective,
                 None => now > effective,
             };
@@ -582,14 +587,14 @@ impl TrustedApplication {
                 violations.push(format!("expiry violated: copy outlived {effective}"));
             }
         }
-        let mut log_rows: Vec<Vec<u8>> = Vec::with_capacity(entry.state.log.len());
-        for record in &entry.state.log {
+        let mut log_rows: Vec<Vec<u8>> = Vec::with_capacity(entry.log.len());
+        for record in &entry.log {
             let mut row = Vec::new();
             row.extend_from_slice(&record.at.as_nanos().to_le_bytes());
             row.push(record.action as u8);
             row.extend_from_slice(record.purpose.as_str().as_bytes());
             row.push(0);
-            row.extend_from_slice(record.agent.as_bytes());
+            row.extend_from_slice(self.holder_webid.as_bytes());
             log_rows.push(row);
         }
         let parts: Vec<&[u8]> = std::iter::once(&b"duc/usage-log"[..])
@@ -602,8 +607,8 @@ impl TrustedApplication {
             compliant: violations.is_empty(),
             violations,
             log_digest: hash_parts(&parts),
-            accesses: entry.access_count,
-            copy_alive: entry.state.deleted_at.is_none(),
+            accesses: entry.log.len() as u64,
+            copy_alive: entry.deleted_at.is_none(),
         })
     }
 }

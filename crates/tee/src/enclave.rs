@@ -63,7 +63,7 @@ impl Enclave {
     }
 
     /// The attestation public key (registered on-chain with each copy).
-    pub fn attestation_public_key(&self) -> PublicKey {
+    pub(crate) fn attestation_public_key(&self) -> PublicKey {
         self.attestation_keys.public()
     }
 

@@ -24,6 +24,7 @@
 //!   architecture assumes of TEEs.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod app;
 pub mod attestation;

@@ -23,6 +23,7 @@
 //! case.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod collection;
 pub mod option;

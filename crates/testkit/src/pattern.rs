@@ -51,7 +51,7 @@ struct Element {
 
 /// Generates one string matching `pattern`. Unbounded quantifiers emit at
 /// most `min + size` repetitions.
-pub fn generate(pattern: &str, rng: &mut TestRng, size: usize) -> String {
+pub(crate) fn generate(pattern: &str, rng: &mut TestRng, size: usize) -> String {
     let elements = parse(pattern);
     let mut out = String::new();
     for element in &elements {

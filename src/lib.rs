@@ -4,6 +4,7 @@
 //! and integration tests can `use solid_usage_control::prelude::*`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use duc_blockchain as blockchain;
 pub use duc_codec as codec;
