@@ -182,9 +182,7 @@ pub fn check_invariants<L: Ledger>(world: &World<L>) -> Result<(), String> {
 
     // Copy consistency: every live TEE copy is registered on-chain.
     for (name, device) in &devices {
-        let mut resources: Vec<&str> = device.tee.resources().collect();
-        resources.sort_unstable();
-        for resource in resources {
+        for resource in device.tee.resources() {
             if !device.tee.has_copy(resource) {
                 continue;
             }

@@ -1,9 +1,10 @@
 //! Discrete-event scheduler.
 //!
 //! The world's timed wakeups — a machine waiting out a hop's latency or
-//! backoff, an obligation's deadline, a fault window's edge — are events on
-//! a [`Scheduler`]. Events fire in timestamp order; ties break by insertion
-//! order so runs are fully deterministic.
+//! backoff, the inclusion wait-set's slot tick, an obligation's deadline, a
+//! fault window's edge — are events on a [`Scheduler`]; the chain seals its
+//! blocks itself as the world advances it. Events fire in timestamp order;
+//! ties break by insertion order so runs are fully deterministic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
