@@ -347,7 +347,6 @@ fn e5b_access_history() -> Table {
             "notified",
             "relay messages/update",
             "mean prop ms",
-            "host µs/req (wall)",
         ],
     );
     let mut first: Option<(usize, u64)> = None;
@@ -369,7 +368,6 @@ fn e5b_access_history() -> Table {
             }
         }
 
-        let host = std::time::Instant::now();
         let outcome = world
             .policy_modification(
                 OWNER,
@@ -379,7 +377,6 @@ fn e5b_access_history() -> Table {
                 vec![Duty::DeleteWithin(SimDuration::from_days(3))],
             )
             .expect("modification");
-        let host = host.elapsed();
         // The relay drains for the first time here: this update's event is
         // all it has ever transmitted.
         let (delivered, dropped) = world.push_out.stats();
@@ -398,7 +395,6 @@ fn e5b_access_history() -> Table {
             outcome.devices_notified.to_string(),
             messages.to_string(),
             ms(h.mean()),
-            format!("{:.0}", host.as_secs_f64() * 1e6),
         ]);
     }
     table
