@@ -1,13 +1,15 @@
 //! # duc-bench — the experiment harness
 //!
-//! One function per experiment of EXPERIMENTS.md (E1–E19). Each builds a
-//! fresh deterministic [`duc_core::World`], drives a workload, and returns
-//! printable rows; the `report` binary renders them as the tables in
-//! EXPERIMENTS.md:
+//! One function per experiment, in two registries
+//! ([`experiments`]). E1–E14 ([`paper`]) are pinned: seeded, with no
+//! population cap and no host clock, so [`json::pinned_document`] renders
+//! them to the committed `BENCH_seed.json`, and the crate's `bench_seed`
+//! test fails when it no longer reproduces that file. E15–E19 ([`probes`])
+//! read the host or a population cap; the `report` binary prints them:
 //!
 //! ```sh
-//! cargo run -p duc-bench --bin report --release -- all
 //! cargo run -p duc-bench --bin report --release -- e5 e6
+//! cargo run -p duc-bench --bin report --release -- --max-owners 1000 e15 e16
 //! ```
 //!
 //! Timed micro-benchmarks and the end-to-end workloads are the standalone
@@ -17,8 +19,8 @@
 #![warn(unreachable_pub)]
 
 pub mod experiments;
+pub mod json;
+pub mod paper;
+pub mod probes;
 pub mod rss;
 pub mod table;
-
-pub use experiments::*;
-pub use table::Table;
