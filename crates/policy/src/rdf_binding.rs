@@ -464,6 +464,47 @@ mod tests {
         assert_eq!(g.matching(None, Some(&odrl::duty()), None).count(), 3);
     }
 
+    /// The export's Turtle bytes, recorded before the import half was
+    /// deleted; never re-record. `sample()` has one permit rule with all six
+    /// constraints, one prohibit rule and all three duties; the second
+    /// policy is the input of the benchmark's `unit.rdf.turtle_parse_policy`
+    /// op. Each text parses back to the graph it was written from.
+    #[test]
+    fn turtle_export_matches_its_known_answer() {
+        let bench_input = UsagePolicy::builder(
+            "https://p7.pod/data/set.bin#policy",
+            "https://p7.pod/data/set.bin",
+            "https://p7.id/me",
+        )
+        .permit(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(30))),
+        )
+        .duty(Duty::DeleteWithin(SimDuration::from_days(30)))
+        .duty(Duty::LogAccesses)
+        .build();
+        for (policy, expected) in [
+            (
+                sample(),
+                "c0701cbe9f82699ee64fa03006b01ad29074741c0da9211890b6540b13100b05",
+            ),
+            (
+                bench_input,
+                "2d9cdf2c82babd9c259f1a273ba51514e82e2e8a36941c4c5417c8a7c1c6fc1c",
+            ),
+        ] {
+            let graph = policy_to_graph(&policy).unwrap();
+            let text = duc_rdf::turtle::serialize(&graph);
+            assert_eq!(
+                duc_crypto::sha256(text.as_bytes()).to_hex(),
+                expected,
+                "\n{text}"
+            );
+            let reparsed = duc_rdf::turtle::parse(&text).unwrap();
+            assert!(reparsed.is_isomorphic_simple(&graph), "\n{text}");
+        }
+    }
+
     #[test]
     fn invalid_iri_identity_is_rejected() {
         let p = UsagePolicy::builder("not an iri", "urn:r", "urn:o").build();

@@ -646,6 +646,50 @@ mod tests {
         );
     }
 
+    /// A pod body with several subjects, blank nodes, language-tagged and
+    /// typed literals, the §II medical record's statement and a term under
+    /// every default prefix: the SHA-256 of what a GET serves after a PUT
+    /// parsed it. Recorded before the graph lost its indexes; never
+    /// re-record.
+    #[test]
+    fn reserialized_body_matches_its_known_answer() {
+        const BODY: &str = r#"
+            @prefix foaf: <http://xmlns.com/foaf/0.1/> .
+            @prefix acl: <http://www.w3.org/ns/auth/acl#> .
+            @prefix solid: <http://www.w3.org/ns/solid/terms#> .
+            @prefix odrl: <http://www.w3.org/ns/odrl/2/> .
+            @prefix duc: <https://w3id.org/duc/ns#> .
+            @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+            @prefix ex: <https://bob.pod/data/> .
+
+            <urn:dataset:medical> duc:registeredAt 1 ;
+                ex:visit _:v0, _:v1 .
+            _:v0 a ex:Visit ;
+                ex:note "Follow-up in \"two\" weeks\n"@en, "Contrôle"@fr ;
+                ex:on "2023-07-18T09:30:00Z"^^xsd:dateTime ;
+                ex:dose 2.5 ;
+                ex:fasting false .
+            _:v1 ex:after _:v0 ; ex:count "-3"^^xsd:integer ; ex:tag "x"^^ex:Code .
+            <https://bob.id/me> a foaf:Person ;
+                foaf:name "Bob" ;
+                solid:storageQuota 1048576 ;
+                acl:trustedApp <urn:app:de> .
+            <urn:dataset:medical> odrl:hasPolicy <urn:policy:medical> .
+        "#;
+        let graph = parse(BODY).unwrap();
+        assert_eq!(graph.len(), 17);
+        let text = serialize(&graph);
+        assert_eq!(
+            duc_crypto::sha256(text.as_bytes()).to_hex(),
+            "475ea3c3d5a83b0444465ac6d9d3045949e8ed4c187929cc2aa6673a9a7c7fdb",
+            "\n{text}"
+        );
+        assert!(
+            parse(&text).unwrap().is_isomorphic_simple(&graph),
+            "\n{text}"
+        );
+    }
+
     #[test]
     fn serializer_emits_only_used_prefixes() {
         let g = parse(r#"<urn:s> <urn:p> "v" ."#).unwrap();
