@@ -7,10 +7,6 @@
 //! left the pod.
 
 use duc_codec::{Decode, DecodeError, Encode, Reader};
-use duc_rdf::vocab::{acl, foaf_agent, rdf};
-use duc_rdf::{Graph, Iri, Term, Triple};
-
-use crate::PolicyError;
 
 /// A WAC access mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,29 +29,6 @@ impl AclMode {
         AclMode::Append,
         AclMode::Control,
     ];
-
-    fn to_iri(self) -> Iri {
-        match self {
-            AclMode::Read => acl::read(),
-            AclMode::Write => acl::write(),
-            AclMode::Append => acl::append(),
-            AclMode::Control => acl::control(),
-        }
-    }
-
-    fn from_iri(iri: &Iri) -> Option<AclMode> {
-        if *iri == acl::read() {
-            Some(AclMode::Read)
-        } else if *iri == acl::write() {
-            Some(AclMode::Write)
-        } else if *iri == acl::append() {
-            Some(AclMode::Append)
-        } else if *iri == acl::control() {
-            Some(AclMode::Control)
-        } else {
-            None
-        }
-    }
 
     /// Whether holding `self` implies `requested` (Write implies Append).
     pub fn implies(self, requested: AclMode) -> bool {
@@ -215,127 +188,6 @@ impl AclDocument {
             .iter()
             .any(|a| a.applies_to(resource) && a.grants(agent, mode))
     }
-
-    /// Serializes to an RDF graph (WAC vocabulary).
-    pub fn to_graph(&self, doc_base: &str) -> Result<Graph, PolicyError> {
-        let mut g = Graph::new();
-        for auth in &self.authorizations {
-            let subject = Iri::new(format!("{doc_base}#{}", auth.id))
-                .map_err(|e| PolicyError::Invalid(e.to_string()))?;
-            let s = Term::Iri(subject.clone());
-            g.insert(Triple::new(
-                s.clone(),
-                rdf::type_(),
-                Term::Iri(acl::authorization()),
-            ));
-            for agent in &auth.agents {
-                match agent {
-                    AgentSpec::Agent(webid) => {
-                        let iri = Iri::new(webid.clone())
-                            .map_err(|e| PolicyError::Invalid(e.to_string()))?;
-                        g.insert(Triple::new(s.clone(), acl::agent(), Term::Iri(iri)));
-                    }
-                    AgentSpec::AuthenticatedAgent => {
-                        g.insert(Triple::new(
-                            s.clone(),
-                            acl::agent_class(),
-                            Term::Iri(acl::authenticated_agent()),
-                        ));
-                    }
-                    AgentSpec::Public => {
-                        g.insert(Triple::new(
-                            s.clone(),
-                            acl::agent_class(),
-                            Term::Iri(foaf_agent::agent_class()),
-                        ));
-                    }
-                }
-            }
-            for mode in &auth.modes {
-                g.insert(Triple::new(
-                    s.clone(),
-                    acl::mode(),
-                    Term::Iri(mode.to_iri()),
-                ));
-            }
-            if let Some(resource) = &auth.access_to {
-                let iri =
-                    Iri::new(resource.clone()).map_err(|e| PolicyError::Invalid(e.to_string()))?;
-                g.insert(Triple::new(s.clone(), acl::access_to(), Term::Iri(iri)));
-            }
-            if let Some(container) = &auth.default_for {
-                let iri =
-                    Iri::new(container.clone()).map_err(|e| PolicyError::Invalid(e.to_string()))?;
-                g.insert(Triple::new(s.clone(), acl::default(), Term::Iri(iri)));
-            }
-        }
-        Ok(g)
-    }
-
-    /// Parses an ACL document from an RDF graph.
-    ///
-    /// # Errors
-    /// Returns [`PolicyError::MissingStatement`] when an authorization lacks
-    /// modes or agents.
-    pub fn from_graph(graph: &Graph) -> Result<AclDocument, PolicyError> {
-        let mut doc = AclDocument::new();
-        let auth_type = Term::Iri(acl::authorization());
-        let subjects: Vec<Term> = graph.subjects(&rdf::type_(), &auth_type).cloned().collect();
-        for subject in subjects {
-            let subject_iri = match &subject {
-                Term::Iri(iri) => iri.clone(),
-                _ => continue,
-            };
-            let id = subject_iri
-                .as_str()
-                .rsplit_once('#')
-                .map(|(_, frag)| frag.to_string())
-                .unwrap_or_else(|| subject_iri.as_str().to_string());
-            let mut agents = Vec::new();
-            for t in graph.objects(&subject_iri, &acl::agent()) {
-                if let Term::Iri(iri) = t {
-                    agents.push(AgentSpec::Agent(iri.as_str().to_string()));
-                }
-            }
-            for t in graph.objects(&subject_iri, &acl::agent_class()) {
-                if let Term::Iri(iri) = t {
-                    if *iri == acl::authenticated_agent() {
-                        agents.push(AgentSpec::AuthenticatedAgent);
-                    } else if *iri == foaf_agent::agent_class() {
-                        agents.push(AgentSpec::Public);
-                    }
-                }
-            }
-            let modes: Vec<AclMode> = graph
-                .objects(&subject_iri, &acl::mode())
-                .filter_map(|t| t.as_iri().and_then(AclMode::from_iri))
-                .collect();
-            if agents.is_empty() {
-                return Err(PolicyError::MissingStatement("acl:agent / acl:agentClass"));
-            }
-            if modes.is_empty() {
-                return Err(PolicyError::MissingStatement("acl:mode"));
-            }
-            let access_to = graph
-                .objects(&subject_iri, &acl::access_to())
-                .filter_map(|t| t.as_iri())
-                .map(|i| i.as_str().to_string())
-                .next();
-            let default_for = graph
-                .objects(&subject_iri, &acl::default())
-                .filter_map(|t| t.as_iri())
-                .map(|i| i.as_str().to_string())
-                .next();
-            doc.push(Authorization {
-                id,
-                agents,
-                modes,
-                access_to,
-                default_for,
-            });
-        }
-        Ok(doc)
-    }
 }
 
 impl Encode for AgentSpec {
@@ -446,50 +298,6 @@ mod tests {
         ));
         assert!(d.allows(Some(BOB), AclMode::Append, RES));
         assert!(!d.allows(Some(BOB), AclMode::Control, RES));
-    }
-
-    #[test]
-    fn rdf_roundtrip() {
-        let original = doc();
-        let g = original
-            .to_graph("https://alice.pod/.acl")
-            .expect("to_graph");
-        let parsed = AclDocument::from_graph(&g).expect("from_graph");
-        // Order of authorizations may differ; compare as sets.
-        assert_eq!(parsed.authorizations.len(), original.authorizations.len());
-        for auth in &original.authorizations {
-            assert!(
-                parsed.authorizations.iter().any(|a| {
-                    a.id == auth.id
-                        && a.access_to == auth.access_to
-                        && a.default_for == auth.default_for
-                        && a.agents.iter().all(|x| auth.agents.contains(x))
-                        && a.modes.iter().all(|m| auth.modes.contains(m))
-                }),
-                "missing authorization {auth:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rdf_roundtrip_through_turtle_text() {
-        let original = doc();
-        let g = original.to_graph("https://alice.pod/.acl").unwrap();
-        let text = duc_rdf::turtle::serialize(&g);
-        let reparsed_graph = duc_rdf::turtle::parse(&text).expect("turtle parse");
-        let parsed = AclDocument::from_graph(&reparsed_graph).expect("from_graph");
-        assert_eq!(parsed.authorizations.len(), original.authorizations.len());
-    }
-
-    #[test]
-    fn from_graph_requires_modes_and_agents() {
-        let mut g = Graph::new();
-        g.insert(Triple::new(
-            Term::iri("urn:acl#a1"),
-            rdf::type_(),
-            Term::Iri(acl::authorization()),
-        ));
-        assert!(AclDocument::from_graph(&g).is_err());
     }
 
     #[test]

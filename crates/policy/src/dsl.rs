@@ -12,6 +12,10 @@
 //! }
 //! ```
 //!
+//! A purpose is written bare when it is an identifier
+//! (`[A-Za-z][A-Za-z0-9_-]*`) and as a string literal otherwise, so any
+//! purpose reads back as written: `purpose in [medical, "dpv:Research"]`.
+//!
 //! Durations accept `ms`, `s`, `m`, `h`, `d` suffixes. Instants (for
 //! `expires-at` / `window`) are seconds since the simulation epoch. A
 //! literal longer than a `SimDuration` holds (about 584 years) is a syntax
@@ -277,7 +281,7 @@ impl P {
                 let mut purposes = Vec::new();
                 loop {
                     match self.next() {
-                        Some(Tok::Ident(id)) => purposes.push(Purpose::new(id)),
+                        Some(Tok::Ident(id) | Tok::Str(id)) => purposes.push(Purpose::new(id)),
                         Some(Tok::RBracket) if purposes.is_empty() => break,
                         other => return Err(self.err(format!("expected purpose, found {other:?}"))),
                     }
@@ -429,16 +433,26 @@ fn quoted(s: &str) -> String {
     out
 }
 
+/// A purpose as the lexer reads it back: bare when it lexes as one
+/// identifier, [`quoted`] otherwise.
+fn purpose_to_dsl(p: &Purpose) -> String {
+    let mut chars = p.as_str().chars();
+    let identifier = chars.next().is_some_and(|c| c.is_ascii_alphabetic())
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
+    if identifier {
+        p.as_str().to_string()
+    } else {
+        quoted(p.as_str())
+    }
+}
+
 fn constraint_to_dsl(c: &Constraint) -> String {
     match c {
         Constraint::MaxRetention(d) => format!("max-retention {}", duration_to_dsl(*d)),
         Constraint::ExpiresAt(t) => format!("expires-at {}", duration_to_dsl(*t - SimTime::ZERO)),
         Constraint::Purpose(ps) => format!(
             "purpose in [{}]",
-            ps.iter()
-                .map(Purpose::as_str)
-                .collect::<Vec<_>>()
-                .join(", ")
+            ps.iter().map(purpose_to_dsl).collect::<Vec<_>>().join(", ")
         ),
         Constraint::MaxAccessCount(n) => format!("max-accesses {n}"),
         Constraint::AllowedRecipients(agents) => format!(
@@ -635,6 +649,36 @@ mod tests {
         .unwrap();
         let reparsed = parse(&serialize(&original)).unwrap();
         assert_eq!(reparsed, original);
+    }
+
+    #[test]
+    fn purposes_that_are_not_identifiers_are_quoted() {
+        let purposes = [
+            "medical",
+            "dpv:Research",
+            "a, b",
+            "",
+            "x]",
+            r#"say "hi""#,
+            r"back\slash",
+            "two words",
+            "9lives",
+        ];
+        let policy = UsagePolicy::builder("p", "urn:r", "urn:o")
+            .permit(
+                Rule::permit([Action::Use]).with_constraint(Constraint::Purpose(
+                    purposes.into_iter().map(Purpose::new).collect(),
+                )),
+            )
+            .build();
+        let text = serialize(&policy);
+        assert!(
+            text.contains(
+                r#"purpose in [medical, "dpv:Research", "a, b", "", "x]", "say \"hi\"", "back\\slash", "two words", "9lives"]"#
+            ),
+            "{text}"
+        );
+        assert_eq!(parse(&text), Ok(policy), "\n{text}");
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //!   [`PolicyEngine`], a rule-walking interpreter kept as the reference
 //!   [`PolicyProgram::decide`] is proptest-checked against (not in the
 //!   prelude).
-//! * [`dsl`] — a human-readable text syntax for policies.
-//! * [`rdf_binding`] — policies as RDF graphs (ODRL + project vocabulary).
+//! * [`dsl`] — the text syntax for policies, the one a person writes.
+//! * [`rdf_binding`] — a one-way export of a policy as an RDF graph (ODRL +
+//!   project vocabulary); nothing parses a policy back out of RDF.
 //! * [`acl`] — W3C Web Access Control lists, the Solid-native *access*
-//!   control layer that our usage control extends.
+//!   control layer that our usage control extends, held and checked in
+//!   memory by the pod manager.
 //!
 //! ## Example
 //! ```
@@ -78,7 +80,7 @@ pub mod prelude {
 
 pub use engine::UsageContext;
 
-/// Errors from policy parsing (DSL or RDF).
+/// Errors from DSL parsing and policy validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
     /// DSL syntax error with byte offset context.
@@ -86,8 +88,6 @@ pub enum PolicyError {
         /// Explanation of the failure.
         message: String,
     },
-    /// RDF document lacked a required statement.
-    MissingStatement(&'static str),
     /// A value failed validation (e.g. negative duration).
     Invalid(String),
 }
@@ -96,7 +96,6 @@ impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PolicyError::Syntax { message } => write!(f, "policy syntax error: {message}"),
-            PolicyError::MissingStatement(what) => write!(f, "policy document missing: {what}"),
             PolicyError::Invalid(what) => write!(f, "invalid policy value: {what}"),
         }
     }

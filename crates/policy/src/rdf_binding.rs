@@ -1,16 +1,17 @@
-//! Policies as RDF graphs (ODRL + project vocabulary).
+//! A one-way export of a policy as an RDF graph (ODRL + project vocabulary).
 //!
-//! Pods store the policy next to the data as Linked Data; the pod manager
-//! parses it with [`policy_from_graph`] before pushing the structured form
-//! on-chain. The mapping follows ODRL 2.2 (policy → permission/prohibition →
-//! action + constraints) with project terms (`duc:`) where ODRL has no
-//! equivalent (retention, notification obligations, time windows).
+//! Nothing in the architecture reads a policy back out of RDF: the pod
+//! manager hands the DE App the structured [`UsagePolicy`], and the DSL
+//! ([`crate::dsl`]) is the one human syntax. The export's one caller outside
+//! tests is the repository benchmark, which times parsing its Turtle text.
+//! The mapping follows ODRL 2.2 (policy → permission/prohibition → action +
+//! constraints) with project terms (`duc:`) where ODRL has no equivalent
+//! (retention, notification obligations, time windows).
 
 use duc_rdf::vocab::{duc, odrl, rdf, xsd};
 use duc_rdf::{Graph, Iri, Literal, Term, Triple};
-use duc_sim::{SimDuration, SimTime};
 
-use crate::model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
+use crate::model::{Action, Constraint, Duty, Effect, UsagePolicy};
 use crate::PolicyError;
 
 fn action_iri(action: Action) -> Iri {
@@ -20,22 +21,6 @@ fn action_iri(action: Action) -> Iri {
         Action::Modify => odrl::modify(),
         Action::Delete => odrl::delete(),
         Action::Distribute => odrl::distribute(),
-    }
-}
-
-fn action_from_iri(iri: &Iri) -> Option<Action> {
-    if *iri == odrl::use_() {
-        Some(Action::Use)
-    } else if *iri == odrl::read() {
-        Some(Action::Read)
-    } else if *iri == odrl::modify() {
-        Some(Action::Modify)
-    } else if *iri == odrl::delete() {
-        Some(Action::Delete)
-    } else if *iri == odrl::distribute() {
-        Some(Action::Distribute)
-    } else {
-        None
     }
 }
 
@@ -245,147 +230,11 @@ pub fn policy_to_graph(policy: &UsagePolicy) -> Result<Graph, PolicyError> {
     Ok(g)
 }
 
-fn get_int(graph: &Graph, node: &Term, pred: &Iri) -> Option<u64> {
-    graph
-        .matching(Some(node), Some(pred), None)
-        .filter_map(|t| t.object.as_literal())
-        .filter_map(|l| l.as_integer())
-        .map(|v| v as u64)
-        .next()
-}
-
-/// Parses the first `duc:UsagePolicy` found in `graph`.
-///
-/// # Errors
-/// Returns [`PolicyError::MissingStatement`] when required statements
-/// (type, target, assigner) are absent.
-pub fn policy_from_graph(graph: &Graph) -> Result<UsagePolicy, PolicyError> {
-    let type_obj = Term::Iri(duc::usage_policy());
-    let policy_subject = graph
-        .subjects(&rdf::type_(), &type_obj)
-        .next()
-        .cloned()
-        .ok_or(PolicyError::MissingStatement("a duc:UsagePolicy"))?;
-    let policy_iri = match &policy_subject {
-        Term::Iri(iri) => iri.clone(),
-        _ => return Err(PolicyError::Invalid("policy subject must be an IRI".into())),
-    };
-    let resource = graph
-        .object(&policy_iri, &odrl::target())
-        .and_then(Term::as_iri)
-        .ok_or(PolicyError::MissingStatement("odrl:target"))?
-        .as_str()
-        .to_string();
-    let owner = graph
-        .object(&policy_iri, &odrl::assigner())
-        .and_then(Term::as_iri)
-        .ok_or(PolicyError::MissingStatement("odrl:assigner"))?
-        .as_str()
-        .to_string();
-    let version = get_int(graph, &policy_subject, &duc::policy_version()).unwrap_or(1);
-
-    let mut rules = Vec::new();
-    for (effect, link) in [
-        (Effect::Permit, odrl::permission()),
-        (Effect::Prohibit, odrl::prohibition()),
-    ] {
-        for t in graph.matching(Some(&policy_subject), Some(&link), None) {
-            let rule_node = t.object.clone();
-            let actions: Vec<Action> = graph
-                .matching(Some(&rule_node), Some(&odrl::action()), None)
-                .filter_map(|t| t.object.as_iri().and_then(action_from_iri))
-                .collect();
-            let mut constraints = Vec::new();
-            for ct in graph.matching(Some(&rule_node), Some(&odrl::constraint()), None) {
-                let c_node = ct.object.clone();
-                constraints.push(parse_constraint(graph, &c_node)?);
-            }
-            rules.push(Rule {
-                effect,
-                actions,
-                constraints,
-            });
-        }
-    }
-
-    let mut duties = Vec::new();
-    for t in graph.matching(Some(&policy_subject), Some(&odrl::duty()), None) {
-        let d_node = t.object.clone();
-        if let Some(nanos) = get_int(graph, &d_node, &duc::deletion_obligation()) {
-            duties.push(Duty::DeleteWithin(SimDuration::from_nanos(nanos)));
-        } else if let Some(nanos) = get_int(graph, &d_node, &duc::notify_obligation()) {
-            duties.push(Duty::NotifyOwnerWithin(SimDuration::from_nanos(nanos)));
-        } else if graph
-            .matching(Some(&d_node), Some(&duc::log_obligation()), None)
-            .next()
-            .is_some()
-        {
-            duties.push(Duty::LogAccesses);
-        }
-    }
-
-    Ok(UsagePolicy {
-        id: policy_iri.as_str().to_string(),
-        resource,
-        owner,
-        version,
-        rules,
-        duties,
-    })
-}
-
-fn parse_constraint(graph: &Graph, c_node: &Term) -> Result<Constraint, PolicyError> {
-    // TimeWindow is recognized by its duc:notBefore marker.
-    if let Some(nb) = get_int(graph, c_node, &duc::not_before()) {
-        let na = get_int(graph, c_node, &duc::not_after())
-            .ok_or(PolicyError::MissingStatement("duc:notAfter"))?;
-        return Ok(Constraint::TimeWindow {
-            not_before: SimTime::from_nanos(nb),
-            not_after: SimTime::from_nanos(na),
-        });
-    }
-    let left = graph
-        .matching(Some(c_node), Some(&odrl::left_operand()), None)
-        .filter_map(|t| t.object.as_iri())
-        .next()
-        .ok_or(PolicyError::MissingStatement("odrl:leftOperand"))?
-        .clone();
-    if left == duc::retention_limit() {
-        let nanos = get_int(graph, c_node, &odrl::right_operand())
-            .ok_or(PolicyError::MissingStatement("odrl:rightOperand"))?;
-        Ok(Constraint::MaxRetention(SimDuration::from_nanos(nanos)))
-    } else if left == odrl::date_time() {
-        let nanos = get_int(graph, c_node, &odrl::right_operand())
-            .ok_or(PolicyError::MissingStatement("odrl:rightOperand"))?;
-        Ok(Constraint::ExpiresAt(SimTime::from_nanos(nanos)))
-    } else if left == odrl::purpose() {
-        let purposes: Vec<Purpose> = graph
-            .matching(Some(c_node), Some(&odrl::right_operand()), None)
-            .filter_map(|t| t.object.as_literal())
-            .map(|l| Purpose::new(l.lexical.clone()))
-            .collect();
-        Ok(Constraint::Purpose(purposes))
-    } else if left == odrl::count() {
-        let n = get_int(graph, c_node, &odrl::right_operand())
-            .ok_or(PolicyError::MissingStatement("odrl:rightOperand"))?;
-        Ok(Constraint::MaxAccessCount(n))
-    } else if left == duc::allowed_recipient() {
-        let agents: Vec<String> = graph
-            .matching(Some(c_node), Some(&odrl::right_operand()), None)
-            .filter_map(|t| t.object.as_iri())
-            .map(|i| i.as_str().to_string())
-            .collect();
-        Ok(Constraint::AllowedRecipients(agents))
-    } else {
-        Err(PolicyError::Invalid(format!(
-            "unknown constraint operand {left}"
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{Purpose, Rule};
+    use duc_sim::{SimDuration, SimTime};
 
     fn sample() -> UsagePolicy {
         UsagePolicy::builder(
@@ -418,50 +267,16 @@ mod tests {
         .build()
     }
 
-    fn normalize(mut p: UsagePolicy) -> UsagePolicy {
-        // RDF graphs are unordered; sort rule internals for comparison.
-        for r in &mut p.rules {
-            r.actions.sort();
-            r.constraints.sort_by_key(|c| format!("{c:?}"));
-        }
-        p.rules.sort_by_key(|r| format!("{r:?}"));
-        p.duties.sort_by_key(|d| format!("{d:?}"));
-        p
-    }
-
-    #[test]
-    fn graph_roundtrip_preserves_policy() {
-        let original = sample();
-        let g = policy_to_graph(&original).expect("to_graph");
-        let parsed = policy_from_graph(&g).expect("from_graph");
-        assert_eq!(normalize(parsed), normalize(original));
-    }
-
-    #[test]
-    fn turtle_text_roundtrip_preserves_policy() {
-        let original = sample();
-        let g = policy_to_graph(&original).unwrap();
-        let text = duc_rdf::turtle::serialize(&g);
-        let g2 = duc_rdf::turtle::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        let parsed = policy_from_graph(&g2).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        assert_eq!(normalize(parsed), normalize(original));
-    }
-
     #[test]
     fn graph_contains_odrl_shape() {
         let g = policy_to_graph(&sample()).unwrap();
         let policy_iri = Iri::new("https://bob.pod/policies#pol-medical").unwrap();
         assert!(g.object(&policy_iri, &odrl::target()).is_some());
         assert!(g.object(&policy_iri, &odrl::assigner()).is_some());
-        assert!(g
-            .matching(None, Some(&odrl::permission()), None)
-            .next()
-            .is_some());
-        assert!(g
-            .matching(None, Some(&odrl::prohibition()), None)
-            .next()
-            .is_some());
-        assert_eq!(g.matching(None, Some(&odrl::duty()), None).count(), 3);
+        let links = |predicate: Iri| g.iter().filter(|t| t.predicate == predicate).count();
+        assert_eq!(links(odrl::permission()), 1);
+        assert_eq!(links(odrl::prohibition()), 1);
+        assert_eq!(links(odrl::duty()), 3);
     }
 
     /// The export's Turtle bytes, recorded before the import half was
@@ -509,31 +324,5 @@ mod tests {
     fn invalid_iri_identity_is_rejected() {
         let p = UsagePolicy::builder("not an iri", "urn:r", "urn:o").build();
         assert!(policy_to_graph(&p).is_err());
-    }
-
-    #[test]
-    fn missing_statements_are_reported() {
-        assert_eq!(
-            policy_from_graph(&Graph::new()).unwrap_err(),
-            PolicyError::MissingStatement("a duc:UsagePolicy")
-        );
-        let mut g = Graph::new();
-        g.insert(Triple::new(
-            Term::iri("urn:p"),
-            rdf::type_(),
-            Term::Iri(duc::usage_policy()),
-        ));
-        assert!(matches!(
-            policy_from_graph(&g).unwrap_err(),
-            PolicyError::MissingStatement("odrl:target")
-        ));
-    }
-
-    #[test]
-    fn default_version_is_one() {
-        let p = UsagePolicy::builder("urn:p", "urn:r", "urn:o").build();
-        let g = policy_to_graph(&p).unwrap();
-        let parsed = policy_from_graph(&g).unwrap();
-        assert_eq!(parsed.version, 1);
     }
 }

@@ -1,11 +1,15 @@
 //! Cross-representation property tests: a policy must survive round trips
-//! through all three of its encodings — binary codec (on-chain), text DSL
-//! (owner-facing), and RDF graph (pod-native) — and the representations
-//! must agree with each other.
+//! through both of its encodings — the binary codec (on-chain) and the text
+//! DSL (owner-facing) — and the representations must agree with each other.
+//!
+//! Purposes, recipients and identities are arbitrary strings, the ones the
+//! DSL has to quote or escape included: `"`, `\`, `,`, `]`, `:`, whitespace
+//! and the empty string.
 
+use duc_codec::{decode_from_slice, encode_to_vec};
+use duc_policy::dsl;
 use duc_policy::prelude::*;
 use duc_policy::PolicyEngine;
-use duc_policy::{dsl, rdf_binding};
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -19,9 +23,20 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-// RDF-safe purposes and agent IRIs (the binding requires IRI identity).
+/// Identifier-like words, printable ASCII, runs of the characters the DSL
+/// quotes or escapes, any Unicode, and the empty string.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-z][a-z0-9-]{0,10}",
+        "[ -~]{0,12}",
+        "[\"\\\\,\\]:a \\t\\n]{0,4}",
+        "\\PC{0,8}",
+        Just(String::new()),
+    ]
+}
+
 fn arb_purpose() -> impl Strategy<Value = Purpose> {
-    "[a-z][a-z0-9-]{0,10}".prop_map(Purpose::new)
+    arb_text().prop_map(Purpose::new)
 }
 
 fn arb_constraint() -> impl Strategy<Value = Constraint> {
@@ -30,14 +45,7 @@ fn arb_constraint() -> impl Strategy<Value = Constraint> {
         (1u64..100_000).prop_map(|s| Constraint::ExpiresAt(SimTime::from_secs(s))),
         proptest::collection::vec(arb_purpose(), 1..4).prop_map(Constraint::Purpose),
         (0u64..1000).prop_map(Constraint::MaxAccessCount),
-        proptest::collection::vec("[a-z]{1,8}", 1..3).prop_map(|agents| {
-            Constraint::AllowedRecipients(
-                agents
-                    .into_iter()
-                    .map(|a| format!("urn:agent:{a}"))
-                    .collect(),
-            )
-        }),
+        proptest::collection::vec(arb_text(), 1..3).prop_map(Constraint::AllowedRecipients),
         (0u64..500, 500u64..1000).prop_map(|(a, b)| Constraint::TimeWindow {
             not_before: SimTime::from_secs(a),
             not_after: SimTime::from_secs(b),
@@ -47,6 +55,7 @@ fn arb_constraint() -> impl Strategy<Value = Constraint> {
 
 fn arb_policy() -> impl Strategy<Value = UsagePolicy> {
     (
+        (arb_text(), arb_text(), arb_text()),
         proptest::collection::vec(
             (
                 any::<bool>(),
@@ -65,13 +74,8 @@ fn arb_policy() -> impl Strategy<Value = UsagePolicy> {
         ),
         1u64..50,
     )
-        .prop_map(|(rules, duties, version)| {
-            let mut b = UsagePolicy::builder(
-                "urn:duc:policy:prop",
-                "urn:duc:resource:prop",
-                "urn:duc:owner:prop",
-            )
-            .version(version);
+        .prop_map(|((id, resource, owner), rules, duties, version)| {
+            let mut b = UsagePolicy::builder(id, resource, owner).version(version);
             for (permit, actions, constraints) in rules {
                 let mut rule = if permit {
                     Rule::permit(actions)
@@ -90,59 +94,28 @@ fn arb_policy() -> impl Strategy<Value = UsagePolicy> {
         })
 }
 
-/// RDF graphs are unordered *sets* of statements; normalize order and
-/// collapse duplicates (duplicate actions/purposes/recipients are
-/// semantically meaningless and canonicalize away in RDF).
-fn normalize(mut p: UsagePolicy) -> UsagePolicy {
-    for r in &mut p.rules {
-        r.actions.sort();
-        r.actions.dedup();
-        for c in &mut r.constraints {
-            match c {
-                Constraint::Purpose(ps) => {
-                    ps.sort();
-                    ps.dedup();
-                }
-                Constraint::AllowedRecipients(agents) => {
-                    agents.sort();
-                    agents.dedup();
-                }
-                _ => {}
-            }
-        }
-        r.constraints.sort_by_key(|c| format!("{c:?}"));
-    }
-    p.rules.sort_by_key(|r| format!("{r:?}"));
-    p.duties.sort_by_key(|d| format!("{d:?}"));
-    p
+fn via_codec(policy: &UsagePolicy) -> UsagePolicy {
+    decode_from_slice(&encode_to_vec(policy)).expect("codec")
+}
+
+fn via_dsl(policy: &UsagePolicy) -> UsagePolicy {
+    let text = dsl::serialize(policy);
+    dsl::parse(&text).unwrap_or_else(|e| panic!("dsl reparse: {e}\n{text}"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// RDF graph binding is lossless (up to statement order).
+    /// Both encodings are the identity, whatever strings the policy holds.
     #[test]
-    fn rdf_graph_roundtrip(policy in arb_policy()) {
-        let graph = rdf_binding::policy_to_graph(&policy).expect("to_graph");
-        let parsed = rdf_binding::policy_from_graph(&graph).expect("from_graph");
-        prop_assert_eq!(normalize(parsed), normalize(policy));
+    fn encodings_roundtrip(policy in arb_policy()) {
+        prop_assert_eq!(&via_codec(&policy), &policy);
+        prop_assert_eq!(&via_dsl(&policy), &policy, "\n{}", dsl::serialize(&policy));
     }
 
-    /// The full pod-native path — graph → Turtle text → graph → policy —
-    /// is also lossless.
-    #[test]
-    fn rdf_turtle_text_roundtrip(policy in arb_policy()) {
-        let graph = rdf_binding::policy_to_graph(&policy).expect("to_graph");
-        let text = duc_rdf::turtle::serialize(&graph);
-        let graph2 = duc_rdf::turtle::parse(&text)
-            .unwrap_or_else(|e| panic!("turtle reparse: {e}\n{text}"));
-        let parsed = rdf_binding::policy_from_graph(&graph2).expect("from_graph");
-        prop_assert_eq!(normalize(parsed), normalize(policy));
-    }
-
-    /// All three representations agree: decisions made by the engine are
-    /// identical for the original policy, the DSL-roundtripped policy and
-    /// the RDF-roundtripped policy.
+    /// The representations agree: decisions made by the engine are
+    /// identical for the original policy and the codec- and
+    /// DSL-roundtripped policies.
     #[test]
     fn representations_agree_on_decisions(
         policy in arb_policy(),
@@ -161,24 +134,16 @@ proptest! {
             access_count: count,
         };
         let original = engine.evaluate(&policy, &ctx).is_permit();
-
-        let via_dsl = dsl::parse(&dsl::serialize(&policy)).expect("dsl");
-        prop_assert_eq!(engine.evaluate(&via_dsl, &ctx).is_permit(), original);
-
-        let graph = rdf_binding::policy_to_graph(&policy).expect("graph");
-        let via_rdf = rdf_binding::policy_from_graph(&graph).expect("parse");
-        prop_assert_eq!(engine.evaluate(&via_rdf, &ctx).is_permit(), original);
+        prop_assert_eq!(engine.evaluate(&via_codec(&policy), &ctx).is_permit(), original);
+        prop_assert_eq!(engine.evaluate(&via_dsl(&policy), &ctx).is_permit(), original);
     }
 
     /// Retention and expiry bounds survive every representation.
     #[test]
     fn bounds_survive_representations(policy in arb_policy()) {
-        let via_dsl = dsl::parse(&dsl::serialize(&policy)).expect("dsl");
-        prop_assert_eq!(via_dsl.retention_bound(), policy.retention_bound());
-        prop_assert_eq!(via_dsl.expiry_bound(), policy.expiry_bound());
-        let graph = rdf_binding::policy_to_graph(&policy).expect("graph");
-        let via_rdf = rdf_binding::policy_from_graph(&graph).expect("parse");
-        prop_assert_eq!(via_rdf.retention_bound(), policy.retention_bound());
-        prop_assert_eq!(via_rdf.expiry_bound(), policy.expiry_bound());
+        for via in [via_codec(&policy), via_dsl(&policy)] {
+            prop_assert_eq!(via.retention_bound(), policy.retention_bound());
+            prop_assert_eq!(via.expiry_bound(), policy.expiry_bound());
+        }
     }
 }

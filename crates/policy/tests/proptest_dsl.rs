@@ -42,9 +42,17 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// Purposes that tokenize as DSL identifiers.
+/// Identifiers (written bare) and arbitrary strings (written quoted): the
+/// characters the DSL escapes or that end a list item, any Unicode, and the
+/// empty string.
 fn arb_purpose() -> impl Strategy<Value = Purpose> {
-    "[a-z][a-z0-9-]{0,12}".prop_map(Purpose::new)
+    prop_oneof![
+        "[a-z][a-z0-9-]{0,12}",
+        "[ -~]{0,12}",
+        "[\"\\\\,\\]:a \\t\\n]{0,4}",
+        "\\PC{0,8}",
+    ]
+    .prop_map(Purpose::new)
 }
 
 fn arb_constraint() -> impl Strategy<Value = Constraint> {

@@ -1,21 +1,17 @@
-//! An indexed, set-semantics RDF graph.
+//! A set-semantics RDF graph in insertion order.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::term::{Iri, Term, Triple};
 
-/// An RDF graph: a set of triples with subject and predicate indexes for the
-/// lookups Solid documents need (ACL checks, policy extraction).
-///
-/// Iteration order is deterministic (insertion order of first occurrence),
-/// which keeps serialized documents and therefore content hashes stable.
+/// An RDF graph: a set of triples, iterated in insertion order of first
+/// occurrence, which keeps serialized documents and therefore content hashes
+/// stable. It holds pod bodies on their way to and from Turtle; a lookup
+/// ([`Graph::object`]) scans it.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     triples: Vec<Triple>,
     present: HashSet<Triple>,
-    by_subject: HashMap<Term, Vec<usize>>,
-    by_predicate: HashMap<Iri, Vec<usize>>,
-    tombstones: BTreeSet<usize>,
 }
 
 impl Graph {
@@ -26,41 +22,20 @@ impl Graph {
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.present.len()
+        self.triples.len()
     }
 
     /// Whether the graph is empty.
     pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
+        self.triples.is_empty()
     }
 
     /// Inserts a triple; returns `true` if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        if self.present.contains(&triple) {
+        if !self.present.insert(triple.clone()) {
             return false;
         }
-        let idx = self.triples.len();
-        self.by_subject
-            .entry(triple.subject.clone())
-            .or_default()
-            .push(idx);
-        self.by_predicate
-            .entry(triple.predicate.clone())
-            .or_default()
-            .push(idx);
-        self.present.insert(triple.clone());
         self.triples.push(triple);
-        true
-    }
-
-    /// Removes a triple; returns `true` if it was present.
-    pub fn remove(&mut self, triple: &Triple) -> bool {
-        if !self.present.remove(triple) {
-            return false;
-        }
-        if let Some(idx) = self.triples.iter().position(|t| t == triple) {
-            self.tombstones.insert(idx);
-        }
         true
     }
 
@@ -69,75 +44,19 @@ impl Graph {
         self.present.contains(triple)
     }
 
-    /// Iterates live triples in deterministic order.
+    /// Iterates the triples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Triple> {
-        self.triples
-            .iter()
-            .enumerate()
-            .filter(move |(i, t)| !self.tombstones.contains(i) && self.present.contains(*t))
-            .map(|(_, t)| t)
+        self.triples.iter()
     }
 
-    /// Pattern match with optional components (`None` = wildcard).
-    pub fn matching<'a>(
-        &'a self,
-        subject: Option<&'a Term>,
-        predicate: Option<&'a Iri>,
-        object: Option<&'a Term>,
-    ) -> impl Iterator<Item = &'a Triple> {
-        self.iter().filter(move |t| {
-            subject.is_none_or(|s| &t.subject == s)
-                && predicate.is_none_or(|p| &t.predicate == p)
-                && object.is_none_or(|o| &t.object == o)
-        })
-    }
-
-    /// Objects of `(subject, predicate, ?)` statements.
-    ///
-    /// The returned iterator borrows only the graph, so callers may pass
-    /// temporary subject/predicate references.
-    pub fn objects<'a>(&'a self, subject: &Iri, predicate: &Iri) -> impl Iterator<Item = &'a Term> {
-        let subject_term = Term::Iri(subject.clone());
-        let predicate = predicate.clone();
-        self.by_subject
-            .get(&subject_term)
-            .into_iter()
-            .flatten()
-            .filter(move |&&i| !self.tombstones.contains(&i))
-            .map(move |&i| &self.triples[i])
-            .filter(move |t| self.present.contains(*t) && t.predicate == predicate)
-            .map(|t| &t.object)
-    }
-
-    /// The first object of `(subject, predicate, ?)`, if any.
+    /// The first object of `(subject, predicate, ?)` in insertion order, if
+    /// any.
     pub fn object(&self, subject: &Iri, predicate: &Iri) -> Option<&Term> {
-        self.objects(subject, predicate).next()
-    }
-
-    /// Subjects of `(?, predicate, object)` statements.
-    ///
-    /// The returned iterator borrows only the graph, so callers may pass
-    /// temporary predicate/object references.
-    pub fn subjects<'a>(
-        &'a self,
-        predicate: &Iri,
-        object: &Term,
-    ) -> impl Iterator<Item = &'a Term> {
-        let predicate = predicate.clone();
-        let object = object.clone();
-        self.by_predicate
-            .get(&predicate)
-            .into_iter()
-            .flatten()
-            .filter(move |&&i| !self.tombstones.contains(&i))
-            .map(move |&i| &self.triples[i])
-            .filter(move |t| self.present.contains(*t) && t.object == object)
-            .map(|t| &t.subject)
-    }
-
-    /// Merges all triples of `other` into `self`; returns how many were new.
-    pub fn merge(&mut self, other: &Graph) -> usize {
-        other.iter().filter(|t| self.insert((*t).clone())).count()
+        self.iter()
+            .find(|t| {
+                &t.predicate == predicate && matches!(&t.subject, Term::Iri(s) if s == subject)
+            })
+            .map(|t| &t.object)
     }
 
     /// Whether both graphs contain exactly the same triple set
@@ -149,8 +68,8 @@ impl Graph {
 }
 
 impl PartialEq for Graph {
-    /// Triple-set equality (insertion order and tombstones are internal
-    /// bookkeeping, not part of a graph's identity).
+    /// Triple-set equality (insertion order is not part of a graph's
+    /// identity).
     fn eq(&self, other: &Self) -> bool {
         self.is_isomorphic_simple(other)
     }
@@ -165,14 +84,6 @@ impl FromIterator<Triple> for Graph {
             g.insert(t);
         }
         g
-    }
-}
-
-impl Extend<Triple> for Graph {
-    fn extend<I: IntoIterator<Item = Triple>>(&mut self, iter: I) {
-        for t in iter {
-            self.insert(t);
-        }
     }
 }
 
@@ -198,86 +109,38 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_contains() {
-        let mut g = Graph::new();
-        let triple = t("urn:s", "urn:p", Term::iri("urn:o"));
-        g.insert(triple.clone());
-        assert!(g.contains(&triple));
-        assert!(g.remove(&triple));
-        assert!(!g.contains(&triple));
-        assert!(!g.remove(&triple), "double remove is false");
-        assert_eq!(g.len(), 0);
-        assert_eq!(g.iter().count(), 0);
-    }
-
-    #[test]
-    fn reinsert_after_remove() {
-        let mut g = Graph::new();
-        let triple = t("urn:s", "urn:p", Term::literal_str("x"));
-        g.insert(triple.clone());
-        g.remove(&triple);
-        assert!(g.insert(triple.clone()));
-        assert!(g.contains(&triple));
-        assert_eq!(g.iter().count(), 1);
-    }
-
-    #[test]
-    fn subject_and_predicate_indexes() {
-        let mut g = Graph::new();
-        g.insert(t("urn:a", "urn:p1", Term::literal_int(1)));
-        g.insert(t("urn:a", "urn:p2", Term::literal_int(2)));
-        g.insert(t("urn:b", "urn:p1", Term::literal_int(3)));
-        let p1 = iri("urn:p1");
-        assert_eq!(g.objects(&iri("urn:a"), &p1).count(), 1);
-        assert_eq!(g.subjects(&p1, &Term::literal_int(3)).count(), 1);
-    }
-
-    #[test]
-    fn pattern_matching_with_wildcards() {
-        let mut g = Graph::new();
-        g.insert(t("urn:a", "urn:p", Term::iri("urn:x")));
-        g.insert(t("urn:b", "urn:p", Term::iri("urn:x")));
-        g.insert(t("urn:a", "urn:q", Term::iri("urn:y")));
-        let p = iri("urn:p");
-        let x = Term::iri("urn:x");
-        assert_eq!(g.matching(None, Some(&p), None).count(), 2);
-        assert_eq!(g.matching(None, None, Some(&x)).count(), 2);
-        let a = Term::iri("urn:a");
-        assert_eq!(g.matching(Some(&a), None, None).count(), 2);
-        assert_eq!(g.matching(None, None, None).count(), 3);
-        assert_eq!(g.matching(Some(&a), Some(&p), Some(&x)).count(), 1);
-    }
-
-    #[test]
-    fn object_and_subjects_lookups() {
+    fn object_is_the_first_match_in_insertion_order() {
         let mut g = Graph::new();
         g.insert(t(
             "urn:alice",
             rdf::type_().as_str(),
             Term::iri("urn:Person"),
         ));
-        g.insert(t("urn:bob", rdf::type_().as_str(), Term::iri("urn:Person")));
-        let alice = iri("urn:alice");
+        g.insert(t(
+            "urn:alice",
+            rdf::type_().as_str(),
+            Term::iri("urn:Agent"),
+        ));
+        g.insert(t("urn:bob", rdf::type_().as_str(), Term::iri("urn:Robot")));
+        g.insert(Triple::new(
+            Term::Blank("urn:carol".into()),
+            rdf::type_(),
+            Term::iri("urn:Person"),
+        ));
         assert_eq!(
-            g.object(&alice, &rdf::type_()),
+            g.object(&iri("urn:alice"), &rdf::type_()),
             Some(&Term::iri("urn:Person"))
         );
-        let person = Term::iri("urn:Person");
-        let subjects: Vec<_> = g.subjects(&rdf::type_(), &person).collect();
-        assert_eq!(subjects.len(), 2);
-        let missing = iri("urn:carol");
-        assert_eq!(g.object(&missing, &rdf::type_()), None);
-    }
-
-    #[test]
-    fn merge_counts_new_triples() {
-        let mut g1 = Graph::new();
-        g1.insert(t("urn:s", "urn:p", Term::literal_int(1)));
-        let mut g2 = Graph::new();
-        g2.insert(t("urn:s", "urn:p", Term::literal_int(1)));
-        g2.insert(t("urn:s", "urn:p", Term::literal_int(2)));
-        assert_eq!(g1.merge(&g2), 1);
-        assert_eq!(g1.len(), 2);
+        assert_eq!(
+            g.object(&iri("urn:bob"), &rdf::type_()),
+            Some(&Term::iri("urn:Robot"))
+        );
+        assert_eq!(g.object(&iri("urn:alice"), &iri("urn:knows")), None);
+        assert_eq!(
+            g.object(&iri("urn:carol"), &rdf::type_()),
+            None,
+            "a blank node is not the IRI that spells its label"
+        );
     }
 
     #[test]

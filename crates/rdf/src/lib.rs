@@ -1,9 +1,11 @@
 //! # duc-rdf — RDF / Linked Data substrate
 //!
-//! Solid is built on Linked Data: pod resources, access-control lists and
-//! usage policies are RDF documents. This crate provides the data model
-//! ([`Term`], [`Triple`], [`Graph`]), a Turtle-subset parser and serializer
-//! ([`turtle`]), and the vocabularies the architecture uses ([`vocab`]).
+//! Solid is built on Linked Data: a pod's RDF resources travel as Turtle.
+//! This crate provides the data model ([`Term`], [`Triple`], [`Graph`]), a
+//! Turtle-subset parser and serializer ([`turtle`]) for those bodies, and the
+//! vocabularies the architecture uses ([`vocab`]). RDF is a body format here:
+//! access-control lists and usage policies are held as structured values,
+//! not read out of graphs.
 //!
 //! The Turtle subset covers what Solid documents in this workspace need:
 //! `@prefix` directives, prefixed names, IRI references, the `a` keyword,
@@ -13,7 +15,7 @@
 //!
 //! ## Example
 //! ```
-//! use duc_rdf::{turtle, Graph, Iri, Term, Triple};
+//! use duc_rdf::{turtle, Iri, Term};
 //!
 //! let doc = r#"
 //!   @prefix foaf: <http://xmlns.com/foaf/0.1/> .
@@ -22,11 +24,12 @@
 //! "#;
 //! let graph = turtle::parse(doc)?;
 //! assert_eq!(graph.len(), 2);
-//! let name = graph
-//!     .objects(&Iri::new("https://alice.pod/profile#me")?, &Iri::new("http://xmlns.com/foaf/0.1/name")?)
-//!     .next()
-//!     .unwrap();
-//! assert_eq!(name, &Term::literal_str("Alice"));
+//! let name = graph.object(
+//!     &Iri::new("https://alice.pod/profile#me")?,
+//!     &Iri::new("http://xmlns.com/foaf/0.1/name")?,
+//! );
+//! assert_eq!(name, Some(&Term::literal_str("Alice")));
+//! assert!(turtle::parse(&turtle::serialize(&graph))?.is_isomorphic_simple(&graph));
 //! # Ok::<(), duc_rdf::RdfError>(())
 //! ```
 

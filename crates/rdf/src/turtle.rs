@@ -1,9 +1,9 @@
 //! Turtle-subset parser and serializer.
 //!
-//! The grammar subset (see crate docs) covers everything the Solid pods,
-//! ACL documents and usage policies in this workspace produce. The
-//! serializer output always re-parses to an equal graph (checked by
-//! property tests).
+//! The grammar subset (see crate docs) covers everything the pod bodies and
+//! the policy export (`duc_policy::rdf_binding`) in this workspace
+//! produce. The serializer output always re-parses to an equal graph
+//! (checked by property tests).
 
 use std::collections::HashMap;
 

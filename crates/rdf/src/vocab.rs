@@ -1,8 +1,10 @@
 //! Vocabularies used by the architecture's RDF documents.
 //!
-//! Each module exposes one namespace as constructor functions returning
-//! validated [`Iri`]s. The `duc` vocabulary is this project's own namespace
-//! for usage-control terms that have no direct ODRL/WAC equivalent.
+//! Each module holds one namespace: its IRI prefix, which
+//! [`crate::turtle::serialize`] compacts against, and constructor functions
+//! returning validated [`Iri`]s for the terms this workspace writes. The
+//! `duc` vocabulary is this project's own namespace for usage-control terms
+//! that have no direct ODRL equivalent.
 
 use crate::term::Iri;
 
@@ -34,55 +36,26 @@ vocab!(rdf, "http://www.w3.org/1999/02/22-rdf-syntax-ns#", [
     type_ => "type",
 ]);
 
-vocab!(rdfs, "http://www.w3.org/2000/01/rdf-schema#", [
-    label => "label",
-    comment => "comment",
-]);
-
 vocab!(xsd, "http://www.w3.org/2001/XMLSchema#", [
-    string => "string",
     integer => "integer",
     boolean => "boolean",
     date_time => "dateTime",
     decimal => "decimal",
 ]);
 
-vocab!(foaf, "http://xmlns.com/foaf/0.1/", [
-    person => "Person",
-    name => "name",
-    mbox => "mbox",
-]);
+vocab!(foaf, "http://xmlns.com/foaf/0.1/", []);
 
 // W3C Web Access Control (the ACL model Solid uses).
-vocab!(acl, "http://www.w3.org/ns/auth/acl#", [
-    authorization => "Authorization",
-    agent => "agent",
-    agent_class => "agentClass",
-    agent_group => "agentGroup",
-    mode => "mode",
-    read => "Read",
-    write => "Write",
-    append => "Append",
-    control => "Control",
-    access_to => "accessTo",
-    default => "default",
-    authenticated_agent => "AuthenticatedAgent",
-]);
-
-vocab!(foaf_agent, "http://xmlns.com/foaf/0.1/", [
-    agent_class => "Agent",
-]);
+vocab!(acl, "http://www.w3.org/ns/auth/acl#", []);
 
 // ODRL-inspired usage-policy vocabulary.
 vocab!(odrl, "http://www.w3.org/ns/odrl/2/", [
-    policy => "Policy",
     permission => "permission",
     prohibition => "prohibition",
     duty => "duty",
     action => "action",
     target => "target",
     assigner => "assigner",
-    assignee => "assignee",
     constraint => "constraint",
     left_operand => "leftOperand",
     operator => "operator",
@@ -96,30 +69,20 @@ vocab!(odrl, "http://www.w3.org/ns/odrl/2/", [
     delete => "delete",
     distribute => "distribute",
     lteq => "lteq",
-    gteq => "gteq",
-    eq => "eq",
     is_any_of => "isAnyOf",
 ]);
 
 // Solid terms.
-vocab!(solid, "http://www.w3.org/ns/solid/terms#", [
-    pod => "Pod",
-    owner => "owner",
-    storage_quota => "storageQuota",
-]);
+vocab!(solid, "http://www.w3.org/ns/solid/terms#", []);
 
 // Project-specific usage-control terms.
 vocab!(duc, "https://w3id.org/duc/ns#", [
     usage_policy => "UsagePolicy",
     retention_limit => "retentionLimit",
-    allowed_purpose => "allowedPurpose",
-    max_access_count => "maxAccessCount",
     allowed_recipient => "allowedRecipient",
     deletion_obligation => "deletionObligation",
     notify_obligation => "notifyObligation",
-    resource_location => "resourceLocation",
     policy_version => "policyVersion",
-    registered_at => "registeredAt",
     log_obligation => "logObligation",
     not_before => "notBefore",
     not_after => "notAfter",
@@ -139,7 +102,7 @@ mod tests {
             xsd::integer().as_str(),
             "http://www.w3.org/2001/XMLSchema#integer"
         );
-        assert_eq!(acl::read().as_str(), "http://www.w3.org/ns/auth/acl#Read");
+        assert_eq!(acl::ns().as_str(), "http://www.w3.org/ns/auth/acl#");
         assert_eq!(
             odrl::permission().as_str(),
             "http://www.w3.org/ns/odrl/2/permission"
@@ -156,8 +119,15 @@ mod tests {
         assert_eq!(odrl::ns().as_str(), odrl::NS);
     }
 
+    /// No default prefix's namespace starts another's, so compacting an
+    /// IRI and marking the prefixes a document uses agree.
     #[test]
     fn distinct_vocabularies_do_not_collide() {
-        assert_ne!(odrl::read(), acl::read());
+        let prefixes = crate::turtle::default_prefixes();
+        for (i, (_, a)) in prefixes.iter().enumerate() {
+            for (_, b) in &prefixes[i + 1..] {
+                assert!(!a.starts_with(b) && !b.starts_with(a), "{a} / {b}");
+            }
+        }
     }
 }
