@@ -39,6 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 use duc_crypto::{hash_parts, Digest};
+use duc_intern::key_head;
 use duc_storage::{PageRef, PageStore, PagingConfig, SlottedPage};
 
 use crate::types::{Address, Amount, ContractId};
@@ -112,20 +113,7 @@ impl PagingStats {
 /// never reused, so the table is a dense `Vec` with a hole per dropped page.
 type PageId = usize;
 
-/// The first 16 bytes of `key`, big-endian and zero-padded. Heads order
-/// like the keys they start, except that equal heads (`k` and `k\0` have
-/// one) leave the order to the full keys.
-fn dir_head(key: &[u8]) -> u128 {
-    match key.first_chunk::<16>() {
-        Some(head) => u128::from_be_bytes(*head),
-        None => key
-            .iter()
-            .zip((0..16).rev())
-            .fold(0, |head, (&b, byte)| head | u128::from(b) << (8 * byte)),
-    }
-}
-
-/// One contract's page directory: under each [`dir_head`], the pages whose
+/// One contract's page directory: under each [`key_head`], the pages whose
 /// first keys have that head, as `(first key, id)` in first-key order. A
 /// lookup compares heads inline and full first keys only within one head,
 /// which rarely holds more than one page.
@@ -237,7 +225,7 @@ impl PagedSlots {
     /// below it: the last page of the highest head at or below `key`'s,
     /// unless that head is `key`'s own, where full first keys decide.
     fn owner_of(&self, contract: &ContractId, key: &[u8]) -> Option<PageId> {
-        let head = dir_head(key);
+        let head = key_head(key);
         let mut below = self.dir.get(contract)?.range(..=head).rev();
         let (&at, tied) = below.next()?;
         let covering = if at == head {
@@ -254,14 +242,14 @@ impl PagedSlots {
 
     fn dir_insert(&mut self, contract: &ContractId, first: Vec<u8>, id: PageId) {
         let dir = self.dir.entry(contract.clone()).or_default();
-        let tied = dir.entry(dir_head(&first)).or_default();
+        let tied = dir.entry(key_head(&first)).or_default();
         let at = tied.partition_point(|(f, _)| *f < first);
         tied.insert(at, (first, id));
     }
 
     fn dir_remove(&mut self, contract: &ContractId, first: &[u8]) {
         let dir = self.dir.get_mut(contract).expect("contract dir exists");
-        let head = dir_head(first);
+        let head = key_head(first);
         let tied = dir.get_mut(&head).expect("directory holds the page's head");
         tied.retain(|(f, _)| f != first);
         if tied.is_empty() {
@@ -522,7 +510,7 @@ impl PagedSlots {
         // (they would sort below its first key) — stop without faulting it
         // in.
         ids.extend(
-            dir.range(dir_head(prefix)..)
+            dir.range(key_head(prefix)..)
                 .flat_map(|(_, tied)| tied)
                 .skip_while(|(first, _)| first.as_slice() <= prefix)
                 .take_while(|(first, _)| first.starts_with(prefix))
@@ -598,7 +586,7 @@ impl PagedSlots {
                     if page.first != *first || page.contract != *contract {
                         return Err(format!("page {id} first-key desynced from directory"));
                     }
-                    if dir_head(first) != head {
+                    if key_head(first) != head {
                         return Err(format!("page {id} filed under a stale directory head"));
                     }
                     if prev_first.is_some_and(|prev| prev >= first.as_slice()) {

@@ -35,8 +35,8 @@
 //! a single resource allocated and filled 80–120 KB at 10⁴ owners (ten times
 //! that at 10⁵) — over 800 MiB of a 10⁴-owner benchmark run's peak RSS. A
 //! table an actor holds one to a few entries of — a pod's resources, a
-//! device's index, a TEE's copies and sealed entries — is a sorted `Vec`
-//! searched by binary search, which costs what it holds.
+//! device's index, a TEE's copies — is a sorted `Vec` searched by binary
+//! search, which costs what it holds.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -46,6 +46,20 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// The first 16 bytes of `key`, big-endian and zero-padded. Heads order
+/// like the keys they start, except that equal heads (`k` and `k\0` have
+/// one) leave the order to the full keys: a sorted table that stores each
+/// key's head compares heads inline and reads a key only on a tie.
+pub fn key_head(key: &[u8]) -> u128 {
+    match key.first_chunk::<16>() {
+        Some(head) => u128::from_be_bytes(*head),
+        None => key
+            .iter()
+            .zip((0..16).rev())
+            .fold(0, |head, (&b, byte)| head | u128::from(b) << (8 * byte)),
+    }
+}
 
 /// A `u32` symbol standing in for an interned string.
 ///

@@ -3,6 +3,7 @@
 use std::rc::Rc;
 
 use duc_crypto::{hash_parts, Digest};
+use duc_intern::key_head;
 use duc_policy::{
     compile, Action, Decision, DenyReason, Duty, PolicyProgram, Purpose, PurposeTaxonomy,
     UsageContext, UsagePolicy,
@@ -10,19 +11,14 @@ use duc_policy::{
 use duc_sim::SimTime;
 
 use crate::enclave::Enclave;
-use crate::storage::TrustedDataStorage;
+use crate::storage::Sealed;
 
-/// An internal trusted-application invariant failure: the copy table and
-/// the sealed storage disagree. These are *permanent* faults (a damaged
-/// enclave state cannot heal by retrying), so the driver's
+/// An internal trusted-application invariant failure: the caller's record
+/// of copies and the copy table disagree. These are *permanent* faults (a
+/// damaged enclave state cannot heal by retrying), so the driver's
 /// `is_transient()` classification reports them as not-retryable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TeeError {
-    /// A live copy's sealed bytes vanished from trusted storage.
-    SealedCopyMissing {
-        /// The affected resource.
-        resource: String,
-    },
     /// A copy listed in the table has no entry when re-read.
     CopyStateMissing {
         /// The affected resource.
@@ -32,14 +28,8 @@ pub enum TeeError {
 
 impl std::fmt::Display for TeeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TeeError::SealedCopyMissing { resource } => {
-                write!(f, "sealed bytes missing for live copy of {resource}")
-            }
-            TeeError::CopyStateMissing { resource } => {
-                write!(f, "copy state missing for {resource}")
-            }
-        }
+        let TeeError::CopyStateMissing { resource } = self;
+        write!(f, "copy state missing for {resource}")
     }
 }
 
@@ -52,8 +42,6 @@ pub enum AccessError {
     NoCopy,
     /// The policy engine denied the use.
     Denied(Vec<DenyReason>),
-    /// The trusted application's own state is damaged.
-    Tee(TeeError),
 }
 
 impl std::fmt::Display for AccessError {
@@ -67,18 +55,11 @@ impl std::fmt::Display for AccessError {
                 }
                 Ok(())
             }
-            AccessError::Tee(e) => write!(f, "trusted application fault: {e}"),
         }
     }
 }
 
 impl std::error::Error for AccessError {}
-
-impl From<TeeError> for AccessError {
-    fn from(e: TeeError) -> Self {
-        AccessError::Tee(e)
-    }
-}
 
 /// An obligation the trusted application executed autonomously.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,11 +140,24 @@ struct AccessRecord {
     purpose: Purpose,
 }
 
-/// Everything the trusted application keeps about one copy: the auditable
-/// state the monitoring process (paper process 6) replays, and the policy
-/// versions it is replayed against.
+/// Where a copy is in its life. Only a live copy has bytes, and it always
+/// has them.
+#[derive(Debug, Clone)]
+enum Lifecycle {
+    /// Held, its bytes sealed at rest.
+    Live { sealed: Sealed },
+    /// Deleted at `at`; the audit state stays for monitoring.
+    Deleted { at: SimTime },
+}
+
+/// Everything the trusted application keeps about one copy: its sealed
+/// bytes while it lives, the auditable state the monitoring process (paper
+/// process 6) replays, and the policy versions it is replayed against.
 #[derive(Debug, Clone)]
 struct CopyEntry {
+    /// [`key_head`] of `resource`: the table is searched on heads, and a
+    /// name is read only where two heads tie.
+    head: u128,
     /// The copy's resource IRI; the table is sorted by it.
     resource: String,
     /// The policy in force; shared with the device's index entry while
@@ -175,8 +169,8 @@ struct CopyEntry {
     cached: Option<CachedDecision>,
     /// When the copy was stored.
     acquired_at: SimTime,
-    /// When it was deleted, if it was.
-    deleted_at: Option<SimTime>,
+    /// Live with its sealed bytes, or deleted.
+    life: Lifecycle,
     /// Every access performed through the trusted application; its length
     /// is the access count.
     log: Vec<AccessRecord>,
@@ -193,6 +187,22 @@ struct CopyEntry {
 }
 
 impl CopyEntry {
+    /// When the copy was deleted, if it was.
+    fn deleted_at(&self) -> Option<SimTime> {
+        match self.life {
+            Lifecycle::Live { .. } => None,
+            Lifecycle::Deleted { at } => Some(at),
+        }
+    }
+
+    /// The sealed bytes of a live copy.
+    fn sealed(&self) -> Option<&Sealed> {
+        match &self.life {
+            Lifecycle::Live { sealed } => Some(sealed),
+            Lifecycle::Deleted { .. } => None,
+        }
+    }
+
     /// The compiled form of the current policy.
     fn program(&self) -> &PolicyProgram {
         &self.history.last().expect("a copy has a policy").1
@@ -217,11 +227,12 @@ impl CopyEntry {
 #[derive(Debug, Clone)]
 pub struct TrustedApplication {
     enclave: Enclave,
-    storage: TrustedDataStorage,
     holder_webid: String,
     /// One row per copy, live or audited-deleted, sorted by resource and
     /// searched by binary search: a device holds one to a few copies.
     copies: Vec<CopyEntry>,
+    /// Seals done so far; never decreases, deletions included.
+    seals: u64,
     /// Accesses served from the per-copy decision cache.
     cache_hits: u64,
     /// Accesses that recompiled or re-evaluated the decision.
@@ -233,9 +244,9 @@ impl TrustedApplication {
     pub fn new(enclave: Enclave, holder_webid: impl Into<String>) -> TrustedApplication {
         TrustedApplication {
             enclave,
-            storage: TrustedDataStorage::new(),
             holder_webid: holder_webid.into(),
             copies: Vec::new(),
+            seals: 0,
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -257,9 +268,20 @@ impl TrustedApplication {
         &self.holder_webid
     }
 
-    /// The sealed storage (host-visible surface, for the privacy tests).
-    pub fn storage(&self) -> &TrustedDataStorage {
-        &self.storage
+    /// What the *host* operating system can observe of a live copy: its
+    /// raw ciphertext.
+    pub fn host_view(&self, resource: &str) -> Option<&[u8]> {
+        self.entry(resource)?.sealed().map(Sealed::ciphertext)
+    }
+
+    /// Total sealed bytes of the live copies (ciphertext; nonces are not
+    /// counted).
+    pub fn sealed_bytes(&self) -> usize {
+        self.copies
+            .iter()
+            .filter_map(CopyEntry::sealed)
+            .map(|sealed| sealed.ciphertext().len())
+            .sum()
     }
 
     /// Stores a freshly retrieved resource copy under its policy
@@ -278,15 +300,17 @@ impl TrustedApplication {
     ) {
         let resource = resource.into();
         let policy = policy.into();
-        self.storage.seal(&self.enclave, &resource, bytes);
+        let sealed = Sealed::new(&self.enclave, &resource, self.seals, bytes);
+        self.seals += 1;
         let program = compile(&policy, PurposeTaxonomy::shared_standard());
         let slot = self.find(&resource);
         let entry = CopyEntry {
+            head: key_head(resource.as_bytes()),
             resource,
             policy,
             cached: None,
             acquired_at: now,
-            deleted_at: None,
+            life: Lifecycle::Live { sealed },
             log: Vec::new(),
             history: vec![(now, program)],
             last_reported: None,
@@ -297,10 +321,16 @@ impl TrustedApplication {
         }
     }
 
-    /// Where `resource`'s row is, or would be inserted.
+    /// Where `resource`'s row is, or would be inserted. Heads order like
+    /// the names they start, so the search reads the rows alone and a
+    /// name only on a head tie.
     fn find(&self, resource: &str) -> Result<usize, usize> {
-        self.copies
-            .binary_search_by(|e| e.resource.as_str().cmp(resource))
+        let head = key_head(resource.as_bytes());
+        self.copies.binary_search_by(|e| {
+            e.head
+                .cmp(&head)
+                .then_with(|| e.resource.as_str().cmp(resource))
+        })
     }
 
     fn entry(&self, resource: &str) -> Option<&CopyEntry> {
@@ -309,7 +339,7 @@ impl TrustedApplication {
 
     /// Whether a live copy of `resource` is held.
     pub fn has_copy(&self, resource: &str) -> bool {
-        self.entry(resource).is_some_and(|e| e.deleted_at.is_none())
+        self.entry(resource).is_some_and(|e| e.sealed().is_some())
     }
 
     /// The locally enforced policy version for `resource`.
@@ -330,14 +360,8 @@ impl TrustedApplication {
             .map(|b| (entry.acquired_at + b).max(entry.policy_applied_at()))
     }
 
-    fn enforce_entry(
-        resource: &str,
-        entry: &mut CopyEntry,
-        storage: &mut TrustedDataStorage,
-        now: SimTime,
-        actions: &mut Vec<EnforcementAction>,
-    ) {
-        if entry.deleted_at.is_some() {
+    fn enforce_entry(entry: &mut CopyEntry, now: SimTime, actions: &mut Vec<EnforcementAction>) {
+        if entry.deleted_at().is_some() {
             return;
         }
         let retention_due = Self::effective_due(entry);
@@ -345,10 +369,9 @@ impl TrustedApplication {
         let overdue = retention_due.map(|d| now >= d).unwrap_or(false);
         let expired = expiry_due.map(|d| now >= d).unwrap_or(false);
         if overdue || expired {
-            storage.erase(resource);
-            entry.deleted_at = Some(now);
+            entry.life = Lifecycle::Deleted { at: now };
             actions.push(EnforcementAction::Deleted {
-                resource: resource.to_string(),
+                resource: entry.resource.clone(),
                 at: now,
                 reason: if overdue {
                     "retention window elapsed".to_string()
@@ -380,10 +403,10 @@ impl TrustedApplication {
         let mut actions = Vec::new();
         let i = self.find(resource).map_err(|_| AccessError::NoCopy)?;
         let entry = &mut self.copies[i];
-        Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
-        if entry.deleted_at.is_some() {
+        Self::enforce_entry(entry, now, &mut actions);
+        let Lifecycle::Live { sealed } = &entry.life else {
             return Err(AccessError::NoCopy);
-        }
+        };
         let ctx = UsageContext {
             consumer: self.holder_webid.clone(),
             action,
@@ -427,13 +450,7 @@ impl TrustedApplication {
                     action,
                     purpose,
                 });
-                let bytes = self
-                    .storage
-                    .unseal(&self.enclave, resource)
-                    .ok_or_else(|| TeeError::SealedCopyMissing {
-                        resource: resource.to_string(),
-                    })?;
-                Ok(bytes)
+                Ok(sealed.open(&self.enclave))
             }
             Decision::Deny(reasons) => Err(AccessError::Denied(reasons)),
         }
@@ -466,7 +483,7 @@ impl TrustedApplication {
         ));
         entry.cached = None;
         entry.policy = Rc::new(new_policy);
-        Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
+        Self::enforce_entry(entry, now, &mut actions);
         // Notification duties surface to the oracle layer.
         for duty in &entry.policy.duties {
             if let Duty::NotifyOwnerWithin(window) = duty {
@@ -494,9 +511,8 @@ impl TrustedApplication {
             .map_err(|_| TeeError::CopyStateMissing {
                 resource: resource.to_string(),
             })?;
-        let entry = &mut self.copies[i];
         let mut actions = Vec::new();
-        Self::enforce_entry(resource, entry, &mut self.storage, now, &mut actions);
+        Self::enforce_entry(&mut self.copies[i], now, &mut actions);
         Ok(actions)
     }
 
@@ -505,7 +521,7 @@ impl TrustedApplication {
     /// registers wakeups at.
     pub fn next_deadline_for(&self, resource: &str) -> Option<SimTime> {
         let entry = self.entry(resource)?;
-        if entry.deleted_at.is_some() {
+        if entry.deleted_at().is_some() {
             return None;
         }
         entry
@@ -530,9 +546,8 @@ impl TrustedApplication {
     /// Deletes a copy voluntarily.
     pub fn delete(&mut self, resource: &str, now: SimTime) -> bool {
         match self.find(resource) {
-            Ok(i) if self.copies[i].deleted_at.is_none() => {
-                self.storage.erase(resource);
-                self.copies[i].deleted_at = Some(now);
+            Ok(i) if self.copies[i].deleted_at().is_none() => {
+                self.copies[i].life = Lifecycle::Deleted { at: now };
                 true
             }
             _ => false,
@@ -567,7 +582,7 @@ impl TrustedApplication {
             }
         }
         if let Some(due) = Self::effective_due(entry) {
-            let violated = match entry.deleted_at {
+            let violated = match entry.deleted_at() {
                 Some(deleted) => deleted > due,
                 None => now > due,
             };
@@ -579,7 +594,7 @@ impl TrustedApplication {
         }
         if let Some(expiry) = entry.policy.expiry_bound() {
             let effective = expiry.max(entry.policy_applied_at());
-            let violated = match entry.deleted_at {
+            let violated = match entry.deleted_at() {
                 Some(deleted) => deleted > effective,
                 None => now > effective,
             };
@@ -608,7 +623,7 @@ impl TrustedApplication {
             violations,
             log_digest: hash_parts(&parts),
             accesses: entry.log.len() as u64,
-            copy_alive: entry.deleted_at.is_none(),
+            copy_alive: entry.deleted_at().is_none(),
         })
     }
 }
@@ -700,10 +715,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, AccessError::NoCopy);
         assert!(!app.has_copy(RES));
-        assert!(
-            app.storage().host_view(RES).is_none(),
-            "sealed bytes erased"
-        );
+        assert!(app.host_view(RES).is_none(), "sealed bytes erased");
     }
 
     #[test]
@@ -911,17 +923,17 @@ mod tests {
 
     #[test]
     fn tee_error_display_and_conversion() {
-        let e = TeeError::SealedCopyMissing {
-            resource: "urn:r".into(),
-        };
-        assert!(e.to_string().contains("sealed bytes"));
-        let e2 = TeeError::CopyStateMissing {
-            resource: "urn:r".into(),
-        };
-        assert!(e2.to_string().contains("copy state"));
-        let access: AccessError = e.into();
-        assert!(matches!(access, AccessError::Tee(_)));
-        assert!(access.to_string().contains("trusted application fault"));
+        let mut app = app();
+        let e = app.enforce_due("urn:r", t(0)).unwrap_err();
+        assert_eq!(
+            e,
+            TeeError::CopyStateMissing {
+                resource: "urn:r".into(),
+            }
+        );
+        assert!(e.to_string().contains("copy state"));
+        let boxed: Box<dyn std::error::Error> = e.into();
+        assert_eq!(boxed.to_string(), "copy state missing for urn:r");
     }
 
     #[test]

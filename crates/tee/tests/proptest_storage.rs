@@ -86,16 +86,13 @@ fn check(
         model.keys().copied().collect::<Vec<_>>()
     );
     prop_assert_eq!(
-        app.storage().total_bytes(),
+        app.sealed_bytes(),
         model.values().flatten().map(Vec::len).sum::<usize>()
     );
     for name in NAMES {
         let live = model.get(name).and_then(Option::as_ref);
         prop_assert_eq!(app.has_copy(name), live.is_some());
-        prop_assert_eq!(
-            app.storage().host_view(name).map(<[u8]>::len),
-            live.map(Vec::len)
-        );
+        prop_assert_eq!(app.host_view(name).map(<[u8]>::len), live.map(Vec::len));
         prop_assert_eq!(app.report(name, at(0)).is_some(), model.contains_key(name));
     }
     Ok(())
@@ -112,12 +109,12 @@ proptest! {
             let now = at(step);
             match op {
                 Op::Store(n, bytes) => {
-                    let before = app.storage().host_view(NAMES[n]).map(<[u8]>::to_vec);
+                    let before = app.host_view(NAMES[n]).map(<[u8]>::to_vec);
                     app.store_resource(NAMES[n], &bytes, Rc::clone(&policy), now);
                     // Re-storing the same bytes still shows the host new
                     // ciphertext (a fresh nonce per seal).
                     if bytes.len() >= 8 && model.get(NAMES[n]) == Some(&Some(bytes.clone())) {
-                        prop_assert_ne!(app.storage().host_view(NAMES[n]).map(<[u8]>::to_vec), before);
+                        prop_assert_ne!(app.host_view(NAMES[n]).map(<[u8]>::to_vec), before);
                     }
                     model.insert(NAMES[n], Some(bytes));
                 }
@@ -174,7 +171,7 @@ fn host_view_of_a_fixed_sequence_is_pinned() {
     store(&mut app, "", b"the empty name");
     let mut seen = Vec::new();
     for name in NAMES {
-        if let Some(ciphertext) = app.storage().host_view(name) {
+        if let Some(ciphertext) = app.host_view(name) {
             seen.extend_from_slice(name.as_bytes());
             seen.push(0);
             seen.extend_from_slice(ciphertext);
@@ -185,7 +182,7 @@ fn host_view_of_a_fixed_sequence_is_pinned() {
         ["", "a", "res/x", "res/y"]
     );
     assert!(app.resources().all(|name| app.has_copy(name)));
-    assert_eq!(app.storage().total_bytes(), 14 + 39 + 7);
+    assert_eq!(app.sealed_bytes(), 14 + 39 + 7);
     assert_eq!(
         duc_crypto::sha256(&seen).to_hex(),
         "c5030056459c0c358d4b56c3974d14062aac760151badc5bca01c045627fdd1e",

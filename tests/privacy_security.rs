@@ -25,7 +25,7 @@ fn host_cannot_read_sealed_copies() {
     world.resource_access("alice-laptop", &iri).unwrap();
 
     let device = world.device("alice-laptop");
-    let host_bytes = device.tee.storage().host_view(&iri).expect("sealed entry");
+    let host_bytes = device.tee.host_view(&iri).expect("live copy");
     let needle = secret.as_bytes();
     assert!(
         !host_bytes.windows(needle.len()).any(|w| w == needle),
