@@ -17,6 +17,8 @@
 //! - [`SharedInterner`] / [`Registry`] — a clonable interner handle and a
 //!   string-façaded registry over it, so several registries (owners,
 //!   devices) share one symbol space while call sites keep `&str` keys.
+//! - [`key_head`] — the fixed-width head of a name, which a sorted table
+//!   compares before the name itself (the state directory, a TEE's copies).
 //!
 //! Interned symbols never cross the wire: contract ABI bytes, storage keys
 //! and event payloads stay exactly as before. Interning only replaces the
