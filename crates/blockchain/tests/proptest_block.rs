@@ -8,6 +8,10 @@
 //! proposer's signature, the transaction root and each transaction's
 //! signature cover every byte. The corpus includes the block whose
 //! duplicated last transaction keeps its `tx_root`.
+//!
+//! `header_known_answers` pins the bytes a proposer signs and the header's
+//! full encoding, recorded before the header's codec was derived from its
+//! field list; never re-record them.
 
 use duc_blockchain::block::BlockValidationError;
 use duc_blockchain::tx::TxKind;
@@ -94,6 +98,28 @@ fn duplicated_last_transaction() -> Block {
     );
     block.transactions.push(transfer(2));
     block
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn header_known_answers() {
+    let header = duplicated_last_transaction().header;
+    let signing: &[&str] = &[
+        "01000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "4ba69735ca53765ed6a709edb56c6ea236b7193a3b29a6b390c346f0f4340e4ebbf8b7e6e22d1f70",
+        "f48aebecfad00dc7954b5f8e3a2d0f8c4e924696bdbfe486009435770000000002fb2a9e937d843a",
+    ];
+    let full: &[&str] = &[
+        "01000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "4ba69735ca53765ed6a709edb56c6ea236b7193a3b29a6b390c346f0f4340e4ebbf8b7e6e22d1f70",
+        "f48aebecfad00dc7954b5f8e3a2d0f8c4e924696bdbfe486009435770000000002fb2a9e937d843a",
+        "d9950dad6b421b08bca59ebb553d8905",
+    ];
+    assert_eq!(hex(&header.signing_bytes()), signing.concat());
+    assert_eq!(hex(&encode_to_vec(&header)), full.concat());
 }
 
 fn block() -> impl Strategy<Value = Block> {

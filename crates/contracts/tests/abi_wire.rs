@@ -4,6 +4,10 @@
 //! traffic — `register_resource` arguments, a policy envelope, a signed
 //! `update_policy` transaction and its `PolicyUpdated` payload — as recorded
 //! before the codec's byte strings took their bulk path; never re-record them.
+//! `record_and_signing_known_answers` pins the five records the client's
+//! views decode and the bytes an enclave signs for evidence and for a
+//! reaffirmation, recorded while each of those structs still wrote its codec
+//! by hand; never re-record them either.
 //!
 //! The properties cover every decoder a client, a block or an event log can
 //! feed: the argument type of each of the 17 `DistExchange` methods, the
@@ -23,7 +27,8 @@ use duc_blockchain::{
 use duc_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use duc_contracts::client::{DistExchangeClient, DEFAULT_GAS};
 use duc_contracts::{
-    DistExchange, EvidenceReaffirmation, EvidenceSubmission, PolicyEnvelope, DEX_CONTRACT_ID,
+    CopyRecord, DistExchange, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound,
+    PodRecord, PolicyEnvelope, ResourceRecord, Subscription, DEX_CONTRACT_ID,
 };
 use duc_crypto::{Digest, KeyPair, PublicKey, Signature};
 use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
@@ -123,6 +128,140 @@ fn known_answers() {
         ),
     ];
     for (what, bytes, expected) in pins {
+        assert_eq!(hex(&bytes), expected.concat(), "{what}");
+    }
+}
+
+/// The five view records as `call_view` returns them, and the bytes a
+/// device's enclave signs for evidence and for a reaffirmation.
+fn view_records_and_signing_bytes() -> Vec<(&'static str, Vec<u8>)> {
+    let owner = Address::from_seed(b"owner");
+    let device = KeyPair::from_seed(DEVICE.as_bytes());
+    let mut violating = evidence(&device, 3);
+    violating.compliant = false;
+    violating.violations = vec!["kept past retention".into(), "shared".into()];
+    violating.signature = device.sign(&violating.signing_bytes());
+    let reaffirm = reaffirmation(&device, 3, 2);
+    vec![
+        (
+            "PodRecord",
+            encode_to_vec(&PodRecord {
+                owner_webid: OWNER.into(),
+                owner_addr: owner,
+                web_ref: "https://o.pod/".into(),
+                default_policy: envelope(1),
+                registered_at: SimTime::from_secs(4),
+            }),
+        ),
+        (
+            "ResourceRecord",
+            encode_to_vec(&ResourceRecord {
+                resource: RES.into(),
+                location: "https://mirror.example/r".into(),
+                owner_webid: OWNER.into(),
+                owner_addr: owner,
+                metadata: vec![("domain".into(), "health".into())],
+                policy: envelope(2),
+                policy_hash: envelope(2).digest(),
+                policy_version: 2,
+                registered_at: SimTime::from_nanos(5),
+            }),
+        ),
+        (
+            "CopyRecord",
+            encode_to_vec(&CopyRecord {
+                device: DEVICE.into(),
+                holder_webid: "https://c.id/me".into(),
+                attestation_key: device.public(),
+                registered_at: SimTime::from_secs(6),
+            }),
+        ),
+        (
+            "MonitoringRound",
+            encode_to_vec(&MonitoringRound {
+                round: 3,
+                resource: RES.into(),
+                requested_by: owner,
+                started_at: SimTime::from_secs(7),
+                expected_devices: vec![DEVICE.into(), "device-2".into()],
+                evidence: vec![violating.clone()],
+                reaffirmed: vec![("device-2".into(), 2)],
+                closed: true,
+            }),
+        ),
+        (
+            "Subscription",
+            encode_to_vec(&Subscription {
+                webid: "https://c.id/me".into(),
+                addr: Address::from_seed(b"carol"),
+                certificate: duc_crypto::sha256(b"certificate"),
+                paid_at: SimTime::from_secs(1),
+                valid_until: SimTime::from_secs(100),
+            }),
+        ),
+        (
+            "EvidenceSubmission::signing_bytes",
+            violating.signing_bytes(),
+        ),
+        (
+            "EvidenceReaffirmation::signing_bytes",
+            reaffirm.signing_bytes(),
+        ),
+    ]
+}
+
+#[test]
+fn record_and_signing_known_answers() {
+    let pins: [&[&str]; 7] = [
+        &[
+            "0f00000068747470733a2f2f6f2e69642f6d6577cf7d0b1c27c7a31b952c84e29d40bf4ac43bf3dc",
+            "71539e5d9677434a291a890e00000068747470733a2f2f6f2e706f642f00760000001b0000006874",
+            "7470733a2f2f6f2e706f642f722f3030303123706f6c6963791400000068747470733a2f2f6f2e70",
+            "6f642f722f303030310f00000068747470733a2f2f6f2e69642f6d65010000000000000001000000",
+            "000100000000010000000000004207693509000100000000000042076935090000286bee00000000",
+        ],
+        &[
+            "1400000068747470733a2f2f6f2e706f642f722f303030311800000068747470733a2f2f6d697272",
+            "6f722e6578616d706c652f720f00000068747470733a2f2f6f2e69642f6d6577cf7d0b1c27c7a31b",
+            "952c84e29d40bf4ac43bf3dc71539e5d9677434a291a890100000006000000646f6d61696e060000",
+            "006865616c746800760000001b00000068747470733a2f2f6f2e706f642f722f3030303123706f6c",
+            "6963791400000068747470733a2f2f6f2e706f642f722f303030310f00000068747470733a2f2f6f",
+            "2e69642f6d6502000000000000000100000000010000000001000000000000420769350900010000",
+            "0000000042076935090005d0dc39b07937480f4757814dc92032bd9887e1503cbabc0a1e21f1f596",
+            "b0ab02000000000000000500000000000000",
+        ],
+        &[
+            "080000006465766963652d310f00000068747470733a2f2f632e69642f6d65dc8426b108d7a70c00",
+            "bca06501000000",
+        ],
+        &[
+            "03000000000000001400000068747470733a2f2f6f2e706f642f722f3030303177cf7d0b1c27c7a3",
+            "1b952c84e29d40bf4ac43bf3dc71539e5d9677434a291a8900863ba1010000000200000008000000",
+            "6465766963652d31080000006465766963652d32010000001400000068747470733a2f2f6f2e706f",
+            "642f722f303030310300000000000000080000006465766963652d310002000000130000006b6570",
+            "74207061737420726574656e74696f6e0600000073686172656484d9f2b36e2019dd7008788fb978",
+            "f9fb08707b341c92af5447478f5f222528f230d5fe2a347f600e51550765fc19200b010000000800",
+            "00006465766963652d32020000000000000001",
+        ],
+        &[
+            "0f00000068747470733a2f2f632e69642f6d6543f7099e06669a49ea8da45dac3821d833ebdb2920",
+            "afcad9ad57d9ea28106dac03d66dd08835c1ca3f128cceacd1f31ac94163096b20f445ae84285bc0",
+            "832d7200ca9a3b0000000000e8764817000000",
+        ],
+        &[
+            "1400000068747470733a2f2f6f2e706f642f722f3030303103000000000000000800000064657669",
+            "63652d310002000000130000006b657074207061737420726574656e74696f6e0600000073686172",
+            "656484d9f2b36e2019dd7008788fb978f9fb08707b341c92af5447478f5f222528f2",
+        ],
+        &[
+            "1400000068747470733a2f2f6f2e706f642f722f3030303103000000000000000800000064657669",
+            "63652d31020000000000000084d9f2b36e2019dd7008788fb978f9fb08707b341c92af5447478f5f",
+            "222528f2",
+        ],
+    ];
+    let records = view_records_and_signing_bytes();
+    assert_eq!(records.len(), pins.len());
+    for ((what, bytes), expected) in records.into_iter().zip(pins) {
         assert_eq!(hex(&bytes), expected.concat(), "{what}");
     }
 }
@@ -477,6 +616,19 @@ fn evidence(device: &KeyPair, round: u64) -> EvidenceSubmission {
     ev
 }
 
+fn reaffirmation(device: &KeyPair, round: u64, prev_round: u64) -> EvidenceReaffirmation {
+    let mut reaffirm = EvidenceReaffirmation {
+        resource: RES.into(),
+        round,
+        device: DEVICE.into(),
+        prev_round,
+        evidence_digest: duc_crypto::sha256(b"usage log"),
+        signature: Signature { e: 0, s: 0 },
+    };
+    reaffirm.signature = device.sign(&reaffirm.signing_bytes());
+    reaffirm
+}
+
 fn fixture() -> Fixture {
     let owner = Address::from_seed(b"owner");
     let device = KeyPair::from_seed(DEVICE.as_bytes());
@@ -520,15 +672,7 @@ fn fixture() -> Fixture {
     let cert = apply(s, owner, "subscribe", &one_name(OWNER));
     let cert = DistExchangeClient::decode_certificate(&cert).expect("certificate");
 
-    let mut reaffirm = EvidenceReaffirmation {
-        resource: RES.into(),
-        round: 2,
-        device: DEVICE.into(),
-        prev_round: 1,
-        evidence_digest: duc_crypto::sha256(b"usage log"),
-        signature: Signature { e: 0, s: 0 },
-    };
-    reaffirm.signature = device.sign(&reaffirm.signing_bytes());
+    let reaffirm = reaffirmation(&device, 2, 1);
     let fresh = "https://o.pod/r/0002".to_string();
     let calls = vec![
         ("init", encode_to_vec(&(10u128, 1u64, treasury))),
