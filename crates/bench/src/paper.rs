@@ -20,17 +20,6 @@ use crate::table::Table;
 
 const OWNER: &str = "https://owner.id/me";
 
-fn retention_policy(iri: &str, days: u64) -> UsagePolicy {
-    UsagePolicy::builder(format!("{iri}#policy"), iri, OWNER)
-        .permit(
-            Rule::permit([Action::Use])
-                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(days))),
-        )
-        .duty(Duty::DeleteWithin(SimDuration::from_days(days)))
-        .duty(Duty::LogAccesses)
-        .build()
-}
-
 /// Builds a world with one owner, one shared resource of `body_bytes`
 /// under a `retention_days` policy, and `n_devices` devices that have
 /// subscribed, indexed and fetched a copy.
@@ -47,7 +36,7 @@ fn world_with_copies_in(
     }
     world.pod_initiation(OWNER).expect("pod init");
     let iri = world.owner(OWNER).pod_manager.pod().iri_of("data/set.bin");
-    let policy = retention_policy(&iri, retention_days);
+    let policy = scenario::population_policy(&iri, OWNER, retention_days);
     let resource = world
         .resource_initiation(
             OWNER,
@@ -199,7 +188,7 @@ pub fn e3_indexing() -> Vec<Table> {
         let owner_key = world.owner(OWNER).key;
         for i in 0..index_size {
             let iri = format!("https://owner.pod/data/res-{i:05}.bin");
-            let policy = retention_policy(&iri, 30);
+            let policy = scenario::population_policy(&iri, OWNER, 30);
             let env = world.envelope(&policy);
             let tx = world.dex.register_resource_tx(
                 &world.chain,
@@ -335,7 +324,13 @@ fn e5b_access_history() -> Table {
             let iri = world.owner(OWNER).pod_manager.pod().iri_of(&path);
             let body = Body::Binary(vec![0xA5; 1 << 10]);
             let resource = world
-                .resource_initiation(OWNER, &path, body, retention_policy(&iri, 7), vec![])
+                .resource_initiation(
+                    OWNER,
+                    &path,
+                    body,
+                    scenario::population_policy(&iri, OWNER, 7),
+                    vec![],
+                )
                 .expect("resource init");
             for i in 0..DEVICES {
                 let d = format!("device-{i}");
@@ -633,7 +628,7 @@ pub fn e8_robustness() -> Vec<Table> {
         let (mut world, resource) = world_with_copies(1, 1 << 10, 888);
         // 1. Policy update by a non-owner.
         let mallory = world.chain.create_funded_account(b"mallory", 1_000_000_000);
-        let policy = retention_policy(&resource, 1);
+        let policy = scenario::population_policy(&resource, OWNER, 1);
         let env = world.envelope(&policy);
         let tx = world
             .dex
@@ -648,7 +643,7 @@ pub fn e8_robustness() -> Vec<Table> {
         ]);
         // 2. Stale version replay.
         let owner_key = world.owner(OWNER).key;
-        let env = world.envelope(&retention_policy(&resource, 1));
+        let env = world.envelope(&scenario::population_policy(&resource, OWNER, 1));
         let tx = world
             .dex
             .update_policy_tx(&world.chain, &owner_key, &resource, env, 1);
@@ -751,7 +746,7 @@ pub fn e9_privacy() -> Vec<Table> {
                 OWNER,
                 "data/x",
                 Body::Text("x".into()),
-                retention_policy(&iri, 30),
+                scenario::population_policy(&iri, OWNER, 30),
                 vec![],
             )
             .expect("res");
@@ -1003,7 +998,7 @@ pub fn e12_chain_scale() -> Vec<Table> {
         let owner_key = world.owner(OWNER).key;
         for i in 0..n {
             let iri = format!("https://owner.pod/data/res-{i:06}");
-            let policy = retention_policy(&iri, 30);
+            let policy = scenario::population_policy(&iri, OWNER, 30);
             let env = world.envelope(&policy);
             let tx = world.dex.register_resource_tx(
                 &world.chain,
@@ -1052,7 +1047,7 @@ pub fn e12_chain_scale() -> Vec<Table> {
                     OWNER,
                     &path,
                     Body::Text("x".into()),
-                    retention_policy(&iri, 30),
+                    scenario::population_policy(&iri, OWNER, 30),
                     vec![],
                 )
                 .expect("res");
@@ -1095,7 +1090,7 @@ pub fn e12_concurrency() -> Vec<Table> {
                 OWNER,
                 "data/set.bin",
                 Body::Binary(vec![0xA5; 4 << 10]),
-                retention_policy(&iri, 7),
+                scenario::population_policy(&iri, OWNER, 7),
                 vec![],
             )
             .expect("resource init");

@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use duc_codec::{encode_to_vec, impl_codec_struct, Decode, DecodeError, Encode, Reader};
+use duc_codec::{encode_to_vec, encode_without_signature, impl_codec_struct};
 use duc_crypto::{hash_parts, Digest, KeyPair, MerkleTree, PublicKey, Signature};
 use duc_sim::SimTime;
 
@@ -28,16 +28,10 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
-    /// The bytes the proposer signs.
+    /// The bytes the proposer signs: the header's encoding less its
+    /// signature.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.height.encode(&mut buf);
-        self.parent.encode(&mut buf);
-        self.state_root.encode(&mut buf);
-        self.tx_root.encode(&mut buf);
-        self.timestamp.as_nanos().encode(&mut buf);
-        self.proposer.encode(&mut buf);
-        buf
+        encode_without_signature(self)
     }
 
     /// The block hash (over the full header, including the signature).
@@ -53,31 +47,16 @@ impl BlockHeader {
     }
 }
 
-impl Encode for BlockHeader {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.height.encode(buf);
-        self.parent.encode(buf);
-        self.state_root.encode(buf);
-        self.tx_root.encode(buf);
-        self.timestamp.as_nanos().encode(buf);
-        self.proposer.encode(buf);
-        self.signature.encode(buf);
-    }
-}
-
-impl Decode for BlockHeader {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(BlockHeader {
-            height: u64::decode(r)?,
-            parent: Digest::decode(r)?,
-            state_root: Digest::decode(r)?,
-            tx_root: Digest::decode(r)?,
-            timestamp: SimTime::from_nanos(u64::decode(r)?),
-            proposer: PublicKey::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
+// The signature is listed last: `signing_bytes` is this encoding less it.
+impl_codec_struct!(BlockHeader {
+    height,
+    parent,
+    state_root,
+    tx_root,
+    timestamp as (SimTime::as_nanos, SimTime::from_nanos),
+    proposer,
+    signature,
+});
 
 /// A full block.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Transactions and receipts.
 
-use duc_codec::{encode_to_vec, Decode, DecodeError, Encode, Reader};
+use duc_codec::{encode_to_vec, impl_codec_struct, Decode, DecodeError, Encode, Reader};
 use duc_crypto::{hash_parts, KeyPair, PublicKey, Signature};
 
 use crate::contract::Event;
@@ -84,25 +84,12 @@ pub struct Transaction {
     pub gas_limit: u64,
 }
 
-impl Encode for Transaction {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.from.encode(buf);
-        self.nonce.encode(buf);
-        self.kind.encode(buf);
-        self.gas_limit.encode(buf);
-    }
-}
-
-impl Decode for Transaction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Transaction {
-            from: Address::decode(r)?,
-            nonce: u64::decode(r)?,
-            kind: TxKind::decode(r)?,
-            gas_limit: u64::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(Transaction {
+    from,
+    nonce,
+    kind,
+    gas_limit
+});
 
 impl Transaction {
     /// The canonical bytes that are signed.
@@ -141,23 +128,11 @@ pub struct SignedTransaction {
     pub signature: Signature,
 }
 
-impl Encode for SignedTransaction {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.tx.encode(buf);
-        self.public_key.encode(buf);
-        self.signature.encode(buf);
-    }
-}
-
-impl Decode for SignedTransaction {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SignedTransaction {
-            tx: Transaction::decode(r)?,
-            public_key: PublicKey::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(SignedTransaction {
+    tx,
+    public_key,
+    signature
+});
 
 /// Width of the `public_key` + `signature` suffix of a signed encoding
 /// (three fixed-width `u64`s): the encoding less this suffix is exactly

@@ -10,8 +10,9 @@
 //! * `u32` length prefixes for strings, byte strings and sequences,
 //! * a single tag byte for `Option` and enum discriminants.
 //!
-//! The [`impl_codec_struct!`] macro derives [`Encode`]/[`Decode`] for named
-//! structs; enums are implemented manually with explicit tags.
+//! Every named struct derives [`Encode`]/[`Decode`] with the
+//! [`impl_codec_struct!`] macro, whose field list is its wire order; tagged
+//! enums and tuple newtypes are implemented by hand.
 //!
 //! ## Example
 //! ```
@@ -416,53 +417,70 @@ impl Decode for PublicKey {
     }
 }
 
-impl Encode for Signature {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.e.encode(buf);
-        self.s.encode(buf);
-    }
-}
-
-impl Decode for Signature {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Signature {
-            e: u64::decode(r)?,
-            s: u64::decode(r)?,
-        })
-    }
-}
-
-/// Implements [`Encode`] and [`Decode`] for a named struct by encoding its
-/// fields in declaration order.
+/// Implements [`Encode`] and [`Decode`] for a named struct: its encoding is
+/// the encodings of the listed fields, one after another, in the order the
+/// invocation lists them. That order is the wire format, whatever the
+/// struct's declaration order; every field must be listed once.
+///
+/// A field written `field as (to, from)` crosses the wire as `to(field)`
+/// and is read back as `from(value)`, for a `Copy` field type with no codec
+/// of its own (`registered_at as (SimTime::as_nanos, SimTime::from_nanos)`
+/// encodes an instant as its `u64` nanoseconds).
 ///
 /// ```
 /// use duc_codec::{decode_from_slice, encode_to_vec, impl_codec_struct};
 ///
-/// #[derive(Debug, PartialEq)]
+/// #[derive(Debug, PartialEq, Clone, Copy)]
+/// struct Millis(u32);
+/// impl Millis {
+///     fn get(self) -> u32 { self.0 }
+/// }
+///
+/// #[derive(Debug, PartialEq, Clone, Copy)]
 /// struct Point { x: u32, y: u32 }
-/// impl_codec_struct!(Point { x, y });
+/// impl_codec_struct!(Point { y, x });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Stamp { at: Millis, point: Point }
+/// impl_codec_struct!(Stamp { at as (Millis::get, Millis), point });
 ///
 /// let p = Point { x: 1, y: 2 };
-/// let back: Point = decode_from_slice(&encode_to_vec(&p))?;
-/// assert_eq!(back, p);
+/// assert_eq!(encode_to_vec(&p), [2, 0, 0, 0, 1, 0, 0, 0]);
+/// let s = Stamp { at: Millis(7), point: p };
+/// assert_eq!(encode_to_vec(&s)[..4], [7, 0, 0, 0]);
+/// let back: Stamp = decode_from_slice(&encode_to_vec(&s))?;
+/// assert_eq!(back, s);
 /// # Ok::<(), duc_codec::DecodeError>(())
 /// ```
 #[macro_export]
 macro_rules! impl_codec_struct {
-    ($name:ident { $($field:ident),* $(,)? }) => {
+    ($name:ident { $($field:ident $(as ($to:path, $from:path))?),* $(,)? }) => {
         impl $crate::Encode for $name {
             fn encode(&self, buf: &mut Vec<u8>) {
-                $($crate::Encode::encode(&self.$field, buf);)*
+                $($crate::Encode::encode(&$($to)?(self.$field), buf);)*
             }
         }
         impl $crate::Decode for $name {
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
                 Ok($name {
-                    $($field: $crate::Decode::decode(r)?,)*
+                    $($field: $($from)?($crate::Decode::decode(r)?),)*
                 })
             }
         }
     };
+}
+
+impl_codec_struct!(Signature { e, s });
+
+/// Encoded width of a [`Signature`]: two `u64`s.
+const SIGNATURE_LEN: usize = 16;
+
+/// The encoding of `value` less its trailing [`Signature`]: the bytes signed
+/// by a struct whose last listed field is its own signature.
+pub fn encode_without_signature<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
+    let mut buf = encode_to_vec(value);
+    buf.truncate(buf.len() - SIGNATURE_LEN);
+    buf
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Everything here crosses the contract boundary, so every type carries a
 //! canonical [`duc_codec`] encoding.
 
-use duc_codec::{Decode, DecodeError, Encode, Reader};
+use duc_codec::{encode_without_signature, impl_codec_struct, DecodeError};
 use duc_crypto::{ChaCha20, Digest, PublicKey, Signature};
 use duc_policy::UsagePolicy;
 use duc_sim::SimTime;
@@ -90,21 +90,7 @@ impl PolicyEnvelope {
     }
 }
 
-impl Encode for PolicyEnvelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.encrypted.encode(buf);
-        self.bytes.encode(buf);
-    }
-}
-
-impl Decode for PolicyEnvelope {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PolicyEnvelope {
-            encrypted: bool::decode(r)?,
-            bytes: Vec::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(PolicyEnvelope { encrypted, bytes });
 
 /// A registered pod.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,27 +107,13 @@ pub struct PodRecord {
     pub registered_at: SimTime,
 }
 
-impl Encode for PodRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.owner_webid.encode(buf);
-        self.owner_addr.encode(buf);
-        self.web_ref.encode(buf);
-        self.default_policy.encode(buf);
-        self.registered_at.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for PodRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PodRecord {
-            owner_webid: String::decode(r)?,
-            owner_addr: Address::decode(r)?,
-            web_ref: String::decode(r)?,
-            default_policy: PolicyEnvelope::decode(r)?,
-            registered_at: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(PodRecord {
+    owner_webid,
+    owner_addr,
+    web_ref,
+    default_policy,
+    registered_at as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 /// A resource in the index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,35 +146,17 @@ impl PolicyEnvelope {
     }
 }
 
-impl Encode for ResourceRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.resource.encode(buf);
-        self.location.encode(buf);
-        self.owner_webid.encode(buf);
-        self.owner_addr.encode(buf);
-        self.metadata.encode(buf);
-        self.policy.encode(buf);
-        self.policy_hash.encode(buf);
-        self.policy_version.encode(buf);
-        self.registered_at.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for ResourceRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ResourceRecord {
-            resource: String::decode(r)?,
-            location: String::decode(r)?,
-            owner_webid: String::decode(r)?,
-            owner_addr: Address::decode(r)?,
-            metadata: Vec::decode(r)?,
-            policy: PolicyEnvelope::decode(r)?,
-            policy_hash: Digest::decode(r)?,
-            policy_version: u64::decode(r)?,
-            registered_at: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(ResourceRecord {
+    resource,
+    location,
+    owner_webid,
+    owner_addr,
+    metadata,
+    policy,
+    policy_hash,
+    policy_version,
+    registered_at as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 /// A device holding a copy of a resource.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,25 +172,12 @@ pub struct CopyRecord {
     pub registered_at: SimTime,
 }
 
-impl Encode for CopyRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.device.encode(buf);
-        self.holder_webid.encode(buf);
-        self.attestation_key.encode(buf);
-        self.registered_at.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for CopyRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(CopyRecord {
-            device: String::decode(r)?,
-            holder_webid: String::decode(r)?,
-            attestation_key: PublicKey::decode(r)?,
-            registered_at: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(CopyRecord {
+    device,
+    holder_webid,
+    attestation_key,
+    registered_at as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 /// Evidence a device submits during a monitoring round.
 ///
@@ -262,44 +203,22 @@ pub struct EvidenceSubmission {
 }
 
 impl EvidenceSubmission {
-    /// The bytes the enclave signs.
+    /// The bytes the enclave signs: the encoding less the signature.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.resource.encode(&mut buf);
-        self.round.encode(&mut buf);
-        self.device.encode(&mut buf);
-        self.compliant.encode(&mut buf);
-        self.violations.encode(&mut buf);
-        self.evidence_digest.encode(&mut buf);
-        buf
+        encode_without_signature(self)
     }
 }
 
-impl Encode for EvidenceSubmission {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.resource.encode(buf);
-        self.round.encode(buf);
-        self.device.encode(buf);
-        self.compliant.encode(buf);
-        self.violations.encode(buf);
-        self.evidence_digest.encode(buf);
-        self.signature.encode(buf);
-    }
-}
-
-impl Decode for EvidenceSubmission {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EvidenceSubmission {
-            resource: String::decode(r)?,
-            round: u64::decode(r)?,
-            device: String::decode(r)?,
-            compliant: bool::decode(r)?,
-            violations: Vec::decode(r)?,
-            evidence_digest: Digest::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
+// The signature is listed last: `signing_bytes` is this encoding less it.
+impl_codec_struct!(EvidenceSubmission {
+    resource,
+    round,
+    device,
+    compliant,
+    violations,
+    evidence_digest,
+    signature
+});
 
 /// A lightweight follow-up to a prior [`EvidenceSubmission`]: the device
 /// attests that its usage log (hence its verdict) is unchanged since
@@ -328,41 +247,21 @@ pub struct EvidenceReaffirmation {
 }
 
 impl EvidenceReaffirmation {
-    /// The bytes the enclave signs.
+    /// The bytes the enclave signs: the encoding less the signature.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.resource.encode(&mut buf);
-        self.round.encode(&mut buf);
-        self.device.encode(&mut buf);
-        self.prev_round.encode(&mut buf);
-        self.evidence_digest.encode(&mut buf);
-        buf
+        encode_without_signature(self)
     }
 }
 
-impl Encode for EvidenceReaffirmation {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.resource.encode(buf);
-        self.round.encode(buf);
-        self.device.encode(buf);
-        self.prev_round.encode(buf);
-        self.evidence_digest.encode(buf);
-        self.signature.encode(buf);
-    }
-}
-
-impl Decode for EvidenceReaffirmation {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EvidenceReaffirmation {
-            resource: String::decode(r)?,
-            round: u64::decode(r)?,
-            device: String::decode(r)?,
-            prev_round: u64::decode(r)?,
-            evidence_digest: Digest::decode(r)?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
+// The signature is listed last: `signing_bytes` is this encoding less it.
+impl_codec_struct!(EvidenceReaffirmation {
+    resource,
+    round,
+    device,
+    prev_round,
+    evidence_digest,
+    signature
+});
 
 /// The state of one monitoring round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -409,33 +308,16 @@ impl MonitoringRound {
     }
 }
 
-impl Encode for MonitoringRound {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.round.encode(buf);
-        self.resource.encode(buf);
-        self.requested_by.encode(buf);
-        self.started_at.as_nanos().encode(buf);
-        self.expected_devices.encode(buf);
-        self.evidence.encode(buf);
-        self.reaffirmed.encode(buf);
-        self.closed.encode(buf);
-    }
-}
-
-impl Decode for MonitoringRound {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(MonitoringRound {
-            round: u64::decode(r)?,
-            resource: String::decode(r)?,
-            requested_by: Address::decode(r)?,
-            started_at: SimTime::from_nanos(u64::decode(r)?),
-            expected_devices: Vec::decode(r)?,
-            evidence: Vec::decode(r)?,
-            reaffirmed: Vec::decode(r)?,
-            closed: bool::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(MonitoringRound {
+    round,
+    resource,
+    requested_by,
+    started_at as (SimTime::as_nanos, SimTime::from_nanos),
+    expected_devices,
+    evidence,
+    reaffirmed,
+    closed,
+});
 
 /// A market subscription with its payment certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -459,27 +341,13 @@ impl Subscription {
     }
 }
 
-impl Encode for Subscription {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.webid.encode(buf);
-        self.addr.encode(buf);
-        self.certificate.encode(buf);
-        self.paid_at.as_nanos().encode(buf);
-        self.valid_until.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for Subscription {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Subscription {
-            webid: String::decode(r)?,
-            addr: Address::decode(r)?,
-            certificate: Digest::decode(r)?,
-            paid_at: SimTime::from_nanos(u64::decode(r)?),
-            valid_until: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(Subscription {
+    webid,
+    addr,
+    certificate,
+    paid_at as (SimTime::as_nanos, SimTime::from_nanos),
+    valid_until as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@
 //! wire format of every method is unchanged.
 
 use duc_blockchain::Address;
-use duc_codec::{Decode, DecodeError, Encode, Reader};
+use duc_codec::impl_codec_struct;
 use duc_crypto::{Digest, PublicKey};
 use duc_sim::SimTime;
 
@@ -59,25 +59,12 @@ impl PodRow {
     }
 }
 
-impl Encode for PodRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.owner_addr.encode(buf);
-        self.web_ref.encode(buf);
-        self.policy.encode(buf);
-        self.registered_at.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for PodRow {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PodRow {
-            owner_addr: Address::decode(r)?,
-            web_ref: String::decode(r)?,
-            policy: Digest::decode(r)?,
-            registered_at: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(PodRow {
+    owner_addr,
+    web_ref,
+    policy,
+    registered_at as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 /// A resource as stored: the IRI lives in the key (`res/{resource}`), the
 /// policy in the pol table, and the location collapses to `None` when it
@@ -128,31 +115,15 @@ impl ResourceRow {
     }
 }
 
-impl Encode for ResourceRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.location.encode(buf);
-        self.owner_webid.encode(buf);
-        self.owner_addr.encode(buf);
-        self.metadata.encode(buf);
-        self.policy.encode(buf);
-        self.policy_version.encode(buf);
-        self.registered_at.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for ResourceRow {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ResourceRow {
-            location: Option::decode(r)?,
-            owner_webid: String::decode(r)?,
-            owner_addr: Address::decode(r)?,
-            metadata: Vec::decode(r)?,
-            policy: Digest::decode(r)?,
-            policy_version: u64::decode(r)?,
-            registered_at: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(ResourceRow {
+    location,
+    owner_webid,
+    owner_addr,
+    metadata,
+    policy,
+    policy_version,
+    registered_at as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 /// A copy as stored: the device name lives in the key
 /// (`copy/{resource}\0{device}`).
@@ -178,23 +149,11 @@ impl CopyRow {
     }
 }
 
-impl Encode for CopyRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.holder_webid.encode(buf);
-        self.attestation_key.encode(buf);
-        self.registered_at.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for CopyRow {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(CopyRow {
-            holder_webid: String::decode(r)?,
-            attestation_key: PublicKey::decode(r)?,
-            registered_at: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(CopyRow {
+    holder_webid,
+    attestation_key,
+    registered_at as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 /// A subscription as stored: the WebID lives in the key (`sub/{webid}`).
 /// The companion `cert/{digest}` slot shrinks to an empty existence
@@ -231,25 +190,12 @@ impl SubRow {
     }
 }
 
-impl Encode for SubRow {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.addr.encode(buf);
-        self.certificate.encode(buf);
-        self.paid_at.as_nanos().encode(buf);
-        self.valid_until.as_nanos().encode(buf);
-    }
-}
-
-impl Decode for SubRow {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(SubRow {
-            addr: Address::decode(r)?,
-            certificate: Digest::decode(r)?,
-            paid_at: SimTime::from_nanos(u64::decode(r)?),
-            valid_until: SimTime::from_nanos(u64::decode(r)?),
-        })
-    }
-}
+impl_codec_struct!(SubRow {
+    addr,
+    certificate,
+    paid_at as (SimTime::as_nanos, SimTime::from_nanos),
+    valid_until as (SimTime::as_nanos, SimTime::from_nanos),
+});
 
 #[cfg(test)]
 mod tests {

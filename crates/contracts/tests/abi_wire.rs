@@ -11,8 +11,8 @@
 //!
 //! The properties cover every decoder a client, a block or an event log can
 //! feed: the argument type of each of the 17 `DistExchange` methods, the
-//! policy envelope, the signed transaction and the payload of each event
-//! topic. For each, decode∘encode is the identity, and bytes that are
+//! return data of the five record views the client decodes, the policy
+//! envelope, the signed transaction and the payload of each event topic. For each, decode∘encode is the identity, and bytes that are
 //! arbitrary, mutated in one place, cut short or given a hostile length
 //! prefix either decode to a value that re-encodes to exactly those bytes or
 //! are refused — never a panic. `every_method_survives_damaged_arguments`
@@ -413,6 +413,110 @@ fn evidence_reaffirmation() -> impl Strategy<Value = EvidenceReaffirmation> {
         )
 }
 
+fn instant() -> impl Strategy<Value = SimTime> {
+    any::<u64>().prop_map(SimTime::from_nanos)
+}
+
+fn pod_record() -> impl Strategy<Value = PodRecord> {
+    (text(), address(), text(), policy_envelope(), instant()).prop_map(
+        |(owner_webid, owner_addr, web_ref, default_policy, registered_at)| PodRecord {
+            owner_webid,
+            owner_addr,
+            web_ref,
+            default_policy,
+            registered_at,
+        },
+    )
+}
+
+fn resource_record() -> impl Strategy<Value = ResourceRecord> {
+    (
+        (text(), text(), text(), address()),
+        proptest::collection::vec((text(), text()), 0..3),
+        policy_envelope(),
+        digest(),
+        any::<u64>(),
+        instant(),
+    )
+        .prop_map(
+            |(
+                (resource, location, owner_webid, owner_addr),
+                metadata,
+                policy,
+                policy_hash,
+                policy_version,
+                registered_at,
+            )| ResourceRecord {
+                resource,
+                location,
+                owner_webid,
+                owner_addr,
+                metadata,
+                policy,
+                policy_hash,
+                policy_version,
+                registered_at,
+            },
+        )
+}
+
+fn copy_record() -> impl Strategy<Value = CopyRecord> {
+    (text(), text(), any::<u64>().prop_map(PublicKey), instant()).prop_map(
+        |(device, holder_webid, attestation_key, registered_at)| CopyRecord {
+            device,
+            holder_webid,
+            attestation_key,
+            registered_at,
+        },
+    )
+}
+
+fn monitoring_round() -> impl Strategy<Value = MonitoringRound> {
+    (
+        any::<u64>(),
+        text(),
+        address(),
+        instant(),
+        names(),
+        proptest::collection::vec(evidence_submission(), 0..3),
+        proptest::collection::vec((text(), any::<u64>()), 0..3),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(
+                round,
+                resource,
+                requested_by,
+                started_at,
+                expected_devices,
+                evidence,
+                reaffirmed,
+                closed,
+            )| MonitoringRound {
+                round,
+                resource,
+                requested_by,
+                started_at,
+                expected_devices,
+                evidence,
+                reaffirmed,
+                closed,
+            },
+        )
+}
+
+fn subscription() -> impl Strategy<Value = Subscription> {
+    (text(), address(), digest(), instant(), instant()).prop_map(
+        |(webid, addr, certificate, paid_at, valid_until)| Subscription {
+            webid,
+            addr,
+            certificate,
+            paid_at,
+            valid_until,
+        },
+    )
+}
+
 fn signed_transaction() -> impl Strategy<Value = SignedTransaction> {
     let kind = prop_oneof![
         (address(), any::<u128>()).prop_map(|(to, amount)| TxKind::Transfer { to, amount }),
@@ -532,6 +636,36 @@ proptest! {
 
     #[test]
     fn signed_transaction_wire(v in signed_transaction(), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    /// `get_pod`'s return data.
+    #[test]
+    fn pod_view(v in proptest::option::of(pod_record()), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    /// `lookup_resource`'s return data.
+    #[test]
+    fn resource_view(v in proptest::option::of(resource_record()), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    /// `list_copies`'s return data.
+    #[test]
+    fn copies_view(v in proptest::collection::vec(copy_record(), 0..3), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    /// `get_round`'s return data.
+    #[test]
+    fn round_view(v in proptest::option::of(monitoring_round()), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    /// `get_subscription`'s return data.
+    #[test]
+    fn subscription_view(v in proptest::option::of(subscription()), d in damage()) {
         holds(&v, &d)?;
     }
 

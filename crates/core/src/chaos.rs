@@ -362,22 +362,13 @@ pub fn launch_pad_in<L: Ledger>(
     path: &str,
     n_devices: usize,
 ) -> (World<L>, String) {
-    use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
-
     world.add_owner(owner, "https://owner.pod/");
     for i in 0..n_devices {
         world.add_device(format!("device-{i}"), format!("https://c{i}.id/me"));
     }
     world.pod_initiation(owner).expect("pod init");
     let iri = world.owner(owner).pod_manager.pod().iri_of(path);
-    let policy = UsagePolicy::builder(format!("{iri}#policy"), iri.clone(), owner)
-        .permit(
-            Rule::permit([Action::Use])
-                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(7))),
-        )
-        .duty(Duty::DeleteWithin(SimDuration::from_days(7)))
-        .duty(Duty::LogAccesses)
-        .build();
+    let policy = crate::scenario::population_policy(&iri, owner, 7);
     let resource = world
         .resource_initiation(
             owner,

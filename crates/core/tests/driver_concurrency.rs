@@ -5,7 +5,7 @@
 use duc_blockchain::Ledger;
 use duc_core::prelude::*;
 use duc_core::world::MARKET_FEE;
-use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
+use duc_policy::{Action, Constraint, Duty, Rule};
 use duc_sim::{LatencyModel, LinkConfig, SimDuration};
 use duc_solid::Body;
 use proptest::prelude::*;
@@ -18,17 +18,6 @@ fn fixed_link(ms: u64) -> LinkConfig {
         drop_probability: 0.0,
         bandwidth_bps: Some(10_000_000),
     }
-}
-
-fn retention_policy(iri: &str, days: u64) -> UsagePolicy {
-    UsagePolicy::builder(format!("{iri}#policy"), iri, OWNER)
-        .permit(
-            Rule::permit([Action::Use])
-                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(days))),
-        )
-        .duty(Duty::DeleteWithin(SimDuration::from_days(days)))
-        .duty(Duty::LogAccesses)
-        .build()
 }
 
 /// One owner, one resource, `n` devices that subscribed and indexed (but
@@ -55,7 +44,7 @@ fn market_world_on(n: usize, seed: u64, trace: bool, link: LinkConfig) -> (World
             OWNER,
             "data/set.bin",
             Body::Binary(vec![0xA5; 4 << 10]),
-            retention_policy(&iri, 7),
+            scenario::population_policy(&iri, OWNER, 7),
             vec![],
         )
         .expect("resource init");
@@ -333,7 +322,7 @@ fn one_sender_racing_itself_takes_consecutive_nonces() {
             OWNER,
             "data/other.bin",
             Body::Binary(vec![0x5A; 4 << 10]),
-            retention_policy(&other_iri, 7),
+            scenario::population_policy(&other_iri, OWNER, 7),
             vec![],
         )
         .expect("second resource");
@@ -434,7 +423,7 @@ fn steps_per_request_kind<L: Ledger>(mut world: World<L>, holders: usize) -> [u6
         },
     );
     let resource = world.owner(OWNER).pod_manager.pod().iri_of("data/set.bin");
-    let policy = retention_policy(&resource, 7);
+    let policy = scenario::population_policy(&resource, OWNER, 7);
     let res_init = drive(
         &mut world,
         Request::ResourceInitiation {
@@ -474,7 +463,7 @@ fn steps_per_request_kind<L: Ledger>(mut world: World<L>, holders: usize) -> [u6
     }
     let [subscribe, indexing, access] = per_device[0];
     assert!(per_device.iter().all(|steps| *steps == per_device[0]));
-    let tightened = retention_policy(&resource, 3);
+    let tightened = scenario::population_policy(&resource, OWNER, 3);
     let policy_mod = drive(
         &mut world,
         Request::PolicyModification {

@@ -11,17 +11,6 @@ use duc_solid::Body;
 const OWNER: &str = "https://owner.id/me";
 const PATH: &str = "data/set.bin";
 
-fn retention_policy(iri: &str, days: u64) -> UsagePolicy {
-    UsagePolicy::builder(format!("{iri}#policy"), iri, OWNER)
-        .permit(
-            Rule::permit([Action::Use])
-                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(days))),
-        )
-        .duty(Duty::DeleteWithin(SimDuration::from_days(days)))
-        .duty(Duty::LogAccesses)
-        .build()
-}
-
 /// One owner, `n` devices holding driver-fetched copies under a
 /// `retention_days` policy.
 fn world_with_copies(n: usize, retention_days: u64, config: WorldConfig) -> (World, String) {
@@ -37,7 +26,7 @@ fn world_with_copies(n: usize, retention_days: u64, config: WorldConfig) -> (Wor
             OWNER,
             PATH,
             Body::Binary(vec![0xA5; 1 << 10]),
-            retention_policy(&iri, retention_days),
+            scenario::population_policy(&iri, OWNER, retention_days),
             vec![],
         )
         .expect("resource init");

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use duc_codec::{Decode, DecodeError, Encode, Reader};
+use duc_codec::{impl_codec_struct, Decode, DecodeError, Encode, Reader};
 use duc_sim::{SimDuration, SimTime};
 
 /// An action a consumer may perform on a resource copy.
@@ -357,23 +357,11 @@ impl Rule {
     }
 }
 
-impl Encode for Rule {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.effect.encode(buf);
-        self.actions.encode(buf);
-        self.constraints.encode(buf);
-    }
-}
-
-impl Decode for Rule {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Rule {
-            effect: Effect::decode(r)?,
-            actions: Vec::decode(r)?,
-            constraints: Vec::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(Rule {
+    effect,
+    actions,
+    constraints
+});
 
 /// A usage policy for one resource.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -473,29 +461,14 @@ impl UsagePolicy {
     }
 }
 
-impl Encode for UsagePolicy {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.resource.encode(buf);
-        self.owner.encode(buf);
-        self.version.encode(buf);
-        self.rules.encode(buf);
-        self.duties.encode(buf);
-    }
-}
-
-impl Decode for UsagePolicy {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(UsagePolicy {
-            id: String::decode(r)?,
-            resource: String::decode(r)?,
-            owner: String::decode(r)?,
-            version: u64::decode(r)?,
-            rules: Vec::decode(r)?,
-            duties: Vec::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(UsagePolicy {
+    id,
+    resource,
+    owner,
+    version,
+    rules,
+    duties
+});
 
 /// Builder for [`UsagePolicy`].
 #[derive(Debug, Clone)]

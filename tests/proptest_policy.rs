@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use solid_usage_control::policy::dsl;
 use solid_usage_control::policy::prelude::*;
-use solid_usage_control::policy::PolicyEngine;
 use solid_usage_control::sim::{SimDuration, SimTime};
 
 fn arb_action() -> impl Strategy<Value = Action> {
@@ -107,6 +106,12 @@ fn arb_ctx() -> impl Strategy<Value = UsageContext> {
         })
 }
 
+/// The decision the TEE takes: the policy compiled against the standard
+/// purpose taxonomy, then decided.
+fn decide(policy: &UsagePolicy, ctx: &UsageContext) -> Decision {
+    compile(policy, &PurposeTaxonomy::standard()).decide(ctx)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -131,15 +136,14 @@ proptest! {
     /// Deny into a Permit (policy evaluation is monotone in constraints).
     #[test]
     fn adding_constraints_never_widens(policy in arb_policy(), ctx in arb_ctx(), extra in arb_constraint()) {
-        let engine = PolicyEngine::default();
-        let before = engine.evaluate(&policy, &ctx);
+        let before = decide(&policy, &ctx);
         let mut tightened = policy.clone();
         for rule in &mut tightened.rules {
             if rule.effect == Effect::Permit {
                 rule.constraints.push(extra.clone());
             }
         }
-        let after = engine.evaluate(&tightened, &ctx);
+        let after = decide(&tightened, &ctx);
         prop_assert!(
             !(matches!(before, Decision::Deny(_)) && after.is_permit()),
             "tightening turned deny into permit: before={:?} after={:?}",
@@ -150,11 +154,10 @@ proptest! {
     /// Adding a prohibition never turns a Deny into a Permit either.
     #[test]
     fn adding_prohibition_never_widens(policy in arb_policy(), ctx in arb_ctx(), action in arb_action()) {
-        let engine = PolicyEngine::default();
-        let before = engine.evaluate(&policy, &ctx);
+        let before = decide(&policy, &ctx);
         let mut tightened = policy.clone();
         tightened.rules.push(Rule::prohibit([action]));
-        let after = engine.evaluate(&tightened, &ctx);
+        let after = decide(&tightened, &ctx);
         prop_assert!(
             !(matches!(before, Decision::Deny(_)) && after.is_permit()),
             "prohibition widened access"
@@ -164,9 +167,8 @@ proptest! {
     /// An empty policy denies everything (default deny).
     #[test]
     fn default_deny(ctx in arb_ctx()) {
-        let engine = PolicyEngine::default();
         let empty = UsagePolicy::builder("urn:p", "urn:r", "urn:o").build();
-        prop_assert!(!engine.evaluate(&empty, &ctx).is_permit());
+        prop_assert!(!decide(&empty, &ctx).is_permit());
     }
 
     /// The retention bound is always the minimum of the stated bounds.
