@@ -1445,16 +1445,13 @@ mod tests {
         assert!(err.contains("page table holds 2 pages"), "{err}");
     }
 
-    /// The accumulator a state with `accounts` and `slots` must read,
-    /// folded eagerly from content.
+    /// The accumulator a state with account rows folded into `accounts_acc`
+    /// and `slots` must read.
     fn eager_accumulator(
-        accounts: &BTreeMap<Address, AccountState>,
+        accounts_acc: &[u8; 32],
         slots: &BTreeMap<(ContractId, Vec<u8>), Vec<u8>>,
     ) -> [u8; 32] {
-        let mut acc = [0u8; 32];
-        for (addr, account) in accounts {
-            xor_row(&mut acc, &account_row(addr, account));
-        }
+        let mut acc = *accounts_acc;
         for ((contract, key), value) in slots {
             xor_row(&mut acc, &storage_row(contract, key, value));
         }
@@ -1463,28 +1460,53 @@ mod tests {
 
     /// Account rows fold once per block, but commitment reads are exact at
     /// every instant: after each step of a seeded mix of account and slot
-    /// mutations and settles, `accumulator()` and `commitment()` equal an
-    /// eagerly folded reference, `verify_pages()` passes, and a clone taken
-    /// mid-block, fed the same steps and settled on its own schedule, agrees.
+    /// mutations and settles, `accumulator()` and `commitment()` equal a
+    /// reference that folds every account row the moment it changes, and a
+    /// clone taken mid-block, fed the same steps and settled on its own
+    /// schedule, agrees. Two runs: six accounts with `verify_pages()` after
+    /// every step; then the same six taking most touches while a new cold
+    /// account joins every step, so the account table grows past 2 000 rows
+    /// with some rows unfolded at every size it passes through. There
+    /// `verify_pages()`, which re-hashes every row, runs every 32nd step.
     #[test]
     fn account_rows_fold_once_per_block_and_read_exact() {
+        fold_mix(0, 2_000, 1);
+        fold_mix(2_048, 2_148, 32);
+    }
+
+    /// One run of the mix above: `cold` accounts join one per step (none
+    /// when 0, and then the draws are the six-account run's), over `steps`
+    /// steps, with `verify_pages()` on both states every `verify_every`th.
+    fn fold_mix(cold: u32, steps: u32, verify_every: u32) {
         use duc_sim::Rng;
         let contracts = [cid(), ContractId::new("other")];
-        let addrs: Vec<Address> = (0..6u8).map(|i| Address::from_seed(&[i])).collect();
+        let hot: Vec<Address> = (0..6u8).map(|i| Address::from_seed(&[i])).collect();
+        let cold_addrs: Vec<Address> = (0..cold)
+            .map(|i| Address::from_seed(format!("cold-{i}").as_bytes()))
+            .collect();
         let cfg = PagingConfig::in_memory(Some(2)).with_page_capacity(4);
         let mut s = WorldState::with_paging(&cfg);
         let mut twin: Option<WorldState> = None;
         let mut accounts: BTreeMap<Address, AccountState> = BTreeMap::new();
+        let mut accounts_acc = [0u8; 32];
         let mut slots: BTreeMap<(ContractId, Vec<u8>), Vec<u8>> = BTreeMap::new();
         let mut rng = Rng::seed_from_u64(0xF01D);
         let mut settles = 0;
-        for step in 0..2_000u32 {
-            let addr = addrs[rng.gen_range(addrs.len() as u64) as usize];
+        for step in 0..steps {
+            let joining = cold_addrs.get(step as usize).copied();
+            let addr = if cold > 0 && rng.gen_range(4) == 0 {
+                cold_addrs[rng.gen_range(u64::from(step.min(cold - 1)) + 1) as usize]
+            } else {
+                hot[rng.gen_range(hot.len() as u64) as usize]
+            };
             let contract = &contracts[rng.gen_range(2) as usize];
             let key = vec![b'k', rng.gen_range(16) as u8];
             let amount = Amount::from(rng.gen_range(50));
             let op = rng.gen_range(8);
             for state in std::iter::once(&mut s).chain(twin.as_mut()) {
+                if let Some(joining) = joining {
+                    state.credit(joining, 1);
+                }
                 match op {
                     0 | 1 => state.credit(addr, amount),
                     2 => {
@@ -1497,6 +1519,15 @@ mod tests {
                     }
                     _ => {}
                 }
+            }
+            let touched: BTreeSet<Address> = joining.into_iter().chain([addr]).collect();
+            for addr in &touched {
+                if let Some(account) = accounts.get(addr) {
+                    xor_row(&mut accounts_acc, &account_row(addr, account));
+                }
+            }
+            if let Some(joining) = joining {
+                accounts.entry(joining).or_default().balance += 1;
             }
             match op {
                 0 | 1 => accounts.entry(addr).or_default().balance += amount,
@@ -1522,26 +1553,37 @@ mod tests {
                     }
                 }
             }
+            for addr in &touched {
+                if let Some(account) = accounts.get(addr) {
+                    xor_row(&mut accounts_acc, &account_row(addr, account));
+                }
+            }
             if step % 97 == 0 {
                 twin = Some(s.clone());
             }
-            let expected = eager_accumulator(&accounts, &slots);
+            let expected = eager_accumulator(&accounts_acc, &slots);
             let commitment = hash_parts(&[
                 b"duc/state",
                 &expected,
                 &(accounts.len() as u64).to_le_bytes(),
                 &(slots.len() as u64).to_le_bytes(),
             ]);
-            assert_eq!(s.accumulator(), expected, "step {step}");
-            assert_eq!(s.commitment(), commitment, "step {step}");
-            s.verify_pages()
-                .unwrap_or_else(|e| panic!("step {step}: {e}"));
             let twin = twin.as_ref().expect("cloned at step 0");
-            assert_eq!(twin.accumulator(), expected, "twin, step {step}");
-            assert_eq!(twin.commitment(), commitment, "twin, step {step}");
-            twin.verify_pages()
-                .unwrap_or_else(|e| panic!("twin, step {step}: {e}"));
+            for (state, name) in [(&s, "state"), (twin, "twin")] {
+                assert_eq!(state.accumulator(), expected, "{name}, step {step}");
+                assert_eq!(state.commitment(), commitment, "{name}, step {step}");
+                if step % verify_every == 0 {
+                    state
+                        .verify_pages()
+                        .unwrap_or_else(|e| panic!("{name}, step {step}: {e}"));
+                }
+            }
         }
+        assert!(
+            accounts.len() >= cold as usize,
+            "{} accounts",
+            accounts.len()
+        );
         assert!(settles > 100, "the mix settles often: {settles}");
     }
 
