@@ -1,9 +1,8 @@
 //! Blocks: Merkle-committed transaction batches signed by their proposer.
 
-use std::collections::HashSet;
-
 use duc_codec::{encode_to_vec, encode_without_signature, impl_codec_struct};
 use duc_crypto::{hash_parts, Digest, KeyPair, MerkleTree, PublicKey, Signature};
+use duc_intern::FxHashSet;
 use duc_sim::SimTime;
 
 use crate::tx::SignedTransaction;
@@ -140,7 +139,8 @@ impl Block {
         if Block::compute_tx_root(&self.transactions) != self.header.tx_root {
             return Err(BlockValidationError::TxRootMismatch);
         }
-        let mut seen = HashSet::with_capacity(self.transactions.len());
+        let mut seen =
+            FxHashSet::with_capacity_and_hasher(self.transactions.len(), Default::default());
         for (i, tx) in self.transactions.iter().enumerate() {
             if !tx.verify() {
                 return Err(BlockValidationError::BadTransaction(i));

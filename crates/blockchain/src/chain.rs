@@ -6,12 +6,12 @@
 //! proposer simply misses its slot, which is exactly the liveness behaviour
 //! the robustness experiment (E8) measures.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::OnceLock;
 
 use duc_crypto::{Digest, KeyPair};
-use duc_intern::{Interner, Sym};
+use duc_intern::{FxHashMap, FxHashSet, Interner, Sym};
 use duc_sim::{SimDuration, SimTime};
 use duc_storage::{BlockStore, Checkpoint, FramedLog, StateStore, StorageConfig};
 
@@ -181,7 +181,7 @@ impl BlockchainBuilder {
         Blockchain {
             validators,
             validator_addresses,
-            down_validators: HashSet::new(),
+            down_validators: FxHashSet::default(),
             block_interval: self.block_interval,
             next_slot: 1,
             current_time: SimTime::ZERO,
@@ -193,13 +193,13 @@ impl BlockchainBuilder {
             storage: self.storage,
             checkpoints: StateStore::new(),
             mempool: Mempool::default(),
-            receipts: HashMap::new(),
+            receipts: FxHashMap::default(),
             event_log: Vec::new(),
             contracts: HashMap::new(),
             gas_schedule: GasSchedule::default(),
             gas_price: self.gas_price,
             max_block_gas: self.max_block_gas,
-            gas_totals: HashMap::new(),
+            gas_totals: FxHashMap::default(),
             labels: Interner::new(),
             slots_missed: 0,
             exec_mode: self.exec_mode,
@@ -215,7 +215,7 @@ pub struct Blockchain {
     validators: Vec<KeyPair>,
     /// `validators[i]`'s fee-collection address, derived once at build.
     validator_addresses: Vec<Address>,
-    down_validators: HashSet<usize>,
+    down_validators: FxHashSet<usize>,
     block_interval: SimDuration,
     /// The next production slot (slot k opens at genesis + k × interval).
     next_slot: u64,
@@ -229,7 +229,7 @@ pub struct Blockchain {
     storage: StorageConfig,
     checkpoints: StateStore,
     mempool: Mempool,
-    receipts: HashMap<TxId, Receipt>,
+    receipts: FxHashMap<TxId, Receipt>,
     event_log: Vec<(u64, Rc<Event>)>,
     contracts: HashMap<ContractId, Box<dyn Contract>>,
     gas_schedule: GasSchedule,
@@ -238,7 +238,7 @@ pub struct Blockchain {
     /// `(calls, gas)` so far per `(contract, method)` label pair — who
     /// spent what on which method, the data behind the affordability table
     /// (E7). `None` is a plain transfer or an intrinsic-only charge.
-    gas_totals: HashMap<(Option<Sym>, Sym), (u64, u64)>,
+    gas_totals: FxHashMap<(Option<Sym>, Sym), (u64, u64)>,
     /// Label table of `gas_totals`: contract ids and method names,
     /// interned once per distinct label.
     labels: Interner,
@@ -569,7 +569,7 @@ impl Blockchain {
         // ---- plan: replicate serial selection with projected nonces (the
         // serial loop observes each executed tx's nonce bump before
         // selecting the next; project those bumps without executing).
-        let mut projected: HashMap<Address, u64> = HashMap::new();
+        let mut projected: FxHashMap<Address, u64> = FxHashMap::default();
         let mut plan_keys: Vec<(Address, u64)> = Vec::new();
         let mut block_gas: u64 = 0;
         let mut ceiling_hit = false;

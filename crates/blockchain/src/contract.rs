@@ -155,12 +155,13 @@ impl<'a> CallCtx<'a> {
         }
     }
 
-    /// Reads a raw storage slot (gas-metered).
+    /// Whether a storage slot exists, charged as a full read of it (value
+    /// length plus key length) without copying the value.
     ///
     /// # Errors
     /// [`ContractError::OutOfGas`] when the read exhausts the budget.
-    pub fn get_raw(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ContractError> {
-        self.read_slot(key, |value| Ok(value.map(<[u8]>::to_vec)))
+    pub fn contains(&mut self, key: &[u8]) -> Result<bool, ContractError> {
+        self.read_slot(key, |value| Ok(value.is_some()))
     }
 
     /// Writes a raw storage slot (gas-metered).
@@ -181,7 +182,7 @@ impl<'a> CallCtx<'a> {
     }
 
     /// Reads and decodes a typed value (gas-metered like
-    /// [`CallCtx::get_raw`]), straight from the bytes where the slot lives.
+    /// [`CallCtx::contains`]), straight from the bytes where the slot lives.
     pub fn get<T: Decode>(&mut self, key: &[u8]) -> Result<Option<T>, ContractError> {
         self.read_slot(key, |value| {
             value
@@ -429,7 +430,7 @@ mod tests {
         // Write, then pretend the call reverted: dropping the context must
         // leave the canonical state untouched.
         ctx.set_raw(b"count".to_vec(), vec![9]).unwrap();
-        assert_eq!(ctx.get_raw(b"count").unwrap(), Some(vec![9]));
+        assert_eq!(ctx.get::<u8>(b"count").unwrap(), Some(9));
         drop(ctx);
         assert!(state
             .storage_get(&ContractId::new("counter"), b"count")
@@ -449,8 +450,8 @@ mod tests {
         assert!(ctx.remove_raw(b"idx/2").unwrap());
         assert!(!ctx.remove_raw(b"idx/2").unwrap()); // already gone
         ctx.set_raw(b"idx/0".to_vec(), vec![0]).unwrap();
-        assert_eq!(ctx.get_raw(b"idx/1").unwrap(), Some(vec![9]));
-        assert_eq!(ctx.get_raw(b"idx/2").unwrap(), None);
+        assert_eq!(ctx.get::<u8>(b"idx/1").unwrap(), Some(9));
+        assert!(!ctx.contains(b"idx/2").unwrap());
         assert_eq!(
             ctx.keys_with_prefix(b"idx/").unwrap(),
             vec![b"idx/0".to_vec(), b"idx/1".to_vec()]

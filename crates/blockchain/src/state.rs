@@ -33,9 +33,19 @@
 //! touched rows back in before it seals. Reads of the commitment fold any
 //! unsettled rows in on the fly, so they are exact at every instant and no
 //! caller has to remember to settle first.
+//!
+//! Accounts are hashed, not ordered: nothing reads them in order (the
+//! commitment XORs their rows, and `verify_pages` only folds them), while a
+//! transaction reads its sender's account about ten times between submit
+//! and commit. A lookup is then one hash of the 32-byte address instead of
+//! a B-tree descent with a 32-byte compare per node. The table keeps std's
+//! seeded `RandomState`, not the unseeded [`duc_intern::FxHasher`] the
+//! chain's other tables use: a transfer may credit any 32 bytes, so with
+//! an unseeded hasher a sender could create accounts whose hashes all
+//! collide, one fee-paying transfer each.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
 
 use duc_crypto::{hash_parts, Digest};
@@ -559,7 +569,7 @@ impl PagedSlots {
     /// counters and the caller's accumulator exactly.
     fn verify(
         &mut self,
-        accounts: &BTreeMap<Address, Account>,
+        accounts: &HashMap<Address, Account>,
         acc: &[u8; 32],
     ) -> Result<(), String> {
         let mut recomputed = [0u8; 32];
@@ -717,7 +727,7 @@ impl PagedSlots {
 /// state from scoped threads.
 #[derive(Debug)]
 pub struct WorldState {
-    accounts: BTreeMap<Address, Account>,
+    accounts: HashMap<Address, Account>,
     /// The accounts whose `folded` flag is down, in first-touch order.
     unfolded: Vec<Address>,
     slots: Mutex<PagedSlots>,
@@ -766,7 +776,7 @@ impl WorldState {
     /// Empty state with explicit paging knobs.
     pub fn with_paging(cfg: &PagingConfig) -> WorldState {
         WorldState {
-            accounts: BTreeMap::new(),
+            accounts: HashMap::default(),
             unfolded: Vec::new(),
             slots: Mutex::new(PagedSlots::from_config(cfg)),
             acc: [0u8; 32],

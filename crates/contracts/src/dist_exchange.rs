@@ -60,7 +60,7 @@ fn get_policy(ctx: &mut CallCtx<'_>, digest: &Digest) -> Result<PolicyEnvelope, 
 impl DistExchange {
     fn init(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
         let (fee, validity_nanos, treasury): (u128, u64, Address) = decode_from_slice(args)?;
-        if ctx.get_raw(&layout::cfg("fee"))?.is_some() {
+        if ctx.contains(&layout::cfg("fee"))? {
             return Err(revert("already initialized"));
         }
         ctx.set(layout::cfg("fee"), &fee)?;
@@ -73,7 +73,7 @@ impl DistExchange {
         let (owner_webid, web_ref, default_policy): (String, String, PolicyEnvelope) =
             decode_from_slice(args)?;
         let key = layout::pod(&owner_webid);
-        if ctx.get_raw(&key)?.is_some() {
+        if ctx.contains(&key)? {
             return Err(revert(format!("pod already registered for {owner_webid}")));
         }
         let policy = put_policy(ctx, &default_policy)?;
@@ -121,7 +121,7 @@ impl DistExchange {
             return Err(revert("caller does not own the pod"));
         }
         let key = layout::res(&resource);
-        if ctx.get_raw(&key)?.is_some() {
+        if ctx.contains(&key)? {
             return Err(revert(format!("resource already registered: {resource}")));
         }
         let digest = put_policy(ctx, &policy)?;
@@ -205,7 +205,7 @@ impl DistExchange {
             duc_crypto::PublicKey,
         ) = decode_from_slice(args)?;
         layout::reject_separator("device name", &device)?;
-        if ctx.get_raw(&layout::res(&resource))?.is_none() {
+        if !ctx.contains(&layout::res(&resource))? {
             return Err(revert(format!("unknown resource {resource}")));
         }
         let key = layout::copy(&resource, &device);
@@ -517,7 +517,7 @@ impl DistExchange {
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
         let (certificate, webid): (Digest, String) = decode_from_slice(args)?;
-        let valid = if ctx.get_raw(&layout::cert(&certificate))?.is_some() {
+        let valid = if ctx.contains(&layout::cert(&certificate))? {
             let sub: Option<SubRow> = ctx.get(&layout::sub(&webid))?;
             sub.map(|s| s.certificate == certificate && s.valid_at(ctx.block_time))
                 .unwrap_or(false)

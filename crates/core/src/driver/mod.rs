@@ -77,13 +77,13 @@
 //! functions.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, TxId};
 use duc_contracts::{topics, PolicyEnvelope};
 use duc_crypto::Digest;
-use duc_intern::Sym;
+use duc_intern::{FxHashMap, FxHashSet, Sym};
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EndpointId, EventId, SimDuration, SimTime};
 use duc_solid::Body;
@@ -372,7 +372,7 @@ struct Waiter {
 /// processes from stealing each other's events.
 pub(crate) struct DriverState {
     next_ticket: u64,
-    inflight: HashMap<u64, Machine>,
+    inflight: FxHashMap<u64, Machine>,
     woken: Rc<RefCell<VecDeque<Wakeup>>>,
     /// The inclusion wait-set, in the order waiting began.
     waiting: Vec<Waiter>,
@@ -384,7 +384,7 @@ pub(crate) struct DriverState {
     pub(crate) monitoring_inbox: Vec<(u64, Rc<Event>)>,
     /// Machine ids spawned by the obligation scheduler: their outcomes are
     /// dropped on completion instead of surfacing through tickets.
-    internal: HashSet<u64>,
+    internal: FxHashSet<u64>,
     /// Obligation wakeups fired by the scheduler, waiting to materialize
     /// as [`ObligationRun`] machines: interned `(device, resource)` pairs
     /// in the world's shared symbol space.
@@ -393,23 +393,23 @@ pub(crate) struct DriverState {
     /// so a policy change re-arms (cancel + reschedule) instead of
     /// stacking. Keyed on two `u32` symbols — no string hashing or clones
     /// on the re-arm hot path.
-    pub(crate) scheduled_obligations: HashMap<(Sym, Sym), (SimTime, EventId)>,
+    pub(crate) scheduled_obligations: FxHashMap<(Sym, Sym), (SimTime, EventId)>,
 }
 
 impl DriverState {
     pub(crate) fn new() -> DriverState {
         DriverState {
             next_ticket: 0,
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             woken: Rc::new(RefCell::new(VecDeque::new())),
             waiting: Vec::new(),
             slot_tick: None,
             completed: VecDeque::new(),
             inbox: Vec::new(),
             monitoring_inbox: Vec::new(),
-            internal: HashSet::new(),
+            internal: FxHashSet::default(),
             obligation_woken: Rc::new(RefCell::new(VecDeque::new())),
-            scheduled_obligations: HashMap::new(),
+            scheduled_obligations: FxHashMap::default(),
         }
     }
 }

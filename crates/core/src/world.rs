@@ -7,7 +7,7 @@ use duc_blockchain::{
 };
 use duc_contracts::{topics, DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::KeyPair;
-use duc_intern::{Registry, SharedInterner, Sym};
+use duc_intern::{FxHashMap, Registry, SharedInterner, Sym};
 use duc_oracle::{PullInOracle, PullOutOracle, PushInOracle, PushOutOracle};
 use duc_policy::UsagePolicy;
 use duc_sim::{
@@ -200,7 +200,7 @@ pub struct World<L = Blockchain> {
     pub devices: Registry<Device>,
     /// Which device sits behind a network endpoint, maintained by
     /// [`World::add_device`]: push-out deliveries address endpoints.
-    pub(crate) device_endpoints: std::collections::HashMap<EndpointId, Sym>,
+    pub(crate) device_endpoints: FxHashMap<EndpointId, Sym>,
     /// Collected measurements.
     pub metrics: MetricsRegistry,
     /// Structured event trace (enabled by [`WorldConfig::trace`]).
@@ -313,7 +313,7 @@ impl<L: Ledger> World<L> {
             attestation: AttestationAuthority::new(b"duc/attestation-root"),
             owners: Registry::new(ids.clone()),
             devices: Registry::new(ids.clone()),
-            device_endpoints: std::collections::HashMap::new(),
+            device_endpoints: FxHashMap::default(),
             ids,
             metrics: MetricsRegistry::new(),
             trace,

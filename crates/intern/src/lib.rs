@@ -19,6 +19,12 @@
 //!   devices) share one symbol space while call sites keep `&str` keys.
 //! - [`key_head`] — the fixed-width head of a name, which a sorted table
 //!   compares before the name itself (the state directory, a TEE's copies).
+//! - [`FxHasher`] / [`FxHashMap`] / [`FxHashSet`] — one fast, unseeded
+//!   hasher for the hash tables keyed by what the process derives itself
+//!   (transaction ids, signers' addresses, tickets, symbols, endpoint ids).
+//!   A table keyed by what arrives in requests — strings, or the ledger's
+//!   accounts, whose addresses a transfer's sender picks — keeps std's
+//!   `RandomState`.
 //!
 //! Interned symbols never cross the wire: contract ABI bytes, storage keys
 //! and event payloads stay exactly as before. Interning only replaces the
@@ -44,8 +50,9 @@
 #![warn(unreachable_pub)]
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -62,6 +69,53 @@ pub fn key_head(key: &[u8]) -> u128 {
             .fold(0, |head, (&b, byte)| head | u128::from(b) << (8 * byte)),
     }
 }
+
+/// FxHash, rustc's hasher: each 8-byte word of the input is folded in as
+/// `(hash.rotate_left(5) ^ word) * K`, with no per-process seed. It is
+/// fast and deterministic, and so predictable: key a table on it only when
+/// the process derives the keys itself — digests, counters, symbols,
+/// endpoint ids — never on strings that arrive in requests, whose sender
+/// could pick keys that all collide. Those tables keep std's `RandomState`,
+/// and so does the ledger's account table: a transfer may credit any
+/// address its sender picks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` on [`FxHasher`] (self-derived keys only; see there).
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` on [`FxHasher`] (self-derived keys only; see there).
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// A `u32` symbol standing in for an interned string.
 ///
@@ -455,6 +509,28 @@ impl<V> Registry<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Known answers: one word is `K * word`, a short tail is padded with
+    /// zeros to a word, and words fold in order (`rotl5(K) ^ 2`, times K).
+    #[test]
+    fn fx_folds_words_and_pads_the_tail() {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let fx = |write: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            write(&mut h);
+            h.finish()
+        };
+        assert_eq!(fx(&|h| h.write_u64(1)), K);
+        assert_eq!(fx(&|h| h.write(&[1])), K);
+        assert_eq!(fx(&|h| h.write_u32(1)), K);
+        let two_words = K.rotate_left(5) ^ 2;
+        assert_eq!(
+            fx(&|h| h.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2])),
+            two_words.wrapping_mul(K)
+        );
+        let mut set: FxHashSet<(Sym, Sym)> = FxHashSet::default();
+        assert!(set.insert((Sym(1), Sym(2))) && !set.insert((Sym(1), Sym(2))));
+    }
 
     #[test]
     fn intern_is_idempotent_and_dense() {
