@@ -7,9 +7,8 @@
 //! simulation, balances, and the validator fault hooks of the robustness
 //! experiments. Two backends ship in-tree:
 //!
-//! * [`SingleChain`] — the existing [`Blockchain`], unchanged (the trait
-//!   impl delegates to the inherent methods), so every legacy run is
-//!   byte-identical to the pre-trait code.
+//! * [`Blockchain`] — one PoA chain; the trait impl delegates to its
+//!   inherent methods.
 //! * [`ShardedLedger`] — `N` independent PoA chains with deterministic
 //!   owner/contract routing and a merged, height-interleaved event view.
 //!   Requests from disjoint owners land on disjoint shards and no longer
@@ -67,7 +66,7 @@ pub trait Ledger {
     // ------------------------------------------------------------- shards
 
     /// Number of independent chains behind this ledger (1 for
-    /// [`SingleChain`]).
+    /// [`Blockchain`]).
     fn shard_count(&self) -> usize;
 
     /// Registers a routing alias: route keys starting with `prefix`
@@ -312,11 +311,6 @@ pub trait Ledger {
     /// bytes, never rows, so the accumulator is untouched by paging.
     fn state_commitment(&self) -> Digest;
 }
-
-/// The legacy single-chain backend (the concrete [`Blockchain`] behind the
-/// trait; every call delegates to the inherent method, so behaviour — and
-/// fingerprints — are byte-identical to pre-trait code).
-pub type SingleChain = Blockchain;
 
 impl Ledger for Blockchain {
     fn shard_count(&self) -> usize {

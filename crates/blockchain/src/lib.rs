@@ -24,7 +24,7 @@
 //!   event log for oracle subscriptions, and crash-fault injection for the
 //!   robustness experiments (E8).
 //! * [`ledger`] — the pluggable [`Ledger`] abstraction the rest of the
-//!   stack consumes: [`SingleChain`] (the chain above, byte-identical) and
+//!   stack consumes: [`Blockchain`] (the chain above) and
 //!   [`ShardedLedger`] (N chains, deterministic routing, merged event
 //!   view; experiment E13).
 //!
@@ -82,7 +82,7 @@ pub use chain::{Blockchain, BlockchainBuilder, SubmitError};
 pub use contract::{CallCtx, Contract, ContractError, Event};
 pub use exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
 pub use gas::{GasMeter, GasSchedule, OutOfGas};
-pub use ledger::{Ledger, RouteKey, RouterFn, ShardedLedger, SingleChain};
+pub use ledger::{Ledger, RouteKey, RouterFn, ShardedLedger};
 pub use state::{PagingStats, WorldState};
 pub use tx::{Receipt, SignedTransaction, Transaction, TxStatus};
 pub use types::{Address, Amount, ContractId, TxId};
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::contract::{CallCtx, Contract, ContractError, Event};
     pub use crate::exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
     pub use crate::gas::{GasMeter, GasSchedule};
-    pub use crate::ledger::{Ledger, RouteKey, RouterFn, ShardedLedger, SingleChain};
+    pub use crate::ledger::{Ledger, RouteKey, RouterFn, ShardedLedger};
     pub use crate::state::WorldState;
     pub use crate::tx::{Receipt, SignedTransaction, Transaction, TxStatus};
     pub use crate::types::{Address, Amount, ContractId, TxId};

@@ -1,6 +1,6 @@
 //! Backend-conformance suite: the same scenario matrix and the same chaos
-//! plans run against every [`Ledger`] backend — the legacy [`SingleChain`]
-//! and the [`ShardedLedger`] — and the shared architecture invariants
+//! plans run against every [`Ledger`] backend — the [`Blockchain`] and
+//! the [`ShardedLedger`] — and the shared architecture invariants
 //! (`duc_core::chaos::check_invariants`: certificates verify, TEE↔registry
 //! copy consistency, gas conservation, cursors ≤ height) must hold on each.
 //!

@@ -6,8 +6,6 @@
 //! control (this crate's [`crate::model`]) takes over *after* the data has
 //! left the pod.
 
-use duc_codec::{Decode, DecodeError, Encode, Reader};
-
 /// A WAC access mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AclMode {
@@ -33,34 +31,6 @@ impl AclMode {
     /// Whether holding `self` implies `requested` (Write implies Append).
     pub fn implies(self, requested: AclMode) -> bool {
         self == requested || (self == AclMode::Write && requested == AclMode::Append)
-    }
-}
-
-impl Encode for AclMode {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            AclMode::Read => 0,
-            AclMode::Write => 1,
-            AclMode::Append => 2,
-            AclMode::Control => 3,
-        });
-    }
-}
-
-impl Decode for AclMode {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.read_u8()? {
-            0 => AclMode::Read,
-            1 => AclMode::Write,
-            2 => AclMode::Append,
-            3 => AclMode::Control,
-            tag => {
-                return Err(DecodeError::InvalidTag {
-                    tag,
-                    type_name: "AclMode",
-                })
-            }
-        })
     }
 }
 
@@ -190,35 +160,6 @@ impl AclDocument {
     }
 }
 
-impl Encode for AgentSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            AgentSpec::Agent(webid) => {
-                buf.push(0);
-                webid.encode(buf);
-            }
-            AgentSpec::AuthenticatedAgent => buf.push(1),
-            AgentSpec::Public => buf.push(2),
-        }
-    }
-}
-
-impl Decode for AgentSpec {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.read_u8()? {
-            0 => AgentSpec::Agent(String::decode(r)?),
-            1 => AgentSpec::AuthenticatedAgent,
-            2 => AgentSpec::Public,
-            tag => {
-                return Err(DecodeError::InvalidTag {
-                    tag,
-                    type_name: "AgentSpec",
-                })
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +239,5 @@ mod tests {
         ));
         assert!(d.allows(Some(BOB), AclMode::Append, RES));
         assert!(!d.allows(Some(BOB), AclMode::Control, RES));
-    }
-
-    #[test]
-    fn codec_roundtrip_for_agent_specs() {
-        use duc_codec::{decode_from_slice, encode_to_vec};
-        for spec in [
-            AgentSpec::Agent("urn:x".into()),
-            AgentSpec::AuthenticatedAgent,
-            AgentSpec::Public,
-        ] {
-            let back: AgentSpec = decode_from_slice(&encode_to_vec(&spec)).unwrap();
-            assert_eq!(back, spec);
-        }
-        let mode: AclMode = decode_from_slice(&encode_to_vec(&AclMode::Control)).unwrap();
-        assert_eq!(mode, AclMode::Control);
     }
 }

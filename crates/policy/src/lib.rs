@@ -19,7 +19,6 @@
 //!   [`PolicyEngine`], a rule-walking interpreter kept as the reference
 //!   [`PolicyProgram::decide`] is proptest-checked against (not in the
 //!   prelude).
-//! * [`dsl`] — the text syntax for policies, the one a person writes.
 //! * [`rdf_binding`] — a one-way export of a policy as an RDF graph (ODRL +
 //!   project vocabulary); nothing parses a policy back out of RDF.
 //! * [`acl`] — W3C Web Access Control lists, the Solid-native *access*
@@ -57,7 +56,6 @@
 
 pub mod acl;
 pub mod compile;
-pub mod dsl;
 pub mod engine;
 pub mod model;
 pub mod rdf_binding;
@@ -80,14 +78,9 @@ pub mod prelude {
 
 pub use engine::UsageContext;
 
-/// Errors from DSL parsing and policy validation.
+/// Errors from policy validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
-    /// DSL syntax error with byte offset context.
-    Syntax {
-        /// Explanation of the failure.
-        message: String,
-    },
     /// A value failed validation (e.g. negative duration).
     Invalid(String),
 }
@@ -95,7 +88,6 @@ pub enum PolicyError {
 impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PolicyError::Syntax { message } => write!(f, "policy syntax error: {message}"),
             PolicyError::Invalid(what) => write!(f, "invalid policy value: {what}"),
         }
     }

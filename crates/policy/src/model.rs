@@ -64,7 +64,7 @@ impl Action {
         })
     }
 
-    /// The DSL keyword for this action.
+    /// The lower-case keyword for this action, as `Display` writes it.
     pub fn keyword(self) -> &'static str {
         match self {
             Action::Use => "use",
@@ -73,18 +73,6 @@ impl Action {
             Action::Delete => "delete",
             Action::Distribute => "distribute",
         }
-    }
-
-    /// Parses a DSL keyword.
-    pub(crate) fn from_keyword(kw: &str) -> Option<Action> {
-        Some(match kw {
-            "use" => Action::Use,
-            "read" => Action::Read,
-            "modify" => Action::Modify,
-            "delete" => Action::Delete,
-            "distribute" => Action::Distribute,
-            _ => return None,
-        })
     }
 }
 
@@ -543,14 +531,6 @@ mod tests {
         );
         assert!(Action::Read.subsumes(Action::Read));
         assert!(!Action::Read.subsumes(Action::Modify));
-    }
-
-    #[test]
-    fn action_keywords_roundtrip() {
-        for a in Action::ALL {
-            assert_eq!(Action::from_keyword(a.keyword()), Some(a));
-        }
-        assert_eq!(Action::from_keyword("nonsense"), None);
     }
 
     #[test]

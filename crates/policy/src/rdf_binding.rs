@@ -1,9 +1,9 @@
 //! A one-way export of a policy as an RDF graph (ODRL + project vocabulary).
 //!
 //! Nothing in the architecture reads a policy back out of RDF: the pod
-//! manager hands the DE App the structured [`UsagePolicy`], and the DSL
-//! ([`crate::dsl`]) is the one human syntax. The export's one caller outside
-//! tests is the repository benchmark, which times parsing its Turtle text.
+//! manager hands the DE App the structured [`UsagePolicy`], built with
+//! [`UsagePolicy::builder`]. The export's one caller outside tests is the
+//! repository benchmark, which times parsing its Turtle text.
 //! The mapping follows ODRL 2.2 (policy → permission/prohibition → action +
 //! constraints) with project terms (`duc:`) where ODRL has no equivalent
 //! (retention, notification obligations, time windows).

@@ -1,13 +1,11 @@
-//! Cross-representation property tests: a policy must survive round trips
-//! through both of its encodings — the binary codec (on-chain) and the text
-//! DSL (owner-facing) — and the representations must agree with each other.
+//! Codec property tests: a policy must survive a round trip through its
+//! binary encoding (the bytes carried on-chain), and the decoded policy
+//! must decide and bound exactly as the original does.
 //!
-//! Purposes, recipients and identities are arbitrary strings, the ones the
-//! DSL has to quote or escape included: `"`, `\`, `,`, `]`, `:`, whitespace
-//! and the empty string.
+//! Purposes, recipients and identities are arbitrary strings: `"`, `\`,
+//! `,`, `]`, `:`, whitespace, any Unicode and the empty string included.
 
 use duc_codec::{decode_from_slice, encode_to_vec};
-use duc_policy::dsl;
 use duc_policy::prelude::*;
 use duc_policy::PolicyEngine;
 use duc_sim::{SimDuration, SimTime};
@@ -23,8 +21,8 @@ fn arb_action() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// Identifier-like words, printable ASCII, runs of the characters the DSL
-/// quotes or escapes, any Unicode, and the empty string.
+/// Identifier-like words, printable ASCII, runs of quotes, backslashes,
+/// separators and whitespace, any Unicode, and the empty string.
 fn arb_text() -> impl Strategy<Value = String> {
     prop_oneof![
         "[a-z][a-z0-9-]{0,10}",
@@ -98,24 +96,17 @@ fn via_codec(policy: &UsagePolicy) -> UsagePolicy {
     decode_from_slice(&encode_to_vec(policy)).expect("codec")
 }
 
-fn via_dsl(policy: &UsagePolicy) -> UsagePolicy {
-    let text = dsl::serialize(policy);
-    dsl::parse(&text).unwrap_or_else(|e| panic!("dsl reparse: {e}\n{text}"))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Both encodings are the identity, whatever strings the policy holds.
+    /// The encoding is the identity, whatever strings the policy holds.
     #[test]
     fn encodings_roundtrip(policy in arb_policy()) {
         prop_assert_eq!(&via_codec(&policy), &policy);
-        prop_assert_eq!(&via_dsl(&policy), &policy, "\n{}", dsl::serialize(&policy));
     }
 
-    /// The representations agree: decisions made by the engine are
-    /// identical for the original policy and the codec- and
-    /// DSL-roundtripped policies.
+    /// Decoding keeps the decisions: the engine decides identically for the
+    /// original and the codec-roundtripped policy.
     #[test]
     fn representations_agree_on_decisions(
         policy in arb_policy(),
@@ -135,15 +126,13 @@ proptest! {
         };
         let original = engine.evaluate(&policy, &ctx).is_permit();
         prop_assert_eq!(engine.evaluate(&via_codec(&policy), &ctx).is_permit(), original);
-        prop_assert_eq!(engine.evaluate(&via_dsl(&policy), &ctx).is_permit(), original);
     }
 
-    /// Retention and expiry bounds survive every representation.
+    /// Retention and expiry bounds survive the encoding.
     #[test]
     fn bounds_survive_representations(policy in arb_policy()) {
-        for via in [via_codec(&policy), via_dsl(&policy)] {
-            prop_assert_eq!(via.retention_bound(), policy.retention_bound());
-            prop_assert_eq!(via.expiry_bound(), policy.expiry_bound());
-        }
+        let via = via_codec(&policy);
+        prop_assert_eq!(via.retention_bound(), policy.retention_bound());
+        prop_assert_eq!(via.expiry_bound(), policy.expiry_bound());
     }
 }

@@ -26,18 +26,20 @@ fn main() -> Result<(), ProcessError> {
 
     // Process 2 — resource initiation with a usage policy:
     // medical purposes only, delete after 30 days.
-    let policy_src = r#"
-        policy "https://bob.pod/data/medical.ttl#policy"
-            for "https://bob.pod/data/medical.ttl"
-            owner "https://bob.id/me" {
-            permit use where purpose in [medical] and max-retention 30d;
-            prohibit distribute;
-            duty delete-within 30d;
-            duty log-accesses;
-        }
-    "#;
-    let policy = solid_usage_control::policy::dsl::parse(policy_src)
-        .map_err(|e| ProcessError::Policy(e.to_string()))?;
+    let policy = UsagePolicy::builder(
+        "https://bob.pod/data/medical.ttl#policy",
+        "https://bob.pod/data/medical.ttl",
+        "https://bob.id/me",
+    )
+    .permit(
+        Rule::permit([Action::Use])
+            .with_constraint(Constraint::Purpose(vec![Purpose::new("medical")]))
+            .with_constraint(Constraint::MaxRetention(SimDuration::from_days(30))),
+    )
+    .rule(Rule::prohibit([Action::Distribute]))
+    .duty(Duty::DeleteWithin(SimDuration::from_days(30)))
+    .duty(Duty::LogAccesses)
+    .build();
     let resource = world.resource_initiation(
         "https://bob.id/me",
         "data/medical.ttl",

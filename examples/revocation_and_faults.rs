@@ -35,17 +35,7 @@ fn main() -> Result<(), ProcessError> {
     }
 
     world.pod_initiation(OWNER)?;
-    let policy_src = format!(
-        r#"policy "https://owner.pod/data/feed.json#policy"
-               for "https://owner.pod/data/feed.json"
-               owner "{OWNER}" {{
-               permit use where max-retention 30d;
-               duty delete-within 30d;
-               duty log-accesses;
-           }}"#
-    );
-    let policy = solid_usage_control::policy::dsl::parse(&policy_src)
-        .map_err(|e| ProcessError::Policy(e.to_string()))?;
+    let policy = scenario::population_policy("https://owner.pod/data/feed.json", OWNER, 30);
     let resource = world.resource_initiation(
         OWNER,
         "data/feed.json",

@@ -1,7 +1,6 @@
 //! Property tests on policy invariants.
 
 use proptest::prelude::*;
-use solid_usage_control::policy::dsl;
 use solid_usage_control::policy::prelude::*;
 use solid_usage_control::sim::{SimDuration, SimTime};
 
@@ -114,15 +113,6 @@ fn decide(policy: &UsagePolicy, ctx: &UsageContext) -> Decision {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Serializing any policy to the DSL and parsing it back is lossless.
-    #[test]
-    fn dsl_roundtrip(policy in arb_policy()) {
-        let text = dsl::serialize(&policy);
-        let reparsed = dsl::parse(&text)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n---\n{text}"));
-        prop_assert_eq!(reparsed, policy, "\n{}", text);
-    }
 
     /// Codec roundtrip is lossless for arbitrary policies.
     #[test]
