@@ -275,6 +275,9 @@ mod tests {
         latency: SimDuration,
         done: Vec<u32>,
         pending: Vec<(SimTime, u32)>,
+        /// Every admission with the instant of the pace that stamped it,
+        /// in admission order.
+        stamped: Vec<(SimTime, u32)>,
         /// Requests this shutdown when admitting the given command.
         shutdown_on: Option<(u32, ShutdownSignal)>,
     }
@@ -285,6 +288,7 @@ mod tests {
                 latency: SimDuration::from_millis(latency_ms),
                 done: Vec::new(),
                 pending: Vec::new(),
+                stamped: Vec::new(),
                 shutdown_on: None,
             }
         }
@@ -308,6 +312,7 @@ mod tests {
             for entry in &mut self.pending {
                 if entry.0 == SimTime::MAX {
                     entry.0 = now + self.latency;
+                    self.stamped.push((now, entry.1));
                 }
             }
             let (done, still): (Vec<_>, Vec<_>) =
@@ -404,5 +409,132 @@ mod tests {
         let report = drive(&mut clock, &mut jobs, script(), &shutdown, &config);
         assert!(report.exports >= 2, "periodic + final: {}", report.exports);
         assert_eq!(jobs.done.len(), 5);
+    }
+
+    /// Script entries sharing an instant are admitted in script order,
+    /// after every entry due earlier, and none before its instant (2 and 4
+    /// logical seconds: milliseconds of real time after the loop starts,
+    /// so no entry is already due when it begins): each
+    /// admission is stamped by the pace that follows it, never earlier
+    /// than the entry's scripted instant.
+    #[test]
+    fn same_instant_script_entries_admit_in_order_and_never_early() {
+        let mut clock = fast_clock();
+        let mut jobs = Jobs::new(5);
+        let shutdown = ShutdownSignal::new();
+        let at = |ms: u64| SimTime::from_millis(ms);
+        let script = vec![
+            (at(4_000), 0),
+            (at(2_000), 1),
+            (at(4_000), 2),
+            (at(2_000), 3),
+            (at(4_000), 4),
+            (at(2_000), 5),
+        ];
+        let report = drive(
+            &mut clock,
+            &mut jobs,
+            script.clone(),
+            &shutdown,
+            &DriveConfig::default(),
+        );
+        assert_eq!(report.admitted, 6);
+        let order: Vec<u32> = jobs.stamped.iter().map(|&(_, c)| c).collect();
+        assert_eq!(order, vec![1, 3, 5, 0, 2, 4]);
+        for (stamp, cmd) in &jobs.stamped {
+            let due = script.iter().find(|(_, c)| c == cmd).expect("scripted").0;
+            assert!(
+                *stamp >= due,
+                "command {cmd} admitted at {stamp}, due {due}"
+            );
+        }
+    }
+
+    /// A workload that stays busy for a fixed number of paces, each
+    /// stalling the loop for 20 real ms, and counts the exports that land
+    /// between consecutive paces.
+    struct Stalling {
+        paces_left: u32,
+        last_pace: SimTime,
+        exports_since_pace: u32,
+        /// Exports seen between each pace and the previous one.
+        exports_per_pace: Vec<u32>,
+    }
+
+    impl Workload for Stalling {
+        type Cmd = u32;
+
+        fn admit(&mut self, _: u32) {}
+
+        fn pace(&mut self, now: SimTime) {
+            self.exports_per_pace.push(self.exports_since_pace);
+            self.exports_since_pace = 0;
+            if self.paces_left > 0 {
+                self.paces_left -= 1;
+                self.last_pace = now;
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+        }
+
+        fn next_due(&mut self) -> Option<SimTime> {
+            (self.paces_left > 0).then(|| self.last_pace + SimDuration::from_millis(1))
+        }
+
+        fn in_flight(&self) -> usize {
+            self.paces_left as usize
+        }
+
+        fn export(&mut self) {
+            self.exports_since_pace += 1;
+        }
+    }
+
+    /// Real time (scale 1) with a 1 ms export period while every pace
+    /// stalls 20 ms: each stall misses about 20 grid points, and none of
+    /// them is replayed. The loop exports at most once per turn, so no
+    /// more than two exports separate consecutive paces, and the final
+    /// flush is the only export after the last one.
+    #[test]
+    fn stalled_loop_skips_missed_export_points() {
+        let mut clock = WallClock::with_scale(SimTime::ZERO, 1);
+        let mut work = Stalling {
+            paces_left: 8,
+            last_pace: SimTime::ZERO,
+            exports_since_pace: 0,
+            exports_per_pace: Vec::new(),
+        };
+        let config = DriveConfig {
+            export_every: Some(SimDuration::from_millis(1)),
+            ..DriveConfig::default()
+        };
+        let report = drive(
+            &mut clock,
+            &mut work,
+            Vec::new(),
+            &ShutdownSignal::new(),
+            &config,
+        );
+        assert!(report.drained);
+        assert!(
+            work.exports_per_pace.iter().all(|&n| n <= 2),
+            "a burst of missed export points: {:?}",
+            work.exports_per_pace
+        );
+        assert_eq!(
+            work.exports_since_pace, 1,
+            "only the final flush after the last pace"
+        );
+        let total: u64 = work
+            .exports_per_pace
+            .iter()
+            .map(|&n| u64::from(n))
+            .sum::<u64>()
+            + 1;
+        assert_eq!(report.exports, total);
+        assert!(
+            report.exports <= 2 * 8 + 4,
+            "{} exports over 8 stalled paces",
+            report.exports
+        );
     }
 }
