@@ -14,8 +14,7 @@
 
 use duc_blockchain::Ledger;
 use duc_runtime::{
-    drive, DriveConfig, DriveReport, MetricsPage, ShutdownSignal, Tick, WallClock, WallHandle,
-    Workload,
+    drive, DriveConfig, DriveReport, MetricsPage, ShutdownSignal, WallClock, WallHandle, Workload,
 };
 use duc_sim::SimTime;
 
@@ -25,7 +24,7 @@ use crate::world::World;
 /// What a wall-clock run produced.
 #[derive(Debug)]
 pub struct RuntimeRun {
-    /// The drive loop's accounting (admissions, wakeups, drain status).
+    /// The drive loop's accounting (admissions, exports, drain status).
     pub report: DriveReport,
     /// Every completed outcome, in completion order.
     pub outcomes: Vec<(Ticket, Result<Outcome, ProcessError>)>,
@@ -36,8 +35,9 @@ pub struct RuntimeRun {
 /// `pace(now)` advances the world by the logical delta since its own
 /// clock and collects completions; `next_due` is the world scheduler's
 /// next event — every wake the world has, obligation wakeups included —
-/// so the drive loop mirrors the world's internal event queue into a
-/// single re-armable timer.
+/// so the world's scheduler is the only timer queue: the drive loop
+/// sleeps until its next event (or an injection, a script instant or an
+/// export point) and paces the world there.
 pub(crate) struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
     world: &'w mut World<L>,
     page: Option<MetricsPage>,
@@ -125,9 +125,9 @@ pub fn run_wall<L, F>(
 ) -> RuntimeRun
 where
     L: Ledger,
-    F: FnOnce(WallHandle<Tick<Request>>) -> Vec<std::thread::JoinHandle<()>>,
+    F: FnOnce(WallHandle<Request>) -> Vec<std::thread::JoinHandle<()>>,
 {
-    let mut clock: WallClock<Tick<Request>> = WallClock::with_scale(world.clock.now(), scale);
+    let mut clock: WallClock<Request> = WallClock::with_scale(world.clock.now(), scale);
     let producers = spawn_producers(clock.handle());
     let mut paced = PacedWorld::new(world, page);
     let report = drive(&mut clock, &mut paced, script, shutdown, config);
@@ -278,8 +278,8 @@ pub fn outcome_set(outcomes: &[(Ticket, Result<Outcome, ProcessError>)]) -> Vec<
     keys
 }
 
-// Wall mode moves scripted requests across threads (consumer loop + timer
-// thread + producers); this pins the requirement at compile time.
+// Wall mode moves injected requests across threads (producers to the
+// consumer loop); this pins the requirement at compile time.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Request>();

@@ -16,7 +16,7 @@ use std::io::{Read as _, Write as _};
 
 use duc_core::runtime::{market_world, outcome_set, run_wall};
 use duc_core::{chaos, run_scripted, Outcome, ProcessError, Request, Ticket, World};
-use duc_runtime::{render, DriveConfig, MetricsPage, MetricsServer, ShutdownSignal, Tick};
+use duc_runtime::{render, DriveConfig, MetricsPage, MetricsServer, ShutdownSignal};
 use duc_sim::{SimDuration, SimTime};
 
 /// Logical seconds per real second in the wall-mode tests: the ~185 s
@@ -90,14 +90,14 @@ fn wall_shutdown_drains_in_flight_and_rejects_late_injections() {
         move |handle| {
             vec![std::thread::spawn(move || {
                 for req in early {
-                    handle.inject(Tick::Admit(req));
+                    handle.inject(req);
                 }
                 // Let the consumer pick the first batch up, then flip the
                 // signal and keep injecting: those must be rejected.
                 std::thread::sleep(std::time::Duration::from_millis(100));
                 producer_shutdown.request();
                 for req in late {
-                    handle.inject(Tick::Admit(req));
+                    handle.inject(req);
                 }
             })]
         },

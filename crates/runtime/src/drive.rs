@@ -4,35 +4,25 @@
 //! (the world's scheduler + obligation deadlines): it exposes the next
 //! instant it needs to run (`next_due`), accepts admitted commands, and is
 //! paced forward to the current instant. [`drive`] runs a workload on a
-//! [`WallClock`] by mirroring `next_due` into a re-armable pace timer: the
-//! calling thread blocks until each instant arrives, with scripted
-//! admissions armed as timers and producer threads injecting more through
-//! [`crate::WallHandle`]s.
+//! [`WallClock`]: each turn admits the scripted commands now due and the
+//! ones producer threads injected through [`crate::WallHandle`]s, paces
+//! the workload to now and exports on its grid, then sleeps until the
+//! earliest instant it needs next — a script entry, `next_due`, an export
+//! point or the drain deadline — or until an injection wakes it.
 //!
 //! Graceful shutdown: a [`ShutdownSignal`] flips the loop into draining
-//! mode — scripted admissions not yet delivered are withdrawn and new ones
+//! mode — scripted admissions not yet admitted are withdrawn and new ones
 //! rejected (both counted in [`DriveReport::rejected`]), in-flight work is
 //! paced to completion under a bounded deadline, and the loop reports
 //! whether the drain finished clean.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use duc_sim::{SimDuration, SimTime};
 
-use crate::wall::{TimerId, Wakeup, WallClock};
-
-/// Timer payload used by [`drive`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tick<C> {
-    /// Admit one command into the workload.
-    Admit(C),
-    /// Pace the workload to the current instant (its `next_due` arrived,
-    /// or the drain deadline expired).
-    Pace,
-    /// Flush a metrics snapshot.
-    Export,
-}
+use crate::wall::WallClock;
 
 /// Cooperative shutdown flag, shareable across threads.
 #[derive(Debug, Clone, Default)]
@@ -79,7 +69,8 @@ pub trait Workload {
 /// Tuning for [`drive`].
 #[derive(Debug, Clone)]
 pub struct DriveConfig {
-    /// Period of the export timer; `None` exports only on exit.
+    /// Export period, on the grid `start + k·period`; `None` exports only
+    /// on exit.
     pub export_every: Option<SimDuration>,
     /// Logical grace period for draining in-flight work after shutdown.
     pub drain_grace: SimDuration,
@@ -101,10 +92,8 @@ pub struct DriveReport {
     pub admitted: u64,
     /// Commands rejected because the loop was draining: scripted
     /// admissions withdrawn when the drain began, plus every admission
-    /// delivered after it.
+    /// that arrived after it.
     pub rejected: u64,
-    /// Total wakeups delivered.
-    pub wakeups: u64,
     /// Metric exports flushed (including the final one).
     pub exports: u64,
     /// Logical instant the loop exited.
@@ -115,144 +104,87 @@ pub struct DriveReport {
 
 /// Runs `workload` on `clock` until idle (or until a requested shutdown
 /// finishes draining). `script` is a set of pre-planned admissions at
-/// absolute logical instants; further commands may arrive through
-/// [`crate::WallHandle`] injection. Every scripted admission ends up
-/// admitted or rejected.
-pub fn drive<W>(
-    clock: &mut WallClock<Tick<W::Cmd>>,
+/// absolute logical instants, admitted in instant order (script order
+/// within an instant) and never before their instant; further commands
+/// may arrive through [`crate::WallHandle`] injection. Every scripted and
+/// injected admission the loop sees ends up admitted or rejected.
+pub fn drive<W: Workload>(
+    clock: &mut WallClock<W::Cmd>,
     workload: &mut W,
-    script: Vec<(SimTime, W::Cmd)>,
+    mut script: Vec<(SimTime, W::Cmd)>,
     shutdown: &ShutdownSignal,
     config: &DriveConfig,
-) -> DriveReport
-where
-    W: Workload,
-    W::Cmd: Clone + Send + 'static,
-{
+) -> DriveReport {
+    script.sort_by_key(|&(at, _)| at);
+    let mut script = VecDeque::from(script);
     let mut report = DriveReport::default();
-    let mut admissions_pending = script.len();
-    let mut scripted: Vec<TimerId> = script
-        .into_iter()
-        .map(|(at, cmd)| clock.arm(at, Tick::Admit(cmd)))
-        .collect();
-    let export_timer = config
-        .export_every
-        .map(|period| clock.arm_periodic(clock.now(), period, Tick::Export));
-    // The pace timer mirrors the workload's next internal due instant.
-    let mut pace_timer: Option<(TimerId, SimTime)> = None;
-    let mut draining = false;
-    let mut drain_deadline: Option<(TimerId, SimTime)> = None;
+    let start = clock.now();
+    let mut next_export = config.export_every.map(|_| start);
+    let mut drain_deadline: Option<SimTime> = None;
+    let mut woken_by: Option<W::Cmd> = None;
 
     loop {
-        if shutdown.is_requested() && !draining {
-            draining = true;
-            // Scripted admissions not yet delivered are withdrawn and
-            // rejected; anything already injected still sits in the queue
-            // and is rejected on arrival.
-            for id in scripted.drain(..) {
-                if clock.cancel(id) {
-                    report.rejected += 1;
-                }
-            }
-            let deadline = clock.now() + config.drain_grace;
-            drain_deadline = Some((clock.arm(deadline, Tick::Pace), deadline));
+        let now = clock.now();
+        if drain_deadline.is_none() && shutdown.is_requested() {
+            // Scripted admissions not yet admitted are withdrawn and
+            // rejected; injected ones are rejected as they arrive.
+            report.rejected += script.len() as u64;
+            script.clear();
+            drain_deadline = Some(now + config.drain_grace);
         }
 
-        // Anything already delivered is consumed before an exit is even
-        // considered — queued admissions are admitted (or rejected while
-        // draining), never silently dropped.
-        let delivered = clock.try_wait();
-        let Wakeup { id, payload, .. } = match delivered {
-            Some(w) => w,
-            None => {
-                if draining {
-                    let expired = drain_deadline.is_some_and(|(_, at)| clock.now() >= at);
-                    // A drain waits for live producers too (bounded by the
-                    // grace deadline): a handle still held means more
-                    // injections may arrive and deserve a rejection.
-                    if expired || (workload.in_flight() == 0 && !clock.has_external()) {
-                        report.drained = workload.in_flight() == 0;
-                        break;
-                    }
-                } else if workload.in_flight() == 0
-                    && admissions_pending == 0
-                    && !clock.has_external()
-                {
-                    // Idle with no planned or external work left. Mirrors
-                    // the sim driver's run_until_idle: don't drag the clock
-                    // toward far-future periodic timers.
-                    report.drained = true;
-                    break;
-                }
-
-                // Mirror next_due into the pace timer (re-arm on change).
-                let due = workload.next_due();
-                match (due, pace_timer) {
-                    (Some(at), Some((id, current))) if at != current => {
-                        pace_timer = if clock.rearm(id, at) {
-                            Some((id, at))
-                        } else {
-                            Some((clock.arm(at, Tick::Pace), at))
-                        };
-                    }
-                    (Some(at), None) => pace_timer = Some((clock.arm(at, Tick::Pace), at)),
-                    (None, Some((id, _))) => {
-                        clock.cancel(id);
-                        pace_timer = None;
-                    }
-                    _ => {}
-                }
-
-                let Some(w) = clock.wait() else {
-                    report.drained = workload.in_flight() == 0;
-                    break;
-                };
-                w
-            }
-        };
-        report.wakeups += 1;
-        if pace_timer.is_some_and(|(pid, _)| pid == id) {
-            pace_timer = None; // consumed by delivery
+        let mut due = Vec::new();
+        while script.front().is_some_and(|&(at, _)| at <= now) {
+            due.extend(script.pop_front().map(|(_, cmd)| cmd));
         }
-        match payload {
-            Tick::Admit(cmd) => {
-                admissions_pending = admissions_pending.saturating_sub(1);
-                // Re-check the signal at admission time: the request may
-                // have landed while this wakeup was being waited on, before
-                // the loop head could flip into draining.
-                if draining || shutdown.is_requested() {
-                    report.rejected += 1;
-                } else {
-                    workload.admit(cmd);
-                    report.admitted += 1;
-                    workload.pace(clock.now());
-                }
+        due.extend(woken_by.take());
+        due.extend(std::iter::from_fn(|| clock.try_recv()));
+        for cmd in due {
+            // Re-check the signal per admission: admitting one command
+            // may itself request the shutdown.
+            if drain_deadline.is_some() || shutdown.is_requested() {
+                report.rejected += 1;
+            } else {
+                workload.admit(cmd);
+                report.admitted += 1;
             }
-            Tick::Pace => workload.pace(clock.now()),
-            Tick::Export => {
+        }
+        workload.pace(now);
+        if let (Some(at), Some(period)) = (next_export, config.export_every) {
+            if at <= now {
                 workload.export();
                 report.exports += 1;
+                // Skip missed grid points: the next export is the first
+                // one still in the future, never a burst of stale ones.
+                let k = now.saturating_since(start).as_nanos() / period.as_nanos().max(1) + 1;
+                next_export = Some(start + period.saturating_mul(k));
             }
         }
+
+        // Idle with no planned or injectable work left (a drain has no
+        // script), or the drain ran out of grace. Mirrors the sim driver's
+        // run_until_idle: the clock is not dragged toward far-future dues.
+        let idle = workload.in_flight() == 0 && script.is_empty() && !clock.open();
+        if idle || drain_deadline.is_some_and(|at| now >= at) {
+            report.drained = workload.in_flight() == 0;
+            break;
+        }
+        let wake_at = [
+            script.front().map(|&(at, _)| at),
+            workload.next_due(),
+            next_export,
+            drain_deadline,
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        woken_by = clock.recv_until(wake_at);
     }
 
-    // Account for wakeups delivered after the exit decision (a drain
-    // deadline can expire with injections still queued): admissions are
-    // rejected, stray pace/export ticks dropped.
-    while let Some(w) = clock.try_wait() {
-        if matches!(w.payload, Tick::Admit(_)) {
-            report.wakeups += 1;
-            report.rejected += 1;
-        }
-    }
-    if let Some((id, _)) = pace_timer {
-        clock.cancel(id);
-    }
-    if let Some(id) = export_timer {
-        clock.cancel(id);
-    }
-    if let Some((id, _)) = drain_deadline {
-        clock.cancel(id);
+    // Injections that arrived after the exit decision (a drain deadline
+    // can expire with injections still queued) are rejected, never lost.
+    while clock.try_recv().is_some() {
+        report.rejected += 1;
     }
     workload.pace(clock.now());
     workload.export();
@@ -266,7 +198,7 @@ mod tests {
     use super::*;
 
     /// High-compression clock: 1 real µs = 1 logical ms.
-    fn fast_clock() -> WallClock<Tick<u32>> {
+    fn fast_clock() -> WallClock<u32> {
         WallClock::with_scale(SimTime::ZERO, 1000)
     }
 
@@ -337,7 +269,7 @@ mod tests {
     }
 
     /// The outcomes and end instant the schedule implies: five jobs
-    /// admitted at 10–50 ms, done 5 ms later, every helper timer gone.
+    /// admitted at 10–50 ms, done 5 ms later.
     #[test]
     fn wall_drive_matches_sim_outcomes() {
         let mut clock = fast_clock();
@@ -354,15 +286,13 @@ mod tests {
         assert_eq!(jobs.done, vec![0, 1, 2, 3, 4]);
         assert!(report.drained);
         assert!(report.finished_at >= SimTime::from_millis(55));
-        assert_eq!(clock.armed(), 0, "all helper timers cleaned up");
     }
 
     /// A shutdown requested mid-script withdraws the scripted admissions
-    /// not yet delivered: each is counted as rejected, and none is left
-    /// armed on the clock.
+    /// not yet admitted: each is counted as rejected.
     #[test]
     fn shutdown_rejects_withdrawn_scripted_admissions() {
-        let mut clock: WallClock<Tick<u32>> = WallClock::with_scale(SimTime::ZERO, 10);
+        let mut clock: WallClock<u32> = WallClock::with_scale(SimTime::ZERO, 10);
         let mut jobs = Jobs::new(5);
         let shutdown = ShutdownSignal::new();
         jobs.shutdown_on = Some((1, shutdown.clone()));
@@ -376,7 +306,6 @@ mod tests {
         assert_eq!((report.admitted, report.rejected), (2, 3));
         assert_eq!(jobs.done, vec![0, 1]);
         assert!(report.drained);
-        assert_eq!(clock.armed(), 0, "withdrawn admissions left armed");
     }
 
     #[test]
@@ -409,6 +338,31 @@ mod tests {
         let report = drive(&mut clock, &mut jobs, script(), &shutdown, &config);
         assert!(report.exports >= 2, "periodic + final: {}", report.exports);
         assert_eq!(jobs.done.len(), 5);
+    }
+
+    /// Injected commands are admitted beside the script, never in place of
+    /// it: two injections from a producer that hangs up at once leave both
+    /// scripted commands (10 and 20 logical seconds out) to be admitted at
+    /// their instants.
+    #[test]
+    fn injected_admissions_do_not_consume_scripted_ones() {
+        let mut clock = fast_clock();
+        let handle = clock.handle();
+        handle.inject(100);
+        handle.inject(101);
+        drop(handle);
+        let mut jobs = Jobs::new(5);
+        let script = vec![(SimTime::from_secs(10), 0), (SimTime::from_secs(20), 1)];
+        let report = drive(
+            &mut clock,
+            &mut jobs,
+            script,
+            &ShutdownSignal::new(),
+            &DriveConfig::default(),
+        );
+        assert_eq!(report.admitted + report.rejected, 4, "{report:?}");
+        assert!(report.finished_at >= SimTime::from_secs(20), "{report:?}");
+        assert!(report.drained);
     }
 
     /// Script entries sharing an instant are admitted in script order,

@@ -6,15 +6,15 @@
 //! (`duc_core::run_scripted`). This crate lets the *same* machines run on
 //! real time:
 //!
-//! - [`WallClock`] — std-only real-time timers: `now()`, one-shot and
-//!   genesis-anchored periodic timers, cancellation and re-arm, delivered
-//!   as payload-carrying [`Wakeup`]s from `wait()`. A dedicated timer
-//!   thread sleeps over a `BinaryHeap` + `Condvar::wait_timeout`, periodic
-//!   ticks skip missed grid points, time may be compressed, [`WallHandle`]s
-//!   inject from producer threads, and a drop joins the thread.
+//! - [`WallClock`] — logical `now()` on real time (optionally
+//!   compressed) and a `Mutex` + `Condvar` inbox that [`WallHandle`]s
+//!   inject commands into from producer threads. It keeps no timers and
+//!   no thread: the workload's own scheduler is the one timer queue.
 //! - [`drive()`] — the pacing loop that runs a [`Workload`] on a
-//!   [`WallClock`], with graceful-shutdown draining ([`ShutdownSignal`],
-//!   bounded drain deadline).
+//!   [`WallClock`]: it admits scripted and injected commands, paces the
+//!   workload, exports on a grid skipping missed points, and sleeps until
+//!   the next instant it needs or the next injection; graceful-shutdown
+//!   draining ([`ShutdownSignal`], bounded drain deadline).
 //! - [`render`] — Prometheus text exposition of a
 //!   [`duc_sim::MetricsRegistry`], the one metric store of both modes;
 //!   the drive loop's exports overwrite a [`MetricsPage`] with it and
@@ -30,7 +30,7 @@ pub mod http;
 pub mod metrics;
 pub mod wall;
 
-pub use drive::{drive, DriveConfig, DriveReport, ShutdownSignal, Tick, Workload};
+pub use drive::{drive, DriveConfig, DriveReport, ShutdownSignal, Workload};
 pub use http::{MetricsPage, MetricsServer};
 pub use metrics::render;
-pub use wall::{TimerId, Wakeup, WallClock, WallHandle};
+pub use wall::{WallClock, WallHandle};

@@ -1,154 +1,157 @@
-//! `WallClock` under thread stress: eight producer threads inject through
-//! their [`WallHandle`]s while the consumer arms, cancels and re-arms
-//! seeded one-shot timers. Every injected payload arrives exactly once and
-//! in its producer's order; every armed timer that was not cancelled
-//! arrives exactly once and never before it is due; a cancelled or
-//! delivered timer can be neither cancelled nor re-armed again. A watchdog
-//! turns a hang (a lost wakeup, a lock-order deadlock) into a failure.
+//! `drive` under thread stress: eight producer threads inject through
+//! their [`WallHandle`]s while the workload's `next_due` churns on seeded
+//! short instants — each admission, and some paces, add a due a few
+//! logical seconds (real milliseconds) out, so the instant the loop sleeps
+//! until moves earlier and later all run long. Every injected command is
+//! admitted exactly once and in its producer's order, every due instant is
+//! paced, never before it arrives, and a watchdog turns a hang (a lost
+//! wakeup, a lock-order deadlock) into a failure.
 
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use duc_runtime::{TimerId, WallClock, WallHandle};
+use duc_runtime::{drive, DriveConfig, ShutdownSignal, WallClock, WallHandle, Workload};
 use duc_sim::{Rng, SimDuration, SimTime};
 
 const PRODUCERS: usize = 8;
 const PER_PRODUCER: u32 = 2_000;
-/// Arms, cancels and re-arms the consumer performs per run.
-const TIMER_OPS: usize = 6_000;
-/// Latest due of a seeded one-shot, in logical milliseconds past now
-/// (at 1 000× compression: up to 2 ms of real time).
+/// Due instants the workload schedules per run.
+const DUES: u64 = 6_000;
+/// Latest due, in logical milliseconds past the last pace (at 1 000×
+/// compression: up to 2 ms of real time).
 const MAX_DELAY_MS: u64 = 2_000;
 
-#[derive(Debug, Clone, Copy)]
-enum Payload {
-    Injected { producer: usize, seq: u32 },
-    Timer(usize),
-}
+/// One injected command: its producer and its place in that producer's
+/// sequence.
+type Cmd = (usize, u32);
 
-#[derive(Debug, Clone, Copy)]
-enum Timer {
-    /// Armed or re-armed, no earlier than `due`; not yet delivered.
-    Armed {
-        id: TimerId,
-        due: SimTime,
-    },
-    Cancelled(TimerId),
-    Delivered(TimerId),
-}
-
-fn produce(handle: WallHandle<Payload>, producer: usize) {
+fn produce(handle: WallHandle<Cmd>, producer: usize) {
     for seq in 0..PER_PRODUCER {
-        handle.inject(Payload::Injected { producer, seq });
+        handle.inject((producer, seq));
         if seq % 64 == 0 {
             thread::yield_now();
         }
     }
 }
 
-/// One arm, cancel or re-arm, drawn from `rng`.
-fn timer_op(clock: &mut WallClock<Payload>, rng: &mut Rng, timers: &mut Vec<Timer>) {
-    let due = clock.now() + SimDuration::from_millis(rng.gen_range(MAX_DELAY_MS));
-    let op = rng.gen_range(4);
-    if op < 2 || timers.is_empty() {
-        let id = clock.arm(due, Payload::Timer(timers.len()));
-        timers.push(Timer::Armed { id, due });
-        return;
+/// Checks admissions against producer order and keeps a churning set of
+/// due instants; in flight while any due is pending.
+struct Churn {
+    seed: u64,
+    rng: Rng,
+    next_seq: [u32; PRODUCERS],
+    /// Pending `(due, serial)` instants.
+    dues: BTreeSet<(SimTime, u64)>,
+    scheduled: u64,
+    paced: u64,
+    last_pace: SimTime,
+}
+
+impl Churn {
+    /// Schedules one more seeded due past the last pace, while the budget
+    /// lasts.
+    fn schedule(&mut self) {
+        if self.scheduled < DUES {
+            let delay = SimDuration::from_millis(self.rng.gen_range(MAX_DELAY_MS));
+            self.dues.insert((self.last_pace + delay, self.scheduled));
+            self.scheduled += 1;
+        }
     }
-    let k = rng.gen_range(timers.len() as u64) as usize;
-    timers[k] = match (op, timers[k]) {
-        (2, Timer::Armed { id, .. }) => {
-            assert!(clock.cancel(id), "timer {k}: an undelivered timer cancels");
-            Timer::Cancelled(id)
+}
+
+impl Workload for Churn {
+    type Cmd = Cmd;
+
+    fn admit(&mut self, (producer, seq): Cmd) {
+        let seed = self.seed;
+        assert_eq!(
+            seq, self.next_seq[producer],
+            "seed {seed}: producer {producer} lost, repeated or reordered a command"
+        );
+        self.next_seq[producer] += 1;
+        if self.rng.gen_range(8) < 3 {
+            self.schedule();
         }
-        (_, Timer::Armed { id, .. }) => {
-            assert!(
-                clock.rearm(id, due),
-                "timer {k}: an undelivered timer re-arms"
-            );
-            Timer::Armed { id, due }
+    }
+
+    fn pace(&mut self, now: SimTime) {
+        let seed = self.seed;
+        assert!(
+            now >= self.last_pace,
+            "seed {seed}: paced backwards to {now}"
+        );
+        self.last_pace = now;
+        while let Some(&(at, serial)) = self.dues.first() {
+            if at > now {
+                break;
+            }
+            self.dues.remove(&(at, serial));
+            self.paced += 1;
+            if self.rng.gen_range(2) == 0 {
+                self.schedule();
+            }
         }
-        (_, gone @ (Timer::Cancelled(id) | Timer::Delivered(id))) => {
-            assert!(
-                !clock.cancel(id),
-                "timer {k} cancelled again after {gone:?}"
-            );
-            assert!(!clock.rearm(id, due), "timer {k} re-armed after {gone:?}");
-            gone
-        }
-    };
+    }
+
+    fn next_due(&mut self) -> Option<SimTime> {
+        self.dues.first().map(|&(at, _)| at)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.dues.len()
+    }
 }
 
 fn stress(seed: u64) {
-    let mut clock: WallClock<Payload> = WallClock::with_scale(SimTime::ZERO, 1_000);
+    let mut clock: WallClock<Cmd> = WallClock::with_scale(SimTime::ZERO, 1_000);
     let producers: Vec<_> = (0..PRODUCERS)
         .map(|p| {
             let handle = clock.handle();
             thread::spawn(move || produce(handle, p))
         })
         .collect();
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut next_seq = [0u32; PRODUCERS];
-    let mut timers: Vec<Timer> = Vec::new();
-    let mut ops = 0;
-    while let Some(w) = clock.wait() {
-        assert!(
-            w.at >= w.due,
-            "seed {seed}: observed at {} before due {}",
-            w.at,
-            w.due
-        );
-        assert!(
-            clock.now() >= w.due,
-            "seed {seed}: delivered before due {}",
-            w.due
-        );
-        match w.payload {
-            Payload::Injected { producer, seq } => {
-                assert_eq!(
-                    seq, next_seq[producer],
-                    "seed {seed}: producer {producer} lost, repeated or reordered a payload"
-                );
-                next_seq[producer] += 1;
-            }
-            Payload::Timer(k) => match timers[k] {
-                Timer::Armed { id, due } => {
-                    assert_eq!(w.id, id, "seed {seed}: timer {k} under another id");
-                    assert!(w.due >= due, "seed {seed}: timer {k} fired before {due}");
-                    timers[k] = Timer::Delivered(id);
-                }
-                other => panic!("seed {seed}: timer {k} delivered while {other:?}"),
-            },
-        }
-        // A burst of zero to two timer operations per wakeup, racing the
-        // producers while they run and the timer thread throughout.
-        for _ in 0..rng.gen_range(3) {
-            if ops < TIMER_OPS {
-                ops += 1;
-                timer_op(&mut clock, &mut rng, &mut timers);
-            }
-        }
-    }
+    let mut churn = Churn {
+        seed,
+        rng: Rng::seed_from_u64(seed),
+        next_seq: [0; PRODUCERS],
+        dues: BTreeSet::new(),
+        scheduled: 0,
+        paced: 0,
+        last_pace: SimTime::ZERO,
+    };
+    let report = drive(
+        &mut clock,
+        &mut churn,
+        Vec::new(),
+        &ShutdownSignal::new(),
+        &DriveConfig::default(),
+    );
     for producer in producers {
         producer.join().expect("producer thread");
     }
     assert_eq!(
-        next_seq, [PER_PRODUCER; PRODUCERS],
-        "seed {seed}: injected payloads missing"
+        churn.next_seq, [PER_PRODUCER; PRODUCERS],
+        "seed {seed}: injected commands missing"
     );
-    let undelivered: Vec<usize> = (0..timers.len())
-        .filter(|&k| matches!(timers[k], Timer::Armed { .. }))
-        .collect();
+    assert_eq!(
+        (report.admitted, report.rejected),
+        (u64::from(PER_PRODUCER) * PRODUCERS as u64, 0),
+        "seed {seed}"
+    );
+    assert!(report.drained, "seed {seed}: exited with dues pending");
     assert!(
-        undelivered.is_empty(),
-        "seed {seed}: armed timers never delivered: {undelivered:?}"
+        churn.dues.is_empty(),
+        "seed {seed}: dues never paced: {:?}",
+        churn.dues
     );
+    assert_eq!(churn.paced, churn.scheduled, "seed {seed}");
     assert!(
-        timers.iter().any(|t| matches!(t, Timer::Cancelled(_))),
-        "seed {seed}: the schedule cancelled nothing"
+        churn.scheduled > DUES / 2,
+        "seed {seed}: the schedule churned only {} dues",
+        churn.scheduled
     );
-    assert_eq!(clock.armed(), 0);
 }
 
 #[test]
@@ -169,7 +172,7 @@ fn producers_and_timer_churn_deliver_everything_exactly_once() {
             }
         }
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("WallClock stress hung for 120 s: a lost wakeup or a deadlock")
+            panic!("drive stress hung for 120 s: a lost wakeup or a deadlock")
         }
     }
 }

@@ -14,9 +14,10 @@
 //! ```
 //!
 //! With `--wall-clock` the scripted market runs on the real-time runtime
-//! instead: a `WallClock` timer thread paces admissions at their scripted
-//! instants (200× compressed), and a Prometheus-style `/metrics` endpoint
-//! serves the run's counters on a loopback socket while it executes.
+//! instead: the `drive` loop admits requests at their scripted instants on
+//! a `WallClock` (200× compressed), sleeping until each instant the world
+//! needs, and a Prometheus-style `/metrics` endpoint serves the run's
+//! counters on a loopback socket while it executes.
 
 use solid_usage_control::prelude::*;
 use solid_usage_control::solid::Body;
