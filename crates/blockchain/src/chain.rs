@@ -779,8 +779,10 @@ impl Blockchain {
         }
         // One Rc per event, shared between the receipt and the event log:
         // every downstream consumer (push-out fan-out, pull-in polls,
-        // sharded merge) clones the pointer, not the payload.
-        let events: Vec<Rc<Event>> = done.events.into_iter().map(Rc::new).collect();
+        // sharded merge) clones the pointer, not the payload. Built at its
+        // length: collecting in place would keep the `Vec<Event>` buffer.
+        let mut events = Vec::with_capacity(done.events.len());
+        events.extend(done.events.into_iter().map(Rc::new));
         for ev in &events {
             self.event_log.push((height, Rc::clone(ev)));
         }
@@ -2149,6 +2151,23 @@ mod tests {
             .map(|(s, n)| (s.to_string(), n));
             assert_eq!(statuses, BTreeMap::from(expected_statuses));
             assert_eq!(chain.events_since(0).count(), 21);
+        }
+    }
+
+    /// Regression: `emit` collected a receipt's events into `Rc`s in place,
+    /// reusing the executed `Vec<Event>`'s buffer, so a one-event receipt
+    /// kept 288 B of capacity for one 8-byte pointer for as long as the
+    /// receipt lived.
+    #[test]
+    fn stored_receipts_hold_their_events_at_length() {
+        for mode in [ExecMode::Serial, ExecMode::Parallel] {
+            let chain = parity_workload(mode, true);
+            for h in 1..=chain.height() {
+                for tx in &chain.block(h).unwrap().transactions {
+                    let events = &chain.receipt(&tx.id()).expect("included").events;
+                    assert_eq!(events.capacity(), events.len(), "{mode:?}, height {h}");
+                }
+            }
         }
     }
 
