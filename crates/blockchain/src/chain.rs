@@ -6,7 +6,7 @@
 //! proposer simply misses its slot, which is exactly the liveness behaviour
 //! the robustness experiment (E8) measures.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::OnceLock;
 
@@ -193,8 +193,10 @@ impl BlockchainBuilder {
             storage: self.storage,
             checkpoints: StateStore::new(),
             mempool: Mempool::default(),
-            receipts: FxHashMap::default(),
-            event_log: Vec::new(),
+            receipts: VecDeque::new(),
+            sealing: Vec::new(),
+            receipt_index: FxHashMap::default(),
+            receipt_hold: u64::MAX,
             contracts: HashMap::new(),
             gas_schedule: GasSchedule::default(),
             gas_price: self.gas_price,
@@ -229,8 +231,20 @@ pub struct Blockchain {
     storage: StorageConfig,
     checkpoints: StateStore,
     mempool: Mempool,
-    receipts: FxHashMap<TxId, Receipt>,
-    event_log: Vec<(u64, Rc<Event>)>,
+    /// Each sealed block's receipts, stored once: its transactions' in
+    /// block order, then those of the stale entries it superseded. The last
+    /// entry is the tip's; events are read from here
+    /// ([`Ledger::events_since`](crate::Ledger::events_since)).
+    receipts: VecDeque<Box<[Receipt]>>,
+    /// The receipts of the block being filled, indexed and moved into
+    /// `receipts` when it seals.
+    sealing: Vec<Receipt>,
+    /// Where each stored receipt is: `(height, index in its block's)`.
+    receipt_index: FxHashMap<TxId, (u64, u32)>,
+    /// Receipts of blocks above this height outlive their block's pruning
+    /// (see [`Blockchain::hold_receipts_above`]); `u64::MAX` lets them go
+    /// with their block.
+    receipt_hold: u64,
     contracts: HashMap<ContractId, Box<dyn Contract>>,
     gas_schedule: GasSchedule,
     gas_price: Amount,
@@ -486,6 +500,12 @@ impl Blockchain {
             &self.validators[proposer_idx],
         );
         self.blocks.push(block);
+        for (index, receipt) in self.sealing.iter().enumerate() {
+            self.receipt_index
+                .insert(receipt.tx_id, (height, index as u32));
+        }
+        let receipts = std::mem::take(&mut self.sealing);
+        self.receipts.push_back(receipts.into_boxed_slice());
         self.maybe_checkpoint(height);
     }
 
@@ -751,10 +771,10 @@ impl Blockchain {
         }
     }
 
-    /// Records one committed transaction in the chain's logs: adds its gas
-    /// to the running total of its `(contract, method)` label pair, appends
-    /// its events to the event log and stores the [`Receipt`]. Callers
-    /// invoke it in canonical block order.
+    /// Records one committed transaction: adds its gas to the running total
+    /// of its `(contract, method)` label pair and stores its [`Receipt`]
+    /// with the block being filled. Callers invoke it in canonical block
+    /// order.
     fn emit(&mut self, entry: &PoolEntry, done: CommittedTx, height: u64) {
         if let Some(label) = done.label {
             let (contract, method) = match (label, &entry.tx.tx.kind) {
@@ -777,24 +797,20 @@ impl Blockchain {
             total.0 += 1;
             total.1 += done.gas_used;
         }
-        // One Rc per event, shared between the receipt and the event log:
-        // every downstream consumer (push-out fan-out, pull-in polls,
-        // sharded merge) clones the pointer, not the payload. Built at its
-        // length: collecting in place would keep the `Vec<Event>` buffer.
+        // One Rc per event: consumers that keep one past a poll (push-out
+        // fan-out, pull-in requests) clone the pointer, not the payload.
+        // Built at its length: collecting in place would keep the
+        // `Vec<Event>` buffer.
         let mut events = Vec::with_capacity(done.events.len());
         events.extend(done.events.into_iter().map(Rc::new));
-        for ev in &events {
-            self.event_log.push((height, Rc::clone(ev)));
-        }
-        let receipt = Receipt {
+        self.sealing.push(Receipt {
             tx_id: entry.id,
             block_height: height,
             status: done.status,
             gas_used: done.gas_used,
             events,
             return_data: done.return_data,
-        };
-        self.receipts.insert(receipt.tx_id, receipt);
+        });
     }
 
     /// Evicts mempool transactions whose nonce the block being sealed made
@@ -824,15 +840,14 @@ impl Blockchain {
     }
 
     fn record_superseded(&mut self, tx_id: TxId, height: u64) {
-        let receipt = Receipt {
+        self.sealing.push(Receipt {
             tx_id,
             block_height: height,
             status: TxStatus::Superseded,
             gas_used: 0,
             events: Vec::new(),
             return_data: Vec::new(),
-        };
-        self.receipts.insert(tx_id, receipt);
+        });
     }
 
     /// Seals a checkpoint when the configured interval has elapsed since
@@ -855,38 +870,52 @@ impl Blockchain {
     }
 
     /// Applies the pruning implied by the last sealed checkpoint: evicts
-    /// blocks, events and receipts at or below
+    /// blocks and their receipts at or below
     /// `min(checkpoint_height - 1, tip - window)`, so the checkpoint's own
     /// block and the most recent `window` blocks always stay resident.
     ///
     /// Runs at the *start* of `advance_to` — one call behind checkpoint
     /// sealing — so every event sealed in a burst of blocks is readable by
-    /// consumers (the sharded merge, oracle polls between driver steps)
+    /// consumers (oracle polls between driver steps, bulk enrolment)
     /// before it is evicted.
     fn prune_due(&mut self) {
-        if !self.storage.is_enabled() {
-            return;
-        }
         let Some(cp) = self.checkpoints.last() else {
-            return;
+            return; // none sealed yet, or storage management is off
         };
         let horizon = self
             .storage
             .horizon_after_checkpoint(cp.height, self.blocks.height());
-        if horizon <= self.blocks.prune_horizon() {
-            return;
-        }
-        let evicted = self
-            .blocks
+        self.blocks
             .prune_below(horizon, Block::hash)
             .unwrap_or_else(|e| panic!("archive pruned blocks: {e}"));
-        if evicted == 0 {
-            return;
+        // Drops the evicted blocks' receipts, unless a sharded ledger holds
+        // them for its merged view.
+        self.hold_receipts_above(self.receipt_hold);
+    }
+
+    /// Keeps the receipts of blocks above `height` after their blocks are
+    /// pruned, and drops the pruned ones at or below it — and exactly their
+    /// transaction ids from the index. A sharded ledger holds its shards'
+    /// receipts this way until its merged event view has passed them; a
+    /// chain on its own drops them with their blocks.
+    pub(crate) fn hold_receipts_above(&mut self, height: u64) {
+        self.receipt_hold = height;
+        let stored_from = self.height() - self.receipts.len() as u64;
+        let evict = height.min(self.prune_horizon()).saturating_sub(stored_from);
+        for block in self.receipts.drain(..evict as usize) {
+            for receipt in &*block {
+                self.receipt_index.remove(&receipt.tx_id);
+            }
         }
-        let horizon = self.blocks.prune_horizon();
-        let cut = self.event_log.partition_point(|(h, _)| *h <= horizon);
-        self.event_log.drain(..cut);
-        self.receipts.retain(|_, r| r.block_height > horizon);
+    }
+
+    /// The stored receipts of the block at `height`: its transactions' in
+    /// block order, then those of the stale entries it superseded. Held
+    /// ones are included (see [`Blockchain::hold_receipts_above`]).
+    pub(crate) fn stored_receipts(&self, height: u64) -> Option<&[Receipt]> {
+        let stored_from = self.height() - self.receipts.len() as u64;
+        let i = height.checked_sub(stored_from + 1)?;
+        self.receipts.get(i as usize).map(|r| &**r)
     }
 
     // -------------------------------------------------------------- reads
@@ -918,11 +947,6 @@ impl Blockchain {
     /// Blocks streamed to the archive so far.
     pub(crate) fn archived_blocks(&self) -> u64 {
         self.blocks.archived()
-    }
-
-    /// The most recently sealed checkpoint.
-    pub fn last_checkpoint(&self) -> Option<&Checkpoint> {
-        self.checkpoints.last()
     }
 
     /// Every sealed checkpoint, oldest first.
@@ -974,29 +998,14 @@ impl Blockchain {
         self.blocks.get_mut(height)
     }
 
-    /// The receipt for a transaction, once included.
+    /// The receipt for a transaction, while its block is resident (a
+    /// pruned block's held receipts are for a merged event view only).
     pub fn receipt(&self, id: &TxId) -> Option<&Receipt> {
-        self.receipts.get(id)
-    }
-
-    /// Events from blocks strictly above `height`, with their heights.
-    ///
-    /// The event log is appended block-by-block, so it is height-sorted;
-    /// a binary search finds the cursor position and the scan starts there
-    /// instead of filtering the whole log — oracle polls (pull-in,
-    /// push-out) hit this on every round, and an idle poll is O(log n)
-    /// instead of O(n).
-    pub fn events_since(&self, height: u64) -> impl Iterator<Item = &(u64, Rc<Event>)> {
-        self.events_slice_since(height).iter()
-    }
-
-    /// The height-sorted tail of the event log strictly above `height`
-    /// (the zero-copy form behind [`Blockchain::events_since`] and the
-    /// `Ledger` impl). Events are `Rc`-shared: consumers that keep one
-    /// clone the pointer, not the payload.
-    pub(crate) fn events_slice_since(&self, height: u64) -> &[(u64, Rc<Event>)] {
-        let start = self.event_log.partition_point(|(h, _)| *h <= height);
-        &self.event_log[start..]
+        let &(height, index) = self.receipt_index.get(id)?;
+        let resident = self
+            .stored_receipts(height)
+            .filter(|_| height > self.prune_horizon());
+        resident?.get(index as usize)
     }
 
     /// Executes a read-only contract call against current state
@@ -1303,6 +1312,7 @@ mod scan_reference;
 mod tests {
     use super::*;
     use crate::exec::AccessKey;
+    use crate::Ledger;
     use duc_codec::{decode_from_slice, encode_to_vec};
 
     impl Blockchain {
@@ -1633,9 +1643,9 @@ mod tests {
             chain.submit(tx).unwrap();
             chain.advance_to(SimTime::from_secs(2 * i));
         }
-        assert_eq!(chain.events_since(0).count(), 3);
-        assert_eq!(chain.events_since(2).count(), 1);
-        assert_eq!(chain.events_since(3).count(), 0);
+        assert_eq!(chain.events_since(0).len(), 3);
+        assert_eq!(chain.events_since(2).len(), 1);
+        assert_eq!(chain.events_since(3).len(), 0);
     }
 
     #[test]
@@ -1757,12 +1767,13 @@ mod tests {
         // The resident suffix still validates across the pruned boundary.
         assert_eq!(chain.validate_chain(), Ok(()));
         chain.verify_checkpoints().expect("checkpoints consistent");
-        // The event log starts above the horizon, and stale cursors get a
+        // Event reads start above the horizon, and stale cursors get a
         // typed error instead of silently missing pruned events.
-        assert!(chain.events_since(0).count() < 10);
+        assert!(chain.events_since(0).len() < 10);
         assert!(chain
             .events_since(chain.prune_horizon())
-            .all(|(h, _)| *h > 7));
+            .iter()
+            .all(|(h, _)| h > 7));
         let err = crate::Ledger::try_events_since(&chain, 3).unwrap_err();
         assert_eq!(
             err,
@@ -1787,7 +1798,7 @@ mod tests {
         assert_eq!(chain.prune_horizon(), 0);
         assert_eq!(chain.retained_blocks(), 10);
         assert!(chain.checkpoints().is_empty());
-        assert_eq!(chain.events_since(0).count(), 10);
+        assert_eq!(chain.events_since(0).len(), 10);
     }
 
     #[test]
@@ -1972,13 +1983,12 @@ mod tests {
             200_000,
         );
         let live_id = chain.submit(live).unwrap();
-        assert!(!crate::Ledger::has_receipt(&chain, &stale_id));
+        assert!(chain.receipt(&stale_id).is_none());
         chain.advance_to(SimTime::from_secs(4));
         // The stale entry is evicted with a typed receipt instead of
         // lingering (and starving pollers) forever — by the very block
         // that consumed its nonce, so an inclusion wait probing for a
         // receipt of any status ends at that block's instant.
-        assert!(crate::Ledger::has_receipt(&chain, &stale_id));
         let receipt = chain.receipt(&stale_id).expect("eviction left a receipt");
         assert_eq!(receipt.status, TxStatus::Superseded);
         assert_eq!(receipt.block_height, 2);
@@ -2100,8 +2110,8 @@ mod tests {
             }
         }
         assert_eq!(
-            format!("{:?}", a.events_since(0).collect::<Vec<_>>()),
-            format!("{:?}", b.events_since(0).collect::<Vec<_>>())
+            format!("{:?}", a.events_since(0).iter().collect::<Vec<_>>()),
+            format!("{:?}", b.events_since(0).iter().collect::<Vec<_>>())
         );
         assert_eq!(a.gas_by_method(), b.gas_by_method());
         assert_eq!(a.pending_count(), b.pending_count());
@@ -2150,7 +2160,7 @@ mod tests {
             ]
             .map(|(s, n)| (s.to_string(), n));
             assert_eq!(statuses, BTreeMap::from(expected_statuses));
-            assert_eq!(chain.events_since(0).count(), 21);
+            assert_eq!(chain.events_since(0).len(), 21);
         }
     }
 

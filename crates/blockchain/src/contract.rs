@@ -16,9 +16,9 @@ use crate::gas::{GasMeter, OutOfGas};
 use crate::state::{InsufficientFunds, WorldState};
 use crate::types::{Address, Amount, ContractId};
 
-/// An event emitted during contract execution, recorded in the receipt and
-/// the chain's event log (the on-chain half of push-out/pull-in oracles
-/// subscribes to these).
+/// An event emitted during contract execution, recorded in its receipt and
+/// read from there by the chain's event reads (the on-chain half of
+/// push-out/pull-in oracles subscribes to these).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// The emitting contract.
@@ -225,9 +225,9 @@ impl<'a> CallCtx<'a> {
         Ok(keys)
     }
 
-    /// Emits an event (gas-metered). The event log keeps `data` for the life
-    /// of the chain, so it is held at its length, not at the capacity its
-    /// encoder grew it to.
+    /// Emits an event (gas-metered). Its receipt keeps `data` for as long
+    /// as its block is retained, so it is held at its length, not at the
+    /// capacity its encoder grew it to.
     pub fn emit(
         &mut self,
         topic: impl Into<String>,

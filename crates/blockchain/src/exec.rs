@@ -14,7 +14,7 @@
 //!   decoded ABI before execution (see `duc_contracts::access` for the
 //!   DE App's derivation). Transactions whose sets do not conflict execute
 //!   concurrently on a work-stealing pool of scoped threads; commit and
-//!   emission then run in canonical order, so receipts, the event log,
+//!   emission then run in canonical order, so receipts, their events,
 //!   nonce bumps, per-method gas and replay fingerprints are the serial
 //!   scheduler's, byte for byte.
 //!

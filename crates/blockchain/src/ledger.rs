@@ -3,14 +3,15 @@
 //! The rest of the stack — oracles, the DE App client, the process driver —
 //! talks to the chain exclusively through the [`Ledger`] trait, which
 //! captures exactly the surface those layers use: transaction submission
-//! and receipts, the event log, view calls, block production clocked by the
+//! and receipts, event reads, view calls, block production clocked by the
 //! simulation, balances, and the validator fault hooks of the robustness
 //! experiments. Two backends ship in-tree:
 //!
 //! * [`Blockchain`] — one PoA chain; the trait impl delegates to its
 //!   inherent methods.
 //! * [`ShardedLedger`] — `N` independent PoA chains with deterministic
-//!   owner/contract routing and a merged, height-interleaved event view.
+//!   owner/contract routing and a merged, height-interleaved event view
+//!   read from the shards' blocks.
 //!   Requests from disjoint owners land on disjoint shards and no longer
 //!   serialize through one mempool (experiment E13).
 //!
@@ -60,7 +61,7 @@ pub type RouterFn = Box<dyn Fn(&ContractId, &str, &[u8]) -> RouteKey>;
 /// The chain surface the rest of the architecture consumes.
 ///
 /// Implementations must be deterministic: identical call sequences yield
-/// identical states, receipts and event logs (the chaos harness replays
+/// identical states, receipts and events (the chaos harness replays
 /// runs byte-for-byte on top of this guarantee).
 pub trait Ledger {
     // ------------------------------------------------------------- shards
@@ -141,13 +142,10 @@ pub trait Ledger {
     /// submittable as is.
     fn routed_next_nonce(&self, tx: &SignedTransaction) -> u64;
 
-    /// The receipt for a transaction, once included (searched across
-    /// shards).
-    fn receipt(&self, id: &TxId) -> Option<Receipt>;
-
-    /// Whether [`Ledger::receipt`] would return one — the probe an
-    /// inclusion wait makes per sealed slot, without cloning the receipt.
-    fn has_receipt(&self, id: &TxId) -> bool;
+    /// The receipt for a transaction while its block is resident
+    /// (searched across shards). Borrowed: an inclusion wait probes it per
+    /// sealed slot without copying anything.
+    fn receipt(&self, id: &TxId) -> Option<&Receipt>;
 
     /// Pending transactions across every mempool.
     fn pending_count(&self) -> usize;
@@ -173,19 +171,30 @@ pub trait Ledger {
         SimTime::from_nanos((now.as_nanos() / step + 1) * step)
     }
 
+    /// The receipts of ledger block `number` (a global block number on a
+    /// sharded ledger), in block order, while [`Ledger::events_since`] can
+    /// read it.
+    fn block_receipts(&self, number: u64) -> Option<&[Receipt]>;
+
     /// Events from ledger blocks strictly above `height`, height-interleaved
-    /// across shards, paired with their (global) block number. Borrowed and
-    /// `Rc`-shared — oracle polls hit this every round, and a consumer that
-    /// keeps an event clones the pointer, not the payload.
-    fn events_since(&self, height: u64) -> &[(u64, Rc<Event>)];
+    /// across shards, paired with their (global) block number: a view over
+    /// the readable blocks' receipts ([`Ledger::block_receipts`]), read in
+    /// place. Oracle polls hit this every round; a consumer that keeps an
+    /// event clones its `Rc`, not the payload.
+    fn events_since(&self, height: u64) -> Events<'_>
+    where
+        Self: Sized,
+    {
+        Events {
+            ledger: self,
+            first: height.max(self.prune_horizon()) + 1,
+        }
+    }
 
     /// The ledger's prune horizon in the same units as
     /// [`Ledger::events_since`] cursors (global block numbers): every event
-    /// at or below it has been evicted. `0` when nothing is pruned — the
-    /// default for backends without storage management.
-    fn prune_horizon(&self) -> u64 {
-        0
-    }
+    /// at or below it has been evicted; `0` when nothing is pruned.
+    fn prune_horizon(&self) -> u64;
 
     /// Like [`Ledger::events_since`], but a cursor strictly below the
     /// prune horizon is a typed [`PrunedRange`] error instead of a
@@ -195,7 +204,10 @@ pub trait Ledger {
     ///
     /// # Errors
     /// [`PrunedRange`] when `height < prune_horizon`.
-    fn try_events_since(&self, height: u64) -> Result<&[(u64, Rc<Event>)], PrunedRange> {
+    fn try_events_since(&self, height: u64) -> Result<Events<'_>, PrunedRange>
+    where
+        Self: Sized,
+    {
         let horizon = self.prune_horizon();
         if height < horizon {
             return Err(PrunedRange {
@@ -207,24 +219,17 @@ pub trait Ledger {
     }
 
     /// Blocks currently resident in memory across every shard.
-    fn retained_blocks(&self) -> usize {
-        self.height() as usize
-    }
+    fn retained_blocks(&self) -> usize;
 
     /// Blocks streamed to append-only archives across every shard.
-    fn archived_blocks(&self) -> u64 {
-        0
-    }
+    fn archived_blocks(&self) -> u64;
 
     /// Verifies sealed checkpoints against resident block state roots on
-    /// every shard (see `Blockchain::verify_checkpoints`). Trivially `Ok`
-    /// for backends without storage management.
+    /// every shard (see `Blockchain::verify_checkpoints`).
     ///
     /// # Errors
     /// A description of the first inconsistent checkpoint.
-    fn verify_checkpoints(&self) -> Result<(), String> {
-        Ok(())
-    }
+    fn verify_checkpoints(&self) -> Result<(), String>;
 
     /// Executes a read-only contract call on the routed shard.
     ///
@@ -376,12 +381,8 @@ impl Ledger for Blockchain {
         self.next_nonce(&tx.tx.from)
     }
 
-    fn receipt(&self, id: &TxId) -> Option<Receipt> {
-        Blockchain::receipt(self, id).cloned()
-    }
-
-    fn has_receipt(&self, id: &TxId) -> bool {
-        Blockchain::receipt(self, id).is_some()
+    fn receipt(&self, id: &TxId) -> Option<&Receipt> {
+        Blockchain::receipt(self, id)
     }
 
     fn pending_count(&self) -> usize {
@@ -400,8 +401,8 @@ impl Ledger for Blockchain {
         Blockchain::height(self)
     }
 
-    fn events_since(&self, height: u64) -> &[(u64, Rc<Event>)] {
-        self.events_slice_since(height)
+    fn block_receipts(&self, number: u64) -> Option<&[Receipt]> {
+        self.stored_receipts(number)
     }
 
     fn prune_horizon(&self) -> u64 {
@@ -493,6 +494,43 @@ impl Ledger for Blockchain {
     }
 }
 
+/// The events of a run of sealed blocks, oldest first, each paired with
+/// its block's number: what [`Ledger::events_since`] returns. A `Copy` view
+/// over the blocks' stored receipts; nothing is copied until it is read.
+#[derive(Clone, Copy)]
+pub struct Events<'a> {
+    ledger: &'a dyn Ledger,
+    /// The first block read; the view ends before the first unreadable one.
+    first: u64,
+}
+
+impl<'a> Events<'a> {
+    /// Every event with its block's number, in block order: a `(block,
+    /// receipt, event)` cursor over the stored receipts.
+    pub fn iter(self) -> impl Iterator<Item = (u64, &'a Rc<Event>)> {
+        let blocks = (self.first..).map_while(move |n| Some((n, self.ledger.block_receipts(n)?)));
+        blocks.flat_map(|(n, receipts)| {
+            (receipts.iter()).flat_map(move |r| r.events.iter().map(move |e| (n, e)))
+        })
+    }
+
+    /// The number of events.
+    pub fn len(self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether there is no event.
+    pub fn is_empty(self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl std::fmt::Debug for Events<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Deterministic FNV-1a over `bytes` (the shard-placement hash; no seed, so
 /// placement is a pure function of the route key).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -511,17 +549,13 @@ pub struct ShardedLedger {
     router: RouterFn,
     /// `(prefix, key)` aliases, longest prefix first.
     aliases: Vec<(String, String)>,
-    /// The merged event log: `(global block number, event)`, global block
-    /// numbers nondecreasing (see [`ShardedLedger::advance_to`]).
-    merged_log: Vec<(u64, Rc<Event>)>,
-    /// Blocks sealed across every shard (assigns global block numbers).
-    global_blocks: u64,
-    /// Provenance of merged blocks still tracked for pruning: entry `i`
-    /// describes global block `merged_base + i + 1` as
-    /// `(shard, shard height)`. Empty when storage management is off.
+    /// Provenance of the merged view: entry `i` is global block
+    /// `merged_base + i + 1` as `(shard, shard height)`, global block
+    /// numbers assigned in `(timestamp, shard)` order (see
+    /// [`ShardedLedger::advance_to`]).
     block_shards: VecDeque<(u32, u64)>,
     /// Global block numbers `<= merged_base` are pruned from the merged
-    /// log (the merged view's prune horizon).
+    /// view (its prune horizon).
     merged_base: u64,
     /// Route-key memo: interned key → shard. Every submit walks the alias
     /// table and hashes otherwise; with 10⁵ owners that scan dominates, so
@@ -534,7 +568,7 @@ impl std::fmt::Debug for ShardedLedger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedLedger")
             .field("shards", &self.shards.len())
-            .field("height", &self.global_blocks)
+            .field("height", &self.height())
             .field("aliases", &self.aliases.len())
             .finish()
     }
@@ -559,8 +593,6 @@ impl ShardedLedger {
             shards,
             router: Box::new(|_, _, _| RouteKey::Shard(0)),
             aliases: Vec::new(),
-            merged_log: Vec::new(),
-            global_blocks: 0,
             block_shards: VecDeque::new(),
             merged_base: 0,
             route_cache: RefCell::new((Interner::new(), SymMap::new())),
@@ -587,7 +619,7 @@ impl ShardedLedger {
     #[must_use]
     pub fn with_storage(mut self, storage: StorageConfig) -> ShardedLedger {
         assert!(
-            self.global_blocks == 0 && self.shards.iter().all(|s| s.height() == 0),
+            self.shards.iter().all(|s| s.height() == 0),
             "with_storage must run before any block is sealed"
         );
         let validators = self.shards[0].validator_count();
@@ -603,13 +635,17 @@ impl ShardedLedger {
                         path.display()
                     )));
                 }
-                Blockchain::builder()
+                let mut shard = Blockchain::builder()
                     .validators(validators)
                     .block_interval(interval)
                     .storage(cfg)
                     .exec_mode(exec_mode)
                     .exec_threads(exec_threads)
-                    .build()
+                    .build();
+                // The merged view reads a pruned block's receipts until
+                // `advance_to` has popped its provenance.
+                shard.hold_receipts_above(0);
+                shard
             })
             .collect();
         self
@@ -664,27 +700,6 @@ impl ShardedLedger {
             TxKind::Transfer { .. } => {
                 (fnv1a(tx.tx.from.0.as_bytes()) % self.shards.len() as u64) as usize
             }
-        }
-    }
-
-    /// Evicts merged-log events whose source shard block has been pruned.
-    /// Walks the provenance queue from the oldest merged block and stops
-    /// at the first still-resident one, so the merged horizon only covers
-    /// a contiguous pruned prefix — `merged_base` stays a valid cursor
-    /// floor in global block numbers.
-    fn prune_merged_log(&mut self) {
-        let mut horizon = self.merged_base;
-        while let Some(&(shard, h)) = self.block_shards.front() {
-            if h > self.shards[shard as usize].prune_horizon() {
-                break;
-            }
-            self.block_shards.pop_front();
-            horizon += 1;
-        }
-        if horizon > self.merged_base {
-            self.merged_base = horizon;
-            let cut = self.merged_log.partition_point(|(g, _)| *g <= horizon);
-            self.merged_log.drain(..cut);
         }
     }
 
@@ -781,12 +796,8 @@ impl Ledger for ShardedLedger {
         self.shards[self.shard_of_tx(tx)].next_nonce(&tx.tx.from)
     }
 
-    fn receipt(&self, id: &TxId) -> Option<Receipt> {
-        self.shards.iter().find_map(|s| s.receipt(id).cloned())
-    }
-
-    fn has_receipt(&self, id: &TxId) -> bool {
-        self.shards.iter().any(|s| s.receipt(id).is_some())
+    fn receipt(&self, id: &TxId) -> Option<&Receipt> {
+        self.shards.iter().find_map(|s| s.receipt(id))
     }
 
     fn pending_count(&self) -> usize {
@@ -794,11 +805,11 @@ impl Ledger for ShardedLedger {
     }
 
     fn advance_to(&mut self, now: SimTime) -> usize {
-        // Advance every shard, then interleave the freshly sealed blocks by
-        // (timestamp, shard index) into the merged log. Per-shard slot
-        // accounting never revisits an instant, so blocks sealed by later
-        // calls always carry later timestamps — global block numbers are
-        // monotone and a cursor-based reader can never miss an event.
+        // Advance every shard, then number the freshly sealed blocks in
+        // (timestamp, shard index) order. Per-shard slot accounting never
+        // revisits an instant, so blocks sealed by later calls always carry
+        // later timestamps — global block numbers are monotone and a
+        // cursor-based reader can never miss an event.
         let mut fresh: Vec<(SimTime, usize, u64)> = Vec::new();
         let mut produced = 0;
         for (idx, shard) in self.shards.iter_mut().enumerate() {
@@ -810,28 +821,20 @@ impl Ledger for ShardedLedger {
             }
         }
         fresh.sort_unstable_by_key(|(ts, idx, _)| (*ts, *idx));
-        let storage_on = self.shards[0].storage_config().is_enabled();
-        for (_, idx, h) in fresh {
-            self.global_blocks += 1;
-            let global = self.global_blocks;
-            if storage_on {
-                self.block_shards.push_back((idx as u32, h));
+        (self.block_shards).extend(fresh.into_iter().map(|(_, idx, h)| (idx as u32, h)));
+        // Pop the provenance of every oldest global block whose shard block
+        // has been pruned, and let that shard drop its receipts. Stop at the
+        // first still-resident one, so the merged horizon only covers a
+        // contiguous pruned prefix — `merged_base` stays a valid cursor
+        // floor in global block numbers, and every block above it is read.
+        while let Some(&(shard, h)) = self.block_shards.front() {
+            let shard = &mut self.shards[shard as usize];
+            if h > shard.prune_horizon() {
+                break;
             }
-            let shard = &self.shards[idx];
-            // The tail is height-sorted, so block h's events are its
-            // contiguous prefix. Shard-level pruning is deferred to the
-            // start of the *next* `advance_to`, so every event sealed in
-            // this call — even in a multi-block burst — is still resident
-            // when this merge reads it.
-            self.merged_log.extend(
-                shard
-                    .events_since(h - 1)
-                    .take_while(|(hh, _)| *hh == h)
-                    .map(|(_, ev)| (global, Rc::clone(ev))),
-            );
-        }
-        if storage_on {
-            self.prune_merged_log();
+            shard.hold_receipts_above(h);
+            self.block_shards.pop_front();
+            self.merged_base += 1;
         }
         produced
     }
@@ -845,12 +848,13 @@ impl Ledger for ShardedLedger {
     }
 
     fn height(&self) -> u64 {
-        self.global_blocks
+        self.merged_base + self.block_shards.len() as u64
     }
 
-    fn events_since(&self, height: u64) -> &[(u64, Rc<Event>)] {
-        let start = self.merged_log.partition_point(|(h, _)| *h <= height);
-        &self.merged_log[start..]
+    fn block_receipts(&self, number: u64) -> Option<&[Receipt]> {
+        let i = number.checked_sub(self.merged_base + 1)?;
+        let &(shard, height) = self.block_shards.get(i as usize)?;
+        self.shards[shard as usize].stored_receipts(height)
     }
 
     fn prune_horizon(&self) -> u64 {
@@ -1108,14 +1112,14 @@ mod tests {
             }
             ledger.advance_to(SimTime::from_secs(2 * (round + 1)));
         }
-        let all = ledger.events_since(0);
+        let all: Vec<_> = ledger.events_since(0).iter().collect();
         assert_eq!(all.len(), 18, "every event visible through the merged view");
         // Global block numbers are nondecreasing and bounded by the height.
         let mut prev = 0;
-        for (h, _) in all {
-            assert!(*h >= prev, "merged view interleaves by height");
-            assert!(*h <= ledger.height());
-            prev = *h;
+        for &(h, _) in &all {
+            assert!(h >= prev, "merged view interleaves by height");
+            assert!(h <= ledger.height());
+            prev = h;
         }
         // Cursor reads partition cleanly: advancing past a block number
         // never re-serves or skips events.
@@ -1161,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_log_prunes_behind_shard_checkpoints() {
+    fn merged_view_prunes_behind_shard_checkpoints() {
         let mut ledger = ShardedLedger::new(3, 2, SimDuration::from_secs(2))
             .with_storage(StorageConfig::enabled(2, 1))
             .with_router(key_router());
@@ -1191,15 +1195,73 @@ mod tests {
         let err = ledger.try_events_since(horizon - 1).unwrap_err();
         assert_eq!(err.horizon, horizon);
         let tail = ledger.try_events_since(horizon).expect("valid cursor");
-        assert!(tail.iter().all(|(g, _)| *g > horizon));
+        assert!(tail.iter().all(|(g, _)| g > horizon));
         let mut prev = 0;
-        for (g, _) in tail {
-            assert!(*g >= prev);
-            prev = *g;
+        for (g, _) in tail.iter() {
+            assert!(g >= prev);
+            prev = g;
         }
         ledger
             .validate_chains()
             .expect("resident suffixes validate");
+    }
+
+    /// A shard that stops sealing holds the merged horizon at its last
+    /// block while a busy shard prunes far past it. The merged view still
+    /// reads the busy shard's pruned blocks above that horizon — the shard
+    /// holds their receipts until the view has passed them — exactly as an
+    /// unpruned ledger does, while their receipts are gone by id.
+    #[test]
+    fn merged_view_reads_pruned_blocks_above_its_horizon() {
+        let run = |storage: StorageConfig| {
+            let mut ledger = ShardedLedger::new(2, 2, SimDuration::from_secs(2))
+                .with_storage(storage)
+                .with_router(key_router());
+            ledger.deploy_with(ContractId::new("counter"), &|| Box::new(Counter));
+            let alice = ledger.create_funded_account(b"alice", 1_000_000_000);
+            let on = |shard| {
+                let keys = (0..).map(|i| format!("key-{i}"));
+                keys.into_iter().find(|k| ledger.shard_of_key(k) == shard)
+            };
+            let (busy, idle) = (on(0).unwrap(), on(1).unwrap());
+            let mut ids = Vec::new();
+            for round in 0..10u64 {
+                let keys = if round == 0 {
+                    vec![&busy, &idle]
+                } else {
+                    vec![&busy]
+                };
+                for key in keys {
+                    let args = encode_to_vec(&(key.clone(), 1u64));
+                    let tx = ledger.build_call(
+                        &alice,
+                        ContractId::new("counter"),
+                        "incr",
+                        args,
+                        200_000,
+                    );
+                    ids.push(ledger.submit(tx).expect("submit"));
+                }
+                ledger.advance_to(SimTime::from_secs(2 * (round + 1)));
+            }
+            (ledger, ids)
+        };
+        let (pruned, ids) = run(StorageConfig::enabled(2, 1));
+        let (kept, _) = run(StorageConfig::disabled());
+        let horizon = Ledger::prune_horizon(&pruned);
+        assert_eq!(horizon, 1, "the idle shard's only block holds the horizon");
+        assert!(pruned.shard(0).prune_horizon() > 4, "the busy shard pruned");
+        let view = pruned.try_events_since(horizon).expect("at the horizon");
+        assert_eq!(view.len(), 10);
+        assert_eq!(
+            format!("{view:?}"),
+            format!("{:?}", kept.events_since(horizon))
+        );
+        assert!(
+            Ledger::receipt(&pruned, &ids[2]).is_none(),
+            "its block is pruned"
+        );
+        assert!(Ledger::receipt(&kept, &ids[2]).is_some());
     }
 
     #[test]

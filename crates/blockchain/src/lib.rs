@@ -20,13 +20,14 @@
 //!   (byte-identical outputs).
 //! * [`block`] — Merkle-committed blocks signed by their proposer.
 //! * [`chain`] — a proof-of-authority chain: round-robin validator
-//!   committee, mempool, block production clocked by the simulation,
-//!   event log for oracle subscriptions, and crash-fault injection for the
-//!   robustness experiments (E8).
+//!   committee, mempool, block production clocked by the simulation, each
+//!   sealed block's receipts stored once beside it (oracle subscriptions
+//!   read events from them), and crash-fault injection for the robustness
+//!   experiments (E8).
 //! * [`ledger`] — the pluggable [`Ledger`] abstraction the rest of the
 //!   stack consumes: [`Blockchain`] (the chain above) and
-//!   [`ShardedLedger`] (N chains, deterministic routing, merged event
-//!   view; experiment E13).
+//!   [`ShardedLedger`] (N chains, deterministic routing, a merged event
+//!   view over the shards' blocks; experiment E13).
 //!
 //! ## Consensus model
 //!
@@ -82,7 +83,7 @@ pub use chain::{Blockchain, BlockchainBuilder, SubmitError};
 pub use contract::{CallCtx, Contract, ContractError, Event};
 pub use exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
 pub use gas::{GasMeter, GasSchedule, OutOfGas};
-pub use ledger::{Ledger, RouteKey, RouterFn, ShardedLedger};
+pub use ledger::{Events, Ledger, RouteKey, RouterFn, ShardedLedger};
 pub use state::{PagingStats, WorldState};
 pub use tx::{Receipt, SignedTransaction, Transaction, TxStatus};
 pub use types::{Address, Amount, ContractId, TxId};
@@ -98,7 +99,7 @@ pub mod prelude {
     pub use crate::contract::{CallCtx, Contract, ContractError, Event};
     pub use crate::exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
     pub use crate::gas::{GasMeter, GasSchedule};
-    pub use crate::ledger::{Ledger, RouteKey, RouterFn, ShardedLedger};
+    pub use crate::ledger::{Events, Ledger, RouteKey, RouterFn, ShardedLedger};
     pub use crate::state::WorldState;
     pub use crate::tx::{Receipt, SignedTransaction, Transaction, TxStatus};
     pub use crate::types::{Address, Amount, ContractId, TxId};

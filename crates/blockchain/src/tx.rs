@@ -218,8 +218,9 @@ pub struct Receipt {
     pub status: TxStatus,
     /// Gas consumed.
     pub gas_used: u64,
-    /// Events emitted (empty on revert). `Rc`-shared with the chain's
-    /// event log — one allocation per event, not one per consumer.
+    /// Events emitted (empty on revert), in emission order. The chain's
+    /// event reads yield these; a consumer that keeps one past a poll
+    /// clones the `Rc` — one allocation per event, not one per consumer.
     pub events: Vec<std::rc::Rc<Event>>,
     /// Return value of the contract call (empty for transfers/reverts).
     pub return_data: Vec<u8>,

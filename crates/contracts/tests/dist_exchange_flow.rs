@@ -1,7 +1,7 @@
 //! End-to-end tests of the DistExchange contract running on the blockchain
 //! substrate: registration, indexing, policy updates, monitoring, market.
 
-use duc_blockchain::{Address, Blockchain, ContractId, TxStatus};
+use duc_blockchain::{Address, Blockchain, ContractId, Ledger, TxStatus};
 use duc_contracts::{
     topics, DistExchange, DistExchangeClient, EvidenceSubmission, PolicyEnvelope, DEX_CONTRACT_ID,
 };
@@ -235,6 +235,7 @@ fn policy_update_requires_owner_and_version_increment() {
     let updates: Vec<_> = w
         .chain
         .events_since(0)
+        .iter()
         .filter(|(_, e)| e.topic == topics::POLICY_UPDATED)
         .collect();
     assert_eq!(updates.len(), 1);
@@ -364,6 +365,7 @@ fn monitoring_round_with_signed_evidence() {
     assert!(w
         .chain
         .events_since(0)
+        .iter()
         .any(|(_, e)| e.topic == topics::ROUND_CLOSED));
 }
 

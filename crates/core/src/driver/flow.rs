@@ -180,9 +180,9 @@ fn gave_up<L: Ledger>(world: &mut World<L>, attempts: u32, deadline: SimTime) ->
 }
 
 /// Checks a receipt for contract-level success.
-fn receipt_ok(receipt: Receipt) -> Result<Receipt, ProcessError> {
+fn receipt_ok(receipt: &Receipt) -> Result<Receipt, ProcessError> {
     match &receipt.status {
-        TxStatus::Ok => Ok(receipt),
+        TxStatus::Ok => Ok(receipt.clone()),
         TxStatus::Reverted(msg) => Err(ProcessError::Reverted(msg.clone())),
         TxStatus::OutOfGas => Err(ProcessError::Reverted("out of gas".into())),
         TxStatus::Superseded => Err(ProcessError::Reverted(

@@ -561,7 +561,7 @@ impl<L: Ledger> World<L> {
         let waiting = std::mem::take(&mut self.driver.waiting);
         let mut still_waiting = Vec::with_capacity(waiting.len());
         for waiter in waiting {
-            if waiter.deadline <= now || self.chain.has_receipt(&waiter.id) {
+            if waiter.deadline <= now || self.chain.receipt(&waiter.id).is_some() {
                 self.step_process(waiter.pid);
                 steps += 1;
             } else {

@@ -171,7 +171,7 @@ impl PolicyMod {
                 loop {
                     if let Some((id, deadline)) = self.current {
                         world.chain.advance_to(now);
-                        if now < deadline && !world.chain.has_receipt(&id) {
+                        if now < deadline && world.chain.receipt(&id).is_none() {
                             return Step::Sleep(Wake::Receipt { id, deadline });
                         }
                         self.current = None;

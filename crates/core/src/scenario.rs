@@ -515,7 +515,7 @@ fn certify_enrolled<L: Ledger>(world: &mut World<L>, pop: &mut Population, size:
     let mut receipts: Vec<Option<Receipt>> = vec![None; size];
     let topic = topics::CERTIFICATE_ISSUED;
     confirm_chunk(world, topic, "subscription", &webids, &ids, |world, i| {
-        receipts[i] = world.chain.receipt(&ids[i]);
+        receipts[i] = world.chain.receipt(&ids[i]).cloned();
     });
     for (name, receipt) in devices.into_iter().zip(receipts) {
         let receipt = receipt.expect("included in a resident slot");

@@ -246,7 +246,7 @@ fn run_pruned_batch<L: Ledger>(
         "{context}: every ticket resolves"
     );
     // The merged horizon of a sharded ledger is a contiguous-prefix bound:
-    // an idle shard whose only blocks head the merged log legitimately pins
+    // an idle shard whose only blocks head the merged view legitimately pins
     // it at 0, so the horizon check is single-chain-only. Eviction itself
     // shows on both backends as a resident window smaller than history.
     if world.chain.shard_count() == 1 {

@@ -19,7 +19,7 @@
 //!
 //! * push-in: [`PushInOracle::attempt`] is one uplink try; confirmation
 //!   is the caller's wait on the ledger's receipt probe
-//!   (`Ledger::has_receipt`), bounded by
+//!   (`Ledger::receipt`), bounded by
 //!   [`OracleError::InclusionTimeout`].
 //! * push-out: [`PushOutOracle::try_drain`] computes the deliveries of the
 //!   events past the cursor; [`PushOutOracle::drain`] also resyncs a

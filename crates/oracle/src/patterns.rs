@@ -179,8 +179,8 @@ impl PushInOracle {
 /// One event delivery computed by the push-out oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutboundDelivery {
-    /// The chain event (`Rc`-shared with the ledger's log — fan-out to N
-    /// subscribers clones N pointers, not N payloads).
+    /// The chain event (`Rc`-shared with its stored receipt — fan-out to
+    /// N subscribers clones N pointers, not N payloads).
     pub event: Rc<Event>,
     /// Block height it was emitted at.
     pub height: u64,
@@ -292,8 +292,8 @@ impl PushOutOracle {
             .map_err(OracleError::Pruned)?;
         let mut deliveries = Vec::new();
         let mut max_height = self.cursor;
-        for (height, event) in fresh {
-            max_height = max_height.max(*height);
+        for (height, event) in fresh.iter() {
+            max_height = max_height.max(height);
             let Some(subs) = self.subscriptions.get(&event.topic) else {
                 continue;
             };
@@ -305,7 +305,7 @@ impl PushOutOracle {
                         self.delivered += 1;
                         deliveries.push(OutboundDelivery {
                             event: Rc::clone(event),
-                            height: *height,
+                            height,
                             recipient: *recipient,
                             arrives_at: clock.now() + hop,
                         });
@@ -430,11 +430,11 @@ impl PullInOracle {
         let fresh = chain
             .try_events_since(self.cursor)
             .map_err(OracleError::Pruned)?;
-        let cursor_to = fresh.iter().map(|(h, _)| *h).max().unwrap_or(self.cursor);
+        let cursor_to = fresh.iter().map(|(h, _)| h).max().unwrap_or(self.cursor);
         let events: Vec<(u64, Rc<Event>)> = fresh
             .iter()
             .filter(|(_, e)| e.topic == self.topic)
-            .map(|(h, e)| (*h, Rc::clone(e)))
+            .map(|(h, e)| (h, Rc::clone(e)))
             .collect();
         let response_size: u64 = events
             .iter()
@@ -698,14 +698,14 @@ mod tests {
             rng: &mut Rng,
         ) -> (Vec<OutboundDelivery>, u64) {
             let (mut deliveries, mut dropped) = (Vec::new(), 0);
-            for (height, event) in s.chain.try_events_since(cursor).unwrap() {
+            for (height, event) in s.chain.try_events_since(cursor).unwrap().iter() {
                 for (_, to) in self.0.iter().filter(|(t, _)| *t == event.topic) {
                     let size = event.data.len() as u64 + 64;
                     match net.transmit(s.relay, *to, size, rng).delay() {
                         None => dropped += 1,
                         Some(hop) => deliveries.push(OutboundDelivery {
                             event: Rc::clone(event),
-                            height: *height,
+                            height,
                             recipient: *to,
                             arrives_at: s.clock.now() + hop,
                         }),

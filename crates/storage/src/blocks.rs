@@ -128,12 +128,6 @@ impl<T> BlockStore<T> {
         self.blocks.back()
     }
 
-    /// The oldest resident block.
-    #[must_use]
-    pub fn first(&self) -> Option<&T> {
-        self.blocks.front()
-    }
-
     /// Iterates resident blocks oldest-first, paired with their heights.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         let base = self.base;

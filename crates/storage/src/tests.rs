@@ -84,7 +84,6 @@ fn block_store_addresses_by_height_across_pruning() {
     assert!(store.get(6).is_none());
     assert_eq!(store.get(7).map(|b| b.0), Some(7));
     assert_eq!(store.last().map(|b| b.0), Some(10));
-    assert_eq!(store.first().map(|b| b.0), Some(7));
     assert_eq!(
         store.iter().map(|(h, b)| (h, b.0)).collect::<Vec<_>>(),
         vec![(7, 7), (8, 8), (9, 9), (10, 10)]
