@@ -187,7 +187,7 @@ pub trait Ledger {
     {
         Events {
             ledger: self,
-            first: height.max(self.prune_horizon()) + 1,
+            first: height.max(self.prune_horizon()).saturating_add(1),
         }
     }
 
