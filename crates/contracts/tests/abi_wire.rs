@@ -7,7 +7,8 @@
 //! `record_and_signing_known_answers` pins the five records the client's
 //! views decode and the bytes an enclave signs for evidence and for a
 //! reaffirmation, recorded while each of those structs still wrote its codec
-//! by hand; never re-record them either.
+//! by hand; never re-record them either. `per_method_call_known_answers`
+//! pins the `(method, args)` bytes of one well-formed call per method.
 //!
 //! The properties cover every decoder a client, a block or an event log can
 //! feed: the argument type of each of the 17 `DistExchange` methods, the
@@ -905,5 +906,110 @@ proptest! {
         let fx = fixture();
         let (method, args) = &fx.calls[which];
         let _ = call(&fx, method, &damaged(args, &d));
+    }
+}
+
+/// Each fixture call's `(method, args)` pair, encoded as a call transaction
+/// carries it, recorded while every method's arguments were an anonymous
+/// tuple; never re-record them.
+#[test]
+fn per_method_call_known_answers() {
+    let pins: [&[&str]; 17] = [
+        // init
+        &[
+            "04000000696e6974380000000a000000000000000000000000000000010000000000000073d42146",
+            "6d3be645b3cdaf4ea68062e1f07bc412be29ed367527e26b7643edd3",
+        ],
+        // register_pod
+        &[
+            "0c00000072656769737465725f706f64a00000000f00000068747470733a2f2f702e69642f6d650e",
+            "00000068747470733a2f2f702e706f642f00760000001b00000068747470733a2f2f6f2e706f642f",
+            "722f3030303123706f6c6963791400000068747470733a2f2f6f2e706f642f722f303030310f0000",
+            "0068747470733a2f2f6f2e69642f6d65010000000000000001000000000100000000010000000000",
+            "0042076935090001000000000000420769350900",
+        ],
+        // get_pod
+        &["070000006765745f706f64130000000f00000068747470733a2f2f6f2e69642f6d65"],
+        // register_resource
+        &[
+            "1100000072656769737465725f7265736f75726365c20000001400000068747470733a2f2f6f2e70",
+            "6f642f722f303030321400000068747470733a2f2f6f2e706f642f722f303030320f000000687474",
+            "70733a2f2f6f2e69642f6d650000000000760000001b00000068747470733a2f2f6f2e706f642f72",
+            "2f3030303123706f6c6963791400000068747470733a2f2f6f2e706f642f722f303030310f000000",
+            "68747470733a2f2f6f2e69642f6d6501000000000000000100000000010000000001000000000000",
+            "42076935090001000000000000420769350900",
+        ],
+        // lookup_resource
+        &[
+            "0f0000006c6f6f6b75705f7265736f75726365180000001400000068747470733a2f2f6f2e706f64",
+            "2f722f30303031",
+        ],
+        // list_resources
+        &["0e0000006c6973745f7265736f757263657300000000"],
+        // update_policy
+        &[
+            "0d0000007570646174655f706f6c6963799b0000001400000068747470733a2f2f6f2e706f642f72",
+            "2f3030303100760000001b00000068747470733a2f2f6f2e706f642f722f3030303123706f6c6963",
+            "791400000068747470733a2f2f6f2e706f642f722f303030310f00000068747470733a2f2f6f2e69",
+            "642f6d65020000000000000001000000000100000000010000000000004207693509000100000000",
+            "00004207693509000200000000000000",
+        ],
+        // register_copy
+        &[
+            "0d00000072656769737465725f636f70793f0000001400000068747470733a2f2f6f2e706f642f72",
+            "2f30303031080000006465766963652d320f00000068747470733a2f2f6f2e69642f6d65dc8426b1",
+            "08d7a70c",
+        ],
+        // unregister_copy
+        &[
+            "0f000000756e72656769737465725f636f70792c0000001400000068747470733a2f2f6f2e706f64",
+            "2f722f30303031080000006465766963652d3100c817a804000000",
+        ],
+        // list_copies
+        &[
+            "0b0000006c6973745f636f70696573180000001400000068747470733a2f2f6f2e706f642f722f30",
+            "303031",
+        ],
+        // start_monitoring
+        &[
+            "1000000073746172745f6d6f6e69746f72696e67180000001400000068747470733a2f2f6f2e706f",
+            "642f722f30303031",
+        ],
+        // record_evidence
+        &[
+            "0f0000007265636f72645f65766964656e6365610000001400000068747470733a2f2f6f2e706f64",
+            "2f722f303030310200000000000000080000006465766963652d31010000000084d9f2b36e2019dd",
+            "7008788fb978f9fb08707b341c92af5447478f5f222528f2f02d106bca1c5712acb74d6f559f4c13",
+        ],
+        // reaffirm_evidence
+        &[
+            "11000000726561666669726d5f65766964656e6365640000001400000068747470733a2f2f6f2e70",
+            "6f642f722f303030310200000000000000080000006465766963652d31010000000000000084d9f2",
+            "b36e2019dd7008788fb978f9fb08707b341c92af5447478f5f222528f262c44f9e30007e1f76ae84",
+            "70edc4171f",
+        ],
+        // get_round
+        &[
+            "090000006765745f726f756e64200000001400000068747470733a2f2f6f2e706f642f722f303030",
+            "310100000000000000",
+        ],
+        // subscribe
+        &["09000000737562736372696265130000000f00000068747470733a2f2f712e69642f6d65"],
+        // verify_certificate
+        &[
+            "120000007665726966795f636572746966696361746533000000b6ca0500b0b03f7640d2d497469d",
+            "123a406e56119456c89119b352b82e1fb8dd0f00000068747470733a2f2f6f2e69642f6d65",
+        ],
+        // get_subscription
+        &[
+            "100000006765745f737562736372697074696f6e130000000f00000068747470733a2f2f6f2e6964",
+            "2f6d65",
+        ],
+    ];
+    let calls = fixture().calls;
+    assert_eq!(calls.len(), pins.len());
+    for ((method, args), expected) in calls.into_iter().zip(pins) {
+        let pair = encode_to_vec(&(method.to_string(), args));
+        assert_eq!(hex(&pair), expected.concat(), "{method}");
     }
 }
