@@ -7,6 +7,7 @@
 //! alone. `BENCH_seed.json` is their one committed copy; the crate's
 //! `bench_seed` test replays them against it.
 
+use duc_contracts::calls::{ListCopies, StartMonitoring, VerifyCertificate};
 use duc_core::baseline::{CentralizedAuditBaseline, PlainSolidBaseline};
 use duc_core::chaos::fixed_link;
 use duc_core::prelude::*;
@@ -656,12 +657,13 @@ pub fn e8_robustness() -> Vec<Table> {
             format!("{status:?}"),
         ]);
         // 3. Forged evidence (wrong key).
-        let tx = world
-            .dex
-            .start_monitoring_tx(&world.chain, &owner_key, &resource);
+        let start = StartMonitoring {
+            resource: resource.clone(),
+        };
+        let tx = world.dex.call_tx(&world.chain, &owner_key, start.clone());
         let id = world.chain.submit(tx).expect("mempool");
         world.advance(SimDuration::from_secs(2));
-        let round = duc_contracts::DistExchangeClient::decode_round_number(
+        let round = duc_contracts::DistExchangeClient::decode_return::<StartMonitoring>(
             &world.chain.receipt(&id).expect("receipt").return_data,
         )
         .expect("round");
@@ -676,9 +678,7 @@ pub fn e8_robustness() -> Vec<Table> {
         };
         forged.signature = duc_crypto::KeyPair::from_seed(b"mallory").sign(&forged.signing_bytes());
         let dev_key = world.device("device-0").key;
-        let tx = world
-            .dex
-            .record_evidence_tx(&world.chain, &dev_key, &forged);
+        let tx = world.dex.call_tx(&world.chain, &dev_key, forged);
         let id = world.chain.submit(tx).expect("mempool");
         world.advance(SimDuration::from_secs(2));
         let status = world.chain.receipt(&id).map(|r| r.status.clone());
@@ -688,9 +688,7 @@ pub fn e8_robustness() -> Vec<Table> {
             format!("{status:?}"),
         ]);
         // 4. Tampered signed transaction.
-        let mut tx = world
-            .dex
-            .start_monitoring_tx(&world.chain, &owner_key, &resource);
+        let mut tx = world.dex.call_tx(&world.chain, &owner_key, start);
         tx.tx.gas_limit += 1;
         let submit = world.chain.submit(tx);
         tamper.row(vec![
@@ -700,10 +698,11 @@ pub fn e8_robustness() -> Vec<Table> {
         ]);
         // 5. Forged certificate at the pod manager.
         let fake_cert = duc_crypto::sha256(b"forged-cert");
-        let ok = world
-            .dex
-            .verify_certificate(&world.chain, &fake_cert, "https://c0.id/me")
-            .expect("view");
+        let verify = VerifyCertificate {
+            certificate: fake_cert,
+            webid: "https://c0.id/me".into(),
+        };
+        let ok = world.dex.view(&world.chain, verify).expect("view");
         tamper.row(vec![
             "forged market certificate".into(),
             "DE App certificate registry".into(),
@@ -1347,7 +1346,7 @@ pub fn e14_deadline_enforcement() -> Vec<Table> {
         assert!(
             world
                 .dex
-                .list_copies(&world.chain, &resource)
+                .view(&world.chain, ListCopies { resource })
                 .expect("view")
                 .is_empty(),
             "every overdue copy was unregistered under {label}"

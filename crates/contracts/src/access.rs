@@ -20,26 +20,19 @@
 //! therefore run concurrently, while calls that could collide serialize.
 //! Every set must *cover* the method's touched keys (reads included — a
 //! revert path still observed them); it may over-approximate, never
-//! under-approximate. Anything undeclarable (unknown method, undecodable
-//! arguments, an uninitialized market) is [`AccessSet::Exclusive`], which
-//! conflicts with everything and therefore executes exactly where the
-//! serial scheduler would have run it.
+//! under-approximate. Anything undeclarable (unknown method, arguments that
+//! do not decode whole, an uninitialized market) is
+//! [`AccessSet::Exclusive`], which conflicts with everything and therefore
+//! executes exactly where the serial scheduler would have run it.
 
 use duc_blockchain::exec::{fnv1a, fnv1a_parts};
 use duc_blockchain::{AccessFn, AccessKey, AccessParams, AccessSet, Address, ContractId};
-use duc_codec::{decode_from_slice, Decode, Reader};
+use duc_codec::decode_from_slice;
 use duc_crypto::{hash_parts, Digest};
 
-use crate::abi::{EvidenceReaffirmation, EvidenceSubmission, PolicyEnvelope};
+use crate::calls::DexCall;
 use crate::dist_exchange::DEX_CONTRACT_ID;
 use crate::layout;
-
-/// Decodes a prefix of `args` (derivation only needs the leading fields;
-/// the contract itself decodes — and rejects — the full tuple).
-fn decode_prefix<T: Decode>(args: &[u8]) -> Option<T> {
-    let mut r = Reader::new(args);
-    T::decode(&mut r).ok()
-}
 
 /// A slot in one of the flat `{prefix}{identity}` tables.
 fn slot(prefix: &[u8], identity: &str) -> AccessKey {
@@ -102,144 +95,96 @@ fn cfg_slot(name: &str) -> AccessKey {
 /// keys of both the success and the revert paths of every method in
 /// [`crate::dist_exchange`]; keep the two in sync when the layout grows.
 pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
-    match p.method {
+    let Ok(call) = DexCall::decode(p.method, p.args) else {
+        return AccessSet::Exclusive;
+    };
+    match call {
         // Writes the whole cfg table, once per deployment: not worth
         // declaring.
-        "init" => AccessSet::Exclusive,
-        "register_pod" => match decode_prefix::<(String, String, PolicyEnvelope)>(p.args) {
-            Some((owner, _, policy)) => AccessSet::declared()
-                .read(slot(layout::POD, &owner))
-                .write(slot(layout::POD, &owner))
-                .delta(pol_slot(&policy.digest())),
-            None => AccessSet::Exclusive,
-        },
-        "get_pod" => match decode_prefix::<String>(p.args) {
-            Some(owner) => AccessSet::declared()
-                .read(slot(layout::POD, &owner))
-                .read(pol_table()),
-            None => AccessSet::Exclusive,
-        },
-        "register_resource" => {
-            type Args = (
-                String,
-                String,
-                String,
-                Vec<(String, String)>,
-                PolicyEnvelope,
-            );
-            match decode_prefix::<Args>(p.args) {
-                Some((resource, _, owner, _, policy)) => AccessSet::declared()
-                    .read(slot(layout::POD, &owner))
-                    .read(slot(layout::RES, &resource))
-                    .write(slot(layout::RES, &resource))
-                    .delta(pol_slot(&policy.digest())),
-                None => AccessSet::Exclusive,
-            }
+        DexCall::Init(_) => AccessSet::Exclusive,
+        DexCall::RegisterPod(a) => AccessSet::declared()
+            .read(slot(layout::POD, &a.owner_webid))
+            .write(slot(layout::POD, &a.owner_webid))
+            .delta(pol_slot(&a.default_policy.digest())),
+        DexCall::GetPod(a) => AccessSet::declared()
+            .read(slot(layout::POD, &a.owner_webid))
+            .read(pol_table()),
+        DexCall::RegisterResource(a) => AccessSet::declared()
+            .read(slot(layout::POD, &a.owner_webid))
+            .read(slot(layout::RES, &a.resource))
+            .write(slot(layout::RES, &a.resource))
+            .delta(pol_slot(&a.policy.digest())),
+        DexCall::LookupResource(a) => AccessSet::declared()
+            .read(slot(layout::RES, &a.resource))
+            .read(pol_table()),
+        DexCall::ListResources(_) => {
+            AccessSet::declared().read(AccessKey::Table(fnv1a(layout::RES)))
         }
-        "lookup_resource" => match decode_prefix::<String>(p.args) {
-            Some(resource) => AccessSet::declared()
-                .read(slot(layout::RES, &resource))
-                .read(pol_table()),
-            None => AccessSet::Exclusive,
-        },
-        "list_resources" => AccessSet::declared().read(AccessKey::Table(fnv1a(layout::RES))),
-        "update_policy" => match decode_prefix::<(String, PolicyEnvelope)>(p.args) {
-            Some((resource, policy)) => AccessSet::declared()
-                .read(slot(layout::RES, &resource))
-                .write(slot(layout::RES, &resource))
-                .delta(pol_slot(&policy.digest())),
-            None => AccessSet::Exclusive,
-        },
-        "register_copy" => match decode_prefix::<(String, String)>(p.args) {
-            Some((resource, device)) => AccessSet::declared()
-                .read(slot(layout::RES, &resource))
-                .write(copy_slot(&resource, &device)),
-            None => AccessSet::Exclusive,
-        },
-        "unregister_copy" => match decode_prefix::<(String, String)>(p.args) {
-            Some((resource, device)) => AccessSet::declared()
-                .read(copy_slot(&resource, &device))
-                .write(copy_slot(&resource, &device)),
-            None => AccessSet::Exclusive,
-        },
-        "list_copies" => match decode_prefix::<String>(p.args) {
-            Some(resource) => AccessSet::declared().read(AccessKey::Table(copy_space(&resource))),
-            None => AccessSet::Exclusive,
-        },
-        "start_monitoring" => match decode_prefix::<String>(p.args) {
-            // The new round's slot index comes from the counter, which an
-            // earlier same-block round could bump: claim the whole round
-            // space rather than read the counter at derivation time.
-            Some(resource) => AccessSet::declared()
-                .read(slot(layout::RES, &resource))
-                .read(slot(layout::ROUND_COUNTER, &resource))
-                .write(slot(layout::ROUND_COUNTER, &resource))
-                .read(AccessKey::Table(copy_space(&resource)))
-                .write(AccessKey::Table(round_space(&resource))),
-            None => AccessSet::Exclusive,
-        },
-        "record_evidence" => match decode_prefix::<EvidenceSubmission>(p.args) {
-            Some(s) => AccessSet::declared()
-                .read(round_slot(&s.resource, s.round))
-                .write(round_slot(&s.resource, s.round))
-                .read(copy_slot(&s.resource, &s.device)),
-            None => AccessSet::Exclusive,
-        },
-        "reaffirm_evidence" => match decode_prefix::<EvidenceReaffirmation>(p.args) {
-            Some(r) => AccessSet::declared()
-                .read(round_slot(&r.resource, r.round))
-                .write(round_slot(&r.resource, r.round))
-                .read(copy_slot(&r.resource, &r.device))
-                .read(round_slot(&r.resource, r.prev_round)),
-            None => AccessSet::Exclusive,
-        },
-        "get_round" => match decode_prefix::<(String, u64)>(p.args) {
-            Some((resource, round)) => AccessSet::declared().read(round_slot(&resource, round)),
-            None => AccessSet::Exclusive,
-        },
-        "subscribe" => match decode_prefix::<String>(p.args) {
-            Some(webid) => {
-                // The fee lands on the treasury as a commutative credit —
-                // but only if the treasury address resolves now, from the
-                // same slot the call will re-read (init is Exclusive, so
-                // it cannot change mid-block). Unresolvable → the call
-                // will revert "market not initialized"; serialize it.
-                let treasury: Option<Address> = p
-                    .state
-                    .storage_get(p.contract, &layout::cfg("treasury"))
-                    .and_then(|bytes| decode_from_slice(&bytes).ok());
-                let Some(treasury) = treasury else {
-                    return AccessSet::Exclusive;
-                };
-                // The certificate digest is a pure function of fields the
-                // derivation already knows (webid, block time, caller).
-                let certificate = hash_parts(&[
-                    b"duc/cert",
-                    webid.as_bytes(),
-                    &p.block_time.as_nanos().to_le_bytes(),
-                    p.caller.0.as_bytes(),
-                ]);
-                AccessSet::declared()
-                    .read(cfg_slot("fee"))
-                    .read(cfg_slot("validity"))
-                    .read(cfg_slot("treasury"))
-                    .delta(AccessKey::Account(treasury))
-                    .write(slot(layout::SUB, &webid))
-                    .write(cert_slot(&certificate))
-            }
-            None => AccessSet::Exclusive,
-        },
-        "verify_certificate" => match decode_prefix::<(Digest, String)>(p.args) {
-            Some((certificate, webid)) => AccessSet::declared()
-                .read(cert_slot(&certificate))
-                .read(slot(layout::SUB, &webid)),
-            None => AccessSet::Exclusive,
-        },
-        "get_subscription" => match decode_prefix::<String>(p.args) {
-            Some(webid) => AccessSet::declared().read(slot(layout::SUB, &webid)),
-            None => AccessSet::Exclusive,
-        },
-        _ => AccessSet::Exclusive,
+        DexCall::UpdatePolicy(a) => AccessSet::declared()
+            .read(slot(layout::RES, &a.resource))
+            .write(slot(layout::RES, &a.resource))
+            .delta(pol_slot(&a.policy.digest())),
+        DexCall::RegisterCopy(a) => AccessSet::declared()
+            .read(slot(layout::RES, &a.resource))
+            .write(copy_slot(&a.resource, &a.device)),
+        DexCall::UnregisterCopy(a) => AccessSet::declared()
+            .read(copy_slot(&a.resource, &a.device))
+            .write(copy_slot(&a.resource, &a.device)),
+        DexCall::ListCopies(a) => {
+            AccessSet::declared().read(AccessKey::Table(copy_space(&a.resource)))
+        }
+        // The new round's slot index comes from the counter, which an
+        // earlier same-block round could bump: claim the whole round space
+        // rather than read the counter at derivation time.
+        DexCall::StartMonitoring(a) => AccessSet::declared()
+            .read(slot(layout::RES, &a.resource))
+            .read(slot(layout::ROUND_COUNTER, &a.resource))
+            .write(slot(layout::ROUND_COUNTER, &a.resource))
+            .read(AccessKey::Table(copy_space(&a.resource)))
+            .write(AccessKey::Table(round_space(&a.resource))),
+        DexCall::RecordEvidence(s) => AccessSet::declared()
+            .read(round_slot(&s.resource, s.round))
+            .write(round_slot(&s.resource, s.round))
+            .read(copy_slot(&s.resource, &s.device)),
+        DexCall::ReaffirmEvidence(r) => AccessSet::declared()
+            .read(round_slot(&r.resource, r.round))
+            .write(round_slot(&r.resource, r.round))
+            .read(copy_slot(&r.resource, &r.device))
+            .read(round_slot(&r.resource, r.prev_round)),
+        DexCall::GetRound(a) => AccessSet::declared().read(round_slot(&a.resource, a.round)),
+        DexCall::Subscribe(a) => {
+            // The fee lands on the treasury as a commutative credit — but
+            // only if the treasury address resolves now, from the same slot
+            // the call will re-read (init is Exclusive, so it cannot change
+            // mid-block). Unresolvable → the call will revert "market not
+            // initialized"; serialize it.
+            let treasury: Option<Address> = p
+                .state
+                .storage_get(p.contract, &layout::cfg("treasury"))
+                .and_then(|bytes| decode_from_slice(&bytes).ok());
+            let Some(treasury) = treasury else {
+                return AccessSet::Exclusive;
+            };
+            // The certificate digest is a pure function of fields the
+            // derivation already knows (webid, block time, caller).
+            let certificate = hash_parts(&[
+                b"duc/cert",
+                a.webid.as_bytes(),
+                &p.block_time.as_nanos().to_le_bytes(),
+                p.caller.0.as_bytes(),
+            ]);
+            AccessSet::declared()
+                .read(cfg_slot("fee"))
+                .read(cfg_slot("validity"))
+                .read(cfg_slot("treasury"))
+                .delta(AccessKey::Account(treasury))
+                .write(slot(layout::SUB, &a.webid))
+                .write(cert_slot(&certificate))
+        }
+        DexCall::VerifyCertificate(a) => AccessSet::declared()
+            .read(cert_slot(&a.certificate))
+            .read(slot(layout::SUB, &a.webid)),
+        DexCall::GetSubscription(a) => AccessSet::declared().read(slot(layout::SUB, &a.webid)),
     }
 }
 
@@ -260,6 +205,7 @@ pub fn dex_access_fn() -> AccessFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abi::PolicyEnvelope;
     use duc_blockchain::WorldState;
     use duc_codec::encode_to_vec;
     use duc_sim::SimTime;
@@ -337,8 +283,11 @@ mod tests {
     fn same_resource_copy_calls_conflict_across_devices_only_via_scans() {
         let dex = ContractId::new(DEX_CONTRACT_ID);
         let state = WorldState::new();
-        let c1 = encode_to_vec(&("res-1".to_string(), "dev-1".to_string()));
-        let c2 = encode_to_vec(&("res-1".to_string(), "dev-2".to_string()));
+        let unregister = |resource: &str, device: &str| {
+            encode_to_vec(&(resource.to_string(), device.to_string(), 7u64))
+        };
+        let c1 = unregister("res-1", "dev-1");
+        let c2 = unregister("res-1", "dev-2");
         let s1 = dex_access(&params(&dex, "unregister_copy", &c1, &state));
         let s2 = dex_access(&params(&dex, "unregister_copy", &c2, &state));
         assert_disjoint(&s1, &s2);
@@ -348,7 +297,7 @@ mod tests {
         let sc = dex_access(&params(&dex, "list_copies", &scan, &state));
         assert!(sc.conflicts(&s1));
         // ... but not with another resource's devices.
-        let other = encode_to_vec(&("res-2".to_string(), "dev-1".to_string()));
+        let other = unregister("res-2", "dev-1");
         let so = dex_access(&params(&dex, "unregister_copy", &other, &state));
         assert_disjoint(&sc, &so);
     }
@@ -399,6 +348,19 @@ mod tests {
         ));
         assert!(matches!(
             dex_access(&params(&dex, "register_pod", b"junk", &state)),
+            AccessSet::Exclusive
+        ));
+        // The whole call decodes or nothing is declared: a truncated
+        // argument tuple, and `list_resources` given arguments, both of
+        // which the contract rejects.
+        let truncated = encode_to_vec(&("res-1".to_string(), "dev-1".to_string()));
+        assert!(matches!(
+            dex_access(&params(&dex, "unregister_copy", &truncated, &state)),
+            AccessSet::Exclusive
+        ));
+        let one_name = encode_to_vec(&("res-1".to_string(),));
+        assert!(matches!(
+            dex_access(&params(&dex, "list_resources", &one_name, &state)),
             AccessSet::Exclusive
         ));
         let f = dex_access_fn();

@@ -1,15 +1,19 @@
 //! Typed client for the DistExchange contract.
 //!
 //! Off-chain components (pod managers, TEEs, oracles) talk to the DE App
-//! through this wrapper instead of hand-encoding ABI bytes.
+//! through this wrapper instead of hand-encoding ABI bytes: any call of the
+//! table in [`crate::calls`] becomes a transaction with
+//! [`DistExchangeClient::call_tx`], or a typed read with
+//! [`DistExchangeClient::view`].
 
 use duc_blockchain::{Address, ContractError, ContractId, Ledger, SignedTransaction};
-use duc_codec::{decode_from_slice, encode_to_vec};
-use duc_crypto::{Digest, KeyPair, PublicKey};
+use duc_codec::decode_from_slice;
+use duc_crypto::KeyPair;
 
-use crate::abi::{
-    CopyRecord, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound, PodRecord,
-    PolicyEnvelope, ResourceRecord, Subscription,
+use crate::abi::{PolicyEnvelope, ResourceRecord};
+use crate::calls::{
+    DexCall, DexMethod, Init, ListResources, LookupResource, RegisterPod, RegisterResource,
+    UpdatePolicy,
 };
 use crate::dist_exchange::DEX_CONTRACT_ID;
 
@@ -41,7 +45,58 @@ impl DistExchangeClient {
         &self.contract
     }
 
-    // ------------------------------------------------------- transactions
+    /// Builds a signed call of any DE App method, routed by the ledger.
+    pub fn call_tx<L: Ledger>(
+        &self,
+        chain: &L,
+        key: &KeyPair,
+        call: impl Into<DexCall>,
+    ) -> SignedTransaction {
+        let call = call.into();
+        chain.build_call(
+            key,
+            self.contract.clone(),
+            call.name(),
+            call.encode_args(),
+            DEFAULT_GAS,
+        )
+    }
+
+    /// Builds a signed call pinned to one shard (multi-chain deployments
+    /// run `init` once per shard at genesis).
+    pub fn call_tx_on<L: Ledger>(
+        &self,
+        chain: &L,
+        shard: usize,
+        key: &KeyPair,
+        call: impl Into<DexCall>,
+    ) -> SignedTransaction {
+        let call = call.into();
+        let (method, args) = (call.name(), call.encode_args());
+        chain.build_call_on(shard, key, self.contract.clone(), method, args, DEFAULT_GAS)
+    }
+
+    /// Runs a read-only call and decodes what the method returns.
+    ///
+    /// # Errors
+    /// Propagates contract/view errors and undecodable return data.
+    pub fn view<C: DexMethod, L: Ledger>(
+        &self,
+        chain: &L,
+        call: C,
+    ) -> Result<C::Output, ContractError> {
+        let call = call.into();
+        let out = chain.call_view(&self.contract, call.name(), &call.encode_args())?;
+        Self::decode_return::<C>(&out)
+    }
+
+    /// Decodes a method's return data (a receipt's `return_data`).
+    ///
+    /// # Errors
+    /// Fails on malformed return data.
+    pub fn decode_return<C: DexMethod>(return_data: &[u8]) -> Result<C::Output, ContractError> {
+        Ok(decode_from_slice(return_data)?)
+    }
 
     /// Builds the one-time market initialization call.
     pub fn init_tx<L: Ledger>(
@@ -52,34 +107,12 @@ impl DistExchangeClient {
         validity_nanos: u64,
         treasury: Address,
     ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "init",
-            encode_to_vec(&(fee, validity_nanos, treasury)),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds the market initialization call pinned to one shard (multi-
-    /// chain deployments run `init` once per shard at genesis).
-    pub fn init_tx_on<L: Ledger>(
-        &self,
-        chain: &L,
-        shard: usize,
-        key: &KeyPair,
-        fee: u128,
-        validity_nanos: u64,
-        treasury: Address,
-    ) -> SignedTransaction {
-        chain.build_call_on(
-            shard,
-            key,
-            self.contract.clone(),
-            "init",
-            encode_to_vec(&(fee, validity_nanos, treasury)),
-            DEFAULT_GAS,
-        )
+        let call = Init {
+            fee,
+            validity_nanos,
+            treasury,
+        };
+        self.call_tx(chain, key, call)
     }
 
     /// Builds a pod registration (paper process 1).
@@ -91,13 +124,12 @@ impl DistExchangeClient {
         web_ref: &str,
         default_policy: PolicyEnvelope,
     ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "register_pod",
-            encode_to_vec(&(owner_webid.to_string(), web_ref.to_string(), default_policy)),
-            DEFAULT_GAS,
-        )
+        let call = RegisterPod {
+            owner_webid: owner_webid.to_string(),
+            web_ref: web_ref.to_string(),
+            default_policy,
+        };
+        self.call_tx(chain, key, call)
     }
 
     /// Builds a resource registration (paper process 2).
@@ -112,19 +144,14 @@ impl DistExchangeClient {
         metadata: Vec<(String, String)>,
         policy: PolicyEnvelope,
     ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "register_resource",
-            encode_to_vec(&(
-                resource.to_string(),
-                location.to_string(),
-                owner_webid.to_string(),
-                metadata,
-                policy,
-            )),
-            DEFAULT_GAS,
-        )
+        let call = RegisterResource {
+            resource: resource.to_string(),
+            location: location.to_string(),
+            owner_webid: owner_webid.to_string(),
+            metadata,
+            policy,
+        };
+        self.call_tx(chain, key, call)
     }
 
     /// Builds a policy update (paper process 5).
@@ -136,142 +163,12 @@ impl DistExchangeClient {
         policy: PolicyEnvelope,
         new_version: u64,
     ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "update_policy",
-            encode_to_vec(&(resource.to_string(), policy, new_version)),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds a copy registration (after a successful resource access,
-    /// paper process 4).
-    pub fn register_copy_tx<L: Ledger>(
-        &self,
-        chain: &L,
-        key: &KeyPair,
-        resource: &str,
-        device: &str,
-        holder_webid: &str,
-        attestation_key: PublicKey,
-    ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "register_copy",
-            encode_to_vec(&(
-                resource.to_string(),
-                device.to_string(),
-                holder_webid.to_string(),
-                attestation_key,
-            )),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds a copy removal (after obligation-driven deletion). `as_of`
-    /// is the deletion instant: the contract keeps any registration made
-    /// at or after it (a re-access that raced this unregister).
-    pub fn unregister_copy_tx<L: Ledger>(
-        &self,
-        chain: &L,
-        key: &KeyPair,
-        resource: &str,
-        device: &str,
-        as_of: duc_sim::SimTime,
-    ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "unregister_copy",
-            encode_to_vec(&(resource.to_string(), device.to_string(), as_of.as_nanos())),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds a monitoring-round request (paper process 6).
-    pub fn start_monitoring_tx<L: Ledger>(
-        &self,
-        chain: &L,
-        key: &KeyPair,
-        resource: &str,
-    ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "start_monitoring",
-            encode_to_vec(&(resource.to_string(),)),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds an evidence submission.
-    pub fn record_evidence_tx<L: Ledger>(
-        &self,
-        chain: &L,
-        key: &KeyPair,
-        submission: &EvidenceSubmission,
-    ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "record_evidence",
-            encode_to_vec(submission),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds an evidence reaffirmation (incremental monitoring: the
-    /// device's usage log is unchanged since `prev_round`).
-    pub fn reaffirm_evidence_tx<L: Ledger>(
-        &self,
-        chain: &L,
-        key: &KeyPair,
-        reaffirmation: &EvidenceReaffirmation,
-    ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "reaffirm_evidence",
-            encode_to_vec(reaffirmation),
-            DEFAULT_GAS,
-        )
-    }
-
-    /// Builds a market subscription purchase.
-    pub fn subscribe_tx<L: Ledger>(
-        &self,
-        chain: &L,
-        key: &KeyPair,
-        webid: &str,
-    ) -> SignedTransaction {
-        chain.build_call(
-            key,
-            self.contract.clone(),
-            "subscribe",
-            encode_to_vec(&(webid.to_string(),)),
-            DEFAULT_GAS,
-        )
-    }
-
-    // -------------------------------------------------------------- views
-
-    /// Looks up a pod record.
-    ///
-    /// # Errors
-    /// Propagates contract/view errors.
-    pub fn get_pod<L: Ledger>(
-        &self,
-        chain: &L,
-        owner_webid: &str,
-    ) -> Result<Option<PodRecord>, ContractError> {
-        let out = chain.call_view(
-            &self.contract,
-            "get_pod",
-            &encode_to_vec(&(owner_webid.to_string(),)),
-        )?;
-        decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))
+        let call = UpdatePolicy {
+            resource: resource.to_string(),
+            policy,
+            new_version,
+        };
+        self.call_tx(chain, key, call)
     }
 
     /// Looks up a resource record (paper process 3's read).
@@ -283,12 +180,12 @@ impl DistExchangeClient {
         chain: &L,
         resource: &str,
     ) -> Result<Option<ResourceRecord>, ContractError> {
-        let out = chain.call_view(
-            &self.contract,
-            "lookup_resource",
-            &encode_to_vec(&(resource.to_string(),)),
-        )?;
-        decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))
+        self.view(
+            chain,
+            LookupResource {
+                resource: resource.to_string(),
+            },
+        )
     }
 
     /// Lists all indexed resource IRIs. On multi-shard backends the view
@@ -299,110 +196,17 @@ impl DistExchangeClient {
     /// Propagates contract/view errors.
     pub fn list_resources<L: Ledger>(&self, chain: &L) -> Result<Vec<String>, ContractError> {
         if chain.shard_count() == 1 {
-            let out = chain.call_view(&self.contract, "list_resources", &[])?;
-            return decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()));
+            return self.view(chain, ListResources {});
         }
+        let call = DexCall::from(ListResources {});
         let mut all: Vec<String> = Vec::new();
         for shard in 0..chain.shard_count() {
-            let out = chain.call_view_on(shard, &self.contract, "list_resources", &[])?;
-            let names: Vec<String> =
-                decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))?;
-            all.extend(names);
+            let out =
+                chain.call_view_on(shard, &self.contract, call.name(), &call.encode_args())?;
+            all.extend(Self::decode_return::<ListResources>(&out)?);
         }
         all.sort_unstable();
         all.dedup();
         Ok(all)
-    }
-
-    /// Lists devices holding copies of a resource.
-    ///
-    /// # Errors
-    /// Propagates contract/view errors.
-    pub fn list_copies<L: Ledger>(
-        &self,
-        chain: &L,
-        resource: &str,
-    ) -> Result<Vec<CopyRecord>, ContractError> {
-        let out = chain.call_view(
-            &self.contract,
-            "list_copies",
-            &encode_to_vec(&(resource.to_string(),)),
-        )?;
-        decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))
-    }
-
-    /// Reads a monitoring round.
-    ///
-    /// # Errors
-    /// Propagates contract/view errors.
-    pub fn get_round<L: Ledger>(
-        &self,
-        chain: &L,
-        resource: &str,
-        round: u64,
-    ) -> Result<Option<MonitoringRound>, ContractError> {
-        let out = chain.call_view(
-            &self.contract,
-            "get_round",
-            &encode_to_vec(&(resource.to_string(), round)),
-        )?;
-        decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))
-    }
-
-    /// Verifies a payment certificate for a WebID.
-    ///
-    /// # Errors
-    /// Propagates contract/view errors.
-    pub fn verify_certificate<L: Ledger>(
-        &self,
-        chain: &L,
-        certificate: &Digest,
-        webid: &str,
-    ) -> Result<bool, ContractError> {
-        let out = chain.call_view(
-            &self.contract,
-            "verify_certificate",
-            &encode_to_vec(&(*certificate, webid.to_string())),
-        )?;
-        let (valid,): (bool,) =
-            decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))?;
-        Ok(valid)
-    }
-
-    /// Reads a subscription.
-    ///
-    /// # Errors
-    /// Propagates contract/view errors.
-    pub fn get_subscription<L: Ledger>(
-        &self,
-        chain: &L,
-        webid: &str,
-    ) -> Result<Option<Subscription>, ContractError> {
-        let out = chain.call_view(
-            &self.contract,
-            "get_subscription",
-            &encode_to_vec(&(webid.to_string(),)),
-        )?;
-        decode_from_slice(&out).map_err(|e| ContractError::BadArguments(e.to_string()))
-    }
-
-    /// Decodes the round number returned by `start_monitoring`.
-    ///
-    /// # Errors
-    /// Fails on malformed return data.
-    pub fn decode_round_number(return_data: &[u8]) -> Result<u64, ContractError> {
-        let (round,): (u64,) = decode_from_slice(return_data)
-            .map_err(|e| ContractError::BadArguments(e.to_string()))?;
-        Ok(round)
-    }
-
-    /// Decodes the certificate returned by `subscribe`.
-    ///
-    /// # Errors
-    /// Fails on malformed return data.
-    pub fn decode_certificate(return_data: &[u8]) -> Result<Digest, ContractError> {
-        let (cert,): (Digest,) = decode_from_slice(return_data)
-            .map_err(|e| ContractError::BadArguments(e.to_string()))?;
-        Ok(cert)
     }
 }

@@ -4,6 +4,10 @@
 //! module), which documents the layout table; rows are the compact
 //! encodings of [`crate::rows`].
 //!
+//! Each method takes its argument struct from [`crate::calls`] and returns
+//! its typed output; [`DistExchange::call`] decodes the call once and
+//! encodes the output in one place.
+//!
 //! View methods (`get_pod`, `lookup_resource`, `get_subscription`,
 //! `list_copies`) reconstruct the full ABI records of [`crate::abi`] from
 //! key + row + pol table, so callers see the exact same wire format as
@@ -12,13 +16,18 @@
 //! envelope from storage.
 
 use duc_blockchain::{Address, CallCtx, Contract, ContractError};
-use duc_codec::{decode_from_slice, encode_to_vec};
+use duc_codec::encode_to_vec;
 use duc_crypto::{hash_parts, Digest};
 use duc_sim::SimDuration;
 
 use crate::abi::{
     CopyRecord, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound, PodRecord,
     PolicyEnvelope, ResourceRecord, Subscription,
+};
+use crate::calls::{
+    DexCall, DexMethod, GetPod, GetRound, GetSubscription, Init, ListCopies, LookupResource,
+    RegisterCopy, RegisterPod, RegisterResource, StartMonitoring, Subscribe, UnregisterCopy,
+    UpdatePolicy, VerifyCertificate,
 };
 use crate::layout;
 use crate::rows::{CopyRow, PodRow, ResourceRow, SubRow};
@@ -58,201 +67,184 @@ fn get_policy(ctx: &mut CallCtx<'_>, digest: &Digest) -> Result<PolicyEnvelope, 
 }
 
 impl DistExchange {
-    fn init(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (fee, validity_nanos, treasury): (u128, u64, Address) = decode_from_slice(args)?;
+    fn init(&self, ctx: &mut CallCtx<'_>, a: Init) -> Result<(), ContractError> {
         if ctx.contains(&layout::cfg("fee"))? {
             return Err(revert("already initialized"));
         }
-        ctx.set(layout::cfg("fee"), &fee)?;
-        ctx.set(layout::cfg("validity"), &validity_nanos)?;
-        ctx.set(layout::cfg("treasury"), &treasury)?;
-        Ok(Vec::new())
+        ctx.set(layout::cfg("fee"), &a.fee)?;
+        ctx.set(layout::cfg("validity"), &a.validity_nanos)?;
+        ctx.set(layout::cfg("treasury"), &a.treasury)?;
+        Ok(())
     }
 
-    fn register_pod(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (owner_webid, web_ref, default_policy): (String, String, PolicyEnvelope) =
-            decode_from_slice(args)?;
-        let key = layout::pod(&owner_webid);
+    fn register_pod(&self, ctx: &mut CallCtx<'_>, a: RegisterPod) -> Result<(), ContractError> {
+        let key = layout::pod(&a.owner_webid);
         if ctx.contains(&key)? {
-            return Err(revert(format!("pod already registered for {owner_webid}")));
+            return Err(revert(format!(
+                "pod already registered for {}",
+                a.owner_webid
+            )));
         }
-        let policy = put_policy(ctx, &default_policy)?;
+        let policy = put_policy(ctx, &a.default_policy)?;
         let row = PodRow {
             owner_addr: ctx.caller,
-            web_ref,
+            web_ref: a.web_ref,
             policy,
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        ctx.emit(topics::POD_REGISTERED, encode_to_vec(&(owner_webid,)))?;
-        Ok(Vec::new())
+        ctx.emit(topics::POD_REGISTERED, encode_to_vec(&(a.owner_webid,)))?;
+        Ok(())
     }
 
-    fn get_pod(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (owner_webid,): (String,) = decode_from_slice(args)?;
-        let row: Option<PodRow> = ctx.get(&layout::pod(&owner_webid))?;
-        let record: Option<PodRecord> = match row {
+    fn get_pod(
+        &self,
+        ctx: &mut CallCtx<'_>,
+        a: GetPod,
+    ) -> Result<Option<PodRecord>, ContractError> {
+        let row: Option<PodRow> = ctx.get(&layout::pod(&a.owner_webid))?;
+        Ok(match row {
             None => None,
             Some(row) => {
                 let policy = get_policy(ctx, &row.policy)?;
-                Some(row.into_record(owner_webid, policy))
+                Some(row.into_record(a.owner_webid, policy))
             }
-        };
-        Ok(encode_to_vec(&record))
+        })
     }
 
     fn register_resource(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let (resource, location, owner_webid, metadata, policy): (
-            String,
-            String,
-            String,
-            Vec<(String, String)>,
-            PolicyEnvelope,
-        ) = decode_from_slice(args)?;
-        layout::reject_separator("resource IRI", &resource)?;
+        a: RegisterResource,
+    ) -> Result<(), ContractError> {
+        layout::reject_separator("resource IRI", &a.resource)?;
         let pod: PodRow = ctx
-            .get(&layout::pod(&owner_webid))?
-            .ok_or_else(|| revert(format!("no pod registered for {owner_webid}")))?;
+            .get(&layout::pod(&a.owner_webid))?
+            .ok_or_else(|| revert(format!("no pod registered for {}", a.owner_webid)))?;
         if pod.owner_addr != ctx.caller {
             return Err(revert("caller does not own the pod"));
         }
-        let key = layout::res(&resource);
+        let key = layout::res(&a.resource);
         if ctx.contains(&key)? {
-            return Err(revert(format!("resource already registered: {resource}")));
+            return Err(revert(format!(
+                "resource already registered: {}",
+                a.resource
+            )));
         }
-        let digest = put_policy(ctx, &policy)?;
+        let digest = put_policy(ctx, &a.policy)?;
         let row = ResourceRow {
-            location: ResourceRow::encode_location(&resource, location),
-            owner_webid,
+            location: ResourceRow::encode_location(&a.resource, a.location),
+            owner_webid: a.owner_webid,
             owner_addr: ctx.caller,
-            metadata,
+            metadata: a.metadata,
             policy: digest,
             policy_version: 1,
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        ctx.emit(topics::RESOURCE_REGISTERED, encode_to_vec(&(resource,)))?;
-        Ok(Vec::new())
+        ctx.emit(topics::RESOURCE_REGISTERED, encode_to_vec(&(a.resource,)))?;
+        Ok(())
     }
 
     fn lookup_resource(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let (resource,): (String,) = decode_from_slice(args)?;
-        let row: Option<ResourceRow> = ctx.get(&layout::res(&resource))?;
-        let record: Option<ResourceRecord> = match row {
+        a: LookupResource,
+    ) -> Result<Option<ResourceRecord>, ContractError> {
+        let row: Option<ResourceRow> = ctx.get(&layout::res(&a.resource))?;
+        Ok(match row {
             None => None,
             Some(row) => {
                 let policy = get_policy(ctx, &row.policy)?;
-                Some(row.into_record(resource, policy))
+                Some(row.into_record(a.resource, policy))
             }
-        };
-        Ok(encode_to_vec(&record))
+        })
     }
 
-    fn list_resources(&self, ctx: &mut CallCtx<'_>) -> Result<Vec<u8>, ContractError> {
+    fn list_resources(&self, ctx: &mut CallCtx<'_>) -> Result<Vec<String>, ContractError> {
         let keys = ctx.keys_with_prefix(layout::RES)?;
-        let names: Vec<String> = keys
+        Ok(keys
             .into_iter()
             .filter_map(|k| String::from_utf8(k[layout::RES.len()..].to_vec()).ok())
-            .collect();
-        Ok(encode_to_vec(&names))
+            .collect())
     }
 
-    fn update_policy(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (resource, policy, new_version): (String, PolicyEnvelope, u64) =
-            decode_from_slice(args)?;
-        let key = layout::res(&resource);
+    fn update_policy(&self, ctx: &mut CallCtx<'_>, a: UpdatePolicy) -> Result<(), ContractError> {
+        let key = layout::res(&a.resource);
         // The hot path: only the compact row round-trips storage — the
         // superseded envelope is never read, the new one only written.
         let mut row: ResourceRow = ctx
             .get(&key)?
-            .ok_or_else(|| revert(format!("unknown resource {resource}")))?;
+            .ok_or_else(|| revert(format!("unknown resource {}", a.resource)))?;
         if row.owner_addr != ctx.caller {
             return Err(revert("only the owner may update the policy"));
         }
-        if new_version != row.policy_version + 1 {
+        if a.new_version != row.policy_version + 1 {
             return Err(revert(format!(
-                "version must increment: current {}, got {new_version}",
-                row.policy_version
+                "version must increment: current {}, got {}",
+                row.policy_version, a.new_version
             )));
         }
-        let policy_hash = put_policy(ctx, &policy)?;
+        let policy_hash = put_policy(ctx, &a.policy)?;
         row.policy = policy_hash;
-        row.policy_version = new_version;
+        row.policy_version = a.new_version;
         ctx.set(key, &row)?;
         // The event anchors the new policy *hash* alongside the envelope:
         // devices verify the pushed bytes against it before recompiling
         // their local program and re-scheduling obligations.
         ctx.emit(
             topics::POLICY_UPDATED,
-            encode_to_vec(&(resource, new_version, policy, policy_hash)),
+            encode_to_vec(&(a.resource, a.new_version, a.policy, policy_hash)),
         )?;
-        Ok(Vec::new())
+        Ok(())
     }
 
-    fn register_copy(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (resource, device, holder_webid, attestation_key): (
-            String,
-            String,
-            String,
-            duc_crypto::PublicKey,
-        ) = decode_from_slice(args)?;
-        layout::reject_separator("device name", &device)?;
-        if !ctx.contains(&layout::res(&resource))? {
-            return Err(revert(format!("unknown resource {resource}")));
+    fn register_copy(&self, ctx: &mut CallCtx<'_>, a: RegisterCopy) -> Result<(), ContractError> {
+        layout::reject_separator("device name", &a.device)?;
+        if !ctx.contains(&layout::res(&a.resource))? {
+            return Err(revert(format!("unknown resource {}", a.resource)));
         }
-        let key = layout::copy(&resource, &device);
+        let key = layout::copy(&a.resource, &a.device);
         let row = CopyRow {
-            holder_webid,
-            attestation_key,
+            holder_webid: a.holder_webid,
+            attestation_key: a.attestation_key,
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        ctx.emit(topics::COPY_REGISTERED, encode_to_vec(&(resource, device)))?;
-        Ok(Vec::new())
+        ctx.emit(
+            topics::COPY_REGISTERED,
+            encode_to_vec(&(a.resource, a.device)),
+        )?;
+        Ok(())
     }
 
     /// Removes a copy record, but only when it predates `as_of` — an
     /// in-flight unregister (submitted when a TEE deleted its copy) must
     /// not clobber a *newer* registration from a re-access that raced it;
-    /// the guarded case returns `(false,)` without touching the record.
+    /// the guarded case returns `false` without touching the record.
     fn unregister_copy(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let (resource, device, as_of_nanos): (String, String, u64) = decode_from_slice(args)?;
-        let key = layout::copy(&resource, &device);
+        a: UnregisterCopy,
+    ) -> Result<bool, ContractError> {
+        let key = layout::copy(&a.resource, &a.device);
         let Some(row) = ctx.get::<CopyRow>(&key)? else {
             return Err(revert("no such copy"));
         };
-        if row.registered_at.as_nanos() >= as_of_nanos {
-            return Ok(encode_to_vec(&(false,)));
+        if row.registered_at >= a.as_of {
+            return Ok(false);
         }
         ctx.remove_raw(&key)?;
-        ctx.emit(topics::COPY_REMOVED, encode_to_vec(&(resource, device)))?;
-        Ok(encode_to_vec(&(true,)))
+        ctx.emit(topics::COPY_REMOVED, encode_to_vec(&(a.resource, a.device)))?;
+        Ok(true)
     }
 
-    fn list_copies(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (resource,): (String,) = decode_from_slice(args)?;
-        let copies = self.copies_of(ctx, &resource)?;
-        Ok(encode_to_vec(&copies))
-    }
-
-    fn copies_of(
+    fn list_copies(
         &self,
         ctx: &mut CallCtx<'_>,
-        resource: &str,
+        a: ListCopies,
     ) -> Result<Vec<CopyRecord>, ContractError> {
-        let prefix = layout::copy_prefix(resource);
+        let prefix = layout::copy_prefix(&a.resource);
         let keys = ctx.keys_with_prefix(&prefix)?;
         let mut copies = Vec::with_capacity(keys.len());
         for k in keys {
@@ -286,9 +278,9 @@ impl DistExchange {
     fn start_monitoring(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let (resource,): (String,) = decode_from_slice(args)?;
+        a: StartMonitoring,
+    ) -> Result<u64, ContractError> {
+        let resource = a.resource;
         let row: ResourceRow = ctx
             .get(&layout::res(&resource))?
             .ok_or_else(|| revert(format!("unknown resource {resource}")))?;
@@ -320,7 +312,7 @@ impl DistExchange {
                 encode_to_vec(&(resource, round, 0u64, Vec::<String>::new())),
             )?;
         }
-        Ok(encode_to_vec(&(round,)))
+        Ok(round)
     }
 
     /// Closes `round` and emits `RoundClosed` when every expected device
@@ -351,9 +343,8 @@ impl DistExchange {
     fn record_evidence(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let submission: EvidenceSubmission = decode_from_slice(args)?;
+        submission: EvidenceSubmission,
+    ) -> Result<(), ContractError> {
         let rkey = layout::round(&submission.resource, submission.round);
         let mut round: MonitoringRound = ctx
             .get(&rkey)?
@@ -399,7 +390,7 @@ impl DistExchange {
         round.evidence.push(submission);
         self.close_if_complete(ctx, &mut round)?;
         ctx.set(rkey, &round)?;
-        Ok(Vec::new())
+        Ok(())
     }
 
     /// Copies a device's evidence from an earlier round into `round`,
@@ -409,9 +400,8 @@ impl DistExchange {
     fn reaffirm_evidence(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let reaff: EvidenceReaffirmation = decode_from_slice(args)?;
+        reaff: EvidenceReaffirmation,
+    ) -> Result<(), ContractError> {
         let rkey = layout::round(&reaff.resource, reaff.round);
         let mut round: MonitoringRound = ctx
             .get(&rkey)?
@@ -466,17 +456,19 @@ impl DistExchange {
         round.reaffirmed.push((reaff.device, reaff.prev_round));
         self.close_if_complete(ctx, &mut round)?;
         ctx.set(rkey, &round)?;
-        Ok(Vec::new())
+        Ok(())
     }
 
-    fn get_round(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (resource, round): (String, u64) = decode_from_slice(args)?;
-        let record: Option<MonitoringRound> = ctx.get(&layout::round(&resource, round))?;
-        Ok(encode_to_vec(&record))
+    fn get_round(
+        &self,
+        ctx: &mut CallCtx<'_>,
+        a: GetRound,
+    ) -> Result<Option<MonitoringRound>, ContractError> {
+        ctx.get(&layout::round(&a.resource, a.round))
     }
 
-    fn subscribe(&self, ctx: &mut CallCtx<'_>, args: &[u8]) -> Result<Vec<u8>, ContractError> {
-        let (webid,): (String,) = decode_from_slice(args)?;
+    fn subscribe(&self, ctx: &mut CallCtx<'_>, a: Subscribe) -> Result<Digest, ContractError> {
+        let webid = a.webid;
         let fee: u128 = ctx
             .get(&layout::cfg("fee"))?
             .ok_or_else(|| revert("market not initialized"))?;
@@ -508,36 +500,39 @@ impl DistExchange {
             topics::CERTIFICATE_ISSUED,
             encode_to_vec(&(webid, certificate)),
         )?;
-        Ok(encode_to_vec(&(certificate,)))
+        Ok(certificate)
     }
 
     fn verify_certificate(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let (certificate, webid): (Digest, String) = decode_from_slice(args)?;
-        let valid = if ctx.contains(&layout::cert(&certificate))? {
-            let sub: Option<SubRow> = ctx.get(&layout::sub(&webid))?;
-            sub.map(|s| s.certificate == certificate && s.valid_at(ctx.block_time))
-                .unwrap_or(false)
-        } else {
-            false
-        };
-        Ok(encode_to_vec(&(valid,)))
+        a: VerifyCertificate,
+    ) -> Result<bool, ContractError> {
+        if !ctx.contains(&layout::cert(&a.certificate))? {
+            return Ok(false);
+        }
+        let sub: Option<SubRow> = ctx.get(&layout::sub(&a.webid))?;
+        Ok(sub.is_some_and(|s| s.certificate == a.certificate && s.valid_at(ctx.block_time)))
     }
 
     fn get_subscription(
         &self,
         ctx: &mut CallCtx<'_>,
-        args: &[u8],
-    ) -> Result<Vec<u8>, ContractError> {
-        let (webid,): (String,) = decode_from_slice(args)?;
-        let sub: Option<Subscription> = ctx
-            .get::<SubRow>(&layout::sub(&webid))?
-            .map(|row| row.into_record(webid));
-        Ok(encode_to_vec(&sub))
+        a: GetSubscription,
+    ) -> Result<Option<Subscription>, ContractError> {
+        Ok(ctx
+            .get::<SubRow>(&layout::sub(&a.webid))?
+            .map(|row| row.into_record(a.webid)))
     }
+}
+
+/// Runs one method on its decoded arguments and encodes what it returns:
+/// the output type is the one the call table gives the method.
+fn reply<C: DexMethod>(
+    args: C,
+    method: impl FnOnce(C) -> Result<C::Output, ContractError>,
+) -> Result<Vec<u8>, ContractError> {
+    method(args).map(|out| encode_to_vec(&out))
 }
 
 impl Contract for DistExchange {
@@ -547,25 +542,24 @@ impl Contract for DistExchange {
         method: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
-        match method {
-            "init" => self.init(ctx, args),
-            "register_pod" => self.register_pod(ctx, args),
-            "get_pod" => self.get_pod(ctx, args),
-            "register_resource" => self.register_resource(ctx, args),
-            "lookup_resource" => self.lookup_resource(ctx, args),
-            "list_resources" => self.list_resources(ctx),
-            "update_policy" => self.update_policy(ctx, args),
-            "register_copy" => self.register_copy(ctx, args),
-            "unregister_copy" => self.unregister_copy(ctx, args),
-            "list_copies" => self.list_copies(ctx, args),
-            "start_monitoring" => self.start_monitoring(ctx, args),
-            "record_evidence" => self.record_evidence(ctx, args),
-            "reaffirm_evidence" => self.reaffirm_evidence(ctx, args),
-            "get_round" => self.get_round(ctx, args),
-            "subscribe" => self.subscribe(ctx, args),
-            "verify_certificate" => self.verify_certificate(ctx, args),
-            "get_subscription" => self.get_subscription(ctx, args),
-            other => Err(ContractError::UnknownMethod(other.to_string())),
+        match DexCall::decode(method, args)? {
+            DexCall::Init(a) => reply(a, |a| self.init(ctx, a)),
+            DexCall::RegisterPod(a) => reply(a, |a| self.register_pod(ctx, a)),
+            DexCall::GetPod(a) => reply(a, |a| self.get_pod(ctx, a)),
+            DexCall::RegisterResource(a) => reply(a, |a| self.register_resource(ctx, a)),
+            DexCall::LookupResource(a) => reply(a, |a| self.lookup_resource(ctx, a)),
+            DexCall::ListResources(a) => reply(a, |_| self.list_resources(ctx)),
+            DexCall::UpdatePolicy(a) => reply(a, |a| self.update_policy(ctx, a)),
+            DexCall::RegisterCopy(a) => reply(a, |a| self.register_copy(ctx, a)),
+            DexCall::UnregisterCopy(a) => reply(a, |a| self.unregister_copy(ctx, a)),
+            DexCall::ListCopies(a) => reply(a, |a| self.list_copies(ctx, a)),
+            DexCall::StartMonitoring(a) => reply(a, |a| self.start_monitoring(ctx, a)),
+            DexCall::RecordEvidence(a) => reply(a, |a| self.record_evidence(ctx, a)),
+            DexCall::ReaffirmEvidence(a) => reply(a, |a| self.reaffirm_evidence(ctx, a)),
+            DexCall::GetRound(a) => reply(a, |a| self.get_round(ctx, a)),
+            DexCall::Subscribe(a) => reply(a, |a| self.subscribe(ctx, a)),
+            DexCall::VerifyCertificate(a) => reply(a, |a| self.verify_certificate(ctx, a)),
+            DexCall::GetSubscription(a) => reply(a, |a| self.get_subscription(ctx, a)),
         }
     }
 }

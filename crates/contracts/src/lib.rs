@@ -16,16 +16,22 @@
 //!   serving data (paper §II: "a certificate proving she has paid the
 //!   market fee").
 //!
-//! All argument/return types live in [`abi`] and are encoded with
-//! [`duc_codec`]; [`client`] offers typed wrappers so callers never touch
-//! raw bytes. [`access`] declares the state footprint of each call so the
-//! parallel block executor can schedule non-conflicting calls concurrently.
+//! Every method is one row of the call table in [`calls`]: its name, its
+//! argument struct and its return type, declared once. The contract
+//! decodes a call into a [`DexCall`] and dispatches on it; [`routing`]
+//! routes it by [`DexCall::route_key`]; [`access`] declares its state
+//! footprint so the parallel block executor can schedule non-conflicting
+//! calls concurrently; and [`client`] builds any call as a transaction
+//! (`call_tx`) or runs it as a typed read (`view`), so callers never touch
+//! raw bytes. The records the views return live in [`abi`], and everything
+//! is encoded with [`duc_codec`].
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 pub mod abi;
 pub mod access;
+pub mod calls;
 pub mod client;
 pub mod dist_exchange;
 mod layout;
@@ -37,6 +43,7 @@ pub use abi::{
     PolicyEnvelope, ResourceRecord, Subscription,
 };
 pub use access::{dex_access, dex_access_fn};
+pub use calls::{DexCall, DexMethod};
 pub use client::DistExchangeClient;
 pub use dist_exchange::{DistExchange, DEX_CONTRACT_ID};
 pub use rows::{CopyRow, PodRow, ResourceRow, SubRow};

@@ -1,57 +1,27 @@
 //! Shard routing for the DistExchange contract.
 //!
 //! The [`duc_blockchain::ShardedLedger`] is ABI-agnostic; this module
-//! supplies the routing function that understands the DE App's argument
-//! encodings and extracts the logical key each call is anchored to:
-//!
-//! | methods | route key |
-//! |---|---|
-//! | `register_pod`, `get_pod` | owner WebID |
-//! | `register_resource` | owner WebID (pods and their resources co-locate) |
-//! | `lookup_resource`, `update_policy`, `register_copy`, `unregister_copy`, `list_copies`, `start_monitoring`, `get_round` | resource IRI (alias-resolved to the owner's shard) |
-//! | `record_evidence` | the submission's resource IRI |
-//! | `subscribe`, `get_subscription`, `verify_certificate` | consumer WebID |
-//! | `init` | pinned (deployment setup runs once per shard) |
-//! | `list_resources` | pinned (the client fans the view out per shard) |
+//! supplies the routing function that decodes a DE App call and routes it
+//! by [`DexCall::route_key`], whose doc holds the route table.
 //!
 //! Resource IRIs live under the owner's pod root; the ledger's alias table
 //! (`register_route_alias(pod_root, owner_webid)`, fed by
 //! `World::add_owner`) folds them onto the owner's shard, so everything an
 //! owner anchors — pod record, resource index entries, copy records,
 //! monitoring rounds — shares one shard and the contract's cross-record
-//! checks (`register_resource` requires the pod, `record_evidence` requires
-//! the copy) never cross a shard boundary.
+//! checks (`register_resource` requires the pod, `record_evidence` and
+//! `reaffirm_evidence` require the copy and the round) never cross a shard
+//! boundary.
 
 use duc_blockchain::{ContractId, RouteKey, RouterFn};
-use duc_codec::{Decode, Reader};
 
-use crate::abi::EvidenceSubmission;
+use crate::calls::DexCall;
 
-/// Decodes a prefix of `args` (routing only needs the leading fields; the
-/// contract itself decodes — and rejects — the full tuple).
-fn decode_prefix<T: Decode>(args: &[u8]) -> Option<T> {
-    let mut r = Reader::new(args);
-    T::decode(&mut r).ok()
-}
-
-/// Extracts the [`RouteKey`] of one DE App call. Unknown methods and
-/// undecodable arguments pin to shard 0 (the chain itself will produce the
-/// authoritative error).
+/// Extracts the [`RouteKey`] of one DE App call. A call the contract would
+/// reject (unknown method, arguments that do not decode whole) pins to
+/// shard 0, where the chain produces the authoritative error.
 pub(crate) fn dex_route(method: &str, args: &[u8]) -> RouteKey {
-    match method {
-        "register_pod" | "get_pod" | "lookup_resource" | "update_policy" | "register_copy"
-        | "unregister_copy" | "list_copies" | "start_monitoring" | "get_round" | "subscribe"
-        | "get_subscription" => decode_prefix::<String>(args).map(RouteKey::Key),
-        "register_resource" => decode_prefix::<(String, String, String)>(args)
-            .map(|(_, _, owner_webid)| RouteKey::Key(owner_webid)),
-        "record_evidence" => {
-            decode_prefix::<EvidenceSubmission>(args).map(|s| RouteKey::Key(s.resource))
-        }
-        "verify_certificate" => decode_prefix::<(duc_crypto::Digest, String)>(args)
-            .map(|(_, webid)| RouteKey::Key(webid)),
-        _ => None,
-    }
-    .unwrap_or(RouteKey::Shard(0))
+    DexCall::decode(method, args).map_or(RouteKey::Shard(0), DexCall::route_key)
 }
 
 /// The DE App router, ready to install on a
@@ -71,6 +41,8 @@ pub fn dex_router() -> RouterFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abi::{EvidenceReaffirmation, PolicyEnvelope};
+    use crate::calls::RegisterResource;
     use duc_codec::encode_to_vec;
 
     #[test]
@@ -88,14 +60,33 @@ mod tests {
 
     #[test]
     fn register_resource_routes_by_owner_webid() {
-        let args = encode_to_vec(&(
-            "https://o.pod/data/x".to_string(),
-            "https://o.pod/data/x".to_string(),
-            "https://o.id/me".to_string(),
-        ));
+        let policy = duc_policy::UsagePolicy::default_for("https://o.pod/data/x", "o");
+        let args = encode_to_vec(&RegisterResource {
+            resource: "https://o.pod/data/x".to_string(),
+            location: "https://o.pod/data/x".to_string(),
+            owner_webid: "https://o.id/me".to_string(),
+            metadata: Vec::new(),
+            policy: PolicyEnvelope::plain(&policy),
+        });
         assert_eq!(
             dex_route("register_resource", &args),
             RouteKey::Key("https://o.id/me".into())
+        );
+    }
+
+    #[test]
+    fn evidence_routes_by_its_resource() {
+        let reaffirmation = EvidenceReaffirmation {
+            resource: "https://o.pod/data/x".into(),
+            round: 2,
+            device: "dev-1".into(),
+            prev_round: 1,
+            evidence_digest: duc_crypto::Digest::ZERO,
+            signature: duc_crypto::Signature { e: 0, s: 0 },
+        };
+        assert_eq!(
+            dex_route("reaffirm_evidence", &encode_to_vec(&reaffirmation)),
+            RouteKey::Key("https://o.pod/data/x".into())
         );
     }
 
@@ -118,5 +109,25 @@ mod tests {
         assert_eq!(dex_route("init", &[]), RouteKey::Shard(0));
         assert_eq!(dex_route("list_resources", &[]), RouteKey::Shard(0));
         assert_eq!(dex_route("no_such_method", b"junk"), RouteKey::Shard(0));
+    }
+
+    /// Routing decodes the whole call: arguments the contract would reject
+    /// pin to shard 0 even when a prefix names a key.
+    #[test]
+    fn malformed_calls_pin_to_shard_zero() {
+        let truncated = encode_to_vec(&(
+            "https://o.pod/data/x".to_string(),
+            "https://o.pod/data/x".to_string(),
+            "https://o.id/me".to_string(),
+        ));
+        assert_eq!(
+            dex_route("register_resource", &truncated),
+            RouteKey::Shard(0)
+        );
+        let one_name = encode_to_vec(&("https://o.pod/data/x".to_string(),));
+        assert_eq!(dex_route("list_resources", &one_name), RouteKey::Shard(0));
+        let mut trailing = one_name.clone();
+        trailing.push(0);
+        assert_eq!(dex_route("lookup_resource", &trailing), RouteKey::Shard(0));
     }
 }

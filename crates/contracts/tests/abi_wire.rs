@@ -8,7 +8,9 @@
 //! views decode and the bytes an enclave signs for evidence and for a
 //! reaffirmation, recorded while each of those structs still wrote its codec
 //! by hand; never re-record them either. `per_method_call_known_answers`
-//! pins the `(method, args)` bytes of one well-formed call per method.
+//! pins the `(method, args)` bytes of one well-formed call per method,
+//! recorded while each method's arguments were an anonymous tuple; the
+//! fixture now builds those calls through the call table's `DexCall`.
 //!
 //! The properties cover every decoder a client, a block or an event log can
 //! feed: the argument type of each of the 17 `DistExchange` methods, the
@@ -16,7 +18,9 @@
 //! envelope, the signed transaction and the payload of each event topic. For each, decode∘encode is the identity, and bytes that are
 //! arbitrary, mutated in one place, cut short or given a hostile length
 //! prefix either decode to a value that re-encodes to exactly those bytes or
-//! are refused — never a panic. `every_method_survives_damaged_arguments`
+//! are refused — never a panic. `every_call_decodes_to_itself` holds
+//! `DexCall::decode` to the same over random calls of every method.
+//! `every_method_survives_damaged_arguments`
 //! sends the same damage through `Contract::call` itself, over a ledger state
 //! where every method has something to find.
 
@@ -26,9 +30,14 @@ use duc_blockchain::{
     Transaction, WorldState,
 };
 use duc_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
+use duc_contracts::calls::{
+    GetPod, GetRound, GetSubscription, Init, ListCopies, ListResources, LookupResource,
+    RegisterCopy, RegisterPod, RegisterResource, StartMonitoring, Subscribe, UnregisterCopy,
+    UpdatePolicy, VerifyCertificate,
+};
 use duc_contracts::client::{DistExchangeClient, DEFAULT_GAS};
 use duc_contracts::{
-    CopyRecord, DistExchange, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound,
+    CopyRecord, DexCall, DistExchange, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound,
     PodRecord, PolicyEnvelope, ResourceRecord, Subscription, DEX_CONTRACT_ID,
 };
 use duc_crypto::{Digest, KeyPair, PublicKey, Signature};
@@ -549,6 +558,95 @@ fn signed_transaction() -> impl Strategy<Value = SignedTransaction> {
         )
 }
 
+/// A call of any of the 17 methods, with arbitrary arguments.
+fn dex_call() -> impl Strategy<Value = DexCall> {
+    let key = || any::<u64>().prop_map(PublicKey);
+    let metadata = || proptest::collection::vec((text(), text()), 0..4);
+    prop_oneof![
+        (any::<u128>(), any::<u64>(), address()).prop_map(|(fee, validity_nanos, treasury)| {
+            DexCall::from(Init {
+                fee,
+                validity_nanos,
+                treasury,
+            })
+        }),
+        (text(), text(), policy_envelope()).prop_map(|(owner_webid, web_ref, default_policy)| {
+            DexCall::from(RegisterPod {
+                owner_webid,
+                web_ref,
+                default_policy,
+            })
+        }),
+        text().prop_map(|owner_webid| DexCall::from(GetPod { owner_webid })),
+        (text(), text(), text(), metadata(), policy_envelope()).prop_map(
+            |(resource, location, owner_webid, metadata, policy)| {
+                DexCall::from(RegisterResource {
+                    resource,
+                    location,
+                    owner_webid,
+                    metadata,
+                    policy,
+                })
+            }
+        ),
+        text().prop_map(|resource| DexCall::from(LookupResource { resource })),
+        Just(DexCall::from(ListResources {})),
+        (text(), policy_envelope(), any::<u64>()).prop_map(|(resource, policy, new_version)| {
+            DexCall::from(UpdatePolicy {
+                resource,
+                policy,
+                new_version,
+            })
+        }),
+        (text(), text(), text(), key()).prop_map(
+            |(resource, device, holder_webid, attestation_key)| {
+                DexCall::from(RegisterCopy {
+                    resource,
+                    device,
+                    holder_webid,
+                    attestation_key,
+                })
+            }
+        ),
+        (text(), text(), instant()).prop_map(|(resource, device, as_of)| {
+            DexCall::from(UnregisterCopy {
+                resource,
+                device,
+                as_of,
+            })
+        }),
+        text().prop_map(|resource| DexCall::from(ListCopies { resource })),
+        text().prop_map(|resource| DexCall::from(StartMonitoring { resource })),
+        evidence_submission().prop_map(DexCall::from),
+        evidence_reaffirmation().prop_map(DexCall::from),
+        (text(), any::<u64>())
+            .prop_map(|(resource, round)| DexCall::from(GetRound { resource, round })),
+        text().prop_map(|webid| DexCall::from(Subscribe { webid })),
+        (digest(), text()).prop_map(|(certificate, webid)| {
+            DexCall::from(VerifyCertificate { certificate, webid })
+        }),
+        text().prop_map(|webid| DexCall::from(GetSubscription { webid })),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A call decodes from its own name and argument bytes to itself, and
+    /// damaged argument bytes decode to a call that re-encodes to exactly
+    /// those bytes, or are refused.
+    #[test]
+    fn every_call_decodes_to_itself(c in dex_call(), d in damage()) {
+        let args = c.encode_args();
+        prop_assert_eq!(DexCall::decode(c.name(), &args), Ok(c.clone()));
+        let input = damaged(&args, &d);
+        if let Ok(back) = DexCall::decode(c.name(), &input) {
+            prop_assert_eq!(back.name(), c.name());
+            prop_assert_eq!(back.encode_args(), input);
+        }
+    }
+}
+
 // One property per distinct wire type; the names say who decodes it.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -717,21 +815,22 @@ const T0: SimTime = SimTime::from_secs(10);
 
 /// A ledger state with a market, a pod, a resource, a copy, one closed
 /// monitoring round with compliant evidence, a second round open and a
-/// subscription — and, for each of the 17 methods, arguments that are valid
+/// subscription — and, for each of the 17 methods, a call that is valid
 /// against it.
 struct Fixture {
     state: WorldState,
     owner: Address,
-    calls: Vec<(&'static str, Vec<u8>)>,
+    calls: Vec<DexCall>,
 }
 
-fn apply(state: &mut WorldState, caller: Address, method: &str, args: &[u8]) -> Vec<u8> {
+fn apply(state: &mut WorldState, caller: Address, call: impl Into<DexCall>) -> Vec<u8> {
+    let call = call.into();
     let mut meter = GasMeter::unmetered();
     let contract = ContractId::new(DEX_CONTRACT_ID);
     let mut ctx = CallCtx::new(caller, 1, T0, contract, state, &mut meter);
     let out = DistExchange
-        .call(&mut ctx, method, args)
-        .unwrap_or_else(|e| panic!("fixture {method}: {e}"));
+        .call(&mut ctx, call.name(), &call.encode_args())
+        .unwrap_or_else(|e| panic!("fixture {}: {e}", call.name()));
     let effects = ctx.into_effects();
     effects.apply(state);
     out
@@ -771,99 +870,112 @@ fn fixture() -> Fixture {
     let mut state = WorldState::new();
     state.credit(owner, 1_000_000);
     let s = &mut state;
-    apply(
-        s,
-        owner,
-        "init",
-        &encode_to_vec(&(10u128, 1_000_000_000_000u64, treasury)),
-    );
-    let pod = (OWNER.to_string(), "https://o.pod/".to_string(), envelope(1));
-    apply(s, owner, "register_pod", &encode_to_vec(&pod));
+    let init = Init {
+        fee: 10u128,
+        validity_nanos: 1_000_000_000_000u64,
+        treasury,
+    };
+    apply(s, owner, init);
+    let pod = RegisterPod {
+        owner_webid: OWNER.to_string(),
+        web_ref: "https://o.pod/".to_string(),
+        default_policy: envelope(1),
+    };
+    apply(s, owner, pod);
     let meta = vec![("domain".to_string(), "health".to_string())];
-    let res = (
-        RES.to_string(),
-        RES.to_string(),
-        OWNER.to_string(),
-        meta,
-        envelope(1),
-    );
-    apply(s, owner, "register_resource", &encode_to_vec(&res));
-    let copy = (
-        RES.to_string(),
-        DEVICE.to_string(),
-        OWNER.to_string(),
-        device.public(),
-    );
-    apply(s, owner, "register_copy", &encode_to_vec(&copy));
-    let one_name = |name: &str| encode_to_vec(&(name.to_string(),));
-    apply(s, owner, "start_monitoring", &one_name(RES));
-    apply(
+    let res = RegisterResource {
+        resource: RES.to_string(),
+        location: RES.to_string(),
+        owner_webid: OWNER.to_string(),
+        metadata: meta,
+        policy: envelope(1),
+    };
+    apply(s, owner, res);
+    let copy = RegisterCopy {
+        resource: RES.to_string(),
+        device: DEVICE.to_string(),
+        holder_webid: OWNER.to_string(),
+        attestation_key: device.public(),
+    };
+    apply(s, owner, copy);
+    let start = || StartMonitoring {
+        resource: RES.to_string(),
+    };
+    apply(s, owner, start());
+    apply(s, owner, evidence(&device, 1));
+    apply(s, owner, start());
+    let cert = apply(
         s,
         owner,
-        "record_evidence",
-        &encode_to_vec(&evidence(&device, 1)),
+        Subscribe {
+            webid: OWNER.to_string(),
+        },
     );
-    apply(s, owner, "start_monitoring", &one_name(RES));
-    let cert = apply(s, owner, "subscribe", &one_name(OWNER));
-    let cert = DistExchangeClient::decode_certificate(&cert).expect("certificate");
+    let cert = DistExchangeClient::decode_return::<Subscribe>(&cert).expect("certificate");
 
     let reaffirm = reaffirmation(&device, 2, 1);
     let fresh = "https://o.pod/r/0002".to_string();
     let calls = vec![
-        ("init", encode_to_vec(&(10u128, 1u64, treasury))),
-        (
-            "register_pod",
-            encode_to_vec(&(
-                "https://p.id/me".to_string(),
-                "https://p.pod/".to_string(),
-                envelope(1),
-            )),
-        ),
-        ("get_pod", one_name(OWNER)),
-        (
-            "register_resource",
-            encode_to_vec(&(
-                fresh.clone(),
-                fresh,
-                OWNER.to_string(),
-                Vec::<(String, String)>::new(),
-                envelope(1),
-            )),
-        ),
-        ("lookup_resource", one_name(RES)),
-        ("list_resources", Vec::new()),
-        (
-            "update_policy",
-            encode_to_vec(&(RES.to_string(), envelope(2), 2u64)),
-        ),
-        (
-            "register_copy",
-            encode_to_vec(&(
-                RES.to_string(),
-                "device-2".to_string(),
-                OWNER.to_string(),
-                device.public(),
-            )),
-        ),
-        (
-            "unregister_copy",
-            encode_to_vec(&(
-                RES.to_string(),
-                DEVICE.to_string(),
-                SimTime::from_secs(20).as_nanos(),
-            )),
-        ),
-        ("list_copies", one_name(RES)),
-        ("start_monitoring", one_name(RES)),
-        ("record_evidence", encode_to_vec(&evidence(&device, 2))),
-        ("reaffirm_evidence", encode_to_vec(&reaffirm)),
-        ("get_round", encode_to_vec(&(RES.to_string(), 1u64))),
-        ("subscribe", one_name("https://q.id/me")),
-        (
-            "verify_certificate",
-            encode_to_vec(&(cert, OWNER.to_string())),
-        ),
-        ("get_subscription", one_name(OWNER)),
+        DexCall::from(Init {
+            fee: 10u128,
+            validity_nanos: 1u64,
+            treasury,
+        }),
+        DexCall::from(RegisterPod {
+            owner_webid: "https://p.id/me".to_string(),
+            web_ref: "https://p.pod/".to_string(),
+            default_policy: envelope(1),
+        }),
+        DexCall::from(GetPod {
+            owner_webid: OWNER.to_string(),
+        }),
+        DexCall::from(RegisterResource {
+            resource: fresh.clone(),
+            location: fresh,
+            owner_webid: OWNER.to_string(),
+            metadata: Vec::<(String, String)>::new(),
+            policy: envelope(1),
+        }),
+        DexCall::from(LookupResource {
+            resource: RES.to_string(),
+        }),
+        DexCall::from(ListResources {}),
+        DexCall::from(UpdatePolicy {
+            resource: RES.to_string(),
+            policy: envelope(2),
+            new_version: 2u64,
+        }),
+        DexCall::from(RegisterCopy {
+            resource: RES.to_string(),
+            device: "device-2".to_string(),
+            holder_webid: OWNER.to_string(),
+            attestation_key: device.public(),
+        }),
+        DexCall::from(UnregisterCopy {
+            resource: RES.to_string(),
+            device: DEVICE.to_string(),
+            as_of: SimTime::from_secs(20),
+        }),
+        DexCall::from(ListCopies {
+            resource: RES.to_string(),
+        }),
+        DexCall::from(start()),
+        DexCall::from(evidence(&device, 2)),
+        DexCall::from(reaffirm),
+        DexCall::from(GetRound {
+            resource: RES.to_string(),
+            round: 1u64,
+        }),
+        DexCall::from(Subscribe {
+            webid: "https://q.id/me".to_string(),
+        }),
+        DexCall::from(VerifyCertificate {
+            certificate: cert,
+            webid: OWNER.to_string(),
+        }),
+        DexCall::from(GetSubscription {
+            webid: OWNER.to_string(),
+        }),
     ];
     Fixture {
         state,
@@ -886,9 +998,10 @@ fn call(fx: &Fixture, method: &str, args: &[u8]) -> Result<Vec<u8>, ContractErro
 fn fixture_arguments_reach_every_method() {
     let fx = fixture();
     assert_eq!(fx.calls.len(), 17);
-    for (method, args) in &fx.calls {
-        match call(&fx, method, args) {
-            Err(ContractError::Reverted(why)) if *method == "init" => {
+    for c in &fx.calls {
+        let method = c.name();
+        match call(&fx, method, &c.encode_args()) {
+            Err(ContractError::Reverted(why)) if method == "init" => {
                 assert_eq!(why, "already initialized");
             }
             result => assert!(result.is_ok(), "{method}: {result:?}"),
@@ -904,8 +1017,8 @@ proptest! {
     #[test]
     fn every_method_survives_damaged_arguments(which in 0usize..17, d in damage()) {
         let fx = fixture();
-        let (method, args) = &fx.calls[which];
-        let _ = call(&fx, method, &damaged(args, &d));
+        let c = &fx.calls[which];
+        let _ = call(&fx, c.name(), &damaged(&c.encode_args(), &d));
     }
 }
 
@@ -1008,8 +1121,8 @@ fn per_method_call_known_answers() {
     ];
     let calls = fixture().calls;
     assert_eq!(calls.len(), pins.len());
-    for ((method, args), expected) in calls.into_iter().zip(pins) {
-        let pair = encode_to_vec(&(method.to_string(), args));
-        assert_eq!(hex(&pair), expected.concat(), "{method}");
+    for (c, expected) in calls.iter().zip(pins) {
+        let pair = encode_to_vec(&(c.name().to_string(), c.encode_args()));
+        assert_eq!(hex(&pair), expected.concat(), "{}", c.name());
     }
 }

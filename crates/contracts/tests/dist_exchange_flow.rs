@@ -1,11 +1,18 @@
 //! End-to-end tests of the DistExchange contract running on the blockchain
 //! substrate: registration, indexing, policy updates, monitoring, market.
 
-use duc_blockchain::{Address, Blockchain, ContractId, Ledger, TxStatus};
-use duc_contracts::{
-    topics, DistExchange, DistExchangeClient, EvidenceSubmission, PolicyEnvelope, DEX_CONTRACT_ID,
+use duc_blockchain::{
+    Address, Blockchain, ContractError, ContractId, Ledger, SignedTransaction, TxStatus,
 };
-use duc_crypto::{sha256, KeyPair, Signature};
+use duc_contracts::calls::{
+    GetPod, GetRound, GetSubscription, ListCopies, RegisterCopy, StartMonitoring, Subscribe,
+    UnregisterCopy, VerifyCertificate,
+};
+use duc_contracts::{
+    topics, CopyRecord, DistExchange, DistExchangeClient, EvidenceSubmission, MonitoringRound,
+    PolicyEnvelope, DEX_CONTRACT_ID,
+};
+use duc_crypto::{sha256, Digest, KeyPair, Signature};
 use duc_policy::prelude::*;
 use duc_sim::{SimDuration, SimTime};
 
@@ -92,17 +99,54 @@ impl World {
 
     fn register_alice_copy(&mut self, device: &str) -> KeyPair {
         let enclave = KeyPair::from_seed(device.as_bytes());
-        let tx = self.dex.register_copy_tx(
-            &self.chain,
-            &self.alice,
-            MEDICAL,
-            device,
-            ALICE_WEBID,
-            enclave.public(),
-        );
+        let tx = self.copy_tx(MEDICAL, device, &enclave);
         self.chain.submit(tx).unwrap();
         self.step();
         enclave
+    }
+
+    /// Alice registers `device`'s copy of `resource`.
+    fn copy_tx(&self, resource: &str, device: &str, enclave: &KeyPair) -> SignedTransaction {
+        let copy = RegisterCopy {
+            resource: resource.into(),
+            device: device.into(),
+            holder_webid: ALICE_WEBID.into(),
+            attestation_key: enclave.public(),
+        };
+        self.dex.call_tx(&self.chain, &self.alice, copy)
+    }
+
+    /// Bob opens a monitoring round over the medical record.
+    fn start_monitoring_tx(&self) -> SignedTransaction {
+        let start = StartMonitoring {
+            resource: MEDICAL.into(),
+        };
+        self.dex.call_tx(&self.chain, &self.bob, start)
+    }
+
+    fn copies(&self) -> Vec<CopyRecord> {
+        let copies = ListCopies {
+            resource: MEDICAL.into(),
+        };
+        self.dex.view(&self.chain, copies).unwrap()
+    }
+
+    fn round(&self, round: u64) -> MonitoringRound {
+        let resource = MEDICAL.into();
+        let record = self.dex.view(&self.chain, GetRound { resource, round });
+        record.unwrap().expect("round")
+    }
+
+    fn verifies(&self, certificate: Digest, webid: &str) -> bool {
+        let webid = webid.into();
+        let verify = VerifyCertificate { certificate, webid };
+        self.dex.view(&self.chain, verify).unwrap()
+    }
+
+    fn subscribe_tx(&self) -> SignedTransaction {
+        let webid = ALICE_WEBID.into();
+        self.dex
+            .call_tx(&self.chain, &self.alice, Subscribe { webid })
     }
 }
 
@@ -111,7 +155,10 @@ fn pod_and_resource_registration() {
     let mut w = World::new();
     w.register_bob_pod_and_resource();
 
-    let pod = w.dex.get_pod(&w.chain, BOB_WEBID).unwrap().expect("pod");
+    let get_pod = GetPod {
+        owner_webid: BOB_WEBID.into(),
+    };
+    let pod = w.dex.view(&w.chain, get_pod).unwrap().expect("pod");
     assert_eq!(pod.web_ref, "https://bob.pod/");
     assert_eq!(pod.owner_addr, Address::from_seed(b"bob"));
 
@@ -247,21 +294,20 @@ fn copy_tracking() {
     w.register_bob_pod_and_resource();
     w.register_alice_copy("alice-laptop");
     w.register_alice_copy("alice-phone");
-    let copies = w.dex.list_copies(&w.chain, MEDICAL).unwrap();
+    let copies = w.copies();
     assert_eq!(copies.len(), 2);
     // `as_of` must lie strictly after the registration block time: the
     // freshness guard keeps records registered at or after it.
     let after_registration = w.chain.current_time() + duc_sim::SimDuration::from_nanos(1);
-    let tx = w.dex.unregister_copy_tx(
-        &w.chain,
-        &w.alice,
-        MEDICAL,
-        "alice-phone",
-        after_registration,
-    );
+    let unregister = UnregisterCopy {
+        resource: MEDICAL.into(),
+        device: "alice-phone".into(),
+        as_of: after_registration,
+    };
+    let tx = w.dex.call_tx(&w.chain, &w.alice, unregister);
     w.chain.submit(tx).unwrap();
     w.step();
-    let copies = w.dex.list_copies(&w.chain, MEDICAL).unwrap();
+    let copies = w.copies();
     assert_eq!(copies.len(), 1);
     assert_eq!(copies[0].device, "alice-laptop");
 }
@@ -301,14 +347,7 @@ fn separator_in_an_identity_cannot_plant_a_phantom_copy() {
     }
     let enclave = KeyPair::from_seed(b"d");
     for (resource, device) in [(shadow.as_str(), "d"), (MEDICAL, "x\0d")] {
-        let tx = w.dex.register_copy_tx(
-            &w.chain,
-            &w.alice,
-            resource,
-            device,
-            ALICE_WEBID,
-            enclave.public(),
-        );
+        let tx = w.copy_tx(resource, device, &enclave);
         let id = w.chain.submit(tx).unwrap();
         w.step();
         assert!(matches!(
@@ -317,13 +356,13 @@ fn separator_in_an_identity_cannot_plant_a_phantom_copy() {
         ));
     }
 
-    assert!(w.dex.list_copies(&w.chain, MEDICAL).unwrap().is_empty());
-    let tx = w.dex.start_monitoring_tx(&w.chain, &w.bob, MEDICAL);
+    assert!(w.copies().is_empty());
+    let tx = w.start_monitoring_tx();
     let id = w.chain.submit(tx).unwrap();
     w.step();
-    let round = DistExchangeClient::decode_round_number(&w.chain.receipt(&id).unwrap().return_data)
-        .unwrap();
-    let record = w.dex.get_round(&w.chain, MEDICAL, round).unwrap().unwrap();
+    let receipt = w.chain.receipt(&id).unwrap();
+    let round = DistExchangeClient::decode_return::<StartMonitoring>(&receipt.return_data).unwrap();
+    let record = w.round(round);
     assert!(record.expected_devices.is_empty(), "{record:?}");
     assert!(record.closed);
 }
@@ -334,12 +373,12 @@ fn monitoring_round_with_signed_evidence() {
     w.register_bob_pod_and_resource();
     let enclave = w.register_alice_copy("alice-laptop");
 
-    let tx = w.dex.start_monitoring_tx(&w.chain, &w.bob, MEDICAL);
+    let tx = w.start_monitoring_tx();
     let id = w.chain.submit(tx).unwrap();
     w.step();
     let receipt = w.chain.receipt(&id).unwrap().clone();
     assert!(receipt.status.is_ok());
-    let round = DistExchangeClient::decode_round_number(&receipt.return_data).unwrap();
+    let round = DistExchangeClient::decode_return::<StartMonitoring>(&receipt.return_data).unwrap();
     assert_eq!(round, 1);
 
     // The enclave submits signed evidence.
@@ -353,12 +392,12 @@ fn monitoring_round_with_signed_evidence() {
         signature: Signature { e: 0, s: 0 },
     };
     submission.signature = enclave.sign(&submission.signing_bytes());
-    let tx = w.dex.record_evidence_tx(&w.chain, &w.alice, &submission);
+    let tx = w.dex.call_tx(&w.chain, &w.alice, submission);
     let id = w.chain.submit(tx).unwrap();
     w.step();
     assert!(w.chain.receipt(&id).unwrap().status.is_ok());
 
-    let record = w.dex.get_round(&w.chain, MEDICAL, round).unwrap().unwrap();
+    let record = w.round(round);
     assert!(record.closed, "round closes when all devices answered");
     assert!(record.complete());
     assert!(record.violators().is_empty());
@@ -374,7 +413,7 @@ fn forged_evidence_is_rejected_on_chain() {
     let mut w = World::new();
     w.register_bob_pod_and_resource();
     let _enclave = w.register_alice_copy("alice-laptop");
-    let tx = w.dex.start_monitoring_tx(&w.chain, &w.bob, MEDICAL);
+    let tx = w.start_monitoring_tx();
     w.chain.submit(tx).unwrap();
     w.step();
 
@@ -390,14 +429,14 @@ fn forged_evidence_is_rejected_on_chain() {
         signature: Signature { e: 0, s: 0 },
     };
     forged.signature = mallory.sign(&forged.signing_bytes());
-    let tx = w.dex.record_evidence_tx(&w.chain, &w.alice, &forged);
+    let tx = w.dex.call_tx(&w.chain, &w.alice, forged);
     let id = w.chain.submit(tx).unwrap();
     w.step();
     match &w.chain.receipt(&id).unwrap().status {
         TxStatus::Reverted(msg) => assert!(msg.contains("signature"), "{msg}"),
         other => panic!("expected revert, got {other:?}"),
     }
-    let record = w.dex.get_round(&w.chain, MEDICAL, 1).unwrap().unwrap();
+    let record = w.round(1);
     assert!(record.evidence.is_empty());
     assert!(!record.closed);
 }
@@ -407,7 +446,7 @@ fn duplicate_and_unexpected_evidence_rejected() {
     let mut w = World::new();
     w.register_bob_pod_and_resource();
     let enclave = w.register_alice_copy("alice-laptop");
-    let tx = w.dex.start_monitoring_tx(&w.chain, &w.bob, MEDICAL);
+    let tx = w.start_monitoring_tx();
     w.chain.submit(tx).unwrap();
     w.step();
 
@@ -421,12 +460,12 @@ fn duplicate_and_unexpected_evidence_rejected() {
         signature: Signature { e: 0, s: 0 },
     };
     good.signature = enclave.sign(&good.signing_bytes());
-    let tx = w.dex.record_evidence_tx(&w.chain, &w.alice, &good);
+    let tx = w.dex.call_tx(&w.chain, &w.alice, good.clone());
     w.chain.submit(tx).unwrap();
     w.step();
 
     // Duplicate (round already closed since all expected answered).
-    let tx = w.dex.record_evidence_tx(&w.chain, &w.alice, &good);
+    let tx = w.dex.call_tx(&w.chain, &w.alice, good);
     let id = w.chain.submit(tx).unwrap();
     w.step();
     assert!(matches!(
@@ -435,7 +474,7 @@ fn duplicate_and_unexpected_evidence_rejected() {
     ));
 
     // Unexpected device in a new round.
-    let tx = w.dex.start_monitoring_tx(&w.chain, &w.bob, MEDICAL);
+    let tx = w.start_monitoring_tx();
     w.chain.submit(tx).unwrap();
     w.step();
     let stranger = KeyPair::from_seed(b"stranger-device");
@@ -449,7 +488,7 @@ fn duplicate_and_unexpected_evidence_rejected() {
         signature: Signature { e: 0, s: 0 },
     };
     odd.signature = stranger.sign(&odd.signing_bytes());
-    let tx = w.dex.record_evidence_tx(&w.chain, &w.alice, &odd);
+    let tx = w.dex.call_tx(&w.chain, &w.alice, odd);
     let id = w.chain.submit(tx).unwrap();
     w.step();
     match &w.chain.receipt(&id).unwrap().status {
@@ -464,32 +503,22 @@ fn market_subscription_and_certificate() {
     let treasury = Address::from_seed(b"treasury");
     let before = w.chain.balance(&treasury);
 
-    let tx = w.dex.subscribe_tx(&w.chain, &w.alice, ALICE_WEBID);
+    let tx = w.subscribe_tx();
     let id = w.chain.submit(tx).unwrap();
     w.step();
     let receipt = w.chain.receipt(&id).unwrap().clone();
     assert!(receipt.status.is_ok());
-    let cert = DistExchangeClient::decode_certificate(&receipt.return_data).unwrap();
+    let cert = DistExchangeClient::decode_return::<Subscribe>(&receipt.return_data).unwrap();
 
     assert_eq!(w.chain.balance(&treasury), before + 10_000, "fee collected");
-    assert!(w
-        .dex
-        .verify_certificate(&w.chain, &cert, ALICE_WEBID)
-        .unwrap());
-    assert!(!w
-        .dex
-        .verify_certificate(&w.chain, &cert, BOB_WEBID)
-        .unwrap());
-    assert!(!w
-        .dex
-        .verify_certificate(&w.chain, &sha256(b"forged"), ALICE_WEBID)
-        .unwrap());
+    assert!(w.verifies(cert, ALICE_WEBID));
+    assert!(!w.verifies(cert, BOB_WEBID));
+    assert!(!w.verifies(sha256(b"forged"), ALICE_WEBID));
 
-    let sub = w
-        .dex
-        .get_subscription(&w.chain, ALICE_WEBID)
-        .unwrap()
-        .unwrap();
+    let get_sub = GetSubscription {
+        webid: ALICE_WEBID.into(),
+    };
+    let sub = w.dex.view(&w.chain, get_sub).unwrap().unwrap();
     assert_eq!(sub.certificate, cert);
     assert!(sub.valid_at(w.now));
 }
@@ -497,22 +526,16 @@ fn market_subscription_and_certificate() {
 #[test]
 fn certificate_expires() {
     let mut w = World::new();
-    let tx = w.dex.subscribe_tx(&w.chain, &w.alice, ALICE_WEBID);
+    let tx = w.subscribe_tx();
     let id = w.chain.submit(tx).unwrap();
     w.step();
-    let cert =
-        DistExchangeClient::decode_certificate(&w.chain.receipt(&id).unwrap().return_data).unwrap();
-    assert!(w
-        .dex
-        .verify_certificate(&w.chain, &cert, ALICE_WEBID)
-        .unwrap());
+    let receipt = w.chain.receipt(&id).unwrap();
+    let cert = DistExchangeClient::decode_return::<Subscribe>(&receipt.return_data).unwrap();
+    assert!(w.verifies(cert, ALICE_WEBID));
     // 31 days later the certificate is expired (validity 30 days).
     w.now += SimDuration::from_days(31);
     w.chain.advance_to(w.now);
-    assert!(!w
-        .dex
-        .verify_certificate(&w.chain, &cert, ALICE_WEBID)
-        .unwrap());
+    assert!(!w.verifies(cert, ALICE_WEBID));
 }
 
 #[test]
@@ -529,4 +552,18 @@ fn gas_ledger_reflects_de_app_usage() {
         .get(&(DEX_CONTRACT_ID.to_string(), "register_resource".to_string()))
         .expect("resource row");
     assert!(res_row.2 > pod_row.2 / 10, "sane magnitudes");
+}
+
+/// A call decodes whole or reverts: `list_resources` given arguments is
+/// refused like any other method's leftover bytes.
+#[test]
+fn list_resources_refuses_arguments() {
+    let w = World::new();
+    let out = w
+        .chain
+        .call_view(w.dex.contract_id(), "list_resources", &[0]);
+    assert!(
+        matches!(out, Err(ContractError::BadArguments(_))),
+        "{out:?}"
+    );
 }

@@ -16,6 +16,7 @@ use duc_blockchain::{
     Address, Blockchain, ContractId, Ledger, Receipt, ShardedLedger, SignedTransaction,
     StorageConfig, Transaction, TxId, TxStatus,
 };
+use duc_contracts::calls::Init;
 use duc_contracts::{DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::{KeyPair, Sha256};
 use duc_policy::UsagePolicy;
@@ -60,7 +61,12 @@ fn run_mix<L: Ledger>(chain: &mut L, mut sealed: impl FnMut(&L, usize, &[TxId]))
     let dex = DistExchangeClient::new();
     let treasury = Address::from_seed(b"treasury");
     for shard in 0..chain.shard_count() {
-        let init = dex.init_tx_on(chain, shard, &admin, 10_000, 86_400_000_000_000, treasury);
+        let init = Init {
+            fee: 10_000,
+            validity_nanos: 86_400_000_000_000,
+            treasury,
+        };
+        let init = dex.call_tx_on(chain, shard, &admin, init);
         chain.submit_on(shard, init).expect("init submits");
     }
 

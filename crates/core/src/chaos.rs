@@ -26,6 +26,7 @@
 //!   block is never pruned.
 
 use duc_blockchain::Ledger;
+use duc_contracts::calls::{ListCopies, VerifyCertificate};
 use duc_sim::{EndpointId, FaultPlan, LatencyModel, LinkConfig, Rng, SimDuration, SimTime};
 
 use crate::driver::{Outcome, ProcessError, Request, Ticket};
@@ -165,10 +166,11 @@ pub fn check_invariants<L: Ledger>(world: &World<L>) -> Result<(), String> {
     devices.sort_by_key(|(name, _)| *name);
     for (name, device) in &devices {
         if let Some(cert) = device.certificate {
-            match world
-                .dex
-                .verify_certificate(&world.chain, &cert, &device.webid)
-            {
+            let verify = VerifyCertificate {
+                certificate: cert,
+                webid: device.webid.clone(),
+            };
+            match world.dex.view(&world.chain, verify) {
                 Ok(true) => {}
                 Ok(false) => {
                     return Err(format!(
@@ -186,9 +188,10 @@ pub fn check_invariants<L: Ledger>(world: &World<L>) -> Result<(), String> {
             if !device.tee.has_copy(resource) {
                 continue;
             }
-            let copies = world
-                .dex
-                .list_copies(&world.chain, resource)
+            let call = ListCopies {
+                resource: resource.to_string(),
+            };
+            let copies = (world.dex.view(&world.chain, call))
                 .map_err(|e| format!("list_copies({resource}) failed: {e}"))?;
             if !copies.iter().any(|c| c.device == *name) {
                 return Err(format!(

@@ -3,6 +3,7 @@
 use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt};
+use duc_contracts::calls::{ListCopies, RegisterCopy, VerifyCertificate};
 use duc_contracts::topics;
 use duc_crypto::{Digest, PublicKey};
 use duc_oracle::HopKind;
@@ -117,10 +118,11 @@ impl Access {
                 // The pod manager verifies the certificate against the DE
                 // App (its own blockchain interaction module does a view
                 // call).
-                let cert_ok = match world
-                    .dex
-                    .verify_certificate(&world.chain, &certificate, &webid)
-                {
+                let verify = VerifyCertificate {
+                    certificate,
+                    webid: webid.clone(),
+                };
+                let cert_ok = match world.dex.view(&world.chain, verify) {
                     Ok(ok) => ok,
                     Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
                 };
@@ -213,14 +215,13 @@ impl Access {
                 // Register the copy on-chain and subscribe to policy
                 // updates.
                 let key = dev.key;
-                let tx = world.dex.register_copy_tx(
-                    &world.chain,
-                    &key,
-                    &self.resource,
-                    &self.device,
-                    &dev.webid,
-                    fetch.enclave_key,
-                );
+                let copy = RegisterCopy {
+                    resource: self.resource.clone(),
+                    device: self.device.clone(),
+                    holder_webid: dev.webid.clone(),
+                    attestation_key: fetch.enclave_key,
+                };
+                let tx = world.dex.call_tx(&world.chain, &key, copy);
                 let from = fetch.dev_endpoint;
                 self.phase =
                     AccessPhase::Confirm(TxFlow::new(world, PreparedCall { from, key, tx }));
@@ -255,9 +256,12 @@ impl Access {
                 // rollback leaves a stale registry record pointing at a
                 // deleted copy; monitoring surfaces exactly that (the
                 // device reports nothing for it).
+                let copies = ListCopies {
+                    resource: self.resource.clone(),
+                };
                 let registered = world
                     .dex
-                    .list_copies(&world.chain, &self.resource)
+                    .view(&world.chain, copies)
                     .is_ok_and(|copies| copies.iter().any(|c| c.device == self.device));
                 if !registered {
                     if let Some(dev) = world.devices.get_mut(&self.device) {

@@ -194,6 +194,7 @@ fn receipt_ok(receipt: &Receipt) -> Result<Receipt, ProcessError> {
 #[cfg(test)]
 mod tests {
     use duc_blockchain::{Address, SignedTransaction};
+    use duc_contracts::calls::RegisterCopy;
 
     use crate::chaos::launch_pad;
     use crate::driver::Request;
@@ -229,14 +230,13 @@ mod tests {
             .enclave_key;
         let priced: Vec<SignedTransaction> = [&first, &second]
             .map(|resource| {
-                world.dex.register_copy_tx(
-                    &world.chain,
-                    &device.key,
-                    resource,
-                    "device-0",
-                    &device.webid,
-                    enclave_key,
-                )
+                let copy = RegisterCopy {
+                    resource: resource.clone(),
+                    device: "device-0".into(),
+                    holder_webid: device.webid.clone(),
+                    attestation_key: enclave_key,
+                };
+                world.dex.call_tx(&world.chain, &device.key, copy)
             })
             .into();
         assert_eq!(priced[0].tx.nonce, priced[1].tx.nonce);

@@ -3,6 +3,8 @@
 use std::rc::Rc;
 
 use duc_blockchain::Ledger;
+use duc_contracts::calls::LookupResource;
+use duc_contracts::DexCall;
 use duc_oracle::{HopKind, OracleError, PullOutOracle};
 use duc_sim::{EndpointId, SimTime};
 
@@ -24,11 +26,11 @@ enum IndexingPhase {
     /// Request hop (device → relay), fault-aware.
     Request {
         hop: Hop,
-        args: Vec<u8>,
+        call: DexCall,
         dev_endpoint: EndpointId,
     },
     AtRelay {
-        args: Vec<u8>,
+        call: DexCall,
         dev_endpoint: EndpointId,
     },
     /// Response hop (relay → device), fault-aware.
@@ -59,30 +61,32 @@ impl Indexing {
                     return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
                 let dev_endpoint = dev.endpoint;
-                let args = duc_codec::encode_to_vec(&(self.resource.clone(),));
+                let call = DexCall::from(LookupResource {
+                    resource: self.resource.clone(),
+                });
                 world.pull_out.count_read();
                 let hop = Hop::new(
                     world,
                     dev_endpoint,
                     world.pull_out.relay,
-                    PullOutOracle::request_size("lookup_resource", &args),
+                    PullOutOracle::request_size(call.name(), &call.encode_args()),
                     HopKind::PullOutRequest,
                 );
                 self.phase = IndexingPhase::Request {
                     hop,
-                    args,
+                    call,
                     dev_endpoint,
                 };
                 Step::Sleep(Wake::At(now))
             }
             IndexingPhase::Request {
                 hop,
-                args,
+                call,
                 dev_endpoint,
             } => match hop.step(world) {
                 HopPoll::Sent { arrives } => {
                     self.phase = IndexingPhase::AtRelay {
-                        args: std::mem::take(args),
+                        call: call.clone(),
                         dev_endpoint: *dev_endpoint,
                     };
                     Step::Sleep(Wake::At(arrives))
@@ -90,15 +94,15 @@ impl Indexing {
                 HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
                 HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
-            IndexingPhase::AtRelay { args, dev_endpoint } => {
-                let out =
-                    match world
-                        .chain
-                        .call_view(world.dex.contract_id(), "lookup_resource", args)
-                    {
-                        Ok(out) => out,
-                        Err(e) => return Step::Done(Err(OracleError::View(e).into())),
-                    };
+            IndexingPhase::AtRelay { call, dev_endpoint } => {
+                let contract = world.dex.contract_id();
+                let out = match world
+                    .chain
+                    .call_view(contract, call.name(), &call.encode_args())
+                {
+                    Ok(out) => out,
+                    Err(e) => return Step::Done(Err(OracleError::View(e).into())),
+                };
                 let hop = Hop::new(
                     world,
                     world.pull_out.relay,

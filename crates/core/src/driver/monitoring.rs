@@ -4,6 +4,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, Receipt};
+use duc_contracts::calls::{GetRound, StartMonitoring};
 use duc_contracts::{DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
@@ -102,9 +103,10 @@ impl Monitoring {
                 self.resource_iri = owner.pod_manager.pod().iri_of(&self.path);
 
                 // Open the round.
+                let resource = self.resource_iri.clone();
                 let tx = world
                     .dex
-                    .start_monitoring_tx(&world.chain, &key, &self.resource_iri);
+                    .call_tx(&world.chain, &key, StartMonitoring { resource });
                 self.phase =
                     MonPhase::OpenConfirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)
@@ -269,7 +271,7 @@ impl Monitoring {
                     reaff.signature = dev.tee.enclave().sign(&reaff.signing_bytes());
                     self.pending_bytes = duc_codec::encode_to_vec(&reaff).len();
                     self.pending_note = None;
-                    world.dex.reaffirm_evidence_tx(&world.chain, &key, &reaff)
+                    world.dex.call_tx(&world.chain, &key, reaff)
                 } else {
                     let mut submission = EvidenceSubmission {
                         resource: self.resource_iri.clone(),
@@ -290,9 +292,7 @@ impl Monitoring {
                             compliant: report.compliant,
                         },
                     ));
-                    world
-                        .dex
-                        .record_evidence_tx(&world.chain, &key, &submission)
+                    world.dex.call_tx(&world.chain, &key, submission)
                 };
                 self.phase =
                     MonPhase::EvidenceConfirm(TxFlow::new(world, PreparedCall { from, key, tx }));
@@ -309,10 +309,11 @@ impl Monitoring {
     /// The round-opening transaction confirmed: decode the round number and
     /// start the pull-in poll.
     fn open_confirmed<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
-        self.round = match DistExchangeClient::decode_round_number(&receipt.return_data) {
-            Ok(round) => round,
-            Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
-        };
+        self.round =
+            match DistExchangeClient::decode_return::<StartMonitoring>(&receipt.return_data) {
+                Ok(round) => round,
+                Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
+            };
         world
             .metrics
             .add("process.monitoring.gas", receipt.gas_used);
@@ -361,10 +362,11 @@ impl Monitoring {
     /// Every expected device was visited: read the verdict, deliver it to
     /// the pod manager (push-out) and complete.
     fn finish<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
-        let record = match world
-            .dex
-            .get_round(&world.chain, &self.resource_iri, self.round)
-        {
+        let round = GetRound {
+            resource: self.resource_iri.clone(),
+            round: self.round,
+        };
+        let record = match world.dex.view(&world.chain, round) {
             Ok(Some(record)) => record,
             Ok(None) => return Step::Done(Err(ProcessError::Policy("round vanished".into()))),
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),

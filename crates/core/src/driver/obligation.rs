@@ -26,6 +26,7 @@
 //! `driver.obligation.failed` counter; it does not re-arm.
 
 use duc_blockchain::Ledger;
+use duc_contracts::calls::UnregisterCopy;
 use duc_sim::{SimDuration, SimTime};
 use duc_tee::EnforcementAction;
 
@@ -120,13 +121,12 @@ impl ObligationRun {
                 // `now` is the deletion instant: the contract keeps any
                 // registration made at/after it, so a re-access racing
                 // this flow is never clobbered.
-                let tx = world.dex.unregister_copy_tx(
-                    &world.chain,
-                    &key,
-                    &self.resource,
-                    &self.device,
-                    now,
-                );
+                let unregister = UnregisterCopy {
+                    resource: self.resource.clone(),
+                    device: self.device.clone(),
+                    as_of: now,
+                };
+                let tx = world.dex.call_tx(&world.chain, &key, unregister);
                 self.phase =
                     ObligationPhase::Confirm(TxFlow::new(world, PreparedCall { from, key, tx }));
                 self.step(world)

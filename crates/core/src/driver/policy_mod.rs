@@ -4,6 +4,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
+use duc_contracts::calls::UnregisterCopy;
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::EnforcementAction;
@@ -141,13 +142,12 @@ impl PolicyMod {
                             world.metrics.incr("enforcement.deletions");
                             // The copy registry is updated so future rounds
                             // skip this device.
-                            let tx = world.dex.unregister_copy_tx(
-                                &world.chain,
-                                &device_key,
-                                &self.resource_iri,
-                                &device_name,
-                                arrives_at,
-                            );
+                            let unregister = UnregisterCopy {
+                                resource: self.resource_iri.clone(),
+                                device: device_name.to_string(),
+                                as_of: arrives_at,
+                            };
+                            let tx = world.dex.call_tx(&world.chain, &device_key, unregister);
                             if let Ok(id) = world.chain.submit(tx) {
                                 self.pending.push_back(id);
                             }

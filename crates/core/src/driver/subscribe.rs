@@ -1,7 +1,7 @@
 //! Market subscription — the certificate prerequisite of process 4 (§II).
 
 use duc_blockchain::{Ledger, Receipt};
-use duc_contracts::DistExchangeClient;
+use duc_contracts::{calls, DistExchangeClient};
 use duc_crypto::Digest;
 use duc_sim::SimTime;
 
@@ -31,7 +31,10 @@ pub(crate) fn prepare<L: Ledger>(
         return Err(ProcessError::UnknownDevice(device.to_string()));
     };
     let (from, key) = (dev.endpoint, dev.key);
-    let tx = world.dex.subscribe_tx(&world.chain, &key, &dev.webid);
+    let webid = dev.webid.clone();
+    let tx = world
+        .dex
+        .call_tx(&world.chain, &key, calls::Subscribe { webid });
     Ok(PreparedCall { from, key, tx })
 }
 
@@ -42,7 +45,7 @@ pub(crate) fn certified<L: Ledger>(
     device: &str,
     receipt: &Receipt,
 ) -> Result<Digest, ProcessError> {
-    let certificate = DistExchangeClient::decode_certificate(&receipt.return_data)
+    let certificate = DistExchangeClient::decode_return::<calls::Subscribe>(&receipt.return_data)
         .map_err(|e| ProcessError::Policy(e.to_string()))?;
     let dev = world.devices.get_mut(device).expect("prepared above");
     dev.certificate = Some(certificate);

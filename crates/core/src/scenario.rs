@@ -620,6 +620,7 @@ pub fn run_population<L: Ledger>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duc_contracts::calls::{GetPod, VerifyCertificate};
 
     #[test]
     fn the_motivating_scenario_plays_out() {
@@ -770,7 +771,10 @@ mod tests {
         fn market<L: Ledger>(world: &mut World<L>, pop: &Population) -> Vec<String> {
             let mut seen = Vec::new();
             for (webid, iri) in pop.owners.iter().zip(&pop.resources) {
-                let mut pod = world.dex.get_pod(&world.chain, webid).unwrap().unwrap();
+                let get_pod = GetPod {
+                    owner_webid: webid.clone(),
+                };
+                let mut pod = world.dex.view(&world.chain, get_pod).unwrap().unwrap();
                 let mut resource = (world.dex)
                     .lookup_resource(&world.chain, iri)
                     .unwrap()
@@ -796,9 +800,11 @@ mod tests {
             for name in &pop.devices {
                 let device = world.device(name);
                 let certificate = device.certificate.expect("certified");
-                let accepted = (world.dex)
-                    .verify_certificate(&world.chain, &certificate, &device.webid)
-                    .expect("view");
+                let verify = VerifyCertificate {
+                    certificate,
+                    webid: device.webid.clone(),
+                };
+                let accepted = world.dex.view(&world.chain, verify).expect("view");
                 assert!(accepted, "{name}'s certificate verifies on-chain");
             }
             seen.push(format!("{} subscriptions", world.push_out.subscriptions()));

@@ -5,6 +5,7 @@ use std::rc::Rc;
 use duc_blockchain::{
     Address, Blockchain, ContractId, ExecMode, Ledger, ShardedLedger, StorageConfig,
 };
+use duc_contracts::calls::Init;
 use duc_contracts::{topics, DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::KeyPair;
 use duc_intern::{FxHashMap, Registry, SharedInterner, Sym};
@@ -275,14 +276,12 @@ impl<L: Ledger> World<L> {
         let admin = chain.create_funded_account(b"duc/market-admin", 1_000_000_000);
         let treasury = Address::from_seed(b"duc/market-treasury");
         for shard in 0..chain.shard_count() {
-            let init = dex.init_tx_on(
-                &chain,
-                shard,
-                &admin,
-                MARKET_FEE,
-                config.cert_validity.as_nanos(),
+            let init = Init {
+                fee: MARKET_FEE,
+                validity_nanos: config.cert_validity.as_nanos(),
                 treasury,
-            );
+            };
+            let init = dex.call_tx_on(&chain, shard, &admin, init);
             chain.submit_on(shard, init).expect("genesis init is valid");
         }
         chain.advance_to(duc_sim::SimTime::ZERO + config.block_interval);

@@ -10,8 +10,11 @@
 //! backend the serial and parallel block executors *are* compared by
 //! fingerprint, and the pins and chaos plans run under both.
 
+use std::collections::BTreeSet;
+
 use duc_blockchain::{Checkpoint, ExecMode, Ledger, PagingConfig, StorageConfig};
 use duc_codec::Encode;
+use duc_contracts::calls::{GetPod, GetRound, Subscribe};
 use duc_core::chaos::{self, fixed_link};
 use duc_core::prelude::*;
 use duc_core::scenario;
@@ -98,11 +101,14 @@ fn nonce_and_receipt_probes_on<L: Ledger>(mut world: World<L>) {
         .into_iter()
         .enumerate()
     {
-        let tx = world.dex.subscribe_tx(&world.chain, &device, webid);
+        let subscribe = Subscribe {
+            webid: webid.to_string(),
+        };
+        let tx = world.dex.call_tx(&world.chain, &device, subscribe.clone());
         assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce, "{round}");
         let id = world.chain.submit(tx.clone()).expect("valid");
         assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce + 1);
-        let next = world.dex.subscribe_tx(&world.chain, &device, webid);
+        let next = world.dex.call_tx(&world.chain, &device, subscribe);
         assert_eq!(next.tx.nonce, tx.tx.nonce + 1);
         assert!(world.chain.receipt(&id).is_none());
         world.advance(world.config.block_interval);
@@ -240,6 +246,58 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
             .verify_checkpoints()
             .unwrap_or_else(|e| panic!("{label}: golden checkpoints: {e:?}"));
     }
+}
+
+/// Incremental monitoring on four shards: a second round over unchanged
+/// copies reaffirms the first round's evidence whichever shard the owner's
+/// records live on, because a reaffirmation routes by its resource like
+/// every other call of a round.
+#[test]
+fn second_monitoring_round_reaffirms_on_every_shard() {
+    let mut world = World::new_sharded(config(5, 4));
+    let owners: Vec<String> = (0..4).map(|i| format!("https://owner{i}.id/me")).collect();
+    for (i, owner) in owners.iter().enumerate() {
+        world.add_owner(owner, format!("https://owner{i}.pod/"));
+        world.add_device(format!("device-{i}"), format!("https://c{i}.id/me"));
+    }
+    let mut shards = BTreeSet::new();
+    for (i, owner) in owners.iter().enumerate() {
+        world.pod_initiation(owner).expect("pod init");
+        let iri = world.owner(owner).pod_manager.pod().iri_of(PATH);
+        let resource = world
+            .resource_initiation(
+                owner,
+                PATH,
+                duc_solid::Body::Binary(vec![0x5A; 1 << 10]),
+                scenario::population_policy(&iri, owner, 30),
+                vec![],
+            )
+            .expect("resource init");
+        let device = format!("device-{i}");
+        world.market_subscribe(&device).expect("subscribe");
+        world.resource_indexing(&device, &resource).expect("index");
+        world.resource_access(&device, &resource).expect("access");
+        let get_pod = GetPod {
+            owner_webid: owner.clone(),
+        };
+        shards.extend((0..4).filter(|&s| {
+            let pod = world.dex.view(world.chain.shard(s), get_pod.clone());
+            pod.expect("view").is_some()
+        }));
+
+        let first = world.policy_monitoring(owner, PATH).expect("round 1");
+        let second = world
+            .policy_monitoring(owner, PATH)
+            .unwrap_or_else(|e| panic!("{owner}: round 2: {e:?}"));
+        assert_eq!((first.round, second.round), (1, 2), "{owner}");
+        let round = GetRound { resource, round: 2 };
+        let record = world.dex.view(&world.chain, round).expect("view");
+        let record = record.expect("round 2 on-chain");
+        assert_eq!(record.reaffirmed, vec![(device, 1)], "{owner}");
+        assert!(record.closed, "{owner}");
+    }
+    assert_eq!(shards.len(), 4, "the owners' pods cover every shard");
+    assert_eq!(world.metrics.counter("process.monitoring.reaffirmed"), 4);
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! racing devices over one resource.
 
 use duc_blockchain::Ledger;
+use duc_contracts::calls::ListCopies;
 use duc_core::prelude::*;
 use duc_core::world::MARKET_FEE;
 use duc_policy::{Action, Constraint, Duty, Rule};
@@ -96,7 +97,12 @@ fn sixty_four_concurrent_accesses_complete() {
     // Every copy is registered on-chain exactly once.
     let copies = world
         .dex
-        .list_copies(&world.chain, &resource)
+        .view(
+            &world.chain,
+            ListCopies {
+                resource: resource.to_string(),
+            },
+        )
         .expect("view");
     assert_eq!(copies.len(), 64);
     // Concurrent requests share block slots: the whole batch fits into far
@@ -246,7 +252,7 @@ proptest! {
             prop_assert!(outcome.is_ok(), "access failed: {:?}", outcome);
         }
         // Copies: exactly one per device.
-        let copies = world.dex.list_copies(&world.chain, &resource).expect("view");
+        let copies = world.dex.view(&world.chain, ListCopies { resource: resource.to_string() }).expect("view");
         prop_assert_eq!(copies.len(), n);
         for i in 0..n {
             let device = world.device(&format!("device-{i}"));
@@ -353,7 +359,15 @@ fn one_sender_racing_itself_takes_consecutive_nonces() {
         .collect();
     assert_eq!(nonces, [next, next + 1]);
     for resource in [&resource, &other] {
-        let copies = world.dex.list_copies(&world.chain, resource).expect("view");
+        let copies = world
+            .dex
+            .view(
+                &world.chain,
+                ListCopies {
+                    resource: resource.to_string(),
+                },
+            )
+            .expect("view");
         assert_eq!(copies.len(), 1);
     }
 }

@@ -15,6 +15,7 @@
 //! rewritten. Never re-record the known answers.
 
 use duc_blockchain::{Ledger, StorageConfig};
+use duc_contracts::calls::VerifyCertificate;
 use duc_core::prelude::*;
 use duc_core::scenario::{populate_population, PopulationSpec};
 use duc_crypto::sha256;
@@ -47,9 +48,11 @@ fn certificates<L: Ledger>(world: &World<L>, fleet: &[String]) -> Vec<String> {
             let certificate = device
                 .certificate
                 .unwrap_or_else(|| panic!("{name} holds no certificate"));
-            let accepted = (world.dex)
-                .verify_certificate(&world.chain, &certificate, &device.webid)
-                .expect("view");
+            let verify = VerifyCertificate {
+                certificate,
+                webid: device.webid.clone(),
+            };
+            let accepted = world.dex.view(&world.chain, verify).expect("view");
             assert!(accepted, "{name}'s certificate verifies on-chain");
             format!("{name} {certificate}")
         })

@@ -4,6 +4,7 @@
 //! [`EnforcementMode::Periodic`], re-arm on mid-flight policy changes, and
 //! respect rogue hosts.
 
+use duc_contracts::calls::{GetRound, ListCopies, StartMonitoring, UnregisterCopy};
 use duc_core::chaos::fixed_link;
 use duc_core::prelude::*;
 use duc_solid::Body;
@@ -54,7 +55,12 @@ fn deadline_mode_enforces_at_the_exact_instant_with_onchain_evidence() {
     assert_eq!(
         world
             .dex
-            .list_copies(&world.chain, &resource)
+            .view(
+                &world.chain,
+                ListCopies {
+                    resource: resource.to_string()
+                }
+            )
             .expect("view")
             .len(),
         2
@@ -74,7 +80,12 @@ fn deadline_mode_enforces_at_the_exact_instant_with_onchain_evidence() {
     // ...with the on-chain registry updated as evidence.
     assert!(world
         .dex
-        .list_copies(&world.chain, &resource)
+        .view(
+            &world.chain,
+            ListCopies {
+                resource: resource.to_string()
+            }
+        )
         .expect("view")
         .is_empty());
     assert_eq!(world.metrics.counter("enforcement.deletions"), 2);
@@ -127,7 +138,12 @@ fn policy_tightening_reschedules_the_wakeup_mid_flight() {
     );
     assert!(world
         .dex
-        .list_copies(&world.chain, &resource)
+        .view(
+            &world.chain,
+            ListCopies {
+                resource: resource.to_string()
+            }
+        )
         .expect("view")
         .is_empty());
 }
@@ -203,12 +219,13 @@ fn duplicate_answers_to_one_round_are_rejected_on_chain() {
 
     // Open round 2 directly (no driver probing, so it stays open).
     let owner_key = world.owner(OWNER).key;
-    let tx = world
-        .dex
-        .start_monitoring_tx(&world.chain, &owner_key, &resource);
+    let start = StartMonitoring {
+        resource: resource.clone(),
+    };
+    let tx = world.dex.call_tx(&world.chain, &owner_key, start);
     let id = world.chain.submit(tx).expect("mempool");
     world.advance(SimDuration::from_secs(2));
-    let round = duc_contracts::DistExchangeClient::decode_round_number(
+    let round = duc_contracts::DistExchangeClient::decode_return::<StartMonitoring>(
         &world.chain.receipt(&id).expect("receipt").return_data,
     )
     .expect("round number");
@@ -234,14 +251,14 @@ fn duplicate_answers_to_one_round_are_rejected_on_chain() {
         world.chain.receipt(&id).expect("receipt").status.clone()
     };
     // First reaffirmation lands.
-    let tx = world.dex.reaffirm_evidence_tx(&world.chain, &key, &reaff);
+    let tx = world.dex.call_tx(&world.chain, &key, reaff.clone());
     assert!(matches!(
         status(&mut world, tx),
         duc_blockchain::TxStatus::Ok
     ));
     // The identical reaffirmation replayed into the still-open round
     // reverts.
-    let tx = world.dex.reaffirm_evidence_tx(&world.chain, &key, &reaff);
+    let tx = world.dex.call_tx(&world.chain, &key, reaff);
     assert!(matches!(
         status(&mut world, tx),
         duc_blockchain::TxStatus::Reverted(ref msg) if msg.contains("duplicate")
@@ -258,9 +275,7 @@ fn duplicate_answers_to_one_round_are_rejected_on_chain() {
         signature: duc_crypto::Signature { e: 0, s: 0 },
     };
     submission.signature = dev.tee.enclave().sign(&submission.signing_bytes());
-    let tx = world
-        .dex
-        .record_evidence_tx(&world.chain, &key, &submission);
+    let tx = world.dex.call_tx(&world.chain, &key, submission);
     assert!(matches!(
         status(&mut world, tx),
         duc_blockchain::TxStatus::Reverted(ref msg) if msg.contains("duplicate")
@@ -268,7 +283,7 @@ fn duplicate_answers_to_one_round_are_rejected_on_chain() {
     // The round record holds exactly one answer for device-0.
     let record = world
         .dex
-        .get_round(&world.chain, &resource, round)
+        .view(&world.chain, GetRound { resource, round })
         .expect("view")
         .expect("round");
     assert_eq!(record.reaffirmed, vec![("device-0".to_string(), 1)]);
@@ -288,15 +303,24 @@ fn stale_unregister_cannot_clobber_a_newer_registration() {
         world.chain.receipt(&id).expect("receipt").status.clone()
     };
     // Stale: as_of = epoch, long before the registration block.
-    let tx =
-        world
-            .dex
-            .unregister_copy_tx(&world.chain, &dev_key, &resource, "device-0", SimTime::ZERO);
+    let unregister = |as_of| UnregisterCopy {
+        resource: resource.clone(),
+        device: "device-0".into(),
+        as_of,
+    };
+    let tx = world
+        .dex
+        .call_tx(&world.chain, &dev_key, unregister(SimTime::ZERO));
     assert!(matches!(run(&mut world, tx), duc_blockchain::TxStatus::Ok));
     assert_eq!(
         world
             .dex
-            .list_copies(&world.chain, &resource)
+            .view(
+                &world.chain,
+                ListCopies {
+                    resource: resource.to_string()
+                }
+            )
             .expect("view")
             .len(),
         1,
@@ -304,13 +328,16 @@ fn stale_unregister_cannot_clobber_a_newer_registration() {
     );
     // Fresh: as_of = now removes it.
     let now = world.clock.now();
-    let tx = world
-        .dex
-        .unregister_copy_tx(&world.chain, &dev_key, &resource, "device-0", now);
+    let tx = world.dex.call_tx(&world.chain, &dev_key, unregister(now));
     assert!(matches!(run(&mut world, tx), duc_blockchain::TxStatus::Ok));
     assert!(world
         .dex
-        .list_copies(&world.chain, &resource)
+        .view(
+            &world.chain,
+            ListCopies {
+                resource: resource.to_string()
+            }
+        )
         .expect("view")
         .is_empty());
 }
@@ -357,7 +384,12 @@ fn healed_rogue_host_is_enforced_at_heal_in_deadline_mode() {
     assert_eq!(world.metrics.counter("enforcement.deletions"), 1);
     assert!(world
         .dex
-        .list_copies(&world.chain, &resource)
+        .view(
+            &world.chain,
+            ListCopies {
+                resource: resource.to_string()
+            }
+        )
         .expect("view")
         .is_empty());
     // The late enforcement is measured and anchored like a timely one.

@@ -4,6 +4,7 @@
 //! validators, network partitions, lossy windows, crashed endpoints and
 //! rogue hosts.
 
+use solid_usage_control::contracts::calls::GetRound;
 use solid_usage_control::core::driver::CONFIRM_TIMEOUT;
 use solid_usage_control::core::scenario::{self, BOB, MEDICAL_PATH};
 use solid_usage_control::core::{chaos, outcome_key};
@@ -259,7 +260,13 @@ fn partitioned_device_is_reported_unreachable() {
     // The on-chain round stays open: absence of evidence is visible.
     let round = world
         .dex
-        .get_round(&world.chain, &iri, outcome.round)
+        .view(
+            &world.chain,
+            GetRound {
+                resource: iri.clone(),
+                round: outcome.round,
+            },
+        )
         .unwrap()
         .unwrap();
     assert!(!round.closed);
@@ -340,7 +347,13 @@ fn rogue_host_cannot_hide_from_monitoring() {
     // The evidence on-chain names the violation.
     let round = world
         .dex
-        .get_round(&world.chain, &iri, outcome.round)
+        .view(
+            &world.chain,
+            GetRound {
+                resource: iri.clone(),
+                round: outcome.round,
+            },
+        )
         .unwrap()
         .unwrap();
     let evidence = &round.violators()[0];

@@ -1,5 +1,6 @@
 //! Cross-crate integration tests: the whole architecture, end to end.
 
+use solid_usage_control::contracts::calls::GetRound;
 use solid_usage_control::core::scenario::{
     self, ALICE, ALICE_DEVICE, BOB, BOB_DEVICE, MEDICAL_PATH,
 };
@@ -199,7 +200,13 @@ fn monitoring_counts_every_copy_holder() {
     // The round record on-chain is complete and closed.
     let round = world
         .dex
-        .get_round(&world.chain, &iri, outcome.round)
+        .view(
+            &world.chain,
+            GetRound {
+                resource: iri.clone(),
+                round: outcome.round,
+            },
+        )
         .unwrap()
         .unwrap();
     assert!(round.closed);
