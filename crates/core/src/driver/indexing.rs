@@ -26,11 +26,9 @@ enum IndexingPhase {
     /// Request hop (device → relay), fault-aware.
     Request {
         hop: Hop,
-        call: DexCall,
         dev_endpoint: EndpointId,
     },
     AtRelay {
-        call: DexCall,
         dev_endpoint: EndpointId,
     },
     /// Response hop (relay → device), fault-aware.
@@ -41,6 +39,13 @@ enum IndexingPhase {
     Arrived {
         out: Vec<u8>,
     },
+}
+
+/// The index read the pull-out oracle relays for `resource`.
+fn lookup(resource: &str) -> DexCall {
+    DexCall::from(LookupResource {
+        resource: resource.to_string(),
+    })
 }
 
 impl Indexing {
@@ -61,9 +66,7 @@ impl Indexing {
                     return Step::Done(Err(ProcessError::UnknownDevice(self.device.clone())));
                 };
                 let dev_endpoint = dev.endpoint;
-                let call = DexCall::from(LookupResource {
-                    resource: self.resource.clone(),
-                });
+                let call = lookup(&self.resource);
                 world.pull_out.count_read();
                 let hop = Hop::new(
                     world,
@@ -72,21 +75,12 @@ impl Indexing {
                     PullOutOracle::request_size(call.name(), &call.encode_args()),
                     HopKind::PullOutRequest,
                 );
-                self.phase = IndexingPhase::Request {
-                    hop,
-                    call,
-                    dev_endpoint,
-                };
+                self.phase = IndexingPhase::Request { hop, dev_endpoint };
                 Step::Sleep(Wake::At(now))
             }
-            IndexingPhase::Request {
-                hop,
-                call,
-                dev_endpoint,
-            } => match hop.step(world) {
+            IndexingPhase::Request { hop, dev_endpoint } => match hop.step(world) {
                 HopPoll::Sent { arrives } => {
                     self.phase = IndexingPhase::AtRelay {
-                        call: call.clone(),
                         dev_endpoint: *dev_endpoint,
                     };
                     Step::Sleep(Wake::At(arrives))
@@ -94,7 +88,8 @@ impl Indexing {
                 HopPoll::Retry { at } => Step::Sleep(Wake::At(at)),
                 HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
-            IndexingPhase::AtRelay { call, dev_endpoint } => {
+            IndexingPhase::AtRelay { dev_endpoint } => {
+                let call = lookup(&self.resource);
                 let contract = world.dex.contract_id();
                 let out = match world
                     .chain
