@@ -955,7 +955,7 @@ pub fn e11_enforcement() -> Vec<Table> {
                 .lookup_resource(&world.chain, &resource)
                 .expect("view")
                 .expect("record");
-            let fresh = world.open_envelope(&record.policy).expect("policy");
+            let fresh = world.shared_policy(&record.policy).expect("policy");
             let device = world
                 .devices
                 .get_mut(&format!("device-{i}"))

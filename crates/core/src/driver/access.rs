@@ -7,7 +7,7 @@ use duc_contracts::calls::{ListCopies, RegisterCopy, VerifyCertificate};
 use duc_contracts::topics;
 use duc_crypto::{Digest, PublicKey};
 use duc_oracle::HopKind;
-use duc_policy::UsagePolicy;
+use duc_policy::PolicyVersion;
 use duc_sim::{EndpointId, SimDuration, SimTime};
 use duc_solid::{Body, SolidRequest, Status};
 
@@ -27,7 +27,7 @@ pub(crate) struct Access {
     fetch: Option<Fetch>,
     /// The policy in the device's index entry when the access started;
     /// `Arrived` hands it to the TEE, which then shares it with the entry.
-    policy: Option<Rc<UsagePolicy>>,
+    policy: Option<Rc<PolicyVersion>>,
     /// Size of the resource and latency of the pod fetch alone, known once
     /// the response arrived.
     bytes: usize,

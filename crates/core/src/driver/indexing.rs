@@ -1,7 +1,5 @@
 //! Process 3 — resource indexing through the pull-out oracle.
 
-use std::rc::Rc;
-
 use duc_blockchain::Ledger;
 use duc_contracts::calls::LookupResource;
 use duc_contracts::DexCall;
@@ -127,14 +125,14 @@ impl Indexing {
                 let Some(record) = record else {
                     return Step::Done(Err(ProcessError::UnknownResource(self.resource.clone())));
                 };
-                let policy = match world.open_envelope(&record.policy) {
+                let policy = match world.shared_policy(&record.policy) {
                     Ok(policy) => policy,
                     Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
                 };
                 let entry = IndexEntry {
                     location: record.location,
                     owner_webid: record.owner_webid,
-                    policy: Rc::new(policy),
+                    policy,
                 };
                 let sym = world.ids.intern(&self.resource);
                 let dev = world

@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
 use duc_contracts::calls::UnregisterCopy;
-use duc_policy::{Duty, Rule, UsagePolicy};
+use duc_policy::{Duty, PolicyVersion, Rule};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::EnforcementAction;
 
@@ -24,8 +24,9 @@ pub(crate) struct PolicyMod {
     resource_iri: String,
     version: u64,
     /// `(recipient, arrives_at, policy)` by arrival, set when the update
-    /// confirmed; one opened policy per event, shared by its deliveries.
-    deliveries: VecDeque<(EndpointId, SimTime, Rc<UsagePolicy>)>,
+    /// confirmed; the version the world's policy table holds, shared by
+    /// every delivery and every holder that applies it.
+    deliveries: VecDeque<(EndpointId, SimTime, Rc<PolicyVersion>)>,
     notified: usize,
     enforcement: Vec<(String, EnforcementAction)>,
     /// Unregistrations of copies the update deleted, awaiting inclusion.
@@ -122,15 +123,12 @@ impl PolicyMod {
                     if !device.tee.has_copy(&self.resource_iri) {
                         continue;
                     }
-                    let actions = device.tee.apply_policy_update(
-                        &self.resource_iri,
-                        Rc::unwrap_or_clone(policy),
-                        arrives_at,
-                    );
+                    let actions =
+                        (device.tee).apply_policy_update(&self.resource_iri, policy, arrives_at);
                     let device_name = world.ids.resolve(sym);
                     let device_key = device.key;
-                    // The device recompiled its program against the new
-                    // version: re-arm its obligation wakeup mid-flight
+                    // The device enforces the new version's program from
+                    // now on: re-arm its obligation wakeup mid-flight
                     // (ongoing authorization on policy change).
                     world.schedule_obligation(&device_name, &self.resource_iri, None);
                     world
@@ -244,8 +242,8 @@ impl PolicyMod {
                     .add("driver.policy_update.hash_mismatch", rejected);
                 continue;
             }
-            let policy = match world.open_envelope(&envelope) {
-                Ok(policy) => Rc::new(policy),
+            let policy = match world.shared_policy(&envelope) {
+                Ok(policy) => policy,
                 Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
             };
             deliveries.extend(

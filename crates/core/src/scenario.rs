@@ -8,7 +8,6 @@
 //! purpose to academic pursuits.
 
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
 use duc_codec::{Decode, Reader};
@@ -534,16 +533,13 @@ fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str,
         return;
     }
     let webid = &pop.owners[rank];
-    let policy = world
-        .owner(webid)
-        .pod_manager
-        .policy_for(POPULATION_PATH)
-        .expect("population policy attached")
-        .clone();
+    let policy = (world.owner(webid).pod_manager.policy_for(POPULATION_PATH))
+        .expect("population policy attached");
+    let envelope = world.envelope(policy);
     let entry = IndexEntry {
         location: iri.clone(),
         owner_webid: webid.clone(),
-        policy: Rc::new(policy),
+        policy: world.shared_policy(&envelope).expect("own envelope opens"),
     };
     (world.devices.get_mut(device))
         .expect("live device")

@@ -7,10 +7,10 @@ use duc_blockchain::{
 };
 use duc_contracts::calls::Init;
 use duc_contracts::{topics, DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
-use duc_crypto::KeyPair;
+use duc_crypto::{Digest, KeyPair};
 use duc_intern::{FxHashMap, Registry, SharedInterner, Sym};
 use duc_oracle::{PullInOracle, PullOutOracle, PushInOracle, PushOutOracle};
-use duc_policy::UsagePolicy;
+use duc_policy::{PolicyVersion, UsagePolicy};
 use duc_sim::{
     Clock, EndpointId, EventId, FaultPlan, LinkConfig, MetricsRegistry, NetworkModel, Rng,
     Scheduler, SimDuration, TraceRecorder,
@@ -119,11 +119,12 @@ pub struct IndexEntry {
     pub location: String,
     /// WebID of the data owner.
     pub owner_webid: String,
-    /// The usage policy at indexing time, as the pull-out view decoded it.
-    /// Shared, not copied: process 4 hands this same `Rc` to the TEE, so a
-    /// device holds one decoded policy per resource however many places
-    /// read it, and cloning an entry clones no policy.
-    pub policy: Rc<UsagePolicy>,
+    /// The usage policy at indexing time: the version the world's policy
+    /// table ([`World::shared_policy`]) decoded from the pull-out view's
+    /// envelope. Shared, not copied: every device indexing that version
+    /// holds this same `Rc`, process 4 hands it to the TEE, and cloning an
+    /// entry clones no policy.
+    pub policy: Rc<PolicyVersion>,
 }
 
 /// A consumer device: a chain identity plus a TEE.
@@ -228,6 +229,10 @@ pub struct World<L = Blockchain> {
     /// deployment this would come from a key-distribution service; the
     /// simulation provisions it to owners and TEEs out of band.
     pub policy_key: ([u8; 32], [u8; 12]),
+    /// Every policy version an envelope was opened for, keyed by the
+    /// envelope's [`PolicyEnvelope::digest`]; read and filled only by
+    /// [`World::shared_policy`].
+    policies: FxHashMap<Digest, Rc<PolicyVersion>>,
 }
 
 impl World {
@@ -319,6 +324,7 @@ impl<L: Ledger> World<L> {
             gateway,
             rogue_hosts: std::collections::HashSet::new(),
             policy_key: ([0x42; 32], [0x17; 12]),
+            policies: FxHashMap::default(),
             config,
             clock,
             net,
@@ -385,19 +391,28 @@ impl<L: Ledger> World<L> {
         }
     }
 
-    /// Opens an on-chain policy envelope per the deployment configuration.
+    /// The policy version an on-chain envelope carries, shared by every
+    /// holder of it — the one place an envelope is opened. The table is
+    /// content-addressed like the DE App's `pol/{digest}` rows: the first
+    /// caller decodes the envelope (with [`World::policy_key`] when it is
+    /// sealed), every later one gets a clone of the same `Rc`. Entries are
+    /// never evicted; there are no more of them than policy versions the
+    /// chain stores.
     ///
     /// # Errors
-    /// Propagates envelope decode errors (wrong key, corrupt bytes).
-    pub fn open_envelope(
-        &self,
+    /// The envelope's decode error (wrong key, corrupt bytes); nothing is
+    /// cached then.
+    pub fn shared_policy(
+        &mut self,
         env: &PolicyEnvelope,
-    ) -> Result<UsagePolicy, duc_codec::DecodeError> {
-        if env.encrypted {
-            env.open(Some(self.policy_key))
-        } else {
-            env.open(None)
+    ) -> Result<Rc<PolicyVersion>, duc_codec::DecodeError> {
+        let digest = env.digest();
+        if let Some(version) = self.policies.get(&digest) {
+            return Ok(Rc::clone(version));
         }
+        let version: Rc<PolicyVersion> = env.open(env.encrypted.then_some(self.policy_key))?.into();
+        self.policies.insert(digest, Rc::clone(&version));
+        Ok(version)
     }
 
     /// Produces blocks due at the current clock and returns the height.
@@ -655,8 +670,8 @@ mod tests {
 
     #[test]
     fn envelope_respects_privacy_configuration() {
-        let plain_world = World::new(WorldConfig::default());
-        let sealed_world = World::new(WorldConfig {
+        let mut plain_world = World::new(WorldConfig::default());
+        let mut sealed_world = World::new(WorldConfig {
             encrypt_policies: true,
             ..WorldConfig::default()
         });
@@ -664,13 +679,16 @@ mod tests {
         assert!(!plain_world.envelope(&policy).encrypted);
         let env = sealed_world.envelope(&policy);
         assert!(env.encrypted);
-        assert_eq!(sealed_world.open_envelope(&env).unwrap(), policy);
-        assert_eq!(
-            plain_world
-                .open_envelope(&plain_world.envelope(&policy))
-                .unwrap(),
-            policy
-        );
+        assert_eq!(**sealed_world.shared_policy(&env).unwrap(), policy);
+        let env = plain_world.envelope(&policy);
+        assert_eq!(**plain_world.shared_policy(&env).unwrap(), policy);
+        // An envelope that does not decode is not cached.
+        let corrupt = PolicyEnvelope {
+            encrypted: false,
+            bytes: env.bytes[1..].to_vec(),
+        };
+        assert!(plain_world.shared_policy(&corrupt).is_err());
+        assert_eq!(plain_world.policies.len(), 1);
     }
 
     #[test]

@@ -11,10 +11,20 @@
 //! `policy_for`, and the process-5 and monitoring outcomes. Its SHA-256 was
 //! recorded while every (device, resource) pair held its own decoded policy
 //! and compiled program; never re-record it.
+//!
+//! The tests after it hold what sharing adds: holders of one version share
+//! one `Rc` of it (each other's, and their index entries'), an update is
+//! shared the same way while earlier uses replay against the version they
+//! were made under, and an envelope that does not decode surfaces its error
+//! and leaves nothing in the world's policy table.
 
+use std::rc::Rc;
+
+use duc_contracts::PolicyEnvelope;
 use duc_core::prelude::*;
 use duc_core::scenario::{populate_population, PopulationSpec, POPULATION_PATH};
 use duc_crypto::sha256;
+use duc_tee::AccessError;
 
 /// Both runs' transcript: encryption changes only the bytes on-chain.
 const PINNED_SHA256: &str = "e03fc4268a1deca8434959ffdcda6036588cd4279ab1334f156bd7c3884caa05";
@@ -160,5 +170,89 @@ fn every_holder_observes_its_known_answer() {
             digest, PINNED_SHA256,
             "encrypt_policies {encrypt}; transcript:\n{text}"
         );
+    }
+}
+
+/// The devices holding a copy of `resource`, in registry order.
+fn holders<'w>(world: &'w World, resource: &str) -> Vec<&'w str> {
+    (world.devices.iter())
+        .filter(|(_, device)| device.tee.has_copy(resource))
+        .map(|(name, _)| name)
+        .collect()
+}
+
+#[test]
+fn holders_of_a_version_share_one_decoded_policy() {
+    for encrypt in [false, true] {
+        let (mut world, pop, _) = driven(encrypt);
+        // Rank 1 was never updated: its holders enforce what they indexed.
+        let resource = &pop.resources[1];
+        let names: Vec<String> = (holders(&world, resource).into_iter())
+            .map(str::to_string)
+            .collect();
+        assert!(names.len() >= 2, "{names:?}");
+        let first = world.device(&names[0]).tee.policy(resource).cloned();
+        let first = first.expect("a holder has a policy");
+        for name in &names[1..] {
+            let policy = world.device(name).tee.policy(resource).expect("held");
+            assert!(Rc::ptr_eq(&first, policy), "{name} holds its own copy");
+        }
+        let entry = world
+            .resource_indexing(&names[1], resource)
+            .expect("indexed");
+        assert!(Rc::ptr_eq(&entry.policy, &first), "entry and copy differ");
+    }
+}
+
+#[test]
+fn an_update_is_shared_and_earlier_uses_replay_against_the_old_program() {
+    let (mut world, pop, _) = driven(false);
+    let resource = pop.resources[0].clone();
+    let names: Vec<String> = (holders(&world, &resource).into_iter())
+        .map(str::to_string)
+        .collect();
+    assert!(names.len() >= 2, "{names:?}");
+    let updated = world.device(&names[0]).tee.policy(&resource).cloned();
+    let updated = updated.expect("a holder has a policy");
+    assert_eq!(updated.version, 2);
+    let now = world.clock.now();
+    for name in &names {
+        let device = (world.devices.get_mut(name)).expect("holder");
+        let policy = device.tee.policy(&resource).expect("held");
+        assert!(Rc::ptr_eq(&updated, policy), "{name} holds its own update");
+        // The medical use before the update is judged by version 1 ...
+        let report = device.tee.report(&resource, now).expect("held");
+        assert!(report.compliant && report.accesses == 1, "{report:?}");
+        // ... and a medical use now by version 2, which denies it.
+        let denied = device
+            .tee
+            .access(&resource, Action::Read, Purpose::new("medical"), now);
+        assert!(matches!(denied, Err(AccessError::Denied(_))), "{denied:?}");
+    }
+    let entry = (world.resource_indexing(&names[0], &resource)).expect("indexed");
+    assert!(Rc::ptr_eq(&entry.policy, &updated));
+}
+
+#[test]
+fn undecodable_envelopes_surface_their_error_and_cache_nothing() {
+    let mut world = World::new(WorldConfig {
+        encrypt_policies: true,
+        ..WorldConfig::default()
+    });
+    let policy = scenario::population_policy("https://p.pod/data/x", "https://p.id/me", 7);
+    let sealed = world.envelope(&policy);
+    let key = world.policy_key;
+    world.policy_key = ([0x43; 32], key.1);
+    for _ in 0..2 {
+        assert!(world.shared_policy(&sealed).is_err(), "wrong key decodes");
+    }
+    world.policy_key = key;
+    let opened = world.shared_policy(&sealed).expect("right key decodes");
+    assert_eq!(**opened, policy, "a failed open left no entry behind");
+
+    let mut corrupt = PolicyEnvelope::plain(&policy);
+    corrupt.bytes.truncate(corrupt.bytes.len() - 1);
+    for _ in 0..2 {
+        assert!(world.shared_policy(&corrupt).is_err(), "truncated decodes");
     }
 }

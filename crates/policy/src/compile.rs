@@ -30,7 +30,10 @@
 //!
 //! [`PolicyEngine::evaluate`]: crate::PolicyEngine::evaluate
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
+use std::ops::Deref;
+use std::rc::Rc;
 
 use duc_sim::{SimDuration, SimTime};
 
@@ -353,6 +356,43 @@ impl PolicyProgram {
             }
         }
         None
+    }
+}
+
+/// One version of a usage policy as every enforcement point holds it: the
+/// decoded [`UsagePolicy`] and, compiled against
+/// [`PurposeTaxonomy::shared_standard`] the first time a trusted
+/// application needs it, its [`PolicyProgram`]. Index entries and TEE
+/// copies share one `Rc` of it per version, so a policy is decoded and
+/// compiled once however many devices hold it, and a version that is only
+/// indexed never pays for a program.
+#[derive(Debug, Clone)]
+pub struct PolicyVersion {
+    policy: UsagePolicy,
+    program: OnceCell<PolicyProgram>,
+}
+
+impl PolicyVersion {
+    /// The compiled form of this version, compiled on first use.
+    pub fn program(&self) -> &PolicyProgram {
+        (self.program).get_or_init(|| compile(&self.policy, PurposeTaxonomy::shared_standard()))
+    }
+}
+
+impl Deref for PolicyVersion {
+    type Target = UsagePolicy;
+
+    fn deref(&self) -> &UsagePolicy {
+        &self.policy
+    }
+}
+
+impl From<UsagePolicy> for Rc<PolicyVersion> {
+    fn from(policy: UsagePolicy) -> Rc<PolicyVersion> {
+        Rc::new(PolicyVersion {
+            policy,
+            program: OnceCell::new(),
+        })
     }
 }
 

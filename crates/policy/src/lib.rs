@@ -14,7 +14,9 @@
 //!   procedure: pre-authorization and *ongoing* re-evaluation of a usage
 //!   context ([`PolicyProgram::decide`]) from pre-resolved decision tables,
 //!   plus `next_transition`, the instant the decision can next change
-//!   (what deadline-driven enforcement schedules on).
+//!   (what deadline-driven enforcement schedules on). A [`PolicyVersion`]
+//!   is one decoded policy with its program compiled on first use: the
+//!   shared value every holder of that version enforces.
 //! * [`engine`] — the usage context and decision types, and
 //!   [`PolicyEngine`], a rule-walking interpreter kept as the reference
 //!   [`PolicyProgram::decide`] is proptest-checked against (not in the
@@ -62,7 +64,7 @@ pub mod rdf_binding;
 pub mod taxonomy;
 
 pub use acl::{AclDocument, AclMode, AgentSpec, Authorization};
-pub use compile::{compile, PolicyProgram};
+pub use compile::{compile, PolicyProgram, PolicyVersion};
 pub use engine::{Decision, DenyReason, PolicyEngine};
 pub use model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
 pub use taxonomy::PurposeTaxonomy;
@@ -70,7 +72,7 @@ pub use taxonomy::PurposeTaxonomy;
 /// Common imports for downstream crates.
 pub mod prelude {
     pub use crate::acl::{AclDocument, AclMode, AgentSpec, Authorization};
-    pub use crate::compile::{compile, PolicyProgram};
+    pub use crate::compile::{compile, PolicyProgram, PolicyVersion};
     pub use crate::engine::{Decision, DenyReason, UsageContext};
     pub use crate::model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
     pub use crate::taxonomy::PurposeTaxonomy;

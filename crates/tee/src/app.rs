@@ -5,8 +5,7 @@ use std::rc::Rc;
 use duc_crypto::{hash_parts, Digest};
 use duc_intern::key_head;
 use duc_policy::{
-    compile, Action, Decision, DenyReason, Duty, PolicyProgram, Purpose, PurposeTaxonomy,
-    UsageContext, UsagePolicy,
+    Action, Decision, DenyReason, Duty, PolicyProgram, PolicyVersion, Purpose, UsageContext,
 };
 use duc_sim::SimTime;
 
@@ -160,9 +159,6 @@ struct CopyEntry {
     head: u128,
     /// The copy's resource IRI; the table is sorted by it.
     resource: String,
-    /// The policy in force; shared with the device's index entry while
-    /// the copy enforces the version the entry was indexed at.
-    policy: Rc<UsagePolicy>,
     /// The decision served to repeated identical requests until the
     /// program's next transition (or an access-count change when the
     /// program is count-sensitive).
@@ -174,14 +170,14 @@ struct CopyEntry {
     /// Every access performed through the trusted application; its length
     /// is the access count.
     log: Vec<AccessRecord>,
-    /// Every policy version ever enforced, compiled against
-    /// [`PurposeTaxonomy::shared_standard`], with its local application
-    /// time. Never empty: the last program is
-    /// the one in force and serves the access hot path; the audit replays
-    /// each access against the version in force *at access time* (a policy
-    /// narrowed later does not retroactively incriminate past, then-legal
-    /// uses).
-    history: Vec<(SimTime, PolicyProgram)>,
+    /// Every policy version ever enforced, with its local application
+    /// time. Never empty: the last version is the one in force and its
+    /// program serves the access hot path; the audit replays each access
+    /// against the version in force *at access time* (a policy narrowed
+    /// later does not retroactively incriminate past, then-legal uses).
+    /// Each version is the `Rc` every other holder of it shares, program
+    /// included.
+    history: Vec<(SimTime, Rc<PolicyVersion>)>,
     /// The evidence last recorded on-chain for this copy, if any.
     last_reported: Option<ReportedEvidence>,
 }
@@ -203,9 +199,14 @@ impl CopyEntry {
         }
     }
 
+    /// The policy version in force.
+    fn policy(&self) -> &Rc<PolicyVersion> {
+        &self.history.last().expect("a copy has a policy").1
+    }
+
     /// The compiled form of the current policy.
     fn program(&self) -> &PolicyProgram {
-        &self.history.last().expect("a copy has a policy").1
+        self.policy().program()
     }
 
     /// When the currently-enforced policy version was applied locally
@@ -219,7 +220,7 @@ impl CopyEntry {
             .iter()
             .rev()
             .find(|(applied, _)| *applied <= at)
-            .map_or(self.program(), |(_, p)| p)
+            .map_or(self.program(), |(_, p)| p.program())
     }
 }
 
@@ -235,7 +236,7 @@ pub struct TrustedApplication {
     seals: u64,
     /// Accesses served from the per-copy decision cache.
     cache_hits: u64,
-    /// Accesses that recompiled or re-evaluated the decision.
+    /// Accesses that re-evaluated the decision.
     cache_misses: u64,
 }
 
@@ -287,32 +288,32 @@ impl TrustedApplication {
     /// Stores a freshly retrieved resource copy under its policy
     /// (the tail of paper process 4).
     ///
-    /// The policy is an owned [`UsagePolicy`] or an `Rc` of one: a device
-    /// passes the `Rc` its index entry holds (process 3 stores the entry
-    /// "in the TEE"), so the copy and the entry share one decoded policy
-    /// rather than each holding a deep clone.
+    /// The policy is an owned [`UsagePolicy`](duc_policy::UsagePolicy) or
+    /// a shared [`PolicyVersion`]: a device passes the `Rc` its index entry
+    /// holds (process 3 stores the entry "in the TEE"), so the copy, the
+    /// entry and every other holder of the version share one decoded policy
+    /// and one compiled program.
+    ///
+    /// Re-storing a resource replaces its row, usage log included.
     pub fn store_resource(
         &mut self,
         resource: impl Into<String>,
         bytes: &[u8],
-        policy: impl Into<Rc<UsagePolicy>>,
+        policy: impl Into<Rc<PolicyVersion>>,
         now: SimTime,
     ) {
         let resource = resource.into();
-        let policy = policy.into();
         let sealed = Sealed::new(&self.enclave, &resource, self.seals, bytes);
         self.seals += 1;
-        let program = compile(&policy, PurposeTaxonomy::shared_standard());
         let slot = self.find(&resource);
         let entry = CopyEntry {
             head: key_head(resource.as_bytes()),
             resource,
-            policy,
             cached: None,
             acquired_at: now,
             life: Lifecycle::Live { sealed },
             log: Vec::new(),
-            history: vec![(now, program)],
+            history: vec![(now, policy.into())],
             last_reported: None,
         };
         match slot {
@@ -344,7 +345,13 @@ impl TrustedApplication {
 
     /// The locally enforced policy version for `resource`.
     pub fn policy_version(&self, resource: &str) -> Option<u64> {
-        self.entry(resource).map(|e| e.policy.version)
+        self.entry(resource).map(|e| e.policy().version)
+    }
+
+    /// The policy in force for `resource`: the [`PolicyVersion`] every
+    /// holder of that version shares.
+    pub fn policy(&self, resource: &str) -> Option<&Rc<PolicyVersion>> {
+        self.entry(resource).map(CopyEntry::policy)
     }
 
     /// The resources with copies (live or audited-deleted), in name
@@ -365,7 +372,7 @@ impl TrustedApplication {
             return;
         }
         let retention_due = Self::effective_due(entry);
-        let expiry_due = entry.policy.expiry_bound();
+        let expiry_due = entry.policy().expiry_bound();
         let overdue = retention_due.map(|d| now >= d).unwrap_or(false);
         let expired = expiry_due.map(|d| now >= d).unwrap_or(false);
         if overdue || expired {
@@ -464,7 +471,7 @@ impl TrustedApplication {
     pub fn apply_policy_update(
         &mut self,
         resource: &str,
-        new_policy: UsagePolicy,
+        new_policy: impl Into<Rc<PolicyVersion>>,
         now: SimTime,
     ) -> Vec<EnforcementAction> {
         let mut actions = Vec::new();
@@ -472,20 +479,16 @@ impl TrustedApplication {
             return actions;
         };
         let entry = &mut self.copies[i];
-        if new_policy.resource != entry.policy.resource
-            || new_policy.version <= entry.policy.version
-        {
+        let new_policy = new_policy.into();
+        let current = entry.policy();
+        if new_policy.resource != current.resource || new_policy.version <= current.version {
             return actions;
         }
-        entry.history.push((
-            now,
-            compile(&new_policy, PurposeTaxonomy::shared_standard()),
-        ));
+        entry.history.push((now, new_policy));
         entry.cached = None;
-        entry.policy = Rc::new(new_policy);
         Self::enforce_entry(entry, now, &mut actions);
         // Notification duties surface to the oracle layer.
-        for duty in &entry.policy.duties {
+        for duty in &entry.policy().duties {
             if let Duty::NotifyOwnerWithin(window) = duty {
                 actions.push(EnforcementAction::NotifyOwner {
                     resource: resource.to_string(),
@@ -592,7 +595,7 @@ impl TrustedApplication {
                 ));
             }
         }
-        if let Some(expiry) = entry.policy.expiry_bound() {
+        if let Some(expiry) = entry.policy().expiry_bound() {
             let effective = expiry.max(entry.policy_applied_at());
             let violated = match entry.deleted_at() {
                 Some(deleted) => deleted > effective,
@@ -618,7 +621,7 @@ impl TrustedApplication {
         Some(UsageReport {
             resource: resource.to_string(),
             device: self.enclave.device().to_string(),
-            policy_version: entry.policy.version,
+            policy_version: entry.policy().version,
             compliant: violations.is_empty(),
             violations,
             log_digest: hash_parts(&parts),
@@ -631,7 +634,7 @@ impl TrustedApplication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duc_policy::{Constraint, Rule};
+    use duc_policy::{Constraint, Rule, UsagePolicy};
     use duc_sim::SimDuration;
 
     const RES: &str = "https://bob.pod/data/medical.ttl";

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use duc_policy::{Action, Purpose, Rule, UsagePolicy};
+use duc_policy::{Action, PolicyVersion, Purpose, Rule, UsagePolicy};
 use duc_sim::{SimDuration, SimTime};
 use duc_tee::{AccessError, Enclave, TrustedApplication};
 use proptest::prelude::*;
@@ -64,12 +64,11 @@ fn app() -> TrustedApplication {
 
 /// A policy that permits every use for ever, so every access of a live
 /// copy returns its plaintext.
-fn open_policy() -> Rc<UsagePolicy> {
-    Rc::new(
-        UsagePolicy::builder("urn:policy", "urn:any", "https://owner.id/me")
-            .permit(Rule::permit([Action::Use]))
-            .build(),
-    )
+fn open_policy() -> Rc<PolicyVersion> {
+    UsagePolicy::builder("urn:policy", "urn:any", "https://owner.id/me")
+        .permit(Rule::permit([Action::Use]))
+        .build()
+        .into()
 }
 
 fn at(step: usize) -> SimTime {
