@@ -11,8 +11,6 @@
 //! delegated to a [`CertificateVerifier`], implemented in production by the
 //! DE App client over a pull-out oracle.
 
-use std::collections::HashMap;
-
 use duc_crypto::Digest;
 use duc_policy::{AclDocument, AclMode, UsagePolicy};
 
@@ -50,7 +48,11 @@ pub struct PodManager {
     pod: Pod,
     owner: String,
     acl: AclDocument,
-    policies: HashMap<String, UsagePolicy>,
+    /// Usage policies by path, sorted by path and searched by binary
+    /// search: an owner attaches one to a few, and a hash map's first
+    /// allocation has room for four policies inline. Boxed, so a slot costs
+    /// a path and a pointer.
+    policies: Vec<(String, Box<UsagePolicy>)>,
     require_certificate_for_reads: bool,
     /// Container members minted by POST so far. Member names count up from
     /// it and never reuse a number, whatever was deleted since.
@@ -78,7 +80,7 @@ impl PodManager {
             acl: AclDocument::owner_default(owner.clone(), root.clone()),
             pod: Pod::new(root),
             owner,
-            policies: HashMap::new(),
+            policies: Vec::new(),
             require_certificate_for_reads: false,
             members_minted: 0,
         }
@@ -113,15 +115,25 @@ impl PodManager {
 
     // ----------------------------------------------------------- policies
 
+    /// Where `path`'s policy is, or would be inserted.
+    fn find_policy(&self, path: &str) -> Result<usize, usize> {
+        (self.policies).binary_search_by(|(p, _)| p.as_str().cmp(path))
+    }
+
     /// Attaches a usage policy to a resource path (owner operation;
     /// the push-in oracle forwards it on-chain in process 2/5).
     pub fn set_policy(&mut self, path: impl Into<String>, policy: UsagePolicy) {
-        self.policies.insert(path.into(), policy);
+        let path = path.into();
+        match self.find_policy(&path) {
+            Ok(i) => *self.policies[i].1 = policy,
+            Err(i) => self.policies.insert(i, (path, Box::new(policy))),
+        }
     }
 
     /// The usage policy for a path, if any.
     pub fn policy_for(&self, path: &str) -> Option<&UsagePolicy> {
-        self.policies.get(path)
+        let i = self.find_policy(path).ok()?;
+        Some(&self.policies[i].1)
     }
 
     /// Amends the policy at `path` if `agent` is the owner; returns the new
@@ -140,10 +152,10 @@ impl PodManager {
         if agent != self.owner {
             return Err(Status::Forbidden);
         }
-        let current = self.policies.get(path).ok_or(Status::NotFound)?;
-        let amended = current.amended(rules, duties);
-        self.policies.insert(path.to_string(), amended.clone());
-        Ok(amended)
+        let i = self.find_policy(path).map_err(|_| Status::NotFound)?;
+        let current = &mut self.policies[i].1;
+        **current = current.amended(rules, duties);
+        Ok((**current).clone())
     }
 
     // ----------------------------------------------------------- protocol

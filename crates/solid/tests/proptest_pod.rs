@@ -4,10 +4,15 @@
 //! `data/`), the listed containers include the empty container (the whole
 //! pod) and prefixes that are not themselves resources, so an ordering or
 //! prefix-scan slip shows as a missing or extra path.
+//!
+//! Over the same paths, a [`PodManager`]'s usage policies agree with a
+//! `BTreeMap` model under arbitrary set / modify / get sequences, modify by
+//! the owner and by a stranger included.
 
 use std::collections::BTreeMap;
 
-use duc_solid::{Body, Pod, Resource, ResourceKind};
+use duc_policy::{Action, Duty, Rule, UsagePolicy};
+use duc_solid::{Body, Pod, PodManager, Resource, ResourceKind, Status};
 use proptest::prelude::*;
 
 /// Path → (content, version).
@@ -174,6 +179,71 @@ proptest! {
                 }
             }
             check(&pod, &model)?;
+        }
+    }
+}
+
+const OWNER: &str = "https://owner.id/me";
+
+#[derive(Debug, Clone)]
+enum PolicyOp {
+    /// Attach policy number `n` at a path.
+    Set(usize, u8),
+    /// Amend a path's policy to permit action number `n`, as the owner or
+    /// as a stranger.
+    Modify(usize, u8, bool),
+    Get(usize),
+}
+
+fn policy_op() -> impl Strategy<Value = PolicyOp> {
+    prop_oneof![
+        3 => (path(), any::<u8>()).prop_map(|(p, n)| PolicyOp::Set(p, n)),
+        3 => (path(), any::<u8>(), any::<bool>()).prop_map(|(p, n, o)| PolicyOp::Modify(p, n, o)),
+        2 => path().prop_map(PolicyOp::Get),
+    ]
+}
+
+fn numbered_policy(path: &str, n: u8) -> UsagePolicy {
+    UsagePolicy::builder(format!("{path}#p{n}"), path, OWNER)
+        .permit(Rule::permit([Action::Use]))
+        .version(u64::from(n))
+        .build()
+}
+
+proptest! {
+    #[test]
+    fn policies_match_the_model(ops in proptest::collection::vec(policy_op(), 0..64)) {
+        let mut manager = PodManager::new("https://p.pod/", OWNER);
+        let mut model: BTreeMap<&str, UsagePolicy> = BTreeMap::new();
+        for op in ops {
+            match op {
+                PolicyOp::Set(i, n) => {
+                    let policy = numbered_policy(PATHS[i], n);
+                    manager.set_policy(PATHS[i], policy.clone());
+                    model.insert(PATHS[i], policy);
+                }
+                PolicyOp::Modify(i, n, as_owner) => {
+                    let agent = if as_owner { OWNER } else { "https://stranger.id/me" };
+                    let action = [Action::Read, Action::Use, Action::Distribute][usize::from(n % 3)];
+                    let rules = vec![Rule::permit([action])];
+                    let duties = vec![Duty::LogAccesses];
+                    let expected = match model.get_mut(PATHS[i]) {
+                        _ if !as_owner => Err(Status::Forbidden),
+                        None => Err(Status::NotFound),
+                        Some(current) => {
+                            *current = current.amended(rules.clone(), duties.clone());
+                            Ok(current.clone())
+                        }
+                    };
+                    prop_assert_eq!(manager.modify_policy(agent, PATHS[i], rules, duties), expected);
+                }
+                PolicyOp::Get(i) => {
+                    prop_assert_eq!(manager.policy_for(PATHS[i]), model.get(PATHS[i]));
+                }
+            }
+            for path in PATHS {
+                prop_assert_eq!(manager.policy_for(path), model.get(path));
+            }
         }
     }
 }
