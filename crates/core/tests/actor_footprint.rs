@@ -75,13 +75,19 @@ fn median_live_added(mut per_device: impl FnMut(usize)) -> f64 {
 }
 
 /// What one more actor leaves allocated, each a median over [`FRESH`]
-/// fresh actors: `add_device`, a device's first and second
-/// `ResourceIndexing`, its first governed copy (one `ResourceAccess`), and
-/// an owner (`add_owner` plus processes 1 and 2 with one 256-byte resource).
-const WHAT: [&str; 5] = [
+/// fresh actors: `add_device`; a device's first `ResourceIndexing`, of a
+/// resource no one indexed before, so the world's policy table decodes its
+/// policy; the device's second, of a resource another fresh device's first
+/// indexing decoded; a further device's first indexing, of a resource
+/// another device decoded; a device's first governed copy (one
+/// `ResourceAccess` of its first-indexed resource, whose program no TEE had
+/// compiled); and an owner (`add_owner` plus processes 1 and 2 with one
+/// 256-byte resource).
+const WHAT: [&str; 6] = [
     "add_device",
     "first indexing",
     "second indexing",
+    "first indexing, decoded elsewhere",
     "first copy",
     "owner",
 ];
@@ -96,32 +102,44 @@ fn run(world: &mut World, request: Request, ok: impl Fn(&Outcome) -> bool) {
     }
 }
 
+/// The median live bytes of fresh device `device(n)` indexing
+/// `resource(n)`.
+fn index(
+    world: &mut World,
+    device: impl Fn(usize) -> String,
+    resource: impl Fn(usize) -> String,
+) -> f64 {
+    median_live_added(|n| {
+        let request = Request::ResourceIndexing {
+            device: device(n),
+            resource: resource(n),
+        };
+        run(world, request, |o| matches!(o, Outcome::Indexed { .. }));
+    })
+}
+
 /// [`WHAT`], per fresh actor, in a world of `owners` bulk-enrolled owners.
-fn footprint(owners: usize) -> [f64; 5] {
+fn footprint(owners: usize) -> [f64; 6] {
     let mut world = World::new(WorldConfig::default());
     let spec = PopulationSpec {
         owners,
         ..PopulationSpec::default()
     };
     let pop = scenario::populate_population(&mut world, &spec);
-    // The two resources registered last: whatever symbols their IRIs get,
-    // every owner and device name was interned before them.
-    let (first, second) = (&pop.resources[owners - 1], &pop.resources[owners - 2]);
+    // Fresh device `n`'s own resource, one of those registered last: whatever
+    // symbols their IRIs get, every owner and device name was interned
+    // before them.
+    let own = |n: usize| pop.resources[owners - 1 - n % FRESH].clone();
     let name = |n: usize| format!("fresh-dev-{n}");
+    let later = |n: usize| format!("later-dev-{n}");
 
     let added = median_live_added(|n| world.add_device(name(n), format!("https://fd{n}.id/me")));
-    let mut index = |resource: &str| {
-        median_live_added(|n| {
-            let request = Request::ResourceIndexing {
-                device: name(n),
-                resource: resource.to_string(),
-            };
-            run(&mut world, request, |o| {
-                matches!(o, Outcome::Indexed { .. })
-            });
-        })
-    };
-    let (first_entry, second_entry) = (index(first), index(second));
+    let first_entry = index(&mut world, name, own);
+    let second_entry = index(&mut world, name, |n| own(n + 1));
+    for n in 0..FRESH {
+        world.add_device(later(n), format!("https://ld{n}.id/me"));
+    }
+    let decoded_elsewhere = index(&mut world, later, own);
     for n in 0..FRESH {
         let request = Request::MarketSubscribe { device: name(n) };
         run(&mut world, request, |o| {
@@ -131,7 +149,7 @@ fn footprint(owners: usize) -> [f64; 5] {
     let copy = median_live_added(|n| {
         let request = Request::ResourceAccess {
             device: name(n),
-            resource: first.clone(),
+            resource: own(n),
         };
         run(&mut world, request, |o| matches!(o, Outcome::Accessed(_)));
     });
@@ -156,11 +174,26 @@ fn footprint(owners: usize) -> [f64; 5] {
             matches!(o, Outcome::ResourceInitiated { .. })
         });
     });
-    [added, first_entry, second_entry, copy, owner]
+    [
+        added,
+        first_entry,
+        second_entry,
+        decoded_elsewhere,
+        copy,
+        owner,
+    ]
 }
 
 /// Live bytes per actor, each ceiling [`WHAT`]'s value at 2 000 owners plus
-/// about 10 %: 122, 656, 400, 2 730 and 4 546 B. The first copy and the owner
+/// about 10 %: 122, 800, 49, 305, 2 642 and 4 302 B, except the first
+/// indexing's, which is 1 KiB. A first index entry counts the world's
+/// policy-table entry its decode leaves; the program is compiled only when
+/// a TEE first needs it, so the first copy counts that instead. The other
+/// two indexings share a table entry already paid for. While every (device,
+/// resource) pair decoded and compiled a policy of its own and a pod
+/// manager kept its policies in a hash map, all fresh devices indexed and
+/// fetched one shared resource and the rows without the third read 122,
+/// 656, 400, 2 730 and 4 546 B. The first copy and the owner
 /// read 2 890 and 4 866 B while a one-event receipt kept its event pointer in
 /// a 288-byte buffer, receipts sat in a map keyed by transaction id and every
 /// event was logged a second time beside them. The first copy read 3 470 B
@@ -173,7 +206,7 @@ fn footprint(owners: usize) -> [f64; 5] {
 /// because the shared policy is an allocation of its own (an `Rc`) rather
 /// than part of a tree slot already paid for; the first copy shares that
 /// same policy instead of cloning it.
-const CEILING: [f64; 5] = [136.0, 1024.0, 440.0, 3_000.0, 5_000.0];
+const CEILING: [f64; 6] = [136.0, 1024.0, 56.0, 340.0, 2_900.0, 4_740.0];
 
 #[test]
 fn footprint_does_not_depend_on_the_population() {
