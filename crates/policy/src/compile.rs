@@ -193,10 +193,6 @@ struct CompiledRule {
 /// Build one with [`compile`]; see the module docs for the contract.
 #[derive(Debug, Clone)]
 pub struct PolicyProgram {
-    /// Source policy id.
-    id: String,
-    /// Source policy version (cache invalidation key).
-    version: u64,
     /// Union mask of every prohibition's covered actions.
     prohibit_mask: u8,
     /// Permit rules, in declaration order.
@@ -233,8 +229,6 @@ pub fn compile(policy: &UsagePolicy, taxonomy: &PurposeTaxonomy) -> PolicyProgra
         }
     }
     PolicyProgram {
-        id: policy.id.clone(),
-        version: policy.version,
         prohibit_mask,
         permits,
         retention_bound: policy.retention_bound(),
@@ -244,16 +238,6 @@ pub fn compile(policy: &UsagePolicy, taxonomy: &PurposeTaxonomy) -> PolicyProgra
 }
 
 impl PolicyProgram {
-    /// The source policy id.
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The source policy version.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Whether the decision depends on the access count (see
     /// [`Constraint::MaxAccessCount`]).
     pub fn count_sensitive(&self) -> bool {
@@ -366,7 +350,7 @@ impl PolicyProgram {
 /// copies share one `Rc` of it per version, so a policy is decoded and
 /// compiled once however many devices hold it, and a version that is only
 /// indexed never pays for a program.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PolicyVersion {
     policy: UsagePolicy,
     program: OnceCell<PolicyProgram>,
@@ -564,7 +548,18 @@ mod tests {
         let applied = SimTime::from_secs(1500);
         assert_eq!(prog.next_deadline(acquired, applied), Some(applied));
         assert!(!prog.count_sensitive());
-        assert_eq!(prog.version(), 1);
-        assert_eq!(prog.id(), "p");
+    }
+
+    #[test]
+    fn a_version_compiles_its_program_once_on_first_use() {
+        let version: Rc<PolicyVersion> = sample_policy().into();
+        assert!(version.program.get().is_none(), "indexing compiles nothing");
+        let first: *const PolicyProgram = version.program();
+        assert!(std::ptr::eq(first, version.program()), "compiled once");
+        let reference = program(&sample_policy());
+        for action in [Action::Read, Action::Use, Action::Distribute] {
+            let c = UsageContext { action, ..ctx() };
+            assert_eq!(version.program().decide(&c), reference.decide(&c));
+        }
     }
 }
