@@ -216,8 +216,8 @@ impl PolicyMod {
         // Integrity gate: read the policy hash the contract anchored in
         // the *on-chain record* (not the hash travelling inside the pushed
         // event, which a tampered relay could rewrite alongside the
-        // envelope). Devices only recompile against bytes matching the
-        // chain-side anchor; superseded envelopes (an even newer update
+        // envelope). Devices only apply a version opened from bytes matching
+        // the chain-side anchor; superseded envelopes (an even newer update
         // already landed) are dropped the same way — their own fan-out
         // delivers the newer policy.
         let anchored_hash = match world.dex.lookup_resource(&world.chain, &self.resource_iri) {
@@ -273,7 +273,7 @@ mod tests {
     const PATH: &str = "data/set.bin";
 
     /// A relay that rewrites the envelope (and the hash travelling beside
-    /// it) cannot make a device recompile: the forged event carries the
+    /// it) cannot make a device apply it: the forged event carries the
     /// right resource and version, so process 5 claims it, and the on-chain
     /// anchor rejects every one of its deliveries.
     #[test]
