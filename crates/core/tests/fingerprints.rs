@@ -192,6 +192,45 @@ fn fingerprints_match_the_golden_file() {
     assert_lines_eq("golden/fingerprints.txt", GOLDEN, &render_all());
 }
 
+/// A one-shard `ShardedLedger` already reproduces the single chain: its
+/// Serial run equals the golden file's `backend=single` section line for
+/// line, except that each of the twelve state commitments is the sharded
+/// ledger's wrapper over the single chain's,
+/// `hash_parts(["duc/sharded-state", single])`.
+#[test]
+fn one_shard_reproduces_the_single_chain_but_for_the_commitment_wrapper() {
+    let (_, single) = GOLDEN
+        .split_once("=== backend=single (Serial and Parallel agree)\n")
+        .expect("a single-backend section");
+    let (single, _) = single
+        .split_once("=== backend=sharded")
+        .expect("a sharded section after it");
+    let one_shard = render(ExecMode::Serial, |config| {
+        World::new_sharded(WorldConfig {
+            shards: 1,
+            ..config
+        })
+    });
+    let (single, one_shard): (Vec<&str>, Vec<&str>) =
+        (single.lines().collect(), one_shard.lines().collect());
+    assert_eq!(single.len(), one_shard.len(), "line counts");
+    let mut wrapped = 0;
+    for (i, (s, o)) in single.iter().zip(&one_shard).enumerate() {
+        if s == o {
+            continue;
+        }
+        let (Some(s), Some(o)) = (s.strip_prefix("commitment "), o.strip_prefix("commitment "))
+        else {
+            panic!("line {}: {s:?} vs {o:?}", i + 1);
+        };
+        let s = duc_crypto::hex::decode(s).expect("a hex commitment");
+        let expected = duc_crypto::hash_parts(&[b"duc/sharded-state", &s]);
+        assert_eq!(o, expected.to_hex(), "line {}: not the wrapper", i + 1);
+        wrapped += 1;
+    }
+    assert_eq!(wrapped, 12, "every commitment, and only those, differs");
+}
+
 /// Rewrites the golden file from the current behaviour.
 #[test]
 #[ignore = "rewrites tests/golden/fingerprints.txt"]

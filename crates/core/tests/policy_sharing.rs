@@ -16,7 +16,9 @@
 //! one `Rc` of it (each other's, and their index entries'), an update is
 //! shared the same way while earlier uses replay against the version they
 //! were made under, and an envelope that does not decode surfaces its error
-//! and leaves nothing in the world's policy table.
+//! and leaves nothing in the world's policy table. The last one is also a
+//! property over hostile envelopes: arbitrary bytes, and truncated or
+//! byte-flipped valid ones, plain and sealed.
 
 use std::rc::Rc;
 
@@ -24,7 +26,8 @@ use duc_contracts::PolicyEnvelope;
 use duc_core::prelude::*;
 use duc_core::scenario::{populate_population, PopulationSpec, POPULATION_PATH};
 use duc_crypto::sha256;
-use duc_tee::AccessError;
+use duc_tee::{AccessError, Enclave, TrustedApplication};
+use proptest::prelude::*;
 
 /// Both runs' transcript: encryption changes only the bytes on-chain.
 const PINNED_SHA256: &str = "e03fc4268a1deca8434959ffdcda6036588cd4279ab1334f156bd7c3884caa05";
@@ -254,5 +257,134 @@ fn undecodable_envelopes_surface_their_error_and_cache_nothing() {
     corrupt.bytes.truncate(corrupt.bytes.len() - 1);
     for _ in 0..2 {
         assert!(world.shared_policy(&corrupt).is_err(), "truncated decodes");
+    }
+}
+
+/// A policy using every constraint and duty kind, so damage can land in
+/// any of them.
+fn hostile_target() -> UsagePolicy {
+    UsagePolicy::builder("urn:p", "https://p.pod/data/x", "https://p.id/me")
+        .permit(
+            Rule::permit([Action::Use, Action::Read])
+                .with_constraint(Constraint::Purpose(vec![Purpose::new("medical")]))
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_secs(600)))
+                .with_constraint(Constraint::ExpiresAt(SimTime::from_secs(5_000)))
+                .with_constraint(Constraint::MaxAccessCount(3))
+                .with_constraint(Constraint::AllowedRecipients(vec!["urn:holder".into()]))
+                .with_constraint(Constraint::TimeWindow {
+                    not_before: SimTime::from_secs(10),
+                    not_after: SimTime::from_secs(4_000),
+                }),
+        )
+        .rule(Rule::prohibit([Action::Distribute]))
+        .duty(Duty::DeleteWithin(SimDuration::from_secs(900)))
+        .duty(Duty::NotifyOwnerWithin(SimDuration::from_secs(60)))
+        .duty(Duty::LogAccesses)
+        .version(2)
+        .build()
+}
+
+/// An envelope as a hostile or damaged chain could carry it.
+#[derive(Debug, Clone)]
+enum Hostile {
+    Arbitrary { encrypted: bool, bytes: Vec<u8> },
+    Truncated { sealed: bool, keep: usize },
+    Flipped { sealed: bool, at: usize, mask: u8 },
+}
+
+fn arb_hostile() -> impl Strategy<Value = Hostile> {
+    prop_oneof![
+        (
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..160)
+        )
+            .prop_map(|(encrypted, bytes)| Hostile::Arbitrary { encrypted, bytes }),
+        (any::<bool>(), 0usize..4_096)
+            .prop_map(|(sealed, keep)| Hostile::Truncated { sealed, keep }),
+        (any::<bool>(), 0usize..4_096, 1u8..=255).prop_map(|(sealed, at, mask)| Hostile::Flipped {
+            sealed,
+            at,
+            mask
+        }),
+    ]
+}
+
+fn hostile_envelope(world: &World, hostile: Hostile) -> PolicyEnvelope {
+    let valid = |sealed: bool| {
+        let (key, nonce) = world.policy_key;
+        if sealed {
+            PolicyEnvelope::sealed(&hostile_target(), key, nonce)
+        } else {
+            PolicyEnvelope::plain(&hostile_target())
+        }
+    };
+    match hostile {
+        Hostile::Arbitrary { encrypted, bytes } => PolicyEnvelope { encrypted, bytes },
+        Hostile::Truncated { sealed, keep } => {
+            let mut env = valid(sealed);
+            env.bytes.truncate(keep % env.bytes.len());
+            env
+        }
+        Hostile::Flipped { sealed, at, mask } => {
+            let mut env = valid(sealed);
+            let at = at % env.bytes.len();
+            env.bytes[at] ^= mask;
+            env
+        }
+    }
+}
+
+/// Drives `version` through a trusted application: stored directly, and
+/// as an update over version 0 of its resource; every action and a few
+/// purposes accessed, the next deadline enforced, the copy reported.
+fn exercise(version: &Rc<PolicyVersion>) {
+    let t0 = SimTime::from_secs(100);
+    let resource = version.resource.clone();
+    let base = UsagePolicy::builder("urn:base", resource.as_str(), "urn:owner")
+        .permit(Rule::permit([Action::Use]))
+        .version(0)
+        .build();
+    let mut direct = TrustedApplication::new(Enclave::new("device-a", b"ta"), "urn:holder");
+    direct.store_resource(resource.as_str(), b"body", Rc::clone(version), t0);
+    let mut updated = TrustedApplication::new(Enclave::new("device-b", b"ta"), "urn:holder");
+    updated.store_resource(resource.as_str(), b"body", base, t0);
+    let _ = updated.apply_policy_update(
+        &resource,
+        Rc::clone(version),
+        t0 + SimDuration::from_secs(5),
+    );
+    for tee in [&mut direct, &mut updated] {
+        let now = t0 + SimDuration::from_secs(10);
+        for action in Action::ALL {
+            for purpose in ["medical", "marketing", "any"] {
+                let _ = tee.access(&resource, action, Purpose::new(purpose), now);
+            }
+        }
+        if let Some(due) = tee.next_deadline_for(&resource) {
+            let _ = tee.enforce_due(&resource, due);
+        }
+        let _ = tee.report(&resource, SimTime::from_secs(1_000_000));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A hostile envelope either surfaces its decode error and leaves no
+    /// table entry (opening it again fails again), or yields a version
+    /// that the table keeps and whose program decides, schedules and
+    /// reports in a trusted application without panicking.
+    #[test]
+    fn hostile_envelopes_fail_cleanly_or_enforce(hostile in arb_hostile()) {
+        let mut world = World::new(WorldConfig::default());
+        let env = hostile_envelope(&world, hostile);
+        match world.shared_policy(&env) {
+            Err(e) => prop_assert_eq!(world.shared_policy(&env).err(), Some(e)),
+            Ok(version) => {
+                let again = world.shared_policy(&env).expect("a cached version");
+                prop_assert!(Rc::ptr_eq(&version, &again), "decoded twice");
+                exercise(&version);
+            }
+        }
     }
 }
