@@ -1,14 +1,12 @@
-//! Compiled policy programs.
+//! The policy interpreter: compiled policy programs.
 //!
-//! [`PolicyEngine::evaluate`] walks the full rule list and re-runs a BFS
-//! over the purpose taxonomy on every decision. That is fine for a single
-//! evaluation but wasteful on the hot path: a TEE re-evaluates the *same*
-//! policy against near-identical contexts on every local access, and the
-//! obligation scheduler needs to know *when* a decision can change, not
-//! just what it is now.
-//!
-//! [`compile`] lowers a [`UsagePolicy`] into a compact [`PolicyProgram`]
-//! IR:
+//! [`compile`] lowers a [`UsagePolicy`] into a compact [`PolicyProgram`],
+//! the one piece of code that reads a policy's rules and duties to decide a
+//! use or to schedule an obligation; trusted applications and the
+//! obligation scheduler read the program alone. A TEE re-evaluates the
+//! *same* policy against near-identical contexts on every local access, and
+//! the obligation scheduler needs to know *when* a decision can change, not
+//! just what it is now, so the program holds:
 //!
 //! * per-rule **action masks** (the `subsumes` relation pre-applied over
 //!   all five actions),
@@ -16,19 +14,26 @@
 //!   baked into a satisfied-purpose set, recipients into a lookup set,
 //! * pre-extracted **retention/expiry bounds** for obligation scheduling.
 //!
-//! Two entry points:
+//! Its entry points:
 //!
-//! * [`PolicyProgram::decide`] — decision-equivalent to
-//!   [`PolicyEngine::evaluate`] (identical [`Decision`] values, including
-//!   deny-reason lists; proptest-gated in `tests/proptest_compile.rs`),
+//! * [`PolicyProgram::decide`] — pre-authorization and *ongoing*
+//!   re-evaluation of a [`UsageContext`], with machine-readable
+//!   [`DenyReason`]s so the TEE can map them to enforcement actions;
+//!   proptest-gated in `tests/proptest_compile.rs` against a rule-walking
+//!   reference interpreter kept with the tests (identical [`Decision`]
+//!   values, including deny-reason lists),
 //! * [`PolicyProgram::next_transition`] — the next instant at which the
 //!   decision for this context can change (retention deadline, expiry,
 //!   time-window edge), or `None` when it is constant for all future time.
 //!   The deadline-driven enforcement pipeline (`duc_tee` decision cache,
 //!   `duc_core` obligation scheduler) schedules wakeups at exactly these
-//!   instants instead of polling.
+//!   instants instead of polling,
+//! * [`PolicyProgram::retention_due`] and [`PolicyProgram::expiry_due`] —
+//!   when a copy must be gone under the version in force — and
+//!   [`PolicyProgram::next_deadline`], the earlier of the two.
 //!
-//! [`PolicyEngine::evaluate`]: crate::PolicyEngine::evaluate
+//! A [`PolicyVersion`] is one decoded policy with its program, compiled on
+//! first use, and its owner-notification windows, read without compiling.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
@@ -37,9 +42,90 @@ use std::rc::Rc;
 
 use duc_sim::{SimDuration, SimTime};
 
-use crate::engine::{Decision, DenyReason, UsageContext};
-use crate::model::{Action, Constraint, Effect, Purpose, UsagePolicy};
+use crate::model::{Action, Constraint, Duty, Effect, Purpose, UsagePolicy};
 use crate::taxonomy::PurposeTaxonomy;
+
+/// The facts about one (attempted or ongoing) use of a resource copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageContext {
+    /// WebID of the consumer.
+    pub consumer: String,
+    /// The action being performed.
+    pub action: Action,
+    /// The declared purpose.
+    pub purpose: Purpose,
+    /// Current instant.
+    pub now: SimTime,
+    /// When the copy was acquired.
+    pub acquired_at: SimTime,
+    /// Accesses performed so far (including this one).
+    pub access_count: u64,
+}
+
+/// Why a request was denied.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum DenyReason {
+    /// No permit rule covers the action.
+    NoMatchingPermit(Action),
+    /// A prohibition explicitly forbids the action.
+    Prohibited(Action),
+    /// The copy has been held longer than the retention limit.
+    RetentionExceeded,
+    /// The absolute expiry instant has passed.
+    Expired,
+    /// The declared purpose is not among the allowed ones.
+    PurposeNotAllowed(Purpose),
+    /// The access count limit is exhausted.
+    AccessCountExhausted {
+        /// Permitted maximum.
+        limit: u64,
+    },
+    /// The consumer is not an allowed recipient.
+    RecipientNotAllowed(String),
+    /// Outside the permitted time window.
+    OutsideTimeWindow,
+}
+
+impl std::fmt::Display for DenyReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DenyReason::NoMatchingPermit(a) => write!(f, "no permit rule covers action {a}"),
+            DenyReason::Prohibited(a) => write!(f, "action {a} is prohibited"),
+            DenyReason::RetentionExceeded => f.write_str("retention limit exceeded"),
+            DenyReason::Expired => f.write_str("policy expiry passed"),
+            DenyReason::PurposeNotAllowed(p) => write!(f, "purpose {p} not allowed"),
+            DenyReason::AccessCountExhausted { limit } => {
+                write!(f, "access count limit {limit} exhausted")
+            }
+            DenyReason::RecipientNotAllowed(who) => write!(f, "recipient {who} not allowed"),
+            DenyReason::OutsideTimeWindow => f.write_str("outside permitted time window"),
+        }
+    }
+}
+
+/// The outcome of an evaluation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Decision {
+    /// The use is allowed.
+    Permit,
+    /// The use is denied for the listed reasons (non-empty).
+    Deny(Vec<DenyReason>),
+}
+
+impl Decision {
+    /// Whether this is a permit.
+    pub fn is_permit(&self) -> bool {
+        matches!(self, Decision::Permit)
+    }
+
+    /// The deny reasons (empty for permits).
+    pub fn reasons(&self) -> &[DenyReason] {
+        match self {
+            Decision::Permit => &[],
+            Decision::Deny(rs) => rs,
+        }
+    }
+}
 
 /// One bit per [`Action`], in [`Action::ALL`] order.
 fn action_bit(action: Action) -> u8 {
@@ -124,7 +210,7 @@ impl Check {
     }
 
     /// The deny reason this check produces when violated by `ctx`, `None`
-    /// when satisfied. Mirrors `PolicyEngine::check_constraints` exactly.
+    /// when satisfied.
     fn violation(&self, ctx: &UsageContext) -> Option<DenyReason> {
         match self {
             Check::Retention(limit) => (ctx.now.saturating_since(ctx.acquired_at) > *limit)
@@ -197,9 +283,9 @@ pub struct PolicyProgram {
     prohibit_mask: u8,
     /// Permit rules, in declaration order.
     permits: Vec<CompiledRule>,
-    /// Pre-extracted `UsagePolicy::retention_bound`.
+    /// Pre-extracted [`UsagePolicy::retention_bound`].
     retention_bound: Option<SimDuration>,
-    /// Pre-extracted `UsagePolicy::expiry_bound`.
+    /// Pre-extracted [`UsagePolicy::expiry_bound`].
     expiry_bound: Option<SimTime>,
     /// Whether any permit constraint reads `access_count` (the TEE decision
     /// cache must key on the count only when this is set).
@@ -244,38 +330,45 @@ impl PolicyProgram {
         self.count_sensitive
     }
 
-    /// Pre-extracted [`UsagePolicy::retention_bound`].
-    pub fn retention_bound(&self) -> Option<SimDuration> {
-        self.retention_bound
+    /// When a copy acquired at `acquired_at` must be deleted under the
+    /// retention bound, given that this version was applied locally at
+    /// `applied_at`: `max(acquired_at + bound, applied_at)`, because a
+    /// tightened bound never falls due before the device learned of it.
+    /// `None` when the policy bounds no retention.
+    pub fn retention_due(&self, acquired_at: SimTime, applied_at: SimTime) -> Option<SimTime> {
+        (self.retention_bound).map(|bound| (acquired_at + bound).max(applied_at))
     }
 
-    /// Pre-extracted [`UsagePolicy::expiry_bound`].
-    pub fn expiry_bound(&self) -> Option<SimTime> {
-        self.expiry_bound
+    /// When a copy must be deleted under the policy's absolute expiry,
+    /// given that this version was applied locally at `applied_at`:
+    /// `max(expiry, applied_at)`. `None` when the policy never expires.
+    pub fn expiry_due(&self, applied_at: SimTime) -> Option<SimTime> {
+        self.expiry_bound.map(|at| at.max(applied_at))
     }
 
-    /// The earliest instant at which a retention/expiry obligation for a
-    /// copy acquired at `acquired_at` falls due, given that the current
-    /// policy version was applied locally at `applied_at` (a tightened
-    /// deadline can never precede the instant the device learned of it).
+    /// The earlier of [`PolicyProgram::retention_due`] and
+    /// [`PolicyProgram::expiry_due`]: the instant the obligation scheduler
+    /// registers a copy's wakeup at.
     pub fn next_deadline(&self, acquired_at: SimTime, applied_at: SimTime) -> Option<SimTime> {
-        let retention = self
-            .retention_bound
-            .map(|bound| (acquired_at + bound).max(applied_at));
-        let expiry = self.expiry_bound.map(|at| at.max(applied_at));
-        match (retention, expiry) {
+        match (
+            self.retention_due(acquired_at, applied_at),
+            self.expiry_due(applied_at),
+        ) {
             (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
+            (due, None) | (None, due) => due,
         }
     }
 
-    /// Evaluates `ctx` — decision-equivalent to
-    /// [`PolicyEngine::evaluate`] on the source policy, including the
-    /// deny-reason lists and their order.
+    /// Evaluates `ctx` against the source policy.
     ///
-    /// [`PolicyEngine::evaluate`]: crate::engine::PolicyEngine::evaluate
+    /// Semantics (deny-overrides, in UCON terms pre+ongoing authorization):
+    /// 1. any prohibition covering the action denies;
+    /// 2. otherwise some permit rule must cover the action *and* have all
+    ///    its constraints satisfied;
+    /// 3. if no rule matches at all, the default is deny.
+    ///
+    /// A deny lists the violated constraints of every covering permit rule,
+    /// in rule then constraint order, consecutive repeats dropped.
     pub fn decide(&self, ctx: &UsageContext) -> Decision {
         let bit = action_bit(ctx.action);
         if self.prohibit_mask & bit != 0 {
@@ -344,7 +437,8 @@ impl PolicyProgram {
 }
 
 /// One version of a usage policy as every enforcement point holds it: the
-/// decoded [`UsagePolicy`] and, compiled against
+/// decoded [`UsagePolicy`]; its owner-notification windows, extracted when
+/// the version is built; and, compiled against
 /// [`PurposeTaxonomy::shared_standard`] the first time a trusted
 /// application needs it, its [`PolicyProgram`]. Index entries and TEE
 /// copies share one `Rc` of it per version, so a policy is decoded and
@@ -353,6 +447,7 @@ impl PolicyProgram {
 #[derive(Debug)]
 pub struct PolicyVersion {
     policy: UsagePolicy,
+    notify_windows: Box<[SimDuration]>,
     program: OnceCell<PolicyProgram>,
 }
 
@@ -360,6 +455,13 @@ impl PolicyVersion {
     /// The compiled form of this version, compiled on first use.
     pub fn program(&self) -> &PolicyProgram {
         (self.program).get_or_init(|| compile(&self.policy, PurposeTaxonomy::shared_standard()))
+    }
+
+    /// The windows of the version's [`Duty::NotifyOwnerWithin`] duties, in
+    /// declaration order: a device applying the version owes its owner a
+    /// notification within each. Reading them compiles nothing.
+    pub fn notify_windows(&self) -> &[SimDuration] {
+        &self.notify_windows
     }
 }
 
@@ -373,8 +475,15 @@ impl Deref for PolicyVersion {
 
 impl From<UsagePolicy> for Rc<PolicyVersion> {
     fn from(policy: UsagePolicy) -> Rc<PolicyVersion> {
+        let notify_windows = (policy.duties.iter())
+            .filter_map(|duty| match duty {
+                Duty::NotifyOwnerWithin(window) => Some(*window),
+                _ => None,
+            })
+            .collect();
         Rc::new(PolicyVersion {
             policy,
+            notify_windows,
             program: OnceCell::new(),
         })
     }
@@ -383,8 +492,7 @@ impl From<UsagePolicy> for Rc<PolicyVersion> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PolicyEngine;
-    use crate::model::{Duty, Rule};
+    use crate::model::Rule;
 
     fn ctx() -> UsageContext {
         UsageContext {
@@ -397,12 +505,18 @@ mod tests {
         }
     }
 
-    fn engine() -> PolicyEngine {
-        PolicyEngine::default()
+    fn program(policy: &UsagePolicy) -> PolicyProgram {
+        compile(policy, &PurposeTaxonomy::standard())
     }
 
-    fn program(policy: &UsagePolicy) -> PolicyProgram {
-        compile(policy, engine().taxonomy())
+    fn decide(policy: &UsagePolicy, ctx: &UsageContext) -> Decision {
+        program(policy).decide(ctx)
+    }
+
+    fn policy_with(rule: Rule) -> UsagePolicy {
+        UsagePolicy::builder("p", "urn:r", "urn:owner")
+            .permit(rule)
+            .build()
     }
 
     fn sample_policy() -> UsagePolicy {
@@ -416,28 +530,6 @@ mod tests {
             .rule(Rule::prohibit([Action::Distribute]))
             .duty(Duty::DeleteWithin(SimDuration::from_secs(600)))
             .build()
-    }
-
-    #[test]
-    fn decide_matches_engine_on_the_sample() {
-        let policy = sample_policy();
-        let prog = program(&policy);
-        let engine = engine();
-        for action in Action::ALL {
-            for purpose in ["medical-research", "marketing", "any"] {
-                for now in [0u64, 500, 1000, 1101, 1102, 2000, 5000] {
-                    let mut c = ctx();
-                    c.action = action;
-                    c.purpose = Purpose::new(purpose);
-                    c.now = SimTime::from_secs(now);
-                    assert_eq!(
-                        prog.decide(&c),
-                        engine.evaluate(&policy, &c),
-                        "{action} {purpose} at {now}s"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -536,18 +628,42 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_mirrors_the_tee_rule() {
-        let prog = program(&sample_policy());
+    fn due_instants_floor_at_the_application_and_the_deadline_is_their_minimum() {
+        let prog = program(&sample_policy()); // retention 600 s, expiry 2000 s
         let acquired = SimTime::from_secs(500);
-        assert_eq!(
-            prog.next_deadline(acquired, acquired),
-            Some(SimTime::from_secs(1100)),
-            "retention before expiry"
-        );
-        // A late policy application floors the deadline.
-        let applied = SimTime::from_secs(1500);
-        assert_eq!(prog.next_deadline(acquired, applied), Some(applied));
-        assert!(!prog.count_sensitive());
+        let (retention, expiry) = (SimTime::from_secs(1100), SimTime::from_secs(2000));
+        for (applied, due_retention, due_expiry) in [
+            (acquired, retention, expiry),
+            // A late policy application floors the retention deadline ...
+            (SimTime::from_secs(1500), SimTime::from_secs(1500), expiry),
+            // ... and the expiry too.
+            (
+                SimTime::from_secs(2500),
+                SimTime::from_secs(2500),
+                SimTime::from_secs(2500),
+            ),
+        ] {
+            assert_eq!(prog.retention_due(acquired, applied), Some(due_retention));
+            assert_eq!(prog.expiry_due(applied), Some(due_expiry));
+            let first = due_retention.min(due_expiry);
+            assert_eq!(prog.next_deadline(acquired, applied), Some(first));
+        }
+        // Either bound alone is the deadline; neither is none.
+        let expiry_only =
+            policy_with(Rule::permit([Action::Use]).with_constraint(Constraint::ExpiresAt(expiry)));
+        let prog = program(&expiry_only);
+        assert_eq!(prog.retention_due(acquired, acquired), None);
+        assert_eq!(prog.next_deadline(acquired, acquired), Some(expiry));
+        let retention_only = UsagePolicy::builder("p", "urn:r", "urn:o")
+            .permit(Rule::permit([Action::Use]))
+            .duty(Duty::DeleteWithin(SimDuration::from_secs(600)))
+            .build();
+        let prog = program(&retention_only);
+        assert_eq!(prog.expiry_due(acquired), None);
+        assert_eq!(prog.next_deadline(acquired, acquired), Some(retention));
+        let unbounded = program(&policy_with(Rule::permit([Action::Use])));
+        assert_eq!(unbounded.next_deadline(acquired, acquired), None);
+        assert!(!unbounded.count_sensitive());
     }
 
     #[test]
@@ -561,5 +677,249 @@ mod tests {
             let c = UsageContext { action, ..ctx() };
             assert_eq!(version.program().decide(&c), reference.decide(&c));
         }
+    }
+
+    #[test]
+    fn notify_windows_are_read_without_compiling() {
+        let version: Rc<PolicyVersion> = UsagePolicy::builder("p", "urn:r", "urn:o")
+            .permit(Rule::permit([Action::Use]))
+            .duty(Duty::NotifyOwnerWithin(SimDuration::from_secs(60)))
+            .duty(Duty::LogAccesses)
+            .duty(Duty::DeleteWithin(SimDuration::from_secs(600)))
+            .duty(Duty::NotifyOwnerWithin(SimDuration::from_secs(5)))
+            .build()
+            .into();
+        assert_eq!(
+            version.notify_windows(),
+            [SimDuration::from_secs(60), SimDuration::from_secs(5)]
+        );
+        assert!(version.program.get().is_none(), "reading compiled nothing");
+        let silent: Rc<PolicyVersion> = sample_policy().into();
+        assert!(silent.notify_windows().is_empty());
+    }
+
+    #[test]
+    fn empty_policy_denies_by_default() {
+        let p = UsagePolicy::builder("p", "urn:r", "urn:o").build();
+        let d = decide(&p, &ctx());
+        assert!(!d.is_permit());
+        assert_eq!(d.reasons(), &[DenyReason::NoMatchingPermit(Action::Read)]);
+    }
+
+    #[test]
+    fn unconstrained_permit_permits() {
+        let p = policy_with(Rule::permit([Action::Use]));
+        assert!(decide(&p, &ctx()).is_permit());
+    }
+
+    #[test]
+    fn prohibition_overrides_permit() {
+        let p = UsagePolicy::builder("p", "urn:r", "urn:o")
+            .permit(Rule::permit([Action::Use, Action::Distribute]))
+            .rule(Rule::prohibit([Action::Distribute]))
+            .build();
+        let mut c = ctx();
+        c.action = Action::Distribute;
+        let d = decide(&p, &c);
+        assert_eq!(d.reasons(), &[DenyReason::Prohibited(Action::Distribute)]);
+        // Other actions are unaffected.
+        assert!(decide(&p, &ctx()).is_permit());
+    }
+
+    #[test]
+    fn retention_constraint_enforced() {
+        let p = policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_secs(100))),
+        );
+        let mut c = ctx();
+        c.acquired_at = SimTime::from_secs(500);
+        c.now = SimTime::from_secs(599);
+        assert!(decide(&p, &c).is_permit(), "within window");
+        c.now = SimTime::from_secs(601);
+        assert_eq!(decide(&p, &c).reasons(), &[DenyReason::RetentionExceeded]);
+    }
+
+    #[test]
+    fn expiry_constraint_enforced() {
+        let p = policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::ExpiresAt(SimTime::from_secs(700))),
+        );
+        let mut c = ctx();
+        c.now = SimTime::from_secs(699);
+        assert!(decide(&p, &c).is_permit());
+        c.now = SimTime::from_secs(700);
+        assert_eq!(decide(&p, &c).reasons(), &[DenyReason::Expired]);
+    }
+
+    #[test]
+    fn purpose_constraint_uses_taxonomy() {
+        let p = policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::Purpose(vec![Purpose::new("medical")])),
+        );
+        assert!(decide(&p, &ctx()).is_permit(), "medical-research < medical");
+        let mut c = ctx();
+        c.purpose = Purpose::new("marketing");
+        match &decide(&p, &c).reasons()[0] {
+            DenyReason::PurposeNotAllowed(pp) => assert_eq!(pp.as_str(), "marketing"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn access_count_constraint() {
+        let p =
+            policy_with(Rule::permit([Action::Use]).with_constraint(Constraint::MaxAccessCount(3)));
+        let mut c = ctx();
+        c.access_count = 3;
+        assert!(decide(&p, &c).is_permit(), "at limit is fine");
+        c.access_count = 4;
+        assert_eq!(
+            decide(&p, &c).reasons(),
+            &[DenyReason::AccessCountExhausted { limit: 3 }]
+        );
+    }
+
+    #[test]
+    fn recipient_constraint() {
+        let p = policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::AllowedRecipients(vec!["urn:bob".into()])),
+        );
+        let d = decide(&p, &ctx());
+        assert_eq!(
+            d.reasons(),
+            &[DenyReason::RecipientNotAllowed("urn:alice".into())]
+        );
+    }
+
+    #[test]
+    fn time_window_constraint() {
+        let p = policy_with(
+            Rule::permit([Action::Use]).with_constraint(Constraint::TimeWindow {
+                not_before: SimTime::from_secs(900),
+                not_after: SimTime::from_secs(1100),
+            }),
+        );
+        assert!(decide(&p, &ctx()).is_permit());
+        let mut c = ctx();
+        c.now = SimTime::from_secs(1100);
+        assert_eq!(decide(&p, &c).reasons(), &[DenyReason::OutsideTimeWindow]);
+        c.now = SimTime::from_secs(899);
+        assert_eq!(decide(&p, &c).reasons(), &[DenyReason::OutsideTimeWindow]);
+    }
+
+    #[test]
+    fn time_window_edges_are_half_open() {
+        // The window is `[not_before, not_after)`: the start instant is
+        // included, the end instant excluded — checked to the nanosecond.
+        let not_before = SimTime::from_secs(900);
+        let not_after = SimTime::from_secs(1100);
+        let prog = program(&policy_with(Rule::permit([Action::Use]).with_constraint(
+            Constraint::TimeWindow {
+                not_before,
+                not_after,
+            },
+        )));
+        let at = |now: SimTime| {
+            let mut c = ctx();
+            c.now = now;
+            prog.decide(&c)
+        };
+        // One nanosecond before the window opens: denied.
+        assert_eq!(
+            at(SimTime::from_nanos(not_before.as_nanos() - 1)).reasons(),
+            &[DenyReason::OutsideTimeWindow]
+        );
+        // Exactly at the opening instant: permitted (inclusive).
+        assert!(at(not_before).is_permit());
+        // One nanosecond before the window closes: still permitted.
+        assert!(at(SimTime::from_nanos(not_after.as_nanos() - 1)).is_permit());
+        // Exactly at the closing instant: denied (exclusive).
+        assert_eq!(at(not_after).reasons(), &[DenyReason::OutsideTimeWindow]);
+    }
+
+    #[test]
+    fn retention_and_expiry_edges_to_the_nanosecond() {
+        // Retention is inclusive at the bound (`elapsed > limit` denies);
+        // expiry is exclusive at the instant (`now >= at` denies).
+        let prog = program(&policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_secs(100)))
+                .with_constraint(Constraint::ExpiresAt(SimTime::from_secs(700))),
+        ));
+        let mut c = ctx();
+        c.acquired_at = SimTime::from_secs(500);
+        c.now = SimTime::from_secs(600); // exactly at the retention bound
+        assert!(prog.decide(&c).is_permit());
+        c.now = SimTime::from_nanos(SimTime::from_secs(600).as_nanos() + 1);
+        assert_eq!(prog.decide(&c).reasons(), &[DenyReason::RetentionExceeded]);
+        c.acquired_at = SimTime::from_secs(650);
+        c.now = SimTime::from_nanos(SimTime::from_secs(700).as_nanos() - 1);
+        assert!(prog.decide(&c).is_permit());
+        c.now = SimTime::from_secs(700);
+        assert_eq!(prog.decide(&c).reasons(), &[DenyReason::Expired]);
+    }
+
+    #[test]
+    fn alternative_permit_rules_are_tried() {
+        // Rule 1 requires purpose marketing; rule 2 allows research reads.
+        let p = UsagePolicy::builder("p", "urn:r", "urn:o")
+            .permit(
+                Rule::permit([Action::Use])
+                    .with_constraint(Constraint::Purpose(vec![Purpose::new("marketing")])),
+            )
+            .permit(
+                Rule::permit([Action::Read])
+                    .with_constraint(Constraint::Purpose(vec![Purpose::new("research")])),
+            )
+            .build();
+        assert!(decide(&p, &ctx()).is_permit(), "second rule matches");
+    }
+
+    #[test]
+    fn multiple_violated_constraints_all_reported() {
+        let p = policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxAccessCount(0))
+                .with_constraint(Constraint::Purpose(vec![Purpose::new("marketing")])),
+        );
+        let d = decide(&p, &ctx());
+        assert_eq!(d.reasons().len(), 2);
+    }
+
+    #[test]
+    fn ongoing_reevaluation_flips_after_policy_change() {
+        // The paper's scenario: Alice shortens retention from 30d to 7d;
+        // Bob's 10-day-old copy becomes non-compliant immediately.
+        let original = policy_with(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(30))),
+        );
+        let mut c = ctx();
+        c.acquired_at = SimTime::from_secs(0);
+        c.now = SimTime::ZERO + SimDuration::from_days(10);
+        assert!(decide(&original, &c).is_permit());
+        let amended = original.amended(
+            vec![Rule::permit([Action::Use])
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_days(7)))],
+            vec![Duty::DeleteWithin(SimDuration::from_days(7))],
+        );
+        assert_eq!(
+            decide(&amended, &c).reasons(),
+            &[DenyReason::RetentionExceeded]
+        );
+    }
+
+    #[test]
+    fn deny_reason_display() {
+        assert!(DenyReason::RetentionExceeded
+            .to_string()
+            .contains("retention"));
+        assert!(DenyReason::AccessCountExhausted { limit: 2 }
+            .to_string()
+            .contains('2'));
     }
 }

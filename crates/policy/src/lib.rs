@@ -10,17 +10,16 @@
 //!   paper cites (Park & Sandhu).
 //! * [`taxonomy`] — a purpose hierarchy, so a policy allowing `research`
 //!   admits a request for `medical-research`.
-//! * [`compile()`] — lowers a policy into a [`PolicyProgram`], the decision
-//!   procedure: pre-authorization and *ongoing* re-evaluation of a usage
-//!   context ([`PolicyProgram::decide`]) from pre-resolved decision tables,
-//!   plus `next_transition`, the instant the decision can next change
-//!   (what deadline-driven enforcement schedules on). A [`PolicyVersion`]
-//!   is one decoded policy with its program compiled on first use: the
-//!   shared value every holder of that version enforces.
-//! * [`engine`] — the usage context and decision types, and
-//!   [`PolicyEngine`], a rule-walking interpreter kept as the reference
-//!   [`PolicyProgram::decide`] is proptest-checked against (not in the
-//!   prelude).
+//! * [`compile()`] — the policy interpreter: lowers a policy into a
+//!   [`PolicyProgram`] from pre-resolved decision tables, and nothing else
+//!   reads a policy's rules or duties to enforce it. It decides a usage
+//!   context ([`PolicyProgram::decide`]: pre-authorization and *ongoing*
+//!   re-evaluation, a [`Decision`] with machine-readable [`DenyReason`]s),
+//!   finds `next_transition`, the instant the decision can next change,
+//!   and gives a copy's retention and expiry due instants (what
+//!   deadline-driven enforcement schedules on). A [`PolicyVersion`] is one
+//!   decoded policy with its program compiled on first use: the shared
+//!   value every holder of that version enforces.
 //! * [`rdf_binding`] — a one-way export of a policy as an RDF graph (ODRL +
 //!   project vocabulary); nothing parses a policy back out of RDF.
 //! * [`acl`] — W3C Web Access Control lists, the Solid-native *access*
@@ -58,27 +57,24 @@
 
 pub mod acl;
 pub mod compile;
-pub mod engine;
 pub mod model;
 pub mod rdf_binding;
 pub mod taxonomy;
 
 pub use acl::{AclDocument, AclMode, AgentSpec, Authorization};
-pub use compile::{compile, PolicyProgram, PolicyVersion};
-pub use engine::{Decision, DenyReason, PolicyEngine};
+pub use compile::{compile, Decision, DenyReason, PolicyProgram, PolicyVersion, UsageContext};
 pub use model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
 pub use taxonomy::PurposeTaxonomy;
 
 /// Common imports for downstream crates.
 pub mod prelude {
     pub use crate::acl::{AclDocument, AclMode, AgentSpec, Authorization};
-    pub use crate::compile::{compile, PolicyProgram, PolicyVersion};
-    pub use crate::engine::{Decision, DenyReason, UsageContext};
+    pub use crate::compile::{
+        compile, Decision, DenyReason, PolicyProgram, PolicyVersion, UsageContext,
+    };
     pub use crate::model::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
     pub use crate::taxonomy::PurposeTaxonomy;
 }
-
-pub use engine::UsageContext;
 
 /// Errors from policy validation.
 #[derive(Debug, Clone, PartialEq, Eq)]

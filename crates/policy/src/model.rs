@@ -338,11 +338,6 @@ impl Rule {
         self.constraints.push(c);
         self
     }
-
-    /// Whether this rule's action list covers `action`.
-    pub fn covers(&self, action: Action) -> bool {
-        self.actions.iter().any(|a| a.subsumes(action))
-    }
 }
 
 impl_codec_struct!(Rule {
@@ -531,15 +526,6 @@ mod tests {
         );
         assert!(Action::Read.subsumes(Action::Read));
         assert!(!Action::Read.subsumes(Action::Modify));
-    }
-
-    #[test]
-    fn rule_covers_respects_subsumption() {
-        let rule = Rule::permit([Action::Use]);
-        assert!(rule.covers(Action::Read));
-        assert!(!rule.covers(Action::Distribute));
-        let dist = Rule::permit([Action::Distribute]);
-        assert!(dist.covers(Action::Distribute));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use duc_codec::{decode_from_slice, encode_to_vec};
 use duc_policy::prelude::*;
-use duc_policy::PolicyEngine;
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -105,8 +104,8 @@ proptest! {
         prop_assert_eq!(&via_codec(&policy), &policy);
     }
 
-    /// Decoding keeps the decisions: the engine decides identically for the
-    /// original and the codec-roundtripped policy.
+    /// Decoding keeps the decisions: the compiled program decides
+    /// identically for the original and the codec-roundtripped policy.
     #[test]
     fn representations_agree_on_decisions(
         policy in arb_policy(),
@@ -115,7 +114,7 @@ proptest! {
         now in 0u64..200_000,
         count in 0u64..50,
     ) {
-        let engine = PolicyEngine::default();
+        let taxonomy = PurposeTaxonomy::standard();
         let ctx = UsageContext {
             consumer: "urn:agent:x".into(),
             action,
@@ -124,8 +123,9 @@ proptest! {
             acquired_at: SimTime::from_secs(0),
             access_count: count,
         };
-        let original = engine.evaluate(&policy, &ctx).is_permit();
-        prop_assert_eq!(engine.evaluate(&via_codec(&policy), &ctx).is_permit(), original);
+        let original = compile(&policy, &taxonomy).decide(&ctx).is_permit();
+        let decoded = compile(&via_codec(&policy), &taxonomy).decide(&ctx);
+        prop_assert_eq!(decoded.is_permit(), original);
     }
 
     /// Retention and expiry bounds survive the encoding.

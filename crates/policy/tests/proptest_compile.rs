@@ -1,18 +1,21 @@
 //! The compiled-program equivalence gates.
 //!
 //! 1. For arbitrary policy × context, [`PolicyProgram::decide`] is
-//!    decision-equivalent to [`PolicyEngine::evaluate`] — the full
-//!    [`Decision`] value including deny-reason lists.
+//!    decision-equivalent to the rule-walking reference interpreter in
+//!    `reference/` ([`PolicyEngine::evaluate`]) — the full [`Decision`]
+//!    value including deny-reason lists.
 //! 2. [`PolicyProgram::next_transition`] never skips a decision flip: the
 //!    decision is constant strictly before the returned instant, the
 //!    returned instant itself observes a different decision, and a `None`
 //!    means the decision never changes again.
 
+mod reference;
+
 use duc_policy::prelude::*;
-use duc_policy::PolicyEngine;
 use duc_policy::{compile, PolicyProgram};
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use reference::PolicyEngine;
 
 fn arb_action() -> impl Strategy<Value = Action> {
     prop_oneof![
@@ -116,10 +119,48 @@ fn program(policy: &UsagePolicy, engine: &PolicyEngine) -> PolicyProgram {
     compile(policy, engine.taxonomy())
 }
 
+/// The program and the reference agree on a sample policy over every
+/// action, purposes inside and outside its closure, and instants around
+/// its retention and expiry edges.
+#[test]
+fn decide_matches_the_reference_on_the_sample() {
+    let policy = UsagePolicy::builder("p", "urn:r", "urn:o")
+        .permit(
+            Rule::permit([Action::Use])
+                .with_constraint(Constraint::Purpose(vec![Purpose::new("medical")]))
+                .with_constraint(Constraint::MaxRetention(SimDuration::from_secs(600)))
+                .with_constraint(Constraint::ExpiresAt(SimTime::from_secs(2000))),
+        )
+        .rule(Rule::prohibit([Action::Distribute]))
+        .duty(Duty::DeleteWithin(SimDuration::from_secs(600)))
+        .build();
+    let engine = PolicyEngine::default();
+    let prog = program(&policy, &engine);
+    for action in Action::ALL {
+        for purpose in ["medical-research", "marketing", "any"] {
+            for now in [0u64, 500, 1000, 1101, 1102, 2000, 5000] {
+                let c = UsageContext {
+                    consumer: "urn:alice".into(),
+                    action,
+                    purpose: Purpose::new(purpose),
+                    now: SimTime::from_secs(now),
+                    acquired_at: SimTime::from_secs(500),
+                    access_count: 1,
+                };
+                assert_eq!(
+                    prog.decide(&c),
+                    engine.evaluate(&policy, &c),
+                    "{action} {purpose} at {now}s"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// `PolicyProgram::decide` ≡ `PolicyEngine::evaluate`, as full
+    /// `PolicyProgram::decide` ≡ the reference's `evaluate`, as full
     /// `Decision` values (permits, deny reasons and their order).
     #[test]
     fn decide_is_decision_equivalent(policy in arb_policy(), ctx in arb_ctx()) {
@@ -184,7 +225,7 @@ proptest! {
         }
     }
 
-    /// Walking transition to transition visits every decision the engine
+    /// Walking transition to transition visits every decision the program
     /// ever takes for the context: the decision at an arbitrary future
     /// instant equals the decision at the start of the interval containing
     /// it.

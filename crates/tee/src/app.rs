@@ -5,7 +5,7 @@ use std::rc::Rc;
 use duc_crypto::{hash_parts, Digest};
 use duc_intern::key_head;
 use duc_policy::{
-    Action, Decision, DenyReason, Duty, PolicyProgram, PolicyVersion, Purpose, UsageContext,
+    Action, Decision, DenyReason, PolicyProgram, PolicyVersion, Purpose, UsageContext,
 };
 use duc_sim::SimTime;
 
@@ -39,7 +39,7 @@ impl std::error::Error for TeeError {}
 pub enum AccessError {
     /// No copy of the resource is held (never stored, or already deleted).
     NoCopy,
-    /// The policy engine denied the use.
+    /// The policy program denied the use.
     Denied(Vec<DenyReason>),
 }
 
@@ -210,9 +210,19 @@ impl CopyEntry {
     }
 
     /// When the currently-enforced policy version was applied locally
-    /// (the retention deadline can never precede this instant).
+    /// (no deadline of it can precede this instant).
     fn policy_applied_at(&self) -> SimTime {
         self.history.last().expect("a copy has a policy").0
+    }
+
+    /// When the copy must be gone under the version in force: its
+    /// retention and its expiry due instants.
+    fn due(&self) -> (Option<SimTime>, Option<SimTime>) {
+        let (program, applied_at) = (self.program(), self.policy_applied_at());
+        (
+            program.retention_due(self.acquired_at, applied_at),
+            program.expiry_due(applied_at),
+        )
     }
 
     fn program_in_force_at(&self, at: SimTime) -> &PolicyProgram {
@@ -360,21 +370,13 @@ impl TrustedApplication {
         self.copies.iter().map(|e| e.resource.as_str())
     }
 
-    fn effective_due(entry: &CopyEntry) -> Option<SimTime> {
-        entry
-            .program()
-            .retention_bound()
-            .map(|b| (entry.acquired_at + b).max(entry.policy_applied_at()))
-    }
-
     fn enforce_entry(entry: &mut CopyEntry, now: SimTime, actions: &mut Vec<EnforcementAction>) {
         if entry.deleted_at().is_some() {
             return;
         }
-        let retention_due = Self::effective_due(entry);
-        let expiry_due = entry.policy().expiry_bound();
-        let overdue = retention_due.map(|d| now >= d).unwrap_or(false);
-        let expired = expiry_due.map(|d| now >= d).unwrap_or(false);
+        let (retention_due, expiry_due) = entry.due();
+        let overdue = retention_due.is_some_and(|d| now >= d);
+        let expired = expiry_due.is_some_and(|d| now >= d);
         if overdue || expired {
             entry.life = Lifecycle::Deleted { at: now };
             actions.push(EnforcementAction::Deleted {
@@ -398,7 +400,7 @@ impl TrustedApplication {
     /// # Errors
     /// [`AccessError::NoCopy`] when no live copy exists (possibly because
     /// this very call deleted an overdue copy), [`AccessError::Denied`]
-    /// with the engine's reasons otherwise.
+    /// with the program's reasons otherwise.
     pub fn access(
         &mut self,
         resource: &str,
@@ -488,13 +490,11 @@ impl TrustedApplication {
         entry.cached = None;
         Self::enforce_entry(entry, now, &mut actions);
         // Notification duties surface to the oracle layer.
-        for duty in &entry.policy().duties {
-            if let Duty::NotifyOwnerWithin(window) = duty {
-                actions.push(EnforcementAction::NotifyOwner {
-                    resource: resource.to_string(),
-                    by: now + *window,
-                });
-            }
+        for window in entry.policy().notify_windows() {
+            actions.push(EnforcementAction::NotifyOwner {
+                resource: resource.to_string(),
+                by: now + *window,
+            });
         }
         actions
     }
@@ -584,26 +584,18 @@ impl TrustedApplication {
                 ));
             }
         }
-        if let Some(due) = Self::effective_due(entry) {
-            let violated = match entry.deleted_at() {
-                Some(deleted) => deleted > due,
-                None => now > due,
-            };
-            if violated {
-                violations.push(format!(
-                    "retention violated: copy was due for deletion at {due}"
-                ));
-            }
+        let (retention_due, expiry_due) = entry.due();
+        let outlived = |due: &SimTime| match entry.deleted_at() {
+            Some(deleted) => deleted > *due,
+            None => now > *due,
+        };
+        if let Some(due) = retention_due.filter(outlived) {
+            violations.push(format!(
+                "retention violated: copy was due for deletion at {due}"
+            ));
         }
-        if let Some(expiry) = entry.policy().expiry_bound() {
-            let effective = expiry.max(entry.policy_applied_at());
-            let violated = match entry.deleted_at() {
-                Some(deleted) => deleted > effective,
-                None => now > effective,
-            };
-            if violated {
-                violations.push(format!("expiry violated: copy outlived {effective}"));
-            }
+        if let Some(due) = expiry_due.filter(outlived) {
+            violations.push(format!("expiry violated: copy outlived {due}"));
         }
         let mut log_rows: Vec<Vec<u8>> = Vec::with_capacity(entry.log.len());
         for record in &entry.log {
@@ -634,7 +626,7 @@ impl TrustedApplication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duc_policy::{Constraint, Rule, UsagePolicy};
+    use duc_policy::{Constraint, Duty, Rule, UsagePolicy};
     use duc_sim::SimDuration;
 
     const RES: &str = "https://bob.pod/data/medical.ttl";

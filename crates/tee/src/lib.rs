@@ -3,7 +3,7 @@
 //! The consumer-side half of usage control (paper §III-C): a [`Enclave`]
 //! with a measured identity and attested keys, and the
 //! [`TrustedApplication`] that seals resource copies at rest, mediates
-//! *every* local access through the policy engine, executes obligations
+//! *every* local access through the policy program, executes obligations
 //! (deletion on retention expiry), keeps the usage log and produces signed
 //! compliance evidence. Each copy is one row of the application's table:
 //! its sealed bytes while it lives and its audit state for ever.
