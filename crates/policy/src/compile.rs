@@ -283,9 +283,9 @@ pub struct PolicyProgram {
     prohibit_mask: u8,
     /// Permit rules, in declaration order.
     permits: Vec<CompiledRule>,
-    /// Pre-extracted [`UsagePolicy::retention_bound`].
+    /// Pre-extracted `UsagePolicy::retention_bound`.
     retention_bound: Option<SimDuration>,
-    /// Pre-extracted [`UsagePolicy::expiry_bound`].
+    /// Pre-extracted `UsagePolicy::expiry_bound`.
     expiry_bound: Option<SimTime>,
     /// Whether any permit constraint reads `access_count` (the TEE decision
     /// cache must key on the count only when this is set).
@@ -336,7 +336,8 @@ impl PolicyProgram {
     /// tightened bound never falls due before the device learned of it.
     /// `None` when the policy bounds no retention.
     pub fn retention_due(&self, acquired_at: SimTime, applied_at: SimTime) -> Option<SimTime> {
-        (self.retention_bound).map(|bound| (acquired_at + bound).max(applied_at))
+        self.retention_bound
+            .map(|bound| (acquired_at + bound).max(applied_at))
     }
 
     /// When a copy must be deleted under the policy's absolute expiry,
