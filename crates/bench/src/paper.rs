@@ -387,7 +387,7 @@ pub fn e6_monitoring() -> Vec<Table> {
             "gas",
         ],
     );
-    for n in [1usize, 4, 16, 64] {
+    for n in [1usize, 4, 16, 64, 256] {
         let (mut world, _resource) = world_with_copies(n, 4 << 10, 6);
         // A quarter of the devices (>=1 when n>=4) go rogue: their hosts
         // suppress the enclave timers, so copies outlive the deadline.

@@ -296,12 +296,6 @@ impl MonitoringRound {
         })
     }
 
-    /// Devices that answered compliant, whether by full evidence or by
-    /// reaffirmation.
-    pub(crate) fn compliant_count(&self) -> u64 {
-        self.evidence.iter().filter(|e| e.compliant).count() as u64 + self.reaffirmed.len() as u64
-    }
-
     /// Devices that reported violations.
     pub fn violators(&self) -> Vec<&EvidenceSubmission> {
         self.evidence.iter().filter(|e| !e.compliant).collect()

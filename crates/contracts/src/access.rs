@@ -8,6 +8,13 @@
 //! *space* per resource for the composite `copy/` and `round/` tables,
 //! with one slot per device or round in it.
 //!
+//! A round's slot covers every row the round owns: its header, its answer
+//! counter and each device's answer row share the header key as their
+//! prefix. So a submission declares its round's slot (and a reaffirmation
+//! its prior round's too), and `start_monitoring`, which cannot know the
+//! new round's number before it reads the counter, claims the resource's
+//! whole round space.
+//!
 //! `pol/` rows are content-addressed (key = digest of the value), so the
 //! registration paths declare them as *deltas*: two writers of the same
 //! envelope store identical bytes in either order, and distinct envelopes
@@ -205,9 +212,10 @@ pub fn dex_access_fn() -> AccessFn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abi::PolicyEnvelope;
+    use crate::abi::{EvidenceReaffirmation, EvidenceSubmission, PolicyEnvelope};
     use duc_blockchain::WorldState;
     use duc_codec::encode_to_vec;
+    use duc_crypto::Signature;
     use duc_sim::SimTime;
 
     fn params<'a>(
@@ -314,6 +322,57 @@ mod tests {
         let other = encode_to_vec(&("res-2".to_string(), 1u64));
         let go = dex_access(&params(&dex, "get_round", &other, &state));
         assert_disjoint(&sm, &go);
+
+        // A submission's rows live in its round's slot, and a
+        // reaffirmation reads its prior round's: a reaffirmation into
+        // round 2 conflicts with evidence into round 1 of the same
+        // resource...
+        let evidence = |resource: &str, round: u64| {
+            encode_to_vec(&EvidenceSubmission {
+                resource: resource.into(),
+                round,
+                device: "dev-1".into(),
+                compliant: true,
+                violations: Vec::new(),
+                evidence_digest: Digest::ZERO,
+                signature: Signature { e: 0, s: 0 },
+            })
+        };
+        let reaffirmation = |resource: &str, round: u64, prev_round: u64| {
+            encode_to_vec(&EvidenceReaffirmation {
+                resource: resource.into(),
+                round,
+                device: "dev-2".into(),
+                prev_round,
+                evidence_digest: Digest::ZERO,
+                signature: Signature { e: 0, s: 0 },
+            })
+        };
+        let record = |args: &[u8]| dex_access(&params(&dex, "record_evidence", args, &state));
+        let reaffirm = |args: &[u8]| dex_access(&params(&dex, "reaffirm_evidence", args, &state));
+        let ra = reaffirm(&reaffirmation("res-1", 2, 1));
+        assert!(ra.conflicts(&record(&evidence("res-1", 1))), "prior round");
+        assert!(ra.conflicts(&record(&evidence("res-1", 2))), "same round");
+        assert!(ra.conflicts(&sm), "the round space");
+        assert_disjoint(
+            &record(&evidence("res-1", 1)),
+            &record(&evidence("res-1", 3)),
+        );
+        // ... and with nothing on another resource.
+        for other in [
+            record(&evidence("res-2", 1)),
+            record(&evidence("res-2", 2)),
+            reaffirm(&reaffirmation("res-2", 2, 1)),
+            dex_access(&params(
+                &dex,
+                "start_monitoring",
+                &encode_to_vec(&("res-2".to_string(),)),
+                &state,
+            )),
+            go.clone(),
+        ] {
+            assert_disjoint(&ra, &other);
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! encodes the output in one place.
 //!
 //! View methods (`get_pod`, `lookup_resource`, `get_subscription`,
-//! `list_copies`) reconstruct the full ABI records of [`crate::abi`] from
-//! key + row + pol table, so callers see the exact same wire format as
-//! before the compaction. Hot mutation paths (`update_policy`,
-//! `start_monitoring`, `register_copy`) never materialize a policy
-//! envelope from storage.
+//! `list_copies`, `get_round`) reconstruct the full ABI records of
+//! [`crate::abi`] from key + row + pol table, so callers see the exact same
+//! wire format as before the compaction. Hot mutation paths
+//! (`update_policy`, `start_monitoring`, `register_copy`) never materialize
+//! a policy envelope from storage, and a monitoring submission writes its
+//! own answer row and the round's counter, never the round.
 
 use duc_blockchain::{Address, CallCtx, Contract, ContractError};
 use duc_codec::encode_to_vec;
@@ -30,7 +31,7 @@ use crate::calls::{
     UpdatePolicy, VerifyCertificate,
 };
 use crate::layout;
-use crate::rows::{CopyRow, PodRow, ResourceRow, SubRow};
+use crate::rows::{Answer, AnswerRow, CopyRow, EvidenceRow, PodRow, ResourceRow, RoundRow, SubRow};
 use crate::topics;
 
 /// The conventional deployment id of the DE App.
@@ -43,6 +44,13 @@ pub const DEX_CONTRACT_ID: &str = "dist-exchange";
 pub struct DistExchange;
 
 const _: () = assert!(std::mem::size_of::<DistExchange>() == 0);
+
+/// Where an admitted submission lands in its round: the answers recorded
+/// before it (its ordinal), and whether it is the last one expected.
+struct Place {
+    answered: u32,
+    closes: bool,
+}
 
 fn revert(msg: impl Into<String>) -> ContractError {
     ContractError::Reverted(msg.into())
@@ -290,23 +298,18 @@ impl DistExchange {
         let counter_key = layout::round_counter(&resource);
         let round: u64 = ctx.get(&counter_key)?.unwrap_or(0) + 1;
         ctx.set(counter_key, &round)?;
-        let expected = self.copy_devices(ctx, &resource)?;
-        let round_record = MonitoringRound {
-            round,
-            resource: resource.clone(),
+        let header = RoundRow {
             requested_by: ctx.caller,
             started_at: ctx.block_time,
-            expected_devices: expected.clone(),
-            evidence: Vec::new(),
-            reaffirmed: Vec::new(),
-            closed: expected.is_empty(),
+            expected_devices: self.copy_devices(ctx, &resource)?,
         };
-        ctx.set(layout::round(&resource, round), &round_record)?;
+        ctx.set(layout::round(&resource, round), &header)?;
+        let closed = header.expected_devices.is_empty();
         ctx.emit(
             topics::MONITORING_REQUESTED,
-            encode_to_vec(&(resource.clone(), round, expected)),
+            encode_to_vec(&(resource.clone(), round, header.expected_devices)),
         )?;
-        if round_record.closed {
+        if closed {
             ctx.emit(
                 topics::ROUND_CLOSED,
                 encode_to_vec(&(resource, round, 0u64, Vec::<String>::new())),
@@ -315,27 +318,107 @@ impl DistExchange {
         Ok(round)
     }
 
-    /// Closes `round` and emits `RoundClosed` when every expected device
-    /// has answered (shared by full submissions and reaffirmations).
-    fn close_if_complete(
+    /// The answers recorded in a round, as `(device, row)` in submission
+    /// order: one prefix scan over the round's answer rows.
+    fn answers(
         &self,
         ctx: &mut CallCtx<'_>,
-        round: &mut MonitoringRound,
+        resource: &str,
+        round: u64,
+    ) -> Result<Vec<(String, AnswerRow)>, ContractError> {
+        let prefix = layout::answer_prefix(resource, round);
+        let keys = ctx.keys_with_prefix(&prefix)?;
+        let mut answers = Vec::with_capacity(keys.len());
+        for k in keys {
+            if let Some(row) = ctx.get::<AnswerRow>(&k)? {
+                let device = String::from_utf8(k[prefix.len()..].to_vec())
+                    .map_err(|_| revert("non-utf8 device in answer key"))?;
+                answers.push((device, row));
+            }
+        }
+        answers.sort_by_key(|(_, row)| row.ordinal);
+        Ok(answers)
+    }
+
+    /// The checks both submission methods share, in their revert order:
+    /// the round exists and is open, `device` is expected in it and has not
+    /// answered, and its copy is still registered. Returns the answer's
+    /// place in the round and the copy, whose key signs the answer.
+    fn admit(
+        &self,
+        ctx: &mut CallCtx<'_>,
+        resource: &str,
+        round: u64,
+        device: &str,
+    ) -> Result<(Place, CopyRow), ContractError> {
+        let header: RoundRow = ctx
+            .get(&layout::round(resource, round))?
+            .ok_or_else(|| revert("unknown monitoring round"))?;
+        let answered: u32 = ctx
+            .get(&layout::round_answered(resource, round))?
+            .unwrap_or(0);
+        let expected = header.expected_devices.len();
+        if answered as usize == expected {
+            return Err(revert("round already closed"));
+        }
+        if !header.expects(device) {
+            return Err(revert(format!(
+                "device {device} not expected in this round"
+            )));
+        }
+        if ctx.contains(&layout::answer(resource, round, device))? {
+            return Err(revert("duplicate evidence for device"));
+        }
+        let copy: CopyRow = ctx
+            .get(&layout::copy(resource, device))?
+            .ok_or_else(|| revert("copy no longer registered"))?;
+        let closes = answered as usize + 1 == expected;
+        Ok((Place { answered, closes }, copy))
+    }
+
+    /// Records `device`'s answer as the round's next, emits
+    /// `EvidenceRecorded`, and, when it is the last one expected, emits
+    /// `RoundClosed` with the violators in submission order.
+    fn answer(
+        &self,
+        ctx: &mut CallCtx<'_>,
+        resource: String,
+        round: u64,
+        device: String,
+        place: Place,
+        answer: Answer,
     ) -> Result<(), ContractError> {
-        if !round.complete() {
+        let compliant = match &answer {
+            Answer::Evidence(e) => e.compliant,
+            Answer::Reaffirmed { .. } => true,
+        };
+        ctx.emit(
+            topics::EVIDENCE_RECORDED,
+            encode_to_vec(&(resource.clone(), round, device.clone(), compliant)),
+        )?;
+        let row = AnswerRow {
+            ordinal: place.answered,
+            answer,
+        };
+        ctx.set(layout::answer(&resource, round, &device), &row)?;
+        ctx.set(
+            layout::round_answered(&resource, round),
+            &(place.answered + 1),
+        )?;
+        if !place.closes {
             return Ok(());
         }
-        round.closed = true;
-        let violators: Vec<String> = round.violators().iter().map(|e| e.device.clone()).collect();
-        let compliant_count = round.compliant_count();
+        let mut compliant_count = 0u64;
+        let mut violators = Vec::new();
+        for (device, row) in self.answers(ctx, &resource, round)? {
+            match row.answer {
+                Answer::Evidence(e) if !e.compliant => violators.push(device),
+                _ => compliant_count += 1,
+            }
+        }
         ctx.emit(
             topics::ROUND_CLOSED,
-            encode_to_vec(&(
-                round.resource.clone(),
-                round.round,
-                compliant_count,
-                violators,
-            )),
+            encode_to_vec(&(resource, round, compliant_count, violators)),
         )?;
         Ok(())
     }
@@ -345,32 +428,14 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         submission: EvidenceSubmission,
     ) -> Result<(), ContractError> {
-        let rkey = layout::round(&submission.resource, submission.round);
-        let mut round: MonitoringRound = ctx
-            .get(&rkey)?
-            .ok_or_else(|| revert("unknown monitoring round"))?;
-        if round.closed {
-            return Err(revert("round already closed"));
-        }
-        if !round.expected_devices.contains(&submission.device) {
-            return Err(revert(format!(
-                "device {} not expected in this round",
-                submission.device
-            )));
-        }
-        if round.evidence.iter().any(|e| e.device == submission.device)
-            || round
-                .reaffirmed
-                .iter()
-                .any(|(d, _)| *d == submission.device)
-        {
-            return Err(revert("duplicate evidence for device"));
-        }
+        let (place, copy) = self.admit(
+            ctx,
+            &submission.resource,
+            submission.round,
+            &submission.device,
+        )?;
         // Verify the enclave signature against the registered attestation
         // key: forged evidence cannot enter the ledger.
-        let copy: CopyRow = ctx
-            .get(&layout::copy(&submission.resource, &submission.device))?
-            .ok_or_else(|| revert("copy no longer registered"))?;
         if copy
             .attestation_key
             .verify(&submission.signing_bytes(), &submission.signature)
@@ -378,51 +443,25 @@ impl DistExchange {
         {
             return Err(revert("evidence signature does not verify"));
         }
-        ctx.emit(
-            topics::EVIDENCE_RECORDED,
-            encode_to_vec(&(
-                submission.resource.clone(),
-                submission.round,
-                submission.device.clone(),
-                submission.compliant,
-            )),
-        )?;
-        round.evidence.push(submission);
-        self.close_if_complete(ctx, &mut round)?;
-        ctx.set(rkey, &round)?;
-        Ok(())
+        let (resource, round, device) = (
+            submission.resource.clone(),
+            submission.round,
+            submission.device.clone(),
+        );
+        let answer = Answer::Evidence(EvidenceRow::from_submission(submission));
+        self.answer(ctx, resource, round, device, place, answer)
     }
 
-    /// Copies a device's evidence from an earlier round into `round`,
-    /// after verifying the enclave's signed attestation that the usage log
-    /// is unchanged — the cheap incremental-monitoring path for copies
-    /// whose log did not advance since they were last audited.
+    /// Records that a device's evidence from an earlier round still
+    /// stands, after verifying the enclave's signed attestation that the
+    /// usage log is unchanged — the cheap incremental-monitoring path for
+    /// copies whose log did not advance since they were last audited.
     fn reaffirm_evidence(
         &self,
         ctx: &mut CallCtx<'_>,
         reaff: EvidenceReaffirmation,
     ) -> Result<(), ContractError> {
-        let rkey = layout::round(&reaff.resource, reaff.round);
-        let mut round: MonitoringRound = ctx
-            .get(&rkey)?
-            .ok_or_else(|| revert("unknown monitoring round"))?;
-        if round.closed {
-            return Err(revert("round already closed"));
-        }
-        if !round.expected_devices.contains(&reaff.device) {
-            return Err(revert(format!(
-                "device {} not expected in this round",
-                reaff.device
-            )));
-        }
-        if round.evidence.iter().any(|e| e.device == reaff.device)
-            || round.reaffirmed.iter().any(|(d, _)| *d == reaff.device)
-        {
-            return Err(revert("duplicate evidence for device"));
-        }
-        let copy: CopyRow = ctx
-            .get(&layout::copy(&reaff.resource, &reaff.device))?
-            .ok_or_else(|| revert("copy no longer registered"))?;
+        let (place, copy) = self.admit(ctx, &reaff.resource, reaff.round, &reaff.device)?;
         if copy
             .attestation_key
             .verify(&reaff.signing_bytes(), &reaff.signature)
@@ -432,31 +471,41 @@ impl DistExchange {
         }
         // The prior evidence must exist, be compliant, and carry the very
         // same digest — anything else requires a full resubmission.
-        let prev: MonitoringRound = ctx
-            .get(&layout::round(&reaff.resource, reaff.prev_round))?
-            .ok_or_else(|| revert("unknown prior round"))?;
         // `prev_round` must hold *full* evidence (devices always point
         // their reaffirmations at the round of their last full
         // submission), so the digest is checked against signed bytes.
-        let prior_ok = prev.evidence.iter().any(|e| {
-            e.device == reaff.device && e.compliant && e.evidence_digest == reaff.evidence_digest
-        });
+        let prior: Option<AnswerRow> = ctx.get(&layout::answer(
+            &reaff.resource,
+            reaff.prev_round,
+            &reaff.device,
+        ))?;
+        let prior_ok = matches!(
+            &prior,
+            Some(AnswerRow { answer: Answer::Evidence(e), .. })
+                if e.compliant && e.evidence_digest == reaff.evidence_digest
+        );
         if !prior_ok {
-            return Err(revert("no matching compliant prior evidence to reaffirm"));
+            // An answer row lives beside its round's header, so only a
+            // missing row leaves the prior round itself to check.
+            let known = prior.is_some()
+                || ctx.contains(&layout::round(&reaff.resource, reaff.prev_round))?;
+            return Err(revert(if known {
+                "no matching compliant prior evidence to reaffirm"
+            } else {
+                "unknown prior round"
+            }));
         }
-        ctx.emit(
-            topics::EVIDENCE_RECORDED,
-            encode_to_vec(&(
-                reaff.resource.clone(),
-                reaff.round,
-                reaff.device.clone(),
-                true,
-            )),
-        )?;
-        round.reaffirmed.push((reaff.device, reaff.prev_round));
-        self.close_if_complete(ctx, &mut round)?;
-        ctx.set(rkey, &round)?;
-        Ok(())
+        let answer = Answer::Reaffirmed {
+            prev_round: reaff.prev_round,
+        };
+        self.answer(
+            ctx,
+            reaff.resource,
+            reaff.round,
+            reaff.device,
+            place,
+            answer,
+        )
     }
 
     fn get_round(
@@ -464,7 +513,16 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         a: GetRound,
     ) -> Result<Option<MonitoringRound>, ContractError> {
-        ctx.get(&layout::round(&a.resource, a.round))
+        let Some(header) = ctx.get::<RoundRow>(&layout::round(&a.resource, a.round))? else {
+            return Ok(None);
+        };
+        let answered: u32 = ctx
+            .get(&layout::round_answered(&a.resource, a.round))?
+            .unwrap_or(0);
+        let answers = self.answers(ctx, &a.resource, a.round)?;
+        Ok(Some(
+            header.into_record(a.resource, a.round, answered, answers),
+        ))
     }
 
     fn subscribe(&self, ctx: &mut CallCtx<'_>, a: Subscribe) -> Result<Digest, ContractError> {

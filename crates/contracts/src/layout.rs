@@ -11,11 +11,19 @@
 //! pod/{owner_webid}          → PodRow
 //! res/{resource}             → ResourceRow
 //! copy/{resource}\0{device}  → CopyRow
-//! roundctr/{resource}        → u64
-//! round/{resource}\0{round}  → MonitoringRound (round: 20 decimal digits)
+//! roundctr/{resource}        → u64, the last round opened
+//! round/{resource}\0{round}  → RoundRow (round: 20 decimal digits)
+//! round/{resource}\0{round}# → u32, answers recorded so far
+//! round/{resource}\0{round}\0{device}
+//!                            → AnswerRow, once the device answered
 //! sub/{webid}                → SubRow
 //! cert/{digest}              → () existence marker
 //! ```
+//!
+//! A round's rows share its header key as their prefix; the round number's
+//! fixed width keeps `#` and `\0` after it from naming another round, and
+//! `reject_separator` keeps `\0` out of device names, so
+//! `round/{resource}\0{round}\0` scans exactly the round's answers.
 //!
 //! [`crate::dist_exchange`] builds its keys here and [`crate::access`]
 //! hashes the same prefixes, so the table above is the only place the
@@ -76,6 +84,20 @@ pub(crate) fn round(resource: &str, round: u64) -> Vec<u8> {
     composite(ROUND, resource, format!("{round:020}").as_bytes())
 }
 
+/// `round/{resource}\0{round}#` — the round's answer counter.
+pub(crate) fn round_answered(resource: &str, round: u64) -> Vec<u8> {
+    [self::round(resource, round), b"#".to_vec()].concat()
+}
+
+/// `round/{resource}\0{round}\0` — the scan prefix of the round's answers.
+pub(crate) fn answer_prefix(resource: &str, round: u64) -> Vec<u8> {
+    [self::round(resource, round), b"\0".to_vec()].concat()
+}
+
+pub(crate) fn answer(resource: &str, round: u64, device: &str) -> Vec<u8> {
+    [answer_prefix(resource, round), device.as_bytes().to_vec()].concat()
+}
+
 pub(crate) fn sub(webid: &str) -> Vec<u8> {
     key(SUB, webid.as_bytes())
 }
@@ -125,7 +147,14 @@ mod tests {
                 (7, b"00000000000000000007"),
                 (u64::MAX, b"18446744073709551615"),
             ] {
-                assert_eq!(round(id, n), [b"round/", b, b"\0", digits].concat());
+                let head = [b"round/", b, b"\0", digits].concat();
+                assert_eq!(round(id, n), head);
+                assert_eq!(round_answered(id, n), [&head[..], b"#"].concat());
+                assert_eq!(answer_prefix(id, n), [&head[..], b"\0"].concat());
+                assert_eq!(
+                    answer(id, n, "dév-1"),
+                    [&head[..], b"\0d\xc3\xa9v-1"].concat()
+                );
             }
         }
         assert_eq!(cfg("fee"), b"cfg/fee");

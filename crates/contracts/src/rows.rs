@@ -20,13 +20,22 @@
 //! `start_monitoring`) never materialize the envelope at all. View methods
 //! reconstruct the exact ABI records from key + row + pol table, so the
 //! wire format of every method is unchanged.
+//!
+//! A monitoring round is stored the same way: a [`RoundRow`] header, a
+//! counter of the answers recorded so far, and one [`AnswerRow`] per
+//! device that answered, so a submission writes its own row and the
+//! counter, never the round. `get_round` reassembles the
+//! [`MonitoringRound`] from them.
 
 use duc_blockchain::Address;
-use duc_codec::impl_codec_struct;
-use duc_crypto::{Digest, PublicKey};
+use duc_codec::{impl_codec_struct, Decode, DecodeError, Encode, Reader};
+use duc_crypto::{Digest, PublicKey, Signature};
 use duc_sim::SimTime;
 
-use crate::abi::{CopyRecord, PodRecord, PolicyEnvelope, ResourceRecord, Subscription};
+use crate::abi::{
+    CopyRecord, EvidenceSubmission, MonitoringRound, PodRecord, PolicyEnvelope, ResourceRecord,
+    Subscription,
+};
 
 /// A registered pod as stored: the owner WebID lives in the key
 /// (`pod/{owner_webid}`), the default policy in the pol table.
@@ -196,6 +205,172 @@ impl_codec_struct!(SubRow {
     paid_at as (SimTime::as_nanos, SimTime::from_nanos),
     valid_until as (SimTime::as_nanos, SimTime::from_nanos),
 });
+
+/// A monitoring round's header as stored: the resource and the round
+/// number live in the key (`round/{resource}\0{round}`), and the answers
+/// in rows of their own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundRow {
+    /// Who opened the round.
+    pub requested_by: Address,
+    /// When the round opened.
+    pub started_at: SimTime,
+    /// Devices expected to answer, in key order: the copies registered
+    /// when the round opened.
+    pub expected_devices: Vec<String>,
+}
+
+impl RoundRow {
+    /// Whether `device` is expected to answer (the list is in key order).
+    pub(crate) fn expects(&self, device: &str) -> bool {
+        self.expected_devices
+            .binary_search_by(|d| d.as_str().cmp(device))
+            .is_ok()
+    }
+
+    /// Reassembles the ABI record from the key's identity, the answer
+    /// count and the answer rows as `(device, row)` in submission order.
+    pub(crate) fn into_record(
+        self,
+        resource: String,
+        round: u64,
+        answered: u32,
+        answers: Vec<(String, AnswerRow)>,
+    ) -> MonitoringRound {
+        let closed = answered as usize == self.expected_devices.len();
+        let mut evidence = Vec::new();
+        let mut reaffirmed = Vec::new();
+        for (device, row) in answers {
+            match row.answer {
+                Answer::Evidence(e) => evidence.push(e.into_submission(&resource, round, device)),
+                Answer::Reaffirmed { prev_round } => reaffirmed.push((device, prev_round)),
+            }
+        }
+        MonitoringRound {
+            round,
+            resource,
+            requested_by: self.requested_by,
+            started_at: self.started_at,
+            expected_devices: self.expected_devices,
+            evidence,
+            reaffirmed,
+            closed,
+        }
+    }
+}
+
+impl_codec_struct!(RoundRow {
+    requested_by,
+    started_at as (SimTime::as_nanos, SimTime::from_nanos),
+    expected_devices,
+});
+
+/// Full evidence as stored: the resource, round and device live in the
+/// key (`round/{resource}\0{round}\0{device}`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EvidenceRow {
+    /// The device's own compliance verdict.
+    pub compliant: bool,
+    /// Human-readable violation descriptions (empty when compliant).
+    pub violations: Vec<String>,
+    /// Digest of the usage log backing the evidence.
+    pub evidence_digest: Digest,
+    /// Enclave signature over the submission.
+    pub signature: Signature,
+}
+
+impl EvidenceRow {
+    /// The submission less what its key already holds.
+    pub(crate) fn from_submission(s: EvidenceSubmission) -> EvidenceRow {
+        EvidenceRow {
+            compliant: s.compliant,
+            violations: s.violations,
+            evidence_digest: s.evidence_digest,
+            signature: s.signature,
+        }
+    }
+
+    /// Reconstructs the submission from the key's identity.
+    pub(crate) fn into_submission(
+        self,
+        resource: &str,
+        round: u64,
+        device: String,
+    ) -> EvidenceSubmission {
+        EvidenceSubmission {
+            resource: resource.to_string(),
+            round,
+            device,
+            compliant: self.compliant,
+            violations: self.violations,
+            evidence_digest: self.evidence_digest,
+            signature: self.signature,
+        }
+    }
+}
+
+impl_codec_struct!(EvidenceRow {
+    compliant,
+    violations,
+    evidence_digest,
+    signature,
+});
+
+/// How a device answered a round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// Full, signed evidence.
+    Evidence(EvidenceRow),
+    /// A verified reaffirmation of the device's evidence in `prev_round`.
+    Reaffirmed {
+        /// The earlier round whose evidence still stands.
+        prev_round: u64,
+    },
+}
+
+impl Encode for Answer {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Answer::Evidence(e) => {
+                buf.push(0);
+                e.encode(buf);
+            }
+            Answer::Reaffirmed { prev_round } => {
+                buf.push(1);
+                prev_round.encode(buf);
+            }
+        }
+    }
+}
+
+impl Decode for Answer {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match r.read_u8()? {
+            0 => Answer::Evidence(EvidenceRow::decode(r)?),
+            1 => Answer::Reaffirmed {
+                prev_round: u64::decode(r)?,
+            },
+            tag => {
+                return Err(DecodeError::InvalidTag {
+                    tag,
+                    type_name: "Answer",
+                })
+            }
+        })
+    }
+}
+
+/// One device's answer to a round as stored: the device lives in the key
+/// (`round/{resource}\0{round}\0{device}`), beside the round's header.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnswerRow {
+    /// The answer's place in the round's submission order, from 0.
+    pub ordinal: u32,
+    /// What the device answered.
+    pub answer: Answer,
+}
+
+impl_codec_struct!(AnswerRow { ordinal, answer });
 
 #[cfg(test)]
 mod tests {

@@ -567,3 +567,60 @@ fn list_resources_refuses_arguments() {
         "{out:?}"
     );
 }
+
+/// A submission writes its own row, so its gas does not depend on how many
+/// devices answered before it: a compliant round over 256 holders closes,
+/// and every submission but the one that closes it costs within ±10 % of
+/// the first. While each submission rewrote the whole round, a 64-holder
+/// round ran out of gas at its 62nd answer and could never close.
+#[test]
+fn a_round_over_256_holders_closes_at_constant_gas_per_submission() {
+    const HOLDERS: usize = 256;
+    let mut w = World::new();
+    w.register_bob_pod_and_resource();
+    let devices: Vec<String> = (0..HOLDERS).map(|i| format!("holder-{i:03}")).collect();
+    let enclaves: Vec<KeyPair> = devices.iter().map(|d| w.register_alice_copy(d)).collect();
+    let tx = w.start_monitoring_tx();
+    let id = w.chain.submit(tx).unwrap();
+    w.step();
+    let receipt = w.chain.receipt(&id).unwrap();
+    assert!(receipt.status.is_ok(), "{:?}", receipt.status);
+    let round = DistExchangeClient::decode_return::<StartMonitoring>(&receipt.return_data).unwrap();
+
+    let mut gas = Vec::with_capacity(HOLDERS);
+    for (device, enclave) in devices.iter().zip(&enclaves) {
+        let mut submission = EvidenceSubmission {
+            resource: MEDICAL.into(),
+            round,
+            device: device.clone(),
+            compliant: true,
+            violations: vec![],
+            evidence_digest: sha256(device.as_bytes()),
+            signature: Signature { e: 0, s: 0 },
+        };
+        submission.signature = enclave.sign(&submission.signing_bytes());
+        let tx = w.dex.call_tx(&w.chain, &w.alice, submission);
+        let id = w.chain.submit(tx).unwrap();
+        w.step();
+        let receipt = w.chain.receipt(&id).unwrap();
+        assert!(
+            receipt.status.is_ok(),
+            "submission {} of {HOLDERS}: {:?}",
+            gas.len() + 1,
+            receipt.status
+        );
+        gas.push(receipt.gas_used);
+    }
+
+    let record = w.round(round);
+    assert!(record.closed, "every holder answered");
+    assert_eq!(record.evidence.len(), HOLDERS);
+    let first = gas[0];
+    for (i, &used) in gas[..HOLDERS - 1].iter().enumerate() {
+        assert!(
+            used.abs_diff(first) * 10 <= first,
+            "submission {} used {used} gas, the first {first}",
+            i + 1
+        );
+    }
+}

@@ -1,18 +1,22 @@
-//! The DE App's stored rows: `PodRow`, `ResourceRow`, `CopyRow` and `SubRow`
-//! as they sit in a state page.
+//! The DE App's stored rows: `PodRow`, `ResourceRow`, `CopyRow`, `SubRow`,
+//! and a monitoring round's `RoundRow` and `AnswerRow`, as they sit in a
+//! state page.
 //!
 //! Contract reads decode these straight out of the page that holds them, so
 //! a page's bytes are their only input. `known_answers` pins one encoding of
-//! each, recorded before reads began borrowing from the page; never
-//! re-record them. The properties hold each decoder to decode∘encode = id,
+//! each of the first four, recorded before reads began borrowing from the
+//! page, and `round_row_known_answers` the round's rows as first written;
+//! never re-record them. The properties hold each decoder to decode∘encode = id,
 //! and to bytes that are arbitrary, mutated in one place or cut short: such
 //! bytes decode to a row that re-encodes to exactly those bytes, or are
 //! refused — never a panic.
 
 use duc_blockchain::Address;
 use duc_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
-use duc_contracts::{CopyRow, PodRow, ResourceRow, SubRow};
-use duc_crypto::{Digest, PublicKey};
+use duc_contracts::{
+    Answer, AnswerRow, CopyRow, EvidenceRow, PodRow, ResourceRow, RoundRow, SubRow,
+};
+use duc_crypto::{Digest, PublicKey, Signature};
 use duc_sim::SimTime;
 use proptest::prelude::*;
 
@@ -96,6 +100,51 @@ fn known_answers() {
                 "43f7099e06669a49ea8da45dac3821d833ebdb2920afcad9ad57d9ea28106dac03d66dd08835c1ca",
                 "3f128cceacd1f31ac94163096b20f445ae84285bc0832d7200ca9a3b0000000000e8764817000000",
             ],
+        ),
+    ];
+    for (what, bytes, expected) in pins {
+        assert_eq!(hex(&bytes), expected.concat(), "{what}");
+    }
+}
+
+#[test]
+fn round_row_known_answers() {
+    let pins: [(&str, Vec<u8>, &[&str]); 3] = [
+        (
+            "RoundRow",
+            encode_to_vec(&RoundRow {
+                requested_by: Address::from_seed(b"owner"),
+                started_at: SimTime::from_secs(7),
+                expected_devices: vec!["d-0".into(), "d-1".into()],
+            }),
+            &[
+                "77cf7d0b1c27c7a31b952c84e29d40bf4ac43bf3dc71539e5d9677434a291a8900863ba101000000",
+                "0200000003000000642d3003000000642d31",
+            ],
+        ),
+        (
+            "AnswerRow, evidence",
+            encode_to_vec(&AnswerRow {
+                ordinal: 3,
+                answer: Answer::Evidence(EvidenceRow {
+                    compliant: false,
+                    violations: vec!["late".into()],
+                    evidence_digest: duc_crypto::sha256(b"log"),
+                    signature: Signature { e: 5, s: 9 },
+                }),
+            }),
+            &[
+                "03000000000001000000040000006c617465836ff184e7b41b1e13cb5fd89fa1de98dbbab99e9d29",
+                "18913ff43b86a5c7c21305000000000000000900000000000000",
+            ],
+        ),
+        (
+            "AnswerRow, reaffirmed",
+            encode_to_vec(&AnswerRow {
+                ordinal: 0,
+                answer: Answer::Reaffirmed { prev_round: 2 },
+            }),
+            &["00000000010200000000000000"],
         ),
     ];
     for (what, bytes, expected) in pins {
@@ -233,6 +282,40 @@ fn sub_row() -> impl Strategy<Value = SubRow> {
     )
 }
 
+fn round_row() -> impl Strategy<Value = RoundRow> {
+    (
+        address(),
+        instant(),
+        proptest::collection::vec(text(), 0..6),
+    )
+        .prop_map(|(requested_by, started_at, expected_devices)| RoundRow {
+            requested_by,
+            started_at,
+            expected_devices,
+        })
+}
+
+fn answer_row() -> impl Strategy<Value = AnswerRow> {
+    let evidence = (
+        any::<bool>(),
+        proptest::collection::vec(text(), 0..3),
+        digest(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(compliant, violations, evidence_digest, e, s)| {
+            Answer::Evidence(EvidenceRow {
+                compliant,
+                violations,
+                evidence_digest,
+                signature: Signature { e, s },
+            })
+        });
+    let reaffirmed = any::<u64>().prop_map(|prev_round| Answer::Reaffirmed { prev_round });
+    (any::<u32>(), prop_oneof![evidence, reaffirmed])
+        .prop_map(|(ordinal, answer)| AnswerRow { ordinal, answer })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -256,6 +339,16 @@ proptest! {
 
     #[test]
     fn sub_row_decodes_what_it_encodes_and_survives_damage(v in sub_row(), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    #[test]
+    fn round_row_decodes_what_it_encodes_and_survives_damage(v in round_row(), d in damage()) {
+        holds(&v, &d)?;
+    }
+
+    #[test]
+    fn answer_row_decodes_what_it_encodes_and_survives_damage(v in answer_row(), d in damage()) {
         holds(&v, &d)?;
     }
 }
