@@ -31,7 +31,7 @@ use crate::calls::{
     UpdatePolicy, VerifyCertificate,
 };
 use crate::layout;
-use crate::rows::{Answer, AnswerRow, CopyRow, EvidenceRow, PodRow, ResourceRow, RoundRow, SubRow};
+use crate::rows::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, SubRow};
 use crate::topics;
 
 /// The conventional deployment id of the DE App.
@@ -388,8 +388,8 @@ impl DistExchange {
         place: Place,
         answer: Answer,
     ) -> Result<(), ContractError> {
-        let compliant = match &answer {
-            Answer::Evidence(e) => e.compliant,
+        let compliant = match answer {
+            Answer::Evidence { compliant, .. } => compliant,
             Answer::Reaffirmed { .. } => true,
         };
         ctx.emit(
@@ -412,7 +412,9 @@ impl DistExchange {
         let mut violators = Vec::new();
         for (device, row) in self.answers(ctx, &resource, round)? {
             match row.answer {
-                Answer::Evidence(e) if !e.compliant => violators.push(device),
+                Answer::Evidence {
+                    compliant: false, ..
+                } => violators.push(device),
                 _ => compliant_count += 1,
             }
         }
@@ -443,12 +445,13 @@ impl DistExchange {
         {
             return Err(revert("evidence signature does not verify"));
         }
-        let (resource, round, device) = (
-            submission.resource.clone(),
-            submission.round,
-            submission.device.clone(),
-        );
-        let answer = Answer::Evidence(EvidenceRow::from_submission(submission));
+        let answer = Answer::Evidence {
+            compliant: submission.compliant,
+            violations: submission.violations,
+            evidence_digest: submission.evidence_digest,
+            signature: submission.signature,
+        };
+        let (resource, round, device) = (submission.resource, submission.round, submission.device);
         self.answer(ctx, resource, round, device, place, answer)
     }
 
@@ -481,8 +484,10 @@ impl DistExchange {
         ))?;
         let prior_ok = matches!(
             &prior,
-            Some(AnswerRow { answer: Answer::Evidence(e), .. })
-                if e.compliant && e.evidence_digest == reaff.evidence_digest
+            Some(AnswerRow {
+                answer: Answer::Evidence { compliant: true, evidence_digest, .. },
+                ..
+            }) if *evidence_digest == reaff.evidence_digest
         );
         if !prior_ok {
             // An answer row lives beside its round's header, so only a
@@ -516,13 +521,8 @@ impl DistExchange {
         let Some(header) = ctx.get::<RoundRow>(&layout::round(&a.resource, a.round))? else {
             return Ok(None);
         };
-        let answered: u32 = ctx
-            .get(&layout::round_answered(&a.resource, a.round))?
-            .unwrap_or(0);
         let answers = self.answers(ctx, &a.resource, a.round)?;
-        Ok(Some(
-            header.into_record(a.resource, a.round, answered, answers),
-        ))
+        Ok(Some(header.into_record(a.resource, a.round, answers)))
     }
 
     fn subscribe(&self, ctx: &mut CallCtx<'_>, a: Subscribe) -> Result<Digest, ContractError> {

@@ -46,7 +46,7 @@ pub use access::{dex_access, dex_access_fn};
 pub use calls::{DexCall, DexMethod};
 pub use client::DistExchangeClient;
 pub use dist_exchange::{DistExchange, DEX_CONTRACT_ID};
-pub use rows::{Answer, AnswerRow, CopyRow, EvidenceRow, PodRow, ResourceRow, RoundRow, SubRow};
+pub use rows::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, SubRow};
 
 /// Event topics emitted by the DE App (oracle subscriptions filter on
 /// these).

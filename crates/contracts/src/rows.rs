@@ -228,21 +228,34 @@ impl RoundRow {
             .is_ok()
     }
 
-    /// Reassembles the ABI record from the key's identity, the answer
-    /// count and the answer rows as `(device, row)` in submission order.
+    /// Reassembles the ABI record from the key's identity and the answer
+    /// rows as `(device, row)` in submission order; the round is closed
+    /// once every expected device answered.
     pub(crate) fn into_record(
         self,
         resource: String,
         round: u64,
-        answered: u32,
         answers: Vec<(String, AnswerRow)>,
     ) -> MonitoringRound {
-        let closed = answered as usize == self.expected_devices.len();
+        let closed = answers.len() == self.expected_devices.len();
         let mut evidence = Vec::new();
         let mut reaffirmed = Vec::new();
         for (device, row) in answers {
             match row.answer {
-                Answer::Evidence(e) => evidence.push(e.into_submission(&resource, round, device)),
+                Answer::Evidence {
+                    compliant,
+                    violations,
+                    evidence_digest,
+                    signature,
+                } => evidence.push(EvidenceSubmission {
+                    resource: resource.clone(),
+                    round,
+                    device,
+                    compliant,
+                    violations,
+                    evidence_digest,
+                    signature,
+                }),
                 Answer::Reaffirmed { prev_round } => reaffirmed.push((device, prev_round)),
             }
         }
@@ -265,62 +278,21 @@ impl_codec_struct!(RoundRow {
     expected_devices,
 });
 
-/// Full evidence as stored: the resource, round and device live in the
-/// key (`round/{resource}\0{round}\0{device}`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvidenceRow {
-    /// The device's own compliance verdict.
-    pub compliant: bool,
-    /// Human-readable violation descriptions (empty when compliant).
-    pub violations: Vec<String>,
-    /// Digest of the usage log backing the evidence.
-    pub evidence_digest: Digest,
-    /// Enclave signature over the submission.
-    pub signature: Signature,
-}
-
-impl EvidenceRow {
-    /// The submission less what its key already holds.
-    pub(crate) fn from_submission(s: EvidenceSubmission) -> EvidenceRow {
-        EvidenceRow {
-            compliant: s.compliant,
-            violations: s.violations,
-            evidence_digest: s.evidence_digest,
-            signature: s.signature,
-        }
-    }
-
-    /// Reconstructs the submission from the key's identity.
-    pub(crate) fn into_submission(
-        self,
-        resource: &str,
-        round: u64,
-        device: String,
-    ) -> EvidenceSubmission {
-        EvidenceSubmission {
-            resource: resource.to_string(),
-            round,
-            device,
-            compliant: self.compliant,
-            violations: self.violations,
-            evidence_digest: self.evidence_digest,
-            signature: self.signature,
-        }
-    }
-}
-
-impl_codec_struct!(EvidenceRow {
-    compliant,
-    violations,
-    evidence_digest,
-    signature,
-});
-
-/// How a device answered a round.
+/// How a device answered a round. The resource, round and device live in
+/// the answer row's key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Answer {
-    /// Full, signed evidence.
-    Evidence(EvidenceRow),
+    /// Full evidence: an [`EvidenceSubmission`] less what its key holds.
+    Evidence {
+        /// The device's own compliance verdict.
+        compliant: bool,
+        /// Human-readable violation descriptions (empty when compliant).
+        violations: Vec<String>,
+        /// Digest of the usage log backing the evidence.
+        evidence_digest: Digest,
+        /// Enclave signature over the submission.
+        signature: Signature,
+    },
     /// A verified reaffirmation of the device's evidence in `prev_round`.
     Reaffirmed {
         /// The earlier round whose evidence still stands.
@@ -331,9 +303,17 @@ pub enum Answer {
 impl Encode for Answer {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Answer::Evidence(e) => {
+            Answer::Evidence {
+                compliant,
+                violations,
+                evidence_digest,
+                signature,
+            } => {
                 buf.push(0);
-                e.encode(buf);
+                compliant.encode(buf);
+                violations.encode(buf);
+                evidence_digest.encode(buf);
+                signature.encode(buf);
             }
             Answer::Reaffirmed { prev_round } => {
                 buf.push(1);
@@ -346,7 +326,12 @@ impl Encode for Answer {
 impl Decode for Answer {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(match r.read_u8()? {
-            0 => Answer::Evidence(EvidenceRow::decode(r)?),
+            0 => Answer::Evidence {
+                compliant: bool::decode(r)?,
+                violations: Vec::decode(r)?,
+                evidence_digest: Digest::decode(r)?,
+                signature: Signature::decode(r)?,
+            },
             1 => Answer::Reaffirmed {
                 prev_round: u64::decode(r)?,
             },
@@ -360,8 +345,8 @@ impl Decode for Answer {
     }
 }
 
-/// One device's answer to a round as stored: the device lives in the key
-/// (`round/{resource}\0{round}\0{device}`), beside the round's header.
+/// One device's answer to a round as stored at
+/// `round/{resource}\0{round}\0{device}`, beside the round's header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnswerRow {
     /// The answer's place in the round's submission order, from 0.

@@ -13,9 +13,7 @@
 
 use duc_blockchain::Address;
 use duc_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
-use duc_contracts::{
-    Answer, AnswerRow, CopyRow, EvidenceRow, PodRow, ResourceRow, RoundRow, SubRow,
-};
+use duc_contracts::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, SubRow};
 use duc_crypto::{Digest, PublicKey, Signature};
 use duc_sim::SimTime;
 use proptest::prelude::*;
@@ -126,12 +124,12 @@ fn round_row_known_answers() {
             "AnswerRow, evidence",
             encode_to_vec(&AnswerRow {
                 ordinal: 3,
-                answer: Answer::Evidence(EvidenceRow {
+                answer: Answer::Evidence {
                     compliant: false,
                     violations: vec!["late".into()],
                     evidence_digest: duc_crypto::sha256(b"log"),
                     signature: Signature { e: 5, s: 9 },
-                }),
+                },
             }),
             &[
                 "03000000000001000000040000006c617465836ff184e7b41b1e13cb5fd89fa1de98dbbab99e9d29",
@@ -303,14 +301,14 @@ fn answer_row() -> impl Strategy<Value = AnswerRow> {
         any::<u64>(),
         any::<u64>(),
     )
-        .prop_map(|(compliant, violations, evidence_digest, e, s)| {
-            Answer::Evidence(EvidenceRow {
+        .prop_map(
+            |(compliant, violations, evidence_digest, e, s)| Answer::Evidence {
                 compliant,
                 violations,
                 evidence_digest,
                 signature: Signature { e, s },
-            })
-        });
+            },
+        );
     let reaffirmed = any::<u64>().prop_map(|prev_round| Answer::Reaffirmed { prev_round });
     (any::<u32>(), prop_oneof![evidence, reaffirmed])
         .prop_map(|(ordinal, answer)| AnswerRow { ordinal, answer })
