@@ -1354,14 +1354,15 @@ mod tests {
 
     /// `get`, `contains`, `set`, `remove` and prefix scans over
     /// [`adversarial_keys`] agree with a `BTreeMap` after every operation, at
-    /// page capacities 1, 4 and 64 under unbounded residency and under limits
+    /// page capacities 1, 4, 16 (the default under a residency limit) and 64
+    /// (the default without one) under unbounded residency and under limits
     /// of 0 and 2 pages; every configuration ends on the same commitment.
     #[test]
     fn adversarial_keys_match_the_model_at_every_capacity_and_residency() {
         use duc_sim::Rng;
         let keys = adversarial_keys();
         let mut commitments = Vec::new();
-        for capacity in [1usize, 4, 64] {
+        for capacity in [1usize, 4, 16, 64] {
             for limit in [None, Some(0), Some(2)] {
                 let cfg = PagingConfig::in_memory(limit).with_page_capacity(capacity);
                 let mut s = WorldState::with_paging(&cfg);
