@@ -91,7 +91,9 @@ impl Default for StorageConfig {
 /// Knobs for the paged world-state slot store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PagingConfig {
-    /// Maximum slots per page before a median split (≥ 1).
+    /// Maximum slots per page before a median split (≥ 1). Defaults to
+    /// 16 with a `resident_limit` and 64 without one (see
+    /// [`PagingConfig::in_memory`]).
     pub page_capacity: usize,
     /// Maximum resident (decoded) pages; `None` = unbounded residency.
     /// `Some(0)` is legal: every page is spilled after every touch.
@@ -101,11 +103,16 @@ pub struct PagingConfig {
 }
 
 impl PagingConfig {
-    /// In-memory paging with the default page capacity.
+    /// In-memory paging with the default page capacity, which follows
+    /// residency: 16 slots under a `resident_limit`, 64 without one. A
+    /// fault-in copies and verifies a whole page, so its cost grows with
+    /// the page's bytes, while the hit rate of point reads barely depends
+    /// on page size; without a limit nothing faults, and smaller pages
+    /// would only add page-table entries.
     #[must_use]
     pub fn in_memory(resident_limit: Option<usize>) -> Self {
         PagingConfig {
-            page_capacity: 64,
+            page_capacity: if resident_limit.is_some() { 16 } else { 64 },
             resident_limit,
             spill_dir: None,
         }

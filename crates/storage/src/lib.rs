@@ -25,7 +25,10 @@
 //! also supplies the primitives behind `WorldState`'s paged slot store:
 //!
 //! * [`PagingConfig`] — page capacity, resident-page limit, optional spill
-//!   directory (carried on [`StorageConfig::paging`]).
+//!   directory (carried on [`StorageConfig::paging`]). The default page
+//!   capacity follows residency: 16 slots under a resident-page limit,
+//!   where a fault-in's cost grows with the page's bytes, and 64 without
+//!   one, where nothing faults.
 //! * [`PageStore`] — the page spill log: a [`FramedLog`] of pages with
 //!   live/dead accounting and amortized compaction; a handle below the
 //!   compaction horizon fails with [`LogError::Compacted`] (the

@@ -40,6 +40,25 @@ fn config_default_is_disabled() {
 }
 
 #[test]
+fn page_capacity_default_follows_residency() {
+    // Under a residency limit a fault-in copies and verifies a whole page,
+    // so bounded state gets 16-slot pages; unbounded state never faults.
+    for limit in [0, 1, 16, 4096] {
+        assert_eq!(PagingConfig::in_memory(Some(limit)).page_capacity, 16);
+    }
+    assert_eq!(PagingConfig::in_memory(None).page_capacity, 64);
+    assert_eq!(PagingConfig::default(), PagingConfig::in_memory(None));
+    assert_eq!(PagingConfig::default().page_capacity, 64);
+    // An explicit capacity overrides either default, clamped to ≥ 1.
+    for limit in [None, Some(16)] {
+        let cfg = PagingConfig::in_memory(limit);
+        assert_eq!(cfg.clone().with_page_capacity(64).page_capacity, 64);
+        assert_eq!(cfg.clone().with_page_capacity(4).page_capacity, 4);
+        assert_eq!(cfg.with_page_capacity(0).page_capacity, 1);
+    }
+}
+
+#[test]
 fn horizon_keeps_checkpoint_block_and_window() {
     let cfg = StorageConfig::enabled(10, 4);
     // Window binds: tip 12 with window 4 keeps 9..=12.
