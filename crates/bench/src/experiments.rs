@@ -124,7 +124,7 @@ mod tests {
         // the report binary): the cache-size identity assertions, the
         // eviction-pressure check and the 0.4× residency gate all run
         // inside `e19_paged_state_at`, so a passing call is the assertion.
-        let tables = e19_paged_state_at(6, 32, 8, 2);
+        let tables = e19_paged_state_at(6, 32, Some(8), 2);
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows().len(), 5, "one row per cache config");
         assert_eq!(tables[1].rows().len(), 2, "paged and unpaged rows");

@@ -577,19 +577,27 @@ pub fn e19_paged_state(max_owners: usize) -> Vec<Table> {
     // owners, within [2, 64]) so the 0.4× gate stays meaningful at the
     // small caps CI uses for the all-experiments run as well as at the
     // 10⁵–10⁶ headline populations.
-    e19_paged_state_at(cap.min(1_000), cap, 64, (cap / 64).clamp(2, 64))
+    e19_paged_state_at(cap.min(1_000), cap, None, (cap / 64).clamp(2, 64))
 }
 
-/// [`e19_paged_state`] at an explicit population and page geometry (the
-/// smoke test runs a tiny instance with small pages; the experiment runs
-/// the E15 cap with the default 64-slot pages).
+/// [`e19_paged_state`] at an explicit population and page geometry. The
+/// smoke test runs a tiny instance with small pages; the experiment passes
+/// `None` and runs the E15 cap at the geometry `PagingConfig::in_memory`
+/// ships (16-slot pages under a residency limit, 64 without one).
 pub(crate) fn e19_paged_state_at(
     identity_owners: usize,
     residency_owners: usize,
-    page_capacity: usize,
+    page_capacity: Option<usize>,
     residency_limit: usize,
 ) -> Vec<Table> {
     use duc_blockchain::PagingConfig;
+    let pages = |limit| {
+        let cfg = PagingConfig::in_memory(limit);
+        match page_capacity {
+            Some(capacity) => cfg.with_page_capacity(capacity),
+            None => cfg,
+        }
+    };
 
     // (a) The cache-size identity sweep.
     let mut identity = Table::new(
@@ -616,25 +624,12 @@ pub(crate) fn e19_paged_state_at(
     let paged = |p: PagingConfig| StorageConfig::disabled().with_paging(p);
     let configs: Vec<(&str, StorageConfig)> = vec![
         ("unpaged", StorageConfig::disabled()),
-        (
-            "unbounded",
-            paged(PagingConfig::in_memory(None).with_page_capacity(page_capacity)),
-        ),
-        (
-            "16 pages",
-            paged(PagingConfig::in_memory(Some(16)).with_page_capacity(page_capacity)),
-        ),
-        (
-            "0 pages",
-            paged(PagingConfig::in_memory(Some(0)).with_page_capacity(page_capacity)),
-        ),
+        ("unbounded", paged(pages(None))),
+        ("16 pages", paged(pages(Some(16)))),
+        ("0 pages", paged(pages(Some(0)))),
         (
             "16 pages, disk",
-            paged(
-                PagingConfig::in_memory(Some(16))
-                    .with_page_capacity(page_capacity)
-                    .with_spill_dir(&spill_dir),
-            ),
+            paged(pages(Some(16)).with_spill_dir(&spill_dir)),
         ),
     ];
     let mut baseline: Option<(scenario::PopulationRunReport, String, _)> = None;
@@ -704,10 +699,7 @@ pub(crate) fn e19_paged_state_at(
     };
     // Paged first: its high-water mark starts from the cleaner floor.
     crate::rss::reset_peak();
-    let (rep_p, fp_p, gas_p, stats_p, _) = e19_run(
-        &spec,
-        paged(PagingConfig::in_memory(Some(residency_limit)).with_page_capacity(page_capacity)),
-    );
+    let (rep_p, fp_p, gas_p, stats_p, _) = e19_run(&spec, paged(pages(Some(residency_limit))));
     residency_row(
         &mut residency,
         &format!("{residency_limit}-page cache"),
