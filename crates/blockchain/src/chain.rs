@@ -548,8 +548,14 @@ impl Blockchain {
             }
             // Execution consumes the mempool entry — no working clone.
             let entry = self.mempool.remove(&key).expect("key from mempool");
-            // The ceiling reserves each transaction's full gas limit, as
-            // real block builders must (gas_used is unknown pre-execution).
+            // Each transaction reserves its full gas limit. That is a
+            // choice, not a necessity: it runs before the next one is
+            // selected, and Ethereum's validity rule (Yellow Paper §6)
+            // counts cumulative gas used, asking only that a limit fit in
+            // what remains. Counting gas used would move every simulated
+            // latency and the parallel planner, which selects before it
+            // executes, so the full limit stays reserved until the ledger
+            // is one type and the benchmark's retention is re-timed.
             block_gas += gas_limit;
             self.apply(&entry, height, timestamp, proposer);
             included.push(entry);
