@@ -11,6 +11,10 @@
 //! pins the `(method, args)` bytes of one well-formed call per method,
 //! recorded while each method's arguments were an anonymous tuple; the
 //! fixture now builds those calls through the call table's `DexCall`.
+//! `per_topic_event_known_answers` pins the payload of one event per topic
+//! as the contract emits it, `RoundClosed` from both its emit sites,
+//! recorded while every payload was an anonymous tuple; never re-record
+//! them.
 //!
 //! The properties cover every decoder a client, a block or an event log can
 //! feed: the argument type of each of the 17 `DistExchange` methods, the
@@ -1124,5 +1128,167 @@ fn per_method_call_known_answers() {
     for (c, expected) in calls.iter().zip(pins) {
         let pair = encode_to_vec(&(c.name().to_string(), c.encode_args()));
         assert_eq!(hex(&pair), expected.concat(), "{}", c.name());
+    }
+}
+
+/// Applies one call to `state` at `T0` and returns the events it emitted,
+/// each as its topic and its payload's hex.
+fn emitted(
+    state: &mut WorldState,
+    caller: Address,
+    call: impl Into<DexCall>,
+) -> Vec<(String, String)> {
+    let call = call.into();
+    let mut meter = GasMeter::unmetered();
+    let contract = ContractId::new(DEX_CONTRACT_ID);
+    let mut ctx = CallCtx::new(caller, 1, T0, contract, state, &mut meter);
+    DistExchange
+        .call(&mut ctx, call.name(), &call.encode_args())
+        .unwrap_or_else(|e| panic!("{}: {e}", call.name()));
+    let events = (ctx.events().iter())
+        .map(|e| (e.topic.to_string(), hex(&e.data)))
+        .collect();
+    ctx.into_effects().apply(state);
+    events
+}
+
+/// One event of every DE App topic, as the contract's emit sites encode
+/// it: a pod, a resource, a policy update, a copy, a round that closes on
+/// its one non-compliant answer, the copy's removal, a round that closes
+/// at once for want of copies (`RoundClosed`'s second emit site) and a
+/// subscription. Recorded while every payload was an anonymous tuple;
+/// never re-record them.
+#[test]
+fn per_topic_event_known_answers() {
+    let owner = Address::from_seed(b"owner");
+    let device = KeyPair::from_seed(DEVICE.as_bytes());
+    let mut state = WorldState::new();
+    state.credit(owner, 1_000_000);
+    let s = &mut state;
+    let init = Init {
+        fee: 10u128,
+        validity_nanos: 1_000_000_000_000u64,
+        treasury: Address::from_seed(b"treasury"),
+    };
+    let mut events = emitted(s, owner, init);
+    let pod = RegisterPod {
+        owner_webid: OWNER.to_string(),
+        web_ref: "https://o.pod/".to_string(),
+        default_policy: envelope(1),
+    };
+    events.extend(emitted(s, owner, pod));
+    let res = RegisterResource {
+        resource: RES.to_string(),
+        location: RES.to_string(),
+        owner_webid: OWNER.to_string(),
+        metadata: Vec::new(),
+        policy: envelope(1),
+    };
+    events.extend(emitted(s, owner, res));
+    let update = UpdatePolicy {
+        resource: RES.to_string(),
+        policy: envelope(2),
+        new_version: 2,
+    };
+    events.extend(emitted(s, owner, update));
+    let copy = RegisterCopy {
+        resource: RES.to_string(),
+        device: DEVICE.to_string(),
+        holder_webid: OWNER.to_string(),
+        attestation_key: device.public(),
+    };
+    events.extend(emitted(s, owner, copy));
+    let start = || StartMonitoring {
+        resource: RES.to_string(),
+    };
+    events.extend(emitted(s, owner, start()));
+    let mut violation = EvidenceSubmission {
+        compliant: false,
+        violations: vec!["retention exceeded".to_string()],
+        ..evidence(&device, 1)
+    };
+    violation.signature = device.sign(&violation.signing_bytes());
+    events.extend(emitted(s, owner, violation));
+    let unregister = UnregisterCopy {
+        resource: RES.to_string(),
+        device: DEVICE.to_string(),
+        as_of: T0 + SimDuration::from_secs(1),
+    };
+    events.extend(emitted(s, owner, unregister));
+    events.extend(emitted(s, owner, start()));
+    let subscribe = Subscribe {
+        webid: OWNER.to_string(),
+    };
+    events.extend(emitted(s, owner, subscribe));
+
+    let pins: [(&str, &[&str]); 11] = [
+        ("PodRegistered", &["0f00000068747470733a2f2f6f2e69642f6d65"]),
+        (
+            "ResourceRegistered",
+            &["1400000068747470733a2f2f6f2e706f642f722f30303031"],
+        ),
+        (
+            "PolicyUpdated",
+            &[
+                "1400000068747470733a2f2f6f2e706f642f722f30303031020000000000000000760000",
+                "001b00000068747470733a2f2f6f2e706f642f722f3030303123706f6c69637914000000",
+                "68747470733a2f2f6f2e706f642f722f303030310f00000068747470733a2f2f6f2e6964",
+                "2f6d65020000000000000001000000000100000000010000000000004207693509000100",
+                "000000000042076935090005d0dc39b07937480f4757814dc92032bd9887e1503cbabc0a",
+                "1e21f1f596b0ab",
+            ],
+        ),
+        (
+            "CopyRegistered",
+            &["1400000068747470733a2f2f6f2e706f642f722f30303031080000006465766963652d31"],
+        ),
+        (
+            "MonitoringRequested",
+            &[
+                "1400000068747470733a2f2f6f2e706f642f722f30303031010000000000000001000000",
+                "080000006465766963652d31",
+            ],
+        ),
+        (
+            "EvidenceRecorded",
+            &[
+                "1400000068747470733a2f2f6f2e706f642f722f30303031010000000000000008000000",
+                "6465766963652d3100",
+            ],
+        ),
+        (
+            "RoundClosed",
+            &[
+                "1400000068747470733a2f2f6f2e706f642f722f30303031010000000000000000000000",
+                "0000000001000000080000006465766963652d31",
+            ],
+        ),
+        (
+            "CopyRemoved",
+            &["1400000068747470733a2f2f6f2e706f642f722f30303031080000006465766963652d31"],
+        ),
+        (
+            "MonitoringRequested",
+            &["1400000068747470733a2f2f6f2e706f642f722f30303031020000000000000000000000"],
+        ),
+        (
+            "RoundClosed",
+            &[
+                "1400000068747470733a2f2f6f2e706f642f722f30303031020000000000000000000000",
+                "0000000000000000",
+            ],
+        ),
+        (
+            "CertificateIssued",
+            &[
+                "0f00000068747470733a2f2f6f2e69642f6d65b6ca0500b0b03f7640d2d497469d123a40",
+                "6e56119456c89119b352b82e1fb8dd",
+            ],
+        ),
+    ];
+    assert_eq!(events.len(), pins.len(), "{events:#?}");
+    for ((topic, data), (pinned, expected)) in events.iter().zip(pins) {
+        assert_eq!(topic, pinned);
+        assert_eq!(*data, expected.concat(), "{topic}");
     }
 }
