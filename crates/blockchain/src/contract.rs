@@ -23,8 +23,9 @@ use crate::types::{Address, Amount, ContractId};
 pub struct Event {
     /// The emitting contract.
     pub contract: ContractId,
-    /// Topic for subscription filtering (e.g. `"PolicyUpdated"`).
-    pub topic: String,
+    /// Topic for subscription filtering (e.g. `PolicyUpdated`): a name
+    /// from the contract's code, so an event holds no copy of it.
+    pub topic: &'static str,
     /// `duc-codec`-encoded payload.
     pub data: Vec<u8>,
 }
@@ -227,17 +228,14 @@ impl<'a> CallCtx<'a> {
 
     /// Emits an event (gas-metered). Its receipt keeps `data` for as long
     /// as its block is retained, so it is held at its length, not at the
-    /// capacity its encoder grew it to.
-    pub fn emit(
-        &mut self,
-        topic: impl Into<String>,
-        mut data: Vec<u8>,
-    ) -> Result<(), ContractError> {
+    /// capacity its encoder grew it to; the topic and the shared contract
+    /// id cost the event no allocation.
+    pub fn emit(&mut self, topic: &'static str, mut data: Vec<u8>) -> Result<(), ContractError> {
         self.meter.charge_event(data.len())?;
         data.shrink_to_fit();
         self.events.push(Event {
             contract: self.contract.clone(),
-            topic: topic.into(),
+            topic,
             data,
         });
         Ok(())

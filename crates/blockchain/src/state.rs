@@ -762,7 +762,7 @@ fn account_row(addr: &Address, acct: &AccountState) -> Digest {
 
 /// The commitment row for one storage slot.
 fn storage_row(contract: &ContractId, key: &[u8], value: &[u8]) -> Digest {
-    hash_parts(&[b"duc/state/slot", contract.0.as_bytes(), key, value])
+    hash_parts(&[b"duc/state/slot", contract.as_str().as_bytes(), key, value])
 }
 
 impl WorldState {

@@ -176,7 +176,7 @@ impl SignedTransaction {
                 contract,
                 method,
                 args,
-            } => 3 * 4 + contract.0.len() + method.len() + args.len(),
+            } => 3 * 4 + contract.as_str().len() + method.len() + args.len(),
         };
         // from, nonce, kind, gas_limit; then the public key and signature.
         32 + 8 + kind + 8 + SIGNATURE_SUFFIX_LEN

@@ -1,6 +1,7 @@
 //! Core ledger identifiers and quantities.
 
 use std::fmt;
+use std::sync::Arc;
 
 use duc_codec::{Decode, DecodeError, Encode, Reader};
 use duc_crypto::{hash_parts, Digest, PublicKey};
@@ -71,14 +72,15 @@ impl Decode for TxId {
     }
 }
 
-/// Identifies a deployed contract.
+/// Identifies a deployed contract. The text is shared: a clone, such as
+/// the one every event of a call carries, allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ContractId(pub String);
+pub struct ContractId(Arc<str>);
 
 impl ContractId {
     /// Creates a contract id.
     pub fn new(name: impl Into<String>) -> ContractId {
-        ContractId(name.into())
+        ContractId(Arc::from(name.into()))
     }
 
     /// The identifier text.
@@ -95,13 +97,13 @@ impl fmt::Display for ContractId {
 
 impl Encode for ContractId {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+        self.as_str().encode(buf);
     }
 }
 
 impl Decode for ContractId {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ContractId(String::decode(r)?))
+        Ok(ContractId::new(String::decode(r)?))
     }
 }
 

@@ -30,9 +30,12 @@ use crate::calls::{
     RegisterCopy, RegisterPod, RegisterResource, StartMonitoring, Subscribe, UnregisterCopy,
     UpdatePolicy, VerifyCertificate,
 };
+use crate::events::{
+    CertificateIssued, CopyRegistered, CopyRemoved, DexEvent, EvidenceRecorded,
+    MonitoringRequested, PodRegistered, PolicyUpdated, ResourceRegistered, RoundClosed,
+};
 use crate::layout;
 use crate::rows::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, SubRow};
-use crate::topics;
 
 /// The conventional deployment id of the DE App.
 pub const DEX_CONTRACT_ID: &str = "dist-exchange";
@@ -68,6 +71,12 @@ fn put_policy(ctx: &mut CallCtx<'_>, policy: &PolicyEnvelope) -> Result<Digest, 
     Ok(digest)
 }
 
+/// Emits one event of the event table.
+fn emit(ctx: &mut CallCtx<'_>, event: impl Into<DexEvent>) -> Result<(), ContractError> {
+    let event = event.into();
+    ctx.emit(event.topic(), event.encode())
+}
+
 /// Fetches an envelope from the pol table (view-method reconstruction).
 fn get_policy(ctx: &mut CallCtx<'_>, digest: &Digest) -> Result<PolicyEnvelope, ContractError> {
     ctx.get(&layout::pol(digest))?
@@ -101,7 +110,8 @@ impl DistExchange {
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        ctx.emit(topics::POD_REGISTERED, encode_to_vec(&(a.owner_webid,)))?;
+        let owner_webid = a.owner_webid;
+        emit(ctx, PodRegistered { owner_webid })?;
         Ok(())
     }
 
@@ -150,7 +160,12 @@ impl DistExchange {
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        ctx.emit(topics::RESOURCE_REGISTERED, encode_to_vec(&(a.resource,)))?;
+        emit(
+            ctx,
+            ResourceRegistered {
+                resource: a.resource,
+            },
+        )?;
         Ok(())
     }
 
@@ -200,10 +215,13 @@ impl DistExchange {
         // The event anchors the new policy *hash* alongside the envelope:
         // devices verify the pushed bytes against it before recompiling
         // their local program and re-scheduling obligations.
-        ctx.emit(
-            topics::POLICY_UPDATED,
-            encode_to_vec(&(a.resource, a.new_version, a.policy, policy_hash)),
-        )?;
+        let updated = PolicyUpdated {
+            resource: a.resource,
+            version: a.new_version,
+            policy: a.policy,
+            policy_hash,
+        };
+        emit(ctx, updated)?;
         Ok(())
     }
 
@@ -219,10 +237,8 @@ impl DistExchange {
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        ctx.emit(
-            topics::COPY_REGISTERED,
-            encode_to_vec(&(a.resource, a.device)),
-        )?;
+        let (resource, device) = (a.resource, a.device);
+        emit(ctx, CopyRegistered { resource, device })?;
         Ok(())
     }
 
@@ -243,7 +259,8 @@ impl DistExchange {
             return Ok(false);
         }
         ctx.remove_raw(&key)?;
-        ctx.emit(topics::COPY_REMOVED, encode_to_vec(&(a.resource, a.device)))?;
+        let (resource, device) = (a.resource, a.device);
+        emit(ctx, CopyRemoved { resource, device })?;
         Ok(true)
     }
 
@@ -305,14 +322,22 @@ impl DistExchange {
         };
         ctx.set(layout::round(&resource, round), &header)?;
         let closed = header.expected_devices.is_empty();
-        ctx.emit(
-            topics::MONITORING_REQUESTED,
-            encode_to_vec(&(resource.clone(), round, header.expected_devices)),
-        )?;
+        let requested = MonitoringRequested {
+            resource: resource.clone(),
+            round,
+            expected_devices: header.expected_devices,
+        };
+        emit(ctx, requested)?;
         if closed {
-            ctx.emit(
-                topics::ROUND_CLOSED,
-                encode_to_vec(&(resource, round, 0u64, Vec::<String>::new())),
+            let violators = Vec::new();
+            emit(
+                ctx,
+                RoundClosed {
+                    resource,
+                    round,
+                    compliant: 0,
+                    violators,
+                },
             )?;
         }
         Ok(round)
@@ -392,10 +417,13 @@ impl DistExchange {
             Answer::Evidence { compliant, .. } => compliant,
             Answer::Reaffirmed { .. } => true,
         };
-        ctx.emit(
-            topics::EVIDENCE_RECORDED,
-            encode_to_vec(&(resource.clone(), round, device.clone(), compliant)),
-        )?;
+        let recorded = EvidenceRecorded {
+            resource: resource.clone(),
+            round,
+            device: device.clone(),
+            compliant,
+        };
+        emit(ctx, recorded)?;
         let row = AnswerRow {
             ordinal: place.answered,
             answer,
@@ -418,9 +446,15 @@ impl DistExchange {
                 _ => compliant_count += 1,
             }
         }
-        ctx.emit(
-            topics::ROUND_CLOSED,
-            encode_to_vec(&(resource, round, compliant_count, violators)),
+        let compliant = compliant_count;
+        emit(
+            ctx,
+            RoundClosed {
+                resource,
+                round,
+                compliant,
+                violators,
+            },
         )?;
         Ok(())
     }
@@ -554,10 +588,7 @@ impl DistExchange {
         // sub/{webid}.certificate == c already proves c was issued to
         // webid. Storing the WebID again would duplicate the key material.
         ctx.set_raw(layout::cert(&certificate), Vec::new())?;
-        ctx.emit(
-            topics::CERTIFICATE_ISSUED,
-            encode_to_vec(&(webid, certificate)),
-        )?;
+        emit(ctx, CertificateIssued { webid, certificate })?;
         Ok(certificate)
     }
 

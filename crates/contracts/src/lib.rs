@@ -25,6 +25,11 @@
 //! (`call_tx`) or runs it as a typed read (`view`), so callers never touch
 //! raw bytes. The records the views return live in [`abi`], and everything
 //! is encoded with [`duc_codec`].
+//!
+//! Every event is one row of the event table in [`events`], beside the
+//! call table: its topic, its [`topics`] constant and its payload struct,
+//! declared once. The contract emits the payload struct, and every reader
+//! matches on the decoded [`DexEvent`].
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -34,6 +39,7 @@ pub mod access;
 pub mod calls;
 pub mod client;
 pub mod dist_exchange;
+pub mod events;
 mod layout;
 pub mod routing;
 pub mod rows;
@@ -46,27 +52,5 @@ pub use access::{dex_access, dex_access_fn};
 pub use calls::{DexCall, DexMethod};
 pub use client::DistExchangeClient;
 pub use dist_exchange::{DistExchange, DEX_CONTRACT_ID};
+pub use events::{topics, DexEvent};
 pub use rows::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, SubRow};
-
-/// Event topics emitted by the DE App (oracle subscriptions filter on
-/// these).
-pub mod topics {
-    /// A pod was registered.
-    pub const POD_REGISTERED: &str = "PodRegistered";
-    /// A resource was added to the index.
-    pub const RESOURCE_REGISTERED: &str = "ResourceRegistered";
-    /// A usage policy was replaced (push-out oracles fan this out).
-    pub const POLICY_UPDATED: &str = "PolicyUpdated";
-    /// A device registered a copy of a resource.
-    pub(crate) const COPY_REGISTERED: &str = "CopyRegistered";
-    /// A device dropped its copy.
-    pub(crate) const COPY_REMOVED: &str = "CopyRemoved";
-    /// A monitoring round was opened (pull-in oracles react).
-    pub const MONITORING_REQUESTED: &str = "MonitoringRequested";
-    /// A device's evidence was recorded.
-    pub(crate) const EVIDENCE_RECORDED: &str = "EvidenceRecorded";
-    /// A monitoring round closed with its verdict.
-    pub const ROUND_CLOSED: &str = "RoundClosed";
-    /// A market subscription certificate was issued.
-    pub const CERTIFICATE_ISSUED: &str = "CertificateIssued";
-}

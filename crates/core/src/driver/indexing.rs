@@ -2,7 +2,7 @@
 
 use duc_blockchain::Ledger;
 use duc_contracts::calls::LookupResource;
-use duc_contracts::DexCall;
+use duc_contracts::{DexCall, DistExchangeClient};
 use duc_oracle::{HopKind, OracleError, PullOutOracle};
 use duc_sim::{EndpointId, SimTime};
 
@@ -117,11 +117,10 @@ impl Indexing {
                 HopPoll::Failed(e) => Step::Done(Err(e.into())),
             },
             IndexingPhase::Arrived { out } => {
-                let record: Option<duc_contracts::ResourceRecord> =
-                    match duc_codec::decode_from_slice(out) {
-                        Ok(record) => record,
-                        Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
-                    };
+                let record = match DistExchangeClient::decode_return::<LookupResource>(out) {
+                    Ok(record) => record,
+                    Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
+                };
                 let Some(record) = record else {
                     return Step::Done(Err(ProcessError::UnknownResource(self.resource.clone())));
                 };

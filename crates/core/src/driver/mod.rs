@@ -80,8 +80,9 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use duc_blockchain::{Event, Ledger, TxId};
-use duc_contracts::{topics, PolicyEnvelope};
+use duc_blockchain::{Ledger, TxId};
+use duc_contracts::events::MonitoringRequested;
+use duc_contracts::DexEvent;
 use duc_crypto::Digest;
 use duc_intern::{FxHashMap, FxHashSet, Sym};
 use duc_policy::{Duty, Rule, UsagePolicy};
@@ -300,49 +301,10 @@ impl Machine {
 
 // ------------------------------------------------------------------ inbox
 
-/// What a pushed-out event is about, decoded once when it enters the
-/// shared inbox: the key an in-flight process claims it by, plus the
-/// payload that process needs.
-pub(crate) enum Routed {
-    /// `PolicyUpdated`: the hash travelling inside the event is dropped —
-    /// process 5 checks the envelope against the on-chain anchor instead.
-    PolicyUpdated {
-        resource: String,
-        version: u64,
-        envelope: PolicyEnvelope,
-    },
-    /// `RoundClosed`.
-    RoundClosed { resource: String, round: u64 },
-}
-
-impl Routed {
-    /// `None` for a topic no process claims or a payload that does not
-    /// decode: no key could ever match such an event.
-    fn decode(event: &Event) -> Option<Routed> {
-        match event.topic.as_str() {
-            topics::POLICY_UPDATED => {
-                let (resource, version, envelope, _) =
-                    duc_codec::decode_from_slice::<(_, _, _, Digest)>(&event.data).ok()?;
-                Some(Routed::PolicyUpdated {
-                    resource,
-                    version,
-                    envelope,
-                })
-            }
-            topics::ROUND_CLOSED => {
-                let (resource, round, _, _) =
-                    duc_codec::decode_from_slice::<(_, _, u64, Vec<String>)>(&event.data).ok()?;
-                Some(Routed::RoundClosed { resource, round })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// One drained chain event in the shared inbox, with every delivery the
-/// push-out oracle computed for it.
+/// One drained chain event in the shared inbox, decoded once when it
+/// enters, with every delivery the push-out oracle computed for it.
 pub(crate) struct InboxEvent {
-    pub(crate) routed: Routed,
+    pub(crate) event: DexEvent,
     /// `(recipient, arrives_at)` in the oracle's fan-out order.
     pub(crate) deliveries: Vec<(EndpointId, SimTime)>,
 }
@@ -381,7 +343,8 @@ pub(crate) struct DriverState {
     slot_tick: Option<(SimTime, EventId)>,
     completed: VecDeque<(Ticket, Result<Outcome, ProcessError>)>,
     pub(crate) inbox: Vec<InboxEvent>,
-    pub(crate) monitoring_inbox: Vec<(u64, Rc<Event>)>,
+    /// Round requests a poll collected for sibling rounds, decoded.
+    pub(crate) monitoring_inbox: Vec<MonitoringRequested>,
     /// Machine ids spawned by the obligation scheduler: their outcomes are
     /// dropped on completion instead of surfacing through tickets.
     internal: FxHashSet<u64>,
@@ -732,7 +695,7 @@ impl<L: Ledger> World<L> {
     /// `pred`. Non-matching events stay for other in-flight processes.
     pub(crate) fn claim_events(
         &mut self,
-        mut pred: impl FnMut(&Routed) -> bool,
+        mut pred: impl FnMut(&DexEvent) -> bool,
     ) -> Vec<InboxEvent> {
         // `drain` resyncs a relay cursor that fell below the prune horizon
         // (idle across a finalized checkpoint) and re-polls: everything at
@@ -742,17 +705,18 @@ impl<L: Ledger> World<L> {
             .drain(&self.chain, &mut self.net, &self.clock, &mut self.rng);
         // The oracle emits an event's deliveries back to back.
         for group in fresh.chunk_by(|a, b| Rc::ptr_eq(&a.event, &b.event)) {
-            if let Some(routed) = Routed::decode(&group[0].event) {
+            // A payload that does not decode can match no process's key.
+            if let Some(event) = DexEvent::decode(&group[0].event) {
                 let deliveries = group.iter().map(|d| (d.recipient, d.arrives_at));
                 self.driver.inbox.push(InboxEvent {
-                    routed,
+                    event,
                     deliveries: deliveries.collect(),
                 });
             }
         }
         let (claimed, rest) = std::mem::take(&mut self.driver.inbox)
             .into_iter()
-            .partition(|e| pred(&e.routed));
+            .partition(|e| pred(&e.event));
         self.driver.inbox = rest;
         claimed
     }

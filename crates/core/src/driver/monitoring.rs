@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, Receipt};
 use duc_contracts::calls::{GetRound, StartMonitoring};
-use duc_contracts::{DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
+use duc_contracts::{DexEvent, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::ReportedEvidence;
@@ -14,7 +14,7 @@ use crate::world::World;
 
 use super::flow::{FlowPoll, PreparedCall, TxFlow};
 use super::hop::{Hop, HopPoll};
-use super::{MonitoringOutcome, Outcome, ProcessError, Routed, Step, Wake};
+use super::{MonitoringOutcome, Outcome, ProcessError, Step, Wake};
 
 /// Process 6 — policy monitoring round.
 pub(crate) struct Monitoring {
@@ -179,21 +179,29 @@ impl Monitoring {
             MonPhase::PollArrived { events, cursor_to } => {
                 world.pull_in.commit_cursor(*cursor_to);
                 // Find our round's request among the fresh events and any
-                // stashed by sibling rounds; stash the rest for them. Both
-                // sources share one decode policy: an undecodable payload
+                // stashed by sibling rounds; stash the rest for them. A
+                // fresh event is decoded once, here: an undecodable payload
                 // can never match any round, so it is dropped (counted)
                 // rather than failing this round or circulating forever.
                 let mut matched: Option<Vec<String>> = None;
                 let stashed = std::mem::take(&mut world.driver.monitoring_inbox);
-                for (height, event) in stashed.into_iter().chain(std::mem::take(events)) {
-                    match decode_monitoring_request(&event.data) {
-                        Some((res, r, devices))
-                            if matched.is_none() && res == self.resource_iri && r == self.round =>
-                        {
-                            matched = Some(devices);
+                let fresh = std::mem::take(events).into_iter().filter_map(|(_, event)| {
+                    match DexEvent::decode(&event) {
+                        Some(DexEvent::MonitoringRequested(request)) => Some(request),
+                        _ => {
+                            world.metrics.incr("driver.monitoring.bad_event");
+                            None
                         }
-                        Some(_) => world.driver.monitoring_inbox.push((height, event)),
-                        None => world.metrics.incr("driver.monitoring.bad_event"),
+                    }
+                });
+                for request in stashed.into_iter().chain(fresh) {
+                    if matched.is_none()
+                        && request.resource == self.resource_iri
+                        && request.round == self.round
+                    {
+                        matched = Some(request.expected_devices);
+                    } else {
+                        world.driver.monitoring_inbox.push(request);
                     }
                 }
                 if let Some(devices) = matched {
@@ -371,9 +379,9 @@ impl Monitoring {
             Ok(None) => return Step::Done(Err(ProcessError::Policy("round vanished".into()))),
             Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
         };
-        let closed = world.claim_events(|routed| {
-            matches!(routed, Routed::RoundClosed { resource, round }
-                if *resource == self.resource_iri && *round == self.round)
+        let closed = world.claim_events(|event| {
+            matches!(event, DexEvent::RoundClosed(closed)
+                if closed.resource == self.resource_iri && closed.round == self.round)
         });
         let mut verdicts = closed.iter().flat_map(|e| &e.deliveries);
         if verdicts.any(|(to, _)| Some(*to) == self.endpoint) {
@@ -408,9 +416,4 @@ impl Monitoring {
             duration,
         })))
     }
-}
-
-/// Decodes a `MonitoringRequested` event payload.
-fn decode_monitoring_request(data: &[u8]) -> Option<(String, u64, Vec<String>)> {
-    duc_codec::decode_from_slice(data).ok()
 }

@@ -27,6 +27,7 @@
 
 use duc_blockchain::Ledger;
 use duc_contracts::calls::UnregisterCopy;
+use duc_contracts::DistExchangeClient;
 use duc_sim::{SimDuration, SimTime};
 use duc_tee::EnforcementAction;
 
@@ -134,13 +135,13 @@ impl ObligationRun {
             ObligationPhase::Confirm(flow) => match flow.step(world) {
                 FlowPoll::Sleep(wake) => Step::Sleep(wake),
                 FlowPoll::Done(Ok(receipt)) => {
-                    // The contract's freshness guard returns `(false,)`
-                    // when a racing re-access re-registered the copy: the
-                    // local deletion of the *old* copy stands, but no
-                    // registry change was anchored.
-                    let removed = duc_codec::decode_from_slice::<(bool,)>(&receipt.return_data)
-                        .map(|(r,)| r)
-                        .unwrap_or(false);
+                    // The contract's freshness guard returns `false` when
+                    // a racing re-access re-registered the copy: the local
+                    // deletion of the *old* copy stands, but no registry
+                    // change was anchored.
+                    let data = &receipt.return_data;
+                    let removed =
+                        DistExchangeClient::decode_return::<UnregisterCopy>(data).unwrap_or(false);
                     if removed {
                         world.metrics.incr("enforcement.evidence_anchored");
                     } else {

@@ -5,6 +5,8 @@ use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
 use duc_contracts::calls::UnregisterCopy;
+use duc_contracts::events::PolicyUpdated;
+use duc_contracts::DexEvent;
 use duc_policy::{Duty, PolicyVersion, Rule};
 use duc_sim::{EndpointId, SimTime};
 use duc_tee::EnforcementAction;
@@ -12,7 +14,7 @@ use duc_tee::EnforcementAction;
 use crate::world::World;
 
 use super::flow::{FlowPoll, PreparedCall, TxFlow};
-use super::{Outcome, ProcessError, PropagationOutcome, Routed, Step, Wake, CONFIRM_TIMEOUT};
+use super::{Outcome, ProcessError, PropagationOutcome, Step, Wake, CONFIRM_TIMEOUT};
 
 /// Process 5 — policy modification and push-out fan-out.
 pub(crate) struct PolicyMod {
@@ -209,9 +211,9 @@ impl PolicyMod {
         // Push-out fan-out to subscribed devices: claim the events that
         // belong to *this* update; others stay in the shared inbox for
         // their own in-flight processes.
-        let claimed = world.claim_events(|routed| {
-            matches!(routed, Routed::PolicyUpdated { resource, version, .. }
-                if *resource == self.resource_iri && *version == self.version)
+        let claimed = world.claim_events(|event| {
+            matches!(event, DexEvent::PolicyUpdated(updated)
+                if updated.resource == self.resource_iri && updated.version == self.version)
         });
         // Integrity gate: read the policy hash the contract anchored in
         // the *on-chain record* (not the hash travelling inside the pushed
@@ -231,7 +233,10 @@ impl PolicyMod {
         };
         let mut deliveries = Vec::new();
         for event in claimed {
-            let Routed::PolicyUpdated { envelope, .. } = event.routed else {
+            let DexEvent::PolicyUpdated(PolicyUpdated {
+                policy: envelope, ..
+            }) = event.event
+            else {
                 continue;
             };
             if envelope.digest() != anchored_hash {
@@ -259,13 +264,13 @@ impl PolicyMod {
 
 #[cfg(test)]
 mod tests {
-    use duc_blockchain::{ContractId, Event};
-    use duc_contracts::{topics, DEX_CONTRACT_ID};
+    use duc_contracts::events::PolicyUpdated;
+    use duc_contracts::DexEvent;
     use duc_policy::UsagePolicy;
     use duc_sim::SimDuration;
 
     use crate::chaos::launch_pad;
-    use crate::driver::{InboxEvent, Outcome, Request, Routed};
+    use crate::driver::{InboxEvent, Outcome, Request};
     use crate::scenario::population_policy;
     use crate::world::WorldConfig;
 
@@ -297,14 +302,15 @@ mod tests {
             version: 2,
             ..population_policy(&iri, OWNER, 1)
         });
-        let planted = Event {
-            contract: ContractId::new(DEX_CONTRACT_ID),
-            topic: topics::POLICY_UPDATED.into(),
-            data: duc_codec::encode_to_vec(&(iri.clone(), 2u64, forged.clone(), forged.digest())),
+        let planted = PolicyUpdated {
+            resource: iri.clone(),
+            version: 2,
+            policy_hash: forged.digest(),
+            policy: forged,
         };
         let now = world.clock.now();
         let planted = InboxEvent {
-            routed: Routed::decode(&planted).expect("well-formed"),
+            event: DexEvent::PolicyUpdated(planted),
             deliveries: (holders.iter())
                 .map(|device| (world.device(device).endpoint, now))
                 .collect(),

@@ -10,8 +10,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use duc_blockchain::{Ledger, Receipt, TxId};
-use duc_codec::{Decode, Reader};
-use duc_contracts::topics;
+use duc_contracts::DexEvent;
 use duc_policy::{Action, Constraint, Duty, Purpose, Rule, UsagePolicy};
 use duc_sim::{zipf_weights, SimDuration};
 use duc_solid::Body;
@@ -319,9 +318,10 @@ pub fn population_policy(resource_iri: &str, owner: &str, retention_days: u64) -
 }
 
 /// Confirms one chunk of a bulk-enrolment pass: party `names[i]` sent
-/// transaction `ids[i]` straight into the mempool, and its call emits a
-/// `topic` event whose first field is that name — `PodRegistered(webid)`,
-/// `ResourceRegistered(iri)`, `CertificateIssued(webid, _)`.
+/// transaction `ids[i]` straight into the mempool, and its call emits an
+/// event naming that party — `PodRegistered`'s owner WebID,
+/// `ResourceRegistered`'s IRI or `CertificateIssued`'s WebID (a pass
+/// enrolls one kind of party, and the mempool drains between passes).
 ///
 /// Seals slots until the mempool is empty and confirms parties the way the
 /// driver's inclusion wait-set confirms requests: by what each sealed slot
@@ -338,7 +338,6 @@ pub fn population_policy(resource_iri: &str, owner: &str, retention_days: u64) -
 /// receipt is the one place the reason is.
 fn confirm_chunk<L: Ledger>(
     world: &mut World<L>,
-    topic: &str,
     what: &str,
     names: &[String],
     ids: &[TxId],
@@ -358,9 +357,12 @@ fn confirm_chunk<L: Ledger>(
         let sealed = (world.chain)
             .try_events_since(cursor)
             .expect("a slot is read before the chain prunes it");
-        for (_, event) in sealed.iter().filter(|(_, e)| e.topic == topic) {
-            let Ok(name) = String::decode(&mut Reader::new(&event.data)) else {
-                continue;
+        for (_, event) in sealed.iter() {
+            let name = match DexEvent::decode(event) {
+                Some(DexEvent::PodRegistered(e)) => e.owner_webid,
+                Some(DexEvent::ResourceRegistered(e)) => e.resource,
+                Some(DexEvent::CertificateIssued(e)) => e.webid,
+                _ => continue,
             };
             if let Some(&i) = parties.get(name.as_str()) {
                 if !std::mem::replace(&mut included[i], true) {
@@ -426,7 +428,7 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
                     .expect("pod tx fits the mempool")
             })
             .collect();
-        confirm_chunk(world, topics::POD_REGISTERED, "pod", chunk, &ids, |_, _| {});
+        confirm_chunk(world, "pod", chunk, &ids, |_, _| {});
     }
     for webid in &owners {
         pod_init::registered(world, webid);
@@ -451,8 +453,7 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
                 (world.chain.submit(call.tx)).expect("resource tx fits the mempool")
             })
             .collect();
-        let topic = topics::RESOURCE_REGISTERED;
-        confirm_chunk(world, topic, "resource", iris, &ids, |_, _| {});
+        confirm_chunk(world, "resource", iris, &ids, |_, _| {});
     }
 
     let mut pop = Population {
@@ -512,8 +513,7 @@ fn certify_enrolled<L: Ledger>(world: &mut World<L>, pop: &mut Population, size:
         .map(|name| world.device(name).webid.clone())
         .collect();
     let mut receipts: Vec<Option<Receipt>> = vec![None; size];
-    let topic = topics::CERTIFICATE_ISSUED;
-    confirm_chunk(world, topic, "subscription", &webids, &ids, |world, i| {
+    confirm_chunk(world, "subscription", &webids, &ids, |world, i| {
         receipts[i] = world.chain.receipt(&ids[i]).cloned();
     });
     for (name, receipt) in devices.into_iter().zip(receipts) {

@@ -294,7 +294,7 @@ impl PushOutOracle {
         let mut max_height = self.cursor;
         for (height, event) in fresh.iter() {
             max_height = max_height.max(height);
-            let Some(subs) = self.subscriptions.get(&event.topic) else {
+            let Some(subs) = self.subscriptions.get(event.topic) else {
                 continue;
             };
             let size = event.data.len() as u64 + 64;
