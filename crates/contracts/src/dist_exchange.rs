@@ -30,10 +30,7 @@ use crate::calls::{
     RegisterCopy, RegisterPod, RegisterResource, StartMonitoring, Subscribe, UnregisterCopy,
     UpdatePolicy, VerifyCertificate,
 };
-use crate::events::{
-    CertificateIssued, CopyRegistered, CopyRemoved, DexEvent, EvidenceRecorded,
-    MonitoringRequested, PodRegistered, PolicyUpdated, ResourceRegistered, RoundClosed,
-};
+use crate::events;
 use crate::layout;
 use crate::rows::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, SubRow};
 
@@ -71,12 +68,6 @@ fn put_policy(ctx: &mut CallCtx<'_>, policy: &PolicyEnvelope) -> Result<Digest, 
     Ok(digest)
 }
 
-/// Emits one event of the event table.
-fn emit(ctx: &mut CallCtx<'_>, event: impl Into<DexEvent>) -> Result<(), ContractError> {
-    let event = event.into();
-    ctx.emit(event.topic(), event.encode())
-}
-
 /// Fetches an envelope from the pol table (view-method reconstruction).
 fn get_policy(ctx: &mut CallCtx<'_>, digest: &Digest) -> Result<PolicyEnvelope, ContractError> {
     ctx.get(&layout::pol(digest))?
@@ -111,7 +102,7 @@ impl DistExchange {
         };
         ctx.set(key, &row)?;
         let owner_webid = a.owner_webid;
-        emit(ctx, PodRegistered { owner_webid })?;
+        events::PodRegistered { owner_webid }.emit(ctx)?;
         Ok(())
     }
 
@@ -120,14 +111,11 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         a: GetPod,
     ) -> Result<Option<PodRecord>, ContractError> {
-        let row: Option<PodRow> = ctx.get(&layout::pod(&a.owner_webid))?;
-        Ok(match row {
-            None => None,
-            Some(row) => {
-                let policy = get_policy(ctx, &row.policy)?;
-                Some(row.into_record(a.owner_webid, policy))
-            }
-        })
+        let Some(row) = ctx.get::<PodRow>(&layout::pod(&a.owner_webid))? else {
+            return Ok(None);
+        };
+        let policy = get_policy(ctx, &row.policy)?;
+        Ok(Some(row.into_record(a.owner_webid, policy)))
     }
 
     fn register_resource(
@@ -160,12 +148,8 @@ impl DistExchange {
             registered_at: ctx.block_time,
         };
         ctx.set(key, &row)?;
-        emit(
-            ctx,
-            ResourceRegistered {
-                resource: a.resource,
-            },
-        )?;
+        let resource = a.resource;
+        events::ResourceRegistered { resource }.emit(ctx)?;
         Ok(())
     }
 
@@ -174,14 +158,11 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         a: LookupResource,
     ) -> Result<Option<ResourceRecord>, ContractError> {
-        let row: Option<ResourceRow> = ctx.get(&layout::res(&a.resource))?;
-        Ok(match row {
-            None => None,
-            Some(row) => {
-                let policy = get_policy(ctx, &row.policy)?;
-                Some(row.into_record(a.resource, policy))
-            }
-        })
+        let Some(row) = ctx.get::<ResourceRow>(&layout::res(&a.resource))? else {
+            return Ok(None);
+        };
+        let policy = get_policy(ctx, &row.policy)?;
+        Ok(Some(row.into_record(a.resource, policy)))
     }
 
     fn list_resources(&self, ctx: &mut CallCtx<'_>) -> Result<Vec<String>, ContractError> {
@@ -215,13 +196,13 @@ impl DistExchange {
         // The event anchors the new policy *hash* alongside the envelope:
         // devices verify the pushed bytes against it before recompiling
         // their local program and re-scheduling obligations.
-        let updated = PolicyUpdated {
+        let updated = events::PolicyUpdated {
             resource: a.resource,
             version: a.new_version,
             policy: a.policy,
             policy_hash,
         };
-        emit(ctx, updated)?;
+        updated.emit(ctx)?;
         Ok(())
     }
 
@@ -238,7 +219,7 @@ impl DistExchange {
         };
         ctx.set(key, &row)?;
         let (resource, device) = (a.resource, a.device);
-        emit(ctx, CopyRegistered { resource, device })?;
+        events::CopyRegistered { resource, device }.emit(ctx)?;
         Ok(())
     }
 
@@ -260,7 +241,7 @@ impl DistExchange {
         }
         ctx.remove_raw(&key)?;
         let (resource, device) = (a.resource, a.device);
-        emit(ctx, CopyRemoved { resource, device })?;
+        events::CopyRemoved { resource, device }.emit(ctx)?;
         Ok(true)
     }
 
@@ -321,24 +302,20 @@ impl DistExchange {
             expected_devices: self.copy_devices(ctx, &resource)?,
         };
         ctx.set(layout::round(&resource, round), &header)?;
-        let closed = header.expected_devices.is_empty();
-        let requested = MonitoringRequested {
-            resource: resource.clone(),
+        let requested = events::MonitoringRequested {
+            resource,
             round,
             expected_devices: header.expected_devices,
         };
-        emit(ctx, requested)?;
-        if closed {
-            let violators = Vec::new();
-            emit(
-                ctx,
-                RoundClosed {
-                    resource,
-                    round,
-                    compliant: 0,
-                    violators,
-                },
-            )?;
+        requested.emit(ctx)?;
+        if requested.expected_devices.is_empty() {
+            events::RoundClosed {
+                resource: requested.resource,
+                round,
+                compliant: 0,
+                violators: Vec::new(),
+            }
+            .emit(ctx)?;
         }
         Ok(round)
     }
@@ -417,13 +394,13 @@ impl DistExchange {
             Answer::Evidence { compliant, .. } => compliant,
             Answer::Reaffirmed { .. } => true,
         };
-        let recorded = EvidenceRecorded {
+        let recorded = events::EvidenceRecorded {
             resource: resource.clone(),
             round,
             device: device.clone(),
             compliant,
         };
-        emit(ctx, recorded)?;
+        recorded.emit(ctx)?;
         let row = AnswerRow {
             ordinal: place.answered,
             answer,
@@ -446,16 +423,13 @@ impl DistExchange {
                 _ => compliant_count += 1,
             }
         }
-        let compliant = compliant_count;
-        emit(
-            ctx,
-            RoundClosed {
-                resource,
-                round,
-                compliant,
-                violators,
-            },
-        )?;
+        events::RoundClosed {
+            resource,
+            round,
+            compliant: compliant_count,
+            violators,
+        }
+        .emit(ctx)?;
         Ok(())
     }
 
@@ -588,7 +562,7 @@ impl DistExchange {
         // sub/{webid}.certificate == c already proves c was issued to
         // webid. Storing the WebID again would duplicate the key material.
         ctx.set_raw(layout::cert(&certificate), Vec::new())?;
-        emit(ctx, CertificateIssued { webid, certificate })?;
+        events::CertificateIssued { webid, certificate }.emit(ctx)?;
         Ok(certificate)
     }
 

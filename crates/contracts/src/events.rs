@@ -3,13 +3,12 @@
 //!
 //! A row reads `Variant = "Topic" as CONSTANT { field: Type, … }`, the
 //! fields in wire order; a payload struct encodes exactly like the tuple it
-//! replaced. From the table come one payload struct per topic, [`topics`],
-//! and [`DexEvent`] with `topic()`, `encode()` and `decode()`. The contract
-//! emits payload structs; the driver's push-out inbox, its monitoring poll
-//! and bulk enrolment match on the decoded [`DexEvent`], so none of them
-//! spells a topic or a payload shape.
+//! replaced. From the table come one payload struct per topic, which the
+//! contract emits, [`topics`], and [`DexEvent`] with `decode()`, which the
+//! driver's push-out inbox, its monitoring poll and bulk enrolment match
+//! on, so none of them spells a topic or a payload shape.
 
-use duc_blockchain::Event;
+use duc_blockchain::{CallCtx, ContractError, Event};
 use duc_codec::{decode_from_slice, encode_to_vec, impl_codec_struct};
 use duc_crypto::Digest;
 
@@ -23,13 +22,12 @@ macro_rules! dex_events {
         $(
             #[doc = concat!("The payload of `", $topic, "`.")]
             #[derive(Debug, Clone, PartialEq, Eq)]
-            pub struct $variant {
-                $(pub $field: $ty,)*
-            }
+            pub struct $variant { $(pub $field: $ty,)* }
             impl_codec_struct!($variant { $($field),* });
-            impl From<$variant> for DexEvent {
-                fn from(payload: $variant) -> DexEvent {
-                    DexEvent::$variant(payload)
+            impl $variant {
+                /// Emits this event from the running call (gas-metered).
+                pub(crate) fn emit(&self, ctx: &mut CallCtx<'_>) -> Result<(), ContractError> {
+                    ctx.emit($topic, encode_to_vec(self))
                 }
             }
         )*
@@ -47,20 +45,6 @@ macro_rules! dex_events {
         }
 
         impl DexEvent {
-            /// The event's topic, as the chain records it.
-            pub fn topic(&self) -> &'static str {
-                match self {
-                    $(DexEvent::$variant(_) => $topic,)*
-                }
-            }
-
-            /// The payload bytes, as the chain records them.
-            pub fn encode(&self) -> Vec<u8> {
-                match self {
-                    $(DexEvent::$variant(payload) => encode_to_vec(payload),)*
-                }
-            }
-
             /// Decodes a chain event: `None` for a topic outside the table,
             /// or for a payload that does not decode to its topic's struct
             /// or leaves bytes over.
@@ -82,10 +66,7 @@ dex_events! {
     /// A usage policy was replaced (push-out oracles fan this out), with
     /// the hash the contract anchored for the new envelope.
     PolicyUpdated = "PolicyUpdated" as POLICY_UPDATED {
-        resource: String,
-        version: u64,
-        policy: PolicyEnvelope,
-        policy_hash: Digest,
+        resource: String, version: u64, policy: PolicyEnvelope, policy_hash: Digest,
     };
     /// A device registered a copy of a resource.
     CopyRegistered = "CopyRegistered" as COPY_REGISTERED { resource: String, device: String };
@@ -93,28 +74,17 @@ dex_events! {
     CopyRemoved = "CopyRemoved" as COPY_REMOVED { resource: String, device: String };
     /// A monitoring round was opened (pull-in oracles react).
     MonitoringRequested = "MonitoringRequested" as MONITORING_REQUESTED {
-        resource: String,
-        round: u64,
-        expected_devices: Vec<String>,
+        resource: String, round: u64, expected_devices: Vec<String>,
     };
     /// A device's evidence was recorded.
     EvidenceRecorded = "EvidenceRecorded" as EVIDENCE_RECORDED {
-        resource: String,
-        round: u64,
-        device: String,
-        compliant: bool,
+        resource: String, round: u64, device: String, compliant: bool,
     };
     /// A monitoring round closed with its verdict: how many answers were
     /// compliant, and the violating devices in submission order.
     RoundClosed = "RoundClosed" as ROUND_CLOSED {
-        resource: String,
-        round: u64,
-        compliant: u64,
-        violators: Vec<String>,
+        resource: String, round: u64, compliant: u64, violators: Vec<String>,
     };
     /// A market subscription certificate was issued.
-    CertificateIssued = "CertificateIssued" as CERTIFICATE_ISSUED {
-        webid: String,
-        certificate: Digest,
-    };
+    CertificateIssued = "CertificateIssued" as CERTIFICATE_ISSUED { webid: String, certificate: Digest };
 }

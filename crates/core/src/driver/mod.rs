@@ -707,11 +707,8 @@ impl<L: Ledger> World<L> {
         for group in fresh.chunk_by(|a, b| Rc::ptr_eq(&a.event, &b.event)) {
             // A payload that does not decode can match no process's key.
             if let Some(event) = DexEvent::decode(&group[0].event) {
-                let deliveries = group.iter().map(|d| (d.recipient, d.arrives_at));
-                self.driver.inbox.push(InboxEvent {
-                    event,
-                    deliveries: deliveries.collect(),
-                });
+                let deliveries = group.iter().map(|d| (d.recipient, d.arrives_at)).collect();
+                self.driver.inbox.push(InboxEvent { event, deliveries });
             }
         }
         let (claimed, rest) = std::mem::take(&mut self.driver.inbox)

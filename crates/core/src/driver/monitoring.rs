@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, Receipt};
 use duc_contracts::calls::{GetRound, StartMonitoring};
+use duc_contracts::events::MonitoringRequested;
 use duc_contracts::{DexEvent, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
@@ -178,33 +179,23 @@ impl Monitoring {
             },
             MonPhase::PollArrived { events, cursor_to } => {
                 world.pull_in.commit_cursor(*cursor_to);
-                // Find our round's request among the fresh events and any
-                // stashed by sibling rounds; stash the rest for them. A
-                // fresh event is decoded once, here: an undecodable payload
-                // can never match any round, so it is dropped (counted)
-                // rather than failing this round or circulating forever.
-                let mut matched: Option<Vec<String>> = None;
-                let stashed = std::mem::take(&mut world.driver.monitoring_inbox);
-                let fresh = std::mem::take(events).into_iter().filter_map(|(_, event)| {
+                // Stash the fresh round requests behind those sibling rounds
+                // left, then take ours out. A fresh event is decoded once,
+                // here: an undecodable payload can never match any round, so
+                // it is dropped (counted) rather than failing this round or
+                // circulating forever.
+                let inbox = &mut world.driver.monitoring_inbox;
+                for (_, event) in std::mem::take(events) {
                     match DexEvent::decode(&event) {
-                        Some(DexEvent::MonitoringRequested(request)) => Some(request),
-                        _ => {
-                            world.metrics.incr("driver.monitoring.bad_event");
-                            None
-                        }
-                    }
-                });
-                for request in stashed.into_iter().chain(fresh) {
-                    if matched.is_none()
-                        && request.resource == self.resource_iri
-                        && request.round == self.round
-                    {
-                        matched = Some(request.expected_devices);
-                    } else {
-                        world.driver.monitoring_inbox.push(request);
+                        Some(DexEvent::MonitoringRequested(request)) => inbox.push(request),
+                        _ => world.metrics.incr("driver.monitoring.bad_event"),
                     }
                 }
-                if let Some(devices) = matched {
+                let ours = |r: &MonitoringRequested| {
+                    r.resource == self.resource_iri && r.round == self.round
+                };
+                if let Some(at) = inbox.iter().position(ours) {
+                    let devices = inbox.remove(at).expected_devices;
                     self.expected_total = devices.len();
                     self.expected = devices.into();
                 }

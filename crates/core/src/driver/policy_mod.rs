@@ -5,7 +5,6 @@ use std::rc::Rc;
 
 use duc_blockchain::{Ledger, Receipt, TxId};
 use duc_contracts::calls::UnregisterCopy;
-use duc_contracts::events::PolicyUpdated;
 use duc_contracts::DexEvent;
 use duc_policy::{Duty, PolicyVersion, Rule};
 use duc_sim::{EndpointId, SimTime};
@@ -233,13 +232,10 @@ impl PolicyMod {
         };
         let mut deliveries = Vec::new();
         for event in claimed {
-            let DexEvent::PolicyUpdated(PolicyUpdated {
-                policy: envelope, ..
-            }) = event.event
-            else {
+            let DexEvent::PolicyUpdated(updated) = event.event else {
                 continue;
             };
-            if envelope.digest() != anchored_hash {
+            if updated.policy.digest() != anchored_hash {
                 // Counted per rejected delivery, not per event.
                 let rejected = event.deliveries.len() as u64;
                 world
@@ -247,7 +243,7 @@ impl PolicyMod {
                     .add("driver.policy_update.hash_mismatch", rejected);
                 continue;
             }
-            let policy = match world.shared_policy(&envelope) {
+            let policy = match world.shared_policy(&updated.policy) {
                 Ok(policy) => policy,
                 Err(e) => return Step::Done(Err(ProcessError::Policy(e.to_string()))),
             };

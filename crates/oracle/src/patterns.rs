@@ -210,7 +210,7 @@ pub struct PushOutOracle {
     /// The relay's network endpoint.
     pub relay: EndpointId,
     cursor: u64,
-    subscriptions: HashMap<String, Subscribers>,
+    subscriptions: HashMap<&'static str, Subscribers>,
     delivered: u64,
     dropped: u64,
     resyncs: u64,
@@ -231,12 +231,8 @@ impl PushOutOracle {
 
     /// Subscribes `recipient` to events with `topic`. Idempotent: a pair
     /// that is already present is a hash probe and nothing else.
-    pub fn subscribe(&mut self, topic: impl AsRef<str>, recipient: EndpointId) {
-        let topic = topic.as_ref();
-        let subs = match self.subscriptions.get_mut(topic) {
-            Some(subs) => subs,
-            None => self.subscriptions.entry(topic.to_owned()).or_default(),
-        };
+    pub fn subscribe(&mut self, topic: &'static str, recipient: EndpointId) {
+        let subs = self.subscriptions.entry(topic).or_default();
         if subs.members.insert(recipient) {
             subs.order.push(recipient);
         }
@@ -399,17 +395,17 @@ pub struct PullInOracle {
     /// The relay's network endpoint.
     pub relay: EndpointId,
     cursor: u64,
-    topic: String,
+    topic: &'static str,
     resyncs: u64,
 }
 
 impl PullInOracle {
     /// A pull-in oracle watching for `topic` request events.
-    pub fn new(relay: EndpointId, topic: impl Into<String>) -> PullInOracle {
+    pub fn new(relay: EndpointId, topic: &'static str) -> PullInOracle {
         PullInOracle {
             relay,
             cursor: 0,
-            topic: topic.into(),
+            topic,
             resyncs: 0,
         }
     }
@@ -468,8 +464,8 @@ impl PullInOracle {
     }
 
     /// The watched topic.
-    pub fn topic(&self) -> &str {
-        &self.topic
+    pub fn topic(&self) -> &'static str {
+        self.topic
     }
 
     /// The height up to which request events have been acknowledged.
