@@ -19,18 +19,21 @@
 //! The properties cover every decoder a client, a block or an event log can
 //! feed: the argument type of each of the 17 `DistExchange` methods, the
 //! return data of the five record views the client decodes, the policy
-//! envelope, the signed transaction and the payload of each event topic. For each, decode∘encode is the identity, and bytes that are
+//! envelope, the signed transaction and the payload struct of each event
+//! topic. For each, decode∘encode is the identity, and bytes that are
 //! arbitrary, mutated in one place, cut short or given a hostile length
 //! prefix either decode to a value that re-encodes to exactly those bytes or
 //! are refused — never a panic. `every_call_decodes_to_itself` holds
-//! `DexCall::decode` to the same over random calls of every method.
+//! `DexCall::decode` to the same over random calls of every method, and
+//! `every_event_decodes_through_the_table` holds `DexEvent::decode` to its
+//! payloads over random events of every topic.
 //! `every_method_survives_damaged_arguments`
 //! sends the same damage through `Contract::call` itself, over a ledger state
 //! where every method has something to find.
 
 use duc_blockchain::tx::TxKind;
 use duc_blockchain::{
-    Address, CallCtx, Contract, ContractError, ContractId, GasMeter, SignedTransaction,
+    Address, CallCtx, Contract, ContractError, ContractId, Event, GasMeter, SignedTransaction,
     Transaction, WorldState,
 };
 use duc_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
@@ -40,9 +43,13 @@ use duc_contracts::calls::{
     UpdatePolicy, VerifyCertificate,
 };
 use duc_contracts::client::{DistExchangeClient, DEFAULT_GAS};
+use duc_contracts::events::{
+    CertificateIssued, CopyRegistered, CopyRemoved, EvidenceRecorded, MonitoringRequested,
+    PodRegistered, PolicyUpdated, ResourceRegistered, RoundClosed,
+};
 use duc_contracts::{
-    CopyRecord, DexCall, DistExchange, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound,
-    PodRecord, PolicyEnvelope, ResourceRecord, Subscription, DEX_CONTRACT_ID,
+    topics, CopyRecord, DexCall, DexEvent, DistExchange, EvidenceReaffirmation, EvidenceSubmission,
+    MonitoringRound, PodRecord, PolicyEnvelope, ResourceRecord, Subscription, DEX_CONTRACT_ID,
 };
 use duc_crypto::{Digest, KeyPair, PublicKey, Signature};
 use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
@@ -562,6 +569,125 @@ fn signed_transaction() -> impl Strategy<Value = SignedTransaction> {
         )
 }
 
+fn policy_updated() -> impl Strategy<Value = PolicyUpdated> {
+    (text(), any::<u64>(), policy_envelope(), digest()).prop_map(
+        |(resource, version, policy, policy_hash)| PolicyUpdated {
+            resource,
+            version,
+            policy,
+            policy_hash,
+        },
+    )
+}
+
+fn copy_registered() -> impl Strategy<Value = CopyRegistered> {
+    (text(), text()).prop_map(|(resource, device)| CopyRegistered { resource, device })
+}
+
+fn monitoring_requested() -> impl Strategy<Value = MonitoringRequested> {
+    (text(), any::<u64>(), names()).prop_map(|(resource, round, expected_devices)| {
+        MonitoringRequested {
+            resource,
+            round,
+            expected_devices,
+        }
+    })
+}
+
+fn evidence_recorded() -> impl Strategy<Value = EvidenceRecorded> {
+    (text(), any::<u64>(), text(), any::<bool>()).prop_map(
+        |(resource, round, device, compliant)| EvidenceRecorded {
+            resource,
+            round,
+            device,
+            compliant,
+        },
+    )
+}
+
+fn round_closed() -> impl Strategy<Value = RoundClosed> {
+    (text(), any::<u64>(), any::<u64>(), names()).prop_map(
+        |(resource, round, compliant, violators)| RoundClosed {
+            resource,
+            round,
+            compliant,
+            violators,
+        },
+    )
+}
+
+fn certificate_issued() -> impl Strategy<Value = CertificateIssued> {
+    (text(), digest()).prop_map(|(webid, certificate)| CertificateIssued { webid, certificate })
+}
+
+/// A DE App event of `topic` carrying `payload`, beside what the event
+/// table decodes it to.
+fn event_of<P: Encode>(
+    topic: &'static str,
+    payload: P,
+    decoded: impl FnOnce(P) -> DexEvent,
+) -> (Event, DexEvent) {
+    let data = encode_to_vec(&payload);
+    let contract = ContractId::new(DEX_CONTRACT_ID);
+    (
+        Event {
+            contract,
+            topic,
+            data,
+        },
+        decoded(payload),
+    )
+}
+
+/// An event of any of the nine topics, with an arbitrary payload.
+fn dex_event() -> impl Strategy<Value = (Event, DexEvent)> {
+    prop_oneof![
+        text().prop_map(|owner_webid| {
+            let payload = PodRegistered { owner_webid };
+            event_of(topics::POD_REGISTERED, payload, DexEvent::PodRegistered)
+        }),
+        text().prop_map(|resource| {
+            let payload = ResourceRegistered { resource };
+            event_of(
+                topics::RESOURCE_REGISTERED,
+                payload,
+                DexEvent::ResourceRegistered,
+            )
+        }),
+        policy_updated().prop_map(|p| event_of(topics::POLICY_UPDATED, p, DexEvent::PolicyUpdated)),
+        copy_registered().prop_map(|p| event_of(
+            topics::COPY_REGISTERED,
+            p,
+            DexEvent::CopyRegistered
+        )),
+        copy_registered().prop_map(|p| {
+            let payload = CopyRemoved {
+                resource: p.resource,
+                device: p.device,
+            };
+            event_of(topics::COPY_REMOVED, payload, DexEvent::CopyRemoved)
+        }),
+        monitoring_requested().prop_map(|p| {
+            event_of(
+                topics::MONITORING_REQUESTED,
+                p,
+                DexEvent::MonitoringRequested,
+            )
+        }),
+        evidence_recorded().prop_map(|p| event_of(
+            topics::EVIDENCE_RECORDED,
+            p,
+            DexEvent::EvidenceRecorded
+        )),
+        round_closed().prop_map(|p| event_of(topics::ROUND_CLOSED, p, DexEvent::RoundClosed)),
+        certificate_issued().prop_map(|p| event_of(
+            topics::CERTIFICATE_ISSUED,
+            p,
+            DexEvent::CertificateIssued
+        )),
+    ]
+}
+
 /// A call of any of the 17 methods, with arbitrary arguments.
 fn dex_call() -> impl Strategy<Value = DexCall> {
     let key = || any::<u64>().prop_map(PublicKey);
@@ -773,43 +899,49 @@ proptest! {
     }
 
     #[test]
-    fn policy_updated_payload(
-        v in (text(), any::<u64>(), policy_envelope(), digest()),
-        d in damage(),
-    ) {
+    fn policy_updated_payload(v in policy_updated(), d in damage()) {
         holds(&v, &d)?;
     }
 
-    /// `CopyRegistered` and `CopyRemoved`.
+    /// `CopyRegistered`; `CopyRemoved` is the same two names.
     #[test]
-    fn copy_payloads(v in (text(), text()), d in damage()) {
+    fn copy_payloads(v in copy_registered(), d in damage()) {
         holds(&v, &d)?;
     }
 
     #[test]
-    fn monitoring_requested_payload(v in (text(), any::<u64>(), names()), d in damage()) {
+    fn monitoring_requested_payload(v in monitoring_requested(), d in damage()) {
         holds(&v, &d)?;
     }
 
     #[test]
-    fn evidence_recorded_payload(
-        v in (text(), any::<u64>(), text(), any::<bool>()),
-        d in damage(),
-    ) {
+    fn evidence_recorded_payload(v in evidence_recorded(), d in damage()) {
         holds(&v, &d)?;
     }
 
     #[test]
-    fn round_closed_payload(
-        v in (text(), any::<u64>(), any::<u64>(), names()),
-        d in damage(),
-    ) {
+    fn round_closed_payload(v in round_closed(), d in damage()) {
         holds(&v, &d)?;
     }
 
     #[test]
-    fn certificate_issued_payload(v in (text(), digest()), d in damage()) {
+    fn certificate_issued_payload(v in certificate_issued(), d in damage()) {
         holds(&v, &d)?;
+    }
+
+    /// The event table decodes an event of each topic to its payload, a
+    /// damaged payload to `None` or to a payload of the same topic, and an
+    /// event of a topic outside the table to `None`.
+    #[test]
+    fn every_event_decodes_through_the_table(e in dex_event(), d in damage()) {
+        let (event, expected) = e;
+        prop_assert_eq!(DexEvent::decode(&event), Some(expected.clone()));
+        let input = Event { data: damaged(&event.data, &d), ..event.clone() };
+        if let Some(back) = DexEvent::decode(&input) {
+            prop_assert_eq!(std::mem::discriminant(&back), std::mem::discriminant(&expected));
+        }
+        let foreign = Event { topic: "Incremented", ..event };
+        prop_assert_eq!(DexEvent::decode(&foreign), None);
     }
 }
 
