@@ -132,11 +132,6 @@ impl<'a> CallCtx<'a> {
         self
     }
 
-    /// The contract being executed.
-    pub fn contract_id(&self) -> &ContractId {
-        &self.contract
-    }
-
     /// Charges a storage read of `key` — its value's length plus the key's
     /// — then hands the value, borrowed from the overlay or from the state
     /// page that holds it, to `read`.

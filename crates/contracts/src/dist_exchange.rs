@@ -413,24 +413,22 @@ impl DistExchange {
         if !place.closes {
             return Ok(());
         }
-        let mut compliant_count = 0u64;
-        let mut violators = Vec::new();
-        for (device, row) in self.answers(ctx, &resource, round)? {
+        // The verdict: violators in submission order, everyone else counted.
+        let mut closed = events::RoundClosed {
+            resource,
+            round,
+            compliant: 0,
+            violators: Vec::new(),
+        };
+        for (device, row) in self.answers(ctx, &closed.resource, round)? {
             match row.answer {
                 Answer::Evidence {
                     compliant: false, ..
-                } => violators.push(device),
-                _ => compliant_count += 1,
+                } => closed.violators.push(device),
+                _ => closed.compliant += 1,
             }
         }
-        events::RoundClosed {
-            resource,
-            round,
-            compliant: compliant_count,
-            violators,
-        }
-        .emit(ctx)?;
-        Ok(())
+        closed.emit(ctx)
     }
 
     fn record_evidence(

@@ -81,8 +81,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Ledger, TxId};
-use duc_contracts::events::MonitoringRequested;
-use duc_contracts::DexEvent;
+use duc_contracts::events::{DexEvent, MonitoringRequested};
 use duc_crypto::Digest;
 use duc_intern::{FxHashMap, FxHashSet, Sym};
 use duc_policy::{Duty, Rule, UsagePolicy};
@@ -711,10 +710,7 @@ impl<L: Ledger> World<L> {
                 self.driver.inbox.push(InboxEvent { event, deliveries });
             }
         }
-        let (claimed, rest) = std::mem::take(&mut self.driver.inbox)
-            .into_iter()
-            .partition(|e| pred(&e.event));
-        self.driver.inbox = rest;
-        claimed
+        let inbox = &mut self.driver.inbox;
+        inbox.extract_if(.., |e| pred(&e.event)).collect()
     }
 }

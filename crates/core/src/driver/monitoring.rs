@@ -5,7 +5,6 @@ use std::rc::Rc;
 
 use duc_blockchain::{Event, Ledger, Receipt};
 use duc_contracts::calls::{GetRound, StartMonitoring};
-use duc_contracts::events::MonitoringRequested;
 use duc_contracts::{DexEvent, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
@@ -191,10 +190,9 @@ impl Monitoring {
                         _ => world.metrics.incr("driver.monitoring.bad_event"),
                     }
                 }
-                let ours = |r: &MonitoringRequested| {
-                    r.resource == self.resource_iri && r.round == self.round
-                };
-                if let Some(at) = inbox.iter().position(ours) {
+                let ours = (inbox.iter())
+                    .position(|r| r.resource == self.resource_iri && r.round == self.round);
+                if let Some(at) = ours {
                     let devices = inbox.remove(at).expected_devices;
                     self.expected_total = devices.len();
                     self.expected = devices.into();
