@@ -764,8 +764,8 @@ mod tests {
                 1 => &["Noted"],
                 _ => &["Noted", "Stored"],
             };
-            for topic in topics {
-                push_out.subscribe(*topic, *ep);
+            for &topic in topics {
+                push_out.subscribe(topic, *ep);
                 rows.0.push((topic.to_string(), *ep));
             }
         }
