@@ -413,7 +413,6 @@ impl DistExchange {
         if !place.closes {
             return Ok(());
         }
-        // The verdict: violators in submission order, everyone else counted.
         let mut closed = events::RoundClosed {
             resource,
             round,
