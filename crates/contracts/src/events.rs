@@ -86,5 +86,7 @@ dex_events! {
         resource: String, round: u64, compliant: u64, violators: Vec<String>,
     };
     /// A market subscription certificate was issued.
-    CertificateIssued = "CertificateIssued" as CERTIFICATE_ISSUED { webid: String, certificate: Digest };
+    CertificateIssued = "CertificateIssued" as CERTIFICATE_ISSUED {
+        webid: String, certificate: Digest,
+    };
 }
