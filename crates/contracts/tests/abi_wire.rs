@@ -26,7 +26,8 @@
 //! are refused — never a panic. `every_call_decodes_to_itself` holds
 //! `DexCall::decode` to the same over random calls of every method, and
 //! `every_event_decodes_through_the_table` holds `DexEvent::decode` to its
-//! payloads over random events of every topic.
+//! payloads over random events of every topic, and to `None` for the same
+//! event emitted by another contract.
 //! `every_method_survives_damaged_arguments`
 //! sends the same damage through `Contract::call` itself, over a ledger state
 //! where every method has something to find.
@@ -931,7 +932,8 @@ proptest! {
 
     /// The event table decodes an event of each topic to its payload, a
     /// damaged payload to `None` or to a payload of the same topic, and an
-    /// event of a topic outside the table to `None`.
+    /// event of a topic outside the table, or of a table topic and payload
+    /// emitted by another contract, to `None`.
     #[test]
     fn every_event_decodes_through_the_table(e in dex_event(), d in damage()) {
         let (event, expected) = e;
@@ -940,6 +942,8 @@ proptest! {
         if let Some(back) = DexEvent::decode(&input) {
             prop_assert_eq!(std::mem::discriminant(&back), std::mem::discriminant(&expected));
         }
+        let elsewhere = Event { contract: ContractId::new("counter"), ..event.clone() };
+        prop_assert_eq!(DexEvent::decode(&elsewhere), None);
         let foreign = Event { topic: "Incremented", ..event };
         prop_assert_eq!(DexEvent::decode(&foreign), None);
     }
