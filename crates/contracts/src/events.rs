@@ -13,6 +13,7 @@ use duc_codec::{decode_from_slice, encode_to_vec, impl_codec_struct};
 use duc_crypto::Digest;
 
 use crate::abi::PolicyEnvelope;
+use crate::dist_exchange::DEX_CONTRACT_ID;
 
 macro_rules! dex_events {
     ($(
@@ -45,10 +46,13 @@ macro_rules! dex_events {
         }
 
         impl DexEvent {
-            /// Decodes a chain event: `None` for a topic outside the table,
-            /// or for a payload that does not decode to its topic's struct
-            /// or leaves bytes over.
+            /// Decodes a chain event: `None` for an event another contract
+            /// emitted, for a topic outside the table, or for a payload that
+            /// does not decode to its topic's struct or leaves bytes over.
             pub fn decode(event: &Event) -> Option<DexEvent> {
+                if event.contract.as_str() != DEX_CONTRACT_ID {
+                    return None;
+                }
                 match event.topic {
                     $($topic => decode_from_slice(&event.data).ok().map(DexEvent::$variant),)*
                     _ => None,
