@@ -123,7 +123,11 @@ impl Authorization {
 /// A WAC ACL document guarding one pod (or container subtree).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AclDocument {
-    /// The authorizations, checked in order (any match grants).
+    /// The authorizations, checked in order (any match grants). [`push`]
+    /// grows it by an eighth of its length, at least one slot, so a
+    /// document of a few authorizations holds no empty slot.
+    ///
+    /// [`push`]: AclDocument::push
     pub authorizations: Vec<Authorization>,
 }
 
@@ -148,7 +152,11 @@ impl AclDocument {
 
     /// Adds an authorization.
     pub fn push(&mut self, auth: Authorization) {
-        self.authorizations.push(auth);
+        let rows = &mut self.authorizations;
+        if rows.len() == rows.capacity() {
+            rows.reserve_exact((rows.len() / 8).max(1));
+        }
+        rows.push(auth);
     }
 
     /// Whether `agent` may perform `mode` on `resource`
@@ -239,5 +247,25 @@ mod tests {
         ));
         assert!(d.allows(Some(BOB), AclMode::Append, RES));
         assert!(!d.allows(Some(BOB), AclMode::Control, RES));
+    }
+
+    #[test]
+    fn authorizations_grow_by_an_eighth() {
+        let mut d = AclDocument::new();
+        let mut growths = 0;
+        for k in 1..=2_000usize {
+            let before = d.authorizations.capacity();
+            d.push(Authorization::for_resource(
+                format!("a{k}"),
+                RES,
+                vec![AgentSpec::AuthenticatedAgent],
+                vec![AclMode::Read],
+            ));
+            growths += usize::from(d.authorizations.capacity() != before);
+            if k <= 40 {
+                assert!(d.authorizations.capacity() <= k + (k / 8).max(1), "{k}");
+            }
+        }
+        assert!(growths <= 64, "{growths} reallocations over 2 000 rows");
     }
 }

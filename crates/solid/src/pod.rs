@@ -11,7 +11,8 @@ use crate::resource::{Resource, ResourceKind};
 /// The resources sit in one `Vec` sorted by path and searched by binary
 /// search: each resource already carries its path, so a map would hold a
 /// second copy of every path, and a pod of one resource would pay for a
-/// tree node of eleven.
+/// tree node of eleven. The `Vec` grows by an eighth of its length, at
+/// least one slot, so a pod of a few resources holds no empty slot.
 #[derive(Debug, Clone, Default)]
 pub struct Pod {
     root: String,
@@ -55,7 +56,11 @@ impl Pod {
                 existing
             }
             Err(i) => {
-                self.resources.insert(i, Resource::new(path, kind));
+                let rows = &mut self.resources;
+                if rows.len() == rows.capacity() {
+                    rows.reserve_exact((rows.len() / 8).max(1));
+                }
+                rows.insert(i, Resource::new(path, kind));
                 &self.resources[i]
             }
         }
@@ -151,5 +156,20 @@ mod tests {
         pod.put("a", ResourceKind::Binary(vec![0; 10]));
         pod.put("b", ResourceKind::Text("xyz".into()));
         assert_eq!(pod.len(), 2);
+    }
+
+    #[test]
+    fn resources_grow_by_an_eighth() {
+        let mut pod = Pod::new("https://p/");
+        let mut growths = 0;
+        for k in 1..=2_000usize {
+            let before = pod.resources.capacity();
+            pod.put(format!("r{k:04}"), ResourceKind::Text("x".into()));
+            growths += usize::from(pod.resources.capacity() != before);
+            if k <= 40 {
+                assert!(pod.resources.capacity() <= k + (k / 8).max(1), "{k}");
+            }
+        }
+        assert!(growths <= 64, "{growths} reallocations over 2 000 rows");
     }
 }

@@ -51,7 +51,8 @@ pub struct PodManager {
     /// Usage policies by path, sorted by path and searched by binary
     /// search: an owner attaches one to a few, and a hash map's first
     /// allocation has room for four policies inline. Boxed, so a slot costs
-    /// a path and a pointer.
+    /// a path and a pointer; grown by an eighth of its length, at least one
+    /// slot, so an owner of a few policies holds no empty slot.
     policies: Vec<(String, Box<UsagePolicy>)>,
     require_certificate_for_reads: bool,
     /// Container members minted by POST so far. Member names count up from
@@ -126,7 +127,13 @@ impl PodManager {
         let path = path.into();
         match self.find_policy(&path) {
             Ok(i) => *self.policies[i].1 = policy,
-            Err(i) => self.policies.insert(i, (path, Box::new(policy))),
+            Err(i) => {
+                let rows = &mut self.policies;
+                if rows.len() == rows.capacity() {
+                    rows.reserve_exact((rows.len() / 8).max(1));
+                }
+                rows.insert(i, (path, Box::new(policy)));
+            }
         }
     }
 
@@ -507,5 +514,21 @@ mod tests {
             }
             other => panic!("expected turtle, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn policies_grow_by_an_eighth() {
+        let mut pm = pm();
+        let policy = UsagePolicy::default_for("https://alice.pod/data/notes.txt", OWNER);
+        let mut growths = 0;
+        for k in 1..=2_000usize {
+            let before = pm.policies.capacity();
+            pm.set_policy(format!("data/{k:04}"), policy.clone());
+            growths += usize::from(pm.policies.capacity() != before);
+            if k <= 40 {
+                assert!(pm.policies.capacity() <= k + (k / 8).max(1), "{k}");
+            }
+        }
+        assert!(growths <= 64, "{growths} reallocations over 2 000 rows");
     }
 }

@@ -161,8 +161,9 @@ struct CopyEntry {
     resource: String,
     /// The decision served to repeated identical requests until the
     /// program's next transition (or an access-count change when the
-    /// program is count-sensitive).
-    cached: Option<CachedDecision>,
+    /// program is count-sensitive). Boxed, like `last_reported`: a copy
+    /// that is stored and never read carries a pointer, not the 80 B.
+    cached: Option<Box<CachedDecision>>,
     /// When the copy was stored.
     acquired_at: SimTime,
     /// Live with its sealed bytes, or deleted.
@@ -178,8 +179,9 @@ struct CopyEntry {
     /// Each version is the `Rc` every other holder of it shares, program
     /// included.
     history: Vec<(SimTime, Rc<PolicyVersion>)>,
-    /// The evidence last recorded on-chain for this copy, if any.
-    last_reported: Option<ReportedEvidence>,
+    /// The evidence last recorded on-chain for this copy, if any; only a
+    /// monitored copy has it.
+    last_reported: Option<Box<ReportedEvidence>>,
 }
 
 impl CopyEntry {
@@ -240,7 +242,9 @@ pub struct TrustedApplication {
     enclave: Enclave,
     holder_webid: String,
     /// One row per copy, live or audited-deleted, sorted by resource and
-    /// searched by binary search: a device holds one to a few copies.
+    /// searched by binary search: a device holds one to a few copies. It
+    /// grows by an eighth of its length, at least one row, so a few rows
+    /// are exact and a large table keeps amortised inserts.
     copies: Vec<CopyEntry>,
     /// Seals done so far; never decreases, deletions included.
     seals: u64,
@@ -328,7 +332,13 @@ impl TrustedApplication {
         };
         match slot {
             Ok(i) => self.copies[i] = entry,
-            Err(i) => self.copies.insert(i, entry),
+            Err(i) => {
+                let rows = &mut self.copies;
+                if rows.len() == rows.capacity() {
+                    rows.reserve_exact((rows.len() / 8).max(1));
+                }
+                rows.insert(i, entry);
+            }
         }
     }
 
@@ -442,13 +452,17 @@ impl TrustedApplication {
             None => {
                 self.cache_misses += 1;
                 let decision = entry.program().decide(&ctx);
-                entry.cached = Some(CachedDecision {
+                let fresh = CachedDecision {
                     action: ctx.action,
                     purpose: ctx.purpose.clone(),
                     access_count: ctx.access_count,
                     decision: decision.clone(),
                     valid_until: entry.program().next_transition(&ctx),
-                });
+                };
+                match &mut entry.cached {
+                    Some(cached) => **cached = fresh,
+                    None => entry.cached = Some(Box::new(fresh)),
+                }
                 decision
             }
         };
@@ -534,7 +548,7 @@ impl TrustedApplication {
 
     /// The evidence this device last recorded on-chain for `resource`.
     pub fn last_reported(&self, resource: &str) -> Option<&ReportedEvidence> {
-        self.entry(resource)?.last_reported.as_ref()
+        self.entry(resource)?.last_reported.as_deref()
     }
 
     /// Remembers the evidence just recorded on-chain for `resource`, so a
@@ -542,7 +556,7 @@ impl TrustedApplication {
     /// resubmitting.
     pub fn note_reported(&mut self, resource: &str, reported: ReportedEvidence) {
         if let Ok(i) = self.find(resource) {
-            self.copies[i].last_reported = Some(reported);
+            self.copies[i].last_reported = Some(Box::new(reported));
         }
     }
 
@@ -929,6 +943,39 @@ mod tests {
         assert!(e.to_string().contains("copy state"));
         let boxed: Box<dyn std::error::Error> = e.into();
         assert_eq!(boxed.to_string(), "copy state missing for urn:r");
+    }
+
+    #[test]
+    fn a_copy_row_holds_its_hot_fields_only() {
+        // 272 B while the cached decision (80 B) and the reported evidence
+        // (48 B) sat inline in every row; no copy that is only stored and
+        // read once in a while sets the second.
+        assert!(
+            std::mem::size_of::<CopyEntry>() <= 160,
+            "{} B",
+            std::mem::size_of::<CopyEntry>()
+        );
+    }
+
+    #[test]
+    fn the_copy_table_grows_by_an_eighth() {
+        let mut app = app();
+        let mut growths = 0;
+        for k in 1..=2_000usize {
+            let before = app.copies.capacity();
+            app.store_resource(format!("urn:r{k:04}"), b"x", medical_policy(), t(0));
+            growths += usize::from(app.copies.capacity() != before);
+            if k <= 40 {
+                assert!(
+                    app.copies.capacity() <= k + (k / 8).max(1),
+                    "{k} copies in {} rows",
+                    app.copies.capacity()
+                );
+            }
+        }
+        // Growth by an eighth reallocates 59 times over 2 000 rows; growth
+        // by a row at a time would reallocate on every insert.
+        assert!(growths <= 64, "{growths} reallocations");
     }
 
     #[test]
