@@ -162,7 +162,7 @@ struct CopyEntry {
     /// The decision served to repeated identical requests until the
     /// program's next transition (or an access-count change when the
     /// program is count-sensitive). Boxed, like `last_reported`: a copy
-    /// that is stored and never read carries a pointer, not the 80 B.
+    /// that is stored and never accessed carries a pointer, not the 80 B.
     cached: Option<Box<CachedDecision>>,
     /// When the copy was stored.
     acquired_at: SimTime,
@@ -452,17 +452,13 @@ impl TrustedApplication {
             None => {
                 self.cache_misses += 1;
                 let decision = entry.program().decide(&ctx);
-                let fresh = CachedDecision {
+                entry.cached = Some(Box::new(CachedDecision {
                     action: ctx.action,
                     purpose: ctx.purpose.clone(),
                     access_count: ctx.access_count,
                     decision: decision.clone(),
                     valid_until: entry.program().next_transition(&ctx),
-                };
-                match &mut entry.cached {
-                    Some(cached) => **cached = fresh,
-                    None => entry.cached = Some(Box::new(fresh)),
-                }
+                }));
                 decision
             }
         };
@@ -948,8 +944,8 @@ mod tests {
     #[test]
     fn a_copy_row_holds_its_hot_fields_only() {
         // 272 B while the cached decision (80 B) and the reported evidence
-        // (48 B) sat inline in every row; no copy that is only stored and
-        // read once in a while sets the second.
+        // (48 B) sat inline in every row: only an accessed copy sets the
+        // first, and only a monitored one the second.
         assert!(
             std::mem::size_of::<CopyEntry>() <= 160,
             "{} B",
