@@ -1,4 +1,4 @@
-//! Prints the experiment tables, E1–E19.
+//! Prints the experiment tables, E1–E12 and E14–E19.
 //!
 //! ```sh
 //! cargo run -p duc-bench --bin report --release -- all
@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--max-owners N` caps the population sweeps of the probes E15/E16/E19
-//! (default 10 000); E1–E14 take no cap. With `--json`, additionally
-//! writes `BENCH_seed.json`: E1–E14, whatever the table selection (see
+//! (default 10 000); E1–E12 and E14 take no cap. With `--json`, additionally
+//! writes `BENCH_seed.json`: E1–E12 and E14, whatever the table selection (see
 //! `duc_bench::json`). That file is committed and the `bench_seed` test
 //! holds `report` to it, so a run that moves a cell on purpose re-records
 //! it in its own commit, naming every cell that moved.

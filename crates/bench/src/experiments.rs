@@ -1,6 +1,6 @@
-//! The nineteen experiments, in two registries.
+//! The eighteen experiments, in two registries.
 //!
-//! [`PINNED`] lists E1–E14 ([`crate::paper`]): no population cap, no host
+//! [`PINNED`] lists E1–E12 and E14 ([`crate::paper`]): no population cap, no host
 //! clock, so `BENCH_seed.json` pins every cell they print
 //! ([`crate::json::pinned_document`]). [`PROBES`] lists E15–E19
 //! ([`crate::probes`]): they read the host or the `--max-owners` cap, and
@@ -21,7 +21,7 @@ pub type Pinned = (&'static str, fn() -> Vec<Table>);
 /// (only the population sweeps read it).
 pub type Probe = (&'static str, fn(usize) -> Vec<Table>);
 
-/// E1–E14, in report order.
+/// E1–E12 and E14, in report order.
 pub const PINNED: &[Pinned] = &[
     ("e1", paper::e1_pod_initiation),
     ("e2", paper::e2_resource_initiation),
@@ -35,7 +35,6 @@ pub const PINNED: &[Pinned] = &[
     ("e10", paper::e10_baseline),
     ("e11", paper::e11_enforcement),
     ("e12", paper::e12_chain_scale),
-    ("e13", paper::e13_backends),
     ("e14", paper::e14_deadline_enforcement),
 ];
 
@@ -70,7 +69,7 @@ mod tests {
     use duc_core::scenario;
 
     // The probes at small n: their gates assert inside each run, so a
-    // passing call is the test. E1–E14 run whole, at their own sizes, in
+    // passing call is the test. E1–E12 and E14 run whole, at their own sizes, in
     // the `bench_seed` test against the committed file.
 
     #[test]

@@ -1,11 +1,11 @@
-//! `BENCH_seed.json`, the one committed copy of E1–E14: the document
+//! `BENCH_seed.json`, the one committed copy of E1–E12 and E14: the document
 //! `report --json` writes and the `bench_seed` test compares byte for byte
 //! with the committed file.
 
 use crate::experiments::PINNED;
 use crate::table::Table;
 
-/// Runs E1–E14 and renders them as `BENCH_seed.json` (schema
+/// Runs E1–E12 and E14 and renders them as `BENCH_seed.json` (schema
 /// `duc-bench-v2`): per experiment, one record per table with the median
 /// latency (first `ms` column), the median gas (first `gas` column) and
 /// every row.

@@ -1,7 +1,7 @@
 //! # duc-bench — the experiment harness
 //!
 //! One function per experiment, in two registries
-//! ([`experiments`]). E1–E14 ([`paper`]) are pinned: seeded, with no
+//! ([`experiments`]). E1–E12 and E14 ([`paper`]) are pinned: seeded, with no
 //! population cap and no host clock, so [`json::pinned_document`] renders
 //! them to the committed `BENCH_seed.json`, and the crate's `bench_seed`
 //! test fails when it no longer reproduces that file. E15–E19 ([`probes`])

@@ -1,4 +1,4 @@
-//! E1–E14: the paper's tables — its six processes (Fig. 2), the privacy,
+//! E1–E12 and E14: the paper's tables — its six processes (Fig. 2), the privacy,
 //! robustness and affordability claims of §V, and the baselines and
 //! ablations beside them.
 //!
@@ -1152,148 +1152,6 @@ pub fn e12_concurrency() -> Vec<Table> {
             ms(h.max()),
             format!("{throughput:.2}"),
             (gas / requests as u64).to_string(),
-        ]);
-    }
-    vec![table]
-}
-
-// --------------------------------------------------------------------- E13
-
-/// One disjoint-owner concurrent-market run (the E12c workload generalized
-/// to `owners` independent owners): every device accesses its owner's
-/// resource while one monitoring round per owner races the accesses.
-/// Returns `(requests, ok, makespan)`.
-fn disjoint_market<L: duc_blockchain::Ledger>(
-    world: &mut World<L>,
-    owners: usize,
-    devices_per: usize,
-) -> (usize, usize, SimDuration) {
-    let owner_webid = |o: usize| format!("https://o{o}.id/me");
-    let device_name = |o: usize, d: usize| format!("device-{o}-{d}");
-    for o in 0..owners {
-        world.add_owner(owner_webid(o), format!("https://o{o}.pod/"));
-        for d in 0..devices_per {
-            world.add_device(device_name(o, d), format!("https://c{o}-{d}.id/me"));
-        }
-    }
-    let mut resources = Vec::with_capacity(owners);
-    for o in 0..owners {
-        let webid = owner_webid(o);
-        world.pod_initiation(&webid).expect("pod init");
-        let iri = format!("https://o{o}.pod/data/set.bin");
-        let policy = UsagePolicy::builder(format!("{iri}#policy"), iri.clone(), webid.clone())
-            .permit(
-                Rule::permit([Action::Use])
-                    .with_constraint(Constraint::MaxRetention(SimDuration::from_days(7))),
-            )
-            .duty(Duty::DeleteWithin(SimDuration::from_days(7)))
-            .duty(Duty::LogAccesses)
-            .build();
-        let resource = world
-            .resource_initiation(
-                &webid,
-                "data/set.bin",
-                Body::Binary(vec![0xA5; 4 << 10]),
-                policy,
-                vec![],
-            )
-            .expect("resource init");
-        resources.push(resource);
-    }
-    // Subscriptions and indexing run concurrently through the driver
-    // (setup, unmeasured).
-    let mut setup = Vec::new();
-    for (o, resource) in resources.iter().enumerate() {
-        for d in 0..devices_per {
-            setup.push(world.submit(Request::MarketSubscribe {
-                device: device_name(o, d),
-            }));
-            setup.push(world.submit(Request::ResourceIndexing {
-                device: device_name(o, d),
-                resource: resource.clone(),
-            }));
-        }
-    }
-    world.run_until_idle();
-    for t in setup {
-        t.poll(world).expect("completed").expect("setup ok");
-    }
-
-    // The measured batch: every device fetches its owner's resource while
-    // one monitoring round per owner races the accesses.
-    let t0 = world.clock.now();
-    let mut tickets = Vec::new();
-    for (o, resource) in resources.iter().enumerate() {
-        for d in 0..devices_per {
-            tickets.push(world.submit(Request::ResourceAccess {
-                device: device_name(o, d),
-                resource: resource.clone(),
-            }));
-        }
-    }
-    for o in 0..owners {
-        tickets.push(world.submit(Request::PolicyMonitoring {
-            webid: owner_webid(o),
-            path: "data/set.bin".into(),
-        }));
-    }
-    let requests = tickets.len();
-    world.run_until_idle();
-    let makespan = world.clock.now() - t0;
-    let ok = tickets
-        .into_iter()
-        .filter(|t| matches!(t.poll(world), Some(Ok(_))))
-        .count();
-    (requests, ok, makespan)
-}
-
-/// E13 — ledger backends: single chain vs sharded multi-chain under the
-/// disjoint-owner concurrent market. With owners spread over `N` shards,
-/// copy registrations and monitoring rounds from different owners confirm
-/// in parallel blocks instead of serializing through one mempool.
-pub fn e13_backends() -> Vec<Table> {
-    let mut table = Table::new(
-        "E13 · ledger backends — single vs sharded, disjoint-owner concurrent market (16 owners × 6 devices)",
-        &["backend", "shards", "requests", "ok", "makespan ms", "req/s", "speedup"],
-    );
-    const OWNERS: usize = 16;
-    const DEVICES_PER: usize = 6;
-    let config = |shards: usize| WorldConfig {
-        shards,
-        ..world_config(131)
-    };
-
-    let mut world = World::new(config(1));
-    let (requests, ok, single_makespan) = disjoint_market(&mut world, OWNERS, DEVICES_PER);
-    table.row(vec![
-        "single".into(),
-        "1".into(),
-        requests.to_string(),
-        ok.to_string(),
-        ms(single_makespan),
-        format!("{:.2}", requests as f64 / single_makespan.as_secs_f64()),
-        "1.00".into(),
-    ]);
-
-    for shards in [2usize, 4, 8] {
-        let mut world = World::new_sharded(config(shards));
-        let (requests, ok, makespan) = disjoint_market(&mut world, OWNERS, DEVICES_PER);
-        let speedup = single_makespan.as_secs_f64() / makespan.as_secs_f64();
-        if shards == 4 {
-            assert!(
-                speedup >= 2.0,
-                "4-shard ledger must at least double disjoint-owner throughput \
-                 (single {single_makespan}, sharded {makespan})"
-            );
-        }
-        table.row(vec![
-            "sharded".into(),
-            shards.to_string(),
-            requests.to_string(),
-            ok.to_string(),
-            ms(makespan),
-            format!("{:.2}", requests as f64 / makespan.as_secs_f64()),
-            format!("{speedup:.2}"),
         ]);
     }
     vec![table]

@@ -322,7 +322,7 @@ pub(crate) fn e17_block_time(
     (best, fingerprint.expect("at least one round"))
 }
 
-/// E17 — parallel intra-shard block execution: the same conflict-free
+/// E17 — parallel intra-block execution: the same conflict-free
 /// 256-sender `register_pod` batch sealed serially and through the
 /// access-set-scheduled parallel executor. The block fingerprints must be
 /// byte-identical; on hosts with ≥4 cores the parallel seal must be at
@@ -337,7 +337,7 @@ pub fn e17_parallel_exec() -> Vec<Table> {
         .min(8);
     let mut table = Table::new(
         format!(
-            "E17 · parallel intra-shard execution — conflict-free register_pod batch \
+            "E17 · parallel intra-block execution — conflict-free register_pod batch \
              ({senders} senders, best of {rounds})"
         ),
         &[

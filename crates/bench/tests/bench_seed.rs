@@ -1,5 +1,5 @@
 //! `BENCH_seed.json` is the one committed copy of the paper tables: this
-//! test runs E1–E14 (every gate inside them included) and compares the
+//! test runs E1–E12 and E14 (every gate inside them included) and compares the
 //! rendered document with the committed file byte for byte.
 
 use std::path::Path;

@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use duc_crypto::{Digest, KeyPair};
 use duc_intern::{FxHashMap, FxHashSet, Interner, Sym};
 use duc_sim::{SimDuration, SimTime};
-use duc_storage::{BlockStore, Checkpoint, FramedLog, StateStore, StorageConfig};
+use duc_storage::{BlockStore, Checkpoint, FramedLog, PrunedRange, StateStore, StorageConfig};
 
 use crate::block::{Block, BlockValidationError};
 use crate::contract::{CallCtx, CallEffects, Contract, ContractError, Event};
@@ -196,7 +196,6 @@ impl BlockchainBuilder {
             receipts: VecDeque::new(),
             sealing: Vec::new(),
             receipt_index: FxHashMap::default(),
-            receipt_hold: u64::MAX,
             contracts: HashMap::new(),
             gas_schedule: GasSchedule::default(),
             gas_price: self.gas_price,
@@ -234,17 +233,13 @@ pub struct Blockchain {
     /// Each sealed block's receipts, stored once: its transactions' in
     /// block order, then those of the stale entries it superseded. The last
     /// entry is the tip's; events are read from here
-    /// ([`Ledger::events_since`](crate::Ledger::events_since)).
+    /// ([`Blockchain::events_since`]). A pruned block's receipts go with it.
     receipts: VecDeque<Box<[Receipt]>>,
     /// The receipts of the block being filled, indexed and moved into
     /// `receipts` when it seals.
     sealing: Vec<Receipt>,
     /// Where each stored receipt is: `(height, index in its block's)`.
     receipt_index: FxHashMap<TxId, (u64, u32)>,
-    /// Receipts of blocks above this height outlive their block's pruning
-    /// (see [`Blockchain::hold_receipts_above`]); `u64::MAX` lets them go
-    /// with their block.
-    receipt_hold: u64,
     contracts: HashMap<ContractId, Box<dyn Contract>>,
     gas_schedule: GasSchedule,
     gas_price: Amount,
@@ -318,19 +313,9 @@ impl Blockchain {
         self.access_fn = Some(f);
     }
 
-    /// Switches the intra-block execution mode.
-    pub(crate) fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
     /// The intra-block execution mode in force.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// The parallel executor's worker-thread count.
-    pub fn exec_threads(&self) -> usize {
-        self.exec_threads
     }
 
     /// Whether a contract is deployed.
@@ -459,6 +444,13 @@ impl Blockchain {
     /// The latest instant the chain has observed.
     pub fn current_time(&self) -> SimTime {
         self.current_time
+    }
+
+    /// The next instant a block could be sealed after `now` (the wake-up
+    /// non-blocking inclusion waits sleep until).
+    pub fn next_slot_at(&self, now: SimTime) -> SimTime {
+        let step = self.block_interval.as_nanos().max(1);
+        SimTime::from_nanos((now.as_nanos() / step + 1) * step)
     }
 
     fn produce_block(&mut self, timestamp: SimTime, proposer_idx: usize) {
@@ -894,20 +886,10 @@ impl Blockchain {
         self.blocks
             .prune_below(horizon, Block::hash)
             .unwrap_or_else(|e| panic!("archive pruned blocks: {e}"));
-        // Drops the evicted blocks' receipts, unless a sharded ledger holds
-        // them for its merged view.
-        self.hold_receipts_above(self.receipt_hold);
-    }
-
-    /// Keeps the receipts of blocks above `height` after their blocks are
-    /// pruned, and drops the pruned ones at or below it — and exactly their
-    /// transaction ids from the index. A sharded ledger holds its shards'
-    /// receipts this way until its merged event view has passed them; a
-    /// chain on its own drops them with their blocks.
-    pub(crate) fn hold_receipts_above(&mut self, height: u64) {
-        self.receipt_hold = height;
+        // The evicted blocks' receipts go with them, and exactly their
+        // transaction ids leave the index.
         let stored_from = self.height() - self.receipts.len() as u64;
-        let evict = height.min(self.prune_horizon()).saturating_sub(stored_from);
+        let evict = self.prune_horizon().saturating_sub(stored_from);
         for block in self.receipts.drain(..evict as usize) {
             for receipt in &*block {
                 self.receipt_index.remove(&receipt.tx_id);
@@ -915,9 +897,9 @@ impl Blockchain {
         }
     }
 
-    /// The stored receipts of the block at `height`: its transactions' in
-    /// block order, then those of the stale entries it superseded. Held
-    /// ones are included (see [`Blockchain::hold_receipts_above`]).
+    /// The stored receipts of the resident block at `height`: its
+    /// transactions' in block order, then those of the stale entries it
+    /// superseded.
     pub(crate) fn stored_receipts(&self, height: u64) -> Option<&[Receipt]> {
         let stored_from = self.height() - self.receipts.len() as u64;
         let i = height.checked_sub(stored_from + 1)?;
@@ -951,7 +933,8 @@ impl Blockchain {
     }
 
     /// Blocks streamed to the archive so far.
-    pub(crate) fn archived_blocks(&self) -> u64 {
+    #[cfg(test)]
+    fn archived_blocks(&self) -> u64 {
         self.blocks.archived()
     }
 
@@ -1004,14 +987,42 @@ impl Blockchain {
         self.blocks.get_mut(height)
     }
 
-    /// The receipt for a transaction, while its block is resident (a
-    /// pruned block's held receipts are for a merged event view only).
+    /// The receipt for a transaction while its block is resident.
+    /// Borrowed: an inclusion wait probes it per sealed slot without
+    /// copying anything.
     pub fn receipt(&self, id: &TxId) -> Option<&Receipt> {
         let &(height, index) = self.receipt_index.get(id)?;
-        let resident = self
-            .stored_receipts(height)
-            .filter(|_| height > self.prune_horizon());
-        resident?.get(index as usize)
+        self.stored_receipts(height)?.get(index as usize)
+    }
+
+    /// Events from blocks strictly above `height`, paired with their block
+    /// number: a view over the resident blocks' receipts, read in place.
+    /// Oracle polls hit this every round; a consumer that keeps an event
+    /// clones its `Rc`, not the payload.
+    pub fn events_since(&self, height: u64) -> Events<'_> {
+        Events {
+            chain: self,
+            first: height.max(self.prune_horizon()).saturating_add(1),
+        }
+    }
+
+    /// Like [`Blockchain::events_since`], but a cursor strictly below the
+    /// prune horizon is a typed [`PrunedRange`] error instead of a
+    /// silently-incomplete view: events in `(height, horizon]` are gone,
+    /// so the caller must resync (the error carries the horizon to resync
+    /// to) rather than miss them.
+    ///
+    /// # Errors
+    /// [`PrunedRange`] when `height < prune_horizon`.
+    pub fn try_events_since(&self, height: u64) -> Result<Events<'_>, PrunedRange> {
+        let horizon = self.prune_horizon();
+        if height < horizon {
+            return Err(PrunedRange {
+                requested: height,
+                horizon,
+            });
+        }
+        Ok(self.events_since(height))
     }
 
     /// Executes a read-only contract call against current state
@@ -1311,6 +1322,44 @@ fn run_tx_pure(
     }
 }
 
+/// The events of a run of sealed blocks, oldest first, each paired with
+/// its block's number: what [`Blockchain::events_since`] returns. A `Copy`
+/// view over the blocks' stored receipts; nothing is copied until it is
+/// read.
+#[derive(Clone, Copy)]
+pub struct Events<'a> {
+    chain: &'a Blockchain,
+    /// The first block read; the view ends before the first unreadable one.
+    first: u64,
+}
+
+impl<'a> Events<'a> {
+    /// Every event with its block's number, in block order: a `(block,
+    /// receipt, event)` cursor over the stored receipts.
+    pub fn iter(self) -> impl Iterator<Item = (u64, &'a Rc<Event>)> {
+        let blocks = (self.first..).map_while(move |n| Some((n, self.chain.stored_receipts(n)?)));
+        blocks.flat_map(|(n, receipts)| {
+            (receipts.iter()).flat_map(move |r| r.events.iter().map(move |e| (n, e)))
+        })
+    }
+
+    /// The number of events.
+    pub fn len(self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether there is no event.
+    pub fn is_empty(self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl std::fmt::Debug for Events<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod scan_reference;
 
@@ -1318,7 +1367,6 @@ mod scan_reference;
 mod tests {
     use super::*;
     use crate::exec::AccessKey;
-    use crate::Ledger;
     use duc_codec::{decode_from_slice, encode_to_vec};
 
     impl Blockchain {
@@ -1780,7 +1828,7 @@ mod tests {
             .events_since(chain.prune_horizon())
             .iter()
             .all(|(h, _)| h > 7));
-        let err = crate::Ledger::try_events_since(&chain, 3).unwrap_err();
+        let err = chain.try_events_since(3).unwrap_err();
         assert_eq!(
             err,
             duc_storage::PrunedRange {
@@ -1788,7 +1836,7 @@ mod tests {
                 horizon: 7
             }
         );
-        assert!(crate::Ledger::try_events_since(&chain, 7).is_ok());
+        assert!(chain.try_events_since(7).is_ok());
         // Receipts for resident blocks survive pruning.
         assert!(chain
             .block(8)
@@ -1805,6 +1853,44 @@ mod tests {
         assert_eq!(chain.retained_blocks(), 10);
         assert!(chain.checkpoints().is_empty());
         assert_eq!(chain.events_since(0).len(), 10);
+    }
+
+    #[test]
+    fn pruned_blocks_take_their_receipts_with_them() {
+        let mut chain = Blockchain::builder()
+            .validators(3)
+            .block_interval(SimDuration::from_secs(2))
+            .storage(StorageConfig::enabled(4, 2))
+            .build();
+        chain.deploy(ContractId::new("counter"), Box::new(Counter));
+        let alice = chain.create_funded_account(b"alice", 1_000_000_000);
+        let mut ids = Vec::new();
+        for i in 1..=10 {
+            let tx = chain.build_call(
+                &alice,
+                ContractId::new("counter"),
+                "incr",
+                encode_to_vec(&(i,)),
+                200_000,
+            );
+            ids.push(chain.submit(tx).unwrap());
+            chain.advance_to(SimTime::from_secs(2 * i));
+        }
+        let horizon = chain.prune_horizon();
+        assert_eq!(horizon, 7);
+        // Transaction `i` sealed in block `i + 1`.
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(
+                chain.receipt(id).is_some(),
+                i as u64 + 1 > horizon,
+                "tx {i}"
+            );
+        }
+        let retained: usize = (horizon + 1..=chain.height())
+            .map(|h| chain.stored_receipts(h).expect("resident").len())
+            .sum();
+        assert_eq!(chain.receipts.len(), chain.retained_blocks());
+        assert_eq!(chain.receipt_index.len(), retained);
     }
 
     #[test]

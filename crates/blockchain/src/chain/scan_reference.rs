@@ -8,7 +8,6 @@ use proptest::prelude::*;
 use super::tests::{counter_access_fn, Counter};
 use super::*;
 use crate::mempool::PoolKey;
-use crate::Ledger;
 use duc_codec::encode_to_vec;
 
 impl Blockchain {

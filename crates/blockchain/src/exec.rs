@@ -196,12 +196,11 @@ pub struct AccessParams<'a> {
 }
 
 /// Maps one decoded call to its access set. Installed per chain (see
-/// `Ledger::install_access_fn`); absent → every call is
+/// [`Blockchain::set_access_fn`](crate::Blockchain::set_access_fn)); absent → every call is
 /// [`AccessSet::Exclusive`].
 pub type AccessFn = Box<dyn Fn(&AccessParams<'_>) -> AccessSet>;
 
-/// FNV-1a over one byte string (the shared key/space hasher — same
-/// construction as the sharded router's placement hash).
+/// FNV-1a over one byte string (the shared key/space hasher).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {

@@ -24,10 +24,9 @@
 //!   sealed block's receipts stored once beside it (oracle subscriptions
 //!   read events from them), and crash-fault injection for the robustness
 //!   experiments (E8).
-//! * [`ledger`] — the pluggable [`Ledger`] abstraction the rest of the
-//!   stack consumes: [`Blockchain`] (the chain above) and
-//!   [`ShardedLedger`] (N chains, deterministic routing, a merged event
-//!   view over the shards' blocks; experiment E13).
+//! * [`ledger`] — the [`Ledger`] trait, one impl: the chain surface the
+//!   repository benchmark names, each method a delegation to
+//!   [`Blockchain`]'s own.
 //!
 //! ## Consensus model
 //!
@@ -79,11 +78,11 @@ pub mod tx;
 pub mod types;
 
 pub use block::{Block, BlockHeader};
-pub use chain::{Blockchain, BlockchainBuilder, SubmitError};
+pub use chain::{Blockchain, BlockchainBuilder, Events, SubmitError};
 pub use contract::{CallCtx, Contract, ContractError, Event};
 pub use exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
 pub use gas::{GasMeter, GasSchedule, OutOfGas};
-pub use ledger::{Events, Ledger, RouteKey, RouterFn, ShardedLedger};
+pub use ledger::Ledger;
 pub use state::{PagingStats, WorldState};
 pub use tx::{Receipt, SignedTransaction, Transaction, TxStatus};
 pub use types::{Address, Amount, ContractId, TxId};
@@ -95,11 +94,11 @@ pub use duc_storage::{Checkpoint, PagingConfig, PrunedRange, StorageConfig};
 /// Common imports.
 pub mod prelude {
     pub use crate::block::{Block, BlockHeader};
-    pub use crate::chain::{Blockchain, BlockchainBuilder, SubmitError};
+    pub use crate::chain::{Blockchain, BlockchainBuilder, Events, SubmitError};
     pub use crate::contract::{CallCtx, Contract, ContractError, Event};
     pub use crate::exec::{AccessFn, AccessKey, AccessParams, AccessSet, AccessSummary, ExecMode};
     pub use crate::gas::{GasMeter, GasSchedule};
-    pub use crate::ledger::{Events, Ledger, RouteKey, RouterFn, ShardedLedger};
+    pub use crate::ledger::Ledger;
     pub use crate::state::WorldState;
     pub use crate::tx::{Receipt, SignedTransaction, Transaction, TxStatus};
     pub use crate::types::{Address, Amount, ContractId, TxId};

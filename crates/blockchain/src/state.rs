@@ -102,21 +102,6 @@ pub struct PagingStats {
     pub compactions: u64,
 }
 
-impl PagingStats {
-    /// Accumulates another shard's stats into this one.
-    pub fn merge(&mut self, other: &PagingStats) {
-        self.resident_pages += other.resident_pages;
-        self.total_pages += other.total_pages;
-        self.resident_bytes += other.resident_bytes;
-        self.evictions += other.evictions;
-        self.fault_ins += other.fault_ins;
-        self.spilled_pages += other.spilled_pages;
-        self.spilled_live_bytes += other.spilled_live_bytes;
-        self.spilled_dead_bytes += other.spilled_dead_bytes;
-        self.compactions += other.compactions;
-    }
-}
-
 // ------------------------------------------------------------- paged slots
 
 /// A page's index in the page table. Ids are handed out in sequence and

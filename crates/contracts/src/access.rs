@@ -196,7 +196,7 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
 }
 
 /// The DE App access-derivation function, ready to install on a chain
-/// (see `Ledger::install_access_fn`). Calls against other contracts are
+/// (see [`Blockchain::set_access_fn`](duc_blockchain::Blockchain::set_access_fn)). Calls against other contracts are
 /// [`AccessSet::Exclusive`].
 pub fn dex_access_fn() -> AccessFn {
     let dex = ContractId::new(DEX_CONTRACT_ID);

@@ -7,11 +7,11 @@
 //! field list reuses a struct of [`crate::abi`]. From the table come
 //! [`DexCall`] with `name()`, `encode_args()` and `decode()`, one `From`
 //! impl per argument struct, and [`DexMethod`], which gives each argument
-//! struct its method's return type. The contract's dispatch, the shard
-//! router ([`DexCall::route_key`]), the access-set derivation and the
-//! client all read the decoded call, so none of them spells a method name.
+//! struct its method's return type. The contract's dispatch, the
+//! access-set derivation and the client all read the decoded call, so none
+//! of them spells a method name.
 
-use duc_blockchain::{Address, ContractError, RouteKey};
+use duc_blockchain::{Address, ContractError};
 use duc_codec::{decode_from_slice, encode_to_vec, impl_codec_struct, Decode, Encode};
 use duc_crypto::{Digest, PublicKey};
 use duc_sim::SimTime;
@@ -166,40 +166,4 @@ dex_calls! {
     GetSubscription(GetSubscription) = "get_subscription" -> Option<Subscription> {
         webid: String,
     };
-}
-
-impl DexCall {
-    /// The key a sharded ledger routes this call by:
-    ///
-    /// | calls | route key |
-    /// |---|---|
-    /// | `register_pod`, `get_pod`, `register_resource` | owner WebID (pods and their resources co-locate) |
-    /// | `lookup_resource`, `update_policy`, `register_copy`, `unregister_copy`, `list_copies`, `start_monitoring`, `record_evidence`, `reaffirm_evidence`, `get_round` | resource IRI (alias-resolved to the owner's shard) |
-    /// | `subscribe`, `verify_certificate`, `get_subscription` | consumer WebID |
-    /// | `init` | shard 0 (deployment set-up runs once per shard) |
-    /// | `list_resources` | shard 0 (the client fans the view out per shard) |
-    ///
-    /// The match has no catch-all arm: a new method must say where it goes.
-    pub fn route_key(self) -> RouteKey {
-        match self {
-            DexCall::Init(_) | DexCall::ListResources(_) => RouteKey::Shard(0),
-            DexCall::RegisterPod(RegisterPod { owner_webid, .. })
-            | DexCall::GetPod(GetPod { owner_webid })
-            | DexCall::RegisterResource(RegisterResource { owner_webid, .. }) => {
-                RouteKey::Key(owner_webid)
-            }
-            DexCall::LookupResource(LookupResource { resource })
-            | DexCall::UpdatePolicy(UpdatePolicy { resource, .. })
-            | DexCall::RegisterCopy(RegisterCopy { resource, .. })
-            | DexCall::UnregisterCopy(UnregisterCopy { resource, .. })
-            | DexCall::ListCopies(ListCopies { resource })
-            | DexCall::StartMonitoring(StartMonitoring { resource })
-            | DexCall::RecordEvidence(EvidenceSubmission { resource, .. })
-            | DexCall::ReaffirmEvidence(EvidenceReaffirmation { resource, .. })
-            | DexCall::GetRound(GetRound { resource, .. }) => RouteKey::Key(resource),
-            DexCall::Subscribe(Subscribe { webid })
-            | DexCall::VerifyCertificate(VerifyCertificate { webid, .. })
-            | DexCall::GetSubscription(GetSubscription { webid }) => RouteKey::Key(webid),
-        }
-    }
 }

@@ -6,14 +6,13 @@
 //! [`DistExchangeClient::call_tx`], or a typed read with
 //! [`DistExchangeClient::view`].
 
-use duc_blockchain::{Address, ContractError, ContractId, Ledger, SignedTransaction};
+use duc_blockchain::{Address, Blockchain, ContractError, ContractId, SignedTransaction};
 use duc_codec::decode_from_slice;
 use duc_crypto::KeyPair;
 
 use crate::abi::{PolicyEnvelope, ResourceRecord};
 use crate::calls::{
-    DexCall, DexMethod, Init, ListResources, LookupResource, RegisterPod, RegisterResource,
-    UpdatePolicy,
+    DexCall, DexMethod, Init, LookupResource, RegisterPod, RegisterResource, UpdatePolicy,
 };
 use crate::dist_exchange::DEX_CONTRACT_ID;
 
@@ -45,10 +44,10 @@ impl DistExchangeClient {
         &self.contract
     }
 
-    /// Builds a signed call of any DE App method, routed by the ledger.
-    pub fn call_tx<L: Ledger>(
+    /// Builds a signed call of any DE App method.
+    pub fn call_tx(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         key: &KeyPair,
         call: impl Into<DexCall>,
     ) -> SignedTransaction {
@@ -62,27 +61,13 @@ impl DistExchangeClient {
         )
     }
 
-    /// Builds a signed call pinned to one shard (multi-chain deployments
-    /// run `init` once per shard at genesis).
-    pub fn call_tx_on<L: Ledger>(
-        &self,
-        chain: &L,
-        shard: usize,
-        key: &KeyPair,
-        call: impl Into<DexCall>,
-    ) -> SignedTransaction {
-        let call = call.into();
-        let (method, args) = (call.name(), call.encode_args());
-        chain.build_call_on(shard, key, self.contract.clone(), method, args, DEFAULT_GAS)
-    }
-
     /// Runs a read-only call and decodes what the method returns.
     ///
     /// # Errors
     /// Propagates contract/view errors and undecodable return data.
-    pub fn view<C: DexMethod, L: Ledger>(
+    pub fn view<C: DexMethod>(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         call: C,
     ) -> Result<C::Output, ContractError> {
         let call = call.into();
@@ -99,9 +84,9 @@ impl DistExchangeClient {
     }
 
     /// Builds the one-time market initialization call.
-    pub fn init_tx<L: Ledger>(
+    pub fn init_tx(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         key: &KeyPair,
         fee: u128,
         validity_nanos: u64,
@@ -116,9 +101,9 @@ impl DistExchangeClient {
     }
 
     /// Builds a pod registration (paper process 1).
-    pub fn register_pod_tx<L: Ledger>(
+    pub fn register_pod_tx(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         key: &KeyPair,
         owner_webid: &str,
         web_ref: &str,
@@ -134,9 +119,9 @@ impl DistExchangeClient {
 
     /// Builds a resource registration (paper process 2).
     #[allow(clippy::too_many_arguments)] // mirrors the contract ABI
-    pub fn register_resource_tx<L: Ledger>(
+    pub fn register_resource_tx(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         key: &KeyPair,
         resource: &str,
         location: &str,
@@ -155,9 +140,9 @@ impl DistExchangeClient {
     }
 
     /// Builds a policy update (paper process 5).
-    pub fn update_policy_tx<L: Ledger>(
+    pub fn update_policy_tx(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         key: &KeyPair,
         resource: &str,
         policy: PolicyEnvelope,
@@ -175,9 +160,9 @@ impl DistExchangeClient {
     ///
     /// # Errors
     /// Propagates contract/view errors.
-    pub fn lookup_resource<L: Ledger>(
+    pub fn lookup_resource(
         &self,
-        chain: &L,
+        chain: &Blockchain,
         resource: &str,
     ) -> Result<Option<ResourceRecord>, ContractError> {
         self.view(
@@ -186,27 +171,5 @@ impl DistExchangeClient {
                 resource: resource.to_string(),
             },
         )
-    }
-
-    /// Lists all indexed resource IRIs. On multi-shard backends the view
-    /// fans out to every shard and merges (sorted, deduplicated); on a
-    /// single chain it is the plain contract view, insertion-ordered.
-    ///
-    /// # Errors
-    /// Propagates contract/view errors.
-    pub fn list_resources<L: Ledger>(&self, chain: &L) -> Result<Vec<String>, ContractError> {
-        if chain.shard_count() == 1 {
-            return self.view(chain, ListResources {});
-        }
-        let call = DexCall::from(ListResources {});
-        let mut all: Vec<String> = Vec::new();
-        for shard in 0..chain.shard_count() {
-            let out =
-                chain.call_view_on(shard, &self.contract, call.name(), &call.encode_args())?;
-            all.extend(Self::decode_return::<ListResources>(&out)?);
-        }
-        all.sort_unstable();
-        all.dedup();
-        Ok(all)
     }
 }

@@ -18,13 +18,12 @@
 //!
 //! Every method is one row of the call table in [`calls`]: its name, its
 //! argument struct and its return type, declared once. The contract
-//! decodes a call into a [`DexCall`] and dispatches on it; [`routing`]
-//! routes it by [`DexCall::route_key`]; [`access`] declares its state
-//! footprint so the parallel block executor can schedule non-conflicting
-//! calls concurrently; and [`client`] builds any call as a transaction
-//! (`call_tx`) or runs it as a typed read (`view`), so callers never touch
-//! raw bytes. The records the views return live in [`abi`], and everything
-//! is encoded with [`duc_codec`].
+//! decodes a call into a [`DexCall`] and dispatches on it; [`access`]
+//! declares its state footprint so the parallel block executor can
+//! schedule non-conflicting calls concurrently; and [`client`] builds any
+//! call as a transaction (`call_tx`) or runs it as a typed read (`view`),
+//! so callers never touch raw bytes. The records the views return live in
+//! [`abi`], and everything is encoded with [`duc_codec`].
 //!
 //! Every event is one row of the event table in [`events`], beside the
 //! call table: its topic, its [`topics`] constant and its payload struct,
@@ -41,7 +40,6 @@ pub mod client;
 pub mod dist_exchange;
 pub mod events;
 mod layout;
-pub mod routing;
 pub mod rows;
 
 pub use abi::{

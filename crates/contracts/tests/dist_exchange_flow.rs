@@ -1,12 +1,10 @@
 //! End-to-end tests of the DistExchange contract running on the blockchain
 //! substrate: registration, indexing, policy updates, monitoring, market.
 
-use duc_blockchain::{
-    Address, Blockchain, ContractError, ContractId, Ledger, SignedTransaction, TxStatus,
-};
+use duc_blockchain::{Address, Blockchain, ContractError, ContractId, SignedTransaction, TxStatus};
 use duc_contracts::calls::{
-    GetPod, GetRound, GetSubscription, ListCopies, RegisterCopy, StartMonitoring, Subscribe,
-    UnregisterCopy, VerifyCertificate,
+    GetPod, GetRound, GetSubscription, ListCopies, ListResources, RegisterCopy, StartMonitoring,
+    Subscribe, UnregisterCopy, VerifyCertificate,
 };
 use duc_contracts::{
     topics, CopyRecord, DistExchange, DistExchangeClient, EvidenceSubmission, MonitoringRound,
@@ -173,7 +171,7 @@ fn pod_and_resource_registration() {
     assert_eq!(policy.owner, BOB_WEBID);
 
     assert_eq!(
-        w.dex.list_resources(&w.chain).unwrap(),
+        w.dex.view(&w.chain, ListResources {}).unwrap(),
         vec![MEDICAL.to_string()]
     );
     assert!(w

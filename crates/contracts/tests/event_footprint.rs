@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use duc_blockchain::{Address, Blockchain, ContractId, Event, Ledger};
+use duc_blockchain::{Address, Blockchain, ContractId, Event};
 use duc_contracts::calls::{RegisterCopy, Subscribe};
 use duc_contracts::{DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::KeyPair;

@@ -4,17 +4,16 @@
 //! their pod, they revert) fills five more rounds. On one chain, every
 //! block's state root and the gas table are pinned as recorded before the
 //! account table was hashed; the table's layout must never show in either.
-//! On one chain and on four shards, with pruning on and off, the SHA-256 of
-//! every receipt and of every event read the mix makes is pinned as
-//! recorded while receipts sat in a map beside a separate event log. Never
-//! re-record.
+//! With pruning on and off, the SHA-256 of every receipt and of every event
+//! read the mix makes is pinned as recorded while receipts sat in a map
+//! beside a separate event log. Never re-record.
 
 use std::borrow::Borrow;
 
 use duc_blockchain::tx::TxKind;
 use duc_blockchain::{
-    Address, Blockchain, ContractId, Ledger, Receipt, ShardedLedger, SignedTransaction,
-    StorageConfig, Transaction, TxId, TxStatus,
+    Address, Blockchain, ContractId, Receipt, SignedTransaction, StorageConfig, Transaction, TxId,
+    TxStatus,
 };
 use duc_contracts::calls::Init;
 use duc_contracts::{DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
@@ -32,24 +31,27 @@ fn pod(i: usize) -> String {
     format!("https://owner-{i}.pod/")
 }
 
-/// A transfer signed with the nonce the chain it routes to expects next.
-fn transfer<L: Ledger>(chain: &L, key: &KeyPair, to: Address, amount: u128) -> SignedTransaction {
-    let mut tx = Transaction {
-        from: Address::from_public_key(&key.public()),
-        nonce: 0,
+/// A transfer signed with the nonce the chain expects next.
+fn transfer(chain: &Blockchain, key: &KeyPair, to: Address, amount: u128) -> SignedTransaction {
+    let from = Address::from_public_key(&key.public());
+    Transaction {
+        from,
+        nonce: chain.next_nonce(&from),
         kind: TxKind::Transfer { to, amount },
         gas_limit: 30_000,
-    };
-    tx.nonce = chain.routed_next_nonce(&tx.clone().sign(key));
-    tx.sign(key)
+    }
+    .sign(key)
 }
 
 /// Runs the mix on `chain`: six rounds of submissions, one two-second
-/// advance each, then advances until every mempool is empty. After every
+/// advance each, then advances until the mempool is empty. After every
 /// advance, `sealed(chain, blocks produced, ids submitted this round)`
 /// runs. Returns every submitted id, in submission order.
-fn run_mix<L: Ledger>(chain: &mut L, mut sealed: impl FnMut(&L, usize, &[TxId])) -> Vec<TxId> {
-    chain.deploy_with(ContractId::new(DEX_CONTRACT_ID), &|| Box::new(DistExchange));
+fn run_mix(
+    chain: &mut Blockchain,
+    mut sealed: impl FnMut(&Blockchain, usize, &[TxId]),
+) -> Vec<TxId> {
+    chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
     let admin = chain.create_funded_account(b"admin", 1_000_000_000);
     let senders: Vec<KeyPair> = (0..SENDERS)
         .map(|i| chain.create_funded_account(format!("sender-{i}").as_bytes(), 1_000_000_000))
@@ -59,16 +61,13 @@ fn run_mix<L: Ledger>(chain: &mut L, mut sealed: impl FnMut(&L, usize, &[TxId]))
         .map(|k| Address::from_public_key(&k.public()))
         .collect();
     let dex = DistExchangeClient::new();
-    let treasury = Address::from_seed(b"treasury");
-    for shard in 0..chain.shard_count() {
-        let init = Init {
-            fee: 10_000,
-            validity_nanos: 86_400_000_000_000,
-            treasury,
-        };
-        let init = dex.call_tx_on(chain, shard, &admin, init);
-        chain.submit_on(shard, init).expect("init submits");
-    }
+    let init = Init {
+        fee: 10_000,
+        validity_nanos: 86_400_000_000_000,
+        treasury: Address::from_seed(b"treasury"),
+    };
+    let init = dex.call_tx(chain, &admin, init);
+    chain.submit(init).expect("init submits");
 
     let mut rng = Rng::seed_from_u64(0x0ACC_0075);
     let mut now = SimTime::ZERO;
@@ -208,7 +207,7 @@ fn absorb_receipt(h: &mut Sha256, receipt: Option<impl Borrow<Receipt>>) {
 /// Absorbs one `events_since` (`try_events_since` when `checked`) read
 /// from `cursor`: its error's horizon, or its length and every
 /// `(height, event)` it yields.
-fn absorb_events<L: Ledger>(h: &mut Sha256, chain: &L, cursor: u64, checked: bool) {
+fn absorb_events(h: &mut Sha256, chain: &Blockchain, cursor: u64, checked: bool) {
     h.update(&cursor.to_le_bytes());
     let events = if checked {
         match chain.try_events_since(cursor) {
@@ -244,7 +243,7 @@ struct History {
     whole: String,
 }
 
-fn history<L: Ledger>(mut chain: L) -> History {
+fn history(mut chain: Blockchain) -> History {
     let (mut fresh, mut whole) = (Sha256::new(), Sha256::new());
     let mut cursor = 0;
     let ids = run_mix(&mut chain, |chain, produced, round| {
@@ -282,14 +281,6 @@ fn one_chain(storage: StorageConfig) -> History {
     )
 }
 
-fn four_shards(storage: StorageConfig) -> History {
-    history(
-        ShardedLedger::new(4, 4, SimDuration::from_secs(2))
-            .with_storage(storage)
-            .with_router(duc_contracts::routing::dex_router()),
-    )
-}
-
 #[test]
 fn receipts_and_event_reads_on_one_chain_are_pinned() {
     let kept = one_chain(StorageConfig::disabled());
@@ -301,21 +292,6 @@ fn receipts_and_event_reads_on_one_chain_are_pinned() {
             "37c1c911c7ef93be15f0153f13ea8f3df9f5fdcb5f36d28bf17af438df48c1fa",
             "5b47f0bbb45e64d83cb98de0acc974b98ca6e82970bf7cf501794dcf7d341f72",
             "ef277889caac16d73442dec4adccb9bfb97cdcb63fcdf602042e7db7b66d4177",
-        ]
-    );
-}
-
-#[test]
-fn receipts_and_event_reads_on_four_shards_are_pinned() {
-    let kept = four_shards(StorageConfig::disabled());
-    let pruned = four_shards(StorageConfig::enabled(2, 1));
-    assert_eq!(kept.fresh, pruned.fresh, "pruning moved what a poller sees");
-    assert_eq!(
-        [kept.fresh, kept.whole, pruned.whole],
-        [
-            "9a22ebd9bdf8f6462e920e1985e3e1074383ee09f669e43d86b1f6f7d3606a90",
-            "3d0dbb046436760d911308d59156e02adf56aee4067f537b53946bdd953f6922",
-            "25a1465af9f34bc5fd872b7ade5e40ee08e4c5439d2031b0a4fbbc0f9cacb9c5",
         ]
     );
 }

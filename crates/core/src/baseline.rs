@@ -11,7 +11,6 @@
 //!   copy-holder out of band (the trust gaps §V-2 attributes to
 //!   centralized designs).
 
-use duc_blockchain::Ledger;
 use duc_crypto::sha256;
 use duc_oracle::OracleError;
 use duc_sim::SimDuration;
@@ -30,8 +29,8 @@ impl PlainSolidBaseline {
     ///
     /// # Errors
     /// Fails on unknown participants, network loss, or an ACL denial.
-    pub fn access<L: Ledger>(
-        world: &mut World<L>,
+    pub fn access(
+        world: &mut World,
         device: &str,
         owner_webid: &str,
         path: &str,
@@ -118,8 +117,8 @@ impl CentralizedAuditBaseline {
     /// Fails on unknown participants. Unreachable devices are skipped (and
     /// simply missing from the outcome — the baseline has no ledger to
     /// record the gap in, which is exactly its weakness).
-    pub fn monitor<L: Ledger>(
-        world: &mut World<L>,
+    pub fn monitor(
+        world: &mut World,
         owner_webid: &str,
         path: &str,
         devices: &[String],

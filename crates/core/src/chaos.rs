@@ -25,7 +25,6 @@
 //!   state commitment its checkpoint sealed, and the latest checkpoint's
 //!   block is never pruned.
 
-use duc_blockchain::Ledger;
 use duc_contracts::calls::{ListCopies, VerifyCertificate};
 use duc_sim::{EndpointId, FaultPlan, LatencyModel, LinkConfig, Rng, SimDuration, SimTime};
 
@@ -50,7 +49,7 @@ pub struct ChaosRun {
 }
 
 /// The canonical chaos-suite link profile — fixed `ms` latency, no random
-/// loss, 10 MB/s — shared by the chaos tests and the backend-conformance
+/// loss, 10 MB/s — shared by the chaos tests and the conformance
 /// suite so both exercise the same network.
 pub fn fixed_link(ms: u64) -> LinkConfig {
     LinkConfig {
@@ -77,12 +76,7 @@ pub fn healing_plan(now: SimTime, endpoint: EndpointId, relay: EndpointId) -> Fa
 /// Generates a seeded random [`FaultPlan`] over every endpoint and
 /// validator of `world`, with windows starting within `horizon` of the
 /// current instant. Identical `(world, seed)` pairs yield identical plans.
-pub fn random_plan<L: Ledger>(
-    world: &World<L>,
-    seed: u64,
-    horizon: SimDuration,
-    max_faults: usize,
-) -> FaultPlan {
+pub fn random_plan(world: &World, seed: u64, horizon: SimDuration, max_faults: usize) -> FaultPlan {
     let mut endpoints: Vec<EndpointId> = (0..world.net.endpoint_count() as u32)
         .map(EndpointId)
         .collect();
@@ -114,8 +108,8 @@ pub fn random_plan<L: Ledger>(
 /// # Errors
 /// A human-readable description of the first violated invariant (embed the
 /// seeds in the caller's panic message to make the case reproducible).
-pub fn run_chaos<L: Ledger>(
-    world: &mut World<L>,
+pub fn run_chaos(
+    world: &mut World,
     requests: Vec<Request>,
     plan: FaultPlan,
 ) -> Result<ChaosRun, String> {
@@ -156,7 +150,7 @@ pub fn run_chaos<L: Ledger>(
 ///
 /// # Errors
 /// A description of the first violated invariant.
-pub fn check_invariants<L: Ledger>(world: &World<L>) -> Result<(), String> {
+pub fn check_invariants(world: &World) -> Result<(), String> {
     if world.in_flight() != 0 {
         return Err(format!("{} requests still in flight", world.in_flight()));
     }
@@ -273,7 +267,7 @@ pub fn check_invariants<L: Ledger>(world: &World<L>) -> Result<(), String> {
 /// histograms, the structured trace, the clock, the chain height and the
 /// gas ledger — into one string. Identically-seeded runs must produce
 /// byte-identical fingerprints.
-pub fn fingerprint<L: Ledger>(world: &mut World<L>) -> String {
+pub fn fingerprint(world: &mut World) -> String {
     use std::fmt::Write as _;
 
     let mut out = String::new();
@@ -356,15 +350,14 @@ pub fn launch_pad(
     launch_pad_in(World::new(config), owner, path, n_devices)
 }
 
-/// [`launch_pad`] over a caller-supplied world — the backend-conformance
-/// suite uses this to throw the identical workload at every [`Ledger`]
-/// backend.
-pub fn launch_pad_in<L: Ledger>(
-    mut world: World<L>,
+/// [`launch_pad`] over a caller-supplied world (the suites build one per
+/// execution mode and seed).
+pub fn launch_pad_in(
+    mut world: World,
     owner: &str,
     path: &str,
     n_devices: usize,
-) -> (World<L>, String) {
+) -> (World, String) {
     world.add_owner(owner, "https://owner.pod/");
     for i in 0..n_devices {
         world.add_device(format!("device-{i}"), format!("https://c{i}.id/me"));

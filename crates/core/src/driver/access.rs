@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use duc_blockchain::{Ledger, Receipt};
+use duc_blockchain::Receipt;
 use duc_contracts::calls::{ListCopies, RegisterCopy, VerifyCertificate};
 use duc_contracts::topics;
 use duc_crypto::{Digest, PublicKey};
@@ -76,7 +76,7 @@ impl Access {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             AccessPhase::Start => {
@@ -236,11 +236,7 @@ impl Access {
 
     /// The copy registration resolved: arm the copy's obligations, or roll
     /// the copy back.
-    fn finish<L: Ledger>(
-        &mut self,
-        world: &mut World<L>,
-        res: Result<Receipt, ProcessError>,
-    ) -> Step {
+    fn finish(&mut self, world: &mut World, res: Result<Receipt, ProcessError>) -> Step {
         let now = world.clock.now();
         let receipt = match res {
             Ok(receipt) => receipt,

@@ -9,7 +9,7 @@
 //! again at the nonce the chain now expects; otherwise it delivers the
 //! priced transaction as is.
 
-use duc_blockchain::{Ledger, Receipt, SignedTransaction, Transaction, TxId, TxStatus};
+use duc_blockchain::{Receipt, SignedTransaction, Transaction, TxId, TxStatus};
 use duc_crypto::KeyPair;
 use duc_oracle::{HopKind, OracleError, PushInOracle};
 use duc_sim::{EndpointId, SimTime};
@@ -65,7 +65,7 @@ pub(crate) enum FlowPoll {
 impl TxFlow {
     /// A flow about to make its first uplink attempt, its wire size priced
     /// on the transaction as handed in.
-    pub(crate) fn new<L: Ledger>(world: &World<L>, call: PreparedCall) -> TxFlow {
+    pub(crate) fn new(world: &World, call: PreparedCall) -> TxFlow {
         TxFlow {
             stage: Stage::Send {
                 size: call.tx.encoded_size() as u64,
@@ -79,7 +79,7 @@ impl TxFlow {
     }
 
     /// Advances the flow at the current clock instant.
-    pub(crate) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> FlowPoll {
+    pub(crate) fn step(&mut self, world: &mut World) -> FlowPoll {
         let now = world.clock.now();
         match self.stage {
             Stage::Send {
@@ -138,7 +138,7 @@ impl TxFlow {
                 // The priced transaction is delivered as is unless the
                 // sender's nonce moved while it was on the wire.
                 let mut tx = *self.tx.take().expect("a flow delivers once");
-                let nonce = world.chain.routed_next_nonce(&tx);
+                let nonce = world.chain.next_nonce(&tx.tx.from);
                 if nonce != tx.tx.nonce {
                     world.metrics.incr("driver.tx.resigned");
                     tx = Transaction { nonce, ..tx.tx }.sign(&self.key);
@@ -169,7 +169,7 @@ impl TxFlow {
 }
 
 /// The uplink's budget ran out before the message got onto the wire.
-fn gave_up<L: Ledger>(world: &mut World<L>, attempts: u32, deadline: SimTime) -> FlowPoll {
+fn gave_up(world: &mut World, attempts: u32, deadline: SimTime) -> FlowPoll {
     world.metrics.incr("driver.hop.gave_up");
     FlowPoll::Done(Err(OracleError::GaveUp {
         hop: HopKind::PushInUplink,

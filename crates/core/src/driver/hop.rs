@@ -2,7 +2,6 @@
 //! machine drives its raw messages (pod fetches, oracle reads, monitoring
 //! probes) through.
 
-use duc_blockchain::Ledger;
 use duc_oracle::{HopKind, OracleError};
 use duc_sim::{EndpointId, SimTime};
 
@@ -46,8 +45,8 @@ pub(crate) enum HopPoll {
 }
 
 impl Hop {
-    pub(crate) fn new<L: Ledger>(
-        world: &World<L>,
+    pub(crate) fn new(
+        world: &World,
         from: EndpointId,
         to: EndpointId,
         size: u64,
@@ -63,7 +62,7 @@ impl Hop {
         }
     }
 
-    fn gave_up<L: Ledger>(&self, world: &mut World<L>) -> HopPoll {
+    fn gave_up(&self, world: &mut World) -> HopPoll {
         world.metrics.incr("driver.hop.gave_up");
         HopPoll::Failed(OracleError::GaveUp {
             hop: self.kind,
@@ -72,7 +71,7 @@ impl Hop {
         })
     }
 
-    pub(crate) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> HopPoll {
+    pub(crate) fn step(&mut self, world: &mut World) -> HopPoll {
         let now = world.clock.now();
         // A declared crash/partition window blocks the pair outright:
         // suspend without burning wire attempts and resume exactly at

@@ -1,6 +1,5 @@
 //! Process 3 — resource indexing through the pull-out oracle.
 
-use duc_blockchain::Ledger;
 use duc_contracts::calls::LookupResource;
 use duc_contracts::{DexCall, DistExchangeClient};
 use duc_oracle::{HopKind, OracleError, PullOutOracle};
@@ -56,7 +55,7 @@ impl Indexing {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             IndexingPhase::Start => {

@@ -44,10 +44,9 @@
 //! ## Writing a machine
 //!
 //! A machine is a struct holding everything its request knows, a `phase`
-//! enum, and `fn step<L: Ledger>(&mut self, &mut World<L>) -> Step`: the
+//! enum, and `fn step(&mut self, &mut World) -> Step`: the
 //! driver keeps the one value it boxed at submission and steps it where it
-//! is stored. Machines are plain data — none has a type parameter; only
-//! `step` names the ledger backend it runs against.
+//! is stored. Machines are plain data — none has a type parameter.
 //! A phase transition is an assignment to `self.phase`. What one phase
 //! hands the next moves with `std::mem::take`; what several phases read
 //! is a field, set once by the phase that resolves it. A hop's retry and a
@@ -80,7 +79,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use duc_blockchain::{Ledger, TxId};
+use duc_blockchain::TxId;
 use duc_contracts::events::{DexEvent, MonitoringRequested};
 use duc_crypto::Digest;
 use duc_intern::{FxHashMap, FxHashSet, Sym};
@@ -245,7 +244,7 @@ impl Ticket {
 
     /// Takes the completed outcome for this ticket, if the request has
     /// finished.
-    pub fn poll<L: Ledger>(self, world: &mut World<L>) -> Option<Result<Outcome, ProcessError>> {
+    pub fn poll(self, world: &mut World) -> Option<Result<Outcome, ProcessError>> {
         world.poll_ticket(self)
     }
 }
@@ -284,7 +283,7 @@ pub(crate) enum Machine {
 }
 
 impl Machine {
-    pub(crate) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(crate) fn step(&mut self, world: &mut World) -> Step {
         match self {
             Machine::PodInit(m) => m.step(world),
             Machine::ResInit(m) => m.step(world),
@@ -376,7 +375,7 @@ impl DriverState {
     }
 }
 
-impl<L: Ledger> World<L> {
+impl World {
     /// Submits a request to the driver and returns its ticket immediately.
     ///
     /// Unknown owners/devices complete at once with a typed error (no

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use duc_blockchain::{Event, Ledger, Receipt};
+use duc_blockchain::{Event, Receipt};
 use duc_contracts::calls::{GetRound, StartMonitoring};
 use duc_contracts::{DexEvent, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
@@ -91,7 +91,7 @@ impl Monitoring {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             MonPhase::Open => {
@@ -305,7 +305,7 @@ impl Monitoring {
 
     /// The round-opening transaction confirmed: decode the round number and
     /// start the pull-in poll.
-    fn open_confirmed<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+    fn open_confirmed(&mut self, world: &mut World, receipt: &Receipt) -> Step {
         self.round =
             match DistExchangeClient::decode_return::<StartMonitoring>(&receipt.return_data) {
                 Ok(round) => round,
@@ -329,14 +329,14 @@ impl Monitoring {
     }
 
     /// Visits the next expected device, or closes the round after the last.
-    fn next_device<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    fn next_device(&mut self, world: &mut World) -> Step {
         self.phase = MonPhase::DeviceRequest;
         self.step(world)
     }
 
     /// One device's evidence transaction confirmed: account for it and move
     /// on to the next device.
-    fn evidence_confirmed<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+    fn evidence_confirmed(&mut self, world: &mut World, receipt: &Receipt) -> Step {
         world
             .metrics
             .add("process.monitoring.gas", receipt.gas_used);
@@ -358,7 +358,7 @@ impl Monitoring {
 
     /// Every expected device was visited: read the verdict, deliver it to
     /// the pod manager (push-out) and complete.
-    fn finish<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    fn finish(&mut self, world: &mut World) -> Step {
         let round = GetRound {
             resource: self.resource_iri.clone(),
             round: self.round,

@@ -25,7 +25,6 @@
 //! damaged enclave surfaces as [`ProcessError::Tee`] and the
 //! `driver.obligation.failed` counter; it does not re-arm.
 
-use duc_blockchain::Ledger;
 use duc_contracts::calls::UnregisterCopy;
 use duc_contracts::DistExchangeClient;
 use duc_sim::{SimDuration, SimTime};
@@ -58,7 +57,7 @@ impl ObligationRun {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             ObligationPhase::Start => {
@@ -171,7 +170,7 @@ impl ObligationRun {
     }
 }
 
-impl<L: Ledger> World<L> {
+impl World {
     /// Registers (or refreshes) the obligation wakeup for one governed
     /// copy: the next retention/expiry deadline of `resource` on `device`,
     /// mapped through the world's [`EnforcementMode`]. A no-op when the

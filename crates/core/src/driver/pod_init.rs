@@ -1,6 +1,5 @@
 //! Process 1 — pod initiation.
 
-use duc_blockchain::Ledger;
 use duc_contracts::topics;
 use duc_policy::UsagePolicy;
 use duc_sim::SimTime;
@@ -24,10 +23,7 @@ enum PodInitPhase {
 
 /// The off-chain half: the pod manager attaches the default policy at the
 /// pod root and signs the pod's registration.
-pub(crate) fn prepare<L: Ledger>(
-    world: &mut World<L>,
-    webid: &str,
-) -> Result<PreparedCall, ProcessError> {
+pub(crate) fn prepare(world: &mut World, webid: &str) -> Result<PreparedCall, ProcessError> {
     let Some(owner) = world.owners.get_mut(webid) else {
         return Err(ProcessError::UnknownOwner(webid.to_string()));
     };
@@ -44,7 +40,7 @@ pub(crate) fn prepare<L: Ledger>(
 
 /// The confirmed tail: the pod counts as registered and its manager
 /// listens for monitoring verdicts from now on.
-pub(crate) fn registered<L: Ledger>(world: &mut World<L>, webid: &str) {
+pub(crate) fn registered(world: &mut World, webid: &str) {
     let owner = world.owners.get_mut(webid).expect("prepared above");
     owner.pod_registered = true;
     world
@@ -61,7 +57,7 @@ impl PodInit {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         match &mut self.phase {
             PodInitPhase::Start => {
                 let call = match prepare(world, &self.webid) {
@@ -90,7 +86,7 @@ impl PodInit {
     }
 
     /// Records `kind` against the pod's root, as the pod manager.
-    fn trace<L: Ledger>(&self, world: &mut World<L>, kind: &str) {
+    fn trace(&self, world: &mut World, kind: &str) {
         let owner = world.owners.get(&self.webid).expect("prepared above");
         world.trace.record(
             world.clock.now(),

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use duc_blockchain::{Ledger, Receipt, TxId};
+use duc_blockchain::{Receipt, TxId};
 use duc_contracts::calls::UnregisterCopy;
 use duc_contracts::DexEvent;
 use duc_policy::{Duty, PolicyVersion, Rule};
@@ -65,7 +65,7 @@ impl PolicyMod {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         let now = world.clock.now();
         match &mut self.phase {
             PolicyModPhase::Start { rules, duties } => {
@@ -202,7 +202,7 @@ impl PolicyMod {
 
     /// Transition out of the confirm phase: record gas, claim this
     /// resource's push-out deliveries and start the fan-out.
-    fn after_confirm<L: Ledger>(&mut self, world: &mut World<L>, receipt: &Receipt) -> Step {
+    fn after_confirm(&mut self, world: &mut World, receipt: &Receipt) -> Step {
         world
             .metrics
             .add("process.policy_mod.gas", receipt.gas_used);

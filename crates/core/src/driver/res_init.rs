@@ -1,6 +1,6 @@
 //! Process 2 — resource initiation.
 
-use duc_blockchain::{Ledger, Receipt};
+use duc_blockchain::Receipt;
 use duc_policy::{AclMode, AgentSpec, Authorization, UsagePolicy};
 use duc_sim::SimTime;
 use duc_solid::{Body, SolidRequest};
@@ -33,8 +33,8 @@ enum ResInitPhase {
 /// (the pod manager checks the ACL), the pod manager attaches `policy`,
 /// opens the resource to the market's subscribers and signs its
 /// registration. Returns the resource's IRI with the call.
-pub(crate) fn prepare<L: Ledger>(
-    world: &mut World<L>,
+pub(crate) fn prepare(
+    world: &mut World,
     webid: &str,
     path: &str,
     body: Body,
@@ -61,14 +61,12 @@ pub(crate) fn prepare<L: Ledger>(
     // Market terms: authenticated subscribers may read this resource
     // (certificate-gated), cf. §II "only subscribed users have access".
     let iri = owner.pod_manager.pod().iri_of(path);
-    let mut acl = owner.pod_manager.acl().clone();
-    acl.push(Authorization::for_resource(
+    owner.pod_manager.grant(Authorization::for_resource(
         format!("market-readers-{path}"),
         iri.clone(),
         vec![AgentSpec::AuthenticatedAgent],
         vec![AclMode::Read],
     ));
-    owner.pod_manager.set_acl(acl);
     owner.pod_manager.set_require_certificate(true);
 
     // Push-in oracle: index the resource + publish the policy.
@@ -101,7 +99,7 @@ impl ResInit {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         match &mut self.phase {
             ResInitPhase::Start => {
                 let body = self.body.take().expect("body present in Start phase");
@@ -127,7 +125,7 @@ impl ResInit {
     }
 
     /// The registration executed: the resource is in the DE App index.
-    fn registered<L: Ledger>(&self, world: &mut World<L>, receipt: &Receipt) -> Outcome {
+    fn registered(&self, world: &mut World, receipt: &Receipt) -> Outcome {
         let now = world.clock.now();
         world
             .metrics

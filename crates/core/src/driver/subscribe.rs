@@ -1,6 +1,6 @@
 //! Market subscription — the certificate prerequisite of process 4 (§II).
 
-use duc_blockchain::{Ledger, Receipt};
+use duc_blockchain::Receipt;
 use duc_contracts::{calls, DistExchangeClient};
 use duc_crypto::Digest;
 use duc_sim::SimTime;
@@ -23,10 +23,7 @@ enum SubscribePhase {
 }
 
 /// The off-chain half: the device signs its subscription purchase.
-pub(crate) fn prepare<L: Ledger>(
-    world: &World<L>,
-    device: &str,
-) -> Result<PreparedCall, ProcessError> {
+pub(crate) fn prepare(world: &World, device: &str) -> Result<PreparedCall, ProcessError> {
     let Some(dev) = world.try_device(device) else {
         return Err(ProcessError::UnknownDevice(device.to_string()));
     };
@@ -40,8 +37,8 @@ pub(crate) fn prepare<L: Ledger>(
 
 /// The confirmed tail: the device stores the certificate its purchase
 /// returned.
-pub(crate) fn certified<L: Ledger>(
-    world: &mut World<L>,
+pub(crate) fn certified(
+    world: &mut World,
     device: &str,
     receipt: &Receipt,
 ) -> Result<Digest, ProcessError> {
@@ -61,7 +58,7 @@ impl Subscribe {
         }
     }
 
-    pub(super) fn step<L: Ledger>(&mut self, world: &mut World<L>) -> Step {
+    pub(super) fn step(&mut self, world: &mut World) -> Step {
         match &mut self.phase {
             SubscribePhase::Start => {
                 let call = match prepare(world, &self.device) {

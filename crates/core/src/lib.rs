@@ -10,19 +10,12 @@
 //! 5. **Policy modification** — [`World::policy_modification`]
 //! 6. **Policy monitoring** — [`World::policy_monitoring`]
 //!
-//! A [`World`] is one simulated deployment: a ledger with the
+//! A [`World`] is one simulated deployment: a PoA chain with the
 //! DistExchange app, oracles in all four pattern quadrants, pod managers
 //! for each data owner and TEE devices for each consumer, all wired over a
 //! deterministic network model. Every process records end-to-end and
 //! per-hop latencies plus gas into a [`duc_sim::MetricsRegistry`], which is
 //! what the benchmark harness reports.
-//!
-//! The world is generic over its [`duc_blockchain::Ledger`] backend:
-//! [`World::new`] runs the legacy single PoA chain, while
-//! [`World::new_sharded`] runs the same deployment over a
-//! [`duc_blockchain::ShardedLedger`] — N chains with deterministic
-//! owner/contract routing, so concurrent requests from disjoint owners no
-//! longer serialize through one mempool (experiment E13).
 //!
 //! The one-shot methods above are wrappers over the **non-blocking driver
 //! API** ([`driver`]): [`World::submit`] enqueues a typed [`Request`] and

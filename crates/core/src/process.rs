@@ -8,7 +8,6 @@
 //! semantics are unchanged while the same state machines also serve
 //! hundreds of concurrent in-flight requests.
 
-use duc_blockchain::Ledger;
 use duc_crypto::Digest;
 use duc_policy::{Duty, Rule, UsagePolicy};
 use duc_solid::Body;
@@ -18,7 +17,7 @@ use crate::driver::{
 };
 use crate::world::{IndexEntry, World};
 
-impl<L: Ledger> World<L> {
+impl World {
     /// Submits `request` alone, drives the event loop to idle and returns
     /// its outcome (the one-shot wrapper shared by all six processes).
     fn run_one(&mut self, request: Request) -> Result<Outcome, ProcessError> {

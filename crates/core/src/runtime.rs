@@ -12,7 +12,6 @@
 //! deliberately ignores every timing-derived field: wall-clock jitter
 //! shifts *when* a process runs, never *what* it decides.
 
-use duc_blockchain::Ledger;
 use duc_runtime::{
     drive, DriveConfig, DriveReport, MetricsPage, ShutdownSignal, WallClock, WallHandle, Workload,
 };
@@ -38,16 +37,16 @@ pub struct RuntimeRun {
 /// so the world's scheduler is the only timer queue: the drive loop
 /// sleeps until its next event (or an injection, a script instant or an
 /// export point) and paces the world there.
-pub(crate) struct PacedWorld<'w, L: Ledger = duc_blockchain::Blockchain> {
-    world: &'w mut World<L>,
+pub(crate) struct PacedWorld<'w> {
+    world: &'w mut World,
     page: Option<MetricsPage>,
     outcomes: Vec<(Ticket, Result<Outcome, ProcessError>)>,
 }
 
-impl<'w, L: Ledger> PacedWorld<'w, L> {
+impl<'w> PacedWorld<'w> {
     /// Wraps a world; every export overwrites `page`, when given, with
     /// the rendered [`World::metrics_snapshot`].
-    pub(crate) fn new(world: &'w mut World<L>, page: Option<MetricsPage>) -> Self {
+    pub(crate) fn new(world: &'w mut World, page: Option<MetricsPage>) -> Self {
         PacedWorld {
             world,
             page,
@@ -61,7 +60,7 @@ impl<'w, L: Ledger> PacedWorld<'w, L> {
     }
 }
 
-impl<L: Ledger> Workload for PacedWorld<'_, L> {
+impl Workload for PacedWorld<'_> {
     type Cmd = Request;
 
     fn admit(&mut self, cmd: Request) {
@@ -93,8 +92,8 @@ impl<L: Ledger> Workload for PacedWorld<'_, L> {
 /// instants — on the world's own event loop, then to idle, returning
 /// every outcome in completion order. Requests due at the same instant
 /// are submitted in script order; one due in the past is submitted now.
-pub fn run_scripted<L: Ledger>(
-    world: &mut World<L>,
+pub fn run_scripted(
+    world: &mut World,
     mut script: Vec<(SimTime, Request)>,
 ) -> Vec<(Ticket, Result<Outcome, ProcessError>)> {
     script.sort_by_key(|&(at, _)| at);
@@ -114,8 +113,8 @@ pub fn run_scripted<L: Ledger>(
 /// waiting while any producer still holds a handle clone, so late
 /// injections are never lost — they are admitted (or, after a shutdown
 /// request, counted as rejected).
-pub fn run_wall<L, F>(
-    world: &mut World<L>,
+pub fn run_wall<F>(
+    world: &mut World,
     script: Vec<(SimTime, Request)>,
     scale: u64,
     page: Option<MetricsPage>,
@@ -124,7 +123,6 @@ pub fn run_wall<L, F>(
     spawn_producers: F,
 ) -> RuntimeRun
 where
-    L: Ledger,
     F: FnOnce(WallHandle<Request>) -> Vec<std::thread::JoinHandle<()>>,
 {
     let mut clock: WallClock<Request> = WallClock::with_scale(world.clock.now(), scale);

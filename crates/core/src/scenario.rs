@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use duc_blockchain::{Ledger, Receipt, TxId};
+use duc_blockchain::{Receipt, TxId};
 use duc_contracts::DexEvent;
 use duc_policy::{Action, Constraint, Duty, Purpose, Rule, UsagePolicy};
 use duc_sim::{zipf_weights, SimDuration};
@@ -64,9 +64,9 @@ pub fn build_world(config: WorldConfig) -> World {
     world
 }
 
-/// Registers the two owners and two devices of §II on any backend (the
-/// conformance suite runs the scenario against every [`Ledger`]).
-pub fn populate<L: Ledger>(world: &mut World<L>) {
+/// Registers the two owners and two devices of §II (the conformance suite
+/// runs the scenario under every execution mode).
+pub fn populate(world: &mut World) {
     world.add_owner(ALICE, "https://alice.pod/");
     world.add_owner(BOB, "https://bob.pod/");
     world.add_device(ALICE_DEVICE, ALICE);
@@ -103,7 +103,7 @@ pub fn browsing_policy(resource_iri: &str, retention_days: u64) -> UsagePolicy {
 /// # Errors
 /// Propagates the first process failure (a fault-free default world runs
 /// cleanly; fault-injected worlds may legitimately fail here).
-pub fn run<L: Ledger>(world: &mut World<L>) -> Result<ScenarioReport, ProcessError> {
+pub fn run(world: &mut World) -> Result<ScenarioReport, ProcessError> {
     // --- Registration (process 1 for both owners).
     world.pod_initiation(ALICE)?;
     world.pod_initiation(BOB)?;
@@ -326,22 +326,23 @@ pub fn population_policy(resource_iri: &str, owner: &str, retention_days: u64) -
 /// Seals slots until the mempool is empty and confirms parties the way the
 /// driver's inclusion wait-set confirms requests: by what each sealed slot
 /// included. After every slot it reads that slot's events from the
-/// ledger's merged, prune-aware log ([`Ledger::try_events_since`]), so the
-/// work is per included transaction, not a receipt probe per pending one
-/// per slot. `on_included(world, i)` runs in the slot that included party
-/// `i`; a pruning chain evicts at the start of the next slot, so that
-/// slot's receipts are still resident however many slots the chunk spans.
+/// chain's prune-aware log
+/// ([`duc_blockchain::Blockchain::try_events_since`]), so the work is per
+/// included transaction, not a receipt probe per pending one per slot.
+/// `on_included(world, i)` runs in the slot that included party `i`; a
+/// pruning chain evicts at the start of the next slot, so that slot's
+/// receipts are still resident however many slots the chunk spans.
 ///
 /// # Panics
 /// If a party is still unconfirmed once the pool drains, naming each such
 /// party with its receipt's status: a reverted call emits no event, so its
 /// receipt is the one place the reason is.
-fn confirm_chunk<L: Ledger>(
-    world: &mut World<L>,
+fn confirm_chunk(
+    world: &mut World,
     what: &str,
     names: &[String],
     ids: &[TxId],
-    mut on_included: impl FnMut(&World<L>, usize),
+    mut on_included: impl FnMut(&World, usize),
 ) {
     let mut parties: HashMap<&str, usize> = HashMap::with_capacity(names.len());
     for (i, name) in names.iter().enumerate() {
@@ -408,7 +409,7 @@ fn confirm_chunk<L: Ledger>(
 /// If a party's transaction does not execute — its pod or resource is
 /// already registered, say. The message names each such party with the
 /// status its receipt recorded.
-pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpec) -> Population {
+pub fn populate_population(world: &mut World, spec: &PopulationSpec) -> Population {
     assert!(spec.owners > 0, "population needs at least one owner");
     let owners: Vec<String> = (0..spec.owners)
         .map(|o| format!("https://p{o}.id/me"))
@@ -469,7 +470,7 @@ pub fn populate_population<L: Ledger>(world: &mut World<L>, spec: &PopulationSpe
 /// Enrolls `count` fresh consumer devices: funded account, subscription
 /// transaction straight into the mempool, market certificate installed
 /// from the receipt. Used by the initial build-out and by inter-wave churn.
-fn enroll_devices<L: Ledger>(world: &mut World<L>, pop: &mut Population, count: usize) {
+fn enroll_devices(world: &mut World, pop: &mut Population, count: usize) {
     let mut left = count;
     loop {
         let chunk = left.min(FLUSH_CHUNK);
@@ -492,7 +493,7 @@ fn enroll_devices<L: Ledger>(world: &mut World<L>, pop: &mut Population, count: 
 /// The certificates are then installed in submission order, so the fleet
 /// order, and everything drawn from it, does not depend on how the chunk
 /// was packed into blocks.
-fn certify_enrolled<L: Ledger>(world: &mut World<L>, pop: &mut Population, size: usize) {
+fn certify_enrolled(world: &mut World, pop: &mut Population, size: usize) {
     let mut devices = Vec::with_capacity(size);
     let mut ids = Vec::with_capacity(size);
     for _ in 0..size {
@@ -526,7 +527,7 @@ fn certify_enrolled<L: Ledger>(world: &mut World<L>, pop: &mut Population, size:
 /// Hands `device` the pull-out oracle's answer for rank `rank` directly
 /// (the entry the driver's process 3 would fetch over two relay hops), so
 /// a wave can start from a cold index without serializing 10⁴ lookups.
-fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str, rank: usize) {
+fn index_direct(world: &mut World, pop: &Population, device: &str, rank: usize) {
     let iri = &pop.resources[rank];
     let sym = world.ids.intern(iri);
     if world.device(device).index_entry(sym).is_some() {
@@ -551,8 +552,8 @@ fn index_direct<L: Ledger>(world: &mut World<L>, pop: &Population, device: &str,
 /// uniformly drawn live devices; between waves, exponential think time and
 /// device churn (the oldest devices retire, replacements enroll and
 /// subscribe). Requests run through the concurrent driver.
-pub fn run_population<L: Ledger>(
-    world: &mut World<L>,
+pub fn run_population(
+    world: &mut World,
     pop: &mut Population,
     spec: &PopulationSpec,
 ) -> PopulationRunReport {
@@ -764,7 +765,7 @@ mod tests {
             ticket.poll(&mut driven).expect("completed").expect("ok");
         }
 
-        fn market<L: Ledger>(world: &mut World<L>, pop: &Population) -> Vec<String> {
+        fn market(world: &mut World, pop: &Population) -> Vec<String> {
             let mut seen = Vec::new();
             for (webid, iri) in pop.owners.iter().zip(&pop.resources) {
                 let get_pod = GetPod {

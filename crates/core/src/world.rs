@@ -2,9 +2,7 @@
 
 use std::rc::Rc;
 
-use duc_blockchain::{
-    Address, Blockchain, ContractId, ExecMode, Ledger, ShardedLedger, StorageConfig,
-};
+use duc_blockchain::{Address, Blockchain, ContractId, ExecMode, StorageConfig};
 use duc_contracts::calls::Init;
 use duc_contracts::{topics, DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::{Digest, KeyPair};
@@ -56,9 +54,6 @@ pub struct WorldConfig {
     pub encrypt_policies: bool,
     /// Record a structured trace of every process hop.
     pub trace: bool,
-    /// Shard count for multi-chain backends ([`World::new_sharded`]);
-    /// single-chain worlds ignore it.
-    pub shards: usize,
     /// Obligation-enforcement mode (see [`EnforcementMode`]).
     pub enforcement: EnforcementMode,
     /// Block/state storage policy: checkpoint interval, retained block
@@ -80,7 +75,6 @@ impl Default for WorldConfig {
             cert_validity: SimDuration::from_days(30),
             encrypt_policies: false,
             trace: false,
-            shards: 1,
             enforcement: EnforcementMode::Deadline,
             storage: StorageConfig::disabled(),
             exec_mode: ExecMode::Serial,
@@ -165,11 +159,9 @@ impl Device {
     }
 }
 
-/// One simulated deployment of the whole architecture, generic over the
-/// [`Ledger`] backend hosting the DE App. The default is the legacy
-/// single-chain backend ([`World::new`]); [`World::new_sharded`] builds the
-/// same deployment over a [`ShardedLedger`].
-pub struct World<L = Blockchain> {
+/// One simulated deployment of the whole architecture, over the one
+/// [`Blockchain`] hosting the DE App.
+pub struct World {
     /// Deployment configuration.
     pub config: WorldConfig,
     /// Logical clock shared by every component.
@@ -178,8 +170,8 @@ pub struct World<L = Blockchain> {
     pub net: NetworkModel,
     /// Seeded randomness.
     pub rng: Rng,
-    /// The ledger hosting the DE App.
-    pub chain: L,
+    /// The chain hosting the DE App.
+    pub chain: Blockchain,
     /// Typed DE App client.
     pub dex: DistExchangeClient,
     /// Push-in oracle (off-chain → chain transactions).
@@ -236,59 +228,27 @@ pub struct World<L = Blockchain> {
 }
 
 impl World {
-    /// Builds a deployment over the legacy single-chain backend: chain +
-    /// DE App + oracles, no participants yet.
+    /// Builds a deployment: chain + DE App + oracles, no participants yet.
     pub fn new(config: WorldConfig) -> World {
-        let chain = Blockchain::builder()
+        let mut chain = Blockchain::builder()
             .validators(config.validators)
             .block_interval(config.block_interval)
             .storage(config.storage.clone())
             .exec_mode(config.exec_mode)
             .build();
-        World::with_ledger(config, chain)
-    }
-}
-
-impl World<ShardedLedger> {
-    /// Builds the same deployment over a [`ShardedLedger`] with
-    /// [`WorldConfig::shards`] independent chains, the DE App deployed and
-    /// initialized on each, and the DE App router installed
-    /// (`duc_contracts::routing`).
-    pub fn new_sharded(config: WorldConfig) -> World<ShardedLedger> {
-        let chain = ShardedLedger::new(
-            config.shards.max(1),
-            config.validators,
-            config.block_interval,
-        )
-        .with_storage(config.storage.clone())
-        .with_exec_mode(config.exec_mode)
-        .with_router(duc_contracts::routing::dex_router());
-        World::with_ledger(config, chain)
-    }
-}
-
-impl<L: Ledger> World<L> {
-    /// Builds a deployment on a caller-supplied [`Ledger`] backend: deploys
-    /// the DE App on every shard, runs the per-shard market initialization,
-    /// and wires the oracles. For the single-chain backend this is
-    /// step-for-step the pre-trait constructor (byte-identical runs).
-    pub(crate) fn with_ledger(config: WorldConfig, mut chain: L) -> World<L> {
-        chain.deploy_with(ContractId::new(DEX_CONTRACT_ID), &|| Box::new(DistExchange));
-        chain.install_access_fn(&duc_contracts::dex_access_fn);
+        chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
+        chain.set_access_fn(duc_contracts::dex_access_fn());
         let dex = DistExchangeClient::new();
 
-        // Market initialization by a deployment admin, once per shard.
+        // Market initialization by a deployment admin.
         let admin = chain.create_funded_account(b"duc/market-admin", 1_000_000_000);
-        let treasury = Address::from_seed(b"duc/market-treasury");
-        for shard in 0..chain.shard_count() {
-            let init = Init {
-                fee: MARKET_FEE,
-                validity_nanos: config.cert_validity.as_nanos(),
-                treasury,
-            };
-            let init = dex.call_tx_on(&chain, shard, &admin, init);
-            chain.submit_on(shard, init).expect("genesis init is valid");
-        }
+        let init = Init {
+            fee: MARKET_FEE,
+            validity_nanos: config.cert_validity.as_nanos(),
+            treasury: Address::from_seed(b"duc/market-treasury"),
+        };
+        let init = dex.call_tx(&chain, &admin, init);
+        chain.submit(init).expect("genesis init is valid");
         chain.advance_to(duc_sim::SimTime::ZERO + config.block_interval);
 
         let mut net = NetworkModel::new(config.link.clone());
@@ -341,9 +301,6 @@ impl<L: Ledger> World<L> {
         let key = self
             .chain
             .create_funded_account(webid.as_bytes(), INITIAL_BALANCE);
-        // Sharded backends co-locate everything the owner anchors: resource
-        // IRIs under the pod root route to the owner's shard.
-        self.chain.register_route_alias(&pod_root, &webid);
         let endpoint = self.net.add_endpoint(format!("pod-manager:{webid}"));
         let owner = Owner {
             key,
@@ -638,13 +595,15 @@ impl<L: Ledger> World<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use duc_contracts::calls::ListResources;
 
     #[test]
     fn world_boots_with_initialized_market() {
         let world = World::new(WorldConfig::default());
         assert!(world.chain.has_contract(&ContractId::new(DEX_CONTRACT_ID)));
         assert_eq!(world.chain.height(), 1, "genesis init block");
-        assert!(world.dex.list_resources(&world.chain).unwrap().is_empty());
+        let resources = world.dex.view(&world.chain, ListResources {});
+        assert!(resources.unwrap().is_empty());
     }
 
     #[test]

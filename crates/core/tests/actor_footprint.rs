@@ -3,11 +3,13 @@
 //! not of how many owners and devices share its world, and stays under a
 //! recorded ceiling.
 //!
-//! One `#[test]` in its own binary with its own live-bytes global allocator:
-//! a second test running on a parallel thread would move the counter.
+//! The tests share one binary with its own counting global allocator and
+//! take [`SERIAL`] first: a second test running on a parallel thread would
+//! move the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use duc_core::prelude::*;
 use duc_core::scenario::PopulationSpec;
@@ -15,6 +17,12 @@ use duc_solid::Body;
 
 /// Bytes currently allocated and not yet freed.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes allocated so far, freed or not (a reallocation counts its new size).
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test for its whole run, so no two measure at once.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct LiveBytes;
 
@@ -24,12 +32,14 @@ struct LiveBytes;
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        ALLOCATED.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -43,6 +53,7 @@ unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_add(new_size, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        ALLOCATED.fetch_add(new_size, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` describe a live `System` block.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -216,6 +227,7 @@ const CEILING: [f64; 6] = [136.0, 1024.0, 56.0, 340.0, 1_720.0, 3_920.0];
 
 #[test]
 fn footprint_does_not_depend_on_the_population() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let small = footprint(200);
     let large = footprint(2_000);
     println!("live bytes per actor  {WHAT:?}");
@@ -234,4 +246,58 @@ fn footprint_does_not_depend_on_the_population() {
             CEILING[i]
         );
     }
+}
+
+/// Resources one owner initiates in [`initiating_a_resource_costs_the_same_at_any_rank`].
+const RESOURCES: usize = 160;
+
+/// Initiating an owner's k-th resource (process 2: the upload, the policy,
+/// the market-readers authorization, the registration on-chain) allocates
+/// as much at k = 160 as at k = 16: the ACL takes the new authorization in
+/// place. While each initiation cloned the owner's whole ACL to append one
+/// authorization, the k-th copied the k authorizations before it.
+#[test]
+fn initiating_a_resource_costs_the_same_at_any_rank() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut world = World::new(WorldConfig::default());
+    let webid = "https://many.id/me".to_string();
+    world.add_owner(webid.clone(), "https://many.pod/");
+    let request = Request::PodInitiation {
+        webid: webid.clone(),
+    };
+    run(&mut world, request, |o| {
+        matches!(o, Outcome::PodInitiated { .. })
+    });
+    let mut allocated = Vec::with_capacity(RESOURCES);
+    for k in 0..RESOURCES {
+        let path = format!("data/r{k:03}.bin");
+        let iri = format!("https://many.pod/{path}");
+        let request = Request::ResourceInitiation {
+            policy: scenario::population_policy(&iri, &webid, 30),
+            webid: webid.clone(),
+            path,
+            body: Body::Binary(vec![0xA5; 256]),
+            metadata: vec![],
+        };
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        run(&mut world, request, |o| {
+            matches!(o, Outcome::ResourceInitiated { .. })
+        });
+        allocated.push(ALLOCATED.load(Ordering::Relaxed) - before);
+    }
+    // Medians of 16 neighbours: a table that grows by an eighth or doubles
+    // reallocates on single initiations, and a median steps over them.
+    let median = |from: usize| {
+        let mut window = allocated[from..from + 16].to_vec();
+        window.sort_unstable();
+        window[8]
+    };
+    let (early, late) = (median(8), median(RESOURCES - 16));
+    println!(
+        "bytes allocated per resource initiation: {early} near k = 16, {late} near k = {RESOURCES}"
+    );
+    assert!(
+        late <= early + 512,
+        "the {RESOURCES}th initiation allocates {late} B, the 16th {early} B"
+    );
 }

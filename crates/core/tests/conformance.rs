@@ -1,20 +1,13 @@
-//! Backend-conformance suite: the same scenario matrix and the same chaos
-//! plans run against every [`Ledger`] backend — the [`Blockchain`] and
-//! the [`ShardedLedger`] — and the shared architecture invariants
+//! Conformance suite: the §II scenario matrix, its pinned outcomes and
+//! gas, and fixed and seeded chaos plans, each under both block executors
+//! (`{Serial, Parallel}`). The shared architecture invariants
 //! (`duc_core::chaos::check_invariants`: certificates verify, TEE↔registry
-//! copy consistency, gas conservation, cursors ≤ height) must hold on each.
-//!
-//! Timing differs across backends (that is the point of sharding), so the
-//! suite compares *outcomes* — what happened — not fingerprints, which are
-//! only required to replay byte-identically within one backend. Within a
-//! backend the serial and parallel block executors *are* compared by
-//! fingerprint, and the pins and chaos plans run under both.
+//! copy consistency, gas conservation, cursors ≤ height) must hold in every
+//! run, and the serial and parallel executors are compared by fingerprint.
 
-use std::collections::BTreeSet;
-
-use duc_blockchain::{Checkpoint, ExecMode, Ledger, PagingConfig, StorageConfig};
+use duc_blockchain::{Checkpoint, ExecMode, PagingConfig, StorageConfig};
 use duc_codec::Encode;
-use duc_contracts::calls::{GetPod, GetRound, Subscribe};
+use duc_contracts::calls::Subscribe;
 use duc_core::chaos::{self, fixed_link};
 use duc_core::prelude::*;
 use duc_core::scenario;
@@ -25,77 +18,37 @@ const OWNER: &str = "https://owner.id/me";
 const PATH: &str = "data/set.bin";
 const MODES: [ExecMode; 2] = [ExecMode::Serial, ExecMode::Parallel];
 
-fn config(seed: u64, shards: usize) -> WorldConfig {
-    config_in(ExecMode::Serial, seed, shards)
+fn config(seed: u64) -> WorldConfig {
+    config_in(ExecMode::Serial, seed)
 }
 
-fn config_in(exec_mode: ExecMode, seed: u64, shards: usize) -> WorldConfig {
+fn config_in(exec_mode: ExecMode, seed: u64) -> WorldConfig {
     WorldConfig {
         seed,
         link: fixed_link(10),
         trace: true,
-        shards,
         exec_mode,
         ..WorldConfig::default()
     }
 }
 
 /// The §II scenario — the seed process matrix (all six processes plus the
-/// market subscription) — must play out identically on any backend.
-fn scenario_on<L: Ledger>(mut world: World<L>) -> (scenario::ScenarioReport, World<L>) {
+/// market subscription).
+fn scenario_on(mut world: World) -> (scenario::ScenarioReport, World) {
     scenario::populate(&mut world);
-    let report = scenario::run(&mut world).expect("fault-free scenario runs on every backend");
+    let report = scenario::run(&mut world).expect("fault-free scenario runs");
     (report, world)
 }
 
+/// The two probes the driver's confirmation path relies on: `next_nonce`
+/// agrees with the nonce a `build_call` of the same call signs (pending
+/// transactions included), and `receipt` appears when the transaction is
+/// included.
 #[test]
-fn scenario_matrix_is_backend_agnostic() {
-    let (single, single_world) = scenario_on(World::new(config(7, 1)));
-    let (sharded, world) = scenario_on(World::new_sharded(config(7, 4)));
-
-    // The observable outcome of every process is identical.
-    assert_eq!(single.medical_iri, sharded.medical_iri);
-    assert_eq!(single.browsing_iri, sharded.browsing_iri);
-    assert_eq!(single.alice_got_bytes, sharded.alice_got_bytes);
-    assert_eq!(single.bob_got_bytes, sharded.bob_got_bytes);
-    assert_eq!(single.bob_copy_deleted, sharded.bob_copy_deleted);
-    assert_eq!(single.alice_still_permitted, sharded.alice_still_permitted);
-    assert_eq!(
-        single.browsing_monitoring.violators,
-        sharded.browsing_monitoring.violators
-    );
-    assert_eq!(
-        single.medical_monitoring.evidence,
-        sharded.medical_monitoring.evidence
-    );
-    // Per-method gas matches: the same scenario transactions executed,
-    // just spread over more chains. (`init` is excluded — multi-chain
-    // genesis runs it once per shard by design.)
-    let gas_single = single_world.chain.gas_by_method();
-    let gas_sharded = world.chain.gas_by_method();
-    for (key, row) in &gas_single {
-        if key.1 == "init" {
-            continue;
-        }
-        assert_eq!(gas_sharded.get(key), Some(row), "gas drifted for {key:?}");
-    }
-
-    // The invariant sweep holds on the sharded world too.
-    chaos::check_invariants(&world).expect("invariants on sharded backend");
-    world
-        .chain
-        .validate_chains()
-        .expect("every shard validates");
-}
-
-/// The two probes the driver's confirmation path relies on hold on every
-/// backend: `routed_next_nonce` agrees with the nonce a `build_call` of
-/// the same call signs (pending transactions on the routed shard
-/// included), and `receipt` appears when the transaction is included.
-fn nonce_and_receipt_probes_on<L: Ledger>(mut world: World<L>) {
+fn nonce_and_receipt_probes_agree() {
+    let mut world = World::new(config(3));
     scenario::populate(&mut world);
-    // One key subscribes under two WebIDs: a sharded backend routes by
-    // WebID, and every chain keeps its own nonce sequence for the key.
+    // One key subscribes under two WebIDs.
     let device = world.device(scenario::ALICE_DEVICE).key;
     for (round, webid) in [scenario::ALICE, scenario::BOB, scenario::ALICE]
         .into_iter()
@@ -105,35 +58,26 @@ fn nonce_and_receipt_probes_on<L: Ledger>(mut world: World<L>) {
             webid: webid.to_string(),
         };
         let tx = world.dex.call_tx(&world.chain, &device, subscribe.clone());
-        assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce, "{round}");
+        assert_eq!(world.chain.next_nonce(&tx.tx.from), tx.tx.nonce, "{round}");
         let id = world.chain.submit(tx.clone()).expect("valid");
-        assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce + 1);
+        assert_eq!(world.chain.next_nonce(&tx.tx.from), tx.tx.nonce + 1);
         let next = world.dex.call_tx(&world.chain, &device, subscribe);
         assert_eq!(next.tx.nonce, tx.tx.nonce + 1);
         assert!(world.chain.receipt(&id).is_none());
         world.advance(world.config.block_interval);
         assert!(world.chain.receipt(&id).is_some());
         // Included: the state nonce moved on, the pool no longer counts.
-        assert_eq!(world.chain.routed_next_nonce(&tx), tx.tx.nonce + 1);
+        assert_eq!(world.chain.next_nonce(&tx.tx.from), tx.tx.nonce + 1);
     }
 }
 
-#[test]
-fn nonce_and_receipt_probes_agree_on_both_backends() {
-    nonce_and_receipt_probes_on(World::new(config(3, 1)));
-    nonce_and_receipt_probes_on(World::new_sharded(config(3, 4)));
-}
-
 /// Absolute golden pin for the §II scenario: exact process outcomes and
-/// exact per-method gas on both backends under both execution modes (the
-/// parallel intra-shard executor must be invisible). The relative matrix
-/// above proves the backends agree with *each other*; this test proves
-/// they agree with *history* — any refactor that drifts a single gas unit
-/// or flips one outcome fails here, even if it drifts both backends
-/// identically.
+/// exact per-method gas under both execution modes (the parallel executor
+/// must be invisible), plain and pruned — any refactor that drifts a single
+/// gas unit or flips one outcome fails here.
 #[test]
 fn golden_scenario_outcomes_and_gas_are_pinned() {
-    // (method, calls, total gas, mean gas) on the single-chain backend.
+    // (method, calls, total gas, mean gas).
     // Pinned against the compact row encodings (pol-table layout): every
     // method except `register_pod` got cheaper — rows shed repeated
     // identity strings and embedded envelopes — while `register_pod` pays
@@ -152,9 +96,6 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
         ("update_policy", 2, 518_731, 259_365),
     ];
     const TOTAL_GAS_SINGLE: u64 = 2_381_043;
-    // The sharded total differs only by genesis: four shards each run
-    // `init` once (4 × 78 478 instead of 1 × 78 478).
-    const TOTAL_GAS_SHARDED: u64 = 2_616_477;
 
     fn outcomes(label: &str, report: &scenario::ScenarioReport) {
         assert_eq!(report.alice_got_bytes, 152, "{label}: alice bytes");
@@ -183,49 +124,27 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
         }
     }
 
-    let gold_sharded: Vec<(&str, u64, u64, u64)> = GOLD
-        .iter()
-        .map(|&(m, calls, total, mean)| {
-            if m == "init" {
-                (m, 4, 4 * total, mean)
-            } else {
-                (m, calls, total, mean)
-            }
-        })
-        .collect();
-
     for mode in MODES {
-        let config = |shards| config_in(mode, 7, shards);
+        let config = || config_in(mode, 7);
 
         let label = format!("single/{mode:?}");
-        let (single, single_world) = scenario_on(World::new(config(1)));
+        let (single, single_world) = scenario_on(World::new(config()));
         outcomes(&label, &single);
         assert_eq!(single.total_gas, TOTAL_GAS_SINGLE, "{label}: total gas");
         gas_pinned(&label, &single_world.chain.gas_by_method(), GOLD);
         chaos::check_invariants(&single_world).unwrap_or_else(|e| panic!("{label}: {e}"));
 
-        let label = format!("sharded/{mode:?}");
-        let (sharded, sharded_world) = scenario_on(World::new_sharded(config(4)));
-        outcomes(&label, &sharded);
-        assert_eq!(sharded.total_gas, TOTAL_GAS_SHARDED, "{label}: total gas");
-        gas_pinned(&label, &sharded_world.chain.gas_by_method(), &gold_sharded);
-        chaos::check_invariants(&sharded_world).unwrap_or_else(|e| panic!("{label}: {e}"));
-        sharded_world
-            .chain
-            .validate_chains()
-            .unwrap_or_else(|e| panic!("{label}: every shard validates: {e:?}"));
-
         // The same scenario with pruning enabled (checkpoint every 4
         // blocks, 8-block resident window) must reproduce the pins to the
         // gas unit: pruning may only change what stays resident, never
         // what happened.
-        let pruned = |shards| WorldConfig {
+        let pruned = WorldConfig {
             storage: StorageConfig::enabled(4, 8),
-            ..config(shards)
+            ..config()
         };
 
         let label = format!("single+prune/{mode:?}");
-        let (report, world) = scenario_on(World::new(pruned(1)));
+        let (report, world) = scenario_on(World::new(pruned));
         outcomes(&label, &report);
         assert_eq!(report.total_gas, TOTAL_GAS_SINGLE, "{label}: total gas");
         gas_pinned(&label, &world.chain.gas_by_method(), GOLD);
@@ -237,119 +156,12 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
             .chain
             .verify_checkpoints()
             .unwrap_or_else(|e| panic!("{label}: golden checkpoints: {e:?}"));
-
-        let label = format!("sharded+prune/{mode:?}");
-        let (report, world) = scenario_on(World::new_sharded(pruned(4)));
-        outcomes(&label, &report);
-        assert_eq!(report.total_gas, TOTAL_GAS_SHARDED, "{label}: total gas");
-        gas_pinned(&label, &world.chain.gas_by_method(), &gold_sharded);
-        world
-            .chain
-            .verify_checkpoints()
-            .unwrap_or_else(|e| panic!("{label}: golden checkpoints: {e:?}"));
     }
-}
-
-/// Incremental monitoring on four shards: a second round over unchanged
-/// copies reaffirms the first round's evidence whichever shard the owner's
-/// records live on, because a reaffirmation routes by its resource like
-/// every other call of a round.
-#[test]
-fn second_monitoring_round_reaffirms_on_every_shard() {
-    let mut world = World::new_sharded(config(5, 4));
-    let owners: Vec<String> = (0..4).map(|i| format!("https://owner{i}.id/me")).collect();
-    for (i, owner) in owners.iter().enumerate() {
-        world.add_owner(owner, format!("https://owner{i}.pod/"));
-        world.add_device(format!("device-{i}"), format!("https://c{i}.id/me"));
-    }
-    let mut shards = BTreeSet::new();
-    for (i, owner) in owners.iter().enumerate() {
-        world.pod_initiation(owner).expect("pod init");
-        let iri = world.owner(owner).pod_manager.pod().iri_of(PATH);
-        let resource = world
-            .resource_initiation(
-                owner,
-                PATH,
-                duc_solid::Body::Binary(vec![0x5A; 1 << 10]),
-                scenario::population_policy(&iri, owner, 30),
-                vec![],
-            )
-            .expect("resource init");
-        let device = format!("device-{i}");
-        world.market_subscribe(&device).expect("subscribe");
-        world.resource_indexing(&device, &resource).expect("index");
-        world.resource_access(&device, &resource).expect("access");
-        let get_pod = GetPod {
-            owner_webid: owner.clone(),
-        };
-        shards.extend((0..4).filter(|&s| {
-            let pod = world.dex.view(world.chain.shard(s), get_pod.clone());
-            pod.expect("view").is_some()
-        }));
-
-        let first = world.policy_monitoring(owner, PATH).expect("round 1");
-        let second = world
-            .policy_monitoring(owner, PATH)
-            .unwrap_or_else(|e| panic!("{owner}: round 2: {e:?}"));
-        assert_eq!((first.round, second.round), (1, 2), "{owner}");
-        let round = GetRound { resource, round: 2 };
-        let record = world.dex.view(&world.chain, round).expect("view");
-        let record = record.expect("round 2 on-chain");
-        assert_eq!(record.reaffirmed, vec![(device, 1)], "{owner}");
-        assert!(record.closed, "{owner}");
-    }
-    assert_eq!(shards.len(), 4, "the owners' pods cover every shard");
-    assert_eq!(world.metrics.counter("process.monitoring.reaffirmed"), 4);
-}
-
-#[test]
-fn sharded_world_routes_disjoint_owners_to_disjoint_shards() {
-    let mut world = World::new_sharded(config(11, 4));
-    for i in 0..6 {
-        world.add_owner(format!("https://o{i}.id/me"), format!("https://o{i}.pod/"));
-    }
-    let mut resources = Vec::new();
-    for i in 0..6 {
-        let owner = format!("https://o{i}.id/me");
-        world.pod_initiation(&owner).expect("pod init");
-        let resource = world
-            .resource_initiation(
-                &owner,
-                "data/r.bin",
-                duc_solid::Body::Binary(vec![0x5A; 1 << 10]),
-                UsagePolicy::default_for(format!("https://o{i}.pod/data/r.bin"), &owner),
-                vec![],
-            )
-            .expect("resource init");
-        resources.push(resource);
-    }
-    let heights = world.chain.shard_heights();
-    let busy = heights.iter().filter(|h| **h > 0).count();
-    assert!(
-        busy >= 2,
-        "6 disjoint owners spread over shards: {heights:?}"
-    );
-    // Every resource resolves through its routed view.
-    for (i, resource) in resources.iter().enumerate() {
-        let record = world
-            .dex
-            .lookup_resource(&world.chain, resource)
-            .expect("routed view")
-            .expect("registered");
-        assert_eq!(record.owner_webid, format!("https://o{i}.id/me"));
-    }
-    // The merged resource list spans every shard.
-    let all = world
-        .dex
-        .list_resources(&world.chain)
-        .expect("fan-out view");
-    assert_eq!(all.len(), 6);
-    chaos::check_invariants(&world).expect("invariants");
 }
 
 /// One fixed, hand-written chaos plan (a crash window plus a partition that
-/// both heal) and one seeded random plan, thrown at both backends.
-fn chaos_against<L: Ledger>(world: World<L>, chaos_seed: u64) -> (usize, usize, World<L>) {
+/// both heal) and one seeded random plan, thrown at one world.
+fn chaos_against(world: World, chaos_seed: u64) -> (usize, usize, World) {
     let (mut world, resource) = chaos::launch_pad_in(world, OWNER, PATH, 4);
     let dev = world.device("device-0").endpoint;
     let relay = world.push_in.relay;
@@ -365,28 +177,24 @@ fn chaos_against<L: Ledger>(world: World<L>, chaos_seed: u64) -> (usize, usize, 
 }
 
 #[test]
-fn chaos_plans_hold_invariants_on_both_backends() {
+fn chaos_plans_hold_invariants() {
     for mode in MODES {
-        let (ok_single, failed_single, _) = chaos_against(World::new(config_in(mode, 21, 1)), 99);
-        let (ok_sharded, failed_sharded, world) =
-            chaos_against(World::new_sharded(config_in(mode, 21, 4)), 99);
-        // Both backends resolve every ticket (12 = 2 × (4 accesses + 2
-        // rounds)); the split may differ because timing differs.
-        assert_eq!(ok_single + failed_single, 12, "{mode:?}");
-        assert_eq!(ok_sharded + failed_sharded, 12, "{mode:?}");
+        let (ok, failed, world) = chaos_against(World::new(config_in(mode, 21)), 99);
+        // Every ticket resolves (12 = 2 × (4 accesses + 2 rounds)).
+        assert_eq!(ok + failed, 12, "{mode:?}");
         world
             .chain
-            .validate_chains()
-            .expect("shards validate after chaos");
+            .validate_chain()
+            .expect("the chain validates after chaos");
     }
 }
 
 /// The policy-churn scenario class (mid-flight modification racing
 /// accesses and monitoring) must resolve every ticket and hold the shared
-/// invariants on both ledger backends.
+/// invariants under both execution modes.
 #[test]
-fn policy_churn_holds_invariants_on_both_backends() {
-    fn churn<L: Ledger>(world: World<L>) -> (usize, usize, u64) {
+fn policy_churn_holds_invariants() {
+    fn churn(world: World) -> (usize, usize, u64) {
         let (mut world, resource) = chaos::launch_pad_in(world, OWNER, PATH, 4);
         let batch = chaos::policy_churn_batch(OWNER, PATH, &resource, 4);
         let requests = batch.len();
@@ -406,10 +214,8 @@ fn policy_churn_holds_invariants_on_both_backends() {
         (run.ok, run.failed, version)
     }
     for mode in MODES {
-        let (_, _, v_single) = churn(World::new(config_in(mode, 33, 1)));
-        let (_, _, v_sharded) = churn(World::new_sharded(config_in(mode, 33, 4)));
-        assert_eq!(v_single, 2, "{mode:?}");
-        assert_eq!(v_sharded, 2, "{mode:?}");
+        let (_, _, version) = churn(World::new(config_in(mode, 33)));
+        assert_eq!(version, 2, "{mode:?}");
     }
 }
 
@@ -417,7 +223,7 @@ fn policy_churn_holds_invariants_on_both_backends() {
 /// Every ticket must succeed (no faults are installed), and the shared
 /// invariants — including the prune-aware cursor and checkpoint sweeps —
 /// are checked by `run_chaos`.
-fn fault_free_fingerprint<L: Ledger>(world: World<L>, seed: u64) -> String {
+fn fault_free_fingerprint(world: World, seed: u64) -> String {
     let (mut world, resource) = chaos::launch_pad_in(world, OWNER, PATH, 3);
     let batch = chaos::mixed_batch(OWNER, PATH, &resource, 3);
     let run = chaos::run_chaos(&mut world, batch, FaultPlan::none())
@@ -436,33 +242,24 @@ proptest! {
     /// Checkpoint → prune → replay round-trip: for any seed, the pruned
     /// run (checkpoint every 2 blocks, 2-block resident window) produces a
     /// fingerprint byte-identical to the unpruned run of the same seed,
-    /// and re-running the pruned world replays byte-identically — on both
-    /// ledger backends. Pruning must be invisible to everything but
-    /// memory.
+    /// and re-running the pruned world replays byte-identically. Pruning
+    /// must be invisible to everything but memory.
     #[test]
-    fn pruned_runs_replay_byte_identically_on_both_backends(seed in 0u64..200) {
-        let pruned = StorageConfig::enabled(2, 2);
-        let plain = fault_free_fingerprint(World::new(config(seed, 1)), seed);
-        let cfg = || WorldConfig { storage: pruned.clone(), ..config(seed, 1) };
+    fn pruned_runs_replay_byte_identically(seed in 0u64..200) {
+        let plain = fault_free_fingerprint(World::new(config(seed)), seed);
+        let cfg = || WorldConfig { storage: StorageConfig::enabled(2, 2), ..config(seed) };
         let p1 = fault_free_fingerprint(World::new(cfg()), seed);
         let p2 = fault_free_fingerprint(World::new(cfg()), seed);
-        prop_assert_eq!(&plain, &p1, "pruning perturbed the single-chain run");
-        prop_assert_eq!(&p1, &p2, "pruned single-chain replay diverged");
-
-        let plain = fault_free_fingerprint(World::new_sharded(config(seed, 4)), seed);
-        let cfg = || WorldConfig { storage: pruned.clone(), ..config(seed, 4) };
-        let s1 = fault_free_fingerprint(World::new_sharded(cfg()), seed);
-        let s2 = fault_free_fingerprint(World::new_sharded(cfg()), seed);
-        prop_assert_eq!(&plain, &s1, "pruning perturbed the sharded run");
-        prop_assert_eq!(&s1, &s2, "pruned sharded replay diverged");
+        prop_assert_eq!(&plain, &p1, "pruning perturbed the run");
+        prop_assert_eq!(&p1, &p2, "pruned replay diverged");
     }
 
     /// Paging → eviction → fault-in → checkpoint round-trip: for any seed,
     /// a run whose world state is paged down to two resident pages of four
     /// slots — interleaved with checkpoint seals and pruning — produces a
     /// replay fingerprint (which embeds the state commitment) byte-identical
-    /// to the never-evicting run of the same seed, on both ledger backends
-    /// and through both page-store backings (in-memory log and spill files
+    /// to the never-evicting run of the same seed, through both page-store
+    /// backings (in-memory log and spill files
     /// on disk). Eviction must move bytes, never rows.
     #[test]
     fn paged_runs_fingerprint_identically_to_unpaged(seed in 0u64..200) {
@@ -472,22 +269,16 @@ proptest! {
         ));
         let tiny = PagingConfig::in_memory(Some(2)).with_page_capacity(4);
         let disk = tiny.clone().with_spill_dir(&spill_dir);
-        let paged = |p: &PagingConfig, shards| WorldConfig {
+        let paged = |p: &PagingConfig| WorldConfig {
             storage: StorageConfig::enabled(2, 2).with_paging(p.clone()),
-            ..config(seed, shards)
+            ..config(seed)
         };
 
-        let plain = fault_free_fingerprint(World::new(config(seed, 1)), seed);
-        let mem = fault_free_fingerprint(World::new(paged(&tiny, 1)), seed);
-        let file = fault_free_fingerprint(World::new(paged(&disk, 1)), seed);
-        prop_assert_eq!(&plain, &mem, "paging perturbed the single-chain run");
+        let plain = fault_free_fingerprint(World::new(config(seed)), seed);
+        let mem = fault_free_fingerprint(World::new(paged(&tiny)), seed);
+        let file = fault_free_fingerprint(World::new(paged(&disk)), seed);
+        prop_assert_eq!(&plain, &mem, "paging perturbed the run");
         prop_assert_eq!(&mem, &file, "spill-to-disk diverged from in-memory spill");
-
-        let plain = fault_free_fingerprint(World::new_sharded(config(seed, 4)), seed);
-        let s1 = fault_free_fingerprint(World::new_sharded(paged(&tiny, 4)), seed);
-        let s2 = fault_free_fingerprint(World::new_sharded(paged(&tiny, 4)), seed);
-        prop_assert_eq!(&plain, &s1, "paging perturbed the sharded run");
-        prop_assert_eq!(&s1, &s2, "paged sharded replay diverged");
 
         let _ = std::fs::remove_dir_all(&spill_dir);
     }
@@ -497,18 +288,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// For any seed, the serial and parallel executors produce
-    /// byte-identical replay fingerprints on both ledger backends: same
-    /// blocks, same receipts, same event stream, same balances.
+    /// byte-identical replay fingerprints: same blocks, same receipts, same
+    /// event stream, same balances.
     #[test]
     fn parallel_runs_fingerprint_identically_to_serial(seed in 0u64..200) {
-        let serial = |shards| config_in(ExecMode::Serial, seed, shards);
-        let parallel = |shards| config_in(ExecMode::Parallel, seed, shards);
-        let s = fault_free_fingerprint(World::new(serial(1)), seed);
-        let p = fault_free_fingerprint(World::new(parallel(1)), seed);
-        prop_assert_eq!(&s, &p, "single-chain serial/parallel diverged");
-        let s = fault_free_fingerprint(World::new_sharded(serial(4)), seed);
-        let p = fault_free_fingerprint(World::new_sharded(parallel(4)), seed);
-        prop_assert_eq!(&s, &p, "sharded serial/parallel diverged");
+        let s = fault_free_fingerprint(World::new(config_in(ExecMode::Serial, seed)), seed);
+        let p = fault_free_fingerprint(World::new(config_in(ExecMode::Parallel, seed)), seed);
+        prop_assert_eq!(&s, &p, "serial/parallel diverged");
     }
 }
 
@@ -519,7 +305,7 @@ proptest! {
 fn checkpoints_roundtrip_and_stay_verifiable() {
     let cfg = WorldConfig {
         storage: StorageConfig::enabled(2, 2),
-        ..config(5, 1)
+        ..config(5)
     };
     let (mut world, resource) = chaos::launch_pad_in(World::new(cfg), OWNER, PATH, 3);
     let batch = chaos::mixed_batch(OWNER, PATH, &resource, 3);
@@ -535,18 +321,4 @@ fn checkpoints_roundtrip_and_stay_verifiable() {
         .chain
         .verify_checkpoints()
         .expect("sealed commitments match the recorded headers");
-}
-
-#[test]
-fn sharded_runs_replay_byte_identically() {
-    let run = |seed: u64| {
-        let (mut world, resource) =
-            chaos::launch_pad_in(World::new_sharded(config(seed, 4)), OWNER, PATH, 4);
-        let plan = chaos::random_plan(&world, seed.wrapping_mul(31), SimDuration::from_secs(15), 5);
-        let batch = chaos::mixed_batch(OWNER, PATH, &resource, 4);
-        chaos::run_chaos(&mut world, batch, plan).expect("invariants");
-        chaos::fingerprint(&mut world)
-    };
-    assert_eq!(run(42), run(42), "identically-seeded sharded runs replay");
-    assert_ne!(run(42), run(43), "different seeds diverge");
 }

@@ -2,7 +2,6 @@
 //! the scheduler, typed submission errors, determinism, and a property test
 //! racing devices over one resource.
 
-use duc_blockchain::Ledger;
 use duc_contracts::calls::ListCopies;
 use duc_core::prelude::*;
 use duc_core::world::MARKET_FEE;
@@ -417,8 +416,8 @@ fn stalled_waiters_each_time_out_at_their_own_deadline() {
 /// monitoring, revocation]`, the last three over `holders` copy holders
 /// (the revocation is a policy modification to zero retention: every
 /// holder deletes and the machine awaits each unregistration).
-fn steps_per_request_kind<L: Ledger>(mut world: World<L>, holders: usize) -> [u64; 8] {
-    fn drive<L: Ledger>(world: &mut World<L>, request: Request) -> u64 {
+fn steps_per_request_kind(mut world: World, holders: usize) -> [u64; 8] {
+    fn drive(world: &mut World, request: Request) -> u64 {
         let ticket = world.submit(request);
         let steps = world.run_until_idle();
         let outcome = ticket.poll(world).expect("completed");
@@ -513,15 +512,13 @@ fn steps_per_request_kind<L: Ledger>(mut world: World<L>, holders: usize) -> [u6
     ]
 }
 
-/// The driver's schedule, pinned per request kind and the same on both
-/// backends: every hop arrival, every zero-delay re-step and every
+/// The driver's schedule, pinned per request kind: every hop arrival, every zero-delay re-step and every
 /// confirmation is exactly one step.
 #[test]
 fn every_request_kind_takes_its_pinned_steps() {
-    let config = |shards| WorldConfig {
+    let config = || WorldConfig {
         seed: 5,
         link: fixed_link(10),
-        shards,
         ..WorldConfig::default()
     };
     // Start + uplink, delivery, confirmation for the three one-transaction
@@ -534,10 +531,8 @@ fn every_request_kind_takes_its_pinned_steps() {
         (1, [3, 3, 3, 5, 7, 4, 11, 5]),
         (4, [3, 3, 3, 5, 7, 4, 23, 5]),
     ] {
-        let single = steps_per_request_kind(World::new(config(1)), holders);
-        assert_eq!(single, pinned, "single chain, {holders} holders");
-        let sharded = steps_per_request_kind(World::new_sharded(config(4)), holders);
-        assert_eq!(sharded, pinned, "four shards, {holders} holders");
+        let steps = steps_per_request_kind(World::new(config()), holders);
+        assert_eq!(steps, pinned, "{holders} holders");
     }
 }
 
@@ -546,7 +541,7 @@ fn every_request_kind_takes_its_pinned_steps() {
 /// `(ticket, outcome)` list and the fingerprint without its `clock` and
 /// `height` lines — where a run stops is the one thing the two loops'
 /// stop conditions may differ in.
-fn churn_run<L: Ledger>(world: World<L>, drive: fn(&mut World<L>)) -> [Vec<String>; 2] {
+fn churn_run(world: World, drive: fn(&mut World)) -> [Vec<String>; 2] {
     use duc_core::chaos;
 
     let (mut world, resource) = chaos::launch_pad_in(world, OWNER, "data/set.bin", 6);
@@ -570,30 +565,24 @@ fn churn_run<L: Ledger>(world: World<L>, drive: fn(&mut World<L>)) -> [Vec<Strin
 
 /// `advance` in fixed strides and `run_until_idle` are one event loop with
 /// two stop conditions: the same batch takes the same trajectory under
-/// either, on both backends.
+/// either.
 #[test]
 fn advance_and_run_until_idle_drive_the_same_schedule() {
-    fn to_idle<L: Ledger>(world: &mut World<L>) {
+    fn to_idle(world: &mut World) {
         world.run_until_idle();
     }
-    fn in_strides<L: Ledger>(world: &mut World<L>) {
+    fn in_strides(world: &mut World) {
         while world.in_flight() > 0 {
             world.advance(SimDuration::from_millis(700));
         }
     }
-    let config = |shards| WorldConfig {
+    let config = || WorldConfig {
         seed: 1234,
         link: LinkConfig::wan(),
         trace: true,
-        shards,
         ..WorldConfig::default()
     };
-    let single = churn_run(World::new(config(1)), to_idle);
-    assert_eq!(single[0].len(), 9, "six accesses, two rounds, one change");
-    assert_eq!(churn_run(World::new(config(1)), in_strides), single);
-    let sharded = churn_run(World::new_sharded(config(4)), to_idle);
-    assert_eq!(
-        churn_run(World::new_sharded(config(4)), in_strides),
-        sharded
-    );
+    let idle = churn_run(World::new(config()), to_idle);
+    assert_eq!(idle[0].len(), 9, "six accesses, two rounds, one change");
+    assert_eq!(churn_run(World::new(config()), in_strides), idle);
 }

@@ -1,14 +1,15 @@
 //! The behaviour pin: everything observable about a fixed set of runs,
 //! rendered to text and compared with `golden/fingerprints.txt`.
 //!
-//! Per ledger backend the file holds, for the six chaos seeds, the
+//! The file holds, for the six chaos seeds, the
 //! fault-free launch pad, the policy-churn batch and the §II scenario:
 //! the `run_until_idle` step count, every ticket's [`outcome_key`] and the
 //! whole [`chaos::fingerprint`] (counters, histograms, trace, clock,
 //! height, gas, state commitment); and for a small bulk-enrolled
 //! population with one churn wave: height, gas, state commitment, fleet
-//! order and push-out subscription count. Each backend is rendered under
-//! both execution modes, which must agree, so the file keeps one copy.
+//! order and push-out subscription count. Everything is rendered under
+//! both execution modes, which must agree, so the file keeps one copy under
+//! its one `backend=single` header (the chain the world runs on).
 //!
 //! A refactor that is meant to change nothing leaves the file byte-equal.
 //! After a change that is meant to move it:
@@ -16,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use duc_blockchain::{ExecMode, Ledger};
+use duc_blockchain::ExecMode;
 use duc_core::chaos::{self, fixed_link};
 use duc_core::outcome_key;
 use duc_core::prelude::*;
@@ -35,19 +36,18 @@ fn config(seed: u64, exec_mode: ExecMode) -> WorldConfig {
         seed,
         link: fixed_link(10),
         trace: true,
-        shards: 4,
         exec_mode,
         ..WorldConfig::default()
     }
 }
 
 /// One batch against the six-holder launch pad under `plan`.
-fn batch_section<L: Ledger>(
+fn batch_section(
     out: &mut String,
     title: &str,
-    world: World<L>,
+    world: World,
     batch: fn(&str, &str, &str, usize) -> Vec<Request>,
-    plan: impl FnOnce(&World<L>) -> FaultPlan,
+    plan: impl FnOnce(&World) -> FaultPlan,
 ) {
     let (mut world, resource) = chaos::launch_pad_in(world, OWNER, PATH, 6);
     let plan = plan(&world);
@@ -61,9 +61,9 @@ fn batch_section<L: Ledger>(
     out.push_str(&chaos::fingerprint(&mut world));
 }
 
-/// Everything pinned for one backend under one execution mode; `new`
-/// builds that backend's world.
-fn render<L: Ledger>(mode: ExecMode, new: fn(WorldConfig) -> World<L>) -> String {
+/// Everything pinned under one execution mode.
+fn render(mode: ExecMode) -> String {
+    let new = World::new;
     let mut out = String::new();
     for seed in SEEDS {
         let chaos_seed = seed.wrapping_mul(31).wrapping_add(7);
@@ -139,7 +139,7 @@ fn render<L: Ledger>(mode: ExecMode, new: fn(WorldConfig) -> World<L>) -> String
     out
 }
 
-fn population_lines<L: Ledger>(out: &mut String, world: &World<L>, fleet: &[String]) {
+fn population_lines(out: &mut String, world: &World, fleet: &[String]) {
     let _ = writeln!(out, "height {}", world.chain.height());
     let _ = writeln!(out, "gas {}", world.chain.gas_used_total());
     let _ = writeln!(out, "commitment {}", world.chain.state_commitment());
@@ -147,19 +147,12 @@ fn population_lines<L: Ledger>(out: &mut String, world: &World<L>, fleet: &[Stri
     let _ = writeln!(out, "fleet {}", fleet.join(" "));
 }
 
-/// Both backends, each rendered under both execution modes.
+/// Everything, rendered under both execution modes.
 fn render_all() -> String {
-    fn backend<L: Ledger>(out: &mut String, name: &str, new: fn(WorldConfig) -> World<L>) {
-        let serial = render(ExecMode::Serial, new);
-        let parallel = render(ExecMode::Parallel, new);
-        assert_lines_eq(&format!("{name}: Serial vs Parallel"), &serial, &parallel);
-        let _ = writeln!(out, "=== backend={name} (Serial and Parallel agree)");
-        out.push_str(&serial);
-    }
-    let mut out = String::new();
-    backend(&mut out, "single", World::new);
-    backend(&mut out, "sharded", World::new_sharded);
-    out
+    let serial = render(ExecMode::Serial);
+    let parallel = render(ExecMode::Parallel);
+    assert_lines_eq("Serial vs Parallel", &serial, &parallel);
+    format!("=== backend=single (Serial and Parallel agree)\n{serial}")
 }
 
 /// Panics with the differing lines (not two multi-thousand-line strings).
@@ -190,45 +183,6 @@ fn assert_lines_eq(context: &str, expected: &str, actual: &str) {
 #[test]
 fn fingerprints_match_the_golden_file() {
     assert_lines_eq("golden/fingerprints.txt", GOLDEN, &render_all());
-}
-
-/// A one-shard `ShardedLedger` already reproduces the single chain: its
-/// Serial run equals the golden file's `backend=single` section line for
-/// line, except that each of the twelve state commitments is the sharded
-/// ledger's wrapper over the single chain's,
-/// `hash_parts(["duc/sharded-state", single])`.
-#[test]
-fn one_shard_reproduces_the_single_chain_but_for_the_commitment_wrapper() {
-    let (_, single) = GOLDEN
-        .split_once("=== backend=single (Serial and Parallel agree)\n")
-        .expect("a single-backend section");
-    let (single, _) = single
-        .split_once("=== backend=sharded")
-        .expect("a sharded section after it");
-    let one_shard = render(ExecMode::Serial, |config| {
-        World::new_sharded(WorldConfig {
-            shards: 1,
-            ..config
-        })
-    });
-    let (single, one_shard): (Vec<&str>, Vec<&str>) =
-        (single.lines().collect(), one_shard.lines().collect());
-    assert_eq!(single.len(), one_shard.len(), "line counts");
-    let mut wrapped = 0;
-    for (i, (s, o)) in single.iter().zip(&one_shard).enumerate() {
-        if s == o {
-            continue;
-        }
-        let (Some(s), Some(o)) = (s.strip_prefix("commitment "), o.strip_prefix("commitment "))
-        else {
-            panic!("line {}: {s:?} vs {o:?}", i + 1);
-        };
-        let s = duc_crypto::hex::decode(s).expect("a hex commitment");
-        let expected = duc_crypto::hash_parts(&[b"duc/sharded-state", &s]);
-        assert_eq!(o, expected.to_hex(), "line {}: not the wrapper", i + 1);
-        wrapped += 1;
-    }
-    assert_eq!(wrapped, 12, "every commitment, and only those, differs");
 }
 
 /// Rewrites the golden file from the current behaviour.

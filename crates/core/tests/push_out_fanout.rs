@@ -3,7 +3,6 @@
 //! one resource or sixteen, and concurrent policy changes each take their
 //! own event out of the shared inbox.
 
-use duc_blockchain::Ledger;
 use duc_contracts::topics;
 use duc_core::prelude::*;
 use duc_policy::{Duty, Rule};
@@ -23,7 +22,6 @@ fn config() -> WorldConfig {
             drop_probability: 0.0,
             bandwidth_bps: None,
         },
-        shards: 2,
         ..WorldConfig::default()
     }
 }
@@ -43,7 +41,7 @@ fn device(i: usize) -> String {
 }
 
 /// Submits `requests` together, runs to idle and unwraps every outcome.
-fn run_all<L: Ledger>(world: &mut World<L>, requests: Vec<Request>) -> Vec<Outcome> {
+fn run_all(world: &mut World, requests: Vec<Request>) -> Vec<Outcome> {
     let tickets: Vec<Ticket> = requests.into_iter().map(|r| world.submit(r)).collect();
     world.run_until_idle();
     tickets
@@ -57,7 +55,7 @@ fn run_all<L: Ledger>(world: &mut World<L>, requests: Vec<Request>) -> Vec<Outco
 /// of `a0, b0, a1, b1, …`, devices 6 and 7 the first `k` of that list
 /// rotated by one — so whatever `k` is, six devices hold `a0` and all eight
 /// subscribe to policy updates. Returns the resource IRIs in list order.
-fn market<L: Ledger>(world: &mut World<L>, k: usize) -> Vec<String> {
+fn market(world: &mut World, k: usize) -> Vec<String> {
     let mut resources = Vec::new();
     for (o, owner) in OWNERS.iter().enumerate() {
         world.add_owner(*owner, format!("https://pod-{o}.example/"));
@@ -104,13 +102,13 @@ fn gauge(snapshot: &duc_sim::MetricsRegistry, name: &str) -> f64 {
 
 /// What one policy change on `a0` cost: `(devices notified, propagation
 /// samples, relay → subscriber transmissions)`.
-fn one_policy_change<L: Ledger>(mut world: World<L>, k: usize) -> (usize, usize, u64) {
+fn one_policy_change(mut world: World, k: usize) -> (usize, usize, u64) {
     market(&mut world, k);
     // Every device subscribed once per access; the relay holds one
     // subscription per device and one per pod manager all the same, and a
     // thousand more repeats change nothing.
     let subscribers = (DEVICES + OWNERS.len()) as f64;
-    let held = |w: &World<L>| gauge(&w.metrics_snapshot(), "oracle.push_out.subscriptions");
+    let held = |w: &World| gauge(&w.metrics_snapshot(), "oracle.push_out.subscriptions");
     assert_eq!(held(&world), subscribers);
     let endpoint = world.device(&device(0)).endpoint;
     for _ in 0..1_000 {
@@ -141,14 +139,12 @@ fn policy_change_cost_is_independent_of_access_history() {
             expected,
             "k={k}"
         );
-        let sharded = World::new_sharded(config());
-        assert_eq!(one_policy_change(sharded, k), expected, "sharded, k={k}");
     }
 }
 
 /// Sixteen resources change policy at once; each request is notified of
 /// exactly the holders of its own resource.
-fn sixteen_concurrent_changes<L: Ledger>(mut world: World<L>) {
+fn sixteen_concurrent_changes(mut world: World) {
     let resources = &market(&mut world, 4)[..16];
     let tickets: Vec<Ticket> = (0..resources.len())
         .map(|r| {
@@ -194,5 +190,4 @@ fn sixteen_concurrent_changes<L: Ledger>(mut world: World<L>) {
 #[test]
 fn concurrent_policy_changes_each_claim_their_own_event() {
     sixteen_concurrent_changes(World::new(config()));
-    sixteen_concurrent_changes(World::new_sharded(config()));
 }

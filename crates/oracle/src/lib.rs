@@ -18,8 +18,8 @@
 //! caller (the `duc-core` driver) owns the timeline and the retry policy.
 //!
 //! * push-in: [`PushInOracle::attempt`] is one uplink try; confirmation
-//!   is the caller's wait on the ledger's receipt probe
-//!   (`Ledger::receipt`), bounded by
+//!   is the caller's wait on the chain's receipt probe
+//!   (`Blockchain::receipt`), bounded by
 //!   [`OracleError::InclusionTimeout`].
 //! * push-out: [`PushOutOracle::try_drain`] computes the deliveries of the
 //!   events past the cursor; [`PushOutOracle::drain`] also resyncs a

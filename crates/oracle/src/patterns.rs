@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use duc_blockchain::{ContractError, Event, Ledger, PrunedRange, SubmitError};
+use duc_blockchain::{Blockchain, ContractError, Event, PrunedRange, SubmitError};
 use duc_sim::{Clock, EndpointId, NetworkModel, Rng, SimDuration, SimTime};
 
 /// Which network hop of an oracle interaction failed. Typed so a driver can
@@ -250,9 +250,9 @@ impl PushOutOracle {
     /// horizon, the oracle resyncs to the horizon (counted in
     /// [`PushOutOracle::resyncs`]) and drains from there — the behaviour
     /// [`PushOutOracle::try_drain`] surfaces as a typed error instead.
-    pub fn drain<L: Ledger>(
+    pub fn drain(
         &mut self,
-        chain: &L,
+        chain: &Blockchain,
         net: &mut NetworkModel,
         clock: &Clock,
         rng: &mut Rng,
@@ -276,9 +276,9 @@ impl PushOutOracle {
     ///
     /// # Errors
     /// [`OracleError::Pruned`] when the cursor is below the horizon.
-    pub fn try_drain<L: Ledger>(
+    pub fn try_drain(
         &mut self,
-        chain: &L,
+        chain: &Blockchain,
         net: &mut NetworkModel,
         clock: &Clock,
         rng: &mut Rng,
@@ -422,7 +422,7 @@ impl PullInOracle {
     /// horizon: request events in `(cursor, horizon]` were evicted before
     /// this poll saw them, so the caller must checkpoint-resync
     /// ([`PullInOracle::resync`]) instead of treating the poll as empty.
-    pub fn try_collect_requests<L: Ledger>(&self, chain: &L) -> Result<PullInPoll, OracleError> {
+    pub fn try_collect_requests(&self, chain: &Blockchain) -> Result<PullInPoll, OracleError> {
         let fresh = chain
             .try_events_since(self.cursor)
             .map_err(OracleError::Pruned)?;

@@ -12,7 +12,7 @@
 //! DE App client over a pull-out oracle.
 
 use duc_crypto::Digest;
-use duc_policy::{AclDocument, AclMode, UsagePolicy};
+use duc_policy::{AclDocument, AclMode, Authorization, UsagePolicy};
 
 use crate::pod::Pod;
 use crate::protocol::{Body, Method, SolidRequest, SolidResponse, Status};
@@ -107,6 +107,12 @@ impl PodManager {
     /// resources in real Solid, which this simulation does not model).
     pub fn set_acl(&mut self, acl: AclDocument) {
         self.acl = acl;
+    }
+
+    /// Appends one authorization to the ACL in place (the same owner
+    /// operation as [`PodManager::set_acl`], without copying the document).
+    pub fn grant(&mut self, auth: Authorization) {
+        self.acl.push(auth);
     }
 
     /// Demands market payment certificates for non-owner reads.
@@ -278,7 +284,7 @@ fn resource_body(resource: &Resource) -> Body {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duc_policy::{AgentSpec, Authorization};
+    use duc_policy::AgentSpec;
 
     const OWNER: &str = "https://alice.id/me";
     const BOB: &str = "https://bob.id/me";
@@ -338,14 +344,12 @@ mod tests {
     #[test]
     fn granting_read_access_works() {
         let mut pm = pm();
-        let mut acl = pm.acl().clone();
-        acl.push(Authorization::for_resource(
+        pm.grant(Authorization::for_resource(
             "bob-read",
             "https://alice.pod/data/notes.txt",
             vec![AgentSpec::Agent(BOB.into())],
             vec![AclMode::Read],
         ));
-        pm.set_acl(acl);
         assert_eq!(
             pm.handle(&SolidRequest::get(BOB, "data/notes.txt")).status,
             Status::Ok
@@ -361,14 +365,12 @@ mod tests {
     #[test]
     fn certificate_gate_on_reads() {
         let mut pm = pm();
-        let mut acl = pm.acl().clone();
-        acl.push(Authorization::for_resource(
+        pm.grant(Authorization::for_resource(
             "readers",
             "https://alice.pod/data/notes.txt",
             vec![AgentSpec::AuthenticatedAgent],
             vec![AclMode::Read],
         ));
-        pm.set_acl(acl);
         pm.set_require_certificate(true);
 
         // No certificate → 402.
