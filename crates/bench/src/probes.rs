@@ -265,7 +265,7 @@ fn e17_chain(
         .build();
     chain.deploy(
         ContractId::new(duc_contracts::DEX_CONTRACT_ID),
-        Box::new(duc_contracts::DistExchange),
+        Box::new(duc_contracts::DistExchange::default()),
     );
     chain.set_access_fn(duc_contracts::dex_access_fn());
     let dex = duc_contracts::DistExchangeClient::new();

@@ -185,6 +185,7 @@ pub fn dex_access(p: &AccessParams<'_>) -> AccessSet {
                 .read(cfg_slot("validity"))
                 .read(cfg_slot("treasury"))
                 .delta(AccessKey::Account(treasury))
+                .read(slot(layout::SUB, &a.webid))
                 .write(slot(layout::SUB, &a.webid))
                 .write(cert_slot(&certificate))
         }
@@ -292,7 +293,8 @@ mod tests {
         let dex = ContractId::new(DEX_CONTRACT_ID);
         let state = WorldState::new();
         let unregister = |resource: &str, device: &str| {
-            encode_to_vec(&(resource.to_string(), device.to_string(), 7u64))
+            let signature = Signature { e: 0, s: 0 };
+            encode_to_vec(&(resource.to_string(), device.to_string(), 7u64, signature))
         };
         let c1 = unregister("res-1", "dev-1");
         let c2 = unregister("res-1", "dev-2");

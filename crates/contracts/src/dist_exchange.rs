@@ -5,8 +5,13 @@
 //! encodings of [`crate::rows`].
 //!
 //! Each method takes its argument struct from [`crate::calls`] and returns
-//! its typed output; [`DistExchange::call`] decodes the call once and
-//! encodes the output in one place.
+//! its typed output; [`DistExchange::call`] decodes the call once, admits
+//! the caller by the call's [`CallerRule`](crate::calls::CallerRule) (the
+//! call table's caller column) and encodes the output in one place. No
+//! method body checks its caller:
+//! a method runs only for a caller its row's rule admitted, and takes the
+//! row the rule read (`update_policy` the resource row, `unregister_copy`
+//! the copy row) instead of reading it again.
 //!
 //! View methods (`get_pod`, `lookup_resource`, `get_subscription`,
 //! `list_copies`, `get_round`) reconstruct the full ABI records of
@@ -18,7 +23,7 @@
 
 use duc_blockchain::{Address, CallCtx, Contract, ContractError};
 use duc_codec::encode_to_vec;
-use duc_crypto::{hash_parts, Digest};
+use duc_crypto::{hash_parts, Digest, PublicKey};
 use duc_sim::SimDuration;
 
 use crate::abi::{
@@ -37,13 +42,19 @@ use crate::rows::{Answer, AnswerRow, CopyRow, PodRow, ResourceRow, RoundRow, Sub
 /// The conventional deployment id of the DE App.
 pub const DEX_CONTRACT_ID: &str = "dist-exchange";
 
-/// The DistExchange application contract: code over ledger storage and
-/// nothing else — every validator runs it against the same slots, so it
-/// holds no state of its own.
-#[derive(Debug, Default)]
-pub struct DistExchange;
-
-const _: () = assert!(std::mem::size_of::<DistExchange>() == 0);
+/// The DistExchange application contract: code over ledger storage plus
+/// two deployment settings — every validator runs it against the same
+/// slots, so it holds no state of its own.
+///
+/// The settings are the attestation authority's key and the trusted
+/// application's measurement, which the `QuotedEnclave` rule checks a
+/// `register_copy` quote against. [`DistExchange::default`] trusts no
+/// authority, so it serves every method but `register_copy`, which it
+/// refuses.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DistExchange {
+    attestation: Option<(PublicKey, Digest)>,
+}
 
 /// Where an admitted submission lands in its round: the answers recorded
 /// before it (its ordinal), and whether it is the last one expected.
@@ -75,6 +86,15 @@ fn get_policy(ctx: &mut CallCtx<'_>, digest: &Digest) -> Result<PolicyEnvelope, 
 }
 
 impl DistExchange {
+    /// A deployment that accepts copies of enclaves running code of
+    /// `measurement`, quoted by the attestation authority whose key is
+    /// `authority`.
+    pub fn new(authority: PublicKey, measurement: Digest) -> DistExchange {
+        DistExchange {
+            attestation: Some((authority, measurement)),
+        }
+    }
+
     fn init(&self, ctx: &mut CallCtx<'_>, a: Init) -> Result<(), ContractError> {
         if ctx.contains(&layout::cfg("fee"))? {
             return Err(revert("already initialized"));
@@ -124,12 +144,6 @@ impl DistExchange {
         a: RegisterResource,
     ) -> Result<(), ContractError> {
         layout::reject_separator("resource IRI", &a.resource)?;
-        let pod: PodRow = ctx
-            .get(&layout::pod(&a.owner_webid))?
-            .ok_or_else(|| revert(format!("no pod registered for {}", a.owner_webid)))?;
-        if pod.owner_addr != ctx.caller {
-            return Err(revert("caller does not own the pod"));
-        }
         let key = layout::res(&a.resource);
         if ctx.contains(&key)? {
             return Err(revert(format!(
@@ -173,16 +187,15 @@ impl DistExchange {
             .collect())
     }
 
-    fn update_policy(&self, ctx: &mut CallCtx<'_>, a: UpdatePolicy) -> Result<(), ContractError> {
-        let key = layout::res(&a.resource);
+    /// `row` is the resource row the `ResourceOwner` rule read.
+    fn update_policy(
+        &self,
+        ctx: &mut CallCtx<'_>,
+        a: UpdatePolicy,
+        mut row: ResourceRow,
+    ) -> Result<(), ContractError> {
         // The hot path: only the compact row round-trips storage — the
         // superseded envelope is never read, the new one only written.
-        let mut row: ResourceRow = ctx
-            .get(&key)?
-            .ok_or_else(|| revert(format!("unknown resource {}", a.resource)))?;
-        if row.owner_addr != ctx.caller {
-            return Err(revert("only the owner may update the policy"));
-        }
         if a.new_version != row.policy_version + 1 {
             return Err(revert(format!(
                 "version must increment: current {}, got {}",
@@ -192,7 +205,7 @@ impl DistExchange {
         let policy_hash = put_policy(ctx, &a.policy)?;
         row.policy = policy_hash;
         row.policy_version = a.new_version;
-        ctx.set(key, &row)?;
+        ctx.set(layout::res(&a.resource), &row)?;
         // The event anchors the new policy *hash* alongside the envelope:
         // devices verify the pushed bytes against it before recompiling
         // their local program and re-scheduling obligations.
@@ -226,20 +239,18 @@ impl DistExchange {
     /// Removes a copy record, but only when it predates `as_of` — an
     /// in-flight unregister (submitted when a TEE deleted its copy) must
     /// not clobber a *newer* registration from a re-access that raced it;
-    /// the guarded case returns `false` without touching the record.
+    /// the guarded case returns `false` without touching the record. `row`
+    /// is the copy row the `CopyKey` rule read.
     fn unregister_copy(
         &self,
         ctx: &mut CallCtx<'_>,
         a: UnregisterCopy,
+        row: CopyRow,
     ) -> Result<bool, ContractError> {
-        let key = layout::copy(&a.resource, &a.device);
-        let Some(row) = ctx.get::<CopyRow>(&key)? else {
-            return Err(revert("no such copy"));
-        };
         if row.registered_at >= a.as_of {
             return Ok(false);
         }
-        ctx.remove_raw(&key)?;
+        ctx.remove_raw(&layout::copy(&a.resource, &a.device))?;
         let (resource, device) = (a.resource, a.device);
         events::CopyRemoved { resource, device }.emit(ctx)?;
         Ok(true)
@@ -287,12 +298,6 @@ impl DistExchange {
         a: StartMonitoring,
     ) -> Result<u64, ContractError> {
         let resource = a.resource;
-        let row: ResourceRow = ctx
-            .get(&layout::res(&resource))?
-            .ok_or_else(|| revert(format!("unknown resource {resource}")))?;
-        if row.owner_addr != ctx.caller {
-            return Err(revert("only the owner may start monitoring"));
-        }
         let counter_key = layout::round_counter(&resource);
         let round: u64 = ctx.get(&counter_key)?.unwrap_or(0) + 1;
         ctx.set(counter_key, &round)?;
@@ -342,17 +347,17 @@ impl DistExchange {
         Ok(answers)
     }
 
-    /// The checks both submission methods share, in their revert order:
-    /// the round exists and is open, `device` is expected in it and has not
-    /// answered, and its copy is still registered. Returns the answer's
-    /// place in the round and the copy, whose key signs the answer.
-    fn admit(
+    /// The checks both submission methods share after their `CopyKey` rule
+    /// (the copy is registered and its key signed the answer), in their
+    /// revert order: the round exists and is open, and `device` is expected
+    /// in it and has not answered. Returns the answer's place in the round.
+    fn place(
         &self,
         ctx: &mut CallCtx<'_>,
         resource: &str,
         round: u64,
         device: &str,
-    ) -> Result<(Place, CopyRow), ContractError> {
+    ) -> Result<Place, ContractError> {
         let header: RoundRow = ctx
             .get(&layout::round(resource, round))?
             .ok_or_else(|| revert("unknown monitoring round"))?;
@@ -371,11 +376,8 @@ impl DistExchange {
         if ctx.contains(&layout::answer(resource, round, device))? {
             return Err(revert("duplicate evidence for device"));
         }
-        let copy: CopyRow = ctx
-            .get(&layout::copy(resource, device))?
-            .ok_or_else(|| revert("copy no longer registered"))?;
         let closes = answered as usize + 1 == expected;
-        Ok((Place { answered, closes }, copy))
+        Ok(Place { answered, closes })
     }
 
     /// Records `device`'s answer as the round's next, emits
@@ -435,21 +437,12 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         submission: EvidenceSubmission,
     ) -> Result<(), ContractError> {
-        let (place, copy) = self.admit(
+        let place = self.place(
             ctx,
             &submission.resource,
             submission.round,
             &submission.device,
         )?;
-        // Verify the enclave signature against the registered attestation
-        // key: forged evidence cannot enter the ledger.
-        if copy
-            .attestation_key
-            .verify(&submission.signing_bytes(), &submission.signature)
-            .is_err()
-        {
-            return Err(revert("evidence signature does not verify"));
-        }
         let answer = Answer::Evidence {
             compliant: submission.compliant,
             violations: submission.violations,
@@ -469,14 +462,7 @@ impl DistExchange {
         ctx: &mut CallCtx<'_>,
         reaff: EvidenceReaffirmation,
     ) -> Result<(), ContractError> {
-        let (place, copy) = self.admit(ctx, &reaff.resource, reaff.round, &reaff.device)?;
-        if copy
-            .attestation_key
-            .verify(&reaff.signing_bytes(), &reaff.signature)
-            .is_err()
-        {
-            return Err(revert("reaffirmation signature does not verify"));
-        }
+        let place = self.place(ctx, &reaff.resource, reaff.round, &reaff.device)?;
         // The prior evidence must exist, be compliant, and carry the very
         // same digest — anything else requires a full resubmission.
         // `prev_round` must hold *full* evidence (devices always point
@@ -602,16 +588,22 @@ impl Contract for DistExchange {
         method: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, ContractError> {
-        match DexCall::decode(method, args)? {
+        let call = DexCall::decode(method, args)?;
+        let admitted = call.caller_rule().admit(ctx, self.attestation)?;
+        match call {
             DexCall::Init(a) => reply(a, |a| self.init(ctx, a)),
             DexCall::RegisterPod(a) => reply(a, |a| self.register_pod(ctx, a)),
             DexCall::GetPod(a) => reply(a, |a| self.get_pod(ctx, a)),
             DexCall::RegisterResource(a) => reply(a, |a| self.register_resource(ctx, a)),
             DexCall::LookupResource(a) => reply(a, |a| self.lookup_resource(ctx, a)),
             DexCall::ListResources(a) => reply(a, |_| self.list_resources(ctx)),
-            DexCall::UpdatePolicy(a) => reply(a, |a| self.update_policy(ctx, a)),
+            DexCall::UpdatePolicy(a) => {
+                reply(a, |a| self.update_policy(ctx, a, admitted.resource()?))
+            }
             DexCall::RegisterCopy(a) => reply(a, |a| self.register_copy(ctx, a)),
-            DexCall::UnregisterCopy(a) => reply(a, |a| self.unregister_copy(ctx, a)),
+            DexCall::UnregisterCopy(a) => {
+                reply(a, |a| self.unregister_copy(ctx, a, admitted.copy()?))
+            }
             DexCall::ListCopies(a) => reply(a, |a| self.list_copies(ctx, a)),
             DexCall::StartMonitoring(a) => reply(a, |a| self.start_monitoring(ctx, a)),
             DexCall::RecordEvidence(a) => reply(a, |a| self.record_evidence(ctx, a)),

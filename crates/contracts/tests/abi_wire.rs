@@ -32,6 +32,8 @@
 //! sends the same damage through `Contract::call` itself, over a ledger state
 //! where every method has something to find.
 
+mod common;
+
 use duc_blockchain::tx::TxKind;
 use duc_blockchain::{
     Address, CallCtx, Contract, ContractError, ContractId, Event, GasMeter, SignedTransaction,
@@ -49,7 +51,7 @@ use duc_contracts::events::{
     PodRegistered, PolicyUpdated, ResourceRegistered, RoundClosed,
 };
 use duc_contracts::{
-    topics, CopyRecord, DexCall, DexEvent, DistExchange, EvidenceReaffirmation, EvidenceSubmission,
+    topics, CopyRecord, DexCall, DexEvent, EvidenceReaffirmation, EvidenceSubmission,
     MonitoringRound, PodRecord, PolicyEnvelope, ResourceRecord, Subscription, DEX_CONTRACT_ID,
 };
 use duc_crypto::{Digest, KeyPair, PublicKey, Signature};
@@ -729,23 +731,27 @@ fn dex_call() -> impl Strategy<Value = DexCall> {
                 new_version,
             })
         }),
-        (text(), text(), text(), key()).prop_map(
-            |(resource, device, holder_webid, attestation_key)| {
+        (text(), text(), text(), key(), signature()).prop_map(
+            |(resource, device, holder_webid, attestation_key, quote)| {
                 DexCall::from(RegisterCopy {
                     resource,
                     device,
                     holder_webid,
                     attestation_key,
+                    quote,
                 })
             }
         ),
-        (text(), text(), instant()).prop_map(|(resource, device, as_of)| {
-            DexCall::from(UnregisterCopy {
-                resource,
-                device,
-                as_of,
-            })
-        }),
+        (text(), text(), instant(), signature()).prop_map(
+            |(resource, device, as_of, signature)| {
+                DexCall::from(UnregisterCopy {
+                    resource,
+                    device,
+                    as_of,
+                    signature,
+                })
+            }
+        ),
         text().prop_map(|resource| DexCall::from(ListCopies { resource })),
         text().prop_map(|resource| DexCall::from(StartMonitoring { resource })),
         evidence_submission().prop_map(DexCall::from),
@@ -968,7 +974,7 @@ fn apply(state: &mut WorldState, caller: Address, call: impl Into<DexCall>) -> V
     let mut meter = GasMeter::unmetered();
     let contract = ContractId::new(DEX_CONTRACT_ID);
     let mut ctx = CallCtx::new(caller, 1, T0, contract, state, &mut meter);
-    let out = DistExchange
+    let out = common::dex_app()
         .call(&mut ctx, call.name(), &call.encode_args())
         .unwrap_or_else(|e| panic!("fixture {}: {e}", call.name()));
     let effects = ctx.into_effects();
@@ -1031,12 +1037,7 @@ fn fixture() -> Fixture {
         policy: envelope(1),
     };
     apply(s, owner, res);
-    let copy = RegisterCopy {
-        resource: RES.to_string(),
-        device: DEVICE.to_string(),
-        holder_webid: OWNER.to_string(),
-        attestation_key: device.public(),
-    };
+    let copy = common::quoted_copy(RES, DEVICE, OWNER, &device.public());
     apply(s, owner, copy);
     let start = || StartMonitoring {
         resource: RES.to_string(),
@@ -1085,17 +1086,18 @@ fn fixture() -> Fixture {
             policy: envelope(2),
             new_version: 2u64,
         }),
-        DexCall::from(RegisterCopy {
-            resource: RES.to_string(),
-            device: "device-2".to_string(),
-            holder_webid: OWNER.to_string(),
-            attestation_key: device.public(),
-        }),
-        DexCall::from(UnregisterCopy {
-            resource: RES.to_string(),
-            device: DEVICE.to_string(),
-            as_of: SimTime::from_secs(20),
-        }),
+        DexCall::from(common::quoted_copy(
+            RES,
+            "device-2",
+            OWNER,
+            &device.public(),
+        )),
+        DexCall::from(common::signed_unregister(
+            RES,
+            DEVICE,
+            SimTime::from_secs(20),
+            &device,
+        )),
         DexCall::from(ListCopies {
             resource: RES.to_string(),
         }),
@@ -1129,7 +1131,7 @@ fn call(fx: &Fixture, method: &str, args: &[u8]) -> Result<Vec<u8>, ContractErro
     let contract = ContractId::new(DEX_CONTRACT_ID);
     let later = T0 + SimDuration::from_secs(20);
     let mut ctx = CallCtx::new(fx.owner, 2, later, contract, &fx.state, &mut meter);
-    DistExchange.call(&mut ctx, method, args)
+    common::dex_app().call(&mut ctx, method, args)
 }
 
 /// The damage properties start from arguments that get somewhere: each
@@ -1278,7 +1280,7 @@ fn emitted(
     let mut meter = GasMeter::unmetered();
     let contract = ContractId::new(DEX_CONTRACT_ID);
     let mut ctx = CallCtx::new(caller, 1, T0, contract, state, &mut meter);
-    DistExchange
+    common::dex_app()
         .call(&mut ctx, call.name(), &call.encode_args())
         .unwrap_or_else(|e| panic!("{}: {e}", call.name()));
     let events = (ctx.events().iter())
@@ -1327,12 +1329,7 @@ fn per_topic_event_known_answers() {
         new_version: 2,
     };
     events.extend(emitted(s, owner, update));
-    let copy = RegisterCopy {
-        resource: RES.to_string(),
-        device: DEVICE.to_string(),
-        holder_webid: OWNER.to_string(),
-        attestation_key: device.public(),
-    };
+    let copy = common::quoted_copy(RES, DEVICE, OWNER, &device.public());
     events.extend(emitted(s, owner, copy));
     let start = || StartMonitoring {
         resource: RES.to_string(),
@@ -1345,11 +1342,8 @@ fn per_topic_event_known_answers() {
     };
     violation.signature = device.sign(&violation.signing_bytes());
     events.extend(emitted(s, owner, violation));
-    let unregister = UnregisterCopy {
-        resource: RES.to_string(),
-        device: DEVICE.to_string(),
-        as_of: T0 + SimDuration::from_secs(1),
-    };
+    let as_of = T0 + SimDuration::from_secs(1);
+    let unregister = common::signed_unregister(RES, DEVICE, as_of, &device);
     events.extend(emitted(s, owner, unregister));
     events.extend(emitted(s, owner, start()));
     let subscribe = Subscribe {

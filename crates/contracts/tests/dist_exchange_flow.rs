@@ -1,14 +1,16 @@
 //! End-to-end tests of the DistExchange contract running on the blockchain
 //! substrate: registration, indexing, policy updates, monitoring, market.
 
+mod common;
+
 use duc_blockchain::{Address, Blockchain, ContractError, ContractId, SignedTransaction, TxStatus};
 use duc_contracts::calls::{
-    GetPod, GetRound, GetSubscription, ListCopies, ListResources, RegisterCopy, StartMonitoring,
-    Subscribe, UnregisterCopy, VerifyCertificate,
+    GetPod, GetRound, GetSubscription, ListCopies, ListResources, StartMonitoring, Subscribe,
+    VerifyCertificate,
 };
 use duc_contracts::{
-    topics, CopyRecord, DistExchange, DistExchangeClient, EvidenceSubmission, MonitoringRound,
-    PolicyEnvelope, DEX_CONTRACT_ID,
+    topics, CopyRecord, DistExchangeClient, EvidenceSubmission, MonitoringRound, PolicyEnvelope,
+    DEX_CONTRACT_ID,
 };
 use duc_crypto::{sha256, Digest, KeyPair, Signature};
 use duc_policy::prelude::*;
@@ -32,7 +34,10 @@ impl World {
             .validators(4)
             .block_interval(SimDuration::from_secs(2))
             .build();
-        chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
+        chain.deploy(
+            ContractId::new(DEX_CONTRACT_ID),
+            Box::new(common::dex_app()),
+        );
         let admin = chain.create_funded_account(b"admin", 1_000_000_000);
         let alice = chain.create_funded_account(b"alice", 1_000_000_000);
         let bob = chain.create_funded_account(b"bob", 1_000_000_000);
@@ -105,12 +110,7 @@ impl World {
 
     /// Alice registers `device`'s copy of `resource`.
     fn copy_tx(&self, resource: &str, device: &str, enclave: &KeyPair) -> SignedTransaction {
-        let copy = RegisterCopy {
-            resource: resource.into(),
-            device: device.into(),
-            holder_webid: ALICE_WEBID.into(),
-            attestation_key: enclave.public(),
-        };
+        let copy = common::quoted_copy(resource, device, ALICE_WEBID, &enclave.public());
         self.dex.call_tx(&self.chain, &self.alice, copy)
     }
 
@@ -297,11 +297,8 @@ fn copy_tracking() {
     // `as_of` must lie strictly after the registration block time: the
     // freshness guard keeps records registered at or after it.
     let after_registration = w.chain.current_time() + duc_sim::SimDuration::from_nanos(1);
-    let unregister = UnregisterCopy {
-        resource: MEDICAL.into(),
-        device: "alice-phone".into(),
-        as_of: after_registration,
-    };
+    let phone = KeyPair::from_seed(b"alice-phone");
+    let unregister = common::signed_unregister(MEDICAL, "alice-phone", after_registration, &phone);
     let tx = w.dex.call_tx(&w.chain, &w.alice, unregister);
     w.chain.submit(tx).unwrap();
     w.step();
@@ -471,11 +468,12 @@ fn duplicate_and_unexpected_evidence_rejected() {
         TxStatus::Reverted(_)
     ));
 
-    // Unexpected device in a new round.
+    // Unexpected device in a new round: its copy is registered after the
+    // round opened, so its key signs, but the round does not expect it.
     let tx = w.start_monitoring_tx();
     w.chain.submit(tx).unwrap();
     w.step();
-    let stranger = KeyPair::from_seed(b"stranger-device");
+    let stranger = w.register_alice_copy("stranger-device");
     let mut odd = EvidenceSubmission {
         resource: MEDICAL.into(),
         round: 2,

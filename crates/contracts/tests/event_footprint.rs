@@ -11,9 +11,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+mod common;
+
 use duc_blockchain::{Address, Blockchain, ContractId, Event};
-use duc_contracts::calls::{RegisterCopy, Subscribe};
-use duc_contracts::{DistExchange, DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
+use duc_contracts::calls::Subscribe;
+use duc_contracts::{DistExchangeClient, PolicyEnvelope, DEX_CONTRACT_ID};
 use duc_crypto::KeyPair;
 use duc_policy::UsagePolicy;
 use duc_sim::{SimDuration, SimTime};
@@ -79,7 +81,10 @@ fn sealed_chain() -> Blockchain {
         .validators(4)
         .block_interval(SimDuration::from_secs(2))
         .build();
-    chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
+    chain.deploy(
+        ContractId::new(DEX_CONTRACT_ID),
+        Box::new(common::dex_app()),
+    );
     let admin = chain.create_funded_account(b"admin", 1_000_000_000);
     let dex = DistExchangeClient::new();
     let mut now = SimTime::ZERO;
@@ -111,12 +116,8 @@ fn sealed_chain() -> Blockchain {
     for (i, key) in keys.iter().enumerate() {
         let tx = dex.update_policy_tx(&chain, key, &resource(i), policy(i, 2), 2);
         chain.submit(tx).expect("update submits");
-        let copy = RegisterCopy {
-            resource: resource(i),
-            device: format!("device-{i}"),
-            holder_webid: webid(i),
-            attestation_key: key.public(),
-        };
+        let device = format!("device-{i}");
+        let copy = common::quoted_copy(&resource(i), &device, &webid(i), &key.public());
         let tx = dex.call_tx(&chain, key, copy);
         chain.submit(tx).expect("copy submits");
         let tx = dex.call_tx(&chain, key, Subscribe { webid: webid(i) });

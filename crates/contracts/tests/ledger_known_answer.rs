@@ -51,7 +51,10 @@ fn run_mix(
     chain: &mut Blockchain,
     mut sealed: impl FnMut(&Blockchain, usize, &[TxId]),
 ) -> Vec<TxId> {
-    chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
+    chain.deploy(
+        ContractId::new(DEX_CONTRACT_ID),
+        Box::new(DistExchange::default()),
+    );
     let admin = chain.create_funded_account(b"admin", 1_000_000_000);
     let senders: Vec<KeyPair> = (0..SENDERS)
         .map(|i| chain.create_funded_account(format!("sender-{i}").as_bytes(), 1_000_000_000))

@@ -13,11 +13,13 @@
 //! Gas is deliberately left out: how a round is stored may change what a
 //! submission costs, never what any caller reads back. Never re-record.
 
+mod common;
+
 use duc_blockchain::{Address, Blockchain, ContractId, TxId, TxStatus};
-use duc_contracts::calls::{GetRound, RegisterCopy, StartMonitoring, UnregisterCopy};
+use duc_contracts::calls::{GetRound, StartMonitoring};
 use duc_contracts::{
-    DexCall, DistExchange, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission,
-    PolicyEnvelope, DEX_CONTRACT_ID,
+    DexCall, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission, PolicyEnvelope,
+    DEX_CONTRACT_ID,
 };
 use duc_crypto::{sha256, KeyPair, Signature};
 use duc_policy::UsagePolicy;
@@ -43,7 +45,10 @@ impl Bench {
             .validators(4)
             .block_interval(SimDuration::from_secs(2))
             .build();
-        chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
+        chain.deploy(
+            ContractId::new(DEX_CONTRACT_ID),
+            Box::new(common::dex_app()),
+        );
         let admin = chain.create_funded_account(b"admin", 1_000_000_000);
         let owner = chain.create_funded_account(b"owner", 1_000_000_000_000);
         let holder = chain.create_funded_account(b"holder", 1_000_000_000_000);
@@ -111,22 +116,15 @@ impl Bench {
     }
 
     fn register(&mut self, device: &str) {
-        let copy = RegisterCopy {
-            resource: RESOURCE.into(),
-            device: device.into(),
-            holder_webid: format!("https://{device}.id/me"),
-            attestation_key: enclave(device).public(),
-        };
+        let holder_webid = format!("https://{device}.id/me");
+        let copy = common::quoted_copy(RESOURCE, device, &holder_webid, &enclave(device).public());
         let owner = self.holder;
         self.call(&owner, copy);
     }
 
     fn unregister(&mut self, device: &str) {
-        let unregister = UnregisterCopy {
-            resource: RESOURCE.into(),
-            device: device.into(),
-            as_of: self.now + SimDuration::from_secs(1),
-        };
+        let as_of = self.now + SimDuration::from_secs(1);
+        let unregister = common::signed_unregister(RESOURCE, device, as_of, &enclave(device));
         let holder = self.holder;
         self.call(&holder, unregister);
     }
@@ -398,10 +396,11 @@ fn reverse_order_round_matches_its_known_answer() {
     );
 }
 
-/// Every revert of both submission methods, in the order the contract
-/// checks them: unknown round, closed round, unexpected device, duplicate
-/// answer, unregistered copy, bad signature — and for a reaffirmation the
-/// unknown prior round and the prior evidence that does not match.
+/// Every revert of both submission methods. Their `CopyKey` rule checks
+/// first (unregistered copy, bad signature), then the method: unknown
+/// round, closed round, unexpected device, duplicate answer — and for a
+/// reaffirmation the unknown prior round and the prior evidence that does
+/// not match.
 #[test]
 fn revert_paths_match_their_known_answer() {
     let mut b = Bench::new();
@@ -421,9 +420,12 @@ fn revert_paths_match_their_known_answer() {
     // Closed round.
     b.evidence(r1, &device(0), true, b"log");
     b.reaffirm(r1, &device(0), r1, b"log");
-    // Not expected.
+    // Not expected: device-stranger's copy is registered after the round
+    // opened, so its key signs but the round does not list it.
+    b.register(stranger);
     b.evidence(r2, stranger, true, b"log");
     b.reaffirm(r2, stranger, r1, b"log");
+    b.unregister(stranger);
     // Bad signature (a key other than the registered enclave's).
     let forged = signed_evidence(r2, &device(0), true, b"log", &enclave(stranger));
     b.submit_evidence(forged);

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use duc_blockchain::Receipt;
 use duc_contracts::calls::{ListCopies, RegisterCopy, VerifyCertificate};
 use duc_contracts::topics;
-use duc_crypto::{Digest, PublicKey};
+use duc_crypto::{Digest, PublicKey, Signature};
 use duc_oracle::HopKind;
 use duc_policy::PolicyVersion;
 use duc_sim::{EndpointId, SimDuration, SimTime};
@@ -42,6 +42,9 @@ struct Fetch {
     request: SolidRequest,
     cert_ok: bool,
     enclave_key: PublicKey,
+    /// The attestation authority's quote of `enclave_key`, which the copy
+    /// registration carries.
+    quote: Signature,
     sent_at: SimTime,
 }
 
@@ -143,6 +146,7 @@ impl Access {
                     request,
                     cert_ok,
                     enclave_key: quote.enclave_key,
+                    quote: quote.signature,
                     sent_at: now,
                 });
                 self.policy = Some(Rc::clone(&entry.policy));
@@ -220,6 +224,7 @@ impl Access {
                     device: self.device.clone(),
                     holder_webid: dev.webid.clone(),
                     attestation_key: fetch.enclave_key,
+                    quote: fetch.quote,
                 };
                 let tx = world.dex.call_tx(&world.chain, &key, copy);
                 let from = fetch.dev_endpoint;

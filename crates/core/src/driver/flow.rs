@@ -224,17 +224,17 @@ mod tests {
         // What each access will price: the registration at today's nonce.
         let device = world.device("device-0");
         let sender = Address::from_public_key(&device.key.public());
-        let enclave_key = (world.attestation)
+        let quote = (world.attestation)
             .issue_quote(device.tee.enclave())
-            .expect("trusted")
-            .enclave_key;
+            .expect("trusted");
         let priced: Vec<SignedTransaction> = [&first, &second]
             .map(|resource| {
                 let copy = RegisterCopy {
                     resource: resource.clone(),
                     device: "device-0".into(),
                     holder_webid: device.webid.clone(),
-                    attestation_key: enclave_key,
+                    attestation_key: quote.enclave_key,
+                    quote: quote.signature,
                 };
                 world.dex.call_tx(&world.chain, &device.key, copy)
             })

@@ -121,11 +121,9 @@ impl ObligationRun {
                 // `now` is the deletion instant: the contract keeps any
                 // registration made at/after it, so a re-access racing
                 // this flow is never clobbered.
-                let unregister = UnregisterCopy {
-                    resource: self.resource.clone(),
-                    device: self.device.clone(),
-                    as_of: now,
-                };
+                let enclave = world.device(&self.device).tee.enclave();
+                let (resource, device) = (self.resource.clone(), self.device.clone());
+                let unregister = UnregisterCopy::signed(resource, device, now, |b| enclave.sign(b));
                 let tx = world.dex.call_tx(&world.chain, &key, unregister);
                 self.phase =
                     ObligationPhase::Confirm(TxFlow::new(world, PreparedCall { from, key, tx }));

@@ -141,11 +141,13 @@ impl PolicyMod {
                             world.metrics.incr("enforcement.deletions");
                             // The copy registry is updated so future rounds
                             // skip this device.
-                            let unregister = UnregisterCopy {
-                                resource: self.resource_iri.clone(),
-                                device: device_name.to_string(),
-                                as_of: arrives_at,
-                            };
+                            let enclave = world.device(&device_name).tee.enclave();
+                            let unregister = UnregisterCopy::signed(
+                                self.resource_iri.clone(),
+                                device_name.to_string(),
+                                arrives_at,
+                                |b| enclave.sign(b),
+                            );
                             let tx = world.dex.call_tx(&world.chain, &device_key, unregister);
                             if let Ok(id) = world.chain.submit(tx) {
                                 self.pending.push_back(id);

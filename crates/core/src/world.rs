@@ -34,6 +34,11 @@ pub enum EnforcementMode {
 /// Market subscription fee (native tokens) every world's DE App charges.
 pub const MARKET_FEE: u128 = 10_000;
 
+/// The code identity of the canonical trusted application every device
+/// runs: its measurement is the one the attestation authority trusts and
+/// the DE App deployment accepts copies of.
+const TRUSTED_APP: &[u8] = b"duc/trusted-app-v1";
+
 /// Genesis balance of every owner and device account.
 pub(crate) const INITIAL_BALANCE: u128 = 10_000_000_000;
 
@@ -236,7 +241,13 @@ impl World {
             .storage(config.storage.clone())
             .exec_mode(config.exec_mode)
             .build();
-        chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(DistExchange));
+        // The attestation authority trusts the canonical trusted
+        // application, and the DE App accepts copies that authority quoted.
+        let mut attestation = AttestationAuthority::new(b"duc/attestation-root");
+        let measurement = Enclave::measurement_of(TRUSTED_APP);
+        attestation.trust_measurement(measurement);
+        let dex_app = DistExchange::new(attestation.public_key(), measurement);
+        chain.deploy(ContractId::new(DEX_CONTRACT_ID), Box::new(dex_app));
         chain.set_access_fn(duc_contracts::dex_access_fn());
         let dex = DistExchangeClient::new();
 
@@ -274,7 +285,7 @@ impl World {
             push_out: PushOutOracle::new(relay),
             pull_out: PullOutOracle::new(relay),
             pull_in: PullInOracle::new(relay, topics::MONITORING_REQUESTED),
-            attestation: AttestationAuthority::new(b"duc/attestation-root"),
+            attestation,
             owners: Registry::new(ids.clone()),
             devices: Registry::new(ids.clone()),
             device_endpoints: FxHashMap::default(),
@@ -317,8 +328,7 @@ impl World {
     pub fn add_device(&mut self, device: impl Into<String>, webid: impl Into<String>) {
         let device = device.into();
         let webid = webid.into();
-        let enclave = Enclave::new(device.clone(), b"duc/trusted-app-v1");
-        self.attestation.trust_measurement(enclave.measurement());
+        let enclave = Enclave::new(device.clone(), TRUSTED_APP);
         let key = self
             .chain
             .create_funded_account(device.as_bytes(), INITIAL_BALANCE);

@@ -303,10 +303,11 @@ fn stale_unregister_cannot_clobber_a_newer_registration() {
         world.chain.receipt(&id).expect("receipt").status.clone()
     };
     // Stale: as_of = epoch, long before the registration block.
-    let unregister = |as_of| UnregisterCopy {
-        resource: resource.clone(),
-        device: "device-0".into(),
-        as_of,
+    let enclave = world.device("device-0").tee.enclave().clone();
+    let unregister = |as_of| {
+        UnregisterCopy::signed(resource.clone(), "device-0".into(), as_of, |b| {
+            enclave.sign(b)
+        })
     };
     let tx = world
         .dex

@@ -80,6 +80,20 @@ pub fn hash_parts(parts: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
+/// The bytes an attestation authority signs to quote an enclave: the
+/// device, the code measurement and the enclave's attestation key. The TEE
+/// signs them when it issues a quote, and the DE App checks them when a
+/// copy is registered, so the format is written here, once.
+pub fn quote_signing_bytes(device: &str, measurement: &Digest, enclave_key: &PublicKey) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(b"duc/quote");
+    buf.extend_from_slice(device.as_bytes());
+    buf.push(0);
+    buf.extend_from_slice(measurement.as_bytes());
+    buf.extend_from_slice(&enclave_key.to_bytes());
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

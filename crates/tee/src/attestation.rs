@@ -6,7 +6,7 @@
 //! parties trust the authority's public key and therefore any quoted
 //! enclave key.
 
-use duc_crypto::{Digest, KeyPair, PublicKey, Signature};
+use duc_crypto::{quote_signing_bytes, Digest, KeyPair, PublicKey, Signature};
 
 use crate::enclave::Enclave;
 
@@ -24,15 +24,10 @@ pub struct Quote {
 }
 
 impl Quote {
-    /// The bytes the authority signs.
+    /// The bytes the authority signs ([`quote_signing_bytes`]), which the
+    /// DE App checks when the quoted enclave's copy is registered.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"duc/quote");
-        buf.extend_from_slice(self.device.as_bytes());
-        buf.push(0);
-        buf.extend_from_slice(self.measurement.as_bytes());
-        buf.extend_from_slice(&self.enclave_key.to_bytes());
-        buf
+        quote_signing_bytes(&self.device, &self.measurement, &self.enclave_key)
     }
 }
 
@@ -83,18 +78,17 @@ impl AttestationAuthority {
         quote.signature = self.keys.sign(&quote.signing_bytes());
         Some(quote)
     }
-
-    /// Verifies a quote against this authority's key.
-    pub fn verify_quote(authority_key: &PublicKey, quote: &Quote) -> bool {
-        authority_key
-            .verify(&quote.signing_bytes(), &quote.signature)
-            .is_ok()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn verifies(authority_key: &PublicKey, quote: &Quote) -> bool {
+        authority_key
+            .verify(&quote.signing_bytes(), &quote.signature)
+            .is_ok()
+    }
 
     fn setup() -> (AttestationAuthority, Enclave) {
         let enclave = Enclave::new("alice-laptop", b"trusted-app-v1");
@@ -107,10 +101,7 @@ mod tests {
     fn quote_issuance_and_verification() {
         let (authority, enclave) = setup();
         let quote = authority.issue_quote(&enclave).expect("whitelisted");
-        assert!(AttestationAuthority::verify_quote(
-            &authority.public_key(),
-            &quote
-        ));
+        assert!(verifies(&authority.public_key(), &quote));
         assert_eq!(quote.enclave_key, enclave.attestation_public_key());
     }
 
@@ -126,10 +117,7 @@ mod tests {
         let (authority, enclave) = setup();
         let mut quote = authority.issue_quote(&enclave).unwrap();
         quote.device = "other-device".into();
-        assert!(!AttestationAuthority::verify_quote(
-            &authority.public_key(),
-            &quote
-        ));
+        assert!(!verifies(&authority.public_key(), &quote));
     }
 
     #[test]
@@ -139,10 +127,7 @@ mod tests {
         fake_authority.trust_measurement(enclave.measurement());
         let quote = fake_authority.issue_quote(&enclave).unwrap();
         let real = AttestationAuthority::new(b"vendor-root");
-        assert!(!AttestationAuthority::verify_quote(
-            &real.public_key(),
-            &quote
-        ));
+        assert!(!verifies(&real.public_key(), &quote));
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Enclave {
     /// `code_identity` (hashed into the measurement).
     pub fn new(device: impl Into<String>, code_identity: &[u8]) -> Enclave {
         let device = device.into();
-        let measurement = hash_parts(&[b"duc/enclave-measurement", code_identity]);
+        let measurement = Enclave::measurement_of(code_identity);
         let seed = hash_parts(&[
             b"duc/enclave-seed",
             device.as_bytes(),
@@ -50,6 +50,12 @@ impl Enclave {
             attestation_keys,
             sealing_key,
         }
+    }
+
+    /// The measurement of code with the given `code_identity`, whatever
+    /// device runs it: what an attestation authority trusts.
+    pub fn measurement_of(code_identity: &[u8]) -> Digest {
+        hash_parts(&[b"duc/enclave-measurement", code_identity])
     }
 
     /// The device name.
