@@ -7,7 +7,9 @@
 //! alone. `BENCH_seed.json` is their one committed copy; the crate's
 //! `bench_seed` test replays them against it.
 
-use duc_contracts::calls::{ListCopies, StartMonitoring, VerifyCertificate};
+use duc_contracts::calls::{
+    ListCopies, RegisterCopy, StartMonitoring, Subscribe, UnregisterCopy, VerifyCertificate,
+};
 use duc_core::baseline::{CentralizedAuditBaseline, PlainSolidBaseline};
 use duc_core::chaos::fixed_link;
 use duc_core::prelude::*;
@@ -708,7 +710,74 @@ pub fn e8_robustness() -> Vec<Table> {
             "DE App certificate registry".into(),
             format!("valid={ok}"),
         ]);
-        // 6. Block tampering detected by chain validation.
+        // 6–9. A stranger rewriting copy and certificate records: each is
+        // refused by its method's caller rule (the call table's `by`
+        // column).
+        let run = |world: &mut World, call: duc_contracts::DexCall| {
+            let tx = world.dex.call_tx(&world.chain, &mallory, call);
+            let id = world.chain.submit(tx).expect("mempool");
+            world.advance(SimDuration::from_secs(2));
+            world.chain.receipt(&id).map(|r| r.status.clone())
+        };
+        let rogue = duc_crypto::KeyPair::from_seed(b"mallory-enclave");
+        let device = world.device("device-0");
+        let webid = device.webid.clone();
+        let quote = (world.attestation)
+            .issue_quote(device.tee.enclave())
+            .expect("trusted");
+        let takeover = RegisterCopy {
+            resource: resource.clone(),
+            device: "device-0".into(),
+            holder_webid: "https://mallory.id/me".into(),
+            attestation_key: rogue.public(),
+            quote: quote.signature,
+        };
+        let status = run(&mut world, takeover.into());
+        tamper.row(vec![
+            "copy takeover with a borrowed quote".into(),
+            "DE App QuotedEnclave rule".into(),
+            format!("{status:?}"),
+        ]);
+        let late = world.clock.now() + SimDuration::from_days(365);
+        let unregister =
+            UnregisterCopy::signed(resource.clone(), "device-0".into(), late, |b| rogue.sign(b));
+        let status = run(&mut world, unregister.into());
+        tamper.row(vec![
+            "copy unregistered by a stranger".into(),
+            "DE App CopyKey rule".into(),
+            format!("{status:?}"),
+        ]);
+        let certificate = world.device("device-0").certificate.expect("subscribed");
+        let status = run(
+            &mut world,
+            Subscribe {
+                webid: webid.clone(),
+            }
+            .into(),
+        );
+        let verify = VerifyCertificate { certificate, webid };
+        let ok = world.dex.view(&world.chain, verify).expect("view");
+        tamper.row(vec![
+            "subscription taken over by a stranger".into(),
+            "DE App CertificateHolder rule".into(),
+            format!("{status:?}, holder's certificate valid={ok}"),
+        ]);
+        let signed =
+            duc_crypto::quote_signing_bytes("mallory-box", &quote.measurement, &rogue.public());
+        let unquoted = RegisterCopy {
+            resource: resource.clone(),
+            device: "mallory-box".into(),
+            holder_webid: "https://mallory.id/me".into(),
+            attestation_key: rogue.public(),
+            quote: rogue.sign(&signed),
+        };
+        let status = run(&mut world, unquoted.into());
+        tamper.row(vec![
+            "copy of an enclave no authority quoted".into(),
+            "DE App QuotedEnclave rule".into(),
+            format!("{status:?}"),
+        ]);
+        // 10. Block tampering detected by chain validation.
         let verdict = world.chain.validate_chain();
         tamper.row(vec![
             "ledger self-check (control)".into(),

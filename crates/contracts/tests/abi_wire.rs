@@ -1166,7 +1166,10 @@ proptest! {
 
 /// Each fixture call's `(method, args)` pair, encoded as a call transaction
 /// carries it, recorded while every method's arguments were an anonymous
-/// tuple; never re-record them.
+/// tuple; never re-record them. The `register_copy` and `unregister_copy`
+/// rows were re-recorded once, when their arguments gained the quote and
+/// the copy-key signature their caller rules check: each is the old
+/// encoding plus the trailing 16-byte signature.
 #[test]
 fn per_method_call_known_answers() {
     let pins: [&[&str]; 17] = [
@@ -1211,14 +1214,15 @@ fn per_method_call_known_answers() {
         ],
         // register_copy
         &[
-            "0d00000072656769737465725f636f70793f0000001400000068747470733a2f2f6f2e706f642f72",
+            "0d00000072656769737465725f636f70794f0000001400000068747470733a2f2f6f2e706f642f72",
             "2f30303031080000006465766963652d320f00000068747470733a2f2f6f2e69642f6d65dc8426b1",
-            "08d7a70c",
+            "08d7a70cd7aa1b6a1425321f0640382f3e86370a",
         ],
         // unregister_copy
         &[
-            "0f000000756e72656769737465725f636f70792c0000001400000068747470733a2f2f6f2e706f64",
-            "2f722f30303031080000006465766963652d3100c817a804000000",
+            "0f000000756e72656769737465725f636f70793c0000001400000068747470733a2f2f6f2e706f64",
+            "2f722f30303031080000006465766963652d3100c817a8040000001f4b0c58e6602d131260d50899",
+            "52dc1c",
         ],
         // list_copies
         &[

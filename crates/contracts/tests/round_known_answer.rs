@@ -12,6 +12,10 @@
 //!
 //! Gas is deliberately left out: how a round is stored may change what a
 //! submission costs, never what any caller reads back. Never re-record.
+//! (The revert-path answer was re-recorded once, when the submission
+//! methods' `CopyKey` caller rule moved the copy and signature checks
+//! ahead of the round checks, and device-stranger's copy was registered so
+//! the "not expected" path stays covered; the other four are as recorded.)
 
 mod common;
 
@@ -466,6 +470,6 @@ fn revert_paths_match_their_known_answer() {
     }
     assert_eq!(
         b.digest(),
-        "b60c0895ea7ca6bc45517cbda9b6f58bd29ea7ce8527f99b3c1ea35abcbaae96"
+        "3be863e3c787df47bdd39b408ef7ae4cfda995fc67aeaa8484f2f5dfed5a6d75"
     );
 }

@@ -84,18 +84,22 @@ fn golden_scenario_outcomes_and_gas_are_pinned() {
     // for seeding the shared `pol/` row alongside its own. Monitoring
     // re-pinned when a round became a header, an answer counter and one
     // row per answer: `record_evidence` no longer rewrites the round.
+    // Re-pinned when the call table gained its caller column:
+    // `register_copy` and `unregister_copy` carry a 16-byte quote or
+    // copy-key signature (+256 payload gas each), and `subscribe` reads the
+    // WebID's subscription row for its `CertificateHolder` rule.
     const GOLD: &[(&str, u64, u64, u64)] = &[
         ("init", 1, 78_478, 78_478),
         ("record_evidence", 1, 160_012, 160_012),
-        ("register_copy", 2, 172_452, 86_226),
+        ("register_copy", 2, 172_964, 86_482),
         ("register_pod", 2, 380_750, 190_375),
         ("register_resource", 2, 516_995, 258_497),
         ("start_monitoring", 2, 264_455, 132_227),
-        ("subscribe", 2, 226_942, 113_471),
-        ("unregister_copy", 1, 62_228, 62_228),
+        ("subscribe", 2, 228_242, 114_121),
+        ("unregister_copy", 1, 62_484, 62_484),
         ("update_policy", 2, 518_731, 259_365),
     ];
-    const TOTAL_GAS_SINGLE: u64 = 2_381_043;
+    const TOTAL_GAS_SINGLE: u64 = 2_383_111;
 
     fn outcomes(label: &str, report: &scenario::ScenarioReport) {
         assert_eq!(report.alice_got_bytes, 152, "{label}: alice bytes");

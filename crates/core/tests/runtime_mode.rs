@@ -259,11 +259,16 @@ fn submit_advance_loop(
 /// still went through the drive loop on a scheduler-backed clock, and
 /// re-recorded once when a monitoring round's answers became rows of
 /// their own: the preimage moved in its gas counters, its state
-/// commitment and its resident state bytes, nowhere else.
+/// commitment and its resident state bytes, nowhere else. Re-recorded
+/// again when `register_copy` and `unregister_copy` gained the 16-byte
+/// quote and copy-key signature their caller rules check, and `subscribe`
+/// its `CertificateHolder` read: the gas counters, the commitment and
+/// `duc_net_bytes_sent_total` (+16 bytes per such transaction) moved,
+/// nothing else.
 #[test]
 fn scripted_sim_run_is_the_world_loop() {
     const PINNED: (usize, u64) = (8, 23);
-    const PINNED_SHA256: &str = "31ca79ad9a5cc565aa296b5d9c74b21a39410c4ea84b1718415778ab188d4500";
+    const PINNED_SHA256: &str = "d9de53fd02491638014f9133a36480d104d7ee91230c59ddd1cf77fd94dc62e9";
     for (devices, seed) in [(3, 17), (3, 19), (4, 13), (5, 1), (6, 7), (7, 99), PINNED] {
         let (mut scripted, script) = market_world(devices, seed);
         let scripted_outcomes = run_scripted(&mut scripted, script);
