@@ -12,11 +12,12 @@
 //!   assigned in first-insertion order, so a replayed run (same seed, same
 //!   operation sequence) assigns identical symbols: interning is
 //!   replay-stable by construction.
-//! - [`SymMap`] — a flat, dense map keyed by [`Sym`]: a `u32` index vector
-//!   into a packed entry array. Lookup is two array probes, no hashing.
 //! - [`SharedInterner`] / [`Registry`] — a clonable interner handle and a
 //!   string-façaded registry over it, so several registries (owners,
-//!   devices) share one symbol space while call sites keep `&str` keys.
+//!   devices) share one symbol space while call sites keep `&str` keys. A
+//!   registry stores its values in a flat, dense map keyed by [`Sym`]: a
+//!   `u32` index vector into a packed entry array, so lookup is two array
+//!   probes, no hashing.
 //! - [`key_head`] — the fixed-width head of a name, which a sorted table
 //!   compares before the name itself (the state directory, a TEE's copies).
 //! - [`FxHasher`] / [`FxHashMap`] / [`FxHashSet`] — one fast, unseeded
@@ -30,9 +31,9 @@
 //! and event payloads stay exactly as before. Interning only replaces the
 //! *off-chain* bookkeeping around them.
 //!
-//! ## When `SymMap` is the wrong map
+//! ## When a `Registry` is the wrong map
 //!
-//! A [`SymMap`] (and so a [`Registry`]) pays four bytes for every symbol id
+//! A [`Registry`]'s dense map pays four bytes for every symbol id
 //! up to the largest key it has been given, whether or not the ids below it
 //! are present. Use it where the keys are *dense in their interner*: one map
 //! per world or per contract, over an interner that holds little besides
@@ -217,8 +218,9 @@ impl Interner {
 /// The index vector makes the map's size a function of the *interner's*
 /// population, not of its own: right where the keys are dense in their
 /// interner, wrong for one map per actor over a shared interner (see the
-/// crate docs, "When `SymMap` is the wrong map").
-pub struct SymMap<V> {
+/// crate docs, "When a `Registry` is the wrong map"). It is [`Registry`]'s
+/// private store.
+struct SymMap<V> {
     index: Vec<u32>,
     entries: Vec<(Sym, V)>,
 }
@@ -227,7 +229,7 @@ const VACANT: u32 = u32::MAX;
 
 impl<V> SymMap<V> {
     /// An empty map.
-    pub fn new() -> SymMap<V> {
+    fn new() -> SymMap<V> {
         SymMap {
             index: Vec::new(),
             entries: Vec::new(),
@@ -242,7 +244,7 @@ impl<V> SymMap<V> {
     }
 
     /// Inserts `value` under `key`, returning the previous value if any.
-    pub fn insert(&mut self, key: Sym, value: V) -> Option<V> {
+    fn insert(&mut self, key: Sym, value: V) -> Option<V> {
         if let Some(slot) = self.slot(key) {
             return Some(std::mem::replace(&mut self.entries[slot].1, value));
         }
@@ -257,26 +259,26 @@ impl<V> SymMap<V> {
 
     /// The value under `key`, if present.
     #[inline]
-    pub fn get(&self, key: Sym) -> Option<&V> {
+    fn get(&self, key: Sym) -> Option<&V> {
         self.slot(key).map(|s| &self.entries[s].1)
     }
 
     /// Mutable access to the value under `key`, if present.
     #[inline]
-    pub fn get_mut(&mut self, key: Sym) -> Option<&mut V> {
+    fn get_mut(&mut self, key: Sym) -> Option<&mut V> {
         self.slot(key).map(|s| &mut self.entries[s].1)
     }
 
     /// Whether `key` is present.
     #[inline]
-    pub fn contains(&self, key: Sym) -> bool {
+    fn contains(&self, key: Sym) -> bool {
         self.slot(key).is_some()
     }
 
     /// Removes and returns the value under `key`. The vacated slot is
     /// backfilled with the last packed entry (deterministic given the same
     /// operation sequence).
-    pub fn remove(&mut self, key: Sym) -> Option<V> {
+    fn remove(&mut self, key: Sym) -> Option<V> {
         let slot = self.slot(key)?;
         self.index[key.index()] = VACANT;
         let (_, value) = self.entries.swap_remove(slot);
@@ -287,50 +289,18 @@ impl<V> SymMap<V> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Removes all entries (keeps the index capacity).
-    pub fn clear(&mut self) {
-        self.index.fill(VACANT);
-        self.entries.clear();
-    }
-
-    /// Iterates `(symbol, &value)` over the packed entries.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &V)> {
-        self.entries.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Iterates `(symbol, &mut value)` over the packed entries.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (Sym, &mut V)> {
-        self.entries.iter_mut().map(|(k, v)| (*k, v))
-    }
-
-    /// Iterates the keys in packed order.
-    pub fn keys(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.entries.iter().map(|(k, _)| *k)
-    }
-
     /// Iterates the values in packed order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
     /// Iterates the values mutably in packed order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
-    }
-}
-
-impl<V> Default for SymMap<V> {
-    fn default() -> SymMap<V> {
-        SymMap::new()
     }
 }
 
@@ -395,14 +365,14 @@ impl SharedInterner {
 
 /// A string-façaded registry over a [`SharedInterner`]: behaves like a
 /// `HashMap<String, V>` at the call site (`&str` keys in, `&str` keys
-/// out), but stores values in a flat [`SymMap`] and each key string
-/// exactly once (`Arc<str>` shared with the interner).
+/// out), but stores values in a flat map indexed by [`Sym`] and each key
+/// string exactly once (`Arc<str>` shared with the interner).
 ///
 /// Iteration order is packed-entry order: insertion order until a removal,
 /// deterministic always — unlike `HashMap`, two identical runs iterate
 /// identically.
 ///
-/// It inherits [`SymMap`]'s contract: one registry per world over the
+/// Its index vector sets the contract: one registry per world over the
 /// shared interner (owners, devices), never one per actor — a registry
 /// holding a single late-interned key still carries four bytes for every
 /// symbol interned before it.
@@ -477,17 +447,17 @@ impl<V> Registry<V> {
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.len() == 0
     }
 
     /// Iterates `(&name, &value)` in packed order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
-        self.map.iter().map(|(_, (name, v))| (name.as_ref(), v))
+        self.map.values().map(|(name, v)| (name.as_ref(), v))
     }
 
     /// Iterates `(&name, &mut value)` in packed order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut V)> {
-        self.map.iter_mut().map(|(_, (name, v))| (&**name, v))
+        self.map.values_mut().map(|(name, v)| (&**name, v))
     }
 
     /// Iterates the registered names in packed order.
@@ -598,6 +568,40 @@ mod tests {
         }
         let order: Vec<&str> = m.values().copied().collect();
         assert_eq!(order, ["z", "m", "a"], "packed order, not key order");
+    }
+
+    proptest::proptest! {
+        /// `SymMap` agrees with a reference `HashMap` under arbitrary
+        /// insert/remove/get sequences (ops encoded as integers: even =
+        /// insert key, odd = remove key).
+        #[test]
+        fn symmap_matches_reference_map(
+            ops in proptest::collection::vec(proptest::prelude::any::<u16>(), 0..256),
+        ) {
+            let mut interner = Interner::new();
+            let mut flat: SymMap<u16> = SymMap::new();
+            let mut reference: HashMap<usize, u16> = HashMap::new();
+            for (step, op) in ops.iter().enumerate() {
+                let key = (*op as usize) % 32;
+                let sym = interner.intern(&format!("key-{key}"));
+                if op % 2 == 0 {
+                    let value = step as u16;
+                    proptest::prop_assert_eq!(flat.insert(sym, value), reference.insert(key, value));
+                } else {
+                    proptest::prop_assert_eq!(flat.remove(sym), reference.remove(&key));
+                }
+            }
+            proptest::prop_assert_eq!(flat.len(), reference.len());
+            for key in 0..32usize {
+                match interner.get(&format!("key-{key}")) {
+                    Some(sym) => {
+                        proptest::prop_assert_eq!(flat.get(sym).copied(), reference.get(&key).copied());
+                        proptest::prop_assert_eq!(flat.contains(sym), reference.contains_key(&key));
+                    }
+                    None => proptest::prop_assert!(!reference.contains_key(&key)),
+                }
+            }
+        }
     }
 
     #[test]
