@@ -14,7 +14,7 @@
 //! `by Rule` is the caller column: who may call the method, as a
 //! [`CallerRule`] over the call's own arguments. A row without one does not
 //! compile. `DistExchange::call` admits the caller by that rule before the
-//! method runs ([`CallerRule::admit`]) and hands the method the row the
+//! method runs (`CallerRule::admit`) and hands the method the row the
 //! rule read, so no method body compares the caller with anything. Rules
 //! that refuse in words particular to a method (`ResourceOwner`,
 //! `CopyKey`) carry those words in the row: `by ResourceOwner("only the
@@ -31,6 +31,7 @@ use crate::abi::{
     CopyRecord, EvidenceReaffirmation, EvidenceSubmission, MonitoringRound, PodRecord,
     PolicyEnvelope, ResourceRecord, Subscription,
 };
+use crate::dist_exchange::revert;
 use crate::layout;
 use crate::rows::{CopyRow, PodRow, ResourceRow, SubRow};
 
@@ -103,16 +104,12 @@ pub(crate) enum Admitted {
     Copy(CopyRow),
 }
 
-fn refuse(msg: impl Into<String>) -> ContractError {
-    ContractError::Reverted(msg.into())
-}
-
 impl Admitted {
     /// The resource row, for a method whose row names `ResourceOwner`.
     pub(crate) fn resource(self) -> Result<ResourceRow, ContractError> {
         match self {
             Admitted::Resource(row) => Ok(row),
-            _ => Err(refuse("caller rule read no resource row")),
+            _ => Err(revert("caller rule read no resource row")),
         }
     }
 
@@ -120,7 +117,7 @@ impl Admitted {
     pub(crate) fn copy(self) -> Result<CopyRow, ContractError> {
         match self {
             Admitted::Copy(row) => Ok(row),
-            _ => Err(refuse("caller rule read no copy row")),
+            _ => Err(revert("caller rule read no copy row")),
         }
     }
 }
@@ -145,18 +142,18 @@ impl CallerRule<'_> {
             CallerRule::PodOwner { owner_webid } => {
                 let pod: PodRow = ctx
                     .get(&layout::pod(owner_webid))?
-                    .ok_or_else(|| refuse(format!("no pod registered for {owner_webid}")))?;
+                    .ok_or_else(|| revert(format!("no pod registered for {owner_webid}")))?;
                 if pod.owner_addr != caller {
-                    return Err(refuse("caller does not own the pod"));
+                    return Err(revert("caller does not own the pod"));
                 }
                 Ok(Admitted::Nothing)
             }
             CallerRule::ResourceOwner { resource, refusal } => {
                 let row: ResourceRow = ctx
                     .get(&layout::res(resource))?
-                    .ok_or_else(|| refuse(format!("unknown resource {resource}")))?;
+                    .ok_or_else(|| revert(format!("unknown resource {resource}")))?;
                 if row.owner_addr != caller {
-                    return Err(refuse(refusal));
+                    return Err(revert(refusal));
                 }
                 Ok(Admitted::Resource(row))
             }
@@ -170,7 +167,7 @@ impl CallerRule<'_> {
                     authority.verify(&signed, quote).is_ok()
                 });
                 if !quoted {
-                    return Err(refuse(
+                    return Err(revert(
                         "QuotedEnclave: no attestation quote for this device and key",
                     ));
                 }
@@ -185,16 +182,16 @@ impl CallerRule<'_> {
             } => {
                 let copy: CopyRow = ctx
                     .get(&layout::copy(resource, device))?
-                    .ok_or_else(|| refuse("copy no longer registered"))?;
+                    .ok_or_else(|| revert("copy no longer registered"))?;
                 if copy.attestation_key.verify(&signed, signature).is_err() {
-                    return Err(refuse(refusal));
+                    return Err(revert(refusal));
                 }
                 Ok(Admitted::Copy(copy))
             }
             CallerRule::CertificateHolder { webid } => {
                 let sub: Option<SubRow> = ctx.get(&layout::sub(webid))?;
                 if sub.is_some_and(|s| s.addr != caller && s.valid_at(ctx.block_time)) {
-                    return Err(refuse(
+                    return Err(revert(
                         "CertificateHolder: another address holds a live subscription for this WebID",
                     ));
                 }

@@ -63,7 +63,8 @@ struct Place {
     closes: bool,
 }
 
-fn revert(msg: impl Into<String>) -> ContractError {
+/// A revert with `msg`, the error every refused call returns.
+pub(crate) fn revert(msg: impl Into<String>) -> ContractError {
     ContractError::Reverted(msg.into())
 }
 
