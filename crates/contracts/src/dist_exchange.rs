@@ -8,10 +8,10 @@
 //! its typed output; [`DistExchange::call`] decodes the call once, admits
 //! the caller by the call's [`CallerRule`](crate::calls::CallerRule) (the
 //! call table's caller column) and encodes the output in one place. No
-//! method body checks its caller:
-//! a method runs only for a caller its row's rule admitted, and takes the
-//! row the rule read (`update_policy` the resource row, `unregister_copy`
-//! the copy row) instead of reading it again.
+//! method body checks its caller: a method runs only for a caller its
+//! row's rule admitted, and takes the row the rule read (`update_policy`
+//! the resource row, `unregister_copy` the copy row) instead of reading it
+//! again.
 //!
 //! View methods (`get_pod`, `lookup_resource`, `get_subscription`,
 //! `list_copies`, `get_round`) reconstruct the full ABI records of
@@ -51,7 +51,7 @@ pub const DEX_CONTRACT_ID: &str = "dist-exchange";
 /// `register_copy` quote against. [`DistExchange::default`] trusts no
 /// authority, so it serves every method but `register_copy`, which it
 /// refuses.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct DistExchange {
     attestation: Option<(PublicKey, Digest)>,
 }
