@@ -7,6 +7,7 @@
 //! alone. `BENCH_seed.json` is their one committed copy; the crate's
 //! `bench_seed` test replays them against it.
 
+use duc_codec::Encode;
 use duc_contracts::calls::{
     ListCopies, RegisterCopy, StartMonitoring, Subscribe, UnregisterCopy, VerifyCertificate,
 };
@@ -146,7 +147,7 @@ pub fn e2_resource_initiation() -> Vec<Table> {
                 );
             }
             let policy = builder.duty(Duty::LogAccesses).build();
-            policy_bytes = duc_codec::encode_to_vec(&policy).len();
+            policy_bytes = policy.encoded_len();
             world
                 .resource_initiation(
                     OWNER,

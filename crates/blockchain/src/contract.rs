@@ -222,9 +222,10 @@ impl<'a> CallCtx<'a> {
     }
 
     /// Emits an event (gas-metered). Its receipt keeps `data` for as long
-    /// as its block is retained, so it is held at its length, not at the
-    /// capacity its encoder grew it to; the topic and the shared contract
-    /// id cost the event no allocation.
+    /// as its block is retained, so it is held at its length: a payload
+    /// from `encode_to_vec` already is, and the shrink guards a buffer a
+    /// caller built itself. The topic and the shared contract id cost the
+    /// event no allocation.
     pub fn emit(&mut self, topic: &'static str, mut data: Vec<u8>) -> Result<(), ContractError> {
         self.meter.charge_event(data.len())?;
         data.shrink_to_fit();

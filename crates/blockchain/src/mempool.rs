@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use duc_codec::Encode;
+use duc_codec::encode_to_vec;
 
 use crate::tx::{id_of_encoding, SignedTransaction, TxKind, SIGNATURE_SUFFIX_LEN};
 use crate::types::{Address, TxId};
@@ -35,14 +35,14 @@ impl PoolEntry {
     /// Encodes `tx` once and derives its id. Does not verify.
     ///
     /// The pool and then its block keep `tx` for the life of the chain, so
-    /// a call's arguments are held at their length, not at the capacity
-    /// their encoder grew them to.
+    /// a call's arguments are held at their length. Arguments encoded in
+    /// this repository already arrive at it (`encode_to_vec` allocates at
+    /// `encoded_len`); the shrink guards a buffer a caller built itself.
     pub(crate) fn new(mut tx: SignedTransaction) -> PoolEntry {
         if let TxKind::Call { args, .. } = &mut tx.tx.kind {
             args.shrink_to_fit();
         }
-        let mut encoded = Vec::with_capacity(tx.encoded_size());
-        tx.encode(&mut encoded);
+        let encoded = encode_to_vec(&tx);
         PoolEntry {
             id: id_of_encoding(&encoded),
             tx,

@@ -47,6 +47,17 @@ impl Encode for TxKind {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            TxKind::Transfer { to, amount } => to.encoded_len() + amount.encoded_len(),
+            TxKind::Call {
+                contract,
+                method,
+                args,
+            } => contract.encoded_len() + method.encoded_len() + args.encoded_len(),
+        }
+    }
 }
 
 impl Decode for TxKind {
@@ -164,23 +175,6 @@ impl SignedTransaction {
                 .verify(signing_bytes, &self.signature)
                 .is_ok()
     }
-
-    /// The encoded size in bytes (for payload gas and network modelling),
-    /// counted from the field lengths: nothing is encoded to measure it.
-    pub fn encoded_size(&self) -> usize {
-        // Tag, then an address and a `u128`, or three length-prefixed
-        // strings.
-        let kind = 1 + match &self.tx.kind {
-            TxKind::Transfer { .. } => 32 + 16,
-            TxKind::Call {
-                contract,
-                method,
-                args,
-            } => 3 * 4 + contract.as_str().len() + method.len() + args.len(),
-        };
-        // from, nonce, kind, gas_limit; then the public key and signature.
-        32 + 8 + kind + 8 + SIGNATURE_SUFFIX_LEN
-    }
 }
 
 /// Execution outcome recorded on-chain.
@@ -230,7 +224,6 @@ pub struct Receipt {
 mod tests {
     use super::*;
     use duc_codec::decode_from_slice;
-    use proptest::prelude::*;
 
     fn call_tx(nonce: u64) -> Transaction {
         Transaction {
@@ -297,7 +290,6 @@ mod tests {
         let back: SignedTransaction = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, signed);
         assert!(back.verify());
-        assert_eq!(back.encoded_size(), bytes.len());
     }
 
     #[test]
@@ -317,30 +309,6 @@ mod tests {
             assert_eq!(body, signed.tx.signing_bytes());
             assert!(signed.verify_over(body));
             assert_eq!(id_of_encoding(&bytes), signed.id());
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// `encoded_size` counts exactly the bytes `encode_to_vec` writes,
-        /// for transfers and for calls of any name and argument length.
-        #[test]
-        fn encoded_size_is_the_encoding_length(
-            call in any::<bool>(),
-            nonce in any::<u64>(),
-            amount in any::<u128>(),
-            contract in "[a-z-]{0,24}",
-            method in ".{0,16}",
-            args in proptest::collection::vec(any::<u8>(), 0..600),
-        ) {
-            let kind = if call {
-                TxKind::Call { contract: ContractId::new(contract), method, args }
-            } else {
-                TxKind::Transfer { to: Address::from_seed(b"bob"), amount }
-            };
-            let signed = Transaction { kind, ..call_tx(nonce) }.sign(&KeyPair::from_seed(b"alice"));
-            prop_assert_eq!(signed.encoded_size(), encode_to_vec(&signed).len());
         }
     }
 

@@ -38,6 +38,10 @@ impl Encode for Address {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
+    }
 }
 
 impl Decode for Address {
@@ -63,6 +67,10 @@ impl fmt::Display for TxId {
 impl Encode for TxId {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
     }
 }
 
@@ -98,6 +106,10 @@ impl fmt::Display for ContractId {
 impl Encode for ContractId {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.as_str().encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.as_str().encoded_len()
     }
 }
 

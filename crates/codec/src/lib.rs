@@ -12,7 +12,10 @@
 //!
 //! Every named struct derives [`Encode`]/[`Decode`] with the
 //! [`impl_codec_struct!`] macro, whose field list is its wire order; tagged
-//! enums and tuple newtypes are implemented by hand.
+//! enums and tuple newtypes are implemented by hand. Every [`Encode`] states
+//! its [`Encode::encoded_len`], the exact byte count it writes, so
+//! [`encode_to_vec`] allocates each encoding once, at its length, and a size
+//! is read from the codec rather than measured by encoding.
 //!
 //! ## Example
 //! ```
@@ -32,10 +35,16 @@ use std::fmt;
 
 use duc_crypto::{Digest, PublicKey, Signature};
 
-/// Serializes a value into a fresh byte vector.
+/// Encoded width of a length prefix: a `u32`.
+const LEN_PREFIX: usize = 4;
+
+/// Serializes a value into a fresh byte vector, allocated once at the
+/// encoding's length.
 pub fn encode_to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let len = value.encoded_len();
+    let mut buf = Vec::with_capacity(len);
     value.encode(&mut buf);
+    debug_assert_eq!(buf.len(), len, "encoded_len disagrees with encode");
     buf
 }
 
@@ -59,6 +68,21 @@ pub fn decode_from_slice<T: Decode>(bytes: &[u8]) -> Result<T, DecodeError> {
 pub trait Encode {
     /// Appends the canonical encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// The exact number of bytes [`Encode::encode`] appends: a sum of
+    /// lengths, nothing is encoded to count it.
+    fn encoded_len(&self) -> usize;
+
+    /// The summed [`Encode::encoded_len`] of `elems`: what
+    /// [`Encode::encode_elems`] appends. `u8` and the fixed-width integers
+    /// count the run without walking it.
+    #[doc(hidden)]
+    fn elems_encoded_len(elems: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        elems.iter().map(Encode::encoded_len).sum()
+    }
 
     /// Appends the encodings of `elems`, one after another: the body of a
     /// sequence after its length prefix. `u8` writes the run in one copy.
@@ -217,6 +241,14 @@ macro_rules! impl_codec_int {
                 fn encode(&self, buf: &mut Vec<u8>) {
                     buf.extend_from_slice(&self.to_le_bytes());
                 }
+
+                fn encoded_len(&self) -> usize {
+                    std::mem::size_of::<$t>()
+                }
+
+                fn elems_encoded_len(elems: &[$t]) -> usize {
+                    std::mem::size_of_val(elems)
+                }
             }
             impl Decode for $t {
                 fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -234,6 +266,14 @@ impl_codec_int!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
 impl Encode for u8 {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(*self);
+    }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
+
+    fn elems_encoded_len(elems: &[u8]) -> usize {
+        elems.len()
     }
 
     fn encode_elems(elems: &[u8], buf: &mut Vec<u8>) {
@@ -255,6 +295,10 @@ impl Encode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(*self as u8);
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Decode for bool {
@@ -272,8 +316,11 @@ impl Decode for bool {
 
 impl Encode for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        buf.extend_from_slice(self.as_bytes());
+        self.as_str().encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.as_str().encoded_len()
     }
 }
 
@@ -281,6 +328,10 @@ impl Encode for str {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
         buf.extend_from_slice(self.as_bytes());
+    }
+
+    fn encoded_len(&self) -> usize {
+        LEN_PREFIX + self.len()
     }
 }
 
@@ -296,12 +347,20 @@ impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.as_slice().encode(buf);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.as_slice().encoded_len()
+    }
 }
 
 impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
         T::encode_elems(self, buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        LEN_PREFIX + T::elems_encoded_len(self)
     }
 }
 
@@ -330,6 +389,10 @@ impl<T: Encode> Encode for Option<T> {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Encode::encoded_len)
+    }
 }
 
 impl<T: Decode> Decode for Option<T> {
@@ -349,6 +412,10 @@ impl<const N: usize> Encode for [u8; N] {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self);
     }
+
+    fn encoded_len(&self) -> usize {
+        N
+    }
 }
 
 impl<const N: usize> Decode for [u8; N] {
@@ -363,6 +430,10 @@ macro_rules! impl_codec_tuple {
         impl<$($name: Encode),+> Encode for ($($name,)+) {
             fn encode(&self, buf: &mut Vec<u8>) {
                 $(self.$idx.encode(buf);)+
+            }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$idx.encoded_len())+
             }
         }
         impl<$($name: Decode),+> Decode for ($($name,)+) {
@@ -382,6 +453,10 @@ impl_codec_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
 impl Encode for () {
     fn encode(&self, _buf: &mut Vec<u8>) {}
+
+    fn encoded_len(&self) -> usize {
+        0
+    }
 }
 
 impl Decode for () {
@@ -396,6 +471,10 @@ impl Encode for Digest {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self.as_bytes());
     }
+
+    fn encoded_len(&self) -> usize {
+        self.as_bytes().len()
+    }
 }
 
 impl Decode for Digest {
@@ -408,6 +487,10 @@ impl Decode for Digest {
 impl Encode for PublicKey {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
     }
 }
 
@@ -459,6 +542,10 @@ macro_rules! impl_codec_struct {
             fn encode(&self, buf: &mut Vec<u8>) {
                 $($crate::Encode::encode(&$($to)?(self.$field), buf);)*
             }
+
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::Encode::encoded_len(&$($to)?(self.$field)))*
+            }
         }
         impl $crate::Decode for $name {
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
@@ -476,7 +563,8 @@ impl_codec_struct!(Signature { e, s });
 const SIGNATURE_LEN: usize = 16;
 
 /// The encoding of `value` less its trailing [`Signature`]: the bytes signed
-/// by a struct whose last listed field is its own signature.
+/// by a struct whose last listed field is its own signature. Allocated once,
+/// at the whole encoding's length.
 pub fn encode_without_signature<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
     let mut buf = encode_to_vec(value);
     buf.truncate(buf.len() - SIGNATURE_LEN);

@@ -321,6 +321,23 @@ impl Encode for Answer {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Answer::Evidence {
+                compliant,
+                violations,
+                evidence_digest,
+                signature,
+            } => {
+                compliant.encoded_len()
+                    + violations.encoded_len()
+                    + evidence_digest.encoded_len()
+                    + signature.encoded_len()
+            }
+            Answer::Reaffirmed { prev_round } => prev_round.encoded_len(),
+        }
+    }
 }
 
 impl Decode for Answer {
@@ -425,8 +442,8 @@ mod tests {
         let record = row
             .clone()
             .into_record("https://alice.id/me".into(), env.clone());
-        let row_len = encode_to_vec(&row).len();
-        let rec_len = encode_to_vec(&record).len();
+        let row_len = row.encoded_len();
+        let rec_len = record.encoded_len();
         assert!(
             row_len + 32 < rec_len,
             "pod row ({row_len}B) should undercut the ABI record ({rec_len}B) \

@@ -31,13 +31,15 @@
 //! `every_method_survives_damaged_arguments`
 //! sends the same damage through `Contract::call` itself, over a ledger state
 //! where every method has something to find.
+//! `every_encoding_is_its_encoded_len` holds `Encode::encoded_len` to the
+//! bytes `encode` writes, for every `Encode` impl in the workspace.
 
 mod common;
 
 use duc_blockchain::tx::TxKind;
 use duc_blockchain::{
-    Address, CallCtx, Contract, ContractError, ContractId, Event, GasMeter, SignedTransaction,
-    Transaction, WorldState,
+    Address, Block, BlockHeader, CallCtx, Checkpoint, Contract, ContractError, ContractId, Event,
+    GasMeter, SignedTransaction, Transaction, TxId, WorldState,
 };
 use duc_codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use duc_contracts::calls::{
@@ -51,11 +53,12 @@ use duc_contracts::events::{
     PodRegistered, PolicyUpdated, ResourceRegistered, RoundClosed,
 };
 use duc_contracts::{
-    topics, CopyRecord, DexCall, DexEvent, EvidenceReaffirmation, EvidenceSubmission,
-    MonitoringRound, PodRecord, PolicyEnvelope, ResourceRecord, Subscription, DEX_CONTRACT_ID,
+    topics, Answer, AnswerRow, CopyRecord, CopyRow, DexCall, DexEvent, EvidenceReaffirmation,
+    EvidenceSubmission, MonitoringRound, PodRecord, PodRow, PolicyEnvelope, ResourceRecord,
+    ResourceRow, RoundRow, SubRow, Subscription, DEX_CONTRACT_ID,
 };
 use duc_crypto::{Digest, KeyPair, PublicKey, Signature};
-use duc_policy::{Action, Constraint, Duty, Rule, UsagePolicy};
+use duc_policy::{Action, Constraint, Duty, Effect, Purpose, Rule, UsagePolicy};
 use duc_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -952,6 +955,353 @@ proptest! {
         prop_assert_eq!(DexEvent::decode(&elsewhere), None);
         let foreign = Event { topic: "Incremented", ..event };
         prop_assert_eq!(DexEvent::decode(&foreign), None);
+    }
+}
+
+// --- sizes -----------------------------------------------------------------
+
+/// One value's type, its `encoded_len` and the bytes `encode` wrote.
+type Measured = (&'static str, usize, usize);
+
+fn measured<T: Encode + ?Sized>(value: &T) -> Measured {
+    let mut buf = Vec::new();
+    value.encode(&mut buf);
+    (std::any::type_name::<T>(), value.encoded_len(), buf.len())
+}
+
+/// The codec's own impls: primitives, containers, tuples, arrays and the
+/// crypto types, and the ledger's identifiers.
+fn codec_values() -> impl Strategy<Value = Measured> {
+    prop_oneof![
+        any::<u8>().prop_map(|v| measured(&v)),
+        any::<u16>().prop_map(|v| measured(&v)),
+        any::<u32>().prop_map(|v| measured(&v)),
+        any::<u64>().prop_map(|v| measured(&v)),
+        any::<u128>().prop_map(|v| measured(&v)),
+        any::<i8>().prop_map(|v| measured(&v)),
+        any::<i16>().prop_map(|v| measured(&v)),
+        any::<i32>().prop_map(|v| measured(&v)),
+        any::<i64>().prop_map(|v| measured(&v)),
+        any::<i128>().prop_map(|v| measured(&v)),
+        any::<bool>().prop_map(|v| measured(&v)),
+        text().prop_map(|v| measured(&v)),
+        text().prop_map(|v| measured(v.as_str())),
+        bytes().prop_map(|v| measured(&v)),
+        bytes().prop_map(|v| measured(v.as_slice())),
+        proptest::collection::vec(any::<u64>(), 0..8).prop_map(|v| measured(&v)),
+        proptest::collection::vec(any::<i16>(), 0..8).prop_map(|v| measured(&v)),
+        names().prop_map(|v| measured(&v)),
+        proptest::option::of(text()).prop_map(|v| measured(&v)),
+        proptest::option::of(any::<u32>()).prop_map(|v| measured(&v)),
+        (any::<u8>(), text()).prop_map(|v| measured(&v)),
+        (
+            any::<bool>(),
+            any::<u16>(),
+            digest(),
+            bytes(),
+            names(),
+            any::<i64>()
+        )
+            .prop_map(|v| measured(&v)),
+        proptest::collection::vec(any::<u8>(), 12)
+            .prop_map(|v| measured(&<[u8; 12]>::try_from(v).expect("12 bytes"))),
+        Just(()).prop_map(|v| measured(&v)),
+        digest().prop_map(|v| measured(&v)),
+        any::<u64>().prop_map(|v| measured(&PublicKey(v))),
+        signature().prop_map(|v| measured(&v)),
+        address().prop_map(|v| measured(&v)),
+        digest().prop_map(|v| measured(&TxId(v))),
+        text().prop_map(|v| measured(&ContractId::new(v))),
+    ]
+}
+
+fn block_header() -> impl Strategy<Value = BlockHeader> {
+    (
+        (any::<u64>(), digest(), digest(), digest()),
+        (instant(), any::<u64>(), signature()),
+    )
+        .prop_map(
+            |((height, parent, state_root, tx_root), (timestamp, proposer, signature))| {
+                BlockHeader {
+                    height,
+                    parent,
+                    state_root,
+                    tx_root,
+                    timestamp,
+                    proposer: PublicKey(proposer),
+                    signature,
+                }
+            },
+        )
+}
+
+/// Transactions, their kinds, blocks and checkpoints.
+fn chain_values() -> impl Strategy<Value = Measured> {
+    prop_oneof![
+        signed_transaction().prop_map(|v| measured(&v)),
+        signed_transaction().prop_map(|v| measured(&v.tx)),
+        signed_transaction().prop_map(|v| measured(&v.tx.kind)),
+        block_header().prop_map(|v| measured(&v)),
+        (
+            block_header(),
+            proptest::collection::vec(signed_transaction(), 0..3)
+        )
+            .prop_map(|(header, transactions)| measured(&Block {
+                header,
+                transactions
+            })),
+        (any::<u64>(), digest(), digest(), any::<u64>()).prop_map(
+            |(height, state_commitment, accumulator, event_cursor_floor)| {
+                measured(&Checkpoint {
+                    height,
+                    state_commitment,
+                    accumulator: accumulator.0,
+                    event_cursor_floor,
+                })
+            }
+        ),
+    ]
+}
+
+fn action() -> impl Strategy<Value = Action> {
+    prop_oneof![
+        Just(Action::Use),
+        Just(Action::Read),
+        Just(Action::Modify),
+        Just(Action::Delete),
+        Just(Action::Distribute),
+    ]
+}
+
+fn duration() -> impl Strategy<Value = SimDuration> {
+    any::<u64>().prop_map(SimDuration::from_nanos)
+}
+
+fn constraint() -> impl Strategy<Value = Constraint> {
+    prop_oneof![
+        duration().prop_map(Constraint::MaxRetention),
+        instant().prop_map(Constraint::ExpiresAt),
+        proptest::collection::vec(text().prop_map(Purpose::new), 0..3)
+            .prop_map(Constraint::Purpose),
+        any::<u64>().prop_map(Constraint::MaxAccessCount),
+        names().prop_map(Constraint::AllowedRecipients),
+        (instant(), instant()).prop_map(|(not_before, not_after)| Constraint::TimeWindow {
+            not_before,
+            not_after
+        }),
+    ]
+}
+
+fn duty() -> impl Strategy<Value = Duty> {
+    prop_oneof![
+        duration().prop_map(Duty::DeleteWithin),
+        duration().prop_map(Duty::NotifyOwnerWithin),
+        Just(Duty::LogAccesses),
+    ]
+}
+
+fn rule() -> impl Strategy<Value = Rule> {
+    (
+        any::<bool>(),
+        proptest::collection::vec(action(), 0..4),
+        proptest::collection::vec(constraint(), 0..3),
+    )
+        .prop_map(|(prohibit, actions, constraints)| Rule {
+            effect: if prohibit {
+                Effect::Prohibit
+            } else {
+                Effect::Permit
+            },
+            actions,
+            constraints,
+        })
+}
+
+/// The policy model, every constraint and duty kind included.
+fn policy_values() -> impl Strategy<Value = Measured> {
+    let policy = (
+        (text(), text(), text(), any::<u64>()),
+        proptest::collection::vec(rule(), 0..3),
+        proptest::collection::vec(duty(), 0..3),
+    )
+        .prop_map(
+            |((id, resource, owner, version), rules, duties)| UsagePolicy {
+                id,
+                resource,
+                owner,
+                version,
+                rules,
+                duties,
+            },
+        );
+    prop_oneof![
+        action().prop_map(|v| measured(&v)),
+        text().prop_map(|v| measured(&Purpose::new(v))),
+        rule().prop_map(|v| measured(&v.effect)),
+        constraint().prop_map(|v| measured(&v)),
+        duty().prop_map(|v| measured(&v)),
+        rule().prop_map(|v| measured(&v)),
+        policy.prop_map(|v| measured(&v)),
+    ]
+}
+
+fn answer() -> impl Strategy<Value = Answer> {
+    prop_oneof![
+        (any::<bool>(), names(), digest(), signature()).prop_map(
+            |(compliant, violations, evidence_digest, signature)| Answer::Evidence {
+                compliant,
+                violations,
+                evidence_digest,
+                signature,
+            }
+        ),
+        any::<u64>().prop_map(|prev_round| Answer::Reaffirmed { prev_round }),
+    ]
+}
+
+/// The DE App's stored rows.
+fn row_values() -> impl Strategy<Value = Measured> {
+    prop_oneof![
+        (address(), text(), digest(), instant()).prop_map(
+            |(owner_addr, web_ref, policy, registered_at)| measured(&PodRow {
+                owner_addr,
+                web_ref,
+                policy,
+                registered_at,
+            })
+        ),
+        (
+            (proptest::option::of(text()), text(), address()),
+            proptest::collection::vec((text(), text()), 0..3),
+            (digest(), any::<u64>(), instant()),
+        )
+            .prop_map(
+                |(
+                    (location, owner_webid, owner_addr),
+                    metadata,
+                    (policy, policy_version, registered_at),
+                )| measured(&ResourceRow {
+                    location,
+                    owner_webid,
+                    owner_addr,
+                    metadata,
+                    policy,
+                    policy_version,
+                    registered_at,
+                })
+            ),
+        (text(), any::<u64>(), instant()).prop_map(|(holder_webid, key, registered_at)| {
+            measured(&CopyRow {
+                holder_webid,
+                attestation_key: PublicKey(key),
+                registered_at,
+            })
+        }),
+        (address(), digest(), instant(), instant()).prop_map(
+            |(addr, certificate, paid_at, valid_until)| measured(&SubRow {
+                addr,
+                certificate,
+                paid_at,
+                valid_until,
+            })
+        ),
+        (address(), instant(), names()).prop_map(|(requested_by, started_at, expected_devices)| {
+            measured(&RoundRow {
+                requested_by,
+                started_at,
+                expected_devices,
+            })
+        }),
+        answer().prop_map(|v| measured(&v)),
+        (any::<u32>(), answer())
+            .prop_map(|(ordinal, answer)| measured(&AnswerRow { ordinal, answer })),
+    ]
+}
+
+/// The records the views return, and the policy envelope.
+fn record_values() -> impl Strategy<Value = Measured> {
+    prop_oneof![
+        policy_envelope().prop_map(|v| measured(&v)),
+        proptest::option::of(pod_record()).prop_map(|v| measured(&v)),
+        proptest::option::of(resource_record()).prop_map(|v| measured(&v)),
+        proptest::collection::vec(copy_record(), 0..3).prop_map(|v| measured(&v)),
+        proptest::option::of(monitoring_round()).prop_map(|v| measured(&v)),
+        proptest::option::of(subscription()).prop_map(|v| measured(&v)),
+    ]
+}
+
+/// A call's argument struct, whichever of the 17 methods it is.
+fn call_arguments(call: &DexCall) -> Measured {
+    macro_rules! of_variant {
+        ($($variant:ident),*) => {
+            match call {
+                $(DexCall::$variant(args) => measured(args),)*
+            }
+        };
+    }
+    of_variant!(
+        Init,
+        RegisterPod,
+        GetPod,
+        RegisterResource,
+        LookupResource,
+        ListResources,
+        UpdatePolicy,
+        RegisterCopy,
+        UnregisterCopy,
+        ListCopies,
+        StartMonitoring,
+        RecordEvidence,
+        ReaffirmEvidence,
+        GetRound,
+        Subscribe,
+        VerifyCertificate,
+        GetSubscription
+    )
+}
+
+/// The payload struct of each event topic.
+fn event_payloads() -> impl Strategy<Value = Measured> {
+    prop_oneof![
+        text().prop_map(|owner_webid| measured(&PodRegistered { owner_webid })),
+        text().prop_map(|resource| measured(&ResourceRegistered { resource })),
+        policy_updated().prop_map(|v| measured(&v)),
+        copy_registered().prop_map(|v| measured(&v)),
+        copy_registered().prop_map(|v| measured(&CopyRemoved {
+            resource: v.resource,
+            device: v.device,
+        })),
+        monitoring_requested().prop_map(|v| measured(&v)),
+        evidence_recorded().prop_map(|v| measured(&v)),
+        round_closed().prop_map(|v| measured(&v)),
+        certificate_issued().prop_map(|v| measured(&v)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `encoded_len` is the number of bytes `encode` writes, for every
+    /// `Encode` impl in the workspace: the codec's primitives and
+    /// containers, the ledger's identifiers, transactions, blocks and
+    /// checkpoints, the policy model, the DE App's rows, records, call
+    /// arguments and event payloads. `encode_to_vec` allocates that many
+    /// bytes once, so an impl that miscounts would reallocate or hold
+    /// spare capacity (and trips its debug assertion).
+    #[test]
+    fn every_encoding_is_its_encoded_len(
+        value in prop_oneof![
+            4 => codec_values(),
+            2 => chain_values(),
+            2 => policy_values(),
+            2 => row_values(),
+            2 => record_values(),
+            3 => dex_call().prop_map(|c| call_arguments(&c)),
+            2 => event_payloads(),
+        ],
+    ) {
+        let (type_name, encoded_len, written) = value;
+        prop_assert_eq!(encoded_len, written, "{}", type_name);
     }
 }
 

@@ -10,6 +10,7 @@
 //! priced transaction as is.
 
 use duc_blockchain::{Receipt, SignedTransaction, Transaction, TxId, TxStatus};
+use duc_codec::Encode;
 use duc_crypto::KeyPair;
 use duc_oracle::{HopKind, OracleError, PushInOracle};
 use duc_sim::{EndpointId, SimTime};
@@ -68,7 +69,7 @@ impl TxFlow {
     pub(crate) fn new(world: &World, call: PreparedCall) -> TxFlow {
         TxFlow {
             stage: Stage::Send {
-                size: call.tx.encoded_size() as u64,
+                size: call.tx.encoded_len() as u64,
                 from: call.from,
                 attempt: 0,
                 deadline: world.clock.now() + HOP_TIMEOUT,

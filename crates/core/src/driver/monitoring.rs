@@ -4,6 +4,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use duc_blockchain::{Event, Receipt};
+use duc_codec::Encode;
 use duc_contracts::calls::{GetRound, StartMonitoring};
 use duc_contracts::{DexEvent, DistExchangeClient, EvidenceReaffirmation, EvidenceSubmission};
 use duc_oracle::{HopKind, OracleError};
@@ -266,7 +267,7 @@ impl Monitoring {
                         signature: duc_crypto::Signature { e: 0, s: 0 },
                     };
                     reaff.signature = dev.tee.enclave().sign(&reaff.signing_bytes());
-                    self.pending_bytes = duc_codec::encode_to_vec(&reaff).len();
+                    self.pending_bytes = reaff.encoded_len();
                     self.pending_note = None;
                     world.dex.call_tx(&world.chain, &key, reaff)
                 } else {
@@ -280,7 +281,7 @@ impl Monitoring {
                         signature: duc_crypto::Signature { e: 0, s: 0 },
                     };
                     submission.signature = dev.tee.enclave().sign(&submission.signing_bytes());
-                    self.pending_bytes = duc_codec::encode_to_vec(&submission).len();
+                    self.pending_bytes = submission.encoded_len();
                     self.pending_note = Some((
                         device,
                         ReportedEvidence {

@@ -480,7 +480,7 @@ mod tests {
     use duc_blockchain::{
         Blockchain, CallCtx, Contract, ContractError, ContractId, SignedTransaction,
     };
-    use duc_codec::{decode_from_slice, encode_to_vec};
+    use duc_codec::{decode_from_slice, encode_to_vec, Encode};
     use duc_sim::{LatencyModel, LinkConfig};
 
     struct Echo;
@@ -596,13 +596,7 @@ mod tests {
         let mut oracle = PushInOracle::new(s.relay);
         let tx = store_tx(&s, 42);
         let hop = oracle
-            .attempt(
-                &mut s.net,
-                &mut s.rng,
-                s.device,
-                tx.encoded_size() as u64,
-                0,
-            )
+            .attempt(&mut s.net, &mut s.rng, s.device, tx.encoded_len() as u64, 0)
             .expect("lossless link");
         assert_eq!(hop, SimDuration::from_millis(10));
         s.clock.advance(hop);

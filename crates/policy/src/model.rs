@@ -86,6 +86,10 @@ impl Encode for Action {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(self.tag());
     }
+
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Decode for Action {
@@ -130,6 +134,10 @@ impl Encode for Purpose {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
+    }
 }
 
 impl Decode for Purpose {
@@ -150,6 +158,10 @@ pub enum Effect {
 impl Encode for Effect {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(matches!(self, Effect::Prohibit) as u8);
+    }
+
+    fn encoded_len(&self) -> usize {
+        1
     }
 }
 
@@ -228,6 +240,17 @@ impl Encode for Constraint {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        const NANOS: usize = std::mem::size_of::<u64>();
+        1 + match self {
+            Constraint::MaxRetention(_) | Constraint::ExpiresAt(_) => NANOS,
+            Constraint::Purpose(ps) => ps.encoded_len(),
+            Constraint::MaxAccessCount(n) => n.encoded_len(),
+            Constraint::AllowedRecipients(agents) => agents.encoded_len(),
+            Constraint::TimeWindow { .. } => 2 * NANOS,
+        }
+    }
 }
 
 impl Decode for Constraint {
@@ -282,6 +305,13 @@ impl Encode for Duty {
                 d.as_nanos().encode(buf);
             }
             Duty::LogAccesses => buf.push(DUTY_LOG),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Duty::DeleteWithin(_) | Duty::NotifyOwnerWithin(_) => std::mem::size_of::<u64>(),
+            Duty::LogAccesses => 0,
         }
     }
 }

@@ -12,6 +12,10 @@ impl Encode for Item {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
     }
+
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
+    }
 }
 
 fn digest_of(item: &Item) -> Digest {
